@@ -1,7 +1,7 @@
 //! `ringcnn-lint` — workspace-specific static analysis for the
 //! RingCNN repro.
 //!
-//! The perf-critical layers PRs 6–9 added (AVX2/SSE2 GEMM
+//! The perf-critical layers PRs 6–9 added (AVX2 GEMM
 //! micro-kernels, raw epoll, the rayon shim's borrowed-job hand-off,
 //! the seqlock span ring) are exactly the code a reviewer cannot
 //! re-verify by eye on every change. This crate machine-checks the

@@ -396,17 +396,24 @@ mod tests {
         assert_ne!(y.plane(0, 1), y2.plane(0, 1));
     }
 
+    /// The im2col lowering of a one-item batch under the reference
+    /// kernel: row-major pack, then the matrix-level oracle.
+    fn reference_lowering(x: &T, w: &ConvWeights, bias: &[f32]) -> Vec<f32> {
+        let (rows, plane) = (w.ci * w.k * w.k, x.shape().plane());
+        let col = im2col_pack(x, 0, w.k);
+        ringcnn_tensor::gemm::reference(&col, plane, rows, w.co, &w.data, bias).concat()
+    }
+
     #[test]
     fn backends_are_bit_identical_under_reference_kernel() {
-        use ringcnn_tensor::gemm::{forced_kernel_scope, KernelBackend};
         let x = T::random_uniform(Shape4::new(1, 3, 6, 5), -1.0, 1.0, 12);
         let mut conv = Conv2d::new(3, 4, 3, 13);
         let naive = conv.forward(&x, false);
+        let exact = reference_lowering(&x, conv.weights(), conv.bias());
+        assert_eq!(exact, naive.as_slice());
         for backend in [ConvBackend::Im2col, ConvBackend::Transform] {
             conv.set_backend(backend);
-            let exact = forced_kernel_scope(KernelBackend::Reference, || conv.forward(&x, false));
-            assert_eq!(exact.as_slice(), naive.as_slice(), "{backend}");
-            // The blocked SIMD GEMM reassociates f32 adds: tolerance.
+            // The blocked GEMM tiles reassociate f32 adds: tolerance.
             for (a, b) in conv
                 .forward(&x, false)
                 .as_slice()
@@ -420,13 +427,12 @@ mod tests {
 
     #[test]
     fn depthwise_backends_are_bit_identical_under_reference_kernel() {
-        use ringcnn_tensor::gemm::{forced_kernel_scope, KernelBackend};
         let x = T::random_uniform(Shape4::new(1, 3, 5, 4), -1.0, 1.0, 14);
         let mut dw = DepthwiseConv2d::new(3, 3, 15);
         let naive = dw.forward(&x, false);
+        let exact = reference_lowering(&x, &dw.block_diagonal_weights(), &dw.bias);
+        assert_eq!(exact, naive.as_slice());
         dw.set_conv_backend(ConvBackend::Im2col);
-        let exact = forced_kernel_scope(KernelBackend::Reference, || dw.forward(&x, false));
-        assert_eq!(exact.as_slice(), naive.as_slice());
         for (a, b) in dw
             .forward(&x, false)
             .as_slice()

@@ -43,7 +43,7 @@ pub struct HealthReply {
     /// Current queue depth.
     pub queue_depth: usize,
     /// The GEMM kernel variant the server selected at startup
-    /// (honoring `RINGCNN_KERNEL`), e.g. `"avx2"` or `"portable"`.
+    /// (honoring `RINGCNN_KERNEL`): `"avx2"` or `"scalar"`.
     pub kernel: String,
     /// Milliseconds since the server started.
     pub uptime_ms: f64,

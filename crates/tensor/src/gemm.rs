@@ -4,8 +4,12 @@
 //!
 //! Both precisions lower a convolution to `C = W · col` where `col` is
 //! the packed patch matrix (`rows = ci·k²` by `plane = H·W`) and `W` is
-//! the `co × rows` weight matrix. The kernels here compute that product
-//! with an MR×NR register tile over a panel-major packed copy of `col`:
+//! the `co × rows` weight matrix. **One** blocked driver computes that
+//! product for both element types with an MR×NR register tile over a
+//! panel-major packed copy of `col`; what differs between `f32` and
+//! `i64` (panel width, AVX2 tile, exactness gate, scratch slot,
+//! epilogue) lives in the two impls of the crate-private `Element`
+//! trait:
 //!
 //! * **B is packed once per call** into `[panel][row][NR]` order (the
 //!   last panel zero-padded to NR width) and shared by every output
@@ -19,44 +23,48 @@
 //!   same pattern repeating every n channels, and grouping those
 //!   together preserves the reference loop's zero-row skip instead of
 //!   unioning n unrelated patterns into a dense block.
-//! * **NR** columns per micro-panel (16 for f32 AVX2/scalar, 8 for f32
-//!   SSE2 and for i64). Tiles walk the plane in L2-sized column chunks
-//!   ([`NC_COLS`]) so consecutive blocks re-read a resident chunk of the
-//!   packed B instead of streaming the whole matrix per block. The
-//!   per-element accumulation chain (bias first, then rows in increasing
-//!   order) is identical regardless of plane geometry — tiled and
-//!   whole-image runs of the *same* kernel agree bit for bit.
+//! * **NR** columns per micro-panel (16 for f32, 8 for i64). Tiles walk
+//!   the plane in L2-sized column chunks ([`NC_COLS`]) so consecutive
+//!   blocks re-read a resident chunk of the packed B instead of
+//!   streaming the whole matrix per block. The per-element accumulation
+//!   chain (bias first, then rows in increasing order) is identical
+//!   regardless of plane geometry — tiled and whole-image runs of the
+//!   *same* kernel agree bit for bit.
 //!
-//! Backends are selected at run time behind `is_x86_feature_detected!`:
-//! AVX2+FMA, SSE2, and a portable scalar-blocked fallback. The
-//! `RINGCNN_KERNEL` environment variable (`reference` | `scalar` |
-//! `auto`) is the escape hatch; [`forced_kernel_scope`] forces a backend
-//! for the current thread (tests compare kernels in-process with it).
+//! Two kernel tiers are selected at run time behind
+//! `is_x86_feature_detected!`: AVX2+FMA, and a portable scalar-blocked
+//! tile (same tiling, no intrinsics). The `RINGCNN_KERNEL` environment
+//! variable ([`KERNEL_ENV_VALUES`]) pins one; [`forced_kernel_scope`]
+//! forces a tier for the current thread (tests compare tiers in-process
+//! with it).
 //!
 //! # Exactness contract
 //!
-//! The **i64** kernels are **bit-identical** to the retained reference
-//! loop ([`crate::im2col::conv_rows_i64`]) on every backend: integer
-//! addition is order-independent, an AVX2 `_mm256_mul_epi32` product is
-//! exact whenever both operands fit in `i32` (checked per call, with a
-//! scalar-blocked fallback otherwise), and the fused requantization
-//! epilogue applies the same round-half-away-from-zero shift and
-//! saturation rails as the unfused path. (A block's zero-weight lanes
-//! contribute exact `+0` terms, so the channel grouping cannot change a
-//! result.) The **f32** kernels are tolerance-equivalent only: FMA
-//! contraction and the blocked summation change ULPs relative to the
-//! reference row-axpy.
+//! [`reference()`] is the matrix-level oracle: the plain row-axpy loop,
+//! generic over the element type, called by tests only. The **i64**
+//! tiers are **bit-identical** to it: integer addition is
+//! order-independent, an AVX2 `_mm256_mul_epi32` product is exact
+//! whenever both operands fit in `i32` (checked once per call, with the
+//! scalar-blocked tile as the fallback otherwise), and the fused
+//! requantization epilogue applies the same round-half-away-from-zero
+//! shift and saturation rails as the unfused path. (A block's
+//! zero-weight lanes contribute exact `+0` terms, so the channel
+//! grouping cannot change a result.) The **f32** tiers are
+//! tolerance-equivalent only: FMA contraction and the blocked summation
+//! change ULPs relative to the reference row-axpy.
 
+#[cfg(target_arch = "x86_64")]
+use core::arch::x86_64::*;
 use rayon::prelude::*;
 use std::cell::Cell;
+use std::ops::{AddAssign, Mul};
 use std::sync::OnceLock;
+use std::thread::LocalKey;
 
 /// Output channels per register block.
 pub const MR: usize = 4;
-/// f32 micro-panel width for the AVX2 and scalar kernels.
+/// f32 micro-panel width (two 8-lane YMM vectors per tile row).
 pub const NR_F32: usize = 16;
-/// f32 micro-panel width for the SSE2 kernel (8 accumulator XMM regs).
-pub const NR_F32_SSE: usize = 8;
 /// i64 micro-panel width (4 lanes per 256-bit vector, 2 vectors).
 pub const NR_I64: usize = 8;
 /// Column-chunk width (elements, a multiple of every NR): a
@@ -64,27 +72,20 @@ pub const NR_I64: usize = 8;
 /// channel block streams over it (tasks are ordered chunk-major).
 pub const NC_COLS: usize = 128;
 
-/// Which GEMM implementation executes the im2col product.
+/// Which register tile executes the blocked product.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelBackend {
-    /// The retained pre-blocking row-axpy loops — the correctness oracle.
-    Reference,
-    /// Portable scalar-blocked kernel (same tiling, no intrinsics).
+    /// Portable scalar-blocked tile (same tiling, no intrinsics).
     Scalar,
-    /// SSE2 f32 kernel (i64 falls back to scalar-blocked: SSE2 has no
-    /// signed 32→64-bit widening multiply).
-    Sse2,
-    /// AVX2 (+FMA for f32) kernel.
+    /// AVX2 (+FMA for f32) tile.
     Avx2,
 }
 
 impl KernelBackend {
-    /// Stable lower-case label (bench ids, logs).
+    /// Stable lower-case label (bench ids, logs, `RINGCNN_KERNEL`).
     pub fn label(&self) -> &'static str {
         match self {
-            KernelBackend::Reference => "reference",
             KernelBackend::Scalar => "scalar",
-            KernelBackend::Sse2 => "sse2",
             KernelBackend::Avx2 => "avx2",
         }
     }
@@ -94,34 +95,19 @@ fn detected() -> KernelBackend {
     static DETECTED: OnceLock<KernelBackend> = OnceLock::new();
     *DETECTED.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
-        {
-            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-                return KernelBackend::Avx2;
-            }
-            if is_x86_feature_detected!("sse2") {
-                return KernelBackend::Sse2;
-            }
+        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+            return KernelBackend::Avx2;
         }
         KernelBackend::Scalar
     })
 }
 
-/// Downgrades a requested backend to what the host actually supports.
+/// Downgrades a requested tier to what the host actually supports.
 fn available(k: KernelBackend) -> KernelBackend {
-    match k {
-        KernelBackend::Reference | KernelBackend::Scalar => k,
-        KernelBackend::Sse2 | KernelBackend::Avx2 => {
-            let best = detected();
-            if k == KernelBackend::Avx2 && best == KernelBackend::Avx2 {
-                k
-            } else if best == KernelBackend::Scalar {
-                KernelBackend::Scalar
-            } else {
-                // SSE2 requested (or AVX2 unavailable): SSE2 is always
-                // present on x86-64.
-                KernelBackend::Sse2
-            }
-        }
+    if detected() == KernelBackend::Avx2 {
+        k
+    } else {
+        KernelBackend::Scalar
     }
 }
 
@@ -133,33 +119,48 @@ fn env_choice() -> Option<KernelBackend> {
     *CHOICE.get_or_init(|| validate_env_kernel().unwrap_or(None))
 }
 
+/// Every value `RINGCNN_KERNEL` accepts (an empty value reads as
+/// `auto`). The docs' environment table is held to this list by
+/// `tests/docs.rs`.
+pub const KERNEL_ENV_VALUES: [&str; 3] = ["auto", "scalar", "avx2"];
+
+/// Decides a `RINGCNN_KERNEL` request against the tier the host
+/// `detected` — pure, so both refusals are unit-tested on any host.
+fn parse_kernel_request(
+    value: &str,
+    detected: KernelBackend,
+) -> Result<Option<KernelBackend>, String> {
+    match value {
+        "" | "auto" => Ok(None),
+        "scalar" => Ok(Some(KernelBackend::Scalar)),
+        "avx2" if detected == KernelBackend::Avx2 => Ok(Some(KernelBackend::Avx2)),
+        "avx2" => Err("RINGCNN_KERNEL=avx2 needs the avx2 and fma CPU features, \
+                       which this host does not both have"
+            .to_string()),
+        other => Err(format!(
+            "unrecognized RINGCNN_KERNEL value `{other}` (expected {})",
+            KERNEL_ENV_VALUES.join(", ")
+        )),
+    }
+}
+
 /// Strict parse of the `RINGCNN_KERNEL` environment variable.
 ///
 /// `Ok(None)` when unset, empty, or `auto` (runtime detection);
-/// `Ok(Some(_))` for a recognized backend name. Unlike the lenient
-/// dispatch-time cache (which falls back to detection), an unknown
-/// value is an `Err` naming it — binaries call this at startup and
-/// refuse to run on a typo'd kernel request, because a user asking for
-/// `reference` and silently getting `avx2` invalidates whatever
-/// comparison they were making.
+/// `Ok(Some(_))` for a tier this host can run. Unlike the lenient
+/// dispatch-time cache (which falls back to detection), a value the
+/// process cannot honour is an `Err` — binaries call this at startup
+/// and refuse to run, because a user asking for one kernel and silently
+/// getting another invalidates whatever comparison they were making.
 ///
 /// # Errors
 ///
-/// The unrecognized value, with the accepted spellings.
+/// An unrecognized value (with [`KERNEL_ENV_VALUES`]), or `avx2` on a
+/// CPU without AVX2+FMA (naming the missing features).
 pub fn validate_env_kernel() -> Result<Option<KernelBackend>, String> {
     match std::env::var("RINGCNN_KERNEL") {
         Err(_) => Ok(None),
-        Ok(v) => match v.as_str() {
-            "" | "auto" => Ok(None),
-            "reference" => Ok(Some(KernelBackend::Reference)),
-            "scalar" => Ok(Some(KernelBackend::Scalar)),
-            "sse2" => Ok(Some(KernelBackend::Sse2)),
-            "avx2" => Ok(Some(KernelBackend::Avx2)),
-            other => Err(format!(
-                "unrecognized RINGCNN_KERNEL value `{other}` \
-                 (expected auto, reference, scalar, sse2, or avx2)"
-            )),
-        },
+        Ok(v) => parse_kernel_request(&v, detected()),
     }
 }
 
@@ -167,12 +168,13 @@ thread_local! {
     static FORCED: Cell<Option<KernelBackend>> = const { Cell::new(None) };
 }
 
-/// Runs `f` with the kernel backend forced to `k` **on this thread**
-/// (restored on exit, panic-safe). The dispatch in [`gemm_f32`] /
-/// [`gemm_i64`] resolves the backend on the calling thread before
-/// fanning out to the thread pool, so a forced scope covers the whole
-/// parallel product. Unavailable SIMD backends degrade to the best
-/// supported one.
+/// Runs `f` with the kernel tier forced to `k` **on this thread**
+/// (restored on exit, panic-safe). The driver resolves the tier on the
+/// calling thread before fanning out to the thread pool, so a forced
+/// scope covers the whole parallel product. A forced `Avx2` degrades to
+/// `Scalar` on a host without it (unlike `RINGCNN_KERNEL=avx2`, which
+/// [`validate_env_kernel`] refuses), so tests can force both tiers
+/// anywhere.
 pub fn forced_kernel_scope<R>(k: KernelBackend, f: impl FnOnce() -> R) -> R {
     struct Reset(Option<KernelBackend>);
     impl Drop for Reset {
@@ -184,17 +186,21 @@ pub fn forced_kernel_scope<R>(k: KernelBackend, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// The backend the next GEMM call on this thread will use: the
+/// The tier the next GEMM call on this thread will use: the
 /// [`forced_kernel_scope`] override if active, else `RINGCNN_KERNEL`,
 /// else runtime feature detection.
 pub fn active_kernel() -> KernelBackend {
-    if let Some(k) = FORCED.with(|c| c.get()) {
-        return available(k);
-    }
-    match env_choice() {
+    match FORCED.with(Cell::get) {
         Some(k) => available(k),
-        None => detected(),
+        None => env_choice().unwrap_or_else(detected),
     }
+}
+
+/// Panel width to pack panel-major B with before calling
+/// [`gemm_f32_packed`]. Both tiers share one width; the parameter keeps
+/// call sites tier-explicit.
+pub fn f32_panel_width(_backend: KernelBackend) -> usize {
+    NR_F32
 }
 
 // ---------------------------------------------------------------------
@@ -219,35 +225,23 @@ pub mod profile {
     static PANEL_PACKS: AtomicU64 = AtomicU64::new(0);
     static PANEL_REUSES: AtomicU64 = AtomicU64::new(0);
     static TILES: AtomicU64 = AtomicU64::new(0);
-    /// Indexed by [`GemmCounters::dispatch`] order:
-    /// reference, scalar, sse2, avx2.
-    static DISPATCH: [AtomicU64; 4] = [
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-    ];
+    /// Indexed by [`GemmCounters::dispatch`] order: scalar, avx2.
+    static DISPATCH: [AtomicU64; 2] = [AtomicU64::new(0), AtomicU64::new(0)];
 
     fn idx(k: KernelBackend) -> usize {
         match k {
-            KernelBackend::Reference => 0,
-            KernelBackend::Scalar => 1,
-            KernelBackend::Sse2 => 2,
-            KernelBackend::Avx2 => 3,
+            KernelBackend::Scalar => 0,
+            KernelBackend::Avx2 => 1,
         }
     }
 
-    pub(super) fn add_packs(n: u64) {
-        PANEL_PACKS.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub(super) fn add_tiles(tiles: u64, reuses: u64) {
+    /// One product: its packed panels, tiles, L1-hot panel re-reads and
+    /// the tier that ran it.
+    pub(super) fn add_product(k: KernelBackend, packs: u64, tiles: u64, reuses: u64) {
+        DISPATCH[idx(k)].fetch_add(1, Ordering::Relaxed);
+        PANEL_PACKS.fetch_add(packs, Ordering::Relaxed);
         TILES.fetch_add(tiles, Ordering::Relaxed);
         PANEL_REUSES.fetch_add(reuses, Ordering::Relaxed);
-    }
-
-    pub(super) fn add_dispatch(k: KernelBackend) {
-        DISPATCH[idx(k)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// A point-in-time copy of the GEMM profiling counters.
@@ -262,9 +256,9 @@ pub mod profile {
         pub panel_reuses: u64,
         /// MR×NR register tiles executed.
         pub tiles: u64,
-        /// Products dispatched per kernel variant, indexed
-        /// `[reference, scalar, sse2, avx2]`.
-        pub dispatch: [u64; 4],
+        /// Products dispatched per kernel tier, indexed
+        /// `[scalar, avx2]`.
+        pub dispatch: [u64; 2],
     }
 
     impl GemmCounters {
@@ -273,7 +267,7 @@ pub mod profile {
             self.dispatch[idx(k)]
         }
 
-        /// Total products dispatched across every variant.
+        /// Total products dispatched across both tiers.
         pub fn total_dispatches(&self) -> u64 {
             self.dispatch.iter().sum()
         }
@@ -281,18 +275,11 @@ pub mod profile {
         /// Counter growth since `earlier` (saturating, so a stale
         /// "earlier" snapshot yields zeros rather than wrapping).
         pub fn delta_since(&self, earlier: &GemmCounters) -> GemmCounters {
-            let mut dispatch = [0u64; 4];
-            for (d, (a, b)) in dispatch
-                .iter_mut()
-                .zip(self.dispatch.iter().zip(earlier.dispatch.iter()))
-            {
-                *d = a.saturating_sub(*b);
-            }
             GemmCounters {
                 panel_packs: self.panel_packs.saturating_sub(earlier.panel_packs),
                 panel_reuses: self.panel_reuses.saturating_sub(earlier.panel_reuses),
                 tiles: self.tiles.saturating_sub(earlier.tiles),
-                dispatch,
+                dispatch: [0, 1].map(|i| self.dispatch[i].saturating_sub(earlier.dispatch[i])),
             }
         }
     }
@@ -300,15 +287,11 @@ pub mod profile {
     /// Reads every counter (relaxed; individually atomic, not a
     /// cross-counter consistent cut).
     pub fn snapshot() -> GemmCounters {
-        let mut dispatch = [0u64; 4];
-        for (d, c) in dispatch.iter_mut().zip(DISPATCH.iter()) {
-            *d = c.load(Ordering::Relaxed);
-        }
         GemmCounters {
             panel_packs: PANEL_PACKS.load(Ordering::Relaxed),
             panel_reuses: PANEL_REUSES.load(Ordering::Relaxed),
             tiles: TILES.load(Ordering::Relaxed),
-            dispatch,
+            dispatch: [0, 1].map(|i| DISPATCH[i].load(Ordering::Relaxed)),
         }
     }
 
@@ -319,30 +302,18 @@ pub mod profile {
         #[test]
         fn counters_advance_across_a_blocked_product() {
             let before = snapshot();
-            let col: Vec<f32> = (0..4 * 40).map(|i| i as f32).collect();
-            let w = vec![1.0f32; 3 * 4];
+            let col: Vec<i64> = (0..4 * 40).collect();
+            let w = vec![1i64; 3 * 4];
             let _ = crate::gemm::forced_kernel_scope(KernelBackend::Scalar, || {
-                crate::gemm::gemm_f32(&col, 40, 4, 3, &w, &[])
+                crate::gemm::gemm_i64(&col, 40, 4, 3, &w, &[], None)
             });
             // Other tests run gemm concurrently, so assert growth (>=)
             // rather than exact deltas.
             let d = snapshot().delta_since(&before);
             assert!(d.dispatched(KernelBackend::Scalar) >= 1);
             assert!(d.total_dispatches() >= 1);
-            assert!(d.panel_packs >= 1, "the product packs >=1 panel");
-            assert!(d.tiles >= 1, "the product executes >=1 tile");
-        }
-
-        #[test]
-        fn reference_products_count_dispatch_but_no_tiles() {
-            let before = snapshot();
-            let col = vec![1.0f32; 2 * 8];
-            let w = vec![1.0f32; 2 * 2];
-            let _ = crate::gemm::forced_kernel_scope(KernelBackend::Reference, || {
-                crate::gemm::gemm_f32(&col, 8, 2, 2, &w, &[])
-            });
-            let d = snapshot().delta_since(&before);
-            assert!(d.dispatched(KernelBackend::Reference) >= 1);
+            assert!(d.panel_packs >= 5, "the product packs 40 / NR_I64 panels");
+            assert!(d.tiles >= 5, "one MR block meets every panel");
         }
     }
 }
@@ -423,64 +394,184 @@ pub struct RequantPlan {
 }
 
 // ---------------------------------------------------------------------
-// Scratch reuse.
+// The element trait: everything f32 and i64 do differently.
 // ---------------------------------------------------------------------
 
+/// An element type of the blocked driver, with micro-panel width `NR`.
+pub(crate) trait Element<const NR: usize>:
+    Copy + Default + PartialEq + AddAssign + Mul<Output = Self> + Send + Sync + 'static
+{
+    /// What the epilogue applies to finished accumulator lanes.
+    type Epilogue: Sync;
+
+    /// The thread's reusable packing buffer: a fresh multi-megabyte Vec
+    /// per conv call costs more in page faults than the GEMM itself
+    /// (the allocator returns large freed blocks to the OS).
+    fn scratch() -> &'static LocalKey<Cell<Vec<Self>>>;
+
+    /// Whether the AVX2 tile multiplies every one of `values` exactly.
+    fn avx2_exact(values: &[Self]) -> bool;
+
+    /// The AVX2 register tile.
+    ///
+    /// # Safety
+    ///
+    /// `avx2` (and `fma` for f32) must be available;
+    /// `bpanel.len() ≥ (r+1)·NR` for every `r` in `nzrows`,
+    /// `wpack.len() ≥ nzrows.len()·MR`, and
+    /// [`avx2_exact`](Element::avx2_exact) must hold for both operands.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn tile_avx2(
+        bpanel: &[Self],
+        nzrows: &[u32],
+        wpack: &[Self],
+        binit: &[Self; MR],
+        out: &mut [[Self; NR]; MR],
+    );
+
+    /// Finishes the accumulators of output channel `chan` in place.
+    fn finish(epilogue: Option<&Self::Epilogue>, chan: usize, lane: &mut [Self]);
+}
+
 thread_local! {
-    // Reused packing buffers: a fresh multi-megabyte Vec per conv call
-    // costs more in page faults than the GEMM itself (the allocator
-    // returns large freed blocks to the OS), so the packed-B buffer is
-    // taken from and returned to a per-thread slot instead.
     static SCRATCH_F32: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
     static SCRATCH_I64: Cell<Vec<i64>> = const { Cell::new(Vec::new()) };
 }
 
-/// Takes the thread's f32 packing scratch, zeroed to `len` elements.
-/// Return it with [`put_scratch_f32`] when done so the allocation is
-/// reused by the next conv on this thread.
-pub fn take_scratch_f32(len: usize) -> Vec<f32> {
-    let mut v = SCRATCH_F32.take();
-    v.clear();
-    v.resize(len, 0.0);
-    v
-}
+impl Element<NR_F32> for f32 {
+    type Epilogue = ();
 
-/// Takes the thread's f32 packing scratch at `len` elements **without
-/// zeroing** — stale contents from the previous conv remain. Only for
-/// packers that overwrite every element (e.g.
-/// `im2col_pack_panels_window`); a 2+ MB memset per conv call is
-/// measurable against the GEMM itself on sparse rings.
-pub fn take_scratch_f32_dirty(len: usize) -> Vec<f32> {
-    let mut v = SCRATCH_F32.take();
-    v.resize(len, 0.0);
-    v
-}
-
-/// Returns a scratch buffer taken with [`take_scratch_f32`].
-pub fn put_scratch_f32(v: Vec<f32>) {
-    SCRATCH_F32.set(v);
-}
-
-/// Takes the thread's i64 packing scratch, zeroed to `len` elements.
-pub fn take_scratch_i64(len: usize) -> Vec<i64> {
-    let mut v = SCRATCH_I64.take();
-    v.clear();
-    v.resize(len, 0);
-    v
-}
-
-/// Returns a scratch buffer taken with [`take_scratch_i64`].
-pub fn put_scratch_i64(v: Vec<i64>) {
-    SCRATCH_I64.set(v);
-}
-
-/// Panel width the f32 kernels expect for `backend` — the `nr` to pack
-/// panel-major B with before calling [`gemm_f32_packed`].
-pub fn f32_panel_width(backend: KernelBackend) -> usize {
-    match backend {
-        KernelBackend::Sse2 => NR_F32_SSE,
-        _ => NR_F32,
+    fn scratch() -> &'static LocalKey<Cell<Vec<f32>>> {
+        &SCRATCH_F32
     }
+
+    fn avx2_exact(_: &[f32]) -> bool {
+        true
+    }
+
+    /// 4 output rows × 16 columns in 8 YMM accumulators, reading the
+    /// block's non-zero rows out of one panel-major B panel.
+    ///
+    /// # Safety
+    ///
+    /// `avx2` and `fma` must be available; `bpanel.len() ≥ (r+1)·16` for
+    /// every `r` in `nzrows` and `wpack.len() ≥ nzrows.len()·MR`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "fma")]
+    unsafe fn tile_avx2(
+        bpanel: &[f32],
+        nzrows: &[u32],
+        wpack: &[f32],
+        binit: &[f32; MR],
+        out: &mut [[f32; NR_F32]; MR],
+    ) {
+        let mut acc = [[_mm256_setzero_ps(); 2]; MR];
+        for c in 0..MR {
+            acc[c][0] = _mm256_set1_ps(binit[c]);
+            acc[c][1] = acc[c][0];
+        }
+        for (i, &r) in nzrows.iter().enumerate() {
+            let p = bpanel.as_ptr().add(r as usize * NR_F32);
+            let b0 = _mm256_loadu_ps(p);
+            let b1 = _mm256_loadu_ps(p.add(8));
+            for c in 0..MR {
+                let w = _mm256_set1_ps(*wpack.get_unchecked(i * MR + c));
+                acc[c][0] = _mm256_fmadd_ps(w, b0, acc[c][0]);
+                acc[c][1] = _mm256_fmadd_ps(w, b1, acc[c][1]);
+            }
+        }
+        for c in 0..MR {
+            _mm256_storeu_ps(out[c].as_mut_ptr(), acc[c][0]);
+            _mm256_storeu_ps(out[c].as_mut_ptr().add(8), acc[c][1]);
+        }
+    }
+
+    #[inline]
+    fn finish(_: Option<&()>, _: usize, _: &mut [f32]) {}
+}
+
+impl Element<NR_I64> for i64 {
+    type Epilogue = RequantPlan;
+
+    fn scratch() -> &'static LocalKey<Cell<Vec<i64>>> {
+        &SCRATCH_I64
+    }
+
+    /// `_mm256_mul_epi32` reads each lane's low 32 bits: exact only for
+    /// i32-range operands.
+    fn avx2_exact(values: &[i64]) -> bool {
+        values
+            .iter()
+            .all(|&x| (i64::from(i32::MIN)..=i64::from(i32::MAX)).contains(&x))
+    }
+
+    /// 4 output rows × 8 columns. Multiplies via `_mm256_mul_epi32`
+    /// (signed 32×32→64 of each lane's low half) — exact because the
+    /// caller guarantees all weights and column values fit in `i32`;
+    /// additions wrap exactly like release-mode scalar.
+    ///
+    /// # Safety
+    ///
+    /// `avx2` must be available; `bpanel.len() ≥ (r+1)·8` for every `r`
+    /// in `nzrows`, `wpack.len() ≥ nzrows.len()·MR`, and every operand
+    /// must fit in `i32`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn tile_avx2(
+        bpanel: &[i64],
+        nzrows: &[u32],
+        wpack: &[i64],
+        binit: &[i64; MR],
+        out: &mut [[i64; NR_I64]; MR],
+    ) {
+        let mut acc = [[_mm256_setzero_si256(); 2]; MR];
+        for c in 0..MR {
+            acc[c][0] = _mm256_set1_epi64x(binit[c]);
+            acc[c][1] = acc[c][0];
+        }
+        for (i, &r) in nzrows.iter().enumerate() {
+            let p = bpanel.as_ptr().add(r as usize * NR_I64);
+            let b0 = _mm256_loadu_si256(p as *const __m256i);
+            let b1 = _mm256_loadu_si256(p.add(4) as *const __m256i);
+            for c in 0..MR {
+                let w = _mm256_set1_epi64x(*wpack.get_unchecked(i * MR + c));
+                acc[c][0] = _mm256_add_epi64(acc[c][0], _mm256_mul_epi32(w, b0));
+                acc[c][1] = _mm256_add_epi64(acc[c][1], _mm256_mul_epi32(w, b1));
+            }
+        }
+        for c in 0..MR {
+            _mm256_storeu_si256(out[c].as_mut_ptr() as *mut __m256i, acc[c][0]);
+            _mm256_storeu_si256(out[c].as_mut_ptr().add(4) as *mut __m256i, acc[c][1]);
+        }
+    }
+
+    #[inline]
+    fn finish(plan: Option<&RequantPlan>, chan: usize, lane: &mut [i64]) {
+        if let Some(plan) = plan {
+            let ch = plan.channels[chan];
+            for v in lane {
+                *v = ch.apply(*v);
+            }
+        }
+    }
+}
+
+/// Takes the thread's packing scratch at `len` elements **without
+/// zeroing** — stale contents from the previous conv remain, so only
+/// for packers that overwrite every element (a 2+ MB memset per conv
+/// call is measurable against the GEMM itself on sparse rings). Return
+/// it with [`put_scratch`] so the next conv on this thread reuses the
+/// allocation.
+pub(crate) fn take_scratch<T: Element<NR>, const NR: usize>(len: usize) -> Vec<T> {
+    let mut v = T::scratch().take();
+    v.resize(len, T::default());
+    v
+}
+
+/// Returns a scratch buffer taken with [`take_scratch`].
+pub(crate) fn put_scratch<T: Element<NR>, const NR: usize>(v: Vec<T>) {
+    T::scratch().set(v);
 }
 
 // ---------------------------------------------------------------------
@@ -524,12 +615,13 @@ struct BlockPlan<T> {
     binit: [T; MR],
 }
 
-/// Cuts MR blocks from the similarity order and packs their weights.
+/// Cuts MR blocks from the similarity order and packs their weights
+/// (an empty `bias` initializes every accumulator to zero).
 fn plan_blocks<T: Copy + Default + PartialEq>(
     co: usize,
     rows: usize,
     weights: &[T],
-    bias: impl Fn(usize) -> T,
+    bias: &[T],
 ) -> Vec<BlockPlan<T>> {
     let zero = T::default();
     let order = similarity_order(co, rows, |c, r| weights[c * rows + r] != zero);
@@ -555,8 +647,10 @@ fn plan_blocks<T: Copy + Default + PartialEq>(
                 }
             }
             let mut binit = [zero; MR];
-            for (i, &c) in chans_slice.iter().enumerate() {
-                binit[i] = bias(c);
+            if !bias.is_empty() {
+                for (i, &c) in chans_slice.iter().enumerate() {
+                    binit[i] = bias[c];
+                }
             }
             BlockPlan {
                 chans,
@@ -589,17 +683,16 @@ fn pattern_groups<T>(blocks: &[BlockPlan<T>]) -> Vec<(usize, usize)> {
 }
 
 /// Packs `col` (`rows × plane`, row-major) into panel-major
-/// `[panel][row][nr]` order in `bp` (pre-zeroed, so the tail panel stays
-/// zero-padded to `nr`).
-fn pack_b_into<T: Copy>(col: &[T], plane: usize, rows: usize, nr: usize, bp: &mut [T]) {
-    let np = plane.div_ceil(nr);
-    profile::add_packs(np as u64);
-    for jp in 0..np {
+/// `[panel][row][nr]` order in `bp`, writing every element (the tail
+/// panel's pad is zeroed explicitly, so `bp` may be dirty scratch).
+fn pack_b_into<T: Copy + Default>(col: &[T], plane: usize, rows: usize, nr: usize, bp: &mut [T]) {
+    for jp in 0..plane.div_ceil(nr) {
         let j = jp * nr;
         let w = nr.min(plane - j);
         let dst = &mut bp[jp * rows * nr..(jp + 1) * rows * nr];
         for r in 0..rows {
             dst[r * nr..r * nr + w].copy_from_slice(&col[r * plane + j..r * plane + j + w]);
+            dst[r * nr + w..(r + 1) * nr].fill(T::default());
         }
     }
 }
@@ -638,214 +731,107 @@ fn assemble<T: Copy + Default>(
 }
 
 // ---------------------------------------------------------------------
-// f32 kernels.
+// The blocked driver.
 // ---------------------------------------------------------------------
 
-/// Blocked f32 GEMM over a packed patch matrix: returns one output
-/// plane per `co`, `bias[c] + Σ_r weights[c·rows + r] · col[r]` (an
-/// empty `bias` means no bias). Chunk×block tasks run in parallel.
-///
-/// # Examples
-///
-/// ```
-/// use ringcnn_tensor::gemm::gemm_f32;
-///
-/// // C = W · col: 2 output channels over rows = 2, plane = 3. Channel
-/// // c's weight row selects patch row c, so the output planes are the
-/// // patch rows themselves (plus the per-channel bias).
-/// let col = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]; // row-major rows × plane
-/// let w = [1.0, 0.0, 0.0, 1.0];
-/// let planes = gemm_f32(&col, 3, 2, 2, &w, &[0.0, 10.0]);
-/// assert_eq!(planes[0], vec![1.0, 2.0, 3.0]);
-/// assert_eq!(planes[1], vec![14.0, 15.0, 16.0]);
-/// ```
-///
-/// # Panics
-///
-/// Panics if `weights.len() != co·rows`, `col.len() != rows·plane`, or
-/// `bias` is neither empty nor `co` long.
-pub fn gemm_f32(
-    col: &[f32],
+/// `C = W · B` over a panel-major packed B (`[panel][row][NR]`, tail
+/// panel zero-padded): one output plane per `co`,
+/// `bias[c] + Σ_r weights[c·rows + r] · col[r]`, each finished by the
+/// element's epilogue. `b_exact` is the caller's word on whether the
+/// AVX2 tile multiplies every packed value exactly (`None`: scan `bp`).
+/// Chunk×group tasks run in parallel.
+#[allow(clippy::too_many_arguments)]
+fn packed<T: Element<NR>, const NR: usize>(
+    bp: &[T],
     plane: usize,
     rows: usize,
     co: usize,
-    weights: &[f32],
-    bias: &[f32],
-) -> Vec<Vec<f32>> {
-    assert_eq!(weights.len(), co * rows, "weight length mismatch");
-    assert_eq!(col.len(), rows * plane, "patch matrix length mismatch");
-    assert!(bias.is_empty() || bias.len() == co, "bias length mismatch");
-    let backend = active_kernel();
-    if backend == KernelBackend::Reference {
-        profile::add_dispatch(backend);
-        return reference_f32(col, plane, rows, co, weights, bias);
-    }
-    let nr = f32_panel_width(backend);
-    let np = plane.div_ceil(nr);
-    let mut bp = take_scratch_f32(np * rows * nr);
-    pack_b_into(col, plane, rows, nr, &mut bp);
-    let planes = f32_packed(backend, &bp, plane, rows, co, weights, bias);
-    put_scratch_f32(bp);
-    planes
-}
-
-/// [`gemm_f32`] over a pre-packed panel-major B (`[panel][row][nr]`
-/// with `nr = f32_panel_width(active_kernel())`, tail panel
-/// zero-padded) — the zero-copy entry for callers that build B directly
-/// in panel order, e.g. the fused im2col pack.
-///
-/// # Panics
-///
-/// Panics if the active backend is [`KernelBackend::Reference`] (which
-/// has no packed layout) or any length disagrees.
-pub fn gemm_f32_packed(
-    bp: &[f32],
-    plane: usize,
-    rows: usize,
-    co: usize,
-    weights: &[f32],
-    bias: &[f32],
-) -> Vec<Vec<f32>> {
+    weights: &[T],
+    bias: &[T],
+    epilogue: Option<&T::Epilogue>,
+    b_exact: Option<bool>,
+) -> Vec<Vec<T>> {
     assert_eq!(weights.len(), co * rows, "weight length mismatch");
     assert!(bias.is_empty() || bias.len() == co, "bias length mismatch");
-    let backend = active_kernel();
-    assert_ne!(
-        backend,
-        KernelBackend::Reference,
-        "packed entry requires a blocked backend"
-    );
-    let nr = f32_panel_width(backend);
-    assert_eq!(
-        bp.len(),
-        plane.div_ceil(nr) * rows * nr,
-        "packed matrix length mismatch"
-    );
-    // The caller packed (possibly fused with im2col); count its panels.
-    profile::add_packs(plane.div_ceil(nr) as u64);
-    f32_packed(backend, bp, plane, rows, co, weights, bias)
-}
-
-fn f32_packed(
-    backend: KernelBackend,
-    bp: &[f32],
-    plane: usize,
-    rows: usize,
-    co: usize,
-    weights: &[f32],
-    bias: &[f32],
-) -> Vec<Vec<f32>> {
-    let nr = f32_panel_width(backend);
-    let blocks = plan_blocks(co, rows, weights, |c| {
-        if bias.is_empty() {
-            0.0
-        } else {
-            bias[c]
-        }
-    });
-    let panels_per_chunk = NC_COLS / nr;
-    let np = plane.div_ceil(nr);
-    let nchunks = np.div_ceil(panels_per_chunk).max(1);
-    profile::add_dispatch(backend);
-    if blocks.is_empty() || plane == 0 {
-        return (0..co).map(|_| vec![0.0f32; plane]).collect();
+    let np = plane.div_ceil(NR);
+    assert_eq!(bp.len(), np * rows * NR, "packed matrix length mismatch");
+    let mut tier = active_kernel();
+    // The AVX2 exactness gate, once per call: the scalar-blocked tile
+    // is exact for every operand.
+    if tier == KernelBackend::Avx2
+        && !(b_exact.unwrap_or_else(|| T::avx2_exact(bp)) && T::avx2_exact(weights))
+    {
+        tier = KernelBackend::Scalar;
     }
+    let blocks = plan_blocks(co, rows, weights, bias);
     let groups = pattern_groups(&blocks);
     let ngroups = groups.len();
     // Closed forms over the chunk×group task grid: every panel meets
     // every block once (tiles), and per panel each block beyond its
     // group's first re-reads L1-hot rows (reuses). Counted here once so
     // the parallel tasks stay free of shared-cacheline traffic.
-    profile::add_tiles(
+    profile::add_product(
+        tier,
+        np as u64,
         (np * blocks.len()) as u64,
         (np * (blocks.len() - ngroups)) as u64,
     );
+    let panels_per_chunk = NC_COLS / NR;
     // Chunk-major task order: consecutive tasks hit the same L2-resident
     // slab of the packed B with a different channel-block group.
-    let tiles: Vec<Vec<f32>> = (0..nchunks * ngroups)
+    let tiles: Vec<Vec<T>> = (0..np.div_ceil(panels_per_chunk) * ngroups)
         .into_par_iter()
         .map(|t| {
             let (chunk, g) = (t / ngroups, t % ngroups);
             let jp0 = chunk * panels_per_chunk;
             let jp1 = np.min(jp0 + panels_per_chunk);
             let grp = &blocks[groups[g].0..groups[g].1];
-            match backend {
-                #[cfg(target_arch = "x86_64")]
-                KernelBackend::Avx2 => {
-                    f32_chunk::<NR_F32>(bp, rows, plane, jp0, jp1, grp, |p, nz, w, bi, o| {
-                        // SAFETY: backend == Avx2 only after runtime
-                        // detection of avx2+fma; `p` spans a full
-                        // rows×NR panel and nzrows index into it.
-                        unsafe { x86::f32_tile_avx2(p, nz, w, bi, o) }
-                    })
-                }
-                #[cfg(target_arch = "x86_64")]
-                KernelBackend::Sse2 => {
-                    f32_chunk::<NR_F32_SSE>(bp, rows, plane, jp0, jp1, grp, |p, nz, w, bi, o| {
-                        // SAFETY: SSE2 is a baseline x86-64 feature.
-                        unsafe { x86::f32_tile_sse2(p, nz, w, bi, o) }
-                    })
-                }
-                _ => f32_chunk::<NR_F32>(bp, rows, plane, jp0, jp1, grp, f32_tile_scalar),
-            }
+            chunk_body(tier, bp, rows, plane, jp0, jp1, grp, epilogue)
         })
         .collect();
-    assemble(&tiles, &blocks, &groups, co, plane, panels_per_chunk * nr)
-}
-
-/// The retained pre-blocking row-axpy loop (`RINGCNN_KERNEL=reference`).
-fn reference_f32(
-    col: &[f32],
-    plane: usize,
-    rows: usize,
-    co: usize,
-    weights: &[f32],
-    bias: &[f32],
-) -> Vec<Vec<f32>> {
-    (0..co)
-        .into_par_iter()
-        .map(|c| {
-            let mut acc = vec![if bias.is_empty() { 0.0 } else { bias[c] }; plane];
-            let wrow = &weights[c * rows..(c + 1) * rows];
-            for (r, &wv) in wrow.iter().enumerate() {
-                if wv == 0.0 {
-                    continue;
-                }
-                let src = &col[r * plane..(r + 1) * plane];
-                for (a, v) in acc.iter_mut().zip(src) {
-                    *a += wv * *v;
-                }
-            }
-            acc
-        })
-        .collect()
+    assemble(&tiles, &blocks, &groups, co, plane, panels_per_chunk * NR)
 }
 
 /// Runs one same-pattern block group over one column chunk of the
 /// packed B, returning the blocks' `Σ mr × chunk-width` output slabs
 /// concatenated. Panels are the outer loop so every block of the group
 /// reads the panel's non-zero rows while they are L1-hot.
-fn f32_chunk<const NR: usize>(
-    bp: &[f32],
+#[allow(clippy::too_many_arguments)]
+fn chunk_body<T: Element<NR>, const NR: usize>(
+    tier: KernelBackend,
+    bp: &[T],
     rows: usize,
     plane: usize,
     jp0: usize,
     jp1: usize,
-    grp: &[BlockPlan<f32>],
-    tile: impl Fn(&[f32], &[u32], &[f32], &[f32; MR], &mut [[f32; NR]; MR]),
-) -> Vec<f32> {
+    grp: &[BlockPlan<T>],
+    epilogue: Option<&T::Epilogue>,
+) -> Vec<T> {
     let j0 = jp0 * NR;
     let cw = (plane - j0).min((jp1 - jp0) * NR);
     let total_mr: usize = grp.iter().map(|b| b.mr).sum();
-    let mut out = vec![0.0f32; total_mr * cw];
-    let mut acc = [[0.0f32; NR]; MR];
+    let mut out = vec![T::default(); total_mr * cw];
+    let mut acc = [[T::default(); NR]; MR];
     for jp in jp0..jp1 {
         let panel = &bp[jp * rows * NR..(jp + 1) * rows * NR];
         let j = jp * NR - j0;
         let w = NR.min(cw - j);
         let mut base = 0;
         for block in grp {
-            tile(panel, &block.nzrows, &block.wpack, &block.binit, &mut acc);
-            for (i, lane) in acc.iter().enumerate().take(block.mr) {
+            match tier {
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: Avx2 is only selected after runtime detection
+                // of avx2+fma and the driver's exactness gate; `panel`
+                // spans a full rows×NR panel, `plan_blocks` drew every
+                // nzrows entry from `0..rows` and pushed MR weights per
+                // entry.
+                KernelBackend::Avx2 => unsafe {
+                    T::tile_avx2(panel, &block.nzrows, &block.wpack, &block.binit, &mut acc)
+                },
+                _ => tile_scalar(panel, &block.nzrows, &block.wpack, &block.binit, &mut acc),
+            }
+            for (i, lane) in acc.iter_mut().enumerate().take(block.mr) {
+                T::finish(epilogue, block.chans[i], &mut lane[..w]);
                 let o = (base + i) * cw + j;
                 out[o..o + w].copy_from_slice(&lane[..w]);
             }
@@ -857,12 +843,12 @@ fn f32_chunk<const NR: usize>(
 
 /// Portable scalar register tile (the compiler autovectorizes the fixed
 /// NR-wide inner loops where it can).
-fn f32_tile_scalar<const NR: usize>(
-    bpanel: &[f32],
+fn tile_scalar<T: Element<NR>, const NR: usize>(
+    bpanel: &[T],
     nzrows: &[u32],
-    wpack: &[f32],
-    binit: &[f32; MR],
-    out: &mut [[f32; NR]; MR],
+    wpack: &[T],
+    binit: &[T; MR],
+    out: &mut [[T; NR]; MR],
 ) {
     for (c, acc) in out.iter_mut().enumerate() {
         *acc = [binit[c]; NR];
@@ -871,7 +857,7 @@ fn f32_tile_scalar<const NR: usize>(
         let b = &bpanel[r as usize * NR..(r as usize + 1) * NR];
         for (c, acc) in out.iter_mut().enumerate() {
             let w = wpack[i * MR + c];
-            if w == 0.0 {
+            if w == T::default() {
                 continue;
             }
             for l in 0..NR {
@@ -882,23 +868,47 @@ fn f32_tile_scalar<const NR: usize>(
 }
 
 // ---------------------------------------------------------------------
-// i64 kernels.
+// Public entries.
 // ---------------------------------------------------------------------
 
-/// Blocked i64 GEMM over an integer patch matrix, bit-identical to
-/// [`crate::im2col::conv_rows_i64`] followed by per-channel
+/// Blocked f32 GEMM over a pre-packed panel-major B (`[panel][row][nr]`
+/// with `nr = f32_panel_width(active_kernel())`, tail panel
+/// zero-padded) — the zero-copy entry for callers that build B directly
+/// in panel order, e.g. the fused im2col pack. Returns one output plane
+/// per `co`, `bias[c] + Σ_r weights[c·rows + r] · col[r]` (an empty
+/// `bias` means no bias).
+///
+/// # Panics
+///
+/// Panics if `weights.len() != co·rows`, `bp` is not
+/// `plane.div_ceil(nr)·rows·nr` long, or `bias` is neither empty nor
+/// `co` long.
+pub fn gemm_f32_packed(
+    bp: &[f32],
+    plane: usize,
+    rows: usize,
+    co: usize,
+    weights: &[f32],
+    bias: &[f32],
+) -> Vec<Vec<f32>> {
+    packed::<f32, NR_F32>(bp, plane, rows, co, weights, bias, None, Some(true))
+}
+
+/// Blocked i64 GEMM over a row-major integer patch matrix,
+/// bit-identical to [`reference()`] followed by per-channel
 /// requantization (when `requant` is given the epilogue is fused: the
 /// un-rescaled wide accumulators never reach memory).
 ///
 /// The AVX2 path multiplies with `_mm256_mul_epi32`, which is exact only
-/// when both operands fit in `i32`; the call scans `weights` and `col`
-/// once and falls back to the scalar-blocked kernel (still bit-exact)
-/// when they do not.
+/// when both operands fit in `i32`; the call scans `weights` and the
+/// packed `col` once and falls back to the scalar-blocked tile (still
+/// bit-exact) when they do not.
 ///
 /// # Panics
 ///
 /// Panics if `weights.len() != co·rows`, `col.len() != rows·plane`,
-/// `bias.len() != co`, or a requant plan does not have `co` channels.
+/// `bias` is neither empty nor `co` long, or a requant plan does not
+/// have `co` channels.
 pub fn gemm_i64(
     col: &[i64],
     plane: usize,
@@ -908,39 +918,12 @@ pub fn gemm_i64(
     bias: &[i64],
     requant: Option<&RequantPlan>,
 ) -> Vec<Vec<i64>> {
-    assert_eq!(weights.len(), co * rows, "weight length mismatch");
     assert_eq!(col.len(), rows * plane, "patch matrix length mismatch");
-    assert_eq!(bias.len(), co, "bias length mismatch");
-    if let Some(plan) = requant {
-        assert_eq!(plan.channels.len(), co, "requant plan length mismatch");
-    }
-    let mut backend = active_kernel();
-    if backend == KernelBackend::Reference {
-        profile::add_dispatch(backend);
-        let mut planes = crate::im2col::conv_rows_i64(col, plane, rows, co, weights, bias);
-        if let Some(plan) = requant {
-            for (c, p) in planes.iter_mut().enumerate() {
-                let ch = plan.channels[c];
-                for v in p.iter_mut() {
-                    *v = ch.apply(*v);
-                }
-            }
-        }
-        return planes;
-    }
-    // SSE2 has no signed 32→64-bit widening multiply (that is SSE4.1's
-    // `_mm_mul_epi32`), and AVX2's is only exact for i32-range operands.
-    if backend == KernelBackend::Sse2 {
-        backend = KernelBackend::Scalar;
-    }
-    if backend == KernelBackend::Avx2 && !all_fit_i32(col) {
-        backend = KernelBackend::Scalar;
-    }
-    let np = plane.div_ceil(NR_I64);
-    let mut bp = take_scratch_i64(np * rows * NR_I64);
+    check_plan(requant, co);
+    let mut bp = take_scratch::<i64, NR_I64>(plane.div_ceil(NR_I64) * rows * NR_I64);
     pack_b_into(col, plane, rows, NR_I64, &mut bp);
-    let planes = i64_packed(backend, &bp, plane, rows, co, weights, bias, requant);
-    put_scratch_i64(bp);
+    let planes = packed::<i64, NR_I64>(&bp, plane, rows, co, weights, bias, requant, None);
+    put_scratch::<i64, NR_I64>(bp);
     planes
 }
 
@@ -948,12 +931,11 @@ pub fn gemm_i64(
 /// tail panel zero-padded) — the zero-copy entry for callers that build
 /// B directly in panel order. The caller certifies with `col_fits_i32`
 /// whether every packed value fits in `i32` (the AVX2 exactness gate;
-/// pass `false` when unsure and the scalar-blocked kernel runs).
+/// pass `false` when unsure and the scalar-blocked tile runs).
 ///
 /// # Panics
 ///
-/// Panics if the active backend is [`KernelBackend::Reference`] or any
-/// length disagrees.
+/// Panics if any length disagrees.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_i64_packed(
     bp: &[i64],
@@ -965,291 +947,73 @@ pub fn gemm_i64_packed(
     requant: Option<&RequantPlan>,
     col_fits_i32: bool,
 ) -> Vec<Vec<i64>> {
-    assert_eq!(weights.len(), co * rows, "weight length mismatch");
-    assert_eq!(bias.len(), co, "bias length mismatch");
+    check_plan(requant, co);
+    let b_exact = Some(col_fits_i32);
+    packed::<i64, NR_I64>(bp, plane, rows, co, weights, bias, requant, b_exact)
+}
+
+fn check_plan(requant: Option<&RequantPlan>, co: usize) {
     if let Some(plan) = requant {
         assert_eq!(plan.channels.len(), co, "requant plan length mismatch");
     }
-    assert_eq!(
-        bp.len(),
-        plane.div_ceil(NR_I64) * rows * NR_I64,
-        "packed matrix length mismatch"
-    );
-    // The caller packed (possibly fused with im2col); count its panels.
-    profile::add_packs(plane.div_ceil(NR_I64) as u64);
-    let mut backend = active_kernel();
-    assert_ne!(
-        backend,
-        KernelBackend::Reference,
-        "packed entry requires a blocked backend"
-    );
-    if backend == KernelBackend::Sse2 {
-        backend = KernelBackend::Scalar;
-    }
-    if backend == KernelBackend::Avx2 && !(col_fits_i32 && all_fit_i32(weights)) {
-        backend = KernelBackend::Scalar;
-    }
-    i64_packed(backend, bp, plane, rows, co, weights, bias, requant)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn i64_packed(
-    backend: KernelBackend,
-    bp: &[i64],
+/// The matrix-level oracle every tier is compared against: the plain
+/// row-axpy loop, one output plane per `co`,
+/// `bias[c] + Σ_r weights[c·rows + r] · col[r]` over a **row-major**
+/// `rows × plane` patch matrix, bias first, rows in increasing order,
+/// zero weights skipped (an empty `bias` means no bias). Generic over
+/// the element type; tests call it directly and no production path
+/// reaches it. Over [`crate::im2col::im2col_pack`] it is bit-identical
+/// to [`crate::conv::conv2d_forward`].
+///
+/// # Examples
+///
+/// ```
+/// use ringcnn_tensor::gemm::reference;
+///
+/// // C = W · col: 2 output channels over rows = 2, plane = 3. Channel
+/// // c's weight row selects patch row c, so the output planes are the
+/// // patch rows themselves (plus the per-channel bias).
+/// let col = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]; // row-major rows × plane
+/// let w = [1.0, 0.0, 0.0, 1.0];
+/// let planes = reference(&col, 3, 2, 2, &w, &[0.0, 10.0]);
+/// assert_eq!(planes[0], vec![1.0, 2.0, 3.0]);
+/// assert_eq!(planes[1], vec![14.0, 15.0, 16.0]);
+/// ```
+///
+/// # Panics
+///
+/// Panics if `weights.len() != co·rows`, `col.len() != rows·plane`, or
+/// `bias` is neither empty nor `co` long.
+pub fn reference<T>(
+    col: &[T],
     plane: usize,
     rows: usize,
     co: usize,
-    weights: &[i64],
-    bias: &[i64],
-    requant: Option<&RequantPlan>,
-) -> Vec<Vec<i64>> {
-    let backend = if backend == KernelBackend::Avx2 && !all_fit_i32(weights) {
-        KernelBackend::Scalar
-    } else {
-        backend
-    };
-    let blocks = plan_blocks(co, rows, weights, |c| bias[c]);
-    let panels_per_chunk = NC_COLS / NR_I64;
-    let np = plane.div_ceil(NR_I64);
-    let nchunks = np.div_ceil(panels_per_chunk).max(1);
-    profile::add_dispatch(backend);
-    if blocks.is_empty() || plane == 0 {
-        return (0..co).map(|_| vec![0i64; plane]).collect();
-    }
-    let groups = pattern_groups(&blocks);
-    let ngroups = groups.len();
-    // Same closed forms as the f32 path: tiles = panels × blocks,
-    // reuses = panels × (blocks beyond each group's first).
-    profile::add_tiles(
-        (np * blocks.len()) as u64,
-        (np * (blocks.len() - ngroups)) as u64,
-    );
-    let tiles: Vec<Vec<i64>> = (0..nchunks * ngroups)
-        .into_par_iter()
-        .map(|t| {
-            let (chunk, g) = (t / ngroups, t % ngroups);
-            let jp0 = chunk * panels_per_chunk;
-            let jp1 = np.min(jp0 + panels_per_chunk);
-            let grp = &blocks[groups[g].0..groups[g].1];
-            i64_chunk(backend, bp, rows, plane, jp0, jp1, grp, requant)
-        })
-        .collect();
-    assemble(
-        &tiles,
-        &blocks,
-        &groups,
-        co,
-        plane,
-        panels_per_chunk * NR_I64,
-    )
-}
-
-fn all_fit_i32(v: &[i64]) -> bool {
-    v.iter()
-        .all(|&x| (i64::from(i32::MIN)..=i64::from(i32::MAX)).contains(&x))
-}
-
-/// Runs one same-pattern block group over one column chunk of the
-/// packed B (with the fused requant epilogue), returning the blocks'
-/// `Σ mr × chunk-width` slabs concatenated. Panels are the outer loop
-/// so every block of the group reads the panel's non-zero rows while
-/// they are L1-hot.
-#[allow(clippy::too_many_arguments)]
-fn i64_chunk(
-    backend: KernelBackend,
-    bp: &[i64],
-    rows: usize,
-    plane: usize,
-    jp0: usize,
-    jp1: usize,
-    grp: &[BlockPlan<i64>],
-    requant: Option<&RequantPlan>,
-) -> Vec<i64> {
-    let j0 = jp0 * NR_I64;
-    let cw = (plane - j0).min((jp1 - jp0) * NR_I64);
-    let total_mr: usize = grp.iter().map(|b| b.mr).sum();
-    let mut out = vec![0i64; total_mr * cw];
-    let mut acc = [[0i64; NR_I64]; MR];
-    for jp in jp0..jp1 {
-        let bpanel = &bp[jp * rows * NR_I64..(jp + 1) * rows * NR_I64];
-        let j = jp * NR_I64 - j0;
-        let w = NR_I64.min(cw - j);
-        let mut base = 0;
-        for block in grp {
-            match backend {
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: Avx2 is only selected after runtime detection
-                // and the caller's i32-range scan; `bpanel` spans a
-                // full rows×NR panel and nzrows index into it.
-                KernelBackend::Avx2 => unsafe {
-                    x86::i64_tile_avx2(bpanel, &block.nzrows, &block.wpack, &block.binit, &mut acc)
-                },
-                _ => i64_tile_scalar(bpanel, &block.nzrows, &block.wpack, &block.binit, &mut acc),
-            }
-            if let Some(plan) = requant {
-                for (i, lane) in acc.iter_mut().enumerate().take(block.mr) {
-                    let ch = plan.channels[block.chans[i]];
-                    for v in lane[..w].iter_mut() {
-                        *v = ch.apply(*v);
-                    }
+    weights: &[T],
+    bias: &[T],
+) -> Vec<Vec<T>>
+where
+    T: Copy + Default + PartialEq + AddAssign + Mul<Output = T>,
+{
+    assert_eq!(weights.len(), co * rows, "weight length mismatch");
+    assert_eq!(col.len(), rows * plane, "patch matrix length mismatch");
+    assert!(bias.is_empty() || bias.len() == co, "bias length mismatch");
+    (0..co)
+        .map(|c| {
+            let mut acc = vec![bias.get(c).copied().unwrap_or_default(); plane];
+            for (r, &wv) in weights[c * rows..(c + 1) * rows].iter().enumerate() {
+                if wv == T::default() {
+                    continue;
+                }
+                for (a, v) in acc.iter_mut().zip(&col[r * plane..(r + 1) * plane]) {
+                    *a += wv * *v;
                 }
             }
-            for (i, lane) in acc.iter().enumerate().take(block.mr) {
-                let o = (base + i) * cw + j;
-                out[o..o + w].copy_from_slice(&lane[..w]);
-            }
-            base += block.mr;
-        }
-    }
-    out
-}
-
-fn i64_tile_scalar(
-    bpanel: &[i64],
-    nzrows: &[u32],
-    wpack: &[i64],
-    binit: &[i64; MR],
-    out: &mut [[i64; NR_I64]; MR],
-) {
-    for (c, acc) in out.iter_mut().enumerate() {
-        *acc = [binit[c]; NR_I64];
-    }
-    for (i, &r) in nzrows.iter().enumerate() {
-        let b = &bpanel[r as usize * NR_I64..(r as usize + 1) * NR_I64];
-        for (c, acc) in out.iter_mut().enumerate() {
-            let w = wpack[i * MR + c];
-            if w == 0 {
-                continue;
-            }
-            for l in 0..NR_I64 {
-                acc[l] += w * b[l];
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// x86-64 intrinsic tiles.
-// ---------------------------------------------------------------------
-
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    use super::{MR, NR_F32, NR_F32_SSE, NR_I64};
-    use core::arch::x86_64::*;
-
-    /// AVX2+FMA f32 register tile: 4 output rows × 16 columns in 8 YMM
-    /// accumulators, reading the block's non-zero rows out of one
-    /// panel-major B panel.
-    ///
-    /// # Safety
-    ///
-    /// `avx2` and `fma` must be available; `bpanel.len() ≥ (r+1)·16` for
-    /// every `r` in `nzrows` and `wpack.len() ≥ nzrows.len()·MR`.
-    #[target_feature(enable = "avx2")]
-    #[target_feature(enable = "fma")]
-    pub unsafe fn f32_tile_avx2(
-        bpanel: &[f32],
-        nzrows: &[u32],
-        wpack: &[f32],
-        binit: &[f32; MR],
-        out: &mut [[f32; NR_F32]; MR],
-    ) {
-        let mut acc = [[_mm256_setzero_ps(); 2]; MR];
-        for c in 0..MR {
-            acc[c][0] = _mm256_set1_ps(binit[c]);
-            acc[c][1] = acc[c][0];
-        }
-        for (i, &r) in nzrows.iter().enumerate() {
-            let p = bpanel.as_ptr().add(r as usize * NR_F32);
-            let b0 = _mm256_loadu_ps(p);
-            let b1 = _mm256_loadu_ps(p.add(8));
-            for c in 0..MR {
-                let w = _mm256_set1_ps(*wpack.get_unchecked(i * MR + c));
-                acc[c][0] = _mm256_fmadd_ps(w, b0, acc[c][0]);
-                acc[c][1] = _mm256_fmadd_ps(w, b1, acc[c][1]);
-            }
-        }
-        for c in 0..MR {
-            _mm256_storeu_ps(out[c].as_mut_ptr(), acc[c][0]);
-            _mm256_storeu_ps(out[c].as_mut_ptr().add(8), acc[c][1]);
-        }
-    }
-
-    /// SSE2 f32 register tile: 4 output rows × 8 columns (mul + add; no
-    /// FMA below AVX2 on x86-64 in practice).
-    ///
-    /// # Safety
-    ///
-    /// `bpanel.len() ≥ (r+1)·8` for every `r` in `nzrows` and
-    /// `wpack.len() ≥ nzrows.len()·MR` (SSE2 itself is a baseline
-    /// x86-64 feature).
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn f32_tile_sse2(
-        bpanel: &[f32],
-        nzrows: &[u32],
-        wpack: &[f32],
-        binit: &[f32; MR],
-        out: &mut [[f32; NR_F32_SSE]; MR],
-    ) {
-        let mut acc = [[_mm_setzero_ps(); 2]; MR];
-        for c in 0..MR {
-            acc[c][0] = _mm_set1_ps(binit[c]);
-            acc[c][1] = acc[c][0];
-        }
-        for (i, &r) in nzrows.iter().enumerate() {
-            let p = bpanel.as_ptr().add(r as usize * NR_F32_SSE);
-            let b0 = _mm_loadu_ps(p);
-            let b1 = _mm_loadu_ps(p.add(4));
-            for c in 0..MR {
-                let w = _mm_set1_ps(*wpack.get_unchecked(i * MR + c));
-                acc[c][0] = _mm_add_ps(acc[c][0], _mm_mul_ps(w, b0));
-                acc[c][1] = _mm_add_ps(acc[c][1], _mm_mul_ps(w, b1));
-            }
-        }
-        for c in 0..MR {
-            _mm_storeu_ps(out[c].as_mut_ptr(), acc[c][0]);
-            _mm_storeu_ps(out[c].as_mut_ptr().add(4), acc[c][1]);
-        }
-    }
-
-    /// AVX2 i64 register tile: 4 output rows × 8 columns. Multiplies via
-    /// `_mm256_mul_epi32` (signed 32×32→64 of each lane's low half) —
-    /// exact because the caller guarantees all weights and column values
-    /// fit in `i32`; additions wrap exactly like release-mode scalar.
-    ///
-    /// # Safety
-    ///
-    /// `avx2` must be available; `bpanel.len() ≥ (r+1)·8` for every `r`
-    /// in `nzrows`, `wpack.len() ≥ nzrows.len()·MR`, and every operand
-    /// must fit in `i32`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn i64_tile_avx2(
-        bpanel: &[i64],
-        nzrows: &[u32],
-        wpack: &[i64],
-        binit: &[i64; MR],
-        out: &mut [[i64; NR_I64]; MR],
-    ) {
-        let mut acc = [[_mm256_setzero_si256(); 2]; MR];
-        for c in 0..MR {
-            acc[c][0] = _mm256_set1_epi64x(binit[c]);
-            acc[c][1] = acc[c][0];
-        }
-        for (i, &r) in nzrows.iter().enumerate() {
-            let p = bpanel.as_ptr().add(r as usize * NR_I64);
-            let b0 = _mm256_loadu_si256(p as *const __m256i);
-            let b1 = _mm256_loadu_si256(p.add(4) as *const __m256i);
-            for c in 0..MR {
-                let w = _mm256_set1_epi64x(*wpack.get_unchecked(i * MR + c));
-                acc[c][0] = _mm256_add_epi64(acc[c][0], _mm256_mul_epi32(w, b0));
-                acc[c][1] = _mm256_add_epi64(acc[c][1], _mm256_mul_epi32(w, b1));
-            }
-        }
-        for c in 0..MR {
-            _mm256_storeu_si256(out[c].as_mut_ptr() as *mut __m256i, acc[c][0]);
-            _mm256_storeu_si256(out[c].as_mut_ptr().add(4) as *mut __m256i, acc[c][1]);
-        }
-    }
+            acc
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1280,12 +1044,42 @@ mod tests {
             .collect()
     }
 
-    fn backends_under_test() -> Vec<KernelBackend> {
-        vec![
-            KernelBackend::Scalar,
-            KernelBackend::Sse2,
-            KernelBackend::Avx2,
-        ]
+    const TIERS: [KernelBackend; 2] = [KernelBackend::Scalar, KernelBackend::Avx2];
+
+    /// The f32 product of tier `k` over a row-major `col`: packed here
+    /// into a NaN-filled buffer, so an element `pack_b_into` fails to
+    /// write poisons the result.
+    fn blocked_f32(
+        k: KernelBackend,
+        col: &[f32],
+        plane: usize,
+        rows: usize,
+        co: usize,
+        weights: &[f32],
+        bias: &[f32],
+    ) -> Vec<Vec<f32>> {
+        let mut bp = vec![f32::NAN; plane.div_ceil(NR_F32) * rows * NR_F32];
+        pack_b_into(col, plane, rows, NR_F32, &mut bp);
+        forced_kernel_scope(k, || gemm_f32_packed(&bp, plane, rows, co, weights, bias))
+    }
+
+    /// [`reference()`] followed by the unfused per-channel requantization.
+    fn reference_i64(
+        col: &[i64],
+        plane: usize,
+        rows: usize,
+        co: usize,
+        weights: &[i64],
+        bias: &[i64],
+        requant: Option<&RequantPlan>,
+    ) -> Vec<Vec<i64>> {
+        let mut planes = reference(col, plane, rows, co, weights, bias);
+        if let Some(plan) = requant {
+            for (p, ch) in planes.iter_mut().zip(&plan.channels) {
+                p.iter_mut().for_each(|v| *v = ch.apply(*v));
+            }
+        }
+        planes
     }
 
     #[test]
@@ -1297,6 +1091,8 @@ mod tests {
             (7, 18, 33),
             (8, 75, 40),
             (6, 12, 200), // more than one column chunk
+            (2, 3, 0),    // empty plane
+            (0, 3, 5),    // no output channels
         ] {
             let weights = {
                 let mut w = pseudo_f32(co * rows, 3);
@@ -1308,12 +1104,11 @@ mod tests {
             };
             let col = pseudo_f32(rows * plane, 7);
             let bias = pseudo_f32(co, 11);
-            let want = forced_kernel_scope(KernelBackend::Reference, || {
-                gemm_f32(&col, plane, rows, co, &weights, &bias)
-            });
-            for k in backends_under_test() {
-                let got =
-                    forced_kernel_scope(k, || gemm_f32(&col, plane, rows, co, &weights, &bias));
+            let want = reference(&col, plane, rows, co, &weights, &bias);
+            for k in TIERS {
+                let got = blocked_f32(k, &col, plane, rows, co, &weights, &bias);
+                assert_eq!(got.len(), co);
+                assert!(got.iter().all(|p| p.len() == plane));
                 for (a, b) in want.iter().flatten().zip(got.iter().flatten()) {
                     assert!(
                         (a - b).abs() <= 1e-4,
@@ -1328,8 +1123,8 @@ mod tests {
     fn f32_empty_bias_and_all_zero_rows() {
         let weights = vec![0.0f32; 2 * 9];
         let col = pseudo_f32(9 * 10, 5);
-        for k in backends_under_test() {
-            let got = forced_kernel_scope(k, || gemm_f32(&col, 10, 9, 2, &weights, &[]));
+        for k in TIERS {
+            let got = blocked_f32(k, &col, 10, 9, 2, &weights, &[]);
             assert!(got.iter().flatten().all(|v| *v == 0.0), "{k:?}");
         }
     }
@@ -1350,11 +1145,9 @@ mod tests {
         }
         let col = pseudo_f32(rows * plane, 9);
         let bias = pseudo_f32(co, 13);
-        let want = forced_kernel_scope(KernelBackend::Reference, || {
-            gemm_f32(&col, plane, rows, co, &weights, &bias)
-        });
-        for k in backends_under_test() {
-            let got = forced_kernel_scope(k, || gemm_f32(&col, plane, rows, co, &weights, &bias));
+        let want = reference(&col, plane, rows, co, &weights, &bias);
+        for k in TIERS {
+            let got = blocked_f32(k, &col, plane, rows, co, &weights, &bias);
             for (c, (a, b)) in want.iter().zip(got.iter()).enumerate() {
                 for (x, y) in a.iter().zip(b.iter()) {
                     assert!((x - y).abs() <= 1e-4, "{k:?} channel {c}: {x} vs {y}");
@@ -1372,6 +1165,8 @@ mod tests {
             (7, 18, 33),
             (8, 75, 40),
             (5, 10, 300), // more than one column chunk
+            (2, 3, 0),    // empty plane
+            (0, 3, 5),    // no output channels
         ] {
             let weights = {
                 let mut w = pseudo_i64(co * rows, 3, 1 << 15);
@@ -1393,10 +1188,8 @@ mod tests {
                     .collect(),
             };
             for requant in [None, Some(&plan)] {
-                let want = forced_kernel_scope(KernelBackend::Reference, || {
-                    gemm_i64(&col, plane, rows, co, &weights, &bias, requant)
-                });
-                for k in backends_under_test() {
+                let want = reference_i64(&col, plane, rows, co, &weights, &bias, requant);
+                for k in TIERS {
                     let got = forced_kernel_scope(k, || {
                         gemm_i64(&col, plane, rows, co, &weights, &bias, requant)
                     });
@@ -1408,17 +1201,29 @@ mod tests {
 
     #[test]
     fn i64_wide_operands_fall_back_exactly() {
-        // Values beyond i32: the AVX2 gate must reject them and the
-        // scalar-blocked fallback must still match the reference.
-        let weights = vec![1i64 << 40, 3, 0, -5];
-        let col = pseudo_i64(2 * 9, 13, 1 << 20);
+        // Values beyond i32 on either side: the AVX2 gate must reject
+        // them (a low-half multiply would lose the high bits) and the
+        // scalar-blocked tile must still match the reference — through
+        // both entries, whatever the packed caller certifies for B.
+        let narrow_w = vec![7i64, 3, 0, -5];
+        let wide_w = vec![1i64 << 40, 3, 0, -5];
+        let narrow_col = pseudo_i64(2 * 9, 13, 1 << 20);
+        let mut wide_col = narrow_col.clone();
+        wide_col[4] = (1 << 33) + 1;
         let bias = vec![7i64, -9];
-        let want = forced_kernel_scope(KernelBackend::Reference, || {
-            gemm_i64(&col, 9, 2, 2, &weights, &bias, None)
-        });
-        for k in backends_under_test() {
-            let got = forced_kernel_scope(k, || gemm_i64(&col, 9, 2, 2, &weights, &bias, None));
-            assert_eq!(want, got, "{k:?}");
+        for (weights, col) in [(&wide_w, &narrow_col), (&narrow_w, &wide_col)] {
+            let want = reference(col, 9, 2, 2, weights, &bias);
+            let mut bp = vec![-1i64; 9usize.div_ceil(NR_I64) * 2 * NR_I64];
+            pack_b_into(col, 9, 2, NR_I64, &mut bp);
+            let col_fits = i64::avx2_exact(col);
+            for k in TIERS {
+                let got = forced_kernel_scope(k, || gemm_i64(col, 9, 2, 2, weights, &bias, None));
+                assert_eq!(want, got, "{k:?}");
+                let got = forced_kernel_scope(k, || {
+                    gemm_i64_packed(&bp, 9, 2, 2, weights, &bias, None, col_fits)
+                });
+                assert_eq!(want, got, "{k:?} packed");
+            }
         }
     }
 
@@ -1438,12 +1243,10 @@ mod tests {
                 })
                 .collect(),
         };
-        let want = forced_kernel_scope(KernelBackend::Reference, || {
-            gemm_i64(&col, 4, 1, 2, &weights, &[0, 0], Some(&plan))
-        });
+        let want = reference_i64(&col, 4, 1, 2, &weights, &[0, 0], Some(&plan));
         assert_eq!(want[0], vec![(1 << 15) - 1, -(1 << 15), 25600, -25600]);
         assert_eq!(want[1], want[0]);
-        for k in backends_under_test() {
+        for k in TIERS {
             let got = forced_kernel_scope(k, || {
                 gemm_i64(&col, 4, 1, 2, &weights, &[0, 0], Some(&plan))
             });
@@ -1454,19 +1257,43 @@ mod tests {
     #[test]
     fn forced_scope_restores_on_exit() {
         let outer = active_kernel();
-        forced_kernel_scope(KernelBackend::Reference, || {
-            assert_eq!(active_kernel(), KernelBackend::Reference);
+        forced_kernel_scope(KernelBackend::Avx2, || {
+            assert_eq!(active_kernel(), available(KernelBackend::Avx2));
             forced_kernel_scope(KernelBackend::Scalar, || {
                 assert_eq!(active_kernel(), KernelBackend::Scalar);
             });
-            assert_eq!(active_kernel(), KernelBackend::Reference);
+            assert_eq!(active_kernel(), available(KernelBackend::Avx2));
         });
         assert_eq!(active_kernel(), outer);
     }
 
     #[test]
+    fn kernel_requests_are_refused_when_they_cannot_be_honoured() {
+        use KernelBackend::{Avx2, Scalar};
+        // Every advertised value parses on a host that has everything,
+        // and each tier's label is its own spelling.
+        for v in KERNEL_ENV_VALUES {
+            let got = parse_kernel_request(v, Avx2).expect(v);
+            assert_eq!(got.map(|k| k.label()), (v != "auto").then_some(v));
+        }
+        assert_eq!(parse_kernel_request("", Scalar), Ok(None));
+        assert_eq!(parse_kernel_request("scalar", Scalar), Ok(Some(Scalar)));
+        // avx2 without the CPU for it is an error naming the features,
+        // never a silent downgrade.
+        let err = parse_kernel_request("avx2", Scalar).unwrap_err();
+        assert!(err.contains("avx2") && err.contains("fma"), "{err}");
+        // The two retired tiers are typos now; the error lists what is
+        // accepted.
+        for gone in ["reference", "sse2", "AVX2"] {
+            let err = parse_kernel_request(gone, Avx2).unwrap_err();
+            assert!(err.contains(gone), "{err}");
+            assert!(KERNEL_ENV_VALUES.iter().all(|v| err.contains(v)), "{err}");
+        }
+    }
+
+    #[test]
     fn labels_are_stable() {
         assert_eq!(KernelBackend::Avx2.label(), "avx2");
-        assert_eq!(KernelBackend::Reference.label(), "reference");
+        assert_eq!(KernelBackend::Scalar.label(), "scalar");
     }
 }

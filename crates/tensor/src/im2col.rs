@@ -4,9 +4,8 @@
 //! streaming one shifted input plane per weight tap. This module instead
 //! packs all `ci·k²` shifted planes of a batch item into one contiguous
 //! *patch matrix* (`im2col`), then computes every output plane with the
-//! register-blocked GEMM micro-kernels of [`crate::gemm`] (AVX2/SSE2
-//! behind runtime feature detection, scalar-blocked fallback,
-//! `RINGCNN_KERNEL=reference` escape hatch back to the row-axpy oracle).
+//! register-blocked GEMM driver of [`crate::gemm`] (an AVX2 tile behind
+//! runtime feature detection, a portable scalar-blocked tile otherwise).
 //! Output channel blocks run rayon-parallel.
 //!
 //! The packing kernel is *window-aware*: [`im2col_pack_window`] packs an
@@ -14,23 +13,21 @@
 //! block-based runtime) directly from the parent tensor, treating the
 //! window boundary exactly like an image boundary (zero padding). The
 //! whole-image entry point [`im2col_pack`] is the full-window special
-//! case of the same code path, so the tile kernel is exercised by every
-//! dense convolution in the workspace.
+//! case of the same code path.
 //!
-//! The **integer** product ([`conv_rows_i64`] and the blocked
-//! [`crate::gemm::gemm_i64`] that replaced it on the quant hot path)
-//! agrees with the naive kernel **bit for bit**: integer accumulation is
-//! order-independent. The **float** SIMD kernels are
-//! tolerance-equivalent to the naive loop (FMA and blocked summation
-//! change ULPs); under `RINGCNN_KERNEL=reference` the float path too is
-//! bit-identical to the naive kernel (taps in `(ci, ky, kx)` order,
-//! zero taps skipped, bias first). The equivalence suite in
-//! `tests/conv_backends.rs` asserts both contracts.
+//! Correctness is a chain with one link per test: the row-major pack
+//! run through the matrix-level oracle [`crate::gemm::reference()`] equals
+//! the naive kernel **bit for bit** (taps in `(ci, ky, kx)` order, zero
+//! taps skipped, bias first); the fused panel-major pack holds exactly
+//! the row-major matrix; and every GEMM tier agrees with the oracle —
+//! **bit for bit** in `i64` (integer accumulation is order-independent),
+//! within tolerance in `f32` (FMA and blocked summation change ULPs).
+//! `tests/conv_backends.rs` and `tests/gemm_kernels.rs` assert the same
+//! over random shapes and whole models.
 
 use crate::conv::ConvWeights;
 use crate::tensor::Tensor;
 use crate::tile::Window;
-use rayon::prelude::*;
 
 /// Packs one batch item into a patch matrix of shape `(ci·k²) × (H·W)`,
 /// row-major: row `r = (ci·k + ky)·k + kx` holds the input plane shifted
@@ -149,9 +146,8 @@ fn copy_panel_range(bp: &mut [f32], rows: usize, nr: usize, r: usize, j0: usize,
 /// `bp` must be `plane.div_ceil(nr) · rows · nr` long and **every
 /// element is overwritten** — zero padding (image border, window
 /// border, tail-panel pad) is written explicitly, so the buffer may be
-/// taken dirty from [`crate::gemm::take_scratch_f32_dirty`] (a 2+ MB
-/// memset per conv call is measurable against the GEMM on sparse
-/// rings).
+/// taken dirty from the GEMM's per-thread scratch (a 2+ MB memset per
+/// conv call is measurable against the GEMM on sparse rings).
 ///
 /// # Panics
 ///
@@ -208,98 +204,35 @@ pub fn im2col_pack_panels_window(
 }
 
 /// Forward convolution over a packed patch matrix; drop-in replacement
-/// for [`crate::conv::conv2d_forward`] (bit-identical under
-/// `RINGCNN_KERNEL=reference`, tolerance-equivalent under the blocked
-/// SIMD kernels — see [`crate::gemm`]).
+/// for [`crate::conv::conv2d_forward`], tolerance-equivalent to it (see
+/// [`crate::gemm`]).
 ///
 /// Each output plane is `bias[co] + Σ_r w[co][r] · col[r]` where `col`
 /// is the [`im2col_pack`] matrix — a register-blocked GEMM with zero-tap
 /// skipping at micro-panel granularity (pruned weights still cost
-/// almost nothing). Under the blocked backends the pack is fused: the
-/// patch matrix is built panel-major in a reused scratch buffer and fed
-/// to the packed GEMM entry, so no row-major intermediate exists.
+/// almost nothing). The pack is fused: the patch matrix is built
+/// panel-major in a reused scratch buffer and fed to the packed GEMM
+/// entry, so no row-major intermediate exists.
 ///
 /// # Panics
 ///
 /// Panics if channel counts disagree or `bias.len() != co` (empty bias
 /// slice means no bias).
 pub fn conv2d_forward_im2col(input: &Tensor, w: &ConvWeights, bias: &[f32]) -> Tensor {
+    use crate::gemm::{self, NR_F32};
     let s = input.shape();
     assert_eq!(s.c, w.ci, "input channels mismatch");
-    assert!(
-        bias.is_empty() || bias.len() == w.co,
-        "bias length mismatch"
-    );
+    let rows = w.ci * w.k * w.k;
     let mut out = Tensor::zeros(s.with_channels(w.co));
+    let mut bp = gemm::take_scratch::<f32, NR_F32>(s.plane().div_ceil(NR_F32) * rows * NR_F32);
     for n in 0..s.n {
-        let results = product_rows_fused(input, n, Window::full(s.h, s.w), w, bias);
-        for (co, acc) in results.into_iter().enumerate() {
+        im2col_pack_panels_window(input, n, w.k, Window::full(s.h, s.w), NR_F32, &mut bp);
+        let planes = gemm::gemm_f32_packed(&bp, s.plane(), rows, w.co, &w.data, bias);
+        for (co, acc) in planes.into_iter().enumerate() {
             out.plane_mut(n, co).copy_from_slice(&acc);
         }
     }
-    out
-}
-
-/// The shared conv body: fused panel-major pack + packed GEMM under the
-/// blocked backends, the retained row-major pack + reference loop under
-/// `RINGCNN_KERNEL=reference`.
-fn product_rows_fused(
-    input: &Tensor,
-    n: usize,
-    window: Window,
-    w: &ConvWeights,
-    bias: &[f32],
-) -> Vec<Vec<f32>> {
-    use crate::gemm::{self, KernelBackend};
-    let backend = gemm::active_kernel();
-    let plane = window.h * window.w;
-    let rows = w.ci * w.k * w.k;
-    if backend == KernelBackend::Reference {
-        let col = im2col_pack_window(input, n, w.k, window);
-        return product_rows(&col, plane, w, bias);
-    }
-    let nr = gemm::f32_panel_width(backend);
-    let mut bp = gemm::take_scratch_f32_dirty(plane.div_ceil(nr) * rows * nr);
-    im2col_pack_panels_window(input, n, w.k, window, nr, &mut bp);
-    let results = gemm::gemm_f32_packed(&bp, plane, rows, w.co, &w.data, bias);
-    gemm::put_scratch_f32(bp);
-    results
-}
-
-/// Forward convolution of a tile view: convolves `window` of batch item
-/// `n` as if the window were a standalone zero-padded image (the
-/// semantics of the block-based inference flow), returning a
-/// `[1, co, window.h, window.w]` tensor. Bit-identical to
-/// `conv2d_forward_im2col(&input.extract_window(n, window), …)` without
-/// materializing the tile.
-///
-/// The tiled runtime (`ringcnn_nn::runtime`) currently extracts tiles
-/// and runs whole-tile kernels (the `Layer` API is tensor-in/tensor-out);
-/// this entry point is the building block for a fused first-layer tile
-/// path that skips the extraction copy, and the direct conv-level
-/// equivalence check of the window packing above.
-///
-/// # Panics
-///
-/// Panics if channel counts disagree or `bias.len() != co`.
-pub fn conv2d_forward_im2col_window(
-    input: &Tensor,
-    n: usize,
-    window: Window,
-    w: &ConvWeights,
-    bias: &[f32],
-) -> Tensor {
-    let s = input.shape();
-    assert_eq!(s.c, w.ci, "input channels mismatch");
-    assert!(
-        bias.is_empty() || bias.len() == w.co,
-        "bias length mismatch"
-    );
-    let mut out = Tensor::zeros(crate::shape::Shape4::new(1, w.co, window.h, window.w));
-    let results = product_rows_fused(input, n, window, w, bias);
-    for (co, acc) in results.into_iter().enumerate() {
-        out.plane_mut(0, co).copy_from_slice(&acc);
-    }
+    gemm::put_scratch::<f32, NR_F32>(bp);
     out
 }
 
@@ -349,64 +282,11 @@ pub fn im2col_pack_i64(data: &[i64], shape: crate::shape::Shape4, n: usize, k: u
     col
 }
 
-/// Integer row-times-matrix product over an [`im2col_pack_i64`] patch
-/// matrix: output plane `co` is `bias(co) + Σ_r w[co·rows + r] · col[r]`
-/// with zero taps skipped, accumulated in `i64`. Output planes run
-/// rayon-parallel into independent slots, and integer addition is
-/// order-independent, so the result is **bit-identical** at any pool
-/// size and to the scalar reference loop
-/// (`ringcnn_quant::quantized::run_conv_reference`).
-///
-/// This is the **retained reference oracle** for the blocked
-/// [`crate::gemm::gemm_i64`] kernel that now runs the quantized hot
-/// path (and the body behind its `RINGCNN_KERNEL=reference` escape
-/// hatch); the blocked kernel is bit-identical to this loop on every
-/// backend.
-///
-/// # Panics
-///
-/// Panics if `weights.len() != co · rows` or `col.len() != rows · plane`.
-pub fn conv_rows_i64(
-    col: &[i64],
-    plane: usize,
-    rows: usize,
-    co: usize,
-    weights: &[i64],
-    bias: &[i64],
-) -> Vec<Vec<i64>> {
-    assert_eq!(weights.len(), co * rows, "weight length mismatch");
-    assert_eq!(col.len(), rows * plane, "patch matrix length mismatch");
-    assert_eq!(bias.len(), co, "bias length mismatch");
-    (0..co)
-        .into_par_iter()
-        .map(|c| {
-            let mut acc = vec![bias[c]; plane];
-            let wrow = &weights[c * rows..(c + 1) * rows];
-            for (r, &wv) in wrow.iter().enumerate() {
-                if wv == 0 {
-                    continue;
-                }
-                let src = &col[r * plane..(r + 1) * plane];
-                for (a, v) in acc.iter_mut().zip(src) {
-                    *a += wv * *v;
-                }
-            }
-            acc
-        })
-        .collect()
-}
-
-/// The row-times-matrix product over a packed patch matrix: one output
-/// plane per `co`, computed by the register-blocked GEMM micro-kernels
-/// (backend resolved per [`crate::gemm::active_kernel`]).
-fn product_rows(col: &[f32], plane: usize, w: &ConvWeights, bias: &[f32]) -> Vec<Vec<f32>> {
-    crate::gemm::gemm_f32(col, plane, w.ci * w.k * w.k, w.co, &w.data, bias)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::conv::conv2d_forward;
+    use crate::gemm;
     use crate::shape::Shape4;
 
     fn pseudo_weights(co: usize, ci: usize, k: usize) -> ConvWeights {
@@ -421,6 +301,33 @@ mod tests {
         w
     }
 
+    /// The im2col lowering under the reference kernel: row-major pack,
+    /// then the matrix-level oracle.
+    fn reference_conv(input: &Tensor, w: &ConvWeights, bias: &[f32]) -> Tensor {
+        let s = input.shape();
+        let mut out = Tensor::zeros(s.with_channels(w.co));
+        for n in 0..s.n {
+            let col = im2col_pack(input, n, w.k);
+            let planes = gemm::reference(&col, s.plane(), w.ci * w.k * w.k, w.co, &w.data, bias);
+            for (co, acc) in planes.iter().enumerate() {
+                out.plane_mut(n, co).copy_from_slice(acc);
+            }
+        }
+        out
+    }
+
+    /// Naive ≡ reference-kernel lowering bit for bit; the production
+    /// path (blocked tiles reassociate float adds) within tolerance.
+    fn assert_lowering_matches_naive(input: &Tensor, w: &ConvWeights, bias: &[f32], what: &str) {
+        let naive = conv2d_forward(input, w, bias);
+        let exact = reference_conv(input, w, bias);
+        assert_eq!(naive.as_slice(), exact.as_slice(), "{what}");
+        let fast = conv2d_forward_im2col(input, w, bias);
+        for (a, b) in naive.as_slice().iter().zip(fast.as_slice()) {
+            assert!((a - b).abs() <= 1e-4, "{what}: {a} vs {b}");
+        }
+    }
+
     #[test]
     fn matches_naive_bit_for_bit_under_reference_kernel() {
         for (co, ci, k, h, wd) in [
@@ -432,21 +339,8 @@ mod tests {
             let input = Tensor::random_uniform(Shape4::new(2, ci, h, wd), -1.0, 1.0, 3);
             let w = pseudo_weights(co, ci, k);
             let bias: Vec<f32> = (0..co).map(|i| 0.1 * i as f32 - 0.2).collect();
-            let naive = conv2d_forward(&input, &w, &bias);
-            let exact =
-                crate::gemm::forced_kernel_scope(crate::gemm::KernelBackend::Reference, || {
-                    conv2d_forward_im2col(&input, &w, &bias)
-                });
-            assert_eq!(
-                naive.as_slice(),
-                exact.as_slice(),
-                "co={co} ci={ci} k={k} {h}x{wd}"
-            );
-            // The blocked SIMD kernels reassociate float adds: tolerance.
-            let fast = conv2d_forward_im2col(&input, &w, &bias);
-            for (a, b) in naive.as_slice().iter().zip(fast.as_slice()) {
-                assert!((a - b).abs() <= 1e-4, "co={co} ci={ci} k={k}: {a} vs {b}");
-            }
+            let what = format!("co={co} ci={ci} k={k} {h}x{wd}");
+            assert_lowering_matches_naive(&input, &w, &bias, &what);
         }
     }
 
@@ -469,16 +363,7 @@ mod tests {
         for (co, ci, k, h, wd) in [(2, 2, 5, 4, 1), (2, 2, 5, 1, 4), (1, 1, 5, 2, 2)] {
             let input = Tensor::random_uniform(Shape4::new(1, ci, h, wd), -1.0, 1.0, 11);
             let w = pseudo_weights(co, ci, k);
-            let naive = conv2d_forward(&input, &w, &[]);
-            let exact =
-                crate::gemm::forced_kernel_scope(crate::gemm::KernelBackend::Reference, || {
-                    conv2d_forward_im2col(&input, &w, &[])
-                });
-            assert_eq!(naive.as_slice(), exact.as_slice(), "k={k} {h}x{wd}");
-            let fast = conv2d_forward_im2col(&input, &w, &[]);
-            for (a, b) in naive.as_slice().iter().zip(fast.as_slice()) {
-                assert!((a - b).abs() <= 1e-4, "k={k} {h}x{wd}: {a} vs {b}");
-            }
+            assert_lowering_matches_naive(&input, &w, &[], &format!("k={k} {h}x{wd}"));
         }
     }
 
@@ -552,17 +437,6 @@ mod tests {
     }
 
     #[test]
-    fn window_conv_matches_conv_of_extracted_tile() {
-        let input = Tensor::random_uniform(Shape4::new(1, 3, 8, 8), -1.0, 1.0, 23);
-        let w = pseudo_weights(4, 3, 3);
-        let bias = [0.1, -0.2, 0.05, 0.0];
-        let win = Window::new(-1, 3, 6, 7);
-        let direct = conv2d_forward_im2col_window(&input, 0, win, &w, &bias);
-        let via_tile = conv2d_forward_im2col(&input.extract_window(0, win), &w, &bias);
-        assert_eq!(direct.as_slice(), via_tile.as_slice());
-    }
-
-    #[test]
     fn integer_pack_mirrors_float_pack() {
         // The i64 pack must place exactly the same samples as the float
         // pack (same tap rows, same zero padding).
@@ -578,20 +452,15 @@ mod tests {
 
     #[test]
     fn integer_rows_accumulate_bias_and_skip_zero_taps() {
-        // 1 channel, k=1: output = bias + w·x per pixel.
-        let col = vec![1i64, -2, 3, 4];
-        let out = conv_rows_i64(&col, 4, 1, 2, &[3, 0], &[10, 7]);
-        assert_eq!(out[0], vec![13, 4, 19, 22]);
-        assert_eq!(out[1], vec![7, 7, 7, 7]); // zero weight: bias only
-    }
-
-    #[test]
-    fn full_window_is_the_whole_image_kernel() {
-        let input = Tensor::random_uniform(Shape4::new(1, 2, 5, 6), -1.0, 1.0, 25);
-        let w = pseudo_weights(2, 2, 3);
-        let win = Window::full(5, 6);
-        let windowed = conv2d_forward_im2col_window(&input, 0, win, &w, &[]);
-        let whole = conv2d_forward_im2col(&input, &w, &[]);
-        assert_eq!(windowed.as_slice(), whole.as_slice());
+        // 1 channel, k=1 (the identity pack): output = bias + w·x per
+        // pixel, through the oracle and through the blocked driver.
+        let col = im2col_pack_i64(&[1, -2, 3, 4], Shape4::new(1, 1, 2, 2), 0, 1);
+        for out in [
+            gemm::reference(&col, 4, 1, 2, &[3, 0], &[10, 7]),
+            gemm::gemm_i64(&col, 4, 1, 2, &[3, 0], &[10, 7], None),
+        ] {
+            assert_eq!(out[0], vec![13, 4, 19, 22]);
+            assert_eq!(out[1], vec![7, 7, 7, 7]); // zero weight: bias only
+        }
     }
 }

@@ -34,12 +34,9 @@ pub mod prelude {
         conv2d_backward_input, conv2d_backward_weight, conv2d_forward, ConvWeights,
     };
     pub use crate::gemm::{
-        active_kernel, forced_kernel_scope, gemm_f32, gemm_i64, KernelBackend, RequantChannel,
-        RequantPlan,
+        active_kernel, forced_kernel_scope, gemm_i64, KernelBackend, RequantChannel, RequantPlan,
     };
-    pub use crate::im2col::{
-        conv2d_forward_im2col, conv2d_forward_im2col_window, im2col_pack, im2col_pack_window,
-    };
+    pub use crate::im2col::{conv2d_forward_im2col, im2col_pack, im2col_pack_window};
     pub use crate::shape::Shape4;
     pub use crate::tensor::Tensor;
     pub use crate::tile::{tile_grid, Window};

@@ -5,9 +5,9 @@
 //!
 //! These are the tests that make the backend dispatch safe to use on the
 //! inference hot path: every backend must be *explainably* identical to
-//! the naive lowering — bit-for-bit for the dense kernels under
-//! `RINGCNN_KERNEL=reference`, within `1e-4` for the blocked SIMD GEMM
-//! kernels (FMA/reorder changes ULPs) and the `f32` transform engine.
+//! the naive lowering — bit-for-bit for the im2col lowering run through
+//! the matrix-level reference loop, within `1e-4` for the blocked GEMM
+//! tiles (FMA/reorder changes ULPs) and the `f32` transform engine.
 
 use proptest::prelude::*;
 use ringcnn::prelude::*;
@@ -15,9 +15,10 @@ use ringcnn_nn::models::ernet::{dn_ernet_pu, ErNetConfig};
 use ringcnn_nn::models::ffdnet::ffdnet;
 use ringcnn_nn::models::srresnet::{srresnet, SrResNetConfig};
 use ringcnn_nn::models::vdsr::vdsr;
+use ringcnn_tensor::gemm;
 use ringcnn_tensor::prelude::{
     conv2d_backward_input, conv2d_backward_weight, conv2d_forward, conv2d_forward_im2col,
-    forced_kernel_scope, ConvWeights, KernelBackend,
+    im2col_pack, ConvWeights,
 };
 
 /// Pseudo-random but deterministic weights with exact zeros sprinkled in
@@ -60,11 +61,7 @@ proptest! {
                 Shape4::new(1, ci_t * n, h, w), -1.0, 1.0, seed ^ 0xabc);
             let naive = layer.forward(&x, false);
             layer.set_backend(ConvBackend::Im2col);
-            // Under the reference kernel the im2col path runs the
-            // identical lowering on the packed matrix: bit-for-bit equal.
-            let exact = forced_kernel_scope(KernelBackend::Reference, || layer.forward(&x, false));
-            prop_assert_eq!(naive.as_slice(), exact.as_slice(), "{:?} im2col", kind);
-            // The blocked SIMD kernels reassociate f32 adds: tolerance.
+            // The blocked GEMM tiles reassociate f32 adds: tolerance.
             let im2col = layer.forward(&x, false);
             for (i, (a, b)) in naive.as_slice().iter().zip(im2col.as_slice()).enumerate() {
                 prop_assert!(
@@ -85,10 +82,11 @@ proptest! {
         }
     }
 
-    /// Satellite 2: under `RINGCNN_KERNEL=reference` the im2col dense
-    /// backend equals the naive `conv2d_forward` *exactly* (same
-    /// summation order per output element); the blocked SIMD kernels
-    /// stay within 1e-4. Covers k = 1/3/5, non-square H ≠ W, batches.
+    /// Satellite 2: the im2col lowering run through the matrix-level
+    /// reference loop equals the naive `conv2d_forward` *exactly* (same
+    /// summation order per output element); the production path with
+    /// its blocked tiles stays within 1e-4. Covers k = 1/3/5,
+    /// non-square H ≠ W, batches.
     #[test]
     fn im2col_matches_naive_bit_for_bit(
         seed in 0u64..1_000_000,
@@ -105,13 +103,16 @@ proptest! {
         let bias: Vec<f32> = (0..co).map(|i| 0.1 * i as f32 - 0.15).collect();
         for b in [bias.as_slice(), &[]] {
             let naive = conv2d_forward(&x, &wts, b);
-            let exact = forced_kernel_scope(KernelBackend::Reference, || {
-                conv2d_forward_im2col(&x, &wts, b)
-            });
-            prop_assert_eq!(
-                naive.as_slice(), exact.as_slice(),
-                "co={} ci={} k={} {}x{} batch={}", co, ci, k, h, w, batch
-            );
+            for n in 0..batch {
+                let col = im2col_pack(&x, n, k);
+                let exact = gemm::reference(&col, h * w, ci * k * k, co, &wts.data, b);
+                for (c, plane) in exact.iter().enumerate() {
+                    prop_assert_eq!(
+                        naive.plane(n, c), plane.as_slice(),
+                        "co={} ci={} k={} {}x{} item {}", co, ci, k, h, w, n
+                    );
+                }
+            }
             let fast = conv2d_forward_im2col(&x, &wts, b);
             for (p, q) in naive.as_slice().iter().zip(fast.as_slice()) {
                 prop_assert!(

@@ -1,7 +1,8 @@
 //! Documentation honesty checks: every relative link under `docs/` and
-//! `README.md` must resolve to a real file, and the byte layouts that
+//! `README.md` must resolve to a real file, the byte layouts that
 //! `docs/PROTOCOL.md` documents as normative must match what the frame
-//! codec actually emits.
+//! codec actually emits, and the `RINGCNN_KERNEL` values the runbook
+//! lists must be the ones the parser accepts.
 
 use ringcnn_serve::frame;
 use ringcnn_serve::protocol::Request;
@@ -74,6 +75,30 @@ fn docs_relative_links_all_resolve() {
         checked >= 10,
         "the docs tree should be cross-linked; only {checked} relative links found"
     );
+}
+
+#[test]
+fn operations_lists_exactly_the_accepted_kernel_values() {
+    let text = std::fs::read_to_string(repo_root().join("docs/OPERATIONS.md")).expect("read doc");
+    let row = text
+        .lines()
+        .find(|l| l.starts_with("| `RINGCNN_KERNEL` |"))
+        .expect("the environment table has a RINGCNN_KERNEL row");
+    // The values are the row's `code` spans that are bare lower-case
+    // words, up to the first full stop (the rest of the row is prose
+    // naming other things).
+    let values = row.split_once("` |").expect("row has an effect cell").1;
+    let values = values.split('.').next().expect("a first sentence");
+    let listed: Vec<&str> = values
+        .split('`')
+        .skip(1)
+        .step_by(2)
+        .filter(|w| {
+            w.bytes()
+                .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit())
+        })
+        .collect();
+    assert_eq!(listed, ringcnn_tensor::gemm::KERNEL_ENV_VALUES, "{row}");
 }
 
 // --- docs/PROTOCOL.md byte layouts, spot-checked against the codec --------

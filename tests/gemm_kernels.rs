@@ -1,92 +1,250 @@
-//! Acceptance suite for the cache-blocked GEMM micro-kernel behind both
-//! conv precisions (PR 7): every selectable backend — reference row-axpy,
-//! scalar-blocked, SSE2, AVX2 — must agree with the naive oracle within
-//! the documented contract: the f32 kernels within `1e-4` (and > 100 dB
-//! PSNR on whole model-zoo forwards), the i64 kernels **bit-exactly**,
-//! including the fused requant epilogue's saturation rails and
-//! pruned/zero-weight rows.
+//! Acceptance suite for the one cache-blocked GEMM driver behind both
+//! conv precisions: each kernel tier — scalar-blocked, AVX2 — must agree
+//! with the oracle of its dtype within the documented contract over one
+//! table of product shapes ([`CASES`]): the f32 tiers within `1e-4` of
+//! the naive `conv2d_forward` (and > 100 dB PSNR on whole model-zoo
+//! forwards), the i64 tiers **bit-exactly** with the matrix-level
+//! reference loop, including the fused requant epilogue's saturation
+//! rails, pruned/zero-weight rows and operands beyond the AVX2 tile's
+//! i32 range.
 //!
 //! Thread-pool sizes 1 and 4 are exercised by the CI `thread-sanity`
-//! matrix (`RINGCNN_THREADS`); the forced-scalar CI leg re-runs this
-//! whole suite with `RINGCNN_KERNEL=scalar` so the portable fallback
-//! gets the same coverage as the SIMD paths.
+//! matrix (`RINGCNN_THREADS`); the `RINGCNN_KERNEL=scalar` and
+//! `RINGCNN_KERNEL=avx2` CI legs re-run this suite with the tier pinned
+//! from the environment, and [`a_pinned_kernel_is_the_kernel_that_runs`]
+//! makes a runner that cannot honour the pin fail instead of quietly
+//! testing the other tier twice.
 
-use proptest::prelude::*;
 use ringcnn::prelude::*;
 use ringcnn::quant::quantized::{execute_layer, run_conv_reference};
 use ringcnn_nn::models::ffdnet::ffdnet;
 use ringcnn_nn::models::srresnet::{srresnet, SrResNetConfig};
 use ringcnn_nn::models::vdsr::vdsr;
+use ringcnn_tensor::gemm::{self, active_kernel, validate_env_kernel};
+use ringcnn_tensor::im2col::im2col_pack_i64;
 use ringcnn_tensor::prelude::{
     conv2d_forward, conv2d_forward_im2col, forced_kernel_scope, gemm_i64, ConvWeights,
     KernelBackend, RequantChannel, RequantPlan,
 };
 
-/// Every non-reference backend (unavailable ISA levels silently
-/// downgrade inside `active_kernel`, so forcing them is always safe).
-const BACKENDS: [KernelBackend; 3] = [
-    KernelBackend::Scalar,
-    KernelBackend::Sse2,
-    KernelBackend::Avx2,
-];
+/// Both kernel tiers (a forced `Avx2` degrades to `Scalar` on a host
+/// without it, so forcing is always safe).
+const TIERS: [KernelBackend; 2] = [KernelBackend::Scalar, KernelBackend::Avx2];
 
-/// Weights with exact zeros sprinkled in and output channel 0 fully
-/// pruned — both zero-skip granularities (single tap, whole row of a
-/// register block) must stay equivalent in every kernel.
-fn pruned_weights(co: usize, ci: usize, k: usize, seed: u64) -> ConvWeights {
-    let mut w = ConvWeights::zeros(co, ci, k);
-    let rnd = Tensor::random_uniform(Shape4::new(1, 1, 1, w.len()), -1.0, 1.0, seed);
-    w.data.copy_from_slice(rnd.as_slice());
-    for i in (0..w.data.len()).step_by(5) {
-        w.data[i] = 0.0;
-    }
-    for v in &mut w.data[..ci * k * k] {
-        *v = 0.0; // channel 0: an all-zero weight row
-    }
-    w
+/// Where a case's weight matrix is zero.
+#[derive(Clone, Copy, Debug)]
+enum Zeros {
+    /// Every fifth tap, plus output channel 0 pruned to an all-zero row:
+    /// both zero-skip granularities (single tap, whole row of a block).
+    Pruned,
+    /// The expansion of a diagonal ring `RI_n`: output channel `co`
+    /// reads only input channels `≡ co (mod n)`, so the similarity
+    /// order has `n` patterns to group.
+    Diagonal(usize),
+    /// Nothing but zeros.
+    All,
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+/// The i64 epilogue of a case.
+#[derive(Clone, Copy, Debug)]
+enum Requant {
+    /// Raw wide accumulators.
+    None,
+    /// Every channel shifts right into 8 bits (mixed per-channel fracs).
+    Narrow,
+    /// Channel 1 shifts *left* by 30 past 16-bit rails (must pin at
+    /// `qmin`/`qmax`, never wrap); the rest shift right by 4.
+    Rails,
+}
 
-    /// Satellite 5a: the blocked f32 GEMM matches the naive quadruple
-    /// loop within 1e-4 under *every* forced backend (k = 1/3/5,
-    /// non-square maps, pruned rows), and the reference kernel matches
-    /// it bit for bit.
-    #[test]
-    fn f32_gemm_matches_naive_under_every_forced_backend(
-        seed in 0u64..1_000_000,
-        co in 1usize..6,
-        ci in 1usize..4,
-        h in 1usize..9,
-        w in 1usize..9,
-        kidx in 0usize..3,
-        batch in 1usize..3,
-    ) {
-        let k = [1usize, 3, 5][kidx];
-        let x = Tensor::random_uniform(Shape4::new(batch, ci, h, w), -2.0, 2.0, seed);
-        let wts = pruned_weights(co, ci, k, seed ^ 0x9e37);
-        let bias: Vec<f32> = (0..co).map(|i| 0.05 * i as f32 - 0.1).collect();
-        for b in [bias.as_slice(), &[]] {
-            let naive = conv2d_forward(&x, &wts, b);
-            let exact = forced_kernel_scope(KernelBackend::Reference, || {
-                conv2d_forward_im2col(&x, &wts, b)
-            });
-            prop_assert_eq!(
-                naive.as_slice(), exact.as_slice(),
-                "reference kernel must be bit-exact (co={} ci={} k={} {}x{})",
-                co, ci, k, h, w
-            );
-            for backend in BACKENDS {
-                let y = forced_kernel_scope(backend, || conv2d_forward_im2col(&x, &wts, b));
-                for (i, (p, q)) in naive.as_slice().iter().zip(y.as_slice()).enumerate() {
-                    prop_assert!(
-                        (p - q).abs() <= 1e-4,
-                        "{} kernel deviates at {}: {} vs {} (co={} ci={} k={} {}x{} batch={})",
-                        backend.label(), i, p, q, co, ci, k, h, w, batch
-                    );
+/// One row of the kernel table: a conv-shaped product `co × (ci·k²)`
+/// by `(ci·k²) × (h·w)` per batch item.
+#[derive(Clone, Copy, Debug)]
+struct Case {
+    co: usize,
+    ci: usize,
+    k: usize,
+    h: usize,
+    w: usize,
+    batch: usize,
+    zeros: Zeros,
+    bias: bool,
+    requant: Requant,
+    /// i64 only: one weight at `2^40`, beyond the AVX2 tile's i32 range.
+    wide: bool,
+}
+
+#[rustfmt::skip]
+const CASES: [Case; 12] = {
+    use {Requant as R, Zeros as Z};
+    /// `shape` is `[co, ci, k, h, w, batch]`.
+    const fn case(shape: [usize; 6], zeros: Zeros, bias: bool, requant: Requant, wide: bool) -> Case {
+        let [co, ci, k, h, w, batch] = shape;
+        Case { co, ci, k, h, w, batch, zeros, bias, requant, wide }
+    }
+    [
+        // k = 1/3/5; the smallest product there is.
+        case([1, 1, 1, 1, 1, 1], Z::Pruned, true, R::None, false),
+        case([4, 3, 3, 6, 6, 1], Z::Pruned, true, R::Narrow, false),
+        case([3, 2, 5, 7, 4, 2], Z::Pruned, true, R::None, false),
+        // Non-square maps whose plane is no multiple of either NR, `co`
+        // no multiple of MR, more than one column chunk (plane > 128).
+        case([5, 3, 3, 5, 7, 2], Z::Pruned, true, R::Narrow, false),
+        case([7, 2, 3, 19, 9, 1], Z::Pruned, false, R::Rails, false),
+        case([6, 1, 1, 3, 67, 1], Z::Pruned, true, R::None, false),
+        // Kernel wider than the map: taps entirely out of frame.
+        case([2, 2, 5, 2, 1, 1], Z::Pruned, false, R::None, false),
+        // All-zero weights, with and without a bias to carry through.
+        case([5, 2, 3, 4, 5, 1], Z::All, true, R::Narrow, false),
+        case([2, 1, 1, 3, 3, 1], Z::All, false, R::None, false),
+        // Diagonal-ring patterns: n = 2 and n = 4 residue classes.
+        case([8, 8, 3, 6, 5, 1], Z::Diagonal(4), true, R::Rails, false),
+        case([6, 4, 1, 9, 4, 2], Z::Diagonal(2), false, R::Narrow, false),
+        // Operands wider than i32 must route off the AVX2 tile.
+        case([5, 2, 3, 5, 4, 1], Z::Pruned, true, R::Rails, true),
+    ]
+};
+
+impl Case {
+    fn input(&self) -> Tensor {
+        Tensor::random_uniform(
+            Shape4::new(self.batch, self.ci, self.h, self.w),
+            -2.0,
+            2.0,
+            (self.co * 131 + self.h * 17 + self.w) as u64,
+        )
+    }
+
+    fn weights(&self) -> ConvWeights {
+        let (co, ci, k) = (self.co, self.ci, self.k);
+        let mut w = ConvWeights::zeros(co, ci, k);
+        let rnd = Tensor::random_uniform(Shape4::new(1, 1, 1, w.len()), -1.0, 1.0, 0x9e37);
+        w.data.copy_from_slice(rnd.as_slice());
+        let taps = k * k;
+        for (i, v) in w.data.iter_mut().enumerate() {
+            let (o, c) = (i / (ci * taps), i / taps % ci);
+            let zero = match self.zeros {
+                Zeros::Pruned => i % 5 == 0 || o == 0,
+                Zeros::Diagonal(n) => c % n != o % n,
+                Zeros::All => true,
+            };
+            if zero {
+                *v = 0.0;
+            }
+        }
+        w
+    }
+
+    fn bias(&self) -> Vec<f32> {
+        let n = if self.bias { self.co } else { 0 };
+        (0..n).map(|i| 0.05 * i as f32 - 0.1).collect()
+    }
+
+    fn requant_plan(&self) -> Option<RequantPlan> {
+        let channel = |c: usize| match self.requant {
+            Requant::None => None,
+            Requant::Narrow => Some((7 - (c as i32 % 3), 8)),
+            Requant::Rails => Some((if c == 1 { 50 } else { 16 }, 16)),
+        };
+        let channels: Option<Vec<_>> = (0..self.co)
+            .map(|c| {
+                channel(c).map(|(to_frac, bits)| RequantChannel {
+                    from_frac: 20,
+                    to_frac,
+                    qmin: -(1 << (bits - 1)),
+                    qmax: (1 << (bits - 1)) - 1,
+                })
+            })
+            .collect();
+        channels.map(|channels| RequantPlan { channels })
+    }
+}
+
+/// Fixed-point image of a float operand: 10 fractional bits.
+fn to_fixed(values: &[f32]) -> Vec<i64> {
+    values.iter().map(|v| (v * 1024.0).round() as i64).collect()
+}
+
+/// The f32 half of the table: the production im2col path (fused panel
+/// pack + blocked driver) under each forced tier stays within 1e-4 of
+/// the naive `conv2d_forward`.
+#[test]
+fn f32_gemm_matches_naive_under_every_forced_backend() {
+    for case in CASES {
+        let (x, w, bias) = (case.input(), case.weights(), case.bias());
+        let naive = conv2d_forward(&x, &w, &bias);
+        for tier in TIERS {
+            let y = forced_kernel_scope(tier, || conv2d_forward_im2col(&x, &w, &bias));
+            assert_eq!(y.shape(), naive.shape(), "{case:?}");
+            for (i, (p, q)) in naive.as_slice().iter().zip(y.as_slice()).enumerate() {
+                assert!(
+                    (p - q).abs() <= 1e-4,
+                    "{} tile deviates at {i}: {p} vs {q} ({case:?})",
+                    tier.label()
+                );
+            }
+        }
+    }
+}
+
+/// The i64 half of the table: the blocked driver with the requant
+/// epilogue fused in is **bit-identical**, under each forced tier, to
+/// the matrix-level reference loop followed by the unfused per-channel
+/// requantization — zero rows, saturation rails and i32-overflowing
+/// operands (the AVX2 exactness gate) included.
+#[test]
+fn i64_gemm_rails_and_wide_operands_are_bit_exact() {
+    for case in CASES {
+        let x = case.input();
+        let xq = to_fixed(x.as_slice());
+        let mut weights = to_fixed(&case.weights().data);
+        if case.wide {
+            weights[case.ci * case.k * case.k + 1] = 1 << 40;
+        }
+        // Accumulators carry 20 fractional bits (10 + 10).
+        let bias: Vec<i64> = to_fixed(&case.bias()).iter().map(|b| b << 10).collect();
+        let plan = case.requant_plan();
+        let (rows, plane) = (case.ci * case.k * case.k, case.h * case.w);
+        for n in 0..case.batch {
+            let col = im2col_pack_i64(&xq, x.shape(), n, case.k);
+            let mut want = gemm::reference(&col, plane, rows, case.co, &weights, &bias);
+            if let Some(plan) = &plan {
+                for (p, ch) in want.iter_mut().zip(&plan.channels) {
+                    p.iter_mut().for_each(|v| *v = ch.apply(*v));
                 }
             }
+            for tier in TIERS {
+                let got = forced_kernel_scope(tier, || {
+                    gemm_i64(&col, plane, rows, case.co, &weights, &bias, plan.as_ref())
+                });
+                assert_eq!(got, want, "{} tile, item {n} ({case:?})", tier.label());
+            }
+            if let (Requant::Rails, Zeros::Pruned, Some(plan)) = (case.requant, case.zeros, &plan) {
+                // The table does what it says: the left-shifting channel
+                // sits on the rails (a zero accumulator stays zero), and
+                // the pruned channel 0 is its requantized bias everywhere.
+                let ch = plan.channels[1];
+                let on_rail = |v: &i64| *v == ch.qmin || *v == ch.qmax;
+                assert!(want[1].iter().all(|v| on_rail(v) || *v == 0), "{case:?}");
+                assert!(want[1].iter().any(on_rail), "{case:?}");
+                let b0 = plan.channels[0].apply(bias.first().copied().unwrap_or(0));
+                assert!(want[0].iter().all(|&v| v == b0), "{case:?}");
+            }
+        }
+    }
+}
+
+/// CI pins a tier with `RINGCNN_KERNEL`: the pin must be honoured, not
+/// downgraded — otherwise the `avx2` leg on a runner without AVX2 would
+/// re-test the scalar tier and pass.
+#[test]
+fn a_pinned_kernel_is_the_kernel_that_runs() {
+    match std::env::var("RINGCNN_KERNEL").as_deref() {
+        Err(_) | Ok("" | "auto") => {}
+        Ok(pinned) => {
+            let tier = validate_env_kernel().expect("CI pins only tiers the runner has");
+            assert_eq!(tier.map(|k| k.label()), Some(pinned));
+            assert_eq!(active_kernel().label(), pinned);
         }
     }
 }
@@ -107,7 +265,7 @@ fn table_one_rings_agree_under_every_forced_backend() {
         let x = Tensor::random_uniform(Shape4::new(1, 2 * n, 5, 7), -1.0, 1.0, 0xfeed);
         let naive = layer.forward(&x, false);
         layer.set_backend(ConvBackend::Im2col);
-        for backend in BACKENDS {
+        for backend in TIERS {
             let y = forced_kernel_scope(backend, || layer.forward(&x, false));
             for (i, (a, b)) in naive.as_slice().iter().zip(y.as_slice()).enumerate() {
                 assert!(
@@ -120,9 +278,10 @@ fn table_one_rings_agree_under_every_forced_backend() {
     }
 }
 
-/// Satellite 5c: whole model-zoo forwards under each SIMD kernel sit
-/// above 100 dB PSNR of the reference-kernel forward — layer-to-layer
-/// error accumulation through deep stacks must stay at ULP scale.
+/// Satellite 5c: whole model-zoo forwards under each kernel tier sit
+/// above 100 dB PSNR of the same model on the naive backend (the f32
+/// oracle, `conv2d_forward`, in every conv) — layer-to-layer error
+/// accumulation through deep stacks must stay at ULP scale.
 #[test]
 fn model_zoo_psnr_above_100_db_for_every_kernel() {
     let alg = Algebra::with_fcw(RingKind::Rh(4)).with_backend(ConvBackend::Im2col);
@@ -142,13 +301,15 @@ fn model_zoo_psnr_above_100_db_for_every_kernel() {
     ];
     for (name, mut model, shape) in zoo {
         let x = Tensor::random_uniform(shape, 0.0, 1.0, 17);
-        let reference = forced_kernel_scope(KernelBackend::Reference, || model.forward(&x, false));
-        for backend in BACKENDS {
+        model.set_conv_backend(ConvBackend::Naive);
+        let reference = model.forward(&x, false);
+        model.set_conv_backend(ConvBackend::Im2col);
+        for backend in TIERS {
             let y = forced_kernel_scope(backend, || model.forward(&x, false));
             let p = psnr(&reference, &y);
             assert!(
                 p > 100.0,
-                "{name} under {}: PSNR vs reference kernel only {p:.1} dB",
+                "{name} under {}: PSNR vs the naive backend only {p:.1} dB",
                 backend.label()
             );
         }
@@ -202,7 +363,7 @@ fn quantized_convs_bit_exact_under_every_forced_backend() {
         for layer in qm.layers() {
             if let QLayer::Conv(c) = layer {
                 let reference = run_conv_reference(c, &q);
-                for backend in BACKENDS {
+                for backend in TIERS {
                     let fused = forced_kernel_scope(backend, || execute_layer(layer, q.clone()));
                     assert_eq!(
                         fused,
@@ -217,89 +378,5 @@ fn quantized_convs_bit_exact_under_every_forced_backend() {
             q = execute_layer(layer, q);
         }
         assert!(convs >= 3, "{}: expected every conv checked", alg.label());
-    }
-}
-
-/// Satellite 5e: the fused requant epilogue saturates at exactly the
-/// output rails under every backend — accumulators driven past ±2^62
-/// through a left shift land on `qmax`/`qmin`, never wrap — and zero
-/// rows plus i32-overflowing operands (the AVX2 exactness gate) agree
-/// with the reference bit for bit.
-#[test]
-fn i64_gemm_rails_and_wide_operands_are_bit_exact() {
-    let (rows, plane, co) = (6usize, 19usize, 5usize);
-    // Row 2 is all-zero across every channel; channel 3 is an all-zero
-    // weight row; weights near i32::MAX push the AVX2 gate.
-    let mut weights = vec![0i64; co * rows];
-    for (i, w) in weights.iter_mut().enumerate() {
-        let r = i % rows;
-        let c = i / rows;
-        if r == 2 || c == 3 {
-            continue;
-        }
-        *w = ((i as i64 * 2_654_435_761) % 40_000) - 20_000;
-    }
-    weights[0] = i64::from(i32::MAX); // still fits: AVX2 path allowed
-    let col: Vec<i64> = (0..rows * plane)
-        .map(|i| ((i as i64 * 40_503) % 60_000) - 30_000)
-        .collect();
-    let bias = vec![7i64, -3, 0, 11, -9];
-    // Channel 1 left-shifts by 30 (blows past 16-bit rails), the rest
-    // right-shift by 4 — mixed per-channel plans in one call.
-    let plan = RequantPlan {
-        channels: (0..co)
-            .map(|c| RequantChannel {
-                from_frac: 10,
-                to_frac: if c == 1 { 40 } else { 6 },
-                qmin: -(1 << 15),
-                qmax: (1 << 15) - 1,
-            })
-            .collect(),
-    };
-    for requant in [None, Some(&plan)] {
-        let reference = forced_kernel_scope(KernelBackend::Reference, || {
-            gemm_i64(&col, plane, rows, co, &weights, &bias, requant)
-        });
-        for backend in BACKENDS {
-            let got = forced_kernel_scope(backend, || {
-                gemm_i64(&col, plane, rows, co, &weights, &bias, requant)
-            });
-            assert_eq!(
-                got,
-                reference,
-                "{} requant={}",
-                backend.label(),
-                requant.is_some()
-            );
-        }
-    }
-    // The saturating plan actually saturated: channel 1 must pin at the
-    // rails (not wrap), and the pruned channel 3 is pure bias.
-    let out = gemm_i64(&col, plane, rows, co, &weights, &bias, Some(&plan));
-    assert!(
-        out[1]
-            .iter()
-            .all(|&v| v == -(1 << 15) || v == (1 << 15) - 1),
-        "left-shift channel must sit on the rails: {:?}",
-        &out[1][..4]
-    );
-    let bias3 = plan.channels[3].apply(bias[3]);
-    assert!(
-        out[3].iter().all(|&v| v == bias3),
-        "pruned row is bias-only"
-    );
-
-    // Wide operands (beyond i32) must route off AVX2 and stay exact.
-    let mut wide = weights.clone();
-    wide[1] = 1 << 40;
-    let small_col: Vec<i64> = col.iter().map(|v| v % (1 << 20)).collect();
-    let reference = forced_kernel_scope(KernelBackend::Reference, || {
-        gemm_i64(&small_col, plane, rows, co, &wide, &bias, Some(&plan))
-    });
-    for backend in BACKENDS {
-        let got = forced_kernel_scope(backend, || {
-            gemm_i64(&small_col, plane, rows, co, &wide, &bias, Some(&plan))
-        });
-        assert_eq!(got, reference, "wide operands under {}", backend.label());
     }
 }

@@ -1,6 +1,6 @@
 //! `RINGCNN_KERNEL` startup validation: a typo'd backend request must
 //! be a hard error (nonzero exit naming the variable), never a silent
-//! fallback — an operator asking for `reference` and silently getting
+//! fallback — an operator asking for `scalar` and silently getting
 //! `avx2` invalidates whatever comparison they were running.
 //!
 //! Attached to the `ringcnn-serve` package so `CARGO_BIN_EXE_*`
@@ -16,21 +16,30 @@ fn serve_cmd() -> Command {
 
 #[test]
 fn invalid_kernel_value_is_a_startup_error() {
-    let out = serve_cmd()
-        .env("RINGCNN_KERNEL", "avx512_totally_real")
-        .env("RINGCNN_LOG", "error")
-        .output()
-        .expect("spawn ringcnn-serve");
-    assert!(
-        !out.status.success(),
-        "bogus RINGCNN_KERNEL must exit nonzero, got {:?}",
-        out.status
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("RINGCNN_KERNEL") && stderr.contains("avx512_totally_real"),
-        "stderr must name the variable and the bad value:\n{stderr}"
-    );
+    // A typo, and the two tiers retired with the one-driver GEMM.
+    for bogus in ["avx512_totally_real", "reference", "sse2"] {
+        let out = serve_cmd()
+            .env("RINGCNN_KERNEL", bogus)
+            .env("RINGCNN_LOG", "error")
+            .output()
+            .expect("spawn ringcnn-serve");
+        assert!(
+            !out.status.success(),
+            "RINGCNN_KERNEL={bogus} must exit nonzero, got {:?}",
+            out.status
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("RINGCNN_KERNEL") && stderr.contains(bogus),
+            "stderr must name the variable and the bad value:\n{stderr}"
+        );
+        for accepted in ringcnn_tensor::gemm::KERNEL_ENV_VALUES {
+            assert!(
+                stderr.contains(accepted),
+                "stderr must list `{accepted}` as accepted:\n{stderr}"
+            );
+        }
+    }
 }
 
 #[test]
