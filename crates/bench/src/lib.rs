@@ -1,20 +1,23 @@
 //! # ringcnn-bench
 //!
 //! Experiment harness regenerating every table and figure of the RingCNN
-//! paper. Each `src/bin/` target reproduces one artifact (see DESIGN.md
-//! §5 for the index) and prints a markdown table; `--json` additionally
-//! writes machine-readable results to `results/`.
+//! paper. Each `src/bin/` target is named after the artifact it
+//! reproduces (`table1_rings`, `fig09_ring_quality`, …) and prints a
+//! markdown table; `--json` additionally writes machine-readable results
+//! to `results/`.
 //!
-//! Flags shared by all bins:
+//! Flags shared by the experiment bins:
 //!
 //! - `--standard`: run at the larger experiment scale (CPU-minutes per
 //!   model) instead of the quick default.
 //! - `--json`: write `results/<bin>.json`.
+//!
+//! `src/bin/benchmark/` is the repo benchmark — the one program that
+//! produces or gates a performance number. It has its own README and
+//! shares nothing with this library.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod perf;
 
 use ringcnn::prelude::ExperimentScale;
 use serde::Serialize;

@@ -5,7 +5,7 @@
 //!         [--models a,b] [--hw 32x32] [--warmup 2] [--seed 1]
 //!         [--precision fp64|quant] [--protocol json|binary]
 //!         [--deadline-ms F] [--reload] [--io-timeout-ms N]
-//!         [--shutdown] [--bench-out PATH] [--pr N]
+//!         [--shutdown]
 //! ```
 //!
 //! Prints p50/p95/p99 latency, throughput, and mean batch size; exits
@@ -16,154 +16,117 @@
 //! fail the run — that is the SLO machinery working. `--reload` forces
 //! a registry hot-reload pass before the run and prints the report.
 //! `--shutdown` sends the `shutdown` verb at the end so a scripted
-//! server run can `wait` on a clean exit. `--bench-out` writes a
-//! `ringcnn-bench-json/v1` section so serve-path numbers join the perf
-//! trajectory (the *gated* serve entries are produced by `bench_json`,
-//! which measures through this same harness). After every run the
-//! harness asserts `stats` v2 invariants against the server (histogram
-//! totals vs completion counters, published bucket edges).
+//! server run can `wait` on a clean exit. After every run the harness
+//! asserts `stats` v2 invariants against the server (histogram totals
+//! vs completion counters, published bucket edges). An argument outside
+//! the list above, a flag without its value or a value that does not
+//! parse exits non-zero with the usage line. Performance numbers come
+//! from the repo benchmark (`crates/bench/src/bin/benchmark`), not from
+//! this tool.
 
+use ringcnn_serve::cli::{parse_flags, parsed, value};
 use ringcnn_serve::client::Client;
-use ringcnn_serve::loadgen::{run, LoadgenConfig};
+use ringcnn_serve::loadgen::{self, LoadgenConfig};
 use ringcnn_serve::protocol::Wire;
 use ringcnn_serve::registry::Precision;
 use ringcnn_trace::rc_error;
-use serde::Value;
 use std::process::ExitCode;
 use std::time::Duration;
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
+const USAGE: &str = "usage: loadgen --addr HOST:PORT [--connections N] [--requests N] \
+     [--models a,b] [--hw HxW] [--warmup N] [--seed N] \
+     [--precision fp64|quant] [--protocol json|binary] \
+     [--deadline-ms F] [--reload] [--io-timeout-ms N] [--shutdown]";
 
-fn parse_or<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    arg_value(args, flag)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// The serial scalar-FMA calibration sweep — kept textually identical to
-/// `ringcnn_bench::perf::calibration_workload` (not imported: the bench
-/// crate depends on this one) so normalized comparisons line up.
-fn calibration_workload() -> f32 {
-    let mut buf = vec![0.0f32; 1 << 16];
-    for (i, v) in buf.iter_mut().enumerate() {
-        *v = (i as f32).sin();
-    }
-    let mut acc = 1.0f32;
-    for _ in 0..64 {
-        for v in &buf {
-            acc = acc.mul_add(0.999_9, *v);
-        }
-    }
-    std::hint::black_box(acc)
-}
-
-fn bench_entry(id: &str, group: &str, ring: &str, backend: &str, threads: usize, ms: f64) -> Value {
-    Value::Object(vec![
-        ("id".into(), Value::Str(id.into())),
-        ("group".into(), Value::Str(group.into())),
-        ("ring".into(), Value::Str(ring.into())),
-        ("backend".into(), Value::Str(backend.into())),
-        ("threads".into(), Value::U64(threads as u64)),
-        ("ms".into(), Value::F64(ms)),
-    ])
-}
+const VALUED: &[&str] = &[
+    "--addr",
+    "--connections",
+    "--requests",
+    "--models",
+    "--hw",
+    "--warmup",
+    "--seed",
+    "--precision",
+    "--protocol",
+    "--deadline-ms",
+    "--io-timeout-ms",
+];
+const SWITCHES: &[&str] = &["--reload", "--shutdown"];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
-    let Some(addr) = arg_value(&args, "--addr") else {
+    run(&args).unwrap_or_else(|e| {
         // lint:allow(no-print): CLI usage text belongs on stderr, not
         // in the structured log stream.
-        eprintln!(
-            "usage: loadgen --addr HOST:PORT [--connections N] [--requests N] \
-             [--models a,b] [--hw HxW] [--warmup N] [--seed N] \
-             [--precision fp64|quant] [--protocol json|binary] \
-             [--deadline-ms F] [--reload] [--io-timeout-ms N] \
-             [--shutdown] [--bench-out PATH] [--pr N]"
-        );
-        return ExitCode::FAILURE;
-    };
-    let precision = match arg_value(&args, "--precision").as_deref() {
+        eprintln!("loadgen: {e}\n{USAGE}");
+        ExitCode::FAILURE
+    })
+}
+
+/// `Err` is a command-line error (reported with the usage line);
+/// run-time failures log their own error and return a failure code.
+fn run(args: &[String]) -> Result<ExitCode, String> {
+    let flags = parse_flags(args, VALUED, SWITCHES)?;
+    let addr = value(&flags, "--addr").ok_or("--addr HOST:PORT is required")?;
+    let precision = match value(&flags, "--precision") {
         None => Precision::Fp64,
-        Some(p) => match Precision::parse(p) {
-            Ok(p) => p,
-            Err(e) => {
-                rc_error!("loadgen", "bad --precision", error = e.to_string());
-                return ExitCode::FAILURE;
-            }
-        },
+        Some(p) => Precision::parse(p).map_err(|e| format!("bad --precision: {e}"))?,
     };
-    let wire = match arg_value(&args, "--protocol").as_deref() {
+    let wire = match value(&flags, "--protocol") {
         None => Wire::Json,
-        Some(w) => match Wire::parse(w) {
-            Ok(w) => w,
-            Err(e) => {
-                rc_error!("loadgen", "bad --protocol", error = e.to_string());
-                return ExitCode::FAILURE;
-            }
-        },
+        Some(w) => Wire::parse(w).map_err(|e| format!("bad --protocol: {e}"))?,
     };
-
     let hw = {
-        let s = arg_value(&args, "--hw").unwrap_or_else(|| "32x32".into());
-        let mut it = s.split('x').filter_map(|v| v.parse::<usize>().ok());
-        match (it.next(), it.next()) {
-            (Some(h), Some(w)) => (h, w),
-            _ => {
-                rc_error!("loadgen", "--hw must look like 32x32");
-                return ExitCode::FAILURE;
-            }
-        }
+        let s = value(&flags, "--hw").unwrap_or("32x32");
+        s.split_once('x')
+            .and_then(|(h, w)| Some((h.parse().ok()?, w.parse().ok()?)))
+            .ok_or(format!("bad value `{s}` for --hw (want e.g. 32x32)"))?
     };
 
-    let models: Vec<String> = match arg_value(&args, "--models") {
+    let models: Vec<String> = match value(&flags, "--models") {
         Some(list) => list.split(',').map(|s| s.trim().to_string()).collect(),
         None => {
             // Default to everything the server serves.
-            match Client::connect_retry(&addr, Duration::from_secs(5))
+            match Client::connect_retry(addr, Duration::from_secs(5))
                 .and_then(|mut c| c.list_models())
             {
                 Ok(infos) => infos.into_iter().map(|i| i.name).collect(),
                 Err(e) => {
                     rc_error!("loadgen", "cannot list models", error = e.to_string());
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             }
         }
     };
 
     let cfg = LoadgenConfig {
-        addr: addr.clone(),
-        connections: parse_or(&args, "--connections", 4),
-        requests: parse_or(&args, "--requests", 200),
+        addr: addr.to_string(),
+        connections: parsed(&flags, "--connections")?.unwrap_or(4),
+        requests: parsed(&flags, "--requests")?.unwrap_or(200),
         models,
         hw,
-        seed: parse_or(&args, "--seed", 1),
-        warmup: parse_or(&args, "--warmup", 2),
+        seed: parsed(&flags, "--seed")?.unwrap_or(1),
+        warmup: parsed(&flags, "--warmup")?.unwrap_or(2),
         precision,
         wire,
         // 0 disables the deadline (debugging); any other value replaces
         // the 60 s default.
-        io_timeout: match parse_or(&args, "--io-timeout-ms", 60_000u64) {
+        io_timeout: match parsed(&flags, "--io-timeout-ms")?.unwrap_or(60_000u64) {
             0 => None,
             ms => Some(Duration::from_millis(ms)),
         },
-        deadline_ms: arg_value(&args, "--deadline-ms").and_then(|v| v.parse().ok()),
-        check_stats: true,
+        deadline_ms: parsed(&flags, "--deadline-ms")?,
     };
 
-    if args.iter().any(|a| a == "--reload") {
-        match Client::connect_retry(&addr, Duration::from_secs(5)).and_then(|mut c| c.reload()) {
+    if value(&flags, "--reload").is_some() {
+        match Client::connect_retry(addr, Duration::from_secs(5)).and_then(|mut c| c.reload()) {
             Ok(report) => println!(
                 "reload: reloaded {:?}, added {:?}, {} unchanged",
                 report.reloaded, report.added, report.unchanged
             ),
             Err(e) => {
                 rc_error!("loadgen", "reload failed", error = e.to_string());
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
@@ -178,11 +141,11 @@ fn main() -> ExitCode {
         cfg.precision.label(),
         cfg.wire.label()
     );
-    let report = match run(&cfg) {
+    let report = match loadgen::run(&cfg) {
         Ok(r) => r,
         Err(e) => {
             rc_error!("loadgen", "run failed", error = e.to_string());
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
 
@@ -215,93 +178,21 @@ fn main() -> ExitCode {
         rc_error!("loadgen", "requests failed", errors = report.errors);
     }
 
-    if let Some(out) = arg_value(&args, "--bench-out") {
-        let threads = cfg.connections;
-        let cal_ms = {
-            // Best-of-3 like `perf::measure_ms`, inline to stay dep-free.
-            let mut best = f64::INFINITY;
-            for _ in 0..3 {
-                let t0 = std::time::Instant::now();
-                std::hint::black_box(calibration_workload());
-                best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-            }
-            best
-        };
-        let report_json = Value::Object(vec![
-            ("schema".into(), Value::Str("ringcnn-bench-json/v1".into())),
-            ("pr".into(), Value::U64(parse_or(&args, "--pr", 4u64))),
-            (
-                "threads_available".into(),
-                Value::U64(
-                    std::thread::available_parallelism()
-                        .map(|n| n.get() as u64)
-                        .unwrap_or(1),
-                ),
-            ),
-            (
-                "calibration_id".into(),
-                Value::Str("calibration/serial/scalar".into()),
-            ),
-            (
-                "entries".into(),
-                Value::Array(vec![
-                    bench_entry(
-                        &format!("calibration/serial/scalar/t{threads}"),
-                        "calibration",
-                        "serial",
-                        "scalar",
-                        threads,
-                        cal_ms,
-                    ),
-                    bench_entry(
-                        &format!(
-                            "serve_loadgen_{}x{}_{}_{}/mixed/conn{}/t{threads}",
-                            cfg.hw.0,
-                            cfg.hw.1,
-                            cfg.precision.label(),
-                            cfg.wire.label(),
-                            cfg.connections
-                        ),
-                        "serve",
-                        "mixed",
-                        &format!("conn{}", cfg.connections),
-                        threads,
-                        report.ms_per_request,
-                    ),
-                ]),
-            ),
-        ]);
-        let text = serde_json::to_string_pretty(&report_json).expect("report serializes");
-        if let Some(dir) = std::path::Path::new(&out).parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        if let Err(e) = std::fs::write(&out, text) {
-            rc_error!(
-                "loadgen",
-                "cannot write bench-out",
-                path = out,
-                error = e.to_string()
-            );
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {out}");
-    }
-
-    if args.iter().any(|a| a == "--shutdown") {
-        match Client::connect_retry(&addr, Duration::from_secs(5))
+    if value(&flags, "--shutdown").is_some() {
+        match Client::connect_retry(addr, Duration::from_secs(5))
             .and_then(|mut c| c.shutdown_server())
         {
             Ok(()) => println!("sent shutdown"),
             Err(e) => {
                 rc_error!("loadgen", "shutdown failed", error = e.to_string());
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
 
-    if report.errors > 0 {
+    Ok(if report.errors > 0 {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }

@@ -5,8 +5,8 @@
 //! ```text
 //! ringcnn-serve --models <dir> [--addr 127.0.0.1:7841] [--workers 2]
 //!               [--max-batch 8] [--max-wait-ms 2] [--queue-cap 256]
-//!               [--model-queue-cap 0] [--policy fair|fifo]
-//!               [--weight model=N,...] [--reload-poll-ms 0]
+//!               [--model-queue-cap 0] [--weight model=N,...]
+//!               [--reload-poll-ms 0]
 //!               [--max-frame-mb 16] [--trace-slow-ms F] [--trace-out FILE]
 //! ringcnn-serve --export-demo <dir> [--demo-seed N]
 //!                                     # write two demo models (float
@@ -29,11 +29,16 @@
 //! (`error|warn|info|debug`); tracing of unconfigured servers is
 //! sampled per `RINGCNN_TRACE_SAMPLE` (default every 64th request).
 //!
+//! An argument outside this list, a flag without its value or a value
+//! that does not parse exits non-zero with the usage line — never a
+//! silently applied default.
+//!
 //! The process runs until a client sends the `shutdown` verb, then
 //! drains every admitted request and exits 0 — which is what the CI
 //! smoke job asserts with `wait $PID`.
 
 use ringcnn_nn::prelude::*;
+use ringcnn_serve::cli::{parse_flags, parsed, value};
 use ringcnn_serve::prelude::*;
 use ringcnn_trace::span;
 use ringcnn_trace::{chrome, rc_error, rc_info};
@@ -41,17 +46,30 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
+const USAGE: &str = "usage: ringcnn-serve --models <dir> [--addr A] [--workers N] \
+     [--max-batch N] [--max-wait-ms F] [--queue-cap N] [--model-queue-cap N] \
+     [--weight model=N,...] [--reload-poll-ms N] [--max-frame-mb N] \
+     [--trace-slow-ms F] [--trace-out FILE]\n\
+     \x20      ringcnn-serve --export-demo <dir> [--demo-seed N]";
 
-fn parse_or<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    arg_value(args, flag)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+/// Every flag takes a value; anything else on the command line is an
+/// error.
+const VALUED: &[&str] = &[
+    "--models",
+    "--addr",
+    "--workers",
+    "--max-batch",
+    "--max-wait-ms",
+    "--queue-cap",
+    "--model-queue-cap",
+    "--weight",
+    "--reload-poll-ms",
+    "--max-frame-mb",
+    "--trace-slow-ms",
+    "--trace-out",
+    "--export-demo",
+    "--demo-seed",
+];
 
 /// The two demo models the smoke path serves: an FFDNet denoiser over
 /// the real field and a VDSR restorer over `RH4` (transform backend) —
@@ -125,45 +143,43 @@ fn export_demo(dir: &str, seed: u64) -> Result<(), ServeError> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
+    run(&args).unwrap_or_else(|e| {
+        // lint:allow(no-print): CLI usage text belongs on stderr, not
+        // in the structured log stream.
+        eprintln!("ringcnn-serve: {e}\n{USAGE}");
+        ExitCode::FAILURE
+    })
+}
 
+/// `Err` is a command-line error (reported with the usage line);
+/// run-time failures log their own error and return a failure code.
+fn run(args: &[String]) -> Result<ExitCode, String> {
     // Refuse a typo'd RINGCNN_KERNEL before any work: the operator
     // asked for a specific GEMM backend, and silently serving with a
     // different one invalidates whatever they were measuring.
     if let Err(e) = ringcnn_tensor::gemm::validate_env_kernel() {
         rc_error!("serve", "invalid kernel selection", error = e);
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
 
-    if let Some(dir) = arg_value(&args, "--export-demo") {
-        let seed = parse_or(&args, "--demo-seed", 100u64);
-        return match export_demo(&dir, seed) {
+    let flags = parse_flags(args, VALUED, &[])?;
+    if let Some(dir) = value(&flags, "--export-demo") {
+        let seed = parsed(&flags, "--demo-seed")?.unwrap_or(100u64);
+        return Ok(match export_demo(dir, seed) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 rc_error!("serve", "export-demo failed", error = e.to_string());
                 ExitCode::FAILURE
             }
-        };
+        });
     }
-
-    let Some(model_dir) = arg_value(&args, "--models") else {
-        // lint:allow(no-print): CLI usage text belongs on stderr, not
-        // in the structured log stream.
-        eprintln!(
-            "usage: ringcnn-serve --models <dir> [--addr A] [--workers N] \
-             [--max-batch N] [--max-wait-ms F] [--queue-cap N] [--model-queue-cap N] \
-             [--policy fair|fifo] [--weight model=N,...] [--reload-poll-ms N] \
-             [--max-frame-mb N] [--trace-slow-ms F] [--trace-out FILE]\n\
-             \x20      ringcnn-serve --export-demo <dir> [--demo-seed N]"
-        );
-        return ExitCode::FAILURE;
-    };
+    let model_dir = value(&flags, "--models").ok_or("--models <dir> is required")?;
 
     // Tracing: either flag forces every request to be traced (sampling
     // 1); the slow threshold decides which trees the ring retains for
     // the `trace` verb.
-    let trace_slow_ms: Option<f64> =
-        arg_value(&args, "--trace-slow-ms").and_then(|v| v.parse().ok());
-    let trace_out = arg_value(&args, "--trace-out");
+    let trace_slow_ms: Option<f64> = parsed(&flags, "--trace-slow-ms")?;
+    let trace_out = value(&flags, "--trace-out");
     if trace_slow_ms.is_some() || trace_out.is_some() {
         span::set_sample_every(1);
     }
@@ -171,38 +187,38 @@ fn main() -> ExitCode {
         span::set_slow_threshold_ms(Some(thr));
     }
 
-    let policy = match arg_value(&args, "--policy").as_deref() {
-        None => SchedPolicy::WeightedFair,
-        Some(p) => match SchedPolicy::parse(p) {
-            Ok(p) => p,
-            Err(e) => {
-                rc_error!("serve", "bad --policy", error = e.to_string());
-                return ExitCode::FAILURE;
-            }
-        },
-    };
     let cfg = ServerConfig {
-        addr: arg_value(&args, "--addr").unwrap_or_else(|| "127.0.0.1:7841".into()),
+        addr: value(&flags, "--addr").unwrap_or("127.0.0.1:7841").into(),
         scheduler: SchedulerConfig {
-            workers: parse_or(&args, "--workers", 2),
-            max_batch: parse_or(&args, "--max-batch", 8),
+            workers: parsed(&flags, "--workers")?.unwrap_or(2),
+            max_batch: parsed(&flags, "--max-batch")?.unwrap_or(8),
             max_wait: Duration::from_secs_f64(
-                parse_or(&args, "--max-wait-ms", 2.0f64).max(0.0) / 1e3,
+                parsed(&flags, "--max-wait-ms")?.unwrap_or(2.0f64).max(0.0) / 1e3,
             ),
-            queue_cap: parse_or(&args, "--queue-cap", 256),
-            model_queue_cap: parse_or(&args, "--model-queue-cap", 0),
-            policy,
+            queue_cap: parsed(&flags, "--queue-cap")?.unwrap_or(256),
+            model_queue_cap: parsed(&flags, "--model-queue-cap")?.unwrap_or(0),
             ..SchedulerConfig::default()
         },
-        max_frame_bytes: parse_or(&args, "--max-frame-mb", 16usize).max(1) << 20,
-        reload_poll: match parse_or(&args, "--reload-poll-ms", 0u64) {
+        max_frame_bytes: parsed(&flags, "--max-frame-mb")?.unwrap_or(16usize).max(1) << 20,
+        reload_poll: match parsed(&flags, "--reload-poll-ms")?.unwrap_or(0u64) {
             0 => None,
             ms => Some(Duration::from_millis(ms)),
         },
     };
+    // `--weight m=4,other=1`: fair-scheduling weights by model name.
+    let weights: Vec<(&str, u32)> = value(&flags, "--weight")
+        .unwrap_or("")
+        .split(',')
+        .filter(|s| !s.trim().is_empty())
+        .map(|spec| {
+            spec.split_once('=')
+                .and_then(|(name, w)| Some((name.trim(), w.trim().parse().ok()?)))
+                .ok_or(format!("bad value `{spec}` for --weight (want model=N)"))
+        })
+        .collect::<Result<_, _>>()?;
 
     let registry = ModelRegistry::new();
-    match registry.load_dir(std::path::Path::new(&model_dir)) {
+    match registry.load_dir(std::path::Path::new(model_dir)) {
         Ok(names) if !names.is_empty() => {
             for e in registry.entries() {
                 let t = e.topo();
@@ -222,11 +238,11 @@ fn main() -> ExitCode {
         }
         Ok(_) => {
             rc_error!("serve", "no model files", dir = model_dir);
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         Err(e) => {
             rc_error!("serve", "model load failed", error = e.to_string());
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     }
 
@@ -234,23 +250,11 @@ fn main() -> ExitCode {
         Ok(s) => s,
         Err(e) => {
             rc_error!("serve", "start failed", error = e.to_string());
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
-    // `--weight m=4,other=1`: fair-scheduling weights by model name.
-    if let Some(list) = arg_value(&args, "--weight") {
-        for spec in list.split(',').filter(|s| !s.trim().is_empty()) {
-            match spec
-                .split_once('=')
-                .and_then(|(name, w)| w.trim().parse::<u32>().ok().map(|w| (name.trim(), w)))
-            {
-                Some((name, w)) => server.scheduler().set_model_weight(name, w),
-                None => {
-                    rc_error!("serve", "--weight wants model=N", got = spec);
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
+    for (name, w) in weights {
+        server.scheduler().set_model_weight(name, w);
     }
     rc_info!(
         "serve",
@@ -260,7 +264,6 @@ fn main() -> ExitCode {
         max_batch = cfg.scheduler.max_batch,
         max_wait = cfg.scheduler.max_wait,
         queue_cap = cfg.scheduler.queue_cap,
-        policy = cfg.scheduler.policy.label(),
         reload_poll = cfg.reload_poll,
         pool_threads = ringcnn_nn::runtime::num_threads(),
         kernel = ringcnn_tensor::gemm::active_kernel().label(),
@@ -270,7 +273,7 @@ fn main() -> ExitCode {
 
     // Runs until a client sends `shutdown`; then drains and exits.
     server.wait();
-    if let Some(path) = &trace_out {
+    if let Some(path) = trace_out {
         match chrome::export(std::path::Path::new(path)) {
             Ok(()) => rc_info!("serve", "wrote chrome trace", path = path),
             Err(e) => rc_error!(
@@ -282,5 +285,5 @@ fn main() -> ExitCode {
         }
     }
     rc_info!("serve", "drained and stopped");
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

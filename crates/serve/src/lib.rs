@@ -54,6 +54,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod client;
 pub mod error;
 pub mod frame;
@@ -73,7 +74,7 @@ pub mod prelude {
     pub use crate::loadgen::{LoadgenConfig, LoadgenReport};
     pub use crate::protocol::{ModelInfo, Request, Response, Wire};
     pub use crate::registry::{ModelEntry, ModelRegistry, Precision, ReloadReport};
-    pub use crate::scheduler::{InferOutput, SchedPolicy, Scheduler, SchedulerConfig};
+    pub use crate::scheduler::{InferOutput, Scheduler, SchedulerConfig};
     pub use crate::server::{Server, ServerConfig};
     pub use crate::stats::{Metrics, ModelStats, StatsSnapshot};
     pub use ringcnn_nn::serialize::{AlgebraSpec, ModelSpec};

@@ -1,7 +1,7 @@
 //! Closed-loop load generator: N connections, each issuing its next
 //! request as soon as the previous one completes — the harness behind
-//! the `loadgen` bin, the serve smoke test, and the `bench_json` serve
-//! entries.
+//! the `loadgen` bin and the serve smoke tests. After every run it
+//! asserts the server's `stats` invariants.
 //!
 //! Closed-loop is the right shape for measuring a batching scheduler:
 //! offered concurrency equals the connection count, so comparing
@@ -53,11 +53,6 @@ pub struct LoadgenConfig {
     /// [`LoadgenReport::errors`] — shed load is the feature working,
     /// not a failure.
     pub deadline_ms: Option<f64>,
-    /// Assert `stats` v2 invariants against the server after the run
-    /// (per-model histogram totals, bucket layout). On by default;
-    /// panics on violation, so CI catches a server whose accounting
-    /// drifts from its responses.
-    pub check_stats: bool,
 }
 
 impl Default for LoadgenConfig {
@@ -74,7 +69,6 @@ impl Default for LoadgenConfig {
             wire: Wire::Json,
             io_timeout: Some(Duration::from_secs(60)),
             deadline_ms: None,
-            check_stats: true,
         }
     }
 }
@@ -94,8 +88,7 @@ pub struct LoadgenReport {
     pub elapsed_ms: f64,
     /// Completed requests per second.
     pub throughput_rps: f64,
-    /// Mean milliseconds per request (`elapsed / completed`) — the
-    /// number the bench trajectory tracks.
+    /// Mean milliseconds per request (`elapsed / completed`).
     pub ms_per_request: f64,
     /// Client-observed latency distribution.
     pub latency_ms: LatencyStats,
@@ -157,7 +150,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
                         // connection's warm-up; aggregation spans
                         // min(start)..max(end) across connections so
                         // warm-up wall time never pollutes
-                        // `ms_per_request` (the gated bench quantity).
+                        // `ms_per_request`.
                         r.measure_start = Some(Instant::now());
                     }
                     // ordering: round-robin pick — only the modulo
@@ -234,9 +227,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
         .map(|(s, e)| e.duration_since(s).as_secs_f64() * 1e3)
         .unwrap_or(0.0);
     let completed = latencies.len();
-    if cfg.check_stats {
-        check_stats_v2(cfg)?;
-    }
+    assert_stats_invariants(cfg)?;
     Ok(LoadgenReport {
         completed,
         errors,
@@ -260,12 +251,14 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
 
 /// Post-run `stats` v2 sanity: the server's own accounting must be
 /// internally consistent with what this run (and any prior traffic)
-/// observed. Asserted, not returned: a violation is a server bug.
+/// observed (per-model histogram totals, bucket layout). Asserted, not
+/// returned: a violation is a server bug, and CI catches a server
+/// whose accounting drifts from its responses.
 ///
 /// # Errors
 ///
 /// Transport failures fetching the snapshot.
-fn check_stats_v2(cfg: &LoadgenConfig) -> Result<(), ServeError> {
+fn assert_stats_invariants(cfg: &LoadgenConfig) -> Result<(), ServeError> {
     let mut probe = Client::connect_retry_wire(&cfg.addr, Duration::from_secs(5), cfg.wire)?;
     probe.set_io_timeout(cfg.io_timeout)?;
     let snap = probe.stats()?;

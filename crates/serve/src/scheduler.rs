@@ -15,19 +15,17 @@
 //! (`forward_infer` over a prepared model, exactly the
 //! `BatchRunner::run_batch` execution shape).
 //!
-//! # Fair scheduling ([`SchedPolicy`])
+//! # Fair scheduling
 //!
-//! Among flush-ready groups, [`SchedPolicy::WeightedFair`] (the
-//! default) picks the group with the smallest *virtual time*: each
-//! dispatch advances the group's clock by `batch_len / weight`, so over
-//! time every model receives service proportional to its weight
-//! ([`Scheduler::set_model_weight`]) and a single hot model cannot
-//! starve a cold one — the cold model's clock lags, so its next ready
-//! batch preempts the hot queue. A group that was idle is capped to the
-//! global virtual clock when it becomes busy again (no banking
-//! "credit" while idle). [`SchedPolicy::FifoScan`] preserves the
-//! pre-fleet behavior — ready groups dispatch in arrival order of their
-//! oldest request — and exists as the measurable single-queue baseline.
+//! Among flush-ready groups a worker picks the one with the smallest
+//! *virtual time*: each dispatch advances the group's clock by
+//! `batch_len / weight`, so over time every model receives service
+//! proportional to its weight ([`Scheduler::set_model_weight`]) and a
+//! single hot model cannot starve a cold one — the cold model's clock
+//! lags, so its next ready batch preempts the hot queue. A group that
+//! was idle is capped to the global virtual clock when it becomes busy
+//! again (no banking "credit" while idle). Groups whose clocks are
+//! equal dispatch in arrival order of their oldest request.
 //!
 //! # Admission control
 //!
@@ -57,45 +55,6 @@ use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Which flush-ready model group a worker dispatches first.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SchedPolicy {
-    /// Weighted fair queueing over per-model virtual time (default):
-    /// service is shared proportionally to model weights, so one hot
-    /// model cannot starve the rest.
-    #[default]
-    WeightedFair,
-    /// The pre-fleet single-queue behavior: ready groups dispatch in
-    /// arrival order of their oldest request. Kept as the measurable
-    /// baseline that `serve_fleet_2model_fair` benches against.
-    FifoScan,
-}
-
-impl SchedPolicy {
-    /// Stable CLI/wire string.
-    pub fn label(&self) -> &'static str {
-        match self {
-            SchedPolicy::WeightedFair => "fair",
-            SchedPolicy::FifoScan => "fifo",
-        }
-    }
-
-    /// Parses the CLI string.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::BadRequest`] naming the unknown value.
-    pub fn parse(s: &str) -> Result<SchedPolicy, ServeError> {
-        match s {
-            "fair" => Ok(SchedPolicy::WeightedFair),
-            "fifo" => Ok(SchedPolicy::FifoScan),
-            other => Err(ServeError::BadRequest(format!(
-                "unknown policy `{other}` (want \"fair\" or \"fifo\")"
-            ))),
-        }
-    }
-}
-
 /// Scheduler knobs.
 ///
 /// # Example
@@ -103,14 +62,12 @@ impl SchedPolicy {
 /// ```
 /// use ringcnn_serve::prelude::*;
 ///
-/// // Bound each model to 64 queued requests on top of the global cap,
-/// // keeping the default weighted-fair policy.
+/// // Bound each model to 64 queued requests on top of the global cap.
 /// let cfg = SchedulerConfig {
 ///     workers: 2,
 ///     model_queue_cap: 64,
 ///     ..SchedulerConfig::default()
 /// };
-/// assert_eq!(cfg.policy, SchedPolicy::WeightedFair);
 /// assert_eq!(cfg.queue_cap, 256);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -134,8 +91,6 @@ pub struct SchedulerConfig {
     /// Fair-scheduling weight given to models that were never assigned
     /// one explicitly via [`Scheduler::set_model_weight`]. Clamped ≥ 1.
     pub default_weight: u32,
-    /// How flush-ready groups are ordered for dispatch.
-    pub policy: SchedPolicy,
 }
 
 impl Default for SchedulerConfig {
@@ -147,7 +102,6 @@ impl Default for SchedulerConfig {
             queue_cap: 256,
             model_queue_cap: 0,
             default_weight: 1,
-            policy: SchedPolicy::WeightedFair,
         }
     }
 }
@@ -646,15 +600,15 @@ impl Scheduler {
 }
 
 /// A flush-ready batch: jobs of one model, removed from that model's
-/// queue. Selection among ready groups follows `cfg.policy`; shutdown
-/// makes every non-empty group ready — that is the drain.
+/// queue: the ready group with the smallest virtual time, the older
+/// head request breaking ties. Shutdown makes every non-empty group
+/// ready — that is the drain.
 fn try_take_batch(st: &mut QueueState, cfg: &SchedulerConfig) -> Option<Vec<Job>> {
     if st.total == 0 {
         return None;
     }
     let now = Instant::now();
-    // (vtime, oldest seq) of the best ready group so far; FifoScan
-    // zeroes the vtime component so arrival order alone decides.
+    // (vtime, oldest seq) of the best ready group so far.
     let mut best: Option<(f64, u64, String)> = None;
     for (name, q) in &st.groups {
         let Some(oldest) = q.jobs.front() else {
@@ -667,16 +621,12 @@ fn try_take_batch(st: &mut QueueState, cfg: &SchedulerConfig) -> Option<Vec<Job>
         if !ready {
             continue;
         }
-        let vkey = match cfg.policy {
-            SchedPolicy::WeightedFair => q.vtime,
-            SchedPolicy::FifoScan => 0.0,
-        };
         let better = match &best {
             None => true,
-            Some((bv, bs, _)) => vkey < *bv || (vkey == *bv && oldest.seq < *bs),
+            Some((bv, bs, _)) => q.vtime < *bv || (q.vtime == *bv && oldest.seq < *bs),
         };
         if better {
-            best = Some((vkey, oldest.seq, name.clone()));
+            best = Some((q.vtime, oldest.seq, name.clone()));
         }
     }
     let (_, _, name) = best?;
@@ -927,26 +877,32 @@ mod tests {
     }
 
     #[test]
-    fn fifo_scan_takes_the_oldest_ready_group_capped_at_max_batch() {
+    fn equal_clocks_take_the_oldest_head_capped_at_max_batch() {
+        // Equal weights, max_batch 2, arrivals a0 b1 a2 b3 b4 a5.
         let reg = registry_with(&["a", "b"]);
         let mut st = QueueState::new();
-        for name in ["a", "b", "a", "a", "b"] {
+        for name in ["a", "b", "a", "b", "b", "a"] {
             push_ready(&mut st, &reg, name, 1);
         }
         let cfg = SchedulerConfig {
             max_batch: 2,
-            policy: SchedPolicy::FifoScan,
             ..SchedulerConfig::default()
         };
-        let batch = try_take_batch(&mut st, &cfg).unwrap();
-        assert_eq!(batch.len(), 2, "capped at max_batch");
-        assert!(batch.iter().all(|j| j.entry.name() == "a"));
-        assert_eq!(batch[0].seq, 0);
-        assert_eq!(batch[1].seq, 2, "FIFO within the group");
-        // Remaining: one a, two b — the next take is b (older oldest).
-        assert_eq!(st.total, 3);
-        let batch = try_take_batch(&mut st, &cfg).unwrap();
-        assert!(batch.iter().all(|j| j.entry.name() == "b"));
+        let mut take = || {
+            let batch = try_take_batch(&mut st, &cfg).unwrap();
+            let name = batch[0].entry.name().to_string();
+            assert!(batch.iter().all(|j| j.entry.name() == name));
+            (name, batch.iter().map(|j| j.seq).collect::<Vec<_>>())
+        };
+        // Both clocks 0: a holds the older head. Capped at max_batch,
+        // FIFO within the group (a5 stays queued).
+        assert_eq!(take(), ("a".to_string(), vec![0, 2]));
+        // b's clock (0) now lags a's (2).
+        assert_eq!(take(), ("b".to_string(), vec![1, 3]));
+        // Both clocks 2: b4 is older than a5.
+        assert_eq!(take(), ("b".to_string(), vec![4]));
+        assert_eq!(take(), ("a".to_string(), vec![5]));
+        assert_eq!(st.total, 0);
     }
 
     #[test]
@@ -962,7 +918,6 @@ mod tests {
         }
         let cfg = SchedulerConfig {
             max_batch: 1,
-            policy: SchedPolicy::WeightedFair,
             ..SchedulerConfig::default()
         };
         let mut order = Vec::new();

@@ -1,13 +1,15 @@
 //! Documentation honesty checks: every relative link under `docs/` and
 //! `README.md` must resolve to a real file, the byte layouts that
 //! `docs/PROTOCOL.md` documents as normative must match what the frame
-//! codec actually emits, and the `RINGCNN_KERNEL` values the runbook
-//! lists must be the ones the parser accepts.
+//! codec actually emits, the `RINGCNN_KERNEL` values the runbook
+//! lists must be the ones the parser accepts, and every benchmark row a
+//! document cites must be a row `BENCHMARK.json` declares.
 
 use ringcnn_serve::frame;
 use ringcnn_serve::protocol::Request;
 use ringcnn_serve::registry::Precision;
 use ringcnn_tensor::prelude::*;
+use serde::Value;
 use std::path::{Path, PathBuf};
 
 fn repo_root() -> PathBuf {
@@ -99,6 +101,49 @@ fn operations_lists_exactly_the_accepted_kernel_values() {
         })
         .collect();
     assert_eq!(listed, ringcnn_tensor::gemm::KERNEL_ENV_VALUES, "{row}");
+}
+
+#[test]
+fn cited_benchmark_rows_are_declared_in_benchmark_json() {
+    // Docs cite measurements as `workload/metric`. Every code span
+    // whose first half is a workload of BENCHMARK.json must name one of
+    // its metrics in the second half.
+    let root = repo_root();
+    let text = std::fs::read_to_string(root.join("BENCHMARK.json")).expect("read BENCHMARK.json");
+    let json: Value = serde_json::from_str(&text).expect("BENCHMARK.json parses");
+    let names = |key: &str| -> Vec<String> {
+        let Ok(Value::Array(rows)) = json.field(key) else {
+            panic!("BENCHMARK.json has a `{key}` array");
+        };
+        rows.iter()
+            .map(|row| match row.field("name") {
+                Ok(Value::Str(name)) => name.clone(),
+                _ => panic!("every `{key}` row has a name"),
+            })
+            .collect()
+    };
+    let workloads = names("workloads");
+    let metrics = [names("end_to_end"), names("per_layer")].concat();
+    let mut cited = 0usize;
+    for doc in ["docs/PERFORMANCE.md", "docs/OPERATIONS.md"] {
+        let text = std::fs::read_to_string(root.join(doc)).expect("read doc");
+        for span in text.split('`').skip(1).step_by(2) {
+            let Some((workload, metric)) = span.split_once('/') else {
+                continue;
+            };
+            if workloads.iter().any(|w| w == workload) {
+                assert!(
+                    metrics.iter().any(|m| m == metric),
+                    "{doc}: `{span}` cites a metric BENCHMARK.json does not declare"
+                );
+                cited += 1;
+            }
+        }
+    }
+    assert!(
+        cited >= 20,
+        "the two documents should cite their benchmark rows; found {cited}"
+    );
 }
 
 // --- docs/PROTOCOL.md byte layouts, spot-checked against the codec --------

@@ -617,8 +617,8 @@ fn weighted_fair_lets_a_weighted_model_jump_a_hot_backlog() {
     // One worker, one-request batches: while a long "plug" request keeps
     // the worker busy, enqueue six hot-model requests and then two
     // requests for a weight-4 model. Weighted fair scheduling must serve
-    // the weighted model ahead of most of the backlog (under FIFO scan
-    // the two late arrivals would drain dead last).
+    // the weighted model ahead of most of the backlog (in plain arrival
+    // order the two late arrivals would drain dead last).
     use std::sync::atomic::{AtomicUsize, Ordering};
     let sched = Scheduler::start(
         smoke_registry(),
