@@ -8,8 +8,9 @@
 //! - [`ConvBackend::Naive`] — the six-deep reference loop of
 //!   `ringcnn_tensor::conv::conv2d_forward`; ring layers first expand
 //!   their weights onto the isomorphic real convolution (eq. (4)).
-//! - [`ConvBackend::Im2col`] — the packed-patch-matrix kernel of
-//!   `ringcnn_tensor::im2col`; same lowering, cache-friendly inner loop.
+//! - [`ConvBackend::Im2col`] — the streaming im2col/GEMM engine of
+//!   `ringcnn_tensor::im2col`; same lowering, weights planned once at
+//!   `prepare_inference`, the patch matrix packed per column chunk.
 //! - [`ConvBackend::Transform`] — the transform-domain fast engine
 //!   (eqs. (6)–(8)): weights are pre-transformed once (`g̃ = Tg·g`),
 //!   inputs pass through `Tx`, `m` component-wise real convolutions run
@@ -54,7 +55,8 @@ pub enum ConvBackend {
     /// Reference six-deep loop nest (`conv2d_forward`).
     #[default]
     Naive,
-    /// Packed patch matrix + blocked row products (`conv2d_forward_im2col`).
+    /// im2col packed per column chunk inside the blocked GEMM driver
+    /// (`conv2d_forward_packed`).
     Im2col,
     /// Transform-domain fast ring convolution (`FastRingConv`); dense
     /// real convolutions degenerate to [`ConvBackend::Im2col`] (the real

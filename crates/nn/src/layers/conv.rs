@@ -29,6 +29,9 @@ pub struct Conv2d {
     mask: Option<Vec<f32>>,
     /// Forward kernel selection; both kernels are bit-for-bit identical.
     backend: ConvBackend,
+    /// The streaming engine's plan of `weights`, built by
+    /// `prepare_inference`; dropped whenever the weights may change.
+    plan: Option<PackedWeights<f32>>,
 }
 
 impl Conv2d {
@@ -46,6 +49,7 @@ impl Conv2d {
             cached_input: None,
             mask: None,
             backend: ConvBackend::Naive,
+            plan: None,
         }
     }
 
@@ -81,8 +85,10 @@ impl Conv2d {
         &self.weights
     }
 
-    /// Mutable weight access (used by quantization and pruning).
+    /// Mutable weight access (used by quantization and pruning; drops
+    /// the cached weight plan).
     pub fn weights_mut(&mut self) -> &mut ConvWeights {
+        self.plan = None;
         &mut self.weights
     }
 
@@ -105,6 +111,7 @@ impl Conv2d {
     /// Panics if the mask length differs from the weight count.
     pub fn set_mask(&mut self, mask: Vec<f32>) {
         assert_eq!(mask.len(), self.weights.data.len(), "mask length mismatch");
+        self.plan = None;
         for (w, m) in self.weights.data.iter_mut().zip(&mask) {
             *w *= m;
         }
@@ -138,19 +145,30 @@ impl Layer for Conv2d {
     fn forward(&mut self, input: &T, train: bool) -> T {
         if train {
             // Training always flows through the naive reference kernel
-            // (same contract as RingConv2d; backward uses it too).
+            // (same contract as RingConv2d; backward uses it too);
+            // weights are about to change, so drop the cached plan.
             self.cached_input = Some(input.clone());
+            self.plan = None;
             return conv2d_forward(input, &self.weights, &self.bias);
         }
+        // Build the plan through the exclusive borrow, then run the same
+        // shared-state path the parallel runtime uses.
+        self.prepare_inference();
         self.forward_infer(input)
     }
 
     fn forward_infer(&self, input: &T) -> T {
-        match self.backend {
-            ConvBackend::Naive => conv2d_forward(input, &self.weights, &self.bias),
-            ConvBackend::Im2col | ConvBackend::Transform => {
-                conv2d_forward_im2col(input, &self.weights, &self.bias)
-            }
+        match (self.backend, &self.plan) {
+            (ConvBackend::Naive, _) => conv2d_forward(input, &self.weights, &self.bias),
+            (_, Some(plan)) => conv2d_forward_packed(input, self.weights.k, plan, &self.bias),
+            // Unprepared: plan locally, never through `&self`.
+            (_, None) => conv2d_forward_im2col(input, &self.weights, &self.bias),
+        }
+    }
+
+    fn prepare_inference(&mut self) {
+        if self.backend != ConvBackend::Naive && self.plan.is_none() {
+            self.plan = Some(self.weights.packed());
         }
     }
 
@@ -179,6 +197,8 @@ impl Layer for Conv2d {
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(ParamGroup<'_>)) {
+        // Visitors (optimizers, quantizers) may mutate the parameters.
+        self.plan = None;
         visitor(ParamGroup {
             values: &mut self.weights.data,
             grads: &mut self.dweights.data,
@@ -225,6 +245,9 @@ pub struct DepthwiseConv2d {
     dbias: Vec<f32>,
     cached_input: Option<T>,
     backend: ConvBackend,
+    /// The streaming engine's plan of the block-diagonal lowering, built
+    /// by `prepare_inference`; dropped whenever the weights may change.
+    plan: Option<PackedWeights<f32>>,
 }
 
 impl DepthwiseConv2d {
@@ -241,6 +264,7 @@ impl DepthwiseConv2d {
             dbias: vec![0.0; channels],
             cached_input: None,
             backend: ConvBackend::Naive,
+            plan: None,
         }
     }
 
@@ -266,21 +290,31 @@ impl Layer for DepthwiseConv2d {
         if train {
             assert_eq!(input.shape().c, self.channels, "channel mismatch");
             self.cached_input = Some(input.clone());
+            self.plan = None;
             return conv2d_forward(input, &self.block_diagonal_weights(), &self.bias);
         }
+        self.prepare_inference();
         self.forward_infer(input)
     }
 
     fn forward_infer(&self, input: &T) -> T {
         assert_eq!(input.shape().c, self.channels, "channel mismatch");
-        // Lower onto a grouped conv by building a block-diagonal weight —
-        // simple and reuses the tested kernels; channels are tiny here.
-        let w = self.block_diagonal_weights();
-        match self.backend {
-            ConvBackend::Naive => conv2d_forward(input, &w, &self.bias),
-            ConvBackend::Im2col | ConvBackend::Transform => {
-                conv2d_forward_im2col(input, &w, &self.bias)
+        // Lower onto a grouped conv through a block-diagonal weight —
+        // simple and reuses the tested kernels. Only the reference path
+        // and an unprepared layer build it per call (never through
+        // `&self`).
+        match (self.backend, &self.plan) {
+            (ConvBackend::Naive, _) => {
+                conv2d_forward(input, &self.block_diagonal_weights(), &self.bias)
             }
+            (_, Some(plan)) => conv2d_forward_packed(input, self.k, plan, &self.bias),
+            (_, None) => conv2d_forward_im2col(input, &self.block_diagonal_weights(), &self.bias),
+        }
+    }
+
+    fn prepare_inference(&mut self) {
+        if self.backend != ConvBackend::Naive && self.plan.is_none() {
+            self.plan = Some(self.block_diagonal_weights().packed());
         }
     }
 
@@ -306,6 +340,8 @@ impl Layer for DepthwiseConv2d {
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(ParamGroup<'_>)) {
+        // Visitors (optimizers, quantizers) may mutate the parameters.
+        self.plan = None;
         visitor(ParamGroup {
             values: &mut self.weights,
             grads: &mut self.dweights,

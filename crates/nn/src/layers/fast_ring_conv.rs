@@ -38,8 +38,9 @@ pub struct FastRingConv {
     /// Reconstruction transform `Tz`, row-major `n × m`, as `f32`.
     tz: Vec<f32>,
     /// Pre-transformed weights `g̃`: one dense `co_t × ci_t × k × k`
-    /// real convolution per transformed component.
-    comp_weights: Vec<ConvWeights>,
+    /// real convolution per transformed component, already planned for
+    /// the streaming engine.
+    comp_weights: Vec<PackedWeights<f32>>,
     /// Bias per real output channel (`co_t·n` entries).
     bias: Vec<f32>,
 }
@@ -107,7 +108,7 @@ impl FastRingConv {
             k,
             tx,
             tz,
-            comp_weights,
+            comp_weights: comp_weights.iter().map(ConvWeights::packed).collect(),
             bias: bias.to_vec(),
         }
     }
@@ -160,8 +161,8 @@ impl FastRingConv {
             }
 
             // One component-wise real convolution in the transformed
-            // domain, on the cache-friendly im2col kernel.
-            let zt = conv2d_forward_im2col(&xt, &self.comp_weights[r], &[]);
+            // domain, on the streaming im2col engine.
+            let zt = conv2d_forward_packed(&xt, self.k, &self.comp_weights[r], &[]);
 
             // Reconstruction: scatter component r of z̃ through Tz.
             for b in 0..s.n {

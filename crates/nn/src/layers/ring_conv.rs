@@ -51,9 +51,12 @@ pub struct RingConv2d {
     /// Cached transform-domain plan (weights already through `Tg`);
     /// invalidated whenever weights or bias may change.
     plan: Option<FastRingConv>,
-    /// Cached isomorphic real-weight expansion for the Naive/Im2col
-    /// inference paths; invalidated alongside `plan`.
+    /// Cached isomorphic real-weight expansion for the Naive inference
+    /// path; invalidated alongside `plan`.
     expanded: Option<ConvWeights>,
+    /// Cached streaming-engine plan of that expansion for the Im2col
+    /// inference path; invalidated alongside `plan`.
+    packed: Option<PackedWeights<f32>>,
 }
 
 impl RingConv2d {
@@ -97,7 +100,15 @@ impl RingConv2d {
             backend: ConvBackend::Naive,
             plan: None,
             expanded: None,
+            packed: None,
         }
+    }
+
+    /// Drops every cached inference kernel (the weights may change).
+    fn drop_kernels(&mut self) {
+        self.plan = None;
+        self.expanded = None;
+        self.packed = None;
     }
 
     /// The active inference backend.
@@ -110,8 +121,7 @@ impl RingConv2d {
     /// Training forwards/backwards always use the naive lowering.
     pub fn set_backend(&mut self, backend: ConvBackend) {
         self.backend = backend;
-        self.plan = None;
-        self.expanded = None;
+        self.drop_kernels();
     }
 
     /// The ring algebra of this layer.
@@ -147,8 +157,7 @@ impl RingConv2d {
     /// Mutable flat ring-weight access (drops the cached inference
     /// kernels).
     pub fn ring_weights_mut(&mut self) -> &mut [f32] {
-        self.plan = None;
-        self.expanded = None;
+        self.drop_kernels();
         &mut self.weights
     }
 
@@ -242,8 +251,7 @@ impl Layer for RingConv2d {
             // forward pass matches `backward` exactly; weights are about
             // to change, so drop the cached inference kernels.
             self.cached_input = Some(input.clone());
-            self.plan = None;
-            self.expanded = None;
+            self.drop_kernels();
             let w = self.expand_real_weights();
             return conv2d_forward(input, &w, &self.bias);
         }
@@ -260,25 +268,18 @@ impl Layer for RingConv2d {
             "channel mismatch in {}",
             self.name()
         );
+        // Every arm uses the kernel `prepare_inference` cached when it
+        // is there and otherwise builds it locally — never through
+        // `&self`, so concurrent tile workers cannot race a rebuild.
         match self.backend {
-            ConvBackend::Naive | ConvBackend::Im2col => {
-                // Use the cached expansion when `prepare_inference` built
-                // it; otherwise expand locally — never through `&self`, so
-                // concurrent tile workers cannot race a rebuild.
-                let local;
-                let w = match &self.expanded {
-                    Some(w) => w,
-                    None => {
-                        local = self.expand_real_weights();
-                        &local
-                    }
-                };
-                if self.backend == ConvBackend::Naive {
-                    conv2d_forward(input, w, &self.bias)
-                } else {
-                    conv2d_forward_im2col(input, w, &self.bias)
-                }
-            }
+            ConvBackend::Naive => match &self.expanded {
+                Some(w) => conv2d_forward(input, w, &self.bias),
+                None => conv2d_forward(input, &self.expand_real_weights(), &self.bias),
+            },
+            ConvBackend::Im2col => match &self.packed {
+                Some(w) => conv2d_forward_packed(input, self.k, w, &self.bias),
+                None => conv2d_forward_im2col(input, &self.expand_real_weights(), &self.bias),
+            },
             ConvBackend::Transform => {
                 let local;
                 let plan = match &self.plan {
@@ -307,9 +308,14 @@ impl Layer for RingConv2d {
         // forward) all drop these caches, so a pre-built plan can never
         // go stale.
         match self.backend {
-            ConvBackend::Naive | ConvBackend::Im2col => {
+            ConvBackend::Naive => {
                 if self.expanded.is_none() {
                     self.expanded = Some(self.expand_real_weights());
+                }
+            }
+            ConvBackend::Im2col => {
+                if self.packed.is_none() {
+                    self.packed = Some(self.expand_real_weights().packed());
                 }
             }
             ConvBackend::Transform => {
@@ -347,8 +353,7 @@ impl Layer for RingConv2d {
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(ParamGroup<'_>)) {
         // Visitors (optimizers, quantizers) may mutate the parameters.
-        self.plan = None;
-        self.expanded = None;
+        self.drop_kernels();
         visitor(ParamGroup {
             values: &mut self.weights,
             grads: &mut self.dweights,

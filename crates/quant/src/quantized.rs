@@ -26,6 +26,8 @@ use ringcnn_nn::layers::shuffle::{PixelShuffle, PixelUnshuffle};
 use ringcnn_nn::layers::structure::{Residual, Sequential};
 use ringcnn_nn::layers::upsample::UpsampleResidual;
 use ringcnn_nn::runtime::{InferenceModel, ModelTopo, TopoBuilder};
+use ringcnn_tensor::gemm::PackedWeights;
+use ringcnn_tensor::im2col::{conv_streaming_i64, ConvInput};
 use ringcnn_tensor::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -162,6 +164,42 @@ pub struct QConv {
     /// are first aligned to this single format — the hardware's format
     /// aligner in front of dense stages.
     align_input: Option<QFormat>,
+    /// What [`QuantizedModel::prepare_inference`] derives from the frozen
+    /// weights; never stored, never compared.
+    #[serde(skip)]
+    plan: Prepared,
+}
+
+/// The run-time kernel of a [`QConv`], derived from its weights alone.
+#[derive(Clone, Debug)]
+struct QConvPlan {
+    /// The streaming engine's plan of the integer weights.
+    weights: PackedWeights<i64>,
+    /// `support[co·ci_n + ci]`: whether any tap of `(co, ci)` is
+    /// non-zero, i.e. whether input channel `ci`'s scale reaches output
+    /// channel `co`'s accumulator.
+    support: Vec<bool>,
+}
+
+impl QConvPlan {
+    fn new(c: &QConv) -> Self {
+        Self {
+            weights: PackedWeights::<i64>::new(c.co, c.ci * c.k * c.k, &c.weights),
+            support: tap_support(c),
+        }
+    }
+}
+
+/// A [`QConv`]'s cached [`QConvPlan`]. Equal to every other `Prepared`:
+/// a prepared and an unprepared conv over the same tables are the same
+/// conv.
+#[derive(Clone, Debug, Default)]
+struct Prepared(Option<QConvPlan>);
+
+impl PartialEq for Prepared {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
 }
 
 /// Quantized directional ReLU.
@@ -320,11 +358,31 @@ impl QuantizedModel {
         )?;
         let x = calibration.clone();
         let (layers, _out) = build_chain(model.layers_mut(), x, &opts)?;
-        Ok(Self {
+        let mut quantized = Self {
             input_format,
             layers,
             opts,
-        })
+        };
+        quantized.prepare_inference();
+        Ok(quantized)
+    }
+
+    /// Plans every convolution's weights for the streaming engine
+    /// (idempotent). A freshly quantized model is already prepared; a
+    /// deserialized one is not until this runs (`BatchRunner::new` calls
+    /// it) and until then plans locally on every call.
+    pub fn prepare_inference(&mut self) {
+        fn prepare(layers: &mut [QLayer]) {
+            for layer in layers {
+                match layer {
+                    QLayer::Conv(c) if c.plan.0.is_none() => c.plan.0 = Some(QConvPlan::new(c)),
+                    QLayer::Residual(res) => prepare(&mut res.body),
+                    QLayer::UpsampleResidual(ur) => prepare(&mut ur.body),
+                    _ => {}
+                }
+            }
+        }
+        prepare(&mut self.layers);
     }
 
     /// Bit-accurate integer inference; input is quantized with the
@@ -397,11 +455,13 @@ impl QuantizedModel {
 }
 
 impl InferenceModel for QuantizedModel {
-    /// Nothing to pre-build: the integer pipeline's kernels *are* its
-    /// weight tables, resolved at calibration time. (`QuantizedModel` is
-    /// plain owned data, hence `Send + Sync`, and `forward` never
-    /// mutates — the contract's concurrency requirements hold trivially.)
-    fn prepare_inference(&mut self) {}
+    /// Plans the conv weights (see [`QuantizedModel::prepare_inference`]).
+    /// `QuantizedModel` is plain owned data, hence `Send + Sync`, and
+    /// `forward` never mutates — the contract's concurrency requirements
+    /// hold trivially.
+    fn prepare_inference(&mut self) {
+        QuantizedModel::prepare_inference(self);
+    }
 
     fn forward_infer(&self, input: &Tensor) -> Tensor {
         self.forward(input)
@@ -841,6 +901,7 @@ fn lower_conv(
             .collect(),
         requant,
         align_input,
+        plan: Prepared::default(),
     })
 }
 
@@ -912,18 +973,22 @@ fn run_layer(layer: &QLayer, q: QTensor) -> QTensor {
     }
 }
 
+/// Which `(co, ci)` pairs have a non-zero tap, `[co][ci]` row-major.
+fn tap_support(c: &QConv) -> Vec<bool> {
+    c.weights
+        .chunks((c.k * c.k).max(1))
+        .map(|taps| taps.iter().any(|w| *w != 0))
+        .collect()
+}
+
 /// Resolves the accumulator frac of every output channel from the input
-/// formats and validates that each channel accumulates a consistent
-/// scale (component-wise formats require component-aligned rings).
-fn resolve_acc_fracs(c: &QConv, q: &QTensor) -> Vec<i32> {
+/// formats over the conv's tap `support`, and validates that each
+/// channel accumulates a consistent scale (component-wise formats
+/// require component-aligned rings).
+fn resolve_acc_fracs(c: &QConv, q: &QTensor, support: &[bool]) -> Vec<i32> {
     let mut acc_frac = vec![i32::MIN; c.co];
     for co in 0..c.co {
-        for ci in 0..c.ci {
-            let any_nonzero =
-                (0..c.k * c.k).any(|t| c.weights[(co * c.ci + ci) * c.k * c.k + t] != 0);
-            if !any_nonzero {
-                continue;
-            }
+        for ci in (0..c.ci).filter(|ci| support[co * c.ci + ci]) {
             let f = c.w_format.frac + q.format_of(ci).frac;
             if acc_frac[co] == i32::MIN {
                 acc_frac[co] = f;
@@ -948,42 +1013,48 @@ fn align_conv_input(c: &QConv, q: &QTensor) -> Option<QTensor> {
     c.align_input.map(|f| q.requantized(vec![f; q.shape().c]))
 }
 
-/// The production integer convolution: per-batch-item im2col packing
-/// (`ringcnn_tensor::im2col::im2col_pack_i64`) and the register-blocked
-/// integer GEMM (`ringcnn_tensor::gemm::gemm_i64`) with the per-channel
-/// requantization **fused into the kernel epilogue** — un-rescaled wide
-/// accumulators never reach memory. Integer accumulation is
-/// order-independent, the AVX2 path guards its i32-operand requirement,
-/// and the fused epilogue replicates [`requant_shift`] + saturation bit
-/// for bit, so this is **bit-identical** to [`run_conv_reference`] at
-/// any thread count and on every kernel backend — the equivalence suite
-/// in `tests/quant_backend.rs` asserts it.
+/// The production integer convolution: every batch item streams through
+/// `ringcnn_tensor::im2col::conv_streaming_i64` — im2col packed per
+/// column chunk inside the register-blocked integer GEMM, the
+/// per-channel requantization **fused into the kernel epilogue**
+/// (un-rescaled wide accumulators never reach memory), outputs written
+/// in place. The weight plan and tap support come from
+/// `prepare_inference` (an unprepared conv derives them locally).
+/// Integer accumulation is order-independent, the AVX2 path guards its
+/// i32-operand requirement, and the fused epilogue replicates
+/// [`requant_shift`] + saturation bit for bit, so this is
+/// **bit-identical** to [`run_conv_reference`] at any thread count and
+/// on every kernel backend — the equivalence suite in
+/// `tests/quant_backend.rs` asserts it.
 fn run_conv(c: &QConv, q: &QTensor) -> QTensor {
     let aligned = align_conv_input(c, q);
     let q = aligned.as_ref().unwrap_or(q);
     let s = q.shape();
     assert_eq!(s.c, c.ci, "quantized conv channel mismatch");
-    let acc_frac = resolve_acc_fracs(c, q);
-    let bias: Vec<i64> = (0..c.co).map(|co| bias_at(c, co, acc_frac[co])).collect();
-    let plan = c.requant.as_ref().map(|fmts| requant_plan(fmts, &acc_frac));
-    let out_shape = s.with_channels(c.co);
-    let rows = c.ci * c.k * c.k;
-    let mut data = vec![0i64; out_shape.len()];
-    for b in 0..s.n {
-        let col = ringcnn_tensor::im2col::im2col_pack_i64(q.data(), s, b, c.k);
-        let planes = ringcnn_tensor::gemm::gemm_i64(
-            &col,
-            s.plane(),
-            rows,
-            c.co,
-            &c.weights,
-            &bias,
-            plan.as_ref(),
-        );
-        for (co, plane) in planes.into_iter().enumerate() {
-            let base = out_shape.index(b, co, 0, 0);
-            data[base..base + out_shape.plane()].copy_from_slice(&plane);
+    let local;
+    let plan = match &c.plan.0 {
+        Some(plan) => plan,
+        None => {
+            local = QConvPlan::new(c);
+            &local
         }
+    };
+    let acc_frac = resolve_acc_fracs(c, q, &plan.support);
+    let bias: Vec<i64> = (0..c.co).map(|co| bias_at(c, co, acc_frac[co])).collect();
+    let requant = c.requant.as_ref().map(|fmts| requant_plan(fmts, &acc_frac));
+    let out_shape = s.with_channels(c.co);
+    let mut data = vec![0i64; out_shape.len()];
+    let (item_in, item_out) = (s.c * s.plane(), c.co * s.plane());
+    for b in 0..s.n {
+        let planes = &q.data()[b * item_in..(b + 1) * item_in];
+        conv_streaming_i64(
+            &ConvInput::new(planes, s.c, s.h, s.w, Window::full(s.h, s.w)),
+            c.k,
+            &plan.weights,
+            &bias,
+            requant.as_ref(),
+            &mut data[b * item_out..(b + 1) * item_out],
+        );
     }
     let formats: Vec<QFormat> = match &c.requant {
         Some(fmts) => fmts.clone(),
@@ -1025,7 +1096,7 @@ pub fn run_conv_reference(c: &QConv, q: &QTensor) -> QTensor {
     let q = aligned.as_ref().unwrap_or(q);
     let s = q.shape();
     assert_eq!(s.c, c.ci, "quantized conv channel mismatch");
-    let acc_frac = resolve_acc_fracs(c, q);
+    let acc_frac = resolve_acc_fracs(c, q, &tap_support(c));
     let pad = (c.k / 2) as isize;
     let (h, w) = (s.h as isize, s.w as isize);
     let out_shape = s.with_channels(c.co);

@@ -129,7 +129,8 @@ pub fn peek_format_tag(text: &str) -> String {
 }
 
 /// Parses on-disk JSON into a [`QModelFile`]: format tag checked first,
-/// then the schema, then the structural validation of the pipeline.
+/// then the schema, then the structural validation of the pipeline,
+/// which is handed back prepared for inference.
 ///
 /// # Errors
 ///
@@ -143,11 +144,13 @@ pub fn qmodel_from_json(text: &str) -> Result<QModelFile, QModelLoadError> {
     if tag != QMODEL_FORMAT {
         return Err(QModelLoadError::Format(tag));
     }
-    let file: QModelFile =
+    let mut file: QModelFile =
         serde_json::from_str(text).map_err(|e| QModelLoadError::Parse(e.to_string()))?;
     file.model
         .validate(file.channels_io)
         .map_err(QModelLoadError::Invalid)?;
+    // The weights are frozen from here on: plan them once, at load.
+    file.model.prepare_inference();
     Ok(file)
 }
 
@@ -181,6 +184,7 @@ mod tests {
             let file = export_qmodel("m", "tiny", &alg.label(), 1, 30.0, qm.clone()).unwrap();
             let json = qmodel_to_json(&file);
             assert_eq!(peek_format_tag(&json), QMODEL_FORMAT);
+            assert!(!json.contains("plan"), "derived state must not be stored");
             let back = qmodel_from_json(&json).unwrap();
             assert_eq!(back, file);
             assert_eq!(

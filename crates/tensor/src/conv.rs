@@ -6,6 +6,7 @@
 //! CNNs of the paper (spatial resolution is changed only by pixel
 //! shuffle/unshuffle, never by strides).
 
+use crate::gemm::PackedWeights;
 use crate::tensor::Tensor;
 use rayon::prelude::*;
 
@@ -47,6 +48,13 @@ impl ConvWeights {
     /// Whether there are no weights.
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
+    }
+
+    /// The streaming engine's plan of these weights (`co × ci·k²`):
+    /// build it once where the weights freeze and run
+    /// [`crate::im2col::conv2d_forward_packed`] with it.
+    pub fn packed(&self) -> PackedWeights<f32> {
+        PackedWeights::<f32>::new(self.co, self.ci * self.k * self.k, &self.data)
     }
 }
 

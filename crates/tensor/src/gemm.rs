@@ -1,35 +1,44 @@
-//! Register-blocked GEMM micro-kernels for the im2col convolution path,
-//! shared by the f32 (float inference) and i64 (quantized inference)
-//! pipelines.
+//! The register-blocked GEMM driver behind the streaming convolution
+//! engine, shared by the f32 (float inference) and i64 (quantized
+//! inference) pipelines.
 //!
-//! Both precisions lower a convolution to `C = W · col` where `col` is
-//! the packed patch matrix (`rows = ci·k²` by `plane = H·W`) and `W` is
-//! the `co × rows` weight matrix. **One** blocked driver computes that
-//! product for both element types with an MR×NR register tile over a
-//! panel-major packed copy of `col`; what differs between `f32` and
-//! `i64` (panel width, AVX2 tile, exactness gate, scratch slot,
-//! epilogue) lives in the two impls of the crate-private `Element`
-//! trait:
+//! Both precisions lower a convolution to `C = W · col`, where `col` is
+//! the patch matrix (`rows = ci·k²` by `plane = H·W`) and `W` the
+//! `co × rows` weight matrix. **One** blocked driver computes that
+//! product for both element types with an MR×NR register tile; what
+//! differs between `f32` and `i64` (panel width, AVX2 tile, exactness
+//! gate, slab slot, epilogue) lives in the two impls of the
+//! crate-private `Element` trait. The work splits into a plan and a
+//! call:
 //!
-//! * **B is packed once per call** into `[panel][row][NR]` order (the
-//!   last panel zero-padded to NR width) and shared by every output
-//!   channel block — the pack is O(rows·plane) while the product is
-//!   O(co·rows·plane), so packing cost amortizes across all of `co`.
-//! * **MR = 4** output channels per block. Blocks are built from a
+//! * **The plan** ([`PackedWeights`]) is everything derived from `W`
+//!   alone, built once where weights freeze (`prepare_inference`, model
+//!   load): **MR = 4** output channels per block, blocks cut from a
 //!   *similarity ordering* of the output channels (sorted by their
 //!   non-zero-row bitmask), so channels with identical sparsity patterns
 //!   share a block and the per-block non-zero row list stays tight: the
 //!   expanded weights of a diagonal ring (`RI_n`) are 1/n dense with the
 //!   same pattern repeating every n channels, and grouping those
 //!   together preserves the reference loop's zero-row skip instead of
-//!   unioning n unrelated patterns into a dense block.
-//! * **NR** columns per micro-panel (16 for f32, 8 for i64). Tiles walk
-//!   the plane in L2-sized column chunks ([`NC_COLS`]) so consecutive
-//!   blocks re-read a resident chunk of the packed B instead of
-//!   streaming the whole matrix per block. The per-element accumulation
-//!   chain (bias first, then rows in increasing order) is identical
-//!   regardless of plane geometry — tiled and whole-image runs of the
-//!   *same* kernel agree bit for bit.
+//!   unioning n unrelated patterns into a dense block. Consecutive
+//!   blocks with one pattern form a *group*. Bias is a per-call
+//!   argument (the integer bias depends on the run-time accumulator
+//!   scale).
+//! * **The call** never sees the whole of `col`: the plane is cut into
+//!   column chunks of [`NC_COLS`], one parallel task each. A task gets
+//!   just its chunk's micro-panels — `[panel][row][NR]` order, **NR**
+//!   columns each (16 for f32, 8 for i64), the last panel zero-padded;
+//!   packed into the thread's slab by the im2col chunk packer of
+//!   [`crate::im2col`], or lent from a B the caller packed
+//!   (`gemm_*_packed`) — runs every pattern group over them while they
+//!   are L2-resident (panels outermost, so the blocks of a group
+//!   re-read L1-hot rows), applies the element epilogue and writes the
+//!   finished lanes straight into its columns of the caller's output
+//!   planes. The only per-thread state is that slab, `rows × NC_COLS`
+//!   elements (72 KiB for a 16-channel 3×3 f32 conv) whatever the
+//!   plane size. The per-element accumulation chain (bias first, then
+//!   rows in increasing order) does not depend on plane geometry —
+//!   tiled and whole-image runs of the *same* kernel agree bit for bit.
 //!
 //! Two kernel tiers are selected at run time behind
 //! `is_x86_feature_detected!`: AVX2+FMA, and a portable scalar-blocked
@@ -44,12 +53,13 @@
 //! generic over the element type, called by tests only. The **i64**
 //! tiers are **bit-identical** to it: integer addition is
 //! order-independent, an AVX2 `_mm256_mul_epi32` product is exact
-//! whenever both operands fit in `i32` (checked once per call, with the
-//! scalar-blocked tile as the fallback otherwise), and the fused
-//! requantization epilogue applies the same round-half-away-from-zero
-//! shift and saturation rails as the unfused path. (A block's
-//! zero-weight lanes contribute exact `+0` terms, so the channel
-//! grouping cannot change a result.) The **f32** tiers are
+//! whenever both operands fit in `i32` (the weights are checked once in
+//! the plan, the activations once per call on the *unpacked* input,
+//! with the scalar-blocked tile as the fallback otherwise), and the
+//! fused requantization epilogue applies the same
+//! round-half-away-from-zero shift and saturation rails as the unfused
+//! path. (A block's zero-weight lanes contribute exact `+0` terms, so
+//! the channel grouping cannot change a result.) The **f32** tiers are
 //! tolerance-equivalent only: FMA contraction and the blocked summation
 //! change ULPs relative to the reference row-axpy.
 
@@ -67,9 +77,9 @@ pub const MR: usize = 4;
 pub const NR_F32: usize = 16;
 /// i64 micro-panel width (4 lanes per 256-bit vector, 2 vectors).
 pub const NR_I64: usize = 8;
-/// Column-chunk width (elements, a multiple of every NR): a
-/// `rows × NC_COLS` slab of the packed B stays L2-resident while every
-/// channel block streams over it (tasks are ordered chunk-major).
+/// Column-chunk width (elements, a multiple of every NR): the unit of
+/// parallel work, and the `rows × NC_COLS` slab of packed B one task
+/// keeps L2-resident while every channel block streams over it.
 pub const NC_COLS: usize = 128;
 
 /// Which register tile executes the blocked product.
@@ -302,10 +312,11 @@ pub mod profile {
         #[test]
         fn counters_advance_across_a_blocked_product() {
             let before = snapshot();
-            let col: Vec<i64> = (0..4 * 40).collect();
+            // 4 rows × 40 columns, already panel-major (5 full panels).
+            let bp: Vec<i64> = (0..4 * 40).collect();
             let w = vec![1i64; 3 * 4];
             let _ = crate::gemm::forced_kernel_scope(KernelBackend::Scalar, || {
-                crate::gemm::gemm_i64(&col, 40, 4, 3, &w, &[], None)
+                crate::gemm::gemm_i64_packed(&bp, 40, 4, 3, &w, &[], None, true)
             });
             // Other tests run gemm concurrently, so assert growth (>=)
             // rather than exact deltas.
@@ -404,10 +415,10 @@ pub(crate) trait Element<const NR: usize>:
     /// What the epilogue applies to finished accumulator lanes.
     type Epilogue: Sync;
 
-    /// The thread's reusable packing buffer: a fresh multi-megabyte Vec
-    /// per conv call costs more in page faults than the GEMM itself
-    /// (the allocator returns large freed blocks to the OS).
-    fn scratch() -> &'static LocalKey<Cell<Vec<Self>>>;
+    /// The thread's packing slab: the `rows × NC_COLS` elements of the
+    /// column chunk its current task owns, kept across tasks and calls
+    /// (never plane-sized, so nothing worth returning to the OS).
+    fn slab() -> &'static LocalKey<Cell<Vec<Self>>>;
 
     /// Whether the AVX2 tile multiplies every one of `values` exactly.
     fn avx2_exact(values: &[Self]) -> bool;
@@ -434,15 +445,15 @@ pub(crate) trait Element<const NR: usize>:
 }
 
 thread_local! {
-    static SCRATCH_F32: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
-    static SCRATCH_I64: Cell<Vec<i64>> = const { Cell::new(Vec::new()) };
+    static SLAB_F32: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+    static SLAB_I64: Cell<Vec<i64>> = const { Cell::new(Vec::new()) };
 }
 
 impl Element<NR_F32> for f32 {
     type Epilogue = ();
 
-    fn scratch() -> &'static LocalKey<Cell<Vec<f32>>> {
-        &SCRATCH_F32
+    fn slab() -> &'static LocalKey<Cell<Vec<f32>>> {
+        &SLAB_F32
     }
 
     fn avx2_exact(_: &[f32]) -> bool {
@@ -494,8 +505,8 @@ impl Element<NR_F32> for f32 {
 impl Element<NR_I64> for i64 {
     type Epilogue = RequantPlan;
 
-    fn scratch() -> &'static LocalKey<Cell<Vec<i64>>> {
-        &SCRATCH_I64
+    fn slab() -> &'static LocalKey<Cell<Vec<i64>>> {
+        &SLAB_I64
     }
 
     /// `_mm256_mul_epi32` reads each lane's low 32 bits: exact only for
@@ -557,23 +568,6 @@ impl Element<NR_I64> for i64 {
     }
 }
 
-/// Takes the thread's packing scratch at `len` elements **without
-/// zeroing** — stale contents from the previous conv remain, so only
-/// for packers that overwrite every element (a 2+ MB memset per conv
-/// call is measurable against the GEMM itself on sparse rings). Return
-/// it with [`put_scratch`] so the next conv on this thread reuses the
-/// allocation.
-pub(crate) fn take_scratch<T: Element<NR>, const NR: usize>(len: usize) -> Vec<T> {
-    let mut v = T::scratch().take();
-    v.resize(len, T::default());
-    v
-}
-
-/// Returns a scratch buffer taken with [`take_scratch`].
-pub(crate) fn put_scratch<T: Element<NR>, const NR: usize>(v: Vec<T>) {
-    T::scratch().set(v);
-}
-
 // ---------------------------------------------------------------------
 // Shared block planning.
 // ---------------------------------------------------------------------
@@ -602,6 +596,7 @@ fn similarity_order(co: usize, rows: usize, nonzero: impl Fn(usize, usize) -> bo
 }
 
 /// One MR-wide block of output channels, packed for the register tile.
+#[derive(Clone, Debug)]
 struct BlockPlan<T> {
     /// Original output-channel index of each tile row.
     chans: [usize; MR],
@@ -611,17 +606,13 @@ struct BlockPlan<T> {
     nzrows: Vec<u32>,
     /// `[nz][MR]` broadcast-ready weights (zero for absent channels).
     wpack: Vec<T>,
-    /// Per-tile-row accumulator init (bias, or zero).
-    binit: [T; MR],
 }
 
-/// Cuts MR blocks from the similarity order and packs their weights
-/// (an empty `bias` initializes every accumulator to zero).
+/// Cuts MR blocks from the similarity order and packs their weights.
 fn plan_blocks<T: Copy + Default + PartialEq>(
     co: usize,
     rows: usize,
     weights: &[T],
-    bias: &[T],
 ) -> Vec<BlockPlan<T>> {
     let zero = T::default();
     let order = similarity_order(co, rows, |c, r| weights[c * rows + r] != zero);
@@ -646,25 +637,18 @@ fn plan_blocks<T: Copy + Default + PartialEq>(
                     wpack.extend_from_slice(&ws);
                 }
             }
-            let mut binit = [zero; MR];
-            if !bias.is_empty() {
-                for (i, &c) in chans_slice.iter().enumerate() {
-                    binit[i] = bias[c];
-                }
-            }
             BlockPlan {
                 chans,
                 mr,
                 nzrows,
                 wpack,
-                binit,
             }
         })
         .collect()
 }
 
 /// Runs `[start, end)` of consecutive blocks sharing one non-zero-row
-/// pattern. A task processes a whole group panel-by-panel so the ~64
+/// pattern. A task walks a whole group panel-by-panel so the ~64
 /// bytes each non-zero row occupies are read once into L1 and reused by
 /// every same-pattern block — on a diagonal ring the blocks of one
 /// residue class touch identical rows, and per-block panel walks would
@@ -682,163 +666,202 @@ fn pattern_groups<T>(blocks: &[BlockPlan<T>]) -> Vec<(usize, usize)> {
     groups
 }
 
-/// Packs `col` (`rows × plane`, row-major) into panel-major
-/// `[panel][row][nr]` order in `bp`, writing every element (the tail
-/// panel's pad is zeroed explicitly, so `bp` may be dirty scratch).
-fn pack_b_into<T: Copy + Default>(col: &[T], plane: usize, rows: usize, nr: usize, bp: &mut [T]) {
-    for jp in 0..plane.div_ceil(nr) {
-        let j = jp * nr;
-        let w = nr.min(plane - j);
-        let dst = &mut bp[jp * rows * nr..(jp + 1) * rows * nr];
-        for r in 0..rows {
-            dst[r * nr..r * nr + w].copy_from_slice(&col[r * plane + j..r * plane + j + w]);
-            dst[r * nr + w..(r + 1) * nr].fill(T::default());
+/// The weights-only half of a product `C = W · B`: MR blocks in
+/// similarity order, their same-pattern groups, and whether the AVX2
+/// tile multiplies every weight exactly. Build it once where weights
+/// freeze and hand it to every call.
+#[derive(Clone, Debug)]
+pub struct PackedWeights<T> {
+    co: usize,
+    rows: usize,
+    blocks: Vec<BlockPlan<T>>,
+    groups: Vec<(usize, usize)>,
+    avx2_exact: bool,
+}
+
+impl<T> PackedWeights<T> {
+    /// Output channels (rows of `W`).
+    pub fn co(&self) -> usize {
+        self.co
+    }
+
+    /// Patch rows (columns of `W`, `ci·k²` for a convolution).
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    fn plan<const NR: usize>(co: usize, rows: usize, weights: &[T]) -> Self
+    where
+        T: Element<NR>,
+    {
+        assert_eq!(weights.len(), co * rows, "weight length mismatch");
+        let blocks = plan_blocks(co, rows, weights);
+        Self {
+            co,
+            rows,
+            groups: pattern_groups(&blocks),
+            blocks,
+            avx2_exact: T::avx2_exact(weights),
         }
     }
 }
 
-/// Glues the chunk-major task outputs back into per-channel planes in
-/// original channel order (no zero-init: every element is written).
-/// `tiles[chunk · ngroups + g]` holds the group's blocks' slabs
-/// concatenated lane-by-lane, `Σ mr × chunk-width`.
-fn assemble<T: Copy + Default>(
-    tiles: &[Vec<T>],
-    blocks: &[BlockPlan<T>],
-    groups: &[(usize, usize)],
-    co: usize,
-    plane: usize,
-    chunk_cols: usize,
-) -> Vec<Vec<T>> {
-    let ngroups = groups.len();
-    let nchunks = tiles.len().checked_div(ngroups).unwrap_or(0);
-    let mut planes: Vec<Vec<T>> = (0..co).map(|_| Vec::with_capacity(plane)).collect();
-    for (g, &(b0, b1)) in groups.iter().enumerate() {
-        let mut base = 0;
-        for block in &blocks[b0..b1] {
-            for i in 0..block.mr {
-                let dst = &mut planes[block.chans[i]];
-                for chunk in 0..nchunks {
-                    let j0 = chunk * chunk_cols;
-                    let cw = (plane - j0).min(chunk_cols);
-                    let tile = &tiles[chunk * ngroups + g];
-                    dst.extend_from_slice(&tile[(base + i) * cw..(base + i + 1) * cw]);
-                }
-            }
-            base += block.mr;
-        }
+impl PackedWeights<f32> {
+    /// Plans a row-major `co × rows` weight matrix (panics on any other
+    /// length).
+    pub fn new(co: usize, rows: usize, weights: &[f32]) -> Self {
+        Self::plan::<NR_F32>(co, rows, weights)
     }
-    planes
+}
+
+impl PackedWeights<i64> {
+    /// Plans a row-major `co × rows` weight matrix (panics on any other
+    /// length).
+    pub fn new(co: usize, rows: usize, weights: &[i64]) -> Self {
+        Self::plan::<NR_I64>(co, rows, weights)
+    }
 }
 
 // ---------------------------------------------------------------------
 // The blocked driver.
 // ---------------------------------------------------------------------
 
-/// `C = W · B` over a panel-major packed B (`[panel][row][NR]`, tail
-/// panel zero-padded): one output plane per `co`,
-/// `bias[c] + Σ_r weights[c·rows + r] · col[r]`, each finished by the
-/// element's epilogue. `b_exact` is the caller's word on whether the
-/// AVX2 tile multiplies every packed value exactly (`None`: scan `bp`).
-/// Chunk×group tasks run in parallel.
-#[allow(clippy::too_many_arguments)]
-fn packed<T: Element<NR>, const NR: usize>(
-    bp: &[T],
+/// Where a chunk task gets its micro-panels of B from.
+pub(crate) enum Panels<'a, T> {
+    /// A whole panel-major B the caller packed: chunks are lent.
+    Packed(&'a [T]),
+    /// Writes panels `[jp0, jp1)` in `[panel][row][NR]` order into the
+    /// buffer it is given (the task's slab: dirty, exactly that long).
+    Packer(&'a (dyn Fn(usize, usize, &mut [T]) + Sync)),
+}
+
+/// `C = W · B` for one planned `W`: `out[c]`, the `plane` elements of
+/// output channel `c`, becomes `bias[c] + Σ_r W[c][r] · B[r]` (an empty
+/// `bias` means zero), each element finished by the element's epilogue.
+/// `b_exact` is the caller's word on whether the AVX2 tile multiplies
+/// every value of B exactly. One task per [`NC_COLS`] column chunk runs
+/// in parallel: it gets its panels from `source`, runs every pattern
+/// group over them and writes its columns of `out` in place.
+pub(crate) fn product<T: Element<NR>, const NR: usize>(
+    w: &PackedWeights<T>,
     plane: usize,
-    rows: usize,
-    co: usize,
-    weights: &[T],
     bias: &[T],
     epilogue: Option<&T::Epilogue>,
-    b_exact: Option<bool>,
-) -> Vec<Vec<T>> {
-    assert_eq!(weights.len(), co * rows, "weight length mismatch");
-    assert!(bias.is_empty() || bias.len() == co, "bias length mismatch");
+    b_exact: bool,
+    source: Panels<'_, T>,
+    out: &mut [&mut [T]],
+) {
+    assert!(
+        bias.is_empty() || bias.len() == w.co,
+        "bias length mismatch"
+    );
+    assert!(
+        out.len() == w.co && out.iter().all(|lane| lane.len() == plane),
+        "output shape mismatch"
+    );
     let np = plane.div_ceil(NR);
-    assert_eq!(bp.len(), np * rows * NR, "packed matrix length mismatch");
     let mut tier = active_kernel();
-    // The AVX2 exactness gate, once per call: the scalar-blocked tile
-    // is exact for every operand.
-    if tier == KernelBackend::Avx2
-        && !(b_exact.unwrap_or_else(|| T::avx2_exact(bp)) && T::avx2_exact(weights))
-    {
+    // The AVX2 exactness gate: the scalar-blocked tile is exact for
+    // every operand.
+    if tier == KernelBackend::Avx2 && !(b_exact && w.avx2_exact) {
         tier = KernelBackend::Scalar;
     }
-    let blocks = plan_blocks(co, rows, weights, bias);
-    let groups = pattern_groups(&blocks);
-    let ngroups = groups.len();
-    // Closed forms over the chunk×group task grid: every panel meets
-    // every block once (tiles), and per panel each block beyond its
-    // group's first re-reads L1-hot rows (reuses). Counted here once so
-    // the parallel tasks stay free of shared-cacheline traffic.
+    // Closed forms over the chunk × group grid: every panel is packed
+    // once and meets every block once (tiles), and per panel each block
+    // beyond its group's first re-reads L1-hot rows (reuses). Counted
+    // here once so the parallel tasks stay free of shared-cacheline
+    // traffic.
     profile::add_product(
         tier,
         np as u64,
-        (np * blocks.len()) as u64,
-        (np * (blocks.len() - ngroups)) as u64,
+        (np * w.blocks.len()) as u64,
+        (np * (w.blocks.len() - w.groups.len())) as u64,
     );
-    let panels_per_chunk = NC_COLS / NR;
-    // Chunk-major task order: consecutive tasks hit the same L2-resident
-    // slab of the packed B with a different channel-block group.
-    let tiles: Vec<Vec<T>> = (0..np.div_ceil(panels_per_chunk) * ngroups)
-        .into_par_iter()
-        .map(|t| {
-            let (chunk, g) = (t / ngroups, t % ngroups);
-            let jp0 = chunk * panels_per_chunk;
-            let jp1 = np.min(jp0 + panels_per_chunk);
-            let grp = &blocks[groups[g].0..groups[g].1];
-            chunk_body(tier, bp, rows, plane, jp0, jp1, grp, epilogue)
+    // Per-block accumulator init: the bias in tile-row order.
+    let binit: Vec<[T; MR]> = w
+        .blocks
+        .iter()
+        .map(|block| {
+            let mut init = [T::default(); MR];
+            if !bias.is_empty() {
+                for (v, &c) in init.iter_mut().zip(&block.chans[..block.mr]) {
+                    *v = bias[c];
+                }
+            }
+            init
         })
         .collect();
-    assemble(&tiles, &blocks, &groups, co, plane, panels_per_chunk * NR)
-}
-
-/// Runs one same-pattern block group over one column chunk of the
-/// packed B, returning the blocks' `Σ mr × chunk-width` output slabs
-/// concatenated. Panels are the outer loop so every block of the group
-/// reads the panel's non-zero rows while they are L1-hot.
-#[allow(clippy::too_many_arguments)]
-fn chunk_body<T: Element<NR>, const NR: usize>(
-    tier: KernelBackend,
-    bp: &[T],
-    rows: usize,
-    plane: usize,
-    jp0: usize,
-    jp1: usize,
-    grp: &[BlockPlan<T>],
-    epilogue: Option<&T::Epilogue>,
-) -> Vec<T> {
-    let j0 = jp0 * NR;
-    let cw = (plane - j0).min((jp1 - jp0) * NR);
-    let total_mr: usize = grp.iter().map(|b| b.mr).sum();
-    let mut out = vec![T::default(); total_mr * cw];
-    let mut acc = [[T::default(); NR]; MR];
-    for jp in jp0..jp1 {
-        let panel = &bp[jp * rows * NR..(jp + 1) * rows * NR];
-        let j = jp * NR - j0;
-        let w = NR.min(cw - j);
-        let mut base = 0;
-        for block in grp {
-            match tier {
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: Avx2 is only selected after runtime detection
-                // of avx2+fma and the driver's exactness gate; `panel`
-                // spans a full rows×NR panel, `plan_blocks` drew every
-                // nzrows entry from `0..rows` and pushed MR weights per
-                // entry.
-                KernelBackend::Avx2 => unsafe {
-                    T::tile_avx2(panel, &block.nzrows, &block.wpack, &block.binit, &mut acc)
-                },
-                _ => tile_scalar(panel, &block.nzrows, &block.wpack, &block.binit, &mut acc),
-            }
-            for (i, lane) in acc.iter_mut().enumerate().take(block.mr) {
-                T::finish(epilogue, block.chans[i], &mut lane[..w]);
-                let o = (base + i) * cw + j;
-                out[o..o + w].copy_from_slice(&lane[..w]);
-            }
-            base += block.mr;
+    // Task `i` owns columns `[i·NC_COLS, (i+1)·NC_COLS)` of every output
+    // plane: disjoint `&mut` pieces, so the tasks write `out` in place.
+    let mut tasks: Vec<(usize, Vec<&mut [T]>)> = (0..plane.div_ceil(NC_COLS))
+        .map(|chunk| (chunk, Vec::with_capacity(w.co)))
+        .collect();
+    for lane in out.iter_mut() {
+        for (task, columns) in tasks.iter_mut().zip(lane.chunks_mut(NC_COLS)) {
+            task.1.push(columns);
         }
     }
-    out
+    tasks.into_par_iter().for_each(|(chunk, mut lanes)| {
+        let jp0 = chunk * (NC_COLS / NR);
+        let jp1 = np.min(jp0 + NC_COLS / NR);
+        let panel_len = w.rows * NR;
+        let mut slab = T::slab().take();
+        let b = match source {
+            Panels::Packed(bp) => &bp[jp0 * panel_len..jp1 * panel_len],
+            Panels::Packer(pack) => {
+                let len = (jp1 - jp0) * panel_len;
+                if slab.len() < len {
+                    slab.resize(len, T::default());
+                }
+                pack(jp0, jp1, &mut slab[..len]);
+                &slab[..len]
+            }
+        };
+        chunk_body(tier, b, w, &binit, epilogue, &mut lanes);
+        T::slab().set(slab);
+    });
+}
+
+/// Runs every pattern group of `w` over the panels of one column chunk
+/// (`b`, `[panel][row][NR]`) and writes the finished lanes into the
+/// chunk's columns of each output plane (`lanes[channel]`). Within a
+/// group panels are the outer loop, so every block of the group reads
+/// the panel's non-zero rows while they are L1-hot.
+fn chunk_body<T: Element<NR>, const NR: usize>(
+    tier: KernelBackend,
+    b: &[T],
+    w: &PackedWeights<T>,
+    binit: &[[T; MR]],
+    epilogue: Option<&T::Epilogue>,
+    lanes: &mut [&mut [T]],
+) {
+    let panel_len = w.rows * NR;
+    let cw = lanes.first().map_or(0, |lane| lane.len());
+    let mut acc = [[T::default(); NR]; MR];
+    for &(g0, g1) in &w.groups {
+        for (p, j) in (0..cw).step_by(NR).enumerate() {
+            let panel = &b[p * panel_len..(p + 1) * panel_len];
+            let width = NR.min(cw - j);
+            for (block, init) in w.blocks[g0..g1].iter().zip(&binit[g0..g1]) {
+                match tier {
+                    #[cfg(target_arch = "x86_64")]
+                    // SAFETY: Avx2 is only selected after runtime
+                    // detection of avx2+fma and the driver's exactness
+                    // gate; `panel` spans a full rows×NR panel,
+                    // `plan_blocks` drew every nzrows entry from
+                    // `0..rows` and pushed MR weights per entry.
+                    KernelBackend::Avx2 => unsafe {
+                        T::tile_avx2(panel, &block.nzrows, &block.wpack, init, &mut acc)
+                    },
+                    _ => tile_scalar(panel, &block.nzrows, &block.wpack, init, &mut acc),
+                }
+                for (i, lane) in acc.iter_mut().enumerate().take(block.mr) {
+                    T::finish(epilogue, block.chans[i], &mut lane[..width]);
+                    lanes[block.chans[i]][j..j + width].copy_from_slice(&lane[..width]);
+                }
+            }
+        }
+    }
 }
 
 /// Portable scalar register tile (the compiler autovectorizes the fixed
@@ -868,15 +891,44 @@ fn tile_scalar<T: Element<NR>, const NR: usize>(
 }
 
 // ---------------------------------------------------------------------
-// Public entries.
+// Public entries over a pre-packed B.
 // ---------------------------------------------------------------------
+
+/// The driver over a B the caller packed, one output plane per `co`.
+fn prepacked<T: Element<NR>, const NR: usize>(
+    bp: &[T],
+    plane: usize,
+    w: &PackedWeights<T>,
+    bias: &[T],
+    epilogue: Option<&T::Epilogue>,
+    b_exact: bool,
+) -> Vec<Vec<T>> {
+    assert_eq!(
+        bp.len(),
+        plane.div_ceil(NR) * w.rows * NR,
+        "packed matrix length mismatch"
+    );
+    let mut planes = vec![vec![T::default(); plane]; w.co];
+    let mut out: Vec<&mut [T]> = planes.iter_mut().map(Vec::as_mut_slice).collect();
+    product(
+        w,
+        plane,
+        bias,
+        epilogue,
+        b_exact,
+        Panels::Packed(bp),
+        &mut out,
+    );
+    planes
+}
 
 /// Blocked f32 GEMM over a pre-packed panel-major B (`[panel][row][nr]`
 /// with `nr = f32_panel_width(active_kernel())`, tail panel
-/// zero-padded) — the zero-copy entry for callers that build B directly
-/// in panel order, e.g. the fused im2col pack. Returns one output plane
-/// per `co`, `bias[c] + Σ_r weights[c·rows + r] · col[r]` (an empty
-/// `bias` means no bias).
+/// zero-padded) — the streaming driver fed from a borrowed B instead of
+/// the im2col chunk packer, for callers (tests, the benchmark probes)
+/// that hold B in panel order. Plans `weights` per call. Returns one
+/// output plane per `co`, `bias[c] + Σ_r weights[c·rows + r] · col[r]`
+/// (an empty `bias` means no bias).
 ///
 /// # Panics
 ///
@@ -891,47 +943,21 @@ pub fn gemm_f32_packed(
     weights: &[f32],
     bias: &[f32],
 ) -> Vec<Vec<f32>> {
-    packed::<f32, NR_F32>(bp, plane, rows, co, weights, bias, None, Some(true))
+    let w = PackedWeights::<f32>::new(co, rows, weights);
+    prepacked::<f32, NR_F32>(bp, plane, &w, bias, None, true)
 }
 
-/// Blocked i64 GEMM over a row-major integer patch matrix,
-/// bit-identical to [`reference()`] followed by per-channel
-/// requantization (when `requant` is given the epilogue is fused: the
-/// un-rescaled wide accumulators never reach memory).
+/// Blocked i64 GEMM over a pre-packed panel-major B
+/// (`[panel][row][NR_I64]`, tail panel zero-padded), bit-identical to
+/// [`reference()`] followed by per-channel requantization (when
+/// `requant` is given the epilogue is fused: the un-rescaled wide
+/// accumulators never reach memory). Plans `weights` per call.
 ///
-/// The AVX2 path multiplies with `_mm256_mul_epi32`, which is exact only
-/// when both operands fit in `i32`; the call scans `weights` and the
-/// packed `col` once and falls back to the scalar-blocked tile (still
-/// bit-exact) when they do not.
-///
-/// # Panics
-///
-/// Panics if `weights.len() != co·rows`, `col.len() != rows·plane`,
-/// `bias` is neither empty nor `co` long, or a requant plan does not
-/// have `co` channels.
-pub fn gemm_i64(
-    col: &[i64],
-    plane: usize,
-    rows: usize,
-    co: usize,
-    weights: &[i64],
-    bias: &[i64],
-    requant: Option<&RequantPlan>,
-) -> Vec<Vec<i64>> {
-    assert_eq!(col.len(), rows * plane, "patch matrix length mismatch");
-    check_plan(requant, co);
-    let mut bp = take_scratch::<i64, NR_I64>(plane.div_ceil(NR_I64) * rows * NR_I64);
-    pack_b_into(col, plane, rows, NR_I64, &mut bp);
-    let planes = packed::<i64, NR_I64>(&bp, plane, rows, co, weights, bias, requant, None);
-    put_scratch::<i64, NR_I64>(bp);
-    planes
-}
-
-/// [`gemm_i64`] over a pre-packed panel-major B (`[panel][row][NR_I64]`,
-/// tail panel zero-padded) — the zero-copy entry for callers that build
-/// B directly in panel order. The caller certifies with `col_fits_i32`
-/// whether every packed value fits in `i32` (the AVX2 exactness gate;
-/// pass `false` when unsure and the scalar-blocked tile runs).
+/// The AVX2 tile multiplies with `_mm256_mul_epi32`, exact only when
+/// both operands fit in `i32`: the weights are checked here, and the
+/// caller certifies with `col_fits_i32` whether every packed value does
+/// (pass `false` when unsure and the scalar-blocked tile, still
+/// bit-exact, runs).
 ///
 /// # Panics
 ///
@@ -948,11 +974,11 @@ pub fn gemm_i64_packed(
     col_fits_i32: bool,
 ) -> Vec<Vec<i64>> {
     check_plan(requant, co);
-    let b_exact = Some(col_fits_i32);
-    packed::<i64, NR_I64>(bp, plane, rows, co, weights, bias, requant, b_exact)
+    let w = PackedWeights::<i64>::new(co, rows, weights);
+    prepacked::<i64, NR_I64>(bp, plane, &w, bias, requant, col_fits_i32)
 }
 
-fn check_plan(requant: Option<&RequantPlan>, co: usize) {
+pub(crate) fn check_plan(requant: Option<&RequantPlan>, co: usize) {
     if let Some(plan) = requant {
         assert_eq!(plan.channels.len(), co, "requant plan length mismatch");
     }
@@ -1019,6 +1045,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::im2col::{conv_streaming, ConvInput};
+    use crate::tile::Window;
 
     fn pseudo_f32(n: usize, seed: u64) -> Vec<f32> {
         let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
@@ -1046,21 +1074,29 @@ mod tests {
 
     const TIERS: [KernelBackend; 2] = [KernelBackend::Scalar, KernelBackend::Avx2];
 
-    /// The f32 product of tier `k` over a row-major `col`: packed here
-    /// into a NaN-filled buffer, so an element `pack_b_into` fails to
-    /// write poisons the result.
-    fn blocked_f32(
+    /// The product of tier `k` over a row-major `col`, through the
+    /// streaming entry: `col` is the input of a 1×1 convolution — `rows`
+    /// channels of a `1 × plane` image, whose patch matrix is `col`
+    /// itself. (`tests/gemm_kernels.rs` holds the pre-packed entries to
+    /// this one bit for bit.)
+    #[allow(clippy::too_many_arguments)]
+    fn blocked<T: Element<NR>, const NR: usize>(
         k: KernelBackend,
-        col: &[f32],
+        col: &[T],
         plane: usize,
         rows: usize,
         co: usize,
-        weights: &[f32],
-        bias: &[f32],
-    ) -> Vec<Vec<f32>> {
-        let mut bp = vec![f32::NAN; plane.div_ceil(NR_F32) * rows * NR_F32];
-        pack_b_into(col, plane, rows, NR_F32, &mut bp);
-        forced_kernel_scope(k, || gemm_f32_packed(&bp, plane, rows, co, weights, bias))
+        weights: &[T],
+        bias: &[T],
+        epilogue: Option<&T::Epilogue>,
+    ) -> Vec<Vec<T>> {
+        let w = PackedWeights::plan(co, rows, weights);
+        let x = ConvInput::new(col, rows, 1, plane, Window::full(1, plane));
+        let mut flat = vec![T::default(); co * plane];
+        forced_kernel_scope(k, || conv_streaming(&x, 1, &w, bias, epilogue, &mut flat));
+        (0..co)
+            .map(|c| flat[c * plane..(c + 1) * plane].to_vec())
+            .collect()
     }
 
     /// [`reference()`] followed by the unfused per-channel requantization.
@@ -1106,7 +1142,7 @@ mod tests {
             let bias = pseudo_f32(co, 11);
             let want = reference(&col, plane, rows, co, &weights, &bias);
             for k in TIERS {
-                let got = blocked_f32(k, &col, plane, rows, co, &weights, &bias);
+                let got = blocked(k, &col, plane, rows, co, &weights, &bias, None);
                 assert_eq!(got.len(), co);
                 assert!(got.iter().all(|p| p.len() == plane));
                 for (a, b) in want.iter().flatten().zip(got.iter().flatten()) {
@@ -1124,7 +1160,7 @@ mod tests {
         let weights = vec![0.0f32; 2 * 9];
         let col = pseudo_f32(9 * 10, 5);
         for k in TIERS {
-            let got = blocked_f32(k, &col, 10, 9, 2, &weights, &[]);
+            let got = blocked(k, &col, 10, 9, 2, &weights, &[], None);
             assert!(got.iter().flatten().all(|v| *v == 0.0), "{k:?}");
         }
     }
@@ -1147,7 +1183,7 @@ mod tests {
         let bias = pseudo_f32(co, 13);
         let want = reference(&col, plane, rows, co, &weights, &bias);
         for k in TIERS {
-            let got = blocked_f32(k, &col, plane, rows, co, &weights, &bias);
+            let got = blocked(k, &col, plane, rows, co, &weights, &bias, None);
             for (c, (a, b)) in want.iter().zip(got.iter()).enumerate() {
                 for (x, y) in a.iter().zip(b.iter()) {
                     assert!((x - y).abs() <= 1e-4, "{k:?} channel {c}: {x} vs {y}");
@@ -1190,9 +1226,7 @@ mod tests {
             for requant in [None, Some(&plan)] {
                 let want = reference_i64(&col, plane, rows, co, &weights, &bias, requant);
                 for k in TIERS {
-                    let got = forced_kernel_scope(k, || {
-                        gemm_i64(&col, plane, rows, co, &weights, &bias, requant)
-                    });
+                    let got = blocked(k, &col, plane, rows, co, &weights, &bias, requant);
                     assert_eq!(want, got, "{k:?} co={co} rows={rows} plane={plane}");
                 }
             }
@@ -1204,7 +1238,8 @@ mod tests {
         // Values beyond i32 on either side: the AVX2 gate must reject
         // them (a low-half multiply would lose the high bits) and the
         // scalar-blocked tile must still match the reference — through
-        // both entries, whatever the packed caller certifies for B.
+        // the streaming entry (which scans the unpacked input) and the
+        // pre-packed one (whose caller certifies B).
         let narrow_w = vec![7i64, 3, 0, -5];
         let wide_w = vec![1i64 << 40, 3, 0, -5];
         let narrow_col = pseudo_i64(2 * 9, 13, 1 << 20);
@@ -1213,16 +1248,10 @@ mod tests {
         let bias = vec![7i64, -9];
         for (weights, col) in [(&wide_w, &narrow_col), (&narrow_w, &wide_col)] {
             let want = reference(col, 9, 2, 2, weights, &bias);
-            let mut bp = vec![-1i64; 9usize.div_ceil(NR_I64) * 2 * NR_I64];
-            pack_b_into(col, 9, 2, NR_I64, &mut bp);
-            let col_fits = i64::avx2_exact(col);
+            assert!(!(i64::avx2_exact(weights) && i64::avx2_exact(col)));
             for k in TIERS {
-                let got = forced_kernel_scope(k, || gemm_i64(col, 9, 2, 2, weights, &bias, None));
+                let got = blocked(k, col, 9, 2, 2, weights, &bias, None);
                 assert_eq!(want, got, "{k:?}");
-                let got = forced_kernel_scope(k, || {
-                    gemm_i64_packed(&bp, 9, 2, 2, weights, &bias, None, col_fits)
-                });
-                assert_eq!(want, got, "{k:?} packed");
             }
         }
     }
@@ -1247,9 +1276,30 @@ mod tests {
         assert_eq!(want[0], vec![(1 << 15) - 1, -(1 << 15), 25600, -25600]);
         assert_eq!(want[1], want[0]);
         for k in TIERS {
-            let got = forced_kernel_scope(k, || {
-                gemm_i64(&col, 4, 1, 2, &weights, &[0, 0], Some(&plan))
-            });
+            let got = blocked(k, &col, 4, 1, 2, &weights, &[0, 0], Some(&plan));
+            assert_eq!(want, got, "{k:?}");
+        }
+    }
+
+    #[test]
+    fn chunk_tasks_write_their_columns_of_every_group_in_place() {
+        // Four column chunks (the last one partial) × two pattern
+        // groups: every chunk task writes its own columns of all eight
+        // output planes. The nightly Miri step runs this at pool 2.
+        let (co, rows, plane) = (8, 6, 3 * NC_COLS + 5);
+        let mut weights = pseudo_i64(co * rows, 17, 1 << 10);
+        for (i, v) in weights.iter_mut().enumerate() {
+            if (i / rows) % 2 != (i % rows) % 2 {
+                *v = 0;
+            }
+        }
+        let w = PackedWeights::<i64>::new(co, rows, &weights);
+        assert!(w.groups.len() >= 2, "{:?}", w.groups);
+        let col = pseudo_i64(rows * plane, 19, 1 << 10);
+        let bias = pseudo_i64(co, 23, 1 << 20);
+        let want = reference(&col, plane, rows, co, &weights, &bias);
+        for k in TIERS {
+            let got = blocked(k, &col, plane, rows, co, &weights, &bias, None);
             assert_eq!(want, got, "{k:?}");
         }
     }

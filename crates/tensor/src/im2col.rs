@@ -1,37 +1,158 @@
-//! im2col/blocked dense convolution: the cache-friendly forward kernel.
+//! The im2col lowering of a dense convolution onto the streaming GEMM
+//! driver of [`crate::gemm`]: the cache-friendly forward kernel.
 //!
 //! [`crate::conv::conv2d_forward`] walks the six-deep loop nest directly,
 //! streaming one shifted input plane per weight tap. This module instead
-//! packs all `ci·k²` shifted planes of a batch item into one contiguous
-//! *patch matrix* (`im2col`), then computes every output plane with the
-//! register-blocked GEMM driver of [`crate::gemm`] (an AVX2 tile behind
-//! runtime feature detection, a portable scalar-blocked tile otherwise).
-//! Output channel blocks run rayon-parallel.
+//! views a batch item as its *patch matrix* — `ci·k²` rows, one per
+//! shifted input plane, by `H·W` columns — and has the blocked driver
+//! multiply the planned weights ([`PackedWeights`]) with it. The matrix
+//! is never built whole: the driver cuts the plane into column chunks,
+//! and the task that owns a chunk has the **chunk packer** of this
+//! module write just those micro-panels into its thread's slab, straight
+//! from the NCHW planes a [`ConvInput`] points at — the `f32` planes of
+//! a [`Tensor`] or the `i64` planes of a quantized tensor.
 //!
-//! The packing kernel is *window-aware*: [`im2col_pack_window`] packs an
-//! arbitrary [`Window`] of the source plane (the tile views of the
-//! block-based runtime) directly from the parent tensor, treating the
-//! window boundary exactly like an image boundary (zero padding). The
-//! whole-image entry point [`im2col_pack`] is the full-window special
-//! case of the same code path.
+//! The packer is *window-aware*: a [`ConvInput`] sees its planes through
+//! a [`Window`] (the tile views of the block-based runtime) and treats
+//! the window boundary exactly like an image boundary (zero padding).
+//!
+//! [`im2col_pack`], [`im2col_pack_window`], [`im2col_pack_i64`] (row-major)
+//! and the whole-plane [`im2col_pack_panels_window`] are test-and-probe
+//! helpers: the reference tests compare the chunk packer and the
+//! streaming entries against, timed by the benchmark probes, called by
+//! no production path.
 //!
 //! Correctness is a chain with one link per test: the row-major pack
 //! run through the matrix-level oracle [`crate::gemm::reference()`] equals
 //! the naive kernel **bit for bit** (taps in `(ci, ky, kx)` order, zero
-//! taps skipped, bias first); the fused panel-major pack holds exactly
-//! the row-major matrix; and every GEMM tier agrees with the oracle —
-//! **bit for bit** in `i64` (integer accumulation is order-independent),
-//! within tolerance in `f32` (FMA and blocked summation change ULPs).
-//! `tests/conv_backends.rs` and `tests/gemm_kernels.rs` assert the same
-//! over random shapes and whole models.
+//! taps skipped, bias first); the panel-major pack holds exactly the
+//! row-major matrix, chunk by chunk; the streaming conv equals the
+//! pre-packed GEMM over that pack **bit for bit**; and every GEMM tier
+//! agrees with the oracle — **bit for bit** in `i64` (integer
+//! accumulation is order-independent), within tolerance in `f32` (FMA
+//! and blocked summation change ULPs). `tests/conv_backends.rs` and
+//! `tests/gemm_kernels.rs` assert the same over random shapes and whole
+//! models.
 
 use crate::conv::ConvWeights;
+use crate::gemm::{self, Element, PackedWeights, Panels, RequantPlan, NR_F32, NR_I64};
+use crate::shape::Shape4;
 use crate::tensor::Tensor;
 use crate::tile::Window;
+
+/// One batch item's channel planes seen through a [`Window`]: what a
+/// convolution reads. Samples outside the window — including window
+/// rows/columns that fall outside the `h × w` image — read as zero.
+#[derive(Clone, Copy, Debug)]
+pub struct ConvInput<'a, T> {
+    planes: &'a [T],
+    c: usize,
+    h: usize,
+    w: usize,
+    window: Window,
+}
+
+impl<'a, T> ConvInput<'a, T> {
+    /// Views `c` contiguous row-major `h × w` planes through `window`
+    /// (panics if `planes.len() != c·h·w`).
+    pub fn new(planes: &'a [T], c: usize, h: usize, w: usize, window: Window) -> Self {
+        assert_eq!(planes.len(), c * h * w, "planes do not match c·h·w");
+        Self {
+            planes,
+            c,
+            h,
+            w,
+            window,
+        }
+    }
+
+    /// Output pixels per channel (`window.h · window.w`).
+    pub fn plane(&self) -> usize {
+        self.window.h * self.window.w
+    }
+
+    /// The `k²` taps in `(ky, kx)` order, the same for every channel.
+    fn taps(&self, k: usize) -> Vec<Tap> {
+        let win = self.window;
+        let (wh, ww) = (win.h as isize, win.w as isize);
+        let (h, w) = (self.h as isize, self.w as isize);
+        let pad = (k / 2) as isize;
+        (0..k * k)
+            .map(|t| {
+                let (dy, dx) = ((t / k) as isize - pad, (t % k) as isize - pad);
+                let y0 = 0.max(-dy).max(-(win.y0 + dy));
+                let y1 = wh.min(wh - dy).min(h - win.y0 - dy);
+                let x0 = 0.max(-dx).max(-(win.x0 + dx));
+                let x1 = ww.min(ww - dx).min(w - win.x0 - dx);
+                Tap {
+                    extent: (y0 < y1 && x0 < x1).then_some((y0, y1, x0, x1)),
+                    origin: (win.y0 + dy) * w + win.x0 + dx,
+                }
+            })
+            .collect()
+    }
+
+    /// Source plane of input channel `ci`.
+    fn channel(&self, ci: usize) -> &'a [T] {
+        &self.planes[ci * self.h * self.w..(ci + 1) * self.h * self.w]
+    }
+}
+
+/// One kernel tap as a [`ConvInput`] sees it.
+#[derive(Clone, Copy)]
+struct Tap {
+    /// Output rows `y0..y1` and columns `x0..x1` whose shifted sample is
+    /// both inside the window (window boundary = zero padding) and
+    /// inside the image (halo windows reach out of frame); `None` when
+    /// the tap is entirely out of frame (padding exceeds the map on an
+    /// axis).
+    extent: Option<(isize, isize, isize, isize)>,
+    /// Source index of output pixel `(0, 0)`; output pixel `(y, x)`
+    /// reads `origin + y·w + x`. Signed: negative until an in-frame
+    /// pixel's offset is added (same convention as the naive kernel).
+    origin: isize,
+}
+
+impl Tensor {
+    /// Batch item `n` seen through `window` (panics if `n` is out of
+    /// range).
+    pub fn conv_input(&self, n: usize, window: Window) -> ConvInput<'_, f32> {
+        let s = self.shape();
+        assert!(n < s.n, "batch index {n} out of range for {s}");
+        let item = s.c * s.plane();
+        ConvInput::new(
+            &self.as_slice()[n * item..(n + 1) * item],
+            s.c,
+            s.h,
+            s.w,
+            window,
+        )
+    }
+}
+
+/// The row-major patch matrix of `x`, shape `(c·k²) × x.plane()`.
+fn pack_rows<T: Copy + Default>(x: &ConvInput<'_, T>, k: usize) -> Vec<T> {
+    let (plane, ww, w) = (x.plane(), x.window.w as isize, x.w as isize);
+    let taps = x.taps(k);
+    let mut col = vec![T::default(); x.c * taps.len() * plane];
+    for (r, dst) in col.chunks_exact_mut(plane.max(1)).enumerate() {
+        let (src, tap) = (x.channel(r / taps.len()), taps[r % taps.len()]);
+        let Some((y0, y1, x0, x1)) = tap.extent else {
+            continue;
+        };
+        for y in y0..y1 {
+            let row_in = tap.origin + y * w;
+            dst[(y * ww + x0) as usize..(y * ww + x1) as usize]
+                .copy_from_slice(&src[(row_in + x0) as usize..(row_in + x1) as usize]);
+        }
+    }
+    col
+}
 
 /// Packs one batch item into a patch matrix of shape `(ci·k²) × (H·W)`,
 /// row-major: row `r = (ci·k + ky)·k + kx` holds the input plane shifted
 /// by the tap offset `(ky − k/2, kx − k/2)`, zero-padded at the border.
+/// A test-and-probe helper (see the module docs).
 ///
 /// # Panics
 ///
@@ -46,66 +167,33 @@ pub fn im2col_pack(input: &Tensor, n: usize, k: usize) -> Vec<f32> {
 /// tensor. Samples outside the window — including window rows/columns
 /// that fall outside the parent image — read as zero, so the result is
 /// bit-identical to `im2col_pack(&input.extract_window(n, window), 0, k)`
-/// without materializing the tile.
+/// without materializing the tile. A test-and-probe helper.
 ///
 /// # Panics
 ///
 /// Panics if `n` is out of range for the tensor's batch dimension.
 pub fn im2col_pack_window(input: &Tensor, n: usize, k: usize, window: Window) -> Vec<f32> {
-    let s = input.shape();
-    let plane = window.h * window.w;
-    let pad = (k / 2) as isize;
-    let (ph, pw) = (s.h as isize, s.w as isize);
-    let (wh, ww) = (window.h as isize, window.w as isize);
-    let mut col = vec![0.0f32; s.c * k * k * plane];
-    for ci in 0..s.c {
-        let src = input.plane(n, ci);
-        for ky in 0..k {
-            for kx in 0..k {
-                let r = (ci * k + ky) * k + kx;
-                let dst = &mut col[r * plane..(r + 1) * plane];
-                let dy = ky as isize - pad;
-                let dx = kx as isize - pad;
-                // Output rows where the shifted sample is both inside the
-                // window (window boundary = zero padding) and inside the
-                // parent image (halo windows reach out of frame).
-                let y0 = 0.max(-dy).max(-(window.y0 + dy));
-                let y1 = wh.min(wh - dy).min(ph - window.y0 - dy);
-                let x0 = 0.max(-dx).max(-(window.x0 + dx));
-                let x1 = ww.min(ww - dx).min(pw - window.x0 - dx);
-                // Entirely out-of-frame tap (padding exceeds the map on
-                // this axis): the whole row stays zero. Guard before the
-                // usize casts below, which would wrap on x1 < x0.
-                if y0 >= y1 || x0 >= x1 {
-                    continue;
-                }
-                for y in y0..y1 {
-                    let row_out = (y * ww) as usize;
-                    // Signed until x0 is added: can be transiently negative
-                    // when dx < 0 (same convention as the naive kernel).
-                    let row_in = (window.y0 + y + dy) * pw + window.x0 + dx;
-                    dst[row_out + x0 as usize..row_out + x1 as usize]
-                        .copy_from_slice(&src[(row_in + x0) as usize..(row_in + x1) as usize]);
-                }
-            }
-        }
-    }
-    col
+    pack_rows(&input.conv_input(n, window), k)
 }
 
-/// Zero-fills the plane-index range `[j0, j1)` of patch row `r` in a
-/// panel-major buffer (`[panel][row][nr]`), splitting at micro-panel
-/// boundaries.
-#[inline]
-fn zero_panel_range(bp: &mut [f32], rows: usize, nr: usize, r: usize, j0: usize, j1: usize) {
-    let mut j = j0;
-    while j < j1 {
-        let (jp, off) = (j / nr, j % nr);
-        let len = (nr - off).min(j1 - j);
-        let dst = jp * rows * nr + r * nr + off;
-        bp[dst..dst + len].fill(0.0);
-        j += len;
-    }
+/// Packs one batch item of an **integer** NCHW buffer into a patch
+/// matrix of shape `(c·k²) × (H·W)` — the fixed-point twin of
+/// [`im2col_pack`] (same tap rows, same zero padding). A test-and-probe
+/// helper.
+///
+/// # Panics
+///
+/// Panics if `data.len() != shape.len()` or `n` is out of range.
+pub fn im2col_pack_i64(data: &[i64], shape: Shape4, n: usize, k: usize) -> Vec<i64> {
+    let s = shape;
+    assert_eq!(data.len(), s.len(), "data does not match shape");
+    assert!(n < s.n, "batch index out of range");
+    let item = s.c * s.plane();
+    let planes = &data[n * item..(n + 1) * item];
+    pack_rows(
+        &ConvInput::new(planes, s.c, s.h, s.w, Window::full(s.h, s.w)),
+        k,
+    )
 }
 
 /// Constant-length copy: the compiler lowers this to a couple of vector
@@ -113,41 +201,120 @@ fn zero_panel_range(bp: &mut [f32], rows: usize, nr: usize, r: usize, j0: usize,
 /// of panel-width fragments per conv, so per-copy call overhead is the
 /// dominant pack cost.
 #[inline(always)]
-fn copy_const<const N: usize>(dst: &mut [f32], src: &[f32]) {
-    let d: &mut [f32; N] = (&mut dst[..N]).try_into().unwrap();
-    let s: &[f32; N] = (&src[..N]).try_into().unwrap();
+fn copy_const<T: Copy, const N: usize>(dst: &mut [T], src: &[T]) {
+    let d: &mut [T; N] = (&mut dst[..N]).try_into().expect("N elements");
+    let s: &[T; N] = (&src[..N]).try_into().expect("N elements");
     *d = *s;
 }
 
-/// Copies `run` into patch row `r` of a panel-major buffer starting at
-/// plane index `j0`, splitting at micro-panel boundaries.
+/// Zero-fills the index range `[j0, j1)` of patch row `r` in a
+/// panel-major buffer (`[panel][row][nr]`), splitting at micro-panel
+/// boundaries.
 #[inline]
-fn copy_panel_range(bp: &mut [f32], rows: usize, nr: usize, r: usize, j0: usize, run: &[f32]) {
+fn zero_panel_range<T: Copy + Default>(
+    bp: &mut [T],
+    (rows, nr, r): (usize, usize, usize),
+    (j0, j1): (usize, usize),
+) {
     let mut j = j0;
+    while j < j1 {
+        let (jp, off) = (j / nr, j % nr);
+        let len = (nr - off).min(j1 - j);
+        let dst = (jp * rows + r) * nr + off;
+        bp[dst..dst + len].fill(T::default());
+        j += len;
+    }
+}
+
+/// Copies `run` into patch row `r` of a panel-major buffer starting at
+/// index `j0`, splitting at micro-panel boundaries. (Each fragment's
+/// address is computed from scratch: measured faster than carrying a
+/// cursor from fragment to fragment.)
+#[inline]
+fn copy_panel_range<T: Copy>(
+    bp: &mut [T],
+    (rows, nr, r): (usize, usize, usize),
+    j0: usize,
+    run: &[T],
+) {
     let mut taken = 0;
     while taken < run.len() {
+        let j = j0 + taken;
         let (jp, off) = (j / nr, j % nr);
         let len = (nr - off).min(run.len() - taken);
-        let dst = jp * rows * nr + r * nr + off;
+        let dst = (jp * rows + r) * nr + off;
         match len {
-            16 => copy_const::<16>(&mut bp[dst..], &run[taken..]),
-            8 => copy_const::<8>(&mut bp[dst..], &run[taken..]),
+            16 => copy_const::<T, 16>(&mut bp[dst..], &run[taken..]),
+            8 => copy_const::<T, 8>(&mut bp[dst..], &run[taken..]),
             _ => bp[dst..dst + len].copy_from_slice(&run[taken..taken + len]),
         }
-        j += len;
         taken += len;
     }
 }
 
-/// Packs a `window` of one batch item **directly into panel-major GEMM
-/// order** `[panel][row][nr]` — the fused twin of
-/// [`im2col_pack_window`] that skips the row-major intermediate (one
-/// multi-megabyte buffer and one full copy pass less per conv call).
-/// `bp` must be `plane.div_ceil(nr) · rows · nr` long and **every
-/// element is overwritten** — zero padding (image border, window
-/// border, tail-panel pad) is written explicitly, so the buffer may be
-/// taken dirty from the GEMM's per-thread scratch (a 2+ MB memset per
-/// conv call is measurable against the GEMM on sparse rings).
+/// The chunk packer: writes micro-panels `[jp0, jp1)` of `x`'s patch
+/// matrix (`taps` = `x.taps(k)`) into `bp` in `[panel][row][nr]` order,
+/// reading the source planes directly. `bp` must be
+/// `(jp1 − jp0) · rows · nr` long and **every element is overwritten**
+/// — zero padding (image border, window border, tail-panel pad) is
+/// written explicitly, so the buffer may be a dirty slab.
+fn pack_panels<T: Copy + Default>(
+    x: &ConvInput<'_, T>,
+    taps: &[Tap],
+    nr: usize,
+    (jp0, jp1): (usize, usize),
+    bp: &mut [T],
+) {
+    let rows = x.c * taps.len();
+    assert_eq!(
+        bp.len(),
+        (jp1 - jp0) * rows * nr,
+        "packed buffer length mismatch"
+    );
+    if jp0 == jp1 {
+        return;
+    }
+    let (plane, ww, w) = (x.plane(), x.window.w as isize, x.w as isize);
+    // The chunk's columns in plane indices, tail-panel pad included;
+    // buffer indices are relative to `ja`.
+    let (ja, jb) = (jp0 * nr, jp1 * nr);
+    // Image rows with a pixel in the chunk.
+    let ya = ja as isize / ww;
+    let yb = jb.min(plane).div_ceil(ww as usize) as isize;
+    // Nested loops, not `r / k²` and `r % k²`: a chunk is small enough
+    // that two divisions per patch row show.
+    for ci in 0..x.c {
+        let src = x.channel(ci);
+        for (t, tap) in taps.iter().enumerate() {
+            let at = (rows, nr, ci * taps.len() + t);
+            // Everything before the first in-frame sample, the
+            // inter-run gaps (right pad of one image row + left pad of
+            // the next), and everything after the last sample is zero:
+            // `z` is the first plane index not written yet.
+            let mut z = ja;
+            if let Some((y0, y1, x0, x1)) = tap.extent {
+                for y in y0.max(ya)..y1.min(yb) {
+                    let r0 = ((y * ww + x0) as usize).max(ja);
+                    let r1 = ((y * ww + x1) as usize).min(jb);
+                    if r0 < r1 {
+                        let s = (tap.origin + y * w + r0 as isize - y * ww) as usize;
+                        zero_panel_range(bp, at, (z - ja, r0 - ja));
+                        copy_panel_range(bp, at, r0 - ja, &src[s..s + (r1 - r0)]);
+                        z = r1;
+                    }
+                }
+            }
+            zero_panel_range(bp, at, (z - ja, jb - ja));
+        }
+    }
+}
+
+/// Packs a `window` of one batch item **whole** into panel-major GEMM
+/// order `[panel][row][nr]` — the full-range case of the chunk packer,
+/// kept for tests (the reference the streaming conv is compared
+/// against) and the benchmark probes. `bp` must be
+/// `plane.div_ceil(nr) · rows · nr` long and **every element is
+/// overwritten**, so the buffer may be dirty.
 ///
 /// # Panics
 ///
@@ -160,126 +327,117 @@ pub fn im2col_pack_panels_window(
     nr: usize,
     bp: &mut [f32],
 ) {
-    let s = input.shape();
-    let plane = window.h * window.w;
-    let rows = s.c * k * k;
-    let jend = plane.div_ceil(nr) * nr; // plane + tail-panel pad
-    assert_eq!(bp.len(), jend * rows, "packed buffer length mismatch");
-    let pad = (k / 2) as isize;
-    let (ph, pw) = (s.h as isize, s.w as isize);
-    let (wh, ww) = (window.h as isize, window.w as isize);
-    for ci in 0..s.c {
-        let src = input.plane(n, ci);
-        for ky in 0..k {
-            for kx in 0..k {
-                let r = (ci * k + ky) * k + kx;
-                let dy = ky as isize - pad;
-                let dx = kx as isize - pad;
-                let y0 = 0.max(-dy).max(-(window.y0 + dy));
-                let y1 = wh.min(wh - dy).min(ph - window.y0 - dy);
-                let x0 = 0.max(-dx).max(-(window.x0 + dx));
-                let x1 = ww.min(ww - dx).min(pw - window.x0 - dx);
-                if y0 >= y1 || x0 >= x1 {
-                    // Tap entirely out of frame on this axis.
-                    zero_panel_range(bp, rows, nr, r, 0, jend);
-                    continue;
-                }
-                // Everything before the first in-frame sample, the
-                // inter-run gaps (right pad of row y−1 + left pad of
-                // row y), and everything after the last sample is zero.
-                zero_panel_range(bp, rows, nr, r, 0, (y0 * ww + x0) as usize);
-                for y in y0..y1 {
-                    if y > y0 {
-                        let gap0 = ((y - 1) * ww + x1) as usize;
-                        zero_panel_range(bp, rows, nr, r, gap0, (y * ww + x0) as usize);
-                    }
-                    let row_in = (window.y0 + y + dy) * pw + window.x0 + dx;
-                    let run = &src[(row_in + x0) as usize..(row_in + x1) as usize];
-                    copy_panel_range(bp, rows, nr, r, (y * ww + x0) as usize, run);
-                }
-                zero_panel_range(bp, rows, nr, r, ((y1 - 1) * ww + x1) as usize, jend);
-            }
-        }
-    }
+    let x = input.conv_input(n, window);
+    pack_panels(&x, &x.taps(k), nr, (0, x.plane().div_ceil(nr)), bp);
 }
 
-/// Forward convolution over a packed patch matrix; drop-in replacement
-/// for [`crate::conv::conv2d_forward`], tolerance-equivalent to it (see
-/// [`crate::gemm`]).
+/// The streaming convolution of one batch item, generic over the
+/// element type: `out` (`co × x.plane()`, row-major planes) becomes
+/// `bias[c] + Σ_r W[c][r] · patch_row(r)`, each element through the
+/// epilogue.
+pub(crate) fn conv_streaming<T: Element<NR>, const NR: usize>(
+    x: &ConvInput<'_, T>,
+    k: usize,
+    w: &PackedWeights<T>,
+    bias: &[T],
+    epilogue: Option<&T::Epilogue>,
+    out: &mut [T],
+) {
+    assert_eq!(w.rows(), x.c * k * k, "input channels mismatch");
+    // The activation half of the AVX2 exactness gate, decided on the
+    // unpacked planes (k² times fewer values than the patch matrix),
+    // once, before the fan-out.
+    let b_exact = T::avx2_exact(x.planes);
+    let taps = x.taps(k);
+    let pack = |jp0, jp1, bp: &mut [T]| pack_panels(x, &taps, NR, (jp0, jp1), bp);
+    let source = Panels::Packer(&pack);
+    assert_eq!(out.len(), w.co() * x.plane(), "output length mismatch");
+    let mut rest = out;
+    let mut out: Vec<&mut [T]> = (0..w.co())
+        .map(|_| {
+            let (lane, tail) = std::mem::take(&mut rest).split_at_mut(x.plane());
+            rest = tail;
+            lane
+        })
+        .collect();
+    gemm::product(w, x.plane(), bias, epilogue, b_exact, source, &mut out);
+}
+
+/// Streaming f32 convolution of one batch item (or one window of it)
+/// into the caller's output planes: plane `c` of `out`
+/// (`w.co() × x.plane()`, row-major) becomes the `k×k` "same"
+/// convolution of `x` with output channel `c` of the planned weights,
+/// plus `bias[c]` (an empty `bias` means no bias).
 ///
-/// Each output plane is `bias[co] + Σ_r w[co][r] · col[r]` where `col`
-/// is the [`im2col_pack`] matrix — a register-blocked GEMM with zero-tap
-/// skipping at micro-panel granularity (pruned weights still cost
-/// almost nothing). The pack is fused: the patch matrix is built
-/// panel-major in a reused scratch buffer and fed to the packed GEMM
-/// entry, so no row-major intermediate exists.
+/// # Panics
+///
+/// Panics if `w.rows() != c·k²`, `out.len() != w.co() · x.plane()`, or
+/// `bias` is neither empty nor `w.co()` long.
+pub fn conv_streaming_f32(
+    x: &ConvInput<'_, f32>,
+    k: usize,
+    w: &PackedWeights<f32>,
+    bias: &[f32],
+    out: &mut [f32],
+) {
+    conv_streaming::<f32, NR_F32>(x, k, w, bias, None, out);
+}
+
+/// The integer twin of [`conv_streaming_f32`], bit-identical to the
+/// scalar reference datapath; `requant` is fused into the kernel
+/// epilogue (un-rescaled wide accumulators never reach memory). The
+/// AVX2 tile needs `i32`-range operands: the weights were checked when
+/// `w` was planned, the activations are checked here on the unpacked
+/// planes, and the scalar-blocked tile (still bit-exact) runs otherwise.
+/// Panics like [`conv_streaming_f32`], or if `requant` does not have
+/// `w.co()` channels.
+pub fn conv_streaming_i64(
+    x: &ConvInput<'_, i64>,
+    k: usize,
+    w: &PackedWeights<i64>,
+    bias: &[i64],
+    requant: Option<&RequantPlan>,
+    out: &mut [i64],
+) {
+    gemm::check_plan(requant, w.co());
+    conv_streaming::<i64, NR_I64>(x, k, w, bias, requant, out);
+}
+
+/// Forward convolution over planned weights, the prepared-layer entry
+/// (`k` is the kernel size the plan's `ci·k²` rows were laid out for):
+/// every batch item streams through [`conv_streaming_f32`] into its
+/// planes of the output tensor, with the same panics.
+pub fn conv2d_forward_packed(
+    input: &Tensor,
+    k: usize,
+    w: &PackedWeights<f32>,
+    bias: &[f32],
+) -> Tensor {
+    let s = input.shape();
+    let mut out = Tensor::zeros(s.with_channels(w.co()));
+    let item = w.co() * s.plane();
+    for n in 0..s.n {
+        let x = input.conv_input(n, Window::full(s.h, s.w));
+        let planes = &mut out.as_mut_slice()[n * item..(n + 1) * item];
+        conv_streaming_f32(&x, k, w, bias, planes);
+    }
+    out
+}
+
+/// Forward convolution through the streaming engine; drop-in
+/// replacement for [`crate::conv::conv2d_forward`], tolerance-equivalent
+/// to it (see [`crate::gemm`]). Plans the weights per call — layers
+/// that run more than once plan at `prepare_inference` and call
+/// [`conv2d_forward_packed`]. Zero taps are skipped at micro-panel
+/// granularity (pruned weights still cost almost nothing).
 ///
 /// # Panics
 ///
 /// Panics if channel counts disagree or `bias.len() != co` (empty bias
 /// slice means no bias).
 pub fn conv2d_forward_im2col(input: &Tensor, w: &ConvWeights, bias: &[f32]) -> Tensor {
-    use crate::gemm::{self, NR_F32};
-    let s = input.shape();
-    assert_eq!(s.c, w.ci, "input channels mismatch");
-    let rows = w.ci * w.k * w.k;
-    let mut out = Tensor::zeros(s.with_channels(w.co));
-    let mut bp = gemm::take_scratch::<f32, NR_F32>(s.plane().div_ceil(NR_F32) * rows * NR_F32);
-    for n in 0..s.n {
-        im2col_pack_panels_window(input, n, w.k, Window::full(s.h, s.w), NR_F32, &mut bp);
-        let planes = gemm::gemm_f32_packed(&bp, s.plane(), rows, w.co, &w.data, bias);
-        for (co, acc) in planes.into_iter().enumerate() {
-            out.plane_mut(n, co).copy_from_slice(&acc);
-        }
-    }
-    gemm::put_scratch::<f32, NR_F32>(bp);
-    out
-}
-
-/// Packs one batch item of an **integer** NCHW buffer into a patch
-/// matrix of shape `(c·k²) × (H·W)` — the fixed-point twin of
-/// [`im2col_pack`], used by the quantized inference backend
-/// (`ringcnn-quant`). Row `r = (ci·k + ky)·k + kx` holds the input plane
-/// shifted by the tap offset, zero-padded at the image border, exactly
-/// like the float kernel.
-///
-/// # Panics
-///
-/// Panics if `data.len() != shape.len()` or `n` is out of range.
-pub fn im2col_pack_i64(data: &[i64], shape: crate::shape::Shape4, n: usize, k: usize) -> Vec<i64> {
-    let s = shape;
-    assert_eq!(data.len(), s.len(), "data does not match shape");
-    assert!(n < s.n, "batch index out of range");
-    let plane = s.plane();
-    let pad = (k / 2) as isize;
-    let (h, w) = (s.h as isize, s.w as isize);
-    let mut col = vec![0i64; s.c * k * k * plane];
-    for ci in 0..s.c {
-        let base = s.index(n, ci, 0, 0);
-        let src = &data[base..base + plane];
-        for ky in 0..k {
-            for kx in 0..k {
-                let r = (ci * k + ky) * k + kx;
-                let dst = &mut col[r * plane..(r + 1) * plane];
-                let dy = ky as isize - pad;
-                let dx = kx as isize - pad;
-                let y0 = 0.max(-dy);
-                let y1 = h.min(h - dy);
-                let x0 = 0.max(-dx);
-                let x1 = w.min(w - dx);
-                if y0 >= y1 || x0 >= x1 {
-                    continue; // tap entirely out of frame on this axis
-                }
-                for y in y0..y1 {
-                    let row_out = (y * w) as usize;
-                    let row_in = (y + dy) * w + dx;
-                    dst[row_out + x0 as usize..row_out + x1 as usize]
-                        .copy_from_slice(&src[(row_in + x0) as usize..(row_in + x1) as usize]);
-                }
-            }
-        }
-    }
-    col
+    assert_eq!(input.shape().c, w.ci, "input channels mismatch");
+    conv2d_forward_packed(input, w.k, &w.packed(), bias)
 }
 
 #[cfg(test)]
@@ -431,6 +589,25 @@ mod tests {
                             }
                         }
                     }
+                    // The chunk packer writes any panel range exactly as
+                    // the whole pack has it, again into a dirty buffer.
+                    let np = plane.div_ceil(nr);
+                    let x = input.conv_input(1, win);
+                    for step in [1usize, 3] {
+                        for jp0 in (0..np).step_by(step) {
+                            let jp1 = np.min(jp0 + step);
+                            let mut chunk = vec![f32::NAN; (jp1 - jp0) * rows * nr];
+                            pack_panels(&x, &x.taps(k), nr, (jp0, jp1), &mut chunk);
+                            let whole = &bp[jp0 * rows * nr..jp1 * rows * nr];
+                            let bits =
+                                |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                            assert_eq!(
+                                bits(&chunk),
+                                bits(whole),
+                                "k={k} win={win:?} nr={nr} panels {jp0}..{jp1}"
+                            );
+                        }
+                    }
                 }
             }
         }
@@ -453,14 +630,17 @@ mod tests {
     #[test]
     fn integer_rows_accumulate_bias_and_skip_zero_taps() {
         // 1 channel, k=1 (the identity pack): output = bias + w·x per
-        // pixel, through the oracle and through the blocked driver.
-        let col = im2col_pack_i64(&[1, -2, 3, 4], Shape4::new(1, 1, 2, 2), 0, 1);
-        for out in [
-            gemm::reference(&col, 4, 1, 2, &[3, 0], &[10, 7]),
-            gemm::gemm_i64(&col, 4, 1, 2, &[3, 0], &[10, 7], None),
-        ] {
-            assert_eq!(out[0], vec![13, 4, 19, 22]);
-            assert_eq!(out[1], vec![7, 7, 7, 7]); // zero weight: bias only
+        // pixel, through the oracle and through the streaming conv.
+        let x = [1i64, -2, 3, 4];
+        let col = im2col_pack_i64(&x, Shape4::new(1, 1, 2, 2), 0, 1);
+        let w = PackedWeights::<i64>::new(2, 1, &[3, 0]);
+        let mut streamed = vec![0i64; 2 * 4];
+        let input = ConvInput::new(&x, 1, 2, 2, Window::full(2, 2));
+        conv_streaming_i64(&input, 1, &w, &[10, 7], None, &mut streamed);
+        let oracle = gemm::reference(&col, 4, 1, 2, &[3, 0], &[10, 7]).concat();
+        for out in [oracle, streamed] {
+            assert_eq!(out[..4], [13, 4, 19, 22]);
+            assert_eq!(out[4..], [7, 7, 7, 7]); // zero weight: bias only
         }
     }
 }

@@ -34,9 +34,12 @@ pub mod prelude {
         conv2d_backward_input, conv2d_backward_weight, conv2d_forward, ConvWeights,
     };
     pub use crate::gemm::{
-        active_kernel, forced_kernel_scope, gemm_i64, KernelBackend, RequantChannel, RequantPlan,
+        active_kernel, forced_kernel_scope, KernelBackend, PackedWeights, RequantChannel,
+        RequantPlan,
     };
-    pub use crate::im2col::{conv2d_forward_im2col, im2col_pack, im2col_pack_window};
+    pub use crate::im2col::{
+        conv2d_forward_im2col, conv2d_forward_packed, im2col_pack, im2col_pack_window, ConvInput,
+    };
     pub use crate::shape::Shape4;
     pub use crate::tensor::Tensor;
     pub use crate::tile::{tile_grid, Window};

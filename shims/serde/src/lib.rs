@@ -1,7 +1,8 @@
 //! Offline stand-in for `serde`, API-compatible with the subset this
 //! workspace uses: `#[derive(Serialize, Deserialize)]` on non-generic
-//! structs/enums without `#[serde(...)]` attributes, consumed by the
-//! sibling `serde_json` shim.
+//! structs/enums, with `#[serde(skip)]` on named struct fields as the
+//! one supported `#[serde(...)]` attribute, consumed by the sibling
+//! `serde_json` shim.
 //!
 //! Instead of serde's visitor architecture, both traits go through one
 //! JSON-shaped [`Value`] tree: `Serialize` renders into it and

@@ -3,7 +3,9 @@
 //! access, so this derive is hand-rolled on `proc_macro` alone — no
 //! `syn`/`quote`. It supports exactly the shapes this workspace uses:
 //! non-generic structs (named, tuple, unit) and enums whose variants are
-//! unit, tuple, or struct-like, with no `#[serde(...)]` attributes.
+//! unit, tuple, or struct-like. The one `#[serde(...)]` attribute it
+//! knows is `#[serde(skip)]` on a field of a named struct: the field is
+//! not serialized and deserializes to `Default::default()`.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -12,6 +14,8 @@ enum TypeDef {
     NamedStruct {
         name: String,
         fields: Vec<String>,
+        /// `#[serde(skip)]` fields: never stored, defaulted on load.
+        skipped: Vec<String>,
     },
     TupleStruct {
         name: String,
@@ -33,7 +37,7 @@ enum VariantShape {
 }
 
 /// Derives `serde::Serialize` (shim data model: `to_json_value`).
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let def = parse_type_def(input);
     gen_serialize(&def)
@@ -42,7 +46,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
 }
 
 /// Derives `serde::Deserialize` (shim data model: `from_json_value`).
-#[proc_macro_derive(Deserialize)]
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let def = parse_type_def(input);
     gen_deserialize(&def)
@@ -57,7 +61,7 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
 fn parse_type_def(input: TokenStream) -> TypeDef {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
     let mut i = 0;
-    skip_attrs(&tokens, &mut i);
+    no_skip_here(skip_attrs(&tokens, &mut i));
     skip_vis(&tokens, &mut i);
     let keyword = expect_ident(&tokens, &mut i);
     let name = expect_ident(&tokens, &mut i);
@@ -67,9 +71,12 @@ fn parse_type_def(input: TokenStream) -> TypeDef {
     match keyword.as_str() {
         "struct" => match tokens.get(i) {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
+                let mut skipped = Vec::new();
+                let fields = parse_named_fields(g.stream(), Some(&mut skipped));
                 TypeDef::NamedStruct {
                     name,
-                    fields: parse_named_fields(g.stream()),
+                    fields,
+                    skipped,
                 }
             }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
@@ -91,17 +98,36 @@ fn parse_type_def(input: TokenStream) -> TypeDef {
     }
 }
 
-fn skip_attrs(tokens: &[TokenTree], i: &mut usize) {
+/// Advances past any attributes; returns whether `#[serde(skip)]` was
+/// one of them.
+fn skip_attrs(tokens: &[TokenTree], i: &mut usize) -> bool {
+    let mut serde_skip = false;
     while let Some(TokenTree::Punct(p)) = tokens.get(*i) {
         if p.as_char() != '#' {
             break;
         }
         *i += 1; // '#'
-        if matches!(tokens.get(*i), Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Bracket)
-        {
-            *i += 1; // [...]
+        if let Some(TokenTree::Group(g)) = tokens.get(*i) {
+            if g.delimiter() == Delimiter::Bracket {
+                let text: String = g.stream().to_string().split_whitespace().collect();
+                if text == "serde(skip)" {
+                    serde_skip = true;
+                } else if text.starts_with("serde(") {
+                    panic!("serde shim derive: unsupported attribute #[{text}]");
+                }
+                *i += 1; // [...]
+            }
         }
     }
+    serde_skip
+}
+
+/// `#[serde(skip)]` is honoured on named-struct fields only.
+fn no_skip_here(serde_skip: bool) {
+    assert!(
+        !serde_skip,
+        "serde shim derive: #[serde(skip)] is supported on named struct fields only"
+    );
 }
 
 fn skip_vis(tokens: &[TokenTree], i: &mut usize) {
@@ -141,17 +167,24 @@ fn skip_type(tokens: &[TokenTree], i: &mut usize) {
     }
 }
 
-fn parse_named_fields(stream: TokenStream) -> Vec<String> {
+/// Field names in declaration order; `#[serde(skip)]` fields go to
+/// `skipped` instead (struct variants, which pass `None`, have none).
+fn parse_named_fields(stream: TokenStream, mut skipped: Option<&mut Vec<String>>) -> Vec<String> {
     let tokens: Vec<TokenTree> = stream.into_iter().collect();
     let mut fields = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        skip_attrs(&tokens, &mut i);
+        let skip = skip_attrs(&tokens, &mut i);
         skip_vis(&tokens, &mut i);
         if i >= tokens.len() {
             break;
         }
-        fields.push(expect_ident(&tokens, &mut i));
+        let field = expect_ident(&tokens, &mut i);
+        match (skip, skipped.as_deref_mut()) {
+            (false, _) => fields.push(field),
+            (true, Some(skipped)) => skipped.push(field),
+            (true, None) => panic!("serde shim derive: #[serde(skip)] on a variant field"),
+        }
         match tokens.get(i) {
             Some(TokenTree::Punct(p)) if p.as_char() == ':' => i += 1,
             other => panic!("serde shim derive: expected `:` after field, found {other:?}"),
@@ -169,7 +202,7 @@ fn count_tuple_fields(stream: TokenStream) -> usize {
     let mut arity = 0;
     let mut i = 0;
     while i < tokens.len() {
-        skip_attrs(&tokens, &mut i);
+        no_skip_here(skip_attrs(&tokens, &mut i));
         skip_vis(&tokens, &mut i);
         if i >= tokens.len() {
             break;
@@ -188,7 +221,7 @@ fn parse_variants(stream: TokenStream) -> Vec<(String, VariantShape)> {
     let mut variants = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        skip_attrs(&tokens, &mut i);
+        no_skip_here(skip_attrs(&tokens, &mut i));
         if i >= tokens.len() {
             break;
         }
@@ -200,7 +233,7 @@ fn parse_variants(stream: TokenStream) -> Vec<(String, VariantShape)> {
             }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
                 i += 1;
-                VariantShape::Struct(parse_named_fields(g.stream()))
+                VariantShape::Struct(parse_named_fields(g.stream(), None))
             }
             _ => VariantShape::Unit,
         };
@@ -223,7 +256,7 @@ fn parse_variants(stream: TokenStream) -> Vec<(String, VariantShape)> {
 
 fn gen_serialize(def: &TypeDef) -> String {
     let (name, body) = match def {
-        TypeDef::NamedStruct { name, fields } => {
+        TypeDef::NamedStruct { name, fields, .. } => {
             let pairs: Vec<String> = fields
                 .iter()
                 .map(|f| {
@@ -301,12 +334,21 @@ fn gen_serialize(def: &TypeDef) -> String {
 
 fn gen_deserialize(def: &TypeDef) -> String {
     let (name, body) = match def {
-        TypeDef::NamedStruct { name, fields } => {
+        TypeDef::NamedStruct {
+            name,
+            fields,
+            skipped,
+        } => {
             let inits: Vec<String> = fields
                 .iter()
                 .map(|f| {
                     format!("{f}: ::serde::Deserialize::from_json_value(__v.field(\"{f}\")?)?")
                 })
+                .chain(
+                    skipped
+                        .iter()
+                        .map(|f| format!("{f}: ::std::default::Default::default()")),
+                )
                 .collect();
             (name, format!("Ok({name} {{ {} }})", inits.join(", ")))
         }

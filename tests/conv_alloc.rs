@@ -1,0 +1,147 @@
+//! The memory model of the streaming conv engine, asserted with a
+//! counting global allocator (this binary only, so no other suite pays
+//! for it): a prepared convolution allocates about its output and
+//! nothing else of that order — no patch matrix (`k²` times the input),
+//! no per-task output copies — and what its threads keep afterwards is
+//! a `rows × NC_COLS` slab each, independent of the tile area.
+//!
+//! One `#[test]` on purpose: the counters are process-wide, and libtest
+//! would run a second test concurrently.
+
+use ringcnn::prelude::*;
+use ringcnn::quant::quantized::execute_layer;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Bytes allocated since the last reset, the largest single block among
+/// them, and the bytes currently live.
+static TOTAL: AtomicUsize = AtomicUsize::new(0);
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+
+struct Counting;
+
+// SAFETY: every request is forwarded unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counters on the side never
+// touch the memory handed out. (`realloc` and `alloc_zeroed` keep their
+// default bodies, which go through `alloc`/`dealloc` below.)
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // ordering: statistics only; the test reads them after the pool
+        // has joined the work they count.
+        TOTAL.fetch_add(layout.size(), Ordering::Relaxed);
+        LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
+        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+        // SAFETY: the caller's layout, passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // ordering: statistics only, as above.
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+struct Spent {
+    total: usize,
+    largest: usize,
+    /// Live-heap growth across the call, its result already dropped.
+    retained: isize,
+}
+
+/// Runs `f`, drops its result, and reports what the process allocated
+/// meanwhile.
+fn spent<R>(f: impl FnOnce() -> R) -> Spent {
+    // ordering: single-threaded bookkeeping between parallel sections.
+    let live = LIVE.load(Ordering::Relaxed);
+    TOTAL.store(0, Ordering::Relaxed);
+    LARGEST.store(0, Ordering::Relaxed);
+    drop(f());
+    Spent {
+        // ordering: as above; `f`'s pool work has been joined.
+        total: TOTAL.load(Ordering::Relaxed),
+        largest: LARGEST.load(Ordering::Relaxed),
+        retained: LIVE.load(Ordering::Relaxed) as isize - live as isize,
+    }
+}
+
+const CHANNELS: usize = 16;
+const KIB: usize = 1024;
+
+fn tile(hw: usize) -> Tensor {
+    Tensor::random_uniform(Shape4::new(1, CHANNELS, hw, hw), -1.0, 1.0, 11)
+}
+
+/// The three properties, for one kind of prepared conv: `forward`
+/// consumes what `input` builds for a `hw × hw` tile (built outside the
+/// measurement) and drops the output; `elem` is the output element size.
+fn check<I>(what: &str, elem: usize, input: impl Fn(usize) -> I, forward: impl Fn(I)) {
+    let run = |hw: usize| {
+        // ordering: single-threaded bookkeeping, as in `spent`.
+        let before = LIVE.load(Ordering::Relaxed);
+        let x = input(hw);
+        let held = LIVE.load(Ordering::Relaxed) - before;
+        let mut s = spent(|| forward(x));
+        // `forward` dropped the input as well; that is not its doing.
+        s.retained += held as isize;
+        s
+    };
+    // (c) First, from whatever state the threads are in: a 176×176
+    // forward leaves next to nothing behind (a whole-plane f32 patch
+    // matrix of this conv would be 17 MiB per worker).
+    let big = run(176);
+    assert!(
+        big.retained < (KIB * KIB) as isize,
+        "{what}: a 176x176 forward retained {} KiB",
+        big.retained / KIB as isize
+    );
+    // The slabs now exist, so a 96×96 forward is the steady state.
+    let out_bytes = CHANNELS * 96 * 96 * elem;
+    let warm = run(96);
+    // (a) No block larger than the output tensor…
+    assert!(
+        warm.largest <= out_bytes,
+        "{what}: a block of {} KiB against an output of {} KiB",
+        warm.largest / KIB,
+        out_bytes / KIB
+    );
+    // (b) …and little besides it in total (a patch matrix is 9× the
+    // input; per-task outputs glued into planes and copied into the
+    // tensor are three copies of the output).
+    assert!(
+        warm.total <= out_bytes + out_bytes / 4 + 64 * KIB,
+        "{what}: allocated {} KiB for an output of {} KiB",
+        warm.total / KIB,
+        out_bytes / KIB
+    );
+}
+
+#[test]
+fn prepared_convs_allocate_their_output_and_retain_no_plane_sized_scratch() {
+    let mut conv = Conv2d::new(CHANNELS, CHANNELS, 3, 1);
+    conv.set_backend(ConvBackend::Im2col);
+    conv.prepare_inference();
+    check("Conv2d", 4, tile, |x| drop(conv.forward_infer(&x)));
+
+    let ring = Ring::from_kind(RingKind::Ri(4));
+    let mut rconv = RingConv2d::new(ring, CHANNELS, CHANNELS, 3, 2);
+    rconv.set_backend(ConvBackend::Im2col);
+    rconv.prepare_inference();
+    check("RingConv2d(RI4)", 4, tile, |x| {
+        drop(rconv.forward_infer(&x))
+    });
+
+    // A one-conv integer pipeline; `quantize` hands it back prepared.
+    let mut float = Sequential::new().with(Box::new(Conv2d::new(CHANNELS, CHANNELS, 3, 3)));
+    let qm = QuantizedModel::quantize(&mut float, &tile(24), QuantOptions::default());
+    let [qconv @ QLayer::Conv(_)] = qm.layers() else {
+        panic!("one conv in, one QConv out");
+    };
+    let quantized = |hw| QTensor::quantize(&tile(hw), vec![qm.input_format(); CHANNELS]);
+    check("QConv", 8, quantized, |q| drop(execute_layer(qconv, q)));
+}

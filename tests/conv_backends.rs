@@ -325,3 +325,121 @@ fn auto_backend_threads_through_model_zoo() {
     });
     assert!(after.iter().all(|b| *b == ConvBackend::Naive));
 }
+
+/// One SGD step through the training path: the forward drops the cached
+/// kernels, the visitor then moves the parameters.
+fn training_step<L: Layer>(layer: &mut L, x: &Tensor) {
+    let y = layer.forward(x, true);
+    layer.backward(&y);
+    layer.visit_params(&mut |g| {
+        for (v, d) in g.values.iter_mut().zip(g.grads.iter()) {
+            *v -= 1e-3 * d;
+        }
+    });
+}
+
+/// A named way of changing a layer's parameters (the tensor is there
+/// for the training step).
+type Mutation<'a, L> = (&'a str, &'a dyn Fn(&mut L, &Tensor));
+
+/// A layer prepared *before* `mutate` must infer exactly like one built
+/// fresh, mutated the same way and prepared afterwards — through the
+/// shared-state path as the mutation left it (plan dropped: local
+/// rebuild) and again once re-prepared. A plan that survived a mutation
+/// would answer with the old weights.
+fn assert_plans_follow<L: Layer>(
+    what: &str,
+    build: &dyn Fn() -> L,
+    x: &Tensor,
+    mutations: &[Mutation<'_, L>],
+) {
+    for (name, mutate) in mutations {
+        let mut used = build();
+        used.prepare_inference();
+        let before = used.forward_infer(x);
+        mutate(&mut used, x);
+        let unprepared = used.forward_infer(x);
+        used.prepare_inference();
+        let prepared = used.forward_infer(x);
+
+        let mut fresh = build();
+        mutate(&mut fresh, x);
+        fresh.prepare_inference();
+        let want = fresh.forward_infer(x);
+        assert_ne!(before, want, "{what}/{name}: the mutation changed nothing");
+        assert_eq!(unprepared, want, "{what}/{name}: stale kernel");
+        assert_eq!(
+            prepared, want,
+            "{what}/{name}: stale kernel once re-prepared"
+        );
+    }
+}
+
+/// Every path that can change a conv layer's parameters drops the
+/// weight plan `prepare_inference` cached (the streaming engine's
+/// `PackedWeights`, the depthwise lowering, the transform plan).
+#[test]
+fn cached_weight_plans_follow_every_parameter_mutation() {
+    let x = Tensor::random_uniform(Shape4::new(1, 8, 7, 6), -1.0, 1.0, 77);
+
+    let conv = || {
+        let mut c = Conv2d::new(8, 8, 3, 5);
+        c.set_backend(ConvBackend::Im2col);
+        c
+    };
+    assert_plans_follow(
+        "Conv2d",
+        &conv,
+        &x,
+        &[
+            ("weights_mut", &|c, _| c.weights_mut().data[3] += 0.5),
+            ("bias_mut", &|c, _| c.bias_mut()[1] += 0.25),
+            ("visit_params", &|c, _| {
+                c.visit_params(&mut |g| g.values[0] += 0.5)
+            }),
+            ("set_mask", &|c, _| {
+                let n = c.weights().len();
+                c.set_mask((0..n).map(|i| (i % 3 != 0) as u8 as f32).collect());
+            }),
+            ("training step", &|c, x| training_step(c, x)),
+        ],
+    );
+
+    let depthwise = || {
+        let mut d = DepthwiseConv2d::new(8, 3, 6);
+        d.set_conv_backend(ConvBackend::Im2col);
+        d
+    };
+    assert_plans_follow(
+        "DepthwiseConv2d",
+        &depthwise,
+        &x,
+        &[
+            ("visit_params", &|d, _| {
+                d.visit_params(&mut |g| g.values[0] += 0.5)
+            }),
+            ("training step", &|d, x| training_step(d, x)),
+        ],
+    );
+
+    for backend in [ConvBackend::Im2col, ConvBackend::Transform] {
+        let ring_conv = || {
+            let mut r = RingConv2d::new(Ring::from_kind(RingKind::Rh(4)), 8, 8, 3, 7);
+            r.set_backend(backend);
+            r
+        };
+        assert_plans_follow(
+            &format!("RingConv2d/{backend}"),
+            &ring_conv,
+            &x,
+            &[
+                ("ring_weights_mut", &|r, _| r.ring_weights_mut()[3] += 0.5),
+                ("bias_mut", &|r, _| r.bias_mut()[1] += 0.25),
+                ("visit_params", &|r, _| {
+                    r.visit_params(&mut |g| g.values[0] += 0.5)
+                }),
+                ("training step", &|r, x| training_step(r, x)),
+            ],
+        );
+    }
+}

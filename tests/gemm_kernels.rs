@@ -1,12 +1,15 @@
-//! Acceptance suite for the one cache-blocked GEMM driver behind both
-//! conv precisions: each kernel tier — scalar-blocked, AVX2 — must agree
-//! with the oracle of its dtype within the documented contract over one
-//! table of product shapes ([`CASES`]): the f32 tiers within `1e-4` of
-//! the naive `conv2d_forward` (and > 100 dB PSNR on whole model-zoo
-//! forwards), the i64 tiers **bit-exactly** with the matrix-level
-//! reference loop, including the fused requant epilogue's saturation
-//! rails, pruned/zero-weight rows and operands beyond the AVX2 tile's
-//! i32 range.
+//! Acceptance suite for the one streaming conv engine behind both conv
+//! precisions, over one table of conv shapes ([`CASES`]). For every case
+//! and each kernel tier — scalar-blocked, AVX2 — the streaming conv
+//! (im2col packed per column chunk, outputs written in place) equals
+//! the pre-packed GEMM over the whole-plane panel pack **bit for bit**
+//! in both dtypes, and each agrees with the oracle of its dtype within
+//! the documented contract: the f32 tiers within `1e-4` of the naive
+//! `conv2d_forward` (and > 100 dB PSNR on whole model-zoo forwards), the
+//! i64 tiers **bit-exactly** with the matrix-level reference loop,
+//! including the fused requant epilogue's saturation rails,
+//! pruned/zero-weight rows and operands beyond the AVX2 tile's i32
+//! range.
 //!
 //! Thread-pool sizes 1 and 4 are exercised by the CI `thread-sanity`
 //! matrix (`RINGCNN_THREADS`); the `RINGCNN_KERNEL=scalar` and
@@ -20,11 +23,15 @@ use ringcnn::quant::quantized::{execute_layer, run_conv_reference};
 use ringcnn_nn::models::ffdnet::ffdnet;
 use ringcnn_nn::models::srresnet::{srresnet, SrResNetConfig};
 use ringcnn_nn::models::vdsr::vdsr;
-use ringcnn_tensor::gemm::{self, active_kernel, validate_env_kernel};
-use ringcnn_tensor::im2col::im2col_pack_i64;
+use ringcnn_tensor::gemm::{
+    self, active_kernel, gemm_f32_packed, gemm_i64_packed, validate_env_kernel, NR_F32, NR_I64,
+};
+use ringcnn_tensor::im2col::{
+    conv_streaming_f32, conv_streaming_i64, im2col_pack_panels_window, ConvInput,
+};
 use ringcnn_tensor::prelude::{
-    conv2d_forward, conv2d_forward_im2col, forced_kernel_scope, gemm_i64, ConvWeights,
-    KernelBackend, RequantChannel, RequantPlan,
+    conv2d_forward, conv2d_forward_im2col, forced_kernel_scope, im2col_pack_window, ConvWeights,
+    KernelBackend, PackedWeights, RequantChannel, RequantPlan, Window,
 };
 
 /// Both kernel tiers (a forced `Avx2` degrades to `Scalar` on a host
@@ -57,8 +64,19 @@ enum Requant {
     Rails,
 }
 
+/// i64 only: one operand beyond the AVX2 tile's i32 range.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Wide {
+    No,
+    /// One weight at `2^40`.
+    Weight,
+    /// One activation at `2^33 + 1`.
+    Activation,
+}
+
 /// One row of the kernel table: a conv-shaped product `co × (ci·k²)`
-/// by `(ci·k²) × (h·w)` per batch item.
+/// by `(ci·k²) × plane` per batch item, where the plane is the whole
+/// `h × w` image or a window of it.
 #[derive(Clone, Copy, Debug)]
 struct Case {
     co: usize,
@@ -70,38 +88,60 @@ struct Case {
     zeros: Zeros,
     bias: bool,
     requant: Requant,
-    /// i64 only: one weight at `2^40`, beyond the AVX2 tile's i32 range.
-    wide: bool,
+    wide: Wide,
+    /// `(y0, x0, h, w)` of the window convolved; `None` = the image.
+    win: Option<(isize, isize, usize, usize)>,
 }
 
 #[rustfmt::skip]
-const CASES: [Case; 12] = {
+const CASES: [Case; 23] = {
     use {Requant as R, Zeros as Z};
     /// `shape` is `[co, ci, k, h, w, batch]`.
-    const fn case(shape: [usize; 6], zeros: Zeros, bias: bool, requant: Requant, wide: bool) -> Case {
+    const fn case(shape: [usize; 6], zeros: Zeros, bias: bool, requant: Requant, wide: Wide) -> Case {
         let [co, ci, k, h, w, batch] = shape;
-        Case { co, ci, k, h, w, batch, zeros, bias, requant, wide }
+        Case { co, ci, k, h, w, batch, zeros, bias, requant, wide, win: None }
+    }
+    /// A window of a 9×7 two-item batch (the window list of the tensor
+    /// crate's `fused_panel_pack_matches_row_major_pack`).
+    const fn halo(k: usize, win: (isize, isize, usize, usize)) -> Case {
+        Case { win: Some(win), ..case([4, 3, k, 9, 7, 2], Z::Pruned, true, R::Narrow, Wide::No) }
     }
     [
-        // k = 1/3/5; the smallest product there is.
-        case([1, 1, 1, 1, 1, 1], Z::Pruned, true, R::None, false),
-        case([4, 3, 3, 6, 6, 1], Z::Pruned, true, R::Narrow, false),
-        case([3, 2, 5, 7, 4, 2], Z::Pruned, true, R::None, false),
+        // k = 1/3/5; the smallest product there is (plane < NR).
+        case([1, 1, 1, 1, 1, 1], Z::Pruned, true, R::None, Wide::No),
+        case([4, 3, 3, 6, 6, 1], Z::Pruned, true, R::Narrow, Wide::No),
+        case([3, 2, 5, 7, 4, 2], Z::Pruned, true, R::None, Wide::No),
+        case([3, 2, 3, 2, 3, 1], Z::Pruned, true, R::Narrow, Wide::No),
         // Non-square maps whose plane is no multiple of either NR, `co`
-        // no multiple of MR, more than one column chunk (plane > 128).
-        case([5, 3, 3, 5, 7, 2], Z::Pruned, true, R::Narrow, false),
-        case([7, 2, 3, 19, 9, 1], Z::Pruned, false, R::Rails, false),
-        case([6, 1, 1, 3, 67, 1], Z::Pruned, true, R::None, false),
+        // no multiple of MR, more than one column chunk (plane > 128)
+        // with the chunk boundary mid image row.
+        case([5, 3, 3, 5, 7, 2], Z::Pruned, true, R::Narrow, Wide::No),
+        case([7, 2, 3, 19, 9, 1], Z::Pruned, false, R::Rails, Wide::No),
+        case([6, 1, 1, 3, 67, 1], Z::Pruned, true, R::None, Wide::No),
+        // The benchmark's largest tile: 242 chunks of 128 in rows of 176.
+        case([4, 2, 3, 176, 176, 1], Z::Diagonal(2), true, R::Narrow, Wide::No),
         // Kernel wider than the map: taps entirely out of frame.
-        case([2, 2, 5, 2, 1, 1], Z::Pruned, false, R::None, false),
+        case([2, 2, 5, 2, 1, 1], Z::Pruned, false, R::None, Wide::No),
         // All-zero weights, with and without a bias to carry through.
-        case([5, 2, 3, 4, 5, 1], Z::All, true, R::Narrow, false),
-        case([2, 1, 1, 3, 3, 1], Z::All, false, R::None, false),
+        case([5, 2, 3, 4, 5, 1], Z::All, true, R::Narrow, Wide::No),
+        case([2, 1, 1, 3, 3, 1], Z::All, false, R::None, Wide::No),
         // Diagonal-ring patterns: n = 2 and n = 4 residue classes.
-        case([8, 8, 3, 6, 5, 1], Z::Diagonal(4), true, R::Rails, false),
-        case([6, 4, 1, 9, 4, 2], Z::Diagonal(2), false, R::Narrow, false),
+        case([8, 8, 3, 6, 5, 1], Z::Diagonal(4), true, R::Rails, Wide::No),
+        case([6, 4, 1, 9, 4, 2], Z::Diagonal(2), false, R::Narrow, Wide::No),
         // Operands wider than i32 must route off the AVX2 tile.
-        case([5, 2, 3, 5, 4, 1], Z::Pruned, true, R::Rails, true),
+        case([5, 2, 3, 5, 4, 1], Z::Pruned, true, R::Rails, Wide::Weight),
+        case([5, 2, 3, 5, 4, 1], Z::Pruned, true, R::Rails, Wide::Activation),
+        // Halo windows: interior, over each image corner, a superset of
+        // the image, entirely out of frame.
+        halo(3, (2, 1, 4, 5)),
+        halo(3, (-2, -1, 6, 5)),
+        halo(5, (-2, 3, 6, 6)),
+        halo(3, (5, -1, 6, 5)),
+        halo(3, (5, 3, 6, 6)),
+        halo(1, (-1, -1, 11, 9)),
+        halo(3, (9, 7, 3, 3)),
+        // A window of several chunks hanging over the top-right corner.
+        Case { win: Some((-3, 30, 20, 17)), ..case([5, 2, 3, 40, 40, 1], Z::Pruned, true, R::Rails, Wide::No) },
     ]
 };
 
@@ -113,6 +153,13 @@ impl Case {
             2.0,
             (self.co * 131 + self.h * 17 + self.w) as u64,
         )
+    }
+
+    fn window(&self) -> Window {
+        match self.win {
+            Some((y0, x0, h, w)) => Window::new(y0, x0, h, w),
+            None => Window::full(self.h, self.w),
+        }
     }
 
     fn weights(&self) -> ConvWeights {
@@ -158,6 +205,16 @@ impl Case {
             .collect();
         channels.map(|channels| RequantPlan { channels })
     }
+
+    /// The whole-plane panel-major patch matrix of item `n`'s window,
+    /// packed into a NaN-filled buffer.
+    fn panels(&self, x: &Tensor, n: usize, nr: usize) -> Vec<f32> {
+        let win = self.window();
+        let rows = self.ci * self.k * self.k;
+        let mut bp = vec![f32::NAN; (win.h * win.w).div_ceil(nr) * rows * nr];
+        im2col_pack_panels_window(x, n, self.k, win, nr, &mut bp);
+        bp
+    }
 }
 
 /// Fixed-point image of a float operand: 10 fractional bits.
@@ -165,21 +222,65 @@ fn to_fixed(values: &[f32]) -> Vec<i64> {
     values.iter().map(|v| (v * 1024.0).round() as i64).collect()
 }
 
-/// The f32 half of the table: the production im2col path (fused panel
-/// pack + blocked driver) under each forced tier stays within 1e-4 of
-/// the naive `conv2d_forward`.
+fn fits_i32(values: &[i64]) -> bool {
+    values.iter().all(|v| i32::try_from(*v).is_ok())
+}
+
+/// The f32 half of the table against its oracle: the production im2col
+/// path (weights planned per call, streaming conv) under each forced
+/// tier stays within 1e-4 of the naive `conv2d_forward` on the same
+/// tile.
 #[test]
 fn f32_gemm_matches_naive_under_every_forced_backend() {
     for case in CASES {
-        let (x, w, bias) = (case.input(), case.weights(), case.bias());
-        let naive = conv2d_forward(&x, &w, &bias);
-        for tier in TIERS {
-            let y = forced_kernel_scope(tier, || conv2d_forward_im2col(&x, &w, &bias));
-            assert_eq!(y.shape(), naive.shape(), "{case:?}");
-            for (i, (p, q)) in naive.as_slice().iter().zip(y.as_slice()).enumerate() {
-                assert!(
-                    (p - q).abs() <= 1e-4,
-                    "{} tile deviates at {i}: {p} vs {q} ({case:?})",
+        let (w, bias) = (case.weights(), case.bias());
+        let x = case.input();
+        for n in 0..case.batch {
+            let tile = x.extract_window(n, case.window());
+            let naive = conv2d_forward(&tile, &w, &bias);
+            for tier in TIERS {
+                let y = forced_kernel_scope(tier, || conv2d_forward_im2col(&tile, &w, &bias));
+                assert_eq!(y.shape(), naive.shape(), "{case:?}");
+                for (i, (p, q)) in naive.as_slice().iter().zip(y.as_slice()).enumerate() {
+                    assert!(
+                        (p - q).abs() <= 1e-4,
+                        "{} tile deviates at {i}: {p} vs {q} ({case:?})",
+                        tier.label()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Streaming ≡ whole-plane, f32: for every case and tier the streaming
+/// conv — reading the window straight from the parent tensor, packing
+/// per column chunk, writing in place — equals `gemm_f32_packed` over
+/// `im2col_pack_panels_window` **bit for bit** (same plan, same tiles,
+/// same accumulation chain; only where B lives differs).
+#[test]
+fn f32_streaming_conv_equals_the_prepacked_gemm_bit_for_bit() {
+    for case in CASES {
+        let (w, bias) = (case.weights(), case.bias());
+        let x = case.input();
+        let win = case.window();
+        let (rows, plane) = (case.ci * case.k * case.k, win.h * win.w);
+        let plan = w.packed();
+        for n in 0..case.batch {
+            let bp = case.panels(&x, n, NR_F32);
+            for tier in TIERS {
+                let whole = forced_kernel_scope(tier, || {
+                    gemm_f32_packed(&bp, plane, rows, case.co, &w.data, &bias)
+                });
+                let mut streamed = vec![f32::NAN; case.co * plane];
+                forced_kernel_scope(tier, || {
+                    conv_streaming_f32(&x.conv_input(n, win), case.k, &plan, &bias, &mut streamed);
+                });
+                let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&streamed),
+                    bits(&whole.concat()),
+                    "{} tile, item {n} ({case:?})",
                     tier.label()
                 );
             }
@@ -187,39 +288,76 @@ fn f32_gemm_matches_naive_under_every_forced_backend() {
     }
 }
 
-/// The i64 half of the table: the blocked driver with the requant
-/// epilogue fused in is **bit-identical**, under each forced tier, to
-/// the matrix-level reference loop followed by the unfused per-channel
-/// requantization — zero rows, saturation rails and i32-overflowing
-/// operands (the AVX2 exactness gate) included.
+/// The i64 half of the table: the streaming conv and the pre-packed
+/// GEMM, each with the requant epilogue fused in, are **bit-identical**
+/// under each forced tier to the matrix-level reference loop followed
+/// by the unfused per-channel requantization — zero rows, saturation
+/// rails and i32-overflowing operands on either side (the AVX2
+/// exactness gate: the weight half decided in the plan, the activation
+/// half on the unpacked input) included.
 #[test]
 fn i64_gemm_rails_and_wide_operands_are_bit_exact() {
+    // A float no input reaches (inputs lie in [-2, 2)), marking the
+    // pixel whose fixed-point image becomes the wide activation.
+    const MARK: f32 = 3.0;
     for case in CASES {
-        let x = case.input();
-        let xq = to_fixed(x.as_slice());
+        let mut x = case.input();
+        if case.wide == Wide::Activation {
+            x.as_mut_slice()[0] = MARK;
+        }
+        // Every copy of the marked pixel (one per tap that reads it)
+        // becomes 2^33 + 1, which no f32 image could carry.
+        let widen = |mut q: Vec<i64>| {
+            for v in q.iter_mut().filter(|v| **v == to_fixed(&[MARK])[0]) {
+                *v = (1 << 33) + 1;
+            }
+            q
+        };
+        let win = case.window();
         let mut weights = to_fixed(&case.weights().data);
-        if case.wide {
+        if case.wide == Wide::Weight {
             weights[case.ci * case.k * case.k + 1] = 1 << 40;
         }
         // Accumulators carry 20 fractional bits (10 + 10).
         let bias: Vec<i64> = to_fixed(&case.bias()).iter().map(|b| b << 10).collect();
-        let plan = case.requant_plan();
-        let (rows, plane) = (case.ci * case.k * case.k, case.h * case.w);
+        let requant = case.requant_plan();
+        let (rows, plane) = (case.ci * case.k * case.k, win.h * win.w);
+        let plan = PackedWeights::<i64>::new(case.co, rows, &weights);
+        let item = case.ci * case.h * case.w;
         for n in 0..case.batch {
-            let col = im2col_pack_i64(&xq, x.shape(), n, case.k);
+            let xq = widen(to_fixed(&x.as_slice()[n * item..(n + 1) * item]));
+            let col = widen(to_fixed(&im2col_pack_window(&x, n, case.k, win)));
+            let bp = widen(to_fixed(&case.panels(&x, n, NR_I64)));
+            assert_eq!(case.wide == Wide::Activation, !fits_i32(&bp), "{case:?}");
             let mut want = gemm::reference(&col, plane, rows, case.co, &weights, &bias);
-            if let Some(plan) = &plan {
-                for (p, ch) in want.iter_mut().zip(&plan.channels) {
+            if let Some(requant) = &requant {
+                for (p, ch) in want.iter_mut().zip(&requant.channels) {
                     p.iter_mut().for_each(|v| *v = ch.apply(*v));
                 }
             }
             for tier in TIERS {
-                let got = forced_kernel_scope(tier, || {
-                    gemm_i64(&col, plane, rows, case.co, &weights, &bias, plan.as_ref())
+                let whole = forced_kernel_scope(tier, || {
+                    let fits = fits_i32(&bp);
+                    let (co, rq) = (case.co, requant.as_ref());
+                    gemm_i64_packed(&bp, plane, rows, co, &weights, &bias, rq, fits)
                 });
-                assert_eq!(got, want, "{} tile, item {n} ({case:?})", tier.label());
+                assert_eq!(whole, want, "{} tile, item {n} ({case:?})", tier.label());
+                let mut streamed = vec![i64::MIN; case.co * plane];
+                forced_kernel_scope(tier, || {
+                    let input = ConvInput::new(&xq, case.ci, case.h, case.w, win);
+                    let rq = requant.as_ref();
+                    conv_streaming_i64(&input, case.k, &plan, &bias, rq, &mut streamed);
+                });
+                assert_eq!(
+                    streamed,
+                    want.concat(),
+                    "{} tile streamed, item {n} ({case:?})",
+                    tier.label()
+                );
             }
-            if let (Requant::Rails, Zeros::Pruned, Some(plan)) = (case.requant, case.zeros, &plan) {
+            if let (Requant::Rails, Zeros::Pruned, Some(plan)) =
+                (case.requant, case.zeros, &requant)
+            {
                 // The table does what it says: the left-shifting channel
                 // sits on the rails (a zero accumulator stays zero), and
                 // the pruned channel 0 is its requantized bias everywhere.
