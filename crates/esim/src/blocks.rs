@@ -17,46 +17,14 @@ use crate::engine::{EngineGeometry, EnginePass};
 use crate::sim::SimReport;
 use ringcnn_hw::prelude::{layout_report, AcceleratorConfig, TechParams};
 use ringcnn_quant::prelude::*;
-use ringcnn_quant::quantized::QLayer;
 use ringcnn_tensor::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Receptive-field radius of a quantized model, in input pixels: the
-/// halo needed for bit-exact block-based inference.
-///
-/// Tracks the resolution ratio through shuffles; each `k×k` convolution
-/// adds `⌊k/2⌋` at the current feature resolution.
+/// halo needed for bit-exact block-based inference (the radius of the
+/// tiled CPU runtime's [`QuantizedModel::topology`]).
 pub fn receptive_halo(qm: &QuantizedModel) -> usize {
-    fn walk(layers: &[QLayer], stride_num: &mut usize, stride_den: &mut usize) -> f64 {
-        let mut halo = 0.0f64;
-        for l in layers {
-            match l {
-                QLayer::Conv(c) => {
-                    halo += (c.k() / 2) as f64 * (*stride_num as f64 / *stride_den as f64);
-                }
-                QLayer::Unshuffle(r) => *stride_num *= r,
-                QLayer::Shuffle(r) => *stride_den *= r,
-                QLayer::Residual(res) => {
-                    let (mut n2, mut d2) = (*stride_num, *stride_den);
-                    halo += walk(res.body(), &mut n2, &mut d2);
-                    *stride_num = n2;
-                    *stride_den = d2;
-                }
-                QLayer::UpsampleResidual(res) => {
-                    let (mut n2, mut d2) = (*stride_num, *stride_den);
-                    // Bicubic kernel reaches 2 source pixels.
-                    halo += 2.0 * (*stride_num as f64 / *stride_den as f64);
-                    halo += walk(res.body(), &mut n2, &mut d2);
-                    *stride_num = n2;
-                    *stride_den = d2;
-                }
-                _ => {}
-            }
-        }
-        halo
-    }
-    let (mut n, mut d) = (1usize, 1usize);
-    walk(qm.layers(), &mut n, &mut d).ceil() as usize
+    qm.topology().radius
 }
 
 /// Report of one block-based inference.
@@ -85,8 +53,6 @@ pub struct BlockedReport {
 /// each extended block through the quantized model, and stitches the
 /// central crops.
 ///
-/// Output scale is inferred from a probe (SR models upscale).
-///
 /// # Panics
 ///
 /// Panics if `block` is not a multiple of 4 (the pixel-shuffle parity
@@ -109,14 +75,11 @@ pub fn simulate_blocked(
     // Halo must keep pixel-shuffle parity.
     let halo = halo.next_multiple_of(4);
 
-    // Determine the output scale with a probe block.
-    let probe = extract_block(input, 0, 0, block, 0);
-    let probe_out = qm.forward(&probe);
-    let scale_num = probe_out.shape().h;
-    let scale_den = block;
+    // SR models upscale: output pixels per input pixel.
+    let (scale_num, scale_den) = qm.topology().scale;
     let out_shape = Shape4::new(
         1,
-        probe_out.shape().c,
+        qm.out_channels(s.c),
         s.h * scale_num / scale_den,
         s.w * scale_num / scale_den,
     );
@@ -129,13 +92,9 @@ pub fn simulate_blocked(
     for by in (0..s.h).step_by(block) {
         for bx in (0..s.w).step_by(block) {
             blocks += 1;
-            let ext = extract_block(
-                input,
-                by as isize - halo as isize,
-                bx as isize - halo as isize,
-                block + 2 * halo,
-                0,
-            );
+            // Zero-padded at true image borders.
+            let core = Window::new(by as isize, bx as isize, block, block);
+            let ext = input.extract_window(0, core.with_halo(halo));
             dram_input_bytes += (ext.shape().len()) as u64;
             // Run through the engine-accounted path.
             let q = QTensor::quantize(&ext, vec![qm.input_format(); ext.shape().c]);
@@ -150,21 +109,15 @@ pub fn simulate_blocked(
             );
             let block_out = qout.dequantize();
             // Crop the center and stitch.
-            let oy = halo * scale_num / scale_den;
-            let ox = oy;
+            let o = (halo * scale_num / scale_den) as isize;
             let ob = block * scale_num / scale_den;
-            for c in 0..out_shape.c {
-                for y in 0..ob {
-                    for x in 0..ob {
-                        *out.at_mut(
-                            0,
-                            c,
-                            by * scale_num / scale_den + y,
-                            bx * scale_num / scale_den + x,
-                        ) = block_out.at(0, c, oy + y, ox + x);
-                    }
-                }
-            }
+            out.paste_window(
+                0,
+                by * scale_num / scale_den,
+                bx * scale_num / scale_den,
+                &block_out,
+                Window::new(o, o, ob, ob),
+            );
         }
     }
     let report = layout_report(accel, tech);
@@ -181,29 +134,6 @@ pub fn simulate_blocked(
         energy_j: report.power_w * seconds,
     };
     (out, blocked)
-}
-
-/// Extracts a `size×size` window starting at (possibly negative)
-/// `(y0, x0)`, zero-padding outside the image.
-fn extract_block(input: &Tensor, y0: isize, x0: isize, size: usize, fill: i32) -> Tensor {
-    let s = input.shape();
-    let mut out = Tensor::full(Shape4::new(1, s.c, size, size), fill as f32);
-    for c in 0..s.c {
-        for y in 0..size {
-            let yy = y0 + y as isize;
-            if yy < 0 || yy >= s.h as isize {
-                continue;
-            }
-            for x in 0..size {
-                let xx = x0 + x as isize;
-                if xx < 0 || xx >= s.w as isize {
-                    continue;
-                }
-                *out.at_mut(0, c, y, x) = input.at(0, c, yy as usize, xx as usize);
-            }
-        }
-    }
-    out
 }
 
 /// Extends a whole-frame [`SimReport`] with the block-based DRAM figure

@@ -35,7 +35,7 @@ fn main() -> ExitCode {
                 Some(r) => r,
                 None => {
                     eprintln!(
-                        "ringcnn-lint: no repo root (crates/ + docs/PROTOCOL.md) above {}",
+                        "ringcnn-lint: no repo root (crates/ + docs/ANALYSIS.md) above {}",
                         cwd.display()
                     );
                     return ExitCode::FAILURE;

@@ -7,10 +7,8 @@
 //! re-verify by eye on every change. This crate machine-checks the
 //! invariants that keep them honest: every `unsafe` carries a SAFETY
 //! rationale, every `Ordering::Relaxed` outside the profiling
-//! allowlist justifies itself, seqlock files pair Acquire/Release,
-//! the serve layer stays free of ad-hoc prints and event-loop panics,
-//! and `docs/PROTOCOL.md` stays bidirectionally consistent with the
-//! wire constants in `frame.rs`/`protocol.rs`/`error.rs`.
+//! allowlist justifies itself, seqlock files pair Acquire/Release, and
+//! the serve layer stays free of ad-hoc prints and event-loop panics.
 //!
 //! Std-only by construction: a hand-rolled token scanner
 //! ([`scan`]) understands comments, strings, raw strings, and
@@ -27,7 +25,6 @@
 
 pub mod rules;
 pub mod scan;
-pub mod wire;
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -106,10 +103,6 @@ pub const RULES: &[Rule] = &[
         name: "suppression",
         summary: "`lint:allow(<rule>): <reason>` must name a suppressible rule and give a reason",
     },
-    Rule {
-        name: "wire-conformance",
-        summary: "PROTOCOL.md and the frame/protocol/error constants agree, bidirectionally",
-    },
 ];
 
 /// Lints one Rust source file. `rel` is the repo-relative path with
@@ -119,8 +112,7 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Violation> {
 }
 
 /// Lints the whole tree: every `.rs` file under `crates/` and
-/// `shims/`, plus the wire-conformance cross-checks. Results are
-/// ordered by path, then line.
+/// `shims/`. Results are ordered by path, then line.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
     let mut files = Vec::new();
     for top in ["crates", "shims"] {
@@ -137,7 +129,6 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
             .replace('\\', "/");
         out.extend(lint_source(&rel, &src));
     }
-    out.extend(wire::check(root));
     out.sort_by(|a, b| (a.path.as_str(), a.line).cmp(&(b.path.as_str(), b.line)));
     Ok(out)
 }
@@ -164,11 +155,11 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 }
 
 /// The workspace root: walks upward from `start` to the first
-/// directory containing both `crates/` and `docs/PROTOCOL.md`.
+/// directory containing both `crates/` and `docs/ANALYSIS.md`.
 pub fn find_root(start: &Path) -> Option<PathBuf> {
     let mut dir = Some(start);
     while let Some(d) = dir {
-        if d.join("crates").is_dir() && d.join("docs/PROTOCOL.md").is_file() {
+        if d.join("crates").is_dir() && d.join("docs/ANALYSIS.md").is_file() {
             return Some(d.to_path_buf());
         }
         dir = d.parent();

@@ -7,10 +7,8 @@
 use crate::scan::{self, Scanned};
 use crate::Violation;
 
-/// Rules that may be suppressed inline. `suppression` and
-/// `wire-conformance` are deliberately absent: the former would be
-/// self-defeating, the latter is a cross-file property with no single
-/// line to hang an allow on (fix the doc or the constant instead).
+/// Rules that may be suppressed inline. `suppression` is deliberately
+/// absent: suppressing it would be self-defeating.
 pub const SUPPRESSIBLE: &[&str] = &[
     "safety-comment",
     "ordering-comment",
@@ -502,7 +500,7 @@ x.unwrap();
 
     #[test]
     fn suppression_of_unknown_or_unsuppressible_rule_is_rejected() {
-        for rule in ["not-a-rule", "wire-conformance", "suppression"] {
+        for rule in ["not-a-rule", "suppression"] {
             let src = format!("x.unwrap(); // lint:allow({rule}): because\n");
             let rules = rules_for("crates/serve/src/scheduler.rs", &src);
             assert!(rules.contains(&"suppression"), "{rule}: {rules:?}");

@@ -148,8 +148,8 @@ fn topo_visit(walk: &mut TopoBuilder, layer: &mut dyn Layer) {
         return;
     }
     if let Some(ur) = layer.as_any_mut().downcast_mut::<UpsampleResidual>() {
-        // The bicubic skip reaches 2 source pixels (cf. the esim
-        // receptive_halo walk); the body carries the scale change.
+        // The bicubic skip reaches 2 source pixels; the body carries the
+        // scale change.
         walk.add_radius_here(2.0);
         for l in ur.body_mut().layers_mut() {
             topo_visit(walk, l.as_mut());

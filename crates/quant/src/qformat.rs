@@ -136,55 +136,11 @@ impl QFormat {
     }
 }
 
-/// Shifts a fixed-point integer from `from_frac` to `to_frac` fractional
-/// bits — the hardware requantizer.
-///
-/// Right shifts (to a coarser format) round **half away from zero**,
-/// matching [`QFormat::quantize`]; left shifts (to a finer format)
-/// **saturate** at the `i64` range instead of wrapping. Both directions
-/// are total: any `(q, from_frac, to_frac)` input produces the exact
-/// rational rescale `q · 2^(to_frac − from_frac)` rounded/saturated into
-/// `i64`, never shift-overflow garbage or a panic.
-#[inline]
-pub fn requant_shift(q: i64, from_frac: i32, to_frac: i32) -> i64 {
-    let s = i64::from(from_frac) - i64::from(to_frac);
-    if s == 0 {
-        q
-    } else if s > 0 {
-        // Right shift with round half away from zero: round the
-        // magnitude (u128 so the bias add cannot wrap even for
-        // i64::MIN), then restore the sign. Shifts past 127 bits are
-        // identically zero.
-        if s > 127 {
-            return 0;
-        }
-        let sh = s as u32;
-        let mag = ((q.unsigned_abs() as u128 + (1u128 << (sh - 1))) >> sh) as i64;
-        if q < 0 {
-            -mag
-        } else {
-            mag
-        }
-    } else {
-        // Left shift, saturating. Any shift of ≥ 64 bits overflows every
-        // non-zero i64; below that, widen to i128 and clamp.
-        if q == 0 {
-            return 0;
-        }
-        let sh = -s;
-        if sh >= 64 {
-            return if q > 0 { i64::MAX } else { i64::MIN };
-        }
-        let wide = (q as i128) << sh;
-        if wide > i64::MAX as i128 {
-            i64::MAX
-        } else if wide < i64::MIN as i128 {
-            i64::MIN
-        } else {
-            wide as i64
-        }
-    }
-}
+/// The hardware requantizer: shifts a fixed-point integer between
+/// fractional-bit counts, rounding right shifts **half away from zero**
+/// (matching [`QFormat::quantize`]) and **saturating** left shifts. It
+/// is the function the integer GEMM's fused epilogue applies.
+pub use ringcnn_tensor::gemm::requant_shift_i64 as requant_shift;
 
 #[cfg(test)]
 mod tests {

@@ -155,29 +155,6 @@ impl QTensor {
             formats: out_formats,
         }
     }
-
-    /// Applies a channel permutation `new_c → old_c` producing a reshaped
-    /// tensor (used by pixel shuffle/unshuffle, which are exact in fixed
-    /// point). The caller provides the output shape and, for each output
-    /// element, the source flat index.
-    pub fn permuted(
-        &self,
-        shape: Shape4,
-        formats: Vec<QFormat>,
-        map: impl Fn(usize) -> usize,
-    ) -> QTensor {
-        assert_eq!(
-            shape.len(),
-            self.data.len(),
-            "permutation must preserve size"
-        );
-        let data: Vec<i64> = (0..shape.len()).map(|i| self.data[map(i)]).collect();
-        QTensor {
-            shape,
-            data,
-            formats,
-        }
-    }
 }
 
 /// Computes per-channel-group max-abs statistics of a float tensor:

@@ -430,6 +430,7 @@ impl QuantizedModel {
 
     /// Structural validation for untrusted pipelines (deserialized model
     /// files): channel chains must be consistent, shuffles divisible,
+    /// every conv accumulator fed one scale (or an aligner in front),
     /// tuple sizes powers of two, stored Q-formats within the serving
     /// bounds (2–16 bits, |frac| ≤ 64 — everything the ≤16-bit
     /// calibration flow produces), weights within their declared
@@ -449,7 +450,7 @@ impl QuantizedModel {
             return Err("channels_io must be at least 1".into());
         }
         validate_format(self.input_format, "input format")?;
-        validate_chain(&self.layers, channels_io)?;
+        validate_chain(&self.layers, vec![self.input_format; channels_io])?;
         Ok(())
     }
 }
@@ -548,10 +549,12 @@ fn validate_formats(fs: &[QFormat], what: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Walks the chain with a running channel count, returning the output
-/// channel count or the first inconsistency.
-fn validate_chain(layers: &[QLayer], mut c: usize) -> Result<usize, String> {
+/// Walks the chain with the running per-channel formats — the ones the
+/// `run_*` functions would see, derived by the same rules — returning
+/// the output formats or the first inconsistency.
+fn validate_chain(layers: &[QLayer], mut formats: Vec<QFormat>) -> Result<Vec<QFormat>, String> {
     for (i, l) in layers.iter().enumerate() {
+        let c = formats.len();
         match l {
             QLayer::Conv(conv) => {
                 if conv.ci != c {
@@ -621,8 +624,11 @@ fn validate_chain(layers: &[QLayer], mut c: usize) -> Result<usize, String> {
                 }
                 if let Some(a) = conv.align_input {
                     validate_format(a, "conv align format")?;
+                    formats = vec![a; c];
                 }
-                c = conv.co;
+                let acc_frac = conv_acc_fracs(conv, &formats, &tap_support(conv))
+                    .map_err(|e| format!("layer {i}: {e}"))?;
+                formats = conv_out_formats(conv, &acc_frac);
             }
             QLayer::Relu => {}
             QLayer::DRelu(d) => {
@@ -642,36 +648,39 @@ fn validate_chain(layers: &[QLayer], mut c: usize) -> Result<usize, String> {
                     validate_format(*mid, "directional ReLU mid format")?;
                 }
                 validate_formats(&d.out_formats, "directional ReLU output format")?;
+                formats = expand_formats(&d.out_formats, c);
             }
             QLayer::Shuffle(r) => {
                 if *r == 0 || c % (r * r) != 0 {
                     return Err(format!("layer {i}: cannot shuffle {c} channels by {r}"));
                 }
-                c /= r * r;
+                formats = shuffle_formats(&formats, *r);
             }
             QLayer::Unshuffle(r) => {
                 if *r == 0 {
                     return Err(format!("layer {i}: unshuffle factor 0"));
                 }
-                c *= r * r;
+                formats = unshuffle_formats(&formats, *r);
             }
             QLayer::Residual(res) => {
-                let co = validate_chain(&res.body, c)?;
+                let co = validate_chain(&res.body, formats)?.len();
                 if co != c {
                     return Err(format!("layer {i}: residual body maps {c} → {co} channels"));
                 }
                 validate_formats(&res.out_formats, "residual output format")?;
+                formats = expand_formats(&res.out_formats, c);
             }
             QLayer::UpsampleResidual(ur) => {
                 if ur.factor == 0 {
                     return Err(format!("layer {i}: upsample factor 0"));
                 }
-                c = validate_chain(&ur.body, c)?;
+                let co = validate_chain(&ur.body, formats)?.len();
                 validate_formats(&ur.out_formats, "upsample-residual output format")?;
+                formats = expand_formats(&ur.out_formats, co);
             }
         }
     }
-    Ok(c)
+    Ok(formats)
 }
 
 // ---------------------------------------------------------------------
@@ -804,12 +813,12 @@ fn build_chain_grouped(
             x = y;
             cur_groups = groups;
         } else if let Some(ps) = layer.as_any_mut().downcast_mut::<PixelShuffle>() {
-            let r = r_of_shuffle(ps.name());
+            let r = ps.spatial_scale().0;
             out.push(QLayer::Shuffle(r));
             x = ps.forward(&x, false);
             cur_groups = if cur_groups == 1 { 1 } else { UNGROUPED };
         } else if let Some(pu) = layer.as_any_mut().downcast_mut::<PixelUnshuffle>() {
-            let r = r_of_shuffle(pu.name());
+            let r = pu.spatial_scale().1;
             out.push(QLayer::Unshuffle(r));
             x = pu.forward(&x, false);
             cur_groups = if cur_groups == 1 { 1 } else { UNGROUPED };
@@ -926,14 +935,6 @@ fn hadamard_intermediate_max(x: &Tensor, n: usize) -> f64 {
     maxv
 }
 
-fn r_of_shuffle(name: String) -> usize {
-    // Names are "pixel_shuffle(x2)" / "pixel_unshuffle(x2)".
-    name.rsplit("(x")
-        .next()
-        .and_then(|s| s.trim_end_matches(')').parse().ok())
-        .expect("shuffle factor in layer name")
-}
-
 // ---------------------------------------------------------------------
 // Integer execution.
 // ---------------------------------------------------------------------
@@ -981,31 +982,48 @@ fn tap_support(c: &QConv) -> Vec<bool> {
         .collect()
 }
 
-/// Resolves the accumulator frac of every output channel from the input
-/// formats over the conv's tap `support`, and validates that each
-/// channel accumulates a consistent scale (component-wise formats
-/// require component-aligned rings).
-fn resolve_acc_fracs(c: &QConv, q: &QTensor, support: &[bool]) -> Vec<i32> {
-    let mut acc_frac = vec![i32::MIN; c.co];
-    for co in 0..c.co {
-        for ci in (0..c.ci).filter(|ci| support[co * c.ci + ci]) {
-            let f = c.w_format.frac + q.format_of(ci).frac;
-            if acc_frac[co] == i32::MIN {
-                acc_frac[co] = f;
-            } else {
-                assert_eq!(
-                    acc_frac[co], f,
-                    "inconsistent accumulator scale for output channel {co}: \
-                     component-wise formats require component-aligned rings"
-                );
+/// Resolves the accumulator frac of every output channel from the
+/// (aligned) input `formats` over the conv's tap `support`.
+///
+/// # Errors
+///
+/// An output channel whose taps combine different scales: component-wise
+/// formats require component-aligned rings or an aligner in front.
+fn conv_acc_fracs(c: &QConv, formats: &[QFormat], support: &[bool]) -> Result<Vec<i32>, String> {
+    // An all-zero filter reaches no input; any scale works.
+    let mut acc_frac = vec![c.w_format.frac + formats[0].frac; c.co];
+    for (co, acc) in acc_frac.iter_mut().enumerate() {
+        let mut fracs = (0..c.ci)
+            .filter(|ci| support[co * c.ci + ci])
+            .map(|ci| c.w_format.frac + formats[ci].frac);
+        if let Some(first) = fracs.next() {
+            *acc = first;
+            if let Some(other) = fracs.find(|f| *f != first) {
+                return Err(format!(
+                    "inconsistent accumulator scale for output channel {co} \
+                     (fracs {first} and {other}): component-wise formats require \
+                     component-aligned rings or an input aligner"
+                ));
             }
         }
-        if acc_frac[co] == i32::MIN {
-            // All-zero filter; any scale works.
-            acc_frac[co] = c.w_format.frac + q.format_of(0).frac;
-        }
     }
-    acc_frac
+    Ok(acc_frac)
+}
+
+/// The run-time backstop of [`QuantizedModel::validate`]'s scale check.
+fn resolve_acc_fracs(c: &QConv, q: &QTensor, support: &[bool]) -> Vec<i32> {
+    conv_acc_fracs(c, q.formats(), support).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// A conv's output formats: its requant table, or the kept accumulator.
+fn conv_out_formats(c: &QConv, acc_frac: &[i32]) -> Vec<QFormat> {
+    match &c.requant {
+        Some(fmts) => fmts.clone(),
+        None => acc_frac
+            .iter()
+            .map(|f| QFormat { bits: 32, frac: *f })
+            .collect(),
+    }
 }
 
 /// Aligns mixed per-channel input formats when the conv demands it.
@@ -1021,8 +1039,8 @@ fn align_conv_input(c: &QConv, q: &QTensor) -> Option<QTensor> {
 /// in place. The weight plan and tap support come from
 /// `prepare_inference` (an unprepared conv derives them locally).
 /// Integer accumulation is order-independent, the AVX2 path guards its
-/// i32-operand requirement, and the fused epilogue replicates
-/// [`requant_shift`] + saturation bit for bit, so this is
+/// i32-operand requirement, and the fused epilogue applies the same
+/// [`requant_shift`] + saturation, so this is
 /// **bit-identical** to [`run_conv_reference`] at any thread count and
 /// on every kernel backend — the equivalence suite in
 /// `tests/quant_backend.rs` asserts it.
@@ -1056,22 +1074,14 @@ fn run_conv(c: &QConv, q: &QTensor) -> QTensor {
             &mut data[b * item_out..(b + 1) * item_out],
         );
     }
-    let formats: Vec<QFormat> = match &c.requant {
-        Some(fmts) => fmts.clone(),
-        None => acc_frac
-            .iter()
-            .map(|f| QFormat { bits: 32, frac: *f })
-            .collect(),
-    };
-    QTensor::from_raw(out_shape, data, formats)
+    QTensor::from_raw(out_shape, data, conv_out_formats(c, &acc_frac))
 }
 
 /// Builds the fused-epilogue requant plan: shift each channel from its
 /// accumulator frac to the output format and clamp at the output
 /// bitwidth rails — exactly what [`QTensor::requantized`] does after
-/// the fact (the unfused path [`run_conv_reference`] still takes; the
-/// bit-for-bit agreement of the replicated shift is asserted in this
-/// module's tests).
+/// the fact, with the same shift function (the unfused path
+/// [`run_conv_reference`] still takes).
 fn requant_plan(fmts: &[QFormat], acc_frac: &[i32]) -> ringcnn_tensor::gemm::RequantPlan {
     ringcnn_tensor::gemm::RequantPlan {
         channels: fmts
@@ -1250,21 +1260,29 @@ fn run_drelu(d: &QDRelu, q: &QTensor) -> QTensor {
     QTensor::from_raw(s, out, out_formats)
 }
 
+/// Output formats of a shuffle: the r² source channels of one output
+/// channel may have distinct formats only if a grouped format crosses
+/// the shuffle — take the coarsest (the data is requantized to it).
+fn shuffle_formats(formats: &[QFormat], r: usize) -> Vec<QFormat> {
+    formats
+        .chunks(r * r)
+        .map(|src| *src.iter().min_by_key(|f| f.frac).expect("r > 0"))
+        .collect()
+}
+
+/// Output formats of an unshuffle: each channel's format, r² times.
+fn unshuffle_formats(formats: &[QFormat], r: usize) -> Vec<QFormat> {
+    formats
+        .iter()
+        .flat_map(|f| std::iter::repeat_n(*f, r * r))
+        .collect()
+}
+
 fn run_shuffle(q: &QTensor, r: usize) -> QTensor {
     let s = q.shape();
     let out_shape = Shape4::new(s.n, s.c / (r * r), s.h * r, s.w * r);
     let mut data = vec![0i64; out_shape.len()];
-    let mut formats = vec![q.format_of(0); out_shape.c];
-    for oc in 0..out_shape.c {
-        // The r² source channels of one output channel may have distinct
-        // formats only if a grouped format crosses the shuffle — take the
-        // coarsest and requantize exactly below.
-        let coarsest = (0..r * r)
-            .map(|k| q.format_of(oc * r * r + k))
-            .min_by_key(|f| f.frac)
-            .unwrap();
-        formats[oc] = coarsest;
-    }
+    let formats = shuffle_formats(q.formats(), r);
     for b in 0..s.n {
         for oc in 0..out_shape.c {
             let fo = formats[oc];
@@ -1292,10 +1310,7 @@ fn run_unshuffle(q: &QTensor, r: usize) -> QTensor {
     let s = q.shape();
     let out_shape = Shape4::new(s.n, s.c * r * r, s.h / r, s.w / r);
     let mut data = vec![0i64; out_shape.len()];
-    let mut formats = vec![q.format_of(0); out_shape.c];
-    for oc in 0..out_shape.c {
-        formats[oc] = q.format_of(oc / (r * r));
-    }
+    let formats = unshuffle_formats(q.formats(), r);
     for b in 0..s.n {
         for c in 0..s.c {
             for y in 0..out_shape.h {
@@ -1338,42 +1353,6 @@ mod tests {
         };
         let _ = train_regression(&mut model, &set.inputs, &set.targets, &cfg);
         (model, set.inputs, set.targets)
-    }
-
-    #[test]
-    fn fused_epilogue_shift_replicates_requant_shift_bit_for_bit() {
-        // The tensor crate cannot depend on this crate, so the fused
-        // GEMM epilogue carries its own copy of `requant_shift`. The two
-        // must stay bit-identical over the full rails: round half away
-        // from zero on right shifts, i64 saturation on left shifts.
-        let values = [
-            0i64,
-            1,
-            -1,
-            2,
-            -2,
-            127,
-            -128,
-            255,
-            -255,
-            (1 << 20) + 12345,
-            -(1 << 20) - 12345,
-            i64::MAX,
-            i64::MIN,
-            i64::MAX / 3,
-            i64::MIN / 3,
-        ];
-        for &v in &values {
-            for from in [-140i32, -64, -8, -1, 0, 1, 7, 31, 64, 140] {
-                for to in [-140i32, -64, -8, -1, 0, 1, 7, 31, 64, 140] {
-                    assert_eq!(
-                        requant_shift(v, from, to),
-                        ringcnn_tensor::gemm::requant_shift_i64(v, from, to),
-                        "v={v} from={from} to={to}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

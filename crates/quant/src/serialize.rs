@@ -279,4 +279,28 @@ mod tests {
             "{err}"
         );
     }
+
+    #[test]
+    fn stripped_alignment_is_rejected() {
+        // (RH4, fcw): the first ring conv emits component-wise formats
+        // and RH4 mixes components, so the second conv carries an input
+        // aligner. Without it one accumulator would sum different
+        // scales — a panic on the first forward if validation let it by.
+        let alg = Algebra::with_fcw(ringcnn_algebra::ring::RingKind::Rh(4));
+        let mut model = Sequential::new()
+            .with(alg.conv(4, 8, 3, 3))
+            .with_opt(alg.activation())
+            .with(alg.conv(8, 4, 3, 5));
+        let x = Tensor::random_uniform(Shape4::new(2, 4, 10, 10), 0.0, 1.0, 9);
+        let qm = QuantizedModel::quantize(&mut model, &x, QuantOptions::default());
+        let json = qmodel_to_json(&export_qmodel("m", "tiny", &alg.label(), 4, 20.0, qm).unwrap());
+        let start = json.find("\"align_input\":{").expect("an aligned conv");
+        let end = start + json[start..].find('}').unwrap() + 1;
+        let evil = format!("{}\"align_input\":null{}", &json[..start], &json[end..]);
+        let err = qmodel_from_json(&evil).unwrap_err();
+        assert!(
+            matches!(err, QModelLoadError::Invalid(ref m) if m.contains("accumulator scale")),
+            "{err}"
+        );
+    }
 }

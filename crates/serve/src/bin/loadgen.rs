@@ -17,8 +17,8 @@
 //! a registry hot-reload pass before the run and prints the report.
 //! `--shutdown` sends the `shutdown` verb at the end so a scripted
 //! server run can `wait` on a clean exit. After every run the harness
-//! asserts `stats` v2 invariants against the server (histogram totals
-//! vs completion counters, published bucket edges). An argument outside
+//! asserts the stats snapshot's invariants against the server (histogram
+//! totals vs completion counters, published bucket edges). An argument outside
 //! the list above, a flag without its value or a value that does not
 //! parse exits non-zero with the usage line. Performance numbers come
 //! from the repo benchmark (`crates/bench/src/bin/benchmark`), not from

@@ -11,7 +11,7 @@
 
 use crate::error::ServeError;
 use crate::frame::{self, Tile};
-use crate::protocol::{ModelInfo, Request, Response, Wire};
+use crate::protocol::{HealthReply, ModelInfo, Request, Response, Wire};
 use crate::registry::{Precision, ReloadReport};
 use crate::server::MAX_LINE_BYTES;
 use crate::stats::StatsSnapshot;
@@ -34,21 +34,6 @@ pub struct InferReply {
     pub batch_size: usize,
 }
 
-/// `health` verb payload.
-pub struct HealthReply {
-    /// Whether the service admits work.
-    pub healthy: bool,
-    /// Registered model count.
-    pub models: usize,
-    /// Current queue depth.
-    pub queue_depth: usize,
-    /// The GEMM kernel variant the server selected at startup
-    /// (honoring `RINGCNN_KERNEL`): `"avx2"` or `"scalar"`.
-    pub kernel: String,
-    /// Milliseconds since the server started.
-    pub uptime_ms: f64,
-}
-
 /// One connection to a `ringcnn-serve` instance.
 ///
 /// # Example
@@ -65,7 +50,7 @@ pub struct HealthReply {
 /// // …or with a 25 ms latency budget the server may reject on arrival:
 /// match client.infer_deadline("ffdnet_real", &input, Precision::Fp64, 25.0) {
 ///     Ok(reply) => println!("served in {:.2} ms", reply.total_ms),
-///     Err(e) if e.code() == "deadline" => println!("shed: {e}"),
+///     Err(e @ ServeError::Deadline { .. }) => println!("shed: {e}"),
 ///     Err(e) => return Err(e),
 /// }
 /// // Admin verbs: force a registry hot-reload pass.
@@ -342,7 +327,7 @@ impl Client {
                     batch_size,
                 })
             }
-            other => Err(unexpected("infer", &other)),
+            other => Err(unexpected(&req, &other)),
         }
     }
 
@@ -352,9 +337,10 @@ impl Client {
     ///
     /// Transport failures.
     pub fn list_models(&mut self) -> Result<Vec<ModelInfo>, ServeError> {
-        match self.roundtrip(&Request::ListModels)? {
+        let req = Request::ListModels;
+        match self.roundtrip(&req)? {
             Response::ListModels(m) => Ok(m),
-            other => Err(unexpected("list_models", &other)),
+            other => Err(unexpected(&req, &other)),
         }
     }
 
@@ -364,9 +350,10 @@ impl Client {
     ///
     /// Transport failures.
     pub fn stats(&mut self) -> Result<StatsSnapshot, ServeError> {
-        match self.roundtrip(&Request::Stats)? {
+        let req = Request::Stats;
+        match self.roundtrip(&req)? {
             Response::Stats(s) => Ok(s),
-            other => Err(unexpected("stats", &other)),
+            other => Err(unexpected(&req, &other)),
         }
     }
 
@@ -376,21 +363,10 @@ impl Client {
     ///
     /// Transport failures.
     pub fn health(&mut self) -> Result<HealthReply, ServeError> {
-        match self.roundtrip(&Request::Health)? {
-            Response::Health {
-                healthy,
-                models,
-                queue_depth,
-                kernel,
-                uptime_ms,
-            } => Ok(HealthReply {
-                healthy,
-                models,
-                queue_depth,
-                kernel,
-                uptime_ms,
-            }),
-            other => Err(unexpected("health", &other)),
+        let req = Request::Health;
+        match self.roundtrip(&req)? {
+            Response::Health(reply) => Ok(reply),
+            other => Err(unexpected(&req, &other)),
         }
     }
 
@@ -403,9 +379,10 @@ impl Client {
     ///
     /// Transport failures.
     pub fn trace(&mut self, n: usize) -> Result<Vec<TraceTree>, ServeError> {
-        match self.roundtrip(&Request::Trace { n })? {
+        let req = Request::Trace { n };
+        match self.roundtrip(&req)? {
             Response::Trace(trees) => Ok(trees),
-            other => Err(unexpected("trace", &other)),
+            other => Err(unexpected(&req, &other)),
         }
     }
 
@@ -419,9 +396,10 @@ impl Client {
     /// [`ServeError::Load`] when the pass aborted, or transport
     /// failures.
     pub fn reload(&mut self) -> Result<ReloadReport, ServeError> {
-        match self.roundtrip(&Request::Reload)? {
+        let req = Request::Reload;
+        match self.roundtrip(&req)? {
             Response::Reload(r) => Ok(r),
-            other => Err(unexpected("reload", &other)),
+            other => Err(unexpected(&req, &other)),
         }
     }
 
@@ -432,9 +410,10 @@ impl Client {
     ///
     /// Transport failures.
     pub fn shutdown_server(&mut self) -> Result<(), ServeError> {
-        match self.roundtrip(&Request::Shutdown)? {
+        let req = Request::Shutdown;
+        match self.roundtrip(&req)? {
             Response::Shutdown => Ok(()),
-            other => Err(unexpected("shutdown", &other)),
+            other => Err(unexpected(&req, &other)),
         }
     }
 }
@@ -452,9 +431,10 @@ fn map_io(e: std::io::Error) -> ServeError {
     }
 }
 
-fn unexpected(verb: &str, got: &Response) -> ServeError {
+fn unexpected(req: &Request, got: &Response) -> ServeError {
     ServeError::Io(format!(
-        "unexpected response to `{verb}`: {}",
+        "unexpected response to `{}`: {}",
+        req.verb().name,
         got.to_json()
     ))
 }

@@ -43,6 +43,10 @@ pub enum ServeError {
     Internal(String),
 }
 
+/// One row of [`ServeError::CODES`]: a wire code and the constructor of
+/// the variant it decodes to.
+pub type WireCode = (&'static str, fn(String) -> ServeError);
+
 impl ServeError {
     /// Stable machine-readable code used on the wire.
     pub fn code(&self) -> &'static str {
@@ -59,23 +63,45 @@ impl ServeError {
         }
     }
 
+    /// Every wire code with the variant it decodes to, in the order of
+    /// the `docs/PROTOCOL.md` table — the inverse of [`ServeError::code`].
+    /// The constructor receives the variant's own message; the variants
+    /// that carry numbers instead decode to zeros (codes are the
+    /// compatibility surface, messages are not).
+    pub const CODES: [WireCode; 9] = [
+        ("overloaded", |_| ServeError::Overloaded {
+            depth: 0,
+            cap: 0,
+        }),
+        ("unknown_model", ServeError::UnknownModel),
+        ("shutting_down", |_| ServeError::ShuttingDown),
+        ("deadline", |_| ServeError::Deadline {
+            budget_ms: 0,
+            estimate_ms: 0,
+        }),
+        ("bad_request", ServeError::BadRequest),
+        ("load_error", ServeError::Load),
+        ("timeout", ServeError::Timeout),
+        ("io_error", ServeError::Io),
+        ("internal", ServeError::Internal),
+    ];
+
     /// Rebuilds the error from a wire `(code, message)` pair (unknown
     /// codes map to [`ServeError::Io`] so old clients survive new codes).
     pub fn from_wire(code: &str, message: &str) -> ServeError {
-        match code {
-            "overloaded" => ServeError::Overloaded { depth: 0, cap: 0 },
-            "unknown_model" => ServeError::UnknownModel(message.into()),
-            "shutting_down" => ServeError::ShuttingDown,
-            "deadline" => ServeError::Deadline {
-                budget_ms: 0,
-                estimate_ms: 0,
-            },
-            "bad_request" => ServeError::BadRequest(message.into()),
-            "load_error" => ServeError::Load(message.into()),
-            "timeout" => ServeError::Timeout(message.into()),
-            "internal" => ServeError::Internal(message.into()),
-            _ => ServeError::Io(format!("{code}: {message}")),
-        }
+        let Some((_, build)) = Self::CODES.iter().find(|(c, _)| *c == code) else {
+            return ServeError::Io(format!("{code}: {message}"));
+        };
+        // `message` is the peer's whole `Display` text. Keep only the
+        // part the variant stores — what its own `Display` wraps around
+        // a marker — so that displaying the relayed error does not
+        // repeat the prefix.
+        let shell = build("\0".into()).to_string();
+        let inner = shell
+            .split_once('\0')
+            .and_then(|(pre, post)| message.strip_prefix(pre)?.strip_suffix(post))
+            .unwrap_or(message);
+        build(inner.into())
     }
 }
 
@@ -128,12 +154,26 @@ mod tests {
             ServeError::BadRequest("shape".into()),
             ServeError::Load("truncated".into()),
             ServeError::Timeout("no reply in 2s".into()),
+            ServeError::Io("connection reset".into()),
             ServeError::Internal("panic".into()),
         ];
         for e in errors {
             let back = ServeError::from_wire(e.code(), &e.to_string());
             assert_eq!(back.code(), e.code());
+            // A relayed error reads like the original: the variant's
+            // prefix is not stacked a second time.
+            let carries_numbers = matches!(
+                e,
+                ServeError::Overloaded { .. } | ServeError::Deadline { .. }
+            );
+            if !carries_numbers {
+                assert_eq!(back.to_string(), e.to_string());
+            }
         }
         assert_eq!(ServeError::from_wire("??", "m").code(), "io_error");
+        // `CODES` is the exact inverse of `code()`.
+        for (code, build) in ServeError::CODES {
+            assert_eq!(build(String::new()).code(), code);
+        }
     }
 }

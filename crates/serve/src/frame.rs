@@ -17,11 +17,9 @@
 //! └───────────────┴────────┴──────────────────────────────┘
 //! ```
 //!
-//! Request verbs: `0x01` infer, `0x02` list_models, `0x03` stats,
-//! `0x04` health, `0x05` shutdown, `0x06` reload, `0x07` trace.
-//! Response verbs: `0x81` infer-begin, `0x82` infer-tile, `0x83`
-//! infer-end, `0x84` list_models, `0x85` stats, `0x86` health, `0x87`
-//! shutdown, `0x88` reload, `0x89` trace, `0xFE` error.
+//! The verb byte of every request and response frame is a column of
+//! [`crate::protocol::VERBS`] (errors use [`ERROR_BYTE`]); this module
+//! owns the payload layouts only.
 //!
 //! An `infer` request payload is `precision:u8, name_len:u16 LE, name,
 //! shape:4×u32 LE, data:f32 LE × (n·c·h·w)` — pixels cross the wire as
@@ -42,19 +40,19 @@
 //! the full payload to be encoded — first-tile latency is decoupled
 //! from image size.
 //!
-//! The `list_models`, `stats`, and `trace` payloads are the line
-//! protocol's JSON rendered into one frame: they are control-plane
-//! verbs where schema evolution matters more than serialization cost.
-//! A `trace` request payload is `n: u32 LE` (how many slow-request
-//! trees, `0` = all retained).
+//! A [`Body::Json`] payload (`list_models`, `stats`, `reload`, `trace`)
+//! is the line protocol's JSON rendered into one frame: they are
+//! control-plane verbs where schema evolution matters more than
+//! serialization cost. A `trace` request payload is `n: u32 LE` (how
+//! many slow-request trees, `0` = all retained).
 
 use crate::error::ServeError;
-use crate::protocol::{ModelInfo, Request, Response};
-use crate::registry::{Precision, ReloadReport};
-use crate::stats::StatsSnapshot;
+pub use crate::protocol::DEADLINE_FLAG;
+use crate::protocol::{
+    checked_shape, no_decoder, Body, HealthReply, Request, Response, Verb, VerbId, ERROR_BYTE,
+};
+use crate::registry::Precision;
 use ringcnn_tensor::prelude::*;
-use ringcnn_trace::span::TraceTree;
-use serde::{Deserialize, Serialize};
 
 /// Connection-preamble magic ("RingCNN Binary").
 pub const MAGIC: [u8; 4] = *b"RCNB";
@@ -67,30 +65,6 @@ pub const TILE_SAMPLES: usize = 4096;
 
 /// Frame header size (the `u32` length prefix).
 pub const HEADER_BYTES: usize = 4;
-
-/// Bit set on an `infer` request's precision byte when the payload
-/// carries a trailing `deadline_ms: f64 LE` after the sample data.
-pub const DEADLINE_FLAG: u8 = 0x80;
-
-// Request verbs.
-const V_INFER: u8 = 0x01;
-const V_LIST_MODELS: u8 = 0x02;
-const V_STATS: u8 = 0x03;
-const V_HEALTH: u8 = 0x04;
-const V_SHUTDOWN: u8 = 0x05;
-const V_RELOAD: u8 = 0x06;
-const V_TRACE: u8 = 0x07;
-// Response verbs.
-const V_R_INFER_BEGIN: u8 = 0x81;
-const V_R_INFER_TILE: u8 = 0x82;
-const V_R_INFER_END: u8 = 0x83;
-const V_R_LIST_MODELS: u8 = 0x84;
-const V_R_STATS: u8 = 0x85;
-const V_R_HEALTH: u8 = 0x86;
-const V_R_SHUTDOWN: u8 = 0x87;
-const V_R_RELOAD: u8 = 0x88;
-const V_R_TRACE: u8 = 0x89;
-const V_R_ERROR: u8 = 0xFE;
 
 /// Result of an incremental decode over a byte buffer.
 #[derive(Debug)]
@@ -233,15 +207,7 @@ fn read_shape(r: &mut Reader<'_>) -> Result<Shape4, ServeError> {
     let c = r.u32("shape.c")? as usize;
     let h = r.u32("shape.h")? as usize;
     let w = r.u32("shape.w")? as usize;
-    // Reject overflowing products before `Shape4::len` multiplies
-    // unchecked (same guard as the JSON codec).
-    [n, c, h, w]
-        .iter()
-        .try_fold(1usize, |acc, d| acc.checked_mul(*d))
-        .ok_or_else(|| {
-            ServeError::BadRequest(format!("shape [{n},{c},{h},{w}] element count overflows"))
-        })?;
-    Ok(Shape4::new(n, c, h, w))
+    checked_shape([n, c, h, w])
 }
 
 /// Appends one frame: header, verb, payload built by `fill`.
@@ -283,14 +249,14 @@ fn decode_raw(buf: &[u8], max_frame: usize) -> DecodeStep<(u8, usize, usize)> {
 
 /// Appends `req` as one binary frame.
 pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
-    match req {
+    frame(out, req.verb().request, |out| match req {
         Request::Infer {
             model,
             precision,
             shape,
             data,
             deadline_ms,
-        } => frame(out, V_INFER, |out| {
+        } => {
             let mut pbyte = match precision {
                 Precision::Fp64 => 0,
                 Precision::Quant => 1,
@@ -307,28 +273,27 @@ pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
             if let Some(d) = deadline_ms {
                 out.extend_from_slice(&d.to_le_bytes());
             }
-        }),
-        Request::ListModels => frame(out, V_LIST_MODELS, |_| {}),
-        Request::Stats => frame(out, V_STATS, |_| {}),
-        Request::Health => frame(out, V_HEALTH, |_| {}),
-        Request::Reload => frame(out, V_RELOAD, |_| {}),
-        Request::Trace { n } => frame(out, V_TRACE, |out| {
-            out.extend_from_slice(&(*n as u32).to_le_bytes());
-        }),
-        Request::Shutdown => frame(out, V_SHUTDOWN, |_| {}),
-    }
+        }
+        Request::Trace { n } => out.extend_from_slice(&(*n as u32).to_le_bytes()),
+        _ => {} // Payload-less: the verb byte is the whole body.
+    });
 }
 
 /// Incrementally decodes the next request frame from `buf`.
 pub fn decode_request(buf: &[u8], max_frame: usize) -> DecodeStep<Request> {
-    let ((verb, payload_at, end), consumed) = match decode_raw(buf, max_frame) {
+    let ((byte, payload_at, end), consumed) = match decode_raw(buf, max_frame) {
         DecodeStep::Item(item, consumed) => (item, consumed),
         DecodeStep::Incomplete => return DecodeStep::Incomplete,
         DecodeStep::Fail(e) => return DecodeStep::Fail(e),
     };
     let mut r = Reader::new(&buf[payload_at..end]);
-    let req = match verb {
-        V_INFER => (|| {
+    let Some(verb) = Verb::find(|row| row.request == byte) else {
+        return DecodeStep::Fail(ServeError::BadRequest(format!(
+            "unknown request verb byte 0x{byte:02x}"
+        )));
+    };
+    let req = match verb.id {
+        VerbId::Infer => (|| {
             let pbyte = r.u8("precision")?;
             let has_deadline = pbyte & DEADLINE_FLAG != 0;
             let precision = match pbyte & !DEADLINE_FLAG {
@@ -349,7 +314,6 @@ pub fn decode_request(buf: &[u8], max_frame: usize) -> DecodeStep<Request> {
             } else {
                 None
             };
-            r.finish("infer request")?;
             Ok(Request::Infer {
                 model,
                 precision,
@@ -358,27 +322,13 @@ pub fn decode_request(buf: &[u8], max_frame: usize) -> DecodeStep<Request> {
                 deadline_ms,
             })
         })(),
-        V_LIST_MODELS => r
-            .finish("list_models request")
-            .map(|()| Request::ListModels),
-        V_STATS => r.finish("stats request").map(|()| Request::Stats),
-        V_HEALTH => r.finish("health request").map(|()| Request::Health),
-        V_RELOAD => r.finish("reload request").map(|()| Request::Reload),
-        V_TRACE => (|| {
-            let n = r.u32("trace count")? as usize;
-            r.finish("trace request")?;
-            Ok(Request::Trace { n })
-        })(),
-        V_SHUTDOWN => r.finish("shutdown request").map(|()| Request::Shutdown),
-        other => Err(ServeError::BadRequest(format!(
-            "unknown request verb byte 0x{other:02x}"
-        ))),
+        VerbId::Trace => r
+            .u32("trace count")
+            .map(|n| Request::Trace { n: n as usize }),
+        id => Request::bare(id).ok_or_else(|| no_decoder(verb)),
     };
-    match req {
+    match req.and_then(|req| r.finish(verb.name).map(|()| req)) {
         Ok(req) => DecodeStep::Item(req, consumed),
-        // A structurally-intact frame with a bad payload is recoverable:
-        // report the error but let the connection continue at the next
-        // frame boundary.
         Err(e) => DecodeStep::Fail(e),
     }
 }
@@ -396,8 +346,9 @@ pub fn encode_response(resp: &Response, out: &mut Vec<u8>) {
             total_ms,
             batch_size,
         } => {
+            let stream = Verb::of(VerbId::Infer).response; // begin, tile, end
             let tiles = data.len().div_ceil(TILE_SAMPLES);
-            frame(out, V_R_INFER_BEGIN, |out| {
+            frame(out, stream[0], |out| {
                 push_shape(out, *shape);
                 out.extend_from_slice(&queue_ms.to_le_bytes());
                 out.extend_from_slice(&total_ms.to_le_bytes());
@@ -405,52 +356,40 @@ pub fn encode_response(resp: &Response, out: &mut Vec<u8>) {
                 out.extend_from_slice(&(tiles as u32).to_le_bytes());
             });
             for (i, tile) in data.chunks(TILE_SAMPLES).enumerate() {
-                frame(out, V_R_INFER_TILE, |out| {
+                frame(out, stream[1], |out| {
                     out.extend_from_slice(&((i * TILE_SAMPLES) as u32).to_le_bytes());
                     out.extend_from_slice(&(tile.len() as u32).to_le_bytes());
                     push_f32s(out, tile);
                 });
             }
-            frame(out, V_R_INFER_END, |_| {});
+            frame(out, stream[2], |_| {});
         }
-        Response::ListModels(models) => frame(out, V_R_LIST_MODELS, |out| {
-            let json = serde_json::to_string(&models.to_json_value()).expect("models serialize");
-            out.extend_from_slice(json.as_bytes());
-        }),
-        Response::Stats(stats) => frame(out, V_R_STATS, |out| {
-            let json = serde_json::to_string(&stats.to_json_value()).expect("stats serialize");
-            out.extend_from_slice(json.as_bytes());
-        }),
-        Response::Health {
-            healthy,
-            models,
-            queue_depth,
-            kernel,
-            uptime_ms,
-        } => frame(out, V_R_HEALTH, |out| {
-            out.push(u8::from(*healthy));
-            out.extend_from_slice(&(*models as u32).to_le_bytes());
-            out.extend_from_slice(&(*queue_depth as u32).to_le_bytes());
-            out.extend_from_slice(&uptime_ms.to_le_bytes());
-            let k = kernel.as_bytes();
+        Response::Health(h) => frame(out, Verb::of(VerbId::Health).response[0], |out| {
+            out.push(u8::from(h.healthy));
+            out.extend_from_slice(&(h.models as u32).to_le_bytes());
+            out.extend_from_slice(&(h.queue_depth as u32).to_le_bytes());
+            out.extend_from_slice(&h.uptime_ms.to_le_bytes());
+            let k = h.kernel.as_bytes();
             out.push(k.len().min(255) as u8);
             out.extend_from_slice(&k[..k.len().min(255)]);
         }),
-        Response::Reload(report) => frame(out, V_R_RELOAD, |out| {
-            let json = serde_json::to_string(&report.to_json_value()).expect("report serializes");
-            out.extend_from_slice(json.as_bytes());
-        }),
-        Response::Trace(trees) => frame(out, V_R_TRACE, |out| {
-            let json = serde_json::to_string(&trees.to_json_value()).expect("trees serialize");
-            out.extend_from_slice(json.as_bytes());
-        }),
-        Response::Shutdown => frame(out, V_R_SHUTDOWN, |_| {}),
-        Response::Error(e) => frame(out, V_R_ERROR, |out| {
+        Response::Error(e) => frame(out, ERROR_BYTE, |out| {
             let code = e.code().as_bytes();
             out.extend_from_slice(&(code.len() as u16).to_le_bytes());
             out.extend_from_slice(code);
             out.extend_from_slice(e.to_string().as_bytes());
         }),
+        plain => {
+            let (verb, value) = plain
+                .plain()
+                .expect("the bespoke layouts are matched above");
+            frame(out, verb.response[0], |out| {
+                if let Body::Json(_) = verb.body {
+                    let json = serde_json::to_string(&value).expect("a serde value serializes");
+                    out.extend_from_slice(json.as_bytes());
+                }
+            });
+        }
     }
 }
 
@@ -524,26 +463,47 @@ impl ResponseAssembler {
 
     fn frame(
         &mut self,
-        verb: u8,
+        byte: u8,
         payload: &[u8],
         on_tile: &mut impl FnMut(Tile<'_>),
     ) -> Result<Option<Response>, ServeError> {
         let mut r = Reader::new(payload);
-        if self.partial.is_some() && !matches!(verb, V_R_INFER_TILE | V_R_INFER_END) {
+        let stream = Verb::of(VerbId::Infer).response; // begin, tile, end
+        if self.partial.is_some() && !stream[1..].contains(&byte) {
             self.partial = None;
             return Err(ServeError::Io(format!(
-                "verb byte 0x{verb:02x} interleaved into a streamed infer response"
+                "verb byte 0x{byte:02x} interleaved into a streamed infer response"
             )));
         }
-        match verb {
-            V_R_INFER_BEGIN => {
+        if byte == ERROR_BYTE {
+            let code_len = r.u16("error code length")? as usize;
+            let code = r.str(code_len, "error code")?;
+            let message = r.str(payload.len() - 2 - code_len, "error message")?;
+            return Ok(Some(Response::Error(ServeError::from_wire(
+                &code, &message,
+            ))));
+        }
+        let Some(verb) = Verb::find(|row| row.response.contains(&byte)) else {
+            return Err(ServeError::Io(format!(
+                "unknown response verb byte 0x{byte:02x}"
+            )));
+        };
+        match verb.body {
+            Body::Infer if byte == stream[0] => {
                 let shape = read_shape(&mut r)?;
                 let queue_ms = r.f64("queue_ms")?;
                 let total_ms = r.f64("total_ms")?;
                 let batch_size = r.u32("batch_size")? as usize;
                 let tiles_left = r.u32("tile count")? as usize;
                 r.finish("infer-begin")?;
-                let partial = PartialInfer {
+                // (A degenerate empty output has no tiles and ends with
+                // the next frame.)
+                if tiles_left == 0 && !shape.is_empty() {
+                    return Err(ServeError::Io(
+                        "infer-begin with samples but zero tiles".into(),
+                    ));
+                }
+                self.partial = Some(PartialInfer {
                     shape,
                     data: vec![0.0; shape.len()],
                     filled: 0,
@@ -551,21 +511,10 @@ impl ResponseAssembler {
                     total_ms,
                     batch_size,
                     tiles_left,
-                };
-                if partial.tiles_left == 0 && shape.is_empty() {
-                    // Degenerate empty output: it ends immediately.
-                    self.partial = Some(partial);
-                    return Ok(None);
-                }
-                if partial.tiles_left == 0 {
-                    return Err(ServeError::Io(
-                        "infer-begin with samples but zero tiles".into(),
-                    ));
-                }
-                self.partial = Some(partial);
+                });
                 Ok(None)
             }
-            V_R_INFER_TILE => {
+            Body::Infer if byte == stream[1] => {
                 let Some(partial) = self.partial.as_mut() else {
                     return Err(ServeError::Io("infer-tile without infer-begin".into()));
                 };
@@ -591,7 +540,7 @@ impl ResponseAssembler {
                 });
                 Ok(None)
             }
-            V_R_INFER_END => {
+            Body::Infer => {
                 r.finish("infer-end")?;
                 let Some(partial) = self.partial.take() else {
                     return Err(ServeError::Io("infer-end without infer-begin".into()));
@@ -611,23 +560,7 @@ impl ResponseAssembler {
                     batch_size: partial.batch_size,
                 }))
             }
-            V_R_LIST_MODELS => {
-                let json = r.str(payload.len(), "list_models payload")?;
-                let value = serde_json::from_str(&json)
-                    .map_err(|e| ServeError::Io(format!("malformed list_models payload: {e}")))?;
-                let models = Vec::<ModelInfo>::from_json_value(&value)
-                    .map_err(|e| ServeError::Io(format!("malformed list_models payload: {e}")))?;
-                Ok(Some(Response::ListModels(models)))
-            }
-            V_R_STATS => {
-                let json = r.str(payload.len(), "stats payload")?;
-                let value = serde_json::from_str(&json)
-                    .map_err(|e| ServeError::Io(format!("malformed stats payload: {e}")))?;
-                let stats = StatsSnapshot::from_json_value(&value)
-                    .map_err(|e| ServeError::Io(format!("malformed stats payload: {e}")))?;
-                Ok(Some(Response::Stats(stats)))
-            }
-            V_R_HEALTH => {
+            Body::Health => {
                 let healthy = r.u8("healthy")? != 0;
                 let models = r.u32("models")? as usize;
                 let queue_depth = r.u32("queue_depth")? as usize;
@@ -635,45 +568,28 @@ impl ResponseAssembler {
                 let kernel_len = r.u8("kernel length")? as usize;
                 let kernel = r.str(kernel_len, "kernel label")?;
                 r.finish("health response")?;
-                Ok(Some(Response::Health {
+                Ok(Some(Response::Health(HealthReply {
                     healthy,
                     models,
                     queue_depth,
                     kernel,
                     uptime_ms,
-                }))
+                })))
             }
-            V_R_RELOAD => {
-                let json = r.str(payload.len(), "reload payload")?;
-                let value = serde_json::from_str(&json)
-                    .map_err(|e| ServeError::Io(format!("malformed reload payload: {e}")))?;
-                let report = ReloadReport::from_json_value(&value)
-                    .map_err(|e| ServeError::Io(format!("malformed reload payload: {e}")))?;
-                Ok(Some(Response::Reload(report)))
+            Body::Json(_) | Body::None => {
+                let malformed =
+                    |e: String| ServeError::Io(format!("malformed {} payload: {e}", verb.name));
+                let value = if verb.body == Body::None {
+                    r.finish(verb.name)?;
+                    serde::Value::Null
+                } else {
+                    let json = r.str(payload.len(), verb.name)?;
+                    serde_json::from_str(&json).map_err(|e| malformed(e.to_string()))?
+                };
+                Response::from_plain(verb, &value)
+                    .map(Some)
+                    .map_err(malformed)
             }
-            V_R_TRACE => {
-                let json = r.str(payload.len(), "trace payload")?;
-                let value = serde_json::from_str(&json)
-                    .map_err(|e| ServeError::Io(format!("malformed trace payload: {e}")))?;
-                let trees = Vec::<TraceTree>::from_json_value(&value)
-                    .map_err(|e| ServeError::Io(format!("malformed trace payload: {e}")))?;
-                Ok(Some(Response::Trace(trees)))
-            }
-            V_R_SHUTDOWN => {
-                r.finish("shutdown response")?;
-                Ok(Some(Response::Shutdown))
-            }
-            V_R_ERROR => {
-                let code_len = r.u16("error code length")? as usize;
-                let code = r.str(code_len, "error code")?;
-                let message = r.str(payload.len() - 2 - code_len, "error message")?;
-                Ok(Some(Response::Error(ServeError::from_wire(
-                    &code, &message,
-                ))))
-            }
-            other => Err(ServeError::Io(format!(
-                "unknown response verb byte 0x{other:02x}"
-            ))),
         }
     }
 }
@@ -681,8 +597,20 @@ impl ResponseAssembler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::samples::{self, infer};
     use crate::server::MAX_LINE_BYTES;
-    use crate::stats::Metrics;
+
+    fn encoded(req: &Request) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        encode_request(req, &mut bytes);
+        bytes
+    }
+
+    fn encoded_response(resp: &Response) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        encode_response(resp, &mut bytes);
+        bytes
+    }
 
     fn decode_one_request(bytes: &[u8]) -> Request {
         match decode_request(bytes, MAX_LINE_BYTES) {
@@ -701,6 +629,19 @@ mod tests {
         resp.expect("a completed response")
     }
 
+    fn assert_refused(bytes: &[u8]) {
+        match decode_request(bytes, MAX_LINE_BYTES) {
+            DecodeStep::Fail(e) => assert_eq!(e.code(), "bad_request"),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// `h`×`w` samples of 0.5 for model `m`.
+    fn flat_infer(h: usize, w: usize, deadline_ms: Option<f64>) -> Request {
+        let shape = Shape4::new(1, 1, h, w);
+        infer("m", Precision::Fp64, shape, vec![0.5; h * w], deadline_ms)
+    }
+
     #[test]
     fn negotiation_selects_by_first_bytes() {
         assert_eq!(negotiate(b""), Negotiation::NeedMore);
@@ -714,58 +655,22 @@ mod tests {
 
     #[test]
     fn requests_roundtrip() {
-        let reqs = [
-            Request::Infer {
-                model: "ffdnet_real".into(),
-                precision: Precision::Fp64,
-                shape: Shape4::new(1, 1, 2, 2),
-                data: vec![0.25, -1.0, 3.5, 0.0],
-                deadline_ms: None,
-            },
-            Request::Infer {
-                model: "m".into(),
-                precision: Precision::Quant,
-                shape: Shape4::new(2, 1, 1, 2),
-                data: vec![f32::MIN_POSITIVE, -0.0, 1e30, -1e-30],
-                deadline_ms: None,
-            },
-            Request::Infer {
-                model: "m".into(),
-                precision: Precision::Quant,
-                shape: Shape4::new(1, 1, 1, 2),
-                data: vec![0.5, 1.5],
-                deadline_ms: Some(12.25),
-            },
-            Request::ListModels,
-            Request::Stats,
-            Request::Health,
-            Request::Reload,
-            Request::Trace { n: 0 },
-            Request::Trace { n: 4 },
-            Request::Shutdown,
-        ];
-        for req in reqs {
-            let mut bytes = Vec::new();
-            encode_request(&req, &mut bytes);
-            assert_eq!(decode_one_request(&bytes), req);
+        for req in samples::requests() {
+            assert_eq!(decode_one_request(&encoded(&req)), req);
         }
     }
 
     #[test]
     fn infer_data_survives_the_wire_bit_exactly() {
-        let data: Vec<f32> = (0..4096)
-            .map(|i| ((i as f32) * 0.137).sin() * 1e3 + 1.0e-7)
-            .collect();
-        let req = Request::Infer {
-            model: "m".into(),
-            precision: Precision::Fp64,
-            shape: Shape4::new(1, 1, 64, 64),
-            data: data.clone(),
-            deadline_ms: None,
-        };
-        let mut bytes = Vec::new();
-        encode_request(&req, &mut bytes);
-        match decode_one_request(&bytes) {
+        let data = samples::awkward_floats(4096);
+        let req = infer(
+            "m",
+            Precision::Fp64,
+            Shape4::new(1, 1, 64, 64),
+            data.clone(),
+            None,
+        );
+        match decode_one_request(&encoded(&req)) {
             Request::Infer { data: back, .. } => {
                 let a: Vec<u32> = data.iter().map(|v| v.to_bits()).collect();
                 let b: Vec<u32> = back.iter().map(|v| v.to_bits()).collect();
@@ -777,89 +682,37 @@ mod tests {
 
     #[test]
     fn responses_roundtrip_including_multi_tile_infer() {
-        let resps = [
-            Response::Infer {
-                shape: Shape4::new(1, 1, 96, 96), // 9216 samples → 3 tiles
-                data: (0..9216).map(|i| i as f32 * 0.25).collect(),
-                queue_ms: 0.5,
-                total_ms: 1.5,
-                batch_size: 4,
-            },
-            Response::Infer {
-                shape: Shape4::new(1, 1, 1, 2),
-                data: vec![1.5, -2.0],
-                queue_ms: 0.0,
-                total_ms: 0.1,
-                batch_size: 1,
-            },
-            Response::ListModels(vec![ModelInfo {
-                name: "m".into(),
-                arch: "vdsr-d3c8".into(),
-                algebra: "(RH4, fcw)".into(),
-                backend: "transform".into(),
-                radius: 3,
-                granularity: 1,
-                scale: (1, 1),
-                params: 1234,
-                channels_io: 1,
-                precisions: vec!["fp64".into(), "quant".into()],
-                quant_psnr: Some(31.5),
-                version: 2,
-            }]),
-            Response::Stats(Metrics::new().snapshot()),
-            Response::Health {
-                healthy: true,
-                models: 2,
-                queue_depth: 7,
-                kernel: "avx2".into(),
-                uptime_ms: 98765.25,
-            },
-            Response::Reload(ReloadReport {
-                added: vec![],
-                reloaded: vec!["m".into()],
-                unchanged: 1,
-            }),
-            Response::Trace(vec![TraceTree {
-                trace_id: 9,
-                total_ms: 12.5,
-                spans: vec![ringcnn_trace::span::SpanRec {
-                    trace: 9,
-                    id: 3,
-                    parent: 0,
-                    name: "request".into(),
-                    start_us: 10,
-                    dur_us: 12500,
-                    tid: 2,
-                    arg0: 0,
-                    arg1: 0,
-                }],
-            }]),
-            Response::Shutdown,
-            Response::Error(ServeError::Overloaded { depth: 8, cap: 8 }),
-        ];
-        for resp in resps {
-            let mut bytes = Vec::new();
-            encode_response(&resp, &mut bytes);
-            let back = decode_one_response(&bytes);
-            match (&resp, &back) {
-                (Response::Error(a), Response::Error(b)) => assert_eq!(a.code(), b.code()),
-                _ => assert_eq!(back, resp),
-            }
+        for resp in samples::responses() {
+            let back = decode_one_response(&encoded_response(&resp));
+            samples::assert_survived(&resp, &back);
+        }
+    }
+
+    #[test]
+    fn both_wires_decode_every_sample_alike() {
+        // One description, two codecs: whatever a sample becomes on the
+        // JSON wire it also becomes on the frame wire, relayed errors
+        // included.
+        for req in samples::requests() {
+            let json = Request::parse(&req.to_json()).unwrap();
+            assert_eq!(decode_one_request(&encoded(&req)), json);
+        }
+        for resp in samples::responses() {
+            let json = Response::parse(&resp.to_json()).unwrap();
+            assert_eq!(decode_one_response(&encoded_response(&resp)), json);
         }
     }
 
     #[test]
     fn tiles_stream_before_the_response_completes() {
         let data: Vec<f32> = (0..(TILE_SAMPLES * 2 + 100)).map(|i| i as f32).collect();
-        let resp = Response::Infer {
+        let bytes = encoded_response(&Response::Infer {
             shape: Shape4::new(1, 1, 1, data.len()),
             data: data.clone(),
             queue_ms: 0.0,
             total_ms: 0.0,
             batch_size: 1,
-        };
-        let mut bytes = Vec::new();
-        encode_response(&resp, &mut bytes);
+        });
 
         // Feeding a truncated stream must already surface the complete
         // tiles via the callback, before the response assembles.
@@ -892,51 +745,21 @@ mod tests {
     fn deadline_flag_is_a_trailing_f64_and_absent_by_default() {
         // With a budget: precision byte carries DEADLINE_FLAG and the
         // payload ends with the f64 LE budget (the documented layout).
-        let mut with = Vec::new();
-        encode_request(
-            &Request::Infer {
-                model: "m".into(),
-                precision: Precision::Fp64,
-                shape: Shape4::new(1, 1, 1, 1),
-                data: vec![0.5],
-                deadline_ms: Some(12.25),
-            },
-            &mut with,
-        );
-        assert_eq!(with[HEADER_BYTES], V_INFER);
+        let with = encoded(&flat_infer(1, 1, Some(12.25)));
+        assert_eq!(with[HEADER_BYTES], Verb::of(VerbId::Infer).request);
         assert_eq!(with[HEADER_BYTES + 1], DEADLINE_FLAG);
         assert_eq!(with[with.len() - 8..], 12.25f64.to_le_bytes());
 
         // Without one: byte-identical to the pre-deadline protocol,
         // exactly 8 bytes shorter.
-        let mut without = Vec::new();
-        encode_request(
-            &Request::Infer {
-                model: "m".into(),
-                precision: Precision::Fp64,
-                shape: Shape4::new(1, 1, 1, 1),
-                data: vec![0.5],
-                deadline_ms: None,
-            },
-            &mut without,
-        );
+        let without = encoded(&flat_infer(1, 1, None));
         assert_eq!(without[HEADER_BYTES + 1], 0x00);
         assert_eq!(with.len(), without.len() + 8);
     }
 
     #[test]
     fn torn_prefixes_never_panic_and_are_incomplete() {
-        let mut bytes = Vec::new();
-        encode_request(
-            &Request::Infer {
-                model: "m".into(),
-                precision: Precision::Fp64,
-                shape: Shape4::new(1, 1, 4, 4),
-                data: vec![0.5; 16],
-                deadline_ms: None,
-            },
-            &mut bytes,
-        );
+        let bytes = encoded(&flat_infer(4, 4, None));
         for cut in 0..bytes.len() {
             assert!(
                 matches!(
@@ -951,54 +774,27 @@ mod tests {
     #[test]
     fn oversized_and_zero_length_frames_fail_cleanly() {
         let mut oversized = ((MAX_LINE_BYTES + 1) as u32).to_le_bytes().to_vec();
-        oversized.push(V_HEALTH);
-        match decode_request(&oversized, MAX_LINE_BYTES) {
-            DecodeStep::Fail(e) => assert_eq!(e.code(), "bad_request"),
-            other => panic!("{other:?}"),
-        }
-        let zero = 0u32.to_le_bytes().to_vec();
-        match decode_request(&zero, MAX_LINE_BYTES) {
-            DecodeStep::Fail(e) => assert_eq!(e.code(), "bad_request"),
-            other => panic!("{other:?}"),
-        }
+        oversized.push(Verb::of(VerbId::Health).request);
+        assert_refused(&oversized);
+        assert_refused(&0u32.to_le_bytes());
     }
 
     #[test]
     fn malformed_infer_payloads_are_bad_requests() {
-        // Data shorter than the shape promises.
-        let mut bytes = Vec::new();
-        encode_request(
-            &Request::Infer {
-                model: "m".into(),
-                precision: Precision::Fp64,
-                shape: Shape4::new(1, 1, 2, 2),
-                data: vec![0.5; 4],
-                deadline_ms: None,
-            },
-            &mut bytes,
-        );
-        // Truncate the payload but fix up the length prefix so the
-        // frame is structurally complete.
-        let cut = bytes.len() - 8;
-        let mut torn = bytes[..cut].to_vec();
+        // Data shorter than the shape promises: truncate the payload but
+        // fix up the length prefix so the frame is structurally complete.
+        let bytes = encoded(&flat_infer(2, 2, None));
+        let mut torn = bytes[..bytes.len() - 8].to_vec();
         let body_len = (torn.len() - HEADER_BYTES) as u32;
         torn[..HEADER_BYTES].copy_from_slice(&body_len.to_le_bytes());
-        match decode_request(&torn, MAX_LINE_BYTES) {
-            DecodeStep::Fail(e) => assert_eq!(e.code(), "bad_request"),
-            other => panic!("{other:?}"),
-        }
+        assert_refused(&torn);
 
         // Unknown verb byte.
-        let mut unknown = 1u32.to_le_bytes().to_vec();
-        unknown.push(0x6F);
-        match decode_request(&unknown, MAX_LINE_BYTES) {
-            DecodeStep::Fail(e) => assert_eq!(e.code(), "bad_request"),
-            other => panic!("{other:?}"),
-        }
+        assert_refused(&[1, 0, 0, 0, 0x6F]);
 
         // Overflowing shape product.
         let mut frame_bytes = Vec::new();
-        frame(&mut frame_bytes, V_INFER, |out| {
+        frame(&mut frame_bytes, Verb::of(VerbId::Infer).request, |out| {
             out.push(0);
             out.extend_from_slice(&1u16.to_le_bytes());
             out.push(b'm');
@@ -1006,9 +802,6 @@ mod tests {
                 out.extend_from_slice(&d.to_le_bytes());
             }
         });
-        match decode_request(&frame_bytes, MAX_LINE_BYTES) {
-            DecodeStep::Fail(e) => assert_eq!(e.code(), "bad_request"),
-            other => panic!("{other:?}"),
-        }
+        assert_refused(&frame_bytes);
     }
 }

@@ -20,9 +20,9 @@
 //! [`registry`]), per-model queues share service by weight so one hot
 //! model cannot starve the rest (see [`scheduler`]), requests may carry
 //! a `deadline_ms` budget that admission rejects-on-arrival when
-//! already blown, and `stats` v2 reports per-model QPS, log-spaced
-//! latency histograms, and reload counters (see [`stats`]). The
-//! architecture, protocol, and operations documentation lives under
+//! already blown, and the stats snapshot reports per-model QPS,
+//! log-spaced latency histograms, and reload counters (see [`stats`]).
+//! The architecture, protocol, and operations documentation lives under
 //! `docs/` at the repository root.
 //!
 //! ```

@@ -179,13 +179,8 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
                                 r.per_model[midx] += 1;
                             }
                         }
-                        Err(e) if measured => {
-                            if e.code() == "deadline" {
-                                r.deadline_rejected += 1;
-                            } else {
-                                r.errors += 1;
-                            }
-                        }
+                        Err(ServeError::Deadline { .. }) if measured => r.deadline_rejected += 1,
+                        Err(_) if measured => r.errors += 1,
                         Err(_) => {}
                     }
                 }
@@ -249,7 +244,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
     })
 }
 
-/// Post-run `stats` v2 sanity: the server's own accounting must be
+/// Post-run stats-snapshot sanity: the server's own accounting must be
 /// internally consistent with what this run (and any prior traffic)
 /// observed (per-model histogram totals, bucket layout). Asserted, not
 /// returned: a violation is a server bug, and CI catches a server
@@ -265,7 +260,7 @@ fn assert_stats_invariants(cfg: &LoadgenConfig) -> Result<(), ServeError> {
     assert_eq!(
         snap.bucket_edges_ms.len(),
         crate::stats::HIST_BUCKETS - 1,
-        "stats v2 must publish the histogram bucket edges"
+        "the stats snapshot must publish the histogram bucket edges"
     );
     for m in &snap.per_model {
         assert_eq!(

@@ -36,7 +36,7 @@
 use crate::error::ServeError;
 use crate::frame;
 use crate::poll::{Event, Mode, Poller, Waker};
-use crate::protocol::{Request, Response, Wire};
+use crate::protocol::{HealthReply, Request, Response, Wire};
 use crate::scheduler::Done;
 use crate::server::ServerShared;
 use ringcnn_trace::span;
@@ -456,8 +456,9 @@ fn process_inbuf(
                         conn.inbuf.drain(..consumed);
                         dispatch(req, conn, wire, shared, notify, decode_start_us);
                     }
-                    // Unlike JSON there is no resynchronization point in
-                    // a corrupt binary stream: answer and close.
+                    // Any refused frame — a bad length prefix (no way to
+                    // resynchronize) or an intact frame with a bad
+                    // payload — is answered, then the connection closes.
                     frame::DecodeStep::Fail(e) => {
                         poison(conn, wire, e);
                         return;
@@ -613,13 +614,13 @@ fn dispatch(
                 }
             }
         }
-        Request::Health => Response::Health {
+        Request::Health => Response::Health(HealthReply {
             healthy: !shared.shutdown.load(Ordering::SeqCst),
             models: shared.scheduler.registry().len(),
             queue_depth: shared.scheduler.queue_len(),
             kernel: ringcnn_tensor::gemm::active_kernel().label().to_string(),
             uptime_ms: shared.started.elapsed().as_secs_f64() * 1e3,
-        },
+        }),
         Request::Trace { n } => Response::Trace(span::recent_slow(n)),
         Request::Shutdown => {
             // Ack, close this connection once flushed, and start the

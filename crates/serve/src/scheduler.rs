@@ -527,7 +527,7 @@ impl Scheduler {
         self.submit(model, input, precision)?.wait()
     }
 
-    /// The full `stats` v2 snapshot: [`Metrics::snapshot`] enriched
+    /// The full stats snapshot: [`Metrics::snapshot`] enriched
     /// with what only the scheduler knows — live global and per-model
     /// queue depths, fair weights, registry versions, and reload
     /// counters. Registered models with no traffic yet are included

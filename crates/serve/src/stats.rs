@@ -1,7 +1,7 @@
 //! Service metrics: lock-light counters updated on the hot path and a
 //! serializable [`StatsSnapshot`] for the `stats` verb.
 //!
-//! Two complementary latency views coexist (`stats` v2):
+//! Two complementary latency views coexist in the stats snapshot:
 //!
 //! * a fixed-capacity ring of the most recent completions (a sliding
 //!   window, not an all-time record) feeding the global percentiles, so
@@ -14,8 +14,8 @@
 //! reads for deadline-aware admission, and rejection counters split by
 //! cause (queue overload vs. blown `deadline_ms` budget).
 //!
-//! `stats` v3 adds the kernel-profiling view: the runtime-selected GEMM
-//! kernel label plus the process-wide [`ringcnn_tensor::gemm::profile`]
+//! The snapshot also has a kernel-profiling view: the runtime-selected
+//! GEMM kernel label plus the process-wide [`ringcnn_tensor::gemm::profile`]
 //! counters (panel packs, L1-hot panel reuses, register tiles executed,
 //! blocked-kernel dispatches), so two snapshots subtract to an
 //! interval's worth of kernel work.
@@ -344,7 +344,7 @@ impl LatencyStats {
     }
 }
 
-/// Per-model statistics (`stats` v2): rates, rejections, admission
+/// Per-model statistics of the stats snapshot: rates, rejections, admission
 /// EWMA, live queue depth, published version, and an all-time
 /// log-spaced latency histogram whose bucket edges are
 /// `StatsSnapshot::bucket_edges_ms`.
@@ -544,7 +544,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_v3_reports_kernel_and_monotonic_gemm_counters() {
+    fn snapshot_reports_kernel_and_monotonic_gemm_counters() {
         let a = Metrics::new().snapshot();
         assert!(!a.kernel.is_empty(), "kernel label must be published");
         // The profile counters are process-wide and monotonic: a later

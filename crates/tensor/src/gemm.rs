@@ -334,11 +334,11 @@ pub mod profile {
 // ---------------------------------------------------------------------
 
 /// Shifts a fixed-point integer from `from_frac` to `to_frac` fractional
-/// bits: round half away from zero on right shifts, saturate at the
-/// `i64` range on left shifts. This replicates
-/// `ringcnn_quant::qformat::requant_shift` **bit for bit** (the tensor
-/// crate cannot depend on the quant crate; the quant test suite asserts
-/// the two stay identical).
+/// bits — the hardware requantizer (`ringcnn_quant`'s `requant_shift`).
+/// Total: the exact rescale `q · 2^(to_frac − from_frac)`, rounded half
+/// away from zero on right shifts (the magnitude in `u128`, so the bias
+/// add cannot wrap even for `i64::MIN`; past 127 bits it is zero) and
+/// saturated at the `i64` rails on left shifts (widened to `i128`).
 #[inline]
 pub fn requant_shift_i64(q: i64, from_frac: i32, to_frac: i32) -> i64 {
     let s = i64::from(from_frac) - i64::from(to_frac);

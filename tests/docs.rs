@@ -1,12 +1,15 @@
 //! Documentation honesty checks: every relative link under `docs/` and
-//! `README.md` must resolve to a real file, the byte layouts that
-//! `docs/PROTOCOL.md` documents as normative must match what the frame
-//! codec actually emits, the `RINGCNN_KERNEL` values the runbook
-//! lists must be the ones the parser accepts, and every benchmark row a
-//! document cites must be a row `BENCHMARK.json` declares.
+//! `README.md` must resolve to a real file, the verb, error-code and
+//! control-plane tables of `docs/PROTOCOL.md` must equal the serve
+//! crate's `VERBS`/`CODES` tables cell by cell, the byte layouts it
+//! documents must match what the frame codec actually emits, the
+//! `RINGCNN_KERNEL` values the runbook lists must be the ones the parser
+//! accepts, and every benchmark row a document cites must be a row
+//! `BENCHMARK.json` declares.
 
+use ringcnn_serve::error::{ServeError, WireCode};
 use ringcnn_serve::frame;
-use ringcnn_serve::protocol::Request;
+use ringcnn_serve::protocol::{Body, Request, Verb, ERROR_BYTE, VERBS};
 use ringcnn_serve::registry::Precision;
 use ringcnn_tensor::prelude::*;
 use serde::Value;
@@ -144,6 +147,120 @@ fn cited_benchmark_rows_are_declared_in_benchmark_json() {
         cited >= 20,
         "the two documents should cite their benchmark rows; found {cited}"
     );
+}
+
+// --- docs/PROTOCOL.md tables against the serve crate's tables --------------
+
+fn cells(row: &str) -> Vec<&str> {
+    row.trim_matches('|').split('|').map(str::trim).collect()
+}
+
+/// Differences, in both directions, between the first table under
+/// `heading` and the markdown rows the code implies, matched on their
+/// first cell. A wanted cell ending in `…` asks for that prefix only;
+/// columns the wanted rows leave out are prose.
+fn table_diffs(doc: &str, heading: &str, want: &[String]) -> Vec<String> {
+    let mut table = doc
+        .lines()
+        .skip_while(|l| !l.starts_with('#') || l.trim_start_matches('#').trim() != heading)
+        .skip_while(|l| !l.starts_with('|'))
+        .take_while(|l| l.starts_with('|'))
+        .map(cells);
+    let columns = table.next().unwrap_or_default();
+    let rows: Vec<Vec<&str>> = table.skip(1).collect(); // Past the separator.
+    let want: Vec<Vec<&str>> = want.iter().map(|w| cells(w)).collect();
+    let mut out = Vec::new();
+    for w in &want {
+        let Some(d) = rows.iter().find(|d| d[0] == w[0]) else {
+            out.push(format!("{heading}: the document has no row {}", w[0]));
+            continue;
+        };
+        for (j, wanted) in w.iter().enumerate() {
+            let cell = d.get(j).copied().unwrap_or_default();
+            let agrees = match wanted.strip_suffix('…') {
+                Some(prefix) => cell.starts_with(prefix),
+                None => cell == *wanted,
+            };
+            if !agrees {
+                let (row, column) = (w[0], columns[j]);
+                out.push(format!(
+                    "{heading}: row {row}, column {column}: the document says {cell}, the code {wanted}"
+                ));
+            }
+        }
+    }
+    for d in rows.iter().filter(|d| !want.iter().any(|w| w[0] == d[0])) {
+        out.push(format!("{heading}: the code has no row {}", d[0]));
+    }
+    out
+}
+
+/// Every disagreement between PROTOCOL.md's *Verbs*, *Error codes* and
+/// *Control-plane responses* tables and the given verb and code tables.
+fn protocol_table_diffs(doc: &str, verbs: &[Verb], codes: &[WireCode]) -> Vec<String> {
+    let hex = |b: &u8| format!("`0x{b:02X}`");
+    let error = hex(&ERROR_BYTE);
+    let mut verb_rows = Vec::new();
+    let mut payload_rows = vec![format!("| {error} error | `code_len: u16 LE`… |")];
+    for v in verbs {
+        let (name, request, purpose) = (v.name, hex(&v.request), v.purpose);
+        let response: Vec<String> = v.response.iter().map(hex).collect();
+        let all = response.join("/");
+        verb_rows.push(format!(
+            "| {name} | `{name}` | {request} | {all} | {purpose} |"
+        ));
+        let payload = match v.body {
+            Body::Infer => continue, // Its frames have a section of their own.
+            Body::None => "empty".to_string(),
+            Body::Json(key) => format!("the JSON `{key}`…"),
+            Body::Health => "`healthy: u8`…".to_string(),
+        };
+        payload_rows.push(format!("| {} {name} | {payload} |", response[0]));
+    }
+    let code_rows: Vec<String> = codes.iter().map(|(c, _)| format!("| `{c}` |")).collect();
+    [
+        table_diffs(doc, "Verbs", &verb_rows),
+        table_diffs(doc, "Error codes", &code_rows),
+        table_diffs(doc, "Control-plane responses", &payload_rows),
+    ]
+    .concat()
+}
+
+fn protocol_md() -> String {
+    std::fs::read_to_string(repo_root().join("docs/PROTOCOL.md")).expect("read doc")
+}
+
+#[test]
+fn protocol_tables_match_the_verb_and_error_tables() {
+    let diffs = protocol_table_diffs(&protocol_md(), &VERBS, &ServeError::CODES);
+    assert!(diffs.is_empty(), "{}", diffs.join("\n"));
+}
+
+#[test]
+fn broken_protocol_tables_are_named_by_row_and_column() {
+    // A swapped request byte, a misspelt error row and an extra verb in
+    // the document; one changed response byte in the code.
+    let doc = protocol_md()
+        .replace("| `infer` | `0x01` |", "| `infer` | `0x02` |")
+        .replace("| `timeout` |", "| `time_out` |")
+        .replace(
+            "| trace | `trace` |",
+            "| plan | `plan` | `0x08` |\n| trace | `trace` |",
+        );
+    let mut verbs = VERBS;
+    verbs[2].response = &[0x95];
+    let diffs = protocol_table_diffs(&doc, &verbs, &ServeError::CODES).join("\n");
+    for diagnostic in [
+        "Verbs: row infer, column request byte: the document says `0x02`, the code `0x01`",
+        "Verbs: row stats, column response byte(s): the document says `0x85`, the code `0x95`",
+        "Verbs: the code has no row plan",
+        "Error codes: the document has no row `timeout`",
+        "Error codes: the code has no row `time_out`",
+        "Control-plane responses: the document has no row `0x95` stats",
+        "Control-plane responses: the code has no row `0x85` stats",
+    ] {
+        assert!(diffs.contains(diagnostic), "no {diagnostic:?} in:\n{diffs}");
+    }
 }
 
 // --- docs/PROTOCOL.md byte layouts, spot-checked against the codec --------

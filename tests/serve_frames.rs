@@ -285,6 +285,51 @@ fn oversized_requests_are_refused_then_closed() {
     server.shutdown();
 }
 
+/// PROTOCOL.md §Error codes: a frame the decoder refuses — intact or
+/// not — is answered with one `bad_request` error frame and the
+/// connection closes; the valid `health` frame queued behind it is never
+/// answered. (The JSON wire resynchronizes at the newline instead:
+/// `tests/serve.rs::protocol_errors_do_not_kill_the_connection`.)
+#[test]
+fn a_refused_intact_frame_is_answered_once_then_the_connection_closes() {
+    let server = Server::start(tiny_registry(), ServerConfig::default()).expect("bind");
+    let addr = server.addr().to_string();
+    let mut health = Vec::new();
+    frame::encode_request(&Request::Health, &mut health);
+
+    let unknown_verb = [1, 0, 0, 0, 0x6F].to_vec();
+    // precision byte 0x05, empty name, shape [0,0,0,0], no samples.
+    let mut bad_precision = [20, 0, 0, 0, 0x01, 0x05, 0, 0].to_vec();
+    bad_precision.extend_from_slice(&[0; 16]);
+    let trailing_byte = [2, 0, 0, 0, health[4], 0xAA].to_vec();
+
+    for (what, bad) in [
+        ("unknown verb byte", unknown_verb),
+        ("bad precision byte", bad_precision),
+        ("trailing payload byte", trailing_byte),
+    ] {
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        let mut bytes = Vec::new();
+        frame::encode_preamble(&mut bytes);
+        bytes.extend_from_slice(&bad);
+        bytes.extend_from_slice(&health);
+        stream.write_all(&bytes).unwrap();
+        match read_binary_response(&mut stream) {
+            Ok(Response::Error(e)) => assert_eq!(e.code(), "bad_request", "{what}: {e}"),
+            other => panic!("{what}: expected a bad_request error frame, got {other:?}"),
+        }
+        // Exactly one answer: nothing but EOF follows.
+        let mut rest = Vec::new();
+        stream.read_to_end(&mut rest).expect("clean close");
+        assert!(
+            rest.is_empty(),
+            "{what}: {} bytes after the error",
+            rest.len()
+        );
+    }
+    server.shutdown();
+}
+
 /// Negotiation edges: bytes that merely *resemble* the magic fall back
 /// to JSON (and get a JSON `bad_request`, connection surviving); a
 /// matching magic with an unknown version is answered with a binary
