@@ -17,7 +17,7 @@
 use ringcnn_algebra::mat::Mat;
 use ringcnn_algebra::ring::RingKind;
 use ringcnn_algebra::transforms::hadamard;
-use ringcnn_nn::layer::{Layer, ParamGroup};
+use ringcnn_nn::layer::Layer;
 use ringcnn_nn::layers::ring_conv::RingConv2d;
 use ringcnn_nn::layers::shuffle::PixelShuffle;
 use ringcnn_nn::layers::structure::{Residual, Sequential};
@@ -137,10 +137,6 @@ impl Layer for TupleMix {
         format!("tuple_mix[n={}]", self.n)
     }
 
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        self.apply(input, &self.m32)
-    }
-
     fn forward_infer(&self, input: &Tensor) -> Tensor {
         self.apply(input, &self.m32)
     }
@@ -148,8 +144,6 @@ impl Layer for TupleMix {
     fn backward(&mut self, dout: &Tensor) -> Tensor {
         self.apply(dout, &self.mt32)
     }
-
-    fn visit_params(&mut self, _visitor: &mut dyn FnMut(ParamGroup<'_>)) {}
 
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
         self

@@ -2,7 +2,7 @@
 //! owned parameters and gradients.
 //!
 //! The framework is deliberately simple — a layer caches whatever it needs
-//! during `forward(…, train = true)` and consumes those caches in
+//! during [`Layer::forward_train`] and consumes those caches in
 //! `backward`. Optimizers visit parameters through
 //! [`Layer::visit_params`], which yields `(params, grads)` slice pairs in
 //! a stable order.
@@ -19,43 +19,75 @@ pub struct ParamGroup<'a> {
     pub grads: &'a mut [f32],
 }
 
-/// A differentiable network layer.
+/// A differentiable network layer, owning its parameters and gradient
+/// buffers. The contract, each part stated once:
 ///
-/// Layers own their parameters and gradient buffers. `forward` with
-/// `train = true` must cache activations needed by `backward`; with
-/// `train = false` caches may be skipped (inference mode).
-///
-/// Layers are `Sync` so one prepared model can serve concurrent
-/// inference forwards: [`Layer::forward_infer`] runs through `&self` and
-/// is what the tile-parallel runtime (`crate::runtime`) fans out across
-/// the thread pool.
+/// - [`Layer::forward_infer`] is *the* inference forward. It runs through
+///   `&self` and layers are `Sync`, so one model serves any number of
+///   concurrent forwards (what `crate::runtime` fans out over the pool).
+///   [`Layer::forward_train`] caches what [`Layer::backward`] consumes;
+///   [`Layer::forward`] only dispatches between the two, so inference
+///   through `&mut` cannot differ from inference through `&`.
+/// - A layer whose inference kernel is derived from its parameters (a
+///   packed weight plan, a ring convolution's transform-domain plan)
+///   holds it in one lazily initialised cell: the first `forward_infer`
+///   builds it — exactly once, however many threads race that call —
+///   and [`Layer::prepare_inference`] only does so ahead of time. Every
+///   `&mut` path to what the kernel was derived from (parameter
+///   accessors, `visit_params`, `forward_train`, backend selection)
+///   resets the cell, so a kernel can never go stale.
+/// - A container exposes its direct children through
+///   [`Layer::children`]; the tree walks and the per-tree defaults below
+///   are built on it.
 pub trait Layer: Send + Sync {
     /// Short human-readable layer descriptor (e.g. `conv3x3(16->32)`).
     fn name(&self) -> String;
 
-    /// Computes the layer output.
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
+    /// [`Layer::forward_train`] when `train`, [`Layer::forward_infer`]
+    /// otherwise. Not meant to be overridden.
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        if train {
+            self.forward_train(input)
+        } else {
+            self.forward_infer(input)
+        }
+    }
 
-    /// Inference forward through shared state: computes exactly
-    /// `forward(input, false)` without mutating the layer, so many
-    /// threads can run it on the same model concurrently.
-    ///
-    /// Layers with cached inference kernels (e.g. the transform-domain
-    /// plan of a ring convolution) use the cache when present and
-    /// otherwise rebuild it *locally per call* — correct but slower.
-    /// Call [`Layer::prepare_inference`] once before fanning out to pay
-    /// the build exactly once.
+    /// Training forward: computes the output and caches the activations
+    /// [`Layer::backward`] needs. Default: the inference forward, for
+    /// layers whose backward needs nothing from the forward pass.
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
+        self.forward_infer(input)
+    }
+
+    /// Inference forward through shared state: never mutates the layer,
+    /// so many threads can run it on the same model concurrently.
     fn forward_infer(&self, input: &Tensor) -> Tensor;
 
-    /// Pre-builds every cached inference kernel (transform plans, weight
-    /// expansions) so subsequent [`Layer::forward_infer`] calls never
-    /// rebuild state. Default: nothing to prepare.
-    fn prepare_inference(&mut self) {}
+    /// The direct children of a container layer, in execution order —
+    /// `None` for a leaf (an empty container is still `Some(&[])`).
+    fn children(&self) -> Option<&[Box<dyn Layer>]> {
+        None
+    }
+
+    /// Mutable counterpart of [`Layer::children`].
+    fn children_mut(&mut self) -> Option<&mut [Box<dyn Layer>]> {
+        None
+    }
+
+    /// Builds every inference kernel of the tree now instead of on the
+    /// first [`Layer::forward_infer`] — a warm-up, never a requirement.
+    fn prepare_inference(&mut self) {
+        for child in self.children_mut().into_iter().flatten() {
+            child.prepare_inference();
+        }
+    }
 
     /// Spatial radius this layer reads around each output pixel, in this
     /// layer's *own input* resolution (`⌊k/2⌋` for a `k×k` convolution,
-    /// 0 for pointwise layers). The runtime composes these through
-    /// shuffles into a whole-model receptive radius.
+    /// 0 for pointwise layers; for a container, the reach of whatever it
+    /// computes *beside* its children). The runtime composes these
+    /// through shuffles into a whole-model receptive radius.
     fn kernel_radius(&self) -> usize {
         0
     }
@@ -69,8 +101,13 @@ pub trait Layer: Send + Sync {
     /// forward pass.
     fn backward(&mut self, dout: &Tensor) -> Tensor;
 
-    /// Visits every `(values, grads)` parameter group in a stable order.
-    fn visit_params(&mut self, visitor: &mut dyn FnMut(ParamGroup<'_>));
+    /// Visits every `(values, grads)` parameter group of the tree in a
+    /// stable order. Default: the children's groups (none for a leaf).
+    fn visit_params(&mut self, visitor: &mut dyn FnMut(ParamGroup<'_>)) {
+        for child in self.children_mut().into_iter().flatten() {
+            child.visit_params(visitor);
+        }
+    }
 
     /// Sets all gradient accumulators to zero.
     fn zero_grads(&mut self) {
@@ -90,14 +127,25 @@ pub trait Layer: Send + Sync {
 
     /// Real multiplications per output pixel when executed with the
     /// layer's fast algorithm (used for the computation-efficiency axes
-    /// of Fig. 1 and Fig. C-1). Zero for parameter-free layers.
+    /// of Fig. 1 and Fig. C-1). Zero for parameter-free leaves; for a
+    /// container the plain sum over its children, which ignores spatial
+    /// rescaling inside the chain — model builders get exact accounting
+    /// from `complexity::mults_per_input_pixel`.
     fn mults_per_pixel(&self) -> f64 {
-        0.0
+        self.children()
+            .into_iter()
+            .flatten()
+            .map(|child| child.mults_per_pixel())
+            .sum()
     }
 
-    /// Output channel count given the input channel count.
+    /// Output channel count given the input channel count: unchanged by
+    /// default for a leaf, threaded through the children of a container.
     fn out_channels(&self, in_channels: usize) -> usize {
-        in_channels
+        self.children()
+            .into_iter()
+            .flatten()
+            .fold(in_channels, |c, child| child.out_channels(c))
     }
 
     /// Spatial scale factor of the layer (2 for ×2 pixel shuffle, ½ for
@@ -107,12 +155,26 @@ pub trait Layer: Send + Sync {
     }
 
     /// Selects the convolution execution backend for inference forwards
-    /// (see [`ConvBackend`]). Structural layers propagate to their
-    /// children; layers without convolutions ignore it (default no-op).
-    fn set_conv_backend(&mut self, _backend: ConvBackend) {}
+    /// (see [`ConvBackend`]) on every convolution of the tree; layers
+    /// without convolutions ignore it.
+    fn set_conv_backend(&mut self, backend: ConvBackend) {
+        for child in self.children_mut().into_iter().flatten() {
+            child.set_conv_backend(backend);
+        }
+    }
 
     /// Downcasting support (used by pruning and model surgery).
     fn as_any_mut(&mut self) -> &mut dyn Any;
+}
+
+/// Visits `layer` and every layer below it, a container before its
+/// children, siblings in execution order: the one recursion behind
+/// `Sequential::for_each_layer_mut` and `runtime::model_topology`.
+pub fn visit_tree_mut(layer: &mut dyn Layer, f: &mut dyn FnMut(&mut dyn Layer)) {
+    f(layer);
+    for child in layer.children_mut().into_iter().flatten() {
+        visit_tree_mut(child.as_mut(), f);
+    }
 }
 
 #[cfg(test)]
@@ -127,9 +189,6 @@ mod tests {
     impl Layer for Dummy {
         fn name(&self) -> String {
             "dummy".into()
-        }
-        fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-            input.clone()
         }
         fn forward_infer(&self, input: &Tensor) -> Tensor {
             input.clone()

@@ -1,7 +1,7 @@
 //! Activation layers: component-wise ReLU and the tuple-wise directional
 //! ReLU (`fH` / `fO4`) applied across channel groups.
 
-use crate::layer::{Layer, ParamGroup};
+use crate::layer::Layer;
 use ringcnn_algebra::relu::{DirectionalRelu, Nonlinearity};
 use ringcnn_algebra::ring::Ring;
 
@@ -26,10 +26,8 @@ impl Layer for Relu {
         "relu".into()
     }
 
-    fn forward(&mut self, input: &T, train: bool) -> T {
-        if train {
-            self.cached_input = Some(input.clone());
-        }
+    fn forward_train(&mut self, input: &T) -> T {
+        self.cached_input = Some(input.clone());
         self.forward_infer(input)
     }
 
@@ -52,8 +50,6 @@ impl Layer for Relu {
         }
         d
     }
-
-    fn visit_params(&mut self, _visitor: &mut dyn FnMut(ParamGroup<'_>)) {}
 
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
         self
@@ -100,10 +96,7 @@ impl Layer for DirectionalReluLayer {
         format!("drelu[n={}]", self.n)
     }
 
-    fn forward(&mut self, input: &T, train: bool) -> T {
-        if !train {
-            return self.forward_infer(input);
-        }
+    fn forward_train(&mut self, input: &T) -> T {
         let s = input.shape();
         assert_eq!(
             s.c % self.n,
@@ -192,8 +185,6 @@ impl Layer for DirectionalReluLayer {
         }
         din
     }
-
-    fn visit_params(&mut self, _visitor: &mut dyn FnMut(ParamGroup<'_>)) {}
 
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
         self

@@ -5,6 +5,7 @@ use crate::init::he_std;
 use crate::layer::{Layer, ParamGroup};
 use ringcnn_tensor::prelude::*;
 use ringcnn_tensor::tensor::Tensor as T;
+use std::sync::OnceLock;
 
 /// `K×K` real convolution with bias and zero padding ("same" output size).
 ///
@@ -29,9 +30,10 @@ pub struct Conv2d {
     mask: Option<Vec<f32>>,
     /// Forward kernel selection; both kernels are bit-for-bit identical.
     backend: ConvBackend,
-    /// The streaming engine's plan of `weights`, built by
-    /// `prepare_inference`; dropped whenever the weights may change.
-    plan: Option<PackedWeights<f32>>,
+    /// The streaming engine's plan of `weights`: built by the first
+    /// engine forward, reset by every `&mut` path to the weights. (The
+    /// naive kernel reads `weights` directly and never fills it.)
+    plan: OnceLock<PackedWeights<f32>>,
 }
 
 impl Conv2d {
@@ -49,7 +51,7 @@ impl Conv2d {
             cached_input: None,
             mask: None,
             backend: ConvBackend::Naive,
-            plan: None,
+            plan: OnceLock::new(),
         }
     }
 
@@ -85,10 +87,10 @@ impl Conv2d {
         &self.weights
     }
 
-    /// Mutable weight access (used by quantization and pruning; drops
-    /// the cached weight plan).
+    /// Mutable weight access (used by quantization and pruning; resets
+    /// the weight plan).
     pub fn weights_mut(&mut self) -> &mut ConvWeights {
-        self.plan = None;
+        self.plan.take();
         &mut self.weights
     }
 
@@ -111,11 +113,16 @@ impl Conv2d {
     /// Panics if the mask length differs from the weight count.
     pub fn set_mask(&mut self, mask: Vec<f32>) {
         assert_eq!(mask.len(), self.weights.data.len(), "mask length mismatch");
-        self.plan = None;
+        self.plan.take();
         for (w, m) in self.weights.data.iter_mut().zip(&mask) {
             *w *= m;
         }
         self.mask = Some(mask);
+    }
+
+    /// The engine's weight plan, planned on first use.
+    fn plan(&self) -> &PackedWeights<f32> {
+        self.plan.get_or_init(|| self.weights.packed())
     }
 
     /// The installed pruning mask, if any.
@@ -142,33 +149,25 @@ impl Layer for Conv2d {
         )
     }
 
-    fn forward(&mut self, input: &T, train: bool) -> T {
-        if train {
-            // Training always flows through the naive reference kernel
-            // (same contract as RingConv2d; backward uses it too);
-            // weights are about to change, so drop the cached plan.
-            self.cached_input = Some(input.clone());
-            self.plan = None;
-            return conv2d_forward(input, &self.weights, &self.bias);
-        }
-        // Build the plan through the exclusive borrow, then run the same
-        // shared-state path the parallel runtime uses.
-        self.prepare_inference();
-        self.forward_infer(input)
+    fn forward_train(&mut self, input: &T) -> T {
+        // Training always flows through the naive reference kernel
+        // (same contract as RingConv2d; backward uses it too); the
+        // weights are about to change, so reset the plan.
+        self.cached_input = Some(input.clone());
+        self.plan.take();
+        conv2d_forward(input, &self.weights, &self.bias)
     }
 
     fn forward_infer(&self, input: &T) -> T {
-        match (self.backend, &self.plan) {
-            (ConvBackend::Naive, _) => conv2d_forward(input, &self.weights, &self.bias),
-            (_, Some(plan)) => conv2d_forward_packed(input, self.weights.k, plan, &self.bias),
-            // Unprepared: plan locally, never through `&self`.
-            (_, None) => conv2d_forward_im2col(input, &self.weights, &self.bias),
+        match self.backend {
+            ConvBackend::Naive => conv2d_forward(input, &self.weights, &self.bias),
+            _ => conv2d_forward_packed(input, self.weights.k, self.plan(), &self.bias),
         }
     }
 
     fn prepare_inference(&mut self) {
-        if self.backend != ConvBackend::Naive && self.plan.is_none() {
-            self.plan = Some(self.weights.packed());
+        if self.backend != ConvBackend::Naive {
+            self.plan();
         }
     }
 
@@ -198,7 +197,7 @@ impl Layer for Conv2d {
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(ParamGroup<'_>)) {
         // Visitors (optimizers, quantizers) may mutate the parameters.
-        self.plan = None;
+        self.plan.take();
         visitor(ParamGroup {
             values: &mut self.weights.data,
             grads: &mut self.dweights.data,
@@ -245,9 +244,19 @@ pub struct DepthwiseConv2d {
     dbias: Vec<f32>,
     cached_input: Option<T>,
     backend: ConvBackend,
-    /// The streaming engine's plan of the block-diagonal lowering, built
-    /// by `prepare_inference`; dropped whenever the weights may change.
-    plan: Option<PackedWeights<f32>>,
+    /// The one inference kernel, chosen from `backend`: built by the
+    /// first `forward_infer`, reset by every `&mut` path to the weights
+    /// or the backend.
+    kernel: OnceLock<DepthwiseKernel>,
+}
+
+/// The block-diagonal lowering of the per-channel filters — simple, and
+/// it reuses the tested dense kernels — in the form each backend runs.
+enum DepthwiseKernel {
+    /// The lowering itself, for the reference kernel.
+    Naive(ConvWeights),
+    /// The streaming engine's plan of it.
+    Engine(PackedWeights<f32>),
 }
 
 impl DepthwiseConv2d {
@@ -264,7 +273,7 @@ impl DepthwiseConv2d {
             dbias: vec![0.0; channels],
             cached_input: None,
             backend: ConvBackend::Naive,
-            plan: None,
+            kernel: OnceLock::new(),
         }
     }
 
@@ -279,6 +288,17 @@ impl DepthwiseConv2d {
         }
         w
     }
+
+    /// The kernel of the active backend, built on first use.
+    fn kernel(&self) -> &DepthwiseKernel {
+        self.kernel.get_or_init(|| {
+            let lowered = self.block_diagonal_weights();
+            match self.backend {
+                ConvBackend::Naive => DepthwiseKernel::Naive(lowered),
+                _ => DepthwiseKernel::Engine(lowered.packed()),
+            }
+        })
+    }
 }
 
 impl Layer for DepthwiseConv2d {
@@ -286,36 +306,23 @@ impl Layer for DepthwiseConv2d {
         format!("dwconv{k}x{k}({c})", k = self.k, c = self.channels)
     }
 
-    fn forward(&mut self, input: &T, train: bool) -> T {
-        if train {
-            assert_eq!(input.shape().c, self.channels, "channel mismatch");
-            self.cached_input = Some(input.clone());
-            self.plan = None;
-            return conv2d_forward(input, &self.block_diagonal_weights(), &self.bias);
-        }
-        self.prepare_inference();
-        self.forward_infer(input)
+    fn forward_train(&mut self, input: &T) -> T {
+        assert_eq!(input.shape().c, self.channels, "channel mismatch");
+        self.cached_input = Some(input.clone());
+        self.kernel.take();
+        conv2d_forward(input, &self.block_diagonal_weights(), &self.bias)
     }
 
     fn forward_infer(&self, input: &T) -> T {
         assert_eq!(input.shape().c, self.channels, "channel mismatch");
-        // Lower onto a grouped conv through a block-diagonal weight —
-        // simple and reuses the tested kernels. Only the reference path
-        // and an unprepared layer build it per call (never through
-        // `&self`).
-        match (self.backend, &self.plan) {
-            (ConvBackend::Naive, _) => {
-                conv2d_forward(input, &self.block_diagonal_weights(), &self.bias)
-            }
-            (_, Some(plan)) => conv2d_forward_packed(input, self.k, plan, &self.bias),
-            (_, None) => conv2d_forward_im2col(input, &self.block_diagonal_weights(), &self.bias),
+        match self.kernel() {
+            DepthwiseKernel::Naive(w) => conv2d_forward(input, w, &self.bias),
+            DepthwiseKernel::Engine(plan) => conv2d_forward_packed(input, self.k, plan, &self.bias),
         }
     }
 
     fn prepare_inference(&mut self) {
-        if self.backend != ConvBackend::Naive && self.plan.is_none() {
-            self.plan = Some(self.block_diagonal_weights().packed());
-        }
+        self.kernel();
     }
 
     fn kernel_radius(&self) -> usize {
@@ -341,7 +348,7 @@ impl Layer for DepthwiseConv2d {
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(ParamGroup<'_>)) {
         // Visitors (optimizers, quantizers) may mutate the parameters.
-        self.plan = None;
+        self.kernel.take();
         visitor(ParamGroup {
             values: &mut self.weights,
             grads: &mut self.dweights,
@@ -363,6 +370,7 @@ impl Layer for DepthwiseConv2d {
 
     fn set_conv_backend(&mut self, backend: ConvBackend) {
         self.backend = backend;
+        self.kernel.take();
     }
 
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {

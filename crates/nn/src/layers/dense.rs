@@ -25,10 +25,8 @@ impl Layer for GlobalAvgPool {
         "global_avg_pool".into()
     }
 
-    fn forward(&mut self, input: &T, train: bool) -> T {
-        if train {
-            self.cached_shape = Some(input.shape());
-        }
+    fn forward_train(&mut self, input: &T) -> T {
+        self.cached_shape = Some(input.shape());
         self.forward_infer(input)
     }
 
@@ -61,8 +59,6 @@ impl Layer for GlobalAvgPool {
         }
         din
     }
-
-    fn visit_params(&mut self, _visitor: &mut dyn FnMut(ParamGroup<'_>)) {}
 
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
         self
@@ -102,10 +98,8 @@ impl Layer for Dense {
         format!("dense({}->{})", self.ci, self.co)
     }
 
-    fn forward(&mut self, input: &T, train: bool) -> T {
-        if train {
-            self.cached_input = Some(input.clone());
-        }
+    fn forward_train(&mut self, input: &T) -> T {
+        self.cached_input = Some(input.clone());
         self.forward_infer(input)
     }
 

@@ -16,6 +16,7 @@ use crate::layers::fast_ring_conv::FastRingConv;
 use ringcnn_algebra::ring::Ring;
 use ringcnn_tensor::prelude::*;
 use ringcnn_tensor::tensor::Tensor as T;
+use std::sync::OnceLock;
 
 /// `K×K` ring convolution over `n`-tuple channels.
 ///
@@ -48,15 +49,22 @@ pub struct RingConv2d {
     cached_input: Option<T>,
     /// Inference kernel selection; training always lowers naively.
     backend: ConvBackend,
-    /// Cached transform-domain plan (weights already through `Tg`);
-    /// invalidated whenever weights or bias may change.
-    plan: Option<FastRingConv>,
-    /// Cached isomorphic real-weight expansion for the Naive inference
-    /// path; invalidated alongside `plan`.
-    expanded: Option<ConvWeights>,
-    /// Cached streaming-engine plan of that expansion for the Im2col
-    /// inference path; invalidated alongside `plan`.
-    packed: Option<PackedWeights<f32>>,
+    /// The one inference kernel, chosen from `backend`: built by the
+    /// first `forward_infer`, reset by every `&mut` path to the weights,
+    /// the bias or the backend.
+    kernel: OnceLock<RingKernel>,
+}
+
+/// The weight side of a ring convolution in the form each backend runs
+/// — a fact fixed once per weight set, like `Tg` in eq. (12).
+enum RingKernel {
+    /// The isomorphic real-weight expansion (eq. (4)), for the
+    /// reference kernel.
+    Naive(ConvWeights),
+    /// The streaming engine's plan of that expansion.
+    Engine(PackedWeights<f32>),
+    /// The transform-domain plan: weights already through `Tg`.
+    Transform(FastRingConv),
 }
 
 impl RingConv2d {
@@ -98,17 +106,24 @@ impl RingConv2d {
             dbias: vec![0.0; co],
             cached_input: None,
             backend: ConvBackend::Naive,
-            plan: None,
-            expanded: None,
-            packed: None,
+            kernel: OnceLock::new(),
         }
     }
 
-    /// Drops every cached inference kernel (the weights may change).
-    fn drop_kernels(&mut self) {
-        self.plan = None;
-        self.expanded = None;
-        self.packed = None;
+    /// The kernel of the active backend, built on first use.
+    fn kernel(&self) -> &RingKernel {
+        self.kernel.get_or_init(|| match self.backend {
+            ConvBackend::Naive => RingKernel::Naive(self.expand_real_weights()),
+            ConvBackend::Im2col => RingKernel::Engine(self.expand_real_weights().packed()),
+            ConvBackend::Transform => RingKernel::Transform(FastRingConv::new(
+                &self.ring,
+                &self.weights,
+                self.ci_t,
+                self.co_t,
+                self.k,
+                &self.bias,
+            )),
+        })
     }
 
     /// The active inference backend.
@@ -121,7 +136,7 @@ impl RingConv2d {
     /// Training forwards/backwards always use the naive lowering.
     pub fn set_backend(&mut self, backend: ConvBackend) {
         self.backend = backend;
-        self.drop_kernels();
+        self.kernel.take();
     }
 
     /// The ring algebra of this layer.
@@ -154,10 +169,9 @@ impl RingConv2d {
         &self.weights
     }
 
-    /// Mutable flat ring-weight access (drops the cached inference
-    /// kernels).
+    /// Mutable flat ring-weight access (resets the inference kernel).
     pub fn ring_weights_mut(&mut self) -> &mut [f32] {
-        self.drop_kernels();
+        self.kernel.take();
         &mut self.weights
     }
 
@@ -166,9 +180,10 @@ impl RingConv2d {
         &self.bias
     }
 
-    /// Mutable bias access (drops any cached transform plan).
+    /// Mutable bias access (resets the inference kernel: the transform
+    /// plan carries the bias).
     pub fn bias_mut(&mut self) -> &mut [f32] {
-        self.plan = None;
+        self.kernel.take();
         &mut self.bias
     }
 
@@ -239,26 +254,19 @@ impl Layer for RingConv2d {
         )
     }
 
-    fn forward(&mut self, input: &T, train: bool) -> T {
+    fn forward_train(&mut self, input: &T) -> T {
         assert_eq!(
             input.shape().c,
             self.ci(),
             "channel mismatch in {}",
             self.name()
         );
-        if train {
-            // Training lowers onto the naive isomorphic expansion so the
-            // forward pass matches `backward` exactly; weights are about
-            // to change, so drop the cached inference kernels.
-            self.cached_input = Some(input.clone());
-            self.drop_kernels();
-            let w = self.expand_real_weights();
-            return conv2d_forward(input, &w, &self.bias);
-        }
-        // Build the cached kernels through the exclusive borrow, then run
-        // the same shared-state path the parallel runtime uses.
-        self.prepare_inference();
-        self.forward_infer(input)
+        // Training lowers onto the naive isomorphic expansion so the
+        // forward pass matches `backward` exactly; weights are about
+        // to change, so reset the inference kernel.
+        self.cached_input = Some(input.clone());
+        self.kernel.take();
+        conv2d_forward(input, &self.expand_real_weights(), &self.bias)
     }
 
     fn forward_infer(&self, input: &T) -> T {
@@ -268,69 +276,15 @@ impl Layer for RingConv2d {
             "channel mismatch in {}",
             self.name()
         );
-        // Every arm uses the kernel `prepare_inference` cached when it
-        // is there and otherwise builds it locally — never through
-        // `&self`, so concurrent tile workers cannot race a rebuild.
-        match self.backend {
-            ConvBackend::Naive => match &self.expanded {
-                Some(w) => conv2d_forward(input, w, &self.bias),
-                None => conv2d_forward(input, &self.expand_real_weights(), &self.bias),
-            },
-            ConvBackend::Im2col => match &self.packed {
-                Some(w) => conv2d_forward_packed(input, self.k, w, &self.bias),
-                None => conv2d_forward_im2col(input, &self.expand_real_weights(), &self.bias),
-            },
-            ConvBackend::Transform => {
-                let local;
-                let plan = match &self.plan {
-                    Some(p) => p,
-                    None => {
-                        local = FastRingConv::new(
-                            &self.ring,
-                            &self.weights,
-                            self.ci_t,
-                            self.co_t,
-                            self.k,
-                            &self.bias,
-                        );
-                        &local
-                    }
-                };
-                plan.forward(input)
-            }
+        match self.kernel() {
+            RingKernel::Naive(w) => conv2d_forward(input, w, &self.bias),
+            RingKernel::Engine(w) => conv2d_forward_packed(input, self.k, w, &self.bias),
+            RingKernel::Transform(plan) => plan.forward(input),
         }
     }
 
     fn prepare_inference(&mut self) {
-        // Pre-build the kernel the active backend needs so the shared
-        // `forward_infer` path never rebuilds per call. Weight-mutation
-        // paths (`ring_weights_mut`, `bias_mut`, `visit_params`, training
-        // forward) all drop these caches, so a pre-built plan can never
-        // go stale.
-        match self.backend {
-            ConvBackend::Naive => {
-                if self.expanded.is_none() {
-                    self.expanded = Some(self.expand_real_weights());
-                }
-            }
-            ConvBackend::Im2col => {
-                if self.packed.is_none() {
-                    self.packed = Some(self.expand_real_weights().packed());
-                }
-            }
-            ConvBackend::Transform => {
-                if self.plan.is_none() {
-                    self.plan = Some(FastRingConv::new(
-                        &self.ring,
-                        &self.weights,
-                        self.ci_t,
-                        self.co_t,
-                        self.k,
-                        &self.bias,
-                    ));
-                }
-            }
-        }
+        self.kernel();
     }
 
     fn kernel_radius(&self) -> usize {
@@ -353,7 +307,7 @@ impl Layer for RingConv2d {
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(ParamGroup<'_>)) {
         // Visitors (optimizers, quantizers) may mutate the parameters.
-        self.drop_kernels();
+        self.kernel.take();
         visitor(ParamGroup {
             values: &mut self.weights,
             grads: &mut self.dweights,

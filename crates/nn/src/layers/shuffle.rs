@@ -1,7 +1,7 @@
 //! Pixel shuffle / unshuffle: lossless space↔depth reshapes used by the
 //! ERNet-style models (the "PU" in DnERNet-PU) and the SR upsamplers.
 
-use crate::layer::{Layer, ParamGroup};
+use crate::layer::Layer;
 use ringcnn_tensor::prelude::*;
 use ringcnn_tensor::tensor::Tensor as T;
 
@@ -51,10 +51,6 @@ impl Layer for PixelUnshuffle {
         format!("pixel_unshuffle(x{})", self.r)
     }
 
-    fn forward(&mut self, input: &T, _train: bool) -> T {
-        Self::apply(input, self.r)
-    }
-
     fn forward_infer(&self, input: &T) -> T {
         Self::apply(input, self.r)
     }
@@ -62,8 +58,6 @@ impl Layer for PixelUnshuffle {
     fn backward(&mut self, dout: &T) -> T {
         PixelShuffle::apply(dout, self.r)
     }
-
-    fn visit_params(&mut self, _visitor: &mut dyn FnMut(ParamGroup<'_>)) {}
 
     fn out_channels(&self, in_channels: usize) -> usize {
         in_channels * self.r * self.r
@@ -129,10 +123,6 @@ impl Layer for PixelShuffle {
         format!("pixel_shuffle(x{})", self.r)
     }
 
-    fn forward(&mut self, input: &T, _train: bool) -> T {
-        Self::apply(input, self.r)
-    }
-
     fn forward_infer(&self, input: &T) -> T {
         Self::apply(input, self.r)
     }
@@ -140,8 +130,6 @@ impl Layer for PixelShuffle {
     fn backward(&mut self, dout: &T) -> T {
         PixelUnshuffle::apply(dout, self.r)
     }
-
-    fn visit_params(&mut self, _visitor: &mut dyn FnMut(ParamGroup<'_>)) {}
 
     fn out_channels(&self, in_channels: usize) -> usize {
         in_channels / (self.r * self.r)

@@ -1,8 +1,11 @@
 //! Structural layers: [`Sequential`] composition and [`Residual`] blocks
 //! (skip connections).
+//!
+//! A container exposes its children through [`Layer::children`] and
+//! inherits the per-tree methods (`visit_params`, `set_conv_backend`, …)
+//! as the trait's defaults over that hook.
 
-use crate::backend::ConvBackend;
-use crate::layer::{Layer, ParamGroup};
+use crate::layer::{visit_tree_mut, Layer};
 use ringcnn_tensor::tensor::Tensor as T;
 
 /// A chain of layers applied in order. `Sequential` is itself a [`Layer`],
@@ -54,40 +57,16 @@ impl Sequential {
         &mut self.layers
     }
 
-    /// Immutable child access (for the inference runtime's model walk).
-    pub fn layers(&self) -> &[Box<dyn Layer>] {
-        &self.layers
-    }
-
-    /// Runs a closure on every layer in the tree (depth-first), including
-    /// the children of nested [`Sequential`]s and [`Residual`]s.
+    /// Runs a closure on every leaf layer of the tree in execution order
+    /// (containers — nested [`Sequential`]s, [`Residual`]s, bicubic-skip
+    /// wrappers — are descended, never handed to `f`).
     pub fn for_each_layer_mut(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
-        for l in &mut self.layers {
-            visit_layer(l.as_mut(), f);
-        }
+        visit_tree_mut(self, &mut |layer| {
+            if layer.children().is_none() {
+                f(layer);
+            }
+        });
     }
-}
-
-fn visit_layer(layer: &mut dyn Layer, f: &mut dyn FnMut(&mut dyn Layer)) {
-    // Recurse into known structural layers first.
-    if let Some(seq) = layer.as_any_mut().downcast_mut::<Sequential>() {
-        for l in &mut seq.layers {
-            visit_layer(l.as_mut(), f);
-        }
-        return;
-    }
-    if let Some(res) = layer.as_any_mut().downcast_mut::<Residual>() {
-        res.body.for_each_layer_mut(f);
-        return;
-    }
-    if let Some(ur) = layer
-        .as_any_mut()
-        .downcast_mut::<crate::layers::upsample::UpsampleResidual>()
-    {
-        ur.body_mut().for_each_layer_mut(f);
-        return;
-    }
-    f(layer);
 }
 
 impl Layer for Sequential {
@@ -95,10 +74,10 @@ impl Layer for Sequential {
         format!("sequential[{}]", self.layers.len())
     }
 
-    fn forward(&mut self, input: &T, train: bool) -> T {
+    fn forward_train(&mut self, input: &T) -> T {
         let mut x = input.clone();
         for l in &mut self.layers {
-            x = l.forward(&x, train);
+            x = l.forward_train(&x);
         }
         x
     }
@@ -111,10 +90,12 @@ impl Layer for Sequential {
         x
     }
 
-    fn prepare_inference(&mut self) {
-        for l in &mut self.layers {
-            l.prepare_inference();
-        }
+    fn children(&self) -> Option<&[Box<dyn Layer>]> {
+        Some(&self.layers)
+    }
+
+    fn children_mut(&mut self) -> Option<&mut [Box<dyn Layer>]> {
+        Some(&mut self.layers)
     }
 
     fn backward(&mut self, dout: &T) -> T {
@@ -123,30 +104,6 @@ impl Layer for Sequential {
             d = l.backward(&d);
         }
         d
-    }
-
-    fn visit_params(&mut self, visitor: &mut dyn FnMut(ParamGroup<'_>)) {
-        for l in &mut self.layers {
-            l.visit_params(visitor);
-        }
-    }
-
-    fn mults_per_pixel(&self) -> f64 {
-        // NOTE: this naive sum ignores spatial rescaling inside the chain;
-        // model builders provide exact accounting via `complexity::count`.
-        self.layers.iter().map(|l| l.mults_per_pixel()).sum()
-    }
-
-    fn out_channels(&self, in_channels: usize) -> usize {
-        self.layers
-            .iter()
-            .fold(in_channels, |c, l| l.out_channels(c))
-    }
-
-    fn set_conv_backend(&mut self, backend: ConvBackend) {
-        for l in &mut self.layers {
-            l.set_conv_backend(backend);
-        }
     }
 
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
@@ -169,11 +126,6 @@ impl Residual {
     pub fn body_mut(&mut self) -> &mut Sequential {
         &mut self.body
     }
-
-    /// Immutable body access (for the inference runtime's model walk).
-    pub fn body(&self) -> &Sequential {
-        &self.body
-    }
 }
 
 impl Layer for Residual {
@@ -181,8 +133,8 @@ impl Layer for Residual {
         format!("residual({})", self.body.name())
     }
 
-    fn forward(&mut self, input: &T, train: bool) -> T {
-        let mut out = self.body.forward(input, train);
+    fn forward_train(&mut self, input: &T) -> T {
+        let mut out = self.body.forward_train(input);
         out.add_assign(input);
         out
     }
@@ -193,8 +145,14 @@ impl Layer for Residual {
         out
     }
 
-    fn prepare_inference(&mut self) {
-        self.body.prepare_inference();
+    // The skip path is pointwise, so the body's layers are all there is
+    // to walk.
+    fn children(&self) -> Option<&[Box<dyn Layer>]> {
+        self.body.children()
+    }
+
+    fn children_mut(&mut self) -> Option<&mut [Box<dyn Layer>]> {
+        self.body.children_mut()
     }
 
     fn backward(&mut self, dout: &T) -> T {
@@ -203,22 +161,10 @@ impl Layer for Residual {
         d
     }
 
-    fn visit_params(&mut self, visitor: &mut dyn FnMut(ParamGroup<'_>)) {
-        self.body.visit_params(visitor);
-    }
-
-    fn mults_per_pixel(&self) -> f64 {
-        self.body.mults_per_pixel()
-    }
-
     fn out_channels(&self, in_channels: usize) -> usize {
         let co = self.body.out_channels(in_channels);
         assert_eq!(co, in_channels, "residual body must preserve channels");
         co
-    }
-
-    fn set_conv_backend(&mut self, backend: ConvBackend) {
-        self.body.set_conv_backend(backend);
     }
 
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {

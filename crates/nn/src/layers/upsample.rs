@@ -5,8 +5,7 @@
 //! interpolation, which makes small-scale training start from the
 //! bicubic baseline instead of random output.
 
-use crate::backend::ConvBackend;
-use crate::layer::{Layer, ParamGroup};
+use crate::layer::Layer;
 use crate::layers::structure::Sequential;
 use ringcnn_imaging::degrade::{resize_bicubic_adjoint, upsample};
 use ringcnn_tensor::tensor::Tensor;
@@ -33,11 +32,6 @@ impl UpsampleResidual {
         &mut self.body
     }
 
-    /// Immutable body access (for the inference runtime's model walk).
-    pub fn body(&self) -> &Sequential {
-        &self.body
-    }
-
     /// The upsampling factor.
     pub fn factor(&self) -> usize {
         self.factor
@@ -49,12 +43,10 @@ impl Layer for UpsampleResidual {
         format!("upsample_residual(x{})", self.factor)
     }
 
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if train {
-            let s = input.shape();
-            self.cached_in_hw = Some((s.h, s.w));
-        }
-        let mut out = self.body.forward(input, train);
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
+        let s = input.shape();
+        self.cached_in_hw = Some((s.h, s.w));
+        let mut out = self.body.forward_train(input);
         out.add_assign(&upsample(input, self.factor));
         out
     }
@@ -65,8 +57,18 @@ impl Layer for UpsampleResidual {
         out
     }
 
-    fn prepare_inference(&mut self) {
-        self.body.prepare_inference();
+    fn children(&self) -> Option<&[Box<dyn Layer>]> {
+        self.body.children()
+    }
+
+    fn children_mut(&mut self) -> Option<&mut [Box<dyn Layer>]> {
+        self.body.children_mut()
+    }
+
+    /// The bicubic skip reaches 2 source pixels around each output
+    /// pixel; the body's layers report their own.
+    fn kernel_radius(&self) -> usize {
+        2
     }
 
     fn backward(&mut self, dout: &Tensor) -> Tensor {
@@ -79,24 +81,8 @@ impl Layer for UpsampleResidual {
         din
     }
 
-    fn visit_params(&mut self, visitor: &mut dyn FnMut(ParamGroup<'_>)) {
-        self.body.visit_params(visitor);
-    }
-
-    fn mults_per_pixel(&self) -> f64 {
-        self.body.mults_per_pixel()
-    }
-
-    fn out_channels(&self, in_channels: usize) -> usize {
-        self.body.out_channels(in_channels)
-    }
-
     fn spatial_scale(&self) -> (usize, usize) {
         (self.factor, 1)
-    }
-
-    fn set_conv_backend(&mut self, backend: ConvBackend) {
-        self.body.set_conv_backend(backend);
     }
 
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {

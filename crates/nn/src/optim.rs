@@ -119,9 +119,6 @@ mod tests {
         fn name(&self) -> String {
             "quad".into()
         }
-        fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-            input.clone()
-        }
         fn forward_infer(&self, input: &Tensor) -> Tensor {
             input.clone()
         }

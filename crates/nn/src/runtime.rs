@@ -12,16 +12,16 @@
 //! `tests/runtime_parallel.rs` enforces it.
 //!
 //! Threading model: [`BatchRunner::new`] takes the model exclusively
-//! once, pre-builds every cached inference kernel
-//! ([`Layer::prepare_inference`] — transform plans, weight expansions),
-//! and then shares the model immutably across tile/frame workers via
-//! [`Layer::forward_infer`]. Workers never mutate the model, so no plan
-//! rebuild can race. The pool size comes from `RINGCNN_THREADS`
-//! (see the `rayon` shim; 1 = fully sequential).
+//! once, warms up every inference kernel
+//! ([`Layer::prepare_inference`] — transform plans, weight plans), and
+//! then shares the model immutably across tile/frame workers via
+//! [`Layer::forward_infer`]. Workers never mutate the model; a kernel
+//! nobody warmed up is built once by whichever worker needs it first.
+//! The pool size comes from `RINGCNN_THREADS` (see the `rayon` shim;
+//! 1 = fully sequential).
 
-use crate::layer::Layer;
-use crate::layers::structure::{Residual, Sequential};
-use crate::layers::upsample::UpsampleResidual;
+use crate::layer::{visit_tree_mut, Layer};
+use crate::layers::structure::Sequential;
 use rayon::prelude::*;
 use ringcnn_tensor::prelude::*;
 use ringcnn_tensor::tile::{tile_grid, Window};
@@ -55,8 +55,8 @@ pub struct ModelTopo {
     pub scale: (usize, usize),
 }
 
-/// Incremental [`ModelTopo`] accumulator: visit the model's leaf layers
-/// in execution order, reporting each one's kernel radius and spatial
+/// Incremental [`ModelTopo`] accumulator: visit the model's layers in
+/// execution order, reporting each one's kernel radius and spatial
 /// scale, and [`TopoBuilder::finish`] folds them into the whole-model
 /// receptive radius / granularity / output scale.
 ///
@@ -115,13 +115,6 @@ impl TopoBuilder {
         self.granularity = lcm(self.granularity, self.ipp_num);
     }
 
-    /// Visits one leaf layer: its kernel radius (own-input pixels) and
-    /// its spatial scale.
-    pub fn leaf(&mut self, kernel_radius: usize, scale: (usize, usize)) {
-        self.add_radius_here(kernel_radius as f64);
-        self.apply_scale(scale);
-    }
-
     /// Folds the walk into the model topology.
     pub fn finish(&self) -> ModelTopo {
         ModelTopo {
@@ -133,39 +126,19 @@ impl TopoBuilder {
     }
 }
 
-fn topo_visit(walk: &mut TopoBuilder, layer: &mut dyn Layer) {
-    if let Some(seq) = layer.as_any_mut().downcast_mut::<Sequential>() {
-        for l in seq.layers_mut() {
-            topo_visit(walk, l.as_mut());
-        }
-        return;
-    }
-    if let Some(res) = layer.as_any_mut().downcast_mut::<Residual>() {
-        // The skip path is pointwise; only the body reads neighbors.
-        for l in res.body_mut().layers_mut() {
-            topo_visit(walk, l.as_mut());
-        }
-        return;
-    }
-    if let Some(ur) = layer.as_any_mut().downcast_mut::<UpsampleResidual>() {
-        // The bicubic skip reaches 2 source pixels; the body carries the
-        // scale change.
-        walk.add_radius_here(2.0);
-        for l in ur.body_mut().layers_mut() {
-            topo_visit(walk, l.as_mut());
-        }
-        return;
-    }
-    walk.leaf(layer.kernel_radius(), layer.spatial_scale());
-}
-
 /// Derives the [`ModelTopo`] of a model by walking its layer tree
-/// (mutable access is needed only for downcasting; nothing is changed).
+/// (nothing is changed; the one tree walk is the `&mut` one).
 pub fn model_topology(model: &mut Sequential) -> ModelTopo {
     let mut walk = TopoBuilder::new();
-    for l in model.layers_mut() {
-        topo_visit(&mut walk, l.as_mut());
-    }
+    visit_tree_mut(model, &mut |layer| {
+        // A container reports only what it reads beside its children
+        // (the bicubic skip's reach, at the container's input
+        // resolution); the scale change is carried by the children.
+        walk.add_radius_here(layer.kernel_radius() as f64);
+        if layer.children().is_none() {
+            walk.apply_scale(layer.spatial_scale());
+        }
+    });
     walk.finish()
 }
 
@@ -191,7 +164,7 @@ pub trait InferenceModel: Send + Sync {
     fn out_channels(&self, in_channels: usize) -> usize;
 
     /// The model's spatial topology (receptive radius, granularity,
-    /// output scale). Mutable access is for downcasting walks only.
+    /// output scale). Nothing is changed; the tree walk is `&mut`.
     fn topology(&mut self) -> ModelTopo;
 }
 

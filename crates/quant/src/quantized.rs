@@ -494,7 +494,7 @@ fn qlayers_out_channels(layers: &[QLayer], mut c: usize) -> usize {
 fn qlayers_topo(walk: &mut TopoBuilder, layers: &[QLayer]) {
     for l in layers {
         match l {
-            QLayer::Conv(c) => walk.leaf(c.k / 2, (1, 1)),
+            QLayer::Conv(c) => walk.add_radius_here((c.k / 2) as f64),
             QLayer::Relu | QLayer::DRelu(_) => {}
             QLayer::Shuffle(r) => walk.apply_scale((*r, 1)),
             QLayer::Unshuffle(r) => walk.apply_scale((1, *r)),

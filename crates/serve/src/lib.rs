@@ -67,6 +67,14 @@ pub mod scheduler;
 pub mod server;
 pub mod stats;
 
+/// Takes a guard out of a lock (or condvar wait) result even when a
+/// panicking thread poisoned the lock: one failed batch must not take
+/// the service, its metrics or its registry down with it. Every update
+/// made under these locks leaves the data valid at every step.
+pub(crate) fn lock_unpoisoned<G>(result: std::sync::LockResult<G>) -> G {
+    result.unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Convenient re-exports.
 pub mod prelude {
     pub use crate::client::Client;

@@ -10,6 +10,7 @@
 
 use crate::client::Client;
 use crate::error::ServeError;
+use crate::lock_unpoisoned;
 use crate::protocol::Wire;
 use crate::registry::Precision;
 use crate::stats::LatencyStats;
@@ -185,7 +186,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
                     }
                 }
                 r.measure_end = Some(Instant::now());
-                results.lock().unwrap_or_else(|e| e.into_inner()).push(r);
+                lock_unpoisoned(results.lock()).push(r);
                 Ok(())
             }));
         }
@@ -196,7 +197,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
         Ok(())
     })?;
 
-    let results = results.lock().unwrap_or_else(|e| e.into_inner());
+    let results = lock_unpoisoned(results.lock());
     let mut latencies = Vec::new();
     let mut errors = 0;
     let mut deadline_rejected = 0;

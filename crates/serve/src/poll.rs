@@ -1,26 +1,18 @@
 //! OS readiness polling for the serve reactor: a thin, dependency-free
 //! wrapper over `epoll(7)` with a built-in wakeup channel.
 //!
-//! On Linux the implementation issues raw `epoll_create1` /
-//! `epoll_ctl` / `epoll_wait` / `eventfd` syscalls through `extern "C"`
-//! declarations (std already links libc; no crates.io needed).
-//! Everywhere else a portable `std`-only fallback reports every
-//! registered token as ready on a short tick — spurious readiness is
-//! harmless because the reactor performs only nonblocking I/O and
-//! treats readiness strictly as a hint. The fallback is compiled (and
-//! unit-tested) on Linux too, so it cannot rot unseen.
+//! The implementation issues raw `epoll_create1` / `epoll_ctl` /
+//! `epoll_wait` / `eventfd` syscalls through `extern "C"` declarations
+//! (std already links libc; no crates.io needed), so the crate is
+//! Linux-only. Readiness is strictly a hint: the reactor performs only
+//! nonblocking I/O, so a spurious event is harmless.
 //!
 //! The wakeup channel ([`Poller::waker`]) is what lets another thread —
 //! a scheduler worker finishing an inference, or
 //! [`Server::trigger_shutdown`] — interrupt a blocked [`Poller::wait`]
-//! without connecting to the server's own socket (the old self-connect
-//! poke, which silently failed on `0.0.0.0` binds, is gone).
+//! without connecting to the server's own socket.
 //!
 //! [`Server::trigger_shutdown`]: crate::server::Server::trigger_shutdown
-
-use std::io;
-use std::os::fd::RawFd;
-use std::time::Duration;
 
 /// One readiness report from [`Poller::wait`].
 #[derive(Clone, Copy, Debug)]
@@ -45,39 +37,15 @@ pub enum Mode {
     Edge,
 }
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("ringcnn-serve polls with epoll(7) and eventfd(2): it builds on Linux only");
+
 // The one unsafe island in the crate (raw epoll/eventfd syscalls);
 // every site carries a SAFETY rationale checked by ringcnn-lint.
-#[cfg(target_os = "linux")]
 #[allow(unsafe_code)]
 mod epoll;
-// The portable fallback is always compiled so Linux builds type-check
-// it; only non-Linux targets select it.
-#[cfg_attr(target_os = "linux", allow(dead_code))]
-mod portable;
 
-#[cfg(target_os = "linux")]
 pub use epoll::{Poller, Waker};
-#[cfg(not(target_os = "linux"))]
-pub use portable::{Poller, Waker};
-
-/// Shared contract of both implementations, for the doc and the tests:
-///
-/// - `Poller::new() -> io::Result<Poller>`
-/// - `register(fd, token, mode)` / `deregister(fd)`
-/// - `wait(&mut Vec<Event>, Option<Duration>)` blocks until an event,
-///   a wakeup, or the timeout; wakeups may surface as an empty event
-///   list (the caller re-checks its own state).
-/// - `waker()` returns a cheap clonable [`Waker`]; `Waker::wake()` is
-///   safe from any thread and coalesces.
-#[allow(unused)]
-fn _api_contract(p: &Poller, fd: RawFd) -> io::Result<()> {
-    p.register(fd, 7, Mode::Edge)?;
-    p.deregister(fd)?;
-    let mut events = Vec::new();
-    p.wait(&mut events, Some(Duration::from_millis(1)))?;
-    p.waker().wake();
-    Ok(())
-}
 
 #[cfg(test)]
 mod tests {
@@ -85,115 +53,50 @@ mod tests {
     use std::io::Write;
     use std::net::{TcpListener, TcpStream};
     use std::os::fd::AsRawFd;
+    use std::time::Duration;
 
-    fn tcp_pair() -> (TcpStream, TcpStream) {
+    #[test]
+    fn selected_poller_reports_readable() {
+        let poller = Poller::new().unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let a = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut a = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (b, _) = listener.accept().unwrap();
-        (a, b)
-    }
-
-    fn readable_event_fires<P>(poller: &P)
-    where
-        P: PollerApi,
-    {
-        let (mut a, b) = tcp_pair();
         b.set_nonblocking(true).unwrap();
-        poller.register_fd(b.as_raw_fd(), 42, Mode::Edge).unwrap();
+        poller.register(b.as_raw_fd(), 42, Mode::Edge).unwrap();
         a.write_all(b"x").unwrap();
         a.flush().unwrap();
         let mut events = Vec::new();
         // Bounded retries: the loopback byte can take a moment to land.
         for _ in 0..100 {
             poller
-                .wait_events(&mut events, Some(Duration::from_millis(50)))
+                .wait(&mut events, Some(Duration::from_millis(50)))
                 .unwrap();
             if events.iter().any(|e| e.token == 42 && e.readable) {
-                poller.deregister_fd(b.as_raw_fd()).unwrap();
+                poller.deregister(b.as_raw_fd()).unwrap();
                 return;
             }
         }
         panic!("no readable event for the written byte");
     }
 
-    fn waker_unblocks_wait<P>(poller: std::sync::Arc<P>)
-    where
-        P: PollerApi + Send + Sync + 'static,
-    {
-        let waker = poller.waker_handle();
+    #[test]
+    fn selected_poller_waker_unblocks() {
+        let poller = Poller::new().unwrap();
+        let waker = poller.waker();
         let started = std::time::Instant::now();
         let t = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(30));
-            waker();
+            waker.wake();
         });
         let mut events = Vec::new();
         // A 10 s timeout that the waker must cut short.
         poller
-            .wait_events(&mut events, Some(Duration::from_secs(10)))
+            .wait(&mut events, Some(Duration::from_secs(10)))
             .unwrap();
         assert!(
             started.elapsed() < Duration::from_secs(5),
             "wake must interrupt the wait"
         );
         t.join().unwrap();
-    }
-
-    /// Object-safe view over both implementations so the same tests run
-    /// against each.
-    trait PollerApi {
-        fn register_fd(&self, fd: RawFd, token: u64, mode: Mode) -> io::Result<()>;
-        fn deregister_fd(&self, fd: RawFd) -> io::Result<()>;
-        fn wait_events(&self, events: &mut Vec<Event>, t: Option<Duration>) -> io::Result<()>;
-        fn waker_handle(&self) -> Box<dyn FnOnce() + Send>;
-    }
-
-    macro_rules! impl_api {
-        ($ty:ty) => {
-            impl PollerApi for $ty {
-                fn register_fd(&self, fd: RawFd, token: u64, mode: Mode) -> io::Result<()> {
-                    self.register(fd, token, mode)
-                }
-                fn deregister_fd(&self, fd: RawFd) -> io::Result<()> {
-                    self.deregister(fd)
-                }
-                fn wait_events(
-                    &self,
-                    events: &mut Vec<Event>,
-                    t: Option<Duration>,
-                ) -> io::Result<()> {
-                    self.wait(events, t)
-                }
-                fn waker_handle(&self) -> Box<dyn FnOnce() + Send> {
-                    let w = self.waker();
-                    Box::new(move || w.wake())
-                }
-            }
-        };
-    }
-
-    impl_api!(Poller);
-    #[cfg(target_os = "linux")]
-    impl_api!(portable::Poller);
-
-    #[test]
-    fn selected_poller_reports_readable() {
-        readable_event_fires(&Poller::new().unwrap());
-    }
-
-    #[test]
-    fn selected_poller_waker_unblocks() {
-        waker_unblocks_wait(std::sync::Arc::new(Poller::new().unwrap()));
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn portable_fallback_reports_readable() {
-        readable_event_fires(&portable::Poller::new().unwrap());
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn portable_fallback_waker_unblocks() {
-        waker_unblocks_wait(std::sync::Arc::new(portable::Poller::new().unwrap()));
     }
 }

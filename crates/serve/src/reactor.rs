@@ -35,6 +35,7 @@
 
 use crate::error::ServeError;
 use crate::frame;
+use crate::lock_unpoisoned;
 use crate::poll::{Event, Mode, Poller, Waker};
 use crate::protocol::{HealthReply, Request, Response, Wire};
 use crate::scheduler::Done;
@@ -46,7 +47,7 @@ use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// The listener's poll token; connections count up from
@@ -56,10 +57,6 @@ const FIRST_CONN_TOKEN: u64 = 2;
 
 /// Read chunk size (matches the old per-connection buffer).
 const READ_CHUNK: usize = 16 * 1024;
-
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// The channel scheduler workers (and [`Server::trigger_shutdown`]) use
 /// to nudge the reactor: completion tokens plus the poller's waker.
@@ -72,7 +69,7 @@ pub(crate) struct Notify {
 
 impl Notify {
     fn completed(&self, token: u64) {
-        lock_unpoisoned(&self.completions).push(token);
+        lock_unpoisoned(self.completions.lock()).push(token);
         self.waker.wake();
     }
 
@@ -200,7 +197,7 @@ impl Reactor {
                     let _ = self.poller.deregister(listener.as_raw_fd());
                 }
                 for conn in self.conns.values_mut() {
-                    lock_unpoisoned(&conn.out).close_after_flush = true;
+                    lock_unpoisoned(conn.out.lock()).close_after_flush = true;
                 }
                 let tokens: Vec<u64> = self.conns.keys().copied().collect();
                 for token in tokens {
@@ -232,7 +229,8 @@ impl Reactor {
                     self.service_conn(ev.token);
                 }
             }
-            let done: Vec<u64> = std::mem::take(&mut *lock_unpoisoned(&self.notify.completions));
+            let done: Vec<u64> =
+                std::mem::take(&mut *lock_unpoisoned(self.notify.completions.lock()));
             for token in done {
                 self.service_conn(token);
             }
@@ -318,7 +316,7 @@ impl Reactor {
         };
         process_inbuf(conn, &self.shared, &self.notify, self.max_frame);
         let closable = {
-            let mut out = lock_unpoisoned(&conn.out);
+            let mut out = lock_unpoisoned(conn.out.lock());
             if flush_out(&mut conn.stream, &mut out).is_err() {
                 drop(out);
                 self.drop_conn(token);
@@ -358,7 +356,7 @@ fn flush_out(stream: &mut TcpStream, out: &mut OutState) -> io::Result<()> {
 /// Appends an error response and poisons the connection: input is
 /// abandoned, pending output flushes, then the socket closes.
 fn poison(conn: &mut Conn, wire: Wire, err: ServeError) {
-    let mut out = lock_unpoisoned(&conn.out);
+    let mut out = lock_unpoisoned(conn.out.lock());
     encode_into(&Response::Error(err), wire, &mut out.buf);
     out.close_after_flush = true;
     drop(out);
@@ -406,7 +404,7 @@ fn process_inbuf(
                 }
             },
         };
-        if lock_unpoisoned(&conn.out).busy {
+        if lock_unpoisoned(conn.out.lock()).busy {
             return; // Strictly in order: wait for the in-flight infer.
         }
         match wire {
@@ -443,7 +441,7 @@ fn process_inbuf(
                     // error response but the connection survives (the
                     // newline resynchronizes the stream).
                     Err(e) => {
-                        let mut out = lock_unpoisoned(&conn.out);
+                        let mut out = lock_unpoisoned(conn.out.lock());
                         encode_into(&Response::Error(e), wire, &mut out.buf);
                     }
                 }
@@ -507,11 +505,11 @@ fn dispatch(
                     clock::now_us(),
                 );
             }
-            lock_unpoisoned(&conn.out).busy = true;
+            lock_unpoisoned(conn.out.lock()).busy = true;
             let out = conn.out.clone();
             let notify = notify.clone();
             let token = conn.token;
-            let done = Done::Callback(Box::new(move |result| {
+            let done: Done = Box::new(move |result| {
                 let traced_total = match &result {
                     Ok(r) => root_ctx.map(|ctx| (ctx, r.total_ms)),
                     Err(_) => None,
@@ -530,7 +528,7 @@ fn dispatch(
                 // formats a payload), then hand the bytes over.
                 {
                     let _encode = root_ctx.map(|ctx| span::span_in(ctx, "encode"));
-                    let mut out = lock_unpoisoned(&out);
+                    let mut out = lock_unpoisoned(out.lock());
                     encode_into(&resp, wire, &mut out.buf);
                     out.busy = false;
                 }
@@ -557,7 +555,7 @@ fn dispatch(
                     }
                 }
                 notify.completed(token);
-            }));
+            });
             match shared.scheduler.submit_done(
                 &model,
                 input,
@@ -568,7 +566,7 @@ fn dispatch(
             ) {
                 Ok(()) => return, // Answered asynchronously.
                 Err(e) => {
-                    lock_unpoisoned(&conn.out).busy = false;
+                    lock_unpoisoned(conn.out.lock()).busy = false;
                     Response::Error(e)
                 }
             }
@@ -586,7 +584,7 @@ fn dispatch(
             // reusing the in-flight (`busy`) machinery so this
             // connection's responses stay ordered; other connections
             // keep being serviced meanwhile.
-            lock_unpoisoned(&conn.out).busy = true;
+            lock_unpoisoned(conn.out.lock()).busy = true;
             let out = conn.out.clone();
             let notify = notify.clone();
             let token = conn.token;
@@ -598,7 +596,7 @@ fn dispatch(
                         Ok(report) => Response::Reload(report),
                         Err(e) => Response::Error(e),
                     };
-                    let mut out = lock_unpoisoned(&out);
+                    let mut out = lock_unpoisoned(out.lock());
                     encode_into(&resp, wire, &mut out.buf);
                     out.busy = false;
                     drop(out);
@@ -607,7 +605,7 @@ fn dispatch(
             match spawned {
                 Ok(_) => return, // Answered asynchronously.
                 Err(e) => {
-                    lock_unpoisoned(&conn.out).busy = false;
+                    lock_unpoisoned(conn.out.lock()).busy = false;
                     Response::Error(ServeError::Internal(format!(
                         "cannot spawn reload thread: {e}"
                     )))
@@ -625,7 +623,7 @@ fn dispatch(
         Request::Shutdown => {
             // Ack, close this connection once flushed, and start the
             // global drain (the run loop picks the flag up next pass).
-            let mut out = lock_unpoisoned(&conn.out);
+            let mut out = lock_unpoisoned(conn.out.lock());
             encode_into(&Response::Shutdown, wire, &mut out.buf);
             out.close_after_flush = true;
             drop(out);
@@ -633,6 +631,6 @@ fn dispatch(
             return;
         }
     };
-    let mut out = lock_unpoisoned(&conn.out);
+    let mut out = lock_unpoisoned(conn.out.lock());
     encode_into(&resp, wire, &mut out.buf);
 }

@@ -2,37 +2,42 @@
 //! `ringcnn-qmodel/v1` (quantized) files, prepares them for shared
 //! inference, and hands out `Arc` handles keyed by name.
 //!
-//! Registration is the exclusive-access moment: the model's cached
-//! inference kernels are pre-built ([`prepare_inference`]) and its tiling
-//! topology derived exactly once, after which the entry is immutable and
-//! any number of scheduler workers can run [`ModelEntry::infer`]
-//! concurrently (`Layer: Send + Sync`, PR 3).
+//! An entry is built whole, once: its inference kernels warmed up
+//! ([`prepare_inference`]), its tiling topology derived, and its
+//! quantized pipeline — a `ringcnn-qmodel/v1` file is not an entry of
+//! its own, it belongs to the float model of the same name — checked
+//! against the float model and put in place. After that the entry is
+//! immutable and any number of scheduler workers can run
+//! [`ModelEntry::infer`] concurrently (`Layer: Send + Sync`, PR 3); the
+//! request's [`Precision`] selects which pipeline executes.
 //!
-//! A quantized pipeline is not its own entry: it **attaches** to the
-//! float entry of the same name (write-once `OnceLock`, so attachment
-//! also works on already-shared entries), and the request's
-//! [`Precision`] selects which pipeline executes. `load_dir` therefore
-//! loads all float files before all qmodel files, regardless of file
-//! name order.
+//! # One way in: the reload pass (PR 8, PR 16)
 //!
-//! # Hot reload (PR 8)
+//! A directory is judged one way. A pass scans it, parses every file
+//! whose content changed since the last committed pass (FNV-64
+//! fingerprint), rebuilds each model that has a changed file from *both*
+//! of its files as the scan read them, and publishes the rebuilt
+//! entries in one commit. [`ModelRegistry::load_dir`] is that pass
+//! against an empty fingerprint table, [`ModelRegistry::reload_pass`]
+//! the same pass against the table the last one left; whatever fails
+//! (the errors are listed there), nothing is published and no
+//! fingerprint advances, so the next pass retries.
 //!
 //! The registry is interior-mutable behind an `RwLock`: the scheduler
 //! holds an `Arc<ModelRegistry>` and [`ModelRegistry::get`] takes a
-//! brief read lock on every admission, while [`ModelRegistry::reload_pass`]
-//! rescans the directory remembered by [`ModelRegistry::load_dir`],
-//! rebuilds any model whose file content changed (FNV-64 fingerprint),
-//! and atomically swaps the `Arc<ModelEntry>` under a write lock. Each
-//! swap bumps the entry's [`ModelEntry::version`]; requests admitted
-//! before the swap keep their old `Arc` and finish bit-exact on the
-//! version that admitted them. Model *removal* is deliberately not
-//! supported by the pass: deleting a file keeps the last published
-//! version serving (an operator who wants a model gone restarts the
-//! server), which keeps the pass idempotent and crash-safe.
+//! brief read lock on every admission, while a commit swaps the
+//! `Arc<ModelEntry>`s under the write lock. Each swap bumps the entry's
+//! [`ModelEntry::version`]; requests admitted before the swap keep
+//! their old `Arc` and finish bit-exact on the version that admitted
+//! them. Model *removal* is deliberately not supported by the pass:
+//! deleting a file keeps the last published version serving (an
+//! operator who wants a model gone restarts the server), which keeps
+//! the pass idempotent and crash-safe.
 //!
 //! [`prepare_inference`]: ringcnn_nn::layer::Layer::prepare_inference
 
 use crate::error::ServeError;
+use crate::lock_unpoisoned;
 use ringcnn_nn::layer::Layer;
 use ringcnn_nn::layers::structure::Sequential;
 use ringcnn_nn::runtime::{model_topology, ModelTopo};
@@ -41,10 +46,10 @@ use ringcnn_quant::quantized::QuantizedModel;
 use ringcnn_quant::serialize::{peek_format_tag, qmodel_from_json, QModelFile, QMODEL_FORMAT};
 use ringcnn_tensor::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 /// Which execution pipeline of a model an inference request runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -53,7 +58,7 @@ pub enum Precision {
     #[default]
     Fp64,
     /// The dynamic fixed-point integer pipeline (wire value `"quant"`);
-    /// requires a `ringcnn-qmodel/v1` attachment.
+    /// requires the model's `ringcnn-qmodel/v1` file.
     Quant,
 }
 
@@ -82,14 +87,11 @@ impl Precision {
     }
 }
 
-/// The attached quantized pipeline of an entry.
+/// The quantized pipeline of an entry.
 struct QuantAttachment {
     qmodel: QuantizedModel,
     /// Calibration-time float-vs-quant PSNR (dB), from the model file.
     calibration_psnr: f64,
-    /// Declared I/O channels, kept so a hot-reload pass can re-validate
-    /// a carried-over attachment against a freshly rebuilt float entry.
-    channels_io: usize,
 }
 
 /// One registered, inference-ready model.
@@ -104,8 +106,9 @@ pub struct ModelEntry {
     /// `stats` so operators can confirm a reload took effect.
     version: u64,
     model: Sequential,
-    /// Write-once quantized attachment (`None` until a qmodel loads).
-    quant: OnceLock<QuantAttachment>,
+    /// The quantized pipeline, decided when the entry is built (`None`:
+    /// the model has no qmodel file).
+    quant: Option<QuantAttachment>,
 }
 
 impl std::fmt::Debug for ModelEntry {
@@ -122,6 +125,52 @@ impl std::fmt::Debug for ModelEntry {
 }
 
 impl ModelEntry {
+    /// Builds a complete entry at version 1: warms up the float model's
+    /// kernels, derives topology and parameter count, and — when the
+    /// model has one — puts its quantized pipeline in place. The
+    /// pipeline must agree with the float model on I/O channels and
+    /// spatial topology: a request valid for one precision must be
+    /// valid for the other. Expensive, so callers run it outside any
+    /// registry lock.
+    fn build(
+        name: &str,
+        spec: ModelSpec,
+        algebra: AlgebraSpec,
+        mut model: Sequential,
+        quant: Option<QModelFile>,
+    ) -> Result<ModelEntry, ServeError> {
+        model.prepare_inference();
+        let topo = model_topology(&mut model);
+        if let Some(q) = &quant {
+            let want_c = spec.channels_io();
+            if q.channels_io != want_c {
+                return Err(ServeError::Load(format!(
+                    "qmodel `{name}` takes {} channel(s), float model takes {want_c}",
+                    q.channels_io
+                )));
+            }
+            let qtopo = q.model.topology();
+            if qtopo.granularity != topo.granularity || qtopo.scale != topo.scale {
+                return Err(ServeError::Load(format!(
+                    "qmodel `{name}` topology {qtopo:?} disagrees with float topology {topo:?}"
+                )));
+            }
+        }
+        Ok(ModelEntry {
+            name: name.into(),
+            spec,
+            algebra,
+            topo,
+            num_params: model.num_params(),
+            version: 1,
+            model,
+            quant: quant.map(|q| QuantAttachment {
+                qmodel: q.model,
+                calibration_psnr: q.calibration_psnr,
+            }),
+        })
+    }
+
     /// Registry key.
     pub fn name(&self) -> &str {
         &self.name
@@ -154,19 +203,34 @@ impl ModelEntry {
     }
 
     /// Shared-state inference forward (many threads may call this on one
-    /// entry concurrently; every cached kernel was built at registration).
+    /// entry concurrently; every kernel was built at registration).
     pub fn infer(&self, input: &Tensor) -> Tensor {
         self.model.forward_infer(input)
     }
 
-    /// Whether a quantized pipeline is attached.
+    /// Whether the entry has a quantized pipeline.
     pub fn has_quant(&self) -> bool {
-        self.quant.get().is_some()
+        self.quant.is_some()
     }
 
-    /// Calibration-time float-vs-quant PSNR of the attached pipeline.
+    /// Calibration-time float-vs-quant PSNR of the quantized pipeline.
     pub fn quant_psnr(&self) -> Option<f64> {
-        self.quant.get().map(|q| q.calibration_psnr)
+        self.quant.as_ref().map(|q| q.calibration_psnr)
+    }
+
+    /// The quantized pipeline — or the answer a `quant` request gets,
+    /// at admission and at execution alike, from a model without one.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::BadRequest`] naming the model.
+    pub(crate) fn quant_pipeline(&self) -> Result<&QuantizedModel, ServeError> {
+        self.quant.as_ref().map(|q| &q.qmodel).ok_or_else(|| {
+            ServeError::BadRequest(format!(
+                "model `{}` has no quantized pipeline (load a ringcnn-qmodel/v1 file)",
+                self.name
+            ))
+        })
     }
 
     /// Shared-state inference at a requested [`Precision`]. The
@@ -175,8 +239,8 @@ impl ModelEntry {
     ///
     /// # Errors
     ///
-    /// [`ServeError::BadRequest`] when `precision` is `quant` but no
-    /// quantized pipeline is attached.
+    /// [`ServeError::BadRequest`] when `precision` is `quant` but the
+    /// entry has no quantized pipeline.
     pub fn infer_precision(
         &self,
         input: &Tensor,
@@ -184,57 +248,8 @@ impl ModelEntry {
     ) -> Result<Tensor, ServeError> {
         match precision {
             Precision::Fp64 => Ok(self.infer(input)),
-            Precision::Quant => match self.quant.get() {
-                Some(q) => Ok(q.qmodel.forward(input)),
-                None => Err(ServeError::BadRequest(format!(
-                    "model `{}` has no quantized pipeline (load a ringcnn-qmodel/v1 file)",
-                    self.name
-                ))),
-            },
+            Precision::Quant => Ok(self.quant_pipeline()?.forward(input)),
         }
-    }
-
-    /// Attaches a quantized pipeline (write-once). The pipeline must
-    /// agree with the float entry on I/O channels and spatial topology —
-    /// a request valid for one precision must be valid for the other.
-    fn attach_quant(&self, file: &QModelFile) -> Result<(), ServeError> {
-        self.attach_quant_raw(file.model.clone(), file.calibration_psnr, file.channels_io)
-    }
-
-    /// The validation + set half of [`ModelEntry::attach_quant`], also
-    /// used by the reload pass to carry an existing attachment onto a
-    /// freshly rebuilt entry.
-    fn attach_quant_raw(
-        &self,
-        qmodel: QuantizedModel,
-        calibration_psnr: f64,
-        channels_io: usize,
-    ) -> Result<(), ServeError> {
-        let want_c = self.spec.channels_io();
-        if channels_io != want_c {
-            return Err(ServeError::Load(format!(
-                "qmodel `{}` takes {channels_io} channel(s), float model takes {want_c}",
-                self.name
-            )));
-        }
-        let qtopo = qmodel.topology();
-        if qtopo.granularity != self.topo.granularity || qtopo.scale != self.topo.scale {
-            return Err(ServeError::Load(format!(
-                "qmodel `{}` topology {qtopo:?} disagrees with float topology {:?}",
-                self.name, self.topo
-            )));
-        }
-        let attachment = QuantAttachment {
-            qmodel,
-            calibration_psnr,
-            channels_io,
-        };
-        self.quant.set(attachment).map_err(|_| {
-            ServeError::Load(format!(
-                "model `{}` already has a quantized pipeline",
-                self.name
-            ))
-        })
     }
 
     /// The output shape an input of shape `s` produces.
@@ -355,22 +370,30 @@ fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
-fn read_unpoisoned<T>(lock: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
-    lock.read()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn write_unpoisoned<T>(lock: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
-    lock.write()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 /// One `*.json` file read during a directory scan.
 struct ScannedFile {
     path: PathBuf,
     text: String,
     hash: u64,
     is_qmodel: bool,
+}
+
+impl ScannedFile {
+    fn corrupt(&self, e: &dyn std::fmt::Display) -> ServeError {
+        ServeError::Load(format!("{}: {e}", self.path.display()))
+    }
+
+    /// Parses a `ringcnn-model/v1` file (anything without the qmodel
+    /// tag goes here: the float loader's errors name the expected
+    /// format).
+    fn parse_float(&self) -> Result<ModelFile, ServeError> {
+        model_from_json(&self.text).map_err(|e| self.corrupt(&e))
+    }
+
+    /// Parses a `ringcnn-qmodel/v1` file.
+    fn parse_quant(&self) -> Result<QModelFile, ServeError> {
+        qmodel_from_json(&self.text).map_err(|e| self.corrupt(&e))
+    }
 }
 
 /// Reads every `*.json` file in `dir`, sorted by path, fingerprinted
@@ -399,45 +422,78 @@ fn scan_model_dir(dir: &Path) -> Result<Vec<ScannedFile>, ServeError> {
         .collect()
 }
 
+/// The files of one kind (float or qmodel) in one scan, by the model
+/// name each declares: the scanned file, and its parse iff the content
+/// changed since the last committed pass.
+type Sources<'a, F> = BTreeMap<String, (&'a ScannedFile, Option<F>)>;
+
+/// Files `file` under model `name`, which no other file of its kind in
+/// the directory may declare too.
+fn claim<'a, F>(
+    sources: &mut Sources<'a, F>,
+    name: &str,
+    file: &'a ScannedFile,
+    parsed: Option<F>,
+) -> Result<(), ServeError> {
+    if let Some((first, _)) = sources.insert(name.into(), (file, parsed)) {
+        return Err(ServeError::Load(format!(
+            "{} and {} both declare model `{name}`",
+            first.path.display(),
+            file.path.display()
+        )));
+    }
+    Ok(())
+}
+
 /// Mutable registry internals, guarded by one `RwLock`.
 #[derive(Default)]
 struct Inner {
-    /// Registration order (what `entries()` and `list_models` expose).
+    /// Registration order (what `entries()` and `list_models` expose):
+    /// programmatic registrations and committed passes in the order
+    /// they happened; the new models of one pass in the path order of
+    /// their float files.
     entries: Vec<Arc<ModelEntry>>,
     /// Name → position in `entries`: [`ModelRegistry::get`] runs on
     /// every request admission, so the lookup must not linear-scan a
     /// large registry.
     index: HashMap<String, usize>,
-    /// Hot-reload source, set by [`ModelRegistry::load_dir`].
-    watch: Option<WatchState>,
 }
 
-/// What [`ModelRegistry::reload_pass`] compares a fresh scan against.
+/// What a pass compares a fresh scan against.
 struct WatchState {
     dir: PathBuf,
-    /// Path → FNV-64 content hash at the last successful (re)load.
-    /// Advanced only when a pass commits, so a failed pass retries.
-    stamps: HashMap<PathBuf, u64>,
-    /// Model name → its float-model file: a qmodel-only change must
-    /// rebuild the float entry it attaches to (the attachment is
-    /// write-once), so the pass needs to find that file again.
-    float_paths: HashMap<String, PathBuf>,
+    /// Path → what the last committed pass read there. Advanced only
+    /// when a pass commits, so a failed pass retries; entries of files
+    /// deleted since are kept (their models keep serving).
+    stamps: HashMap<PathBuf, Stamp>,
+}
+
+/// A file as of the last committed pass.
+struct Stamp {
+    /// FNV-64 content hash.
+    hash: u64,
+    /// The model name the file declares — how an unchanged file takes
+    /// part in the duplicate check, and how the pass knows which names
+    /// are its own to swap.
+    name: String,
 }
 
 /// The named, prepared model fleet shared by scheduler and server.
 ///
 /// Interior-mutable: lookups take a brief read lock; registration and
-/// [`ModelRegistry::reload_pass`] commits take the write lock only for
-/// the pointer swap (model preparation happens outside any lock). A
-/// request that already holds an entry `Arc` is never affected by a
-/// concurrent swap — it finishes on the version that admitted it.
+/// pass commits take the write lock only for the pointer swap (model
+/// preparation happens outside any lock). A request that already holds
+/// an entry `Arc` is never affected by a concurrent swap — it finishes
+/// on the version that admitted it.
 #[derive(Default)]
 pub struct ModelRegistry {
     inner: RwLock<Inner>,
-    /// Serializes reload passes end to end (scan → rebuild → commit) so
-    /// concurrent `reload` verbs can't interleave half-built fleets and
-    /// per-name versions stay strictly monotonic.
-    reload_gate: Mutex<()>,
+    /// The hot-reload source, set by a successful
+    /// [`ModelRegistry::load_dir`]. Its lock is held across a whole pass
+    /// (scan → rebuild → commit), so concurrent `reload` verbs can't
+    /// interleave half-built fleets and per-name versions stay strictly
+    /// monotonic.
+    watch: Mutex<Option<WatchState>>,
     reload_passes: AtomicU64,
     models_reloaded: AtomicU64,
 }
@@ -448,34 +504,9 @@ impl ModelRegistry {
         Self::default()
     }
 
-    /// Prepares a built model for serving — kernel caches, topology,
-    /// parameter count. Expensive, so callers run it outside any
-    /// registry lock.
-    fn prepare_entry(
-        name: &str,
-        spec: ModelSpec,
-        algebra: AlgebraSpec,
-        mut model: Sequential,
-        version: u64,
-    ) -> ModelEntry {
-        model.prepare_inference();
-        let topo = model_topology(&mut model);
-        let num_params = model.num_params();
-        ModelEntry {
-            name: name.into(),
-            spec,
-            algebra,
-            topo,
-            num_params,
-            version,
-            model,
-            quant: OnceLock::new(),
-        }
-    }
-
     /// Registers a built model under `name`: prepares its inference
     /// kernels, derives its topology, and freezes it behind an `Arc`
-    /// at version 1.
+    /// at version 1 (float pipeline only).
     ///
     /// # Errors
     ///
@@ -487,16 +518,15 @@ impl ModelRegistry {
         algebra: AlgebraSpec,
         model: Sequential,
     ) -> Result<Arc<ModelEntry>, ServeError> {
-        let taken = || ServeError::Load(format!("model name `{name}` is already registered"));
         // Cheap pre-check so a duplicate fails before the expensive
         // kernel preparation; re-checked under the write lock below.
         if self.get(name).is_some() {
-            return Err(taken());
+            return Err(name_taken(name));
         }
-        let entry = Arc::new(Self::prepare_entry(name, spec, algebra, model, 1));
-        let mut inner = write_unpoisoned(&self.inner);
+        let entry = Arc::new(ModelEntry::build(name, spec, algebra, model, None)?);
+        let mut inner = lock_unpoisoned(self.inner.write());
         if inner.index.contains_key(name) {
-            return Err(taken());
+            return Err(name_taken(name));
         }
         let at = inner.entries.len();
         inner.index.insert(name.into(), at);
@@ -504,250 +534,59 @@ impl ModelRegistry {
         Ok(entry)
     }
 
-    /// Attaches a parsed `ringcnn-qmodel/v1` file to the float entry of
-    /// the same name.
+    /// Loads every `*.json` model file in a directory — the first reload
+    /// pass over it — and remembers the directory and what was read so
+    /// [`ModelRegistry::reload_pass`] can detect changes later. Returns
+    /// the registered names in registration order (float files by path;
+    /// a qmodel file is not an entry of its own and may sort anywhere).
     ///
     /// # Errors
     ///
-    /// [`ServeError::Load`] when no float entry has this name, the
-    /// pipeline disagrees with it (channels/topology), or a quantized
-    /// pipeline is already attached.
-    pub fn register_qmodel(&self, file: &QModelFile) -> Result<Arc<ModelEntry>, ServeError> {
-        let entry = self.get(&file.name).ok_or_else(|| {
-            ServeError::Load(format!(
-                "qmodel `{}` has no float model to attach to (load its ringcnn-model/v1 first)",
-                file.name
-            ))
-        })?;
-        entry.attach_quant(file)?;
-        Ok(entry)
-    }
-
-    /// Registers a parsed model file (the `instantiate` + `register`
-    /// composition).
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Load`] when the weights don't fit the declared
-    /// architecture or the name collides.
-    pub fn register_file(&self, file: &ModelFile) -> Result<Arc<ModelEntry>, ServeError> {
-        let (_, model) = instantiate(file).map_err(|e| ServeError::Load(e.to_string()))?;
-        self.register(&file.name, file.spec, file.algebra, model)
-    }
-
-    /// Loads one model JSON file, dispatching on its `format` tag:
-    /// `ringcnn-model/v1` registers a float entry, `ringcnn-qmodel/v1`
-    /// attaches a quantized pipeline to the float entry of the same name
-    /// (which must already be loaded).
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Io`] when the file can't be read, [`ServeError::Load`]
-    /// when it is corrupt (truncated JSON, wrong/unknown version, weight
-    /// or structure mismatch) — never a panic.
-    pub fn load_path(&self, path: &Path) -> Result<Arc<ModelEntry>, ServeError> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| ServeError::Io(format!("{}: {e}", path.display())))?;
-        self.load_text(&text, path)
-    }
-
-    /// Registers already-read model-file text (the dispatch half of
-    /// [`ModelRegistry::load_path`]; `origin` labels errors).
-    fn load_text(&self, text: &str, origin: &Path) -> Result<Arc<ModelEntry>, ServeError> {
-        let ctx =
-            |e: &dyn std::fmt::Display| ServeError::Load(format!("{}: {e}", origin.display()));
-        match peek_format_tag(text).as_str() {
-            QMODEL_FORMAT => {
-                let file = qmodel_from_json(text).map_err(|e| ctx(&e))?;
-                self.register_qmodel(&file)
-            }
-            // Anything else (including a missing tag) goes through the
-            // float loader, whose errors name the expected format.
-            _ => {
-                let file = model_from_json(text).map_err(|e| ctx(&e))?;
-                self.register_file(&file)
-            }
-        }
-    }
-
-    /// Loads every `*.json` model file in a directory: all
-    /// `ringcnn-model/v1` files first (sorted by file name so
-    /// registration order is stable), then all `ringcnn-qmodel/v1`
-    /// attachments — a qmodel may sort before its float model. The
-    /// directory and per-file content fingerprints are remembered so
-    /// [`ModelRegistry::reload_pass`] can detect changes later.
-    ///
-    /// # Errors
-    ///
-    /// The first file that fails to read or parse aborts the load.
+    /// As [`ModelRegistry::reload_pass`]; nothing is registered and the
+    /// directory is not remembered when the load fails.
     pub fn load_dir(&self, dir: &Path) -> Result<Vec<String>, ServeError> {
-        let files = scan_model_dir(dir)?;
-        let mut names = Vec::new();
-        let mut float_paths = HashMap::new();
-        for f in files.iter().filter(|f| !f.is_qmodel) {
-            let name = self.load_text(&f.text, &f.path)?.name().to_string();
-            float_paths.insert(name.clone(), f.path.clone());
-            names.push(name);
-        }
-        for f in files.iter().filter(|f| f.is_qmodel) {
-            // Attachment mutates an existing entry; don't double-list it.
-            self.load_text(&f.text, &f.path)?;
-        }
-        let stamps = files.iter().map(|f| (f.path.clone(), f.hash)).collect();
-        write_unpoisoned(&self.inner).watch = Some(WatchState {
+        let mut slot = lock_unpoisoned(self.watch.lock());
+        let mut watch = WatchState {
             dir: dir.to_path_buf(),
-            stamps,
-            float_paths,
-        });
-        Ok(names)
+            stamps: HashMap::new(),
+        };
+        let report = self.pass(&mut watch)?;
+        *slot = Some(watch);
+        Ok(report.added)
     }
 
     /// One hot-reload pass over the directory remembered by
     /// [`ModelRegistry::load_dir`] (a no-op `Ok` when the registry was
     /// built programmatically and watches nothing).
     ///
-    /// A model is rebuilt when its float file's content changed, its
-    /// qmodel file's content changed (the write-once attachment forces
-    /// a fresh float entry to ride on), or either file is new. Rebuilds
-    /// happen outside the registry lock; the commit is a single write
-    /// lock that swaps `Arc`s and bumps versions, so a concurrent
-    /// `infer` either sees the complete old fleet or the complete new
-    /// one — never a torn mix. In-flight requests keep the `Arc` they
-    /// were admitted with.
-    ///
-    /// Transactional: the first unreadable or corrupt file aborts the
-    /// pass before anything is published, and fingerprints advance only
-    /// on success so the next pass retries.
+    /// A model is rebuilt — whole, from both of its files as this scan
+    /// read them — when its float file or its qmodel file changed or is
+    /// new. Rebuilds happen outside the registry lock; the commit is a
+    /// single write lock that swaps `Arc`s and bumps versions, so a
+    /// concurrent `infer` either sees the complete old fleet or the
+    /// complete new one — never a torn mix.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Io`] when the directory or a file can't be read,
-    /// [`ServeError::Load`] when a changed file is corrupt or a changed
-    /// qmodel has no float model file to attach to.
+    /// [`ServeError::Io`] when the directory or a file can't be read;
+    /// [`ServeError::Load`] when a changed file is corrupt, two files
+    /// declare the same model name (the message names both paths), a
+    /// qmodel has no float model file beside it or disagrees with it,
+    /// or a new file declares a name that was registered
+    /// programmatically.
     pub fn reload_pass(&self) -> Result<ReloadReport, ServeError> {
-        let _gate = self
-            .reload_gate
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        // ordering: monotonic stat counter; the reload gate serializes
+        let mut watch = lock_unpoisoned(self.watch.lock());
+        // ordering: monotonic stat counter; the watch lock serializes
         // the pass itself.
         self.reload_passes.fetch_add(1, Ordering::Relaxed);
-        let (dir, stamps, float_paths) = {
-            let inner = read_unpoisoned(&self.inner);
-            match &inner.watch {
-                Some(w) => (w.dir.clone(), w.stamps.clone(), w.float_paths.clone()),
-                None => return Ok(ReloadReport::default()),
-            }
+        let Some(watch) = watch.as_mut() else {
+            return Ok(ReloadReport::default());
         };
-        let files = scan_model_dir(&dir)?;
-        let changed: Vec<&ScannedFile> = files
-            .iter()
-            .filter(|f| stamps.get(&f.path) != Some(&f.hash))
-            .collect();
-        let unchanged = (files.len() - changed.len()) as u64;
-        if changed.is_empty() {
-            return Ok(ReloadReport {
-                unchanged,
-                ..ReloadReport::default()
-            });
-        }
-        let ctx =
-            |p: &Path, e: &dyn std::fmt::Display| ServeError::Load(format!("{}: {e}", p.display()));
-        // Parse every changed file up front (name discovery doubles as
-        // validation, before anything is rebuilt).
-        let mut new_floats: HashMap<String, (ModelFile, PathBuf)> = HashMap::new();
-        let mut new_qmodels: HashMap<String, QModelFile> = HashMap::new();
-        for f in &changed {
-            if f.is_qmodel {
-                let qf = qmodel_from_json(&f.text).map_err(|e| ctx(&f.path, &e))?;
-                new_qmodels.insert(qf.name.clone(), qf);
-            } else {
-                let mf = model_from_json(&f.text).map_err(|e| ctx(&f.path, &e))?;
-                new_floats.insert(mf.name.clone(), (mf, f.path.clone()));
-            }
-        }
-        let mut affected: Vec<String> = new_floats
-            .keys()
-            .chain(new_qmodels.keys())
-            .cloned()
-            .collect();
-        affected.sort();
-        affected.dedup();
-        // Rebuild each affected model outside the lock. Version 0 is a
-        // placeholder fixed at commit time under the write lock.
-        let mut prepared: Vec<(String, ModelEntry, PathBuf)> = Vec::new();
-        for name in &affected {
-            let (file, fpath) = match new_floats.remove(name) {
-                Some(v) => v,
-                None => {
-                    // qmodel-only change: re-read its float partner.
-                    let p = float_paths.get(name).ok_or_else(|| {
-                        ServeError::Load(format!(
-                            "qmodel `{name}` has no float model to attach to \
-                             (load its ringcnn-model/v1 first)"
-                        ))
-                    })?;
-                    let scanned = files.iter().find(|f| &f.path == p).ok_or_else(|| {
-                        ServeError::Load(format!(
-                            "qmodel `{name}` changed but float file {} is gone",
-                            p.display()
-                        ))
-                    })?;
-                    let mf = model_from_json(&scanned.text).map_err(|e| ctx(p, &e))?;
-                    (mf, p.clone())
-                }
-            };
-            let (_, model) = instantiate(&file).map_err(|e| ServeError::Load(e.to_string()))?;
-            let entry = Self::prepare_entry(&file.name, file.spec, file.algebra, model, 0);
-            // Resolve the quantized attachment for the fresh entry: a
-            // changed qmodel wins; otherwise the existing attachment is
-            // carried over (re-validated against the new topology).
-            let qsrc = match new_qmodels.remove(name) {
-                Some(qf) => Some((qf.model.clone(), qf.calibration_psnr, qf.channels_io)),
-                None => self.get(name).and_then(|old| {
-                    old.quant
-                        .get()
-                        .map(|q| (q.qmodel.clone(), q.calibration_psnr, q.channels_io))
-                }),
-            };
-            if let Some((qmodel, psnr, channels_io)) = qsrc {
-                entry.attach_quant_raw(qmodel, psnr, channels_io)?;
-            }
-            prepared.push((name.clone(), entry, fpath));
-        }
-        // Commit: one write lock, pointer swaps only.
-        let mut report = ReloadReport {
-            unchanged,
-            ..ReloadReport::default()
-        };
-        let mut inner = write_unpoisoned(&self.inner);
-        for (name, mut entry, fpath) in prepared {
-            match inner.index.get(&name).copied() {
-                Some(i) => {
-                    entry.version = inner.entries[i].version + 1;
-                    inner.entries[i] = Arc::new(entry);
-                    report.reloaded.push(name.clone());
-                }
-                None => {
-                    entry.version = 1;
-                    let at = inner.entries.len();
-                    inner.index.insert(name.clone(), at);
-                    inner.entries.push(Arc::new(entry));
-                    report.added.push(name.clone());
-                }
-            }
-            if let Some(w) = inner.watch.as_mut() {
-                w.float_paths.insert(name, fpath);
-            }
-        }
-        if let Some(w) = inner.watch.as_mut() {
-            for f in &files {
-                w.stamps.insert(f.path.clone(), f.hash);
-            }
-        }
-        drop(inner);
-        // ordering: monotonic stat counter; the registry swap above
-        // already published the models through the RwLock.
+        let mut report = self.pass(watch)?;
+        report.added.sort();
+        report.reloaded.sort();
+        // ordering: monotonic stat counter; the commit already
+        // published the models through the RwLock.
         self.models_reloaded.fetch_add(
             (report.added.len() + report.reloaded.len()) as u64,
             Ordering::Relaxed,
@@ -755,36 +594,128 @@ impl ModelRegistry {
         Ok(report)
     }
 
+    /// The pass behind [`ModelRegistry::load_dir`] and
+    /// [`ModelRegistry::reload_pass`]: scan → parse what changed →
+    /// build every dirty model whole → one commit. `watch.stamps`
+    /// advances only after the commit. The report lists names in
+    /// registration order.
+    fn pass(&self, watch: &mut WatchState) -> Result<ReloadReport, ServeError> {
+        let files = scan_model_dir(&watch.dir)?;
+        // File every file of the directory under the model name it
+        // declares: parsed when its content changed (which makes the
+        // model dirty), remembered when not. Two files of one kind under
+        // one name is the duplicate-name error.
+        let (mut floats, mut quants) = (Sources::new(), Sources::new());
+        let mut dirty_names = BTreeSet::new();
+        let mut stamps = Vec::with_capacity(files.len());
+        let mut report = ReloadReport::default();
+        for f in &files {
+            let known = watch.stamps.get(&f.path).filter(|s| s.hash == f.hash);
+            report.unchanged += u64::from(known.is_some());
+            let name = if f.is_qmodel {
+                let (name, parsed) = match known {
+                    Some(s) => (s.name.clone(), None),
+                    None => f.parse_quant().map(|q| (q.name.clone(), Some(q)))?,
+                };
+                claim(&mut quants, &name, f, parsed)?;
+                name
+            } else {
+                let (name, parsed) = match known {
+                    Some(s) => (s.name.clone(), None),
+                    None => f.parse_float().map(|m| (m.name.clone(), Some(m)))?,
+                };
+                claim(&mut floats, &name, f, parsed)?;
+                name
+            };
+            if known.is_none() {
+                dirty_names.insert(name.clone());
+            }
+            stamps.push((f.path.clone(), Stamp { hash: f.hash, name }));
+        }
+        // A dirty model is rebuilt from both of its files; the one that
+        // did not change is re-read from the same scan. New models
+        // register in the path order of their float files.
+        let mut dirty = Vec::new();
+        for name in dirty_names {
+            let quant = quants.remove(&name);
+            let Some((float_file, float)) = floats.remove(&name) else {
+                let (qfile, _) = quant.expect("a dirty name came from one of its files");
+                return Err(qfile.corrupt(&format_args!(
+                    "qmodel `{name}` has no float model to attach to \
+                     (its ringcnn-model/v1 file must sit in the same directory)"
+                )));
+            };
+            dirty.push((float_file, float, quant));
+        }
+        if dirty.is_empty() {
+            return Ok(report);
+        }
+        dirty.sort_by(|a, b| a.0.path.cmp(&b.0.path));
+        // Build outside the registry lock; a swap's version is fixed at
+        // commit time under the write lock.
+        let mut built = Vec::with_capacity(dirty.len());
+        for (float_file, float, quant) in dirty {
+            let float = float.map_or_else(|| float_file.parse_float(), Ok)?;
+            let quant = quant
+                .map(|(qfile, q)| q.map_or_else(|| qfile.parse_quant(), Ok))
+                .transpose()?;
+            let (_, model) = instantiate(&float).map_err(|e| float_file.corrupt(&e))?;
+            let (name, spec, algebra) = (&float.name, float.spec, float.algebra);
+            built.push(ModelEntry::build(name, spec, algebra, model, quant)?);
+        }
+        // Commit: one write lock, pointer swaps only. A name is the
+        // pass's own to swap when an earlier pass read it from this
+        // directory; any other name must be free.
+        let own: HashSet<&str> = watch.stamps.values().map(|s| s.name.as_str()).collect();
+        let mut inner = lock_unpoisoned(self.inner.write());
+        if let Some(taken) = built
+            .iter()
+            .find(|e| !own.contains(e.name()) && inner.index.contains_key(e.name()))
+        {
+            return Err(name_taken(taken.name()));
+        }
+        for mut entry in built {
+            let name = entry.name.clone();
+            match inner.index.get(&name).copied() {
+                Some(i) => {
+                    entry.version = inner.entries[i].version + 1;
+                    inner.entries[i] = Arc::new(entry);
+                    report.reloaded.push(name);
+                }
+                None => {
+                    let at = inner.entries.len();
+                    inner.index.insert(name.clone(), at);
+                    inner.entries.push(Arc::new(entry));
+                    report.added.push(name);
+                }
+            }
+        }
+        drop(inner);
+        watch.stamps.extend(stamps);
+        Ok(report)
+    }
+
     /// Looks up a model by name (O(1) under a brief read lock — this
     /// runs on every admission).
     pub fn get(&self, name: &str) -> Option<Arc<ModelEntry>> {
-        let inner = read_unpoisoned(&self.inner);
+        let inner = lock_unpoisoned(self.inner.read());
         inner.index.get(name).map(|&i| inner.entries[i].clone())
     }
 
     /// Snapshot of all entries in registration order — owned `Arc`s, so
     /// callers iterate and serialize without holding the registry lock.
     pub fn entries(&self) -> Vec<Arc<ModelEntry>> {
-        read_unpoisoned(&self.inner).entries.clone()
+        lock_unpoisoned(self.inner.read()).entries.clone()
     }
 
     /// Number of registered models.
     pub fn len(&self) -> usize {
-        read_unpoisoned(&self.inner).entries.len()
+        lock_unpoisoned(self.inner.read()).entries.len()
     }
 
     /// Whether no model is registered.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The directory watched for hot reload, if [`ModelRegistry::load_dir`]
-    /// set one.
-    pub fn watch_dir(&self) -> Option<PathBuf> {
-        read_unpoisoned(&self.inner)
-            .watch
-            .as_ref()
-            .map(|w| w.dir.clone())
     }
 
     /// Total [`ModelRegistry::reload_pass`] invocations (forced or polled).
@@ -798,6 +729,10 @@ impl ModelRegistry {
         // ordering: stat counter read; staleness is fine.
         self.models_reloaded.load(Ordering::Relaxed)
     }
+}
+
+fn name_taken(name: &str) -> ServeError {
+    ServeError::Load(format!("model name `{name}` is already registered"))
 }
 
 #[cfg(test)]
@@ -922,7 +857,7 @@ mod tests {
             QuantOptions::default(),
         )
         .unwrap();
-        // Sorts *before* the float file: load_dir must still attach it.
+        // Sorts *before* the float file: the entry still gets it.
         std::fs::write(
             dir.join("a_vdsr_q.q.json"),
             ringcnn_quant::serialize::qmodel_to_json(&qfile),
@@ -934,7 +869,7 @@ mod tests {
         assert_eq!(
             names,
             vec!["vdsr_q".to_string()],
-            "attachment is not an entry"
+            "a qmodel file is not an entry"
         );
         let entry = reg.get("vdsr_q").unwrap();
         assert!(entry.has_quant());
@@ -956,17 +891,18 @@ mod tests {
                 .as_slice(),
             entry.infer(&x).as_slice()
         );
-        // Double attachment is refused.
-        assert_eq!(
-            reg.register_qmodel(&qfile).unwrap_err().code(),
-            "load_error"
-        );
-        // Attachment without a float model is refused.
+        // The first load was a reload pass: the next one finds both
+        // files unchanged.
+        let rep = reg.reload_pass().unwrap();
+        assert!(rep.is_noop());
+        assert_eq!(rep.unchanged, 2);
+        // A qmodel without its float model is refused, naming the file.
+        std::fs::remove_file(dir.join("vdsr_q.json")).unwrap();
         let lone = ModelRegistry::new();
-        assert_eq!(
-            lone.register_qmodel(&qfile).unwrap_err().code(),
-            "load_error"
-        );
+        let err = lone.load_dir(&dir).unwrap_err();
+        assert_eq!(err.code(), "load_error");
+        assert!(err.to_string().contains("a_vdsr_q.q.json"), "{err}");
+        assert!(lone.is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1011,11 +947,75 @@ mod tests {
             "loaded model must match the exported one exactly"
         );
 
-        // A truncated file errors cleanly and aborts the directory load.
-        std::fs::write(dir.join("corrupt.json"), &json[..json.len() / 2]).unwrap();
+        // A truncated file errors cleanly and aborts the directory load
+        // whole: the good file that sorts before it is not registered,
+        // and the directory is not watched.
+        std::fs::write(dir.join("w_corrupt.json"), &json[..json.len() / 2]).unwrap();
         let reg2 = ModelRegistry::new();
         let err = reg2.load_dir(&dir).unwrap_err();
         assert_eq!(err.code(), "load_error", "{err}");
+        assert_eq!(reg2.len(), 0, "a failed first load registers nothing");
+        assert!(reg2.reload_pass().unwrap().is_noop());
+        assert_eq!(reg2.len(), 0);
+        // A name somebody registered programmatically is not the
+        // directory's to take.
+        std::fs::remove_file(dir.join("w_corrupt.json")).unwrap();
+        let reg3 = ModelRegistry::new();
+        reg3.register("vdsr_rh4", spec, AlgebraSpec::of(&alg), spec.build(&alg, 8))
+            .unwrap();
+        let err = reg3.load_dir(&dir).unwrap_err();
+        assert!(err.to_string().contains("already registered"), "{err}");
+        assert_eq!(reg3.get("vdsr_rh4").unwrap().version(), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn two_files_declaring_one_name_are_refused_at_load_and_at_reload() {
+        let dir = std::env::temp_dir().join(format!("ringcnn_dup_test_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let alg = Algebra::real();
+        let spec = demo_spec();
+        let export = |name: &str, seed: u64| {
+            let mut m = spec.build(&alg, seed);
+            model_to_json(&export_model(name, spec, AlgebraSpec::of(&alg), &mut m).unwrap())
+        };
+        std::fs::write(dir.join("a.json"), export("a", 1)).unwrap();
+        std::fs::write(dir.join("a_copy.json"), export("a", 2)).unwrap();
+        let refused = |err: ServeError| {
+            assert_eq!(err.code(), "load_error");
+            let text = err.to_string();
+            assert!(
+                text.contains("a.json") && text.contains("a_copy.json"),
+                "both paths named: {text}"
+            );
+        };
+
+        // At start-up…
+        let reg = ModelRegistry::new();
+        refused(reg.load_dir(&dir).unwrap_err());
+        assert!(reg.is_empty());
+
+        // …and by a hot reload (accepted at the parent, which then served
+        // whichever path sorted last): first with `a.json` unchanged, its
+        // name only remembered, then with both files parsed.
+        std::fs::remove_file(dir.join("a_copy.json")).unwrap();
+        reg.load_dir(&dir).unwrap();
+        let x = Tensor::random_uniform(Shape4::new(1, 1, 8, 8), 0.0, 1.0, 3);
+        let y = reg.get("a").unwrap().infer(&x);
+        std::fs::write(dir.join("a_copy.json"), export("a", 2)).unwrap();
+        refused(reg.reload_pass().unwrap_err());
+        std::fs::write(dir.join("a.json"), export("a", 3)).unwrap();
+        refused(reg.reload_pass().unwrap_err());
+        let a = reg.get("a").unwrap();
+        assert_eq!((reg.len(), a.version()), (1, 1), "nothing published");
+        assert_eq!(a.infer(&x), y);
+        assert_eq!(reg.models_reloaded(), 0);
+
+        // Removing the impostor lets the pending change of `a` land.
+        std::fs::remove_file(dir.join("a_copy.json")).unwrap();
+        let rep = reg.reload_pass().unwrap();
+        assert_eq!(rep.reloaded, vec!["a".to_string()]);
+        assert_eq!(reg.get("a").unwrap().version(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1097,8 +1097,8 @@ mod tests {
         assert!(reg.get("q").unwrap().has_quant());
 
         // Re-calibrate on a different batch: only the qmodel file
-        // changes, but the write-once attachment forces a fresh
-        // versioned entry carrying the new pipeline.
+        // changes, and the model is rebuilt whole — a fresh versioned
+        // entry from the unchanged float file and the new pipeline.
         let batch2 = Tensor::random_uniform(Shape4::new(2, 1, 12, 12), 0.0, 1.0, 32);
         let q2 = calibrate_to_qmodel(
             "q",

@@ -44,6 +44,7 @@
 //! drained before the workers exit.
 
 use crate::error::ServeError;
+use crate::lock_unpoisoned;
 use crate::registry::{ModelEntry, ModelRegistry, Precision};
 use crate::stats::{Metrics, ModelStats, StatsSnapshot, HIST_BUCKETS};
 use rayon::prelude::*;
@@ -52,7 +53,7 @@ use ringcnn_trace::clock;
 use ringcnn_trace::span::{self, SpanCtx};
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Scheduler knobs.
@@ -119,27 +120,11 @@ pub struct InferOutput {
     pub batch_size: usize,
 }
 
-/// How a completed job hands its result back: the blocking [`Pending`]
-/// channel, or a callback invoked on the scheduler worker (the event
-/// reactor's path — serialization happens on the worker, never on the
-/// reactor thread).
-pub(crate) enum Done {
-    Channel(mpsc::Sender<Result<InferOutput, ServeError>>),
-    Callback(Box<dyn FnOnce(Result<InferOutput, ServeError>) + Send + Sync>),
-}
-
-impl Done {
-    fn complete(self, result: Result<InferOutput, ServeError>) {
-        match self {
-            // The submitter may have gone away (disconnected client) —
-            // dropping the result is correct then.
-            Done::Channel(tx) => {
-                let _ = tx.send(result);
-            }
-            Done::Callback(f) => f(result),
-        }
-    }
-}
+/// How a completed job hands its result back: one callback, invoked on
+/// the scheduler worker that produced the result (so the reactor's
+/// serialization happens on the worker, never on the reactor thread;
+/// the blocking [`Pending`] path's callback sends on its channel).
+pub(crate) type Done = Box<dyn FnOnce(Result<InferOutput, ServeError>) + Send + Sync>;
 
 /// Trace attribution riding with a sampled job: the request's root
 /// span (to parent the scheduler-side stage spans onto) plus the
@@ -208,12 +193,6 @@ struct Shared {
     metrics: Arc<Metrics>,
 }
 
-/// Unwraps a mutex even if a panicking worker poisoned it: one failed
-/// batch must not take the whole service down.
-fn lock_unpoisoned<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// A pending inference: resolve with [`Pending::wait`].
 #[derive(Debug)]
 pub struct Pending {
@@ -279,7 +258,7 @@ impl Scheduler {
                     // Unwind the partial pool: wake every worker that
                     // did start and let it observe the shutdown flag.
                     {
-                        let mut st = lock_unpoisoned(&shared.state);
+                        let mut st = lock_unpoisoned(shared.state.lock());
                         st.shutting_down = true;
                     }
                     shared.work_cv.notify_all();
@@ -320,7 +299,7 @@ impl Scheduler {
     /// last batch taken — once the queue drains and traffic stops; the
     /// `health` verb reports this live count instead.
     pub fn queue_len(&self) -> usize {
-        lock_unpoisoned(&self.shared.state).total
+        lock_unpoisoned(self.shared.state.lock()).total
     }
 
     /// Sets a model's fair-scheduling weight (clamped ≥ 1): a model
@@ -329,7 +308,7 @@ impl Scheduler {
     /// traffic, and takes effect on the next dispatch.
     pub fn set_model_weight(&self, model: &str, weight: u32) {
         let weight = weight.max(1);
-        let mut st = lock_unpoisoned(&self.shared.state);
+        let mut st = lock_unpoisoned(self.shared.state.lock());
         let vclock = st.vclock;
         st.groups
             .entry(model.to_string())
@@ -388,13 +367,15 @@ impl Scheduler {
             precision,
             deadline_ms,
             trace,
-            Done::Channel(tx),
+            // The submitter may have gone away (dropped `Pending`) —
+            // dropping the result is correct then.
+            Box::new(move |result| drop(tx.send(result))),
         )?;
         Ok(Pending { rx })
     }
 
     /// [`Scheduler::submit_with`] with an explicit completion carrier —
-    /// the reactor passes [`Done::Callback`] so results are serialized
+    /// the reactor passes a callback that serializes the result
     /// and flushed from the worker thread that produced them — and an
     /// optional trace context: when the request was elected by the
     /// sampler, the scheduler records `queue_wait`, `batch`, and
@@ -418,10 +399,8 @@ impl Scheduler {
             .get(model)
             .ok_or_else(|| ServeError::UnknownModel(model.into()))?;
         entry.validate_input(input.shape())?;
-        if precision == Precision::Quant && !entry.has_quant() {
-            return Err(ServeError::BadRequest(format!(
-                "model `{model}` has no quantized pipeline (load a ringcnn-qmodel/v1 file)"
-            )));
+        if precision == Precision::Quant {
+            entry.quant_pipeline()?;
         }
         if let Some(budget) = deadline_ms {
             if !budget.is_finite() || budget < 0.0 {
@@ -438,7 +417,7 @@ impl Scheduler {
         };
         let cfg = &self.shared.cfg;
         {
-            let mut st = lock_unpoisoned(&self.shared.state);
+            let mut st = lock_unpoisoned(self.shared.state.lock());
             if st.shutting_down {
                 return Err(ServeError::ShuttingDown);
             }
@@ -540,7 +519,7 @@ impl Scheduler {
         snap.reload_passes = self.registry.reload_passes();
         snap.models_reloaded = self.registry.models_reloaded();
         let (live, total): (HashMap<String, (usize, u32)>, usize) = {
-            let st = lock_unpoisoned(&self.shared.state);
+            let st = lock_unpoisoned(self.shared.state.lock());
             (
                 st.groups
                     .iter()
@@ -588,11 +567,11 @@ impl Scheduler {
     /// joins the workers. Idempotent.
     pub fn shutdown(&self) {
         {
-            let mut st = lock_unpoisoned(&self.shared.state);
+            let mut st = lock_unpoisoned(self.shared.state.lock());
             st.shutting_down = true;
         }
         self.shared.work_cv.notify_all();
-        let handles: Vec<_> = lock_unpoisoned(&self.workers).drain(..).collect();
+        let handles: Vec<_> = lock_unpoisoned(self.workers.lock()).drain(..).collect();
         for h in handles {
             let _ = h.join();
         }
@@ -657,7 +636,7 @@ fn next_flush_deadline(st: &QueueState, cfg: &SchedulerConfig) -> Option<Instant
 fn worker_loop(shared: &Shared) {
     loop {
         let batch = {
-            let mut st = lock_unpoisoned(&shared.state);
+            let mut st = lock_unpoisoned(shared.state.lock());
             loop {
                 if let Some(batch) = try_take_batch(&mut st, &shared.cfg) {
                     shared.metrics.record_batch(batch.len(), st.total);
@@ -667,7 +646,7 @@ fn worker_loop(shared: &Shared) {
                     if st.shutting_down {
                         return;
                     }
-                    st = shared.work_cv.wait(st).unwrap_or_else(|e| e.into_inner());
+                    st = lock_unpoisoned(shared.work_cv.wait(st));
                 } else {
                     // Sleep until the earliest flush deadline; new
                     // submissions notify and re-run the scan. `total >
@@ -679,11 +658,7 @@ fn worker_loop(shared: &Shared) {
                     let wait = deadline
                         .saturating_duration_since(Instant::now())
                         .max(Duration::from_micros(50));
-                    st = shared
-                        .work_cv
-                        .wait_timeout(st, wait)
-                        .unwrap_or_else(|e| e.into_inner())
-                        .0;
+                    st = lock_unpoisoned(shared.work_cv.wait_timeout(st, wait)).0;
                 }
             }
         };
@@ -778,7 +753,7 @@ fn execute_batch(shared: &Shared, batch: Vec<Job>) {
                 )))
             }
         };
-        job.done.complete(result);
+        (job.done)(result);
     }
 }
 
@@ -806,8 +781,6 @@ mod tests {
     /// Pushes a ready (already past `max_wait`) job the way `submit_done`
     /// would, without a live scheduler.
     fn push_ready(st: &mut QueueState, reg: &ModelRegistry, name: &str, weight: u32) {
-        let (tx, _rx) = mpsc::channel();
-        std::mem::forget(_rx); // keep the channel alive for the test
         let seq = st.next_seq;
         st.next_seq += 1;
         let vclock = st.vclock;
@@ -826,7 +799,7 @@ mod tests {
             enqueued: Instant::now() - Duration::from_secs(1),
             seq,
             trace: None,
-            done: Done::Channel(tx),
+            done: Box::new(|_| {}),
         });
         st.total += 1;
     }
@@ -963,7 +936,6 @@ mod tests {
     #[test]
     fn not_ready_group_is_not_taken() {
         let reg = registry_with(&["a"]);
-        let (tx, _rx) = mpsc::channel();
         let mut st = QueueState::new();
         st.groups.insert(
             "a".to_string(),
@@ -975,7 +947,7 @@ mod tests {
                     enqueued: Instant::now(),
                     seq: 0,
                     trace: None,
-                    done: Done::Channel(tx),
+                    done: Box::new(|_| {}),
                 }]),
                 weight: 1,
                 vtime: 0.0,

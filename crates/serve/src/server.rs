@@ -12,6 +12,7 @@
 //! connection, then drains and joins the scheduler.
 
 use crate::error::ServeError;
+use crate::lock_unpoisoned;
 use crate::protocol::ModelInfo;
 use crate::reactor::{Notify, Reactor};
 use crate::registry::ModelRegistry;
@@ -212,7 +213,7 @@ impl Server {
     /// closed), scheduler drained and joined.
     pub fn wait(mut self) {
         if let Some(stop) = self.watcher_stop.take() {
-            *stop.stopped.lock().unwrap_or_else(|e| e.into_inner()) = true;
+            *lock_unpoisoned(stop.stopped.lock()) = true;
             stop.cv.notify_all();
         }
         if let Some(h) = self.watcher_thread.take() {
@@ -245,12 +246,9 @@ fn spawn_reload_watcher(
         .name("serve-reload-watch".into())
         .spawn(move || loop {
             {
-                let mut stopped = stop.stopped.lock().unwrap_or_else(|e| e.into_inner());
+                let mut stopped = lock_unpoisoned(stop.stopped.lock());
                 while !*stopped {
-                    let (guard, timeout) = stop
-                        .cv
-                        .wait_timeout(stopped, interval)
-                        .unwrap_or_else(|e| e.into_inner());
+                    let (guard, timeout) = lock_unpoisoned(stop.cv.wait_timeout(stopped, interval));
                     stopped = guard;
                     if timeout.timed_out() {
                         break;

@@ -25,6 +25,7 @@
 //! dropping it, so a caller serializing a large snapshot can never
 //! stall the admission path that shares these locks.
 
+use crate::lock_unpoisoned;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -135,12 +136,6 @@ impl Default for Metrics {
     }
 }
 
-/// Unwraps a mutex even when a panicking thread poisoned it: metrics
-/// must keep flowing while the scheduler contains the failure.
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 impl Metrics {
     /// Fresh zeroed metrics.
     pub fn new() -> Self {
@@ -159,7 +154,7 @@ impl Metrics {
     pub fn record_rejected(&self, model: Option<&str>) {
         self.rejected.fetch_add(1, Ordering::Relaxed);
         if let Some(model) = model {
-            lock_unpoisoned(&self.per_model)
+            lock_unpoisoned(self.per_model.lock())
                 .entry(model.into())
                 .or_default()
                 .rejected += 1;
@@ -170,7 +165,7 @@ impl Metrics {
     /// predicted blown at arrival.
     pub fn record_deadline_rejected(&self, model: &str) {
         self.deadline_rejected.fetch_add(1, Ordering::Relaxed);
-        lock_unpoisoned(&self.per_model)
+        lock_unpoisoned(self.per_model.lock())
             .entry(model.into())
             .or_default()
             .deadline_rejected += 1;
@@ -188,7 +183,7 @@ impl Metrics {
     pub fn record_completion(&self, model: &str, queue_ms: f64, total_ms: f64) {
         self.completed.fetch_add(1, Ordering::Relaxed);
         {
-            let mut w = lock_unpoisoned(&self.window);
+            let mut w = lock_unpoisoned(self.window.lock());
             let sample = (queue_ms as f32, total_ms as f32);
             if w.samples.len() < LATENCY_WINDOW {
                 w.samples.push(sample);
@@ -198,7 +193,7 @@ impl Metrics {
             }
             w.next = (w.next + 1) % LATENCY_WINDOW;
         }
-        let mut pm = lock_unpoisoned(&self.per_model);
+        let mut pm = lock_unpoisoned(self.per_model.lock());
         let m = pm.entry(model.into()).or_default();
         m.completed += 1;
         m.hist[bucket_of(total_ms)] += 1;
@@ -221,7 +216,7 @@ impl Metrics {
     /// The model's total-latency EWMA, if it has completed anything yet
     /// (what deadline-aware admission consults).
     pub fn ewma_ms(&self, model: &str) -> Option<f64> {
-        lock_unpoisoned(&self.per_model)
+        lock_unpoisoned(self.per_model.lock())
             .get(model)
             .and_then(|m| m.ewma_ms)
     }
@@ -238,13 +233,13 @@ impl Metrics {
     pub fn snapshot(&self) -> StatsSnapshot {
         // Copy the window out, then compute percentiles lock-free.
         let samples: Vec<(f32, f32)> = {
-            let w = lock_unpoisoned(&self.window);
+            let w = lock_unpoisoned(self.window.lock());
             w.samples.clone()
         };
         let queue_wait_ms = LatencyStats::of(samples.iter().map(|s| f64::from(s.0)));
         let latency_ms = LatencyStats::of(samples.iter().map(|s| f64::from(s.1)));
         let per_model_raw: Vec<(String, ModelMetrics)> = {
-            let pm = lock_unpoisoned(&self.per_model);
+            let pm = lock_unpoisoned(self.per_model.lock());
             pm.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
         };
         let uptime_ms = self.started.elapsed().as_secs_f64() * 1e3;

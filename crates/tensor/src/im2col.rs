@@ -426,8 +426,8 @@ pub fn conv2d_forward_packed(
 
 /// Forward convolution through the streaming engine; drop-in
 /// replacement for [`crate::conv::conv2d_forward`], tolerance-equivalent
-/// to it (see [`crate::gemm`]). Plans the weights per call — layers
-/// that run more than once plan at `prepare_inference` and call
+/// to it (see [`crate::gemm`]). Plans the weights per call — a layer
+/// plans once, keeps the plan with its weights and calls
 /// [`conv2d_forward_packed`]. Zero taps are skipped at micro-panel
 /// granularity (pruned weights still cost almost nothing).
 ///

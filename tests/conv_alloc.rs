@@ -136,6 +136,38 @@ fn prepared_convs_allocate_their_output_and_retain_no_plane_sized_scratch() {
         drop(rconv.forward_infer(&x))
     });
 
+    // "Unprepared" is not a state: a conv nobody prepared plans its
+    // weights on the first forward and never again, so its second
+    // forward allocates what a prepared one's does (at the parent it
+    // re-packed the weights on every call).
+    let mut lazy_conv = Conv2d::new(CHANNELS, CHANNELS, 3, 1);
+    lazy_conv.set_backend(ConvBackend::Im2col);
+    let ring = Ring::from_kind(RingKind::Ri(4));
+    let mut lazy_rconv = RingConv2d::new(ring, CHANNELS, CHANNELS, 3, 2);
+    lazy_rconv.set_backend(ConvBackend::Im2col);
+    let x = tile(96);
+    let pairs: [(&str, &dyn Layer, &dyn Layer); 2] = [
+        ("Conv2d", &lazy_conv, &conv),
+        ("RingConv2d(RI4)", &lazy_rconv, &rconv),
+    ];
+    // The cheapest of a few calls: a pool thread that takes its first
+    // chunk allocates its slab once, a per-call re-plan shows every time.
+    let cheapest = |layer: &dyn Layer| {
+        (0..4)
+            .map(|_| spent(|| layer.forward_infer(&x)).total)
+            .min()
+            .expect("four calls")
+    };
+    for (what, lazy, prepared) in pairs {
+        let first = spent(|| lazy.forward_infer(&x)).total;
+        let (later, warm) = (cheapest(lazy), cheapest(prepared));
+        assert!(
+            later <= warm,
+            "{what}: after its first forward ({first} B) a never-prepared layer \
+             still allocates {later} B a call, a prepared one {warm} B"
+        );
+    }
+
     // A one-conv integer pipeline; `quantize` hands it back prepared.
     let mut float = Sequential::new().with(Box::new(Conv2d::new(CHANNELS, CHANNELS, 3, 3)));
     let qm = QuantizedModel::quantize(&mut float, &tile(24), QuantOptions::default());

@@ -326,8 +326,8 @@ fn auto_backend_threads_through_model_zoo() {
     assert!(after.iter().all(|b| *b == ConvBackend::Naive));
 }
 
-/// One SGD step through the training path: the forward drops the cached
-/// kernels, the visitor then moves the parameters.
+/// One SGD step through the training path: the forward resets the
+/// inference kernel, the visitor then moves the parameters.
 fn training_step<L: Layer>(layer: &mut L, x: &Tensor) {
     let y = layer.forward(x, true);
     layer.backward(&y);
@@ -342,11 +342,14 @@ fn training_step<L: Layer>(layer: &mut L, x: &Tensor) {
 /// for the training step).
 type Mutation<'a, L> = (&'a str, &'a dyn Fn(&mut L, &Tensor));
 
-/// A layer prepared *before* `mutate` must infer exactly like one built
-/// fresh, mutated the same way and prepared afterwards — through the
-/// shared-state path as the mutation left it (plan dropped: local
-/// rebuild) and again once re-prepared. A plan that survived a mutation
-/// would answer with the old weights.
+/// A layer whose kernel was built *before* `mutate` must infer exactly
+/// like one built fresh, mutated the same way and prepared afterwards —
+/// through the shared-state path as the mutation left it (cell reset:
+/// the first forward rebuilds the kernel, the second reuses what the
+/// first built) and again after an explicit `prepare_inference`. A
+/// kernel that survived a mutation would answer with the old weights.
+/// (That the reuse is a reuse and not a second build is what
+/// `tests/conv_alloc.rs` counts.)
 fn assert_plans_follow<L: Layer>(
     what: &str,
     build: &dyn Fn() -> L,
@@ -359,6 +362,7 @@ fn assert_plans_follow<L: Layer>(
         let before = used.forward_infer(x);
         mutate(&mut used, x);
         let unprepared = used.forward_infer(x);
+        let reused = used.forward_infer(x);
         used.prepare_inference();
         let prepared = used.forward_infer(x);
 
@@ -368,6 +372,7 @@ fn assert_plans_follow<L: Layer>(
         let want = fresh.forward_infer(x);
         assert_ne!(before, want, "{what}/{name}: the mutation changed nothing");
         assert_eq!(unprepared, want, "{what}/{name}: stale kernel");
+        assert_eq!(reused, want, "{what}/{name}: the rebuilt kernel, reused");
         assert_eq!(
             prepared, want,
             "{what}/{name}: stale kernel once re-prepared"
@@ -375,9 +380,9 @@ fn assert_plans_follow<L: Layer>(
     }
 }
 
-/// Every path that can change a conv layer's parameters drops the
-/// weight plan `prepare_inference` cached (the streaming engine's
-/// `PackedWeights`, the depthwise lowering, the transform plan).
+/// Every path that can change a conv layer's parameters resets the
+/// kernel cell (the streaming engine's `PackedWeights`, the depthwise
+/// lowering, the transform plan).
 #[test]
 fn cached_weight_plans_follow_every_parameter_mutation() {
     let x = Tensor::random_uniform(Shape4::new(1, 8, 7, 6), -1.0, 1.0, 77);
@@ -422,7 +427,7 @@ fn cached_weight_plans_follow_every_parameter_mutation() {
         ],
     );
 
-    for backend in [ConvBackend::Im2col, ConvBackend::Transform] {
+    for backend in ConvBackend::all() {
         let ring_conv = || {
             let mut r = RingConv2d::new(Ring::from_kind(RingKind::Rh(4)), 8, 8, 3, 7);
             r.set_backend(backend);
@@ -441,5 +446,66 @@ fn cached_weight_plans_follow_every_parameter_mutation() {
                 ("training step", &|r, x| training_step(r, x)),
             ],
         );
+    }
+}
+
+/// One constructor per layer type: everything the five `ModelSpec`
+/// architectures build (convs, activations, shuffles, the containers),
+/// the bicubic-skip wrapper, and the layers only the recognition model
+/// and the Fig. 10 ablation use.
+fn every_layer_type() -> Vec<(Box<dyn Layer>, Shape4)> {
+    let ring = || Ring::from_kind(RingKind::Rh(4));
+    let body = || {
+        Sequential::new()
+            .with(Box::new(RingConv2d::new(ring(), 8, 8, 3, 3)))
+            .with(Box::new(DirectionalReluLayer::fh(4)))
+            .with(Box::new(Conv2d::new(8, 8, 3, 4)))
+    };
+    let up4 = Sequential::new()
+        .with(Box::new(Conv2d::new(1, 16, 3, 5)))
+        .with(Box::new(PixelShuffle::new(4)));
+    let image = Shape4::new(2, 8, 6, 4);
+    let vector = Shape4::new(2, 8, 1, 1);
+    vec![
+        (Box::new(Conv2d::new(8, 4, 3, 1)), image),
+        (Box::new(RingConv2d::new(ring(), 8, 4, 3, 2)), image),
+        (Box::new(DepthwiseConv2d::new(8, 3, 3)), image),
+        (Box::new(Relu::new()), image),
+        (Box::new(DirectionalReluLayer::fh(4)), image),
+        (Box::new(DirectionalReluLayer::fo4()), image),
+        (Box::new(PixelShuffle::new(2)), image),
+        (Box::new(PixelUnshuffle::new(2)), image),
+        (Box::new(body()), image),
+        (Box::new(Residual::new(body())), image),
+        (
+            Box::new(UpsampleResidual::new(up4, 4)),
+            Shape4::new(1, 1, 5, 4),
+        ),
+        (Box::new(GlobalAvgPool::new()), image),
+        (Box::new(Dense::new(8, 3, 6)), vector),
+        (Box::new(TupleMix::hadamard_forward(4)), image),
+    ]
+}
+
+/// `forward(x, false)` is `forward_infer(x)` by construction — for
+/// every layer type, on every backend, whether or not anyone called
+/// `prepare_inference`, and again after a training forward has reset
+/// the kernels.
+#[test]
+fn forward_without_train_is_forward_infer_for_every_layer_type() {
+    for backend in ConvBackend::all() {
+        for (mut layer, shape) in every_layer_type() {
+            let what = format!("{} on {backend}", layer.name());
+            layer.set_conv_backend(backend);
+            let x = Tensor::random_uniform(shape, -1.0, 1.0, 91);
+            let shared = layer.forward_infer(&x);
+            assert_eq!(layer.forward(&x, false), shared, "{what}: unprepared");
+            layer.prepare_inference();
+            assert_eq!(layer.forward_infer(&x), shared, "{what}: prepared, &");
+            assert_eq!(layer.forward(&x, false), shared, "{what}: prepared, &mut");
+            let trained = layer.forward(&x, true);
+            assert_eq!(trained.shape(), shared.shape(), "{what}: train shape");
+            assert_eq!(layer.forward(&x, false), shared, "{what}: after training");
+        }
     }
 }

@@ -4,8 +4,9 @@
 //! crate's `VERBS`/`CODES` tables cell by cell, the byte layouts it
 //! documents must match what the frame codec actually emits, the
 //! `RINGCNN_KERNEL` values the runbook lists must be the ones the parser
-//! accepts, and every benchmark row a document cites must be a row
-//! `BENCHMARK.json` declares.
+//! accepts, every benchmark row a document cites must be a row
+//! `BENCHMARK.json` declares, and no document names an identifier a
+//! later PR deleted.
 
 use ringcnn_serve::error::{ServeError, WireCode};
 use ringcnn_serve::frame;
@@ -38,8 +39,8 @@ fn link_targets(text: &str) -> Vec<String> {
     out
 }
 
-#[test]
-fn docs_relative_links_all_resolve() {
+/// `README.md` and every `docs/*.md`.
+fn markdown_docs() -> Vec<PathBuf> {
     let root = repo_root();
     let mut files = vec![root.join("README.md")];
     for entry in std::fs::read_dir(root.join("docs")).expect("docs/ directory exists") {
@@ -52,6 +53,12 @@ fn docs_relative_links_all_resolve() {
         files.len() >= 4,
         "expected README.md plus at least three docs/*.md files, found {files:?}"
     );
+    files
+}
+
+#[test]
+fn docs_relative_links_all_resolve() {
+    let files = markdown_docs();
     let mut checked = 0usize;
     for file in &files {
         let text = std::fs::read_to_string(file).expect("read doc");
@@ -80,6 +87,30 @@ fn docs_relative_links_all_resolve() {
         checked >= 10,
         "the docs tree should be cross-linked; only {checked} relative links found"
     );
+}
+
+/// PR 16 deleted the file-by-file load path of the registry and the
+/// non-Linux poller; no document may still send a reader to them.
+#[test]
+fn docs_name_no_deleted_identifier() {
+    let mut files = markdown_docs();
+    files.push(repo_root().join(".claude/skills/verify/SKILL.md"));
+    for file in files {
+        let text = std::fs::read_to_string(&file).expect("read doc");
+        for gone in [
+            "register_qmodel",
+            "register_file",
+            "load_path",
+            "watch_dir",
+            "poll/portable",
+        ] {
+            assert!(
+                !text.contains(gone),
+                "{}: names `{gone}`, which no longer exists",
+                file.display()
+            );
+        }
+    }
 }
 
 #[test]

@@ -109,20 +109,28 @@ fn batch_runner_matches_sequential_frames() {
     }
 }
 
-/// Concurrent `forward_infer` on one shared un-prepared model must be
-/// race-free and deterministic (the plan-caching bugfix: shared workers
-/// never mutate, they fall back to ephemeral local plans).
+/// Concurrent `forward_infer` on one shared model nobody prepared:
+/// eight threads race the first call, each kernel cell is initialised by
+/// exactly one of them, and every thread answers bit for bit what a
+/// prepared model answers.
 #[test]
 fn unprepared_shared_model_is_race_free() {
     let alg = Algebra::with_fcw(RingKind::Rh(4));
-    let mut model = vdsr(&alg, 3, 8, 1, 71);
+    let mut prepared = vdsr(&alg, 3, 8, 1, 71);
+    prepared.prepare_inference();
     let x = Tensor::random_uniform(Shape4::new(1, 1, 16, 16), 0.0, 1.0, 72);
-    let want = model.forward(&x, false);
-    // A fresh model whose caches were never built, shared immutably.
+    let want = prepared.forward_infer(&x);
+    // A fresh model whose kernels were never built, shared immutably.
     let fresh = vdsr(&alg, 3, 8, 1, 71);
+    let start = std::sync::Barrier::new(8);
     let outs: Vec<Tensor> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..4)
-            .map(|_| s.spawn(|| fresh.forward_infer(&x)))
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    fresh.forward_infer(&x)
+                })
+            })
             .collect();
         handles
             .into_iter()
@@ -130,8 +138,7 @@ fn unprepared_shared_model_is_race_free() {
             .collect()
     });
     for out in outs {
-        let d = max_abs_diff(&want, &out);
-        assert!(d <= 1e-6, "concurrent forward_infer deviates by {d}");
+        assert_eq!(out, want, "a racing first call must match a prepared model");
     }
 }
 
@@ -202,4 +209,118 @@ proptest! {
             topo.radius - 2, topo.radius
         );
     }
+}
+
+/// The five `ModelSpec` architectures at their smallest, and the SR
+/// scenario's bicubic-skip wrapper, over a ring with a directional ReLU
+/// so every leaf and container type of the zoo appears.
+fn walk_zoo() -> Vec<(&'static str, Sequential)> {
+    use ringcnn::scenarios::{build_model, Scenario, ThroughputTarget};
+    let alg = Algebra::ri_fh(4);
+    let (b, r, n_extra, width, channels_io) = (1, 2, 1, 8, 1);
+    let specs = [
+        (
+            "vdsr",
+            ModelSpec::Vdsr {
+                depth: 3,
+                width,
+                channels_io,
+            },
+        ),
+        (
+            "ffdnet",
+            ModelSpec::Ffdnet {
+                depth: 3,
+                width,
+                channels_io,
+            },
+        ),
+        (
+            "dn_ernet",
+            ModelSpec::DnErnet {
+                b,
+                r,
+                n_extra,
+                width,
+                channels_io,
+            },
+        ),
+        (
+            "sr4_ernet",
+            ModelSpec::Sr4Ernet {
+                b,
+                r,
+                n_extra,
+                width,
+                channels_io,
+            },
+        ),
+        (
+            "srresnet",
+            ModelSpec::SrResNet {
+                blocks: 1,
+                channels: width,
+                depthwise: true,
+                channels_io,
+            },
+        ),
+    ];
+    let mut zoo: Vec<_> = specs
+        .into_iter()
+        .map(|(name, spec)| (name, spec.build(&alg, 3)))
+        .collect();
+    zoo.push((
+        "sr4_bicubic_skip",
+        build_model(Scenario::Sr4, ThroughputTarget::Uhd30, &alg, 3),
+    ));
+    zoo
+}
+
+/// The model walk yields the leaves the downcast ladders yielded before
+/// `Layer::children` replaced them: same names, same order, same
+/// `(radius, granularity, scale)` (lists captured at the parent commit).
+#[test]
+fn layer_walk_yields_the_golden_leaves_and_topology() {
+    for ((name, mut model), (gname, leaves, topo)) in walk_zoo().into_iter().zip(WALK_GOLDEN) {
+        assert_eq!(name, gname);
+        let mut names = Vec::new();
+        model.for_each_layer_mut(&mut |l| names.push(l.name()));
+        assert_eq!(names, leaves, "{name}: leaves");
+        let t = model_topology(&mut model);
+        assert_eq!((t.radius, t.granularity, t.scale), topo, "{name}: topology");
+    }
+}
+
+/// `(model, leaf names in execution order, (radius, granularity, scale))`.
+type WalkGolden = (
+    &'static str,
+    &'static [&'static str],
+    (usize, usize, (usize, usize)),
+);
+
+#[rustfmt::skip]
+const WALK_GOLDEN: [WalkGolden; 6] = [
+    ("vdsr", &["conv3x3(1->8)", "drelu[n=4]", "rconv3x3[RI4](8->8)", "drelu[n=4]", "conv3x3(8->1)"], (3, 1, (1, 1))),
+    ("ffdnet", &["pixel_unshuffle(x2)", "rconv3x3[RI4](4->8)", "drelu[n=4]", "rconv3x3[RI4](8->8)", "drelu[n=4]", "rconv3x3[RI4](8->4)", "pixel_shuffle(x2)"], (6, 2, (1, 1))),
+    ("dn_ernet", &["pixel_unshuffle(x2)", "rconv3x3[RI4](4->8)", "drelu[n=4]", "rconv3x3[RI4](8->16)", "drelu[n=4]", "rconv3x3[RI4](16->16)", "drelu[n=4]", "rconv3x3[RI4](16->8)", "rconv3x3[RI4](8->4)", "pixel_shuffle(x2)"], (10, 2, (1, 1))),
+    ("sr4_ernet", &["conv3x3(1->8)", "drelu[n=4]", "rconv3x3[RI4](8->16)", "drelu[n=4]", "rconv3x3[RI4](16->16)", "drelu[n=4]", "rconv3x3[RI4](16->8)", "rconv3x3[RI4](8->8)", "rconv3x3[RI4](8->32)", "pixel_shuffle(x2)", "drelu[n=4]", "rconv3x3[RI4](8->32)", "pixel_shuffle(x2)", "drelu[n=4]", "conv3x3(8->1)"], (7, 1, (4, 1))),
+    ("srresnet", &["dwconv3x3(1)", "conv1x1(1->8)", "drelu[n=4]", "dwconv3x3(8)", "rconv1x1[RI4](8->8)", "drelu[n=4]", "dwconv3x3(8)", "rconv1x1[RI4](8->8)", "dwconv3x3(8)", "rconv1x1[RI4](8->8)", "dwconv3x3(8)", "rconv1x1[RI4](8->32)", "pixel_shuffle(x2)", "drelu[n=4]", "dwconv3x3(8)", "rconv1x1[RI4](8->32)", "pixel_shuffle(x2)", "drelu[n=4]", "dwconv3x3(8)", "conv1x1(8->1)"], (6, 1, (4, 1))),
+    // The bicubic skip reaches 2 source pixels beyond the body's 6.
+    ("sr4_bicubic_skip", &["conv3x3(1->8)", "drelu[n=4]", "rconv3x3[RI4](8->16)", "drelu[n=4]", "rconv3x3[RI4](16->8)", "rconv3x3[RI4](8->8)", "rconv3x3[RI4](8->32)", "pixel_shuffle(x2)", "drelu[n=4]", "rconv3x3[RI4](8->32)", "pixel_shuffle(x2)", "drelu[n=4]", "conv3x3(8->1)"], (8, 1, (4, 1))),
+];
+
+/// A container is one by type, not by having children: an empty
+/// `Sequential` (or a `Residual` around one) nested in a model yields no
+/// leaf and leaves the topology alone.
+#[test]
+fn an_empty_nested_container_is_not_a_leaf() {
+    let mut model = Sequential::new()
+        .with(Box::new(Sequential::new()))
+        .with(Box::new(Conv2d::new(1, 1, 3, 1)))
+        .with(Box::new(Residual::new(Sequential::new())));
+    let mut names = Vec::new();
+    model.for_each_layer_mut(&mut |l| names.push(l.name()));
+    assert_eq!(names, ["conv3x3(1->1)"]);
+    let t = model_topology(&mut model);
+    assert_eq!((t.radius, t.granularity, t.scale), (1, 1, (1, 1)));
 }
