@@ -2,9 +2,23 @@
 //! the paper's novel **directional ReLU** `fdir(y) = U·fcw(V·y)` (§III-E),
 //! including the Hadamard instance `fH(y) = H·fcw(H·y)` and the
 //! Householder instance `fO4(y) = O·fcw(O·y)`.
+//!
+//! Each entry point of [`DirectionalRelu`] has two forms. The per-tuple
+//! ones (`forward`, `forward_with_hidden`, `backward`) take one `n`-tuple
+//! and are the slow oracle. The plane forms (`*_planes`) take the `n`
+//! contiguous planes one tuple of channels occupies in an NCHW tensor
+//! and run the same arithmetic per pixel in the same order, one pass per
+//! row over an L1-sized block of pixels: the loops vectorize across
+//! pixels, nothing is allocated, and the results are bit-identical to
+//! the oracle's (`tests/planewise.rs` compares `to_bits`).
 
 use crate::mat::Mat;
-use crate::transforms::{fwht_f32, hadamard, householder_o4};
+use crate::transforms::{fwht_f32, fwht_planes, hadamard, householder_o4};
+
+/// Elements of one block of the plane forms: the `n` rows of a block
+/// (`BLOCK / n` pixels each) and the mat-vec forms' stack scratch of the
+/// same size are 8 KiB each, L1-resident across the passes over them.
+const BLOCK: usize = 2048;
 
 /// Component-wise ReLU on an `n`-tuple slice (eq. (5)).
 pub fn fcw_forward(y: &mut [f32]) {
@@ -72,6 +86,9 @@ pub struct DirectionalRelu {
     v: Mat,
     u32s: Vec<f32>,
     v32s: Vec<f32>,
+    /// `Uᵗ` and `Vᵗ`, row-major, for the plane form of the backward.
+    ut32s: Vec<f32>,
+    vt32s: Vec<f32>,
     n: usize,
     hadamard_fast: bool,
 }
@@ -96,6 +113,8 @@ impl DirectionalRelu {
         Self {
             u32s: to32(&u),
             v32s: to32(&v),
+            ut32s: to32(&u.transposed()),
+            vt32s: to32(&v.transposed()),
             u,
             v,
             n,
@@ -180,6 +199,131 @@ impl DirectionalRelu {
         }
         matvec32_transposed(&self.v32s, &tmp, d, self.n);
     }
+
+    /// [`DirectionalRelu::forward`] on every pixel of one tuple of
+    /// channels: `planes` holds the tuple's `n` planes back to back. A
+    /// Hadamard pair runs butterfly · `fcw` · butterfly in place; any
+    /// other `U`/`V` (`fO4`) a plane-wise mat-vec in the per-tuple
+    /// accumulation order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `planes.len()` is not a multiple of `n`.
+    pub fn forward_planes(&self, planes: &mut [f32]) {
+        if !self.hadamard_fast {
+            return self.mix_planes(planes, None);
+        }
+        let n = self.n;
+        let plane = plane_len(planes.len(), n);
+        for p0 in (0..plane).step_by(BLOCK / n) {
+            let len = (BLOCK / n).min(plane - p0);
+            let block = &mut planes[p0..];
+            fwht_planes(block, n, plane, len);
+            for l in 0..n {
+                fcw_forward(&mut block[l * plane..l * plane + len]);
+            }
+            fwht_planes(block, n, plane, len);
+        }
+    }
+
+    /// [`DirectionalRelu::forward_with_hidden`] on every pixel of one
+    /// tuple of channels (`planes` and `hidden` both hold `n` planes):
+    /// always the mat-vec form, so a training forward accumulates in
+    /// the order it always has.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two lengths differ or are not a multiple of `n`.
+    pub fn forward_planes_with_hidden(&self, planes: &mut [f32], hidden: &mut [f32]) {
+        assert_eq!(planes.len(), hidden.len());
+        self.mix_planes(planes, Some(hidden));
+    }
+
+    /// `planes ← U·fcw(V·planes)` block by block, keeping `V·planes`
+    /// in `hidden` when asked.
+    fn mix_planes(&self, planes: &mut [f32], mut hidden: Option<&mut [f32]>) {
+        let n = self.n;
+        let plane = plane_len(planes.len(), n);
+        let mut scratch = [0.0f32; BLOCK];
+        for p0 in (0..plane).step_by(BLOCK / n) {
+            let len = (BLOCK / n).min(plane - p0);
+            let tmp = &mut scratch[..n * len];
+            self.mat_rows(&self.v32s, false, (&planes[p0..], plane), (tmp, len), len);
+            if let Some(hidden) = hidden.as_deref_mut() {
+                for l in 0..n {
+                    hidden[l * plane + p0..][..len].copy_from_slice(&tmp[l * len..][..len]);
+                }
+            }
+            fcw_forward(tmp);
+            self.mat_rows(
+                &self.u32s,
+                false,
+                (tmp, len),
+                (&mut planes[p0..], plane),
+                len,
+            );
+        }
+    }
+
+    /// [`DirectionalRelu::backward`] on every pixel of one tuple of
+    /// channels: `hidden` is what
+    /// [`DirectionalRelu::forward_planes_with_hidden`] kept, `d` the
+    /// upstream gradient's `n` planes, replaced by the input gradient's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two lengths differ or are not a multiple of `n`.
+    pub fn backward_planes(&self, hidden: &[f32], d: &mut [f32]) {
+        assert_eq!(hidden.len(), d.len());
+        let n = self.n;
+        let plane = plane_len(d.len(), n);
+        let mut scratch = [0.0f32; BLOCK];
+        for p0 in (0..plane).step_by(BLOCK / n) {
+            let len = (BLOCK / n).min(plane - p0);
+            let tmp = &mut scratch[..n * len];
+            self.mat_rows(&self.ut32s, true, (&d[p0..], plane), (tmp, len), len);
+            for l in 0..n {
+                fcw_backward(&hidden[l * plane + p0..][..len], &mut tmp[l * len..][..len]);
+            }
+            self.mat_rows(&self.vt32s, true, (tmp, len), (&mut d[p0..], plane), len);
+        }
+    }
+
+    /// [`matvec32`] with `m` on `len` pixels at once, rows given as
+    /// `(buffer, stride)`: `out_i[p] = Σ_j m[i·n + j]·x_j[p]`, every pixel
+    /// accumulating from `+0.0` over `j` ascending as `matvec32` does. On
+    /// a transposed matrix with `skip_zeros` (terms whose input is zero
+    /// are left out, not added as `±0`) it is [`matvec32_transposed`],
+    /// which accumulates every output over the inputs ascending too.
+    fn mat_rows(
+        &self,
+        m: &[f32],
+        skip_zeros: bool,
+        (x, xs): (&[f32], usize),
+        (out, os): (&mut [f32], usize),
+        len: usize,
+    ) {
+        let n = self.n;
+        for i in 0..n {
+            let acc = &mut out[i * os..i * os + len];
+            acc.fill(0.0);
+            for j in 0..n {
+                let a = m[i * n + j];
+                for (o, b) in acc.iter_mut().zip(&x[j * xs..j * xs + len]) {
+                    if !(skip_zeros && *b == 0.0) {
+                        *o += a * b;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Pixels per plane of a buffer holding `n` planes back to back.
+fn plane_len(total: usize, n: usize) -> usize {
+    assert!(n <= BLOCK, "tuple size {n} exceeds the block of {BLOCK}");
+    assert_eq!(total % n, 0, "{total} elements are not {n} whole planes");
+    total / n
 }
 
 #[inline]

@@ -3,6 +3,7 @@
 //! matrix `O` of §III-C.
 
 use crate::mat::Mat;
+use std::ops::{Add, Sub};
 
 /// Natural-ordered (Sylvester) Hadamard matrix of size `n × n`.
 ///
@@ -61,28 +62,48 @@ pub fn householder_o4() -> Mat {
     o
 }
 
-/// In-place fast Walsh–Hadamard transform of a length-`n` (power of two)
-/// buffer of `f32`. Equivalent to multiplying by [`hadamard`]`(n)` but in
-/// `O(n log n)` adds — this is the butterfly network of Fig. 8.
+/// The butterfly network of Fig. 8 over `n` (a power of two) *rows* of
+/// `len` elements each, in place: row `l` is
+/// `rows[l·stride .. l·stride + len]`, and every column of the `n × len`
+/// block is multiplied by [`hadamard`]`(n)` in `n·log₂n` adds — `h = 1,
+/// 2, 4, …` stages, each pairing rows `j` and `j + h` into
+/// `(x + y, x − y)`. One row pair is one pass over two contiguous slices,
+/// so the compiler vectorizes across the columns (pixels); the arithmetic
+/// per column is the per-tuple transform's, in the same order, which
+/// makes the plane-wise directional ReLU bit-identical to the per-tuple
+/// one. [`fwht_f32`] and [`fwht_i64`] are the `len = 1` case.
 ///
 /// # Panics
 ///
-/// Panics if `data.len()` is not a power of two.
-pub fn fwht_f32(data: &mut [f32]) {
-    let n = data.len();
+/// Panics if `n` is not a power of two, if rows overlap (`len > stride`
+/// with more than one row) or if `rows` is too short to hold them.
+pub fn fwht_planes<T>(rows: &mut [T], n: usize, stride: usize, len: usize)
+where
+    T: Copy + Add<Output = T> + Sub<Output = T>,
+{
     assert!(
         n.is_power_of_two(),
         "FWHT length must be a power of two, got {n}"
     );
+    assert!(
+        n == 1 || len <= stride,
+        "rows of {len} overlap at stride {stride}"
+    );
+    assert!((n - 1) * stride + len <= rows.len(), "rows out of bounds");
     let mut h = 1;
     while h < n {
         let mut i = 0;
         while i < n {
             for j in i..i + h {
-                let x = data[j];
-                let y = data[j + h];
-                data[j] = x + y;
-                data[j + h] = x - y;
+                let (lo, hi) = rows.split_at_mut((j + h) * stride);
+                for (x, y) in lo[j * stride..j * stride + len]
+                    .iter_mut()
+                    .zip(&mut hi[..len])
+                {
+                    let (a, b) = (*x, *y);
+                    *x = a + b;
+                    *y = a - b;
+                }
             }
             i += h * 2;
         }
@@ -90,32 +111,26 @@ pub fn fwht_f32(data: &mut [f32]) {
     }
 }
 
+/// In-place fast Walsh–Hadamard transform of a length-`n` (power of two)
+/// buffer of `f32`. Equivalent to multiplying by [`hadamard`]`(n)` but in
+/// `O(n log n)` adds — [`fwht_planes`] over one column.
+///
+/// # Panics
+///
+/// Panics if `data.len()` is not a power of two.
+pub fn fwht_f32(data: &mut [f32]) {
+    fwht_planes(data, data.len(), 1, 1);
+}
+
 /// In-place fast Walsh–Hadamard transform over `i64` (bit-exact fixed-point
-/// path used by the accelerator simulator).
+/// path used by the accelerator simulator) — [`fwht_planes`] over one
+/// column.
 ///
 /// # Panics
 ///
 /// Panics if `data.len()` is not a power of two.
 pub fn fwht_i64(data: &mut [i64]) {
-    let n = data.len();
-    assert!(
-        n.is_power_of_two(),
-        "FWHT length must be a power of two, got {n}"
-    );
-    let mut h = 1;
-    while h < n {
-        let mut i = 0;
-        while i < n {
-            for j in i..i + h {
-                let x = data[j];
-                let y = data[j + h];
-                data[j] = x + y;
-                data[j + h] = x - y;
-            }
-            i += h * 2;
-        }
-        h *= 2;
-    }
+    fwht_planes(data, data.len(), 1, 1);
 }
 
 #[cfg(test)]

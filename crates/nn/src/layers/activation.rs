@@ -4,7 +4,7 @@
 use crate::layer::Layer;
 use ringcnn_algebra::relu::{DirectionalRelu, Nonlinearity};
 use ringcnn_algebra::ring::Ring;
-
+use ringcnn_tensor::shape::Shape4;
 use ringcnn_tensor::tensor::Tensor as T;
 
 /// Plain component-wise ReLU on every element (real networks and the
@@ -58,6 +58,13 @@ impl Layer for Relu {
 
 /// Tuple-wise directional ReLU: channels are grouped into `n`-tuples and
 /// `f(y) = U·fcw(V·y)` is applied to each tuple at every pixel (§III-E).
+///
+/// The `n` planes of a tuple are contiguous in NCHW, so all three passes
+/// hand them whole to the plane forms of [`DirectionalRelu`] — `fH` a
+/// butterfly over rows, `fO4` and the training passes a plane-wise
+/// mat-vec — instead of gathering one tuple per pixel; per pixel the
+/// arithmetic and its order are the per-tuple oracle's, so outputs and
+/// gradients are bit-identical to it.
 pub struct DirectionalReluLayer {
     f: DirectionalRelu,
     n: usize,
@@ -89,6 +96,20 @@ impl DirectionalReluLayer {
     pub fn n(&self) -> usize {
         self.n
     }
+
+    /// Elements of one tuple of channels — `n` planes, contiguous in
+    /// NCHW: what the plane forms of [`DirectionalRelu`] take and the
+    /// chunk size that walks a tensor tuple by tuple (1 for a tensor
+    /// without elements, which has no chunks).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the channel count is not a multiple of `n`.
+    fn tuple_len(&self, s: Shape4) -> usize {
+        let (c, n) = (s.c, self.n);
+        assert_eq!(c % n, 0, "channels {c} not a multiple of tuple size {n}");
+        (n * s.plane()).max(1)
+    }
 }
 
 impl Layer for DirectionalReluLayer {
@@ -97,63 +118,21 @@ impl Layer for DirectionalReluLayer {
     }
 
     fn forward_train(&mut self, input: &T) -> T {
-        let s = input.shape();
-        assert_eq!(
-            s.c % self.n,
-            0,
-            "channels {} not a multiple of tuple size {}",
-            s.c,
-            self.n
-        );
-        let tuples = s.c / self.n;
-        let plane = s.plane();
+        let len = self.tuple_len(input.shape());
         let mut out = input.clone();
-        let mut hidden = T::zeros(s);
-        let mut y = vec![0.0f32; self.n];
-        let mut h = vec![0.0f32; self.n];
-        for b in 0..s.n {
-            for t in 0..tuples {
-                for p in 0..plane {
-                    for l in 0..self.n {
-                        y[l] = out.plane(b, t * self.n + l)[p];
-                    }
-                    self.f.forward_with_hidden(&mut y, &mut h);
-                    for l in 0..self.n {
-                        hidden.plane_mut(b, t * self.n + l)[p] = h[l];
-                        out.plane_mut(b, t * self.n + l)[p] = y[l];
-                    }
-                }
-            }
+        let mut hidden = T::zeros(input.shape());
+        let tuples = out.as_mut_slice().chunks_mut(len);
+        for (y, h) in tuples.zip(hidden.as_mut_slice().chunks_mut(len)) {
+            self.f.forward_planes_with_hidden(y, h);
         }
         self.cached_hidden = Some(hidden);
         out
     }
 
     fn forward_infer(&self, input: &T) -> T {
-        let s = input.shape();
-        assert_eq!(
-            s.c % self.n,
-            0,
-            "channels {} not a multiple of tuple size {}",
-            s.c,
-            self.n
-        );
-        let tuples = s.c / self.n;
-        let plane = s.plane();
         let mut out = input.clone();
-        let mut y = vec![0.0f32; self.n];
-        for b in 0..s.n {
-            for t in 0..tuples {
-                for p in 0..plane {
-                    for l in 0..self.n {
-                        y[l] = out.plane(b, t * self.n + l)[p];
-                    }
-                    self.f.forward(&mut y);
-                    for l in 0..self.n {
-                        out.plane_mut(b, t * self.n + l)[p] = y[l];
-                    }
-                }
-            }
+        for y in out.as_mut_slice().chunks_mut(self.tuple_len(input.shape())) {
+            self.f.forward_planes(y);
         }
         out
     }
@@ -163,25 +142,11 @@ impl Layer for DirectionalReluLayer {
             .cached_hidden
             .take()
             .expect("backward without training forward");
-        let s = dout.shape();
-        let tuples = s.c / self.n;
-        let plane = s.plane();
+        let len = self.tuple_len(dout.shape());
         let mut din = dout.clone();
-        let mut d = vec![0.0f32; self.n];
-        let mut h = vec![0.0f32; self.n];
-        for b in 0..s.n {
-            for t in 0..tuples {
-                for p in 0..plane {
-                    for l in 0..self.n {
-                        d[l] = din.plane(b, t * self.n + l)[p];
-                        h[l] = hidden.plane(b, t * self.n + l)[p];
-                    }
-                    self.f.backward(&h, &mut d);
-                    for l in 0..self.n {
-                        din.plane_mut(b, t * self.n + l)[p] = d[l];
-                    }
-                }
-            }
+        let tuples = din.as_mut_slice().chunks_mut(len);
+        for (d, h) in tuples.zip(hidden.as_slice().chunks(len)) {
+            self.f.backward_planes(h, d);
         }
         din
     }
@@ -213,7 +178,6 @@ pub fn activation_for(ring: &Ring, nl: Nonlinearity) -> Option<Box<dyn Layer>> {
 mod tests {
     use super::*;
     use ringcnn_algebra::ring::RingKind;
-    use ringcnn_tensor::shape::Shape4;
 
     #[test]
     fn relu_forward_backward() {

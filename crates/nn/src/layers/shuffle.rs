@@ -1,9 +1,66 @@
 //! Pixel shuffle / unshuffle: lossless space↔depth reshapes used by the
 //! ERNet-style models (the "PU" in DnERNet-PU) and the SR upsamplers.
+//!
+//! Both are one permutation of an NCHW buffer, written once for any
+//! element type ([`shuffle_into`], [`unshuffle_into`]: the `f32` layers
+//! here, the `i64` features of `ringcnn-quant`) and carried out row by
+//! row — a source row and every `r`-th sample of an output row — never
+//! through a 4-D index per element.
 
 use crate::layer::Layer;
 use ringcnn_tensor::prelude::*;
 use ringcnn_tensor::tensor::Tensor as T;
+
+/// Depth-to-space on a raw NCHW buffer: `src` of shape `s` into `dst` of
+/// shape `[n, c/r², h·r, w·r]`. The `r²` source planes of one output
+/// plane are contiguous; output row `y·r + ry` interleaves row `y` of the
+/// `r` planes `ry·r + rx`, and is written once, whole, before the next
+/// (so the output becomes resident as it is filled, not up front).
+///
+/// # Panics
+///
+/// Panics if either buffer is shorter than its shape.
+pub fn shuffle_into<E: Copy>(src: &[E], s: Shape4, r: usize, dst: &mut [E]) {
+    let (plane, out_plane, out_w) = (s.plane(), s.plane() * r * r, s.w * r);
+    let groups = src[..s.len()].chunks(out_plane.max(1));
+    for (from, to) in groups.zip(dst.chunks_mut(out_plane.max(1))) {
+        for (oy, row) in to.chunks_mut(out_w).enumerate() {
+            for rx in 0..r {
+                let at = (oy % r * r + rx) * plane + oy / r * s.w;
+                for (o, v) in row[rx..].iter_mut().step_by(r).zip(&from[at..at + s.w]) {
+                    *o = *v;
+                }
+            }
+        }
+    }
+}
+
+/// Space-to-depth on a raw NCHW buffer, the inverse of [`shuffle_into`]:
+/// `src` of shape `s` into `dst` of shape `[n, c·r², h/r, w/r]` (rows and
+/// columns beyond a multiple of `r` are dropped). Each source row is read
+/// once and dealt out to row `y` of its `r` output planes.
+///
+/// # Panics
+///
+/// Panics if either buffer is shorter than its shape.
+pub fn unshuffle_into<E: Copy>(src: &[E], s: Shape4, r: usize, dst: &mut [E]) {
+    let (out_h, out_w) = (s.h / r, s.w / r);
+    let out_plane = out_h * out_w;
+    let groups = dst.chunks_mut((out_plane * r * r).max(1));
+    for (from, to) in src[..s.len()].chunks(s.plane().max(1)).zip(groups) {
+        for (sy, row) in from.chunks(s.w).take(out_h * r).enumerate() {
+            for rx in 0..r {
+                let at = (sy % r * r + rx) * out_plane + sy / r * out_w;
+                for (o, v) in to[at..at + out_w]
+                    .iter_mut()
+                    .zip(row.iter().skip(rx).step_by(r))
+                {
+                    *o = *v;
+                }
+            }
+        }
+    }
+}
 
 /// Space-to-depth: `[N, C, H, W] → [N, C·r², H/r, W/r]`.
 pub struct PixelUnshuffle {
@@ -28,20 +85,7 @@ impl PixelUnshuffle {
         assert_eq!(s.w % r, 0, "width {} not divisible by {r}", s.w);
         let out_shape = Shape4::new(s.n, s.c * r * r, s.h / r, s.w / r);
         let mut out = T::zeros(out_shape);
-        for b in 0..s.n {
-            for c in 0..s.c {
-                for y in 0..out_shape.h {
-                    for x in 0..out_shape.w {
-                        for ry in 0..r {
-                            for rx in 0..r {
-                                let oc = c * r * r + ry * r + rx;
-                                *out.at_mut(b, oc, y, x) = input.at(b, c, y * r + ry, x * r + rx);
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        unshuffle_into(input.as_slice(), s, r, out.as_mut_slice());
         out
     }
 }
@@ -100,20 +144,7 @@ impl PixelShuffle {
         );
         let out_shape = Shape4::new(s.n, s.c / (r * r), s.h * r, s.w * r);
         let mut out = T::zeros(out_shape);
-        for b in 0..s.n {
-            for oc in 0..out_shape.c {
-                for y in 0..s.h {
-                    for x in 0..s.w {
-                        for ry in 0..r {
-                            for rx in 0..r {
-                                let ic = oc * r * r + ry * r + rx;
-                                *out.at_mut(b, oc, y * r + ry, x * r + rx) = input.at(b, ic, y, x);
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        shuffle_into(input.as_slice(), s, r, out.as_mut_slice());
         out
     }
 }

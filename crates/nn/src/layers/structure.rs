@@ -83,8 +83,13 @@ impl Layer for Sequential {
     }
 
     fn forward_infer(&self, input: &T) -> T {
-        let mut x = input.clone();
-        for l in &self.layers {
+        // The first child reads the caller's tensor; only an empty chain
+        // (the identity) has to copy it.
+        let Some((first, rest)) = self.layers.split_first() else {
+            return input.clone();
+        };
+        let mut x = first.forward_infer(input);
+        for l in rest {
             x = l.forward_infer(&x);
         }
         x

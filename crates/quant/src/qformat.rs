@@ -103,10 +103,15 @@ impl QFormat {
         Self::try_fit(max_abs, bits).unwrap_or_else(|e| panic!("QFormat::fit: {e}"))
     }
 
+    /// The smallest and largest stored integers, `−2^(bits−1)` and
+    /// `2^(bits−1) − 1`.
+    pub fn rails(&self) -> (i64, i64) {
+        (-(1i64 << (self.bits - 1)), (1i64 << (self.bits - 1)) - 1)
+    }
+
     /// Largest representable magnitude.
     pub fn max_value(&self) -> f64 {
-        let qmax = (1i64 << (self.bits - 1)) - 1;
-        qmax as f64 * self.scale()
+        self.rails().1 as f64 * self.scale()
     }
 
     /// The quantization step `2^(−frac)`.
@@ -117,10 +122,7 @@ impl QFormat {
     /// Quantizes a real value to the stored integer (round half away
     /// from zero — see the module docs — then saturate).
     pub fn quantize(&self, v: f64) -> i64 {
-        let qmax = (1i64 << (self.bits - 1)) - 1;
-        let qmin = -(1i64 << (self.bits - 1));
-        let q = (v * 2.0f64.powi(self.frac)).round() as i64;
-        q.clamp(qmin, qmax)
+        self.saturate((v * 2.0f64.powi(self.frac)).round() as i64)
     }
 
     /// Reconstructs the real value of a stored integer.
@@ -130,9 +132,22 @@ impl QFormat {
 
     /// Saturates an already-scaled integer into this format's range.
     pub fn saturate(&self, q: i64) -> i64 {
-        let qmax = (1i64 << (self.bits - 1)) - 1;
-        let qmin = -(1i64 << (self.bits - 1));
+        let (qmin, qmax) = self.rails();
         q.clamp(qmin, qmax)
+    }
+
+    /// The requantizer of one channel *into* this format — shift from
+    /// `from_frac` fractional bits with [`requant_shift`], then
+    /// [`QFormat::saturate`] — as the per-channel constants a whole plane
+    /// shares (`RequantChannel::apply_lane`).
+    pub fn requantizer(&self, from_frac: i32) -> RequantChannel {
+        let (qmin, qmax) = self.rails();
+        RequantChannel {
+            from_frac,
+            to_frac: self.frac,
+            qmin,
+            qmax,
+        }
     }
 }
 
@@ -141,6 +156,7 @@ impl QFormat {
 /// (matching [`QFormat::quantize`]) and **saturating** left shifts. It
 /// is the function the integer GEMM's fused epilogue applies.
 pub use ringcnn_tensor::gemm::requant_shift_i64 as requant_shift;
+use ringcnn_tensor::gemm::RequantChannel;
 
 #[cfg(test)]
 mod tests {

@@ -5,8 +5,23 @@
 //! bit-exact) together with one [`QFormat`] per channel. 8-bit tensors
 //! model the accelerator's feature SRAM; wide tensors model convolution
 //! accumulators flowing into the on-the-fly directional-ReLU pipeline.
+//!
+//! Everything a format decides is constant over a plane, so every
+//! element-wise operation here walks whole planes with those constants
+//! hoisted: `2^frac` and the rails once per plane in
+//! [`QTensor::quantize`]/[`QTensor::dequantize`], and the shift's
+//! direction and distance once per plane in the requantizers
+//! ([`QFormat::requantizer`] → `RequantChannel::apply_lane`, which
+//! reaches the `u128`/`i128` arithmetic of [`requant_shift`] only for
+//! the extreme distances that need it). Per element the operations and
+//! their order are those of [`QFormat::quantize`],
+//! [`QFormat::dequantize`], [`requant_shift`] and [`QFormat::saturate`]
+//! — `tests/quant_backend.rs` compares against exactly those.
+//!
+//! [`requant_shift`]: crate::qformat::requant_shift
 
-use crate::qformat::{requant_shift, QFormat};
+use crate::qformat::QFormat;
+use ringcnn_tensor::gemm::RequantChannel;
 use ringcnn_tensor::prelude::*;
 
 /// An integer NCHW tensor with per-channel fixed-point formats.
@@ -15,6 +30,12 @@ pub struct QTensor {
     shape: Shape4,
     data: Vec<i64>,
     formats: Vec<QFormat>,
+}
+
+/// The planes of an NCHW buffer in storage order, each with its channel.
+fn planes_mut<E>(data: &mut [E], s: Shape4) -> impl Iterator<Item = (usize, &mut [E])> {
+    let planes = data.chunks_mut(s.plane().max(1));
+    planes.enumerate().map(move |(i, p)| (i % s.c, p))
 }
 
 impl QTensor {
@@ -27,14 +48,12 @@ impl QTensor {
         let s = t.shape();
         assert_eq!(formats.len(), s.c, "one format per channel");
         let mut data = vec![0i64; s.len()];
-        for b in 0..s.n {
-            for c in 0..s.c {
-                let f = formats[c];
-                let src = t.plane(b, c);
-                let base = s.index(b, c, 0, 0);
-                for (i, v) in src.iter().enumerate() {
-                    data[base + i] = f.quantize(f64::from(*v));
-                }
+        let src = t.as_slice().chunks(s.plane().max(1));
+        for ((c, dst), src) in planes_mut(&mut data, s).zip(src) {
+            let f = formats[c];
+            let (scale, (lo, hi)) = (2.0f64.powi(f.frac), f.rails());
+            for (d, v) in dst.iter_mut().zip(src) {
+                *d = ((f64::from(*v) * scale).round() as i64).clamp(lo, hi);
             }
         }
         Self {
@@ -69,6 +88,13 @@ impl QTensor {
         &self.data
     }
 
+    /// Takes the tensor apart — shape, raw integers, formats — for a
+    /// stage that works in place and hands the buffer back to
+    /// [`QTensor::from_raw`].
+    pub fn into_raw(self) -> (Shape4, Vec<i64>, Vec<QFormat>) {
+        (self.shape, self.data, self.formats)
+    }
+
     /// Per-channel formats.
     pub fn formats(&self) -> &[QFormat] {
         &self.formats
@@ -89,14 +115,11 @@ impl QTensor {
     pub fn dequantize(&self) -> Tensor {
         let s = self.shape;
         let mut out = Tensor::zeros(s);
-        for b in 0..s.n {
-            for c in 0..s.c {
-                let f = self.formats[c];
-                let base = s.index(b, c, 0, 0);
-                let dst = out.plane_mut(b, c);
-                for (i, d) in dst.iter_mut().enumerate() {
-                    *d = f.dequantize(self.data[base + i]) as f32;
-                }
+        let src = self.data.chunks(s.plane().max(1));
+        for ((c, dst), src) in planes_mut(out.as_mut_slice(), s).zip(src) {
+            let scale = self.formats[c].scale();
+            for (d, q) in dst.iter_mut().zip(src) {
+                *d = (*q as f64 * scale) as f32;
             }
         }
         out
@@ -105,25 +128,24 @@ impl QTensor {
     /// Requantizes every channel to new formats (rounding right-shifts,
     /// saturating to the new bitwidth) — the hardware format converter.
     pub fn requantized(&self, formats: Vec<QFormat>) -> QTensor {
+        let mut out = self.clone();
+        out.requantize(formats);
+        out
+    }
+
+    /// [`QTensor::requantized`] in place, for a tensor the caller owns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `formats.len() != shape.c`.
+    pub fn requantize(&mut self, formats: Vec<QFormat>) {
         assert_eq!(formats.len(), self.shape.c);
-        let mut data = vec![0i64; self.data.len()];
-        let s = self.shape;
-        for b in 0..s.n {
-            for c in 0..s.c {
-                let from = self.formats[c];
-                let to = formats[c];
-                let base = s.index(b, c, 0, 0);
-                for i in 0..s.plane() {
-                    let v = requant_shift(self.data[base + i], from.frac, to.frac);
-                    data[base + i] = to.saturate(v);
-                }
-            }
+        for (c, plane) in planes_mut(&mut self.data, self.shape) {
+            formats[c]
+                .requantizer(self.formats[c].frac)
+                .apply_lane(plane);
         }
-        QTensor {
-            shape: s,
-            data,
-            formats,
-        }
+        self.formats = formats;
     }
 
     /// Saturating aligned addition (for residual skips): both operands are
@@ -133,27 +155,42 @@ impl QTensor {
     ///
     /// Panics if shapes differ.
     pub fn add_saturating(&self, rhs: &QTensor, out_formats: Vec<QFormat>) -> QTensor {
+        let mut out = self.clone();
+        out.add_assign_saturating(rhs, out_formats);
+        out
+    }
+
+    /// [`QTensor::add_saturating`] into `self`, for a left operand the
+    /// caller owns (`rhs` is aligned through a fixed stack block, so
+    /// nothing is allocated).
+    ///
+    /// # Panics
+    ///
+    /// Panics if shapes differ.
+    pub fn add_assign_saturating(&mut self, rhs: &QTensor, out_formats: Vec<QFormat>) {
         assert_eq!(self.shape, rhs.shape, "shape mismatch");
-        let s = self.shape;
-        let mut data = vec![0i64; self.data.len()];
-        for b in 0..s.n {
-            for c in 0..s.c {
-                let fa = self.formats[c];
-                let fb = rhs.formats[c];
-                let fo = out_formats[c];
-                let base = s.index(b, c, 0, 0);
-                for i in 0..s.plane() {
-                    let a = requant_shift(self.data[base + i], fa.frac, fo.frac);
-                    let b2 = requant_shift(rhs.data[base + i], fb.frac, fo.frac);
-                    data[base + i] = fo.saturate(a + b2);
+        const BLOCK: usize = 512;
+        let mut aligned = [0i64; BLOCK];
+        let rhs_planes = rhs.data.chunks(self.shape.plane().max(1));
+        for ((c, plane), rhs_plane) in planes_mut(&mut self.data, self.shape).zip(rhs_planes) {
+            let fo = out_formats[c];
+            let (lo, hi) = fo.rails();
+            let shift = |from: QFormat| RequantChannel {
+                qmin: i64::MIN,
+                qmax: i64::MAX,
+                ..fo.requantizer(from.frac)
+            };
+            for (a, b) in plane.chunks_mut(BLOCK).zip(rhs_plane.chunks(BLOCK)) {
+                let b2 = &mut aligned[..b.len()];
+                b2.copy_from_slice(b);
+                shift(rhs.formats[c]).apply_lane(b2);
+                shift(self.formats[c]).apply_lane(a);
+                for (a, b2) in a.iter_mut().zip(b2) {
+                    *a = (*a + *b2).clamp(lo, hi);
                 }
             }
         }
-        QTensor {
-            shape: s,
-            data,
-            formats: out_formats,
-        }
+        self.formats = out_formats;
     }
 }
 
@@ -165,21 +202,20 @@ impl QTensor {
 /// group's max NaN (plain `f64::max` would silently discard it, hiding a
 /// divergent calibration pass), and ±∞ propagates through `max`
 /// naturally — either way `QFormat::try_fit` then refuses the range.
+///
+/// Each plane reduces on the bit patterns of `|v|`: among non-negative
+/// floats the integer order of the bits is the numeric order, ∞ sorts
+/// above every finite value and every NaN above ∞, so one integer `max`
+/// per sample finds the maximum and keeps the poison.
 pub fn group_max_abs(t: &Tensor, groups: usize) -> Vec<f64> {
     let s = t.shape();
     let mut maxes = vec![0.0f64; groups];
-    for b in 0..s.n {
-        for c in 0..s.c {
-            let g = c % groups;
-            for v in t.plane(b, c) {
-                let a = f64::from(v.abs());
-                if a.is_nan() || maxes[g].is_nan() {
-                    maxes[g] = f64::NAN;
-                } else {
-                    maxes[g] = maxes[g].max(a);
-                }
-            }
-        }
+    for (i, plane) in t.as_slice().chunks(s.plane().max(1)).enumerate() {
+        let bits = plane.iter().fold(0, |m, v| m.max(v.to_bits() << 1 >> 1));
+        let a = f64::from(f32::from_bits(bits));
+        let max = &mut maxes[i % s.c % groups];
+        let poisoned = a.is_nan() || max.is_nan();
+        *max = if poisoned { f64::NAN } else { max.max(a) };
     }
     maxes
 }

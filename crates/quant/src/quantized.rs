@@ -17,19 +17,20 @@
 
 use crate::qformat::{requant_shift, QFormat, QFormatError};
 use crate::qtensor::{expand_formats, group_max_abs, QTensor};
-use ringcnn_algebra::transforms::fwht_i64;
+use ringcnn_algebra::transforms::{fwht_i64, fwht_planes};
 use ringcnn_nn::layer::Layer;
 use ringcnn_nn::layers::activation::{DirectionalReluLayer, Relu};
 use ringcnn_nn::layers::conv::Conv2d;
 use ringcnn_nn::layers::ring_conv::RingConv2d;
-use ringcnn_nn::layers::shuffle::{PixelShuffle, PixelUnshuffle};
+use ringcnn_nn::layers::shuffle::{shuffle_into, unshuffle_into, PixelShuffle, PixelUnshuffle};
 use ringcnn_nn::layers::structure::{Residual, Sequential};
 use ringcnn_nn::layers::upsample::UpsampleResidual;
 use ringcnn_nn::runtime::{InferenceModel, ModelTopo, TopoBuilder};
-use ringcnn_tensor::gemm::PackedWeights;
+use ringcnn_tensor::gemm::{PackedWeights, RequantChannel};
 use ringcnn_tensor::im2col::{conv_streaming_i64, ConvInput};
 use ringcnn_tensor::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Why a calibration pass failed to produce a quantized model.
 #[derive(Clone, Debug, PartialEq)]
@@ -261,6 +262,17 @@ impl QConv {
 }
 
 impl QDRelu {
+    /// A directional ReLU over `n`-tuples with the given output
+    /// component formats (cycled over the channels) — what calibration
+    /// emits, for harnesses that exercise the unit on its own.
+    pub fn new(n: usize, mode: DReluMode, out_formats: Vec<QFormat>) -> Self {
+        Self {
+            n,
+            mode,
+            out_formats,
+        }
+    }
+
     /// Tuple size.
     pub fn n(&self) -> usize {
         self.n
@@ -310,7 +322,7 @@ impl QUpsampleResidual {
 /// simulator, which cross-checks its own datapath against this
 /// reference).
 pub fn execute_layer(layer: &QLayer, q: QTensor) -> QTensor {
-    run_layer(layer, q)
+    run_layer(layer, Cow::Owned(q))
 }
 
 /// A fully quantized model: integer layers plus the input image format.
@@ -396,7 +408,7 @@ impl QuantizedModel {
     /// Integer-in/integer-out inference (used by the accelerator
     /// simulator for bit-exact cross-checking).
     pub fn forward_q(&self, input: QTensor) -> QTensor {
-        run_chain(&self.layers, input)
+        run_chain(&self.layers, Cow::Owned(input))
     }
 
     /// The calibrated input format.
@@ -530,7 +542,7 @@ fn validate_format(f: QFormat, what: &str) -> Result<(), String> {
             f.bits
         ));
     }
-    if f.frac.abs() > MAX_STORED_FRAC {
+    if f.frac.unsigned_abs() > MAX_STORED_FRAC.unsigned_abs() {
         return Err(format!(
             "{what}: frac {} outside ±{MAX_STORED_FRAC}",
             f.frac
@@ -586,8 +598,8 @@ fn validate_chain(layers: &[QLayer], mut formats: Vec<QFormat>) -> Result<Vec<QF
                 // Weight *values* must fit the declared format — lengths
                 // alone would let a hand-edited table smuggle in 2^40
                 // entries that overflow the accumulator.
-                let wmax = 1i64 << (conv.w_format.bits - 1);
-                if let Some(w) = conv.weights.iter().find(|w| w.abs() > wmax) {
+                let (wmin, wmax) = conv.w_format.rails();
+                if let Some(w) = conv.weights.iter().find(|w| !(wmin..=wmax).contains(*w)) {
                     return Err(format!(
                         "layer {i}: weight {w} outside the declared {}-bit format",
                         conv.w_format.bits
@@ -914,62 +926,55 @@ fn lower_conv(
     })
 }
 
+/// The largest `|H·y|` component over every tuple of `x` — the range
+/// the MAC-based mode's `mid` format must hold — from one row butterfly
+/// per tuple over a copy (`x` is still needed).
 fn hadamard_intermediate_max(x: &Tensor, n: usize) -> f64 {
-    let s = x.shape();
-    let tuples = s.c / n;
-    let mut maxv = 0.0f64;
-    let mut buf = vec![0.0f32; n];
-    for b in 0..s.n {
-        for t in 0..tuples {
-            for p in 0..s.plane() {
-                for l in 0..n {
-                    buf[l] = x.plane(b, t * n + l)[p];
-                }
-                ringcnn_algebra::transforms::fwht_f32(&mut buf);
-                for v in &buf {
-                    maxv = maxv.max(f64::from(v.abs()));
-                }
-            }
-        }
+    let (mut hx, plane) = (x.clone(), x.shape().plane());
+    for tuple in hx.as_mut_slice().chunks_mut((n * plane).max(1)) {
+        fwht_planes(tuple, n, plane, plane);
     }
-    maxv
+    f64::from(hx.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs())))
 }
 
 // ---------------------------------------------------------------------
 // Integer execution.
 // ---------------------------------------------------------------------
 
-fn run_chain(layers: &[QLayer], mut q: QTensor) -> QTensor {
+/// Runs a chain on an input it may own: every stage that can work in
+/// place does, and a borrowed input (a residual body reading the skip's
+/// tensor) is copied only by a stage that has to write to it.
+fn run_chain(layers: &[QLayer], mut q: Cow<'_, QTensor>) -> QTensor {
     for l in layers {
-        q = run_layer(l, q);
+        q = Cow::Owned(run_layer(l, q));
     }
-    q
+    q.into_owned()
 }
 
-fn run_layer(layer: &QLayer, q: QTensor) -> QTensor {
+fn run_layer(layer: &QLayer, q: Cow<'_, QTensor>) -> QTensor {
     match layer {
         QLayer::Conv(c) => run_conv(c, &q),
         QLayer::Relu => {
-            let formats = q.formats().to_vec();
-            let data = q.data().iter().map(|v| (*v).max(0)).collect();
-            QTensor::from_raw(q.shape(), data, formats)
+            let (s, mut data, formats) = q.into_owned().into_raw();
+            data.iter_mut().for_each(|v| *v = (*v).max(0));
+            QTensor::from_raw(s, data, formats)
         }
-        QLayer::DRelu(d) => run_drelu(d, &q),
-        QLayer::Shuffle(r) => run_shuffle(&q, *r),
+        QLayer::DRelu(d) => run_drelu(d, q.into_owned()),
+        QLayer::Shuffle(r) => run_shuffle(q.into_owned(), *r),
         QLayer::Unshuffle(r) => run_unshuffle(&q, *r),
         QLayer::Residual(res) => {
-            let body_out = run_chain(&res.body, q.clone());
-            let formats = expand_formats(&res.out_formats, q.shape().c);
-            body_out.add_saturating(&q, formats)
+            let mut out = run_chain(&res.body, Cow::Borrowed(&q));
+            out.add_assign_saturating(&q, expand_formats(&res.out_formats, q.shape().c));
+            out
         }
         QLayer::UpsampleResidual(ur) => {
-            let body_out = run_chain(&ur.body, q.clone());
+            let mut out = run_chain(&ur.body, Cow::Borrowed(&q));
             // Fixed-point interpolator: bicubic on the dequantized input,
             // re-quantized at the output format (deterministic).
             let skip_f = ringcnn_imaging::degrade::upsample(&q.dequantize(), ur.factor);
-            let formats = expand_formats(&ur.out_formats, body_out.shape().c);
-            let skip_q = QTensor::quantize(&skip_f, formats.clone());
-            body_out.add_saturating(&skip_q, formats)
+            let formats = expand_formats(&ur.out_formats, out.shape().c);
+            out.add_assign_saturating(&QTensor::quantize(&skip_f, formats.clone()), formats);
+            out
         }
     }
 }
@@ -1083,17 +1088,9 @@ fn run_conv(c: &QConv, q: &QTensor) -> QTensor {
 /// the fact, with the same shift function (the unfused path
 /// [`run_conv_reference`] still takes).
 fn requant_plan(fmts: &[QFormat], acc_frac: &[i32]) -> ringcnn_tensor::gemm::RequantPlan {
+    let channels = fmts.iter().zip(acc_frac);
     ringcnn_tensor::gemm::RequantPlan {
-        channels: fmts
-            .iter()
-            .zip(acc_frac)
-            .map(|(f, af)| ringcnn_tensor::gemm::RequantChannel {
-                from_frac: *af,
-                to_frac: f.frac,
-                qmin: -(1i64 << (f.bits - 1)),
-                qmax: (1i64 << (f.bits - 1)) - 1,
-            })
-            .collect(),
+        channels: channels.map(|(f, af)| f.requantizer(*af)).collect(),
     }
 }
 
@@ -1174,21 +1171,89 @@ fn bias_at(c: &QConv, co: usize, acc_frac: i32) -> i64 {
     ((raw * 2.0f64.powi(acc_frac)).round() as i64).clamp(-BIAS_RAIL, BIAS_RAIL)
 }
 
-/// Clamps aligned tuple values so an unnormalized `n`-point Hadamard
-/// butterfly (±1 entries: magnitude growth ≤ n) cannot overflow `i64`.
-/// The rail is `i64::MAX >> (log2 n + 1)` — ≥ 2^58 for every Table-I
+/// The rail aligned tuple values are clamped to so an unnormalized
+/// `n`-point Hadamard butterfly (±1 entries: magnitude growth ≤ n) cannot
+/// overflow `i64`: `i64::MAX >> (log2 n + 1)` — ≥ 2^58 for every Table-I
 /// tuple size, far above the ≤ 2^56 any validated conv accumulator can
 /// reach, so calibrated models are bit-exactly unaffected; only
 /// adversarially extreme format spreads (whose shifts already saturated
 /// at the `i64` rails) get pulled down instead of wrapping the butterfly.
+fn fwht_rail(n: usize) -> i64 {
+    i64::MAX >> (n.trailing_zeros() + 1)
+}
+
 fn clamp_for_fwht(y: &mut [i64], n: usize) {
-    let rail = i64::MAX >> (n.trailing_zeros() + 1);
+    let rail = fwht_rail(n);
     for v in y.iter_mut() {
         *v = (*v).clamp(-rail, rail);
     }
 }
 
-fn run_drelu(d: &QDRelu, q: &QTensor) -> QTensor {
+/// The production directional ReLU (Fig. 8), in place on the `n`
+/// contiguous planes of each tuple, a block of pixels (L1-sized) at a
+/// time. Both modes are one sequence of whole-row passes whose constants
+/// are fixed per tuple — align each component to the finest frac and
+/// clamp to the butterfly rail, butterfly, ReLU (fused with the second
+/// clamp on the fly, with the saturating requantization to `mid` in the
+/// MAC-based mode), butterfly, requantize each component to its output
+/// format — and per pixel it is the sequence of
+/// [`run_drelu_reference`], so the two are **bit-identical**
+/// (`tests/quant_backend.rs` asserts it in both modes, at the rails).
+fn run_drelu(d: &QDRelu, q: QTensor) -> QTensor {
+    // Elements of one block: 16 KiB of `i64`, `BLOCK / n` pixels a row.
+    const BLOCK: usize = 2048;
+    let (s, mut data, in_formats) = q.into_raw();
+    let n = d.n;
+    assert_eq!(s.c % n, 0, "channels not a multiple of tuple size");
+    assert!(n <= BLOCK, "tuple size {n} exceeds the block of {BLOCK}");
+    let out_formats = expand_formats(&d.out_formats, s.c);
+    let (plane, rail) = (s.plane(), fwht_rail(n));
+    let shift = |from_frac, to_frac, qmin, qmax| RequantChannel {
+        from_frac,
+        to_frac,
+        qmin,
+        qmax,
+    };
+    for (t, tuple) in data.chunks_mut((n * plane).max(1)).enumerate() {
+        let c0 = t * n % s.c;
+        // Align components to the finest (max) frac: Fig. 8's
+        // left-shifters with s_i = max frac − frac_i, saturating instead
+        // of wrapping on pathological format spreads.
+        let fin = &in_formats[c0..c0 + n];
+        let max_frac = fin.iter().map(|f| f.frac).max().expect("n > 0");
+        // Between the butterflies: the ReLU, fused on the fly with the
+        // second clamp and in the MAC-based mode with extra quantization
+        // point #1, the saturating requantization to `mid`.
+        let (mid_frac, mid_max) = match &d.mode {
+            DReluMode::OnTheFly => (max_frac, rail),
+            DReluMode::MacBased { mid } => (mid.frac, mid.rails().1),
+        };
+        for p0 in (0..plane).step_by(BLOCK / n) {
+            let len = (BLOCK / n).min(plane - p0);
+            let block = &mut tuple[p0..];
+            // One pass of `stage(l)` over row `l` of the block, each l.
+            let rows = |block: &mut [i64], stage: &dyn Fn(usize) -> RequantChannel| {
+                for l in 0..n {
+                    stage(l).apply_lane(&mut block[l * plane..l * plane + len]);
+                }
+            };
+            rows(block, &|l| shift(fin[l].frac, max_frac, -rail, rail));
+            fwht_planes(block, n, plane, len);
+            rows(block, &|_| shift(max_frac, mid_frac, 0, mid_max));
+            fwht_planes(block, n, plane, len);
+            rows(block, &|l| out_formats[c0 + l].requantizer(mid_frac));
+        }
+    }
+    QTensor::from_raw(s, data, out_formats)
+}
+
+/// The per-pixel directional ReLU — gather one `n`-tuple across `n`
+/// planes, run each mode's sequence on it with [`requant_shift`],
+/// `fwht_i64` and [`QFormat::saturate`], scatter it back — kept as the
+/// integer oracle beside [`run_conv_reference`]: the equivalence suite
+/// compares the plane-wise production path ([`execute_layer`]) with it bit
+/// for bit. Tests only; nothing in the pipeline calls it.
+pub fn run_drelu_reference(d: &QDRelu, q: &QTensor) -> QTensor {
     let s = q.shape();
     let n = d.n;
     assert_eq!(s.c % n, 0, "channels not a multiple of tuple size");
@@ -1278,31 +1343,17 @@ fn unshuffle_formats(formats: &[QFormat], r: usize) -> Vec<QFormat> {
         .collect()
 }
 
-fn run_shuffle(q: &QTensor, r: usize) -> QTensor {
+/// Depth-to-space: every source channel is requantized (in place, `q`
+/// is owned) to its output channel's format, then the planes are
+/// permuted row by row.
+fn run_shuffle(mut q: QTensor, r: usize) -> QTensor {
     let s = q.shape();
+    assert_eq!(s.c % (r * r), 0, "channels not divisible by r²");
+    let formats = shuffle_formats(q.formats(), r);
+    q.requantize(unshuffle_formats(&formats, r));
     let out_shape = Shape4::new(s.n, s.c / (r * r), s.h * r, s.w * r);
     let mut data = vec![0i64; out_shape.len()];
-    let formats = shuffle_formats(q.formats(), r);
-    for b in 0..s.n {
-        for oc in 0..out_shape.c {
-            let fo = formats[oc];
-            for y in 0..s.h {
-                for x in 0..s.w {
-                    for ry in 0..r {
-                        for rx in 0..r {
-                            let ic = oc * r * r + ry * r + rx;
-                            let v = requant_shift(
-                                q.plane(b, ic)[y * s.w + x],
-                                q.format_of(ic).frac,
-                                fo.frac,
-                            );
-                            data[out_shape.index(b, oc, y * r + ry, x * r + rx)] = fo.saturate(v);
-                        }
-                    }
-                }
-            }
-        }
-    }
+    shuffle_into(q.data(), s, r, &mut data);
     QTensor::from_raw(out_shape, data, formats)
 }
 
@@ -1310,23 +1361,8 @@ fn run_unshuffle(q: &QTensor, r: usize) -> QTensor {
     let s = q.shape();
     let out_shape = Shape4::new(s.n, s.c * r * r, s.h / r, s.w / r);
     let mut data = vec![0i64; out_shape.len()];
-    let formats = unshuffle_formats(q.formats(), r);
-    for b in 0..s.n {
-        for c in 0..s.c {
-            for y in 0..out_shape.h {
-                for x in 0..out_shape.w {
-                    for ry in 0..r {
-                        for rx in 0..r {
-                            let oc = c * r * r + ry * r + rx;
-                            data[out_shape.index(b, oc, y, x)] =
-                                q.plane(b, c)[(y * r + ry) * s.w + (x * r + rx)];
-                        }
-                    }
-                }
-            }
-        }
-    }
-    QTensor::from_raw(out_shape, data, formats)
+    unshuffle_into(q.data(), s, r, &mut data);
+    QTensor::from_raw(out_shape, data, unshuffle_formats(q.formats(), r))
 }
 
 #[cfg(test)]
@@ -1461,7 +1497,7 @@ mod tests {
                     let reference = run_conv_reference(c, &q);
                     assert_eq!(fast, reference, "{}", alg.label());
                 }
-                q = run_layer(layer, q);
+                q = execute_layer(layer, q);
             }
         }
     }

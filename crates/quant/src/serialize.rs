@@ -156,7 +156,8 @@ pub fn qmodel_from_json(text: &str) -> Result<QModelFile, QModelLoadError> {
 
 /// Convenience: asserts a format is sane for hand-built test files.
 pub fn format_is_executable(f: QFormat) -> bool {
-    (2..=63).contains(&f.bits) && f.frac.abs() <= crate::qformat::MAX_FRAC_MAGNITUDE
+    (2..=63).contains(&f.bits)
+        && f.frac.unsigned_abs() <= crate::qformat::MAX_FRAC_MAGNITUDE.unsigned_abs()
 }
 
 #[cfg(test)]
@@ -232,11 +233,15 @@ mod tests {
         let (qm, _x) = calibrated(&Algebra::real());
         let file = export_qmodel("m", "tiny", "(real)", 1, 20.0, qm).unwrap();
         let json = qmodel_to_json(&file);
-        // Blow up a frac beyond what the datapath bounds allow.
-        let evil = json.replacen("\"frac\":7", "\"frac\":90000", 1);
-        if evil != json {
+        // Blow up a frac beyond what the datapath bounds allow; `i32::MIN`
+        // has no `abs()` (in a release build it wrapped to itself and
+        // passed the bound).
+        let start = json.find("\"frac\":").expect("a format") + "\"frac\":".len();
+        let end = start + json[start..].find(['}', ',']).unwrap();
+        for frac in [90000, i32::MIN] {
+            let evil = format!("{}{frac}{}", &json[..start], &json[end..]);
             let err = qmodel_from_json(&evil).unwrap_err();
-            assert!(matches!(err, QModelLoadError::Invalid(_)), "{err}");
+            assert!(matches!(err, QModelLoadError::Invalid(_)), "{frac}: {err}");
         }
         // Blow up a bit width past the i64 pipeline.
         let evil = json.replacen("\"bits\":8", "\"bits\":999", 1);
@@ -246,19 +251,24 @@ mod tests {
 
     #[test]
     fn hand_edited_weight_values_are_rejected() {
-        // A weight table of the right LENGTH whose first value exceeds
-        // the declared format must fail validation — magnitudes are part
-        // of the no-overflow guarantee, not just shapes.
+        // A weight table of the right LENGTH whose first value lies
+        // outside the declared format's two's-complement range must fail
+        // validation — magnitudes are part of the no-overflow guarantee,
+        // not just shapes. `i64::MIN` has no `abs()`, and `+128` is one
+        // past the 8-bit rail `-128` sits on.
         let (qm, _x) = calibrated(&Algebra::real());
         let json = qmodel_to_json(&export_qmodel("m", "tiny", "(real)", 1, 20.0, qm).unwrap());
         let start = json.find("\"weights\":[").expect("weights field") + "\"weights\":[".len();
         let end = start + json[start..].find(',').unwrap();
-        let evil = format!("{}1099511627776{}", &json[..start], &json[end..]); // 2^40
-        let err = qmodel_from_json(&evil).unwrap_err();
-        assert!(
-            matches!(err, QModelLoadError::Invalid(ref m) if m.contains("weight")),
-            "{err}"
-        );
+        let with_first = |w: i64| format!("{}{w}{}", &json[..start], &json[end..]);
+        for w in [1 << 40, i64::MIN, i64::MAX, 128] {
+            let err = qmodel_from_json(&with_first(w)).unwrap_err();
+            assert!(
+                matches!(err, QModelLoadError::Invalid(ref m) if m.contains("weight")),
+                "weight {w}: {err}"
+            );
+        }
+        assert!(qmodel_from_json(&with_first(-128)).is_ok());
     }
 
     #[test]

@@ -255,7 +255,8 @@ impl Client {
     /// [`Client::infer_with`] carrying a `deadline_ms` latency budget:
     /// the server's admission control rejects on arrival (the
     /// `deadline` error code) when its per-model latency EWMA predicts
-    /// the budget is already blown, instead of queueing doomed work.
+    /// the budget is already blown, instead of queueing doomed work
+    /// (and again at dispatch, if the budget ran out in the queue).
     ///
     /// # Errors
     ///

@@ -19,12 +19,14 @@ pub enum ServeError {
     ShuttingDown,
     /// The request carried a `deadline_ms` the scheduler predicts it
     /// cannot meet (per-model latency EWMA × queue pressure), so it was
-    /// rejected on arrival instead of queueing doomed work. Lower the
+    /// rejected on arrival instead of queueing doomed work — or one
+    /// that ran out in the queue, answered at dispatch. Lower the
     /// deadline expectation, shed load, or retry later.
     Deadline {
         /// The budget the request asked for, milliseconds (rounded).
         budget_ms: u64,
-        /// What the scheduler predicted completion would take.
+        /// What the scheduler predicted completion would take; at
+        /// dispatch, how long the request had already waited.
         estimate_ms: u64,
     },
     /// The request is malformed (bad JSON, wrong shape, …).

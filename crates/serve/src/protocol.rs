@@ -12,9 +12,9 @@
 //! {"verb":"trace","n":4}
 //! ```
 //!
-//! `precision` and `deadline_ms` are optional: with a budget, admission
-//! may reject the request on arrival with the `deadline` error code
-//! (see [`crate::scheduler::Scheduler::submit_with`]).
+//! `precision` and `deadline_ms` are optional: with a budget, the
+//! request may be rejected with the `deadline` error code, on arrival or
+//! at dispatch (see [`crate::scheduler::Scheduler::submit_with`]).
 //!
 //! Every response carries `"ok"`. Successes echo the verb; failures
 //! carry a stable `error` code (see [`ServeError::code`]) and a
@@ -230,10 +230,10 @@ pub enum Request {
         shape: Shape4,
         /// Row-major samples (`n·c·h·w` values).
         data: Vec<f32>,
-        /// Optional latency budget: admission rejects on arrival with
-        /// the `deadline` code when the scheduler predicts it is
-        /// already blown. Absent on the wire when `None` (old clients
-        /// never send it, old servers ignore it).
+        /// Optional latency budget: rejected with the `deadline` code
+        /// on arrival when the scheduler predicts it is already blown,
+        /// at dispatch when it ran out in the queue. Absent on the wire
+        /// when `None` (old clients never send it, old servers ignore it).
         deadline_ms: Option<f64>,
     },
     /// List the registered models.

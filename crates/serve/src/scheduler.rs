@@ -38,7 +38,9 @@
 //! total-latency EWMA and rejects on arrival
 //! ([`ServeError::Deadline`]) when the predicted completion time
 //! already exceeds the budget — queueing doomed work would only steal
-//! service from requests that can still make their deadlines. On
+//! service from requests that can still make their deadlines — and a
+//! budget that runs out in the queue is answered the same way when its
+//! batch is dispatched, without reaching a worker. On
 //! [`Scheduler::shutdown`] new work is refused
 //! ([`ServeError::ShuttingDown`]) and every already-admitted request is
 //! drained before the workers exit.
@@ -144,6 +146,9 @@ struct Job {
     precision: Precision,
     input: Tensor,
     enqueued: Instant,
+    /// The request's budget, counted from `enqueued`: admission predicted
+    /// it could be met, dispatch checks that it still can.
+    deadline_ms: Option<f64>,
     /// Global arrival number — FIFO order within a group, tie-break
     /// across groups.
     seq: u64,
@@ -343,7 +348,9 @@ impl Scheduler {
     /// blown at arrival, the request is rejected with
     /// [`ServeError::Deadline`] instead of queueing doomed work. A
     /// model with no completions yet always admits (no evidence to
-    /// reject on).
+    /// reject on). The budget is checked again at dispatch: if it ran
+    /// out in the queue, [`Pending::wait`] returns the same error and
+    /// the model never runs.
     ///
     /// # Errors
     ///
@@ -476,6 +483,7 @@ impl Scheduler {
                 precision,
                 input,
                 enqueued: Instant::now(),
+                deadline_ms,
                 seq,
                 trace: trace.map(|ctx| JobTrace {
                     ctx,
@@ -671,9 +679,25 @@ fn worker_loop(shared: &Shared) {
 }
 
 fn execute_batch(shared: &Shared, batch: Vec<Job>) {
-    let size = batch.len();
     let dispatched = Instant::now();
     let dispatch_us = clock::now_us();
+    // A budget that ran out in the queue is answered now, as admission
+    // would have answered it, instead of burning a worker on a reply
+    // nobody is waiting for.
+    let waited_ms = |job: &Job| dispatched.duration_since(job.enqueued).as_secs_f64() * 1e3;
+    let (expired, batch): (Vec<Job>, Vec<Job>) = batch.into_iter().partition(|job| {
+        job.deadline_ms
+            .is_some_and(|budget| waited_ms(job) >= budget)
+    });
+    for job in expired {
+        shared.metrics.record_deadline_rejected(job.entry.name());
+        let estimate_ms = waited_ms(&job).round() as u64;
+        (job.done)(Err(ServeError::Deadline {
+            budget_ms: job.deadline_ms.unwrap_or(0.0).round() as u64,
+            estimate_ms,
+        }));
+    }
+    let size = batch.len();
     // Close every sampled job's queue-wait interval at the dispatch
     // stamp shared by the whole batch (one manual record per job; the
     // rings absorb these wait-free).
@@ -797,6 +821,7 @@ mod tests {
             precision: Precision::Fp64,
             input: Tensor::zeros(Shape4::new(1, 1, 4, 4)),
             enqueued: Instant::now() - Duration::from_secs(1),
+            deadline_ms: None,
             seq,
             trace: None,
             done: Box::new(|_| {}),
@@ -945,6 +970,7 @@ mod tests {
                     precision: Precision::Fp64,
                     input: Tensor::zeros(Shape4::new(1, 1, 4, 4)),
                     enqueued: Instant::now(),
+                    deadline_ms: None,
                     seq: 0,
                     trace: None,
                     done: Box::new(|_| {}),
@@ -1009,12 +1035,11 @@ mod tests {
         let sched = Scheduler::start(registry_with(&["m"]), SchedulerConfig::default())
             .expect("scheduler starts");
         let x = Tensor::zeros(Shape4::new(1, 1, 8, 8));
-        // No EWMA yet: even a tiny budget admits (no evidence).
-        sched
-            .submit_with("m", x.clone(), Precision::Fp64, Some(0.001))
-            .unwrap()
-            .wait()
-            .unwrap();
+        // No EWMA yet: even a tiny budget admits (no evidence); whether
+        // a microsecond then outlasts the queue is dispatch's call.
+        let tiny = sched.submit_with("m", x.clone(), Precision::Fp64, Some(0.001));
+        let shed_at_dispatch = u64::from(tiny.unwrap().wait().is_err());
+        sched.infer("m", x.clone(), Precision::Fp64).unwrap();
         // Now the EWMA is seeded; an impossible budget rejects on
         // arrival with the dedicated wire code.
         let err = sched
@@ -1043,8 +1068,50 @@ mod tests {
             "bad_request"
         );
         let snap = sched.stats_snapshot();
-        assert_eq!(snap.deadline_rejected, 1);
-        assert_eq!(snap.model("m").unwrap().deadline_rejected, 1);
+        assert_eq!(snap.deadline_rejected, 1 + shed_at_dispatch);
+        let m = snap.model("m").unwrap();
+        assert_eq!(m.deadline_rejected, 1 + shed_at_dispatch);
+        sched.shutdown();
+    }
+
+    #[test]
+    fn a_budget_that_runs_out_in_the_queue_is_answered_at_dispatch_and_never_run() {
+        let cfg = SchedulerConfig {
+            workers: 1,
+            max_batch: 1,
+            ..SchedulerConfig::default()
+        };
+        let sched =
+            Scheduler::start(registry_with(&["busy", "doomed"]), cfg).expect("scheduler starts");
+        let x = Tensor::zeros(Shape4::new(1, 1, 4, 4));
+        // The only worker blocks in this job's completion callback…
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, released) = mpsc::channel::<()>();
+        let released = Mutex::new(released);
+        let hold = Box::new(move |_| {
+            entered_tx.send(()).unwrap();
+            lock_unpoisoned(released.lock()).recv().unwrap();
+        });
+        sched
+            .submit_done("busy", x.clone(), Precision::Fp64, None, None, hold)
+            .unwrap();
+        entered.recv().unwrap();
+        // …so this one waits in the queue (admitted: no history to
+        // refuse it on) while its millisecond of wall time runs out.
+        let doomed = sched.submit_with("doomed", x, Precision::Fp64, Some(1.0));
+        std::thread::sleep(Duration::from_millis(5));
+        release.send(()).unwrap();
+        match doomed.unwrap().wait().unwrap_err() {
+            ServeError::Deadline {
+                budget_ms: 1,
+                estimate_ms,
+            } => assert!(estimate_ms >= 5, "{estimate_ms}"),
+            other => panic!("expected `deadline` for a 1 ms budget, got {other}"),
+        }
+        // Only `busy` ever reached a model.
+        let snap = sched.stats_snapshot();
+        assert_eq!((snap.deadline_rejected, snap.completed), (1, 1));
+        assert_eq!(snap.model("doomed").unwrap().deadline_rejected, 1);
         sched.shutdown();
     }
 

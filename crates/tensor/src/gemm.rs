@@ -394,6 +394,39 @@ impl RequantChannel {
     pub fn apply(&self, v: i64) -> i64 {
         requant_shift_i64(v, self.from_frac, self.to_frac).clamp(self.qmin, self.qmax)
     }
+
+    /// [`RequantChannel::apply`] on every element of `lane`, with the
+    /// shift's direction and distance decided once. Below 64 bits of
+    /// distance 64-bit arithmetic is exact — the rounding add cannot
+    /// carry out of a `u64`, and a left shift leaves `i64` exactly when
+    /// the value lies beyond `rail >> distance` — so only the extreme
+    /// distances reach [`requant_shift_i64`]'s `u128`/`i128`; every
+    /// result is `apply`'s.
+    pub fn apply_lane(&self, lane: &mut [i64]) {
+        let (qmin, qmax) = (self.qmin, self.qmax);
+        match i64::from(self.from_frac) - i64::from(self.to_frac) {
+            0 => lane.iter_mut().for_each(|v| *v = (*v).clamp(qmin, qmax)),
+            s @ 1..=63 => {
+                let half = 1u64 << (s - 1);
+                for v in lane {
+                    let mag = ((v.unsigned_abs() + half) >> s) as i64;
+                    *v = (if *v < 0 { -mag } else { mag }).clamp(qmin, qmax);
+                }
+            }
+            s @ -63..=-1 => {
+                let (lo, hi) = (i64::MIN >> -s, i64::MAX >> -s);
+                for v in lane {
+                    let wide = match *v {
+                        q if q > hi => i64::MAX,
+                        q if q < lo => i64::MIN,
+                        q => q << -s,
+                    };
+                    *v = wide.clamp(qmin, qmax);
+                }
+            }
+            _ => lane.iter_mut().for_each(|v| *v = self.apply(*v)),
+        }
+    }
 }
 
 /// A per-channel requantization plan fused into the i64 kernel epilogue,
@@ -560,10 +593,7 @@ impl Element<NR_I64> for i64 {
     #[inline]
     fn finish(plan: Option<&RequantPlan>, chan: usize, lane: &mut [i64]) {
         if let Some(plan) = plan {
-            let ch = plan.channels[chan];
-            for v in lane {
-                *v = ch.apply(*v);
-            }
+            plan.channels[chan].apply_lane(lane);
         }
     }
 }

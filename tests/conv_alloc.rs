@@ -176,4 +176,45 @@ fn prepared_convs_allocate_their_output_and_retain_no_plane_sized_scratch() {
     };
     let quantized = |hw| QTensor::quantize(&tile(hw), vec![qm.input_format(); CHANNELS]);
     check("QConv", 8, quantized, |q| drop(execute_layer(qconv, q)));
+
+    whole_models_stop_copying_what_they_own();
+}
+
+/// The element-wise stages run in place and the chains stop copying
+/// what they own; called from the one `#[test]` (see the module docs).
+fn whole_models_stop_copying_what_they_own() {
+    // The benchmark's 8-bit workload: the HD30 DnERNet over (RI4, fH).
+    // Before the stages went plane-wise one forward of a 96×96 tile
+    // allocated PARENT_Q8_TILE_BYTES, measured with this code at the
+    // parent commit (every directional ReLU, ReLU and residual add built
+    // a fresh tensor and every residual body a copy of its input); it
+    // must stay under two thirds of that (3 353 768 B when written).
+    const PARENT_Q8_TILE_BYTES: usize = 7_335_568;
+    let scenario = Scenario::Denoise { sigma: 25.0 };
+    let mut float = build_model(scenario, ThroughputTarget::Hd30, &Algebra::ri_fh(4), 7);
+    let calibration = Tensor::random_uniform(Shape4::new(1, 1, 32, 32), 0.0, 1.0, 5);
+    let qm = QuantizedModel::quantize(&mut float, &calibration, QuantOptions::default());
+    let x = Tensor::random_uniform(Shape4::new(1, 1, 96, 96), 0.0, 1.0, 6);
+    let q8_tile = (0..3)
+        .map(|_| spent(|| qm.forward(&x)).total)
+        .min()
+        .expect("three calls");
+    assert!(
+        q8_tile * 3 <= PARENT_Q8_TILE_BYTES * 2,
+        "one q8 forward of a 96x96 tile allocated {q8_tile} B, more than two thirds \
+         of the {PARENT_Q8_TILE_BYTES} B it took per-pixel"
+    );
+
+    // A float chain of k leaves allocates k outputs: its first child
+    // reads the caller's tensor, not a copy of it.
+    let k = 3;
+    let chain = (0..k).fold(Sequential::new(), |m, _| m.with(Box::new(Relu::new())));
+    let x = tile(96);
+    let one = x.as_slice().len() * 4;
+    let total = spent(|| chain.forward_infer(&x)).total;
+    assert!(
+        (k * one..k * one + one / 2).contains(&total),
+        "a chain of {k} leaves allocated {total} B, {:.2} tensors",
+        total as f64 / one as f64
+    );
 }

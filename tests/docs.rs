@@ -294,6 +294,20 @@ fn broken_protocol_tables_are_named_by_row_and_column() {
     }
 }
 
+#[test]
+fn deadline_rows_say_where_the_budget_is_checked() {
+    // The scheduler checks a budget twice — on arrival and when the
+    // request's batch is taken — and answers `deadline` both times.
+    let doc = protocol_md();
+    for row in ["| `deadline` |", "| `deadline_ms` |"] {
+        let line = doc.lines().find(|l| l.starts_with(row)).expect(row);
+        assert!(
+            line.contains("at admission and again at dispatch"),
+            "{line}"
+        );
+    }
+}
+
 // --- docs/PROTOCOL.md byte layouts, spot-checked against the codec --------
 
 #[test]

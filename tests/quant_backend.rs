@@ -1,12 +1,15 @@
 //! The quantized-backend equivalence suite: fixed-point primitive
 //! properties (exact-rational requantization, roundtrip bounds,
-//! saturation edges), integer-im2col-vs-scalar bit-exactness, tiled
-//! quantized inference, and the calibrate → export → load pipeline.
+//! saturation edges), integer-im2col-vs-scalar bit-exactness, the
+//! plane-wise element-wise stages against their per-element definitions
+//! (the directional ReLU against `run_drelu_reference`), tiled quantized
+//! inference, and the calibrate → export → load pipeline.
 
 use proptest::prelude::*;
 use ringcnn::prelude::*;
-use ringcnn::quant::quantized::{execute_layer, run_conv_reference};
+use ringcnn::quant::quantized::{execute_layer, run_conv_reference, run_drelu_reference, QDRelu};
 use ringcnn_nn::runtime::{BatchRunner, InferenceModel, TileConfig};
+use ringcnn_tensor::gemm::RequantChannel;
 
 /// The exact rational rescale `q · 2^(to − from)` rounded half away from
 /// zero / saturated into `i64`, computed in `i128` — the semantic model
@@ -265,5 +268,251 @@ fn divergent_calibration_is_an_error_not_a_panic() {
     match QuantizedModel::try_quantize(&mut model, &batch, QuantOptions::default()) {
         Err(CalibrationError::NonFinite { .. }) => {}
         other => panic!("expected NonFinite, got {other:?}"),
+    }
+}
+
+// ---------------------------------------------------------------------
+// Plane-wise stages ≡ their per-element definitions, bit for bit.
+// ---------------------------------------------------------------------
+
+/// SplitMix64: the deterministic bulk data of the cases below.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let z = (*state ^ (*state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Integers that sit on or next to everything the pipeline clamps at —
+/// the `i64` rails, the pre-butterfly rail of `n`-tuples, 8- and 16-bit
+/// format rails, zero — mixed with values of every magnitude.
+fn rail_values(n: usize, count: usize, seed: u64) -> Vec<i64> {
+    let fwht_rail = i64::MAX >> (n.trailing_zeros() + 1);
+    let rails = [0, i64::MAX, i64::MIN, fwht_rail, 127, 32767];
+    let mut state = seed;
+    (0..count)
+        .map(|_| {
+            let r = splitmix(&mut state);
+            match r % 4 {
+                0 => {
+                    let at = rails[(r >> 8) as usize % rails.len()];
+                    let off = (r >> 16) as i64 % 3 - 1;
+                    let near = at.saturating_add(off);
+                    if r >> 32 & 1 == 0 {
+                        near
+                    } else {
+                        near.saturating_neg()
+                    }
+                }
+                // Any magnitude: a full-range value shifted down 0–63 bits.
+                _ => (splitmix(&mut state) as i64) >> ((r >> 8) % 64),
+            }
+        })
+        .collect()
+}
+
+/// The production directional ReLU against the per-pixel oracle on
+/// every directional ReLU the builder emits, both execution modes.
+#[test]
+fn plane_wise_drelu_matches_the_reference_across_algebras_and_modes() {
+    for alg in [Algebra::ri_fh(2), Algebra::ri_fh(4), Algebra::ri_fh(8)] {
+        for on_the_fly_drelu in [true, false] {
+            let n = alg.ring().n();
+            let mut model = Sequential::new()
+                .with(alg.conv(n, 2 * n, 3, 3))
+                .with_opt(alg.activation())
+                .with(alg.conv(2 * n, 2 * n, 3, 4))
+                .with_opt(alg.activation())
+                .with(alg.conv(2 * n, n, 3, 5));
+            // 37·31 pixels: more than one block, a multiple of none.
+            let x = Tensor::random_uniform(Shape4::new(2, n, 37, 31), -1.0, 1.0, 7);
+            let opts = QuantOptions {
+                on_the_fly_drelu,
+                ..QuantOptions::default()
+            };
+            let qm = QuantizedModel::quantize(&mut model, &x, opts);
+            let mut q = QTensor::quantize(&x, vec![qm.input_format(); n]);
+            let mut checked = 0;
+            for layer in qm.layers() {
+                if let QLayer::DRelu(d) = layer {
+                    assert_eq!(matches!(d.mode(), DReluMode::OnTheFly), on_the_fly_drelu);
+                    let fast = execute_layer(layer, q.clone());
+                    assert_eq!(fast, run_drelu_reference(d, &q), "{}", alg.label());
+                    checked += 1;
+                }
+                q = execute_layer(layer, q);
+            }
+            assert_eq!(checked, 2, "{}", alg.label());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The lane requantizer — direction and distance decided once per
+    /// channel — is `apply` on every element, over the full `i64` range
+    /// and frac distances on both sides of its 64-bit fast path.
+    #[test]
+    fn apply_lane_is_apply_on_every_element(
+        from in -80i32..80,
+        to in -80i32..80,
+        bits in 2u32..63,
+        seed in 0u64..u64::MAX,
+    ) {
+        let ch = RequantChannel {
+            from_frac: from,
+            to_frac: to,
+            qmin: -(1i64 << (bits - 1)),
+            qmax: (1i64 << (bits - 1)) - 1,
+        };
+        let values = rail_values(4, 67, seed);
+        let mut lane = values.clone();
+        ch.apply_lane(&mut lane);
+        let want: Vec<i64> = values.iter().map(|v| ch.apply(*v)).collect();
+        prop_assert_eq!(lane, want);
+    }
+
+    /// Format spreads wide enough that the alignment shifts saturate,
+    /// values on the butterfly and output rails, both modes, every tuple
+    /// size: the plane-wise unit and the oracle agree on every integer.
+    #[test]
+    fn plane_wise_drelu_matches_the_reference_at_the_rails(
+        log_n in 1u32..4,
+        in_fracs in proptest::collection::vec(-64i32..65, 8),
+        out_fracs in proptest::collection::vec(-64i32..65, 8),
+        out_bits in proptest::collection::vec(2u32..17, 8),
+        mid_frac in -64i32..65,
+        mid_bits in 2u32..17,
+        spread in 0i32..3,
+        seed in 0u64..u64::MAX,
+    ) {
+        let n = 1usize << log_n;
+        // Narrow the input spread in two cases of three, so most shifts
+        // stay exact and the rails are reached by the values instead.
+        let narrow = |f: i32| if spread == 0 { f } else { f.rem_euclid(8) + 20 };
+        // Two tuples per batch item, 23·29 pixels: for n = 8 that is
+        // more than two blocks and a multiple of none.
+        let shape = Shape4::new(2, 2 * n, 23, 29);
+        let formats: Vec<QFormat> = (0..2 * n)
+            .map(|c| QFormat { bits: 32, frac: narrow(in_fracs[c % 8] + (c / 8) as i32) })
+            .collect();
+        let q = QTensor::from_raw(shape, rail_values(n, shape.len(), seed), formats);
+        let out: Vec<QFormat> = (0..n)
+            .map(|l| QFormat { bits: out_bits[l], frac: narrow(out_fracs[l]) })
+            .collect();
+        let mid = QFormat { bits: mid_bits, frac: narrow(mid_frac) };
+        for mode in [DReluMode::OnTheFly, DReluMode::MacBased { mid }] {
+            let d = QDRelu::new(n, mode, out.clone());
+            let want = run_drelu_reference(&d, &q);
+            let got = execute_layer(&QLayer::DRelu(d), q.clone());
+            prop_assert_eq!(got, want);
+        }
+    }
+
+    /// `QTensor`'s plane-wise walks against the scalar `QFormat`
+    /// functions they hoist constants out of: quantize (NaN, ±∞ and
+    /// out-of-range samples included), dequantize, requantize and the
+    /// saturating add, with a different format on every channel and a
+    /// plane (23·29) that is no multiple of any block.
+    #[test]
+    fn qtensor_walks_match_their_per_element_definitions(
+        fracs in proptest::collection::vec(-20i32..40, 6),
+        bits in proptest::collection::vec(2u32..17, 6),
+        seed in 0u64..u64::MAX,
+    ) {
+        let shape = Shape4::new(2, 3, 23, 29);
+        let fmt = |i: usize| QFormat { bits: bits[i], frac: fracs[i] };
+        let (from, to) = ([fmt(0), fmt(1), fmt(2)], [fmt(3), fmt(4), fmt(5)]);
+        let channel = |i: usize| i / shape.plane() % shape.c;
+
+        let mut t = Tensor::random_uniform(shape, -300.0, 300.0, seed);
+        for (i, v) in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 1e30].iter().enumerate() {
+            t.as_mut_slice()[i * 97] = *v;
+        }
+        let q = QTensor::quantize(&t, from.to_vec());
+        for (i, (got, v)) in q.data().iter().zip(t.as_slice()).enumerate() {
+            prop_assert_eq!(*got, from[channel(i)].quantize(f64::from(*v)), "quantize {}", i);
+        }
+        for (i, (got, v)) in q.dequantize().as_slice().iter().zip(q.data()).enumerate() {
+            let want = from[channel(i)].dequantize(*v) as f32;
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "dequantize {}", i);
+        }
+
+        // Wide values in narrow-declared formats: every saturation arm.
+        let wide = QTensor::from_raw(shape, rail_values(4, shape.len(), seed), from.to_vec());
+        let r = wide.requantized(to.to_vec());
+        prop_assert_eq!(r.formats(), &to[..]);
+        for (i, (got, v)) in r.data().iter().zip(wide.data()).enumerate() {
+            let c = channel(i);
+            let want = to[c].saturate(requant_shift(*v, from[c].frac, to[c].frac));
+            prop_assert_eq!(*got, want, "requantized {}", i);
+        }
+
+        // Operands and frac distances small enough that the aligned sum
+        // stays inside `i64` (the definition itself overflows beyond).
+        let near = |i: usize| QFormat { bits: bits[i], frac: fracs[i].rem_euclid(8) };
+        let small = |salt: u64| -> Vec<i64> {
+            rail_values(4, shape.len(), seed ^ salt).iter().map(|v| v >> 30).collect()
+        };
+        let out = vec![near(3), near(4), near(5)];
+        let a = QTensor::from_raw(shape, small(1), vec![near(0), near(1), near(2)]);
+        let b = QTensor::from_raw(shape, small(2), vec![near(5), near(3), near(4)]);
+        let sum = a.add_saturating(&b, out.clone());
+        for (i, got) in sum.data().iter().enumerate() {
+            let c = channel(i);
+            let x = requant_shift(a.data()[i], a.format_of(c).frac, out[c].frac);
+            let y = requant_shift(b.data()[i], b.format_of(c).frac, out[c].frac);
+            prop_assert_eq!(*got, out[c].saturate(x + y), "add_saturating {}", i);
+        }
+    }
+
+    /// The integer shuffles against their index formula: a shuffle
+    /// requantizes its r² source channels to the coarsest of their
+    /// formats, an unshuffle repeats each channel's format r² times.
+    #[test]
+    fn integer_shuffles_follow_the_index_formula(
+        r in 2usize..4,
+        fracs in proptest::collection::vec(0i32..12, 18),
+        seed in 0u64..u64::MAX,
+    ) {
+        let low = Shape4::new(2, 2 * r * r, 5, 3);
+        let formats: Vec<QFormat> = (0..low.c).map(|c| QFormat { bits: 8, frac: fracs[c] }).collect();
+        let data: Vec<i64> = rail_values(4, low.len(), seed).iter().map(|v| v >> 50).collect();
+        let q = QTensor::from_raw(low, data, formats.clone());
+        let up = execute_layer(&QLayer::Shuffle(r), q.clone());
+        prop_assert_eq!(up.shape(), Shape4::new(2, 2, 5 * r, 3 * r));
+        for oc in 0..2 {
+            let coarsest = formats[oc * r * r..(oc + 1) * r * r].iter().min_by_key(|f| f.frac);
+            prop_assert_eq!(Some(&up.format_of(oc)), coarsest);
+        }
+        for b in 0..low.n {
+            for ic in 0..low.c {
+                let (oc, ry, rx) = (ic / (r * r), ic / r % r, ic % r);
+                let fo = up.format_of(oc);
+                for y in 0..low.h {
+                    for x in 0..low.w {
+                        let v = q.plane(b, ic)[y * low.w + x];
+                        let want = fo.saturate(requant_shift(v, formats[ic].frac, fo.frac));
+                        let got = up.plane(b, oc)[(y * r + ry) * low.w * r + x * r + rx];
+                        prop_assert_eq!(got, want, "shuffle b={} ic={} y={} x={}", b, ic, y, x);
+                    }
+                }
+            }
+        }
+        let down = execute_layer(&QLayer::Unshuffle(r), up.clone());
+        prop_assert_eq!(down.shape(), low);
+        for b in 0..low.n {
+            for ic in 0..low.c {
+                let (oc, ry, rx) = (ic / (r * r), ic / r % r, ic % r);
+                prop_assert_eq!(down.format_of(ic), up.format_of(oc));
+                for y in 0..low.h {
+                    for x in 0..low.w {
+                        let want = up.plane(b, oc)[(y * r + ry) * low.w * r + x * r + rx];
+                        prop_assert_eq!(down.plane(b, ic)[y * low.w + x], want);
+                    }
+                }
+            }
+        }
     }
 }
