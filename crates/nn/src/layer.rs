@@ -39,6 +39,14 @@ pub struct ParamGroup<'a> {
 /// - A container exposes its direct children through
 ///   [`Layer::children`]; the tree walks and the per-tree defaults below
 ///   are built on it.
+/// - Ownership of activations: a tensor passed by reference is the
+///   caller's and is never written; a container owns every tensor a
+///   child returns to it, and may hand it to the next child for good
+///   ([`Layer::forward_infer_owned`] — the only place an activation is
+///   mutated) or skip materialising it ([`Layer::forward_infer_shuffled`]
+///   with [`Layer::pixel_shuffle_factor`]). Both are shortcuts with the
+///   bits of the plain leaf-by-leaf chain, which stays valid: walks that
+///   call `forward_infer` on one leaf at a time see the same values.
 pub trait Layer: Send + Sync {
     /// Short human-readable layer descriptor (e.g. `conv3x3(16->32)`).
     fn name(&self) -> String;
@@ -63,6 +71,28 @@ pub trait Layer: Send + Sync {
     /// Inference forward through shared state: never mutates the layer,
     /// so many threads can run it on the same model concurrently.
     fn forward_infer(&self, input: &Tensor) -> Tensor;
+
+    /// [`Layer::forward_infer`] over a tensor the caller gives up, which
+    /// an element-wise layer may therefore work on in place. Default:
+    /// borrow it.
+    fn forward_infer_owned(&self, input: Tensor) -> Tensor {
+        self.forward_infer(&input)
+    }
+
+    /// [`Layer::forward_infer`] and the pixel shuffle of factor `r` that
+    /// follows it, as one step with the same bits — `None` (the
+    /// default) where the layer has no such kernel. Only a convolution
+    /// on the streaming engine does: it writes each output pixel where
+    /// the shuffle would copy it to.
+    fn forward_infer_shuffled(&self, _input: &Tensor, _r: usize) -> Option<Tensor> {
+        None
+    }
+
+    /// `Some(r)` for the depth-to-space of factor `r`, the one layer a
+    /// container may run inside [`Layer::forward_infer_shuffled`].
+    fn pixel_shuffle_factor(&self) -> Option<usize> {
+        None
+    }
 
     /// The direct children of a container layer, in execution order —
     /// `None` for a leaf (an empty container is still `Some(&[])`).

@@ -27,14 +27,20 @@ impl Layer for Relu {
     }
 
     fn forward_train(&mut self, input: &T) -> T {
-        self.cached_input = Some(input.clone());
-        self.forward_infer(input)
+        // The cache is the one copy of the input; the output is computed
+        // from it, not cloned and overwritten.
+        let cached = self.cached_input.insert(input.clone());
+        let out = cached.as_slice().iter().map(|v| v.max(0.0)).collect();
+        T::from_vec(cached.shape(), out)
     }
 
     fn forward_infer(&self, input: &T) -> T {
-        let mut out = input.clone();
-        out.map_inplace(|v| v.max(0.0));
-        out
+        self.forward_infer_owned(input.clone())
+    }
+
+    fn forward_infer_owned(&self, mut x: T) -> T {
+        x.map_inplace(|v| v.max(0.0));
+        x
     }
 
     fn backward(&mut self, dout: &T) -> T {
@@ -130,11 +136,15 @@ impl Layer for DirectionalReluLayer {
     }
 
     fn forward_infer(&self, input: &T) -> T {
-        let mut out = input.clone();
-        for y in out.as_mut_slice().chunks_mut(self.tuple_len(input.shape())) {
+        self.forward_infer_owned(input.clone())
+    }
+
+    fn forward_infer_owned(&self, mut x: T) -> T {
+        let len = self.tuple_len(x.shape());
+        for y in x.as_mut_slice().chunks_mut(len) {
             self.f.forward_planes(y);
         }
-        out
+        x
     }
 
     fn backward(&mut self, dout: &T) -> T {

@@ -161,8 +161,13 @@ impl Layer for Conv2d {
     fn forward_infer(&self, input: &T) -> T {
         match self.backend {
             ConvBackend::Naive => conv2d_forward(input, &self.weights, &self.bias),
-            _ => conv2d_forward_packed(input, self.weights.k, self.plan(), &self.bias),
+            _ => conv2d_forward_packed(input, self.weights.k, self.plan(), &self.bias, 1),
         }
+    }
+
+    fn forward_infer_shuffled(&self, input: &T, r: usize) -> Option<T> {
+        (self.backend != ConvBackend::Naive)
+            .then(|| conv2d_forward_packed(input, self.weights.k, self.plan(), &self.bias, r))
     }
 
     fn prepare_inference(&mut self) {
@@ -317,7 +322,9 @@ impl Layer for DepthwiseConv2d {
         assert_eq!(input.shape().c, self.channels, "channel mismatch");
         match self.kernel() {
             DepthwiseKernel::Naive(w) => conv2d_forward(input, w, &self.bias),
-            DepthwiseKernel::Engine(plan) => conv2d_forward_packed(input, self.k, plan, &self.bias),
+            DepthwiseKernel::Engine(plan) => {
+                conv2d_forward_packed(input, self.k, plan, &self.bias, 1)
+            }
         }
     }
 

@@ -11,13 +11,16 @@
 //!
 //! Each transformed component `r ∈ 0..m` is an ordinary dense real
 //! convolution with `ci_t` input and `co_t` output channels, executed on
-//! the im2col kernel; the transforms are plane-wise axpy passes. Total
+//! the im2col kernel; the transforms are plane-wise axpy passes, through
+//! one `x̃` and one `z̃` component of scratch a call, reused by all `m`
+//! components (3 allocations with the output, not `1 + 2m`). Total
 //! cost: `m` real multiplications per ring MAC instead of the `n²` of
 //! the naive isomorphic expansion — the paper's eq. (6)–(8) speedup,
 //! realized on the inference hot path instead of only in the per-tuple
 //! reference implementation (`ringcnn::frconv`).
 
 use ringcnn_algebra::ring::Ring;
+use ringcnn_tensor::im2col::conv_streaming_f32;
 use ringcnn_tensor::prelude::*;
 
 /// A ready-to-run transform-domain plan for one ring convolution layer.
@@ -124,7 +127,10 @@ impl FastRingConv {
         (self.co_t * self.ci_t * self.k * self.k * self.m) as f64
     }
 
-    /// Runs the plan on an `[N, ci_t·n, H, W]` input.
+    /// Runs the plan on an `[N, ci_t·n, H, W]` input. Besides the output
+    /// the call allocates its scratch once — component `r` of `x̃` and of
+    /// `z̃` for one batch item, `ci_t` and `co_t` planes — and every
+    /// component of every item rewrites both whole.
     ///
     /// # Panics
     ///
@@ -133,41 +139,42 @@ impl FastRingConv {
         let s = input.shape();
         assert_eq!(s.c, self.ci_t * self.n, "input channels mismatch");
         let mut out = Tensor::zeros(s.with_channels(self.co_t * self.n));
+        let plane = s.plane().max(1);
+        let mut xt = vec![0.0f32; self.ci_t * s.plane()];
+        let mut zt = vec![0.0f32; self.co_t * s.plane()];
 
-        for r in 0..self.m {
-            // Data transform: component r of x̃ for every input tuple,
-            // as plane-wise axpy passes (coefficients are mostly 0/±1).
-            let mut xt = Tensor::zeros(Shape4::new(s.n, self.ci_t, s.h, s.w));
-            for b in 0..s.n {
-                for ct in 0..self.ci_t {
-                    let dst = xt.plane_mut(b, ct);
+        for b in 0..s.n {
+            for r in 0..self.m {
+                // Data transform: component r of x̃ for every input tuple,
+                // as plane-wise axpy passes (coefficients are mostly 0/±1).
+                // The first term is added to 0.0, not to what the previous
+                // component left behind: the bits of accumulating into a
+                // zeroed plane, without zeroing one.
+                for (ct, dst) in xt.chunks_mut(plane).enumerate() {
+                    let mut first = true;
                     for l in 0..self.n {
                         let c = self.tx[r * self.n + l];
                         if c == 0.0 {
                             continue;
                         }
-                        let src = input.plane(b, ct * self.n + l);
-                        if c == 1.0 {
-                            for (d, v) in dst.iter_mut().zip(src) {
-                                *d += *v;
-                            }
-                        } else {
-                            for (d, v) in dst.iter_mut().zip(src) {
-                                *d += c * *v;
-                            }
+                        for (d, v) in dst.iter_mut().zip(input.plane(b, ct * self.n + l)) {
+                            let acc = if first { 0.0 } else { *d };
+                            *d = acc + if c == 1.0 { *v } else { c * *v };
                         }
+                        first = false;
+                    }
+                    if first {
+                        dst.fill(0.0);
                     }
                 }
-            }
 
-            // One component-wise real convolution in the transformed
-            // domain, on the streaming im2col engine.
-            let zt = conv2d_forward_packed(&xt, self.k, &self.comp_weights[r], &[]);
+                // One component-wise real convolution in the transformed
+                // domain, on the streaming im2col engine.
+                let x = ConvInput::new(&xt, self.ci_t, s.h, s.w, Window::full(s.h, s.w));
+                conv_streaming_f32(&x, self.k, &self.comp_weights[r], &[], &mut zt);
 
-            // Reconstruction: scatter component r of z̃ through Tz.
-            for b in 0..s.n {
-                for cot in 0..self.co_t {
-                    let src = zt.plane(b, cot);
+                // Reconstruction: scatter component r of z̃ through Tz.
+                for (cot, src) in zt.chunks(plane).enumerate() {
                     for l in 0..self.n {
                         let c = self.tz[l * self.m + r];
                         if c == 0.0 {

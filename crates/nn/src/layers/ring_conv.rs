@@ -278,8 +278,15 @@ impl Layer for RingConv2d {
         );
         match self.kernel() {
             RingKernel::Naive(w) => conv2d_forward(input, w, &self.bias),
-            RingKernel::Engine(w) => conv2d_forward_packed(input, self.k, w, &self.bias),
+            RingKernel::Engine(w) => conv2d_forward_packed(input, self.k, w, &self.bias, 1),
             RingKernel::Transform(plan) => plan.forward(input),
+        }
+    }
+
+    fn forward_infer_shuffled(&self, input: &T, r: usize) -> Option<T> {
+        match self.kernel() {
+            RingKernel::Engine(w) => Some(conv2d_forward_packed(input, self.k, w, &self.bias, r)),
+            _ => None,
         }
     }
 

@@ -6,6 +6,12 @@
 //! here, the `i64` features of `ringcnn-quant`) and carried out row by
 //! row — a source row and every `r`-th sample of an output row — never
 //! through a 4-D index per element.
+//!
+//! Behind a convolution on the streaming engine a [`PixelShuffle`] does
+//! not run at all: it answers [`Layer::pixel_shuffle_factor`], and
+//! `Sequential::forward_infer` has the convolution write each pixel where
+//! [`shuffle_into`] would copy it (`Layer::forward_infer_shuffled`), bit
+//! for bit the tensor `apply` returns.
 
 use crate::layer::Layer;
 use ringcnn_tensor::prelude::*;
@@ -156,6 +162,10 @@ impl Layer for PixelShuffle {
 
     fn forward_infer(&self, input: &T) -> T {
         Self::apply(input, self.r)
+    }
+
+    fn pixel_shuffle_factor(&self) -> Option<usize> {
+        Some(self.r)
     }
 
     fn backward(&mut self, dout: &T) -> T {

@@ -7,6 +7,7 @@
 
 use crate::layer::{visit_tree_mut, Layer};
 use ringcnn_tensor::tensor::Tensor as T;
+use std::borrow::Cow;
 
 /// A chain of layers applied in order. `Sequential` is itself a [`Layer`],
 /// so blocks nest arbitrarily.
@@ -75,24 +76,41 @@ impl Layer for Sequential {
     }
 
     fn forward_train(&mut self, input: &T) -> T {
-        let mut x = input.clone();
-        for l in &mut self.layers {
+        // As in `forward_infer`, the first child reads the caller's
+        // tensor (in `backward` below, the last child its gradient).
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return input.clone();
+        };
+        let mut x = first.forward_train(input);
+        for l in rest {
             x = l.forward_train(&x);
         }
         x
     }
 
     fn forward_infer(&self, input: &T) -> T {
-        // The first child reads the caller's tensor; only an empty chain
-        // (the identity) has to copy it.
-        let Some((first, rest)) = self.layers.split_first() else {
-            return input.clone();
-        };
-        let mut x = first.forward_infer(input);
-        for l in rest {
-            x = l.forward_infer(&x);
+        // The first child reads the caller's tensor — only an empty
+        // chain (the identity) has to copy it — and every later child is
+        // handed the tensor the chain owns.
+        let mut x = Cow::Borrowed(input);
+        let mut layers = self.layers.iter();
+        while let Some(l) = layers.next() {
+            // `conv → pixel_shuffle` is one step where both layers say
+            // so: the engine writes where the shuffle would copy to.
+            let next = layers.as_slice().first();
+            let fused = next
+                .and_then(|shuffle| shuffle.pixel_shuffle_factor())
+                .and_then(|r| l.forward_infer_shuffled(&x, r));
+            x = Cow::Owned(match (fused, x) {
+                (Some(y), _) => {
+                    layers.next();
+                    y
+                }
+                (None, Cow::Borrowed(x)) => l.forward_infer(x),
+                (None, Cow::Owned(x)) => l.forward_infer_owned(x),
+            });
         }
-        x
+        x.into_owned()
     }
 
     fn children(&self) -> Option<&[Box<dyn Layer>]> {
@@ -104,8 +122,11 @@ impl Layer for Sequential {
     }
 
     fn backward(&mut self, dout: &T) -> T {
-        let mut d = dout.clone();
-        for l in self.layers.iter_mut().rev() {
+        let Some((last, rest)) = self.layers.split_last_mut() else {
+            return dout.clone();
+        };
+        let mut d = last.backward(dout);
+        for l in rest.iter_mut().rev() {
             d = l.backward(&d);
         }
         d

@@ -33,12 +33,14 @@
 //!   (`gemm_*_packed`) — runs every pattern group over them while they
 //!   are L2-resident (panels outermost, so the blocks of a group
 //!   re-read L1-hot rows), applies the element epilogue and writes the
-//!   finished lanes straight into its columns of the caller's output
-//!   planes. The only per-thread state is that slab, `rows × NC_COLS`
-//!   elements (72 KiB for a 16-channel 3×3 f32 conv) whatever the
-//!   plane size. The per-element accumulation chain (bias first, then
-//!   rows in increasing order) does not depend on plane geometry —
-//!   tiled and whole-image runs of the *same* kernel agree bit for bit.
+//!   finished lanes straight into its share of the caller's output
+//!   planes — its columns, or where the pixel shuffle that follows the
+//!   convolution would move them (`Sink`). The only per-thread state is
+//!   that slab, `rows × NC_COLS` elements (72 KiB for a 16-channel 3×3
+//!   f32 conv) whatever the plane size. The per-element accumulation
+//!   chain (bias first, then rows in increasing order) does not depend
+//!   on plane geometry — tiled and whole-image runs of the *same* kernel
+//!   agree bit for bit.
 //!
 //! Two kernel tiers are selected at run time behind
 //! `is_x86_feature_detected!`: AVX2+FMA, and a portable scalar-blocked
@@ -765,13 +767,30 @@ pub(crate) enum Panels<'a, T> {
     Packer(&'a (dyn Fn(usize, usize, &mut [T]) + Sync)),
 }
 
-/// `C = W · B` for one planned `W`: `out[c]`, the `plane` elements of
-/// output channel `c`, becomes `bias[c] + Σ_r W[c][r] · B[r]` (an empty
-/// `bias` means zero), each element finished by the element's epilogue.
-/// `b_exact` is the caller's word on whether the AVX2 tile multiplies
-/// every value of B exactly. One task per [`NC_COLS`] column chunk runs
-/// in parallel: it gets its panels from `source`, runs every pattern
-/// group over them and writes its columns of `out` in place.
+/// Where a product's finished lanes land, a depth-to-space of factor
+/// `r` folded into the write: the columns are the pixels of an image
+/// `iw` wide, and output channel `c'·r² + ry·r + rx` at pixel `(y, x)`
+/// goes to `(y·r + ry, x·r + rx)` of `planes[c']` — where the consumer
+/// of a pixel-shuffled convolution reads it. The plain product is the
+/// case `r = 1` over one row (`iw = plane`): channel `c`, column `j` to
+/// `planes[c][j]`.
+pub(crate) struct Sink<'a, 'p, T> {
+    /// The `co / r²` output planes, `plane · r²` elements each.
+    pub planes: &'a mut [&'p mut [T]],
+    /// Depth-to-space factor.
+    pub r: usize,
+    /// Image width in pixels (a divisor of `plane`).
+    pub iw: usize,
+}
+
+/// `C = W · B` for one planned `W`: output channel `c` at column `j`
+/// becomes `bias[c] + Σ_r W[c][r] · B[r][j]` (an empty `bias` means
+/// zero), finished by the element's epilogue and written where the
+/// sink sends it. `b_exact` is the caller's word on whether the AVX2 tile
+/// multiplies every value of B exactly. One task per [`NC_COLS`] column
+/// chunk runs in parallel: it gets its panels from `source`, runs every
+/// pattern group over them and writes its pixels' share of the sink's
+/// planes in place.
 pub(crate) fn product<T: Element<NR>, const NR: usize>(
     w: &PackedWeights<T>,
     plane: usize,
@@ -779,14 +798,16 @@ pub(crate) fn product<T: Element<NR>, const NR: usize>(
     epilogue: Option<&T::Epilogue>,
     b_exact: bool,
     source: Panels<'_, T>,
-    out: &mut [&mut [T]],
+    Sink { planes, r, iw }: Sink<'_, '_, T>,
 ) {
     assert!(
         bias.is_empty() || bias.len() == w.co,
         "bias length mismatch"
     );
     assert!(
-        out.len() == w.co && out.iter().all(|lane| lane.len() == plane),
+        planes.len() * r * r == w.co
+            && planes.iter().all(|p| p.len() == plane * r * r)
+            && plane.checked_rem(iw).unwrap_or(plane) == 0,
         "output shape mismatch"
     );
     let np = plane.div_ceil(NR);
@@ -821,17 +842,32 @@ pub(crate) fn product<T: Element<NR>, const NR: usize>(
             init
         })
         .collect();
-    // Task `i` owns columns `[i·NC_COLS, (i+1)·NC_COLS)` of every output
-    // plane: disjoint `&mut` pieces, so the tasks write `out` in place.
-    let mut tasks: Vec<(usize, Vec<&mut [T]>)> = (0..plane.div_ceil(NC_COLS))
-        .map(|chunk| (chunk, Vec::with_capacity(w.co)))
+    // `[c', ry, rx]` of every output channel.
+    let cells: Vec<[usize; 3]> = (0..w.co).map(|c| [c / (r * r), c / r % r, c % r]).collect();
+    // Task `i` owns pixels `[i·NC_COLS, (i+1)·NC_COLS)`, on `rows` image
+    // rows. Every output row — `iw · r` elements, `r` rows to an image
+    // row — is split at the task boundaries inside its image row, and a
+    // task holds its segments in `(plane, image row, ry)` order:
+    // disjoint `&mut` pieces, so the tasks write the planes in place.
+    // With `r = 1` over one row they are its columns of every channel.
+    let mut tasks: Vec<(usize, usize, Vec<&mut [T]>)> = (0..plane.div_ceil(NC_COLS))
+        .map(|chunk| {
+            let rows = plane.min((chunk + 1) * NC_COLS).div_ceil(iw) - chunk * NC_COLS / iw;
+            (chunk, rows, Vec::with_capacity(planes.len() * r * rows))
+        })
         .collect();
-    for lane in out.iter_mut() {
-        for (task, columns) in tasks.iter_mut().zip(lane.chunks_mut(NC_COLS)) {
-            task.1.push(columns);
+    for lane in planes.iter_mut() {
+        for (oy, mut row) in lane.chunks_mut((iw * r).max(1)).enumerate() {
+            let (ja, jb) = (oy / r * iw, (oy / r + 1) * iw);
+            for (chunk, _, segs) in &mut tasks[ja / NC_COLS..jb.div_ceil(NC_COLS)] {
+                let pixels = jb.min((*chunk + 1) * NC_COLS) - ja.max(*chunk * NC_COLS);
+                let (seg, rest) = std::mem::take(&mut row).split_at_mut(pixels * r);
+                segs.push(seg);
+                row = rest;
+            }
         }
     }
-    tasks.into_par_iter().for_each(|(chunk, mut lanes)| {
+    tasks.into_par_iter().for_each(|(chunk, rows, mut segs)| {
         let jp0 = chunk * (NC_COLS / NR);
         let jp1 = np.min(jp0 + NC_COLS / NR);
         let panel_len = w.rows * NR;
@@ -847,26 +883,54 @@ pub(crate) fn product<T: Element<NR>, const NR: usize>(
                 &slab[..len]
             }
         };
-        chunk_body(tier, b, w, &binit, epilogue, &mut lanes);
+        // The chunk's pixels start at column `x0` of an image row; where
+        // each of its panels (`i64` has the most) starts — row counted
+        // from the chunk's first, column — is divided out once here,
+        // not per lane.
+        let (x0, cw) = (chunk * NC_COLS % iw, NC_COLS.min(plane - chunk * NC_COLS));
+        let starts: [_; NC_COLS / NR_I64] =
+            std::array::from_fn(|p| ((x0 + p * NR) / iw, (x0 + p * NR) % iw));
+        chunk_body(tier, b, w, &binit, epilogue, cw, |chan, j, mut vals| {
+            let [cp, ry, rx] = cells[chan];
+            let (mut dy, mut x) = starts[j / NR];
+            // Run by run where the lane crosses image rows: to every
+            // `r`-th element from `rx` on of the segment of output row
+            // `y·r + ry`, which begins at column 0 (the chunk's first
+            // at `x0`).
+            while !vals.is_empty() {
+                let (run, rest) = vals.split_at(vals.len().min(iw - x));
+                let at = (x - if dy == 0 { x0 } else { 0 }) * r + rx;
+                let seg = &mut segs[(cp * rows + dy) * r + ry][at..];
+                if r == 1 {
+                    seg[..run.len()].copy_from_slice(run);
+                } else {
+                    for (o, v) in seg.iter_mut().step_by(r).zip(run) {
+                        *o = *v;
+                    }
+                }
+                (dy, x, vals) = (dy + 1, 0, rest);
+            }
+        });
         T::slab().set(slab);
     });
 }
 
 /// Runs every pattern group of `w` over the panels of one column chunk
-/// (`b`, `[panel][row][NR]`) and writes the finished lanes into the
-/// chunk's columns of each output plane (`lanes[channel]`). Within a
-/// group panels are the outer loop, so every block of the group reads
-/// the panel's non-zero rows while they are L1-hot.
+/// of `cw` columns (`b`, `[panel][row][NR]`) and hands each finished
+/// lane to `write` as `(channel, first column in the chunk, values)` —
+/// the task's share of the product's [`Sink`]. Within a group panels are
+/// the outer loop, so every block of the group reads the panel's
+/// non-zero rows while they are L1-hot.
 fn chunk_body<T: Element<NR>, const NR: usize>(
     tier: KernelBackend,
     b: &[T],
     w: &PackedWeights<T>,
     binit: &[[T; MR]],
     epilogue: Option<&T::Epilogue>,
-    lanes: &mut [&mut [T]],
+    cw: usize,
+    mut write: impl FnMut(usize, usize, &[T]),
 ) {
     let panel_len = w.rows * NR;
-    let cw = lanes.first().map_or(0, |lane| lane.len());
     let mut acc = [[T::default(); NR]; MR];
     for &(g0, g1) in &w.groups {
         for (p, j) in (0..cw).step_by(NR).enumerate() {
@@ -887,7 +951,7 @@ fn chunk_body<T: Element<NR>, const NR: usize>(
                 }
                 for (i, lane) in acc.iter_mut().enumerate().take(block.mr) {
                     T::finish(epilogue, block.chans[i], &mut lane[..width]);
-                    lanes[block.chans[i]][j..j + width].copy_from_slice(&lane[..width]);
+                    write(block.chans[i], j, &lane[..width]);
                 }
             }
         }
@@ -940,15 +1004,12 @@ fn prepacked<T: Element<NR>, const NR: usize>(
     );
     let mut planes = vec![vec![T::default(); plane]; w.co];
     let mut out: Vec<&mut [T]> = planes.iter_mut().map(Vec::as_mut_slice).collect();
-    product(
-        w,
-        plane,
-        bias,
-        epilogue,
-        b_exact,
-        Panels::Packed(bp),
-        &mut out,
-    );
+    let sink = Sink {
+        planes: &mut out,
+        r: 1,
+        iw: plane,
+    };
+    product(w, plane, bias, epilogue, b_exact, Panels::Packed(bp), sink);
     planes
 }
 
@@ -1123,7 +1184,9 @@ mod tests {
         let w = PackedWeights::plan(co, rows, weights);
         let x = ConvInput::new(col, rows, 1, plane, Window::full(1, plane));
         let mut flat = vec![T::default(); co * plane];
-        forced_kernel_scope(k, || conv_streaming(&x, 1, &w, bias, epilogue, &mut flat));
+        forced_kernel_scope(k, || {
+            conv_streaming(&x, 1, &w, bias, epilogue, 1, &mut flat)
+        });
         (0..co)
             .map(|c| flat[c * plane..(c + 1) * plane].to_vec())
             .collect()
@@ -1311,13 +1374,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn chunk_tasks_write_their_columns_of_every_group_in_place() {
-        // Four column chunks (the last one partial) × two pattern
-        // groups: every chunk task writes its own columns of all eight
-        // output planes. The nightly Miri step runs this at pool 2.
-        let (co, rows, plane) = (8, 6, 3 * NC_COLS + 5);
-        let mut weights = pseudo_i64(co * rows, 17, 1 << 10);
+    /// `co × rows` weights of two non-zero-row patterns, and their plan.
+    fn two_pattern_weights(co: usize, rows: usize, seed: u64) -> (Vec<i64>, PackedWeights<i64>) {
+        let mut weights = pseudo_i64(co * rows, seed, 1 << 10);
         for (i, v) in weights.iter_mut().enumerate() {
             if (i / rows) % 2 != (i % rows) % 2 {
                 *v = 0;
@@ -1325,11 +1384,47 @@ mod tests {
         }
         let w = PackedWeights::<i64>::new(co, rows, &weights);
         assert!(w.groups.len() >= 2, "{:?}", w.groups);
+        (weights, w)
+    }
+
+    #[test]
+    fn chunk_tasks_write_their_columns_of_every_group_in_place() {
+        // Four column chunks (the last one partial) × two pattern
+        // groups: every chunk task writes its own columns of all eight
+        // output planes. The nightly Miri step runs this at pool 2.
+        let (co, rows, plane) = (8, 6, 3 * NC_COLS + 5);
+        let (weights, _) = two_pattern_weights(co, rows, 17);
         let col = pseudo_i64(rows * plane, 19, 1 << 10);
         let bias = pseudo_i64(co, 23, 1 << 20);
         let want = reference(&col, plane, rows, co, &weights, &bias);
         for k in TIERS {
             let got = blocked(k, &col, plane, rows, co, &weights, &bias, None);
+            assert_eq!(want, got, "{k:?}");
+        }
+    }
+
+    #[test]
+    fn chunk_tasks_write_their_row_segments_of_a_depth_to_space_sink() {
+        // The test above for `r = 2` (also a Miri step): an 8×50 image
+        // is four chunks, rows 2, 5 and 7 split between two tasks; channel
+        // `c'·4 + ry·2 + rx` at `(y, x)` lands at `(2y + ry, 2x + rx)`.
+        let (co, rows, h, iw, r) = (8, 6, 8, 50, 2);
+        let plane = h * iw;
+        let (weights, w) = two_pattern_weights(co, rows, 29);
+        let col = pseudo_i64(rows * plane, 31, 1 << 10);
+        let bias = pseudo_i64(co, 37, 1 << 20);
+        let lanes = reference(&col, plane, rows, co, &weights, &bias);
+        let mut want = vec![0i64; co * plane];
+        for (c, lane) in lanes.iter().enumerate() {
+            for (j, v) in lane.iter().enumerate() {
+                let (oy, ox) = (j / iw * r + c / r % r, j % iw * r + c % r);
+                want[c / (r * r) * plane * r * r + oy * iw * r + ox] = *v;
+            }
+        }
+        let x = ConvInput::new(&col, rows, h, iw, Window::full(h, iw));
+        for k in TIERS {
+            let mut got = vec![i64::MIN; co * plane];
+            forced_kernel_scope(k, || conv_streaming(&x, 1, &w, &bias, None, r, &mut got));
             assert_eq!(want, got, "{k:?}");
         }
     }

@@ -35,7 +35,7 @@
 //! models.
 
 use crate::conv::ConvWeights;
-use crate::gemm::{self, Element, PackedWeights, Panels, RequantPlan, NR_F32, NR_I64};
+use crate::gemm::{self, Element, PackedWeights, Panels, RequantPlan, Sink, NR_F32, NR_I64};
 use crate::shape::Shape4;
 use crate::tensor::Tensor;
 use crate::tile::Window;
@@ -332,15 +332,19 @@ pub fn im2col_pack_panels_window(
 }
 
 /// The streaming convolution of one batch item, generic over the
-/// element type: `out` (`co × x.plane()`, row-major planes) becomes
+/// element type: channel `c` becomes
 /// `bias[c] + Σ_r W[c][r] · patch_row(r)`, each element through the
-/// epilogue.
+/// epilogue, and `out` holds the result after a depth-to-space of
+/// factor `r` (`co / r²` row-major planes of `r²·x.plane()`; `r = 1`:
+/// the `co` planes themselves) — the engine's [`Sink`] writes every
+/// pixel where the shuffle would move it.
 pub(crate) fn conv_streaming<T: Element<NR>, const NR: usize>(
     x: &ConvInput<'_, T>,
     k: usize,
     w: &PackedWeights<T>,
     bias: &[T],
     epilogue: Option<&T::Epilogue>,
+    r: usize,
     out: &mut [T],
 ) {
     assert_eq!(w.rows(), x.c * k * k, "input channels mismatch");
@@ -353,14 +357,18 @@ pub(crate) fn conv_streaming<T: Element<NR>, const NR: usize>(
     let source = Panels::Packer(&pack);
     assert_eq!(out.len(), w.co() * x.plane(), "output length mismatch");
     let mut rest = out;
-    let mut out: Vec<&mut [T]> = (0..w.co())
+    let mut planes: Vec<&mut [T]> = (0..w.co() / (r * r))
         .map(|_| {
-            let (lane, tail) = std::mem::take(&mut rest).split_at_mut(x.plane());
+            let (lane, tail) = std::mem::take(&mut rest).split_at_mut(r * r * x.plane());
             rest = tail;
             lane
         })
         .collect();
-    gemm::product(w, x.plane(), bias, epilogue, b_exact, source, &mut out);
+    // Unshuffled, image rows do not matter: one row, one segment a task.
+    let iw = if r == 1 { x.plane() } else { x.window.w };
+    let planes = planes.as_mut_slice();
+    let sink = Sink { planes, r, iw };
+    gemm::product(w, x.plane(), bias, epilogue, b_exact, source, sink);
 }
 
 /// Streaming f32 convolution of one batch item (or one window of it)
@@ -380,7 +388,7 @@ pub fn conv_streaming_f32(
     bias: &[f32],
     out: &mut [f32],
 ) {
-    conv_streaming::<f32, NR_F32>(x, k, w, bias, None, out);
+    conv_streaming::<f32, NR_F32>(x, k, w, bias, None, 1, out);
 }
 
 /// The integer twin of [`conv_streaming_f32`], bit-identical to the
@@ -400,26 +408,36 @@ pub fn conv_streaming_i64(
     out: &mut [i64],
 ) {
     gemm::check_plan(requant, w.co());
-    conv_streaming::<i64, NR_I64>(x, k, w, bias, requant, out);
+    conv_streaming::<i64, NR_I64>(x, k, w, bias, requant, 1, out);
 }
 
 /// Forward convolution over planned weights, the prepared-layer entry
 /// (`k` is the kernel size the plan's `ci·k²` rows were laid out for):
-/// every batch item streams through [`conv_streaming_f32`] into its
-/// planes of the output tensor, with the same panics.
+/// every batch item streams through the engine into its planes of the
+/// output tensor, with the panics of [`conv_streaming_f32`]. `r > 1`
+/// also does the depth-to-space of factor `r` that follows the
+/// convolution (`[N, C·r², H, W] → [N, C, H·r, W·r]`): the engine writes
+/// each pixel where the shuffle would move it, so the unshuffled output
+/// never exists — bit-identical to shuffling it afterwards, and a panic
+/// if the output channels are not a multiple of `r²`.
 pub fn conv2d_forward_packed(
     input: &Tensor,
     k: usize,
     w: &PackedWeights<f32>,
     bias: &[f32],
+    r: usize,
 ) -> Tensor {
-    let s = input.shape();
-    let mut out = Tensor::zeros(s.with_channels(w.co()));
-    let item = w.co() * s.plane();
+    let (s, co, rr) = (input.shape(), w.co(), r * r);
+    assert!(
+        r > 0 && co % rr == 0,
+        "channels {co} not divisible by r²={rr}"
+    );
+    let mut out = Tensor::zeros(Shape4::new(s.n, co / rr, s.h * r, s.w * r));
+    let item = co * s.plane();
     for n in 0..s.n {
         let x = input.conv_input(n, Window::full(s.h, s.w));
         let planes = &mut out.as_mut_slice()[n * item..(n + 1) * item];
-        conv_streaming_f32(&x, k, w, bias, planes);
+        conv_streaming::<f32, NR_F32>(&x, k, w, bias, None, r, planes);
     }
     out
 }
@@ -437,7 +455,7 @@ pub fn conv2d_forward_packed(
 /// slice means no bias).
 pub fn conv2d_forward_im2col(input: &Tensor, w: &ConvWeights, bias: &[f32]) -> Tensor {
     assert_eq!(input.shape().c, w.ci, "input channels mismatch");
-    conv2d_forward_packed(input, w.k, &w.packed(), bias)
+    conv2d_forward_packed(input, w.k, &w.packed(), bias, 1)
 }
 
 #[cfg(test)]

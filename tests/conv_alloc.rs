@@ -14,10 +14,15 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Bytes allocated since the last reset, the largest single block among
-/// them, and the bytes currently live.
+/// them, the bytes currently live and the most that were live at once
+/// since the last reset; and how many blocks of at least `PLANE_ORDER`
+/// bytes were allocated since that threshold was last set.
 static TOTAL: AtomicUsize = AtomicUsize::new(0);
 static LARGEST: AtomicUsize = AtomicUsize::new(0);
 static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+static PLANE_ORDER: AtomicUsize = AtomicUsize::new(usize::MAX);
+static PLANE_ORDER_BLOCKS: AtomicUsize = AtomicUsize::new(0);
 
 struct Counting;
 
@@ -31,7 +36,11 @@ unsafe impl GlobalAlloc for Counting {
         // has joined the work they count.
         TOTAL.fetch_add(layout.size(), Ordering::Relaxed);
         LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
-        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+        let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
+        PEAK.fetch_max(live, Ordering::Relaxed);
+        if layout.size() >= PLANE_ORDER.load(Ordering::Relaxed) {
+            PLANE_ORDER_BLOCKS.fetch_add(1, Ordering::Relaxed);
+        }
         // SAFETY: the caller's layout, passed through.
         unsafe { System.alloc(layout) }
     }
@@ -50,6 +59,8 @@ static ALLOCATOR: Counting = Counting;
 struct Spent {
     total: usize,
     largest: usize,
+    /// The most the live heap grew during the call, its result included.
+    peak: usize,
     /// Live-heap growth across the call, its result already dropped.
     retained: isize,
 }
@@ -61,11 +72,13 @@ fn spent<R>(f: impl FnOnce() -> R) -> Spent {
     let live = LIVE.load(Ordering::Relaxed);
     TOTAL.store(0, Ordering::Relaxed);
     LARGEST.store(0, Ordering::Relaxed);
+    PEAK.store(live, Ordering::Relaxed);
     drop(f());
     Spent {
         // ordering: as above; `f`'s pool work has been joined.
         total: TOTAL.load(Ordering::Relaxed),
         largest: LARGEST.load(Ordering::Relaxed),
+        peak: PEAK.load(Ordering::Relaxed) - live,
         retained: LIVE.load(Ordering::Relaxed) as isize - live as isize,
     }
 }
@@ -205,16 +218,107 @@ fn whole_models_stop_copying_what_they_own() {
          of the {PARENT_Q8_TILE_BYTES} B it took per-pixel"
     );
 
-    // A float chain of k leaves allocates k outputs: its first child
-    // reads the caller's tensor, not a copy of it.
+    // The float chain owns its activations. A chain of k `Relu` leaves
+    // used to allocate k tensors (every leaf cloned its input); now the
+    // first child copies the caller's tensor, which the chain may not
+    // touch, and every later child works on that copy in place: exactly
+    // one tensor, whatever k.
     let k = 3;
     let chain = (0..k).fold(Sequential::new(), |m, _| m.with(Box::new(Relu::new())));
     let x = tile(96);
     let one = x.as_slice().len() * 4;
     let total = spent(|| chain.forward_infer(&x)).total;
     assert!(
-        (k * one..k * one + one / 2).contains(&total),
+        (one..one + one / 2).contains(&total),
         "a chain of {k} leaves allocated {total} B, {:.2} tensors",
         total as f64 / one as f64
+    );
+    // And `conv → pixel_shuffle → fH` exactly one output: the engine
+    // writes the conv's pixels where the shuffle would copy them, the
+    // directional ReLU runs on that tensor in place. (The cheapest of a
+    // few calls, as above: a pool thread's first chunk allocates its
+    // slab.)
+    let mut stage = Sequential::new()
+        .with(Algebra::ri_fh(4).conv(CHANNELS, 4 * CHANNELS, 3, 5))
+        .with(Box::new(PixelShuffle::new(2)))
+        .with(Box::new(DirectionalReluLayer::fh(4)));
+    stage.prepare_inference();
+    let out_bytes = 4 * one;
+    let total = (0..4)
+        .map(|_| spent(|| stage.forward_infer(&x)).total)
+        .min()
+        .expect("four calls");
+    assert!(
+        (out_bytes..out_bytes + out_bytes / 8).contains(&total),
+        "conv -> pixel_shuffle -> fH allocated {total} B for an output of {out_bytes} B"
+    );
+
+    // The benchmark's `frame_sr4_ri4fh` tile: the HD30 SR4ERNet over
+    // (RI4, fH) with the bicubic skip on a 44×44 LR tile (32 + 2·12,
+    // clipped at the frame's corner). Its last ×2 stage used to hold a
+    // 1.98 MB conv output, its shuffled copy and the directional ReLU's
+    // clone of that at once; now the 0.5 MB conv input and the one
+    // 1.98 MB tensor the fused step writes and fH works on. Measured
+    // with this code at the parent commit: 3 964 928 B live at once and
+    // PARENT_SR4_TILE_BYTES allocated per forward (2 559 144 B and
+    // 4 301 376 B when written).
+    const PARENT_SR4_TILE_BYTES: usize = 10_087_864;
+    let mut sr4 = build_model(Scenario::Sr4, ThroughputTarget::Hd30, &Algebra::ri_fh(4), 7);
+    sr4.prepare_inference();
+    let x = Tensor::random_uniform(Shape4::new(1, 1, 44, 44), 0.0, 1.0, 8);
+    let cheapest = (0..4)
+        .map(|_| spent(|| sr4.forward_infer(&x)))
+        .min_by_key(|s| s.total)
+        .expect("four calls");
+    assert!(
+        cheapest.peak <= 2_700_000,
+        "one SR4 forward of a 44x44 tile held {} B live at once",
+        cheapest.peak
+    );
+    assert!(
+        cheapest.total * 10 <= PARENT_SR4_TILE_BYTES * 6,
+        "one SR4 forward of a 44x44 tile allocated {} B, more than 60 % of the \
+         {PARENT_SR4_TILE_BYTES} B it took when every stage built a tensor",
+        cheapest.total
+    );
+
+    // The benchmark's `frame_dn_rh4` tile: every conv of the HD30
+    // DnERNet over (RH4, fcw) is a ring conv on the transform engine,
+    // which takes its scratch once a call — the output, one `x̃` and one
+    // `z̃` component, 3 blocks of plane order where there were 1 + 2m =
+    // 9 — and beside them only the two shuffles build a tensor (`Relu`
+    // and the residual adds work in place): 26 blocks, 78 with this code
+    // at the parent commit. A plane is one channel of the 48×48
+    // features the 96×96 tile unshuffles to.
+    let mut dn = build_model(
+        scenario,
+        ThroughputTarget::Hd30,
+        &Algebra::with_fcw(RingKind::Rh(4)),
+        7,
+    );
+    dn.prepare_inference();
+    let (mut ring_convs, mut shuffles) = (0, 0);
+    dn.for_each_layer_mut(&mut |l| {
+        ring_convs += l.name().starts_with("rconv") as usize;
+        shuffles += l.name().starts_with("pixel_") as usize;
+    });
+    assert_eq!((ring_convs, shuffles), (8, 2));
+    let x = Tensor::random_uniform(Shape4::new(1, 1, 96, 96), 0.0, 1.0, 9);
+    drop(dn.forward_infer(&x));
+    // ordering: single-threaded bookkeeping, as in `spent`.
+    PLANE_ORDER.store(48 * 48 * 4, Ordering::Relaxed);
+    let blocks = (0..4)
+        .map(|_| {
+            PLANE_ORDER_BLOCKS.store(0, Ordering::Relaxed);
+            drop(dn.forward_infer(&x));
+            PLANE_ORDER_BLOCKS.load(Ordering::Relaxed)
+        })
+        .min()
+        .expect("four calls");
+    PLANE_ORDER.store(usize::MAX, Ordering::Relaxed);
+    assert_eq!(
+        blocks,
+        3 * ring_convs + shuffles,
+        "one (RH4, fcw) forward of a 96x96 tile allocated {blocks} blocks of plane order"
     );
 }

@@ -18,7 +18,7 @@ use ringcnn_nn::models::vdsr::vdsr;
 use ringcnn_tensor::gemm;
 use ringcnn_tensor::prelude::{
     conv2d_backward_input, conv2d_backward_weight, conv2d_forward, conv2d_forward_im2col,
-    im2col_pack, ConvWeights,
+    forced_kernel_scope, im2col_pack, ConvWeights, KernelBackend,
 };
 
 /// Pseudo-random but deterministic weights with exact zeros sprinkled in
@@ -506,6 +506,227 @@ fn forward_without_train_is_forward_infer_for_every_layer_type() {
             let trained = layer.forward(&x, true);
             assert_eq!(trained.shape(), shared.shape(), "{what}: train shape");
             assert_eq!(layer.forward(&x, false), shared, "{what}: after training");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The float chain owns its activations: the three shortcuts a container
+// may take (`forward_infer_owned`, `forward_infer_shuffled` with
+// `pixel_shuffle_factor`) against the plain leaf-by-leaf chain, bit for
+// bit. CI runs this file at pools 1 and 4 (`thread-sanity`), at the
+// runner's own size, and with each kernel tier pinned (`kernel-tiers`).
+// ---------------------------------------------------------------------
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Random features with signed zeros, NaN and the infinities sprinkled
+/// in.
+fn special_features(s: Shape4, seed: u64) -> Tensor {
+    let mut t = Tensor::random_uniform(s, -2.0, 2.0, seed);
+    let special = [-0.0, 0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+    for (i, v) in t.as_mut_slice().iter_mut().enumerate() {
+        if (i + seed as usize) % 4 == 0 {
+            *v = special[(i / 4 + seed as usize) % special.len()];
+        }
+    }
+    t
+}
+
+/// An element-wise layer handed the tensor answers with the bits it
+/// answers a view of it with — there is one body, and `forward_infer`
+/// is that body on a copy.
+#[test]
+fn owned_forward_is_the_borrowing_forward_bit_for_bit() {
+    let layers: Vec<(Box<dyn Layer>, usize)> = vec![
+        (Box::new(Relu::new()), 3),
+        (Box::new(DirectionalReluLayer::fh(2)), 4),
+        (Box::new(DirectionalReluLayer::fh(4)), 8),
+        (Box::new(DirectionalReluLayer::fh(8)), 8),
+        (Box::new(DirectionalReluLayer::fo4()), 8),
+    ];
+    for (layer, channels) in layers {
+        for (h, w) in [(1, 1), (1, 7), (37, 31)] {
+            let x = special_features(Shape4::new(2, channels, h, w), 5 + w as u64);
+            let kept = x.clone();
+            let borrowed = layer.forward_infer(&x);
+            assert_eq!(bits(&x), bits(&kept), "{}: wrote its input", layer.name());
+            let owned = layer.forward_infer_owned(x);
+            assert_eq!(bits(&owned), bits(&borrowed), "{} {h}x{w}", layer.name());
+        }
+    }
+}
+
+/// `(h, w)` of the fused-shuffle table: a plane below one panel; rows
+/// that straddle panels; whole panels; two chunk tasks with an image row
+/// split between them; four chunk tasks, every row split, a ragged tail.
+const SHUFFLE_PLANES: [(usize, usize); 5] = [(5, 1), (3, 7), (2, 16), (5, 37), (3, 130)];
+
+/// Builds a conv for a backend.
+type ConvBuilder = Box<dyn Fn(ConvBackend) -> Box<dyn Layer>>;
+
+/// The convolutions in front of a shuffle of factor `r` — label, input
+/// channels, builder: the real one and ring ones over RI2/RI4/RI8 and
+/// RH4, each with a multiple of `r²` (and of `n`) output channels.
+fn convs_before_a_shuffle(r: usize) -> Vec<(String, usize, ConvBuilder)> {
+    let real: ConvBuilder = Box::new(move |backend| {
+        let mut c = Conv2d::new(3, 2 * r * r, 3, 21);
+        c.bias_mut().iter_mut().for_each(|b| *b = 0.125);
+        c.set_backend(backend);
+        Box::new(c)
+    });
+    let mut convs = vec![("Conv2d".to_string(), 3, real)];
+    for kind in [
+        RingKind::Ri(2),
+        RingKind::Ri(4),
+        RingKind::Ri(8),
+        RingKind::Rh(4),
+    ] {
+        let n = Ring::from_kind(kind).n();
+        let ring: ConvBuilder = Box::new(move |backend| {
+            let mut c = RingConv2d::new(Ring::from_kind(kind), n, n * r * r, 3, 22);
+            c.bias_mut().iter_mut().for_each(|b| *b = -0.25);
+            c.set_backend(backend);
+            Box::new(c)
+        });
+        convs.push((format!("RingConv2d[{kind}]"), n, ring));
+    }
+    convs
+}
+
+/// `conv → pixel_shuffle` run as one step equals the shuffle of the
+/// conv's output bit for bit — fused where the conv runs the engine
+/// kernel (`Conv2d` off `Naive`, `RingConv2d` on `Im2col`), through the
+/// default everywhere else — for r ∈ {2, 3, 4}, batch 2, every plane of
+/// `SHUFFLE_PLANES`, on both kernel tiers.
+#[test]
+fn fused_pixel_shuffle_is_the_shuffle_of_the_conv_output_bit_for_bit() {
+    for r in [2usize, 3, 4] {
+        for (label, ci, build) in convs_before_a_shuffle(r) {
+            for backend in ConvBackend::all() {
+                let engine = match (label.as_str(), backend) {
+                    ("Conv2d", b) => b != ConvBackend::Naive,
+                    (_, b) => b == ConvBackend::Im2col,
+                };
+                let conv = build(backend);
+                let chain = Sequential::new()
+                    .with(build(backend))
+                    .with(Box::new(PixelShuffle::new(r)));
+                for (h, w) in SHUFFLE_PLANES {
+                    for tier in [KernelBackend::Scalar, KernelBackend::Avx2] {
+                        let what = format!("{label} on {backend}, r={r}, {h}x{w}, {tier:?}");
+                        let x = Tensor::random_uniform(Shape4::new(2, ci, h, w), -1.0, 1.0, 23);
+                        forced_kernel_scope(tier, || {
+                            let want = PixelShuffle::apply(&conv.forward_infer(&x), r);
+                            let hook = conv.forward_infer_shuffled(&x, r);
+                            assert_eq!(hook.is_some(), engine, "{what}: who fuses");
+                            if let Some(fused) = hook {
+                                assert_eq!(fused.shape(), want.shape(), "{what}");
+                                assert_eq!(bits(&fused), bits(&want), "{what}: hook");
+                            }
+                            let got = chain.forward_infer(&x);
+                            assert_eq!(got.shape(), want.shape(), "{what}");
+                            assert_eq!(bits(&got), bits(&want), "{what}: chain");
+                        });
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The fused step refuses what `PixelShuffle::apply` refuses, in its
+/// words.
+#[test]
+#[should_panic(expected = "channels 6 not divisible by r²=4")]
+fn fused_pixel_shuffle_rejects_channels_that_do_not_divide() {
+    let mut conv = Conv2d::new(3, 6, 3, 1);
+    conv.set_backend(ConvBackend::Im2col);
+    let chain = Sequential::new()
+        .with(Box::new(conv))
+        .with(Box::new(PixelShuffle::new(2)));
+    chain.forward_infer(&Tensor::zeros(Shape4::new(1, 3, 4, 4)));
+}
+
+/// The model leaf by leaf, every leaf through the borrowing
+/// `forward_infer` and every shuffle on its own: the chain no container
+/// shortcut touches (and the walk the benchmark times).
+fn leaf_by_leaf(layer: &mut dyn Layer, x: Tensor) -> Tensor {
+    let any = layer.as_any_mut();
+    if let Some(seq) = any.downcast_mut::<Sequential>() {
+        let children = seq.layers_mut().iter_mut();
+        return children.fold(x, |x, child| leaf_by_leaf(child.as_mut(), x));
+    }
+    if let Some(res) = any.downcast_mut::<Residual>() {
+        let mut y = leaf_by_leaf(res.body_mut(), x.clone());
+        y.add_assign(&x);
+        return y;
+    }
+    if let Some(up) = any.downcast_mut::<UpsampleResidual>() {
+        let factor = up.factor();
+        let mut y = leaf_by_leaf(up.body_mut(), x.clone());
+        y.add_assign(&upsample(&x, factor));
+        return y;
+    }
+    layer.forward_infer(&x)
+}
+
+/// Whole models — the benchmark's SR4ERNet with its bicubic skip and
+/// DnERNet, over (RI4, fH), (RH4, fcw) and the real field — answer
+/// through the owning, fusing chain what they answer leaf by leaf, bit
+/// for bit, whole and tiled (tiled ≡ whole as `tests/runtime_parallel.rs`
+/// states it: exact on the dense kernels, within 1e-6 on the transform
+/// engine).
+#[test]
+fn whole_models_match_their_leaf_by_leaf_walk_whole_and_tiled() {
+    let algebras = [
+        Algebra::ri_fh(4),
+        Algebra::with_fcw(RingKind::Rh(4)),
+        Algebra::real(),
+    ];
+    for alg in &algebras {
+        for (scenario, shape, tile) in [
+            (Scenario::Sr4, Shape4::new(2, 1, 24, 20), 12),
+            (
+                Scenario::Denoise { sigma: 25.0 },
+                Shape4::new(2, 1, 32, 24),
+                16,
+            ),
+        ] {
+            let what = format!("{scenario:?} over {}", alg.label());
+            let mut model = build_model(scenario, ThroughputTarget::Hd30, alg, 7);
+            // `sr4_ernet` zero-initialises its last conv: seed it, or the
+            // body never reaches the output.
+            model.for_each_layer_mut(&mut |layer| {
+                let any = layer.as_any_mut();
+                if let Some(c) = any.downcast_mut::<Conv2d>() {
+                    let w = &mut c.weights_mut().data;
+                    if w.iter().all(|v| *v == 0.0) {
+                        w.iter_mut()
+                            .enumerate()
+                            .for_each(|(i, v)| *v = 0.01 * (i % 5) as f32);
+                    }
+                }
+            });
+            let x = Tensor::random_uniform(shape, 0.0, 1.0, 17);
+            let want = leaf_by_leaf(&mut model, x.clone());
+            let runner = BatchRunner::new(&mut model).with_tile(TileConfig::with_tile(tile));
+            assert!(
+                runner.plan_grid(shape.h, shape.w).is_some(),
+                "{what}: tiles"
+            );
+            let whole = runner.run_whole(&x);
+            assert_eq!(bits(&whole), bits(&want), "{what}: whole");
+            let tiled = runner.run(&x);
+            if alg.conv_backend() == ConvBackend::Transform {
+                let worst = whole.as_slice().iter().zip(tiled.as_slice());
+                let worst = worst.map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max);
+                assert!(worst <= 1e-6, "{what}: tiled deviates by {worst}");
+            } else {
+                assert_eq!(bits(&tiled), bits(&whole), "{what}: tiled");
+            }
         }
     }
 }
