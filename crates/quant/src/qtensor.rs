@@ -1,36 +1,50 @@
 //! Integer feature tensors with per-channel Q-format tracking.
 //!
-//! A [`QTensor`] stores features as `i64` (the value always fits the
-//! declared bitwidth; `i64` storage keeps the arithmetic simple and
-//! bit-exact) together with one [`QFormat`] per channel. 8-bit tensors
-//! model the accelerator's feature SRAM; wide tensors model convolution
-//! accumulators flowing into the on-the-fly directional-ReLU pipeline.
+//! A [`QTensorOf<L>`](QTensorOf) stores features in integer lanes `L`
+//! together with one [`QFormat`] per channel. [`QTensor`], the `i64`
+//! tier, holds every value every format admits and is what the
+//! simulator and the oracles exchange; a model whose every magnitude a
+//! load-time proof bounds below `2^31` runs the same stages on
+//! `QTensorOf<i32>` (see [`crate::quantized`]), half the bytes per
+//! feature. 8-bit tensors model the accelerator's feature SRAM; wide
+//! tensors model convolution accumulators flowing into the on-the-fly
+//! directional-ReLU pipeline.
 //!
 //! Everything a format decides is constant over a plane, so every
 //! element-wise operation here walks whole planes with those constants
 //! hoisted: `2^frac` and the rails once per plane in
-//! [`QTensor::quantize`]/[`QTensor::dequantize`], and the shift's
+//! [`QTensorOf::quantize`]/[`QTensorOf::dequantize`], and the shift's
 //! direction and distance once per plane in the requantizers
 //! ([`QFormat::requantizer`] → `RequantChannel::apply_lane`, which
 //! reaches the `u128`/`i128` arithmetic of [`requant_shift`] only for
-//! the extreme distances that need it). Per element the operations and
+//! the extreme distances that need it). There is one body per
+//! operation, generic over the lane. Per element the operations and
 //! their order are those of [`QFormat::quantize`],
 //! [`QFormat::dequantize`], [`requant_shift`] and [`QFormat::saturate`]
-//! — `tests/quant_backend.rs` compares against exactly those.
+//! — `tests/quant_backend.rs` compares the `i64` tier against exactly
+//! those and the `i32` tier against the `i64` one. A rail wider than the
+//! lane (a 63-bit format, the unclamped alignment shifts of
+//! [`QTensorOf::add_assign_saturating`]) is the lane's own rail in
+//! `i32`: identical wherever the value fits the lane, which is what the
+//! proof establishes before a model runs there.
 //!
 //! [`requant_shift`]: crate::qformat::requant_shift
 
 use crate::qformat::QFormat;
-use ringcnn_tensor::gemm::RequantChannel;
+use ringcnn_tensor::gemm::{Lane, RequantChannel};
 use ringcnn_tensor::prelude::*;
 
-/// An integer NCHW tensor with per-channel fixed-point formats.
+/// An integer NCHW tensor in lanes `L` with per-channel fixed-point
+/// formats.
 #[derive(Clone, Debug, PartialEq)]
-pub struct QTensor {
+pub struct QTensorOf<L> {
     shape: Shape4,
-    data: Vec<i64>,
+    data: Vec<L>,
     formats: Vec<QFormat>,
 }
+
+/// The `i64` tier: the interchange tensor of the integer pipeline.
+pub type QTensor = QTensorOf<i64>;
 
 /// The planes of an NCHW buffer in storage order, each with its channel.
 fn planes_mut<E>(data: &mut [E], s: Shape4) -> impl Iterator<Item = (usize, &mut [E])> {
@@ -38,7 +52,7 @@ fn planes_mut<E>(data: &mut [E], s: Shape4) -> impl Iterator<Item = (usize, &mut
     planes.enumerate().map(move |(i, p)| (i % s.c, p))
 }
 
-impl QTensor {
+impl<L: Lane> QTensorOf<L> {
     /// Quantizes a float tensor with one format per channel.
     ///
     /// # Panics
@@ -47,13 +61,13 @@ impl QTensor {
     pub fn quantize(t: &Tensor, formats: Vec<QFormat>) -> Self {
         let s = t.shape();
         assert_eq!(formats.len(), s.c, "one format per channel");
-        let mut data = vec![0i64; s.len()];
+        let mut data = vec![L::default(); s.len()];
         let src = t.as_slice().chunks(s.plane().max(1));
         for ((c, dst), src) in planes_mut(&mut data, s).zip(src) {
             let f = formats[c];
             let (scale, (lo, hi)) = (2.0f64.powi(f.frac), f.rails());
             for (d, v) in dst.iter_mut().zip(src) {
-                *d = ((f64::from(*v) * scale).round() as i64).clamp(lo, hi);
+                *d = L::saturating_from(((f64::from(*v) * scale).round() as i64).clamp(lo, hi));
             }
         }
         Self {
@@ -68,7 +82,7 @@ impl QTensor {
     /// # Panics
     ///
     /// Panics on shape/format inconsistencies.
-    pub fn from_raw(shape: Shape4, data: Vec<i64>, formats: Vec<QFormat>) -> Self {
+    pub fn from_raw(shape: Shape4, data: Vec<L>, formats: Vec<QFormat>) -> Self {
         assert_eq!(data.len(), shape.len());
         assert_eq!(formats.len(), shape.c);
         Self {
@@ -84,14 +98,14 @@ impl QTensor {
     }
 
     /// Raw integer buffer.
-    pub fn data(&self) -> &[i64] {
+    pub fn data(&self) -> &[L] {
         &self.data
     }
 
     /// Takes the tensor apart — shape, raw integers, formats — for a
     /// stage that works in place and hands the buffer back to
-    /// [`QTensor::from_raw`].
-    pub fn into_raw(self) -> (Shape4, Vec<i64>, Vec<QFormat>) {
+    /// [`QTensorOf::from_raw`].
+    pub fn into_raw(self) -> (Shape4, Vec<L>, Vec<QFormat>) {
         (self.shape, self.data, self.formats)
     }
 
@@ -106,7 +120,7 @@ impl QTensor {
     }
 
     /// One integer plane.
-    pub fn plane(&self, b: usize, c: usize) -> &[i64] {
+    pub fn plane(&self, b: usize, c: usize) -> &[L] {
         let start = self.shape.index(b, c, 0, 0);
         &self.data[start..start + self.shape.plane()]
     }
@@ -119,7 +133,7 @@ impl QTensor {
         for ((c, dst), src) in planes_mut(out.as_mut_slice(), s).zip(src) {
             let scale = self.formats[c].scale();
             for (d, q) in dst.iter_mut().zip(src) {
-                *d = (*q as f64 * scale) as f32;
+                *d = (Into::<i64>::into(*q) as f64 * scale) as f32;
             }
         }
         out
@@ -127,13 +141,13 @@ impl QTensor {
 
     /// Requantizes every channel to new formats (rounding right-shifts,
     /// saturating to the new bitwidth) — the hardware format converter.
-    pub fn requantized(&self, formats: Vec<QFormat>) -> QTensor {
+    pub fn requantized(&self, formats: Vec<QFormat>) -> Self {
         let mut out = self.clone();
         out.requantize(formats);
         out
     }
 
-    /// [`QTensor::requantized`] in place, for a tensor the caller owns.
+    /// [`QTensorOf::requantized`] in place, for a tensor the caller owns.
     ///
     /// # Panics
     ///
@@ -154,27 +168,28 @@ impl QTensor {
     /// # Panics
     ///
     /// Panics if shapes differ.
-    pub fn add_saturating(&self, rhs: &QTensor, out_formats: Vec<QFormat>) -> QTensor {
+    pub fn add_saturating(&self, rhs: &Self, out_formats: Vec<QFormat>) -> Self {
         let mut out = self.clone();
         out.add_assign_saturating(rhs, out_formats);
         out
     }
 
-    /// [`QTensor::add_saturating`] into `self`, for a left operand the
+    /// [`QTensorOf::add_saturating`] into `self`, for a left operand the
     /// caller owns (`rhs` is aligned through a fixed stack block, so
     /// nothing is allocated).
     ///
     /// # Panics
     ///
     /// Panics if shapes differ.
-    pub fn add_assign_saturating(&mut self, rhs: &QTensor, out_formats: Vec<QFormat>) {
+    pub fn add_assign_saturating(&mut self, rhs: &Self, out_formats: Vec<QFormat>) {
         assert_eq!(self.shape, rhs.shape, "shape mismatch");
         const BLOCK: usize = 512;
-        let mut aligned = [0i64; BLOCK];
+        let mut aligned = [L::default(); BLOCK];
         let rhs_planes = rhs.data.chunks(self.shape.plane().max(1));
         for ((c, plane), rhs_plane) in planes_mut(&mut self.data, self.shape).zip(rhs_planes) {
             let fo = out_formats[c];
             let (lo, hi) = fo.rails();
+            let (lo, hi) = (L::saturating_from(lo), L::saturating_from(hi));
             let shift = |from: QFormat| RequantChannel {
                 qmin: i64::MIN,
                 qmax: i64::MAX,

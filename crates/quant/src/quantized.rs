@@ -14,9 +14,21 @@
 //!   of MAC-based execution — the ablation mode
 //!   [`DReluMode::MacBased`] reproduces the conventional pipeline and its
 //!   PSNR penalty.
+//!
+//! The pipeline runs in the width its tables allow. There is one integer
+//! chain, generic over its lane: [`QuantizedModel::forward_q`] and
+//! [`execute_layer`] on a [`QTensor`] are the `i64` interchange tier the
+//! simulator and the two `*_reference` oracles speak, and
+//! [`QuantizedModel::forward`] runs the same stages in `i32` lanes — half
+//! the bytes per feature, 16-bit multiplies in the conv engine — whenever
+//! the load-time overflow proof of
+//! [`QuantizedModel::prepare_inference`] shows that no integer of the
+//! chain can reach `2^31`, whatever the input ([`Lanes`],
+//! [`LaneProof`]). Nothing selects the tier; both compute the same
+//! integers.
 
 use crate::qformat::{requant_shift, QFormat, QFormatError};
-use crate::qtensor::{expand_formats, group_max_abs, QTensor};
+use crate::qtensor::{expand_formats, group_max_abs, QTensor, QTensorOf};
 use ringcnn_algebra::transforms::{fwht_i64, fwht_planes};
 use ringcnn_nn::layer::Layer;
 use ringcnn_nn::layers::activation::{DirectionalReluLayer, Relu};
@@ -26,11 +38,13 @@ use ringcnn_nn::layers::shuffle::{shuffle_into, unshuffle_into, PixelShuffle, Pi
 use ringcnn_nn::layers::structure::{Residual, Sequential};
 use ringcnn_nn::layers::upsample::UpsampleResidual;
 use ringcnn_nn::runtime::{InferenceModel, ModelTopo, TopoBuilder};
-use ringcnn_tensor::gemm::{PackedWeights, RequantChannel};
-use ringcnn_tensor::im2col::{conv_streaming_i64, ConvInput};
+use ringcnn_tensor::gemm::{self, PackedWeights, RequantChannel, RequantPlan};
+use ringcnn_tensor::im2col::{conv_streaming_i32, conv_streaming_i64, ConvInput};
 use ringcnn_tensor::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
+use std::collections::VecDeque;
+use std::sync::OnceLock;
 
 /// Why a calibration pass failed to produce a quantized model.
 #[derive(Clone, Debug, PartialEq)]
@@ -165,41 +179,80 @@ pub struct QConv {
     /// are first aligned to this single format — the hardware's format
     /// aligner in front of dense stages.
     align_input: Option<QFormat>,
-    /// What [`QuantizedModel::prepare_inference`] derives from the frozen
-    /// weights; never stored, never compared.
+    /// The run-time kernels derived from the frozen weights; never
+    /// stored, never compared (boxed: a `QLayer` stays a few words).
     #[serde(skip)]
-    plan: Prepared,
+    plan: Derived<Box<ConvPlans>>,
 }
 
-/// The run-time kernel of a [`QConv`], derived from its weights alone.
-#[derive(Clone, Debug)]
-struct QConvPlan {
-    /// The streaming engine's plan of the integer weights.
-    weights: PackedWeights<i64>,
+/// The run-time kernels of a [`QConv`], each built once, on first use:
+/// [`QuantizedModel::prepare_inference`] asks for the plan of the tier
+/// the model runs in, and the other tier's is built if anything ever
+/// runs the conv there (`execute_layer` on a model that runs in `i32`).
+#[derive(Clone, Debug, Default)]
+struct ConvPlans {
     /// `support[co·ci_n + ci]`: whether any tap of `(co, ci)` is
     /// non-zero, i.e. whether input channel `ci`'s scale reaches output
     /// channel `co`'s accumulator.
-    support: Vec<bool>,
+    support: OnceLock<Vec<bool>>,
+    /// The streaming engine's plans of the integer weights.
+    wide: OnceLock<PackedWeights<i64>>,
+    narrow: OnceLock<PackedWeights<i32>>,
 }
 
-impl QConvPlan {
-    fn new(c: &QConv) -> Self {
-        Self {
-            weights: PackedWeights::<i64>::new(c.co, c.ci * c.k * c.k, &c.weights),
-            support: tap_support(c),
-        }
+/// State derived from the tables beside it (a conv's kernels, a model's
+/// lane proof). Equal to every other `Derived`: a prepared and an
+/// unprepared model over the same tables are the same model.
+#[derive(Clone, Debug, Default)]
+struct Derived<T>(T);
+
+impl<T> PartialEq for Derived<T> {
+    fn eq(&self, _: &Self) -> bool {
+        true
     }
 }
 
-/// A [`QConv`]'s cached [`QConvPlan`]. Equal to every other `Prepared`:
-/// a prepared and an unprepared conv over the same tables are the same
-/// conv.
-#[derive(Clone, Debug, Default)]
-struct Prepared(Option<QConvPlan>);
+/// A value the load-time proof bounds, in its lane.
+fn narrow<L: Lane>(v: i64) -> L {
+    let fits = L::try_from(v).ok();
+    fits.expect("the i32 tier runs what the load-time proof admitted")
+}
 
-impl PartialEq for Prepared {
-    fn eq(&self, _: &Self) -> bool {
-        true
+/// The streaming convolution of one lane (`conv_streaming_i64`'s shape).
+type ConvStreaming<L> =
+    fn(&ConvInput<'_, L>, usize, &PackedWeights<L>, &[L], Option<&RequantPlan>, &mut [L]);
+
+/// An integer lane the chain runs in: the arithmetic of [`gemm::Lane`]
+/// plus this tier's entry to the conv engine. `i64` and `i32` are all
+/// there is (the supertrait is sealed).
+pub trait Lane: gemm::Lane {
+    /// The streaming convolution in this lane.
+    #[doc(hidden)]
+    const CONV_STREAMING: ConvStreaming<Self>;
+
+    /// This tier's plan of `c`'s weights, built on first use.
+    #[doc(hidden)]
+    fn packed(c: &QConv) -> &PackedWeights<Self>;
+}
+
+impl Lane for i64 {
+    const CONV_STREAMING: ConvStreaming<i64> = conv_streaming_i64;
+
+    fn packed(c: &QConv) -> &PackedWeights<i64> {
+        let plan = || PackedWeights::<i64>::new(c.co, c.ci * c.k * c.k, &c.weights);
+        c.plan.0.wide.get_or_init(plan)
+    }
+}
+
+impl Lane for i32 {
+    const CONV_STREAMING: ConvStreaming<i32> = conv_streaming_i32;
+
+    fn packed(c: &QConv) -> &PackedWeights<i32> {
+        let plan = || {
+            let weights: Vec<i32> = c.weights.iter().map(|w| narrow(*w)).collect();
+            PackedWeights::<i32>::new(c.co, c.ci * c.k * c.k, &weights)
+        };
+        c.plan.0.narrow.get_or_init(plan)
     }
 }
 
@@ -258,6 +311,11 @@ impl QConv {
     /// Integer bias of channel `co` at the given accumulator frac.
     pub fn bias_int(&self, co: usize, acc_frac: i32) -> i64 {
         bias_at(self, co, acc_frac)
+    }
+
+    /// [`tap_support`], derived once.
+    fn support(&self) -> &[bool] {
+        self.plan.0.support.get_or_init(|| tap_support(self))
     }
 }
 
@@ -320,9 +378,37 @@ impl QUpsampleResidual {
 
 /// Executes a single quantized layer (public for the accelerator
 /// simulator, which cross-checks its own datapath against this
-/// reference).
-pub fn execute_layer(layer: &QLayer, q: QTensor) -> QTensor {
+/// reference). On a [`QTensor`] this is the `i64` interchange tier,
+/// exact for every tensor; on a `QTensorOf<i32>` it is the stage a model
+/// proven into [`Lanes::I32`] runs, exact for what that proof covers —
+/// there for `tests/quant_backend.rs` to hold it to the `i64` tier.
+pub fn execute_layer<L: Lane>(layer: &QLayer, q: QTensorOf<L>) -> QTensorOf<L> {
     run_layer(layer, Cow::Owned(q))
+}
+
+/// The integer lanes a model runs in, decided by the load-time proof of
+/// [`QuantizedModel::prepare_inference`] from the model's tables alone.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Lanes {
+    /// 32-bit lanes: whatever the input, no integer of the chain reaches
+    /// `2^31` and every conv multiplies 16-bit operands (`|v| ≤ 32767`).
+    I32,
+    /// 64-bit lanes, the interchange tier: everything else, and a model
+    /// nothing has prepared yet.
+    I64,
+}
+
+/// What the load-time proof found (see [`QuantizedModel::lane_proof`]).
+#[derive(Clone, Debug, PartialEq)]
+pub struct LaneProof {
+    /// The tier the model runs in.
+    pub lanes: Lanes,
+    /// The largest magnitude [`LaneProof::stage`] can reach.
+    pub worst: u128,
+    /// For [`Lanes::I32`] the stage with the largest worst-case magnitude
+    /// of the chain; for [`Lanes::I64`] the first stage that rules `i32`
+    /// out (its magnitude, or 16-bit operands its conv does not have).
+    pub stage: String,
 }
 
 /// A fully quantized model: integer layers plus the input image format.
@@ -331,6 +417,10 @@ pub struct QuantizedModel {
     input_format: QFormat,
     layers: Vec<QLayer>,
     opts: QuantOptions,
+    /// What [`QuantizedModel::prepare_inference`] proved; never stored,
+    /// never compared.
+    #[serde(skip)]
+    proof: Derived<Option<LaneProof>>,
 }
 
 impl QuantizedModel {
@@ -368,45 +458,107 @@ impl QuantizedModel {
             opts.feature_bits,
             "calibration input",
         )?;
-        let x = calibration.clone();
-        let (layers, _out) = build_chain(model.layers_mut(), x, &opts)?;
+        // Everything that outlives calibration — the float model's
+        // kernels, the integer weight tables — is built before the first
+        // activation exists: the walk below allocates nothing that stays.
+        Layer::prepare_inference(model);
+        let mut convs = VecDeque::new();
+        lower_weights(model.layers_mut(), &opts, &mut convs)?;
+        let x = Cow::Borrowed(calibration);
+        let (layers, _out, _groups) =
+            build_chain_grouped(model.layers_mut(), x, &opts, 1, &mut convs)?;
         let mut quantized = Self {
             input_format,
             layers,
             opts,
+            proof: Derived(None),
         };
         quantized.prepare_inference();
         Ok(quantized)
     }
 
-    /// Plans every convolution's weights for the streaming engine
-    /// (idempotent). A freshly quantized model is already prepared; a
-    /// deserialized one is not until this runs (`BatchRunner::new` calls
-    /// it) and until then plans locally on every call.
+    /// Decides the lanes the model runs in and plans every convolution's
+    /// weights for that tier of the streaming engine (idempotent). A
+    /// freshly quantized or loaded model is already prepared; a bare
+    /// deserialized one runs in [`Lanes::I64`] until this runs
+    /// (`BatchRunner::new` calls it), planning each conv on first use.
+    ///
+    /// The decision is a proof from the tables alone: the walk of
+    /// [`QuantizedModel::validate`], over the chain's own input channel
+    /// count, carries beside every channel's format the largest
+    /// magnitude any input can drive it to — a format's rail for
+    /// features and requantized outputs, `|bias| + Σ_ci (Σ_taps
+    /// |w|)·bound[ci]` for a conv accumulator, per tuple of a
+    /// directional ReLU the sum `S` of its aligned components through
+    /// the first butterfly and `n·S` through the second (`n` rails of
+    /// `mid` in the MAC-based mode), the sum of its aligned operands for
+    /// a residual add. [`Lanes::I32`] iff all of them stay below `2^31`
+    /// and every conv's operands fit 16 bits: the `i32` chain then
+    /// computes, integer for integer, what the `i64` chain does.
     pub fn prepare_inference(&mut self) {
-        fn prepare(layers: &mut [QLayer]) {
+        fn plan<L: Lane>(layers: &[QLayer]) {
             for layer in layers {
                 match layer {
-                    QLayer::Conv(c) if c.plan.0.is_none() => c.plan.0 = Some(QConvPlan::new(c)),
-                    QLayer::Residual(res) => prepare(&mut res.body),
-                    QLayer::UpsampleResidual(ur) => prepare(&mut ur.body),
+                    QLayer::Conv(c) => {
+                        c.support();
+                        L::packed(c);
+                    }
+                    QLayer::Residual(res) => plan::<L>(&res.body),
+                    QLayer::UpsampleResidual(ur) => plan::<L>(&ur.body),
                     _ => {}
                 }
             }
         }
-        prepare(&mut self.layers);
+        if self.proof.0.is_none() {
+            let proven = validate_format(self.input_format, "input format").and_then(|()| {
+                let c = chain_input_channels(&self.layers)
+                    .filter(|c| *c > 0)
+                    .ok_or("no convolution fixes the channel count")?;
+                LaneProof::of(self.input_format, c, &self.layers)
+            });
+            self.proof.0 = Some(proven.unwrap_or_else(|e| LaneProof {
+                lanes: Lanes::I64,
+                worst: u128::MAX,
+                stage: format!("an invalid chain ({e})"),
+            }));
+        }
+        match self.lanes() {
+            Lanes::I32 => plan::<i32>(&self.layers),
+            Lanes::I64 => plan::<i64>(&self.layers),
+        }
+    }
+
+    /// The lanes [`QuantizedModel::forward`] runs in ([`Lanes::I64`]
+    /// until [`QuantizedModel::prepare_inference`] has run).
+    pub fn lanes(&self) -> Lanes {
+        self.proof.0.as_ref().map_or(Lanes::I64, |p| p.lanes)
+    }
+
+    /// What the load-time proof found — the tier, the worst-case
+    /// magnitude and the stage that sets it; `None` before
+    /// [`QuantizedModel::prepare_inference`].
+    pub fn lane_proof(&self) -> Option<&LaneProof> {
+        self.proof.0.as_ref()
     }
 
     /// Bit-accurate integer inference; input is quantized with the
-    /// calibrated image format and the output dequantized to floats.
+    /// calibrated image format — straight into the lanes the model was
+    /// proven into — and the output dequantized to floats.
     pub fn forward(&self, input: &Tensor) -> Tensor {
-        let formats = vec![self.input_format; input.shape().c];
-        let q = QTensor::quantize(input, formats);
-        self.forward_q(q).dequantize()
+        fn run<L: Lane>(qm: &QuantizedModel, input: &Tensor) -> Tensor {
+            let formats = vec![qm.input_format; input.shape().c];
+            let q = QTensorOf::<L>::quantize(input, formats);
+            run_chain(&qm.layers, Cow::Owned(q)).dequantize()
+        }
+        match self.lanes() {
+            Lanes::I32 => run::<i32>(self, input),
+            Lanes::I64 => run::<i64>(self, input),
+        }
     }
 
-    /// Integer-in/integer-out inference (used by the accelerator
-    /// simulator for bit-exact cross-checking).
+    /// Integer-in/integer-out inference on the `i64` interchange tier
+    /// (used by the accelerator simulator for bit-exact cross-checking,
+    /// and the oracle the `i32` tier is held to).
     pub fn forward_q(&self, input: QTensor) -> QTensor {
         run_chain(&self.layers, Cow::Owned(input))
     }
@@ -462,8 +614,7 @@ impl QuantizedModel {
             return Err("channels_io must be at least 1".into());
         }
         validate_format(self.input_format, "input format")?;
-        validate_chain(&self.layers, vec![self.input_format; channels_io])?;
-        Ok(())
+        LaneProof::of(self.input_format, channels_io, &self.layers).map(drop)
     }
 }
 
@@ -561,10 +712,120 @@ fn validate_formats(fs: &[QFormat], what: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// The channel count a chain's first convolution fixes for its input,
+/// through the shuffles and skip wrappers in front of it.
+fn chain_input_channels(layers: &[QLayer]) -> Option<usize> {
+    // Channels here = input channels · mul / div.
+    let (mut mul, mut div) = (1, 1);
+    for l in layers {
+        let here = match l {
+            QLayer::Conv(c) => Some(c.ci),
+            QLayer::Residual(res) => chain_input_channels(&res.body),
+            QLayer::UpsampleResidual(ur) => chain_input_channels(&ur.body),
+            _ => None,
+        };
+        match (here, l) {
+            (Some(c), _) => return (c * div).checked_div(mul),
+            (None, QLayer::Shuffle(r)) => div *= r * r,
+            (None, QLayer::Unshuffle(r)) => mul *= r * r,
+            _ => {}
+        }
+    }
+    None
+}
+
+/// `|bias| + Σ_ci (Σ_taps |w|)·bound[ci]` per output channel: the largest
+/// magnitude its accumulator can reach.
+fn conv_acc_bounds(c: &QConv, acc_frac: &[i32], bounds: &[u128]) -> Vec<u128> {
+    let (taps, row) = (c.k * c.k, c.ci * c.k * c.k);
+    let channel = |co: usize| {
+        let mut acc = u128::from(bias_at(c, co, acc_frac[co]).unsigned_abs());
+        let taps_of = c.weights[co * row..(co + 1) * row].chunks(taps.max(1));
+        for (w, bound) in taps_of.zip(bounds) {
+            let mass: u128 = w.iter().map(|w| u128::from(w.unsigned_abs())).sum();
+            acc = acc.saturating_add(mass.saturating_mul(*bound));
+        }
+        acc
+    };
+    (0..c.co).map(channel).collect()
+}
+
+/// `2^(bits−1)`, the largest magnitude a (validated) format stores.
+fn rail(f: QFormat) -> u128 {
+    f.rails().0.unsigned_abs().into()
+}
+
+fn rails(formats: &[QFormat]) -> Vec<u128> {
+    formats.iter().map(|f| rail(*f)).collect()
+}
+
+/// The largest magnitude a value of at most `bound` has after a
+/// requantizer's shift from `from_frac` to `to_frac` (exact to the left,
+/// saturating; one above the truncation to the right, where it rounds).
+fn shifted(bound: u128, from_frac: i32, to_frac: i32) -> u128 {
+    let d = (i64::from(to_frac) - i64::from(from_frac)).unsigned_abs();
+    let d = d.min(128) as u32;
+    if to_frac < from_frac {
+        bound.checked_shr(d).unwrap_or(0) + 1
+    } else if d >= bound.leading_zeros() {
+        u128::MAX
+    } else {
+        bound << d
+    }
+}
+
+impl LaneProof {
+    /// Walks `layers` from `c` input channels in `format`: the proof, or
+    /// the chain's first inconsistency.
+    fn of(format: QFormat, c: usize, layers: &[QLayer]) -> Result<Self, String> {
+        let mut proof = Self {
+            lanes: Lanes::I32,
+            worst: rail(format),
+            stage: "the input".into(),
+        };
+        validate_chain(
+            layers,
+            vec![format; c],
+            vec![proof.worst; c],
+            "",
+            &mut proof,
+        )?;
+        Ok(proof)
+    }
+
+    /// `stage` can reach `magnitude` (`operands_fit`: it multiplies
+    /// nothing beyond 16 bits). The first stage that rules `i32` out
+    /// stands; until then the largest magnitude does.
+    fn note(&mut self, magnitude: u128, operands_fit: bool, stage: impl FnOnce() -> String) {
+        let wide = magnitude >= 1 << 31 || !operands_fit;
+        if self.lanes == Lanes::I32 && (wide || magnitude > self.worst) {
+            let why = if operands_fit {
+                ""
+            } else {
+                " (operands beyond 16 bits)"
+            };
+            *self = Self {
+                lanes: if wide { Lanes::I64 } else { Lanes::I32 },
+                worst: magnitude,
+                stage: stage() + why,
+            };
+        }
+    }
+}
+
 /// Walks the chain with the running per-channel formats — the ones the
-/// `run_*` functions would see, derived by the same rules — returning
-/// the output formats or the first inconsistency.
-fn validate_chain(layers: &[QLayer], mut formats: Vec<QFormat>) -> Result<Vec<QFormat>, String> {
+/// `run_*` functions would see, derived by the same rules — and beside
+/// each the largest magnitude (`bounds`) any input can drive that
+/// channel to, noting every stage's worst case in `walk`; returns the
+/// output formats and bounds or the first inconsistency. `path` prefixes
+/// the layer index of a nested body.
+fn validate_chain(
+    layers: &[QLayer],
+    mut formats: Vec<QFormat>,
+    mut bounds: Vec<u128>,
+    path: &str,
+    walk: &mut LaneProof,
+) -> Result<(Vec<QFormat>, Vec<u128>), String> {
     for (i, l) in layers.iter().enumerate() {
         let c = formats.len();
         match l {
@@ -636,11 +897,17 @@ fn validate_chain(layers: &[QLayer], mut formats: Vec<QFormat>) -> Result<Vec<QF
                 }
                 if let Some(a) = conv.align_input {
                     validate_format(a, "conv align format")?;
-                    formats = vec![a; c];
+                    (formats, bounds) = (vec![a; c], vec![rail(a); c]);
                 }
-                let acc_frac = conv_acc_fracs(conv, &formats, &tap_support(conv))
+                let acc_frac = conv_acc_fracs(conv, &formats, conv.support())
                     .map_err(|e| format!("layer {i}: {e}"))?;
+                let acc = conv_acc_bounds(conv, &acc_frac, &bounds);
+                let operands_fit = bounds.iter().all(|b| *b <= 32767)
+                    && conv.weights.iter().all(|w| w.unsigned_abs() <= 32767);
+                let worst = acc.iter().copied().max().unwrap_or(0);
+                walk.note(worst, operands_fit, || format!("layer {path}{i} conv"));
                 formats = conv_out_formats(conv, &acc_frac);
+                bounds = conv.requant.as_ref().map_or(acc, |fmts| rails(fmts));
             }
             QLayer::Relu => {}
             QLayer::DRelu(d) => {
@@ -660,63 +927,100 @@ fn validate_chain(layers: &[QLayer], mut formats: Vec<QFormat>) -> Result<Vec<QF
                     validate_format(*mid, "directional ReLU mid format")?;
                 }
                 validate_formats(&d.out_formats, "directional ReLU output format")?;
+                // Per tuple: S = Σ_l bound_l << (max frac − frac_l) bounds
+                // everything up to the first butterfly's output; the
+                // second butterfly sums `n` of what is in front of it.
+                let tuples = formats.chunks(d.n).zip(bounds.chunks(d.n));
+                let worst = tuples.map(|(f, b)| {
+                    let max_frac = f.iter().map(|f| f.frac).max().expect("n > 0");
+                    let aligned = f.iter().zip(b).map(|(f, b)| shifted(*b, f.frac, max_frac));
+                    let s = aligned.fold(0u128, u128::saturating_add);
+                    match &d.mode {
+                        DReluMode::OnTheFly => s.saturating_mul(d.n as u128),
+                        DReluMode::MacBased { mid } => s.max(d.n as u128 * rail(*mid)),
+                    }
+                });
+                let worst = worst.max().unwrap_or(0);
+                walk.note(worst, true, || format!("layer {path}{i} (fH)"));
                 formats = expand_formats(&d.out_formats, c);
+                bounds = rails(&formats);
             }
             QLayer::Shuffle(r) => {
                 if *r == 0 || c % (r * r) != 0 {
                     return Err(format!("layer {i}: cannot shuffle {c} channels by {r}"));
                 }
                 formats = shuffle_formats(&formats, *r);
+                bounds = rails(&formats);
             }
             QLayer::Unshuffle(r) => {
                 if *r == 0 {
                     return Err(format!("layer {i}: unshuffle factor 0"));
                 }
                 formats = unshuffle_formats(&formats, *r);
+                bounds = unshuffle_formats(&bounds, *r);
             }
             QLayer::Residual(res) => {
-                let co = validate_chain(&res.body, formats)?.len();
-                if co != c {
+                let nested = format!("{path}{i}.");
+                let (fb, bb) =
+                    validate_chain(&res.body, formats.clone(), bounds.clone(), &nested, walk)?;
+                if fb.len() != c {
+                    let co = fb.len();
                     return Err(format!("layer {i}: residual body maps {c} → {co} channels"));
                 }
                 validate_formats(&res.out_formats, "residual output format")?;
-                formats = expand_formats(&res.out_formats, c);
+                let out = expand_formats(&res.out_formats, c);
+                // Both operands aligned to the output frac, then summed.
+                let aligned =
+                    |f: &[QFormat], b: &[u128], ch: usize| shifted(b[ch], f[ch].frac, out[ch].frac);
+                let sums = (0..c)
+                    .map(|ch| aligned(&fb, &bb, ch).saturating_add(aligned(&formats, &bounds, ch)));
+                let worst = sums.max().unwrap_or(0);
+                walk.note(worst, true, || format!("layer {path}{i} residual add"));
+                (bounds, formats) = (rails(&out), out);
             }
             QLayer::UpsampleResidual(ur) => {
                 if ur.factor == 0 {
                     return Err(format!("layer {i}: upsample factor 0"));
                 }
-                let co = validate_chain(&ur.body, formats)?.len();
+                let nested = format!("{path}{i}.");
+                let (fb, bb) = validate_chain(&ur.body, formats, bounds, &nested, walk)?;
                 validate_formats(&ur.out_formats, "upsample-residual output format")?;
-                formats = expand_formats(&ur.out_formats, co);
+                let out = expand_formats(&ur.out_formats, fb.len());
+                // The skip arrives quantized at the output format.
+                let sums = (0..fb.len()).map(|ch| {
+                    shifted(bb[ch], fb[ch].frac, out[ch].frac).saturating_add(rail(out[ch]))
+                });
+                let worst = sums.max().unwrap_or(0);
+                walk.note(worst, true, || {
+                    format!("layer {path}{i} upsample-residual add")
+                });
+                (bounds, formats) = (rails(&out), out);
             }
         }
     }
-    Ok(formats)
+    Ok((formats, bounds))
 }
 
 // ---------------------------------------------------------------------
 // Builder: walk the float model, collect ranges, emit QLayers.
 // ---------------------------------------------------------------------
 
-fn build_chain(
-    layers: &mut [Box<dyn Layer>],
-    x: Tensor,
-    opts: &QuantOptions,
-) -> Result<(Vec<QLayer>, Tensor), CalibrationError> {
-    let (chain, out, _groups) = build_chain_grouped(layers, x, opts, 1)?;
-    Ok((chain, out))
-}
-
 /// Sentinel for "per-channel formats with no tuple grouping" (after a
 /// pixel shuffle of grouped features).
 const UNGROUPED: usize = usize::MAX;
 
+/// Lowers `layers` while running them on `x`, the chain's activation: a
+/// borrowed input (the calibration batch, a skip's tensor) is read by
+/// the first layer, never copied, and every element-wise layer works in
+/// place on the tensor the walk gives up. `convs` holds what
+/// [`lower_weights`] made of the chain's convolutions, in walk order;
+/// the walk adds the formats the activations decide.
 fn build_chain_grouped(
     layers: &mut [Box<dyn Layer>],
-    mut x: Tensor,
+    mut x: Cow<'_, Tensor>,
     opts: &QuantOptions,
     mut cur_groups: usize,
+    convs: &mut VecDeque<QConv>,
 ) -> Result<(Vec<QLayer>, Tensor, usize), CalibrationError> {
     let mut out = Vec::new();
     let mut i = 0usize;
@@ -747,25 +1051,14 @@ fn build_chain_grouped(
                 None
             };
             let y = conv.forward(&x, false);
-            let q = lower_conv(
-                conv.weights().data.clone(),
-                conv.co(),
-                conv.ci(),
-                conv.k(),
-                conv.bias(),
-                &y,
-                1,
-                keep_acc,
-                align,
-                opts,
-            )?;
+            let mut q = convs.pop_front().expect("one lowered conv per conv");
+            (q.requant, q.align_input) = (conv_requant(&y, 1, keep_acc, opts)?, align);
             out.push(QLayer::Conv(q));
-            x = y;
+            x = Cow::Owned(y);
             // A real conv mixes all components; its output is one group
             // whether or not the accumulator is kept full-precision.
             cur_groups = 1;
         } else if let Some(rconv) = layer.as_any_mut().downcast_mut::<RingConv2d>() {
-            let expanded = rconv.expand_real_weights();
             let n = rconv.ring().n();
             let groups = if opts.component_wise { n } else { 1 };
             // A diagonal ring keeps components separate, so grouped input
@@ -782,62 +1075,52 @@ fn build_chain_grouped(
                 )?)
             };
             let y = rconv.forward(&x, false);
-            let q = lower_conv(
-                expanded.data,
-                rconv.co(),
-                rconv.ci(),
-                rconv.k(),
-                rconv.bias(),
-                &y,
-                groups,
-                keep_acc,
-                align,
-                opts,
-            )?;
+            let mut q = convs.pop_front().expect("one lowered conv per conv");
+            (q.requant, q.align_input) = (conv_requant(&y, groups, keep_acc, opts)?, align);
             out.push(QLayer::Conv(q));
-            x = y;
+            x = Cow::Owned(y);
             cur_groups = if keep_acc { 1 } else { groups };
-        } else if layer.as_any_mut().downcast_ref::<Relu>().is_some() {
-            x.map_inplace(|v| v.max(0.0));
+        } else if let Some(relu) = layer.as_any_mut().downcast_ref::<Relu>() {
+            x = Cow::Owned(relu.forward_infer_owned(x.into_owned()));
             out.push(QLayer::Relu);
         } else if let Some(dr) = layer.as_any_mut().downcast_mut::<DirectionalReluLayer>() {
             let n = dr.n();
-            let y = dr.forward(&x, false);
+            // The post-first-transform range, taken before `x` is given up.
+            let mid_max = (!opts.on_the_fly_drelu).then(|| hadamard_intermediate_max(&x, n));
+            let y = dr.forward_infer_owned(x.into_owned());
             let groups = if opts.component_wise { n } else { 1 };
             let out_formats: Vec<QFormat> = group_max_abs(&y, groups)
                 .iter()
                 .map(|m| fit_ctx(*m, opts.feature_bits, "directional ReLU output"))
                 .collect::<Result<_, _>>()?;
-            let mode = if opts.on_the_fly_drelu {
-                DReluMode::OnTheFly
-            } else {
-                // Calibrate the post-first-transform range.
-                let mid_max = hadamard_intermediate_max(&x, n);
-                DReluMode::MacBased {
+            let mode = match mid_max {
+                None => DReluMode::OnTheFly,
+                Some(mid_max) => DReluMode::MacBased {
                     mid: fit_ctx(mid_max, opts.feature_bits, "Hadamard intermediate")?,
-                }
+                },
             };
             out.push(QLayer::DRelu(QDRelu {
                 n,
                 mode,
                 out_formats,
             }));
-            x = y;
+            x = Cow::Owned(y);
             cur_groups = groups;
         } else if let Some(ps) = layer.as_any_mut().downcast_mut::<PixelShuffle>() {
             let r = ps.spatial_scale().0;
             out.push(QLayer::Shuffle(r));
-            x = ps.forward(&x, false);
+            x = Cow::Owned(ps.forward(&x, false));
             cur_groups = if cur_groups == 1 { 1 } else { UNGROUPED };
         } else if let Some(pu) = layer.as_any_mut().downcast_mut::<PixelUnshuffle>() {
             let r = pu.spatial_scale().1;
             out.push(QLayer::Unshuffle(r));
-            x = pu.forward(&x, false);
+            x = Cow::Owned(pu.forward(&x, false));
             cur_groups = if cur_groups == 1 { 1 } else { UNGROUPED };
         } else if let Some(ur) = layer.as_any_mut().downcast_mut::<UpsampleResidual>() {
             let factor = ur.factor();
+            let body = ur.body_mut().layers_mut();
             let (body, body_out, _g) =
-                build_chain_grouped(ur.body_mut().layers_mut(), x.clone(), opts, cur_groups)?;
+                build_chain_grouped(body, Cow::Borrowed(&x), opts, cur_groups, convs)?;
             let mut sum = body_out;
             sum.add_assign(&ringcnn_imaging::degrade::upsample(&x, factor));
             let f = fit_ctx(
@@ -850,11 +1133,12 @@ fn build_chain_grouped(
                 factor,
                 out_formats: vec![f],
             })));
-            x = sum;
+            x = Cow::Owned(sum);
             cur_groups = 1;
         } else if let Some(res) = layer.as_any_mut().downcast_mut::<Residual>() {
+            let body = res.body_mut().layers_mut();
             let (body, body_out, _g) =
-                build_chain_grouped(res.body_mut().layers_mut(), x.clone(), opts, cur_groups)?;
+                build_chain_grouped(body, Cow::Borrowed(&x), opts, cur_groups, convs)?;
             let mut sum = body_out;
             sum.add_assign(&x);
             let f = fit_ctx(
@@ -866,27 +1150,54 @@ fn build_chain_grouped(
                 body,
                 out_formats: vec![f],
             })));
-            x = sum;
+            x = Cow::Owned(sum);
             cur_groups = 1;
         } else {
             return Err(CalibrationError::UnsupportedLayer(layer.name()));
         }
         i += 1;
     }
-    Ok((out, x, cur_groups))
+    Ok((out, x.into_owned(), cur_groups))
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Lowers what the weights alone decide — the integer weight table, its
+/// format, the bias — of every convolution of `layers`, in the order
+/// [`build_chain_grouped`] meets them, before calibration runs an
+/// activation. The tables outlive the activations by the life of the
+/// model; allocated among them, one that lands above a transient tensor
+/// pins the heap there and megabytes of holes stay resident below it
+/// (`frame_dn_ri4fh_q8/peak_rss_mb` read 11.3 or 14.6 MiB by that luck).
+fn lower_weights(
+    layers: &mut [Box<dyn Layer>],
+    opts: &QuantOptions,
+    convs: &mut VecDeque<QConv>,
+) -> Result<(), CalibrationError> {
+    for layer in layers {
+        let layer = layer.as_any_mut();
+        if let Some(conv) = layer.downcast_mut::<Conv2d>() {
+            let (weights, shape) = (&conv.weights().data, (conv.co(), conv.ci(), conv.k()));
+            convs.push_back(lower_conv(weights, shape, conv.bias(), opts)?);
+        } else if let Some(rconv) = layer.downcast_mut::<RingConv2d>() {
+            let (weights, shape) = (
+                rconv.expand_real_weights().data,
+                (rconv.co(), rconv.ci(), rconv.k()),
+            );
+            convs.push_back(lower_conv(&weights, shape, rconv.bias(), opts)?);
+        } else if let Some(ur) = layer.downcast_mut::<UpsampleResidual>() {
+            lower_weights(ur.body_mut().layers_mut(), opts, convs)?;
+        } else if let Some(res) = layer.downcast_mut::<Residual>() {
+            lower_weights(res.body_mut().layers_mut(), opts, convs)?;
+        }
+    }
+    Ok(())
+}
+
+/// One convolution's weights, lowered: no output requantization and no
+/// input alignment yet (the activation walk decides both).
 fn lower_conv(
-    float_weights: Vec<f32>,
-    co: usize,
-    ci: usize,
-    k: usize,
+    float_weights: &[f32],
+    (co, ci, k): (usize, usize, usize),
     bias: &[f32],
-    float_out: &Tensor,
-    groups: usize,
-    keep_acc: bool,
-    align_input: Option<QFormat>,
     opts: &QuantOptions,
 ) -> Result<QConv, CalibrationError> {
     let wmax = float_weights
@@ -897,17 +1208,6 @@ fn lower_conv(
         .iter()
         .map(|v| w_format.quantize(f64::from(*v)))
         .collect();
-    // Accumulator fracs are resolved at run time from the input formats;
-    // store placeholders here and fix them lazily (input-format dependent).
-    let requant = if keep_acc {
-        None
-    } else {
-        let formats: Vec<QFormat> = group_max_abs(float_out, groups)
-            .iter()
-            .map(|m| fit_ctx(*m, opts.feature_bits, "conv output"))
-            .collect::<Result<_, _>>()?;
-        Some(expand_formats(&formats, co))
-    };
     Ok(QConv {
         co,
         ci,
@@ -920,10 +1220,29 @@ fn lower_conv(
             .iter()
             .map(|b| f64::from(*b).to_bits() as i64)
             .collect(),
-        requant,
-        align_input,
-        plan: Prepared::default(),
+        requant: None,
+        align_input: None,
+        plan: Derived::default(),
     })
+}
+
+/// A conv's output requantization from its calibrated float output:
+/// one format per component group, expanded per channel — or none, for
+/// an accumulator handed straight to a directional ReLU.
+fn conv_requant(
+    float_out: &Tensor,
+    groups: usize,
+    keep_acc: bool,
+    opts: &QuantOptions,
+) -> Result<Option<Vec<QFormat>>, CalibrationError> {
+    if keep_acc {
+        return Ok(None);
+    }
+    let formats: Vec<QFormat> = group_max_abs(float_out, groups)
+        .iter()
+        .map(|m| fit_ctx(*m, opts.feature_bits, "conv output"))
+        .collect::<Result<_, _>>()?;
+    Ok(Some(expand_formats(&formats, float_out.shape().c)))
 }
 
 /// The largest `|H·y|` component over every tuple of `x` — the range
@@ -943,37 +1262,38 @@ fn hadamard_intermediate_max(x: &Tensor, n: usize) -> f64 {
 
 /// Runs a chain on an input it may own: every stage that can work in
 /// place does, and a borrowed input (a residual body reading the skip's
-/// tensor) is copied only by a stage that has to write to it.
-fn run_chain(layers: &[QLayer], mut q: Cow<'_, QTensor>) -> QTensor {
+/// tensor) is copied only by a stage that has to write to it. One body
+/// per stage from here down, generic over the lane.
+fn run_chain<L: Lane>(layers: &[QLayer], mut q: Cow<'_, QTensorOf<L>>) -> QTensorOf<L> {
     for l in layers {
         q = Cow::Owned(run_layer(l, q));
     }
     q.into_owned()
 }
 
-fn run_layer(layer: &QLayer, q: Cow<'_, QTensor>) -> QTensor {
+fn run_layer<L: Lane>(layer: &QLayer, q: Cow<'_, QTensorOf<L>>) -> QTensorOf<L> {
     match layer {
         QLayer::Conv(c) => run_conv(c, &q),
         QLayer::Relu => {
             let (s, mut data, formats) = q.into_owned().into_raw();
-            data.iter_mut().for_each(|v| *v = (*v).max(0));
-            QTensor::from_raw(s, data, formats)
+            data.iter_mut().for_each(|v| *v = (*v).max(L::default()));
+            QTensorOf::from_raw(s, data, formats)
         }
         QLayer::DRelu(d) => run_drelu(d, q.into_owned()),
         QLayer::Shuffle(r) => run_shuffle(q.into_owned(), *r),
         QLayer::Unshuffle(r) => run_unshuffle(&q, *r),
         QLayer::Residual(res) => {
-            let mut out = run_chain(&res.body, Cow::Borrowed(&q));
+            let mut out = run_chain(&res.body, Cow::Borrowed(&*q));
             out.add_assign_saturating(&q, expand_formats(&res.out_formats, q.shape().c));
             out
         }
         QLayer::UpsampleResidual(ur) => {
-            let mut out = run_chain(&ur.body, Cow::Borrowed(&q));
+            let mut out = run_chain(&ur.body, Cow::Borrowed(&*q));
             // Fixed-point interpolator: bicubic on the dequantized input,
             // re-quantized at the output format (deterministic).
             let skip_f = ringcnn_imaging::degrade::upsample(&q.dequantize(), ur.factor);
             let formats = expand_formats(&ur.out_formats, out.shape().c);
-            out.add_assign_saturating(&QTensor::quantize(&skip_f, formats.clone()), formats);
+            out.add_assign_saturating(&QTensorOf::quantize(&skip_f, formats.clone()), formats);
             out
         }
     }
@@ -1016,8 +1336,8 @@ fn conv_acc_fracs(c: &QConv, formats: &[QFormat], support: &[bool]) -> Result<Ve
 }
 
 /// The run-time backstop of [`QuantizedModel::validate`]'s scale check.
-fn resolve_acc_fracs(c: &QConv, q: &QTensor, support: &[bool]) -> Vec<i32> {
-    conv_acc_fracs(c, q.formats(), support).unwrap_or_else(|e| panic!("{e}"))
+fn resolve_acc_fracs(c: &QConv, formats: &[QFormat], support: &[bool]) -> Vec<i32> {
+    conv_acc_fracs(c, formats, support).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// A conv's output formats: its requant table, or the kept accumulator.
@@ -1032,54 +1352,49 @@ fn conv_out_formats(c: &QConv, acc_frac: &[i32]) -> Vec<QFormat> {
 }
 
 /// Aligns mixed per-channel input formats when the conv demands it.
-fn align_conv_input(c: &QConv, q: &QTensor) -> Option<QTensor> {
+fn align_conv_input<L: Lane>(c: &QConv, q: &QTensorOf<L>) -> Option<QTensorOf<L>> {
     c.align_input.map(|f| q.requantized(vec![f; q.shape().c]))
 }
 
 /// The production integer convolution: every batch item streams through
-/// `ringcnn_tensor::im2col::conv_streaming_i64` — im2col packed per
-/// column chunk inside the register-blocked integer GEMM, the
+/// the lane's `ringcnn_tensor::im2col::conv_streaming_*` — im2col packed
+/// per column chunk inside the register-blocked integer GEMM, the
 /// per-channel requantization **fused into the kernel epilogue**
 /// (un-rescaled wide accumulators never reach memory), outputs written
-/// in place. The weight plan and tap support come from
-/// `prepare_inference` (an unprepared conv derives them locally).
-/// Integer accumulation is order-independent, the AVX2 path guards its
-/// i32-operand requirement, and the fused epilogue applies the same
-/// [`requant_shift`] + saturation, so this is
-/// **bit-identical** to [`run_conv_reference`] at any thread count and
-/// on every kernel backend — the equivalence suite in
-/// `tests/quant_backend.rs` asserts it.
-fn run_conv(c: &QConv, q: &QTensor) -> QTensor {
+/// in place. The weight plan and tap support are built once
+/// (`prepare_inference`, or the first call). Integer accumulation is
+/// order-independent, the AVX2 paths guard their operand requirements,
+/// and the fused epilogue applies the same [`requant_shift`] +
+/// saturation, so in `i64` lanes this is **bit-identical** to
+/// [`run_conv_reference`] at any thread count and on every kernel
+/// backend, and in `i32` lanes too wherever the load-time proof bounds
+/// the accumulators — the equivalence suite in `tests/quant_backend.rs`
+/// asserts both.
+fn run_conv<L: Lane>(c: &QConv, q: &QTensorOf<L>) -> QTensorOf<L> {
     let aligned = align_conv_input(c, q);
     let q = aligned.as_ref().unwrap_or(q);
     let s = q.shape();
     assert_eq!(s.c, c.ci, "quantized conv channel mismatch");
-    let local;
-    let plan = match &c.plan.0 {
-        Some(plan) => plan,
-        None => {
-            local = QConvPlan::new(c);
-            &local
-        }
-    };
-    let acc_frac = resolve_acc_fracs(c, q, &plan.support);
-    let bias: Vec<i64> = (0..c.co).map(|co| bias_at(c, co, acc_frac[co])).collect();
+    let acc_frac = resolve_acc_fracs(c, q.formats(), c.support());
+    let bias: Vec<L> = (0..c.co)
+        .map(|co| narrow(bias_at(c, co, acc_frac[co])))
+        .collect();
     let requant = c.requant.as_ref().map(|fmts| requant_plan(fmts, &acc_frac));
     let out_shape = s.with_channels(c.co);
-    let mut data = vec![0i64; out_shape.len()];
+    let mut data = vec![L::default(); out_shape.len()];
     let (item_in, item_out) = (s.c * s.plane(), c.co * s.plane());
     for b in 0..s.n {
         let planes = &q.data()[b * item_in..(b + 1) * item_in];
-        conv_streaming_i64(
+        L::CONV_STREAMING(
             &ConvInput::new(planes, s.c, s.h, s.w, Window::full(s.h, s.w)),
             c.k,
-            &plan.weights,
+            L::packed(c),
             &bias,
             requant.as_ref(),
             &mut data[b * item_out..(b + 1) * item_out],
         );
     }
-    QTensor::from_raw(out_shape, data, conv_out_formats(c, &acc_frac))
+    QTensorOf::from_raw(out_shape, data, conv_out_formats(c, &acc_frac))
 }
 
 /// Builds the fused-epilogue requant plan: shift each channel from its
@@ -1087,9 +1402,9 @@ fn run_conv(c: &QConv, q: &QTensor) -> QTensor {
 /// bitwidth rails — exactly what [`QTensor::requantized`] does after
 /// the fact, with the same shift function (the unfused path
 /// [`run_conv_reference`] still takes).
-fn requant_plan(fmts: &[QFormat], acc_frac: &[i32]) -> ringcnn_tensor::gemm::RequantPlan {
+fn requant_plan(fmts: &[QFormat], acc_frac: &[i32]) -> RequantPlan {
     let channels = fmts.iter().zip(acc_frac);
-    ringcnn_tensor::gemm::RequantPlan {
+    RequantPlan {
         channels: channels.map(|(f, af)| f.requantizer(*af)).collect(),
     }
 }
@@ -1103,7 +1418,7 @@ pub fn run_conv_reference(c: &QConv, q: &QTensor) -> QTensor {
     let q = aligned.as_ref().unwrap_or(q);
     let s = q.shape();
     assert_eq!(s.c, c.ci, "quantized conv channel mismatch");
-    let acc_frac = resolve_acc_fracs(c, q, &tap_support(c));
+    let acc_frac = resolve_acc_fracs(c, q.formats(), &tap_support(c));
     let pad = (c.k / 2) as isize;
     let (h, w) = (s.h as isize, s.w as isize);
     let out_shape = s.with_channels(c.co);
@@ -1199,7 +1514,11 @@ fn clamp_for_fwht(y: &mut [i64], n: usize) {
 /// format — and per pixel it is the sequence of
 /// [`run_drelu_reference`], so the two are **bit-identical**
 /// (`tests/quant_backend.rs` asserts it in both modes, at the rails).
-fn run_drelu(d: &QDRelu, q: QTensor) -> QTensor {
+/// In `i32` lanes the butterfly rail is wider than the lane, so the
+/// clamp is at the lane's own rails (`apply_lane` saturates a
+/// requantizer's rails into the lane) — which the load-time proof keeps
+/// `n·S`, and with it every partial sum of both butterflies, below.
+fn run_drelu<L: Lane>(d: &QDRelu, q: QTensorOf<L>) -> QTensorOf<L> {
     // Elements of one block: 16 KiB of `i64`, `BLOCK / n` pixels a row.
     const BLOCK: usize = 2048;
     let (s, mut data, in_formats) = q.into_raw();
@@ -1232,7 +1551,7 @@ fn run_drelu(d: &QDRelu, q: QTensor) -> QTensor {
             let len = (BLOCK / n).min(plane - p0);
             let block = &mut tuple[p0..];
             // One pass of `stage(l)` over row `l` of the block, each l.
-            let rows = |block: &mut [i64], stage: &dyn Fn(usize) -> RequantChannel| {
+            let rows = |block: &mut [L], stage: &dyn Fn(usize) -> RequantChannel| {
                 for l in 0..n {
                     stage(l).apply_lane(&mut block[l * plane..l * plane + len]);
                 }
@@ -1244,7 +1563,7 @@ fn run_drelu(d: &QDRelu, q: QTensor) -> QTensor {
             rows(block, &|l| out_formats[c0 + l].requantizer(mid_frac));
         }
     }
-    QTensor::from_raw(s, data, out_formats)
+    QTensorOf::from_raw(s, data, out_formats)
 }
 
 /// The per-pixel directional ReLU — gather one `n`-tuple across `n`
@@ -1335,9 +1654,10 @@ fn shuffle_formats(formats: &[QFormat], r: usize) -> Vec<QFormat> {
         .collect()
 }
 
-/// Output formats of an unshuffle: each channel's format, r² times.
-fn unshuffle_formats(formats: &[QFormat], r: usize) -> Vec<QFormat> {
-    formats
+/// Per-channel attributes (formats, bounds) past an unshuffle: each
+/// channel's, r² times.
+fn unshuffle_formats<T: Copy>(per_channel: &[T], r: usize) -> Vec<T> {
+    per_channel
         .iter()
         .flat_map(|f| std::iter::repeat_n(*f, r * r))
         .collect()
@@ -1346,23 +1666,23 @@ fn unshuffle_formats(formats: &[QFormat], r: usize) -> Vec<QFormat> {
 /// Depth-to-space: every source channel is requantized (in place, `q`
 /// is owned) to its output channel's format, then the planes are
 /// permuted row by row.
-fn run_shuffle(mut q: QTensor, r: usize) -> QTensor {
+fn run_shuffle<L: Lane>(mut q: QTensorOf<L>, r: usize) -> QTensorOf<L> {
     let s = q.shape();
     assert_eq!(s.c % (r * r), 0, "channels not divisible by r²");
     let formats = shuffle_formats(q.formats(), r);
     q.requantize(unshuffle_formats(&formats, r));
     let out_shape = Shape4::new(s.n, s.c / (r * r), s.h * r, s.w * r);
-    let mut data = vec![0i64; out_shape.len()];
+    let mut data = vec![L::default(); out_shape.len()];
     shuffle_into(q.data(), s, r, &mut data);
-    QTensor::from_raw(out_shape, data, formats)
+    QTensorOf::from_raw(out_shape, data, formats)
 }
 
-fn run_unshuffle(q: &QTensor, r: usize) -> QTensor {
+fn run_unshuffle<L: Lane>(q: &QTensorOf<L>, r: usize) -> QTensorOf<L> {
     let s = q.shape();
     let out_shape = Shape4::new(s.n, s.c * r * r, s.h / r, s.w / r);
-    let mut data = vec![0i64; out_shape.len()];
+    let mut data = vec![L::default(); out_shape.len()];
     unshuffle_into(q.data(), s, r, &mut data);
-    QTensor::from_raw(out_shape, data, unshuffle_formats(q.formats(), r))
+    QTensorOf::from_raw(out_shape, data, unshuffle_formats(q.formats(), r))
 }
 
 #[cfg(test)]

@@ -1,14 +1,14 @@
 //! The register-blocked GEMM driver behind the streaming convolution
-//! engine, shared by the f32 (float inference) and i64 (quantized
-//! inference) pipelines.
+//! engine, shared by the f32 (float inference) and the two integer
+//! (quantized inference: `i64` and `i32` lanes) pipelines.
 //!
-//! Both precisions lower a convolution to `C = W · col`, where `col` is
+//! Every precision lowers a convolution to `C = W · col`, where `col` is
 //! the patch matrix (`rows = ci·k²` by `plane = H·W`) and `W` the
 //! `co × rows` weight matrix. **One** blocked driver computes that
-//! product for both element types with an MR×NR register tile; what
-//! differs between `f32` and `i64` (panel width, AVX2 tile, exactness
-//! gate, slab slot, epilogue) lives in the two impls of the
-//! crate-private `Element` trait. The work splits into a plan and a
+//! product for every element type with an MR×NR register tile; what
+//! differs between `f32`, `i64` and `i32` (panel width, AVX2 tile,
+//! exactness gate, slab slot, epilogue) lives in the three impls of
+//! the crate-private `Element` trait. The work splits into a plan and a
 //! call:
 //!
 //! * **The plan** ([`PackedWeights`]) is everything derived from `W`
@@ -27,7 +27,8 @@
 //! * **The call** never sees the whole of `col`: the plane is cut into
 //!   column chunks of [`NC_COLS`], one parallel task each. A task gets
 //!   just its chunk's micro-panels — `[panel][row][NR]` order, **NR**
-//!   columns each (16 for f32, 8 for i64), the last panel zero-padded;
+//!   columns each (16 for f32 and i32, 8 for i64), the last panel
+//!   zero-padded;
 //!   packed into the thread's slab by the im2col chunk packer of
 //!   [`crate::im2col`], or lent from a B the caller packed
 //!   (`gemm_*_packed`) — runs every pattern group over them while they
@@ -61,15 +62,24 @@
 //! fused requantization epilogue applies the same
 //! round-half-away-from-zero shift and saturation rails as the unfused
 //! path. (A block's zero-weight lanes contribute exact `+0` terms, so
-//! the channel grouping cannot change a result.) The **f32** tiers are
-//! tolerance-equivalent only: FMA contraction and the blocked summation
-//! change ULPs relative to the reference row-axpy.
+//! the channel grouping cannot change a result.) The **i32** tiers are
+//! bit-identical to the `i64` ones *for a product whose every partial
+//! sum fits the lane* — which is the caller's to prove, once, where the
+//! weights freeze (`ringcnn-quant` bounds every accumulator of a model
+//! at load time and runs it in `i32` lanes only then; a debug build
+//! panics on the scalar tile's `+`/`*` if the proof were wrong). Its
+//! AVX2 tile multiplies 16-bit operands pairwise with
+//! `_mm256_madd_epi16`, whose 32-bit pair sum cannot overflow while
+//! `|v| ≤ 32767` on both sides (the same two-part gate, scalar tile
+//! otherwise). The **f32** tiers are tolerance-equivalent only: FMA
+//! contraction and the blocked summation change ULPs relative to the
+//! reference row-axpy.
 
 #[cfg(target_arch = "x86_64")]
 use core::arch::x86_64::*;
 use rayon::prelude::*;
 use std::cell::Cell;
-use std::ops::{AddAssign, Mul};
+use std::ops::{Add, AddAssign, Mul, Sub};
 use std::sync::OnceLock;
 use std::thread::LocalKey;
 
@@ -79,6 +89,8 @@ pub const MR: usize = 4;
 pub const NR_F32: usize = 16;
 /// i64 micro-panel width (4 lanes per 256-bit vector, 2 vectors).
 pub const NR_I64: usize = 8;
+/// i32 micro-panel width (8 lanes per 256-bit vector, 2 vectors).
+pub const NR_I32: usize = 16;
 /// Column-chunk width (elements, a multiple of every NR): the unit of
 /// parallel work, and the `rows × NC_COLS` slab of packed B one task
 /// keeps L2-resident while every channel block streams over it.
@@ -398,38 +410,103 @@ impl RequantChannel {
     }
 
     /// [`RequantChannel::apply`] on every element of `lane`, with the
-    /// shift's direction and distance decided once. Below 64 bits of
-    /// distance 64-bit arithmetic is exact — the rounding add cannot
-    /// carry out of a `u64`, and a left shift leaves `i64` exactly when
-    /// the value lies beyond `rail >> distance` — so only the extreme
-    /// distances reach [`requant_shift_i64`]'s `u128`/`i128`; every
-    /// result is `apply`'s.
-    pub fn apply_lane(&self, lane: &mut [i64]) {
-        let (qmin, qmax) = (self.qmin, self.qmax);
-        match i64::from(self.from_frac) - i64::from(self.to_frac) {
-            0 => lane.iter_mut().for_each(|v| *v = (*v).clamp(qmin, qmax)),
-            s @ 1..=63 => {
-                let half = 1u64 << (s - 1);
-                for v in lane {
-                    let mag = ((v.unsigned_abs() + half) >> s) as i64;
-                    *v = (if *v < 0 { -mag } else { mag }).clamp(qmin, qmax);
-                }
-            }
-            s @ -63..=-1 => {
-                let (lo, hi) = (i64::MIN >> -s, i64::MAX >> -s);
-                for v in lane {
-                    let wide = match *v {
-                        q if q > hi => i64::MAX,
-                        q if q < lo => i64::MIN,
-                        q => q << -s,
-                    };
-                    *v = wide.clamp(qmin, qmax);
-                }
-            }
-            _ => lane.iter_mut().for_each(|v| *v = self.apply(*v)),
+    /// shift's direction and distance decided once. Below the lane's
+    /// width of distance the lane's own arithmetic is exact — the
+    /// rounding add cannot carry out of its unsigned twin, and a left
+    /// shift leaves the lane exactly when the value lies beyond
+    /// `rail >> distance` — so only the extreme distances reach
+    /// [`requant_shift_i64`]'s `u128`/`i128`. In `i64` lanes every result
+    /// is `apply`'s; in `i32` lanes it is `apply`'s saturated into the
+    /// lane — the same integer whenever `qmin..=qmax` fits the lane
+    /// (saturate, then clamp), the lane's own rails where it does not.
+    pub fn apply_lane<L: Lane>(&self, lane: &mut [L]) {
+        let (qmin, qmax) = (L::saturating_from(self.qmin), L::saturating_from(self.qmax));
+        let s = i64::from(self.from_frac) - i64::from(self.to_frac);
+        let d = s.unsigned_abs() as u32;
+        if s == 0 {
+            lane.iter_mut().for_each(|v| *v = (*v).clamp(qmin, qmax));
+        } else if s.unsigned_abs() >= u64::from(L::BITS) {
+            let far = |v: L| L::saturating_from(self.apply(v.into()));
+            lane.iter_mut().for_each(|v| *v = far(*v));
+        } else if s > 0 {
+            lane.iter_mut()
+                .for_each(|v| *v = v.shr_round(d).clamp(qmin, qmax));
+        } else {
+            lane.iter_mut()
+                .for_each(|v| *v = v.shl_saturating(d).clamp(qmin, qmax));
         }
     }
 }
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for i64 {}
+    impl Sealed for i32 {}
+}
+
+/// An integer lane of the quantized pipeline — `i64`, the interchange
+/// tier that holds every format the pipeline admits, or `i32`, the tier
+/// a model runs in once its every magnitude is proven to fit — as the
+/// few operations the lane-generic stages need beyond `std`'s operator
+/// traits. Sealed: the two impls below are all there is.
+pub trait Lane:
+    sealed::Sealed
+    + Copy
+    + Ord
+    + Default
+    + TryFrom<i64>
+    + Into<i64>
+    + Add<Output = Self>
+    + Sub<Output = Self>
+{
+    /// Width in bits.
+    const BITS: u32;
+
+    /// `v` saturated at the lane's rails.
+    fn saturating_from(v: i64) -> Self;
+
+    /// `self / 2^s` rounded half away from zero, `0 < s < BITS`.
+    fn shr_round(self, s: u32) -> Self;
+
+    /// `self · 2^s` saturated at the lane's rails, `0 < s < BITS`.
+    fn shl_saturating(self, s: u32) -> Self;
+}
+
+macro_rules! lane {
+    ($t:ty) => {
+        impl Lane for $t {
+            const BITS: u32 = <$t>::BITS;
+
+            #[inline]
+            fn saturating_from(v: i64) -> Self {
+                v.clamp(<$t>::MIN.into(), <$t>::MAX.into()) as $t
+            }
+
+            #[inline]
+            fn shr_round(self, s: u32) -> Self {
+                let mag = ((self.unsigned_abs() + (1 << (s - 1))) >> s) as $t;
+                if self < 0 {
+                    -mag
+                } else {
+                    mag
+                }
+            }
+
+            #[inline]
+            fn shl_saturating(self, s: u32) -> Self {
+                if self > <$t>::MAX >> s {
+                    <$t>::MAX
+                } else if self < <$t>::MIN >> s {
+                    <$t>::MIN
+                } else {
+                    self << s
+                }
+            }
+        }
+    };
+}
+lane!(i64);
+lane!(i32);
 
 /// A per-channel requantization plan fused into the i64 kernel epilogue,
 /// so quantized conv never materializes un-rescaled accumulators.
@@ -482,6 +559,7 @@ pub(crate) trait Element<const NR: usize>:
 thread_local! {
     static SLAB_F32: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
     static SLAB_I64: Cell<Vec<i64>> = const { Cell::new(Vec::new()) };
+    static SLAB_I32: Cell<Vec<i32>> = const { Cell::new(Vec::new()) };
 }
 
 impl Element<NR_F32> for f32 {
@@ -594,6 +672,83 @@ impl Element<NR_I64> for i64 {
 
     #[inline]
     fn finish(plan: Option<&RequantPlan>, chan: usize, lane: &mut [i64]) {
+        if let Some(plan) = plan {
+            plan.channels[chan].apply_lane(lane);
+        }
+    }
+}
+
+impl Element<NR_I32> for i32 {
+    type Epilogue = RequantPlan;
+
+    fn slab() -> &'static LocalKey<Cell<Vec<i32>>> {
+        &SLAB_I32
+    }
+
+    /// `_mm256_madd_epi16` reads each lane as two signed 16-bit halves
+    /// and sums their two products in 32 bits, which only
+    /// `−32768·−32768` twice can overflow: exact for `|v| ≤ 32767`.
+    fn avx2_exact(values: &[i32]) -> bool {
+        values.iter().all(|v| v.unsigned_abs() <= 32767)
+    }
+
+    /// 4 output rows × 16 columns, the block's non-zero rows two at a
+    /// time: every 32-bit lane carries row `r0`'s value in its low half
+    /// and row `r1`'s in its high half, the weight pair is broadcast the
+    /// same way, and one `_mm256_madd_epi16` is both products and their
+    /// sum. An odd last row pairs with itself under a zero weight.
+    /// Additions wrap exactly like release-mode scalar.
+    ///
+    /// # Safety
+    ///
+    /// `avx2` must be available; `bpanel.len() ≥ (r+1)·16` for every `r`
+    /// in `nzrows`, `wpack.len() ≥ nzrows.len()·MR`, and every operand
+    /// must satisfy `|v| ≤ 32767`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn tile_avx2(
+        bpanel: &[i32],
+        nzrows: &[u32],
+        wpack: &[i32],
+        binit: &[i32; MR],
+        out: &mut [[i32; NR_I32]; MR],
+    ) {
+        let mut acc = [[_mm256_setzero_si256(); 2]; MR];
+        for c in 0..MR {
+            acc[c][0] = _mm256_set1_epi32(binit[c]);
+            acc[c][1] = acc[c][0];
+        }
+        let (low, zero) = (_mm256_set1_epi32(0xFFFF), [0i32; MR]);
+        for (i, pair) in nzrows.chunks(2).enumerate() {
+            let (p0, w0) = (
+                bpanel.as_ptr().add(pair[0] as usize * NR_I32),
+                wpack.as_ptr().add(2 * i * MR),
+            );
+            let (p1, w1) = match pair.get(1) {
+                Some(&r) => (bpanel.as_ptr().add(r as usize * NR_I32), w0.add(MR)),
+                None => (p0, zero.as_ptr()),
+            };
+            let mut halves = [low; 2];
+            for (h, both) in halves.iter_mut().enumerate() {
+                let lo = _mm256_loadu_si256(p0.add(8 * h) as *const __m256i);
+                let hi = _mm256_loadu_si256(p1.add(8 * h) as *const __m256i);
+                *both = _mm256_or_si256(_mm256_and_si256(lo, low), _mm256_slli_epi32(hi, 16));
+            }
+            let [b0, b1] = halves;
+            for c in 0..MR {
+                let w = _mm256_set1_epi32((*w0.add(c) & 0xFFFF) | (*w1.add(c) << 16));
+                acc[c][0] = _mm256_add_epi32(acc[c][0], _mm256_madd_epi16(b0, w));
+                acc[c][1] = _mm256_add_epi32(acc[c][1], _mm256_madd_epi16(b1, w));
+            }
+        }
+        for c in 0..MR {
+            _mm256_storeu_si256(out[c].as_mut_ptr() as *mut __m256i, acc[c][0]);
+            _mm256_storeu_si256(out[c].as_mut_ptr().add(8) as *mut __m256i, acc[c][1]);
+        }
+    }
+
+    #[inline]
+    fn finish(plan: Option<&RequantPlan>, chan: usize, lane: &mut [i32]) {
         if let Some(plan) = plan {
             plan.channels[chan].apply_lane(lane);
         }
@@ -751,6 +906,14 @@ impl PackedWeights<i64> {
     /// length).
     pub fn new(co: usize, rows: usize, weights: &[i64]) -> Self {
         Self::plan::<NR_I64>(co, rows, weights)
+    }
+}
+
+impl PackedWeights<i32> {
+    /// Plans a row-major `co × rows` weight matrix (panics on any other
+    /// length).
+    pub fn new(co: usize, rows: usize, weights: &[i32]) -> Self {
+        Self::plan::<NR_I32>(co, rows, weights)
     }
 }
 
@@ -1067,6 +1230,31 @@ pub fn gemm_i64_packed(
     check_plan(requant, co);
     let w = PackedWeights::<i64>::new(co, rows, weights);
     prepacked::<i64, NR_I64>(bp, plane, &w, bias, requant, col_fits_i32)
+}
+
+/// [`gemm_i64_packed`] in `i32` lanes over `[panel][row][NR_I32]`
+/// panels: the same integers for a product whose every partial sum fits
+/// the lane (see the module docs). `col_fits_i16` certifies
+/// `|v| ≤ 32767` for every packed value, what the AVX2 tile's
+/// `_mm256_madd_epi16` needs.
+///
+/// # Panics
+///
+/// Panics if any length disagrees.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_i32_packed(
+    bp: &[i32],
+    plane: usize,
+    rows: usize,
+    co: usize,
+    weights: &[i32],
+    bias: &[i32],
+    requant: Option<&RequantPlan>,
+    col_fits_i16: bool,
+) -> Vec<Vec<i32>> {
+    check_plan(requant, co);
+    let w = PackedWeights::<i32>::new(co, rows, weights);
+    prepacked::<i32, NR_I32>(bp, plane, &w, bias, requant, col_fits_i16)
 }
 
 pub(crate) fn check_plan(requant: Option<&RequantPlan>, co: usize) {
@@ -1400,6 +1588,41 @@ mod tests {
         for k in TIERS {
             let got = blocked(k, &col, plane, rows, co, &weights, &bias, None);
             assert_eq!(want, got, "{k:?}");
+        }
+    }
+
+    #[test]
+    fn i32_chunk_tasks_equal_the_i64_product_through_the_fused_requant() {
+        // The `i32` element on the shape of the test above (four chunks ×
+        // two pattern groups; a Miri step too, on the scalar tile):
+        // 10-bit operands over three non-zero rows stay far inside the
+        // lane, so every integer is the `i64` product's, raw and through
+        // a requantizer that saturates some of them.
+        let (co, rows, plane) = (8, 6, 3 * NC_COLS + 5);
+        let (weights, _) = two_pattern_weights(co, rows, 17);
+        let col = pseudo_i64(rows * plane, 19, 1 << 10);
+        let bias = pseudo_i64(co, 23, 1 << 20);
+        let channel = |c| RequantChannel {
+            from_frac: 12,
+            to_frac: 7 - (c as i32 % 3),
+            qmin: -(1 << 15),
+            qmax: (1 << 15) - 1,
+        };
+        let plan = RequantPlan {
+            channels: (0..co).map(channel).collect(),
+        };
+        let narrow = |v: &[i64]| v.iter().map(|x| *x as i32).collect::<Vec<_>>();
+        let (w32, col32, bias32) = (narrow(&weights), narrow(&col), narrow(&bias));
+        // The AVX2 gate: 16-bit operands short of −32768.
+        assert!(i32::avx2_exact(&col32) && i32::avx2_exact(&[32767, -32767]));
+        assert!(!i32::avx2_exact(&[-32768]) && !i32::avx2_exact(&[32768]));
+        for requant in [None, Some(&plan)] {
+            let want = reference_i64(&col, plane, rows, co, &weights, &bias, requant);
+            let want: Vec<_> = want.iter().map(|p| narrow(p)).collect();
+            for k in TIERS {
+                let got = blocked(k, &col32, plane, rows, co, &w32, &bias32, requant);
+                assert_eq!(want, got, "{k:?}");
+            }
         }
     }
 

@@ -10,7 +10,7 @@
 //! and the task that owns a chunk has the **chunk packer** of this
 //! module write just those micro-panels into its thread's slab, straight
 //! from the NCHW planes a [`ConvInput`] points at — the `f32` planes of
-//! a [`Tensor`] or the `i64` planes of a quantized tensor.
+//! a [`Tensor`] or the `i64`/`i32` planes of a quantized tensor.
 //!
 //! The packer is *window-aware*: a [`ConvInput`] sees its planes through
 //! a [`Window`] (the tile views of the block-based runtime) and treats
@@ -35,7 +35,9 @@
 //! models.
 
 use crate::conv::ConvWeights;
-use crate::gemm::{self, Element, PackedWeights, Panels, RequantPlan, Sink, NR_F32, NR_I64};
+use crate::gemm::{
+    self, Element, PackedWeights, Panels, RequantPlan, Sink, NR_F32, NR_I32, NR_I64,
+};
 use crate::shape::Shape4;
 use crate::tensor::Tensor;
 use crate::tile::Window;
@@ -409,6 +411,22 @@ pub fn conv_streaming_i64(
 ) {
     gemm::check_plan(requant, w.co());
     conv_streaming::<i64, NR_I64>(x, k, w, bias, requant, 1, out);
+}
+
+/// [`conv_streaming_i64`] in `i32` lanes: the same integers for a
+/// convolution whose every accumulator is known to fit the lane (see
+/// [`crate::gemm`]); the AVX2 tile needs `|v| ≤ 32767` on both sides,
+/// checked the same two ways.
+pub fn conv_streaming_i32(
+    x: &ConvInput<'_, i32>,
+    k: usize,
+    w: &PackedWeights<i32>,
+    bias: &[i32],
+    requant: Option<&RequantPlan>,
+    out: &mut [i32],
+) {
+    gemm::check_plan(requant, w.co());
+    conv_streaming::<i32, NR_I32>(x, k, w, bias, requant, 1, out);
 }
 
 /// Forward convolution over planned weights, the prepared-layer entry

@@ -218,6 +218,55 @@ fn whole_models_stop_copying_what_they_own() {
          of the {PARENT_Q8_TILE_BYTES} B it took per-pixel"
     );
 
+    // The same forward since the integer chain runs in the lanes the
+    // load-time proof picks — `i32` for this model, half the bytes per
+    // feature. Measured with this code at the parent commit (`i64`
+    // lanes): PARENT_I64_TILE_BYTES allocated, 1 261 736 B live at once,
+    // the largest block the 589 824 B of the 32 accumulator planes a
+    // directional ReLU reads (1 736 680 B, 634 920 B and 294 912 B when
+    // written).
+    const PARENT_I64_TILE_BYTES: usize = 3_360_008;
+    assert_eq!(qm.lanes(), Lanes::I32);
+    let cheapest = (0..3)
+        .map(|_| spent(|| qm.forward(&x)))
+        .min_by_key(|s| s.total)
+        .expect("three calls");
+    assert!(
+        cheapest.total * 100 <= PARENT_I64_TILE_BYTES * 55,
+        "one q8 forward of a 96x96 tile allocated {} B, more than 55 % of the \
+         {PARENT_I64_TILE_BYTES} B it took in i64 lanes",
+        cheapest.total
+    );
+    assert!(
+        cheapest.peak <= 700_000 && cheapest.largest <= 294_912,
+        "one q8 forward of a 96x96 tile held {} B live at once, its largest block {} B",
+        cheapest.peak,
+        cheapest.largest
+    );
+
+    // Calibration owns its activations too: the chain reads the
+    // caller's frame (and every skip's tensor) in place, and `Relu` and
+    // the directional ReLU work on the tensor the walk gives up.
+    // Measured with this code at the parent commit, one 256×256 frame
+    // (the benchmark's set-up) allocated PARENT_CALIBRATION_BYTES and
+    // held 5 699 992 B live at once (12 759 083 B and 4 476 800 B when
+    // written).
+    const PARENT_CALIBRATION_BYTES: usize = 23_757_808;
+    let frame = Tensor::random_uniform(Shape4::new(1, 1, 256, 256), 0.0, 1.0, 4);
+    let calibrated =
+        spent(|| QuantizedModel::quantize(&mut float, &frame, QuantOptions::default()));
+    assert!(
+        calibrated.peak <= 4_600_000,
+        "calibrating on a 256x256 frame held {} B live at once",
+        calibrated.peak
+    );
+    assert!(
+        calibrated.total * 10 <= PARENT_CALIBRATION_BYTES * 6,
+        "calibrating on a 256x256 frame allocated {} B, more than 60 % of the \
+         {PARENT_CALIBRATION_BYTES} B it took when every stage built a tensor",
+        calibrated.total
+    );
+
     // The float chain owns its activations. A chain of k `Relu` leaves
     // used to allocate k tensors (every leaf cloned its input); now the
     // first child copies the caller's tensor, which the chain may not

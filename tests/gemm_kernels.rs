@@ -9,7 +9,9 @@
 //! i64 tiers **bit-exactly** with the matrix-level reference loop,
 //! including the fused requant epilogue's saturation rails,
 //! pruned/zero-weight rows and operands beyond the AVX2 tile's i32
-//! range.
+//! range; the i32 tiers **bit-exactly** with the i64 product wherever
+//! the accumulators fit the lane (every row of the table without a wide
+//! operand), through the 16-bit multiplies of their AVX2 tile.
 //!
 //! Thread-pool sizes 1 and 4 are exercised by the CI `thread-sanity`
 //! matrix (`RINGCNN_THREADS`); the `RINGCNN_KERNEL=scalar` and
@@ -24,10 +26,12 @@ use ringcnn_nn::models::ffdnet::ffdnet;
 use ringcnn_nn::models::srresnet::{srresnet, SrResNetConfig};
 use ringcnn_nn::models::vdsr::vdsr;
 use ringcnn_tensor::gemm::{
-    self, active_kernel, gemm_f32_packed, gemm_i64_packed, validate_env_kernel, NR_F32, NR_I64,
+    self, active_kernel, gemm_f32_packed, gemm_i32_packed, gemm_i64_packed, validate_env_kernel,
+    NR_F32, NR_I32, NR_I64,
 };
 use ringcnn_tensor::im2col::{
-    conv_streaming_f32, conv_streaming_i64, im2col_pack_panels_window, ConvInput,
+    conv_streaming_f32, conv_streaming_i32, conv_streaming_i64, im2col_pack_panels_window,
+    ConvInput,
 };
 use ringcnn_tensor::prelude::{
     conv2d_forward, conv2d_forward_im2col, forced_kernel_scope, im2col_pack_window, ConvWeights,
@@ -367,6 +371,112 @@ fn i64_gemm_rails_and_wide_operands_are_bit_exact() {
                 assert!(want[1].iter().any(on_rail), "{case:?}");
                 let b0 = plan.channels[0].apply(bias.first().copied().unwrap_or(0));
                 assert!(want[0].iter().all(|&v| v == b0), "{case:?}");
+            }
+        }
+    }
+}
+
+fn to_i32(values: &[i64]) -> Vec<i32> {
+    let narrow = values.iter().map(|v| i32::try_from(*v).expect("fits"));
+    narrow.collect()
+}
+
+/// The i32 half of the table: on every row without a wide operand the
+/// accumulators stay far inside the lane (10-bit operands, at most 50
+/// non-zero rows), so the i32 product — pre-packed and streamed, raw and
+/// through the fused requant epilogue, under each forced tier — is the
+/// i64 product integer for integer. `Requant::Rails` shifts channel 1
+/// left by 30: it saturates at the lane's rails instead of `i64`'s and
+/// lands on the same 16-bit rail.
+#[test]
+fn i32_gemm_equals_the_i64_product_on_every_narrow_row() {
+    for case in CASES.iter().filter(|c| c.wide == Wide::No) {
+        let x = case.input();
+        let win = case.window();
+        let weights = to_fixed(&case.weights().data);
+        let bias: Vec<i64> = to_fixed(&case.bias()).iter().map(|b| b << 10).collect();
+        let (rows, plane) = (case.ci * case.k * case.k, win.h * win.w);
+        let (w32, bias32) = (to_i32(&weights), to_i32(&bias));
+        let plan = PackedWeights::<i32>::new(case.co, rows, &w32);
+        let item = case.ci * case.h * case.w;
+        for n in 0..case.batch {
+            let xq = to_i32(&to_fixed(&x.as_slice()[n * item..(n + 1) * item]));
+            let col = to_fixed(&im2col_pack_window(&x, n, case.k, win));
+            let bp = to_i32(&to_fixed(&case.panels(&x, n, NR_I32)));
+            let raw = gemm::reference(&col, plane, rows, case.co, &weights, &bias);
+            for requant in [None, case.requant_plan()] {
+                let mut want = raw.clone();
+                if let Some(requant) = &requant {
+                    for (p, ch) in want.iter_mut().zip(&requant.channels) {
+                        p.iter_mut().for_each(|v| *v = ch.apply(*v));
+                    }
+                }
+                let want = to_i32(&want.concat());
+                for tier in TIERS {
+                    let what = format!("{} tile, item {n} ({case:?})", tier.label());
+                    let rq = requant.as_ref();
+                    let whole = forced_kernel_scope(tier, || {
+                        gemm_i32_packed(&bp, plane, rows, case.co, &w32, &bias32, rq, true)
+                    });
+                    assert_eq!(whole.concat(), want, "{what}");
+                    let mut streamed = vec![i32::MIN; case.co * plane];
+                    forced_kernel_scope(tier, || {
+                        let input = ConvInput::new(&xq, case.ci, case.h, case.w, win);
+                        conv_streaming_i32(&input, case.k, &plan, &bias32, rq, &mut streamed);
+                    });
+                    assert_eq!(streamed, want, "{what}, streamed");
+                }
+            }
+        }
+    }
+}
+
+/// The AVX2 i32 tile takes a block's non-zero rows two at a time: one
+/// row (a lone odd row paired with a zero weight), an odd and an even
+/// count must each be the row-axpy reference — with a different weight
+/// on every row and column values of both signs up to the 16-bit rail,
+/// so a pair put together the wrong way round cannot pass. And an
+/// operand at −32768 is outside what the 16-bit multiplier is given: it
+/// runs on the scalar tile, exactly.
+#[test]
+fn i32_row_pairs_odd_rows_and_the_sixteen_bit_rail_are_exact() {
+    let (co, plane) = (5usize, 37usize);
+    // Knuth's MMIX generator, its top bits mapped into `[-max, max]`.
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut draw = |max: i64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) as i64 % (2 * max + 1) - max
+    };
+    for (rows, rail) in [(1, 32767), (3, 32767), (4, 32767), (2, -32768), (7, -32767)] {
+        // Small weights around one at the rail, columns of the full
+        // 16-bit range: every accumulator stays below 2^31.
+        let mut weights: Vec<i64> = (0..co * rows).map(|_| draw(200)).collect();
+        weights[0] = rail;
+        let mut col: Vec<i64> = (0..rows * plane).map(|_| draw(32767)).collect();
+        (col[0], col[1]) = (32767, -32767);
+        let bias: Vec<i64> = (0..co as i64).map(|c| c * 1000 - 7).collect();
+        // [panel][row][NR_I32] of the row-major `col`, tail zero-padded.
+        let mut bp = vec![0i64; plane.div_ceil(NR_I32) * rows * NR_I32];
+        for (i, v) in col.iter().enumerate() {
+            let (r, j) = (i / plane, i % plane);
+            bp[(j / NR_I32 * rows + r) * NR_I32 + j % NR_I32] = *v;
+        }
+        let want = to_i32(&gemm::reference(&col, plane, rows, co, &weights, &bias).concat());
+        let fits = |v: &[i64]| v.iter().all(|v| v.abs() <= 32767);
+        assert_eq!(fits(&weights) && fits(&col), rail != -32768);
+        for tier in TIERS {
+            let before = gemm::profile::snapshot();
+            let got = forced_kernel_scope(tier, || {
+                let (w, b, bp) = (to_i32(&weights), to_i32(&bias), to_i32(&bp));
+                gemm_i32_packed(&bp, plane, rows, co, &w, &b, None, fits(&col))
+            });
+            assert_eq!(got.concat(), want, "{rows} rows, {} tile", tier.label());
+            if rail == -32768 {
+                // (Growth, not a count: other tests dispatch meanwhile.)
+                let d = gemm::profile::snapshot().delta_since(&before);
+                assert!(d.dispatched(KernelBackend::Scalar) >= 1);
             }
         }
     }

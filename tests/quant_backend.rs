@@ -516,3 +516,361 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// The i32 tier ≡ the i64 tier, bit for bit.
+//
+// `QuantizedModel::forward` runs a model in `i32` lanes when the
+// load-time proof of `prepare_inference` bounds every integer of the
+// chain below 2^31; `forward_q`/`execute_layer` on a `QTensor` stay the
+// `i64` interchange tier. The table below holds the first to the second
+// — whole models, tiled runs, every stage on its own against the two
+// `*_reference` oracles, random and crafted models at the proof's edge —
+// by `to_bits`. In a debug build `i32` `+` and `*` panic on overflow, so
+// the tier-1 debug run of this table is itself an overflow check of the
+// proof: a bound that is too small fails here before any integer
+// differs. The CI legs run it at pools 1/2/4 (`RINGCNN_THREADS`) and
+// with each kernel tier pinned; the whole-model rows also force both
+// tiers in-process.
+// ---------------------------------------------------------------------
+
+use ringcnn::quant::quantized::LaneProof;
+use ringcnn_tensor::prelude::{forced_kernel_scope, KernelBackend};
+
+const TIERS: [KernelBackend; 2] = [KernelBackend::Scalar, KernelBackend::Avx2];
+
+fn narrowed(q: &QTensor) -> QTensorOf<i32> {
+    let data = q.data().iter().map(|v| i32::try_from(*v).expect("fits"));
+    QTensorOf::from_raw(q.shape(), data.collect(), q.formats().to_vec())
+}
+
+fn widened(q: &QTensorOf<i32>) -> QTensor {
+    let data = q.data().iter().map(|v| i64::from(*v));
+    QTensor::from_raw(q.shape(), data.collect(), q.formats().to_vec())
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// A whole model on the `i64` interchange tier: what `forward` computed
+/// when there was one lane width.
+fn forward_i64(qm: &QuantizedModel, x: &Tensor) -> Tensor {
+    let q = QTensor::quantize(x, vec![qm.input_format(); x.shape().c]);
+    qm.forward_q(q).dequantize()
+}
+
+fn proof(qm: &QuantizedModel) -> &LaneProof {
+    qm.lane_proof().expect("a prepared model")
+}
+
+/// Every `QuantOptions` mode combination at the paper's 8 bits.
+fn mode_combinations() -> impl Iterator<Item = QuantOptions> {
+    [(true, true), (true, false), (false, true), (false, false)]
+        .into_iter()
+        .map(|(on_the_fly_drelu, component_wise)| QuantOptions {
+            on_the_fly_drelu,
+            component_wise,
+            ..QuantOptions::default()
+        })
+}
+
+/// The HD30 Dn and SR4 (bicubic skip) ERNets over the real field and
+/// RI2/RI4/RI8 with `fH`, in all four mode combinations: each is proven
+/// into `i32` lanes, and its `forward` — whole (batch 2, both kernel
+/// tiers) and tiled through `BatchRunner` — is the `i64` tier's output.
+#[test]
+fn i32_whole_models_equal_the_i64_tier_whole_and_tiled() {
+    for (scenario, hw) in [(Scenario::Denoise { sigma: 25.0 }, 16), (Scenario::Sr4, 8)] {
+        for alg in [
+            Algebra::real(),
+            Algebra::ri_fh(2),
+            Algebra::ri_fh(4),
+            Algebra::ri_fh(8),
+        ] {
+            let mut float = build_model(scenario, ThroughputTarget::Hd30, &alg, 7);
+            let calibration = Tensor::random_uniform(Shape4::new(1, 1, 16, 16), 0.0, 1.0, 5);
+            // Beyond the calibrated range on both sides: the input
+            // quantizer and the stages behind it saturate.
+            let x = Tensor::random_uniform(Shape4::new(2, 1, hw, hw), -0.5, 1.5, 6);
+            for opts in mode_combinations() {
+                let what = format!("{scenario:?} over {} with {opts:?}", alg.label());
+                let mut qm = QuantizedModel::quantize(&mut float, &calibration, opts);
+                assert_eq!(qm.lanes(), Lanes::I32, "{what}: {:?}", proof(&qm));
+                let want = bits(&forward_i64(&qm, &x));
+                for tier in TIERS {
+                    let got = forced_kernel_scope(tier, || qm.forward(&x));
+                    assert_eq!(bits(&got), want, "{what}, {} tile", tier.label());
+                }
+                if opts.component_wise {
+                    let runner = BatchRunner::new(&mut qm).with_tile(TileConfig::with_tile(8));
+                    assert_eq!(bits(&runner.run(&x)), want, "{what}, tiled");
+                }
+            }
+        }
+    }
+}
+
+/// Every generic stage instantiated at `i32`, on the layers calibration
+/// emits — dense, ring-expanded and aligned convs, accumulator-keeping
+/// convs in front of both directional-ReLU modes, ReLU, shuffles,
+/// residual bodies and their saturating adds — each against the `i64`
+/// tier of the same stage: `run_conv_reference` for a conv,
+/// `run_drelu_reference` for a directional ReLU, `execute_layer` on the
+/// `QTensor` for the rest.
+#[test]
+fn i32_stages_equal_their_i64_oracles_layer_by_layer() {
+    fn visit(layers: &[QLayer], mut q: QTensor, what: &str, seen: &mut [usize; 4]) -> QTensor {
+        for (i, layer) in layers.iter().enumerate() {
+            let narrow = narrowed(&q);
+            let want = match layer {
+                QLayer::Residual(res) => {
+                    let body = visit(res.body(), q.clone(), what, seen);
+                    let formats = expand_formats(res.out_formats(), q.shape().c);
+                    let sum = narrowed(&body).add_saturating(&narrow, formats.clone());
+                    let want = body.add_saturating(&q, formats);
+                    assert_eq!(widened(&sum), want, "{what}: residual add {i}");
+                    want
+                }
+                QLayer::Conv(c) => run_conv_reference(c, &q),
+                QLayer::DRelu(d) => run_drelu_reference(d, &q),
+                _ => execute_layer(layer, q.clone()),
+            };
+            seen[match layer {
+                QLayer::Conv(_) => 0,
+                QLayer::DRelu(_) => 1,
+                QLayer::Residual(_) => 2,
+                _ => 3,
+            }] += 1;
+            let got = execute_layer(layer, narrow);
+            assert_eq!(widened(&got), want, "{what}: layer {i}");
+            q = want;
+        }
+        q
+    }
+    let mut seen = [0; 4];
+    for alg in [
+        Algebra::real(),
+        Algebra::ri_fh(2),
+        Algebra::ri_fh(4),
+        Algebra::ri_fh(8),
+        Algebra::with_fcw(ringcnn_algebra::ring::RingKind::Rh(4)),
+    ] {
+        let tiny = ringcnn_nn::models::ernet::ErNetConfig::tiny();
+        let mut float = ringcnn_nn::models::ernet::dn_ernet_pu(&alg, tiny, 1, 9);
+        let x = Tensor::random_uniform(Shape4::new(2, 1, 12, 8), -0.5, 1.5, 7);
+        for opts in mode_combinations() {
+            let what = format!("{} with {opts:?}", alg.label());
+            let qm = QuantizedModel::quantize(&mut float, &x, opts);
+            assert_eq!(qm.lanes(), Lanes::I32, "{what}: {:?}", proof(&qm));
+            let q = QTensor::quantize(&x, vec![qm.input_format(); 1]);
+            let out = visit(qm.layers(), q, &what, &mut seen);
+            assert_eq!(bits(&qm.forward(&x)), bits(&out.dequantize()), "{what}");
+        }
+    }
+    let [convs, drelus, adds, others] = seen;
+    assert!(
+        convs > 0 && drelus > 0 && adds > 0 && others > 0,
+        "{seen:?}"
+    );
+}
+
+// Hand-written `ringcnn-qmodel/v1` text: models no calibration would
+// emit, at the edges of the proof.
+
+fn json_format((bits, frac): (u32, i32)) -> String {
+    format!(r#"{{"bits":{bits},"frac":{frac}}}"#)
+}
+
+fn json_list<T>(items: &[T], item: impl Fn(&T) -> String) -> String {
+    let items: Vec<String> = items.iter().map(item).collect();
+    format!("[{}]", items.join(","))
+}
+
+/// One conv layer; biases are the reals the file stores as `f64` bits.
+fn json_conv(
+    (co, ci, k): (usize, usize, usize),
+    weights: &[i64],
+    w_format: (u32, i32),
+    bias: &[f64],
+    requant: Option<&[(u32, i32)]>,
+    align: Option<(u32, i32)>,
+) -> String {
+    format!(
+        r#"{{"Conv":{{"co":{co},"ci":{ci},"k":{k},"weights":{},"w_format":{},"bias":{},"requant":{},"align_input":{}}}}}"#,
+        json_list(weights, i64::to_string),
+        json_format(w_format),
+        json_list(bias, |b| (b.to_bits() as i64).to_string()),
+        requant.map_or("null".into(), |r| json_list(r, |f| json_format(*f))),
+        align.map_or("null".into(), json_format),
+    )
+}
+
+fn json_drelu(n: usize, mid: Option<(u32, i32)>, out: &[(u32, i32)]) -> String {
+    let mode = mid.map_or(r#""OnTheFly""#.into(), |m| {
+        format!(r#"{{"MacBased":{{"mid":{}}}}}"#, json_format(m))
+    });
+    let out = json_list(out, |f| json_format(*f));
+    format!(r#"{{"DRelu":{{"n":{n},"mode":{mode},"out_formats":{out}}}}}"#)
+}
+
+/// Loads the layers as a model file: validated, proven, prepared.
+fn crafted(channels_io: usize, input: (u32, i32), layers: &[String]) -> QuantizedModel {
+    let json = format!(
+        r#"{{"format":"ringcnn-qmodel/v1","name":"m","arch":"crafted","algebra":"-","channels_io":{channels_io},"calibration_psnr":0.0,"model":{{"input_format":{},"layers":[{}],"opts":{{"weight_bits":8,"feature_bits":8,"component_wise":true,"on_the_fly_drelu":true}}}}}}"#,
+        json_format(input),
+        layers.join(","),
+    );
+    qmodel_from_json(&json)
+        .expect("a valid crafted model")
+        .model
+}
+
+/// Inputs from well inside to far outside a format's range, so both
+/// rails of the input quantizer are reached.
+fn saturating_input(shape: Shape4, input: (u32, i32), seed: u64) -> Tensor {
+    let max = 2.0f32.powi(input.0 as i32 - 1 - input.1);
+    Tensor::random_uniform(shape, -2.0 * max, 2.0 * max, seed)
+}
+
+/// The proof's edge, exactly: a 1×1 conv whose accumulator bound
+/// `|bias| + |w|·128` is 2^31 − 1 runs in `i32` lanes — and reaches
+/// `i32::MAX` without wrapping — and one more takes `i64`. The bias is
+/// part of the bound: without it both models would be far inside.
+#[test]
+fn a_conv_bound_of_two_to_the_31_minus_one_is_i32_and_one_more_is_i64() {
+    // Accumulator frac 0 + 2: a bias of `b / 4` is the integer `b`.
+    let model = |bound: i64| {
+        let bias = (bound - 128) as f64 / 4.0;
+        let conv = json_conv((1, 1, 1), &[-1], (8, 0), &[bias], Some(&[(8, 0)]), None);
+        crafted(1, (8, 2), &[conv])
+    };
+    let edge = model((1 << 31) - 1);
+    let p = proof(&edge);
+    assert_eq!((p.lanes, p.stage.as_str()), (Lanes::I32, "layer 0 conv"));
+    assert_eq!(p.worst, (1 << 31) - 1);
+    // −128 · −1 + bias = i32::MAX, then the requantizer's rounding add.
+    let x = Tensor::from_vec(Shape4::new(1, 1, 1, 3), vec![-1e6, 0.3, 1e6]);
+    assert_eq!(bits(&edge.forward(&x)), bits(&forward_i64(&edge, &x)));
+    let past = model(1 << 31);
+    let p = proof(&past);
+    assert_eq!((p.lanes, p.stage.as_str()), (Lanes::I64, "layer 0 conv"));
+    assert_eq!(p.worst, 1 << 31);
+}
+
+/// The second butterfly sums `n` first-butterfly outputs: two
+/// accumulators of 2^29 each make S = 2^30 and n·S = 2^31, one too many
+/// for `i32` — and four less is not.
+#[test]
+fn the_drelu_bound_grows_by_n_through_the_second_butterfly() {
+    let model = |bound: i64| {
+        let bias = [(bound - 128) as f64 / 4.0; 2];
+        let conv = json_conv((2, 2, 1), &[1, 0, 0, -1], (8, 0), &bias, None, None);
+        crafted(
+            2,
+            (8, 2),
+            &[conv, json_drelu(2, None, &[(8, -22), (8, -22)])],
+        )
+    };
+    let past = model(1 << 29);
+    let p = proof(&past);
+    assert_eq!((p.lanes, p.stage.as_str()), (Lanes::I64, "layer 1 (fH)"));
+    assert_eq!(p.worst, 1 << 31);
+    let edge = model((1 << 29) - 1);
+    let p = proof(&edge);
+    assert_eq!((p.lanes, p.stage.as_str()), (Lanes::I32, "layer 1 (fH)"));
+    assert_eq!(p.worst, (1 << 31) - 4);
+    let x = saturating_input(Shape4::new(2, 2, 5, 7), (8, 2), 3);
+    assert_eq!(bits(&edge.forward(&x)), bits(&forward_i64(&edge, &x)));
+}
+
+/// What `i32` lanes cannot hold takes `i64`, with the reason on record:
+/// 16-bit features against 16-bit weights (−32768 is beyond what the
+/// 16-bit multiplier takes, whatever the accumulator), and a
+/// component-format spread whose alignment shift alone passes 2^31.
+#[test]
+fn sixteen_bit_operands_and_adversarial_spreads_take_i64() {
+    let conv = json_conv((1, 1, 1), &[3], (16, 0), &[0.0], Some(&[(16, 0)]), None);
+    let p = proof(&crafted(1, (16, 0), &[conv])).clone();
+    assert_eq!(p.lanes, Lanes::I64, "{p:?}");
+    assert_eq!(p.stage, "layer 0 conv (operands beyond 16 bits)");
+    let spread = [(8, 0), (8, 40)];
+    let conv = json_conv(
+        (2, 2, 1),
+        &[1, 0, 0, 1],
+        (8, 0),
+        &[0.0; 2],
+        Some(&spread),
+        None,
+    );
+    let qm = crafted(2, (8, 0), &[conv, json_drelu(2, None, &[(8, 0), (8, 0)])]);
+    let p = proof(&qm);
+    assert_eq!((p.lanes, p.stage.as_str()), (Lanes::I64, "layer 1 (fH)"));
+    assert_eq!(p.worst, 2 * ((128 << 40) + 128), "{p:?}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random tables — weight and feature widths 2..=16, every format
+    /// its own frac, both directional-ReLU modes, an aligned conv in a
+    /// residual body, a shuffle across mixed formats: whenever the proof
+    /// says `I32`, the `i32` chain computes the `i64` chain's integers
+    /// (and in a debug build never overflows on the way).
+    #[test]
+    fn whatever_the_proof_admits_to_i32_equals_the_i64_tier(
+        log_n in 1u32..3,
+        w_bits in 2u32..17,
+        f_bits in proptest::collection::vec(2u32..17, 12),
+        fracs in proptest::collection::vec(0i32..11, 12),
+        mac_based in 0u32..2,
+        seed in 0u64..u64::MAX,
+    ) {
+        let n = 1usize << log_n;
+        let mut state = seed;
+        let mut weights = |count: usize, bits: u32| -> Vec<i64> {
+            (0..count)
+                .map(|_| (splitmix(&mut state) as i64) >> (64 - bits))
+                .collect()
+        };
+        let f = |i: usize| (f_bits[i], fracs[i]);
+        let per_component = |at: usize, c: usize| -> Vec<(u32, i32)> {
+            (0..c).map(|ch| f(at + ch % n)).collect()
+        };
+        let bias = |c: usize| -> Vec<f64> { (0..c).map(|ch| ch as f64 * 0.37 - 0.5).collect() };
+        let (input, mac_based) = (f(0), mac_based == 1);
+        let head_out = per_component(1, 2 * n);
+        let head = json_conv(
+            (2 * n, n, 3),
+            &weights(2 * n * n * 9, w_bits),
+            (w_bits, fracs[11]),
+            &bias(2 * n),
+            mac_based.then_some(&head_out[..]),
+            None,
+        );
+        let drelu = json_drelu(n, mac_based.then_some(f(5)), &per_component(6, n));
+        let body = json_conv(
+            (2 * n, 2 * n, 1),
+            &weights(4 * n * n, w_bits),
+            (w_bits, fracs[10]),
+            &bias(2 * n),
+            Some(&per_component(1, 2 * n)),
+            Some(f(10)),
+        );
+        let residual = format!(
+            r#"{{"Residual":{{"body":[{body},"Relu"],"out_formats":{}}}}}"#,
+            json_list(&[f(11)], |f| json_format(*f)),
+        );
+        let layers = [head, drelu, residual, r#"{"Shuffle":2}"#.into()];
+        let qm = crafted(n, input, &layers);
+        if qm.lanes() == Lanes::I32 {
+            let x = saturating_input(Shape4::new(2, n, 5, 7), input, seed);
+            prop_assert_eq!(bits(&qm.forward(&x)), bits(&forward_i64(&qm, &x)), "{:?}", proof(&qm));
+        } else {
+            // Not for nothing: some stage does pass 2^31, or multiplies
+            // a 16-bit rail.
+            let p = proof(&qm);
+            prop_assert!(p.worst >= 1 << 31 || p.stage.contains("operands"), "{:?}", p);
+        }
+    }
+}
