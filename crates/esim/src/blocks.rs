@@ -7,11 +7,11 @@
 //! With a halo at least as large as the network's receptive-field radius,
 //! stitched block outputs are **bit-exact against whole-image inference
 //! for every pixel farther than the radius from the true image border**
-//! (verified by tests). Pixels at the image border differ slightly:
-//! block-level zero halos approximate the per-layer zero padding of
-//! whole-image convolution (biases make outside-image features nonzero) —
-//! the standard behavior of recompute-based flows. The cost is re-reading
-//! halo pixels from DRAM, accounted in the bandwidth model.
+//! (verified by tests); at the border block-level zero halos approximate
+//! the per-layer zero padding of whole-image convolution, as recompute
+//! flows do. The cost is re-reading halo pixels from DRAM (bandwidth
+//! model); unlike the CPU runtime, whose tiles shrink layer by layer,
+//! every layer is still charged the full extended block here.
 
 use crate::engine::{EngineGeometry, EnginePass};
 use crate::sim::SimReport;

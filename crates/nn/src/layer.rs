@@ -8,6 +8,7 @@
 //! a stable order.
 
 use crate::backend::ConvBackend;
+use crate::runtime::TileHalo;
 use ringcnn_tensor::prelude::*;
 use std::any::Any;
 
@@ -43,10 +44,11 @@ pub struct ParamGroup<'a> {
 ///   caller's and is never written; a container owns every tensor a
 ///   child returns to it, and may hand it to the next child for good
 ///   ([`Layer::forward_infer_owned`] — the only place an activation is
-///   mutated) or skip materialising it ([`Layer::forward_infer_shuffled`]
-///   with [`Layer::pixel_shuffle_factor`]). Both are shortcuts with the
-///   bits of the plain leaf-by-leaf chain, which stays valid: walks that
-///   call `forward_infer` on one leaf at a time see the same values.
+///   mutated) or have a child write only what its consumer reads, where
+///   it reads it ([`Layer::forward_tile`] with
+///   [`Layer::pixel_shuffle_factor`]). Both are shortcuts with the bits
+///   of the plain leaf-by-leaf chain, which stays valid: walks that call
+///   `forward_infer` on one leaf at a time see the same values.
 pub trait Layer: Send + Sync {
     /// Short human-readable layer descriptor (e.g. `conv3x3(16->32)`).
     fn name(&self) -> String;
@@ -79,17 +81,24 @@ pub trait Layer: Send + Sync {
         self.forward_infer(&input)
     }
 
-    /// [`Layer::forward_infer`] and the pixel shuffle of factor `r` that
-    /// follows it, as one step with the same bits — `None` (the
-    /// default) where the layer has no such kernel. Only a convolution
-    /// on the streaming engine does: it writes each output pixel where
-    /// the shuffle would copy it to.
-    fn forward_infer_shuffled(&self, _input: &Tensor, _r: usize) -> Option<Tensor> {
+    /// [`Layer::forward_infer`] inside a tile, writing what the consumer
+    /// reads where it reads it: a convolution on the streaming engine
+    /// leaves out the rim of `tile`'s margins the rest of the chain no
+    /// longer reaches and writes each pixel where the pixel shuffle of
+    /// factor `r` that follows it would copy it to (`r = 1`: none
+    /// follows, the layer is a container or rescales, or it answered
+    /// `None` to `r`); a container threads `tile` through its children, its
+    /// `forward_infer` being this walk over [`TileHalo::whole`]. Whoever
+    /// answers moves `tile` past itself (and past the shuffle). `None`
+    /// (the default) where the layer has no such kernel: the caller
+    /// accounts it as a [`TileHalo::leaf`] and runs the plain forward
+    /// over the whole tile — the halo is carried, the bits are the same.
+    fn forward_tile(&self, _input: &Tensor, _r: usize, _tile: &mut TileHalo) -> Option<Tensor> {
         None
     }
 
     /// `Some(r)` for the depth-to-space of factor `r`, the one layer a
-    /// container may run inside [`Layer::forward_infer_shuffled`].
+    /// container may run inside a leaf's [`Layer::forward_tile`].
     fn pixel_shuffle_factor(&self) -> Option<usize> {
         None
     }

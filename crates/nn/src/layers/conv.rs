@@ -3,6 +3,7 @@
 use crate::backend::ConvBackend;
 use crate::init::he_std;
 use crate::layer::{Layer, ParamGroup};
+use crate::runtime::TileHalo;
 use ringcnn_tensor::prelude::*;
 use ringcnn_tensor::tensor::Tensor as T;
 use std::sync::OnceLock;
@@ -159,15 +160,15 @@ impl Layer for Conv2d {
     }
 
     fn forward_infer(&self, input: &T) -> T {
-        match self.backend {
-            ConvBackend::Naive => conv2d_forward(input, &self.weights, &self.bias),
-            _ => conv2d_forward_packed(input, self.weights.k, self.plan(), &self.bias, 1),
-        }
+        let engine = self.forward_tile(input, 1, &mut TileHalo::whole());
+        engine.unwrap_or_else(|| conv2d_forward(input, &self.weights, &self.bias))
     }
 
-    fn forward_infer_shuffled(&self, input: &T, r: usize) -> Option<T> {
-        (self.backend != ConvBackend::Naive)
-            .then(|| conv2d_forward_packed(input, self.weights.k, self.plan(), &self.bias, r))
+    fn forward_tile(&self, input: &T, r: usize, tile: &mut TileHalo) -> Option<T> {
+        (self.backend != ConvBackend::Naive).then(|| {
+            let (k, cut) = (self.weights.k, tile.conv(self.weights.k / 2, r));
+            conv2d_forward_packed(input, k, self.plan(), &self.bias, r, cut)
+        })
     }
 
     fn prepare_inference(&mut self) {
@@ -323,7 +324,7 @@ impl Layer for DepthwiseConv2d {
         match self.kernel() {
             DepthwiseKernel::Naive(w) => conv2d_forward(input, w, &self.bias),
             DepthwiseKernel::Engine(plan) => {
-                conv2d_forward_packed(input, self.k, plan, &self.bias, 1)
+                conv2d_forward_packed(input, self.k, plan, &self.bias, 1, [0; 4])
             }
         }
     }

@@ -127,21 +127,31 @@ impl FastRingConv {
         (self.co_t * self.ci_t * self.k * self.k * self.m) as f64
     }
 
-    /// Runs the plan on an `[N, ci_t·n, H, W]` input. Besides the output
-    /// the call allocates its scratch once — component `r` of `x̃` and of
-    /// `z̃` for one batch item, `ci_t` and `co_t` planes — and every
-    /// component of every item rewrites both whole.
+    /// Runs the plan on an `[N, ci_t·n, H, W]` input: all of
+    /// [`FastRingConv::forward_region`].
+    pub fn forward(&self, input: &Tensor) -> Tensor {
+        self.forward_region(input, [0; 4])
+    }
+
+    /// Runs the plan over the region [`Window::inset`] by `cut` of an
+    /// `[N, ci_t·n, H, W]` input. Besides the output the call allocates
+    /// its scratch once — component `r` of `x̃` (`ci_t` whole planes:
+    /// taps reach beyond the region) and of `z̃` (`co_t` regions) for one
+    /// batch item — and every component of every item rewrites both
+    /// whole.
     ///
     /// # Panics
     ///
     /// Panics if the input channel count is not `ci_t·n`.
-    pub fn forward(&self, input: &Tensor) -> Tensor {
+    pub fn forward_region(&self, input: &Tensor, cut: [usize; 4]) -> Tensor {
         let s = input.shape();
         assert_eq!(s.c, self.ci_t * self.n, "input channels mismatch");
-        let mut out = Tensor::zeros(s.with_channels(self.co_t * self.n));
+        let region = Window::inset(s.h, s.w, cut);
+        let out_shape = Shape4::new(s.n, self.co_t * self.n, region.h, region.w);
+        let mut out = Tensor::zeros(out_shape);
         let plane = s.plane().max(1);
         let mut xt = vec![0.0f32; self.ci_t * s.plane()];
-        let mut zt = vec![0.0f32; self.co_t * s.plane()];
+        let mut zt = vec![0.0f32; self.co_t * out_shape.plane()];
 
         for b in 0..s.n {
             for r in 0..self.m {
@@ -170,11 +180,11 @@ impl FastRingConv {
 
                 // One component-wise real convolution in the transformed
                 // domain, on the streaming im2col engine.
-                let x = ConvInput::new(&xt, self.ci_t, s.h, s.w, Window::full(s.h, s.w));
+                let x = ConvInput::new(&xt, self.ci_t, s.h, s.w, region);
                 conv_streaming_f32(&x, self.k, &self.comp_weights[r], &[], &mut zt);
 
                 // Reconstruction: scatter component r of z̃ through Tz.
-                for (cot, src) in zt.chunks(plane).enumerate() {
+                for (cot, src) in zt.chunks(out_shape.plane().max(1)).enumerate() {
                     for l in 0..self.n {
                         let c = self.tz[l * self.m + r];
                         if c == 0.0 {

@@ -13,6 +13,7 @@ use crate::backend::ConvBackend;
 use crate::init::he_std;
 use crate::layer::{Layer, ParamGroup};
 use crate::layers::fast_ring_conv::FastRingConv;
+use crate::runtime::TileHalo;
 use ringcnn_algebra::ring::Ring;
 use ringcnn_tensor::prelude::*;
 use ringcnn_tensor::tensor::Tensor as T;
@@ -278,14 +279,23 @@ impl Layer for RingConv2d {
         );
         match self.kernel() {
             RingKernel::Naive(w) => conv2d_forward(input, w, &self.bias),
-            RingKernel::Engine(w) => conv2d_forward_packed(input, self.k, w, &self.bias, 1),
+            RingKernel::Engine(w) => conv2d_forward_packed(input, self.k, w, &self.bias, 1, [0; 4]),
             RingKernel::Transform(plan) => plan.forward(input),
         }
     }
 
-    fn forward_infer_shuffled(&self, input: &T, r: usize) -> Option<T> {
+    fn forward_tile(&self, input: &T, r: usize, tile: &mut TileHalo) -> Option<T> {
+        let mut cut = || tile.conv(self.k / 2, r);
         match self.kernel() {
-            RingKernel::Engine(w) => Some(conv2d_forward_packed(input, self.k, w, &self.bias, r)),
+            RingKernel::Engine(w) => Some(conv2d_forward_packed(
+                input,
+                self.k,
+                w,
+                &self.bias,
+                r,
+                cut(),
+            )),
+            RingKernel::Transform(plan) if r == 1 => Some(plan.forward_region(input, cut())),
             _ => None,
         }
     }

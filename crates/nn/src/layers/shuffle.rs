@@ -9,11 +9,12 @@
 //!
 //! Behind a convolution on the streaming engine a [`PixelShuffle`] does
 //! not run at all: it answers [`Layer::pixel_shuffle_factor`], and
-//! `Sequential::forward_infer` has the convolution write each pixel where
-//! [`shuffle_into`] would copy it (`Layer::forward_infer_shuffled`), bit
-//! for bit the tensor `apply` returns.
+//! `Sequential` has the convolution write each pixel where
+//! [`shuffle_into`] would copy it ([`Layer::forward_tile`]), bit for bit
+//! the tensor `apply` returns.
 
 use crate::layer::Layer;
+use crate::runtime::TileHalo;
 use ringcnn_tensor::prelude::*;
 use ringcnn_tensor::tensor::Tensor as T;
 
@@ -68,6 +69,20 @@ pub fn unshuffle_into<E: Copy>(src: &[E], s: Shape4, r: usize, dst: &mut [E]) {
     }
 }
 
+/// The NCHW buffer `src` of shape `s` without `cut` rows and columns on
+/// the top, left, bottom and right of every plane — a copy, for the few
+/// places a tile is cut that are not a convolution's output (written once
+/// for any element type, like the permutations above).
+pub fn cropped<E: Copy>(src: &[E], s: Shape4, cut: [usize; 4]) -> (Shape4, Vec<E>) {
+    let win = Window::inset(s.h, s.w, cut);
+    let rows = src[..s.len()].chunks(s.w.max(1));
+    let kept = rows
+        .enumerate()
+        .filter(|(i, _)| (cut[0]..cut[0] + win.h).contains(&(i % s.h)));
+    let data = kept.flat_map(|(_, row)| &row[cut[1]..cut[1] + win.w]);
+    (Shape4::new(s.n, s.c, win.h, win.w), data.copied().collect())
+}
+
 /// Space-to-depth: `[N, C, H, W] → [N, C·r², H/r, W/r]`.
 pub struct PixelUnshuffle {
     r: usize,
@@ -103,6 +118,17 @@ impl Layer for PixelUnshuffle {
 
     fn forward_infer(&self, input: &T) -> T {
         Self::apply(input, self.r)
+    }
+
+    fn forward_tile(&self, input: &T, _r: usize, tile: &mut TileHalo) -> Option<T> {
+        // A margin a convolution trimmed off the `r`-grid: drop the rows
+        // and columns that fill no whole coarse pixel.
+        let cut = tile.margin.map(|m| m % self.r);
+        (cut != [0; 4]).then(|| {
+            tile.leaf(0, (1, self.r));
+            let (s, data) = cropped(input.as_slice(), input.shape(), cut);
+            Self::apply(&T::from_vec(s, data), self.r)
+        })
     }
 
     fn backward(&mut self, dout: &T) -> T {

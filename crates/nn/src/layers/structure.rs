@@ -6,6 +6,7 @@
 //! as the trait's defaults over that hook.
 
 use crate::layer::{visit_tree_mut, Layer};
+use crate::runtime::TileHalo;
 use ringcnn_tensor::tensor::Tensor as T;
 use std::borrow::Cow;
 
@@ -89,6 +90,11 @@ impl Layer for Sequential {
     }
 
     fn forward_infer(&self, input: &T) -> T {
+        let walked = self.forward_tile(input, 1, &mut TileHalo::whole());
+        walked.expect("a chain walks itself")
+    }
+
+    fn forward_tile(&self, input: &T, _r: usize, tile: &mut TileHalo) -> Option<T> {
         // The first child reads the caller's tensor — only an empty
         // chain (the identity) has to copy it — and every later child is
         // handed the tensor the chain owns.
@@ -98,19 +104,27 @@ impl Layer for Sequential {
             // `conv → pixel_shuffle` is one step where both layers say
             // so: the engine writes where the shuffle would copy to.
             let next = layers.as_slice().first();
-            let fused = next
-                .and_then(|shuffle| shuffle.pixel_shuffle_factor())
-                .and_then(|r| l.forward_infer_shuffled(&x, r));
-            x = Cow::Owned(match (fused, x) {
-                (Some(y), _) => {
-                    layers.next();
-                    y
+            let r = next.and_then(|shuffle| shuffle.pixel_shuffle_factor());
+            let fuses = l.children().is_none() && l.spatial_scale() == (1, 1);
+            let fused = r
+                .filter(|_| fuses)
+                .and_then(|r| l.forward_tile(&x, r, tile));
+            if fused.is_some() {
+                layers.next();
+            }
+            let answered = fused.or_else(|| l.forward_tile(&x, 1, tile));
+            x = Cow::Owned(match (answered, x) {
+                (Some(y), _) => y,
+                (None, x) => {
+                    tile.leaf(l.kernel_radius(), l.spatial_scale());
+                    match x {
+                        Cow::Borrowed(x) => l.forward_infer(x),
+                        Cow::Owned(x) => l.forward_infer_owned(x),
+                    }
                 }
-                (None, Cow::Borrowed(x)) => l.forward_infer(x),
-                (None, Cow::Owned(x)) => l.forward_infer_owned(x),
             });
         }
-        x.into_owned()
+        Some(x.into_owned())
     }
 
     fn children(&self) -> Option<&[Box<dyn Layer>]> {
@@ -166,9 +180,16 @@ impl Layer for Residual {
     }
 
     fn forward_infer(&self, input: &T) -> T {
-        let mut out = self.body.forward_infer(input);
-        out.add_assign(input);
-        out
+        let walked = self.forward_tile(input, 1, &mut TileHalo::whole());
+        walked.expect("a chain walks itself")
+    }
+
+    fn forward_tile(&self, input: &T, _r: usize, tile: &mut TileHalo) -> Option<T> {
+        // The skip is added over the region the body still wrote.
+        let [top, left, ..] = tile.margin;
+        let mut out = self.body.forward_tile(input, 1, tile)?;
+        out.add_window(input, top - tile.margin[0], left - tile.margin[1]);
+        Some(out)
     }
 
     // The skip path is pointwise, so the body's layers are all there is

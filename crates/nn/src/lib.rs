@@ -55,7 +55,9 @@ pub mod prelude {
     pub use crate::layers::upsample::{scale_conv_weights, UpsampleResidual};
     pub use crate::loss::{cross_entropy_loss, l1_loss, mse_loss};
     pub use crate::optim::{Adam, Sgd};
-    pub use crate::runtime::{model_topology, tiled_forward, BatchRunner, ModelTopo, TileConfig};
+    pub use crate::runtime::{
+        model_topology, tiled_forward, BatchRunner, ModelTopo, TileConfig, TileHalo,
+    };
     pub use crate::serialize::{
         export_model, instantiate, load_params, model_from_json, model_to_json, save_params,
         AlgebraSpec, ModelFile, ModelLoadError, ModelParams, ModelSpec,

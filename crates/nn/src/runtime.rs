@@ -5,11 +5,15 @@
 //! (§V): the input image is split into core tiles, every tile is
 //! extended by a halo of at least the model's receptive-field radius,
 //! the halo-extended tiles run through the network *concurrently* on the
-//! thread pool, and the core regions are stitched back together. With a
-//! sufficient halo the stitched output is **bit-identical** to the
-//! whole-image pass for the dense kernels and within float rounding for
-//! the transform engine — the determinism suite in
-//! `tests/runtime_parallel.rs` enforces it.
+//! thread pool, and the core regions are stitched back together. The
+//! halo is consumed on the way, not carried: a [`TileHalo`] travels with
+//! the tile, every leaf takes its kernel radius off what the rest of the
+//! chain can still reach, and a convolution computes only the core and
+//! that remaining reach around it — the truncated pyramid of the block
+//! flow, the tile shrinking layer by layer down to (nearly) its core.
+//! Per element nothing changes, so with a sufficient halo the stitched
+//! output is **bit-identical** to the whole-image pass on every kernel —
+//! the determinism suite in `tests/runtime_parallel.rs` enforces it.
 //!
 //! Threading model: [`BatchRunner::new`] takes the model exclusively
 //! once, warms up every inference kernel
@@ -126,6 +130,69 @@ impl TopoBuilder {
     }
 }
 
+/// What a tile carries around its core on its way through a chain: the
+/// pixels it still has beyond the core on each side, and the radius the
+/// rest of the chain can still read — the halo at entry, less every
+/// kernel radius passed since. A convolution keeps `min(margin, ⌈rest⌉)`
+/// per side, so a side keeps `margin ≥ ⌈rest⌉` unless the frame clipped
+/// it: there the margin is all the image has, and its edge gets the
+/// per-layer zero padding of whole-image inference until `rest` drops
+/// below it. Outside a tile ([`TileHalo::whole`]) nothing is ever cut.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TileHalo {
+    /// Pixels beyond the core on the top, left, bottom and right, at the
+    /// current resolution.
+    pub margin: [usize; 4],
+    /// `rest.0 / rest.1` (reduced) current-resolution pixels — exact, like
+    /// the `ipp` of [`TopoBuilder`]: a ×4 tail reads a quarter input pixel.
+    rest: (usize, usize),
+}
+
+impl TileHalo {
+    /// A tile with `margin` pixels around its core entering a chain that
+    /// reads at most `halo` input pixels around any output pixel.
+    pub fn new(margin: [usize; 4], halo: usize) -> Self {
+        let rest = (halo, 1);
+        Self { margin, rest }
+    }
+
+    /// A whole image: no margins, nothing to cut.
+    pub fn whole() -> Self {
+        Self::new([0; 4], 0)
+    }
+
+    /// `⌈rest⌉`: the margin the rest of the chain can still reach.
+    pub fn reach(&self) -> usize {
+        self.rest.0.div_ceil(self.rest.1)
+    }
+
+    /// Moves past a leaf that reads `radius` pixels around each output
+    /// pixel, then rescales by `num/den`, and ran over the whole tile (its
+    /// halo carried). Margins floor — a coarse pixel only part of which
+    /// is there is not — and `rest` with them.
+    pub fn leaf(&mut self, radius: usize, (num, den): (usize, usize)) {
+        self.rest.0 = self.rest.0.saturating_sub(radius * self.rest.1);
+        let cap = self.reach() * num / den;
+        self.margin = self.margin.map(|m| m * num / den);
+        let (n, d) = (self.rest.0 * num, self.rest.1 * den);
+        let (n, d) = if cap * d < n { (cap, 1) } else { (n, d) };
+        self.rest = (n / gcd(n, d), d / gcd(n, d));
+    }
+
+    /// Moves past a convolution of `radius` that writes only what the
+    /// rest of the chain reads, through the pixel shuffle of factor `r`
+    /// fused behind it: returns the rows and columns it leaves out on
+    /// the top, left, bottom and right of its "same" output.
+    pub fn conv(&mut self, radius: usize, r: usize) -> [usize; 4] {
+        self.leaf(radius, (1, 1));
+        let keep = self.reach();
+        let cut = self.margin.map(|m| m.saturating_sub(keep));
+        self.margin = self.margin.map(|m| m.min(keep));
+        self.leaf(0, (r, 1));
+        cut
+    }
+}
+
 /// Derives the [`ModelTopo`] of a model by walking its layer tree
 /// (nothing is changed; the one tree walk is the `&mut` one).
 pub fn model_topology(model: &mut Sequential) -> ModelTopo {
@@ -156,9 +223,16 @@ pub trait InferenceModel: Send + Sync {
     /// [`InferenceModel::forward_infer`] calls never rebuild state.
     fn prepare_inference(&mut self);
 
-    /// Shared-state inference forward (no mutation; many threads may
-    /// call this concurrently).
-    fn forward_infer(&self, input: &Tensor) -> Tensor;
+    /// Shared-state inference forward of one tile (no mutation; many
+    /// threads may call this concurrently): `tile` enters with the
+    /// tile's margins and halo and comes back with the margins the
+    /// output still has around its core.
+    fn forward_tile(&self, input: &Tensor, tile: &mut TileHalo) -> Tensor;
+
+    /// Whole-image inference forward: the tile walk with nothing to cut.
+    fn forward_infer(&self, input: &Tensor) -> Tensor {
+        self.forward_tile(input, &mut TileHalo::whole())
+    }
 
     /// Output channel count given the input channel count.
     fn out_channels(&self, in_channels: usize) -> usize;
@@ -173,8 +247,8 @@ impl InferenceModel for Sequential {
         Layer::prepare_inference(self);
     }
 
-    fn forward_infer(&self, input: &Tensor) -> Tensor {
-        Layer::forward_infer(self, input)
+    fn forward_tile(&self, input: &Tensor, tile: &mut TileHalo) -> Tensor {
+        Layer::forward_tile(self, input, 1, tile).expect("a chain walks itself")
     }
 
     fn out_channels(&self, in_channels: usize) -> usize {
@@ -201,8 +275,9 @@ impl Default for TileConfig {
     fn default() -> Self {
         // 64-pixel cores: the paper's block-based flow operates at
         // 16–64; larger cores amortize the halo recompute overhead
-        // (overhead ≈ (1 + 2h/t)² − 1) while still exposing enough tiles
-        // for the pool.
+        // (layer `i` of a tile computes `(t + 2·⌈rest_i⌉)²` pixels for
+        // `t²` of core, see docs/PERFORMANCE.md) while still exposing
+        // enough tiles for the pool.
         Self {
             tile: 64,
             halo: None,
@@ -278,11 +353,12 @@ impl<'m> BatchRunner<'m> {
         self.topo
     }
 
-    /// The effective halo width (configured or auto-derived).
+    /// The effective halo width: configured or the model's receptive
+    /// radius, rounded up to the granularity (a larger halo is always
+    /// exact).
     pub fn halo(&self) -> usize {
-        self.tile
-            .halo
-            .unwrap_or_else(|| self.topo.radius.next_multiple_of(self.topo.granularity))
+        let halo = self.tile.halo.unwrap_or(self.topo.radius);
+        halo.next_multiple_of(self.topo.granularity)
     }
 
     /// Whole-image inference forward (no tiling; the baseline the tiled
@@ -298,9 +374,8 @@ impl<'m> BatchRunner<'m> {
     /// that fits one tile (both dimensions ≤ the effective tile size)
     /// and 1-pixel-wide/-tall strips both go whole-image. Strip inputs
     /// would otherwise shatter into tiles whose halo re-computation
-    /// dwarfs their core (overhead `(1 + 2h/t)² − 1` with a 1-pixel
-    /// core), all to parallelize an image that is already tiny along the
-    /// other axis.
+    /// dwarfs their 1-pixel core, all to parallelize an image that is
+    /// already tiny along the other axis.
     pub fn plan_grid(&self, h: usize, w: usize) -> Option<Vec<Window>> {
         let g = self.topo.granularity;
         let tile = self.tile.tile.next_multiple_of(g).max(g);
@@ -329,30 +404,12 @@ impl<'m> BatchRunner<'m> {
             "input {s} not aligned to the model granularity {g}"
         );
         let halo = self.halo();
-        assert!(
-            halo % g == 0,
-            "halo {halo} not aligned to the model granularity {g}"
-        );
         let Some(grid) = self.plan_grid(s.h, s.w) else {
             return self.run_whole(input);
         };
         let (sn, sd) = self.topo.scale;
         let out_c = self.model.out_channels(s.c);
         let mut out = Tensor::zeros(Shape4::new(s.n, out_c, s.h * sn / sd, s.w * sn / sd));
-
-        // Halo windows are clipped at the true image border (never
-        // zero-extended past it): a tile edge that coincides with the
-        // image edge gets the *per-layer* zero padding of whole-image
-        // inference, which is what makes border pixels exact too — the
-        // improvement over the block flow in `ringcnn_esim::blocks`,
-        // whose fixed-size zero halos make border pixels approximate.
-        let extended = |core: &Window| -> Window {
-            let y0 = (core.y0 - halo as isize).max(0);
-            let x0 = (core.x0 - halo as isize).max(0);
-            let y1 = (core.y0 + core.h as isize + halo as isize).min(s.h as isize);
-            let x1 = (core.x0 + core.w as isize + halo as isize).min(s.w as isize);
-            Window::new(y0, x0, (y1 - y0) as usize, (x1 - x0) as usize)
-        };
 
         // One task per (batch item, tile); all tasks fan out at once.
         // The caller's span context is captured *before* the fan-out:
@@ -362,47 +419,48 @@ impl<'m> BatchRunner<'m> {
         let tasks: Vec<(usize, Window)> = (0..s.n)
             .flat_map(|n| grid.iter().map(move |w| (n, *w)))
             .collect();
-        let results: Vec<Tensor> = tasks
+        let results: Vec<(Tensor, TileHalo)> = tasks
             .par_iter()
             .map(|&(n, core)| {
-                let ext = extended(&core);
+                // Halo windows are clipped at the true image border
+                // (never zero-extended past it): a tile edge that
+                // coincides with the image edge gets the *per-layer*
+                // zero padding of whole-image inference, which is what
+                // makes border pixels exact too — the improvement over
+                // the block flow in `ringcnn_esim::blocks`, whose
+                // fixed-size zero halos make border pixels approximate.
+                let (y0, x0) = (core.y0 as usize, core.x0 as usize);
+                let room = [y0, x0, s.h - y0 - core.h, s.w - x0 - core.w];
+                let ext = Window::inset(s.h, s.w, room.map(|m| m.saturating_sub(halo)));
                 let span = parent.map(|p| ringcnn_trace::span::span_in(p, "tile"));
                 if let Some(sp) = &span {
                     sp.set_args(ext.h as u64, ext.w as u64);
                 }
-                let tile_out = self.model.forward_infer(&input.extract_window(n, ext));
-                // Guard the topology walk against models that are not
-                // spatially uniform (e.g. global pooling + dense heads):
-                // their output does not scale with the tile, which the
-                // walk cannot see — fail with the real reason instead of
-                // a stitching bounds panic.
-                let t = tile_out.shape();
-                assert_eq!(
-                    (t.h, t.w),
-                    (ext.h * sn / sd, ext.w * sn / sd),
-                    "model is not tileable: a {}×{} tile produced a {}×{} output \
-                     (expected scale {}/{}); spatially non-uniform layers such as \
-                     global pooling cannot run block-based inference",
-                    ext.h,
-                    ext.w,
-                    t.h,
-                    t.w,
-                    sn,
-                    sd
-                );
-                tile_out
+                let mut tile = TileHalo::new(room.map(|m| m.min(halo)), halo);
+                let tile_in = input.extract_window(n, ext);
+                (self.model.forward_tile(&tile_in, &mut tile), tile)
             })
             .collect();
 
-        for ((n, core), tile_out) in tasks.into_iter().zip(results) {
-            // Crop the core at output scale and stitch.
-            let ext = extended(&core);
-            let src = Window::new(
-                ((core.y0 - ext.y0) as usize * sn / sd) as isize,
-                ((core.x0 - ext.x0) as usize * sn / sd) as isize,
-                core.h * sn / sd,
-                core.w * sn / sd,
+        for ((n, core), (tile_out, tile)) in tasks.into_iter().zip(results) {
+            // What is left of the halo at output scale (a halo above the
+            // radius leaves some) is cropped here.
+            let [top, left, bottom, right] = tile.margin;
+            let (h, w) = (core.h * sn / sd, core.w * sn / sd);
+            // Guard the topology walk against models that are not
+            // spatially uniform (e.g. global pooling + dense heads):
+            // their output does not scale with the tile, which the
+            // walk cannot see — fail with the real reason instead of
+            // a stitching bounds panic.
+            let Shape4 { h: th, w: tw, .. } = tile_out.shape();
+            assert_eq!(
+                (th, tw),
+                (top + h + bottom, left + w + right),
+                "model is not tileable: a tile with a {h}×{w} core at output scale \
+                 {sn}/{sd} produced a {th}×{tw} output; spatially non-uniform layers \
+                 such as global pooling cannot run block-based inference",
             );
+            let src = Window::new(top as isize, left as isize, h, w);
             out.paste_window(
                 n,
                 core.y0 as usize * sn / sd,
@@ -516,15 +574,7 @@ mod tests {
         let mut m = vdsr(&alg, 3, 8, 1, 5);
         let x = Tensor::random_uniform(Shape4::new(2, 1, 24, 20), 0.0, 1.0, 6);
         let runner = BatchRunner::new(&mut m).with_tile(TileConfig::with_tile(8));
-        let whole = runner.run_whole(&x);
-        let tiled = runner.run(&x);
-        let max = whole
-            .as_slice()
-            .iter()
-            .zip(tiled.as_slice())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f32, f32::max);
-        assert!(max <= 1e-6, "tiled vs whole deviates by {max}");
+        assert_eq!(runner.run(&x).as_slice(), runner.run_whole(&x).as_slice());
     }
 
     #[test]

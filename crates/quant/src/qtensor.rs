@@ -183,10 +183,32 @@ impl<L: Lane> QTensorOf<L> {
     /// Panics if shapes differ.
     pub fn add_assign_saturating(&mut self, rhs: &Self, out_formats: Vec<QFormat>) {
         assert_eq!(self.shape, rhs.shape, "shape mismatch");
+        self.add_window_saturating(rhs, (0, 0), out_formats);
+    }
+
+    /// [`QTensorOf::add_assign_saturating`] of the region of `rhs` that
+    /// has the shape of `self` and its top-left corner at `(y0, x0)` —
+    /// the skip of a residual whose body trimmed its tile.
+    ///
+    /// # Panics
+    ///
+    /// Panics if batch or channel counts differ or the region is out of
+    /// range.
+    pub fn add_window_saturating(
+        &mut self,
+        rhs: &Self,
+        (y0, x0): (usize, usize),
+        out_formats: Vec<QFormat>,
+    ) {
+        let (d, s) = (self.shape, rhs.shape);
+        assert_eq!((d.n, d.c), (s.n, s.c), "batch/channel mismatch");
+        assert!(y0 + d.h <= s.h && x0 + d.w <= s.w, "region out of range");
         const BLOCK: usize = 512;
         let mut aligned = [L::default(); BLOCK];
-        let rhs_planes = rhs.data.chunks(self.shape.plane().max(1));
-        for ((c, plane), rhs_plane) in planes_mut(&mut self.data, self.shape).zip(rhs_planes) {
+        // Equal widths: the region's rows are contiguous, one run a plane.
+        let run = if d.w == s.w { d.plane() } else { d.w }.max(1);
+        let rhs_planes = rhs.data.chunks(s.plane().max(1));
+        for ((c, plane), rhs_plane) in planes_mut(&mut self.data, d).zip(rhs_planes) {
             let fo = out_formats[c];
             let (lo, hi) = fo.rails();
             let (lo, hi) = (L::saturating_from(lo), L::saturating_from(hi));
@@ -195,13 +217,17 @@ impl<L: Lane> QTensorOf<L> {
                 qmax: i64::MAX,
                 ..fo.requantizer(from.frac)
             };
-            for (a, b) in plane.chunks_mut(BLOCK).zip(rhs_plane.chunks(BLOCK)) {
-                let b2 = &mut aligned[..b.len()];
-                b2.copy_from_slice(b);
-                shift(rhs.formats[c]).apply_lane(b2);
-                shift(self.formats[c]).apply_lane(a);
-                for (a, b2) in a.iter_mut().zip(b2) {
-                    *a = (*a + *b2).clamp(lo, hi);
+            for (y, row) in plane.chunks_mut(run).enumerate() {
+                let at = (y0 + y) * s.w + x0;
+                let rhs_row = &rhs_plane[at..at + run];
+                for (a, b) in row.chunks_mut(BLOCK).zip(rhs_row.chunks(BLOCK)) {
+                    let b2 = &mut aligned[..b.len()];
+                    b2.copy_from_slice(b);
+                    shift(rhs.formats[c]).apply_lane(b2);
+                    shift(self.formats[c]).apply_lane(a);
+                    for (a, b2) in a.iter_mut().zip(b2) {
+                        *a = (*a + *b2).clamp(lo, hi);
+                    }
                 }
             }
         }

@@ -34,10 +34,12 @@ use ringcnn_nn::layer::Layer;
 use ringcnn_nn::layers::activation::{DirectionalReluLayer, Relu};
 use ringcnn_nn::layers::conv::Conv2d;
 use ringcnn_nn::layers::ring_conv::RingConv2d;
-use ringcnn_nn::layers::shuffle::{shuffle_into, unshuffle_into, PixelShuffle, PixelUnshuffle};
+use ringcnn_nn::layers::shuffle::{
+    cropped, shuffle_into, unshuffle_into, PixelShuffle, PixelUnshuffle,
+};
 use ringcnn_nn::layers::structure::{Residual, Sequential};
-use ringcnn_nn::layers::upsample::UpsampleResidual;
-use ringcnn_nn::runtime::{InferenceModel, ModelTopo, TopoBuilder};
+use ringcnn_nn::layers::upsample::{upsample_region, UpsampleResidual};
+use ringcnn_nn::runtime::{InferenceModel, ModelTopo, TileHalo, TopoBuilder};
 use ringcnn_tensor::gemm::{self, PackedWeights, RequantChannel, RequantPlan};
 use ringcnn_tensor::im2col::{conv_streaming_i32, conv_streaming_i64, ConvInput};
 use ringcnn_tensor::prelude::*;
@@ -383,7 +385,7 @@ impl QUpsampleResidual {
 /// proven into [`Lanes::I32`] runs, exact for what that proof covers —
 /// there for `tests/quant_backend.rs` to hold it to the `i64` tier.
 pub fn execute_layer<L: Lane>(layer: &QLayer, q: QTensorOf<L>) -> QTensorOf<L> {
-    run_layer(layer, Cow::Owned(q))
+    run_layer(layer, Cow::Owned(q), &mut TileHalo::whole())
 }
 
 /// The integer lanes a model runs in, decided by the load-time proof of
@@ -545,22 +547,14 @@ impl QuantizedModel {
     /// calibrated image format — straight into the lanes the model was
     /// proven into — and the output dequantized to floats.
     pub fn forward(&self, input: &Tensor) -> Tensor {
-        fn run<L: Lane>(qm: &QuantizedModel, input: &Tensor) -> Tensor {
-            let formats = vec![qm.input_format; input.shape().c];
-            let q = QTensorOf::<L>::quantize(input, formats);
-            run_chain(&qm.layers, Cow::Owned(q)).dequantize()
-        }
-        match self.lanes() {
-            Lanes::I32 => run::<i32>(self, input),
-            Lanes::I64 => run::<i64>(self, input),
-        }
+        self.forward_tile(input, &mut TileHalo::whole())
     }
 
     /// Integer-in/integer-out inference on the `i64` interchange tier
     /// (used by the accelerator simulator for bit-exact cross-checking,
     /// and the oracle the `i32` tier is held to).
     pub fn forward_q(&self, input: QTensor) -> QTensor {
-        run_chain(&self.layers, Cow::Owned(input))
+        run_chain(&self.layers, Cow::Owned(input), &mut TileHalo::whole())
     }
 
     /// The calibrated input format.
@@ -627,8 +621,18 @@ impl InferenceModel for QuantizedModel {
         QuantizedModel::prepare_inference(self);
     }
 
-    fn forward_infer(&self, input: &Tensor) -> Tensor {
-        self.forward(input)
+    /// [`QuantizedModel::forward`] of one tile: the integer chain
+    /// consumes the halo exactly as the float one does.
+    fn forward_tile(&self, input: &Tensor, tile: &mut TileHalo) -> Tensor {
+        fn run<L: Lane>(qm: &QuantizedModel, input: &Tensor, tile: &mut TileHalo) -> Tensor {
+            let formats = vec![qm.input_format; input.shape().c];
+            let q = QTensorOf::<L>::quantize(input, formats);
+            run_chain(&qm.layers, Cow::Owned(q), tile).dequantize()
+        }
+        match self.lanes() {
+            Lanes::I32 => run::<i32>(self, input, tile),
+            Lanes::I64 => run::<i64>(self, input, tile),
+        }
     }
 
     fn out_channels(&self, in_channels: usize) -> usize {
@@ -1262,38 +1266,68 @@ fn hadamard_intermediate_max(x: &Tensor, n: usize) -> f64 {
 
 /// Runs a chain on an input it may own: every stage that can work in
 /// place does, and a borrowed input (a residual body reading the skip's
-/// tensor) is copied only by a stage that has to write to it. One body
-/// per stage from here down, generic over the lane.
-fn run_chain<L: Lane>(layers: &[QLayer], mut q: Cow<'_, QTensorOf<L>>) -> QTensorOf<L> {
+/// tensor) is copied only by a stage that has to write to it. `tile` is
+/// the float chain's state, moved the same way: a convolution writes
+/// only what the rest of the chain reads, a skip is added over that
+/// region. One body per stage from here down, generic over the lane.
+fn run_chain<L: Lane>(
+    layers: &[QLayer],
+    mut q: Cow<'_, QTensorOf<L>>,
+    tile: &mut TileHalo,
+) -> QTensorOf<L> {
     for l in layers {
-        q = Cow::Owned(run_layer(l, q));
+        q = Cow::Owned(run_layer(l, q, tile));
     }
     q.into_owned()
 }
 
-fn run_layer<L: Lane>(layer: &QLayer, q: Cow<'_, QTensorOf<L>>) -> QTensorOf<L> {
+fn run_layer<L: Lane>(
+    layer: &QLayer,
+    q: Cow<'_, QTensorOf<L>>,
+    tile: &mut TileHalo,
+) -> QTensorOf<L> {
     match layer {
-        QLayer::Conv(c) => run_conv(c, &q),
+        QLayer::Conv(c) => run_conv(c, &q, tile.conv(c.k / 2, 1)),
         QLayer::Relu => {
             let (s, mut data, formats) = q.into_owned().into_raw();
             data.iter_mut().for_each(|v| *v = (*v).max(L::default()));
             QTensorOf::from_raw(s, data, formats)
         }
         QLayer::DRelu(d) => run_drelu(d, q.into_owned()),
-        QLayer::Shuffle(r) => run_shuffle(q.into_owned(), *r),
-        QLayer::Unshuffle(r) => run_unshuffle(&q, *r),
+        QLayer::Shuffle(r) => {
+            tile.leaf(0, (*r, 1));
+            run_shuffle(q.into_owned(), *r)
+        }
+        QLayer::Unshuffle(r) => {
+            // A margin trimmed off the `r`-grid loses the rows and
+            // columns that fill no whole coarse pixel.
+            let cut = tile.margin.map(|m| m % r);
+            tile.leaf(0, (1, *r));
+            if cut == [0; 4] {
+                return run_unshuffle(&q, *r);
+            }
+            let (s, data) = cropped(q.data(), q.shape(), cut);
+            run_unshuffle(&QTensorOf::from_raw(s, data, q.formats().to_vec()), *r)
+        }
         QLayer::Residual(res) => {
-            let mut out = run_chain(&res.body, Cow::Borrowed(&*q));
-            out.add_assign_saturating(&q, expand_formats(&res.out_formats, q.shape().c));
+            let [top, left, ..] = tile.margin;
+            let mut out = run_chain(&res.body, Cow::Borrowed(&*q), tile);
+            let at = (top - tile.margin[0], left - tile.margin[1]);
+            out.add_window_saturating(&q, at, expand_formats(&res.out_formats, q.shape().c));
             out
         }
         QLayer::UpsampleResidual(ur) => {
-            let mut out = run_chain(&ur.body, Cow::Borrowed(&*q));
+            tile.leaf(2, (1, 1));
+            let [top, left, ..] = tile.margin.map(|m| m * ur.factor);
+            let mut out = run_chain(&ur.body, Cow::Borrowed(&*q), tile);
             // Fixed-point interpolator: bicubic on the dequantized input,
             // re-quantized at the output format (deterministic).
-            let skip_f = ringcnn_imaging::degrade::upsample(&q.dequantize(), ur.factor);
+            let (h, w) = (out.shape().h, out.shape().w);
+            let region = (top - tile.margin[0], left - tile.margin[1], h, w);
+            let (skip_f, y0, x0) = upsample_region(&q.dequantize(), ur.factor, region);
             let formats = expand_formats(&ur.out_formats, out.shape().c);
-            out.add_assign_saturating(&QTensorOf::quantize(&skip_f, formats.clone()), formats);
+            let skip = QTensorOf::quantize(&skip_f, formats.clone());
+            out.add_window_saturating(&skip, (y0, x0), formats);
             out
         }
     }
@@ -1370,7 +1404,7 @@ fn align_conv_input<L: Lane>(c: &QConv, q: &QTensorOf<L>) -> Option<QTensorOf<L>
 /// backend, and in `i32` lanes too wherever the load-time proof bounds
 /// the accumulators — the equivalence suite in `tests/quant_backend.rs`
 /// asserts both.
-fn run_conv<L: Lane>(c: &QConv, q: &QTensorOf<L>) -> QTensorOf<L> {
+fn run_conv<L: Lane>(c: &QConv, q: &QTensorOf<L>, cut: [usize; 4]) -> QTensorOf<L> {
     let aligned = align_conv_input(c, q);
     let q = aligned.as_ref().unwrap_or(q);
     let s = q.shape();
@@ -1380,13 +1414,14 @@ fn run_conv<L: Lane>(c: &QConv, q: &QTensorOf<L>) -> QTensorOf<L> {
         .map(|co| narrow(bias_at(c, co, acc_frac[co])))
         .collect();
     let requant = c.requant.as_ref().map(|fmts| requant_plan(fmts, &acc_frac));
-    let out_shape = s.with_channels(c.co);
+    let region = Window::inset(s.h, s.w, cut);
+    let out_shape = Shape4::new(s.n, c.co, region.h, region.w);
     let mut data = vec![L::default(); out_shape.len()];
-    let (item_in, item_out) = (s.c * s.plane(), c.co * s.plane());
+    let (item_in, item_out) = (s.c * s.plane(), c.co * out_shape.plane());
     for b in 0..s.n {
         let planes = &q.data()[b * item_in..(b + 1) * item_in];
         L::CONV_STREAMING(
-            &ConvInput::new(planes, s.c, s.h, s.w, Window::full(s.h, s.w)),
+            &ConvInput::new(planes, s.c, s.h, s.w, region),
             c.k,
             L::packed(c),
             &bias,
@@ -1813,7 +1848,7 @@ mod tests {
             let mut q = QTensor::quantize(&inputs, vec![qm.input_format(); inputs.shape().c]);
             for layer in qm.layers() {
                 if let QLayer::Conv(c) = layer {
-                    let fast = run_conv(c, &q);
+                    let fast = run_conv(c, &q, [0; 4]);
                     let reference = run_conv_reference(c, &q);
                     assert_eq!(fast, reference, "{}", alg.label());
                 }

@@ -1653,6 +1653,36 @@ mod tests {
     }
 
     #[test]
+    fn chunk_tasks_write_a_trimmed_region_of_a_depth_to_space_sink() {
+        // The test above over a window narrower than the plane (a Miri
+        // step too, scalar tile): the 8×50 region of a 10×56 image is
+        // four chunks again, and every pixel is the one the untrimmed
+        // product writes there.
+        fn check<T: Element<NR> + std::fmt::Debug, const NR: usize>(cast: fn(i64) -> T) {
+            let (co, rows, h, iw, r) = (8, 6, 10, 56, 2);
+            let values = |v: Vec<i64>| v.into_iter().map(cast).collect::<Vec<_>>();
+            let w = PackedWeights::plan(co, rows, &values(two_pattern_weights(co, rows, 41).0));
+            let col = values(pseudo_i64(rows * h * iw, 43, 1 << 10));
+            let bias = values(pseudo_i64(co, 47, 1 << 20));
+            let run = |win: Window| {
+                let x = ConvInput::new(&col, rows, h, iw, win);
+                let mut out = vec![T::default(); co * win.h * win.w];
+                let conv = || conv_streaming(&x, 1, &w, &bias, None, r, &mut out);
+                forced_kernel_scope(KernelBackend::Scalar, conv);
+                out
+            };
+            let (whole, win) = (run(Window::full(h, iw)), Window::inset(h, iw, [1, 3, 1, 3]));
+            let (oh, ow) = (win.h * r, win.w * r);
+            for (i, v) in run(win).iter().enumerate() {
+                let (c, oy, ox) = (i / (oh * ow), i / ow % oh + r, i % ow + 3 * r);
+                assert_eq!(*v, whole[(c * h * r + oy) * iw * r + ox], "{c} {oy} {ox}");
+            }
+        }
+        check::<i32, NR_I32>(|v| v as i32);
+        check::<f32, NR_F32>(|v| v as f32 / 64.0);
+    }
+
+    #[test]
     fn forced_scope_restores_on_exit() {
         let outer = active_kernel();
         forced_kernel_scope(KernelBackend::Avx2, || {

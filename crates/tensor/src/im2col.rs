@@ -12,9 +12,9 @@
 //! from the NCHW planes a [`ConvInput`] points at — the `f32` planes of
 //! a [`Tensor`] or the `i64`/`i32` planes of a quantized tensor.
 //!
-//! The packer is *window-aware*: a [`ConvInput`] sees its planes through
-//! a [`Window`] (the tile views of the block-based runtime) and treats
-//! the window boundary exactly like an image boundary (zero padding).
+//! The packer is *window-aware*: the [`Window`] of a [`ConvInput`] is the
+//! **output region**, what the block-based runtime trims a tile to layer
+//! by layer; taps read the `h × w` plane anywhere, zero only outside it.
 //!
 //! [`im2col_pack`], [`im2col_pack_window`], [`im2col_pack_i64`] (row-major)
 //! and the whole-plane [`im2col_pack_panels_window`] are test-and-probe
@@ -42,9 +42,9 @@ use crate::shape::Shape4;
 use crate::tensor::Tensor;
 use crate::tile::Window;
 
-/// One batch item's channel planes seen through a [`Window`]: what a
-/// convolution reads. Samples outside the window — including window
-/// rows/columns that fall outside the `h × w` image — read as zero.
+/// One batch item's channel planes and the [`Window`] of output pixels a
+/// convolution computes from them. A tap reads the plane wherever it
+/// lands in it, beyond the window too, and zero outside the `h × w` plane.
 #[derive(Clone, Copy, Debug)]
 pub struct ConvInput<'a, T> {
     planes: &'a [T],
@@ -55,8 +55,8 @@ pub struct ConvInput<'a, T> {
 }
 
 impl<'a, T> ConvInput<'a, T> {
-    /// Views `c` contiguous row-major `h × w` planes through `window`
-    /// (panics if `planes.len() != c·h·w`).
+    /// `c` contiguous row-major `h × w` planes with output region
+    /// `window` (panics if `planes.len() != c·h·w`).
     pub fn new(planes: &'a [T], c: usize, h: usize, w: usize, window: Window) -> Self {
         assert_eq!(planes.len(), c * h * w, "planes do not match c·h·w");
         Self {
@@ -82,10 +82,10 @@ impl<'a, T> ConvInput<'a, T> {
         (0..k * k)
             .map(|t| {
                 let (dy, dx) = ((t / k) as isize - pad, (t % k) as isize - pad);
-                let y0 = 0.max(-dy).max(-(win.y0 + dy));
-                let y1 = wh.min(wh - dy).min(h - win.y0 - dy);
-                let x0 = 0.max(-dx).max(-(win.x0 + dx));
-                let x1 = ww.min(ww - dx).min(w - win.x0 - dx);
+                let y0 = 0.max(-(win.y0 + dy));
+                let y1 = wh.min(h - win.y0 - dy);
+                let x0 = 0.max(-(win.x0 + dx));
+                let x1 = ww.min(w - win.x0 - dx);
                 Tap {
                     extent: (y0 < y1 && x0 < x1).then_some((y0, y1, x0, x1)),
                     origin: (win.y0 + dy) * w + win.x0 + dx,
@@ -103,11 +103,10 @@ impl<'a, T> ConvInput<'a, T> {
 /// One kernel tap as a [`ConvInput`] sees it.
 #[derive(Clone, Copy)]
 struct Tap {
-    /// Output rows `y0..y1` and columns `x0..x1` whose shifted sample is
-    /// both inside the window (window boundary = zero padding) and
-    /// inside the image (halo windows reach out of frame); `None` when
-    /// the tap is entirely out of frame (padding exceeds the map on an
-    /// axis).
+    /// Output rows `y0..y1` and columns `x0..x1` of the window whose
+    /// shifted sample is inside the plane; `None` when the tap is
+    /// entirely out of frame (padding exceeds the map on an axis, or
+    /// the window lies outside the plane).
     extent: Option<(isize, isize, isize, isize)>,
     /// Source index of output pixel `(0, 0)`; output pixel `(y, x)`
     /// reads `origin + y·w + x`. Signed: negative until an in-frame
@@ -116,8 +115,8 @@ struct Tap {
 }
 
 impl Tensor {
-    /// Batch item `n` seen through `window` (panics if `n` is out of
-    /// range).
+    /// Batch item `n` with output region `window` (panics if `n` is out
+    /// of range).
     pub fn conv_input(&self, n: usize, window: Window) -> ConvInput<'_, f32> {
         let s = self.shape();
         assert!(n < s.n, "batch index {n} out of range for {s}");
@@ -164,12 +163,11 @@ pub fn im2col_pack(input: &Tensor, n: usize, k: usize) -> Vec<f32> {
     im2col_pack_window(input, n, k, Window::full(s.h, s.w))
 }
 
-/// Packs a `window` of one batch item into a patch matrix of shape
-/// `(ci·k²) × (window.h · window.w)`, reading directly from the parent
-/// tensor. Samples outside the window — including window rows/columns
-/// that fall outside the parent image — read as zero, so the result is
-/// bit-identical to `im2col_pack(&input.extract_window(n, window), 0, k)`
-/// without materializing the tile. A test-and-probe helper.
+/// Packs the columns of `window` out of one batch item's patch matrix,
+/// shape `(ci·k²) × (window.h · window.w)`: the patches of the window's
+/// pixels, read from the whole image (zero outside it) — the window's
+/// columns of [`im2col_pack`] where it lies in frame. A test-and-probe
+/// helper.
 ///
 /// # Panics
 ///
@@ -373,11 +371,11 @@ pub(crate) fn conv_streaming<T: Element<NR>, const NR: usize>(
     gemm::product(w, x.plane(), bias, epilogue, b_exact, source, sink);
 }
 
-/// Streaming f32 convolution of one batch item (or one window of it)
-/// into the caller's output planes: plane `c` of `out`
-/// (`w.co() × x.plane()`, row-major) becomes the `k×k` "same"
-/// convolution of `x` with output channel `c` of the planned weights,
-/// plus `bias[c]` (an empty `bias` means no bias).
+/// Streaming f32 convolution of one batch item into the caller's output
+/// planes: plane `c` of `out` (`w.co() × x.plane()`, row-major) becomes
+/// the window of `x` out of the `k×k` "same" convolution of its planes
+/// with output channel `c` of the planned weights, plus `bias[c]` (an
+/// empty `bias` means no bias).
 ///
 /// # Panics
 ///
@@ -437,23 +435,26 @@ pub fn conv_streaming_i32(
 /// convolution (`[N, C·r², H, W] → [N, C, H·r, W·r]`): the engine writes
 /// each pixel where the shuffle would move it, so the unshuffled output
 /// never exists — bit-identical to shuffling it afterwards, and a panic
-/// if the output channels are not a multiple of `r²`.
+/// if the output channels are not a multiple of `r²`. Only the region
+/// [`Window::inset`] by `cut` of the "same" output is computed.
 pub fn conv2d_forward_packed(
     input: &Tensor,
     k: usize,
     w: &PackedWeights<f32>,
     bias: &[f32],
     r: usize,
+    cut: [usize; 4],
 ) -> Tensor {
     let (s, co, rr) = (input.shape(), w.co(), r * r);
     assert!(
         r > 0 && co % rr == 0,
         "channels {co} not divisible by r²={rr}"
     );
-    let mut out = Tensor::zeros(Shape4::new(s.n, co / rr, s.h * r, s.w * r));
-    let item = co * s.plane();
+    let region = Window::inset(s.h, s.w, cut);
+    let mut out = Tensor::zeros(Shape4::new(s.n, co / rr, region.h * r, region.w * r));
+    let item = co * region.h * region.w;
     for n in 0..s.n {
-        let x = input.conv_input(n, Window::full(s.h, s.w));
+        let x = input.conv_input(n, region);
         let planes = &mut out.as_mut_slice()[n * item..(n + 1) * item];
         conv_streaming::<f32, NR_F32>(&x, k, w, bias, None, r, planes);
     }
@@ -473,7 +474,7 @@ pub fn conv2d_forward_packed(
 /// slice means no bias).
 pub fn conv2d_forward_im2col(input: &Tensor, w: &ConvWeights, bias: &[f32]) -> Tensor {
     assert_eq!(input.shape().c, w.ci, "input channels mismatch");
-    conv2d_forward_packed(input, w.k, &w.packed(), bias, 1)
+    conv2d_forward_packed(input, w.k, &w.packed(), bias, 1, [0; 4])
 }
 
 #[cfg(test)]
@@ -574,6 +575,8 @@ mod tests {
 
     #[test]
     fn window_pack_matches_extracted_tile_pack() {
+        // The window's patches are those of the same pixels inside the
+        // tile grown by the kernel's reach (zero out of frame).
         let input = Tensor::random_uniform(Shape4::new(2, 3, 9, 7), -1.0, 1.0, 21);
         for k in [1usize, 3, 5] {
             for win in [
@@ -584,8 +587,15 @@ mod tests {
                 Window::new(9, 7, 3, 3),    // entirely out of frame
             ] {
                 let direct = im2col_pack_window(&input, 1, k, win);
-                let via_tile = im2col_pack(&input.extract_window(1, win), 0, k);
-                assert_eq!(direct, via_tile, "k={k} win={win:?}");
+                let (p, gw) = (k / 2, win.w + 2 * (k / 2));
+                let grown = im2col_pack(&input.extract_window(1, win.with_halo(p)), 0, k);
+                let rows = direct.chunks(win.h * win.w);
+                for (row, big) in rows.zip(grown.chunks((win.h + 2 * p) * gw)) {
+                    for (y, line) in row.chunks(win.w).enumerate() {
+                        let at = (y + p) * gw + p;
+                        assert_eq!(line, &big[at..at + win.w], "k={k} win={win:?} y={y}");
+                    }
+                }
             }
         }
     }

@@ -7,8 +7,10 @@
 //! convention of the "same"-padded convolutions, so running a model on a
 //! halo-extended tile reproduces the whole-image computation bit for bit
 //! on the tile's core (every output pixel farther than the receptive
-//! radius from the tile edge). [`Tensor::paste_window`] stitches a core
-//! region back into the assembled output.
+//! radius from the tile edge). On the way the halo is consumed: a
+//! convolution computes only the [`Window::inset`] region the rest of the
+//! model still reads, a skip is added over it ([`Tensor::add_window`]).
+//! [`Tensor::paste_window`] stitches the core into the assembled output.
 
 use crate::shape::Shape4;
 use crate::tensor::Tensor;
@@ -41,17 +43,15 @@ impl Window {
 
     /// Grows the window by `halo` pixels on every side.
     pub fn with_halo(&self, halo: usize) -> Window {
-        Window {
-            y0: self.y0 - halo as isize,
-            x0: self.x0 - halo as isize,
-            h: self.h + 2 * halo,
-            w: self.w + 2 * halo,
-        }
+        let (y0, x0) = (self.y0 - halo as isize, self.x0 - halo as isize);
+        Window::new(y0, x0, self.h + 2 * halo, self.w + 2 * halo)
     }
 
-    /// Whether the window covers exactly the whole `h × w` image.
-    pub fn is_full(&self, h: usize, w: usize) -> bool {
-        self.y0 == 0 && self.x0 == 0 && self.h == h && self.w == w
+    /// The `h × w` image without `cut` rows and columns on its top, left,
+    /// bottom and right (panics if they exceed it).
+    pub fn inset(h: usize, w: usize, cut: [usize; 4]) -> Window {
+        let [y0, x0, y1, x1] = cut;
+        Window::new(y0 as isize, x0 as isize, h - y0 - y1, w - x0 - x1)
     }
 }
 
@@ -88,6 +88,26 @@ impl Tensor {
             }
         }
         out
+    }
+
+    /// Adds to this tensor the region of `src` that has its shape and its
+    /// top-left corner at `(y0, x0)`, every batch item and channel: a skip
+    /// connection over a trimmed tile ([`Tensor::add_assign`] for equal
+    /// shapes). Panics if batch or channel counts differ or the region is
+    /// out of range.
+    pub fn add_window(&mut self, src: &Tensor, y0: usize, x0: usize) {
+        let (d, s) = (self.shape(), src.shape());
+        assert_eq!((d.n, d.c), (s.n, s.c), "batch/channel mismatch");
+        assert!(y0 + d.h <= s.h && x0 + d.w <= s.w, "region out of range");
+        let planes = self.as_mut_slice().chunks_mut(d.plane().max(1));
+        for (dst, from) in planes.zip(src.as_slice().chunks(s.plane().max(1))) {
+            for (y, row) in dst.chunks_mut(d.w.max(1)).enumerate() {
+                let at = (y0 + y) * s.w + x0;
+                for (a, b) in row.iter_mut().zip(&from[at..at + d.w]) {
+                    *a += b;
+                }
+            }
+        }
     }
 
     /// Copies the `src_window` region of `src` (batch item 0) into this
@@ -243,9 +263,8 @@ mod tests {
     #[test]
     fn window_helpers() {
         let win = Window::full(6, 8);
-        assert!(win.is_full(6, 8));
-        assert!(!win.is_full(8, 6));
-        let grown = win.with_halo(2);
-        assert_eq!(grown, Window::new(-2, -2, 10, 12));
+        assert_eq!(win.with_halo(2), Window::new(-2, -2, 10, 12));
+        assert_eq!(Window::inset(6, 8, [1, 2, 3, 4]), Window::new(1, 2, 2, 2));
+        assert_eq!(Window::inset(6, 8, [0; 4]), win);
     }
 }

@@ -191,6 +191,64 @@ fn prepared_convs_allocate_their_output_and_retain_no_plane_sized_scratch() {
     check("QConv", 8, quantized, |q| drop(execute_layer(qconv, q)));
 
     whole_models_stop_copying_what_they_own();
+    tiles_consume_their_halo();
+}
+
+/// Inside a tile every convolution writes only what the rest of the
+/// chain reads: the tensors shrink layer by layer, where a plain forward
+/// of the same pixels carries the halo to the end; called from the one
+/// `#[test]` (see the module docs).
+fn tiles_consume_their_halo() {
+    use ringcnn_nn::runtime::{InferenceModel, TileHalo};
+    fn cheapest(model: &dyn InferenceModel, x: &Tensor, tile: TileHalo) -> Spent {
+        (0..4)
+            .map(|_| spent(|| model.forward_tile(x, &mut tile.clone())))
+            .min_by_key(|s| s.total)
+            .expect("four calls")
+    }
+
+    // The benchmark's `frame_sr4_ri4fh` tile as `BatchRunner::run` cuts
+    // it: a corner tile, 32 pixels of core and 12 of halo on two sides.
+    // Its stages end at 33² → 66², 65² → 130² and 129² where they ended
+    // at 44² → 88² → 176²: the one 16 × 130² tensor of the last stage
+    // (1 081 600 B) beside its 0.28 MB input. Measured with this code at
+    // the parent commit, the plain forward of the same tile (all there
+    // was): 2 559 144 B live at once, the largest block 1 982 464 B
+    // (1 416 032 B and 1 081 600 B when written).
+    let mut sr4 = build_model(Scenario::Sr4, ThroughputTarget::Hd30, &Algebra::ri_fh(4), 7);
+    Layer::prepare_inference(&mut sr4);
+    let x = Tensor::random_uniform(Shape4::new(1, 1, 44, 44), 0.0, 1.0, 8);
+    let corner = cheapest(&sr4, &x, TileHalo::new([0, 0, 12, 12], 12));
+    assert!(
+        corner.peak <= 1_500_000 && corner.largest <= 1_100_000,
+        "one SR4 corner tile held {} B live at once, its largest block {} B",
+        corner.peak,
+        corner.largest
+    );
+
+    // The two denoising workloads' interior tiles, 64 pixels of core and
+    // 16 of halo all round: float over (RH4, fcw) and 8-bit over (RI4,
+    // fH) allocate at most three quarters of their plain forwards
+    // (1 730 528 of 2 467 808 B and 1 217 096 of 1 736 680 B when
+    // written).
+    let scenario = Scenario::Denoise { sigma: 25.0 };
+    let rh4 = Algebra::with_fcw(RingKind::Rh(4));
+    let mut dn = build_model(scenario, ThroughputTarget::Hd30, &rh4, 7);
+    Layer::prepare_inference(&mut dn);
+    let mut float = build_model(scenario, ThroughputTarget::Hd30, &Algebra::ri_fh(4), 7);
+    let calibration = Tensor::random_uniform(Shape4::new(1, 1, 32, 32), 0.0, 1.0, 5);
+    let q8 = QuantizedModel::quantize(&mut float, &calibration, QuantOptions::default());
+    let x = Tensor::random_uniform(Shape4::new(1, 1, 96, 96), 0.0, 1.0, 9);
+    let models: [(&str, &dyn InferenceModel); 2] = [("(RH4, fcw)", &dn), ("q8", &q8)];
+    for (what, model) in models {
+        let plain = cheapest(model, &x, TileHalo::whole()).total;
+        let tile = cheapest(model, &x, TileHalo::new([16; 4], 16)).total;
+        assert!(
+            tile * 4 <= plain * 3,
+            "{what}: an interior 96x96 tile allocated {tile} B, more than three quarters \
+             of the {plain} B of its plain forward"
+        );
+    }
 }
 
 /// The element-wise stages run in place and the chains stop copying

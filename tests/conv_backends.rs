@@ -11,6 +11,7 @@
 
 use proptest::prelude::*;
 use ringcnn::prelude::*;
+use ringcnn_nn::layers::shuffle::cropped;
 use ringcnn_nn::models::ernet::{dn_ernet_pu, ErNetConfig};
 use ringcnn_nn::models::ffdnet::ffdnet;
 use ringcnn_nn::models::srresnet::{srresnet, SrResNetConfig};
@@ -511,8 +512,8 @@ fn forward_without_train_is_forward_infer_for_every_layer_type() {
 }
 
 // ---------------------------------------------------------------------
-// The float chain owns its activations: the three shortcuts a container
-// may take (`forward_infer_owned`, `forward_infer_shuffled` with
+// The float chain owns its activations: the shortcuts a container may
+// take (`forward_infer_owned`, `forward_tile` with
 // `pixel_shuffle_factor`) against the plain leaf-by-leaf chain, bit for
 // bit. CI runs this file at pools 1 and 4 (`thread-sanity`), at the
 // runner's own size, and with each kernel tier pinned (`kernel-tiers`).
@@ -600,7 +601,8 @@ fn convs_before_a_shuffle(r: usize) -> Vec<(String, usize, ConvBuilder)> {
 /// conv's output bit for bit — fused where the conv runs the engine
 /// kernel (`Conv2d` off `Naive`, `RingConv2d` on `Im2col`), through the
 /// default everywhere else — for r ∈ {2, 3, 4}, batch 2, every plane of
-/// `SHUFFLE_PLANES`, on both kernel tiers.
+/// `SHUFFLE_PLANES`, on both kernel tiers; and inside a tile the same
+/// step writes exactly the pixels of it the rest of the chain reads.
 #[test]
 fn fused_pixel_shuffle_is_the_shuffle_of_the_conv_output_bit_for_bit() {
     for r in [2usize, 3, 4] {
@@ -620,11 +622,26 @@ fn fused_pixel_shuffle_is_the_shuffle_of_the_conv_output_bit_for_bit() {
                         let x = Tensor::random_uniform(Shape4::new(2, ci, h, w), -1.0, 1.0, 23);
                         forced_kernel_scope(tier, || {
                             let want = PixelShuffle::apply(&conv.forward_infer(&x), r);
-                            let hook = conv.forward_infer_shuffled(&x, r);
+                            let hook = conv.forward_tile(&x, r, &mut TileHalo::whole());
                             assert_eq!(hook.is_some(), engine, "{what}: who fuses");
                             if let Some(fused) = hook {
                                 assert_eq!(fused.shape(), want.shape(), "{what}");
                                 assert_eq!(bits(&fused), bits(&want), "{what}: hook");
+                            }
+                            // A halo of 2 less the conv's 1: one pixel
+                            // kept where there are more, all of a
+                            // frame-clipped side.
+                            let mut tile = TileHalo::new([2, 0, 1, 3], 2);
+                            let trimmed = (h >= 3 && w >= 4)
+                                .then(|| conv.forward_tile(&x, r, &mut tile))
+                                .flatten();
+                            if let Some(trimmed) = trimmed {
+                                assert_eq!(tile.margin, [r, 0, r, r], "{what}: margins");
+                                let (ws, cut) = (want.shape(), [r, 0, 0, 2 * r]);
+                                let (_, kept) = cropped(want.as_slice(), ws, cut);
+                                let got: Vec<u32> = bits(&trimmed);
+                                let kept: Vec<u32> = kept.iter().map(|v| v.to_bits()).collect();
+                                assert_eq!(got, kept, "{what}: trimmed");
                             }
                             let got = chain.forward_infer(&x);
                             assert_eq!(got.shape(), want.shape(), "{what}");
@@ -677,8 +694,7 @@ fn leaf_by_leaf(layer: &mut dyn Layer, x: Tensor) -> Tensor {
 /// DnERNet, over (RI4, fH), (RH4, fcw) and the real field — answer
 /// through the owning, fusing chain what they answer leaf by leaf, bit
 /// for bit, whole and tiled (tiled ≡ whole as `tests/runtime_parallel.rs`
-/// states it: exact on the dense kernels, within 1e-6 on the transform
-/// engine).
+/// states it: exact on every kernel).
 #[test]
 fn whole_models_match_their_leaf_by_leaf_walk_whole_and_tiled() {
     let algebras = [
@@ -719,14 +735,7 @@ fn whole_models_match_their_leaf_by_leaf_walk_whole_and_tiled() {
             );
             let whole = runner.run_whole(&x);
             assert_eq!(bits(&whole), bits(&want), "{what}: whole");
-            let tiled = runner.run(&x);
-            if alg.conv_backend() == ConvBackend::Transform {
-                let worst = whole.as_slice().iter().zip(tiled.as_slice());
-                let worst = worst.map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max);
-                assert!(worst <= 1e-6, "{what}: tiled deviates by {worst}");
-            } else {
-                assert_eq!(bits(&tiled), bits(&whole), "{what}: tiled");
-            }
+            assert_eq!(bits(&runner.run(&x)), bits(&whole), "{what}: tiled");
         }
     }
 }

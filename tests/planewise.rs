@@ -203,3 +203,31 @@ fn pixel_shuffles_follow_the_index_formula_and_invert_each_other() {
         assert_eq!(bits(&down), bits(&x), "r={r}: unshuffle inverts shuffle");
     }
 }
+
+/// The windowed skip add and the crop behind it follow their index
+/// formulas: a region inside the source, whole rows of it, all of it.
+#[test]
+fn windowed_add_and_crop_follow_the_index_formula() {
+    use ringcnn_nn::layers::shuffle::cropped;
+    let src = features(Shape4::new(2, 3, 6, 7), 13);
+    for (y0, x0, h, w) in [(1, 2, 4, 3), (2, 0, 3, 7), (0, 0, 6, 7)] {
+        let base = features(Shape4::new(2, 3, h, w), 14);
+        let mut sum = base.clone();
+        sum.add_window(&src, y0, x0);
+        let cut = [y0, x0, 6 - y0 - h, 7 - x0 - w];
+        let (shape, crop) = cropped(src.as_slice(), src.shape(), cut);
+        assert_eq!(shape, base.shape());
+        for (i, (got, kept)) in sum.as_slice().iter().zip(&crop).enumerate() {
+            let (x, y, p) = (i % w, i / w % h, i / (w * h));
+            let from = src.at(p / 3, p % 3, y0 + y, x0 + x);
+            assert_eq!(kept.to_bits(), from.to_bits(), "crop at {i}");
+            let want = base.as_slice()[i] + from;
+            assert_eq!(got.to_bits(), want.to_bits(), "sum at {i}");
+        }
+    }
+    // Equal shapes: `add_assign`.
+    let (mut a, mut b) = (src.clone(), src.clone());
+    a.add_window(&src, 0, 0);
+    b.add_assign(&src);
+    assert_eq!(bits(&a), bits(&b));
+}
