@@ -48,6 +48,11 @@ use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::OnceLock;
 
+#[path = "proof.rs"]
+mod proof;
+use proof::validate_format;
+pub use proof::LaneProof;
+
 /// Why a calibration pass failed to produce a quantized model.
 #[derive(Clone, Debug, PartialEq)]
 pub enum CalibrationError {
@@ -400,19 +405,6 @@ pub enum Lanes {
     I64,
 }
 
-/// What the load-time proof found (see [`QuantizedModel::lane_proof`]).
-#[derive(Clone, Debug, PartialEq)]
-pub struct LaneProof {
-    /// The tier the model runs in.
-    pub lanes: Lanes,
-    /// The largest magnitude [`LaneProof::stage`] can reach.
-    pub worst: u128,
-    /// For [`Lanes::I32`] the stage with the largest worst-case magnitude
-    /// of the chain; for [`Lanes::I64`] the first stage that rules `i32`
-    /// out (its magnitude, or 16-bit operands its conv does not have).
-    pub stage: String,
-}
-
 /// A fully quantized model: integer layers plus the input image format.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct QuantizedModel {
@@ -677,45 +669,6 @@ fn qlayers_topo(walk: &mut TopoBuilder, layers: &[QLayer]) {
     }
 }
 
-/// Serving bound on stored format widths: the calibration flow emits
-/// ≤16-bit weight/feature formats (paper: 8), and 16-bit operands keep
-/// the widest possible conv accumulator (`2^15·2^15·2^20` taps plus the
-/// bias rail) comfortably inside `i64`.
-const MAX_STORED_BITS: u32 = 16;
-/// Serving bound on stored fracs: a 16-bit fit of the tiniest clamped
-/// range (`1e-12`) lands at frac 54; 64 covers every reachable format
-/// while keeping alignment-shift spreads far from the rails.
-const MAX_STORED_FRAC: i32 = 64;
-/// Per-output-channel tap bound (`ci·k²`): a million taps per pixel is
-/// beyond any imaging model and still overflow-safe.
-const MAX_TAPS: usize = 1 << 20;
-
-fn validate_format(f: QFormat, what: &str) -> Result<(), String> {
-    if !(2..=MAX_STORED_BITS).contains(&f.bits) {
-        return Err(format!(
-            "{what}: bits {} outside 2..={MAX_STORED_BITS}",
-            f.bits
-        ));
-    }
-    if f.frac.unsigned_abs() > MAX_STORED_FRAC.unsigned_abs() {
-        return Err(format!(
-            "{what}: frac {} outside ±{MAX_STORED_FRAC}",
-            f.frac
-        ));
-    }
-    Ok(())
-}
-
-fn validate_formats(fs: &[QFormat], what: &str) -> Result<(), String> {
-    if fs.is_empty() {
-        return Err(format!("{what}: empty format list"));
-    }
-    for f in fs {
-        validate_format(*f, what)?;
-    }
-    Ok(())
-}
-
 /// The channel count a chain's first convolution fixes for its input,
 /// through the shuffles and skip wrappers in front of it.
 fn chain_input_channels(layers: &[QLayer]) -> Option<usize> {
@@ -736,273 +689,6 @@ fn chain_input_channels(layers: &[QLayer]) -> Option<usize> {
         }
     }
     None
-}
-
-/// `|bias| + Σ_ci (Σ_taps |w|)·bound[ci]` per output channel: the largest
-/// magnitude its accumulator can reach.
-fn conv_acc_bounds(c: &QConv, acc_frac: &[i32], bounds: &[u128]) -> Vec<u128> {
-    let (taps, row) = (c.k * c.k, c.ci * c.k * c.k);
-    let channel = |co: usize| {
-        let mut acc = u128::from(bias_at(c, co, acc_frac[co]).unsigned_abs());
-        let taps_of = c.weights[co * row..(co + 1) * row].chunks(taps.max(1));
-        for (w, bound) in taps_of.zip(bounds) {
-            let mass: u128 = w.iter().map(|w| u128::from(w.unsigned_abs())).sum();
-            acc = acc.saturating_add(mass.saturating_mul(*bound));
-        }
-        acc
-    };
-    (0..c.co).map(channel).collect()
-}
-
-/// `2^(bits−1)`, the largest magnitude a (validated) format stores.
-fn rail(f: QFormat) -> u128 {
-    f.rails().0.unsigned_abs().into()
-}
-
-fn rails(formats: &[QFormat]) -> Vec<u128> {
-    formats.iter().map(|f| rail(*f)).collect()
-}
-
-/// The largest magnitude a value of at most `bound` has after a
-/// requantizer's shift from `from_frac` to `to_frac` (exact to the left,
-/// saturating; one above the truncation to the right, where it rounds).
-fn shifted(bound: u128, from_frac: i32, to_frac: i32) -> u128 {
-    let d = (i64::from(to_frac) - i64::from(from_frac)).unsigned_abs();
-    let d = d.min(128) as u32;
-    if to_frac < from_frac {
-        bound.checked_shr(d).unwrap_or(0) + 1
-    } else if d >= bound.leading_zeros() {
-        u128::MAX
-    } else {
-        bound << d
-    }
-}
-
-impl LaneProof {
-    /// Walks `layers` from `c` input channels in `format`: the proof, or
-    /// the chain's first inconsistency.
-    fn of(format: QFormat, c: usize, layers: &[QLayer]) -> Result<Self, String> {
-        let mut proof = Self {
-            lanes: Lanes::I32,
-            worst: rail(format),
-            stage: "the input".into(),
-        };
-        validate_chain(
-            layers,
-            vec![format; c],
-            vec![proof.worst; c],
-            "",
-            &mut proof,
-        )?;
-        Ok(proof)
-    }
-
-    /// `stage` can reach `magnitude` (`operands_fit`: it multiplies
-    /// nothing beyond 16 bits). The first stage that rules `i32` out
-    /// stands; until then the largest magnitude does.
-    fn note(&mut self, magnitude: u128, operands_fit: bool, stage: impl FnOnce() -> String) {
-        let wide = magnitude >= 1 << 31 || !operands_fit;
-        if self.lanes == Lanes::I32 && (wide || magnitude > self.worst) {
-            let why = if operands_fit {
-                ""
-            } else {
-                " (operands beyond 16 bits)"
-            };
-            *self = Self {
-                lanes: if wide { Lanes::I64 } else { Lanes::I32 },
-                worst: magnitude,
-                stage: stage() + why,
-            };
-        }
-    }
-}
-
-/// Walks the chain with the running per-channel formats — the ones the
-/// `run_*` functions would see, derived by the same rules — and beside
-/// each the largest magnitude (`bounds`) any input can drive that
-/// channel to, noting every stage's worst case in `walk`; returns the
-/// output formats and bounds or the first inconsistency. `path` prefixes
-/// the layer index of a nested body.
-fn validate_chain(
-    layers: &[QLayer],
-    mut formats: Vec<QFormat>,
-    mut bounds: Vec<u128>,
-    path: &str,
-    walk: &mut LaneProof,
-) -> Result<(Vec<QFormat>, Vec<u128>), String> {
-    for (i, l) in layers.iter().enumerate() {
-        let c = formats.len();
-        match l {
-            QLayer::Conv(conv) => {
-                if conv.ci != c {
-                    return Err(format!(
-                        "layer {i}: conv expects {} channels, chain carries {c}",
-                        conv.ci
-                    ));
-                }
-                if conv.co == 0 || conv.k == 0 {
-                    return Err(format!("layer {i}: conv with zero co/k"));
-                }
-                if conv.ci * conv.k * conv.k > MAX_TAPS {
-                    return Err(format!(
-                        "layer {i}: {} taps per output channel exceeds {MAX_TAPS}",
-                        conv.ci * conv.k * conv.k
-                    ));
-                }
-                if conv.weights.len() != conv.co * conv.ci * conv.k * conv.k {
-                    return Err(format!(
-                        "layer {i}: conv weight table has {} entries, wants {}",
-                        conv.weights.len(),
-                        conv.co * conv.ci * conv.k * conv.k
-                    ));
-                }
-                if conv.bias.len() != conv.co {
-                    return Err(format!("layer {i}: conv bias length mismatch"));
-                }
-                validate_format(conv.w_format, "conv weight format")?;
-                // Weight *values* must fit the declared format — lengths
-                // alone would let a hand-edited table smuggle in 2^40
-                // entries that overflow the accumulator.
-                let (wmin, wmax) = conv.w_format.rails();
-                if let Some(w) = conv.weights.iter().find(|w| !(wmin..=wmax).contains(*w)) {
-                    return Err(format!(
-                        "layer {i}: weight {w} outside the declared {}-bit format",
-                        conv.w_format.bits
-                    ));
-                }
-                // Biases are f64-bit-encoded reals; they must decode to
-                // something finite and model-sized (the runtime rail in
-                // `bias_at` is the backstop, this is the up-front check).
-                for b in &conv.bias {
-                    let raw = f64::from_bits(*b as u64);
-                    if !raw.is_finite() || raw.abs() > 1e9 {
-                        return Err(format!("layer {i}: bias decodes to {raw}"));
-                    }
-                }
-                if let Some(r) = &conv.requant {
-                    if r.len() != conv.co {
-                        return Err(format!("layer {i}: requant table length mismatch"));
-                    }
-                    validate_formats(r, "conv requant format")?;
-                } else {
-                    // An accumulator-keeping conv must hand its wide
-                    // accumulator straight to a directional ReLU (the
-                    // only consumer calibrated for it); anything else
-                    // would feed unbounded integers into 8-bit stages.
-                    match layers.get(i + 1) {
-                        Some(QLayer::DRelu(_)) => {}
-                        _ => {
-                            return Err(format!(
-                                "layer {i}: accumulator-keeping conv is not \
-                                 followed by a directional ReLU"
-                            ))
-                        }
-                    }
-                }
-                if let Some(a) = conv.align_input {
-                    validate_format(a, "conv align format")?;
-                    (formats, bounds) = (vec![a; c], vec![rail(a); c]);
-                }
-                let acc_frac = conv_acc_fracs(conv, &formats, conv.support())
-                    .map_err(|e| format!("layer {i}: {e}"))?;
-                let acc = conv_acc_bounds(conv, &acc_frac, &bounds);
-                let operands_fit = bounds.iter().all(|b| *b <= 32767)
-                    && conv.weights.iter().all(|w| w.unsigned_abs() <= 32767);
-                let worst = acc.iter().copied().max().unwrap_or(0);
-                walk.note(worst, operands_fit, || format!("layer {path}{i} conv"));
-                formats = conv_out_formats(conv, &acc_frac);
-                bounds = conv.requant.as_ref().map_or(acc, |fmts| rails(fmts));
-            }
-            QLayer::Relu => {}
-            QLayer::DRelu(d) => {
-                if d.n == 0 || !d.n.is_power_of_two() {
-                    return Err(format!(
-                        "layer {i}: directional ReLU tuple size {} is not a power of two",
-                        d.n
-                    ));
-                }
-                if c % d.n != 0 {
-                    return Err(format!(
-                        "layer {i}: {c} channels not a multiple of tuple size {}",
-                        d.n
-                    ));
-                }
-                if let DReluMode::MacBased { mid } = &d.mode {
-                    validate_format(*mid, "directional ReLU mid format")?;
-                }
-                validate_formats(&d.out_formats, "directional ReLU output format")?;
-                // Per tuple: S = Σ_l bound_l << (max frac − frac_l) bounds
-                // everything up to the first butterfly's output; the
-                // second butterfly sums `n` of what is in front of it.
-                let tuples = formats.chunks(d.n).zip(bounds.chunks(d.n));
-                let worst = tuples.map(|(f, b)| {
-                    let max_frac = f.iter().map(|f| f.frac).max().expect("n > 0");
-                    let aligned = f.iter().zip(b).map(|(f, b)| shifted(*b, f.frac, max_frac));
-                    let s = aligned.fold(0u128, u128::saturating_add);
-                    match &d.mode {
-                        DReluMode::OnTheFly => s.saturating_mul(d.n as u128),
-                        DReluMode::MacBased { mid } => s.max(d.n as u128 * rail(*mid)),
-                    }
-                });
-                let worst = worst.max().unwrap_or(0);
-                walk.note(worst, true, || format!("layer {path}{i} (fH)"));
-                formats = expand_formats(&d.out_formats, c);
-                bounds = rails(&formats);
-            }
-            QLayer::Shuffle(r) => {
-                if *r == 0 || c % (r * r) != 0 {
-                    return Err(format!("layer {i}: cannot shuffle {c} channels by {r}"));
-                }
-                formats = shuffle_formats(&formats, *r);
-                bounds = rails(&formats);
-            }
-            QLayer::Unshuffle(r) => {
-                if *r == 0 {
-                    return Err(format!("layer {i}: unshuffle factor 0"));
-                }
-                formats = unshuffle_formats(&formats, *r);
-                bounds = unshuffle_formats(&bounds, *r);
-            }
-            QLayer::Residual(res) => {
-                let nested = format!("{path}{i}.");
-                let (fb, bb) =
-                    validate_chain(&res.body, formats.clone(), bounds.clone(), &nested, walk)?;
-                if fb.len() != c {
-                    let co = fb.len();
-                    return Err(format!("layer {i}: residual body maps {c} → {co} channels"));
-                }
-                validate_formats(&res.out_formats, "residual output format")?;
-                let out = expand_formats(&res.out_formats, c);
-                // Both operands aligned to the output frac, then summed.
-                let aligned =
-                    |f: &[QFormat], b: &[u128], ch: usize| shifted(b[ch], f[ch].frac, out[ch].frac);
-                let sums = (0..c)
-                    .map(|ch| aligned(&fb, &bb, ch).saturating_add(aligned(&formats, &bounds, ch)));
-                let worst = sums.max().unwrap_or(0);
-                walk.note(worst, true, || format!("layer {path}{i} residual add"));
-                (bounds, formats) = (rails(&out), out);
-            }
-            QLayer::UpsampleResidual(ur) => {
-                if ur.factor == 0 {
-                    return Err(format!("layer {i}: upsample factor 0"));
-                }
-                let nested = format!("{path}{i}.");
-                let (fb, bb) = validate_chain(&ur.body, formats, bounds, &nested, walk)?;
-                validate_formats(&ur.out_formats, "upsample-residual output format")?;
-                let out = expand_formats(&ur.out_formats, fb.len());
-                // The skip arrives quantized at the output format.
-                let sums = (0..fb.len()).map(|ch| {
-                    shifted(bb[ch], fb[ch].frac, out[ch].frac).saturating_add(rail(out[ch]))
-                });
-                let worst = sums.max().unwrap_or(0);
-                walk.note(worst, true, || {
-                    format!("layer {path}{i} upsample-residual add")
-                });
-                (bounds, formats) = (rails(&out), out);
-            }
-        }
-    }
-    Ok((formats, bounds))
 }
 
 // ---------------------------------------------------------------------
