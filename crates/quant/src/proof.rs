@@ -5,17 +5,84 @@
 
 use super::*;
 
+/// What a stage of the proof's walk computes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StageKind {
+    /// The quantized input.
+    Input,
+    /// A convolution's accumulators.
+    Conv,
+    /// A directional ReLU's butterflies.
+    DRelu,
+    /// A residual's aligned sum.
+    Add,
+    /// An upsample-residual's aligned sum.
+    UpsampleAdd,
+}
+
+/// One stage of the walk: where it is in the model — its index in the
+/// layer list, dotted into residual bodies (`0.3.1`; empty for the
+/// input) —, what it is, and the largest magnitude any input can drive
+/// it to.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ProofStage {
+    /// Layer index, dotted into nested bodies.
+    pub path: String,
+    /// What the stage computes.
+    pub kind: StageKind,
+    /// Its worst-case magnitude.
+    pub worst: u128,
+}
+
+impl std::fmt::Display for ProofStage {
+    /// `0.3.1 fH`.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let kind = match self.kind {
+            StageKind::Input => return f.write_str("the input"),
+            StageKind::Conv => "conv",
+            StageKind::DRelu => "fH",
+            StageKind::Add => "add",
+            StageKind::UpsampleAdd => "upsample add",
+        };
+        write!(f, "{} {kind}", self.path)
+    }
+}
+
 /// What the load-time proof found (see [`QuantizedModel::lane_proof`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct LaneProof {
     /// The tier the model runs in.
     pub lanes: Lanes,
+    /// The first format that reaches memory with more than 8 bits, if
+    /// any: what rules [`Storage::I8`] out in [`Lanes::I32`].
+    pub wide_format: Option<String>,
     /// The largest magnitude [`LaneProof::stage`] can reach.
     pub worst: u128,
     /// For [`Lanes::I32`] the stage with the largest worst-case magnitude
     /// of the chain; for [`Lanes::I64`] the first stage that rules `i32`
     /// out (its magnitude, or 16-bit operands its conv does not have).
     pub stage: String,
+    /// Every stage of the walk, in chain order.
+    pub stages: Vec<ProofStage>,
+}
+
+impl std::fmt::Display for LaneProof {
+    /// The registry's log line: `integer lanes i32, store i8, worst case
+    /// 2^21.6 at 0.3.1 fH`.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (log2, at) = ((self.worst as f64).log2(), &self.stage);
+        match (self.lanes, &self.wide_format) {
+            (Lanes::I64, _) => write!(f, "integer lanes i64: {at} needs 2^{log2:.1}"),
+            (Lanes::I32, None) => write!(
+                f,
+                "integer lanes i32, store i8, worst case 2^{log2:.1} at {at}"
+            ),
+            (Lanes::I32, Some(wide)) => write!(
+                f,
+                "integer lanes i32, store i32 ({wide}), worst case 2^{log2:.1} at {at}"
+            ),
+        }
+    }
 }
 
 /// Serving bound on stored format widths: the calibration flow emits
@@ -103,23 +170,48 @@ impl LaneProof {
     pub(super) fn of(format: QFormat, c: usize, layers: &[QLayer]) -> Result<Self, String> {
         let mut proof = Self {
             lanes: Lanes::I32,
-            worst: rail(format),
-            stage: "the input".into(),
+            wide_format: None,
+            worst: 0,
+            stage: String::new(),
+            stages: Vec::new(),
         };
-        validate_chain(
-            layers,
-            vec![format; c],
-            vec![proof.worst; c],
-            "",
-            &mut proof,
-        )?;
+        proof.note(rail(format), true, "", StageKind::Input);
+        proof.stored(&[format], || "the input format".into());
+        let (formats, bounds) = (vec![format; c], vec![rail(format); c]);
+        validate_chain(layers, formats, bounds, "", &mut proof)?;
         Ok(proof)
     }
 
-    /// `stage` can reach `magnitude` (`operands_fit`: it multiplies
-    /// nothing beyond 16 bits). The first stage that rules `i32` out
-    /// stands; until then the largest magnitude does.
-    fn note(&mut self, magnitude: u128, operands_fit: bool, stage: impl FnOnce() -> String) {
+    /// What the model's tensors between steps are stored in.
+    pub fn storage(&self) -> Storage {
+        match (self.lanes, &self.wide_format) {
+            (Lanes::I32, None) => Storage::I8,
+            _ => Storage::Lane,
+        }
+    }
+
+    /// What a chain that does not validate runs in: the interchange
+    /// tier, which panics where the chain is inconsistent.
+    pub(super) fn invalid(why: &str) -> Self {
+        Self {
+            lanes: Lanes::I64,
+            wide_format: None,
+            worst: u128::MAX,
+            stage: format!("an invalid chain ({why})"),
+            stages: Vec::new(),
+        }
+    }
+
+    /// The stage of `kind` at `path` can reach `magnitude`
+    /// (`operands_fit`: it multiplies nothing beyond 16 bits). The first
+    /// stage that rules `i32` out stands; until then the largest
+    /// magnitude does.
+    fn note(&mut self, magnitude: u128, operands_fit: bool, path: &str, kind: StageKind) {
+        let stage = ProofStage {
+            path: path.into(),
+            kind,
+            worst: magnitude,
+        };
         let wide = magnitude >= 1 << 31 || !operands_fit;
         if self.lanes == Lanes::I32 && (wide || magnitude > self.worst) {
             let why = if operands_fit {
@@ -127,11 +219,16 @@ impl LaneProof {
             } else {
                 " (operands beyond 16 bits)"
             };
-            *self = Self {
-                lanes: if wide { Lanes::I64 } else { Lanes::I32 },
-                worst: magnitude,
-                stage: stage() + why,
-            };
+            self.lanes = if wide { Lanes::I64 } else { Lanes::I32 };
+            (self.worst, self.stage) = (magnitude, format!("{stage}{why}"));
+        }
+        self.stages.push(stage);
+    }
+
+    /// `formats` reach memory as `what`: the first beyond 8 bits stands.
+    fn stored(&mut self, formats: &[QFormat], what: impl FnOnce() -> String) {
+        if let (None, Some(f)) = (&self.wide_format, formats.iter().find(|f| f.bits > 8)) {
+            self.wide_format = Some(format!("{} has {} bits", what(), f.bits));
         }
     }
 }
@@ -141,7 +238,10 @@ impl LaneProof {
 /// each the largest magnitude (`bounds`) any input can drive that
 /// channel to, noting every stage's worst case in `walk`; returns the
 /// output formats and bounds or the first inconsistency. `path` prefixes
-/// the layer index of a nested body.
+/// the layer index of a nested body. Every format table that reaches
+/// memory is shown to `walk` too (a kept accumulator does not: the conv
+/// runs as one step with the directional ReLU the walk demands behind
+/// it).
 fn validate_chain(
     layers: &[QLayer],
     mut formats: Vec<QFormat>,
@@ -150,7 +250,7 @@ fn validate_chain(
     walk: &mut LaneProof,
 ) -> Result<(Vec<QFormat>, Vec<u128>), String> {
     for (i, l) in layers.iter().enumerate() {
-        let c = formats.len();
+        let (c, at) = (formats.len(), format!("{path}{i}"));
         match l {
             QLayer::Conv(conv) => {
                 if conv.ci != c {
@@ -203,6 +303,7 @@ fn validate_chain(
                         return Err(format!("layer {i}: requant table length mismatch"));
                     }
                     validate_formats(r, "conv requant format")?;
+                    walk.stored(r, || format!("{at} conv requant format"));
                 } else {
                     // An accumulator-keeping conv must hand its wide
                     // accumulator straight to a directional ReLU (the
@@ -220,6 +321,7 @@ fn validate_chain(
                 }
                 if let Some(a) = conv.align_input {
                     validate_format(a, "conv align format")?;
+                    walk.stored(&[a], || format!("{at} conv align format"));
                     (formats, bounds) = (vec![a; c], vec![rail(a); c]);
                 }
                 let acc_frac = conv_acc_fracs(conv, &formats, conv.support())
@@ -228,7 +330,7 @@ fn validate_chain(
                 let operands_fit = bounds.iter().all(|b| *b <= 32767)
                     && conv.weights.iter().all(|w| w.unsigned_abs() <= 32767);
                 let worst = acc.iter().copied().max().unwrap_or(0);
-                walk.note(worst, operands_fit, || format!("layer {path}{i} conv"));
+                walk.note(worst, operands_fit, &at, StageKind::Conv);
                 formats = conv_out_formats(conv, &acc_frac);
                 bounds = conv.requant.as_ref().map_or(acc, |fmts| rails(fmts));
             }
@@ -250,6 +352,7 @@ fn validate_chain(
                     validate_format(*mid, "directional ReLU mid format")?;
                 }
                 validate_formats(&d.out_formats, "directional ReLU output format")?;
+                walk.stored(&d.out_formats, || format!("{at} fH output format"));
                 // Per tuple: S = Σ_l bound_l << (max frac − frac_l) bounds
                 // everything up to the first butterfly's output; the
                 // second butterfly sums `n` of what is in front of it.
@@ -264,7 +367,7 @@ fn validate_chain(
                     }
                 });
                 let worst = worst.max().unwrap_or(0);
-                walk.note(worst, true, || format!("layer {path}{i} (fH)"));
+                walk.note(worst, true, &at, StageKind::DRelu);
                 formats = expand_formats(&d.out_formats, c);
                 bounds = rails(&formats);
             }
@@ -283,7 +386,7 @@ fn validate_chain(
                 bounds = unshuffle_formats(&bounds, *r);
             }
             QLayer::Residual(res) => {
-                let nested = format!("{path}{i}.");
+                let nested = format!("{at}.");
                 let (fb, bb) =
                     validate_chain(&res.body, formats.clone(), bounds.clone(), &nested, walk)?;
                 if fb.len() != c {
@@ -291,6 +394,7 @@ fn validate_chain(
                     return Err(format!("layer {i}: residual body maps {c} → {co} channels"));
                 }
                 validate_formats(&res.out_formats, "residual output format")?;
+                walk.stored(&res.out_formats, || format!("{at} residual output format"));
                 let out = expand_formats(&res.out_formats, c);
                 // Both operands aligned to the output frac, then summed.
                 let aligned =
@@ -298,25 +402,24 @@ fn validate_chain(
                 let sums = (0..c)
                     .map(|ch| aligned(&fb, &bb, ch).saturating_add(aligned(&formats, &bounds, ch)));
                 let worst = sums.max().unwrap_or(0);
-                walk.note(worst, true, || format!("layer {path}{i} residual add"));
+                walk.note(worst, true, &at, StageKind::Add);
                 (bounds, formats) = (rails(&out), out);
             }
             QLayer::UpsampleResidual(ur) => {
                 if ur.factor == 0 {
                     return Err(format!("layer {i}: upsample factor 0"));
                 }
-                let nested = format!("{path}{i}.");
+                let nested = format!("{at}.");
                 let (fb, bb) = validate_chain(&ur.body, formats, bounds, &nested, walk)?;
                 validate_formats(&ur.out_formats, "upsample-residual output format")?;
+                walk.stored(&ur.out_formats, || format!("{at} upsample output format"));
                 let out = expand_formats(&ur.out_formats, fb.len());
                 // The skip arrives quantized at the output format.
                 let sums = (0..fb.len()).map(|ch| {
                     shifted(bb[ch], fb[ch].frac, out[ch].frac).saturating_add(rail(out[ch]))
                 });
                 let worst = sums.max().unwrap_or(0);
-                walk.note(worst, true, || {
-                    format!("layer {path}{i} upsample-residual add")
-                });
+                walk.note(worst, true, &at, StageKind::UpsampleAdd);
                 (bounds, formats) = (rails(&out), out);
             }
         }

@@ -1,14 +1,16 @@
 //! Integer feature tensors with per-channel Q-format tracking.
 //!
-//! A [`QTensorOf<L>`](QTensorOf) stores features in integer lanes `L`
-//! together with one [`QFormat`] per channel. [`QTensor`], the `i64`
+//! A [`QTensorOf<S>`](QTensorOf) stores features in integers `S`
+//! together with one [`QFormat`] per channel, and every stage computes
+//! on them in the lane `S::Lane` ([`Store`]). [`QTensor`], the `i64`
 //! tier, holds every value every format admits and is what the
 //! simulator and the oracles exchange; a model whose every magnitude a
-//! load-time proof bounds below `2^31` runs the same stages on
-//! `QTensorOf<i32>` (see [`crate::quantized`]), half the bytes per
-//! feature. 8-bit tensors model the accelerator's feature SRAM; wide
+//! load-time proof bounds below `2^31` runs the same stages in `i32`
+//! lanes (see [`crate::quantized`]) — on `QTensorOf<i8>`, the bytes the
+//! accelerator's feature SRAM holds, when every format that reaches
+//! memory has at most 8 bits, on `QTensorOf<i32>` otherwise. Wide
 //! tensors model convolution accumulators flowing into the on-the-fly
-//! directional-ReLU pipeline.
+//! directional-ReLU pipeline; only the lane-wide stores hold them.
 //!
 //! Everything a format decides is constant over a plane, so every
 //! element-wise operation here walks whole planes with those constants
@@ -18,28 +20,99 @@
 //! ([`QFormat::requantizer`] → `RequantChannel::apply_lane`, which
 //! reaches the `u128`/`i128` arithmetic of [`requant_shift`] only for
 //! the extreme distances that need it). There is one body per
-//! operation, generic over the lane. Per element the operations and
-//! their order are those of [`QFormat::quantize`],
-//! [`QFormat::dequantize`], [`requant_shift`] and [`QFormat::saturate`]
-//! — `tests/quant_backend.rs` compares the `i64` tier against exactly
-//! those and the `i32` tier against the `i64` one. A rail wider than the
-//! lane (a 63-bit format, the unclamped alignment shifts of
-//! [`QTensorOf::add_assign_saturating`]) is the lane's own rail in
-//! `i32`: identical wherever the value fits the lane, which is what the
-//! proof establishes before a model runs there.
+//! operation, generic over the store: where the store is narrower than
+//! its lane, [`Store::in_lane`] widens a block onto the stack, the body
+//! runs there, and the result — back inside the format's rails — is
+//! narrowed again. Per element the operations and their order are those
+//! of [`QFormat::quantize`], [`QFormat::dequantize`], [`requant_shift`]
+//! and [`QFormat::saturate`] — `tests/quant_backend.rs` compares the
+//! `i64` tier against exactly those and the narrower tiers against the
+//! `i64` one. A rail wider than the lane (a 63-bit format, the unclamped
+//! alignment shifts of [`QTensorOf::add_assign_saturating`]) is the
+//! lane's own rail in `i32`: identical wherever the value fits the lane,
+//! which is what the proof establishes before a model runs there.
 //!
 //! [`requant_shift`]: crate::qformat::requant_shift
 
 use crate::qformat::QFormat;
-use ringcnn_tensor::gemm::{Lane, RequantChannel};
+use ringcnn_tensor::gemm::{fit, Lane, Plane, RequantChannel};
 use ringcnn_tensor::prelude::*;
 
-/// An integer NCHW tensor in lanes `L` with per-channel fixed-point
+/// Lanes of the stack block a store narrower than its lane is widened
+/// into: the most [`Store::in_lane`] takes at once.
+pub(crate) const BLOCK: usize = 2048;
+
+/// A type the integers of a tensor are stored in — `i64` or `i32`, a
+/// lane itself, or `i8` under `i32` lanes — with the lane its stages
+/// compute in.
+pub trait Store: Plane + Ord + Into<Self::Lane> + TryFrom<Self::Lane> + std::fmt::Debug {
+    /// The lane every stage computes in.
+    type Lane: Lane;
+
+    /// Runs `f` on the `n` rows of `len` elements that start `stride`
+    /// apart in `rows`, as a block of lanes and its row stride: in
+    /// place where the store is the lane, through a stack block of
+    /// `n·len ≤ BLOCK` lanes — widened, handed to `f`, narrowed back
+    /// (what `f` leaves must fit the store) — where it is narrower.
+    fn in_lane(
+        rows: &mut [Self],
+        n: usize,
+        stride: usize,
+        len: usize,
+        f: impl FnOnce(&mut [Self::Lane], usize),
+    );
+}
+
+macro_rules! lane_store {
+    ($t:ty) => {
+        impl Store for $t {
+            type Lane = $t;
+
+            fn in_lane(
+                rows: &mut [$t],
+                _: usize,
+                stride: usize,
+                _: usize,
+                f: impl FnOnce(&mut [$t], usize),
+            ) {
+                f(rows, stride);
+            }
+        }
+    };
+}
+lane_store!(i64);
+lane_store!(i32);
+
+impl Store for i8 {
+    type Lane = i32;
+
+    fn in_lane(
+        rows: &mut [i8],
+        n: usize,
+        stride: usize,
+        len: usize,
+        f: impl FnOnce(&mut [i32], usize),
+    ) {
+        let mut wide = [0i32; BLOCK];
+        let wide = &mut wide[..n * len];
+        for (l, w) in wide.chunks_mut(len.max(1)).enumerate() {
+            let narrow = &rows[l * stride..l * stride + len];
+            w.iter_mut().zip(narrow).for_each(|(w, s)| *w = (*s).into());
+        }
+        f(wide, len);
+        for (l, w) in wide.chunks(len.max(1)).enumerate() {
+            let narrow = &mut rows[l * stride..l * stride + len];
+            narrow.iter_mut().zip(w).for_each(|(s, w)| *s = fit(*w));
+        }
+    }
+}
+
+/// An integer NCHW tensor stored in `S` with per-channel fixed-point
 /// formats.
 #[derive(Clone, Debug, PartialEq)]
-pub struct QTensorOf<L> {
+pub struct QTensorOf<S> {
     shape: Shape4,
-    data: Vec<L>,
+    data: Vec<S>,
     formats: Vec<QFormat>,
 }
 
@@ -52,8 +125,9 @@ fn planes_mut<E>(data: &mut [E], s: Shape4) -> impl Iterator<Item = (usize, &mut
     planes.enumerate().map(move |(i, p)| (i % s.c, p))
 }
 
-impl<L: Lane> QTensorOf<L> {
-    /// Quantizes a float tensor with one format per channel.
+impl<S: Store> QTensorOf<S> {
+    /// Quantizes a float tensor with one format per channel (each no
+    /// wider than the store).
     ///
     /// # Panics
     ///
@@ -61,13 +135,14 @@ impl<L: Lane> QTensorOf<L> {
     pub fn quantize(t: &Tensor, formats: Vec<QFormat>) -> Self {
         let s = t.shape();
         assert_eq!(formats.len(), s.c, "one format per channel");
-        let mut data = vec![L::default(); s.len()];
+        let mut data = vec![S::default(); s.len()];
         let src = t.as_slice().chunks(s.plane().max(1));
         for ((c, dst), src) in planes_mut(&mut data, s).zip(src) {
             let f = formats[c];
             let (scale, (lo, hi)) = (2.0f64.powi(f.frac), f.rails());
             for (d, v) in dst.iter_mut().zip(src) {
-                *d = L::saturating_from(((f64::from(*v) * scale).round() as i64).clamp(lo, hi));
+                let q = ((f64::from(*v) * scale).round() as i64).clamp(lo, hi);
+                *d = fit(S::Lane::saturating_from(q));
             }
         }
         Self {
@@ -82,7 +157,7 @@ impl<L: Lane> QTensorOf<L> {
     /// # Panics
     ///
     /// Panics on shape/format inconsistencies.
-    pub fn from_raw(shape: Shape4, data: Vec<L>, formats: Vec<QFormat>) -> Self {
+    pub fn from_raw(shape: Shape4, data: Vec<S>, formats: Vec<QFormat>) -> Self {
         assert_eq!(data.len(), shape.len());
         assert_eq!(formats.len(), shape.c);
         Self {
@@ -98,14 +173,14 @@ impl<L: Lane> QTensorOf<L> {
     }
 
     /// Raw integer buffer.
-    pub fn data(&self) -> &[L] {
+    pub fn data(&self) -> &[S] {
         &self.data
     }
 
     /// Takes the tensor apart — shape, raw integers, formats — for a
     /// stage that works in place and hands the buffer back to
     /// [`QTensorOf::from_raw`].
-    pub fn into_raw(self) -> (Shape4, Vec<L>, Vec<QFormat>) {
+    pub fn into_raw(self) -> (Shape4, Vec<S>, Vec<QFormat>) {
         (self.shape, self.data, self.formats)
     }
 
@@ -120,7 +195,7 @@ impl<L: Lane> QTensorOf<L> {
     }
 
     /// One integer plane.
-    pub fn plane(&self, b: usize, c: usize) -> &[L] {
+    pub fn plane(&self, b: usize, c: usize) -> &[S] {
         let start = self.shape.index(b, c, 0, 0);
         &self.data[start..start + self.shape.plane()]
     }
@@ -133,7 +208,7 @@ impl<L: Lane> QTensorOf<L> {
         for ((c, dst), src) in planes_mut(out.as_mut_slice(), s).zip(src) {
             let scale = self.formats[c].scale();
             for (d, q) in dst.iter_mut().zip(src) {
-                *d = (Into::<i64>::into(*q) as f64 * scale) as f32;
+                *d = (Into::<i64>::into(Into::<S::Lane>::into(*q)) as f64 * scale) as f32;
             }
         }
         out
@@ -155,9 +230,10 @@ impl<L: Lane> QTensorOf<L> {
     pub fn requantize(&mut self, formats: Vec<QFormat>) {
         assert_eq!(formats.len(), self.shape.c);
         for (c, plane) in planes_mut(&mut self.data, self.shape) {
-            formats[c]
-                .requantizer(self.formats[c].frac)
-                .apply_lane(plane);
+            let shift = formats[c].requantizer(self.formats[c].frac);
+            for block in plane.chunks_mut(BLOCK) {
+                S::in_lane(block, 1, 0, block.len(), |lane, _| shift.apply_lane(lane));
+            }
         }
         self.formats = formats;
     }
@@ -176,7 +252,8 @@ impl<L: Lane> QTensorOf<L> {
 
     /// [`QTensorOf::add_saturating`] into `self`, for a left operand the
     /// caller owns (`rhs` is aligned through a fixed stack block, so
-    /// nothing is allocated).
+    /// nothing is allocated; the sum is clamped to the output rails in
+    /// the lane, before a narrow store takes it back).
     ///
     /// # Panics
     ///
@@ -203,15 +280,14 @@ impl<L: Lane> QTensorOf<L> {
         let (d, s) = (self.shape, rhs.shape);
         assert_eq!((d.n, d.c), (s.n, s.c), "batch/channel mismatch");
         assert!(y0 + d.h <= s.h && x0 + d.w <= s.w, "region out of range");
-        const BLOCK: usize = 512;
-        let mut aligned = [L::default(); BLOCK];
+        let mut aligned = [S::Lane::default(); BLOCK];
         // Equal widths: the region's rows are contiguous, one run a plane.
         let run = if d.w == s.w { d.plane() } else { d.w }.max(1);
         let rhs_planes = rhs.data.chunks(s.plane().max(1));
         for ((c, plane), rhs_plane) in planes_mut(&mut self.data, d).zip(rhs_planes) {
             let fo = out_formats[c];
             let (lo, hi) = fo.rails();
-            let (lo, hi) = (L::saturating_from(lo), L::saturating_from(hi));
+            let (lo, hi) = (S::Lane::saturating_from(lo), S::Lane::saturating_from(hi));
             let shift = |from: QFormat| RequantChannel {
                 qmin: i64::MIN,
                 qmax: i64::MAX,
@@ -222,12 +298,14 @@ impl<L: Lane> QTensorOf<L> {
                 let rhs_row = &rhs_plane[at..at + run];
                 for (a, b) in row.chunks_mut(BLOCK).zip(rhs_row.chunks(BLOCK)) {
                     let b2 = &mut aligned[..b.len()];
-                    b2.copy_from_slice(b);
+                    b2.iter_mut().zip(b).for_each(|(w, s)| *w = (*s).into());
                     shift(rhs.formats[c]).apply_lane(b2);
-                    shift(self.formats[c]).apply_lane(a);
-                    for (a, b2) in a.iter_mut().zip(b2) {
-                        *a = (*a + *b2).clamp(lo, hi);
-                    }
+                    S::in_lane(a, 1, 0, b.len(), |a, _| {
+                        shift(self.formats[c]).apply_lane(a);
+                        for (a, b2) in a.iter_mut().zip(b2) {
+                            *a = (*a + *b2).clamp(lo, hi);
+                        }
+                    });
                 }
             }
         }

@@ -16,19 +16,24 @@
 //!   PSNR penalty.
 //!
 //! The pipeline runs in the width its tables allow. There is one integer
-//! chain, generic over its lane: [`QuantizedModel::forward_q`] and
-//! [`execute_layer`] on a [`QTensor`] are the `i64` interchange tier the
-//! simulator and the two `*_reference` oracles speak, and
-//! [`QuantizedModel::forward`] runs the same stages in `i32` lanes — half
-//! the bytes per feature, 16-bit multiplies in the conv engine — whenever
-//! the load-time overflow proof of
+//! chain, generic over the type its tensors are stored in ([`Tier`]):
+//! [`QuantizedModel::forward_q`] and [`execute_layer`] on a [`QTensor`]
+//! are the `i64` interchange tier the simulator and the two
+//! `*_reference` oracles speak, and [`QuantizedModel::forward`] runs the
+//! same stages in `i32` lanes — 16-bit multiplies in the conv engine —
+//! whenever the load-time overflow proof of
 //! [`QuantizedModel::prepare_inference`] shows that no integer of the
 //! chain can reach `2^31`, whatever the input ([`Lanes`],
-//! [`LaneProof`]). Nothing selects the tier; both compute the same
-//! integers.
+//! [`LaneProof`]), on 8-bit planes when every format that reaches memory
+//! has at most 8 bits ([`Storage`]). A conv that keeps its accumulator
+//! and the directional ReLU behind it are one step of the chain in every
+//! tier: the unit runs on each column chunk's accumulators inside the
+//! conv engine (the paper's on-the-fly execution, literally), so only
+//! requantized features are ever stored. Nothing selects tier, storage
+//! or fusion; all compute the same integers.
 
 use crate::qformat::{requant_shift, QFormat, QFormatError};
-use crate::qtensor::{expand_formats, group_max_abs, QTensor, QTensorOf};
+use crate::qtensor::{expand_formats, group_max_abs, QTensor, QTensorOf, Store, BLOCK};
 use ringcnn_algebra::transforms::{fwht_i64, fwht_planes};
 use ringcnn_nn::layer::Layer;
 use ringcnn_nn::layers::activation::{DirectionalReluLayer, Relu};
@@ -40,7 +45,7 @@ use ringcnn_nn::layers::shuffle::{
 use ringcnn_nn::layers::structure::{Residual, Sequential};
 use ringcnn_nn::layers::upsample::{upsample_region, UpsampleResidual};
 use ringcnn_nn::runtime::{InferenceModel, ModelTopo, TileHalo, TopoBuilder};
-use ringcnn_tensor::gemm::{self, PackedWeights, RequantChannel, RequantPlan};
+use ringcnn_tensor::gemm::{ChunkEpilogue, Lane, PackedWeights, RequantChannel, RequantPlan};
 use ringcnn_tensor::im2col::{conv_streaming_i32, conv_streaming_i64, ConvInput};
 use ringcnn_tensor::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -51,7 +56,7 @@ use std::sync::OnceLock;
 #[path = "proof.rs"]
 mod proof;
 use proof::validate_format;
-pub use proof::LaneProof;
+pub use proof::{LaneProof, ProofStage, StageKind};
 
 /// Why a calibration pass failed to produce a quantized model.
 #[derive(Clone, Debug, PartialEq)]
@@ -202,9 +207,10 @@ struct ConvPlans {
     /// non-zero, i.e. whether input channel `ci`'s scale reaches output
     /// channel `co`'s accumulator.
     support: OnceLock<Vec<bool>>,
-    /// The streaming engine's plans of the integer weights.
+    /// The streaming engine's plans of the integer weights: for `i64`
+    /// lanes, and as 16-bit operands for `i32` lanes.
     wide: OnceLock<PackedWeights<i64>>,
-    narrow: OnceLock<PackedWeights<i32>>,
+    narrow: OnceLock<PackedWeights<i16>>,
 }
 
 /// State derived from the tables beside it (a conv's kernels, a model's
@@ -219,30 +225,44 @@ impl<T> PartialEq for Derived<T> {
     }
 }
 
-/// A value the load-time proof bounds, in its lane.
-fn narrow<L: Lane>(v: i64) -> L {
-    let fits = L::try_from(v).ok();
+/// A value the load-time proof bounds, in the type it was proven into.
+fn narrow<W, N: TryFrom<W>>(v: W) -> N {
+    let fits = N::try_from(v).ok();
     fits.expect("the i32 tier runs what the load-time proof admitted")
 }
 
-/// The streaming convolution of one lane (`conv_streaming_i64`'s shape).
-type ConvStreaming<L> =
-    fn(&ConvInput<'_, L>, usize, &PackedWeights<L>, &[L], Option<&RequantPlan>, &mut [L]);
+/// The streaming convolution over one store (`conv_streaming_i64`'s
+/// shape).
+type ConvStreaming<S> = fn(
+    &ConvInput<'_, S>,
+    usize,
+    &PackedWeights<<S as Tier>::Weight>,
+    &[<S as Store>::Lane],
+    (
+        Option<&RequantPlan>,
+        Option<ChunkEpilogue<'_, <S as Store>::Lane>>,
+    ),
+    &mut [S],
+);
 
-/// An integer lane the chain runs in: the arithmetic of [`gemm::Lane`]
-/// plus this tier's entry to the conv engine. `i64` and `i32` are all
-/// there is (the supertrait is sealed).
-pub trait Lane: gemm::Lane {
-    /// The streaming convolution in this lane.
+/// A store the chain runs on: [`Store`] plus its tier's entry to the conv
+/// engine. `i64`, `i32` and `i8` are all there is.
+pub trait Tier: Store {
+    /// What the engine's weight packs hold in this tier.
+    #[doc(hidden)]
+    type Weight;
+
+    /// The streaming convolution over this store.
     #[doc(hidden)]
     const CONV_STREAMING: ConvStreaming<Self>;
 
     /// This tier's plan of `c`'s weights, built on first use.
     #[doc(hidden)]
-    fn packed(c: &QConv) -> &PackedWeights<Self>;
+    fn packed(c: &QConv) -> &PackedWeights<Self::Weight>;
 }
 
-impl Lane for i64 {
+impl Tier for i64 {
+    type Weight = i64;
     const CONV_STREAMING: ConvStreaming<i64> = conv_streaming_i64;
 
     fn packed(c: &QConv) -> &PackedWeights<i64> {
@@ -251,15 +271,30 @@ impl Lane for i64 {
     }
 }
 
-impl Lane for i32 {
-    const CONV_STREAMING: ConvStreaming<i32> = conv_streaming_i32;
+/// The `i32` lanes' plan of `c`: its weights as 16-bit operands.
+fn packed_narrow(c: &QConv) -> &PackedWeights<i16> {
+    let plan = || {
+        let weights: Vec<i16> = c.weights.iter().map(|w| narrow(*w)).collect();
+        PackedWeights::<i16>::new(c.co, c.ci * c.k * c.k, &weights)
+    };
+    c.plan.0.narrow.get_or_init(plan)
+}
 
-    fn packed(c: &QConv) -> &PackedWeights<i32> {
-        let plan = || {
-            let weights: Vec<i32> = c.weights.iter().map(|w| narrow(*w)).collect();
-            PackedWeights::<i32>::new(c.co, c.ci * c.k * c.k, &weights)
-        };
-        c.plan.0.narrow.get_or_init(plan)
+impl Tier for i32 {
+    type Weight = i16;
+    const CONV_STREAMING: ConvStreaming<i32> = conv_streaming_i32::<i32>;
+
+    fn packed(c: &QConv) -> &PackedWeights<i16> {
+        packed_narrow(c)
+    }
+}
+
+impl Tier for i8 {
+    type Weight = i16;
+    const CONV_STREAMING: ConvStreaming<i8> = conv_streaming_i32::<i8>;
+
+    fn packed(c: &QConv) -> &PackedWeights<i16> {
+        packed_narrow(c)
     }
 }
 
@@ -386,10 +421,13 @@ impl QUpsampleResidual {
 /// Executes a single quantized layer (public for the accelerator
 /// simulator, which cross-checks its own datapath against this
 /// reference). On a [`QTensor`] this is the `i64` interchange tier,
-/// exact for every tensor; on a `QTensorOf<i32>` it is the stage a model
-/// proven into [`Lanes::I32`] runs, exact for what that proof covers —
-/// there for `tests/quant_backend.rs` to hold it to the `i64` tier.
-pub fn execute_layer<L: Lane>(layer: &QLayer, q: QTensorOf<L>) -> QTensorOf<L> {
+/// exact for every tensor; on a `QTensorOf<i32>` or `QTensorOf<i8>` it is
+/// the stage a model proven into [`Lanes::I32`] runs on that store,
+/// exact for what the proof covers (an `i8` store holds no accumulator:
+/// there a conv without a requantizer runs only inside the chain, as one
+/// step with its directional ReLU) — there for `tests/quant_backend.rs`
+/// to hold it to the `i64` tier.
+pub fn execute_layer<S: Tier>(layer: &QLayer, q: QTensorOf<S>) -> QTensorOf<S> {
     run_layer(layer, Cow::Owned(q), &mut TileHalo::whole())
 }
 
@@ -403,6 +441,19 @@ pub enum Lanes {
     /// 64-bit lanes, the interchange tier: everything else, and a model
     /// nothing has prepared yet.
     I64,
+}
+
+/// What the tensors between the steps of a model are stored in, decided
+/// with its [`Lanes`] by the same load-time proof.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Storage {
+    /// 8-bit planes: the model runs in [`Lanes::I32`] and every format
+    /// that reaches memory — the input, requantized conv outputs and
+    /// aligned inputs, directional-ReLU, residual and upsample-residual
+    /// outputs (a shuffle keeps one of these) — has at most 8 bits.
+    I8,
+    /// Planes as wide as the lane.
+    Lane,
 }
 
 /// A fully quantized model: integer layers plus the input image format.
@@ -488,17 +539,20 @@ impl QuantizedModel {
     /// `mid` in the MAC-based mode), the sum of its aligned operands for
     /// a residual add. [`Lanes::I32`] iff all of them stay below `2^31`
     /// and every conv's operands fit 16 bits: the `i32` chain then
-    /// computes, integer for integer, what the `i64` chain does.
+    /// computes, integer for integer, what the `i64` chain does. The same
+    /// walk sees every format that reaches memory — a conv that keeps
+    /// its accumulator runs as one step with the directional ReLU behind
+    /// it, so no accumulator does — and settles the [`Storage`].
     pub fn prepare_inference(&mut self) {
-        fn plan<L: Lane>(layers: &[QLayer]) {
+        fn plan<S: Tier>(layers: &[QLayer]) {
             for layer in layers {
                 match layer {
                     QLayer::Conv(c) => {
                         c.support();
-                        L::packed(c);
+                        S::packed(c);
                     }
-                    QLayer::Residual(res) => plan::<L>(&res.body),
-                    QLayer::UpsampleResidual(ur) => plan::<L>(&ur.body),
+                    QLayer::Residual(res) => plan::<S>(&res.body),
+                    QLayer::UpsampleResidual(ur) => plan::<S>(&ur.body),
                     _ => {}
                 }
             }
@@ -510,11 +564,7 @@ impl QuantizedModel {
                     .ok_or("no convolution fixes the channel count")?;
                 LaneProof::of(self.input_format, c, &self.layers)
             });
-            self.proof.0 = Some(proven.unwrap_or_else(|e| LaneProof {
-                lanes: Lanes::I64,
-                worst: u128::MAX,
-                stage: format!("an invalid chain ({e})"),
-            }));
+            self.proof.0 = Some(proven.unwrap_or_else(|e| LaneProof::invalid(&e)));
         }
         match self.lanes() {
             Lanes::I32 => plan::<i32>(&self.layers),
@@ -528,15 +578,15 @@ impl QuantizedModel {
         self.proof.0.as_ref().map_or(Lanes::I64, |p| p.lanes)
     }
 
-    /// What the load-time proof found — the tier, the worst-case
-    /// magnitude and the stage that sets it; `None` before
-    /// [`QuantizedModel::prepare_inference`].
+    /// What the load-time proof found — the tier, the storage, every
+    /// stage's worst-case magnitude and the stage that sets the largest;
+    /// `None` before [`QuantizedModel::prepare_inference`].
     pub fn lane_proof(&self) -> Option<&LaneProof> {
         self.proof.0.as_ref()
     }
 
     /// Bit-accurate integer inference; input is quantized with the
-    /// calibrated image format — straight into the lanes the model was
+    /// calibrated image format — straight into the store the model was
     /// proven into — and the output dequantized to floats.
     pub fn forward(&self, input: &Tensor) -> Tensor {
         self.forward_tile(input, &mut TileHalo::whole())
@@ -616,14 +666,15 @@ impl InferenceModel for QuantizedModel {
     /// [`QuantizedModel::forward`] of one tile: the integer chain
     /// consumes the halo exactly as the float one does.
     fn forward_tile(&self, input: &Tensor, tile: &mut TileHalo) -> Tensor {
-        fn run<L: Lane>(qm: &QuantizedModel, input: &Tensor, tile: &mut TileHalo) -> Tensor {
+        fn run<S: Tier>(qm: &QuantizedModel, input: &Tensor, tile: &mut TileHalo) -> Tensor {
             let formats = vec![qm.input_format; input.shape().c];
-            let q = QTensorOf::<L>::quantize(input, formats);
+            let q = QTensorOf::<S>::quantize(input, formats);
             run_chain(&qm.layers, Cow::Owned(q), tile).dequantize()
         }
-        match self.lanes() {
-            Lanes::I32 => run::<i32>(self, input, tile),
-            Lanes::I64 => run::<i64>(self, input, tile),
+        match self.lane_proof().map(|p| (p.lanes, p.storage())) {
+            Some((Lanes::I32, Storage::I8)) => run::<i8>(self, input, tile),
+            Some((Lanes::I32, Storage::Lane)) => run::<i32>(self, input, tile),
+            _ => run::<i64>(self, input, tile),
         }
     }
 
@@ -955,28 +1006,38 @@ fn hadamard_intermediate_max(x: &Tensor, n: usize) -> f64 {
 /// tensor) is copied only by a stage that has to write to it. `tile` is
 /// the float chain's state, moved the same way: a convolution writes
 /// only what the rest of the chain reads, a skip is added over that
-/// region. One body per stage from here down, generic over the lane.
-fn run_chain<L: Lane>(
-    layers: &[QLayer],
-    mut q: Cow<'_, QTensorOf<L>>,
+/// region. A convolution that keeps its accumulator and the directional
+/// ReLU behind it (every such conv of a validated chain has one) are one
+/// step: the unit runs on each column chunk's accumulators inside the
+/// engine, and no accumulator is stored. One body per stage from here
+/// down, generic over the store.
+fn run_chain<S: Tier>(
+    mut layers: &[QLayer],
+    mut q: Cow<'_, QTensorOf<S>>,
     tile: &mut TileHalo,
-) -> QTensorOf<L> {
-    for l in layers {
-        q = Cow::Owned(run_layer(l, q, tile));
+) -> QTensorOf<S> {
+    while let [layer, rest @ ..] = layers {
+        (q, layers) = match (layer, rest) {
+            (QLayer::Conv(c), [QLayer::DRelu(d), rest @ ..]) if c.requant.is_none() => {
+                let cut = tile.conv(c.k / 2, 1);
+                (Cow::Owned(run_conv(c, Some(d), &q, cut)), rest)
+            }
+            _ => (Cow::Owned(run_layer(layer, q, tile)), rest),
+        };
     }
     q.into_owned()
 }
 
-fn run_layer<L: Lane>(
+fn run_layer<S: Tier>(
     layer: &QLayer,
-    q: Cow<'_, QTensorOf<L>>,
+    q: Cow<'_, QTensorOf<S>>,
     tile: &mut TileHalo,
-) -> QTensorOf<L> {
+) -> QTensorOf<S> {
     match layer {
-        QLayer::Conv(c) => run_conv(c, &q, tile.conv(c.k / 2, 1)),
+        QLayer::Conv(c) => run_conv(c, None, &q, tile.conv(c.k / 2, 1)),
         QLayer::Relu => {
             let (s, mut data, formats) = q.into_owned().into_raw();
-            data.iter_mut().for_each(|v| *v = (*v).max(L::default()));
+            data.iter_mut().for_each(|v| *v = (*v).max(S::default()));
             QTensorOf::from_raw(s, data, formats)
         }
         QLayer::DRelu(d) => run_drelu(d, q.into_owned()),
@@ -1072,50 +1133,67 @@ fn conv_out_formats(c: &QConv, acc_frac: &[i32]) -> Vec<QFormat> {
 }
 
 /// Aligns mixed per-channel input formats when the conv demands it.
-fn align_conv_input<L: Lane>(c: &QConv, q: &QTensorOf<L>) -> Option<QTensorOf<L>> {
+fn align_conv_input<S: Store>(c: &QConv, q: &QTensorOf<S>) -> Option<QTensorOf<S>> {
     c.align_input.map(|f| q.requantized(vec![f; q.shape().c]))
 }
 
 /// The production integer convolution: every batch item streams through
-/// the lane's `ringcnn_tensor::im2col::conv_streaming_*` — im2col packed
+/// the store's `ringcnn_tensor::im2col::conv_streaming_*` — im2col packed
 /// per column chunk inside the register-blocked integer GEMM, the
 /// per-channel requantization **fused into the kernel epilogue**
 /// (un-rescaled wide accumulators never reach memory), outputs written
-/// in place. The weight plan and tap support are built once
-/// (`prepare_inference`, or the first call). Integer accumulation is
-/// order-independent, the AVX2 paths guard their operand requirements,
-/// and the fused epilogue applies the same [`requant_shift`] +
-/// saturation, so in `i64` lanes this is **bit-identical** to
-/// [`run_conv_reference`] at any thread count and on every kernel
+/// in place. With `fh`, the directional ReLU behind an accumulator-
+/// keeping conv, the engine hands every column chunk's accumulators to
+/// the unit before it writes them ([`DReluStages::run`], the one body
+/// [`run_drelu`] runs over a stored tensor): the output is that of
+/// `run_conv(c, None, …)` followed by `run_drelu(fh, …)`, integer for
+/// integer, and the accumulator tensor between them never exists. The
+/// weight plan and tap support are built once (`prepare_inference`, or
+/// the first call). Integer accumulation is order-independent, the AVX2
+/// paths guard their operand requirements, and the fused epilogue
+/// applies the same [`requant_shift`] + saturation, so in `i64` lanes
+/// this is **bit-identical** to [`run_conv_reference`] (then
+/// [`run_drelu_reference`]) at any thread count and on every kernel
 /// backend, and in `i32` lanes too wherever the load-time proof bounds
 /// the accumulators — the equivalence suite in `tests/quant_backend.rs`
 /// asserts both.
-fn run_conv<L: Lane>(c: &QConv, q: &QTensorOf<L>, cut: [usize; 4]) -> QTensorOf<L> {
+fn run_conv<S: Tier>(
+    c: &QConv,
+    fh: Option<&QDRelu>,
+    q: &QTensorOf<S>,
+    cut: [usize; 4],
+) -> QTensorOf<S> {
     let aligned = align_conv_input(c, q);
     let q = aligned.as_ref().unwrap_or(q);
     let s = q.shape();
     assert_eq!(s.c, c.ci, "quantized conv channel mismatch");
     let acc_frac = resolve_acc_fracs(c, q.formats(), c.support());
-    let bias: Vec<L> = (0..c.co)
+    let bias: Vec<S::Lane> = (0..c.co)
         .map(|co| narrow(bias_at(c, co, acc_frac[co])))
         .collect();
     let requant = c.requant.as_ref().map(|fmts| requant_plan(fmts, &acc_frac));
+    let mut formats = conv_out_formats(c, &acc_frac);
+    let stages = fh.map(|d| DReluStages::new(d, &mut formats));
+    let unit = stages
+        .as_ref()
+        .map(|fh| |block: &mut [S::Lane], stride: usize, cw: usize| fh.run(0, block, stride, cw));
+    let fused = unit.as_ref().map(|unit| unit as ChunkEpilogue<'_, S::Lane>);
     let region = Window::inset(s.h, s.w, cut);
     let out_shape = Shape4::new(s.n, c.co, region.h, region.w);
-    let mut data = vec![L::default(); out_shape.len()];
+    let mut data = vec![S::default(); out_shape.len()];
     let (item_in, item_out) = (s.c * s.plane(), c.co * out_shape.plane());
     for b in 0..s.n {
         let planes = &q.data()[b * item_in..(b + 1) * item_in];
-        L::CONV_STREAMING(
+        S::CONV_STREAMING(
             &ConvInput::new(planes, s.c, s.h, s.w, region),
             c.k,
-            L::packed(c),
+            S::packed(c),
             &bias,
-            requant.as_ref(),
+            (requant.as_ref(), fused),
             &mut data[b * item_out..(b + 1) * item_out],
         );
     }
-    QTensorOf::from_raw(out_shape, data, conv_out_formats(c, &acc_frac))
+    QTensorOf::from_raw(out_shape, data, formats)
 }
 
 /// Builds the fused-epilogue requant plan: shift each channel from its
@@ -1225,66 +1303,105 @@ fn clamp_for_fwht(y: &mut [i64], n: usize) {
     }
 }
 
-/// The production directional ReLU (Fig. 8), in place on the `n`
-/// contiguous planes of each tuple, a block of pixels (L1-sized) at a
-/// time. Both modes are one sequence of whole-row passes whose constants
-/// are fixed per tuple — align each component to the finest frac and
-/// clamp to the butterfly rail, butterfly, ReLU (fused with the second
-/// clamp on the fly, with the saturating requantization to `mid` in the
-/// MAC-based mode), butterfly, requantize each component to its output
-/// format — and per pixel it is the sequence of
-/// [`run_drelu_reference`], so the two are **bit-identical**
-/// (`tests/quant_backend.rs` asserts it in both modes, at the rails).
-/// In `i32` lanes the butterfly rail is wider than the lane, so the
-/// clamp is at the lane's own rails (`apply_lane` saturates a
-/// requantizer's rails into the lane) — which the load-time proof keeps
-/// `n·S`, and with it every partial sum of both butterflies, below.
-fn run_drelu<L: Lane>(d: &QDRelu, q: QTensorOf<L>) -> QTensorOf<L> {
-    // Elements of one block: 16 KiB of `i64`, `BLOCK / n` pixels a row.
-    const BLOCK: usize = 2048;
-    let (s, mut data, in_formats) = q.into_raw();
-    let n = d.n;
-    assert_eq!(s.c % n, 0, "channels not a multiple of tuple size");
-    assert!(n <= BLOCK, "tuple size {n} exceeds the block of {BLOCK}");
-    let out_formats = expand_formats(&d.out_formats, s.c);
-    let (plane, rail) = (s.plane(), fwht_rail(n));
-    let shift = |from_frac, to_frac, qmin, qmax| RequantChannel {
-        from_frac,
-        to_frac,
-        qmin,
-        qmax,
-    };
-    for (t, tuple) in data.chunks_mut((n * plane).max(1)).enumerate() {
-        let c0 = t * n % s.c;
-        // Align components to the finest (max) frac: Fig. 8's
-        // left-shifters with s_i = max frac − frac_i, saturating instead
-        // of wrapping on pathological format spreads.
-        let fin = &in_formats[c0..c0 + n];
-        let max_frac = fin.iter().map(|f| f.frac).max().expect("n > 0");
-        // Between the butterflies: the ReLU, fused on the fly with the
-        // second clamp and in the MAC-based mode with extra quantization
-        // point #1, the saturating requantization to `mid`.
-        let (mid_frac, mid_max) = match &d.mode {
-            DReluMode::OnTheFly => (max_frac, rail),
-            DReluMode::MacBased { mid } => (mid.frac, mid.rails().1),
+/// The per-channel constants of a directional ReLU (Fig. 8) over the
+/// channels in front of it: both modes are one sequence of whole-row
+/// passes whose constants are fixed per tuple — align each component to
+/// the finest frac and clamp to the butterfly rail, butterfly, ReLU
+/// (fused with the second clamp on the fly, with the saturating
+/// requantization to `mid` in the MAC-based mode), butterfly, requantize
+/// each component to its output format.
+struct DReluStages {
+    n: usize,
+    /// Per channel: Fig. 8's left-shifters with s_i = max frac − frac_i,
+    /// saturating instead of wrapping on pathological format spreads.
+    align: Vec<RequantChannel>,
+    /// Per tuple, between the butterflies: the ReLU, fused on the fly
+    /// with the second clamp and in the MAC-based mode with extra
+    /// quantization point #1, the saturating requantization to `mid`.
+    relu: Vec<RequantChannel>,
+    /// Per channel: to the output component format.
+    out: Vec<RequantChannel>,
+}
+
+impl DReluStages {
+    /// The unit `d` behind channels in `formats`, which become its
+    /// output formats.
+    fn new(d: &QDRelu, formats: &mut Vec<QFormat>) -> Self {
+        let (n, c) = (d.n, formats.len());
+        assert_eq!(c % n, 0, "channels not a multiple of tuple size");
+        assert!(n <= BLOCK, "tuple size {n} exceeds the block of {BLOCK}");
+        let (out_formats, rail) = (expand_formats(&d.out_formats, c), fwht_rail(n));
+        let shift = |from_frac, to_frac, qmin, qmax| RequantChannel {
+            from_frac,
+            to_frac,
+            qmin,
+            qmax,
         };
-        for p0 in (0..plane).step_by(BLOCK / n) {
-            let len = (BLOCK / n).min(plane - p0);
-            let block = &mut tuple[p0..];
-            // One pass of `stage(l)` over row `l` of the block, each l.
-            let rows = |block: &mut [L], stage: &dyn Fn(usize) -> RequantChannel| {
-                for l in 0..n {
-                    stage(l).apply_lane(&mut block[l * plane..l * plane + len]);
-                }
+        let (mut align, mut relu, mut out) = (Vec::new(), Vec::new(), Vec::new());
+        for (fin, fout) in formats.chunks(n).zip(out_formats.chunks(n)) {
+            let max_frac = fin.iter().map(|f| f.frac).max().expect("n > 0");
+            let (mid_frac, mid_max) = match &d.mode {
+                DReluMode::OnTheFly => (max_frac, rail),
+                DReluMode::MacBased { mid } => (mid.frac, mid.rails().1),
             };
-            rows(block, &|l| shift(fin[l].frac, max_frac, -rail, rail));
-            fwht_planes(block, n, plane, len);
-            rows(block, &|_| shift(max_frac, mid_frac, 0, mid_max));
-            fwht_planes(block, n, plane, len);
-            rows(block, &|l| out_formats[c0 + l].requantizer(mid_frac));
+            align.extend(fin.iter().map(|f| shift(f.frac, max_frac, -rail, rail)));
+            relu.push(shift(max_frac, mid_frac, 0, mid_max));
+            out.extend(fout.iter().map(|f| f.requantizer(mid_frac)));
+        }
+        *formats = out_formats;
+        Self {
+            n,
+            align,
+            relu,
+            out,
         }
     }
-    QTensorOf::from_raw(s, data, out_formats)
+
+    /// The unit on `len` pixels of the consecutive channels `block`
+    /// holds `stride` apart, tuple `t0` first: per pixel the sequence of
+    /// [`run_drelu_reference`], so the two are **bit-identical**
+    /// (`tests/quant_backend.rs` asserts it in both modes, at the rails).
+    /// In `i32` lanes the butterfly rail is wider than the lane, so the
+    /// clamp is at the lane's own rails (`apply_lane` saturates a
+    /// requantizer's rails into the lane) — which the load-time proof
+    /// keeps `n·S`, and with it every partial sum of both butterflies,
+    /// below.
+    fn run<L: Lane>(&self, t0: usize, block: &mut [L], stride: usize, len: usize) {
+        let n = self.n;
+        for (t, tuple) in (t0..).zip(block.chunks_mut(n * stride)) {
+            // One pass of `stage(l)` over row `l` of the tuple, each l.
+            let rows = |tuple: &mut [L], stage: &dyn Fn(usize) -> RequantChannel| {
+                for l in 0..n {
+                    stage(l).apply_lane(&mut tuple[l * stride..l * stride + len]);
+                }
+            };
+            rows(tuple, &|l| self.align[t * n + l]);
+            fwht_planes(tuple, n, stride, len);
+            rows(tuple, &|_| self.relu[t]);
+            fwht_planes(tuple, n, stride, len);
+            rows(tuple, &|l| self.out[t * n + l]);
+        }
+    }
+}
+
+/// The directional ReLU over a stored tensor (behind a shuffle, or a
+/// conv that requantized: the MAC-based ablation), in place on the `n`
+/// contiguous planes of each tuple, a block of pixels (L1-sized) at a
+/// time, in the store's lane.
+fn run_drelu<S: Store>(d: &QDRelu, q: QTensorOf<S>) -> QTensorOf<S> {
+    let (s, mut data, mut formats) = q.into_raw();
+    let stages = DReluStages::new(d, &mut formats);
+    let (n, plane) = (d.n, s.plane());
+    for (t, tuple) in data.chunks_mut((n * plane).max(1)).enumerate() {
+        // `BLOCK / n` pixels a row: 16 KiB of `i64`.
+        for p0 in (0..plane).step_by(BLOCK / n) {
+            let len = (BLOCK / n).min(plane - p0);
+            S::in_lane(&mut tuple[p0..], n, plane, len, |block, stride| {
+                stages.run(t % (s.c / n), block, stride, len);
+            });
+        }
+    }
+    QTensorOf::from_raw(s, data, formats)
 }
 
 /// The per-pixel directional ReLU — gather one `n`-tuple across `n`
@@ -1387,21 +1504,21 @@ fn unshuffle_formats<T: Copy>(per_channel: &[T], r: usize) -> Vec<T> {
 /// Depth-to-space: every source channel is requantized (in place, `q`
 /// is owned) to its output channel's format, then the planes are
 /// permuted row by row.
-fn run_shuffle<L: Lane>(mut q: QTensorOf<L>, r: usize) -> QTensorOf<L> {
+fn run_shuffle<S: Store>(mut q: QTensorOf<S>, r: usize) -> QTensorOf<S> {
     let s = q.shape();
     assert_eq!(s.c % (r * r), 0, "channels not divisible by r²");
     let formats = shuffle_formats(q.formats(), r);
     q.requantize(unshuffle_formats(&formats, r));
     let out_shape = Shape4::new(s.n, s.c / (r * r), s.h * r, s.w * r);
-    let mut data = vec![L::default(); out_shape.len()];
+    let mut data = vec![S::default(); out_shape.len()];
     shuffle_into(q.data(), s, r, &mut data);
     QTensorOf::from_raw(out_shape, data, formats)
 }
 
-fn run_unshuffle<L: Lane>(q: &QTensorOf<L>, r: usize) -> QTensorOf<L> {
+fn run_unshuffle<S: Store>(q: &QTensorOf<S>, r: usize) -> QTensorOf<S> {
     let s = q.shape();
     let out_shape = Shape4::new(s.n, s.c * r * r, s.h / r, s.w / r);
-    let mut data = vec![L::default(); out_shape.len()];
+    let mut data = vec![S::default(); out_shape.len()];
     unshuffle_into(q.data(), s, r, &mut data);
     QTensorOf::from_raw(out_shape, data, unshuffle_formats(q.formats(), r))
 }
@@ -1534,7 +1651,7 @@ mod tests {
             let mut q = QTensor::quantize(&inputs, vec![qm.input_format(); inputs.shape().c]);
             for layer in qm.layers() {
                 if let QLayer::Conv(c) = layer {
-                    let fast = run_conv(c, &q, [0; 4]);
+                    let fast = run_conv(c, None, &q, [0; 4]);
                     let reference = run_conv_reference(c, &q);
                     assert_eq!(fast, reference, "{}", alg.label());
                 }

@@ -42,7 +42,7 @@ use ringcnn_nn::layer::Layer;
 use ringcnn_nn::layers::structure::Sequential;
 use ringcnn_nn::runtime::{model_topology, ModelTopo};
 use ringcnn_nn::serialize::{instantiate, model_from_json, AlgebraSpec, ModelFile, ModelSpec};
-use ringcnn_quant::quantized::{Lanes, QuantizedModel};
+use ringcnn_quant::quantized::QuantizedModel;
 use ringcnn_quant::serialize::{peek_format_tag, qmodel_from_json, QModelFile, QMODEL_FORMAT};
 use ringcnn_tensor::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -155,13 +155,9 @@ impl ModelEntry {
                     "qmodel `{name}` topology {qtopo:?} disagrees with float topology {topo:?}"
                 )));
             }
-            // What will run for this model: the lanes its tables prove.
-            if let Some(p) = q.model.lane_proof() {
-                let (log2, at) = ((p.worst as f64).log2(), &p.stage);
-                let found = match p.lanes {
-                    Lanes::I32 => format!("integer lanes i32, worst case 2^{log2:.1} at {at}"),
-                    Lanes::I64 => format!("integer lanes i64: {at} needs 2^{log2:.1}"),
-                };
+            // What will run for this model: the lanes and the storage
+            // its tables prove.
+            if let Some(found) = q.model.lane_proof() {
                 ringcnn_trace::rc_info!("registry", format!("qmodel {name}: {found}"));
             }
         }

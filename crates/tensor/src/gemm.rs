@@ -6,10 +6,11 @@
 //! the patch matrix (`rows = ci·k²` by `plane = H·W`) and `W` the
 //! `co × rows` weight matrix. **One** blocked driver computes that
 //! product for every element type with an MR×NR register tile; what
-//! differs between `f32`, `i64` and `i32` (panel width, AVX2 tile,
-//! exactness gate, slab slot, epilogue) lives in the three impls of
-//! the crate-private `Element` trait. The work splits into a plan and a
-//! call:
+//! differs between `f32`, `i64` and `i32` (panel width, the *operand*
+//! type its panels and weight packs hold — itself for `f32` and `i64`,
+//! `i16` for `i32` —, AVX2 tile, exactness gate, slab slot, epilogue)
+//! lives in the three impls of the crate-private `Element` trait. The
+//! work splits into a plan and a call:
 //!
 //! * **The plan** ([`PackedWeights`]) is everything derived from `W`
 //!   alone, built once where weights freeze (`prepare_inference`, model
@@ -30,15 +31,21 @@
 //!   columns each (16 for f32 and i32, 8 for i64), the last panel
 //!   zero-padded;
 //!   packed into the thread's slab by the im2col chunk packer of
-//!   [`crate::im2col`], or lent from a B the caller packed
+//!   [`crate::im2col`], which converts from the type the source planes
+//!   are stored in as it copies, or lent from a B the caller packed
 //!   (`gemm_*_packed`) — runs every pattern group over them while they
 //!   are L2-resident (panels outermost, so the blocks of a group
 //!   re-read L1-hot rows), applies the element epilogue and writes the
 //!   finished lanes straight into its share of the caller's output
 //!   planes — its columns, or where the pixel shuffle that follows the
-//!   convolution would move them (`Sink`). The only per-thread state is
-//!   that slab, `rows × NC_COLS` elements (72 KiB for a 16-channel 3×3
-//!   f32 conv) whatever the plane size. The per-element accumulation
+//!   convolution would move them (`Sink`), narrowed where the planes are
+//!   narrower than the lane. Given a **chunk epilogue**
+//!   ([`ChunkEpilogue`]) the task instead stages its `co × NC_COLS`
+//!   finished lanes behind the panels, hands the block to the epilogue
+//!   once — it may mix rows: the integer pipeline's directional ReLU —
+//!   and then writes whole rows. The only per-thread state is that
+//!   slab, `rows × NC_COLS` operands (72 KiB for a 16-channel 3×3 f32
+//!   conv) and the staged lanes, whatever the plane size. The per-element accumulation
 //!   chain (bias first, then rows in increasing order) does not depend
 //!   on plane geometry — tiled and whole-image runs of the *same* kernel
 //!   agree bit for bit.
@@ -71,7 +78,8 @@
 //! AVX2 tile multiplies 16-bit operands pairwise with
 //! `_mm256_madd_epi16`, whose 32-bit pair sum cannot overflow while
 //! `|v| ≤ 32767` on both sides (the same two-part gate, scalar tile
-//! otherwise). The **f32** tiers are tolerance-equivalent only: FMA
+//! otherwise — and no scan where the source planes are `i8`: the type
+//! says it). The **f32** tiers are tolerance-equivalent only: FMA
 //! contraction and the blocked summation change ULPs relative to the
 //! reference row-axpy.
 
@@ -517,23 +525,74 @@ pub struct RequantPlan {
 }
 
 // ---------------------------------------------------------------------
-// The element trait: everything f32 and i64 do differently.
+// The element trait: everything f32, i64 and i32 do differently.
 // ---------------------------------------------------------------------
+
+/// A type planes, micro-panels and weight packs are stored in.
+pub trait Plane: Copy + Default + PartialEq + Send + Sync + 'static {
+    /// Whether the AVX2 tile of the element these operands feed
+    /// multiplies every one of `values` exactly: a fact of a type
+    /// narrower than the tile's multiplier, a scan otherwise.
+    fn avx2_exact(values: &[Self]) -> bool;
+}
+
+macro_rules! plane {
+    ($t:ty, $exact:expr) => {
+        impl Plane for $t {
+            fn avx2_exact(values: &[$t]) -> bool {
+                values.iter().all($exact)
+            }
+        }
+    };
+}
+plane!(f32, |_| true);
+plane!(i8, |_| true);
+// `_mm256_mul_epi32` reads each lane's low 32 bits: exact only for
+// i32-range operands.
+plane!(i64, |v| i32::try_from(*v).is_ok());
+// `_mm256_madd_epi16` sums the two products of a pair in 32 bits, which
+// only `−32768·−32768` twice can overflow: exact for `|v| ≤ 32767`.
+plane!(i32, |v| v.unsigned_abs() <= 32767);
+plane!(i16, |v| v.unsigned_abs() <= 32767);
+
+/// `v` in the type a panel, a lane or a plane holds it in: free where
+/// that widens or is the identity, and where it narrows the caller has
+/// shown that every value fits (a debug build checks).
+#[inline(always)]
+pub fn fit<S, D: TryFrom<S> + Default>(v: S) -> D {
+    D::try_from(v).unwrap_or_else(|_| {
+        debug_assert!(false, "a value left the type it was proven into");
+        D::default()
+    })
+}
+
+/// What a chunk task runs over its finished `co × cw` lanes before the
+/// sink sees them: `(block, stride, cw)` — output channel `c` at
+/// `block[c·stride..][..cw]` — and free to mix rows.
+pub type ChunkEpilogue<'a, T> = &'a (dyn Fn(&mut [T], usize, usize) + Sync);
+
+/// A thread's packing slab — the `rows × NC_COLS` operands of the column
+/// chunk its current task owns — and the `co × NC_COLS` lanes a chunk
+/// epilogue is handed; kept across tasks and calls (never plane-sized,
+/// so nothing worth returning to the OS).
+pub(crate) type Slab<T, const NR: usize> = (Vec<<T as Element<NR>>::Operand>, Vec<T>);
 
 /// An element type of the blocked driver, with micro-panel width `NR`.
 pub(crate) trait Element<const NR: usize>:
     Copy + Default + PartialEq + AddAssign + Mul<Output = Self> + Send + Sync + 'static
 {
+    /// What its micro-panels and weight packs hold.
+    type Operand: Plane + Into<Self>;
+
     /// What the epilogue applies to finished accumulator lanes.
     type Epilogue: Sync;
 
-    /// The thread's packing slab: the `rows × NC_COLS` elements of the
-    /// column chunk its current task owns, kept across tasks and calls
-    /// (never plane-sized, so nothing worth returning to the OS).
-    fn slab() -> &'static LocalKey<Cell<Vec<Self>>>;
+    /// Non-zero rows one step of the AVX2 tile multiplies: a block's
+    /// weights are packed `[step][MR][PAIR]`, zero past an odd end.
+    const PAIR: usize = 1;
 
-    /// Whether the AVX2 tile multiplies every one of `values` exactly.
-    fn avx2_exact(values: &[Self]) -> bool;
+    /// The thread's [`Slab`].
+    fn slab() -> &'static LocalKey<Cell<Slab<Self, NR>>>;
 
     /// The AVX2 register tile.
     ///
@@ -541,13 +600,13 @@ pub(crate) trait Element<const NR: usize>:
     ///
     /// `avx2` (and `fma` for f32) must be available;
     /// `bpanel.len() ≥ (r+1)·NR` for every `r` in `nzrows`,
-    /// `wpack.len() ≥ nzrows.len()·MR`, and
-    /// [`avx2_exact`](Element::avx2_exact) must hold for both operands.
+    /// `wpack.len() ≥ nzrows.len().div_ceil(PAIR)·MR·PAIR`, and
+    /// [`Plane::avx2_exact`] must hold for both operands.
     #[cfg(target_arch = "x86_64")]
     unsafe fn tile_avx2(
-        bpanel: &[Self],
+        bpanel: &[Self::Operand],
         nzrows: &[u32],
-        wpack: &[Self],
+        wpack: &[Self::Operand],
         binit: &[Self; MR],
         out: &mut [[Self; NR]; MR],
     );
@@ -557,20 +616,17 @@ pub(crate) trait Element<const NR: usize>:
 }
 
 thread_local! {
-    static SLAB_F32: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
-    static SLAB_I64: Cell<Vec<i64>> = const { Cell::new(Vec::new()) };
-    static SLAB_I32: Cell<Vec<i32>> = const { Cell::new(Vec::new()) };
+    static SLAB_F32: Cell<Slab<f32, NR_F32>> = const { Cell::new((Vec::new(), Vec::new())) };
+    static SLAB_I64: Cell<Slab<i64, NR_I64>> = const { Cell::new((Vec::new(), Vec::new())) };
+    static SLAB_I32: Cell<Slab<i32, NR_I32>> = const { Cell::new((Vec::new(), Vec::new())) };
 }
 
 impl Element<NR_F32> for f32 {
+    type Operand = f32;
     type Epilogue = ();
 
-    fn slab() -> &'static LocalKey<Cell<Vec<f32>>> {
+    fn slab() -> &'static LocalKey<Cell<Slab<f32, NR_F32>>> {
         &SLAB_F32
-    }
-
-    fn avx2_exact(_: &[f32]) -> bool {
-        true
     }
 
     /// 4 output rows × 16 columns in 8 YMM accumulators, reading the
@@ -616,18 +672,11 @@ impl Element<NR_F32> for f32 {
 }
 
 impl Element<NR_I64> for i64 {
+    type Operand = i64;
     type Epilogue = RequantPlan;
 
-    fn slab() -> &'static LocalKey<Cell<Vec<i64>>> {
+    fn slab() -> &'static LocalKey<Cell<Slab<i64, NR_I64>>> {
         &SLAB_I64
-    }
-
-    /// `_mm256_mul_epi32` reads each lane's low 32 bits: exact only for
-    /// i32-range operands.
-    fn avx2_exact(values: &[i64]) -> bool {
-        values
-            .iter()
-            .all(|&x| (i64::from(i32::MIN)..=i64::from(i32::MAX)).contains(&x))
     }
 
     /// 4 output rows × 8 columns. Multiplies via `_mm256_mul_epi32`
@@ -679,37 +728,36 @@ impl Element<NR_I64> for i64 {
 }
 
 impl Element<NR_I32> for i32 {
+    type Operand = i16;
     type Epilogue = RequantPlan;
+    const PAIR: usize = 2;
 
-    fn slab() -> &'static LocalKey<Cell<Vec<i32>>> {
+    fn slab() -> &'static LocalKey<Cell<Slab<i32, NR_I32>>> {
         &SLAB_I32
     }
 
-    /// `_mm256_madd_epi16` reads each lane as two signed 16-bit halves
-    /// and sums their two products in 32 bits, which only
-    /// `−32768·−32768` twice can overflow: exact for `|v| ≤ 32767`.
-    fn avx2_exact(values: &[i32]) -> bool {
-        values.iter().all(|v| v.unsigned_abs() <= 32767)
-    }
-
     /// 4 output rows × 16 columns, the block's non-zero rows two at a
-    /// time: every 32-bit lane carries row `r0`'s value in its low half
-    /// and row `r1`'s in its high half, the weight pair is broadcast the
+    /// time: one 256-bit load is a row's 16 columns, `unpack{lo,hi}`
+    /// put row `r0`'s value in the low half and row `r1`'s in the high
+    /// half of every 32-bit lane, the plan laid the weight pair out the
     /// same way, and one `_mm256_madd_epi16` is both products and their
-    /// sum. An odd last row pairs with itself under a zero weight.
+    /// sum. The unpacks work per 128-bit half, so the two accumulators of
+    /// a channel hold columns 0–3|8–11 and 4–7|12–15 until two
+    /// `_mm256_permute2x128_si256` undo that at the store. An odd last row
+    /// pairs with itself under the zero weight the plan padded with.
     /// Additions wrap exactly like release-mode scalar.
     ///
     /// # Safety
     ///
     /// `avx2` must be available; `bpanel.len() ≥ (r+1)·16` for every `r`
-    /// in `nzrows`, `wpack.len() ≥ nzrows.len()·MR`, and every operand
-    /// must satisfy `|v| ≤ 32767`.
+    /// in `nzrows`, `wpack.len() ≥ nzrows.len().div_ceil(2)·MR·2`, and
+    /// every operand must satisfy `|v| ≤ 32767`.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     unsafe fn tile_avx2(
-        bpanel: &[i32],
+        bpanel: &[i16],
         nzrows: &[u32],
-        wpack: &[i32],
+        wpack: &[i16],
         binit: &[i32; MR],
         out: &mut [[i32; NR_I32]; MR],
     ) {
@@ -718,32 +766,23 @@ impl Element<NR_I32> for i32 {
             acc[c][0] = _mm256_set1_epi32(binit[c]);
             acc[c][1] = acc[c][0];
         }
-        let (low, zero) = (_mm256_set1_epi32(0xFFFF), [0i32; MR]);
+        let rows = bpanel.as_ptr().cast::<__m256i>();
         for (i, pair) in nzrows.chunks(2).enumerate() {
-            let (p0, w0) = (
-                bpanel.as_ptr().add(pair[0] as usize * NR_I32),
-                wpack.as_ptr().add(2 * i * MR),
-            );
-            let (p1, w1) = match pair.get(1) {
-                Some(&r) => (bpanel.as_ptr().add(r as usize * NR_I32), w0.add(MR)),
-                None => (p0, zero.as_ptr()),
-            };
-            let mut halves = [low; 2];
-            for (h, both) in halves.iter_mut().enumerate() {
-                let lo = _mm256_loadu_si256(p0.add(8 * h) as *const __m256i);
-                let hi = _mm256_loadu_si256(p1.add(8 * h) as *const __m256i);
-                *both = _mm256_or_si256(_mm256_and_si256(lo, low), _mm256_slli_epi32(hi, 16));
-            }
-            let [b0, b1] = halves;
+            let r0 = _mm256_loadu_si256(rows.add(pair[0] as usize));
+            let r1 = _mm256_loadu_si256(rows.add(pair[pair.len() - 1] as usize));
+            let (b0, b1) = (_mm256_unpacklo_epi16(r0, r1), _mm256_unpackhi_epi16(r0, r1));
+            let w = wpack.as_ptr().add(2 * i * MR).cast::<i32>();
             for c in 0..MR {
-                let w = _mm256_set1_epi32((*w0.add(c) & 0xFFFF) | (*w1.add(c) << 16));
+                let w = _mm256_set1_epi32(w.add(c).read_unaligned());
                 acc[c][0] = _mm256_add_epi32(acc[c][0], _mm256_madd_epi16(b0, w));
                 acc[c][1] = _mm256_add_epi32(acc[c][1], _mm256_madd_epi16(b1, w));
             }
         }
         for c in 0..MR {
-            _mm256_storeu_si256(out[c].as_mut_ptr() as *mut __m256i, acc[c][0]);
-            _mm256_storeu_si256(out[c].as_mut_ptr().add(8) as *mut __m256i, acc[c][1]);
+            let [lo, hi] = acc[c];
+            let p = out[c].as_mut_ptr().cast::<__m256i>();
+            _mm256_storeu_si256(p, _mm256_permute2x128_si256(lo, hi, 0x20));
+            _mm256_storeu_si256(p.add(1), _mm256_permute2x128_si256(lo, hi, 0x31));
         }
     }
 
@@ -791,15 +830,18 @@ struct BlockPlan<T> {
     mr: usize,
     /// Rows where at least one of the block's channels is non-zero.
     nzrows: Vec<u32>,
-    /// `[nz][MR]` broadcast-ready weights (zero for absent channels).
+    /// `[step][MR][pair]` broadcast-ready weights, `pair` non-zero rows
+    /// to a step (zero for absent channels and past an odd last row).
     wpack: Vec<T>,
 }
 
-/// Cuts MR blocks from the similarity order and packs their weights.
+/// Cuts MR blocks from the similarity order and packs their weights,
+/// `pair` non-zero rows to a tile step.
 fn plan_blocks<T: Copy + Default + PartialEq>(
     co: usize,
     rows: usize,
     weights: &[T],
+    pair: usize,
 ) -> Vec<BlockPlan<T>> {
     let zero = T::default();
     let order = similarity_order(co, rows, |c, r| weights[c * rows + r] != zero);
@@ -820,8 +862,12 @@ fn plan_blocks<T: Copy + Default + PartialEq>(
                     any |= w != zero;
                 }
                 if any {
+                    let (step, half) = (nzrows.len() / pair, nzrows.len() % pair);
+                    wpack.resize((step + 1) * MR * pair, zero);
+                    for (c, w) in ws.into_iter().enumerate() {
+                        wpack[(step * MR + c) * pair + half] = w;
+                    }
                     nzrows.push(r as u32);
-                    wpack.extend_from_slice(&ws);
                 }
             }
             BlockPlan {
@@ -856,7 +902,8 @@ fn pattern_groups<T>(blocks: &[BlockPlan<T>]) -> Vec<(usize, usize)> {
 /// The weights-only half of a product `C = W · B`: MR blocks in
 /// similarity order, their same-pattern groups, and whether the AVX2
 /// tile multiplies every weight exactly. Build it once where weights
-/// freeze and hand it to every call.
+/// freeze and hand it to every call. `T` is the type the packs hold —
+/// the element itself for `f32` and `i64`, `i16` for `i32` lanes.
 #[derive(Clone, Debug)]
 pub struct PackedWeights<T> {
     co: usize,
@@ -876,19 +923,22 @@ impl<T> PackedWeights<T> {
     pub fn rows(&self) -> usize {
         self.rows
     }
+}
 
-    fn plan<const NR: usize>(co: usize, rows: usize, weights: &[T]) -> Self
-    where
-        T: Element<NR>,
-    {
+impl<O: Plane> PackedWeights<O> {
+    fn plan<T: Element<NR, Operand = O>, const NR: usize>(
+        co: usize,
+        rows: usize,
+        weights: &[O],
+    ) -> Self {
         assert_eq!(weights.len(), co * rows, "weight length mismatch");
-        let blocks = plan_blocks(co, rows, weights);
+        let blocks = plan_blocks(co, rows, weights, T::PAIR);
         Self {
             co,
             rows,
             groups: pattern_groups(&blocks),
             blocks,
-            avx2_exact: T::avx2_exact(weights),
+            avx2_exact: O::avx2_exact(weights),
         }
     }
 }
@@ -897,7 +947,7 @@ impl PackedWeights<f32> {
     /// Plans a row-major `co × rows` weight matrix (panics on any other
     /// length).
     pub fn new(co: usize, rows: usize, weights: &[f32]) -> Self {
-        Self::plan::<NR_F32>(co, rows, weights)
+        Self::plan::<f32, NR_F32>(co, rows, weights)
     }
 }
 
@@ -905,15 +955,16 @@ impl PackedWeights<i64> {
     /// Plans a row-major `co × rows` weight matrix (panics on any other
     /// length).
     pub fn new(co: usize, rows: usize, weights: &[i64]) -> Self {
-        Self::plan::<NR_I64>(co, rows, weights)
+        Self::plan::<i64, NR_I64>(co, rows, weights)
     }
 }
 
-impl PackedWeights<i32> {
-    /// Plans a row-major `co × rows` weight matrix (panics on any other
-    /// length).
-    pub fn new(co: usize, rows: usize, weights: &[i32]) -> Self {
-        Self::plan::<NR_I32>(co, rows, weights)
+impl PackedWeights<i16> {
+    /// Plans a row-major `co × rows` matrix of 16-bit weights for `i32`
+    /// lanes, row pairs laid out for `_mm256_madd_epi16` (panics on any
+    /// other length).
+    pub fn new(co: usize, rows: usize, weights: &[i16]) -> Self {
+        Self::plan::<i32, NR_I32>(co, rows, weights)
     }
 }
 
@@ -936,7 +987,8 @@ pub(crate) enum Panels<'a, T> {
 /// goes to `(y·r + ry, x·r + rx)` of `planes[c']` — where the consumer
 /// of a pixel-shuffled convolution reads it. The plain product is the
 /// case `r = 1` over one row (`iw = plane`): channel `c`, column `j` to
-/// `planes[c][j]`.
+/// `planes[c][j]`. The planes may be narrower than the lanes written to
+/// them ([`fit`]: the caller has shown that every finished value fits).
 pub(crate) struct Sink<'a, 'p, T> {
     /// The `co / r²` output planes, `plane · r²` elements each.
     pub planes: &'a mut [&'p mut [T]],
@@ -953,15 +1005,17 @@ pub(crate) struct Sink<'a, 'p, T> {
 /// multiplies every value of B exactly. One task per [`NC_COLS`] column
 /// chunk runs in parallel: it gets its panels from `source`, runs every
 /// pattern group over them and writes its pixels' share of the sink's
-/// planes in place.
-pub(crate) fn product<T: Element<NR>, const NR: usize>(
-    w: &PackedWeights<T>,
+/// planes in place — lane by lane as the tiles finish them, or, given a
+/// chunk epilogue `fused`, staged whole in its slab, handed to `fused`
+/// once and then written row by row.
+pub(crate) fn product<T: Element<NR>, D: Plane + TryFrom<T>, const NR: usize>(
+    w: &PackedWeights<T::Operand>,
     plane: usize,
     bias: &[T],
-    epilogue: Option<&T::Epilogue>,
+    (epilogue, fused): (Option<&T::Epilogue>, Option<ChunkEpilogue<'_, T>>),
     b_exact: bool,
-    source: Panels<'_, T>,
-    Sink { planes, r, iw }: Sink<'_, '_, T>,
+    source: Panels<'_, T::Operand>,
+    Sink { planes, r, iw }: Sink<'_, '_, D>,
 ) {
     assert!(
         bias.is_empty() || bias.len() == w.co,
@@ -1013,7 +1067,7 @@ pub(crate) fn product<T: Element<NR>, const NR: usize>(
     // task holds its segments in `(plane, image row, ry)` order:
     // disjoint `&mut` pieces, so the tasks write the planes in place.
     // With `r = 1` over one row they are its columns of every channel.
-    let mut tasks: Vec<(usize, usize, Vec<&mut [T]>)> = (0..plane.div_ceil(NC_COLS))
+    let mut tasks: Vec<(usize, usize, Vec<&mut [D]>)> = (0..plane.div_ceil(NC_COLS))
         .map(|chunk| {
             let rows = plane.min((chunk + 1) * NC_COLS).div_ceil(iw) - chunk * NC_COLS / iw;
             (chunk, rows, Vec::with_capacity(planes.len() * r * rows))
@@ -1034,13 +1088,13 @@ pub(crate) fn product<T: Element<NR>, const NR: usize>(
         let jp0 = chunk * (NC_COLS / NR);
         let jp1 = np.min(jp0 + NC_COLS / NR);
         let panel_len = w.rows * NR;
-        let mut slab = T::slab().take();
+        let (mut slab, mut staged) = T::slab().take();
         let b = match source {
             Panels::Packed(bp) => &bp[jp0 * panel_len..jp1 * panel_len],
             Panels::Packer(pack) => {
                 let len = (jp1 - jp0) * panel_len;
                 if slab.len() < len {
-                    slab.resize(len, T::default());
+                    slab.resize(len, <T::Operand>::default());
                 }
                 pack(jp0, jp1, &mut slab[..len]);
                 &slab[..len]
@@ -1053,7 +1107,7 @@ pub(crate) fn product<T: Element<NR>, const NR: usize>(
         let (x0, cw) = (chunk * NC_COLS % iw, NC_COLS.min(plane - chunk * NC_COLS));
         let starts: [_; NC_COLS / NR_I64] =
             std::array::from_fn(|p| ((x0 + p * NR) / iw, (x0 + p * NR) % iw));
-        chunk_body(tier, b, w, &binit, epilogue, cw, |chan, j, mut vals| {
+        let mut write = |chan: usize, j: usize, mut vals: &[T]| {
             let [cp, ry, rx] = cells[chan];
             let (mut dy, mut x) = starts[j / NR];
             // Run by run where the lane crosses image rows: to every
@@ -1065,16 +1119,32 @@ pub(crate) fn product<T: Element<NR>, const NR: usize>(
                 let at = (x - if dy == 0 { x0 } else { 0 }) * r + rx;
                 let seg = &mut segs[(cp * rows + dy) * r + ry][at..];
                 if r == 1 {
-                    seg[..run.len()].copy_from_slice(run);
+                    seg.iter_mut().zip(run).for_each(|(o, v)| *o = fit(*v));
                 } else {
                     for (o, v) in seg.iter_mut().step_by(r).zip(run) {
-                        *o = *v;
+                        *o = fit(*v);
                     }
                 }
                 (dy, x, vals) = (dy + 1, 0, rest);
             }
-        });
-        T::slab().set(slab);
+        };
+        match fused {
+            None => chunk_body(tier, b, w, &binit, epilogue, cw, write),
+            Some(fused) => {
+                if staged.len() < w.co * NC_COLS {
+                    staged.resize(w.co * NC_COLS, T::default());
+                }
+                let lanes = &mut staged[..w.co * NC_COLS];
+                chunk_body(tier, b, w, &binit, epilogue, cw, |chan, j, vals| {
+                    lanes[chan * NC_COLS + j..][..vals.len()].copy_from_slice(vals);
+                });
+                fused(lanes, NC_COLS, cw);
+                for (chan, lane) in lanes.chunks(NC_COLS).enumerate() {
+                    write(chan, 0, &lane[..cw]);
+                }
+            }
+        }
+        T::slab().set((slab, staged));
     });
 }
 
@@ -1086,8 +1156,8 @@ pub(crate) fn product<T: Element<NR>, const NR: usize>(
 /// non-zero rows while they are L1-hot.
 fn chunk_body<T: Element<NR>, const NR: usize>(
     tier: KernelBackend,
-    b: &[T],
-    w: &PackedWeights<T>,
+    b: &[T::Operand],
+    w: &PackedWeights<T::Operand>,
     binit: &[[T; MR]],
     epilogue: Option<&T::Epilogue>,
     cw: usize,
@@ -1106,7 +1176,7 @@ fn chunk_body<T: Element<NR>, const NR: usize>(
                     // detection of avx2+fma and the driver's exactness
                     // gate; `panel` spans a full rows×NR panel,
                     // `plan_blocks` drew every nzrows entry from
-                    // `0..rows` and pushed MR weights per entry.
+                    // `0..rows` and packed MR·PAIR weights per step.
                     KernelBackend::Avx2 => unsafe {
                         T::tile_avx2(panel, &block.nzrows, &block.wpack, init, &mut acc)
                     },
@@ -1124,9 +1194,9 @@ fn chunk_body<T: Element<NR>, const NR: usize>(
 /// Portable scalar register tile (the compiler autovectorizes the fixed
 /// NR-wide inner loops where it can).
 fn tile_scalar<T: Element<NR>, const NR: usize>(
-    bpanel: &[T],
+    bpanel: &[T::Operand],
     nzrows: &[u32],
-    wpack: &[T],
+    wpack: &[T::Operand],
     binit: &[T; MR],
     out: &mut [[T; NR]; MR],
 ) {
@@ -1136,12 +1206,12 @@ fn tile_scalar<T: Element<NR>, const NR: usize>(
     for (i, &r) in nzrows.iter().enumerate() {
         let b = &bpanel[r as usize * NR..(r as usize + 1) * NR];
         for (c, acc) in out.iter_mut().enumerate() {
-            let w = wpack[i * MR + c];
+            let w: T = wpack[(i / T::PAIR * MR + c) * T::PAIR + i % T::PAIR].into();
             if w == T::default() {
                 continue;
             }
             for l in 0..NR {
-                acc[l] += w * b[l];
+                acc[l] += w * b[l].into();
             }
         }
     }
@@ -1152,10 +1222,10 @@ fn tile_scalar<T: Element<NR>, const NR: usize>(
 // ---------------------------------------------------------------------
 
 /// The driver over a B the caller packed, one output plane per `co`.
-fn prepacked<T: Element<NR>, const NR: usize>(
-    bp: &[T],
+fn prepacked<T: Element<NR> + Plane, const NR: usize>(
+    bp: &[T::Operand],
     plane: usize,
-    w: &PackedWeights<T>,
+    w: &PackedWeights<T::Operand>,
     bias: &[T],
     epilogue: Option<&T::Epilogue>,
     b_exact: bool,
@@ -1172,7 +1242,8 @@ fn prepacked<T: Element<NR>, const NR: usize>(
         r: 1,
         iw: plane,
     };
-    product(w, plane, bias, epilogue, b_exact, Panels::Packed(bp), sink);
+    let epilogues = (epilogue, None);
+    product(w, plane, bias, epilogues, b_exact, Panels::Packed(bp), sink);
     planes
 }
 
@@ -1232,29 +1303,27 @@ pub fn gemm_i64_packed(
     prepacked::<i64, NR_I64>(bp, plane, &w, bias, requant, col_fits_i32)
 }
 
-/// [`gemm_i64_packed`] in `i32` lanes over `[panel][row][NR_I32]`
-/// panels: the same integers for a product whose every partial sum fits
-/// the lane (see the module docs). `col_fits_i16` certifies
-/// `|v| ≤ 32767` for every packed value, what the AVX2 tile's
-/// `_mm256_madd_epi16` needs.
+/// [`gemm_i64_packed`] in `i32` lanes over 16-bit operands
+/// (`[panel][row][NR_I32]` panels of `i16`): the same integers for a
+/// product whose every partial sum fits the lane (see the module docs).
+/// The AVX2 tile's `_mm256_madd_epi16` needs `|v| ≤ 32767`: a `−32768`
+/// on either side runs the scalar-blocked tile.
 ///
 /// # Panics
 ///
 /// Panics if any length disagrees.
-#[allow(clippy::too_many_arguments)]
 pub fn gemm_i32_packed(
-    bp: &[i32],
+    bp: &[i16],
     plane: usize,
     rows: usize,
     co: usize,
-    weights: &[i32],
+    weights: &[i16],
     bias: &[i32],
     requant: Option<&RequantPlan>,
-    col_fits_i16: bool,
 ) -> Vec<Vec<i32>> {
     check_plan(requant, co);
-    let w = PackedWeights::<i32>::new(co, rows, weights);
-    prepacked::<i32, NR_I32>(bp, plane, &w, bias, requant, col_fits_i16)
+    let w = PackedWeights::<i16>::new(co, rows, weights);
+    prepacked::<i32, NR_I32>(bp, plane, &w, bias, requant, i16::avx2_exact(bp))
 }
 
 pub(crate) fn check_plan(requant: Option<&RequantPlan>, co: usize) {
@@ -1353,13 +1422,26 @@ mod tests {
 
     const TIERS: [KernelBackend; 2] = [KernelBackend::Scalar, KernelBackend::Avx2];
 
+    /// The plan of lane-typed weights, each in the element's operand type.
+    fn planned<T: Element<NR>, const NR: usize>(
+        co: usize,
+        rows: usize,
+        weights: &[T],
+    ) -> PackedWeights<T::Operand>
+    where
+        T::Operand: TryFrom<T>,
+    {
+        let operands: Vec<T::Operand> = weights.iter().map(|w| fit(*w)).collect();
+        PackedWeights::plan::<T, NR>(co, rows, &operands)
+    }
+
     /// The product of tier `k` over a row-major `col`, through the
     /// streaming entry: `col` is the input of a 1×1 convolution — `rows`
     /// channels of a `1 × plane` image, whose patch matrix is `col`
     /// itself. (`tests/gemm_kernels.rs` holds the pre-packed entries to
     /// this one bit for bit.)
     #[allow(clippy::too_many_arguments)]
-    fn blocked<T: Element<NR>, const NR: usize>(
+    fn blocked<T: Element<NR> + Plane, const NR: usize>(
         k: KernelBackend,
         col: &[T],
         plane: usize,
@@ -1368,12 +1450,15 @@ mod tests {
         weights: &[T],
         bias: &[T],
         epilogue: Option<&T::Epilogue>,
-    ) -> Vec<Vec<T>> {
-        let w = PackedWeights::plan(co, rows, weights);
+    ) -> Vec<Vec<T>>
+    where
+        T::Operand: TryFrom<T>,
+    {
+        let w = planned::<T, NR>(co, rows, weights);
         let x = ConvInput::new(col, rows, 1, plane, Window::full(1, plane));
         let mut flat = vec![T::default(); co * plane];
         forced_kernel_scope(k, || {
-            conv_streaming(&x, 1, &w, bias, epilogue, 1, &mut flat)
+            conv_streaming(&x, 1, &w, bias, (epilogue, None), 1, &mut flat)
         });
         (0..co)
             .map(|c| flat[c * plane..(c + 1) * plane].to_vec())
@@ -1647,7 +1732,9 @@ mod tests {
         let x = ConvInput::new(&col, rows, h, iw, Window::full(h, iw));
         for k in TIERS {
             let mut got = vec![i64::MIN; co * plane];
-            forced_kernel_scope(k, || conv_streaming(&x, 1, &w, &bias, None, r, &mut got));
+            forced_kernel_scope(k, || {
+                conv_streaming(&x, 1, &w, &bias, (None, None), r, &mut got)
+            });
             assert_eq!(want, got, "{k:?}");
         }
     }
@@ -1658,16 +1745,19 @@ mod tests {
         // step too, scalar tile): the 8×50 region of a 10×56 image is
         // four chunks again, and every pixel is the one the untrimmed
         // product writes there.
-        fn check<T: Element<NR> + std::fmt::Debug, const NR: usize>(cast: fn(i64) -> T) {
+        fn check<T: Element<NR> + Plane + std::fmt::Debug, const NR: usize>(cast: fn(i64) -> T)
+        where
+            T::Operand: TryFrom<T>,
+        {
             let (co, rows, h, iw, r) = (8, 6, 10, 56, 2);
             let values = |v: Vec<i64>| v.into_iter().map(cast).collect::<Vec<_>>();
-            let w = PackedWeights::plan(co, rows, &values(two_pattern_weights(co, rows, 41).0));
+            let w = planned::<T, NR>(co, rows, &values(two_pattern_weights(co, rows, 41).0));
             let col = values(pseudo_i64(rows * h * iw, 43, 1 << 10));
             let bias = values(pseudo_i64(co, 47, 1 << 20));
             let run = |win: Window| {
                 let x = ConvInput::new(&col, rows, h, iw, win);
                 let mut out = vec![T::default(); co * win.h * win.w];
-                let conv = || conv_streaming(&x, 1, &w, &bias, None, r, &mut out);
+                let conv = || conv_streaming(&x, 1, &w, &bias, (None, None), r, &mut out);
                 forced_kernel_scope(KernelBackend::Scalar, conv);
                 out
             };
@@ -1680,6 +1770,53 @@ mod tests {
         }
         check::<i32, NR_I32>(|v| v as i32);
         check::<f32, NR_F32>(|v| v as f32 / 64.0);
+    }
+
+    #[test]
+    fn chunk_tasks_run_a_row_mixing_epilogue_into_a_narrower_sink() {
+        // Two chunk tasks, the second partial (a Miri step too, scalar
+        // tile), from `i8` planes through `i32` lanes into `i8` planes:
+        // the epilogue sees each chunk's finished `co × cw` lanes once —
+        // whole rows, whichever MR block and pattern group computed them
+        // — and turns every pair of channels into its clamped sum and
+        // difference, which is what the planes must hold.
+        fn mix(a: &mut i64, b: &mut i64) {
+            (*a, *b) = ((*a + *b).clamp(-128, 127), (*a - *b).clamp(-128, 127));
+        }
+        let (co, rows, plane) = (8, 6, NC_COLS + 37);
+        let weights: Vec<i64> = two_pattern_weights(co, rows, 53).0;
+        let weights: Vec<i64> = weights.iter().map(|w| w >> 6).collect();
+        let col = pseudo_i64(rows * plane, 59, 1 << 7);
+        let bias: Vec<i64> = (0..co as i64).map(|c| 5 * c - 9).collect();
+        let mut want = reference(&col, plane, rows, co, &weights, &bias);
+        for pair in want.chunks_mut(2) {
+            let [a, b] = pair else { unreachable!() };
+            a.iter_mut().zip(b).for_each(|(a, b)| mix(a, b));
+        }
+        let want: Vec<i8> = want.concat().iter().map(|v| fit(*v)).collect();
+        assert!(want.contains(&127) && want.iter().any(|v| (1..100).contains(v)));
+        let fused = |block: &mut [i32], stride: usize, cw: usize| {
+            assert!(cw <= stride && block.len() == co * stride);
+            for pair in block.chunks_mut(2 * stride) {
+                let (a, b) = pair.split_at_mut(stride);
+                for (a, b) in a[..cw].iter_mut().zip(&mut b[..cw]) {
+                    let (mut wa, mut wb) = (i64::from(*a), i64::from(*b));
+                    mix(&mut wa, &mut wb);
+                    (*a, *b) = (fit(wa), fit(wb));
+                }
+            }
+        };
+        let narrow = |v: &[i64]| v.iter().map(|v| fit(*v)).collect::<Vec<i16>>();
+        let w = PackedWeights::<i16>::new(co, rows, &narrow(&weights));
+        let col: Vec<i8> = col.iter().map(|v| fit(*v)).collect();
+        let x = ConvInput::new(&col, rows, 1, plane, Window::full(1, plane));
+        let bias: Vec<i32> = bias.iter().map(|v| fit(*v)).collect();
+        let mut got = vec![i8::MIN; co * plane];
+        let epilogues = (None, Some(&fused as ChunkEpilogue<'_, i32>));
+        forced_kernel_scope(KernelBackend::Scalar, || {
+            conv_streaming::<i32, _, _, NR_I32>(&x, 1, &w, &bias, epilogues, 1, &mut got)
+        });
+        assert_eq!(want, got);
     }
 
     #[test]

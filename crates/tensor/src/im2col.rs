@@ -10,7 +10,9 @@
 //! and the task that owns a chunk has the **chunk packer** of this
 //! module write just those micro-panels into its thread's slab, straight
 //! from the NCHW planes a [`ConvInput`] points at — the `f32` planes of
-//! a [`Tensor`] or the `i64`/`i32` planes of a quantized tensor.
+//! a [`Tensor`] or the `i64`/`i32`/`i8` planes of a quantized tensor —
+//! each value converted to the element's operand type as it is copied
+//! (the identity for `f32` and `i64`, into `i16` for `i32` lanes).
 //!
 //! The packer is *window-aware*: the [`Window`] of a [`ConvInput`] is the
 //! **output region**, what the block-based runtime trims a tile to layer
@@ -36,7 +38,8 @@
 
 use crate::conv::ConvWeights;
 use crate::gemm::{
-    self, Element, PackedWeights, Panels, RequantPlan, Sink, NR_F32, NR_I32, NR_I64,
+    self, fit, ChunkEpilogue, Element, PackedWeights, Panels, Plane, RequantPlan, Sink, NR_F32,
+    NR_I32, NR_I64,
 };
 use crate::shape::Shape4;
 use crate::tensor::Tensor;
@@ -196,15 +199,18 @@ pub fn im2col_pack_i64(data: &[i64], shape: Shape4, n: usize, k: usize) -> Vec<i
     )
 }
 
-/// Constant-length copy: the compiler lowers this to a couple of vector
-/// moves instead of a `memcpy` call — the pack issues tens of thousands
-/// of panel-width fragments per conv, so per-copy call overhead is the
-/// dominant pack cost.
+/// Constant-length copy into the panels' operand type: the compiler
+/// lowers this to a couple of vector moves (and widenings) instead of a
+/// `memcpy` call — the pack issues tens of thousands of panel-width
+/// fragments per conv, so per-copy call overhead is the dominant pack
+/// cost.
 #[inline(always)]
-fn copy_const<T: Copy, const N: usize>(dst: &mut [T], src: &[T]) {
-    let d: &mut [T; N] = (&mut dst[..N]).try_into().expect("N elements");
-    let s: &[T; N] = (&src[..N]).try_into().expect("N elements");
-    *d = *s;
+fn copy_const<S: Copy, O: TryFrom<S> + Default, const N: usize>(dst: &mut [O], src: &[S]) {
+    let d: &mut [O; N] = (&mut dst[..N]).try_into().expect("N elements");
+    let s: &[S; N] = (&src[..N]).try_into().expect("N elements");
+    for (d, s) in d.iter_mut().zip(s) {
+        *d = fit(*s);
+    }
 }
 
 /// Zero-fills the index range `[j0, j1)` of patch row `r` in a
@@ -231,11 +237,11 @@ fn zero_panel_range<T: Copy + Default>(
 /// address is computed from scratch: measured faster than carrying a
 /// cursor from fragment to fragment.)
 #[inline]
-fn copy_panel_range<T: Copy>(
-    bp: &mut [T],
+fn copy_panel_range<S: Copy, O: TryFrom<S> + Default>(
+    bp: &mut [O],
     (rows, nr, r): (usize, usize, usize),
     j0: usize,
-    run: &[T],
+    run: &[S],
 ) {
     let mut taken = 0;
     while taken < run.len() {
@@ -243,10 +249,27 @@ fn copy_panel_range<T: Copy>(
         let (jp, off) = (j / nr, j % nr);
         let len = (nr - off).min(run.len() - taken);
         let dst = (jp * rows + r) * nr + off;
-        match len {
-            16 => copy_const::<T, 16>(&mut bp[dst..], &run[taken..]),
-            8 => copy_const::<T, 8>(&mut bp[dst..], &run[taken..]),
-            _ => bp[dst..dst + len].copy_from_slice(&run[taken..taken + len]),
+        let (d, s) = (&mut bp[dst..dst + len], &run[taken..taken + len]);
+        if len == 16 {
+            copy_const::<S, O, 16>(d, s);
+        } else {
+            // A shorter fragment as its power-of-two pieces, largest first.
+            let mut at = 0;
+            if len & 8 != 0 {
+                copy_const::<S, O, 8>(d, s);
+                at = 8;
+            }
+            if len & 4 != 0 {
+                copy_const::<S, O, 4>(&mut d[at..], &s[at..]);
+                at += 4;
+            }
+            if len & 2 != 0 {
+                copy_const::<S, O, 2>(&mut d[at..], &s[at..]);
+                at += 2;
+            }
+            if len & 1 != 0 {
+                d[at] = fit(s[at]);
+            }
         }
         taken += len;
     }
@@ -254,16 +277,18 @@ fn copy_panel_range<T: Copy>(
 
 /// The chunk packer: writes micro-panels `[jp0, jp1)` of `x`'s patch
 /// matrix (`taps` = `x.taps(k)`) into `bp` in `[panel][row][nr]` order,
-/// reading the source planes directly. `bp` must be
-/// `(jp1 − jp0) · rows · nr` long and **every element is overwritten**
-/// — zero padding (image border, window border, tail-panel pad) is
-/// written explicitly, so the buffer may be a dirty slab.
-fn pack_panels<T: Copy + Default>(
-    x: &ConvInput<'_, T>,
+/// reading the source planes directly and converting each value to the
+/// panels' operand type as it is copied (the identity for `f32` and
+/// `i64`, 8- or 32-bit features into 16-bit operands for `i32` lanes).
+/// `bp` must be `(jp1 − jp0) · rows · nr` long and **every element is
+/// overwritten** — zero padding (image border, window border, tail-panel
+/// pad) is written explicitly, so the buffer may be a dirty slab.
+fn pack_panels<S: Copy, O: TryFrom<S> + Copy + Default>(
+    x: &ConvInput<'_, S>,
     taps: &[Tap],
     nr: usize,
     (jp0, jp1): (usize, usize),
-    bp: &mut [T],
+    bp: &mut [O],
 ) {
     let rows = x.c * taps.len();
     assert_eq!(
@@ -332,32 +357,40 @@ pub fn im2col_pack_panels_window(
 }
 
 /// The streaming convolution of one batch item, generic over the
-/// element type: channel `c` becomes
+/// element type `T`, the type `S` its input planes are stored in and the
+/// type `D` its output planes are: channel `c` becomes
 /// `bias[c] + Σ_r W[c][r] · patch_row(r)`, each element through the
-/// epilogue, and `out` holds the result after a depth-to-space of
-/// factor `r` (`co / r²` row-major planes of `r²·x.plane()`; `r = 1`:
-/// the `co` planes themselves) — the engine's [`Sink`] writes every
-/// pixel where the shuffle would move it.
-pub(crate) fn conv_streaming<T: Element<NR>, const NR: usize>(
-    x: &ConvInput<'_, T>,
+/// epilogue, each column chunk through `fused` if there is one, and
+/// `out` holds the result after a depth-to-space of factor `r`
+/// (`co / r²` row-major planes of `r²·x.plane()`; `r = 1`: the `co`
+/// planes themselves) — the engine's [`Sink`] writes every pixel where
+/// the shuffle would move it.
+pub(crate) fn conv_streaming<T, S, D, const NR: usize>(
+    x: &ConvInput<'_, S>,
     k: usize,
-    w: &PackedWeights<T>,
+    w: &PackedWeights<T::Operand>,
     bias: &[T],
-    epilogue: Option<&T::Epilogue>,
+    epilogues: (Option<&T::Epilogue>, Option<ChunkEpilogue<'_, T>>),
     r: usize,
-    out: &mut [T],
-) {
+    out: &mut [D],
+) where
+    T: Element<NR>,
+    T::Operand: TryFrom<S>,
+    S: Plane,
+    D: Plane + TryFrom<T>,
+{
     assert_eq!(w.rows(), x.c * k * k, "input channels mismatch");
-    // The activation half of the AVX2 exactness gate, decided on the
-    // unpacked planes (k² times fewer values than the patch matrix),
-    // once, before the fan-out.
-    let b_exact = T::avx2_exact(x.planes);
+    // The activation half of the AVX2 exactness gate: what a narrow
+    // plane type states for free, otherwise decided on the unpacked
+    // planes (k² times fewer values than the patch matrix), once, before
+    // the fan-out.
+    let b_exact = S::avx2_exact(x.planes);
     let taps = x.taps(k);
-    let pack = |jp0, jp1, bp: &mut [T]| pack_panels(x, &taps, NR, (jp0, jp1), bp);
+    let pack = |jp0, jp1, bp: &mut [T::Operand]| pack_panels(x, &taps, NR, (jp0, jp1), bp);
     let source = Panels::Packer(&pack);
     assert_eq!(out.len(), w.co() * x.plane(), "output length mismatch");
     let mut rest = out;
-    let mut planes: Vec<&mut [T]> = (0..w.co() / (r * r))
+    let mut planes: Vec<&mut [D]> = (0..w.co() / (r * r))
         .map(|_| {
             let (lane, tail) = std::mem::take(&mut rest).split_at_mut(r * r * x.plane());
             rest = tail;
@@ -368,7 +401,7 @@ pub(crate) fn conv_streaming<T: Element<NR>, const NR: usize>(
     let iw = if r == 1 { x.plane() } else { x.window.w };
     let planes = planes.as_mut_slice();
     let sink = Sink { planes, r, iw };
-    gemm::product(w, x.plane(), bias, epilogue, b_exact, source, sink);
+    gemm::product(w, x.plane(), bias, epilogues, b_exact, source, sink);
 }
 
 /// Streaming f32 convolution of one batch item into the caller's output
@@ -388,43 +421,51 @@ pub fn conv_streaming_f32(
     bias: &[f32],
     out: &mut [f32],
 ) {
-    conv_streaming::<f32, NR_F32>(x, k, w, bias, None, 1, out);
+    conv_streaming::<f32, _, _, NR_F32>(x, k, w, bias, (None, None), 1, out);
 }
 
 /// The integer twin of [`conv_streaming_f32`], bit-identical to the
 /// scalar reference datapath; `requant` is fused into the kernel
-/// epilogue (un-rescaled wide accumulators never reach memory). The
-/// AVX2 tile needs `i32`-range operands: the weights were checked when
-/// `w` was planned, the activations are checked here on the unpacked
-/// planes, and the scalar-blocked tile (still bit-exact) runs otherwise.
-/// Panics like [`conv_streaming_f32`], or if `requant` does not have
-/// `w.co()` channels.
+/// epilogue (un-rescaled wide accumulators never reach memory) and
+/// `fused`, if given, runs once over each column chunk's finished lanes
+/// before they are written (see [`ChunkEpilogue`]). The AVX2 tile needs
+/// `i32`-range operands: the weights were checked when `w` was planned,
+/// the activations are checked here on the unpacked planes, and the
+/// scalar-blocked tile (still bit-exact) runs otherwise. Panics like
+/// [`conv_streaming_f32`], or if `requant` does not have `w.co()`
+/// channels.
 pub fn conv_streaming_i64(
     x: &ConvInput<'_, i64>,
     k: usize,
     w: &PackedWeights<i64>,
     bias: &[i64],
-    requant: Option<&RequantPlan>,
+    (requant, fused): (Option<&RequantPlan>, Option<ChunkEpilogue<'_, i64>>),
     out: &mut [i64],
 ) {
     gemm::check_plan(requant, w.co());
-    conv_streaming::<i64, NR_I64>(x, k, w, bias, requant, 1, out);
+    conv_streaming::<i64, _, _, NR_I64>(x, k, w, bias, (requant, fused), 1, out);
 }
 
-/// [`conv_streaming_i64`] in `i32` lanes: the same integers for a
-/// convolution whose every accumulator is known to fit the lane (see
-/// [`crate::gemm`]); the AVX2 tile needs `|v| ≤ 32767` on both sides,
-/// checked the same two ways.
-pub fn conv_streaming_i32(
-    x: &ConvInput<'_, i32>,
+/// [`conv_streaming_i64`] in `i32` lanes over planes of `S` — `i8` or
+/// `i32` — in and out: the same integers for a convolution whose every
+/// accumulator is known to fit the lane, whose every activation fits 16
+/// bits and whose every output, past `requant` and `fused`, fits `S`
+/// (see [`crate::gemm`]; `ringcnn-quant` proves all three where a model
+/// loads, a debug build checks). The AVX2 tile needs `|v| ≤ 32767` on
+/// both sides: true of every `i8`, checked on the unpacked planes of an
+/// `i32` input.
+pub fn conv_streaming_i32<S: Plane + TryFrom<i32>>(
+    x: &ConvInput<'_, S>,
     k: usize,
-    w: &PackedWeights<i32>,
+    w: &PackedWeights<i16>,
     bias: &[i32],
-    requant: Option<&RequantPlan>,
-    out: &mut [i32],
-) {
+    (requant, fused): (Option<&RequantPlan>, Option<ChunkEpilogue<'_, i32>>),
+    out: &mut [S],
+) where
+    i16: TryFrom<S>,
+{
     gemm::check_plan(requant, w.co());
-    conv_streaming::<i32, NR_I32>(x, k, w, bias, requant, 1, out);
+    conv_streaming::<i32, _, _, NR_I32>(x, k, w, bias, (requant, fused), 1, out);
 }
 
 /// Forward convolution over planned weights, the prepared-layer entry
@@ -456,7 +497,7 @@ pub fn conv2d_forward_packed(
     for n in 0..s.n {
         let x = input.conv_input(n, region);
         let planes = &mut out.as_mut_slice()[n * item..(n + 1) * item];
-        conv_streaming::<f32, NR_F32>(&x, k, w, bias, None, r, planes);
+        conv_streaming::<f32, _, _, NR_F32>(&x, k, w, bias, (None, None), r, planes);
     }
     out
 }
@@ -682,7 +723,7 @@ mod tests {
         let w = PackedWeights::<i64>::new(2, 1, &[3, 0]);
         let mut streamed = vec![0i64; 2 * 4];
         let input = ConvInput::new(&x, 1, 2, 2, Window::full(2, 2));
-        conv_streaming_i64(&input, 1, &w, &[10, 7], None, &mut streamed);
+        conv_streaming_i64(&input, 1, &w, &[10, 7], (None, None), &mut streamed);
         let oracle = gemm::reference(&col, 4, 1, 2, &[3, 0], &[10, 7]).concat();
         for out in [oracle, streamed] {
             assert_eq!(out[..4], [13, 4, 19, 22]);

@@ -350,7 +350,7 @@ fn i64_gemm_rails_and_wide_operands_are_bit_exact() {
                 forced_kernel_scope(tier, || {
                     let input = ConvInput::new(&xq, case.ci, case.h, case.w, win);
                     let rq = requant.as_ref();
-                    conv_streaming_i64(&input, case.k, &plan, &bias, rq, &mut streamed);
+                    conv_streaming_i64(&input, case.k, &plan, &bias, (rq, None), &mut streamed);
                 });
                 assert_eq!(
                     streamed,
@@ -376,18 +376,24 @@ fn i64_gemm_rails_and_wide_operands_are_bit_exact() {
     }
 }
 
-fn to_i32(values: &[i64]) -> Vec<i32> {
-    let narrow = values.iter().map(|v| i32::try_from(*v).expect("fits"));
+/// `values` in a narrower integer type that holds every one of them.
+fn narrowed<T: TryFrom<i64>>(values: &[i64]) -> Vec<T> {
+    let narrow = values.iter().map(|v| T::try_from(*v).ok().expect("fits"));
     narrow.collect()
+}
+
+fn to_i32(values: &[i64]) -> Vec<i32> {
+    narrowed(values)
 }
 
 /// The i32 half of the table: on every row without a wide operand the
 /// accumulators stay far inside the lane (10-bit operands, at most 50
-/// non-zero rows), so the i32 product — pre-packed and streamed, raw and
-/// through the fused requant epilogue, under each forced tier — is the
-/// i64 product integer for integer. `Requant::Rails` shifts channel 1
-/// left by 30: it saturates at the lane's rails instead of `i64`'s and
-/// lands on the same 16-bit rail.
+/// non-zero rows), so the i32 product over `i16` panels and weight packs
+/// — pre-packed, and streamed from `i32` planes the chunk packer
+/// narrows as it copies; raw and through the fused requant epilogue,
+/// under each forced tier — is the i64 product integer for integer.
+/// `Requant::Rails` shifts channel 1 left by 30: it saturates at the
+/// lane's rails instead of `i64`'s and lands on the same 16-bit rail.
 #[test]
 fn i32_gemm_equals_the_i64_product_on_every_narrow_row() {
     for case in CASES.iter().filter(|c| c.wide == Wide::No) {
@@ -396,13 +402,13 @@ fn i32_gemm_equals_the_i64_product_on_every_narrow_row() {
         let weights = to_fixed(&case.weights().data);
         let bias: Vec<i64> = to_fixed(&case.bias()).iter().map(|b| b << 10).collect();
         let (rows, plane) = (case.ci * case.k * case.k, win.h * win.w);
-        let (w32, bias32) = (to_i32(&weights), to_i32(&bias));
-        let plan = PackedWeights::<i32>::new(case.co, rows, &w32);
+        let (w16, bias32) = (narrowed::<i16>(&weights), to_i32(&bias));
+        let plan = PackedWeights::<i16>::new(case.co, rows, &w16);
         let item = case.ci * case.h * case.w;
         for n in 0..case.batch {
             let xq = to_i32(&to_fixed(&x.as_slice()[n * item..(n + 1) * item]));
             let col = to_fixed(&im2col_pack_window(&x, n, case.k, win));
-            let bp = to_i32(&to_fixed(&case.panels(&x, n, NR_I32)));
+            let bp: Vec<i16> = narrowed(&to_fixed(&case.panels(&x, n, NR_I32)));
             let raw = gemm::reference(&col, plane, rows, case.co, &weights, &bias);
             for requant in [None, case.requant_plan()] {
                 let mut want = raw.clone();
@@ -416,13 +422,20 @@ fn i32_gemm_equals_the_i64_product_on_every_narrow_row() {
                     let what = format!("{} tile, item {n} ({case:?})", tier.label());
                     let rq = requant.as_ref();
                     let whole = forced_kernel_scope(tier, || {
-                        gemm_i32_packed(&bp, plane, rows, case.co, &w32, &bias32, rq, true)
+                        gemm_i32_packed(&bp, plane, rows, case.co, &w16, &bias32, rq)
                     });
                     assert_eq!(whole.concat(), want, "{what}");
                     let mut streamed = vec![i32::MIN; case.co * plane];
                     forced_kernel_scope(tier, || {
                         let input = ConvInput::new(&xq, case.ci, case.h, case.w, win);
-                        conv_streaming_i32(&input, case.k, &plan, &bias32, rq, &mut streamed);
+                        conv_streaming_i32(
+                            &input,
+                            case.k,
+                            &plan,
+                            &bias32,
+                            (rq, None),
+                            &mut streamed,
+                        );
                     });
                     assert_eq!(streamed, want, "{what}, streamed");
                 }
@@ -431,13 +444,15 @@ fn i32_gemm_equals_the_i64_product_on_every_narrow_row() {
     }
 }
 
-/// The AVX2 i32 tile takes a block's non-zero rows two at a time: one
-/// row (a lone odd row paired with a zero weight), an odd and an even
-/// count must each be the row-axpy reference — with a different weight
-/// on every row and column values of both signs up to the 16-bit rail,
-/// so a pair put together the wrong way round cannot pass. And an
-/// operand at −32768 is outside what the 16-bit multiplier is given: it
-/// runs on the scalar tile, exactly.
+/// The AVX2 i32 tile takes a block's non-zero rows two at a time — the
+/// two rows' columns interleaved in register, their weights side by side
+/// in the plan: one row (a lone odd row paired with a zero weight), an
+/// odd and an even count must each be the row-axpy reference — with a
+/// different weight on every row and column values of both signs up to
+/// the 16-bit rail, so a pair put together the wrong way round (row `r1`
+/// against the weight half of `r0`) cannot pass. And an operand at
+/// −32768 is outside what the 16-bit multiplier is given: it runs on the
+/// scalar tile, exactly.
 #[test]
 fn i32_row_pairs_odd_rows_and_the_sixteen_bit_rail_are_exact() {
     let (co, plane) = (5usize, 37usize);
@@ -469,8 +484,8 @@ fn i32_row_pairs_odd_rows_and_the_sixteen_bit_rail_are_exact() {
         for tier in TIERS {
             let before = gemm::profile::snapshot();
             let got = forced_kernel_scope(tier, || {
-                let (w, b, bp) = (to_i32(&weights), to_i32(&bias), to_i32(&bp));
-                gemm_i32_packed(&bp, plane, rows, co, &w, &b, None, fits(&col))
+                let (w, bp) = (narrowed::<i16>(&weights), narrowed::<i16>(&bp));
+                gemm_i32_packed(&bp, plane, rows, co, &w, &to_i32(&bias), None)
             });
             assert_eq!(got.concat(), want, "{rows} rows, {} tile", tier.label());
             if rail == -32768 {

@@ -522,11 +522,14 @@ proptest! {
 //
 // `QuantizedModel::forward` runs a model in `i32` lanes when the
 // load-time proof of `prepare_inference` bounds every integer of the
-// chain below 2^31; `forward_q`/`execute_layer` on a `QTensor` stay the
-// `i64` interchange tier. The table below holds the first to the second
-// — whole models, tiled runs, every stage on its own against the two
-// `*_reference` oracles, random and crafted models at the proof's edge —
-// by `to_bits`. In a debug build `i32` `+` and `*` panic on overflow, so
+// chain below 2^31 — on `i8` planes when, besides, every format that
+// reaches memory has at most 8 bits, on `i32` planes otherwise — and a
+// conv that keeps its accumulator runs as one engine step with the
+// directional ReLU behind it, in every tier; `forward_q`/`execute_layer`
+// on a `QTensor` stay the `i64` interchange tier. The table below holds
+// the first to the second — whole models, tiled runs, every stage on its
+// own (and the fused step) against the two `*_reference` oracles, random
+// and crafted models at the proof's edge — by `to_bits`. In a debug build `i32` `+` and `*` panic on overflow, so
 // the tier-1 debug run of this table is itself an overflow check of the
 // proof: a bound that is too small fails here before any integer
 // differs. The CI legs run it at pools 1/2/4 (`RINGCNN_THREADS`) and
@@ -539,14 +542,19 @@ use ringcnn_tensor::prelude::{forced_kernel_scope, KernelBackend};
 
 const TIERS: [KernelBackend; 2] = [KernelBackend::Scalar, KernelBackend::Avx2];
 
-fn narrowed(q: &QTensor) -> QTensorOf<i32> {
-    let data = q.data().iter().map(|v| i32::try_from(*v).expect("fits"));
+fn narrowed<S: Store + TryFrom<i64>>(q: &QTensor) -> QTensorOf<S> {
+    let data = q.data().iter().map(|v| S::try_from(*v).ok().expect("fits"));
     QTensorOf::from_raw(q.shape(), data.collect(), q.formats().to_vec())
 }
 
-fn widened(q: &QTensorOf<i32>) -> QTensor {
-    let data = q.data().iter().map(|v| i64::from(*v));
+fn widened<S: Store + Into<i64>>(q: &QTensorOf<S>) -> QTensor {
+    let data = q.data().iter().map(|v| (*v).into());
     QTensor::from_raw(q.shape(), data.collect(), q.formats().to_vec())
+}
+
+/// Whether an `i8` store holds the tensor: 8-bit formats, values inside.
+fn fits_i8(q: &QTensor) -> bool {
+    q.formats().iter().all(|f| f.bits <= 8) && q.data().iter().all(|v| i8::try_from(*v).is_ok())
 }
 
 fn bits(t: &Tensor) -> Vec<u32> {
@@ -575,10 +583,41 @@ fn mode_combinations() -> impl Iterator<Item = QuantOptions> {
         })
 }
 
+/// A whole model on the `i64` tier stage by stage, every conv through
+/// `run_conv_reference` and every directional ReLU through
+/// `run_drelu_reference` — no step fused, every accumulator stored.
+fn oracle_chain(layers: &[QLayer], mut q: QTensor) -> QTensor {
+    for layer in layers {
+        q = match layer {
+            QLayer::Conv(c) => run_conv_reference(c, &q),
+            QLayer::DRelu(d) => run_drelu_reference(d, &q),
+            QLayer::Residual(res) => {
+                let formats = expand_formats(res.out_formats(), q.shape().c);
+                oracle_chain(res.body(), q.clone()).add_saturating(&q, formats)
+            }
+            QLayer::UpsampleResidual(_) => panic!("no oracle walk through a bicubic skip"),
+            _ => execute_layer(layer, q),
+        };
+    }
+    q
+}
+
+/// [`oracle_chain`] from a float input to a float output; the models
+/// with a bicubic skip, which it cannot walk, on the `i64` tier.
+fn oracle_forward(qm: &QuantizedModel, x: &Tensor) -> Tensor {
+    if matches!(qm.layers(), [QLayer::UpsampleResidual(_), ..]) {
+        return forward_i64(qm, x);
+    }
+    let q = QTensor::quantize(x, vec![qm.input_format(); x.shape().c]);
+    oracle_chain(qm.layers(), q).dequantize()
+}
+
 /// The HD30 Dn and SR4 (bicubic skip) ERNets over the real field and
 /// RI2/RI4/RI8 with `fH`, in all four mode combinations: each is proven
-/// into `i32` lanes, and its `forward` — whole (batch 2, both kernel
-/// tiers) and tiled through `BatchRunner` — is the `i64` tier's output.
+/// into `i32` lanes over `i8` planes, and its `forward` — whole (batch 2,
+/// both kernel tiers) and tiled through `BatchRunner` — is the `i64`
+/// tier's output, which in turn is the stage-by-stage walk through the
+/// two oracles.
 #[test]
 fn i32_whole_models_equal_the_i64_tier_whole_and_tiled() {
     for (scenario, hw) in [(Scenario::Denoise { sigma: 25.0 }, 16), (Scenario::Sr4, 8)] {
@@ -597,7 +636,14 @@ fn i32_whole_models_equal_the_i64_tier_whole_and_tiled() {
                 let what = format!("{scenario:?} over {} with {opts:?}", alg.label());
                 let mut qm = QuantizedModel::quantize(&mut float, &calibration, opts);
                 assert_eq!(qm.lanes(), Lanes::I32, "{what}: {:?}", proof(&qm));
+                assert_eq!(
+                    proof(&qm).storage(),
+                    Storage::I8,
+                    "{what}: {:?}",
+                    proof(&qm)
+                );
                 let want = bits(&forward_i64(&qm, &x));
+                assert_eq!(bits(&oracle_forward(&qm, &x)), want, "{what}, oracles");
                 for tier in TIERS {
                     let got = forced_kernel_scope(tier, || qm.forward(&x));
                     assert_eq!(bits(&got), want, "{what}, {} tile", tier.label());
@@ -611,8 +657,59 @@ fn i32_whole_models_equal_the_i64_tier_whole_and_tiled() {
     }
 }
 
-/// Every generic stage instantiated at `i32`, on the layers calibration
-/// emits — dense, ring-expanded and aligned convs, accumulator-keeping
+/// The widths the proof computes against the widths `ringcnn-hw` prices:
+/// for the HD30 Dn and SR4 ERNets over the real field and RI2/RI4/RI8
+/// with `fH`, in all four mode combinations, every conv accumulator fits
+/// the modelled engine's `ACC_BITS` and every directional-ReLU stage its
+/// `ACC_BITS + log₂n + 5`-bit unit, every tensor between steps is stored
+/// in 8 bits, and the largest magnitude per ring is pinned like the
+/// rings' other properties (a moved pin means calibration or the proof
+/// changed: the failure prints the row).
+#[test]
+fn the_zoo_proves_into_the_widths_the_modelled_accelerator_has() {
+    use ringcnn::quant::quantized::StageKind;
+    use ringcnn_hw::engine::ACC_BITS;
+    let log2 = |v: u128| (v as f64).log2();
+    let rings = [
+        (Algebra::real(), "19.4"),
+        (Algebra::ri_fh(2), "20.6"),
+        (Algebra::ri_fh(4), "21.6"),
+        (Algebra::ri_fh(8), "23.0"),
+    ];
+    for (alg, pinned) in rings {
+        let n = alg.ring().n();
+        let mut worst = 0;
+        for scenario in [Scenario::Denoise { sigma: 25.0 }, Scenario::Sr4] {
+            let mut float = build_model(scenario, ThroughputTarget::Hd30, &alg, 7);
+            let calibration = Tensor::random_uniform(Shape4::new(1, 1, 32, 32), 0.0, 1.0, 5);
+            for opts in mode_combinations() {
+                let what = format!("{scenario:?} over {} with {opts:?}", alg.label());
+                let qm = QuantizedModel::quantize(&mut float, &calibration, opts);
+                let p = proof(&qm);
+                assert_eq!((p.lanes, p.storage()), (Lanes::I32, Storage::I8), "{what}");
+                assert_eq!(p.stages.iter().map(|s| s.worst).max(), Some(p.worst));
+                for stage in &p.stages {
+                    let bits = match stage.kind {
+                        StageKind::Conv => ACC_BITS,
+                        StageKind::DRelu => ACC_BITS + n.trailing_zeros() + 5,
+                        _ => continue,
+                    };
+                    assert!(
+                        stage.worst < 1 << (bits - 1),
+                        "{what}: {stage} reaches 2^{:.1}, the unit has {bits} bits",
+                        log2(stage.worst)
+                    );
+                }
+                worst = worst.max(p.worst);
+            }
+        }
+        assert_eq!(format!("{:.1}", log2(worst)), pinned, "{}", alg.label());
+    }
+}
+
+/// Every generic stage instantiated at `i32` — and on an `i8` store
+/// wherever the tensors on both sides of it are 8-bit —, on the layers
+/// calibration emits — dense, ring-expanded and aligned convs, accumulator-keeping
 /// convs in front of both directional-ReLU modes, ReLU, shuffles,
 /// residual bodies and their saturating adds — each against the `i64`
 /// tier of the same stage: `run_conv_reference` for a conv,
@@ -620,16 +717,21 @@ fn i32_whole_models_equal_the_i64_tier_whole_and_tiled() {
 /// `QTensor` for the rest.
 #[test]
 fn i32_stages_equal_their_i64_oracles_layer_by_layer() {
-    fn visit(layers: &[QLayer], mut q: QTensor, what: &str, seen: &mut [usize; 4]) -> QTensor {
+    fn visit(layers: &[QLayer], mut q: QTensor, what: &str, seen: &mut [usize; 5]) -> QTensor {
         for (i, layer) in layers.iter().enumerate() {
-            let narrow = narrowed(&q);
+            let narrow = narrowed::<i32>(&q);
             let want = match layer {
                 QLayer::Residual(res) => {
                     let body = visit(res.body(), q.clone(), what, seen);
                     let formats = expand_formats(res.out_formats(), q.shape().c);
                     let sum = narrowed(&body).add_saturating(&narrow, formats.clone());
-                    let want = body.add_saturating(&q, formats);
+                    let want = body.add_saturating(&q, formats.clone());
                     assert_eq!(widened(&sum), want, "{what}: residual add {i}");
+                    // 8-bit operands whose aligned sum passes the rails:
+                    // it saturates in the lane, before the store narrows.
+                    assert!(fits_i8(&body) && fits_i8(&q), "{what}: residual add {i}");
+                    let sum = narrowed::<i8>(&body).add_saturating(&narrowed(&q), formats);
+                    assert_eq!(widened(&sum), want, "{what}: residual add {i} on i8");
                     want
                 }
                 QLayer::Conv(c) => run_conv_reference(c, &q),
@@ -644,11 +746,16 @@ fn i32_stages_equal_their_i64_oracles_layer_by_layer() {
             }] += 1;
             let got = execute_layer(layer, narrow);
             assert_eq!(widened(&got), want, "{what}: layer {i}");
+            if fits_i8(&q) && fits_i8(&want) {
+                seen[4] += 1;
+                let got = execute_layer(layer, narrowed::<i8>(&q));
+                assert_eq!(widened(&got), want, "{what}: layer {i} on i8");
+            }
             q = want;
         }
         q
     }
-    let mut seen = [0; 4];
+    let mut seen = [0; 5];
     for alg in [
         Algebra::real(),
         Algebra::ri_fh(2),
@@ -668,9 +775,9 @@ fn i32_stages_equal_their_i64_oracles_layer_by_layer() {
             assert_eq!(bits(&qm.forward(&x)), bits(&out.dequantize()), "{what}");
         }
     }
-    let [convs, drelus, adds, others] = seen;
+    let [convs, drelus, adds, others, on_i8] = seen;
     assert!(
-        convs > 0 && drelus > 0 && adds > 0 && others > 0,
+        convs > 0 && drelus > 0 && adds > 0 && others > 0 && on_i8 > convs,
         "{seen:?}"
     );
 }
@@ -747,14 +854,14 @@ fn a_conv_bound_of_two_to_the_31_minus_one_is_i32_and_one_more_is_i64() {
     };
     let edge = model((1 << 31) - 1);
     let p = proof(&edge);
-    assert_eq!((p.lanes, p.stage.as_str()), (Lanes::I32, "layer 0 conv"));
+    assert_eq!((p.lanes, p.stage.as_str()), (Lanes::I32, "0 conv"));
     assert_eq!(p.worst, (1 << 31) - 1);
     // −128 · −1 + bias = i32::MAX, then the requantizer's rounding add.
     let x = Tensor::from_vec(Shape4::new(1, 1, 1, 3), vec![-1e6, 0.3, 1e6]);
     assert_eq!(bits(&edge.forward(&x)), bits(&forward_i64(&edge, &x)));
     let past = model(1 << 31);
     let p = proof(&past);
-    assert_eq!((p.lanes, p.stage.as_str()), (Lanes::I64, "layer 0 conv"));
+    assert_eq!((p.lanes, p.stage.as_str()), (Lanes::I64, "0 conv"));
     assert_eq!(p.worst, 1 << 31);
 }
 
@@ -774,11 +881,11 @@ fn the_drelu_bound_grows_by_n_through_the_second_butterfly() {
     };
     let past = model(1 << 29);
     let p = proof(&past);
-    assert_eq!((p.lanes, p.stage.as_str()), (Lanes::I64, "layer 1 (fH)"));
+    assert_eq!((p.lanes, p.stage.as_str()), (Lanes::I64, "1 fH"));
     assert_eq!(p.worst, 1 << 31);
     let edge = model((1 << 29) - 1);
     let p = proof(&edge);
-    assert_eq!((p.lanes, p.stage.as_str()), (Lanes::I32, "layer 1 (fH)"));
+    assert_eq!((p.lanes, p.stage.as_str()), (Lanes::I32, "1 fH"));
     assert_eq!(p.worst, (1 << 31) - 4);
     let x = saturating_input(Shape4::new(2, 2, 5, 7), (8, 2), 3);
     assert_eq!(bits(&edge.forward(&x)), bits(&forward_i64(&edge, &x)));
@@ -793,7 +900,7 @@ fn sixteen_bit_operands_and_adversarial_spreads_take_i64() {
     let conv = json_conv((1, 1, 1), &[3], (16, 0), &[0.0], Some(&[(16, 0)]), None);
     let p = proof(&crafted(1, (16, 0), &[conv])).clone();
     assert_eq!(p.lanes, Lanes::I64, "{p:?}");
-    assert_eq!(p.stage, "layer 0 conv (operands beyond 16 bits)");
+    assert_eq!(p.stage, "0 conv (operands beyond 16 bits)");
     let spread = [(8, 0), (8, 40)];
     let conv = json_conv(
         (2, 2, 1),
@@ -805,8 +912,158 @@ fn sixteen_bit_operands_and_adversarial_spreads_take_i64() {
     );
     let qm = crafted(2, (8, 0), &[conv, json_drelu(2, None, &[(8, 0), (8, 0)])]);
     let p = proof(&qm);
-    assert_eq!((p.lanes, p.stage.as_str()), (Lanes::I64, "layer 1 (fH)"));
+    assert_eq!((p.lanes, p.stage.as_str()), (Lanes::I64, "1 fH"));
     assert_eq!(p.worst, 2 * ((128 << 40) + 128), "{p:?}");
+}
+
+/// `forward` in the tier the proof picked, on both kernel tiers, and the
+/// fused `i64` chain (`forward_q`) against the unfused walk through the
+/// two oracles; returns that walk's integers.
+fn assert_equals_its_oracles(qm: &QuantizedModel, x: &Tensor, what: &str) -> QTensor {
+    let q = QTensor::quantize(x, vec![qm.input_format(); x.shape().c]);
+    let want = oracle_chain(qm.layers(), q.clone());
+    for tier in TIERS {
+        let what = format!("{what}, {} tile, {:?}", tier.label(), proof(qm));
+        forced_kernel_scope(tier, || {
+            assert_eq!(qm.forward_q(q.clone()), want, "{what}: i64 lanes");
+            assert_eq!(bits(&qm.forward(x)), bits(&want.dequantize()), "{what}");
+        });
+    }
+    want
+}
+
+/// `conv → fH` as one engine step against `run_conv_reference` →
+/// `run_drelu_reference`: the expansion of a diagonal ring `RI_n` (four
+/// tuples; a tuple's channels have `n` different non-zero-row patterns,
+/// so its rows come out of different MR blocks and pattern groups), n =
+/// 2, 4, 8, k = 1, 3, 5, planes from below one micro-panel to four chunk
+/// tasks with a partial last one, both directional-ReLU modes, component
+/// formats that leave some outputs on the 8-bit rails and others inside.
+#[test]
+fn the_fused_conv_fh_step_equals_conv_then_fh_through_the_oracles() {
+    let mut state = 0x5eed_u64;
+    for (n, out_fracs) in [(2, [13, 2]), (4, [14, 1]), (8, [15, -1])] {
+        for k in [1usize, 3, 5] {
+            for (h, w, mid) in [(3, 4, None), (9, 15, Some((8, 3))), (23, 20, None)] {
+                let (co, ci) = (4 * n, n);
+                let weights: Vec<i64> = (0..co * ci * k * k)
+                    .map(|i| {
+                        let diagonal = i / (k * k) % ci == i / (ci * k * k) % n;
+                        (splitmix(&mut state) as i64 >> 56) * i64::from(diagonal)
+                    })
+                    .collect();
+                let bias: Vec<f64> = (0..co).map(|c| c as f64 * 0.21 - 1.3).collect();
+                let conv = json_conv((co, ci, k), &weights, (8, 5), &bias, None, None);
+                // Component 0 (a sum of ReLU outputs) is shifted down, the
+                // others (differences) up onto both rails.
+                let out: Vec<_> = (0..n).map(|l| (8, out_fracs[(l == 0) as usize])).collect();
+                let qm = crafted(n, (8, 4), &[conv, json_drelu(n, mid, &out)]);
+                let p = proof(&qm);
+                assert_eq!((p.lanes, p.storage()), (Lanes::I32, Storage::I8), "{p:?}");
+                let x = saturating_input(Shape4::new(2, n, h, w), (8, 4), state);
+                let what = format!("n={n} k={k} {h}x{w} mid={mid:?}");
+                let want = assert_equals_its_oracles(&qm, &x, &what);
+                for rail in [-128, 127] {
+                    assert!(want.data().contains(&rail), "{what}: no output at {rail}");
+                }
+                let inside = |v: &i64| (1..127).contains(&v.abs());
+                assert!(want.data().iter().any(inside), "{what}");
+            }
+        }
+    }
+}
+
+/// The fused step where the lane ends. In `i32` lanes over `i8` planes:
+/// accumulators of 2^29 − 1 whose butterflies reach 2^31 − 4 (the model
+/// of `the_drelu_bound_grows_by_n_through_the_second_butterfly`). In
+/// `i64` lanes: a component-format spread of 60 bits whose alignment
+/// shift saturates at the lane's rail, so only the clamp in front of the
+/// first butterfly keeps its sums inside the lane.
+#[test]
+fn the_fused_step_clamps_and_sums_at_the_lane_rails() {
+    let bias = [((1 << 29) - 1 - 128) as f64 / 4.0; 2];
+    let conv = json_conv((2, 2, 1), &[1, 0, 0, -1], (8, 0), &bias, None, None);
+    let drelu = json_drelu(2, None, &[(8, -22), (8, -22)]);
+    let edge = crafted(2, (8, 2), &[conv, drelu]);
+    let p = proof(&edge);
+    assert_eq!(
+        (p.lanes, p.storage(), p.worst),
+        (Lanes::I32, Storage::I8, (1 << 31) - 4)
+    );
+    let x = saturating_input(Shape4::new(2, 2, 5, 7), (8, 2), 3);
+    let want = assert_equals_its_oracles(&edge, &x, "i32 rails");
+    // Two accumulators just below 2^29 sum to just below 2^30 = 64 · 2^24.
+    assert_eq!(want.data().iter().max(), Some(&64));
+
+    let spread = [(16, 0), (16, 60)];
+    let head = json_conv(
+        (2, 2, 1),
+        &[1, 0, 0, 1],
+        (16, 0),
+        &[0.0; 2],
+        Some(&spread),
+        None,
+    );
+    let kept = json_conv((2, 2, 1), &[9, 0, 0, -7], (16, 0), &[0.0; 2], None, None);
+    let drelu = json_drelu(2, None, &[(16, 0), (16, 50)]);
+    let wide = crafted(2, (16, 0), &[head, kept, drelu]);
+    let p = proof(&wide);
+    assert_eq!((p.lanes, p.storage()), (Lanes::I64, Storage::Lane), "{p:?}");
+    let fh = p.stages.last().expect("the directional ReLU");
+    assert!(
+        fh.worst > 1 << 64,
+        "the aligned bound passes the lane: {p:?}"
+    );
+    let x = saturating_input(Shape4::new(2, 2, 5, 7), (16, 0), 4);
+    let want = assert_equals_its_oracles(&wide, &x, "i64 rails");
+    // Two ReLU outputs on the clamp's rail, 2^61 each, sum to 4 · 2^60.
+    assert!(want.data().contains(&4));
+}
+
+/// The storage is the model file's too: one 9-bit format anywhere — here
+/// a directional ReLU's output — keeps `i32` lanes on `i32` planes, with
+/// the format on record; 16-bit features against 16-bit weights take
+/// `i64` lanes and planes. Both are still exact.
+#[test]
+fn a_nine_bit_format_takes_lane_storage_and_sixteen_bit_operands_i64() {
+    let model = |feature_bits: u32, w_bits: u32| {
+        let f = (feature_bits, 3);
+        let weights: Vec<i64> = (0..4 * 4 * 9).map(|i| (i * 37 % 23) - 11).collect();
+        let head = json_conv((4, 4, 3), &weights, (w_bits, 4), &[0.1; 4], None, None);
+        let drelu = json_drelu(4, None, &[f; 4]);
+        let tail = json_conv(
+            (4, 4, 3),
+            &weights,
+            (w_bits, 4),
+            &[0.2; 4],
+            Some(&[(8, 1); 4]),
+            None,
+        );
+        crafted(4, (8, 3), &[head, drelu, r#""Relu""#.into(), tail])
+    };
+    let x = saturating_input(Shape4::new(2, 4, 9, 15), (8, 3), 5);
+    let eight = model(8, 8);
+    assert_eq!(proof(&eight).storage(), Storage::I8, "{:?}", proof(&eight));
+    assert_eq!(proof(&eight).wide_format, None);
+    assert_equals_its_oracles(&eight, &x, "8-bit");
+    let nine = model(9, 8);
+    let p = proof(&nine);
+    assert_eq!((p.lanes, p.storage()), (Lanes::I32, Storage::Lane), "{p:?}");
+    assert_eq!(
+        p.wide_format.as_deref(),
+        Some("1 fH output format has 9 bits")
+    );
+    assert!(
+        p.to_string()
+            .starts_with("integer lanes i32, store i32 (1 fH"),
+        "{p}"
+    );
+    assert_equals_its_oracles(&nine, &x, "9-bit");
+    let sixteen = model(16, 16);
+    let p = proof(&sixteen);
+    assert_eq!((p.lanes, p.storage()), (Lanes::I64, Storage::Lane), "{p:?}");
+    assert!(p.stage.ends_with("(operands beyond 16 bits)"), "{p:?}");
+    assert_equals_its_oracles(&sixteen, &x, "16-bit");
 }
 
 proptest! {

@@ -446,6 +446,10 @@ fn shrinking_tiles_equal_the_whole_image_on_every_model_and_backend() {
             );
         }
         if let Some(mut q) = quantized(&mut model) {
+            // Every 8-bit row runs on `i8` planes with `conv → fH` fused,
+            // and still hashes to what `i32` planes computed.
+            let storage = q.lane_proof().map(|p| p.storage());
+            assert_eq!(storage, Some(Storage::I8), "{name}");
             hashes[3] = stitched_3x3(BatchRunner::new(&mut q), &format!("{name}, 8-bit"));
         }
         seen.push((name, hashes));
