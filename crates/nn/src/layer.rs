@@ -8,9 +8,11 @@
 //! a stable order.
 
 use crate::backend::ConvBackend;
+use crate::layers::conv::AnyConv;
 use crate::runtime::TileHalo;
 use ringcnn_tensor::prelude::*;
 use std::any::Any;
+use std::borrow::Cow;
 
 /// Mutable view of one parameter group and its gradient accumulator.
 pub struct ParamGroup<'a> {
@@ -42,13 +44,15 @@ pub struct ParamGroup<'a> {
 ///   are built on it.
 /// - Ownership of activations: a tensor passed by reference is the
 ///   caller's and is never written; a container owns every tensor a
-///   child returns to it, and may hand it to the next child for good
-///   ([`Layer::forward_infer_owned`] — the only place an activation is
-///   mutated) or have a child write only what its consumer reads, where
-///   it reads it ([`Layer::forward_tile`] with
-///   [`Layer::pixel_shuffle_factor`]). Both are shortcuts with the bits
-///   of the plain leaf-by-leaf chain, which stays valid: walks that call
-///   `forward_infer` on one leaf at a time see the same values.
+///   child returns to it and hands it to the next child for good
+///   through the one chain step, [`Layer::forward_step`] — the only
+///   place an activation is mutated (element-wise layers work in place
+///   on a tensor they are given), a tile's halo is consumed (a
+///   convolution writes only what the rest of the chain reads) and a
+///   layer writes where its successor would copy to (the convolution
+///   in front of a [`Layer::pixel_shuffle_factor`]). Every step has the
+///   bits of the plain leaf-by-leaf chain, which stays valid: walks that
+///   call `forward_infer` on one leaf at a time see the same values.
 pub trait Layer: Send + Sync {
     /// Short human-readable layer descriptor (e.g. `conv3x3(16->32)`).
     fn name(&self) -> String;
@@ -74,31 +78,31 @@ pub trait Layer: Send + Sync {
     /// so many threads can run it on the same model concurrently.
     fn forward_infer(&self, input: &Tensor) -> Tensor;
 
-    /// [`Layer::forward_infer`] over a tensor the caller gives up, which
-    /// an element-wise layer may therefore work on in place. Default:
-    /// borrow it.
-    fn forward_infer_owned(&self, input: Tensor) -> Tensor {
-        self.forward_infer(&input)
+    /// One step of a chain: [`Layer::forward_infer`] over the activation
+    /// as the chain holds it — borrowed (the caller's, never written) or
+    /// owned (given up: an element-wise layer works on it in place) —
+    /// inside `tile`, which the layer moves past itself. `shuffle` is the
+    /// factor of the pixel shuffle standing behind the layer (1: none);
+    /// the answer says whether the layer absorbed it, i.e. wrote every
+    /// pixel where that shuffle would copy it to and moved `tile` past it
+    /// too, so the chain skips it. A convolution on the streaming engine
+    /// does, and leaves out the rim of `tile`'s margins the rest of the
+    /// chain no longer reaches; a container threads `tile` through its
+    /// children, its `forward_infer` being this walk over
+    /// [`TileHalo::whole`]. Default: a [`TileHalo::leaf`] run over the
+    /// whole tile — the halo is carried, the bits are the same.
+    fn forward_step(
+        &self,
+        input: Cow<'_, Tensor>,
+        tile: &mut TileHalo,
+        _shuffle: usize,
+    ) -> (Tensor, bool) {
+        tile.leaf(self.kernel_radius(), self.spatial_scale());
+        (self.forward_infer(&input), false)
     }
 
-    /// [`Layer::forward_infer`] inside a tile, writing what the consumer
-    /// reads where it reads it: a convolution on the streaming engine
-    /// leaves out the rim of `tile`'s margins the rest of the chain no
-    /// longer reaches and writes each pixel where the pixel shuffle of
-    /// factor `r` that follows it would copy it to (`r = 1`: none
-    /// follows, the layer is a container or rescales, or it answered
-    /// `None` to `r`); a container threads `tile` through its children, its
-    /// `forward_infer` being this walk over [`TileHalo::whole`]. Whoever
-    /// answers moves `tile` past itself (and past the shuffle). `None`
-    /// (the default) where the layer has no such kernel: the caller
-    /// accounts it as a [`TileHalo::leaf`] and runs the plain forward
-    /// over the whole tile — the halo is carried, the bits are the same.
-    fn forward_tile(&self, _input: &Tensor, _r: usize, _tile: &mut TileHalo) -> Option<Tensor> {
-        None
-    }
-
-    /// `Some(r)` for the depth-to-space of factor `r`, the one layer a
-    /// container may run inside a leaf's [`Layer::forward_tile`].
+    /// `Some(r)` for the depth-to-space of factor `r`, the one layer its
+    /// predecessor in a chain may absorb ([`Layer::forward_step`]).
     fn pixel_shuffle_factor(&self) -> Option<usize> {
         None
     }
@@ -204,6 +208,20 @@ pub trait Layer: Send + Sync {
 
     /// Downcasting support (used by pruning and model surgery).
     fn as_any_mut(&mut self) -> &mut dyn Any;
+
+    /// The layer as a convolution of whatever weight lowering — what
+    /// calibration and model surgery read instead of downcasting to each
+    /// convolution type. `None` for everything else.
+    fn as_conv_mut(&mut self) -> Option<&mut dyn AnyConv> {
+        None
+    }
+}
+
+/// [`Layer::forward_step`] over a whole image the caller keeps: the
+/// `forward_infer` of every layer whose one inference body is its step.
+pub fn forward_whole<L: Layer + ?Sized>(layer: &L, input: &Tensor) -> Tensor {
+    let whole = &mut TileHalo::whole();
+    layer.forward_step(Cow::Borrowed(input), whole, 1).0
 }
 
 /// Visits `layer` and every layer below it, a container before its
@@ -214,6 +232,28 @@ pub fn visit_tree_mut(layer: &mut dyn Layer, f: &mut dyn FnMut(&mut dyn Layer)) 
     for child in layer.children_mut().into_iter().flatten() {
         visit_tree_mut(child.as_mut(), f);
     }
+}
+
+/// For the layers' gradient checks: what `backward` answers for input
+/// element `at` under the loss `⟨layer(x), dout⟩`, and the central finite
+/// difference of that loss over `± eps` — the two must agree.
+#[cfg(test)]
+pub(crate) fn input_gradient_and_fd(
+    layer: &mut dyn Layer,
+    (x, dout): (&Tensor, &Tensor),
+    [n, c, y, w]: [usize; 4],
+    eps: f32,
+) -> (f32, f32) {
+    let _ = layer.forward(x, true);
+    let analytic = layer.backward(dout).at(n, c, y, w);
+    let mut loss = |delta: f32| -> f32 {
+        let mut moved = x.clone();
+        *moved.at_mut(n, c, y, w) += delta;
+        let out = layer.forward(&moved, false);
+        let terms = out.as_slice().iter().zip(dout.as_slice());
+        terms.map(|(a, b)| a * b).sum()
+    };
+    (analytic, (loss(eps) - loss(-eps)) / (2.0 * eps))
 }
 
 #[cfg(test)]
@@ -257,5 +297,13 @@ mod tests {
         assert!(d.g.iter().all(|v| *v == 0.0));
         assert_eq!(d.mults_per_pixel(), 0.0);
         assert_eq!(d.out_channels(7), 7);
+        // The default step: a pointwise leaf over the whole tile, no
+        // shuffle absorbed.
+        let (x, mut tile) = (
+            Tensor::zeros(Shape4::new(1, 1, 4, 4)),
+            TileHalo::new([2; 4], 2),
+        );
+        let (y, absorbed) = d.forward_step(Cow::Owned(x.clone()), &mut tile, 2);
+        assert_eq!((y, absorbed, tile), (x, false, TileHalo::new([2; 4], 2)));
     }
 }

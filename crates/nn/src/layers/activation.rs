@@ -1,11 +1,13 @@
 //! Activation layers: component-wise ReLU and the tuple-wise directional
 //! ReLU (`fH` / `fO4`) applied across channel groups.
 
-use crate::layer::Layer;
+use crate::layer::{forward_whole, Layer};
+use crate::runtime::TileHalo;
 use ringcnn_algebra::relu::{DirectionalRelu, Nonlinearity};
 use ringcnn_algebra::ring::Ring;
 use ringcnn_tensor::shape::Shape4;
 use ringcnn_tensor::tensor::Tensor as T;
+use std::borrow::Cow;
 
 /// Plain component-wise ReLU on every element (real networks and the
 /// `fcw` rings).
@@ -35,12 +37,15 @@ impl Layer for Relu {
     }
 
     fn forward_infer(&self, input: &T) -> T {
-        self.forward_infer_owned(input.clone())
+        forward_whole(self, input)
     }
 
-    fn forward_infer_owned(&self, mut x: T) -> T {
+    fn forward_step(&self, input: Cow<'_, T>, _: &mut TileHalo, _: usize) -> (T, bool) {
+        // In place on a tensor the chain gives up; a borrowed one is
+        // copied here, once.
+        let mut x = input.into_owned();
         x.map_inplace(|v| v.max(0.0));
-        x
+        (x, false)
     }
 
     fn backward(&mut self, dout: &T) -> T {
@@ -136,15 +141,16 @@ impl Layer for DirectionalReluLayer {
     }
 
     fn forward_infer(&self, input: &T) -> T {
-        self.forward_infer_owned(input.clone())
+        forward_whole(self, input)
     }
 
-    fn forward_infer_owned(&self, mut x: T) -> T {
+    fn forward_step(&self, input: Cow<'_, T>, _: &mut TileHalo, _: usize) -> (T, bool) {
+        let mut x = input.into_owned();
         let len = self.tuple_len(x.shape());
         for y in x.as_mut_slice().chunks_mut(len) {
             self.f.forward_planes(y);
         }
-        x
+        (x, false)
     }
 
     fn backward(&mut self, dout: &T) -> T {
@@ -187,6 +193,7 @@ pub fn activation_for(ring: &Ring, nl: Nonlinearity) -> Option<Box<dyn Layer>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::input_gradient_and_fd;
     use ringcnn_algebra::ring::RingKind;
 
     #[test]
@@ -220,25 +227,9 @@ mod tests {
         let mut l = DirectionalReluLayer::fh(4);
         let x = T::random_uniform(Shape4::new(1, 4, 2, 2), -1.0, 1.0, 31);
         let dout = T::random_uniform(Shape4::new(1, 4, 2, 2), -1.0, 1.0, 32);
-        let _ = l.forward(&x, true);
-        let dx = l.backward(&dout);
-        let eps = 1e-3f32;
-        for (c, y0, x0) in [(0usize, 0usize, 1usize), (2, 1, 0), (3, 1, 1)] {
-            let mut xp = x.clone();
-            *xp.at_mut(0, c, y0, x0) += eps;
-            let mut xm = x.clone();
-            *xm.at_mut(0, c, y0, x0) -= eps;
-            let f = |t: &T, l: &mut DirectionalReluLayer| -> f32 {
-                l.forward(t, false)
-                    .as_slice()
-                    .iter()
-                    .zip(dout.as_slice())
-                    .map(|(a, b)| a * b)
-                    .sum()
-            };
-            let fd = (f(&xp, &mut l) - f(&xm, &mut l)) / (2.0 * eps);
-            let an = dx.at(0, c, y0, x0);
-            assert!((fd - an).abs() < 2e-2, "({c},{y0},{x0}): fd {fd} vs {an}");
+        for at in [[0, 0, 0, 1], [0, 2, 1, 0], [0, 3, 1, 1]] {
+            let (an, fd) = input_gradient_and_fd(&mut l, (&x, &dout), at, 1e-3);
+            assert!((fd - an).abs() < 2e-2, "{at:?}: fd {fd} vs {an}");
         }
     }
 

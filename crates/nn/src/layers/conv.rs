@@ -1,14 +1,360 @@
-//! Real-valued convolution layer (the baseline arithmetic of Fig. 5(a)).
+//! The convolution layer: one body, [`ConvLayer`], over the weight
+//! lowering that tells its three types apart.
+//!
+//! The paper runs and trains every ring convolution as its isomorphic
+//! real convolution (eq. (4), §IV-B); the real-field convolution (the
+//! baseline arithmetic of Fig. 5(a)) and the depth-wise baseline of
+//! Fig. 1 are two more zero/sharing patterns of that same real weight
+//! matrix. So a convolution layer is its parameters in their own form
+//! plus a [`Lowering`] onto real [`ConvWeights`] — the identity (with a
+//! pruning mask) for [`Conv2d`], block-diagonal for [`DepthwiseConv2d`],
+//! the eq. (4) expansion for `RingConv2d` — and everything else (bias,
+//! gradients, backend, the inference kernel and every reset of it, the
+//! [`Layer`] implementation) is written once, here.
 
 use crate::backend::ConvBackend;
 use crate::init::he_std;
-use crate::layer::{Layer, ParamGroup};
+use crate::layer::{forward_whole, Layer, ParamGroup};
+use crate::layers::fast_ring_conv::FastRingConv;
 use crate::runtime::TileHalo;
 use ringcnn_tensor::prelude::*;
 use ringcnn_tensor::tensor::Tensor as T;
+use std::borrow::Cow;
 use std::sync::OnceLock;
 
-/// `K×K` real convolution with bias and zero padding ("same" output size).
+/// What a convolution type is beyond the shared body: its parameters and
+/// how they lower onto the real convolution the kernels run.
+pub trait Lowering: Send + Sync + 'static {
+    /// Layer descriptor (e.g. `conv3x3(16->32)`).
+    fn name(&self) -> String;
+
+    /// `(co, ci, k)` of the real convolution.
+    fn shape(&self) -> (usize, usize, usize);
+
+    /// The stored parameters, flat, as optimizers and model files see
+    /// them.
+    fn params_mut(&mut self) -> &mut [f32];
+
+    /// The real convolution weights the parameters stand for.
+    fn lowered(&self) -> Cow<'_, ConvWeights>;
+
+    /// The adjoint of [`Lowering::lowered`]: accumulates the gradient
+    /// `dw` of the real weights onto `grads`, the gradient of the
+    /// parameters.
+    fn contract(&self, dw: &ConvWeights, grads: &mut [f32]);
+
+    /// Real multiplications per output pixel under the type's fast
+    /// algorithm.
+    fn mults_per_pixel(&self) -> f64;
+
+    /// The transform-domain plan, for a lowering that has one.
+    fn transform(&self, _bias: &[f32]) -> Option<FastRingConv> {
+        None
+    }
+
+    /// `(n, is_diagonal)` of the ring whose convolution this is (the real
+    /// field: `(1, true)`); `None` for the depth-wise baseline, which is
+    /// no ring convolution and which the integer pipeline — a model of
+    /// eRingCNN's RCONV engine — does not lower.
+    fn tuple(&self) -> Option<(usize, bool)>;
+}
+
+/// Any convolution layer, whatever its lowering ([`Layer::as_conv_mut`]).
+pub trait AnyConv {
+    /// The lowering — read [`Lowering::lowered`] for the real weights
+    /// (`co`, `ci`, `k` inside) — and the bias per real output channel.
+    fn parts(&self) -> (&dyn Lowering, &[f32]);
+
+    /// The stored parameters, flat (resets the inference kernel).
+    fn params_mut(&mut self) -> &mut [f32];
+}
+
+/// The weight side of a convolution in the form its backend runs — a
+/// fact fixed once per parameter set, like `Tg` in eq. (12).
+enum Kernel {
+    /// The lowering itself, for the reference kernel.
+    Naive(ConvWeights),
+    /// The streaming engine's plan of the lowering.
+    Engine(PackedWeights<f32>),
+    /// The transform-domain plan: weights already through `Tg`.
+    Transform(FastRingConv),
+}
+
+/// `K×K` convolution with bias and zero padding ("same" output size)
+/// over the weight lowering `L`: [`Conv2d`], [`DepthwiseConv2d`] and
+/// `RingConv2d` are this one layer.
+pub struct ConvLayer<L: Lowering> {
+    lowering: L,
+    /// Gradient of the parameters, as stored.
+    dweights: Vec<f32>,
+    /// Real bias, one per real output channel.
+    bias: Vec<f32>,
+    dbias: Vec<f32>,
+    cached_input: Option<T>,
+    /// Inference kernel selection; training always lowers naively.
+    backend: ConvBackend,
+    /// The one inference kernel, chosen from `backend`: built by the
+    /// first `forward_infer`, reset by [`ConvLayer::touched`].
+    kernel: OnceLock<Kernel>,
+}
+
+/// `len` He-initialized values for a layer of the given fan-in.
+pub(crate) fn he_normal(len: usize, fan_in: usize, seed: u64) -> Vec<f32> {
+    let init = T::random_normal(Shape4::new(1, 1, 1, len), he_std(fan_in), seed);
+    init.as_slice().to_vec()
+}
+
+impl<L: Lowering> ConvLayer<L> {
+    /// The layer over `lowering`: zero bias, naive backend.
+    pub(crate) fn over(mut lowering: L) -> Self {
+        let (co, ..) = lowering.shape();
+        Self {
+            dweights: vec![0.0; lowering.params_mut().len()],
+            bias: vec![0.0; co],
+            dbias: vec![0.0; co],
+            cached_input: None,
+            backend: ConvBackend::Naive,
+            kernel: OnceLock::new(),
+            lowering,
+        }
+    }
+
+    /// The layer with its inference kernel reset: every `&mut` path to
+    /// what the kernel is derived from — parameters, bias, backend —
+    /// goes through here, so a kernel can never go stale.
+    fn touched(&mut self) -> &mut Self {
+        self.kernel.take();
+        self
+    }
+
+    /// The kernel of the active backend, built on first use. Only a ring
+    /// lowering offers a transform plan; for the others
+    /// [`ConvBackend::Transform`] degenerates to the engine (their
+    /// transforms are identities).
+    fn kernel(&self) -> &Kernel {
+        self.kernel.get_or_init(|| {
+            let transform = (self.backend == ConvBackend::Transform)
+                .then(|| self.lowering.transform(&self.bias))
+                .flatten();
+            match (transform, self.backend) {
+                (Some(plan), _) => Kernel::Transform(plan),
+                (None, ConvBackend::Naive) => Kernel::Naive(self.lowering.lowered().into_owned()),
+                (None, _) => Kernel::Engine(self.lowering.lowered().packed()),
+            }
+        })
+    }
+
+    /// The parameters in the type's own form.
+    pub(crate) fn lowering(&self) -> &L {
+        &self.lowering
+    }
+
+    /// Mutable [`ConvLayer::lowering`] (resets the inference kernel).
+    pub(crate) fn lowering_mut(&mut self) -> &mut L {
+        &mut self.touched().lowering
+    }
+
+    /// The active inference backend.
+    pub fn backend(&self) -> ConvBackend {
+        self.backend
+    }
+
+    /// Selects the inference kernel: the naive reference loop over the
+    /// lowering, the streaming im2col engine, or (ring convolutions) the
+    /// transform-domain [`FastRingConv`] engine. Training forwards and
+    /// backwards always use the naive lowering.
+    pub fn set_backend(&mut self, backend: ConvBackend) {
+        self.touched().backend = backend;
+    }
+
+    /// Real input channel count.
+    pub fn ci(&self) -> usize {
+        self.lowering.shape().1
+    }
+
+    /// Real output channel count.
+    pub fn co(&self) -> usize {
+        self.lowering.shape().0
+    }
+
+    /// Kernel size.
+    pub fn k(&self) -> usize {
+        self.lowering.shape().2
+    }
+
+    /// Bias (per real output channel).
+    pub fn bias(&self) -> &[f32] {
+        &self.bias
+    }
+
+    /// Mutable bias access (resets the inference kernel: the transform
+    /// plan carries the bias).
+    pub fn bias_mut(&mut self) -> &mut [f32] {
+        &mut self.touched().bias
+    }
+
+    fn check_channels(&self, c: usize) {
+        assert_eq!(c, self.ci(), "channel mismatch in {}", self.name());
+    }
+}
+
+impl<L: Lowering> AnyConv for ConvLayer<L> {
+    fn parts(&self) -> (&dyn Lowering, &[f32]) {
+        (&self.lowering, &self.bias)
+    }
+
+    fn params_mut(&mut self) -> &mut [f32] {
+        self.lowering_mut().params_mut()
+    }
+}
+
+impl<L: Lowering> Layer for ConvLayer<L> {
+    fn name(&self) -> String {
+        self.lowering.name()
+    }
+
+    fn forward_train(&mut self, input: &T) -> T {
+        // Training always flows through the naive reference kernel over
+        // the lowering, so the forward pass matches `backward` exactly;
+        // the parameters are about to change.
+        self.check_channels(input.shape().c);
+        self.touched().cached_input = Some(input.clone());
+        conv2d_forward(input, &self.lowering.lowered(), &self.bias)
+    }
+
+    fn forward_infer(&self, input: &T) -> T {
+        forward_whole(self, input)
+    }
+
+    fn forward_step(&self, input: Cow<'_, T>, tile: &mut TileHalo, shuffle: usize) -> (T, bool) {
+        self.check_channels(input.shape().c);
+        let (k, bias) = (self.k(), &self.bias);
+        match self.kernel() {
+            Kernel::Naive(w) => {
+                tile.leaf(k / 2, (1, 1));
+                (conv2d_forward(&input, w, bias), false)
+            }
+            Kernel::Engine(plan) => {
+                let cut = tile.conv(k / 2, shuffle);
+                let out = conv2d_forward_packed(&input, k, plan, bias, shuffle, cut);
+                (out, shuffle > 1)
+            }
+            // The transform engine reconstructs whole tuples per pixel:
+            // it trims, and leaves the shuffle to the chain.
+            Kernel::Transform(plan) => (plan.forward_region(&input, tile.conv(k / 2, 1)), false),
+        }
+    }
+
+    fn prepare_inference(&mut self) {
+        self.kernel();
+    }
+
+    fn kernel_radius(&self) -> usize {
+        self.k() / 2
+    }
+
+    fn backward(&mut self, dout: &T) -> T {
+        let input = self
+            .cached_input
+            .take()
+            .expect("backward without training forward");
+        let (dw, db) = conv2d_backward_weight(&input, dout, self.k());
+        self.lowering.contract(&dw, &mut self.dweights);
+        for (acc, g) in self.dbias.iter_mut().zip(&db) {
+            *acc += g;
+        }
+        conv2d_backward_input(dout, &self.lowering.lowered())
+    }
+
+    fn visit_params(&mut self, visitor: &mut dyn FnMut(ParamGroup<'_>)) {
+        // Visitors (optimizers, quantizers) may mutate the parameters.
+        let this = self.touched();
+        visitor(ParamGroup {
+            values: this.lowering.params_mut(),
+            grads: &mut this.dweights,
+        });
+        visitor(ParamGroup {
+            values: &mut this.bias,
+            grads: &mut this.dbias,
+        });
+    }
+
+    fn mults_per_pixel(&self) -> f64 {
+        self.lowering.mults_per_pixel()
+    }
+
+    fn out_channels(&self, in_channels: usize) -> usize {
+        self.check_channels(in_channels);
+        self.co()
+    }
+
+    fn set_conv_backend(&mut self, backend: ConvBackend) {
+        self.set_backend(backend);
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+
+    fn as_conv_mut(&mut self) -> Option<&mut dyn AnyConv> {
+        Some(self)
+    }
+}
+
+/// The real-field lowering: the parameters are the real weights, less
+/// what a pruning mask removed.
+pub struct RealLowering {
+    weights: ConvWeights,
+    /// Mask for pruned weights (1 = keep); `None` when dense.
+    mask: Option<Vec<f32>>,
+}
+
+impl Lowering for RealLowering {
+    fn name(&self) -> String {
+        let ConvWeights { co, ci, k, .. } = self.weights;
+        format!("conv{k}x{k}({ci}->{co})")
+    }
+
+    fn shape(&self) -> (usize, usize, usize) {
+        (self.weights.co, self.weights.ci, self.weights.k)
+    }
+
+    fn params_mut(&mut self) -> &mut [f32] {
+        &mut self.weights.data
+    }
+
+    fn lowered(&self) -> Cow<'_, ConvWeights> {
+        Cow::Borrowed(&self.weights)
+    }
+
+    fn contract(&self, dw: &ConvWeights, grads: &mut [f32]) {
+        // Pruned weights receive no gradient and stay zero.
+        for (i, (acc, g)) in grads.iter_mut().zip(&dw.data).enumerate() {
+            *acc += g * self.mask.as_ref().map_or(1.0, |mask| mask[i]);
+        }
+    }
+
+    fn mults_per_pixel(&self) -> f64 {
+        // Effective multiplications honour pruning density.
+        self.weights.len() as f64 * self.density()
+    }
+
+    fn tuple(&self) -> Option<(usize, bool)> {
+        Some((1, true))
+    }
+}
+
+impl RealLowering {
+    fn density(&self) -> f64 {
+        match &self.mask {
+            None => 1.0,
+            Some(m) => m.iter().filter(|v| **v != 0.0).count() as f64 / m.len() as f64,
+        }
+    }
+}
+
+/// `K×K` real convolution with bias and zero padding ("same" output
+/// size) — the baseline arithmetic of Fig. 5(a).
 ///
 /// # Examples
 ///
@@ -21,398 +367,137 @@ use std::sync::OnceLock;
 /// let y = conv.forward(&x, false);
 /// assert_eq!(y.shape().c, 8);
 /// ```
-pub struct Conv2d {
-    weights: ConvWeights,
-    bias: Vec<f32>,
-    dweights: ConvWeights,
-    dbias: Vec<f32>,
-    cached_input: Option<T>,
-    /// Mask for pruned weights (1 = keep); `None` when dense.
-    mask: Option<Vec<f32>>,
-    /// Forward kernel selection; both kernels are bit-for-bit identical.
-    backend: ConvBackend,
-    /// The streaming engine's plan of `weights`: built by the first
-    /// engine forward, reset by every `&mut` path to the weights. (The
-    /// naive kernel reads `weights` directly and never fills it.)
-    plan: OnceLock<PackedWeights<f32>>,
-}
+pub type Conv2d = ConvLayer<RealLowering>;
 
 impl Conv2d {
     /// Creates a He-initialized convolution (`seed` controls the init).
     pub fn new(ci: usize, co: usize, k: usize, seed: u64) -> Self {
-        let std = he_std(ci * k * k);
-        let init = T::random_normal(Shape4::new(1, 1, 1, co * ci * k * k), std, seed);
         let mut weights = ConvWeights::zeros(co, ci, k);
-        weights.data.copy_from_slice(init.as_slice());
-        Self {
-            dweights: ConvWeights::zeros(co, ci, k),
-            dbias: vec![0.0; co],
-            bias: vec![0.0; co],
+        weights.data = he_normal(co * ci * k * k, ci * k * k, seed);
+        Self::over(RealLowering {
             weights,
-            cached_input: None,
             mask: None,
-            backend: ConvBackend::Naive,
-            plan: OnceLock::new(),
-        }
-    }
-
-    /// The active convolution backend.
-    pub fn backend(&self) -> ConvBackend {
-        self.backend
-    }
-
-    /// Selects the forward kernel ([`ConvBackend::Transform`] degenerates
-    /// to im2col for a real convolution: the real field's transforms are
-    /// identities). Both kernels produce bit-identical outputs.
-    pub fn set_backend(&mut self, backend: ConvBackend) {
-        self.backend = backend;
-    }
-
-    /// Input channel count.
-    pub fn ci(&self) -> usize {
-        self.weights.ci
-    }
-
-    /// Output channel count.
-    pub fn co(&self) -> usize {
-        self.weights.co
-    }
-
-    /// Kernel size.
-    pub fn k(&self) -> usize {
-        self.weights.k
+        })
     }
 
     /// Immutable weight access.
     pub fn weights(&self) -> &ConvWeights {
-        &self.weights
+        &self.lowering.weights
     }
 
     /// Mutable weight access (used by quantization and pruning; resets
-    /// the weight plan).
+    /// the inference kernel).
     pub fn weights_mut(&mut self) -> &mut ConvWeights {
-        self.plan.take();
-        &mut self.weights
-    }
-
-    /// Bias access.
-    pub fn bias(&self) -> &[f32] {
-        &self.bias
-    }
-
-    /// Mutable bias access.
-    pub fn bias_mut(&mut self) -> &mut [f32] {
-        &mut self.bias
+        &mut self.lowering_mut().weights
     }
 
     /// Installs a pruning mask (1 = keep, 0 = pruned). The mask is applied
-    /// to the weights immediately and re-applied after every backward pass
-    /// so pruned weights stay zero during fine-tuning.
+    /// to the weights immediately and to every weight gradient, so pruned
+    /// weights stay zero during fine-tuning.
     ///
     /// # Panics
     ///
     /// Panics if the mask length differs from the weight count.
     pub fn set_mask(&mut self, mask: Vec<f32>) {
-        assert_eq!(mask.len(), self.weights.data.len(), "mask length mismatch");
-        self.plan.take();
-        for (w, m) in self.weights.data.iter_mut().zip(&mask) {
+        let real = self.lowering_mut();
+        assert_eq!(mask.len(), real.weights.data.len(), "mask length mismatch");
+        for (w, m) in real.weights.data.iter_mut().zip(&mask) {
             *w *= m;
         }
-        self.mask = Some(mask);
-    }
-
-    /// The engine's weight plan, planned on first use.
-    fn plan(&self) -> &PackedWeights<f32> {
-        self.plan.get_or_init(|| self.weights.packed())
+        real.mask = Some(mask);
     }
 
     /// The installed pruning mask, if any.
     pub fn mask(&self) -> Option<&[f32]> {
-        self.mask.as_deref()
+        self.lowering.mask.as_deref()
     }
 
     /// Fraction of non-zero weights (1.0 when dense).
     pub fn density(&self) -> f64 {
-        match &self.mask {
-            None => 1.0,
-            Some(m) => m.iter().filter(|v| **v != 0.0).count() as f64 / m.len() as f64,
-        }
+        self.lowering.density()
     }
 }
 
-impl Layer for Conv2d {
-    fn name(&self) -> String {
-        format!(
-            "conv{k}x{k}({ci}->{co})",
-            k = self.weights.k,
-            ci = self.weights.ci,
-            co = self.weights.co
-        )
-    }
-
-    fn forward_train(&mut self, input: &T) -> T {
-        // Training always flows through the naive reference kernel
-        // (same contract as RingConv2d; backward uses it too); the
-        // weights are about to change, so reset the plan.
-        self.cached_input = Some(input.clone());
-        self.plan.take();
-        conv2d_forward(input, &self.weights, &self.bias)
-    }
-
-    fn forward_infer(&self, input: &T) -> T {
-        let engine = self.forward_tile(input, 1, &mut TileHalo::whole());
-        engine.unwrap_or_else(|| conv2d_forward(input, &self.weights, &self.bias))
-    }
-
-    fn forward_tile(&self, input: &T, r: usize, tile: &mut TileHalo) -> Option<T> {
-        (self.backend != ConvBackend::Naive).then(|| {
-            let (k, cut) = (self.weights.k, tile.conv(self.weights.k / 2, r));
-            conv2d_forward_packed(input, k, self.plan(), &self.bias, r, cut)
-        })
-    }
-
-    fn prepare_inference(&mut self) {
-        if self.backend != ConvBackend::Naive {
-            self.plan();
-        }
-    }
-
-    fn kernel_radius(&self) -> usize {
-        self.weights.k / 2
-    }
-
-    fn backward(&mut self, dout: &T) -> T {
-        let input = self
-            .cached_input
-            .take()
-            .expect("backward without training forward");
-        let (mut dw, db) = conv2d_backward_weight(&input, dout, self.weights.k);
-        if let Some(mask) = &self.mask {
-            for (g, m) in dw.data.iter_mut().zip(mask) {
-                *g *= m;
-            }
-        }
-        for (acc, g) in self.dweights.data.iter_mut().zip(&dw.data) {
-            *acc += g;
-        }
-        for (acc, g) in self.dbias.iter_mut().zip(&db) {
-            *acc += g;
-        }
-        conv2d_backward_input(dout, &self.weights)
-    }
-
-    fn visit_params(&mut self, visitor: &mut dyn FnMut(ParamGroup<'_>)) {
-        // Visitors (optimizers, quantizers) may mutate the parameters.
-        self.plan.take();
-        visitor(ParamGroup {
-            values: &mut self.weights.data,
-            grads: &mut self.dweights.data,
-        });
-        visitor(ParamGroup {
-            values: &mut self.bias,
-            grads: &mut self.dbias,
-        });
-    }
-
-    fn mults_per_pixel(&self) -> f64 {
-        // Effective multiplications honour pruning density.
-        (self.weights.co * self.weights.ci * self.weights.k * self.weights.k) as f64
-            * self.density()
-    }
-
-    fn out_channels(&self, in_channels: usize) -> usize {
-        assert_eq!(
-            in_channels,
-            self.weights.ci,
-            "channel mismatch in {}",
-            self.name()
-        );
-        self.weights.co
-    }
-
-    fn set_conv_backend(&mut self, backend: ConvBackend) {
-        self.set_backend(backend);
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
-/// Depth-wise `K×K` convolution (one filter per channel) followed
-/// conceptually by nothing — used as the DWC baseline of Fig. 1.
-pub struct DepthwiseConv2d {
+/// The depth-wise lowering: one `K×K` filter per channel, block-diagonal
+/// in the real weight matrix.
+pub struct DepthwiseLowering {
     k: usize,
     channels: usize,
+    /// `[channel][ky][kx]`, flat.
     weights: Vec<f32>,
-    dweights: Vec<f32>,
-    bias: Vec<f32>,
-    dbias: Vec<f32>,
-    cached_input: Option<T>,
-    backend: ConvBackend,
-    /// The one inference kernel, chosen from `backend`: built by the
-    /// first `forward_infer`, reset by every `&mut` path to the weights
-    /// or the backend.
-    kernel: OnceLock<DepthwiseKernel>,
 }
 
-/// The block-diagonal lowering of the per-channel filters — simple, and
-/// it reuses the tested dense kernels — in the form each backend runs.
-enum DepthwiseKernel {
-    /// The lowering itself, for the reference kernel.
-    Naive(ConvWeights),
-    /// The streaming engine's plan of it.
-    Engine(PackedWeights<f32>),
-}
-
-impl DepthwiseConv2d {
-    /// Creates a He-initialized depth-wise convolution.
-    pub fn new(channels: usize, k: usize, seed: u64) -> Self {
-        let std = he_std(k * k);
-        let init = T::random_normal(Shape4::new(1, 1, 1, channels * k * k), std, seed);
-        Self {
-            k,
-            channels,
-            weights: init.as_slice().to_vec(),
-            dweights: vec![0.0; channels * k * k],
-            bias: vec![0.0; channels],
-            dbias: vec![0.0; channels],
-            cached_input: None,
-            backend: ConvBackend::Naive,
-            kernel: OnceLock::new(),
-        }
-    }
-
-    /// Builds the block-diagonal lowering of the per-channel filters.
-    fn block_diagonal_weights(&self) -> ConvWeights {
-        let mut w = ConvWeights::zeros(self.channels, self.channels, self.k);
-        for c in 0..self.channels {
-            for t in 0..self.k * self.k {
-                let idx = w.index(c, c, t / self.k, t % self.k);
-                w.data[idx] = self.weights[c * self.k * self.k + t];
-            }
-        }
-        w
-    }
-
-    /// The kernel of the active backend, built on first use.
-    fn kernel(&self) -> &DepthwiseKernel {
-        self.kernel.get_or_init(|| {
-            let lowered = self.block_diagonal_weights();
-            match self.backend {
-                ConvBackend::Naive => DepthwiseKernel::Naive(lowered),
-                _ => DepthwiseKernel::Engine(lowered.packed()),
-            }
-        })
+impl DepthwiseLowering {
+    /// Where parameter `i` sits on the diagonal of the real weights.
+    fn diagonal(&self, i: usize) -> usize {
+        let taps = self.k * self.k;
+        (i / taps * self.channels + i / taps) * taps + i % taps
     }
 }
 
-impl Layer for DepthwiseConv2d {
+impl Lowering for DepthwiseLowering {
     fn name(&self) -> String {
         format!("dwconv{k}x{k}({c})", k = self.k, c = self.channels)
     }
 
-    fn forward_train(&mut self, input: &T) -> T {
-        assert_eq!(input.shape().c, self.channels, "channel mismatch");
-        self.cached_input = Some(input.clone());
-        self.kernel.take();
-        conv2d_forward(input, &self.block_diagonal_weights(), &self.bias)
+    fn shape(&self) -> (usize, usize, usize) {
+        (self.channels, self.channels, self.k)
     }
 
-    fn forward_infer(&self, input: &T) -> T {
-        assert_eq!(input.shape().c, self.channels, "channel mismatch");
-        match self.kernel() {
-            DepthwiseKernel::Naive(w) => conv2d_forward(input, w, &self.bias),
-            DepthwiseKernel::Engine(plan) => {
-                conv2d_forward_packed(input, self.k, plan, &self.bias, 1, [0; 4])
-            }
+    fn params_mut(&mut self) -> &mut [f32] {
+        &mut self.weights
+    }
+
+    fn lowered(&self) -> Cow<'_, ConvWeights> {
+        let mut w = ConvWeights::zeros(self.channels, self.channels, self.k);
+        for (i, v) in self.weights.iter().enumerate() {
+            w.data[self.diagonal(i)] = *v;
         }
+        Cow::Owned(w)
     }
 
-    fn prepare_inference(&mut self) {
-        self.kernel();
-    }
-
-    fn kernel_radius(&self) -> usize {
-        self.k / 2
-    }
-
-    fn backward(&mut self, dout: &T) -> T {
-        let input = self
-            .cached_input
-            .take()
-            .expect("backward without training forward");
-        let w = self.block_diagonal_weights();
-        let (dw, db) = conv2d_backward_weight(&input, dout, self.k);
-        for c in 0..self.channels {
-            for t in 0..self.k * self.k {
-                self.dweights[c * self.k * self.k + t] +=
-                    dw.data[dw.index(c, c, t / self.k, t % self.k)];
-            }
-            self.dbias[c] += db[c];
+    fn contract(&self, dw: &ConvWeights, grads: &mut [f32]) {
+        for (i, g) in grads.iter_mut().enumerate() {
+            *g += dw.data[self.diagonal(i)];
         }
-        conv2d_backward_input(dout, &w)
-    }
-
-    fn visit_params(&mut self, visitor: &mut dyn FnMut(ParamGroup<'_>)) {
-        // Visitors (optimizers, quantizers) may mutate the parameters.
-        self.kernel.take();
-        visitor(ParamGroup {
-            values: &mut self.weights,
-            grads: &mut self.dweights,
-        });
-        visitor(ParamGroup {
-            values: &mut self.bias,
-            grads: &mut self.dbias,
-        });
     }
 
     fn mults_per_pixel(&self) -> f64 {
-        (self.channels * self.k * self.k) as f64
+        self.weights.len() as f64
     }
 
-    fn out_channels(&self, in_channels: usize) -> usize {
-        assert_eq!(in_channels, self.channels);
-        self.channels
+    fn tuple(&self) -> Option<(usize, bool)> {
+        None
     }
+}
 
-    fn set_conv_backend(&mut self, backend: ConvBackend) {
-        self.backend = backend;
-        self.kernel.take();
-    }
+/// Depth-wise `K×K` convolution (one filter per channel) — the DWC
+/// baseline of Fig. 1.
+pub type DepthwiseConv2d = ConvLayer<DepthwiseLowering>;
 
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
+impl DepthwiseConv2d {
+    /// Creates a He-initialized depth-wise convolution.
+    pub fn new(channels: usize, k: usize, seed: u64) -> Self {
+        Self::over(DepthwiseLowering {
+            k,
+            channels,
+            weights: he_normal(channels * k * k, k * k, seed),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::input_gradient_and_fd;
 
     #[test]
     fn conv_gradcheck() {
         let mut conv = Conv2d::new(2, 3, 3, 42);
         let x = T::random_uniform(Shape4::new(1, 2, 5, 5), -1.0, 1.0, 1);
         let dout = T::random_uniform(Shape4::new(1, 3, 5, 5), -1.0, 1.0, 2);
-        let _ = conv.forward(&x, true);
-        let dx = conv.backward(&dout);
-        // Finite differences on one input element.
-        let eps = 1e-2;
-        let mut xp = x.clone();
-        *xp.at_mut(0, 1, 2, 2) += eps;
-        let mut xm = x.clone();
-        *xm.at_mut(0, 1, 2, 2) -= eps;
-        let dot = |t: &T| -> f32 {
-            conv2d_forward(t, conv.weights(), conv.bias())
-                .as_slice()
-                .iter()
-                .zip(dout.as_slice())
-                .map(|(a, b)| a * b)
-                .sum()
-        };
-        let fd = (dot(&xp) - dot(&xm)) / (2.0 * eps);
-        assert!((fd - dx.at(0, 1, 2, 2)).abs() < 1e-2);
+        let (an, fd) = input_gradient_and_fd(&mut conv, (&x, &dout), [0, 1, 2, 2], 1e-2);
+        assert!((fd - an).abs() < 1e-2);
     }
 
     #[test]
@@ -448,51 +533,37 @@ mod tests {
         assert_ne!(y.plane(0, 1), y2.plane(0, 1));
     }
 
-    /// The im2col lowering of a one-item batch under the reference
-    /// kernel: row-major pack, then the matrix-level oracle.
-    fn reference_lowering(x: &T, w: &ConvWeights, bias: &[f32]) -> Vec<f32> {
+    /// Under the naive backend a one-item batch is, bit for bit, the
+    /// im2col lowering of the layer's real weights run through the
+    /// matrix-level oracle (row-major pack, then `gemm::reference`);
+    /// every other backend stays within the tolerance of the blocked
+    /// GEMM tiles, which reassociate `f32` adds.
+    fn assert_backends_agree<L: Lowering>(mut layer: ConvLayer<L>, x: &T) {
+        let naive = layer.forward(x, false);
+        let w = layer.lowering().lowered().into_owned();
         let (rows, plane) = (w.ci * w.k * w.k, x.shape().plane());
         let col = im2col_pack(x, 0, w.k);
-        ringcnn_tensor::gemm::reference(&col, plane, rows, w.co, &w.data, bias).concat()
-    }
-
-    #[test]
-    fn backends_are_bit_identical_under_reference_kernel() {
-        let x = T::random_uniform(Shape4::new(1, 3, 6, 5), -1.0, 1.0, 12);
-        let mut conv = Conv2d::new(3, 4, 3, 13);
-        let naive = conv.forward(&x, false);
-        let exact = reference_lowering(&x, conv.weights(), conv.bias());
-        assert_eq!(exact, naive.as_slice());
+        let exact = ringcnn_tensor::gemm::reference(&col, plane, rows, w.co, &w.data, layer.bias());
+        assert_eq!(exact.concat(), naive.as_slice());
         for backend in [ConvBackend::Im2col, ConvBackend::Transform] {
-            conv.set_backend(backend);
-            // The blocked GEMM tiles reassociate f32 adds: tolerance.
-            for (a, b) in conv
-                .forward(&x, false)
-                .as_slice()
-                .iter()
-                .zip(naive.as_slice())
-            {
+            layer.set_backend(backend);
+            let fast = layer.forward(x, false);
+            for (a, b) in fast.as_slice().iter().zip(naive.as_slice()) {
                 assert!((a - b).abs() <= 1e-4, "{backend}: {a} vs {b}");
             }
         }
     }
 
     #[test]
+    fn backends_are_bit_identical_under_reference_kernel() {
+        let x = T::random_uniform(Shape4::new(1, 3, 6, 5), -1.0, 1.0, 12);
+        assert_backends_agree(Conv2d::new(3, 4, 3, 13), &x);
+    }
+
+    #[test]
     fn depthwise_backends_are_bit_identical_under_reference_kernel() {
         let x = T::random_uniform(Shape4::new(1, 3, 5, 4), -1.0, 1.0, 14);
-        let mut dw = DepthwiseConv2d::new(3, 3, 15);
-        let naive = dw.forward(&x, false);
-        let exact = reference_lowering(&x, &dw.block_diagonal_weights(), &dw.bias);
-        assert_eq!(exact, naive.as_slice());
-        dw.set_conv_backend(ConvBackend::Im2col);
-        for (a, b) in dw
-            .forward(&x, false)
-            .as_slice()
-            .iter()
-            .zip(naive.as_slice())
-        {
-            assert!((a - b).abs() <= 1e-4, "{a} vs {b}");
-        }
+        assert_backends_agree(DepthwiseConv2d::new(3, 3, 15), &x);
     }
 
     #[test]

@@ -172,6 +172,7 @@ impl Layer for Dense {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::input_gradient_and_fd;
 
     #[test]
     fn pool_averages_planes() {
@@ -192,22 +193,7 @@ mod tests {
         let mut l = Dense::new(3, 2, 13);
         let x = T::random_uniform(Shape4::new(2, 3, 1, 1), -1.0, 1.0, 14);
         let dout = T::random_uniform(Shape4::new(2, 2, 1, 1), -1.0, 1.0, 15);
-        let _ = l.forward(&x, true);
-        let dx = l.backward(&dout);
-        let eps = 1e-3f32;
-        let mut xp = x.clone();
-        *xp.at_mut(1, 2, 0, 0) += eps;
-        let mut xm = x.clone();
-        *xm.at_mut(1, 2, 0, 0) -= eps;
-        let f = |t: &T, l: &mut Dense| -> f32 {
-            l.forward(t, false)
-                .as_slice()
-                .iter()
-                .zip(dout.as_slice())
-                .map(|(a, b)| a * b)
-                .sum()
-        };
-        let fd = (f(&xp, &mut l) - f(&xm, &mut l)) / (2.0 * eps);
-        assert!((fd - dx.at(1, 2, 0, 0)).abs() < 1e-2);
+        let (an, fd) = input_gradient_and_fd(&mut l, (&x, &dout), [1, 2, 0, 0], 1e-3);
+        assert!((fd - an).abs() < 1e-2);
     }
 }

@@ -7,17 +7,93 @@
 //! the weight gradient is contracted back onto the `n` ring components.
 //! This reuses the heavily-tested real conv kernels and is exactly
 //! equivalent to ring-domain backprop (property-tested against the
-//! ring-form gradients of §IV-B).
+//! ring-form gradients of §IV-B). The layer itself is the one
+//! [`ConvLayer`]; this module is its ring lowering.
 
-use crate::backend::ConvBackend;
-use crate::init::he_std;
-use crate::layer::{Layer, ParamGroup};
+use crate::layers::conv::{he_normal, ConvLayer, Lowering};
 use crate::layers::fast_ring_conv::FastRingConv;
-use crate::runtime::TileHalo;
 use ringcnn_algebra::ring::Ring;
 use ringcnn_tensor::prelude::*;
-use ringcnn_tensor::tensor::Tensor as T;
-use std::sync::OnceLock;
+use std::borrow::Cow;
+
+/// The ring lowering: ring weights expanded onto the isomorphic real
+/// convolution (eq. (4)/Fig. 5), and the one lowering with a
+/// transform-domain plan.
+pub struct RingLowering {
+    ring: Ring,
+    ci_t: usize,
+    co_t: usize,
+    k: usize,
+    /// Ring weights `[co_t][ci_t][ky][kx][component]`, flat.
+    weights: Vec<f32>,
+}
+
+impl RingLowering {
+    /// Every ring tap in storage order: the index of its component 0
+    /// and its `[co_t, ci_t, ky, kx]`.
+    fn taps(&self) -> impl Iterator<Item = (usize, [usize; 4])> + '_ {
+        let (n, k, ci_t) = (self.ring.n(), self.k, self.ci_t);
+        let at = move |t: usize| [t / (k * k) / ci_t, t / (k * k) % ci_t, t / k % k, t % k];
+        (0..self.weights.len() / n).map(move |t| (t * n, at(t)))
+    }
+}
+
+impl Lowering for RingLowering {
+    fn name(&self) -> String {
+        let (co, ci, k) = self.shape();
+        format!("rconv{k}x{k}[{}]({ci}->{co})", self.ring.kind())
+    }
+
+    fn shape(&self) -> (usize, usize, usize) {
+        let n = self.ring.n();
+        (self.co_t * n, self.ci_t * n, self.k)
+    }
+
+    fn params_mut(&mut self) -> &mut [f32] {
+        &mut self.weights
+    }
+
+    fn lowered(&self) -> Cow<'_, ConvWeights> {
+        let (n, (co, ci, k)) = (self.ring.n(), self.shape());
+        let mut w = ConvWeights::zeros(co, ci, k);
+        for (base, [cot, cit, ky, kx]) in self.taps() {
+            let g = self.ring.expand_weights_f32(&self.weights[base..base + n]);
+            for (at, g) in g.iter().enumerate() {
+                let idx = w.index(cot * n + at / n, cit * n + at % n, ky, kx);
+                w.data[idx] = *g;
+            }
+        }
+        Cow::Owned(w)
+    }
+
+    fn contract(&self, dw: &ConvWeights, grads: &mut [f32]) {
+        // Through the indexing-tensor terms.
+        let n = self.ring.n();
+        for (base, [cot, cit, ky, kx]) in self.taps() {
+            for t in self.ring.terms() {
+                let (i, k, j) = (t.i as usize, t.k as usize, t.j as usize);
+                let real = dw.data[dw.index(cot * n + i, cit * n + j, ky, kx)];
+                grads[base + k] += t.c * real;
+            }
+        }
+    }
+
+    fn mults_per_pixel(&self) -> f64 {
+        // Fast-algorithm real multiplications (eq. (12)): m per ring MAC.
+        (self.co_t * self.ci_t * self.k * self.k * self.ring.fast().m()) as f64
+    }
+
+    fn transform(&self, bias: &[f32]) -> Option<FastRingConv> {
+        let (ring, w) = (&self.ring, &self.weights);
+        Some(FastRingConv::new(
+            ring, w, self.ci_t, self.co_t, self.k, bias,
+        ))
+    }
+
+    fn tuple(&self) -> Option<(usize, bool)> {
+        Some((self.ring.n(), self.ring.is_diagonal()))
+    }
+}
 
 /// `K×K` ring convolution over `n`-tuple channels.
 ///
@@ -35,38 +111,7 @@ use std::sync::OnceLock;
 /// let x = Tensor::zeros(Shape4::new(1, 4, 6, 6));
 /// assert_eq!(rconv.forward(&x, false).shape().c, 8);
 /// ```
-pub struct RingConv2d {
-    ring: Ring,
-    ci_t: usize,
-    co_t: usize,
-    k: usize,
-    /// Ring weights, length `co_t·ci_t·k²·n`.
-    weights: Vec<f32>,
-    dweights: Vec<f32>,
-    /// Real bias (one per real output channel, i.e. the bias tuple
-    /// components laid out flat).
-    bias: Vec<f32>,
-    dbias: Vec<f32>,
-    cached_input: Option<T>,
-    /// Inference kernel selection; training always lowers naively.
-    backend: ConvBackend,
-    /// The one inference kernel, chosen from `backend`: built by the
-    /// first `forward_infer`, reset by every `&mut` path to the weights,
-    /// the bias or the backend.
-    kernel: OnceLock<RingKernel>,
-}
-
-/// The weight side of a ring convolution in the form each backend runs
-/// — a fact fixed once per weight set, like `Tg` in eq. (12).
-enum RingKernel {
-    /// The isomorphic real-weight expansion (eq. (4)), for the
-    /// reference kernel.
-    Naive(ConvWeights),
-    /// The streaming engine's plan of that expansion.
-    Engine(PackedWeights<f32>),
-    /// The transform-domain plan: weights already through `Tg`.
-    Transform(FastRingConv),
-}
+pub type RingConv2d = ConvLayer<RingLowering>;
 
 impl RingConv2d {
     /// Creates a He-initialized ring convolution.
@@ -93,276 +138,50 @@ impl RingConv2d {
         // Fan-in per real output channel of the expanded conv is ci·k²;
         // each ring weight appears in n expanded positions, so the same
         // He std applies directly to the ring components.
-        let std = he_std(ci * k * k);
-        let len = co_t * ci_t * k * k * n;
-        let init = T::random_normal(Shape4::new(1, 1, 1, len), std, seed);
-        Self {
+        Self::over(RingLowering {
+            weights: he_normal(co_t * ci_t * k * k * n, ci * k * k, seed),
             ring,
             ci_t,
             co_t,
             k,
-            weights: init.as_slice().to_vec(),
-            dweights: vec![0.0; len],
-            bias: vec![0.0; co],
-            dbias: vec![0.0; co],
-            cached_input: None,
-            backend: ConvBackend::Naive,
-            kernel: OnceLock::new(),
-        }
-    }
-
-    /// The kernel of the active backend, built on first use.
-    fn kernel(&self) -> &RingKernel {
-        self.kernel.get_or_init(|| match self.backend {
-            ConvBackend::Naive => RingKernel::Naive(self.expand_real_weights()),
-            ConvBackend::Im2col => RingKernel::Engine(self.expand_real_weights().packed()),
-            ConvBackend::Transform => RingKernel::Transform(FastRingConv::new(
-                &self.ring,
-                &self.weights,
-                self.ci_t,
-                self.co_t,
-                self.k,
-                &self.bias,
-            )),
         })
-    }
-
-    /// The active inference backend.
-    pub fn backend(&self) -> ConvBackend {
-        self.backend
-    }
-
-    /// Selects the inference kernel: naive isomorphic expansion, im2col
-    /// expansion, or the transform-domain [`FastRingConv`] engine.
-    /// Training forwards/backwards always use the naive lowering.
-    pub fn set_backend(&mut self, backend: ConvBackend) {
-        self.backend = backend;
-        self.kernel.take();
     }
 
     /// The ring algebra of this layer.
     pub fn ring(&self) -> &Ring {
-        &self.ring
-    }
-
-    /// Kernel size.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Real input channel count.
-    pub fn ci(&self) -> usize {
-        self.ci_t * self.ring.n()
-    }
-
-    /// Real output channel count.
-    pub fn co(&self) -> usize {
-        self.co_t * self.ring.n()
+        &self.lowering().ring
     }
 
     /// Tuple-channel counts `(ci_t, co_t)`.
     pub fn tuple_channels(&self) -> (usize, usize) {
-        (self.ci_t, self.co_t)
+        (self.lowering().ci_t, self.lowering().co_t)
     }
 
     /// Flat ring-weight access (`[co_t][ci_t][ky][kx][component]`).
     pub fn ring_weights(&self) -> &[f32] {
-        &self.weights
+        &self.lowering().weights
     }
 
     /// Mutable flat ring-weight access (resets the inference kernel).
     pub fn ring_weights_mut(&mut self) -> &mut [f32] {
-        self.kernel.take();
-        &mut self.weights
-    }
-
-    /// Bias (per real output channel).
-    pub fn bias(&self) -> &[f32] {
-        &self.bias
-    }
-
-    /// Mutable bias access (resets the inference kernel: the transform
-    /// plan carries the bias).
-    pub fn bias_mut(&mut self) -> &mut [f32] {
-        self.kernel.take();
-        &mut self.bias
-    }
-
-    /// Flat index of ring weight `(co_t, ci_t, ky, kx, component)`.
-    #[inline]
-    pub fn windex(&self, cot: usize, cit: usize, ky: usize, kx: usize, comp: usize) -> usize {
-        let n = self.ring.n();
-        ((((cot * self.ci_t) + cit) * self.k + ky) * self.k + kx) * n + comp
+        &mut self.lowering_mut().weights
     }
 
     /// Expands the ring weights onto the isomorphic real convolution
     /// weights (`co_t·n × ci_t·n × k × k`), eq. (4)/Fig. 5.
     pub fn expand_real_weights(&self) -> ConvWeights {
-        let n = self.ring.n();
-        let (ci, co) = (self.ci(), self.co());
-        let mut w = ConvWeights::zeros(co, ci, self.k);
-        let mut tuple = vec![0.0f32; n];
-        for cot in 0..self.co_t {
-            for cit in 0..self.ci_t {
-                for ky in 0..self.k {
-                    for kx in 0..self.k {
-                        let base = self.windex(cot, cit, ky, kx, 0);
-                        tuple.copy_from_slice(&self.weights[base..base + n]);
-                        let g = self.ring.expand_weights_f32(&tuple);
-                        for i in 0..n {
-                            for j in 0..n {
-                                let idx = w.index(cot * n + i, cit * n + j, ky, kx);
-                                w.data[idx] = g[i * n + j];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        w
-    }
-
-    /// Contracts a real weight gradient back onto ring components via the
-    /// indexing-tensor terms (the adjoint of [`Self::expand_real_weights`]).
-    fn contract_weight_grad(&mut self, dw: &ConvWeights) {
-        let n = self.ring.n();
-        let terms: Vec<_> = self.ring.terms().to_vec();
-        for cot in 0..self.co_t {
-            for cit in 0..self.ci_t {
-                for ky in 0..self.k {
-                    for kx in 0..self.k {
-                        let base = self.windex(cot, cit, ky, kx, 0);
-                        for t in &terms {
-                            let (i, k, j) = (t.i as usize, t.k as usize, t.j as usize);
-                            let real = dw.data[dw.index(cot * n + i, cit * n + j, ky, kx)];
-                            self.dweights[base + k] += t.c * real;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl Layer for RingConv2d {
-    fn name(&self) -> String {
-        format!(
-            "rconv{k}x{k}[{ring}]({ci}->{co})",
-            k = self.k,
-            ring = self.ring.kind(),
-            ci = self.ci(),
-            co = self.co()
-        )
-    }
-
-    fn forward_train(&mut self, input: &T) -> T {
-        assert_eq!(
-            input.shape().c,
-            self.ci(),
-            "channel mismatch in {}",
-            self.name()
-        );
-        // Training lowers onto the naive isomorphic expansion so the
-        // forward pass matches `backward` exactly; weights are about
-        // to change, so reset the inference kernel.
-        self.cached_input = Some(input.clone());
-        self.kernel.take();
-        conv2d_forward(input, &self.expand_real_weights(), &self.bias)
-    }
-
-    fn forward_infer(&self, input: &T) -> T {
-        assert_eq!(
-            input.shape().c,
-            self.ci(),
-            "channel mismatch in {}",
-            self.name()
-        );
-        match self.kernel() {
-            RingKernel::Naive(w) => conv2d_forward(input, w, &self.bias),
-            RingKernel::Engine(w) => conv2d_forward_packed(input, self.k, w, &self.bias, 1, [0; 4]),
-            RingKernel::Transform(plan) => plan.forward(input),
-        }
-    }
-
-    fn forward_tile(&self, input: &T, r: usize, tile: &mut TileHalo) -> Option<T> {
-        let mut cut = || tile.conv(self.k / 2, r);
-        match self.kernel() {
-            RingKernel::Engine(w) => Some(conv2d_forward_packed(
-                input,
-                self.k,
-                w,
-                &self.bias,
-                r,
-                cut(),
-            )),
-            RingKernel::Transform(plan) if r == 1 => Some(plan.forward_region(input, cut())),
-            _ => None,
-        }
-    }
-
-    fn prepare_inference(&mut self) {
-        self.kernel();
-    }
-
-    fn kernel_radius(&self) -> usize {
-        self.k / 2
-    }
-
-    fn backward(&mut self, dout: &T) -> T {
-        let input = self
-            .cached_input
-            .take()
-            .expect("backward without training forward");
-        let w = self.expand_real_weights();
-        let (dw, db) = conv2d_backward_weight(&input, dout, self.k);
-        self.contract_weight_grad(&dw);
-        for (acc, g) in self.dbias.iter_mut().zip(&db) {
-            *acc += g;
-        }
-        conv2d_backward_input(dout, &w)
-    }
-
-    fn visit_params(&mut self, visitor: &mut dyn FnMut(ParamGroup<'_>)) {
-        // Visitors (optimizers, quantizers) may mutate the parameters.
-        self.kernel.take();
-        visitor(ParamGroup {
-            values: &mut self.weights,
-            grads: &mut self.dweights,
-        });
-        visitor(ParamGroup {
-            values: &mut self.bias,
-            grads: &mut self.dbias,
-        });
-    }
-
-    fn mults_per_pixel(&self) -> f64 {
-        // Fast-algorithm real multiplications (eq. (12)): m per ring MAC.
-        (self.co_t * self.ci_t * self.k * self.k) as f64 * self.ring.fast().m() as f64
-    }
-
-    fn out_channels(&self, in_channels: usize) -> usize {
-        assert_eq!(
-            in_channels,
-            self.ci(),
-            "channel mismatch in {}",
-            self.name()
-        );
-        self.co()
-    }
-
-    fn set_conv_backend(&mut self, backend: ConvBackend) {
-        self.set_backend(backend);
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
+        self.lowering().lowered().into_owned()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::ConvBackend;
+    use crate::layer::input_gradient_and_fd;
+    use crate::layer::Layer;
     use ringcnn_algebra::ring::RingKind;
+    use ringcnn_tensor::tensor::Tensor as T;
 
     fn ringconv(kind: RingKind, ci: usize, co: usize) -> RingConv2d {
         RingConv2d::new(Ring::from_kind(kind), ci, co, 3, 11)
@@ -450,23 +269,8 @@ mod tests {
         let mut rc = ringconv(RingKind::Ri(4), 4, 4);
         let x = T::random_uniform(Shape4::new(1, 4, 3, 3), -1.0, 1.0, 8);
         let dout = T::random_uniform(Shape4::new(1, 4, 3, 3), -1.0, 1.0, 9);
-        let _ = rc.forward(&x, true);
-        let dx = rc.backward(&dout);
-        let eps = 1e-2f32;
-        let mut xp = x.clone();
-        *xp.at_mut(0, 2, 1, 1) += eps;
-        let mut xm = x.clone();
-        *xm.at_mut(0, 2, 1, 1) -= eps;
-        let f = |t: &T, rc: &mut RingConv2d| -> f32 {
-            rc.forward(t, false)
-                .as_slice()
-                .iter()
-                .zip(dout.as_slice())
-                .map(|(a, b)| a * b)
-                .sum()
-        };
-        let fd = (f(&xp, &mut rc) - f(&xm, &mut rc)) / (2.0 * eps);
-        assert!((fd - dx.at(0, 2, 1, 1)).abs() < 1e-2);
+        let (an, fd) = input_gradient_and_fd(&mut rc, (&x, &dout), [0, 2, 1, 1], 1e-2);
+        assert!((fd - an).abs() < 1e-2);
     }
 
     #[test]

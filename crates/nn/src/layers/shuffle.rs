@@ -8,15 +8,16 @@
 //! through a 4-D index per element.
 //!
 //! Behind a convolution on the streaming engine a [`PixelShuffle`] does
-//! not run at all: it answers [`Layer::pixel_shuffle_factor`], and
-//! `Sequential` has the convolution write each pixel where
-//! [`shuffle_into`] would copy it ([`Layer::forward_tile`]), bit for bit
-//! the tensor `apply` returns.
+//! not run at all: it answers [`Layer::pixel_shuffle_factor`], and the
+//! convolution's [`Layer::forward_step`] writes each pixel where
+//! [`shuffle_into`] would copy it, bit for bit the tensor `apply`
+//! returns.
 
 use crate::layer::Layer;
 use crate::runtime::TileHalo;
 use ringcnn_tensor::prelude::*;
 use ringcnn_tensor::tensor::Tensor as T;
+use std::borrow::Cow;
 
 /// Depth-to-space on a raw NCHW buffer: `src` of shape `s` into `dst` of
 /// shape `[n, c/r², h·r, w·r]`. The `r²` source planes of one output
@@ -120,15 +121,16 @@ impl Layer for PixelUnshuffle {
         Self::apply(input, self.r)
     }
 
-    fn forward_tile(&self, input: &T, _r: usize, tile: &mut TileHalo) -> Option<T> {
+    fn forward_step(&self, input: Cow<'_, T>, tile: &mut TileHalo, _: usize) -> (T, bool) {
         // A margin a convolution trimmed off the `r`-grid: drop the rows
         // and columns that fill no whole coarse pixel.
         let cut = tile.margin.map(|m| m % self.r);
-        (cut != [0; 4]).then(|| {
-            tile.leaf(0, (1, self.r));
-            let (s, data) = cropped(input.as_slice(), input.shape(), cut);
-            Self::apply(&T::from_vec(s, data), self.r)
-        })
+        tile.leaf(0, (1, self.r));
+        if cut == [0; 4] {
+            return (Self::apply(&input, self.r), false);
+        }
+        let (s, data) = cropped(input.as_slice(), input.shape(), cut);
+        (Self::apply(&T::from_vec(s, data), self.r), false)
     }
 
     fn backward(&mut self, dout: &T) -> T {

@@ -5,7 +5,7 @@
 //! inherits the per-tree methods (`visit_params`, `set_conv_backend`, …)
 //! as the trait's defaults over that hook.
 
-use crate::layer::{visit_tree_mut, Layer};
+use crate::layer::{forward_whole, visit_tree_mut, Layer};
 use crate::runtime::TileHalo;
 use ringcnn_tensor::tensor::Tensor as T;
 use std::borrow::Cow;
@@ -90,41 +90,26 @@ impl Layer for Sequential {
     }
 
     fn forward_infer(&self, input: &T) -> T {
-        let walked = self.forward_tile(input, 1, &mut TileHalo::whole());
-        walked.expect("a chain walks itself")
+        forward_whole(self, input)
     }
 
-    fn forward_tile(&self, input: &T, _r: usize, tile: &mut TileHalo) -> Option<T> {
-        // The first child reads the caller's tensor — only an empty
-        // chain (the identity) has to copy it — and every later child is
-        // handed the tensor the chain owns.
-        let mut x = Cow::Borrowed(input);
-        let mut layers = self.layers.iter();
+    fn forward_step(&self, input: Cow<'_, T>, tile: &mut TileHalo, _: usize) -> (T, bool) {
+        // The first child reads the chain's input as the chain got it —
+        // only an empty chain (the identity) has to copy a borrowed one —
+        // and every later child is handed the tensor the chain owns.
+        let mut x = input;
+        let mut layers = self.layers.iter().peekable();
         while let Some(l) = layers.next() {
             // `conv → pixel_shuffle` is one step where both layers say
             // so: the engine writes where the shuffle would copy to.
-            let next = layers.as_slice().first();
-            let r = next.and_then(|shuffle| shuffle.pixel_shuffle_factor());
-            let fuses = l.children().is_none() && l.spatial_scale() == (1, 1);
-            let fused = r
-                .filter(|_| fuses)
-                .and_then(|r| l.forward_tile(&x, r, tile));
-            if fused.is_some() {
+            let behind = layers.peek().and_then(|next| next.pixel_shuffle_factor());
+            let (y, absorbed) = l.forward_step(x, tile, behind.unwrap_or(1));
+            if absorbed {
                 layers.next();
             }
-            let answered = fused.or_else(|| l.forward_tile(&x, 1, tile));
-            x = Cow::Owned(match (answered, x) {
-                (Some(y), _) => y,
-                (None, x) => {
-                    tile.leaf(l.kernel_radius(), l.spatial_scale());
-                    match x {
-                        Cow::Borrowed(x) => l.forward_infer(x),
-                        Cow::Owned(x) => l.forward_infer_owned(x),
-                    }
-                }
-            });
+            x = Cow::Owned(y);
         }
-        Some(x.into_owned())
+        (x.into_owned(), false)
     }
 
     fn children(&self) -> Option<&[Box<dyn Layer>]> {
@@ -180,16 +165,15 @@ impl Layer for Residual {
     }
 
     fn forward_infer(&self, input: &T) -> T {
-        let walked = self.forward_tile(input, 1, &mut TileHalo::whole());
-        walked.expect("a chain walks itself")
+        forward_whole(self, input)
     }
 
-    fn forward_tile(&self, input: &T, _r: usize, tile: &mut TileHalo) -> Option<T> {
+    fn forward_step(&self, input: Cow<'_, T>, tile: &mut TileHalo, _: usize) -> (T, bool) {
         // The skip is added over the region the body still wrote.
         let [top, left, ..] = tile.margin;
-        let mut out = self.body.forward_tile(input, 1, tile)?;
-        out.add_window(input, top - tile.margin[0], left - tile.margin[1]);
-        Some(out)
+        let (mut out, _) = self.body.forward_step(Cow::Borrowed(&*input), tile, 1);
+        out.add_window(&input, top - tile.margin[0], left - tile.margin[1]);
+        (out, false)
     }
 
     // The skip path is pointwise, so the body's layers are all there is
@@ -222,6 +206,7 @@ impl Layer for Residual {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::input_gradient_and_fd;
     use crate::layers::activation::Relu;
     use crate::layers::conv::Conv2d;
     use ringcnn_tensor::prelude::*;
@@ -256,23 +241,8 @@ mod tests {
             .with(Box::new(Conv2d::new(3, 2, 3, 5)));
         let x = T::random_uniform(Shape4::new(1, 2, 4, 4), -1.0, 1.0, 10);
         let dout = T::random_uniform(Shape4::new(1, 2, 4, 4), -1.0, 1.0, 11);
-        let _ = m.forward(&x, true);
-        let dx = m.backward(&dout);
-        let eps = 1e-2f32;
-        let mut xp = x.clone();
-        *xp.at_mut(0, 0, 1, 1) += eps;
-        let mut xm = x.clone();
-        *xm.at_mut(0, 0, 1, 1) -= eps;
-        let f = |t: &T, m: &mut Sequential| -> f32 {
-            m.forward(t, false)
-                .as_slice()
-                .iter()
-                .zip(dout.as_slice())
-                .map(|(a, b)| a * b)
-                .sum()
-        };
-        let fd = (f(&xp, &mut m) - f(&xm, &mut m)) / (2.0 * eps);
-        assert!((fd - dx.at(0, 0, 1, 1)).abs() < 2e-2);
+        let (an, fd) = input_gradient_and_fd(&mut m, (&x, &dout), [0, 0, 1, 1], 1e-2);
+        assert!((fd - an).abs() < 2e-2);
     }
 
     #[test]

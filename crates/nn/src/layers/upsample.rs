@@ -5,7 +5,7 @@
 //! interpolation, which makes small-scale training start from the
 //! bicubic baseline instead of random output.
 
-use crate::layer::Layer;
+use crate::layer::{forward_whole, Layer};
 use crate::layers::shuffle::cropped;
 use crate::layers::structure::Sequential;
 use crate::runtime::TileHalo;
@@ -81,20 +81,24 @@ impl Layer for UpsampleResidual {
     }
 
     fn forward_infer(&self, input: &Tensor) -> Tensor {
-        let walked = self.forward_tile(input, 1, &mut TileHalo::whole());
-        walked.expect("a chain walks itself")
+        forward_whole(self, input)
     }
 
-    fn forward_tile(&self, input: &Tensor, _r: usize, tile: &mut TileHalo) -> Option<Tensor> {
+    fn forward_step(
+        &self,
+        input: Cow<'_, Tensor>,
+        tile: &mut TileHalo,
+        _: usize,
+    ) -> (Tensor, bool) {
         // The skip's own reach first, as `model_topology` adds it.
         tile.leaf(self.kernel_radius(), (1, 1));
         let [top, left, ..] = tile.margin.map(|m| m * self.factor);
-        let mut out = self.body.forward_tile(input, 1, tile)?;
+        let (mut out, _) = self.body.forward_step(Cow::Borrowed(&*input), tile, 1);
         let s = out.shape();
         let region = (top - tile.margin[0], left - tile.margin[1], s.h, s.w);
-        let (skip, y0, x0) = upsample_region(input, self.factor, region);
+        let (skip, y0, x0) = upsample_region(&input, self.factor, region);
         out.add_window(&skip, y0, x0);
-        Some(out)
+        (out, false)
     }
 
     fn children(&self) -> Option<&[Box<dyn Layer>]> {
@@ -130,23 +134,11 @@ impl Layer for UpsampleResidual {
     }
 }
 
-/// Scales the weights of a conv layer (real or ring) in place — used to
-/// give residual branches a near-identity initialization.
+/// Scales the weights of a conv layer (of any lowering) in place — used
+/// to give residual branches a near-identity initialization.
 pub fn scale_conv_weights(layer: &mut dyn Layer, factor: f32) {
-    if let Some(c) = layer
-        .as_any_mut()
-        .downcast_mut::<crate::layers::conv::Conv2d>()
-    {
-        for w in c.weights_mut().data.iter_mut() {
-            *w *= factor;
-        }
-    } else if let Some(rc) = layer
-        .as_any_mut()
-        .downcast_mut::<crate::layers::ring_conv::RingConv2d>()
-    {
-        for w in rc.ring_weights_mut().iter_mut() {
-            *w *= factor;
-        }
+    for w in layer.as_conv_mut().into_iter().flat_map(|c| c.params_mut()) {
+        *w *= factor;
     }
 }
 
@@ -154,6 +146,7 @@ pub fn scale_conv_weights(layer: &mut dyn Layer, factor: f32) {
 mod tests {
     use super::*;
     use crate::algebra_choice::Algebra;
+    use crate::layer::input_gradient_and_fd;
     use crate::layers::shuffle::PixelShuffle;
     use ringcnn_tensor::prelude::*;
 
@@ -183,27 +176,8 @@ mod tests {
         let mut m = UpsampleResidual::new(up4_body(), 4);
         let x = Tensor::random_uniform(Shape4::new(1, 1, 4, 4), 0.0, 1.0, 2);
         let dout = Tensor::random_uniform(Shape4::new(1, 1, 16, 16), -1.0, 1.0, 3);
-        let _ = m.forward(&x, true);
-        let dx = m.backward(&dout);
-        let eps = 1e-2f32;
-        let mut xp = x.clone();
-        *xp.at_mut(0, 0, 1, 2) += eps;
-        let mut xm = x.clone();
-        *xm.at_mut(0, 0, 1, 2) -= eps;
-        let f = |t: &Tensor, m: &mut UpsampleResidual| -> f32 {
-            m.forward(t, false)
-                .as_slice()
-                .iter()
-                .zip(dout.as_slice())
-                .map(|(a, b)| a * b)
-                .sum()
-        };
-        let fd = (f(&xp, &mut m) - f(&xm, &mut m)) / (2.0 * eps);
-        assert!(
-            (fd - dx.at(0, 0, 1, 2)).abs() < 3e-2,
-            "fd {fd} vs {}",
-            dx.at(0, 0, 1, 2)
-        );
+        let (an, fd) = input_gradient_and_fd(&mut m, (&x, &dout), [0, 0, 1, 2], 1e-2);
+        assert!((fd - an).abs() < 3e-2, "fd {fd} vs {an}");
     }
 
     #[test]
@@ -211,10 +185,8 @@ mod tests {
         let alg = Algebra::ri_fh(2);
         let mut conv = alg.conv(2, 2, 3, 4);
         scale_conv_weights(conv.as_mut(), 0.0);
-        let rc = conv
-            .as_any_mut()
-            .downcast_mut::<crate::layers::ring_conv::RingConv2d>()
-            .unwrap();
-        assert!(rc.ring_weights().iter().all(|w| *w == 0.0));
+        assert!(conv.name().starts_with("rconv3x3[RI2]"));
+        let weights = conv.as_conv_mut().expect("a convolution").params_mut();
+        assert!(weights.iter().all(|w| *w == 0.0));
     }
 }

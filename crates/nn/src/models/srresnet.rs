@@ -57,7 +57,7 @@ fn conv3x3(alg: &Algebra, cfg: &SrResNetConfig, ci: usize, co: usize, seed: u64)
         // layer is built directly (not through the algebra), so it inherits
         // the algebra's conv backend explicitly.
         let mut dw = Box::new(DepthwiseConv2d::new(ci, 3, seed));
-        crate::layer::Layer::set_conv_backend(dw.as_mut(), alg.conv_backend());
+        dw.set_backend(alg.conv_backend());
         Sequential::new()
             .with(dw)
             .with(alg.conv(ci, co, 1, seed.wrapping_add(500)))

@@ -29,6 +29,7 @@ use crate::layers::structure::Sequential;
 use rayon::prelude::*;
 use ringcnn_tensor::prelude::*;
 use ringcnn_tensor::tile::{tile_grid, Window};
+use std::borrow::Cow;
 
 /// Greatest common divisor (positive inputs).
 fn gcd(a: usize, b: usize) -> usize {
@@ -248,7 +249,7 @@ impl InferenceModel for Sequential {
     }
 
     fn forward_tile(&self, input: &Tensor, tile: &mut TileHalo) -> Tensor {
-        Layer::forward_tile(self, input, 1, tile).expect("a chain walks itself")
+        self.forward_step(Cow::Borrowed(input), tile, 1).0
     }
 
     fn out_channels(&self, in_channels: usize) -> usize {

@@ -37,8 +37,6 @@ use crate::qtensor::{expand_formats, group_max_abs, QTensor, QTensorOf, Store, B
 use ringcnn_algebra::transforms::{fwht_i64, fwht_planes};
 use ringcnn_nn::layer::Layer;
 use ringcnn_nn::layers::activation::{DirectionalReluLayer, Relu};
-use ringcnn_nn::layers::conv::Conv2d;
-use ringcnn_nn::layers::ring_conv::RingConv2d;
 use ringcnn_nn::layers::shuffle::{
     cropped, shuffle_into, unshuffle_into, PixelShuffle, PixelUnshuffle,
 };
@@ -507,8 +505,7 @@ impl QuantizedModel {
         // kernels, the integer weight tables — is built before the first
         // activation exists: the walk below allocates nothing that stays.
         Layer::prepare_inference(model);
-        let mut convs = VecDeque::new();
-        lower_weights(model.layers_mut(), &opts, &mut convs)?;
+        let mut convs = lower_weights(model, &opts)?;
         let x = Cow::Borrowed(calibration);
         let (layers, _out, _groups) =
             build_chain_grouped(model.layers_mut(), x, &opts, 1, &mut convs)?;
@@ -763,72 +760,50 @@ fn build_chain_grouped(
     mut cur_groups: usize,
     convs: &mut VecDeque<QConv>,
 ) -> Result<(Vec<QLayer>, Tensor, usize), CalibrationError> {
+    // Every leaf runs as the one step the float chain takes: in place on
+    // the tensor the walk gives up.
+    let step = |l: &dyn Layer, x| l.forward_step(x, &mut TileHalo::whole(), 1).0;
     let mut out = Vec::new();
     let mut i = 0usize;
     while i < layers.len() {
         // Peek: conv followed by a directional ReLU in on-the-fly mode
         // keeps its accumulator.
-        let next_is_drelu = layers
-            .get_mut(i + 1)
-            .map(|l| {
-                l.as_any_mut()
-                    .downcast_ref::<DirectionalReluLayer>()
-                    .is_some()
-            })
-            .unwrap_or(false);
+        let next = layers.get_mut(i + 1);
+        let next_is_drelu = next.is_some_and(|l| l.as_any_mut().is::<DirectionalReluLayer>());
         let keep_acc = next_is_drelu && opts.on_the_fly_drelu;
         let layer = layers[i].as_mut();
 
-        if let Some(conv) = layer.as_any_mut().downcast_mut::<Conv2d>() {
-            // A dense real conv combines all input channels: mixed
-            // per-channel formats must be aligned first.
-            let align = if cur_groups != 1 {
-                Some(fit_ctx(
-                    group_max_abs(&x, 1)[0],
-                    opts.feature_bits,
-                    "dense conv input alignment",
-                )?)
-            } else {
-                None
-            };
-            let y = conv.forward(&x, false);
-            let mut q = convs.pop_front().expect("one lowered conv per conv");
-            (q.requant, q.align_input) = (conv_requant(&y, 1, keep_acc, opts)?, align);
-            out.push(QLayer::Conv(q));
-            x = Cow::Owned(y);
-            // A real conv mixes all components; its output is one group
-            // whether or not the accumulator is kept full-precision.
-            cur_groups = 1;
-        } else if let Some(rconv) = layer.as_any_mut().downcast_mut::<RingConv2d>() {
-            let n = rconv.ring().n();
+        if let Some((n, diagonal)) = layer.as_conv_mut().and_then(|conv| conv.parts().0.tuple()) {
+            // The real field is the ring with `n = 1`: one group in, one
+            // group out, whether or not the accumulator is kept.
             let groups = if opts.component_wise { n } else { 1 };
             // A diagonal ring keeps components separate, so grouped input
             // formats of matching period stay consistent; anything else
-            // mixes components and needs alignment.
-            let compatible = cur_groups == 1 || (rconv.ring().is_diagonal() && cur_groups == n);
+            // mixes components in one accumulator and needs alignment.
+            let compatible = cur_groups == 1 || (diagonal && cur_groups == n);
             let align = if compatible {
                 None
             } else {
                 Some(fit_ctx(
                     group_max_abs(&x, 1)[0],
                     opts.feature_bits,
-                    "ring conv input alignment",
+                    "conv input alignment",
                 )?)
             };
-            let y = rconv.forward(&x, false);
+            let y = layer.forward_infer(&x);
             let mut q = convs.pop_front().expect("one lowered conv per conv");
             (q.requant, q.align_input) = (conv_requant(&y, groups, keep_acc, opts)?, align);
             out.push(QLayer::Conv(q));
             x = Cow::Owned(y);
             cur_groups = if keep_acc { 1 } else { groups };
-        } else if let Some(relu) = layer.as_any_mut().downcast_ref::<Relu>() {
-            x = Cow::Owned(relu.forward_infer_owned(x.into_owned()));
+        } else if layer.as_any_mut().is::<Relu>() {
+            x = Cow::Owned(step(layer, x));
             out.push(QLayer::Relu);
         } else if let Some(dr) = layer.as_any_mut().downcast_mut::<DirectionalReluLayer>() {
             let n = dr.n();
             // The post-first-transform range, taken before `x` is given up.
             let mid_max = (!opts.on_the_fly_drelu).then(|| hadamard_intermediate_max(&x, n));
-            let y = dr.forward_infer_owned(x.into_owned());
+            let y = step(dr, x);
             let groups = if opts.component_wise { n } else { 1 };
             let out_formats: Vec<QFormat> = group_max_abs(&y, groups)
                 .iter()
@@ -850,12 +825,12 @@ fn build_chain_grouped(
         } else if let Some(ps) = layer.as_any_mut().downcast_mut::<PixelShuffle>() {
             let r = ps.spatial_scale().0;
             out.push(QLayer::Shuffle(r));
-            x = Cow::Owned(ps.forward(&x, false));
+            x = Cow::Owned(step(ps, x));
             cur_groups = if cur_groups == 1 { 1 } else { UNGROUPED };
         } else if let Some(pu) = layer.as_any_mut().downcast_mut::<PixelUnshuffle>() {
             let r = pu.spatial_scale().1;
             out.push(QLayer::Unshuffle(r));
-            x = Cow::Owned(pu.forward(&x, false));
+            x = Cow::Owned(step(pu, x));
             cur_groups = if cur_groups == 1 { 1 } else { UNGROUPED };
         } else if let Some(ur) = layer.as_any_mut().downcast_mut::<UpsampleResidual>() {
             let factor = ur.factor();
@@ -902,57 +877,44 @@ fn build_chain_grouped(
 }
 
 /// Lowers what the weights alone decide — the integer weight table, its
-/// format, the bias — of every convolution of `layers`, in the order
-/// [`build_chain_grouped`] meets them, before calibration runs an
-/// activation. The tables outlive the activations by the life of the
-/// model; allocated among them, one that lands above a transient tensor
-/// pins the heap there and megabytes of holes stay resident below it
+/// format, the bias — of every ring or real convolution of `model`, in
+/// the order [`build_chain_grouped`] meets them (the leaf walk is the
+/// execution order), before calibration runs an activation. The tables
+/// outlive the activations by the life of the model; allocated among
+/// them, one that lands above a transient tensor pins the heap there and
+/// megabytes of holes stay resident below it
 /// (`frame_dn_ri4fh_q8/peak_rss_mb` read 11.3 or 14.6 MiB by that luck).
 fn lower_weights(
-    layers: &mut [Box<dyn Layer>],
+    model: &mut Sequential,
     opts: &QuantOptions,
-    convs: &mut VecDeque<QConv>,
-) -> Result<(), CalibrationError> {
-    for layer in layers {
-        let layer = layer.as_any_mut();
-        if let Some(conv) = layer.downcast_mut::<Conv2d>() {
-            let (weights, shape) = (&conv.weights().data, (conv.co(), conv.ci(), conv.k()));
-            convs.push_back(lower_conv(weights, shape, conv.bias(), opts)?);
-        } else if let Some(rconv) = layer.downcast_mut::<RingConv2d>() {
-            let (weights, shape) = (
-                rconv.expand_real_weights().data,
-                (rconv.co(), rconv.ci(), rconv.k()),
-            );
-            convs.push_back(lower_conv(&weights, shape, rconv.bias(), opts)?);
-        } else if let Some(ur) = layer.downcast_mut::<UpsampleResidual>() {
-            lower_weights(ur.body_mut().layers_mut(), opts, convs)?;
-        } else if let Some(res) = layer.downcast_mut::<Residual>() {
-            lower_weights(res.body_mut().layers_mut(), opts, convs)?;
-        }
-    }
-    Ok(())
+) -> Result<VecDeque<QConv>, CalibrationError> {
+    let mut convs = Vec::new();
+    model.for_each_layer_mut(&mut |layer| {
+        let conv = layer.as_conv_mut().map(|conv| conv.parts());
+        let ring = conv.filter(|(lowering, _)| lowering.tuple().is_some());
+        convs.extend(ring.map(|(lowering, bias)| lower_conv(&lowering.lowered(), bias, opts)));
+    });
+    convs.into_iter().collect()
 }
 
 /// One convolution's weights, lowered: no output requantization and no
 /// input alignment yet (the activation walk decides both).
 fn lower_conv(
-    float_weights: &[f32],
-    (co, ci, k): (usize, usize, usize),
+    float_weights: &ConvWeights,
     bias: &[f32],
     opts: &QuantOptions,
 ) -> Result<QConv, CalibrationError> {
-    let wmax = float_weights
-        .iter()
-        .fold(0.0f64, |m, v| m.max(f64::from(v.abs())));
+    let ConvWeights { co, ci, k, data } = float_weights;
+    let wmax = data.iter().fold(0.0f64, |m, v| m.max(f64::from(v.abs())));
     let w_format = fit_ctx(wmax, opts.weight_bits, "conv weights")?;
-    let weights: Vec<i64> = float_weights
+    let weights: Vec<i64> = data
         .iter()
         .map(|v| w_format.quantize(f64::from(*v)))
         .collect();
     Ok(QConv {
-        co,
-        ci,
-        k,
+        co: *co,
+        ci: *ci,
+        k: *k,
         weights,
         w_format,
         // Bias is stored as raw f64 bits because its fixed-point scale

@@ -11,12 +11,15 @@
 
 use proptest::prelude::*;
 use ringcnn::prelude::*;
+use ringcnn_nn::layers::conv::{ConvLayer, Lowering};
 use ringcnn_nn::layers::shuffle::cropped;
 use ringcnn_nn::models::ernet::{dn_ernet_pu, ErNetConfig};
 use ringcnn_nn::models::ffdnet::ffdnet;
 use ringcnn_nn::models::srresnet::{srresnet, SrResNetConfig};
 use ringcnn_nn::models::vdsr::vdsr;
 use ringcnn_tensor::gemm;
+use std::borrow::Cow;
+
 use ringcnn_tensor::prelude::{
     conv2d_backward_input, conv2d_backward_weight, conv2d_forward, conv2d_forward_im2col,
     forced_kernel_scope, im2col_pack, ConvWeights, KernelBackend,
@@ -371,7 +374,10 @@ fn assert_plans_follow<L: Layer>(
         mutate(&mut fresh, x);
         fresh.prepare_inference();
         let want = fresh.forward_infer(x);
-        assert_ne!(before, want, "{what}/{name}: the mutation changed nothing");
+        // (Another backend may well round to the same bits.)
+        if *name != "set_backend" {
+            assert_ne!(before, want, "{what}/{name}: the mutation changed nothing");
+        }
         assert_eq!(unprepared, want, "{what}/{name}: stale kernel");
         assert_eq!(reused, want, "{what}/{name}: the rebuilt kernel, reused");
         assert_eq!(
@@ -381,71 +387,70 @@ fn assert_plans_follow<L: Layer>(
     }
 }
 
-/// Every path that can change a conv layer's parameters resets the
-/// kernel cell (the streaming engine's `PackedWeights`, the depthwise
-/// lowering, the transform plan).
-#[test]
-fn cached_weight_plans_follow_every_parameter_mutation() {
+/// [`assert_plans_follow`] for one convolution type on one backend: the
+/// `&mut` paths every lowering shares — the type-erased parameter view,
+/// the bias, the parameter visitor, a training step, the backend switch
+/// (to the next backend: the kernel must follow, not just reset) — and
+/// the ones only this type has.
+fn assert_conv_plans_follow<L: Lowering>(
+    what: &str,
+    backend: ConvBackend,
+    new: &dyn Fn() -> ConvLayer<L>,
+    own: &[Mutation<'_, ConvLayer<L>>],
+) {
     let x = Tensor::random_uniform(Shape4::new(1, 8, 7, 6), -1.0, 1.0, 77);
-
-    let conv = || {
-        let mut c = Conv2d::new(8, 8, 3, 5);
-        c.set_backend(ConvBackend::Im2col);
+    let all = ConvBackend::all();
+    let next = all[(all.iter().position(|b| *b == backend).unwrap() + 1) % all.len()];
+    let shared: [Mutation<'_, ConvLayer<L>>; 5] = [
+        ("params_mut", &|c, _| {
+            c.as_conv_mut().expect("a convolution").params_mut()[3] += 0.5
+        }),
+        ("bias_mut", &|c, _| c.bias_mut()[1] += 0.25),
+        ("visit_params", &|c, _| {
+            c.visit_params(&mut |g| g.values[0] += 0.5)
+        }),
+        ("training step", &|c, x| training_step(c, x)),
+        ("set_backend", &|c, _| c.set_backend(next)),
+    ];
+    let build = || {
+        let mut c = new();
+        c.set_backend(backend);
         c
     };
-    assert_plans_follow(
-        "Conv2d",
-        &conv,
-        &x,
-        &[
-            ("weights_mut", &|c, _| c.weights_mut().data[3] += 0.5),
-            ("bias_mut", &|c, _| c.bias_mut()[1] += 0.25),
-            ("visit_params", &|c, _| {
-                c.visit_params(&mut |g| g.values[0] += 0.5)
-            }),
-            ("set_mask", &|c, _| {
-                let n = c.weights().len();
-                c.set_mask((0..n).map(|i| (i % 3 != 0) as u8 as f32).collect());
-            }),
-            ("training step", &|c, x| training_step(c, x)),
-        ],
-    );
+    let what = format!("{what}/{backend}");
+    assert_plans_follow(&what, &build, &x, &[&shared[..], own].concat());
+}
 
-    let depthwise = || {
-        let mut d = DepthwiseConv2d::new(8, 3, 6);
-        d.set_conv_backend(ConvBackend::Im2col);
-        d
-    };
-    assert_plans_follow(
-        "DepthwiseConv2d",
-        &depthwise,
-        &x,
-        &[
-            ("visit_params", &|d, _| {
-                d.visit_params(&mut |g| g.values[0] += 0.5)
-            }),
-            ("training step", &|d, x| training_step(d, x)),
-        ],
-    );
-
+/// Every path that can change what a conv layer's kernel is derived
+/// from resets the one kernel cell (the naive lowering, the streaming
+/// engine's `PackedWeights`, the transform plan): the three lowerings ×
+/// every `&mut` path × every backend.
+#[test]
+fn cached_weight_plans_follow_every_parameter_mutation() {
     for backend in ConvBackend::all() {
-        let ring_conv = || {
-            let mut r = RingConv2d::new(Ring::from_kind(RingKind::Rh(4)), 8, 8, 3, 7);
-            r.set_backend(backend);
-            r
-        };
-        assert_plans_follow(
-            &format!("RingConv2d/{backend}"),
-            &ring_conv,
-            &x,
+        assert_conv_plans_follow(
+            "Conv2d",
+            backend,
+            &|| Conv2d::new(8, 8, 3, 5),
             &[
-                ("ring_weights_mut", &|r, _| r.ring_weights_mut()[3] += 0.5),
-                ("bias_mut", &|r, _| r.bias_mut()[1] += 0.25),
-                ("visit_params", &|r, _| {
-                    r.visit_params(&mut |g| g.values[0] += 0.5)
+                ("weights_mut", &|c, _| c.weights_mut().data[3] += 0.5),
+                ("set_mask", &|c, _| {
+                    let n = c.weights().len();
+                    c.set_mask((0..n).map(|i| (i % 3 != 0) as u8 as f32).collect());
                 }),
-                ("training step", &|r, x| training_step(r, x)),
             ],
+        );
+        assert_conv_plans_follow(
+            "DepthwiseConv2d",
+            backend,
+            &|| DepthwiseConv2d::new(8, 3, 6),
+            &[],
+        );
+        assert_conv_plans_follow(
+            "RingConv2d",
+            backend,
+            &|| RingConv2d::new(Ring::from_kind(RingKind::Rh(4)), 8, 8, 3, 7),
+            &[("ring_weights_mut", &|r, _| r.ring_weights_mut()[3] += 0.5)],
         );
     }
 }
@@ -512,11 +517,11 @@ fn forward_without_train_is_forward_infer_for_every_layer_type() {
 }
 
 // ---------------------------------------------------------------------
-// The float chain owns its activations: the shortcuts a container may
-// take (`forward_infer_owned`, `forward_tile` with
-// `pixel_shuffle_factor`) against the plain leaf-by-leaf chain, bit for
-// bit. CI runs this file at pools 1 and 4 (`thread-sanity`), at the
-// runner's own size, and with each kernel tier pinned (`kernel-tiers`).
+// The float chain owns its activations: the one chain step
+// (`forward_step`, with `pixel_shuffle_factor`) against the plain
+// leaf-by-leaf chain, bit for bit. CI runs this file at pools 1 and 4
+// (`thread-sanity`), at the runner's own size, and with each kernel tier
+// pinned (`kernel-tiers`).
 // ---------------------------------------------------------------------
 
 fn bits(t: &Tensor) -> Vec<u32> {
@@ -536,27 +541,43 @@ fn special_features(s: Shape4, seed: u64) -> Tensor {
     t
 }
 
-/// An element-wise layer handed the tensor answers with the bits it
-/// answers a view of it with — there is one body, and `forward_infer`
-/// is that body on a copy.
+/// The one chain step answers an activation it is handed with the bits
+/// it answers a view of it with, and those are `forward_infer`'s — for
+/// every layer type on every backend, and for the element-wise layers
+/// (the ones that work in place on what they are given) over every tuple
+/// size and plane shape; a borrowed input is never written.
 #[test]
 fn owned_forward_is_the_borrowing_forward_bit_for_bit() {
-    let layers: Vec<(Box<dyn Layer>, usize)> = vec![
-        (Box::new(Relu::new()), 3),
-        (Box::new(DirectionalReluLayer::fh(2)), 4),
-        (Box::new(DirectionalReluLayer::fh(4)), 8),
-        (Box::new(DirectionalReluLayer::fh(8)), 8),
-        (Box::new(DirectionalReluLayer::fo4()), 8),
-    ];
-    for (layer, channels) in layers {
-        for (h, w) in [(1, 1), (1, 7), (37, 31)] {
-            let x = special_features(Shape4::new(2, channels, h, w), 5 + w as u64);
-            let kept = x.clone();
-            let borrowed = layer.forward_infer(&x);
-            assert_eq!(bits(&x), bits(&kept), "{}: wrote its input", layer.name());
-            let owned = layer.forward_infer_owned(x);
-            assert_eq!(bits(&owned), bits(&borrowed), "{} {h}x{w}", layer.name());
+    let mut layers = Vec::new();
+    for backend in ConvBackend::all() {
+        for (mut layer, shape) in every_layer_type() {
+            layer.set_conv_backend(backend);
+            layers.push((layer, shape));
         }
+    }
+    for (h, w) in [(1, 1), (1, 7), (37, 31)] {
+        let elementwise: [(Box<dyn Layer>, usize); 5] = [
+            (Box::new(Relu::new()), 3),
+            (Box::new(DirectionalReluLayer::fh(2)), 4),
+            (Box::new(DirectionalReluLayer::fh(4)), 8),
+            (Box::new(DirectionalReluLayer::fh(8)), 8),
+            (Box::new(DirectionalReluLayer::fo4()), 8),
+        ];
+        layers.extend(elementwise.map(|(layer, c)| (layer, Shape4::new(2, c, h, w))));
+    }
+    for (layer, shape) in layers {
+        let what = format!("{} on {shape}", layer.name());
+        let x = special_features(shape, 5 + shape.w as u64);
+        let kept = x.clone();
+        let want = layer.forward_infer(&x);
+        let whole = &mut TileHalo::whole();
+        let (borrowed, absorbed) = layer.forward_step(Cow::Borrowed(&x), whole, 1);
+        assert!(!absorbed, "{what}: no shuffle to absorb");
+        assert_eq!(bits(&x), bits(&kept), "{what}: wrote its input");
+        assert_eq!(bits(&borrowed), bits(&want), "{what}: borrowed");
+        let (owned, _) = layer.forward_step(Cow::Owned(x), whole, 1);
+        assert_eq!(bits(&owned), bits(&want), "{what}: owned");
+        assert_eq!(*whole, TileHalo::whole(), "{what}: nothing to cut");
     }
 }
 
@@ -569,8 +590,9 @@ const SHUFFLE_PLANES: [(usize, usize); 5] = [(5, 1), (3, 7), (2, 16), (5, 37), (
 type ConvBuilder = Box<dyn Fn(ConvBackend) -> Box<dyn Layer>>;
 
 /// The convolutions in front of a shuffle of factor `r` — label, input
-/// channels, builder: the real one and ring ones over RI2/RI4/RI8 and
-/// RH4, each with a multiple of `r²` (and of `n`) output channels.
+/// channels, builder: the real one, the depth-wise one and ring ones
+/// over RI2/RI4/RI8 and RH4, each with a multiple of `r²` (and of `n`)
+/// output channels.
 fn convs_before_a_shuffle(r: usize) -> Vec<(String, usize, ConvBuilder)> {
     let real: ConvBuilder = Box::new(move |backend| {
         let mut c = Conv2d::new(3, 2 * r * r, 3, 21);
@@ -578,7 +600,16 @@ fn convs_before_a_shuffle(r: usize) -> Vec<(String, usize, ConvBuilder)> {
         c.set_backend(backend);
         Box::new(c)
     });
-    let mut convs = vec![("Conv2d".to_string(), 3, real)];
+    let depthwise: ConvBuilder = Box::new(move |backend| {
+        let mut c = DepthwiseConv2d::new(2 * r * r, 3, 24);
+        c.bias_mut().iter_mut().for_each(|b| *b = 0.375);
+        c.set_backend(backend);
+        Box::new(c)
+    });
+    let mut convs = vec![
+        ("Conv2d".to_string(), 3, real),
+        ("DepthwiseConv2d".to_string(), 2 * r * r, depthwise),
+    ];
     for kind in [
         RingKind::Ri(2),
         RingKind::Ri(4),
@@ -598,19 +629,23 @@ fn convs_before_a_shuffle(r: usize) -> Vec<(String, usize, ConvBuilder)> {
 }
 
 /// `conv → pixel_shuffle` run as one step equals the shuffle of the
-/// conv's output bit for bit — fused where the conv runs the engine
-/// kernel (`Conv2d` off `Naive`, `RingConv2d` on `Im2col`), through the
-/// default everywhere else — for r ∈ {2, 3, 4}, batch 2, every plane of
-/// `SHUFFLE_PLANES`, on both kernel tiers; and inside a tile the same
-/// step writes exactly the pixels of it the rest of the chain reads.
+/// conv's output bit for bit — absorbed where the conv runs the engine
+/// kernel (`Conv2d` and `DepthwiseConv2d` off `Naive`, `RingConv2d` on
+/// `Im2col`), left to the chain everywhere else — for r ∈ {2, 3, 4},
+/// batch 2, every plane of `SHUFFLE_PLANES`, on both kernel tiers; and
+/// inside a tile the same step writes exactly the pixels of it the rest
+/// of the chain reads (the engine through the shuffle, the transform
+/// kernel in front of it, the naive one carrying its halo).
 #[test]
 fn fused_pixel_shuffle_is_the_shuffle_of_the_conv_output_bit_for_bit() {
     for r in [2usize, 3, 4] {
         for (label, ci, build) in convs_before_a_shuffle(r) {
             for backend in ConvBackend::all() {
-                let engine = match (label.as_str(), backend) {
-                    ("Conv2d", b) => b != ConvBackend::Naive,
-                    (_, b) => b == ConvBackend::Im2col,
+                let ring = label.starts_with("RingConv2d");
+                let engine = match backend {
+                    ConvBackend::Naive => false,
+                    ConvBackend::Im2col => true,
+                    ConvBackend::Transform => !ring,
                 };
                 let conv = build(backend);
                 let chain = Sequential::new()
@@ -621,27 +656,30 @@ fn fused_pixel_shuffle_is_the_shuffle_of_the_conv_output_bit_for_bit() {
                         let what = format!("{label} on {backend}, r={r}, {h}x{w}, {tier:?}");
                         let x = Tensor::random_uniform(Shape4::new(2, ci, h, w), -1.0, 1.0, 23);
                         forced_kernel_scope(tier, || {
-                            let want = PixelShuffle::apply(&conv.forward_infer(&x), r);
-                            let hook = conv.forward_tile(&x, r, &mut TileHalo::whole());
-                            assert_eq!(hook.is_some(), engine, "{what}: who fuses");
-                            if let Some(fused) = hook {
-                                assert_eq!(fused.shape(), want.shape(), "{what}");
-                                assert_eq!(bits(&fused), bits(&want), "{what}: hook");
-                            }
+                            let plain = conv.forward_infer(&x);
+                            let want = PixelShuffle::apply(&plain, r);
+                            let whole = &mut TileHalo::whole();
+                            let (step, absorbed) = conv.forward_step(Cow::Borrowed(&x), whole, r);
+                            assert_eq!(absorbed, engine, "{what}: who absorbs");
+                            let stepped = if absorbed { &want } else { &plain };
+                            assert_eq!(step.shape(), stepped.shape(), "{what}");
+                            assert_eq!(bits(&step), bits(stepped), "{what}: step");
                             // A halo of 2 less the conv's 1: one pixel
                             // kept where there are more, all of a
                             // frame-clipped side.
-                            let mut tile = TileHalo::new([2, 0, 1, 3], 2);
-                            let trimmed = (h >= 3 && w >= 4)
-                                .then(|| conv.forward_tile(&x, r, &mut tile))
-                                .flatten();
-                            if let Some(trimmed) = trimmed {
-                                assert_eq!(tile.margin, [r, 0, r, r], "{what}: margins");
-                                let (ws, cut) = (want.shape(), [r, 0, 0, 2 * r]);
-                                let (_, kept) = cropped(want.as_slice(), ws, cut);
-                                let got: Vec<u32> = bits(&trimmed);
+                            if h >= 3 && w >= 4 {
+                                let mut tile = TileHalo::new([2, 0, 1, 3], 2);
+                                let (trimmed, _) =
+                                    conv.forward_step(Cow::Borrowed(&x), &mut tile, r);
+                                let (margin, cut) = match (engine, backend) {
+                                    (true, _) => ([r, 0, r, r], [r, 0, 0, 2 * r]),
+                                    (false, ConvBackend::Naive) => ([2, 0, 1, 3], [0; 4]),
+                                    (false, _) => ([1, 0, 1, 1], [1, 0, 0, 2]),
+                                };
+                                assert_eq!(tile.margin, margin, "{what}: margins");
+                                let (_, kept) = cropped(stepped.as_slice(), stepped.shape(), cut);
                                 let kept: Vec<u32> = kept.iter().map(|v| v.to_bits()).collect();
-                                assert_eq!(got, kept, "{what}: trimmed");
+                                assert_eq!(bits(&trimmed), kept, "{what}: trimmed");
                             }
                             let got = chain.forward_infer(&x);
                             assert_eq!(got.shape(), want.shape(), "{what}");

@@ -90,7 +90,9 @@ fn docs_relative_links_all_resolve() {
 }
 
 /// PR 16 deleted the file-by-file load path of the registry and the
-/// non-Linux poller; no document may still send a reader to them.
+/// non-Linux poller, PR 21 and PR 23 the three ways to run a layer
+/// inside a chain and the per-type kernel cells of the conv layers; no
+/// document may still send a reader to them.
 #[test]
 fn docs_name_no_deleted_identifier() {
     let mut files = markdown_docs();
@@ -103,6 +105,14 @@ fn docs_name_no_deleted_identifier() {
             "load_path",
             "watch_dir",
             "poll/portable",
+            "forward_infer_shuffled",
+            "forward_infer_owned",
+            "Layer::forward_tile",
+            "DepthwiseKernel",
+            "RingKernel",
+            "block_diagonal_weights",
+            "contract_weight_grad",
+            "windex",
         ] {
             assert!(
                 !text.contains(gone),

@@ -502,6 +502,27 @@ const SUITE_GOLDEN_AVX2: SuiteGolden = [
     ("hd30/sr4/(RH4, fcw)", [0x6a4517933569ca8b, 0x928ab8659b6e2d13, 0x7bafe41700713e24, 0x868451225061f725]),
 ];
 
+/// The depth-wise baseline is the one convolution layer under another
+/// weight lowering: inside a tile it trims its halo and fuses a following
+/// shuffle like the other two, and the Fig. 1 DWC model stitches bit for
+/// bit on every backend — on the tier this process runs (a forced scope
+/// does not reach the pool's threads; CI pins each tier in turn).
+#[test]
+fn depthwise_srresnet_tiles_equal_the_whole_image_on_every_backend() {
+    use ringcnn_nn::models::srresnet::{srresnet, SrResNetConfig};
+    let cfg = SrResNetConfig::tiny()
+        .with_blocks(1)
+        .with_channels(8)
+        .with_depthwise();
+    for alg in [Algebra::real(), Algebra::ri_fh(4)] {
+        for backend in ConvBackend::all() {
+            let mut model = srresnet(&alg.clone().with_backend(backend), cfg, 1, 61);
+            let ctx = format!("dwc srresnet over {} on {backend}", alg.label());
+            stitched_3x3(BatchRunner::new(&mut model), &ctx);
+        }
+    }
+}
+
 /// `(batch, h, w, core)` of a frame and the cores it is cut into.
 type Geometry = (usize, usize, usize, usize);
 

@@ -612,16 +612,51 @@ fn loadgen_round_trips_with_zero_errors() {
 
 // --- Fleet scheduling ------------------------------------------------------
 
+/// An identity layer that holds whichever worker runs it at two
+/// barriers the test waits at too: the first says the worker is inside,
+/// the second lets it go.
+#[derive(Clone)]
+struct Gate(Arc<[std::sync::Barrier; 2]>);
+
+impl Layer for Gate {
+    fn name(&self) -> String {
+        "gate".into()
+    }
+
+    fn forward_infer(&self, input: &Tensor) -> Tensor {
+        self.0[0].wait();
+        self.0[1].wait();
+        input.clone()
+    }
+
+    fn backward(&mut self, dout: &Tensor) -> Tensor {
+        dout.clone()
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
 #[test]
 fn weighted_fair_lets_a_weighted_model_jump_a_hot_backlog() {
-    // One worker, one-request batches: while a long "plug" request keeps
-    // the worker busy, enqueue six hot-model requests and then two
-    // requests for a weight-4 model. Weighted fair scheduling must serve
-    // the weighted model ahead of most of the backlog (in plain arrival
-    // order the two late arrivals would drain dead last).
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    // One worker, one-request batches: while a "plug" request holds the
+    // worker inside a gated model, enqueue six hot-model requests and
+    // then two requests for a weight-4 model, then open the gate.
+    // Weighted fair scheduling must serve the weighted model ahead of
+    // most of the backlog (in plain arrival order the two late arrivals
+    // would drain dead last). Nothing here is timed: the worker cannot
+    // leave the gate before the backlog stands, and the dequeue order is
+    // read off what the service reports for each request.
+    let registry = smoke_registry();
+    let gate = Gate(Arc::new([2, 2].map(std::sync::Barrier::new)));
+    let plug_model = Sequential::new().with(Box::new(gate.clone()));
+    let real = AlgebraSpec::of(&Algebra::real());
+    registry
+        .register("plug", ffdnet_spec(), real, plug_model)
+        .unwrap();
     let sched = Scheduler::start(
-        smoke_registry(),
+        registry,
         SchedulerConfig {
             workers: 1,
             max_batch: 1,
@@ -633,76 +668,43 @@ fn weighted_fair_lets_a_weighted_model_jump_a_hot_backlog() {
     .expect("scheduler starts");
     sched.set_model_weight("ffdnet_real", 1);
     sched.set_model_weight("vdsr_rh4", 4);
-    // Plug: large enough that all eight submissions land while the
-    // worker is still chewing on it.
-    let plug = sched
-        .submit(
-            "ffdnet_real",
-            Tensor::random_uniform(Shape4::new(1, 1, 96, 96), 0.0, 1.0, 40),
-            Precision::Fp64,
-        )
-        .unwrap();
-    // Wait until the worker has actually taken the plug off the queue.
-    let t0 = Instant::now();
-    while sched.queue_len() > 0 {
-        assert!(t0.elapsed() < Duration::from_secs(10), "plug never started");
-        std::thread::yield_now();
-    }
-    let hot: Vec<_> = (0..6)
-        .map(|i| {
-            sched
-                .submit(
-                    "ffdnet_real",
-                    Tensor::random_uniform(Shape4::new(1, 1, 32, 32), 0.0, 1.0, 50 + i),
-                    Precision::Fp64,
-                )
-                .unwrap()
-        })
-        .collect();
-    let cold: Vec<_> = (0..2)
-        .map(|i| {
-            sched
-                .submit(
-                    "vdsr_rh4",
-                    Tensor::random_uniform(Shape4::new(1, 1, 32, 32), 0.0, 1.0, 60 + i),
-                    Precision::Fp64,
-                )
-                .unwrap()
-        })
-        .collect();
+    let frame = |seed| Tensor::random_uniform(Shape4::new(1, 1, 32, 32), 0.0, 1.0, seed);
+    let plug = sched.submit("plug", frame(40), Precision::Fp64).unwrap();
+    gate.0[0].wait();
 
-    let order = AtomicUsize::new(0);
-    let mut cold_orders = Vec::new();
-    std::thread::scope(|scope| {
-        let mut cold_handles = Vec::new();
-        for p in cold {
-            cold_handles.push(scope.spawn(|| {
-                p.wait().unwrap();
-                order.fetch_add(1, Ordering::SeqCst)
-            }));
-        }
-        for p in hot {
-            scope.spawn(|| {
-                p.wait().unwrap();
-                order.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        plug.wait().unwrap();
-        for h in cold_handles {
-            cold_orders.push(h.join().unwrap());
-        }
-    });
-    // Deterministic dequeue order is hot, cold, cold, hot×5 (the weight-4
-    // queue advances its virtual time by 1/4 per take). Allow generous
-    // slack for thread wake-up jitter: both weighted requests must finish
-    // ahead of the backlog's tail, never in the last two slots.
-    for o in &cold_orders {
-        assert!(
-            *o < 6,
-            "weight-4 model finished at position {o} of 8 — weighted \
-             fairness is not jumping the hot backlog (orders {cold_orders:?})"
-        );
-    }
+    // Submission order: hot×6, cold×2, each with the instant it was
+    // submitted at.
+    let backlog: Vec<_> = (0..8u64)
+        .map(|i| {
+            let model = if i < 6 { "ffdnet_real" } else { "vdsr_rh4" };
+            let (input, at) = (frame(50 + i), Instant::now());
+            (at, sched.submit(model, input, Precision::Fp64).unwrap())
+        })
+        .collect();
+    assert_eq!(sched.queue_len(), 8, "the worker is held in the plug");
+    gate.0[1].wait();
+    plug.wait().unwrap();
+
+    // A request left the queue `queue_ms` after it was admitted.
+    let mut dequeued: Vec<_> = backlog
+        .into_iter()
+        .enumerate()
+        .map(|(i, (at, pending))| {
+            let out = pending.wait().unwrap();
+            assert!(out.queue_ms <= out.total_ms, "request {i}: {out:?}");
+            (at + Duration::from_secs_f64(out.queue_ms / 1e3), i)
+        })
+        .collect();
+    dequeued.sort();
+    let order: Vec<usize> = dequeued.into_iter().map(|(_, i)| i).collect();
+    // All three queues stand at the plug's virtual time; the oldest head
+    // breaks the tie, then the weight-4 queue advances by 1/4 per take
+    // and the hot one by 1: hot, cold, cold, hot×5.
+    assert_eq!(
+        order,
+        [0, 6, 7, 1, 2, 3, 4, 5],
+        "weighted fairness is not jumping the hot backlog"
+    );
     sched.shutdown();
 }
 
