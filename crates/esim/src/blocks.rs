@@ -13,8 +13,8 @@
 //! model); unlike the CPU runtime, whose tiles shrink layer by layer,
 //! every layer is still charged the full extended block here.
 
-use crate::engine::{EngineGeometry, EnginePass};
-use crate::sim::SimReport;
+use crate::engine::EnginePass;
+use crate::sim::{account, SimReport};
 use ringcnn_hw::prelude::{layout_report, AcceleratorConfig, TechParams};
 use ringcnn_quant::prelude::*;
 use ringcnn_tensor::prelude::*;
@@ -50,8 +50,8 @@ pub struct BlockedReport {
 
 /// Runs block-based inference: splits the image into `block`-sized tiles,
 /// extends each with a `halo` (zero-padded at true image borders), runs
-/// each extended block through the quantized model, and stitches the
-/// central crops.
+/// each extended block through [`QuantizedModel::forward_q`], accounting
+/// for it on the engine, and stitches the central crops.
 ///
 /// # Panics
 ///
@@ -86,7 +86,6 @@ pub fn simulate_blocked(
     let mut out = Tensor::zeros(out_shape);
 
     let mut pass = EnginePass::default();
-    let geom = EngineGeometry::default();
     let mut blocks = 0usize;
     let mut dram_input_bytes = 0u64;
     for by in (0..s.h).step_by(block) {
@@ -96,18 +95,9 @@ pub fn simulate_blocked(
             let core = Window::new(by as isize, bx as isize, block, block);
             let ext = input.extract_window(0, core.with_halo(halo));
             dram_input_bytes += (ext.shape().len()) as u64;
-            // Run through the engine-accounted path.
             let q = QTensor::quantize(&ext, vec![qm.input_format(); ext.shape().c]);
-            let mut max_ch = ext.shape().c as u64;
-            let qout = crate::sim::run_layers_public(
-                qm.layers(),
-                q,
-                &geom,
-                accel.n,
-                &mut pass,
-                &mut max_ch,
-            );
-            let block_out = qout.dequantize();
+            let block_out = qm.forward_q(q).dequantize();
+            pass += account(qm, ext.shape(), accel.n).0;
             // Crop the center and stitch.
             let o = (halo * scale_num / scale_den) as isize;
             let ob = block * scale_num / scale_den;

@@ -1,16 +1,16 @@
-//! The RCONV engine datapath (Fig. 7): a channel-wise 2-D computing array
-//! that produces a 4×2-pixel tile of all (32/n) output `n`-tuples from
-//! all (32/n) input tuples in one cycle, with the on-the-fly directional
-//! ReLU of Fig. 8 fused at the output.
+//! The RCONV engine (Fig. 7): a channel-wise 2-D computing array that
+//! produces a 4×2-pixel tile of all (32/n) output `n`-tuples from all
+//! (32/n) input tuples in one cycle, with the on-the-fly directional ReLU
+//! of Fig. 8 at its output.
 //!
-//! The implementation here is an independent tile-ordered integer
-//! datapath; integration tests check it is **bit-exact** against the
-//! `ringcnn-quant` reference pipeline (integer addition is associative,
-//! so tile order cannot change results — the test guards the rest of the
-//! logic: alignment, rounding, saturation).
+//! The engine computes nothing here: integer addition is associative, so
+//! its tile order cannot change a result, and the integers are those of
+//! `QuantizedModel`. What is modelled is the work — cycles and
+//! multiplications per convolution, from the convolution and the shape
+//! of its input alone.
 
-use ringcnn_quant::prelude::*;
 use ringcnn_quant::quantized::QConv;
+use ringcnn_tensor::prelude::Shape4;
 use serde::{Deserialize, Serialize};
 
 /// Engine geometry (the eCNN/eRingCNN tile).
@@ -45,206 +45,77 @@ pub struct EnginePass {
     pub equivalent_mults: u64,
 }
 
-/// Executes a quantized convolution tile-by-tile on the engine,
-/// returning the output tensor and the pass accounting.
-///
-/// `n` is the ring dimension of the accelerator configuration (used for
-/// the physical-work accounting; the arithmetic itself operates on the
-/// expanded weights, which for the diagonal `RI` rings contain exactly
-/// the component-wise products the hardware performs).
-pub fn run_conv_tiled(
-    conv: &QConv,
-    input: &QTensor,
-    geom: &EngineGeometry,
-    n: usize,
-) -> (QTensor, EnginePass) {
-    let aligned;
-    let input = if let Some(f) = conv.align_input() {
-        aligned = input.requantized(vec![f; input.shape().c]);
-        &aligned
-    } else {
-        input
-    };
-    let s = input.shape();
-    assert_eq!(s.c, conv.ci(), "engine channel mismatch");
-    let k = conv.k();
-    let pad = (k / 2) as isize;
-
-    // Resolve per-output-channel accumulator formats exactly as the
-    // reference does.
-    let mut acc_frac = vec![i32::MIN; conv.co()];
-    for co in 0..conv.co() {
-        for ci in 0..conv.ci() {
-            let any = (0..k * k).any(|t| conv.weights()[(co * conv.ci() + ci) * k * k + t] != 0);
-            if !any {
-                continue;
-            }
-            let f = conv.w_format().frac + input.format_of(ci).frac;
-            if acc_frac[co] == i32::MIN {
-                acc_frac[co] = f;
-            } else {
-                assert_eq!(acc_frac[co], f, "inconsistent accumulator scale");
-            }
-        }
-        if acc_frac[co] == i32::MIN {
-            acc_frac[co] = conv.w_format().frac + input.format_of(0).frac;
+impl EnginePass {
+    /// The pass of `conv` over an input of shape `input`: one cycle per
+    /// (tile × output lane group × input lane group) triple — the
+    /// engine's dataflow.
+    ///
+    /// `n` is the ring dimension of the accelerator configuration: the
+    /// physical component-wise multipliers do `k²·lanes²/n` products per
+    /// tile pixel a cycle, and serve `n×` as many equivalent real MACs.
+    pub fn of_conv(conv: &QConv, input: Shape4, geom: &EngineGeometry, n: usize) -> Self {
+        let tiles = input.n * input.h.div_ceil(geom.tile_h) * input.w.div_ceil(geom.tile_w);
+        let groups = conv.co().div_ceil(geom.lanes) * conv.ci().div_ceil(geom.lanes);
+        let cycles = (tiles * groups) as u64;
+        let tile_px = (geom.tile_h * geom.tile_w) as u64;
+        let per_cycle =
+            (geom.lanes * geom.lanes / n) as u64 * (conv.k() * conv.k()) as u64 * tile_px;
+        let physical_mults = cycles * per_cycle;
+        Self {
+            cycles,
+            physical_mults,
+            equivalent_mults: physical_mults * n as u64,
         }
     }
+}
 
-    let out_shape = s.with_channels(conv.co());
-    let mut acc = vec![0i64; out_shape.len()];
-    // Bias preload (the engine's accumulator initialization).
-    for b in 0..s.n {
-        for co in 0..conv.co() {
-            let bias = conv.bias_int(co, acc_frac[co]);
-            let base = out_shape.index(b, co, 0, 0);
-            for v in acc[base..base + out_shape.plane()].iter_mut() {
-                *v = bias;
-            }
-        }
+impl std::ops::AddAssign for EnginePass {
+    fn add_assign(&mut self, p: Self) {
+        self.cycles += p.cycles;
+        self.physical_mults += p.physical_mults;
+        self.equivalent_mults += p.equivalent_mults;
     }
-
-    // Tile loop: each cycle covers one (input-group × output-group ×
-    // tile) triple — the engine's dataflow.
-    let tiles_y = s.h.div_ceil(geom.tile_h);
-    let tiles_x = s.w.div_ceil(geom.tile_w);
-    let groups_in = conv.ci().div_ceil(geom.lanes);
-    let groups_out = conv.co().div_ceil(geom.lanes);
-    let mut pass = EnginePass::default();
-
-    for b in 0..s.n {
-        for gy in 0..tiles_y {
-            for gx in 0..tiles_x {
-                for go in 0..groups_out {
-                    for gi in 0..groups_in {
-                        pass.cycles += 1;
-                        let co0 = go * geom.lanes;
-                        let co1 = (co0 + geom.lanes).min(conv.co());
-                        let ci0 = gi * geom.lanes;
-                        let ci1 = (ci0 + geom.lanes).min(conv.ci());
-                        for co in co0..co1 {
-                            for ci in ci0..ci1 {
-                                for ky in 0..k {
-                                    for kx in 0..k {
-                                        let wv = conv.weights()
-                                            [((co * conv.ci() + ci) * k + ky) * k + kx];
-                                        if wv == 0 {
-                                            continue;
-                                        }
-                                        for ty in 0..geom.tile_h {
-                                            let y = gy * geom.tile_h + ty;
-                                            if y >= s.h {
-                                                break;
-                                            }
-                                            for tx in 0..geom.tile_w {
-                                                let x = gx * geom.tile_w + tx;
-                                                if x >= s.w {
-                                                    break;
-                                                }
-                                                let yy = y as isize + ky as isize - pad;
-                                                let xx = x as isize + kx as isize - pad;
-                                                if yy < 0
-                                                    || xx < 0
-                                                    || yy >= s.h as isize
-                                                    || xx >= s.w as isize
-                                                {
-                                                    continue;
-                                                }
-                                                acc[out_shape.index(b, co, y, x)] += wv
-                                                    * input.plane(b, ci)
-                                                        [yy as usize * s.w + xx as usize];
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // Work accounting: the engine's physical component-wise multipliers
-    // do k²·lanes²/n per cycle; equivalent real MACs are n× that.
-    let tile_px = (geom.tile_h * geom.tile_w) as u64;
-    let per_cycle = (geom.lanes * geom.lanes / n) as u64 * (k * k) as u64 * tile_px;
-    pass.physical_mults = pass.cycles * per_cycle;
-    pass.equivalent_mults = pass.physical_mults * n as u64;
-
-    let formats: Vec<QFormat> = acc_frac
-        .iter()
-        .map(|f| QFormat { bits: 32, frac: *f })
-        .collect();
-    let out = QTensor::from_raw(out_shape, acc, formats);
-    let out = match conv.requant() {
-        Some(f) => out.requantized(f.to_vec()),
-        None => out,
-    };
-    (out, pass)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ringcnn_nn::prelude::*;
-    use ringcnn_tensor::prelude::*;
+    use ringcnn_quant::prelude::*;
+    use ringcnn_tensor::prelude::Tensor;
 
-    fn quantized_conv_model(alg: &Algebra) -> (QuantizedModel, Tensor) {
+    fn first_conv(alg: &Algebra) -> QConv {
         let mut model = Sequential::new()
             .with(alg.conv(4, 8, 3, 3))
             .with_opt(alg.activation())
             .with(alg.conv(8, 4, 3, 4));
         let calib = Tensor::random_uniform(Shape4::new(2, 4, 8, 8), 0.0, 1.0, 5);
         let qm = QuantizedModel::quantize(&mut model, &calib, QuantOptions::default());
-        (qm, calib)
-    }
-
-    #[test]
-    fn tiled_conv_is_bit_exact_vs_reference() {
-        for alg in [Algebra::real(), Algebra::ri_fh(2), Algebra::ri_fh(4)] {
-            let (qm, calib) = quantized_conv_model(&alg);
-            let q0 = QTensor::quantize(&calib, vec![qm.input_format(); 4]);
-            // First layer must be a conv.
-            if let ringcnn_quant::quantized::QLayer::Conv(c) = &qm.layers()[0] {
-                let reference =
-                    ringcnn_quant::quantized::execute_layer(&qm.layers()[0], q0.clone());
-                let (tiled, pass) = run_conv_tiled(c, &q0, &EngineGeometry::default(), alg.n());
-                assert_eq!(tiled, reference, "{}", alg.label());
-                assert!(pass.cycles > 0);
-            } else {
-                panic!("expected conv first");
-            }
+        match &qm.layers()[0] {
+            QLayer::Conv(c) => c.clone(),
+            _ => panic!("expected conv first"),
         }
     }
 
     #[test]
     fn cycle_count_matches_tiling_formula() {
-        let alg = Algebra::ri_fh(2);
-        let (qm, calib) = quantized_conv_model(&alg);
-        let q0 = QTensor::quantize(&calib, vec![qm.input_format(); 4]);
-        if let ringcnn_quant::quantized::QLayer::Conv(c) = &qm.layers()[0] {
-            let geom = EngineGeometry::default();
-            let (_, pass) = run_conv_tiled(c, &q0, &geom, 2);
-            // 8×8 image → 2×4 tiles; 4→8 channels fit one lane group;
-            // 2 batch items.
-            assert_eq!(pass.cycles, 2 * 2 * 4);
-        }
+        let conv = first_conv(&Algebra::ri_fh(2));
+        let pass = EnginePass::of_conv(
+            &conv,
+            Shape4::new(2, 4, 8, 8),
+            &EngineGeometry::default(),
+            2,
+        );
+        // 8×8 image → 2×4 tiles; 4→8 channels fit one lane group;
+        // 2 batch items.
+        assert_eq!(pass.cycles, 2 * 2 * 4);
     }
 
     #[test]
     fn physical_work_halves_with_n2() {
-        let real = quantized_conv_model(&Algebra::real());
-        let ring = quantized_conv_model(&Algebra::ri_fh(2));
-        let geom = EngineGeometry::default();
-        let get = |(qm, calib): &(QuantizedModel, Tensor), n: usize| -> u64 {
-            let q0 = QTensor::quantize(calib, vec![qm.input_format(); 4]);
-            if let ringcnn_quant::quantized::QLayer::Conv(c) = &qm.layers()[0] {
-                run_conv_tiled(c, &q0, &geom, n).1.physical_mults
-            } else {
-                0
-            }
-        };
-        assert_eq!(get(&real, 1), 2 * get(&ring, 2));
+        let (geom, s) = (EngineGeometry::default(), Shape4::new(2, 4, 8, 8));
+        let real = EnginePass::of_conv(&first_conv(&Algebra::real()), s, &geom, 1);
+        let ring = EnginePass::of_conv(&first_conv(&Algebra::ri_fh(2)), s, &geom, 2);
+        assert_eq!(real.physical_mults, 2 * ring.physical_mults);
     }
 }

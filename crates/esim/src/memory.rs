@@ -3,6 +3,7 @@
 //! leave the chip, images are re-read with a halo for block recompute).
 
 use ringcnn_quant::quantized::{QLayer, QuantizedModel};
+use ringcnn_tensor::prelude::Shape4;
 use serde::{Deserialize, Serialize};
 
 /// Memory accounting of one model on one accelerator configuration.
@@ -22,30 +23,22 @@ pub struct MemoryReport {
 /// stored (ring) words via the stored-weight hint of each conv: expanded
 /// count divided by the repetition factor detected from the weight
 /// structure.
-pub fn weight_bytes(qm: &QuantizedModel, ring_n: usize) -> u64 {
-    fn walk(layers: &[QLayer], n: usize) -> u64 {
-        let mut total = 0u64;
-        for l in layers {
-            match l {
-                QLayer::Conv(c) => {
-                    let expanded = (c.co() * c.ci() * c.k() * c.k()) as u64;
-                    // Ring convs (channel counts divisible by n) store
-                    // expanded/n words; boundary real convs store all.
-                    let stored = if n > 1 && c.co() % n == 0 && c.ci() % n == 0 {
-                        expanded / n as u64
-                    } else {
-                        expanded
-                    };
-                    total += stored + c.co() as u64; // + bias words
-                }
-                QLayer::Residual(r) => total += walk(r.body(), n),
-                QLayer::UpsampleResidual(r) => total += walk(r.body(), n),
-                _ => {}
-            }
+pub fn weight_bytes(qm: &QuantizedModel, n: usize) -> u64 {
+    let mut total = 0u64;
+    qm.walk_shapes(Shape4::new(1, 1, 1, 1), |layer, _| {
+        if let QLayer::Conv(c) = layer {
+            let expanded = (c.co() * c.ci() * c.k() * c.k()) as u64;
+            // Ring convs (channel counts divisible by n) store expanded/n
+            // words; boundary real convs store all.
+            let stored = if n > 1 && c.co() % n == 0 && c.ci() % n == 0 {
+                expanded / n as u64
+            } else {
+                expanded
+            };
+            total += stored + c.co() as u64; // + bias words
         }
-        total
-    }
-    walk(qm.layers(), ring_n)
+    });
+    total
 }
 
 /// Peak feature bytes for an inference at the given input shape: the

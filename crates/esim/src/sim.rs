@@ -1,6 +1,7 @@
-//! Whole-model simulation: executes a quantized model through the engine
-//! datapath layer by layer, producing bit-exact outputs plus cycle,
-//! utilization, throughput, bandwidth, and energy reports.
+//! Whole-model simulation: runs a quantized model through
+//! `QuantizedModel`'s integer pipeline and accounts for every convolution
+//! on the engine, producing cycle, utilization, throughput, bandwidth,
+//! and energy reports beside the outputs.
 //!
 //! Simplifying assumptions (documented, per DESIGN.md): the pipeline is
 //! fully overlapped (the directional ReLU, shuffles and residual adds ride
@@ -8,11 +9,10 @@
 //! the design intent of Figs. 6–8), and weight/feature SRAM never stalls
 //! the engines (eCNN's block-based flow guarantees residency).
 
-use crate::engine::{run_conv_tiled, EngineGeometry, EnginePass};
+use crate::engine::{EngineGeometry, EnginePass};
 use crate::memory::{dram_bytes_per_frame, peak_feature_bytes, weight_bytes, MemoryReport};
 use ringcnn_hw::prelude::{layout_report, AcceleratorConfig, TechParams};
 use ringcnn_quant::prelude::*;
-use ringcnn_quant::quantized::{execute_layer, QLayer};
 use ringcnn_tensor::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -41,26 +41,17 @@ pub struct SimReport {
     pub weights_fit: bool,
 }
 
-/// Runs `qm` on the simulated accelerator, returning the (bit-exact)
-/// output and the report.
+/// Runs `qm` on the simulated accelerator, returning the output of
+/// [`QuantizedModel::forward_q`] and the report.
 pub fn simulate(
     qm: &QuantizedModel,
     input: &Tensor,
     accel: &AcceleratorConfig,
     tech: &TechParams,
 ) -> (Tensor, SimReport) {
-    let geom = EngineGeometry::default();
     let q = QTensor::quantize(input, vec![qm.input_format(); input.shape().c]);
-    let mut pass_total = EnginePass::default();
-    let mut max_channels = input.shape().c as u64;
-    let out = run_layers(
-        qm.layers(),
-        q,
-        &geom,
-        accel.n,
-        &mut pass_total,
-        &mut max_channels,
-    );
+    let out = qm.forward_q(q);
+    let (pass_total, max_channels) = account(qm, input.shape(), accel.n);
 
     let report = layout_report(accel, tech);
     let seconds = pass_total.cycles as f64 / accel.clock_hz;
@@ -97,62 +88,21 @@ pub fn simulate(
     (out.dequantize(), sim)
 }
 
-/// Engine-accounted execution of a layer chain (shared with the
-/// block-based flow).
-pub(crate) fn run_layers_public(
-    layers: &[QLayer],
-    q: QTensor,
-    geom: &EngineGeometry,
-    n: usize,
-    pass: &mut EnginePass,
-    max_channels: &mut u64,
-) -> QTensor {
-    run_layers(layers, q, geom, n, pass, max_channels)
-}
-
-fn run_layers(
-    layers: &[QLayer],
-    mut q: QTensor,
-    geom: &EngineGeometry,
-    n: usize,
-    pass: &mut EnginePass,
-    max_channels: &mut u64,
-) -> QTensor {
-    for layer in layers {
-        q = match layer {
-            QLayer::Conv(c) => {
-                let (out, p) = run_conv_tiled(c, &q, geom, n);
-                pass.cycles += p.cycles;
-                pass.physical_mults += p.physical_mults;
-                pass.equivalent_mults += p.equivalent_mults;
-                out
-            }
-            QLayer::Residual(r) => {
-                let body = run_layers(r.body(), q.clone(), geom, n, pass, max_channels);
-                let formats = ringcnn_quant::qtensor::expand_formats(r.out_formats(), q.shape().c);
-                body.add_saturating(&q, formats)
-            }
-            QLayer::UpsampleResidual(_) => {
-                // Delegate the skip interpolation to the reference
-                // implementation (a dedicated fixed-function unit; no
-                // engine cycles), but run the body through the engine.
-                if let QLayer::UpsampleResidual(r) = layer {
-                    let body = run_layers(r.body(), q.clone(), geom, n, pass, max_channels);
-                    let skip_f = ringcnn_imaging::degrade::upsample(&q.dequantize(), r.factor());
-                    let formats =
-                        ringcnn_quant::qtensor::expand_formats(r.out_formats(), body.shape().c);
-                    let skip_q = QTensor::quantize(&skip_f, formats.clone());
-                    body.add_saturating(&skip_q, formats)
-                } else {
-                    unreachable!()
-                }
-            }
-            // Activations, shuffles: pipelined datapath, zero cycles.
-            other => execute_layer(other, q),
-        };
-        *max_channels = (*max_channels).max(q.shape().c as u64);
-    }
-    q
+/// The engine's work for one inference of `qm` on an input of shape
+/// `input` (shared with the block-based flow): every convolution's pass
+/// from the shape of its input, and the most channels any tensor between
+/// layers has. Activations, shuffles and skip adds: pipelined datapath,
+/// zero cycles.
+pub(crate) fn account(qm: &QuantizedModel, input: Shape4, n: usize) -> (EnginePass, u64) {
+    let geom = EngineGeometry::default();
+    let (mut pass, mut max_channels) = (EnginePass::default(), input.c);
+    let out = qm.walk_shapes(input, |layer, s| {
+        max_channels = max_channels.max(s.c);
+        if let QLayer::Conv(c) = layer {
+            pass += EnginePass::of_conv(c, s, &geom, n);
+        }
+    });
+    (pass, max_channels.max(out.c) as u64)
 }
 
 #[cfg(test)]

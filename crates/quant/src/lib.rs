@@ -6,8 +6,9 @@
 //! both the paper's **on-the-fly** directional-ReLU execution (Fig. 8)
 //! and the conventional MAC-based baseline it improves upon.
 //!
-//! The [`quantized::QuantizedModel`] produced here is also the reference
-//! the `ringcnn-esim` accelerator simulator must match bit-exactly.
+//! The [`quantized::QuantizedModel`] produced here is also what the
+//! `ringcnn-esim` accelerator simulator runs: it accounts for the
+//! model's convolutions and reports this pipeline's outputs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,7 +25,7 @@ pub mod prelude {
     pub use crate::qformat::{requant_shift, QFormat, QFormatError};
     pub use crate::qtensor::{expand_formats, group_max_abs, QTensor, QTensorOf, Store};
     pub use crate::quantized::{
-        CalibrationError, DReluMode, Lanes, QLayer, QuantOptions, QuantizedModel, Storage,
+        CalibrationError, DReluMode, Lanes, QLayer, QuantOptions, QuantizedModel,
     };
     pub use crate::serialize::{
         export_qmodel, peek_format_tag, qmodel_from_json, qmodel_to_json, QModelFile,

@@ -53,14 +53,11 @@ impl std::fmt::Display for ProofStage {
 pub struct LaneProof {
     /// The tier the model runs in.
     pub lanes: Lanes,
-    /// The first format that reaches memory with more than 8 bits, if
-    /// any: what rules [`Storage::I8`] out in [`Lanes::I32`].
-    pub wide_format: Option<String>,
     /// The largest magnitude [`LaneProof::stage`] can reach.
     pub worst: u128,
     /// For [`Lanes::I32`] the stage with the largest worst-case magnitude
     /// of the chain; for [`Lanes::I64`] the first stage that rules `i32`
-    /// out (its magnitude, or 16-bit operands its conv does not have).
+    /// out.
     pub stage: String,
     /// Every stage of the walk, in chain order.
     pub stages: Vec<ProofStage>,
@@ -71,27 +68,18 @@ impl std::fmt::Display for LaneProof {
     /// 2^21.6 at 0.3.1 fH`.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let (log2, at) = ((self.worst as f64).log2(), &self.stage);
-        match (self.lanes, &self.wide_format) {
-            (Lanes::I64, _) => write!(f, "integer lanes i64: {at} needs 2^{log2:.1}"),
-            (Lanes::I32, None) => write!(
+        match self.lanes {
+            Lanes::I64 => write!(f, "integer lanes i64: {at} needs 2^{log2:.1}"),
+            Lanes::I32 => write!(
                 f,
                 "integer lanes i32, store i8, worst case 2^{log2:.1} at {at}"
-            ),
-            (Lanes::I32, Some(wide)) => write!(
-                f,
-                "integer lanes i32, store i32 ({wide}), worst case 2^{log2:.1} at {at}"
             ),
         }
     }
 }
 
-/// Serving bound on stored format widths: the calibration flow emits
-/// ≤16-bit weight/feature formats (paper: 8), and 16-bit operands keep
-/// the widest possible conv accumulator (`2^15·2^15·2^20` taps plus the
-/// bias rail) comfortably inside `i64`.
-const MAX_STORED_BITS: u32 = 16;
-/// Serving bound on stored fracs: a 16-bit fit of the tiniest clamped
-/// range (`1e-12`) lands at frac 54; 64 covers every reachable format
+/// Serving bound on stored fracs: an 8-bit fit of the tiniest clamped
+/// range (`1e-12`) lands at frac 46; 64 covers every reachable format
 /// while keeping alignment-shift spreads far from the rails.
 const MAX_STORED_FRAC: i32 = 64;
 /// Per-output-channel tap bound (`ci·k²`): a million taps per pixel is
@@ -99,11 +87,8 @@ const MAX_STORED_FRAC: i32 = 64;
 const MAX_TAPS: usize = 1 << 20;
 
 pub(super) fn validate_format(f: QFormat, what: &str) -> Result<(), String> {
-    if !(2..=MAX_STORED_BITS).contains(&f.bits) {
-        return Err(format!(
-            "{what}: bits {} outside 2..={MAX_STORED_BITS}",
-            f.bits
-        ));
+    if !(2..=STORED_BITS).contains(&f.bits) {
+        return Err(format!("{what}: bits {} outside 2..={STORED_BITS}", f.bits));
     }
     if f.frac.unsigned_abs() > MAX_STORED_FRAC.unsigned_abs() {
         return Err(format!(
@@ -170,24 +155,14 @@ impl LaneProof {
     pub(super) fn of(format: QFormat, c: usize, layers: &[QLayer]) -> Result<Self, String> {
         let mut proof = Self {
             lanes: Lanes::I32,
-            wide_format: None,
             worst: 0,
             stage: String::new(),
             stages: Vec::new(),
         };
-        proof.note(rail(format), true, "", StageKind::Input);
-        proof.stored(&[format], || "the input format".into());
+        proof.note(rail(format), "", StageKind::Input);
         let (formats, bounds) = (vec![format; c], vec![rail(format); c]);
         validate_chain(layers, formats, bounds, "", &mut proof)?;
         Ok(proof)
-    }
-
-    /// What the model's tensors between steps are stored in.
-    pub fn storage(&self) -> Storage {
-        match (self.lanes, &self.wide_format) {
-            (Lanes::I32, None) => Storage::I8,
-            _ => Storage::Lane,
-        }
     }
 
     /// What a chain that does not validate runs in: the interchange
@@ -195,41 +170,27 @@ impl LaneProof {
     pub(super) fn invalid(why: &str) -> Self {
         Self {
             lanes: Lanes::I64,
-            wide_format: None,
             worst: u128::MAX,
             stage: format!("an invalid chain ({why})"),
             stages: Vec::new(),
         }
     }
 
-    /// The stage of `kind` at `path` can reach `magnitude`
-    /// (`operands_fit`: it multiplies nothing beyond 16 bits). The first
+    /// The stage of `kind` at `path` can reach `magnitude`. The first
     /// stage that rules `i32` out stands; until then the largest
     /// magnitude does.
-    fn note(&mut self, magnitude: u128, operands_fit: bool, path: &str, kind: StageKind) {
+    fn note(&mut self, magnitude: u128, path: &str, kind: StageKind) {
         let stage = ProofStage {
             path: path.into(),
             kind,
             worst: magnitude,
         };
-        let wide = magnitude >= 1 << 31 || !operands_fit;
+        let wide = magnitude >= 1 << 31;
         if self.lanes == Lanes::I32 && (wide || magnitude > self.worst) {
-            let why = if operands_fit {
-                ""
-            } else {
-                " (operands beyond 16 bits)"
-            };
             self.lanes = if wide { Lanes::I64 } else { Lanes::I32 };
-            (self.worst, self.stage) = (magnitude, format!("{stage}{why}"));
+            (self.worst, self.stage) = (magnitude, stage.to_string());
         }
         self.stages.push(stage);
-    }
-
-    /// `formats` reach memory as `what`: the first beyond 8 bits stands.
-    fn stored(&mut self, formats: &[QFormat], what: impl FnOnce() -> String) {
-        if let (None, Some(f)) = (&self.wide_format, formats.iter().find(|f| f.bits > 8)) {
-            self.wide_format = Some(format!("{} has {} bits", what(), f.bits));
-        }
     }
 }
 
@@ -238,10 +199,8 @@ impl LaneProof {
 /// each the largest magnitude (`bounds`) any input can drive that
 /// channel to, noting every stage's worst case in `walk`; returns the
 /// output formats and bounds or the first inconsistency. `path` prefixes
-/// the layer index of a nested body. Every format table that reaches
-/// memory is shown to `walk` too (a kept accumulator does not: the conv
-/// runs as one step with the directional ReLU the walk demands behind
-/// it).
+/// the layer index of a nested body, and every format error names the
+/// stage.
 fn validate_chain(
     layers: &[QLayer],
     mut formats: Vec<QFormat>,
@@ -278,7 +237,7 @@ fn validate_chain(
                 if conv.bias.len() != conv.co {
                     return Err(format!("layer {i}: conv bias length mismatch"));
                 }
-                validate_format(conv.w_format, "conv weight format")?;
+                validate_format(conv.w_format, &format!("{at} conv weight format"))?;
                 // Weight *values* must fit the declared format — lengths
                 // alone would let a hand-edited table smuggle in 2^40
                 // entries that overflow the accumulator.
@@ -302,8 +261,7 @@ fn validate_chain(
                     if r.len() != conv.co {
                         return Err(format!("layer {i}: requant table length mismatch"));
                     }
-                    validate_formats(r, "conv requant format")?;
-                    walk.stored(r, || format!("{at} conv requant format"));
+                    validate_formats(r, &format!("{at} conv requant format"))?;
                 } else {
                     // An accumulator-keeping conv must hand its wide
                     // accumulator straight to a directional ReLU (the
@@ -320,17 +278,14 @@ fn validate_chain(
                     }
                 }
                 if let Some(a) = conv.align_input {
-                    validate_format(a, "conv align format")?;
-                    walk.stored(&[a], || format!("{at} conv align format"));
+                    validate_format(a, &format!("{at} conv align format"))?;
                     (formats, bounds) = (vec![a; c], vec![rail(a); c]);
                 }
                 let acc_frac = conv_acc_fracs(conv, &formats, conv.support())
                     .map_err(|e| format!("layer {i}: {e}"))?;
                 let acc = conv_acc_bounds(conv, &acc_frac, &bounds);
-                let operands_fit = bounds.iter().all(|b| *b <= 32767)
-                    && conv.weights.iter().all(|w| w.unsigned_abs() <= 32767);
                 let worst = acc.iter().copied().max().unwrap_or(0);
-                walk.note(worst, operands_fit, &at, StageKind::Conv);
+                walk.note(worst, &at, StageKind::Conv);
                 formats = conv_out_formats(conv, &acc_frac);
                 bounds = conv.requant.as_ref().map_or(acc, |fmts| rails(fmts));
             }
@@ -349,10 +304,9 @@ fn validate_chain(
                     ));
                 }
                 if let DReluMode::MacBased { mid } = &d.mode {
-                    validate_format(*mid, "directional ReLU mid format")?;
+                    validate_format(*mid, &format!("{at} fH mid format"))?;
                 }
-                validate_formats(&d.out_formats, "directional ReLU output format")?;
-                walk.stored(&d.out_formats, || format!("{at} fH output format"));
+                validate_formats(&d.out_formats, &format!("{at} fH output format"))?;
                 // Per tuple: S = Σ_l bound_l << (max frac − frac_l) bounds
                 // everything up to the first butterfly's output; the
                 // second butterfly sums `n` of what is in front of it.
@@ -367,7 +321,7 @@ fn validate_chain(
                     }
                 });
                 let worst = worst.max().unwrap_or(0);
-                walk.note(worst, true, &at, StageKind::DRelu);
+                walk.note(worst, &at, StageKind::DRelu);
                 formats = expand_formats(&d.out_formats, c);
                 bounds = rails(&formats);
             }
@@ -393,8 +347,7 @@ fn validate_chain(
                     let co = fb.len();
                     return Err(format!("layer {i}: residual body maps {c} → {co} channels"));
                 }
-                validate_formats(&res.out_formats, "residual output format")?;
-                walk.stored(&res.out_formats, || format!("{at} residual output format"));
+                validate_formats(&res.out_formats, &format!("{at} residual output format"))?;
                 let out = expand_formats(&res.out_formats, c);
                 // Both operands aligned to the output frac, then summed.
                 let aligned =
@@ -402,7 +355,7 @@ fn validate_chain(
                 let sums = (0..c)
                     .map(|ch| aligned(&fb, &bb, ch).saturating_add(aligned(&formats, &bounds, ch)));
                 let worst = sums.max().unwrap_or(0);
-                walk.note(worst, true, &at, StageKind::Add);
+                walk.note(worst, &at, StageKind::Add);
                 (bounds, formats) = (rails(&out), out);
             }
             QLayer::UpsampleResidual(ur) => {
@@ -411,15 +364,14 @@ fn validate_chain(
                 }
                 let nested = format!("{at}.");
                 let (fb, bb) = validate_chain(&ur.body, formats, bounds, &nested, walk)?;
-                validate_formats(&ur.out_formats, "upsample-residual output format")?;
-                walk.stored(&ur.out_formats, || format!("{at} upsample output format"));
+                validate_formats(&ur.out_formats, &format!("{at} upsample output format"))?;
                 let out = expand_formats(&ur.out_formats, fb.len());
                 // The skip arrives quantized at the output format.
                 let sums = (0..fb.len()).map(|ch| {
                     shifted(bb[ch], fb[ch].frac, out[ch].frac).saturating_add(rail(out[ch]))
                 });
                 let worst = sums.max().unwrap_or(0);
-                walk.note(worst, true, &at, StageKind::UpsampleAdd);
+                walk.note(worst, &at, StageKind::UpsampleAdd);
                 (bounds, formats) = (rails(&out), out);
             }
         }

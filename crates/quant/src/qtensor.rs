@@ -6,11 +6,10 @@
 //! tier, holds every value every format admits and is what the
 //! simulator and the oracles exchange; a model whose every magnitude a
 //! load-time proof bounds below `2^31` runs the same stages in `i32`
-//! lanes (see [`crate::quantized`]) — on `QTensorOf<i8>`, the bytes the
-//! accelerator's feature SRAM holds, when every format that reaches
-//! memory has at most 8 bits, on `QTensorOf<i32>` otherwise. Wide
-//! tensors model convolution accumulators flowing into the on-the-fly
-//! directional-ReLU pipeline; only the lane-wide stores hold them.
+//! lanes (see [`crate::quantized`]) on `QTensorOf<i8>`, the bytes the
+//! accelerator's feature SRAM holds. Wide tensors model convolution
+//! accumulators flowing into the on-the-fly directional-ReLU pipeline;
+//! only the `i64` store holds them.
 //!
 //! Everything a format decides is constant over a plane, so every
 //! element-wise operation here walks whole planes with those constants
@@ -26,8 +25,8 @@
 //! narrowed again. Per element the operations and their order are those
 //! of [`QFormat::quantize`], [`QFormat::dequantize`], [`requant_shift`]
 //! and [`QFormat::saturate`] — `tests/quant_backend.rs` compares the
-//! `i64` tier against exactly those and the narrower tiers against the
-//! `i64` one. A rail wider than the lane (a 63-bit format, the unclamped
+//! `i64` tier against exactly those and the `i8` tier against the `i64`
+//! one. A rail wider than the lane (a 63-bit format, the unclamped
 //! alignment shifts of [`QTensorOf::add_assign_saturating`]) is the
 //! lane's own rail in `i32`: identical wherever the value fits the lane,
 //! which is what the proof establishes before a model runs there.
@@ -42,9 +41,9 @@ use ringcnn_tensor::prelude::*;
 /// into: the most [`Store::in_lane`] takes at once.
 pub(crate) const BLOCK: usize = 2048;
 
-/// A type the integers of a tensor are stored in — `i64` or `i32`, a
-/// lane itself, or `i8` under `i32` lanes — with the lane its stages
-/// compute in.
+/// A type the integers of a tensor are stored in — `i64`, a lane
+/// itself, or `i8` under `i32` lanes — with the lane its stages compute
+/// in.
 pub trait Store: Plane + Ord + Into<Self::Lane> + TryFrom<Self::Lane> + std::fmt::Debug {
     /// The lane every stage computes in.
     type Lane: Lane;
@@ -63,25 +62,19 @@ pub trait Store: Plane + Ord + Into<Self::Lane> + TryFrom<Self::Lane> + std::fmt
     );
 }
 
-macro_rules! lane_store {
-    ($t:ty) => {
-        impl Store for $t {
-            type Lane = $t;
+impl Store for i64 {
+    type Lane = i64;
 
-            fn in_lane(
-                rows: &mut [$t],
-                _: usize,
-                stride: usize,
-                _: usize,
-                f: impl FnOnce(&mut [$t], usize),
-            ) {
-                f(rows, stride);
-            }
-        }
-    };
+    fn in_lane(
+        rows: &mut [i64],
+        _: usize,
+        stride: usize,
+        _: usize,
+        f: impl FnOnce(&mut [i64], usize),
+    ) {
+        f(rows, stride);
+    }
 }
-lane_store!(i64);
-lane_store!(i32);
 
 impl Store for i8 {
     type Lane = i32;

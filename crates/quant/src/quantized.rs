@@ -15,22 +15,22 @@
 //!   [`DReluMode::MacBased`] reproduces the conventional pipeline and its
 //!   PSNR penalty.
 //!
-//! The pipeline runs in the width its tables allow. There is one integer
-//! chain, generic over the type its tensors are stored in ([`Tier`]):
-//! [`QuantizedModel::forward_q`] and [`execute_layer`] on a [`QTensor`]
-//! are the `i64` interchange tier the simulator and the two
-//! `*_reference` oracles speak, and [`QuantizedModel::forward`] runs the
-//! same stages in `i32` lanes — 16-bit multiplies in the conv engine —
-//! whenever the load-time overflow proof of
-//! [`QuantizedModel::prepare_inference`] shows that no integer of the
-//! chain can reach `2^31`, whatever the input ([`Lanes`],
-//! [`LaneProof`]), on 8-bit planes when every format that reaches memory
-//! has at most 8 bits ([`Storage`]). A conv that keeps its accumulator
+//! Every format that reaches memory has the paper's 8 bits: calibration
+//! fits no other width and [`QuantizedModel::validate`] admits no other.
+//! There is one integer chain, generic over the type its tensors are
+//! stored in ([`Tier`]): [`QuantizedModel::forward_q`] and
+//! [`execute_layer`] on a [`QTensor`] are the `i64` interchange tier the
+//! simulator and the two `*_reference` oracles speak, and
+//! [`QuantizedModel::forward`] runs the same stages on 8-bit planes in
+//! `i32` lanes — 16-bit multiplies in the conv engine — whenever the
+//! load-time overflow proof of [`QuantizedModel::prepare_inference`]
+//! shows that no integer of the chain can reach `2^31`, whatever the
+//! input ([`Lanes`], [`LaneProof`]). A conv that keeps its accumulator
 //! and the directional ReLU behind it are one step of the chain in every
 //! tier: the unit runs on each column chunk's accumulators inside the
 //! conv engine (the paper's on-the-fly execution, literally), so only
-//! requantized features are ever stored. Nothing selects tier, storage
-//! or fusion; all compute the same integers.
+//! requantized features are ever stored. Nothing selects tier or fusion;
+//! both tiers compute the same integers.
 
 use crate::qformat::{requant_shift, QFormat, QFormatError};
 use crate::qtensor::{expand_formats, group_max_abs, QTensor, QTensorOf, Store, BLOCK};
@@ -90,9 +90,13 @@ impl std::fmt::Display for CalibrationError {
 
 impl std::error::Error for CalibrationError {}
 
-/// [`QFormat::try_fit`] with calibration-error context.
-fn fit_ctx(max_abs: f64, bits: u32, context: &str) -> Result<QFormat, CalibrationError> {
-    QFormat::try_fit(max_abs, bits).map_err(|source| CalibrationError::NonFinite {
+/// The width of every weight and feature format that reaches memory —
+/// the paper's 8 bits: what calibration fits and all `validate` admits.
+const STORED_BITS: u32 = 8;
+
+/// A [`STORED_BITS`] [`QFormat::try_fit`] with calibration-error context.
+fn fit_ctx(max_abs: f64, context: &str) -> Result<QFormat, CalibrationError> {
+    QFormat::try_fit(max_abs, STORED_BITS).map_err(|source| CalibrationError::NonFinite {
         context: context.into(),
         source,
     })
@@ -101,10 +105,6 @@ fn fit_ctx(max_abs: f64, bits: u32, context: &str) -> Result<QFormat, Calibratio
 /// Quantization options.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QuantOptions {
-    /// Weight bits (paper: 8).
-    pub weight_bits: u32,
-    /// Feature bits (paper: 8).
-    pub feature_bits: u32,
     /// Component-wise feature Q-formats (one per tuple component) instead
     /// of a single per-layer format (§IV-C).
     pub component_wise: bool,
@@ -117,8 +117,6 @@ pub struct QuantOptions {
 impl Default for QuantOptions {
     fn default() -> Self {
         Self {
-            weight_bits: 8,
-            feature_bits: 8,
             component_wise: true,
             on_the_fly_drelu: true,
         }
@@ -244,7 +242,7 @@ type ConvStreaming<S> = fn(
 );
 
 /// A store the chain runs on: [`Store`] plus its tier's entry to the conv
-/// engine. `i64`, `i32` and `i8` are all there is.
+/// engine. `i64` and `i8` are all there is.
 pub trait Tier: Store {
     /// What the engine's weight packs hold in this tier.
     #[doc(hidden)]
@@ -269,30 +267,17 @@ impl Tier for i64 {
     }
 }
 
-/// The `i32` lanes' plan of `c`: its weights as 16-bit operands.
-fn packed_narrow(c: &QConv) -> &PackedWeights<i16> {
-    let plan = || {
-        let weights: Vec<i16> = c.weights.iter().map(|w| narrow(*w)).collect();
-        PackedWeights::<i16>::new(c.co, c.ci * c.k * c.k, &weights)
-    };
-    c.plan.0.narrow.get_or_init(plan)
-}
-
-impl Tier for i32 {
-    type Weight = i16;
-    const CONV_STREAMING: ConvStreaming<i32> = conv_streaming_i32::<i32>;
-
-    fn packed(c: &QConv) -> &PackedWeights<i16> {
-        packed_narrow(c)
-    }
-}
-
+/// 8-bit planes in `i32` lanes, the weights as 16-bit operands.
 impl Tier for i8 {
     type Weight = i16;
     const CONV_STREAMING: ConvStreaming<i8> = conv_streaming_i32::<i8>;
 
     fn packed(c: &QConv) -> &PackedWeights<i16> {
-        packed_narrow(c)
+        let plan = || {
+            let weights: Vec<i16> = c.weights.iter().map(|w| narrow(*w)).collect();
+            PackedWeights::<i16>::new(c.co, c.ci * c.k * c.k, &weights)
+        };
+        c.plan.0.narrow.get_or_init(plan)
     }
 }
 
@@ -416,15 +401,13 @@ impl QUpsampleResidual {
     }
 }
 
-/// Executes a single quantized layer (public for the accelerator
-/// simulator, which cross-checks its own datapath against this
-/// reference). On a [`QTensor`] this is the `i64` interchange tier,
-/// exact for every tensor; on a `QTensorOf<i32>` or `QTensorOf<i8>` it is
-/// the stage a model proven into [`Lanes::I32`] runs on that store,
-/// exact for what the proof covers (an `i8` store holds no accumulator:
-/// there a conv without a requantizer runs only inside the chain, as one
-/// step with its directional ReLU) — there for `tests/quant_backend.rs`
-/// to hold it to the `i64` tier.
+/// Executes a single quantized layer. On a [`QTensor`] this is the `i64`
+/// interchange tier, exact for every tensor; on a `QTensorOf<i8>` it is
+/// the stage a model proven into [`Lanes::I32`] runs, exact for what the
+/// proof covers (an `i8` store holds no accumulator: there a conv
+/// without a requantizer runs only inside the chain, as one step with
+/// its directional ReLU) — there for `tests/quant_backend.rs` to hold it
+/// to the `i64` tier.
 pub fn execute_layer<S: Tier>(layer: &QLayer, q: QTensorOf<S>) -> QTensorOf<S> {
     run_layer(layer, Cow::Owned(q), &mut TileHalo::whole())
 }
@@ -433,25 +416,12 @@ pub fn execute_layer<S: Tier>(layer: &QLayer, q: QTensorOf<S>) -> QTensorOf<S> {
 /// [`QuantizedModel::prepare_inference`] from the model's tables alone.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Lanes {
-    /// 32-bit lanes: whatever the input, no integer of the chain reaches
-    /// `2^31` and every conv multiplies 16-bit operands (`|v| ≤ 32767`).
+    /// 32-bit lanes over 8-bit planes: whatever the input, no integer of
+    /// the chain reaches `2^31`.
     I32,
-    /// 64-bit lanes, the interchange tier: everything else, and a model
-    /// nothing has prepared yet.
+    /// 64-bit lanes over 64-bit planes, the interchange tier: everything
+    /// else, and a model nothing has prepared yet.
     I64,
-}
-
-/// What the tensors between the steps of a model are stored in, decided
-/// with its [`Lanes`] by the same load-time proof.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Storage {
-    /// 8-bit planes: the model runs in [`Lanes::I32`] and every format
-    /// that reaches memory — the input, requantized conv outputs and
-    /// aligned inputs, directional-ReLU, residual and upsample-residual
-    /// outputs (a shuffle keeps one of these) — has at most 8 bits.
-    I8,
-    /// Planes as wide as the lane.
-    Lane,
 }
 
 /// A fully quantized model: integer layers plus the input image format.
@@ -496,16 +466,12 @@ impl QuantizedModel {
         if calibration.shape().is_empty() {
             return Err(CalibrationError::EmptyCalibration);
         }
-        let input_format = fit_ctx(
-            group_max_abs(calibration, 1)[0],
-            opts.feature_bits,
-            "calibration input",
-        )?;
+        let input_format = fit_ctx(group_max_abs(calibration, 1)[0], "calibration input")?;
         // Everything that outlives calibration — the float model's
         // kernels, the integer weight tables — is built before the first
         // activation exists: the walk below allocates nothing that stays.
         Layer::prepare_inference(model);
-        let mut convs = lower_weights(model, &opts)?;
+        let mut convs = lower_weights(model)?;
         let x = Cow::Borrowed(calibration);
         let (layers, _out, _groups) =
             build_chain_grouped(model.layers_mut(), x, &opts, 1, &mut convs)?;
@@ -534,24 +500,16 @@ impl QuantizedModel {
     /// directional ReLU the sum `S` of its aligned components through
     /// the first butterfly and `n·S` through the second (`n` rails of
     /// `mid` in the MAC-based mode), the sum of its aligned operands for
-    /// a residual add. [`Lanes::I32`] iff all of them stay below `2^31`
-    /// and every conv's operands fit 16 bits: the `i32` chain then
-    /// computes, integer for integer, what the `i64` chain does. The same
-    /// walk sees every format that reaches memory — a conv that keeps
-    /// its accumulator runs as one step with the directional ReLU behind
-    /// it, so no accumulator does — and settles the [`Storage`].
+    /// a residual add. [`Lanes::I32`] iff all of them stay below `2^31`:
+    /// the `i32` chain then computes, integer for integer, what the `i64`
+    /// chain does, on 8-bit planes — every format that reaches memory has
+    /// 8 bits, and a conv that keeps its accumulator runs as one step
+    /// with the directional ReLU behind it, so no accumulator does.
     pub fn prepare_inference(&mut self) {
-        fn plan<S: Tier>(layers: &[QLayer]) {
-            for layer in layers {
-                match layer {
-                    QLayer::Conv(c) => {
-                        c.support();
-                        S::packed(c);
-                    }
-                    QLayer::Residual(res) => plan::<S>(&res.body),
-                    QLayer::UpsampleResidual(ur) => plan::<S>(&ur.body),
-                    _ => {}
-                }
+        fn plan<S: Tier>(layer: &QLayer, _: Shape4) {
+            if let QLayer::Conv(c) = layer {
+                c.support();
+                S::packed(c);
             }
         }
         if self.proof.0.is_none() {
@@ -563,10 +521,11 @@ impl QuantizedModel {
             });
             self.proof.0 = Some(proven.unwrap_or_else(|e| LaneProof::invalid(&e)));
         }
+        let any = Shape4::new(1, 1, 1, 1);
         match self.lanes() {
-            Lanes::I32 => plan::<i32>(&self.layers),
-            Lanes::I64 => plan::<i64>(&self.layers),
-        }
+            Lanes::I32 => self.walk_shapes(any, plan::<i8>),
+            Lanes::I64 => self.walk_shapes(any, plan::<i64>),
+        };
     }
 
     /// The lanes [`QuantizedModel::forward`] runs in ([`Lanes::I64`]
@@ -575,8 +534,8 @@ impl QuantizedModel {
         self.proof.0.as_ref().map_or(Lanes::I64, |p| p.lanes)
     }
 
-    /// What the load-time proof found — the tier, the storage, every
-    /// stage's worst-case magnitude and the stage that sets the largest;
+    /// What the load-time proof found — the tier, every stage's
+    /// worst-case magnitude and the stage that sets the largest;
     /// `None` before [`QuantizedModel::prepare_inference`].
     pub fn lane_proof(&self) -> Option<&LaneProof> {
         self.proof.0.as_ref()
@@ -590,8 +549,8 @@ impl QuantizedModel {
     }
 
     /// Integer-in/integer-out inference on the `i64` interchange tier
-    /// (used by the accelerator simulator for bit-exact cross-checking,
-    /// and the oracle the `i32` tier is held to).
+    /// (what the accelerator simulator reports as its output, and the
+    /// oracle the `i32` tier is held to).
     pub fn forward_q(&self, input: QTensor) -> QTensor {
         run_chain(&self.layers, Cow::Owned(input), &mut TileHalo::whole())
     }
@@ -613,7 +572,15 @@ impl QuantizedModel {
 
     /// Output channel count given the input channel count.
     pub fn out_channels(&self, in_channels: usize) -> usize {
-        qlayers_out_channels(&self.layers, in_channels)
+        let input = Shape4::new(1, in_channels, 1, 1);
+        self.walk_shapes(input, |_, _| {}).c
+    }
+
+    /// The one walk over the chain's shapes: hands every layer — a skip
+    /// wrapper before the layers of its body — the shape of its input,
+    /// from a chain input of shape `input`, and returns the output shape.
+    pub fn walk_shapes(&self, input: Shape4, mut visit: impl FnMut(&QLayer, Shape4)) -> Shape4 {
+        qlayers_shapes(&self.layers, input, &mut visit)
     }
 
     /// Spatial topology of the integer pipeline — the same walk as the
@@ -629,11 +596,11 @@ impl QuantizedModel {
     /// files): channel chains must be consistent, shuffles divisible,
     /// every conv accumulator fed one scale (or an aligner in front),
     /// tuple sizes powers of two, stored Q-formats within the serving
-    /// bounds (2–16 bits, |frac| ≤ 64 — everything the ≤16-bit
-    /// calibration flow produces), weights within their declared
-    /// format's range, biases finite and bounded, per-channel tap counts
-    /// bounded, and every accumulator-keeping conv immediately followed
-    /// by its directional ReLU. Together with the saturating
+    /// bounds (2–8 bits, |frac| ≤ 64 — everything the 8-bit calibration
+    /// flow produces), weights within their declared format's range,
+    /// biases finite and bounded, per-channel tap counts bounded, and
+    /// every accumulator-keeping conv immediately followed by its
+    /// directional ReLU. Together with the saturating
     /// requantizers, the bias rail in `bias_at`, and the pre-butterfly
     /// clamp in the directional ReLU, these bounds keep every `i64`
     /// addition in the pipeline below overflow: a pipeline that passes
@@ -641,7 +608,9 @@ impl QuantizedModel {
     ///
     /// # Errors
     ///
-    /// A human-readable description of the first violated invariant.
+    /// A human-readable description of the first violated invariant (a
+    /// format outside the bounds names its stage: `1 fH output format:
+    /// bits 9 outside 2..=8`).
     pub fn validate(&self, channels_io: usize) -> Result<(), String> {
         if channels_io == 0 {
             return Err("channels_io must be at least 1".into());
@@ -668,10 +637,9 @@ impl InferenceModel for QuantizedModel {
             let q = QTensorOf::<S>::quantize(input, formats);
             run_chain(&qm.layers, Cow::Owned(q), tile).dequantize()
         }
-        match self.lane_proof().map(|p| (p.lanes, p.storage())) {
-            Some((Lanes::I32, Storage::I8)) => run::<i8>(self, input, tile),
-            Some((Lanes::I32, Storage::Lane)) => run::<i32>(self, input, tile),
-            _ => run::<i64>(self, input, tile),
+        match self.lanes() {
+            Lanes::I32 => run::<i8>(self, input, tile),
+            Lanes::I64 => run::<i64>(self, input, tile),
         }
     }
 
@@ -684,18 +652,23 @@ impl InferenceModel for QuantizedModel {
     }
 }
 
-fn qlayers_out_channels(layers: &[QLayer], mut c: usize) -> usize {
+fn qlayers_shapes(
+    layers: &[QLayer],
+    mut s: Shape4,
+    visit: &mut impl FnMut(&QLayer, Shape4),
+) -> Shape4 {
     for l in layers {
-        c = match l {
-            QLayer::Conv(conv) => conv.co,
-            QLayer::Relu | QLayer::DRelu(_) => c,
-            QLayer::Shuffle(r) => c / (r * r),
-            QLayer::Unshuffle(r) => c * r * r,
-            QLayer::Residual(res) => qlayers_out_channels(&res.body, c),
-            QLayer::UpsampleResidual(ur) => qlayers_out_channels(&ur.body, c),
+        visit(l, s);
+        s = match l {
+            QLayer::Conv(conv) => s.with_channels(conv.co),
+            QLayer::Relu | QLayer::DRelu(_) => s,
+            QLayer::Shuffle(r) => Shape4::new(s.n, s.c / (r * r), s.h * r, s.w * r),
+            QLayer::Unshuffle(r) => Shape4::new(s.n, s.c * r * r, s.h / r, s.w / r),
+            QLayer::Residual(res) => qlayers_shapes(&res.body, s, visit),
+            QLayer::UpsampleResidual(ur) => qlayers_shapes(&ur.body, s, visit),
         };
     }
-    c
+    s
 }
 
 fn qlayers_topo(walk: &mut TopoBuilder, layers: &[QLayer]) {
@@ -784,15 +757,11 @@ fn build_chain_grouped(
             let align = if compatible {
                 None
             } else {
-                Some(fit_ctx(
-                    group_max_abs(&x, 1)[0],
-                    opts.feature_bits,
-                    "conv input alignment",
-                )?)
+                Some(fit_ctx(group_max_abs(&x, 1)[0], "conv input alignment")?)
             };
             let y = layer.forward_infer(&x);
             let mut q = convs.pop_front().expect("one lowered conv per conv");
-            (q.requant, q.align_input) = (conv_requant(&y, groups, keep_acc, opts)?, align);
+            (q.requant, q.align_input) = (conv_requant(&y, groups, keep_acc)?, align);
             out.push(QLayer::Conv(q));
             x = Cow::Owned(y);
             cur_groups = if keep_acc { 1 } else { groups };
@@ -807,12 +776,12 @@ fn build_chain_grouped(
             let groups = if opts.component_wise { n } else { 1 };
             let out_formats: Vec<QFormat> = group_max_abs(&y, groups)
                 .iter()
-                .map(|m| fit_ctx(*m, opts.feature_bits, "directional ReLU output"))
+                .map(|m| fit_ctx(*m, "directional ReLU output"))
                 .collect::<Result<_, _>>()?;
             let mode = match mid_max {
                 None => DReluMode::OnTheFly,
                 Some(mid_max) => DReluMode::MacBased {
-                    mid: fit_ctx(mid_max, opts.feature_bits, "Hadamard intermediate")?,
+                    mid: fit_ctx(mid_max, "Hadamard intermediate")?,
                 },
             };
             out.push(QLayer::DRelu(QDRelu {
@@ -839,11 +808,7 @@ fn build_chain_grouped(
                 build_chain_grouped(body, Cow::Borrowed(&x), opts, cur_groups, convs)?;
             let mut sum = body_out;
             sum.add_assign(&ringcnn_imaging::degrade::upsample(&x, factor));
-            let f = fit_ctx(
-                group_max_abs(&sum, 1)[0],
-                opts.feature_bits,
-                "upsample-residual output",
-            )?;
+            let f = fit_ctx(group_max_abs(&sum, 1)[0], "upsample-residual output")?;
             out.push(QLayer::UpsampleResidual(Box::new(QUpsampleResidual {
                 body,
                 factor,
@@ -857,11 +822,7 @@ fn build_chain_grouped(
                 build_chain_grouped(body, Cow::Borrowed(&x), opts, cur_groups, convs)?;
             let mut sum = body_out;
             sum.add_assign(&x);
-            let f = fit_ctx(
-                group_max_abs(&sum, 1)[0],
-                opts.feature_bits,
-                "residual output",
-            )?;
+            let f = fit_ctx(group_max_abs(&sum, 1)[0], "residual output")?;
             out.push(QLayer::Residual(Box::new(QResidual {
                 body,
                 out_formats: vec![f],
@@ -884,29 +845,22 @@ fn build_chain_grouped(
 /// them, one that lands above a transient tensor pins the heap there and
 /// megabytes of holes stay resident below it
 /// (`frame_dn_ri4fh_q8/peak_rss_mb` read 11.3 or 14.6 MiB by that luck).
-fn lower_weights(
-    model: &mut Sequential,
-    opts: &QuantOptions,
-) -> Result<VecDeque<QConv>, CalibrationError> {
+fn lower_weights(model: &mut Sequential) -> Result<VecDeque<QConv>, CalibrationError> {
     let mut convs = Vec::new();
     model.for_each_layer_mut(&mut |layer| {
         let conv = layer.as_conv_mut().map(|conv| conv.parts());
         let ring = conv.filter(|(lowering, _)| lowering.tuple().is_some());
-        convs.extend(ring.map(|(lowering, bias)| lower_conv(&lowering.lowered(), bias, opts)));
+        convs.extend(ring.map(|(lowering, bias)| lower_conv(&lowering.lowered(), bias)));
     });
     convs.into_iter().collect()
 }
 
 /// One convolution's weights, lowered: no output requantization and no
 /// input alignment yet (the activation walk decides both).
-fn lower_conv(
-    float_weights: &ConvWeights,
-    bias: &[f32],
-    opts: &QuantOptions,
-) -> Result<QConv, CalibrationError> {
+fn lower_conv(float_weights: &ConvWeights, bias: &[f32]) -> Result<QConv, CalibrationError> {
     let ConvWeights { co, ci, k, data } = float_weights;
     let wmax = data.iter().fold(0.0f64, |m, v| m.max(f64::from(v.abs())));
-    let w_format = fit_ctx(wmax, opts.weight_bits, "conv weights")?;
+    let w_format = fit_ctx(wmax, "conv weights")?;
     let weights: Vec<i64> = data
         .iter()
         .map(|v| w_format.quantize(f64::from(*v)))
@@ -936,14 +890,13 @@ fn conv_requant(
     float_out: &Tensor,
     groups: usize,
     keep_acc: bool,
-    opts: &QuantOptions,
 ) -> Result<Option<Vec<QFormat>>, CalibrationError> {
     if keep_acc {
         return Ok(None);
     }
     let formats: Vec<QFormat> = group_max_abs(float_out, groups)
         .iter()
-        .map(|m| fit_ctx(*m, opts.feature_bits, "conv output"))
+        .map(|m| fit_ctx(*m, "conv output"))
         .collect::<Result<_, _>>()?;
     Ok(Some(expand_formats(&formats, float_out.shape().c)))
 }
@@ -1171,9 +1124,8 @@ fn requant_plan(fmts: &[QFormat], acc_frac: &[i32]) -> RequantPlan {
 }
 
 /// The scalar quadruple-loop reference datapath (§IV-C), kept as the
-/// bit-exactness oracle for the im2col production kernel and for the
-/// accelerator simulator's MAC-order cross-checks. Public so the
-/// equivalence suite and `ringcnn-esim` can call it directly.
+/// bit-exactness oracle for the im2col production kernel. Public so the
+/// equivalence suite can call it directly.
 pub fn run_conv_reference(c: &QConv, q: &QTensor) -> QTensor {
     let aligned = align_conv_input(c, q);
     let q = aligned.as_ref().unwrap_or(q);
@@ -1238,7 +1190,7 @@ fn finish_conv(c: &QConv, out_shape: Shape4, data: Vec<i64>, acc_frac: &[i32]) -
 /// accumulator frac); decode and quantize here. The result is railed at
 /// ±2^55 — far beyond any calibrated model (validated biases are ≤ 1e9
 /// at fracs ≤ 128), but it keeps the subsequent tap accumulation (at
-/// most `MAX_TAPS` products of ≤16-bit operands, < 2^51) inside `i64`
+/// most `MAX_TAPS` products of 8-bit operands, ≤ 2^34) inside `i64`
 /// even for an adversarially extreme format combination.
 fn bias_at(c: &QConv, co: usize, acc_frac: i32) -> i64 {
     const BIAS_RAIL: i64 = 1 << 55;

@@ -197,7 +197,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             ),
             queue_cap: parsed(&flags, "--queue-cap")?.unwrap_or(256),
             model_queue_cap: parsed(&flags, "--model-queue-cap")?.unwrap_or(0),
-            ..SchedulerConfig::default()
         },
         max_frame_bytes: parsed(&flags, "--max-frame-mb")?.unwrap_or(16usize).max(1) << 20,
         reload_poll: match parsed(&flags, "--reload-poll-ms")?.unwrap_or(0u64) {

@@ -257,10 +257,7 @@ pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
             data,
             deadline_ms,
         } => {
-            let mut pbyte = match precision {
-                Precision::Fp64 => 0,
-                Precision::Quant => 1,
-            };
+            let mut pbyte = precision.byte();
             if deadline_ms.is_some() {
                 pbyte |= DEADLINE_FLAG;
             }
@@ -296,15 +293,10 @@ pub fn decode_request(buf: &[u8], max_frame: usize) -> DecodeStep<Request> {
         VerbId::Infer => (|| {
             let pbyte = r.u8("precision")?;
             let has_deadline = pbyte & DEADLINE_FLAG != 0;
-            let precision = match pbyte & !DEADLINE_FLAG {
-                0 => Precision::Fp64,
-                1 => Precision::Quant,
-                other => {
-                    return Err(ServeError::BadRequest(format!(
-                        "unknown precision byte 0x{other:02x}"
-                    )))
-                }
-            };
+            let low = pbyte & !DEADLINE_FLAG;
+            let precision = Precision::from_byte(low).ok_or_else(|| {
+                ServeError::BadRequest(format!("unknown precision byte 0x{low:02x}"))
+            })?;
             let name_len = r.u16("model name length")? as usize;
             let model = r.str(name_len, "model name")?;
             let shape = read_shape(&mut r)?;

@@ -62,13 +62,28 @@ pub enum Precision {
     Quant,
 }
 
+/// Every precision, once, in `Precision` order: its JSON value and the
+/// low bits of its `infer` frame byte. Both codecs, `list_models` and the
+/// `docs/PROTOCOL.md` cells read this table; nothing else spells one.
+pub const PRECISIONS: [(Precision, &str, u8); 2] =
+    [(Precision::Fp64, "fp64", 0), (Precision::Quant, "quant", 1)];
+
+const _: () = assert!(PRECISIONS[0].0 as u8 == 0 && PRECISIONS[1].0 as u8 == 1);
+
 impl Precision {
     /// Stable wire string.
     pub fn label(&self) -> &'static str {
-        match self {
-            Precision::Fp64 => "fp64",
-            Precision::Quant => "quant",
-        }
+        PRECISIONS[*self as usize].1
+    }
+
+    /// The low bits of the `infer` frame's precision byte.
+    pub fn byte(self) -> u8 {
+        PRECISIONS[self as usize].2
+    }
+
+    /// The precision a frame byte's low bits name.
+    pub fn from_byte(byte: u8) -> Option<Precision> {
+        PRECISIONS.iter().find(|p| p.2 == byte).map(|p| p.0)
     }
 
     /// Parses the wire string.
@@ -77,13 +92,12 @@ impl Precision {
     ///
     /// [`ServeError::BadRequest`] naming the unknown value.
     pub fn parse(s: &str) -> Result<Precision, ServeError> {
-        match s {
-            "fp64" => Ok(Precision::Fp64),
-            "quant" => Ok(Precision::Quant),
-            other => Err(ServeError::BadRequest(format!(
-                "unknown precision `{other}` (want \"fp64\" or \"quant\")"
-            ))),
-        }
+        let known = PRECISIONS.iter().find(|p| p.1 == s).map(|p| p.0);
+        known.ok_or_else(|| {
+            let want: Vec<String> = PRECISIONS.iter().map(|p| format!("\"{}\"", p.1)).collect();
+            let want = want.join(" or ");
+            ServeError::BadRequest(format!("unknown precision `{s}` (want {want})"))
+        })
     }
 }
 

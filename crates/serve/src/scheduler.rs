@@ -91,9 +91,6 @@ pub struct SchedulerConfig {
     /// semantics). With it set, one model's backlog saturates its own
     /// bound and starts rejecting while other models keep admitting.
     pub model_queue_cap: usize,
-    /// Fair-scheduling weight given to models that were never assigned
-    /// one explicitly via [`Scheduler::set_model_weight`]. Clamped ≥ 1.
-    pub default_weight: u32,
 }
 
 impl Default for SchedulerConfig {
@@ -104,7 +101,6 @@ impl Default for SchedulerConfig {
             max_wait: Duration::from_millis(2),
             queue_cap: 256,
             model_queue_cap: 0,
-            default_weight: 1,
         }
     }
 }
@@ -160,6 +156,7 @@ struct Job {
 /// One model's queue plus its fair-queueing state.
 struct ModelQueue {
     jobs: VecDeque<Job>,
+    /// Fair-scheduling weight: 1 until [`Scheduler::set_model_weight`].
     weight: u32,
     /// Virtual time already served to this model (jobs / weight).
     vtime: f64,
@@ -242,7 +239,6 @@ impl Scheduler {
             workers: cfg.workers.max(1),
             max_batch: cfg.max_batch.max(1),
             queue_cap: cfg.queue_cap.max(1),
-            default_weight: cfg.default_weight.max(1),
             ..cfg
         };
         let shared = Arc::new(Shared {
@@ -465,13 +461,12 @@ impl Scheduler {
             let seq = st.next_seq;
             st.next_seq += 1;
             let vclock = st.vclock;
-            let default_weight = cfg.default_weight.max(1);
             let q = st
                 .groups
                 .entry(model.to_string())
                 .or_insert_with(|| ModelQueue {
                     jobs: VecDeque::new(),
-                    weight: default_weight,
+                    weight: 1,
                     vtime: vclock,
                 });
             if q.jobs.is_empty() && q.vtime < vclock {
@@ -554,14 +549,13 @@ impl Scheduler {
                 });
             }
         }
-        let default_weight = u64::from(self.shared.cfg.default_weight.max(1));
         for m in &mut snap.per_model {
             match live.get(&m.name) {
                 Some(&(depth, weight)) => {
                     m.queue_depth = depth;
                     m.weight = u64::from(weight);
                 }
-                None => m.weight = default_weight,
+                None => m.weight = 1,
             }
             if let Some(e) = entries.iter().find(|e| e.name() == m.name) {
                 m.version = e.version();
@@ -1006,7 +1000,6 @@ mod tests {
                 max_wait: Duration::from_secs(30),
                 queue_cap: 256,
                 model_queue_cap: 2,
-                ..SchedulerConfig::default()
             },
         )
         .expect("scheduler starts");

@@ -15,7 +15,7 @@ use crate::error::ServeError;
 use crate::lock_unpoisoned;
 use crate::protocol::ModelInfo;
 use crate::reactor::{Notify, Reactor};
-use crate::registry::ModelRegistry;
+use crate::registry::{ModelRegistry, Precision, PRECISIONS};
 use crate::scheduler::{Scheduler, SchedulerConfig};
 use ringcnn_trace::{rc_info, rc_warn};
 use std::io;
@@ -75,10 +75,10 @@ impl ServerShared {
             .iter()
             .map(|e| {
                 let topo = e.topo();
-                let mut precisions = vec!["fp64".to_string()];
-                if e.has_quant() {
-                    precisions.push("quant".into());
-                }
+                let precisions = PRECISIONS
+                    .iter()
+                    .filter(|p| p.0 == Precision::Fp64 || e.has_quant());
+                let precisions = precisions.map(|p| p.1.to_string()).collect();
                 ModelInfo {
                     name: e.name().into(),
                     arch: e.spec().label(),

@@ -302,7 +302,6 @@ fn whole_models_stop_copying_what_they_own() {
     // largest block 294 912 B (531 112 B, 165 032 B and 73 728 B when
     // written).
     const PARENT_I32_STORE_TILE_BYTES: usize = 1_736_680;
-    assert_eq!(qm.lane_proof().map(|p| p.storage()), Some(Storage::I8));
     assert!(
         cheapest.total * 100 <= PARENT_I32_STORE_TILE_BYTES * 35,
         "one q8 forward of a 96x96 tile allocated {} B, more than 35 % of the \

@@ -1,7 +1,8 @@
 //! Documentation honesty checks: every relative link under `docs/` and
 //! `README.md` must resolve to a real file, the verb, error-code and
 //! control-plane tables of `docs/PROTOCOL.md` must equal the serve
-//! crate's `VERBS`/`CODES` tables cell by cell, the byte layouts it
+//! crate's `VERBS`/`CODES` tables cell by cell and its precision cells
+//! the `PRECISIONS` table, the byte layouts it
 //! documents must match what the frame codec actually emits, the
 //! `RINGCNN_KERNEL` values the runbook lists must be the ones the parser
 //! accepts, every benchmark row a document cites must be a row
@@ -11,7 +12,7 @@
 use ringcnn_serve::error::{ServeError, WireCode};
 use ringcnn_serve::frame;
 use ringcnn_serve::protocol::{Body, Request, Verb, ERROR_BYTE, VERBS};
-use ringcnn_serve::registry::Precision;
+use ringcnn_serve::registry::{Precision, PRECISIONS};
 use ringcnn_tensor::prelude::*;
 use serde::Value;
 use std::path::{Path, PathBuf};
@@ -91,8 +92,10 @@ fn docs_relative_links_all_resolve() {
 
 /// PR 16 deleted the file-by-file load path of the registry and the
 /// non-Linux poller, PR 21 and PR 23 the three ways to run a layer
-/// inside a chain and the per-type kernel cells of the conv layers; no
-/// document may still send a reader to them.
+/// inside a chain and the per-type kernel cells of the conv layers, PR 25
+/// the simulator's own integer datapath, the wide plane store and the
+/// width options, PR 13 the perf-regression gate; no document may still
+/// send a reader to them.
 #[test]
 fn docs_name_no_deleted_identifier() {
     let mut files = markdown_docs();
@@ -113,6 +116,14 @@ fn docs_name_no_deleted_identifier() {
             "block_diagonal_weights",
             "contract_weight_grad",
             "windex",
+            "run_conv_tiled",
+            "run_layers_public",
+            "Storage::",
+            "wide_format",
+            "weight_bits",
+            "feature_bits",
+            "default_weight",
+            "perf-regression gate",
         ] {
             assert!(
                 !text.contains(gone),
@@ -301,6 +312,32 @@ fn broken_protocol_tables_are_named_by_row_and_column() {
         "Control-plane responses: the code has no row `0x85` stats",
     ] {
         assert!(diffs.contains(diagnostic), "no {diagnostic:?} in:\n{diffs}");
+    }
+}
+
+#[test]
+fn protocol_precision_cells_match_the_precision_table() {
+    let doc = protocol_md();
+    // The `precision` request field: its JSON values are the row's
+    // quoted code spans.
+    let row = doc.lines().find(|l| l.starts_with("| `precision` |"));
+    let row = row.expect("a `precision` field row");
+    let values: Vec<&str> = row.split('`').skip(1).step_by(2).collect();
+    let values: Vec<&str> = values.into_iter().filter(|v| v.starts_with('"')).collect();
+    let want: Vec<String> = PRECISIONS.iter().map(|p| format!("\"{}\"", p.1)).collect();
+    assert_eq!(values, want, "{row}");
+    // The `infer` frame's precision byte: `low bits: 0 = fp64, 1 = quant`.
+    let line = doc.lines().find(|l| l.starts_with("precision: u8"));
+    let line = line.expect("the infer frame's precision byte");
+    let low = line.split_once("low bits: ").expect("the low bits").1;
+    let want: Vec<String> = PRECISIONS
+        .iter()
+        .map(|p| format!("{} = {}", p.2, p.1))
+        .collect();
+    assert_eq!(low.trim(), want.join(", "), "{line}");
+    for (precision, name, byte) in PRECISIONS {
+        assert_eq!((precision.label(), precision.byte()), (name, byte));
+        assert_eq!(Precision::parse(name).ok(), Precision::from_byte(byte));
     }
 }
 

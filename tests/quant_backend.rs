@@ -520,11 +520,10 @@ proptest! {
 // ---------------------------------------------------------------------
 // The i32 tier ≡ the i64 tier, bit for bit.
 //
-// `QuantizedModel::forward` runs a model in `i32` lanes when the
-// load-time proof of `prepare_inference` bounds every integer of the
-// chain below 2^31 — on `i8` planes when, besides, every format that
-// reaches memory has at most 8 bits, on `i32` planes otherwise — and a
-// conv that keeps its accumulator runs as one engine step with the
+// `QuantizedModel::forward` runs a model in `i32` lanes on `i8` planes
+// (every format that reaches memory has 8 bits) when the load-time proof
+// of `prepare_inference` bounds every integer of the chain below 2^31,
+// and a conv that keeps its accumulator runs as one engine step with the
 // directional ReLU behind it, in every tier; `forward_q`/`execute_layer`
 // on a `QTensor` stay the `i64` interchange tier. The table below holds
 // the first to the second — whole models, tiled runs, every stage on its
@@ -572,14 +571,13 @@ fn proof(qm: &QuantizedModel) -> &LaneProof {
     qm.lane_proof().expect("a prepared model")
 }
 
-/// Every `QuantOptions` mode combination at the paper's 8 bits.
+/// Every `QuantOptions` mode combination (all at the paper's 8 bits).
 fn mode_combinations() -> impl Iterator<Item = QuantOptions> {
     [(true, true), (true, false), (false, true), (false, false)]
         .into_iter()
         .map(|(on_the_fly_drelu, component_wise)| QuantOptions {
             on_the_fly_drelu,
             component_wise,
-            ..QuantOptions::default()
         })
 }
 
@@ -636,12 +634,6 @@ fn i32_whole_models_equal_the_i64_tier_whole_and_tiled() {
                 let what = format!("{scenario:?} over {} with {opts:?}", alg.label());
                 let mut qm = QuantizedModel::quantize(&mut float, &calibration, opts);
                 assert_eq!(qm.lanes(), Lanes::I32, "{what}: {:?}", proof(&qm));
-                assert_eq!(
-                    proof(&qm).storage(),
-                    Storage::I8,
-                    "{what}: {:?}",
-                    proof(&qm)
-                );
                 let want = bits(&forward_i64(&qm, &x));
                 assert_eq!(bits(&oracle_forward(&qm, &x)), want, "{what}, oracles");
                 for tier in TIERS {
@@ -661,8 +653,7 @@ fn i32_whole_models_equal_the_i64_tier_whole_and_tiled() {
 /// for the HD30 Dn and SR4 ERNets over the real field and RI2/RI4/RI8
 /// with `fH`, in all four mode combinations, every conv accumulator fits
 /// the modelled engine's `ACC_BITS` and every directional-ReLU stage its
-/// `ACC_BITS + log₂n + 5`-bit unit, every tensor between steps is stored
-/// in 8 bits, and the largest magnitude per ring is pinned like the
+/// `ACC_BITS + log₂n + 5`-bit unit, and the largest magnitude per ring is pinned like the
 /// rings' other properties (a moved pin means calibration or the proof
 /// changed: the failure prints the row).
 #[test]
@@ -686,7 +677,7 @@ fn the_zoo_proves_into_the_widths_the_modelled_accelerator_has() {
                 let what = format!("{scenario:?} over {} with {opts:?}", alg.label());
                 let qm = QuantizedModel::quantize(&mut float, &calibration, opts);
                 let p = proof(&qm);
-                assert_eq!((p.lanes, p.storage()), (Lanes::I32, Storage::I8), "{what}");
+                assert_eq!(p.lanes, Lanes::I32, "{what}");
                 assert_eq!(p.stages.iter().map(|s| s.worst).max(), Some(p.worst));
                 for stage in &p.stages {
                     let bits = match stage.kind {
@@ -707,26 +698,23 @@ fn the_zoo_proves_into_the_widths_the_modelled_accelerator_has() {
     }
 }
 
-/// Every generic stage instantiated at `i32` — and on an `i8` store
-/// wherever the tensors on both sides of it are 8-bit —, on the layers
-/// calibration emits — dense, ring-expanded and aligned convs, accumulator-keeping
-/// convs in front of both directional-ReLU modes, ReLU, shuffles,
-/// residual bodies and their saturating adds — each against the `i64`
-/// tier of the same stage: `run_conv_reference` for a conv,
-/// `run_drelu_reference` for a directional ReLU, `execute_layer` on the
-/// `QTensor` for the rest.
+/// Every generic stage on its `i8` store in `i32` lanes, wherever the
+/// tensors on both sides of it are 8-bit, on the layers calibration emits
+/// — dense, ring-expanded and aligned convs, MAC-based directional ReLUs,
+/// ReLU, shuffles, residual bodies and their saturating adds — each
+/// against the `i64` tier of the same stage: `run_conv_reference` for a
+/// conv, `run_drelu_reference` for a directional ReLU, `execute_layer`
+/// on the `QTensor` for the rest. (An accumulator-keeping conv runs only
+/// as one step with its directional ReLU: the fused-step rows below.)
 #[test]
 fn i32_stages_equal_their_i64_oracles_layer_by_layer() {
-    fn visit(layers: &[QLayer], mut q: QTensor, what: &str, seen: &mut [usize; 5]) -> QTensor {
+    fn visit(layers: &[QLayer], mut q: QTensor, what: &str, seen: &mut [usize; 4]) -> QTensor {
         for (i, layer) in layers.iter().enumerate() {
-            let narrow = narrowed::<i32>(&q);
             let want = match layer {
                 QLayer::Residual(res) => {
                     let body = visit(res.body(), q.clone(), what, seen);
                     let formats = expand_formats(res.out_formats(), q.shape().c);
-                    let sum = narrowed(&body).add_saturating(&narrow, formats.clone());
                     let want = body.add_saturating(&q, formats.clone());
-                    assert_eq!(widened(&sum), want, "{what}: residual add {i}");
                     // 8-bit operands whose aligned sum passes the rails:
                     // it saturates in the lane, before the store narrows.
                     assert!(fits_i8(&body) && fits_i8(&q), "{what}: residual add {i}");
@@ -738,16 +726,13 @@ fn i32_stages_equal_their_i64_oracles_layer_by_layer() {
                 QLayer::DRelu(d) => run_drelu_reference(d, &q),
                 _ => execute_layer(layer, q.clone()),
             };
-            seen[match layer {
-                QLayer::Conv(_) => 0,
-                QLayer::DRelu(_) => 1,
-                QLayer::Residual(_) => 2,
-                _ => 3,
-            }] += 1;
-            let got = execute_layer(layer, narrow);
-            assert_eq!(widened(&got), want, "{what}: layer {i}");
             if fits_i8(&q) && fits_i8(&want) {
-                seen[4] += 1;
+                seen[match layer {
+                    QLayer::Conv(_) => 0,
+                    QLayer::DRelu(_) => 1,
+                    QLayer::Residual(_) => 2,
+                    _ => 3,
+                }] += 1;
                 let got = execute_layer(layer, narrowed::<i8>(&q));
                 assert_eq!(widened(&got), want, "{what}: layer {i} on i8");
             }
@@ -755,7 +740,7 @@ fn i32_stages_equal_their_i64_oracles_layer_by_layer() {
         }
         q
     }
-    let mut seen = [0; 5];
+    let mut seen = [0; 4];
     for alg in [
         Algebra::real(),
         Algebra::ri_fh(2),
@@ -775,11 +760,7 @@ fn i32_stages_equal_their_i64_oracles_layer_by_layer() {
             assert_eq!(bits(&qm.forward(&x)), bits(&out.dequantize()), "{what}");
         }
     }
-    let [convs, drelus, adds, others, on_i8] = seen;
-    assert!(
-        convs > 0 && drelus > 0 && adds > 0 && others > 0 && on_i8 > convs,
-        "{seen:?}"
-    );
+    assert!(seen.iter().all(|n| *n > 0), "{seen:?}");
 }
 
 // Hand-written `ringcnn-qmodel/v1` text: models no calibration would
@@ -821,14 +802,19 @@ fn json_drelu(n: usize, mid: Option<(u32, i32)>, out: &[(u32, i32)]) -> String {
     format!(r#"{{"DRelu":{{"n":{n},"mode":{mode},"out_formats":{out}}}}}"#)
 }
 
-/// Loads the layers as a model file: validated, proven, prepared.
-fn crafted(channels_io: usize, input: (u32, i32), layers: &[String]) -> QuantizedModel {
-    let json = format!(
+/// The layers as model-file text, in the shape files had before the
+/// width options went: `opts` still names `weight_bits`/`feature_bits`.
+fn crafted_json(channels_io: usize, input: (u32, i32), layers: &[String]) -> String {
+    format!(
         r#"{{"format":"ringcnn-qmodel/v1","name":"m","arch":"crafted","algebra":"-","channels_io":{channels_io},"calibration_psnr":0.0,"model":{{"input_format":{},"layers":[{}],"opts":{{"weight_bits":8,"feature_bits":8,"component_wise":true,"on_the_fly_drelu":true}}}}}}"#,
         json_format(input),
         layers.join(","),
-    );
-    qmodel_from_json(&json)
+    )
+}
+
+/// Loads the layers as a model file: validated, proven, prepared.
+fn crafted(channels_io: usize, input: (u32, i32), layers: &[String]) -> QuantizedModel {
+    qmodel_from_json(&crafted_json(channels_io, input, layers))
         .expect("a valid crafted model")
         .model
 }
@@ -891,16 +877,11 @@ fn the_drelu_bound_grows_by_n_through_the_second_butterfly() {
     assert_eq!(bits(&edge.forward(&x)), bits(&forward_i64(&edge, &x)));
 }
 
-/// What `i32` lanes cannot hold takes `i64`, with the reason on record:
-/// 16-bit features against 16-bit weights (−32768 is beyond what the
-/// 16-bit multiplier takes, whatever the accumulator), and a
-/// component-format spread whose alignment shift alone passes 2^31.
+/// What `i32` lanes cannot hold takes `i64`, with the stage on record:
+/// 8-bit features whose component formats spread 40 bits apart, so the
+/// alignment shift in front of the butterfly alone passes 2^31.
 #[test]
-fn sixteen_bit_operands_and_adversarial_spreads_take_i64() {
-    let conv = json_conv((1, 1, 1), &[3], (16, 0), &[0.0], Some(&[(16, 0)]), None);
-    let p = proof(&crafted(1, (16, 0), &[conv])).clone();
-    assert_eq!(p.lanes, Lanes::I64, "{p:?}");
-    assert_eq!(p.stage, "0 conv (operands beyond 16 bits)");
+fn adversarial_spreads_take_i64() {
     let spread = [(8, 0), (8, 40)];
     let conv = json_conv(
         (2, 2, 1),
@@ -959,7 +940,7 @@ fn the_fused_conv_fh_step_equals_conv_then_fh_through_the_oracles() {
                 let out: Vec<_> = (0..n).map(|l| (8, out_fracs[(l == 0) as usize])).collect();
                 let qm = crafted(n, (8, 4), &[conv, json_drelu(n, mid, &out)]);
                 let p = proof(&qm);
-                assert_eq!((p.lanes, p.storage()), (Lanes::I32, Storage::I8), "{p:?}");
+                assert_eq!(p.lanes, Lanes::I32, "{p:?}");
                 let x = saturating_input(Shape4::new(2, n, h, w), (8, 4), state);
                 let what = format!("n={n} k={k} {h}x{w} mid={mid:?}");
                 let want = assert_equals_its_oracles(&qm, &x, &what);
@@ -986,90 +967,97 @@ fn the_fused_step_clamps_and_sums_at_the_lane_rails() {
     let drelu = json_drelu(2, None, &[(8, -22), (8, -22)]);
     let edge = crafted(2, (8, 2), &[conv, drelu]);
     let p = proof(&edge);
-    assert_eq!(
-        (p.lanes, p.storage(), p.worst),
-        (Lanes::I32, Storage::I8, (1 << 31) - 4)
-    );
+    assert_eq!((p.lanes, p.worst), (Lanes::I32, (1 << 31) - 4));
     let x = saturating_input(Shape4::new(2, 2, 5, 7), (8, 2), 3);
     let want = assert_equals_its_oracles(&edge, &x, "i32 rails");
     // Two accumulators just below 2^29 sum to just below 2^30 = 64 · 2^24.
     assert_eq!(want.data().iter().max(), Some(&64));
 
-    let spread = [(16, 0), (16, 60)];
+    let spread = [(8, 0), (8, 60)];
     let head = json_conv(
         (2, 2, 1),
         &[1, 0, 0, 1],
-        (16, 0),
+        (8, 0),
         &[0.0; 2],
         Some(&spread),
         None,
     );
-    let kept = json_conv((2, 2, 1), &[9, 0, 0, -7], (16, 0), &[0.0; 2], None, None);
-    let drelu = json_drelu(2, None, &[(16, 0), (16, 50)]);
-    let wide = crafted(2, (16, 0), &[head, kept, drelu]);
+    let kept = json_conv((2, 2, 1), &[9, 0, 0, -7], (8, 0), &[0.0; 2], None, None);
+    let drelu = json_drelu(2, None, &[(8, 0), (8, 50)]);
+    let wide = crafted(2, (8, 0), &[head, kept, drelu]);
     let p = proof(&wide);
-    assert_eq!((p.lanes, p.storage()), (Lanes::I64, Storage::Lane), "{p:?}");
+    assert_eq!(p.lanes, Lanes::I64, "{p:?}");
     let fh = p.stages.last().expect("the directional ReLU");
     assert!(
         fh.worst > 1 << 64,
         "the aligned bound passes the lane: {p:?}"
     );
-    let x = saturating_input(Shape4::new(2, 2, 5, 7), (16, 0), 4);
+    let x = saturating_input(Shape4::new(2, 2, 5, 7), (8, 0), 4);
     let want = assert_equals_its_oracles(&wide, &x, "i64 rails");
     // Two ReLU outputs on the clamp's rail, 2^61 each, sum to 4 · 2^60.
     assert!(want.data().contains(&4));
 }
 
-/// The storage is the model file's too: one 9-bit format anywhere — here
-/// a directional ReLU's output — keeps `i32` lanes on `i32` planes, with
-/// the format on record; 16-bit features against 16-bit weights take
-/// `i64` lanes and planes. Both are still exact.
+/// Every format that reaches memory has the paper's 8 bits: one 9-bit
+/// format anywhere — here a directional ReLU's output — is refused by
+/// `validate`, which names the stage, and so by the loader. The same
+/// model at 8 bits loads into `i32` lanes and is exact.
 #[test]
-fn a_nine_bit_format_takes_lane_storage_and_sixteen_bit_operands_i64() {
-    let model = |feature_bits: u32, w_bits: u32| {
+fn a_nine_bit_stored_format_is_refused_naming_the_stage() {
+    let json = |feature_bits: u32| {
         let f = (feature_bits, 3);
         let weights: Vec<i64> = (0..4 * 4 * 9).map(|i| (i * 37 % 23) - 11).collect();
-        let head = json_conv((4, 4, 3), &weights, (w_bits, 4), &[0.1; 4], None, None);
+        let head = json_conv((4, 4, 3), &weights, (8, 4), &[0.1; 4], None, None);
         let drelu = json_drelu(4, None, &[f; 4]);
-        let tail = json_conv(
-            (4, 4, 3),
-            &weights,
-            (w_bits, 4),
-            &[0.2; 4],
-            Some(&[(8, 1); 4]),
-            None,
-        );
-        crafted(4, (8, 3), &[head, drelu, r#""Relu""#.into(), tail])
+        let requant = Some(&[(8, 1); 4][..]);
+        let tail = json_conv((4, 4, 3), &weights, (8, 4), &[0.2; 4], requant, None);
+        crafted_json(4, (8, 3), &[head, drelu, r#""Relu""#.into(), tail])
     };
+    let eight = qmodel_from_json(&json(8)).expect("an 8-bit model").model;
+    assert_eq!(proof(&eight).lanes, Lanes::I32, "{:?}", proof(&eight));
     let x = saturating_input(Shape4::new(2, 4, 9, 15), (8, 3), 5);
-    let eight = model(8, 8);
-    assert_eq!(proof(&eight).storage(), Storage::I8, "{:?}", proof(&eight));
-    assert_eq!(proof(&eight).wide_format, None);
     assert_equals_its_oracles(&eight, &x, "8-bit");
-    let nine = model(9, 8);
-    let p = proof(&nine);
-    assert_eq!((p.lanes, p.storage()), (Lanes::I32, Storage::Lane), "{p:?}");
+    let why = "1 fH output format: bits 9 outside 2..=8".to_string();
+    let nine: QModelFile = serde_json::from_str(&json(9)).expect("the schema parses");
+    assert_eq!(nine.model.validate(4), Err(why.clone()));
     assert_eq!(
-        p.wide_format.as_deref(),
-        Some("1 fH output format has 9 bits")
+        qmodel_from_json(&json(9)).unwrap_err(),
+        QModelLoadError::Invalid(why)
     );
-    assert!(
-        p.to_string()
-            .starts_with("integer lanes i32, store i32 (1 fH"),
-        "{p}"
+}
+
+/// A `ringcnn-qmodel/v1` file as written before the width options went —
+/// `opts` carrying `"weight_bits":8,"feature_bits":8` — loads as the
+/// file it is, re-renders without the two keys and runs bit-identically.
+#[test]
+fn a_qmodel_file_naming_the_dropped_width_options_loads_and_runs() {
+    let alg = Algebra::ri_fh(4);
+    let mut float = build_model(
+        Scenario::Denoise { sigma: 25.0 },
+        ThroughputTarget::Hd30,
+        &alg,
+        7,
     );
-    assert_equals_its_oracles(&nine, &x, "9-bit");
-    let sixteen = model(16, 16);
-    let p = proof(&sixteen);
-    assert_eq!((p.lanes, p.storage()), (Lanes::I64, Storage::Lane), "{p:?}");
-    assert!(p.stage.ends_with("(operands beyond 16 bits)"), "{p:?}");
-    assert_equals_its_oracles(&sixteen, &x, "16-bit");
+    let x = Tensor::random_uniform(Shape4::new(1, 1, 16, 16), 0.0, 1.0, 5);
+    let qm = QuantizedModel::quantize(&mut float, &x, QuantOptions::default());
+    let file = export_qmodel("m", "dn", &alg.label(), 1, 30.0, qm).expect("exports");
+    let json = qmodel_to_json(&file);
+    let old = json.replacen(
+        r#""opts":{"#,
+        r#""opts":{"weight_bits":8,"feature_bits":8,"#,
+        1,
+    );
+    assert_ne!(old, json);
+    let back = qmodel_from_json(&old).expect("the old shape loads");
+    assert_eq!(back, file);
+    assert_eq!(qmodel_to_json(&back), json);
+    assert_eq!(bits(&back.model.forward(&x)), bits(&file.model.forward(&x)));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random tables — weight and feature widths 2..=16, every format
+    /// Random tables — weight and feature widths 2..=8, every format
     /// its own frac, both directional-ReLU modes, an aligned conv in a
     /// residual body, a shuffle across mixed formats: whenever the proof
     /// says `I32`, the `i32` chain computes the `i64` chain's integers
@@ -1077,8 +1065,8 @@ proptest! {
     #[test]
     fn whatever_the_proof_admits_to_i32_equals_the_i64_tier(
         log_n in 1u32..3,
-        w_bits in 2u32..17,
-        f_bits in proptest::collection::vec(2u32..17, 12),
+        w_bits in 2u32..9,
+        f_bits in proptest::collection::vec(2u32..9, 12),
         fracs in proptest::collection::vec(0i32..11, 12),
         mac_based in 0u32..2,
         seed in 0u64..u64::MAX,
@@ -1124,10 +1112,9 @@ proptest! {
             let x = saturating_input(Shape4::new(2, n, 5, 7), input, seed);
             prop_assert_eq!(bits(&qm.forward(&x)), bits(&forward_i64(&qm, &x)), "{:?}", proof(&qm));
         } else {
-            // Not for nothing: some stage does pass 2^31, or multiplies
-            // a 16-bit rail.
+            // Not for nothing: some stage does pass 2^31.
             let p = proof(&qm);
-            prop_assert!(p.worst >= 1 << 31 || p.stage.contains("operands"), "{:?}", p);
+            prop_assert!(p.worst >= 1 << 31, "{:?}", p);
         }
     }
 }
