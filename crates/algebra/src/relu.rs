@@ -143,6 +143,11 @@ impl DirectionalRelu {
         self.n
     }
 
+    /// Whether this is `fH` (`U = V = H`), the unit the butterfly runs.
+    pub fn is_hadamard(&self) -> bool {
+        self.hadamard_fast
+    }
+
     /// The output mixing matrix `U`.
     pub fn u(&self) -> &Mat {
         &self.u

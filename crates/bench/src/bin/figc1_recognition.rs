@@ -55,7 +55,7 @@ fn main() {
 
     // Dense real baseline.
     let mut base = resnet_mini(&Algebra::real(), rcfg, 1, 41);
-    let base_mults = mults_per_input_pixel(&mut base);
+    let base_mults = mults_per_input_pixel(&base);
     let _ = train_classifier(&mut base, &xs, &labels, &cfg);
     record(
         "ResNet (dense)",

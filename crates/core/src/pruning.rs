@@ -23,10 +23,8 @@ pub fn global_magnitude_prune(model: &mut Sequential, compression: f64) -> usize
     assert!(compression >= 1.0, "compression ratio must be ≥ 1");
     // Pass 1: gather all magnitudes.
     let mut mags: Vec<f32> = Vec::new();
-    model.for_each_layer_mut(&mut |l| {
-        if let Some(conv) = l.as_any_mut().downcast_mut::<Conv2d>() {
-            mags.extend(conv.weights().data.iter().map(|w| w.abs()));
-        }
+    real_convs(model, &mut |conv| {
+        mags.extend(conv.weights().data.iter().map(|w| w.abs()));
     });
     if mags.is_empty() {
         return 0;
@@ -41,17 +39,15 @@ pub fn global_magnitude_prune(model: &mut Sequential, compression: f64) -> usize
     };
     // Pass 2: install masks.
     let mut pruned = 0usize;
-    model.for_each_layer_mut(&mut |l| {
-        if let Some(conv) = l.as_any_mut().downcast_mut::<Conv2d>() {
-            let mask: Vec<f32> = conv
-                .weights()
-                .data
-                .iter()
-                .map(|w| if w.abs() <= threshold { 0.0 } else { 1.0 })
-                .collect();
-            pruned += mask.iter().filter(|m| **m == 0.0).count();
-            conv.set_mask(mask);
-        }
+    real_convs(model, &mut |conv| {
+        let mask: Vec<f32> = conv
+            .weights()
+            .data
+            .iter()
+            .map(|w| if w.abs() <= threshold { 0.0 } else { 1.0 })
+            .collect();
+        pruned += mask.iter().filter(|m| **m == 0.0).count();
+        conv.set_mask(mask);
     });
     pruned
 }
@@ -67,12 +63,10 @@ pub fn structured_filter_prune(model: &mut Sequential, fraction: f64) -> usize {
     assert!((0.0..1.0).contains(&fraction), "fraction must be in [0, 1)");
     // Pass 1: collect normalized filter importances.
     let mut scores: Vec<f32> = Vec::new();
-    model.for_each_layer_mut(&mut |l| {
-        if let Some(conv) = l.as_any_mut().downcast_mut::<Conv2d>() {
-            let per_filter = filter_norms(conv);
-            let mean = per_filter.iter().sum::<f32>() / per_filter.len().max(1) as f32;
-            scores.extend(per_filter.iter().map(|v| v / mean.max(1e-12)));
-        }
+    real_convs(model, &mut |conv| {
+        let per_filter = filter_norms(conv);
+        let mean = per_filter.iter().sum::<f32>() / per_filter.len().max(1) as f32;
+        scores.extend(per_filter.iter().map(|v| v / mean.max(1e-12)));
     });
     if scores.is_empty() {
         return 0;
@@ -87,25 +81,32 @@ pub fn structured_filter_prune(model: &mut Sequential, fraction: f64) -> usize {
     };
     // Pass 2: zero the filters under the threshold.
     let mut removed = 0usize;
-    model.for_each_layer_mut(&mut |l| {
-        if let Some(conv) = l.as_any_mut().downcast_mut::<Conv2d>() {
-            let per_filter = filter_norms(conv);
-            let mean = per_filter.iter().sum::<f32>() / per_filter.len().max(1) as f32;
-            let (co, ci, k) = (conv.co(), conv.ci(), conv.k());
-            let mut mask = vec![1.0f32; co * ci * k * k];
-            for (f, norm) in per_filter.iter().enumerate() {
-                if norm / mean.max(1e-12) <= threshold {
-                    removed += 1;
-                    for v in mask[f * ci * k * k..(f + 1) * ci * k * k].iter_mut() {
-                        *v = 0.0;
-                    }
-                    conv.bias_mut()[f] = 0.0;
+    real_convs(model, &mut |conv| {
+        let per_filter = filter_norms(conv);
+        let mean = per_filter.iter().sum::<f32>() / per_filter.len().max(1) as f32;
+        let (co, ci, k) = (conv.co(), conv.ci(), conv.k());
+        let mut mask = vec![1.0f32; co * ci * k * k];
+        for (f, norm) in per_filter.iter().enumerate() {
+            if norm / mean.max(1e-12) <= threshold {
+                removed += 1;
+                for v in mask[f * ci * k * k..(f + 1) * ci * k * k].iter_mut() {
+                    *v = 0.0;
                 }
+                conv.bias_mut()[f] = 0.0;
             }
-            conv.set_mask(mask);
         }
+        conv.set_mask(mask);
     });
     removed
+}
+
+/// Runs `f` on every real convolution of the model: pruning's subjects.
+fn real_convs(model: &mut Sequential, f: &mut dyn FnMut(&mut Conv2d)) {
+    model.for_each_layer_mut(&mut |l| {
+        if let Some(conv) = l.as_any_mut().downcast_mut::<Conv2d>() {
+            f(conv);
+        }
+    });
 }
 
 fn filter_norms(conv: &mut Conv2d) -> Vec<f32> {
@@ -125,12 +126,10 @@ fn filter_norms(conv: &mut Conv2d) -> Vec<f32> {
 pub fn model_density(model: &mut Sequential) -> f64 {
     let mut kept = 0usize;
     let mut total = 0usize;
-    model.for_each_layer_mut(&mut |l| {
-        if let Some(conv) = l.as_any_mut().downcast_mut::<Conv2d>() {
-            let len = conv.weights().data.len();
-            total += len;
-            kept += (conv.density() * len as f64).round() as usize;
-        }
+    real_convs(model, &mut |conv| {
+        let len = conv.weights().data.len();
+        total += len;
+        kept += (conv.density() * len as f64).round() as usize;
     });
     if total == 0 {
         1.0
@@ -201,9 +200,9 @@ mod tests {
     #[test]
     fn pruning_reduces_effective_mults() {
         let mut m = model();
-        let before = mults_per_input_pixel(&mut m);
+        let before = mults_per_input_pixel(&m);
         let _ = global_magnitude_prune(&mut m, 4.0);
-        let after = mults_per_input_pixel(&mut m);
+        let after = mults_per_input_pixel(&m);
         assert!((before / after - 4.0).abs() < 0.2, "{before} -> {after}");
     }
 }

@@ -113,9 +113,9 @@ mod tests {
     #[test]
     fn uhd_model_is_cheaper_than_hd_model() {
         let alg = Algebra::real();
-        let mut hd = build_model(Scenario::Sr4, ThroughputTarget::Hd30, &alg, 1);
-        let mut uhd = build_model(Scenario::Sr4, ThroughputTarget::Uhd30, &alg, 1);
-        assert!(mults_per_input_pixel(&mut uhd) < mults_per_input_pixel(&mut hd));
+        let hd = build_model(Scenario::Sr4, ThroughputTarget::Hd30, &alg, 1);
+        let uhd = build_model(Scenario::Sr4, ThroughputTarget::Uhd30, &alg, 1);
+        assert!(mults_per_input_pixel(&uhd) < mults_per_input_pixel(&hd));
     }
 
     #[test]

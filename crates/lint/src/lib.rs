@@ -7,8 +7,9 @@
 //! re-verify by eye on every change. This crate machine-checks the
 //! invariants that keep them honest: every `unsafe` carries a SAFETY
 //! rationale, every `Ordering::Relaxed` outside the profiling
-//! allowlist justifies itself, seqlock files pair Acquire/Release, and
-//! the serve layer stays free of ad-hoc prints and event-loop panics.
+//! allowlist justifies itself, seqlock files pair Acquire/Release,
+//! the serve layer stays free of ad-hoc prints and event-loop panics,
+//! and no model walk downcasts past `Layer::describe()`.
 //!
 //! Std-only by construction: a hand-rolled token scanner
 //! ([`scan`]) understands comments, strings, raw strings, and
@@ -98,6 +99,10 @@ pub const RULES: &[Rule] = &[
     Rule {
         name: "no-sleep",
         summary: "no `thread::sleep` in reactor.rs/scheduler.rs non-test code",
+    },
+    Rule {
+        name: "no-downcast",
+        summary: "no `downcast_mut`/`downcast_ref`/`.is::<` in crates/{nn,quant,esim,serve}/src non-test code",
     },
     Rule {
         name: "suppression",

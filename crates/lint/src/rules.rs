@@ -16,6 +16,7 @@ pub const SUPPRESSIBLE: &[&str] = &[
     "no-print",
     "no-unwrap",
     "no-sleep",
+    "no-downcast",
 ];
 
 /// `Ordering::Relaxed` sites that never need a per-line justification:
@@ -33,6 +34,11 @@ const RELAXED_ALLOWLIST: &[(&str, &str, &str)] = &[
         "stats counters are independent monotonic cells; snapshots tolerate tearing",
     ),
 ];
+
+/// What `no-downcast` flags in the crates whose walks over a model read
+/// what a layer is from `Layer::describe()`.
+const DOWNCASTS: [&str; 3] = ["downcast_mut", "downcast_ref", ".is::<"];
+const NO_DOWNCAST: &str = "downcast in a crate that walks models: read `Layer::describe()` instead";
 
 /// An inline `// lint:allow(rule): reason` annotation, resolved to the
 /// line of code it covers.
@@ -55,6 +61,9 @@ pub fn check_file(rel: &str, scanned: &Scanned) -> Vec<Violation> {
     };
 
     let in_serve = rel.starts_with("crates/serve/");
+    let walks_models = ["nn", "quant", "esim", "serve"]
+        .iter()
+        .any(|c| rel.starts_with(&format!("crates/{c}/src/")));
     let in_bin = rel.contains("/src/bin/");
     let panic_free = rel.ends_with("crates/serve/src/reactor.rs")
         || rel.ends_with("crates/serve/src/scheduler.rs");
@@ -111,6 +120,11 @@ pub fn check_file(rel: &str, scanned: &Scanned) -> Vec<Violation> {
                     "`println!` in crates/serve library code — only bins own stdout",
                 ));
             }
+        }
+
+        let downcast = DOWNCASTS.iter().any(|d| code.contains(d));
+        if walks_models && downcast && !suppressed("no-downcast", idx) {
+            out.push(Violation::new("no-downcast", rel, idx + 1, NO_DOWNCAST));
         }
 
         if panic_free {
@@ -470,6 +484,28 @@ fn f() {
     fn test_modules_in_scoped_files_may_unwrap() {
         let src = "#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\n";
         assert!(rules_for("crates/serve/src/reactor.rs", src).is_empty());
+    }
+
+    // --- no-downcast -------------------------------------------------------
+
+    #[test]
+    fn downcasts_are_flagged_in_the_crates_that_walk_models_outside_tests() {
+        let src = "\
+let _ = l.as_any_mut().downcast_mut::<Conv2d>();
+let _ = a.downcast_ref::<Relu>() || l.as_any_mut().is::<Relu>();
+#[cfg(test)]
+mod tests {
+    fn t() { l.as_any_mut().downcast_mut::<Conv2d>(); }
+}
+";
+        for krate in ["nn", "quant", "esim", "serve"] {
+            let vs = lint_source(&format!("crates/{krate}/src/a.rs"), src);
+            let rules: Vec<_> = vs.iter().map(|v| (v.rule, v.line)).collect();
+            assert_eq!(rules, [("no-downcast", 1), ("no-downcast", 2)], "{krate}");
+        }
+        // Pruning (core) and the benchmark may downcast.
+        assert!(rules_for("crates/core/src/pruning.rs", src).is_empty());
+        assert!(rules_for("crates/bench/src/bin/benchmark/probes.rs", src).is_empty());
     }
 
     // --- suppression ------------------------------------------------------

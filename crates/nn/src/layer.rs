@@ -22,6 +22,53 @@ pub struct ParamGroup<'a> {
     pub grads: &'a mut [f32],
 }
 
+/// What a layer is, as every walk over a model reads it
+/// ([`Layer::describe`]): the tree defaults, the topology, the
+/// multiplication count and the integer lowering are folds over it.
+#[derive(Clone, Copy)]
+pub enum Node<'a> {
+    /// A chain: its children, run in order.
+    Chain(&'a [Box<dyn Layer>]),
+    /// `body(x)` plus a skip of `x`.
+    Skip(&'a dyn Layer, SkipKind),
+    /// A convolution, of any weight lowering.
+    Conv(&'a dyn AnyConv),
+    /// Component-wise ReLU.
+    Relu,
+    /// The directional ReLU `fH` over `n`-tuples.
+    DRelu(usize),
+    /// Depth-to-space by `r`.
+    Shuffle(usize),
+    /// Space-to-depth by `r`.
+    Unshuffle(usize),
+    /// A leaf no walk looks into (dense heads, pooling, test layers): it
+    /// keeps the resolution and counts its own `mults_per_pixel`.
+    Opaque,
+}
+
+/// What a [`Node::Skip`] adds to its body's output.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SkipKind {
+    /// The input itself.
+    Residual,
+    /// The bicubic upsampling of the input by this factor.
+    Bicubic(usize),
+}
+
+impl Node<'_> {
+    /// What the node reads beside its children — the radius around an
+    /// output pixel at its input resolution — and its scale `(num, den)`.
+    pub fn geometry(&self) -> (usize, (usize, usize)) {
+        match *self {
+            Node::Conv(c) => (c.parts().0.shape().2 / 2, (1, 1)),
+            Node::Skip(_, SkipKind::Bicubic(_)) => (2, (1, 1)),
+            Node::Shuffle(r) => (0, (r, 1)),
+            Node::Unshuffle(r) => (0, (1, r)),
+            _ => (0, (1, 1)),
+        }
+    }
+}
+
 /// A differentiable network layer, owning its parameters and gradient
 /// buffers. The contract, each part stated once:
 ///
@@ -39,9 +86,10 @@ pub struct ParamGroup<'a> {
 ///   `&mut` path to what the kernel was derived from (parameter
 ///   accessors, `visit_params`, `forward_train`, backend selection)
 ///   resets the cell, so a kernel can never go stale.
-/// - A container exposes its direct children through
-///   [`Layer::children`]; the tree walks and the per-tree defaults below
-///   are built on it.
+/// - A layer says what it is through [`Layer::describe`]; the read-only
+///   defaults below and every walk over a model are folds over that
+///   one description. A container also hands out its children through
+///   [`Layer::children_mut`], for the `&mut` defaults.
 /// - Ownership of activations: a tensor passed by reference is the
 ///   caller's and is never written; a container owns every tensor a
 ///   child returns to it and hands it to the next child for good
@@ -50,12 +98,17 @@ pub struct ParamGroup<'a> {
 ///   on a tensor they are given), a tile's halo is consumed (a
 ///   convolution writes only what the rest of the chain reads) and a
 ///   layer writes where its successor would copy to (the convolution
-///   in front of a [`Layer::pixel_shuffle_factor`]). Every step has the
-///   bits of the plain leaf-by-leaf chain, which stays valid: walks that
-///   call `forward_infer` on one leaf at a time see the same values.
+///   in front of a [`Node::Shuffle`]). Every step has the bits of the
+///   plain leaf-by-leaf chain, which stays valid: walks that call
+///   `forward_infer` on one leaf at a time see the same values.
 pub trait Layer: Send + Sync {
     /// Short human-readable layer descriptor (e.g. `conv3x3(16->32)`).
     fn name(&self) -> String;
+
+    /// What the layer is ([`Node`]). Default: [`Node::Opaque`].
+    fn describe(&self) -> Node<'_> {
+        Node::Opaque
+    }
 
     /// [`Layer::forward_train`] when `train`, [`Layer::forward_infer`]
     /// otherwise. Not meant to be overridden.
@@ -89,31 +142,22 @@ pub trait Layer: Send + Sync {
     /// does, and leaves out the rim of `tile`'s margins the rest of the
     /// chain no longer reaches; a container threads `tile` through its
     /// children, its `forward_infer` being this walk over
-    /// [`TileHalo::whole`]. Default: a [`TileHalo::leaf`] run over the
-    /// whole tile — the halo is carried, the bits are the same.
+    /// [`TileHalo::whole`]. Default: a [`TileHalo::leaf`] of the layer's
+    /// [`Node::geometry`] run over the whole tile — the halo is carried,
+    /// the bits are the same.
     fn forward_step(
         &self,
         input: Cow<'_, Tensor>,
         tile: &mut TileHalo,
         _shuffle: usize,
     ) -> (Tensor, bool) {
-        tile.leaf(self.kernel_radius(), self.spatial_scale());
+        let (radius, scale) = self.describe().geometry();
+        tile.leaf(radius, scale);
         (self.forward_infer(&input), false)
     }
 
-    /// `Some(r)` for the depth-to-space of factor `r`, the one layer its
-    /// predecessor in a chain may absorb ([`Layer::forward_step`]).
-    fn pixel_shuffle_factor(&self) -> Option<usize> {
-        None
-    }
-
     /// The direct children of a container layer, in execution order —
-    /// `None` for a leaf (an empty container is still `Some(&[])`).
-    fn children(&self) -> Option<&[Box<dyn Layer>]> {
-        None
-    }
-
-    /// Mutable counterpart of [`Layer::children`].
+    /// `None` for a leaf (an empty container is still `Some(&mut [])`).
     fn children_mut(&mut self) -> Option<&mut [Box<dyn Layer>]> {
         None
     }
@@ -124,15 +168,6 @@ pub trait Layer: Send + Sync {
         for child in self.children_mut().into_iter().flatten() {
             child.prepare_inference();
         }
-    }
-
-    /// Spatial radius this layer reads around each output pixel, in this
-    /// layer's *own input* resolution (`⌊k/2⌋` for a `k×k` convolution,
-    /// 0 for pointwise layers; for a container, the reach of whatever it
-    /// computes *beside* its children). The runtime composes these
-    /// through shuffles into a whole-model receptive radius.
-    fn kernel_radius(&self) -> usize {
-        0
     }
 
     /// Consumes cached activations, accumulates parameter gradients, and
@@ -168,33 +203,24 @@ pub trait Layer: Send + Sync {
         count
     }
 
-    /// Real multiplications per output pixel when executed with the
-    /// layer's fast algorithm (used for the computation-efficiency axes
-    /// of Fig. 1 and Fig. C-1). Zero for parameter-free leaves; for a
-    /// container the plain sum over its children, which ignores spatial
-    /// rescaling inside the chain — model builders get exact accounting
-    /// from `complexity::mults_per_input_pixel`.
+    /// Real multiplications per input pixel under the fast algorithms
+    /// (the efficiency axes of Fig. 1 and Fig. C-1): the description's
+    /// [`crate::complexity::cost`]. Zero for an opaque leaf by default.
     fn mults_per_pixel(&self) -> f64 {
-        self.children()
-            .into_iter()
-            .flatten()
-            .map(|child| child.mults_per_pixel())
-            .sum()
+        crate::complexity::cost(self.describe()).0
     }
 
-    /// Output channel count given the input channel count: unchanged by
-    /// default for a leaf, threaded through the children of a container.
+    /// Output channel count given the input channel count, folded over
+    /// the description.
     fn out_channels(&self, in_channels: usize) -> usize {
-        self.children()
-            .into_iter()
-            .flatten()
-            .fold(in_channels, |c, child| child.out_channels(c))
-    }
-
-    /// Spatial scale factor of the layer (2 for ×2 pixel shuffle, ½ for
-    /// unshuffle, 1 otherwise) — numerator/denominator pair.
-    fn spatial_scale(&self) -> (usize, usize) {
-        (1, 1)
+        match self.describe() {
+            Node::Chain(layers) => layers.iter().fold(in_channels, |c, l| l.out_channels(c)),
+            Node::Skip(body, _) => body.out_channels(in_channels),
+            Node::Conv(conv) => conv.parts().0.shape().0,
+            Node::Shuffle(r) => in_channels / (r * r),
+            Node::Unshuffle(r) => in_channels * r * r,
+            Node::Relu | Node::DRelu(_) | Node::Opaque => in_channels,
+        }
     }
 
     /// Selects the convolution execution backend for inference forwards
@@ -210,8 +236,8 @@ pub trait Layer: Send + Sync {
     fn as_any_mut(&mut self) -> &mut dyn Any;
 
     /// The layer as a convolution of whatever weight lowering — what
-    /// calibration and model surgery read instead of downcasting to each
-    /// convolution type. `None` for everything else.
+    /// model surgery reads instead of downcasting to each convolution
+    /// type. `None` for everything else.
     fn as_conv_mut(&mut self) -> Option<&mut dyn AnyConv> {
         None
     }
@@ -222,16 +248,6 @@ pub trait Layer: Send + Sync {
 pub fn forward_whole<L: Layer + ?Sized>(layer: &L, input: &Tensor) -> Tensor {
     let whole = &mut TileHalo::whole();
     layer.forward_step(Cow::Borrowed(input), whole, 1).0
-}
-
-/// Visits `layer` and every layer below it, a container before its
-/// children, siblings in execution order: the one recursion behind
-/// `Sequential::for_each_layer_mut` and `runtime::model_topology`.
-pub fn visit_tree_mut(layer: &mut dyn Layer, f: &mut dyn FnMut(&mut dyn Layer)) {
-    f(layer);
-    for child in layer.children_mut().into_iter().flatten() {
-        visit_tree_mut(child.as_mut(), f);
-    }
 }
 
 /// For the layers' gradient checks: what `backward` answers for input

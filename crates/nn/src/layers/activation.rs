@@ -1,7 +1,7 @@
 //! Activation layers: component-wise ReLU and the tuple-wise directional
 //! ReLU (`fH` / `fO4`) applied across channel groups.
 
-use crate::layer::{forward_whole, Layer};
+use crate::layer::{forward_whole, Layer, Node};
 use crate::runtime::TileHalo;
 use ringcnn_algebra::relu::{DirectionalRelu, Nonlinearity};
 use ringcnn_algebra::ring::Ring;
@@ -26,6 +26,10 @@ impl Relu {
 impl Layer for Relu {
     fn name(&self) -> String {
         "relu".into()
+    }
+
+    fn describe(&self) -> Node<'_> {
+        Node::Relu
     }
 
     fn forward_train(&mut self, input: &T) -> T {
@@ -126,6 +130,15 @@ impl DirectionalReluLayer {
 impl Layer for DirectionalReluLayer {
     fn name(&self) -> String {
         format!("drelu[n={}]", self.n)
+    }
+
+    /// `fH` is the unit the integer pipeline has; `fO4` is opaque to it.
+    fn describe(&self) -> Node<'_> {
+        if self.f.is_hadamard() {
+            Node::DRelu(self.n)
+        } else {
+            Node::Opaque
+        }
     }
 
     fn forward_train(&mut self, input: &T) -> T {

@@ -14,7 +14,7 @@
 
 use crate::backend::ConvBackend;
 use crate::init::he_std;
-use crate::layer::{forward_whole, Layer, ParamGroup};
+use crate::layer::{forward_whole, Layer, Node, ParamGroup};
 use crate::layers::fast_ring_conv::FastRingConv;
 use crate::runtime::TileHalo;
 use ringcnn_tensor::prelude::*;
@@ -52,14 +52,15 @@ pub trait Lowering: Send + Sync + 'static {
         None
     }
 
-    /// `(n, is_diagonal)` of the ring whose convolution this is (the real
-    /// field: `(1, true)`); `None` for the depth-wise baseline, which is
-    /// no ring convolution and which the integer pipeline — a model of
-    /// eRingCNN's RCONV engine — does not lower.
-    fn tuple(&self) -> Option<(usize, bool)>;
+    /// `(n, is_diagonal)` of the ring whose convolution this is: `(1,
+    /// true)` for the real field and the (block-diagonal) depth-wise one.
+    fn tuple(&self) -> (usize, bool) {
+        (1, true)
+    }
 }
 
-/// Any convolution layer, whatever its lowering ([`Layer::as_conv_mut`]).
+/// Any convolution layer, whatever its lowering ([`Node::Conv`],
+/// [`Layer::as_conv_mut`]).
 pub trait AnyConv {
     /// The lowering — read [`Lowering::lowered`] for the real weights
     /// (`co`, `ci`, `k` inside) — and the bias per real output channel.
@@ -213,6 +214,10 @@ impl<L: Lowering> Layer for ConvLayer<L> {
         self.lowering.name()
     }
 
+    fn describe(&self) -> Node<'_> {
+        Node::Conv(self)
+    }
+
     fn forward_train(&mut self, input: &T) -> T {
         // Training always flows through the naive reference kernel over
         // the lowering, so the forward pass matches `backward` exactly;
@@ -249,10 +254,6 @@ impl<L: Lowering> Layer for ConvLayer<L> {
         self.kernel();
     }
 
-    fn kernel_radius(&self) -> usize {
-        self.k() / 2
-    }
-
     fn backward(&mut self, dout: &T) -> T {
         let input = self
             .cached_input
@@ -277,15 +278,6 @@ impl<L: Lowering> Layer for ConvLayer<L> {
             values: &mut this.bias,
             grads: &mut this.dbias,
         });
-    }
-
-    fn mults_per_pixel(&self) -> f64 {
-        self.lowering.mults_per_pixel()
-    }
-
-    fn out_channels(&self, in_channels: usize) -> usize {
-        self.check_channels(in_channels);
-        self.co()
     }
 
     fn set_conv_backend(&mut self, backend: ConvBackend) {
@@ -337,10 +329,6 @@ impl Lowering for RealLowering {
     fn mults_per_pixel(&self) -> f64 {
         // Effective multiplications honour pruning density.
         self.weights.len() as f64 * self.density()
-    }
-
-    fn tuple(&self) -> Option<(usize, bool)> {
-        Some((1, true))
     }
 }
 
@@ -464,10 +452,6 @@ impl Lowering for DepthwiseLowering {
 
     fn mults_per_pixel(&self) -> f64 {
         self.weights.len() as f64
-    }
-
-    fn tuple(&self) -> Option<(usize, bool)> {
-        None
     }
 }
 

@@ -90,8 +90,8 @@ impl Lowering for RingLowering {
         ))
     }
 
-    fn tuple(&self) -> Option<(usize, bool)> {
-        Some((self.ring.n(), self.ring.is_diagonal()))
+    fn tuple(&self) -> (usize, bool) {
+        (self.ring.n(), self.ring.is_diagonal())
     }
 }
 

@@ -8,12 +8,12 @@
 //! through a 4-D index per element.
 //!
 //! Behind a convolution on the streaming engine a [`PixelShuffle`] does
-//! not run at all: it answers [`Layer::pixel_shuffle_factor`], and the
+//! not run at all: it describes itself as a [`Node::Shuffle`], and the
 //! convolution's [`Layer::forward_step`] writes each pixel where
 //! [`shuffle_into`] would copy it, bit for bit the tensor `apply`
 //! returns.
 
-use crate::layer::Layer;
+use crate::layer::{Layer, Node};
 use crate::runtime::TileHalo;
 use ringcnn_tensor::prelude::*;
 use ringcnn_tensor::tensor::Tensor as T;
@@ -117,6 +117,10 @@ impl Layer for PixelUnshuffle {
         format!("pixel_unshuffle(x{})", self.r)
     }
 
+    fn describe(&self) -> Node<'_> {
+        Node::Unshuffle(self.r)
+    }
+
     fn forward_infer(&self, input: &T) -> T {
         Self::apply(input, self.r)
     }
@@ -135,14 +139,6 @@ impl Layer for PixelUnshuffle {
 
     fn backward(&mut self, dout: &T) -> T {
         PixelShuffle::apply(dout, self.r)
-    }
-
-    fn out_channels(&self, in_channels: usize) -> usize {
-        in_channels * self.r * self.r
-    }
-
-    fn spatial_scale(&self) -> (usize, usize) {
-        (1, self.r)
     }
 
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
@@ -188,24 +184,16 @@ impl Layer for PixelShuffle {
         format!("pixel_shuffle(x{})", self.r)
     }
 
+    fn describe(&self) -> Node<'_> {
+        Node::Shuffle(self.r)
+    }
+
     fn forward_infer(&self, input: &T) -> T {
         Self::apply(input, self.r)
     }
 
-    fn pixel_shuffle_factor(&self) -> Option<usize> {
-        Some(self.r)
-    }
-
     fn backward(&mut self, dout: &T) -> T {
         PixelUnshuffle::apply(dout, self.r)
-    }
-
-    fn out_channels(&self, in_channels: usize) -> usize {
-        in_channels / (self.r * self.r)
-    }
-
-    fn spatial_scale(&self) -> (usize, usize) {
-        (self.r, 1)
     }
 
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
@@ -248,9 +236,9 @@ mod tests {
     fn layer_metadata() {
         let u = PixelUnshuffle::new(2);
         assert_eq!(u.out_channels(3), 12);
-        assert_eq!(u.spatial_scale(), (1, 2));
+        assert_eq!(u.describe().geometry(), (0, (1, 2)));
         let s = PixelShuffle::new(2);
         assert_eq!(s.out_channels(12), 3);
-        assert_eq!(s.spatial_scale(), (2, 1));
+        assert_eq!(s.describe().geometry(), (0, (2, 1)));
     }
 }

@@ -1,11 +1,11 @@
 //! Structural layers: [`Sequential`] composition and [`Residual`] blocks
 //! (skip connections).
 //!
-//! A container exposes its children through [`Layer::children`] and
-//! inherits the per-tree methods (`visit_params`, `set_conv_backend`, …)
-//! as the trait's defaults over that hook.
+//! A container describes itself ([`Node::Chain`], [`Node::Skip`]), hands
+//! out its children ([`Layer::children_mut`]) and inherits the per-tree
+//! methods (`visit_params`, `out_channels`, …) as defaults over those.
 
-use crate::layer::{forward_whole, visit_tree_mut, Layer};
+use crate::layer::{forward_whole, Layer, Node, SkipKind};
 use crate::runtime::TileHalo;
 use ringcnn_tensor::tensor::Tensor as T;
 use std::borrow::Cow;
@@ -63,11 +63,15 @@ impl Sequential {
     /// (containers — nested [`Sequential`]s, [`Residual`]s, bicubic-skip
     /// wrappers — are descended, never handed to `f`).
     pub fn for_each_layer_mut(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
-        visit_tree_mut(self, &mut |layer| {
-            if layer.children().is_none() {
-                f(layer);
+        fn leaves(layers: &mut [Box<dyn Layer>], f: &mut dyn FnMut(&mut dyn Layer)) {
+            for layer in layers {
+                match layer.children_mut() {
+                    Some(children) => leaves(children, f),
+                    None => f(layer.as_mut()),
+                }
             }
-        });
+        }
+        leaves(&mut self.layers, f);
     }
 }
 
@@ -93,7 +97,11 @@ impl Layer for Sequential {
         forward_whole(self, input)
     }
 
-    fn forward_step(&self, input: Cow<'_, T>, tile: &mut TileHalo, _: usize) -> (T, bool) {
+    fn describe(&self) -> Node<'_> {
+        Node::Chain(&self.layers)
+    }
+
+    fn forward_step(&self, input: Cow<'_, T>, tile: &mut TileHalo, shuffle: usize) -> (T, bool) {
         // The first child reads the chain's input as the chain got it —
         // only an empty chain (the identity) has to copy a borrowed one —
         // and every later child is handed the tensor the chain owns.
@@ -101,19 +109,20 @@ impl Layer for Sequential {
         let mut layers = self.layers.iter().peekable();
         while let Some(l) = layers.next() {
             // `conv → pixel_shuffle` is one step where both layers say
-            // so: the engine writes where the shuffle would copy to.
-            let behind = layers.peek().and_then(|next| next.pixel_shuffle_factor());
-            let (y, absorbed) = l.forward_step(x, tile, behind.unwrap_or(1));
-            if absorbed {
-                layers.next();
-            }
+            // so: the engine writes where the shuffle would copy to. The
+            // last child stands in front of whatever stands behind the
+            // chain, and its answer is the chain's.
+            let behind = layers.peek().map_or(shuffle, |next| match next.describe() {
+                Node::Shuffle(r) => r,
+                _ => 1,
+            });
+            let (y, absorbed) = l.forward_step(x, tile, behind);
             x = Cow::Owned(y);
+            if absorbed && layers.next().is_none() {
+                return (x.into_owned(), true);
+            }
         }
         (x.into_owned(), false)
-    }
-
-    fn children(&self) -> Option<&[Box<dyn Layer>]> {
-        Some(&self.layers)
     }
 
     fn children_mut(&mut self) -> Option<&mut [Box<dyn Layer>]> {
@@ -176,10 +185,8 @@ impl Layer for Residual {
         (out, false)
     }
 
-    // The skip path is pointwise, so the body's layers are all there is
-    // to walk.
-    fn children(&self) -> Option<&[Box<dyn Layer>]> {
-        self.body.children()
+    fn describe(&self) -> Node<'_> {
+        Node::Skip(&self.body, SkipKind::Residual)
     }
 
     fn children_mut(&mut self) -> Option<&mut [Box<dyn Layer>]> {
@@ -190,12 +197,6 @@ impl Layer for Residual {
         let mut d = self.body.backward(dout);
         d.add_assign(dout);
         d
-    }
-
-    fn out_channels(&self, in_channels: usize) -> usize {
-        let co = self.body.out_channels(in_channels);
-        assert_eq!(co, in_channels, "residual body must preserve channels");
-        co
     }
 
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {

@@ -5,7 +5,7 @@
 //! interpolation, which makes small-scale training start from the
 //! bicubic baseline instead of random output.
 
-use crate::layer::{forward_whole, Layer};
+use crate::layer::{forward_whole, Layer, Node, SkipKind};
 use crate::layers::shuffle::cropped;
 use crate::layers::structure::Sequential;
 use crate::runtime::TileHalo;
@@ -80,6 +80,10 @@ impl Layer for UpsampleResidual {
         out
     }
 
+    fn describe(&self) -> Node<'_> {
+        Node::Skip(&self.body, SkipKind::Bicubic(self.factor))
+    }
+
     fn forward_infer(&self, input: &Tensor) -> Tensor {
         forward_whole(self, input)
     }
@@ -91,7 +95,7 @@ impl Layer for UpsampleResidual {
         _: usize,
     ) -> (Tensor, bool) {
         // The skip's own reach first, as `model_topology` adds it.
-        tile.leaf(self.kernel_radius(), (1, 1));
+        tile.leaf(self.describe().geometry().0, (1, 1));
         let [top, left, ..] = tile.margin.map(|m| m * self.factor);
         let (mut out, _) = self.body.forward_step(Cow::Borrowed(&*input), tile, 1);
         let s = out.shape();
@@ -101,18 +105,8 @@ impl Layer for UpsampleResidual {
         (out, false)
     }
 
-    fn children(&self) -> Option<&[Box<dyn Layer>]> {
-        self.body.children()
-    }
-
     fn children_mut(&mut self) -> Option<&mut [Box<dyn Layer>]> {
         self.body.children_mut()
-    }
-
-    /// The bicubic skip reaches 2 source pixels around each output
-    /// pixel; the body's layers report their own.
-    fn kernel_radius(&self) -> usize {
-        2
     }
 
     fn backward(&mut self, dout: &Tensor) -> Tensor {
@@ -123,10 +117,6 @@ impl Layer for UpsampleResidual {
         let mut din = self.body.backward(dout);
         din.add_assign(&resize_bicubic_adjoint(dout, h, w));
         din
-    }
-
-    fn spatial_scale(&self) -> (usize, usize) {
-        (self.factor, 1)
     }
 
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {

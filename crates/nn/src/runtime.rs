@@ -24,7 +24,7 @@
 //! The pool size comes from `RINGCNN_THREADS` (see the `rayon` shim;
 //! 1 = fully sequential).
 
-use crate::layer::{visit_tree_mut, Layer};
+use crate::layer::{Layer, Node};
 use crate::layers::structure::Sequential;
 use rayon::prelude::*;
 use ringcnn_tensor::prelude::*;
@@ -60,73 +60,28 @@ pub struct ModelTopo {
     pub scale: (usize, usize),
 }
 
-/// Incremental [`ModelTopo`] accumulator: visit the model's layers in
-/// execution order, reporting each one's kernel radius and spatial
-/// scale, and [`TopoBuilder::finish`] folds them into the whole-model
-/// receptive radius / granularity / output scale.
-///
-/// This is the walk state behind [`model_topology`], exposed so other
-/// model representations — notably the integer pipeline of
-/// `ringcnn-quant`, whose layers are not [`Layer`] trait objects — can
-/// derive the identical topology and run on the same tiled runtime.
-pub struct TopoBuilder {
-    /// Input pixels per current-resolution pixel, as a reduced fraction.
-    ipp_num: usize,
-    ipp_den: usize,
-    radius: f64,
-    granularity: usize,
-}
-
-impl Default for TopoBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TopoBuilder {
-    /// Starts a walk at the model input (full resolution, zero radius).
-    pub fn new() -> Self {
+impl ModelTopo {
+    /// Folds a model's steps into its topology: `walk` hands over, in
+    /// execution order, each step's reach around an output pixel at its
+    /// input resolution and its scale `(num, den)` — the float walk
+    /// ([`model_topology`]) and the integer pipeline of `ringcnn-quant`.
+    pub fn fold(walk: impl FnOnce(&mut dyn FnMut(usize, (usize, usize)))) -> Self {
+        // Input pixels per current-resolution pixel, a reduced fraction.
+        let (mut ipp, mut radius, mut granularity) = ((1, 1), 0.0, 1);
+        walk(&mut |reach, (num, den)| {
+            radius += reach as f64 * (ipp.0 as f64 / ipp.1 as f64);
+            // A step scaling resolution by num/den divides input pixels
+            // per feature pixel by num/den; a tile of t input pixels then
+            // spans t·den/num feature pixels: reduced, that needs num' | t.
+            let (n, d) = (ipp.0 * den, ipp.1 * num);
+            ipp = (n / gcd(n, d), d / gcd(n, d));
+            granularity = lcm(granularity, ipp.0);
+        });
+        // Output pixels per input pixel = 1 / ipp.
         Self {
-            ipp_num: 1,
-            ipp_den: 1,
-            radius: 0.0,
-            granularity: 1,
-        }
-    }
-
-    fn ipp(&self) -> f64 {
-        self.ipp_num as f64 / self.ipp_den as f64
-    }
-
-    /// Adds a receptive radius measured in *current-resolution* pixels
-    /// (converted to input pixels at the walk's current scale). Use for
-    /// non-kernel neighborhoods such as a bicubic skip's 2-pixel reach.
-    pub fn add_radius_here(&mut self, radius: f64) {
-        self.radius += radius * self.ipp();
-    }
-
-    /// Applies a layer's spatial scale `num/den` (2/1 for ×2 pixel
-    /// shuffle, 1/2 for unshuffle).
-    pub fn apply_scale(&mut self, (num, den): (usize, usize)) {
-        // A layer scaling resolution by num/den divides input-pixels-per-
-        // feature-pixel by num/den.
-        self.ipp_num *= den;
-        self.ipp_den *= num;
-        let g = gcd(self.ipp_num, self.ipp_den);
-        self.ipp_num /= g;
-        self.ipp_den /= g;
-        // A tile of t input pixels spans t·den/num feature pixels at the
-        // new resolution; reduced, that needs num' | t.
-        self.granularity = lcm(self.granularity, self.ipp_num);
-    }
-
-    /// Folds the walk into the model topology.
-    pub fn finish(&self) -> ModelTopo {
-        ModelTopo {
-            radius: self.radius.ceil() as usize,
-            granularity: self.granularity,
-            // Output pixels per input pixel = 1 / ipp.
-            scale: (self.ipp_den, self.ipp_num),
+            radius: radius.ceil() as usize,
+            granularity,
+            scale: (ipp.1, ipp.0),
         }
     }
 }
@@ -145,7 +100,8 @@ pub struct TileHalo {
     /// current resolution.
     pub margin: [usize; 4],
     /// `rest.0 / rest.1` (reduced) current-resolution pixels — exact, like
-    /// the `ipp` of [`TopoBuilder`]: a ×4 tail reads a quarter input pixel.
+    /// the `ipp` of [`ModelTopo::fold`]: a ×4 tail reads a quarter input
+    /// pixel.
     rest: (usize, usize),
 }
 
@@ -194,20 +150,20 @@ impl TileHalo {
     }
 }
 
-/// Derives the [`ModelTopo`] of a model by walking its layer tree
-/// (nothing is changed; the one tree walk is the `&mut` one).
-pub fn model_topology(model: &mut Sequential) -> ModelTopo {
-    let mut walk = TopoBuilder::new();
-    visit_tree_mut(model, &mut |layer| {
-        // A container reports only what it reads beside its children
-        // (the bicubic skip's reach, at the container's input
-        // resolution); the scale change is carried by the children.
-        walk.add_radius_here(layer.kernel_radius() as f64);
-        if layer.children().is_none() {
-            walk.apply_scale(layer.spatial_scale());
+/// Derives the [`ModelTopo`] of a model: a fold over its description.
+pub fn model_topology(model: &dyn Layer) -> ModelTopo {
+    fn visit(step: &mut dyn FnMut(usize, (usize, usize)), node: Node<'_>) {
+        // A container reads only beside its children (the bicubic skip's
+        // reach, at its input resolution); they carry the scale change.
+        let (reach, scale) = node.geometry();
+        step(reach, scale);
+        match node {
+            Node::Chain(layers) => layers.iter().for_each(|l| visit(step, l.describe())),
+            Node::Skip(body, _) => visit(step, body.describe()),
+            _ => {}
         }
-    });
-    walk.finish()
+    }
+    ModelTopo::fold(|step| visit(step, model.describe()))
 }
 
 /// The shared-state inference contract the tiled runtime executes: a
@@ -239,8 +195,8 @@ pub trait InferenceModel: Send + Sync {
     fn out_channels(&self, in_channels: usize) -> usize;
 
     /// The model's spatial topology (receptive radius, granularity,
-    /// output scale). Nothing is changed; the tree walk is `&mut`.
-    fn topology(&mut self) -> ModelTopo;
+    /// output scale).
+    fn topology(&self) -> ModelTopo;
 }
 
 impl InferenceModel for Sequential {
@@ -256,7 +212,7 @@ impl InferenceModel for Sequential {
         Layer::out_channels(self, in_channels)
     }
 
-    fn topology(&mut self) -> ModelTopo {
+    fn topology(&self) -> ModelTopo {
         model_topology(self)
     }
 }
@@ -515,8 +471,8 @@ mod tests {
     #[test]
     fn topology_of_plain_conv_stack() {
         // VDSR depth 3: three 3×3 convs at full resolution → radius 3.
-        let mut m = vdsr(&Algebra::real(), 3, 8, 1, 1);
-        let topo = model_topology(&mut m);
+        let m = vdsr(&Algebra::real(), 3, 8, 1, 1);
+        let topo = model_topology(&m);
         assert_eq!(
             topo,
             ModelTopo {
@@ -532,8 +488,8 @@ mod tests {
         // FFDNet depth 3: unshuffle(2), three 3×3 convs at half
         // resolution (radius 2 input px each), shuffle(2) → radius 6,
         // granularity 2, scale 1.
-        let mut m = ffdnet(&Algebra::real(), 3, 8, 1, 1);
-        let topo = model_topology(&mut m);
+        let m = ffdnet(&Algebra::real(), 3, 8, 1, 1);
+        let topo = model_topology(&m);
         assert_eq!(
             topo,
             ModelTopo {
@@ -546,13 +502,13 @@ mod tests {
 
     #[test]
     fn topology_of_sr_model_reports_scale() {
-        let mut m = srresnet(
+        let m = srresnet(
             &Algebra::real(),
             SrResNetConfig::tiny().with_blocks(1),
             1,
             1,
         );
-        let topo = model_topology(&mut m);
+        let topo = model_topology(&m);
         assert_eq!(topo.scale, (4, 1), "×4 SR model");
         assert!(topo.radius > 0);
     }

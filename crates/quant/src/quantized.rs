@@ -35,14 +35,13 @@
 use crate::qformat::{requant_shift, QFormat, QFormatError};
 use crate::qtensor::{expand_formats, group_max_abs, QTensor, QTensorOf, Store, BLOCK};
 use ringcnn_algebra::transforms::{fwht_i64, fwht_planes};
-use ringcnn_nn::layer::Layer;
-use ringcnn_nn::layers::activation::{DirectionalReluLayer, Relu};
-use ringcnn_nn::layers::shuffle::{
-    cropped, shuffle_into, unshuffle_into, PixelShuffle, PixelUnshuffle,
-};
-use ringcnn_nn::layers::structure::{Residual, Sequential};
-use ringcnn_nn::layers::upsample::{upsample_region, UpsampleResidual};
-use ringcnn_nn::runtime::{InferenceModel, ModelTopo, TileHalo, TopoBuilder};
+use ringcnn_imaging::degrade::upsample;
+use ringcnn_nn::layer::{Layer, Node, SkipKind};
+use ringcnn_nn::layers::conv::AnyConv;
+use ringcnn_nn::layers::shuffle::{cropped, shuffle_into, unshuffle_into};
+use ringcnn_nn::layers::structure::Sequential;
+use ringcnn_nn::layers::upsample::upsample_region;
+use ringcnn_nn::runtime::{InferenceModel, ModelTopo, TileHalo};
 use ringcnn_tensor::gemm::{ChunkEpilogue, Lane, PackedWeights, RequantChannel, RequantPlan};
 use ringcnn_tensor::im2col::{conv_streaming_i32, conv_streaming_i64, ConvInput};
 use ringcnn_tensor::prelude::*;
@@ -471,10 +470,10 @@ impl QuantizedModel {
         // kernels, the integer weight tables — is built before the first
         // activation exists: the walk below allocates nothing that stays.
         Layer::prepare_inference(model);
-        let mut convs = lower_weights(model)?;
+        let mut convs = VecDeque::new();
+        lower_weights(model, &mut convs)?;
         let x = Cow::Borrowed(calibration);
-        let (layers, _out, _groups) =
-            build_chain_grouped(model.layers_mut(), x, &opts, 1, &mut convs)?;
+        let (layers, _out) = build_chain_grouped(model, x, &opts, 1, &mut convs)?;
         let mut quantized = Self {
             input_format,
             layers,
@@ -514,7 +513,8 @@ impl QuantizedModel {
         }
         if self.proof.0.is_none() {
             let proven = validate_format(self.input_format, "input format").and_then(|()| {
-                let c = chain_input_channels(&self.layers)
+                let c = self
+                    .input_channels()
                     .filter(|c| *c > 0)
                     .ok_or("no convolution fixes the channel count")?;
                 LaneProof::of(self.input_format, c, &self.layers)
@@ -583,13 +583,35 @@ impl QuantizedModel {
         qlayers_shapes(&self.layers, input, &mut visit)
     }
 
-    /// Spatial topology of the integer pipeline — the same walk as the
-    /// float runtime's `model_topology`, so a quantized model tiles on
-    /// the same `BatchRunner` with the same halo/granularity math.
+    /// The channel count the first convolution fixes for the chain's
+    /// input, through the shuffles in front of it.
+    fn input_channels(&self) -> Option<usize> {
+        // Channels at a layer = input channels · mul / div.
+        let (mut mul, mut div, mut fixed) = (1, 1, None);
+        self.walk_shapes(Shape4::new(1, 1, 1, 1), |layer, _| match (fixed, layer) {
+            (None, QLayer::Conv(c)) => fixed = Some((c.ci * div).checked_div(mul)),
+            (None, QLayer::Shuffle(r)) => div *= r * r,
+            (None, QLayer::Unshuffle(r)) => mul *= r * r,
+            _ => {}
+        });
+        fixed.flatten()
+    }
+
+    /// Spatial topology of the integer pipeline — [`ModelTopo::fold`] over
+    /// [`QuantizedModel::walk_shapes`], as the float runtime's
+    /// `model_topology` folds its description, so a quantized model tiles
+    /// on the same `BatchRunner` with the same halo/granularity math.
     pub fn topology(&self) -> ModelTopo {
-        let mut walk = TopoBuilder::new();
-        qlayers_topo(&mut walk, &self.layers);
-        walk.finish()
+        ModelTopo::fold(|step| {
+            self.walk_shapes(Shape4::new(1, 1, 1, 1), |layer, _| match layer {
+                QLayer::Conv(c) => step(c.k / 2, (1, 1)),
+                QLayer::Shuffle(r) => step(0, (*r, 1)),
+                QLayer::Unshuffle(r) => step(0, (1, *r)),
+                // The bicubic skip's reach (`Node::geometry`).
+                QLayer::UpsampleResidual(_) => step(2, (1, 1)),
+                QLayer::Relu | QLayer::DRelu(_) | QLayer::Residual(_) => {}
+            });
+        })
     }
 
     /// Structural validation for untrusted pipelines (deserialized model
@@ -647,7 +669,7 @@ impl InferenceModel for QuantizedModel {
         QuantizedModel::out_channels(self, in_channels)
     }
 
-    fn topology(&mut self) -> ModelTopo {
+    fn topology(&self) -> ModelTopo {
         QuantizedModel::topology(self)
     }
 }
@@ -671,47 +693,6 @@ fn qlayers_shapes(
     s
 }
 
-fn qlayers_topo(walk: &mut TopoBuilder, layers: &[QLayer]) {
-    for l in layers {
-        match l {
-            QLayer::Conv(c) => walk.add_radius_here((c.k / 2) as f64),
-            QLayer::Relu | QLayer::DRelu(_) => {}
-            QLayer::Shuffle(r) => walk.apply_scale((*r, 1)),
-            QLayer::Unshuffle(r) => walk.apply_scale((1, *r)),
-            // The skip path is pointwise; only the body reads neighbors.
-            QLayer::Residual(res) => qlayers_topo(walk, &res.body),
-            QLayer::UpsampleResidual(ur) => {
-                // Bicubic skip reaches 2 source pixels (same accounting
-                // as the float walk); the body carries the scale change.
-                walk.add_radius_here(2.0);
-                qlayers_topo(walk, &ur.body);
-            }
-        }
-    }
-}
-
-/// The channel count a chain's first convolution fixes for its input,
-/// through the shuffles and skip wrappers in front of it.
-fn chain_input_channels(layers: &[QLayer]) -> Option<usize> {
-    // Channels here = input channels · mul / div.
-    let (mut mul, mut div) = (1, 1);
-    for l in layers {
-        let here = match l {
-            QLayer::Conv(c) => Some(c.ci),
-            QLayer::Residual(res) => chain_input_channels(&res.body),
-            QLayer::UpsampleResidual(ur) => chain_input_channels(&ur.body),
-            _ => None,
-        };
-        match (here, l) {
-            (Some(c), _) => return (c * div).checked_div(mul),
-            (None, QLayer::Shuffle(r)) => div *= r * r,
-            (None, QLayer::Unshuffle(r)) => mul *= r * r,
-            _ => {}
-        }
-    }
-    None
-}
-
 // ---------------------------------------------------------------------
 // Builder: walk the float model, collect ranges, emit QLayers.
 // ---------------------------------------------------------------------
@@ -720,145 +701,150 @@ fn chain_input_channels(layers: &[QLayer]) -> Option<usize> {
 /// pixel shuffle of grouped features).
 const UNGROUPED: usize = usize::MAX;
 
-/// Lowers `layers` while running them on `x`, the chain's activation: a
+/// The leaves of `layer` in execution order, nested chains flattened
+/// (a skip is one leaf, its body lowered in its own turn).
+fn leaves<'a>(layer: &'a dyn Layer, out: &mut Vec<(&'a dyn Layer, Node<'a>)>) {
+    match layer.describe() {
+        Node::Chain(layers) => layers.iter().for_each(|l| leaves(l.as_ref(), out)),
+        node => out.push((layer, node)),
+    }
+}
+
+/// Lowers `chain` while running it on `x`, the chain's activation: a
 /// borrowed input (the calibration batch, a skip's tensor) is read by
 /// the first layer, never copied, and every element-wise layer works in
 /// place on the tensor the walk gives up. `convs` holds what
 /// [`lower_weights`] made of the chain's convolutions, in walk order;
 /// the walk adds the formats the activations decide.
 fn build_chain_grouped(
-    layers: &mut [Box<dyn Layer>],
+    chain: &dyn Layer,
     mut x: Cow<'_, Tensor>,
     opts: &QuantOptions,
     mut cur_groups: usize,
     convs: &mut VecDeque<QConv>,
-) -> Result<(Vec<QLayer>, Tensor, usize), CalibrationError> {
+) -> Result<(Vec<QLayer>, Tensor), CalibrationError> {
     // Every leaf runs as the one step the float chain takes: in place on
     // the tensor the walk gives up.
     let step = |l: &dyn Layer, x| l.forward_step(x, &mut TileHalo::whole(), 1).0;
+    let mut steps = Vec::new();
+    leaves(chain, &mut steps);
     let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < layers.len() {
-        // Peek: conv followed by a directional ReLU in on-the-fly mode
-        // keeps its accumulator.
-        let next = layers.get_mut(i + 1);
-        let next_is_drelu = next.is_some_and(|l| l.as_any_mut().is::<DirectionalReluLayer>());
-        let keep_acc = next_is_drelu && opts.on_the_fly_drelu;
-        let layer = layers[i].as_mut();
-
-        if let Some((n, diagonal)) = layer.as_conv_mut().and_then(|conv| conv.parts().0.tuple()) {
-            // The real field is the ring with `n = 1`: one group in, one
-            // group out, whether or not the accumulator is kept.
-            let groups = if opts.component_wise { n } else { 1 };
-            // A diagonal ring keeps components separate, so grouped input
-            // formats of matching period stay consistent; anything else
-            // mixes components in one accumulator and needs alignment.
-            let compatible = cur_groups == 1 || (diagonal && cur_groups == n);
-            let align = if compatible {
-                None
-            } else {
-                Some(fit_ctx(group_max_abs(&x, 1)[0], "conv input alignment")?)
-            };
-            let y = layer.forward_infer(&x);
-            let mut q = convs.pop_front().expect("one lowered conv per conv");
-            (q.requant, q.align_input) = (conv_requant(&y, groups, keep_acc)?, align);
-            out.push(QLayer::Conv(q));
-            x = Cow::Owned(y);
-            cur_groups = if keep_acc { 1 } else { groups };
-        } else if layer.as_any_mut().is::<Relu>() {
-            x = Cow::Owned(step(layer, x));
-            out.push(QLayer::Relu);
-        } else if let Some(dr) = layer.as_any_mut().downcast_mut::<DirectionalReluLayer>() {
-            let n = dr.n();
-            // The post-first-transform range, taken before `x` is given up.
-            let mid_max = (!opts.on_the_fly_drelu).then(|| hadamard_intermediate_max(&x, n));
-            let y = step(dr, x);
-            let groups = if opts.component_wise { n } else { 1 };
-            let out_formats: Vec<QFormat> = group_max_abs(&y, groups)
-                .iter()
-                .map(|m| fit_ctx(*m, "directional ReLU output"))
-                .collect::<Result<_, _>>()?;
-            let mode = match mid_max {
-                None => DReluMode::OnTheFly,
-                Some(mid_max) => DReluMode::MacBased {
-                    mid: fit_ctx(mid_max, "Hadamard intermediate")?,
-                },
-            };
-            out.push(QLayer::DRelu(QDRelu {
-                n,
-                mode,
-                out_formats,
-            }));
-            x = Cow::Owned(y);
-            cur_groups = groups;
-        } else if let Some(ps) = layer.as_any_mut().downcast_mut::<PixelShuffle>() {
-            let r = ps.spatial_scale().0;
-            out.push(QLayer::Shuffle(r));
-            x = Cow::Owned(step(ps, x));
-            cur_groups = if cur_groups == 1 { 1 } else { UNGROUPED };
-        } else if let Some(pu) = layer.as_any_mut().downcast_mut::<PixelUnshuffle>() {
-            let r = pu.spatial_scale().1;
-            out.push(QLayer::Unshuffle(r));
-            x = Cow::Owned(step(pu, x));
-            cur_groups = if cur_groups == 1 { 1 } else { UNGROUPED };
-        } else if let Some(ur) = layer.as_any_mut().downcast_mut::<UpsampleResidual>() {
-            let factor = ur.factor();
-            let body = ur.body_mut().layers_mut();
-            let (body, body_out, _g) =
-                build_chain_grouped(body, Cow::Borrowed(&x), opts, cur_groups, convs)?;
-            let mut sum = body_out;
-            sum.add_assign(&ringcnn_imaging::degrade::upsample(&x, factor));
-            let f = fit_ctx(group_max_abs(&sum, 1)[0], "upsample-residual output")?;
-            out.push(QLayer::UpsampleResidual(Box::new(QUpsampleResidual {
-                body,
-                factor,
-                out_formats: vec![f],
-            })));
-            x = Cow::Owned(sum);
-            cur_groups = 1;
-        } else if let Some(res) = layer.as_any_mut().downcast_mut::<Residual>() {
-            let body = res.body_mut().layers_mut();
-            let (body, body_out, _g) =
-                build_chain_grouped(body, Cow::Borrowed(&x), opts, cur_groups, convs)?;
-            let mut sum = body_out;
-            sum.add_assign(&x);
-            let f = fit_ctx(group_max_abs(&sum, 1)[0], "residual output")?;
-            out.push(QLayer::Residual(Box::new(QResidual {
-                body,
-                out_formats: vec![f],
-            })));
-            x = Cow::Owned(sum);
-            cur_groups = 1;
-        } else {
-            return Err(CalibrationError::UnsupportedLayer(layer.name()));
+    for (i, &(layer, node)) in steps.iter().enumerate() {
+        match node {
+            Node::Conv(conv) => {
+                // A conv followed by a directional ReLU in on-the-fly
+                // mode keeps its accumulator. The real field is the ring
+                // with `n = 1`: one group in, one group out, whether or
+                // not the accumulator is kept.
+                let next_is_drelu = matches!(steps.get(i + 1), Some((_, Node::DRelu(_))));
+                let keep_acc = next_is_drelu && opts.on_the_fly_drelu;
+                let (n, diagonal) = conv.parts().0.tuple();
+                let groups = if opts.component_wise { n } else { 1 };
+                // A diagonal ring keeps components separate, so grouped
+                // input formats of matching period stay consistent;
+                // anything else mixes components in one accumulator and
+                // needs alignment.
+                let compatible = cur_groups == 1 || (diagonal && cur_groups == n);
+                let align = if compatible {
+                    None
+                } else {
+                    Some(fit_ctx(group_max_abs(&x, 1)[0], "conv input alignment")?)
+                };
+                let y = layer.forward_infer(&x);
+                let mut q = convs.pop_front().expect("one lowered conv per conv");
+                (q.requant, q.align_input) = (conv_requant(&y, groups, keep_acc)?, align);
+                out.push(QLayer::Conv(q));
+                x = Cow::Owned(y);
+                cur_groups = if keep_acc { 1 } else { groups };
+            }
+            Node::Relu => {
+                x = Cow::Owned(step(layer, x));
+                out.push(QLayer::Relu);
+            }
+            Node::DRelu(n) => {
+                // The post-first-transform range, taken before `x` is
+                // given up.
+                let mid_max = (!opts.on_the_fly_drelu).then(|| hadamard_intermediate_max(&x, n));
+                let y = step(layer, x);
+                let groups = if opts.component_wise { n } else { 1 };
+                let out_formats: Vec<QFormat> = group_max_abs(&y, groups)
+                    .iter()
+                    .map(|m| fit_ctx(*m, "directional ReLU output"))
+                    .collect::<Result<_, _>>()?;
+                let mode = match mid_max {
+                    None => DReluMode::OnTheFly,
+                    Some(mid_max) => DReluMode::MacBased {
+                        mid: fit_ctx(mid_max, "Hadamard intermediate")?,
+                    },
+                };
+                out.push(QLayer::DRelu(QDRelu::new(n, mode, out_formats)));
+                x = Cow::Owned(y);
+                cur_groups = groups;
+            }
+            Node::Shuffle(r) | Node::Unshuffle(r) => {
+                out.push(match node {
+                    Node::Shuffle(_) => QLayer::Shuffle(r),
+                    _ => QLayer::Unshuffle(r),
+                });
+                x = Cow::Owned(step(layer, x));
+                cur_groups = if cur_groups == 1 { 1 } else { UNGROUPED };
+            }
+            Node::Skip(body, kind) => {
+                let (body, mut sum) =
+                    build_chain_grouped(body, Cow::Borrowed(&x), opts, cur_groups, convs)?;
+                match kind {
+                    SkipKind::Residual => sum.add_assign(&x),
+                    SkipKind::Bicubic(f) => sum.add_assign(&upsample(&x, f)),
+                }
+                let out_formats = vec![fit_ctx(group_max_abs(&sum, 1)[0], "skip output")?];
+                out.push(match kind {
+                    SkipKind::Residual => {
+                        QLayer::Residual(Box::new(QResidual { body, out_formats }))
+                    }
+                    SkipKind::Bicubic(factor) => {
+                        let skip = QUpsampleResidual {
+                            body,
+                            factor,
+                            out_formats,
+                        };
+                        QLayer::UpsampleResidual(Box::new(skip))
+                    }
+                });
+                x = Cow::Owned(sum);
+                cur_groups = 1;
+            }
+            Node::Chain(_) | Node::Opaque => {
+                return Err(CalibrationError::UnsupportedLayer(layer.name()))
+            }
         }
-        i += 1;
     }
-    Ok((out, x.into_owned(), cur_groups))
+    Ok((out, x.into_owned()))
 }
 
 /// Lowers what the weights alone decide — the integer weight table, its
-/// format, the bias — of every ring or real convolution of `model`, in
-/// the order [`build_chain_grouped`] meets them (the leaf walk is the
-/// execution order), before calibration runs an activation. The tables
-/// outlive the activations by the life of the model; allocated among
-/// them, one that lands above a transient tensor pins the heap there and
-/// megabytes of holes stay resident below it
+/// format, the bias — of every convolution of `layer` onto `convs`, in
+/// the order [`build_chain_grouped`] meets them (the description's order
+/// is the execution order), before calibration runs an activation. The
+/// tables outlive the activations by the life of the model; allocated
+/// among them, one that lands above a transient tensor pins the heap
+/// there and megabytes of holes stay resident below it
 /// (`frame_dn_ri4fh_q8/peak_rss_mb` read 11.3 or 14.6 MiB by that luck).
-fn lower_weights(model: &mut Sequential) -> Result<VecDeque<QConv>, CalibrationError> {
-    let mut convs = Vec::new();
-    model.for_each_layer_mut(&mut |layer| {
-        let conv = layer.as_conv_mut().map(|conv| conv.parts());
-        let ring = conv.filter(|(lowering, _)| lowering.tuple().is_some());
-        convs.extend(ring.map(|(lowering, bias)| lower_conv(&lowering.lowered(), bias)));
-    });
-    convs.into_iter().collect()
+fn lower_weights(layer: &dyn Layer, convs: &mut VecDeque<QConv>) -> Result<(), CalibrationError> {
+    match layer.describe() {
+        Node::Chain(layers) => layers
+            .iter()
+            .try_for_each(|l| lower_weights(l.as_ref(), convs)),
+        Node::Skip(body, _) => lower_weights(body, convs),
+        Node::Conv(conv) => lower_conv(conv).map(|q| convs.push_back(q)),
+        _ => Ok(()),
+    }
 }
 
 /// One convolution's weights, lowered: no output requantization and no
 /// input alignment yet (the activation walk decides both).
-fn lower_conv(float_weights: &ConvWeights, bias: &[f32]) -> Result<QConv, CalibrationError> {
-    let ConvWeights { co, ci, k, data } = float_weights;
+fn lower_conv(conv: &dyn AnyConv) -> Result<QConv, CalibrationError> {
+    let (lowering, bias) = conv.parts();
+    let ConvWeights { co, ci, k, data } = &*lowering.lowered();
     let wmax = data.iter().fold(0.0f64, |m, v| m.max(f64::from(v.abs())));
     let w_format = fit_ctx(wmax, "conv weights")?;
     let weights: Vec<i64> = data

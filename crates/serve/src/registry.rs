@@ -154,7 +154,7 @@ impl ModelEntry {
         quant: Option<QModelFile>,
     ) -> Result<ModelEntry, ServeError> {
         model.prepare_inference();
-        let topo = model_topology(&mut model);
+        let topo = model_topology(&model);
         if let Some(q) = &quant {
             let want_c = spec.channels_io();
             if q.channels_io != want_c {
@@ -275,12 +275,12 @@ impl ModelEntry {
     ///
     /// The `h·sn/sd` divisions here are exact for any input that passed
     /// [`ModelEntry::validate_input`] — granularity *implies*
-    /// divisibility. Proof: `TopoBuilder::apply_scale` reduces the
+    /// divisibility. Proof: every step of `ModelTopo::fold` reduces the
     /// input-pixels-per-pixel fraction and then folds its numerator into
-    /// the granularity (`granularity = lcm(granularity, ipp_num)`), and
-    /// `TopoBuilder::finish` reports `scale = (ipp_den, ipp_num)` — so
-    /// the scale denominator `sd` is the final `ipp_num`, which the last
-    /// `apply_scale` lcm'd into the granularity. Hence `sd | granularity`,
+    /// the granularity (`granularity = lcm(granularity, ipp.0)`), and the
+    /// fold reports `scale = (ipp.1, ipp.0)` — so the scale denominator
+    /// `sd` is the final `ipp.0`, which the last step lcm'd into the
+    /// granularity. Hence `sd | granularity`,
     /// and `granularity | h` (validated) gives `sd | h`. The
     /// `debug_assert!`s below pin that invariant; [`validate_input`]
     /// re-checks it defensively in release builds so a topology that ever

@@ -60,7 +60,7 @@ fn main() {
         "model: {} stored weights, {:.0} real mults/pixel (the real-valued\n\
          version would need ~{}× more weights)",
         model.num_params(),
-        mults_per_input_pixel(&mut model),
+        mults_per_input_pixel(&model),
         algebra.n(),
     );
 }

@@ -518,7 +518,7 @@ fn forward_without_train_is_forward_infer_for_every_layer_type() {
 
 // ---------------------------------------------------------------------
 // The float chain owns its activations: the one chain step
-// (`forward_step`, with `pixel_shuffle_factor`) against the plain
+// (`forward_step`, with the factor of a `Node::Shuffle`) against the plain
 // leaf-by-leaf chain, bit for bit. CI runs this file at pools 1 and 4
 // (`thread-sanity`), at the runner's own size, and with each kernel tier
 // pinned (`kernel-tiers`).
@@ -592,7 +592,9 @@ type ConvBuilder = Box<dyn Fn(ConvBackend) -> Box<dyn Layer>>;
 /// The convolutions in front of a shuffle of factor `r` — label, input
 /// channels, builder: the real one, the depth-wise one and ring ones
 /// over RI2/RI4/RI8 and RH4, each with a multiple of `r²` (and of `n`)
-/// output channels.
+/// output channels, and the real one nested in a chain of its own (the
+/// SRResNet's shape), which hands the shuffle to its last child and
+/// answers what that child answers.
 fn convs_before_a_shuffle(r: usize) -> Vec<(String, usize, ConvBuilder)> {
     let real: ConvBuilder = Box::new(move |backend| {
         let mut c = Conv2d::new(3, 2 * r * r, 3, 21);
@@ -606,9 +608,16 @@ fn convs_before_a_shuffle(r: usize) -> Vec<(String, usize, ConvBuilder)> {
         c.set_backend(backend);
         Box::new(c)
     });
+    let nested: ConvBuilder = Box::new(move |backend| {
+        let mut c = Conv2d::new(3, 2 * r * r, 3, 25);
+        c.bias_mut().iter_mut().for_each(|b| *b = -0.5);
+        c.set_backend(backend);
+        Box::new(Sequential::new().with(Box::new(c)))
+    });
     let mut convs = vec![
         ("Conv2d".to_string(), 3, real),
         ("DepthwiseConv2d".to_string(), 2 * r * r, depthwise),
+        ("Sequential[Conv2d]".to_string(), 3, nested),
     ];
     for kind in [
         RingKind::Ri(2),

@@ -124,6 +124,11 @@ fn docs_name_no_deleted_identifier() {
             "feature_bits",
             "default_weight",
             "perf-regression gate",
+            "pixel_shuffle_factor",
+            "qlayers_topo",
+            "Layer::children",
+            "Layer::kernel_radius",
+            "Layer::spatial_scale",
         ] {
             assert!(
                 !text.contains(gone),

@@ -137,6 +137,40 @@ fn directional_relu_recovers_mixing_capacity() {
     );
 }
 
+/// Real multiplications per input pixel of the four scenario models,
+/// counted by hand, each conv at the resolution it runs: DnERNet-PU's
+/// at a quarter of the input pixels (behind its 2×2 unshuffle, inside
+/// the global residual), SR4ERNet's at 1×, 4× and 16× (behind each ×2
+/// shuffle, inside the bicubic skip). Over (RI4, fH) a ring conv costs
+/// a quarter of its real twin; the head and tail on the image's one
+/// channel stay real.
+#[test]
+fn scenario_models_cost_their_hand_counts() {
+    let dn = Scenario::Denoise { sigma: 25.0 };
+    for (scenario, target, real, ri4) in [
+        // (4·16 + 3·(16·32 + 32·16) + 16·4)·9 / 4
+        (dn, ThroughputTarget::Hd30, 7_200.0, 1_800.0),
+        // (4·8 + 8·16 + 16·8 + 8·4)·9 / 4
+        (dn, ThroughputTarget::Uhd30, 720.0, 180.0),
+        // (1·16 + 3·2·(16·32) + 16·16 + 16·64)·9 + 16·64·9·4 + 16·1·9·16
+        (Scenario::Sr4, ThroughputTarget::Hd30, 78_480.0, 21_456.0),
+        // (1·8 + 2·(8·16) + 8·8 + 8·32)·9 + 8·32·9·4 + 8·1·9·16
+        (Scenario::Sr4, ThroughputTarget::Uhd30, 15_624.0, 4_824.0),
+    ] {
+        for (alg, want) in [(Algebra::real(), real), (Algebra::ri_fh(4), ri4)] {
+            let model = build_model(scenario, target, &alg, 1);
+            let what = format!(
+                "{} at {} over {}",
+                scenario.label(),
+                target.label(),
+                alg.label()
+            );
+            assert_eq!(mults_per_input_pixel(&model), want, "{what}");
+            assert_eq!(model.mults_per_pixel(), want, "{what}");
+        }
+    }
+}
+
 /// Hardware model consistency across the stack: the simulator's
 /// energy-per-pixel for a UHD-class model agrees with the analytical
 /// operating-point model within the tiling overhead.
@@ -153,14 +187,23 @@ fn simulator_energy_agrees_with_analytical_model() {
     let input = Tensor::random_uniform(Shape4::new(1, 1, 32, 32), 0.0, 1.0, 1);
     let (_, report) = simulate(&qm, &input, &accel, &t);
     // Analytical: energy/pixel from the model's equivalent mults/pixel.
-    let equivalent = mults_per_input_pixel(&mut model) * accel.n as f64;
+    let equivalent = mults_per_input_pixel(&model) * accel.n as f64;
     let analytic = operating_point(&accel, equivalent, &t);
-    let ratio = report.nj_per_output_pixel / analytic.nj_per_pixel;
-    // The simulator includes tile/group padding overheads, so it can only
-    // be ≥ the ideal analytical point, within a small factor.
+    // The simulator pads every layer's channels to the engine's groups:
+    // its own equivalent mults per output pixel over the model's (9 216
+    // vs 720 here). With that padding divided out, what is left is the
+    // tile overhead, so the simulator can only be ≥ the ideal analytical
+    // point, within a small factor.
+    let out_pixels = (input.shape().h * input.shape().w) as f64;
+    let padding = report.equivalent_mults as f64 / out_pixels / equivalent;
+    assert!(
+        padding >= 1.0,
+        "the simulator serves {padding}× the model's mults"
+    );
+    let ratio = report.nj_per_output_pixel / analytic.nj_per_pixel / padding;
     assert!(
         (0.9..12.0).contains(&ratio),
-        "sim {} vs analytic {} (ratio {ratio})",
+        "sim {} vs analytic {} over {padding}× padding (ratio {ratio})",
         report.nj_per_output_pixel,
         analytic.nj_per_pixel
     );

@@ -197,17 +197,21 @@ fn tiled_quantized_inference_is_bit_exact() {
 /// one architecture agree (same granularity/scale, same radius).
 #[test]
 fn quant_topology_agrees_with_float_topology() {
+    use ringcnn_nn::models::srresnet::{srresnet, SrResNetConfig};
     let alg = Algebra::real();
+    let tiny = SrResNetConfig::tiny().with_blocks(1);
     for (mut model, name) in [
         (ringcnn_nn::models::vdsr::vdsr(&alg, 3, 8, 1, 1), "vdsr"),
         (
             ringcnn_nn::models::ffdnet::ffdnet(&alg, 3, 8, 1, 2),
             "ffdnet",
         ),
+        (srresnet(&alg, tiny, 1, 3), "srresnet"),
+        (srresnet(&alg, tiny.with_depthwise(), 1, 4), "dwc srresnet"),
     ] {
         let calib = Tensor::random_uniform(Shape4::new(1, 1, 16, 16), 0.0, 1.0, 3);
         let qm = QuantizedModel::quantize(&mut model, &calib, QuantOptions::default());
-        let ftopo = ringcnn_nn::runtime::model_topology(&mut model);
+        let ftopo = ringcnn_nn::runtime::model_topology(&model);
         assert_eq!(qm.topology(), ftopo, "{name}");
         let x = Tensor::random_uniform(Shape4::new(1, 1, 8, 8), 0.0, 1.0, 4);
         assert_eq!(
@@ -645,6 +649,41 @@ fn i32_whole_models_equal_the_i64_tier_whole_and_tiled() {
                     assert_eq!(bits(&runner.run(&x)), want, "{what}, tiled");
                 }
             }
+        }
+    }
+}
+
+/// The dense and the depth-wise SRResNet (Fig. 1), whose convolutions
+/// are nested chains, over the real field and (RI4, fH): each
+/// calibrates — the chains flatten in the description, so every conv in
+/// front of an `fH` keeps its accumulator across the nesting — proves
+/// into `i32` lanes, and its `forward` is the unfused stage-by-stage
+/// oracle walk bit for bit, whole on both kernel tiers and tiled.
+#[test]
+fn srresnets_calibrate_and_equal_their_oracle_whole_and_tiled() {
+    use ringcnn_nn::models::srresnet::{srresnet, SrResNetConfig};
+    let tiny = SrResNetConfig::tiny().with_blocks(2).with_channels(8);
+    for cfg in [tiny, tiny.with_depthwise()] {
+        for alg in [Algebra::real(), Algebra::ri_fh(4)] {
+            let what = format!(
+                "srresnet (depthwise: {}) over {}",
+                cfg.depthwise,
+                alg.label()
+            );
+            let mut float = srresnet(&alg, cfg, 1, 31);
+            let calibration = Tensor::random_uniform(Shape4::new(1, 1, 16, 16), 0.0, 1.0, 5);
+            let mut qm =
+                QuantizedModel::quantize(&mut float, &calibration, QuantOptions::default());
+            assert_eq!(qm.lanes(), Lanes::I32, "{what}: {:?}", proof(&qm));
+            let x = Tensor::random_uniform(Shape4::new(2, 1, 12, 12), -0.5, 1.5, 6);
+            let want = bits(&oracle_forward(&qm, &x));
+            for tier in TIERS {
+                let got = forced_kernel_scope(tier, || qm.forward(&x));
+                assert_eq!(bits(&got), want, "{what}, {} tile", tier.label());
+            }
+            let runner = BatchRunner::new(&mut qm).with_tile(TileConfig::with_tile(4));
+            assert!(runner.plan_grid(12, 12).is_some(), "{what}: tiles");
+            assert_eq!(bits(&runner.run(&x)), want, "{what}, tiled");
         }
     }
 }

@@ -135,9 +135,9 @@ fn unprepared_shared_model_is_race_free() {
 #[test]
 fn topology_pins() {
     let alg = Algebra::with_fcw(RingKind::Rh(4));
-    let vdsr_topo = model_topology(&mut vdsr(&alg, 5, 8, 1, 1));
+    let vdsr_topo = model_topology(&vdsr(&alg, 5, 8, 1, 1));
     assert_eq!((vdsr_topo.radius, vdsr_topo.granularity), (5, 1));
-    let ffd_topo = model_topology(&mut ffdnet(&alg, 4, 8, 1, 1));
+    let ffd_topo = model_topology(&ffdnet(&alg, 4, 8, 1, 1));
     // unshuffle(2) + four 3×3 convs at half res (2 px each) + shuffle(2).
     assert_eq!((ffd_topo.radius, ffd_topo.granularity), (8, 2));
     assert_eq!(ffd_topo.scale, (1, 1));
@@ -159,7 +159,7 @@ proptest! {
     ) {
         let alg = Algebra::with_fcw(RingKind::Complex).with_backend(ConvBackend::Im2col);
         let mut model = ffdnet(&alg, 3, 8, 1, seed);
-        let topo = model_topology(&mut model);
+        let topo = model_topology(&model);
         let halo = (topo.radius + 2 * extra_halo).next_multiple_of(topo.granularity);
         let tile_px = 4 * tile;
         let x = Tensor::random_uniform(
@@ -183,7 +183,7 @@ proptest! {
     {
         let alg = Algebra::real().with_backend(ConvBackend::Naive);
         let mut model = vdsr(&alg, 4, 8, 1, seed);
-        let topo = model_topology(&mut model);
+        let topo = model_topology(&model);
         prop_assert!(topo.radius >= 2);
         let x = Tensor::random_uniform(Shape4::new(1, 1, 16, 16), 0.0, 1.0, seed ^ 0x3);
         let runner = BatchRunner::new(&mut model)
@@ -263,9 +263,10 @@ fn walk_zoo() -> Vec<(&'static str, Sequential)> {
     zoo
 }
 
-/// The model walk yields the leaves the downcast ladders yielded before
-/// `Layer::children` replaced them: same names, same order, same
-/// `(radius, granularity, scale)` (lists captured at the parent commit).
+/// The model walks yield the leaves the downcast ladders yielded before
+/// the tree hooks (PR 16) and the description (PR 26) replaced them:
+/// same names, same order, same `(radius, granularity, scale)` (lists
+/// captured before PR 16).
 #[test]
 fn layer_walk_yields_the_golden_leaves_and_topology() {
     for ((name, mut model), (gname, leaves, topo)) in walk_zoo().into_iter().zip(WALK_GOLDEN) {
@@ -273,7 +274,7 @@ fn layer_walk_yields_the_golden_leaves_and_topology() {
         let mut names = Vec::new();
         model.for_each_layer_mut(&mut |l| names.push(l.name()));
         assert_eq!(names, leaves, "{name}: leaves");
-        let t = model_topology(&mut model);
+        let t = model_topology(&model);
         assert_eq!((t.radius, t.granularity, t.scale), topo, "{name}: topology");
     }
 }
@@ -308,7 +309,7 @@ fn an_empty_nested_container_is_not_a_leaf() {
     let mut names = Vec::new();
     model.for_each_layer_mut(&mut |l| names.push(l.name()));
     assert_eq!(names, ["conv3x3(1->1)"]);
-    let t = model_topology(&mut model);
+    let t = model_topology(&model);
     assert_eq!((t.radius, t.granularity, t.scale), (1, 1, (1, 1)));
 }
 
@@ -372,11 +373,10 @@ fn suite_models() -> Vec<(String, Sequential)> {
     models
 }
 
-/// The model quantized to 8 bits on a small frame, or `None` where the
-/// integer pipeline has no lowering for one of its layers (depthwise).
-fn quantized(model: &mut Sequential) -> Option<QuantizedModel> {
+/// The model quantized to 8 bits on a small frame.
+fn quantized(model: &mut Sequential) -> QuantizedModel {
     let calibration = Tensor::random_uniform(Shape4::new(1, 1, 16, 16), 0.0, 1.0, 92);
-    QuantizedModel::try_quantize(model, &calibration, QuantOptions::default()).ok()
+    QuantizedModel::quantize(model, &calibration, QuantOptions::default())
 }
 
 /// Tiled ≡ whole bit for bit on a random frame of `shape`, and the hash
@@ -445,12 +445,12 @@ fn shrinking_tiles_equal_the_whole_image_on_every_model_and_backend() {
                 &format!("{name} on {backend}"),
             );
         }
-        if let Some(mut q) = quantized(&mut model) {
-            // Every 8-bit row runs on `i8` planes with `conv → fH` fused,
-            // and still hashes to what `i32` planes computed.
-            assert_eq!(q.lanes(), Lanes::I32, "{name}");
-            hashes[3] = stitched_3x3(BatchRunner::new(&mut q), &format!("{name}, 8-bit"));
-        }
+        // Every 8-bit row runs on `i8` planes with `conv → fH` fused,
+        // and still hashes to what `i32` planes computed — the
+        // depth-wise SRResNet's since its nested chains calibrate.
+        let mut q = quantized(&mut model);
+        assert_eq!(q.lanes(), Lanes::I32, "{name}");
+        hashes[3] = stitched_3x3(BatchRunner::new(&mut q), &format!("{name}, 8-bit"));
         seen.push((name, hashes));
     }
     assert_golden(
@@ -459,8 +459,7 @@ fn shrinking_tiles_equal_the_whole_image_on_every_model_and_backend() {
     );
 }
 
-/// `(model, output hashes on [naive, im2col, transform] and quantized)`
-/// — 0 where a model has no integer lowering.
+/// `(model, output hashes on [naive, im2col, transform] and quantized)`.
 type SuiteGolden = [(&'static str, [u64; 4]); 16];
 #[rustfmt::skip]
 const SUITE_GOLDEN_SCALAR: SuiteGolden = [
@@ -468,7 +467,7 @@ const SUITE_GOLDEN_SCALAR: SuiteGolden = [
     ("zoo/ffdnet", [0x05f5258f529034eb, 0x05f5258f529034eb, 0x05f5258f529034eb, 0x7f1e5b45c4a23025]),
     ("zoo/dn_ernet", [0xb983b2ab25090fee, 0xb983b2ab25090fee, 0xb983b2ab25090fee, 0x127f04d561224865]),
     ("zoo/sr4_ernet", [0x1873b4457f7d9e88, 0x1873b4457f7d9e88, 0x1873b4457f7d9e88, 0x446d7eb4a72af325]),
-    ("zoo/srresnet", [0x9c6c2bc18559a5bd, 0x9c6c2bc18559a5bd, 0x9c6c2bc18559a5bd, 0x0000000000000000]),
+    ("zoo/srresnet", [0x9c6c2bc18559a5bd, 0x9c6c2bc18559a5bd, 0x9c6c2bc18559a5bd, 0x1296ba48af54f325]),
     ("zoo/sr4_bicubic_skip", [0xf759a482c32da6ad, 0xf759a482c32da6ad, 0xf759a482c32da6ad, 0x14dc9d15e224f325]),
     ("hd30/dn/(R (real), fcw)", [0xb2702f5d13a837df, 0xb2702f5d13a837df, 0xb2702f5d13a837df, 0xf0f6b5f477105725]),
     ("hd30/sr4/(R (real), fcw)", [0x11e67f0b3389ed25, 0x11e67f0b3389ed25, 0x11e67f0b3389ed25, 0x11d89743737bf725]),
@@ -487,7 +486,7 @@ const SUITE_GOLDEN_AVX2: SuiteGolden = [
     ("zoo/ffdnet", [0x05f5258f529034eb, 0x79e78a822e260cfb, 0x79e78a822e260cfb, 0x7f1e5b45c4a23025]),
     ("zoo/dn_ernet", [0xb983b2ab25090fee, 0x97d833330164992d, 0x97d833330164992d, 0x127f04d561224865]),
     ("zoo/sr4_ernet", [0x1873b4457f7d9e88, 0xa75172c57070c72e, 0xa75172c57070c72e, 0x446d7eb4a72af325]),
-    ("zoo/srresnet", [0x9c6c2bc18559a5bd, 0x328533e2894f8ab1, 0x328533e2894f8ab1, 0x0000000000000000]),
+    ("zoo/srresnet", [0x9c6c2bc18559a5bd, 0x328533e2894f8ab1, 0x328533e2894f8ab1, 0x1296ba48af54f325]),
     ("zoo/sr4_bicubic_skip", [0xf759a482c32da6ad, 0x2dd68240f0f4cdd0, 0x2dd68240f0f4cdd0, 0x14dc9d15e224f325]),
     ("hd30/dn/(R (real), fcw)", [0xb2702f5d13a837df, 0x857cf1bdf1dacd4b, 0x857cf1bdf1dacd4b, 0xf0f6b5f477105725]),
     ("hd30/sr4/(R (real), fcw)", [0x11e67f0b3389ed25, 0xfd0176af8961182b, 0xfd0176af8961182b, 0x11d89743737bf725]),
@@ -581,7 +580,7 @@ fn clipped_margins_odd_grids_batches_and_wide_halos_stitch_bit_for_bit() {
             [(1, 32, 40, 8), (1, 50, 52, 12), (2, 36, 36, 12)],
         ),
     ] {
-        let mut q = quantized(&mut model).expect("an integer lowering");
+        let mut q = quantized(&mut model);
         seen.push((
             format!("{name} f32"),
             geometry_hashes(&mut model, frames, name),
@@ -626,7 +625,7 @@ use ringcnn_nn::runtime::TileHalo;
 fn an_unaligned_halo_is_rounded_up_to_the_granularity() {
     let alg = Algebra::real().with_backend(ConvBackend::Im2col);
     let mut model = ffdnet(&alg, 2, 8, 1, 3);
-    let topo = model_topology(&mut model);
+    let topo = model_topology(&model);
     assert_eq!((topo.radius, topo.granularity), (4, 2));
     let runner = BatchRunner::new(&mut model).with_tile(TileConfig::with_tile(8).with_halo(3));
     assert_eq!(runner.halo(), 4);
@@ -700,7 +699,7 @@ proptest! {
         let need = leaves.iter().rev().fold(0usize, |n, &(radius, (num, den), _)| {
             (n * den).div_ceil(num) + radius
         });
-        let topo = model_topology(&mut chain);
+        let topo = model_topology(&chain);
         let g = topo.granularity;
         let halo = (need.max(topo.radius) + spare * g).next_multiple_of(g);
 
