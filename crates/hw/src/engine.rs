@@ -18,6 +18,13 @@ pub const ENGINE_TAPS: usize = 9;
 /// Accumulator width (8-bit products over 32×9 terms).
 pub const ACC_BITS: u32 = 24;
 
+/// Internal width of the on-the-fly directional-ReLU unit over `n`-tuples
+/// (a power of two): the accumulator, `log₂n` bits of butterfly growth
+/// and 5 bits of Q-format alignment.
+pub fn fh_bits(n: usize) -> u32 {
+    ACC_BITS + n.ilog2() + 5
+}
+
 /// Area/power estimate for one engine configuration.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct EngineEstimate {
@@ -66,8 +73,7 @@ pub fn estimate_engine(
     // Directional-ReLU block (Fig. 8): per output tuple per tile pixel,
     // two FWHT butterflies (2·n·log2 n adders), 2n align/requant
     // shifters, pipeline registers between the three stages, and n
-    // saturating rounders — internal width up to 33 bits (ACC + log2 n
-    // butterfly growth + 5 bits of Q-format alignment).
+    // saturating rounders — internal width `fh_bits(n)`.
     if matches!(
         nonlinearity,
         Nonlinearity::DirectionalH | Nonlinearity::DirectionalO4
@@ -75,7 +81,7 @@ pub fn estimate_engine(
     {
         let units = (tuples * ENGINE_TILE_PIXELS) as f64;
         let butterfly_adders = (2 * n) as f64 * (n as f64).log2().ceil();
-        let wb = f64::from(ACC_BITS) + (n as f64).log2() + 5.0;
+        let wb = f64::from(fh_bits(n));
         let adder_bits = butterfly_adders * wb;
         let shifter_bits = 2.0 * n as f64 * wb;
         let reg_bits = 3.0 * n as f64 * wb;

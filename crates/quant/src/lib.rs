@@ -24,9 +24,7 @@ pub mod prelude {
     pub use crate::calibrate::{calibrate, calibrate_to_qmodel, CalibrateError, Calibration};
     pub use crate::qformat::{requant_shift, QFormat, QFormatError};
     pub use crate::qtensor::{expand_formats, group_max_abs, QTensor, QTensorOf, Store};
-    pub use crate::quantized::{
-        CalibrationError, DReluMode, Lanes, QLayer, QuantOptions, QuantizedModel,
-    };
+    pub use crate::quantized::{CalibrationError, DReluMode, QLayer, QuantOptions, QuantizedModel};
     pub use crate::serialize::{
         export_qmodel, peek_format_tag, qmodel_from_json, qmodel_to_json, QModelFile,
         QModelLoadError, QMODEL_FORMAT,

@@ -1,9 +1,11 @@
 //! The load-time proof of the integer pipeline: structural validation of
 //! an untrusted chain and, on the same walk, the largest magnitude any
-//! input can drive each stage to — what picks the lanes a model runs in
-//! ([`LaneProof`], `QuantizedModel::{validate, prepare_inference}`).
+//! input can drive each stage to, held to the widths of the eRingCNN
+//! datapath the paper prices — a model that outgrows them does not load
+//! ([`LaneProof`], `QuantizedModel::validate`).
 
 use super::*;
+use ringcnn_hw::engine::{fh_bits, ACC_BITS};
 
 /// What a stage of the proof's walk computes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,13 +53,9 @@ impl std::fmt::Display for ProofStage {
 /// What the load-time proof found (see [`QuantizedModel::lane_proof`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct LaneProof {
-    /// The tier the model runs in.
-    pub lanes: Lanes,
     /// The largest magnitude [`LaneProof::stage`] can reach.
     pub worst: u128,
-    /// For [`Lanes::I32`] the stage with the largest worst-case magnitude
-    /// of the chain; for [`Lanes::I64`] the first stage that rules `i32`
-    /// out.
+    /// The stage with the largest worst-case magnitude of the chain.
     pub stage: String,
     /// Every stage of the walk, in chain order.
     pub stages: Vec<ProofStage>,
@@ -68,13 +66,10 @@ impl std::fmt::Display for LaneProof {
     /// 2^21.6 at 0.3.1 fH`.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let (log2, at) = ((self.worst as f64).log2(), &self.stage);
-        match self.lanes {
-            Lanes::I64 => write!(f, "integer lanes i64: {at} needs 2^{log2:.1}"),
-            Lanes::I32 => write!(
-                f,
-                "integer lanes i32, store i8, worst case 2^{log2:.1} at {at}"
-            ),
-        }
+        write!(
+            f,
+            "integer lanes i32, store i8, worst case 2^{log2:.1} at {at}"
+        )
     }
 }
 
@@ -149,48 +144,60 @@ fn shifted(bound: u128, from_frac: i32, to_frac: i32) -> u128 {
     }
 }
 
+/// The width a stage must stay inside, `2^(bits − 1)`, and what has it:
+/// a conv's accumulator has [`ACC_BITS`], a directional ReLU's
+/// butterflies the [`fh_bits`] of its unit, everything else — and any
+/// unit wider than that — the `i32` lane the chain computes in.
+fn width(kind: StageKind, n: usize) -> (u32, &'static str) {
+    match kind {
+        StageKind::Conv => (ACC_BITS, "accumulator"),
+        StageKind::DRelu if fh_bits(n) <= 32 => (fh_bits(n), "fH unit"),
+        _ => (32, "lane"),
+    }
+}
+
 impl LaneProof {
     /// Walks `layers` from `c` input channels in `format`: the proof, or
-    /// the chain's first inconsistency.
+    /// the chain's first inconsistency or first stage that outgrows its
+    /// width.
     pub(super) fn of(format: QFormat, c: usize, layers: &[QLayer]) -> Result<Self, String> {
         let mut proof = Self {
-            lanes: Lanes::I32,
             worst: 0,
             stage: String::new(),
             stages: Vec::new(),
         };
-        proof.note(rail(format), "", StageKind::Input);
+        proof.note(rail(format), "", StageKind::Input, 1)?;
         let (formats, bounds) = (vec![format; c], vec![rail(format); c]);
         validate_chain(layers, formats, bounds, "", &mut proof)?;
         Ok(proof)
     }
 
-    /// What a chain that does not validate runs in: the interchange
-    /// tier, which panics where the chain is inconsistent.
-    pub(super) fn invalid(why: &str) -> Self {
-        Self {
-            lanes: Lanes::I64,
-            worst: u128::MAX,
-            stage: format!("an invalid chain ({why})"),
-            stages: Vec::new(),
-        }
-    }
-
-    /// The stage of `kind` at `path` can reach `magnitude`. The first
-    /// stage that rules `i32` out stands; until then the largest
-    /// magnitude does.
-    fn note(&mut self, magnitude: u128, path: &str, kind: StageKind) {
+    /// The stage of `kind` at `path` (over `n`-tuples) can reach
+    /// `magnitude`: refused at or above its [`width`], else on record.
+    fn note(
+        &mut self,
+        magnitude: u128,
+        path: &str,
+        kind: StageKind,
+        n: usize,
+    ) -> Result<(), String> {
         let stage = ProofStage {
             path: path.into(),
             kind,
             worst: magnitude,
         };
-        let wide = magnitude >= 1 << 31;
-        if self.lanes == Lanes::I32 && (wide || magnitude > self.worst) {
-            self.lanes = if wide { Lanes::I64 } else { Lanes::I32 };
+        let (bits, unit) = width(kind, n);
+        if magnitude >= 1 << (bits - 1) {
+            let log2 = (magnitude as f64).log2();
+            return Err(format!(
+                "{stage}: worst case 2^{log2:.1} exceeds the {bits}-bit {unit}"
+            ));
+        }
+        if magnitude > self.worst {
             (self.worst, self.stage) = (magnitude, stage.to_string());
         }
         self.stages.push(stage);
+        Ok(())
     }
 }
 
@@ -198,7 +205,8 @@ impl LaneProof {
 /// `run_*` functions would see, derived by the same rules — and beside
 /// each the largest magnitude (`bounds`) any input can drive that
 /// channel to, noting every stage's worst case in `walk`; returns the
-/// output formats and bounds or the first inconsistency. `path` prefixes
+/// output formats and bounds, or the first inconsistency or stage that
+/// outgrows its width. `path` prefixes
 /// the layer index of a nested body, and every format error names the
 /// stage.
 fn validate_chain(
@@ -285,7 +293,7 @@ fn validate_chain(
                     .map_err(|e| format!("layer {i}: {e}"))?;
                 let acc = conv_acc_bounds(conv, &acc_frac, &bounds);
                 let worst = acc.iter().copied().max().unwrap_or(0);
-                walk.note(worst, &at, StageKind::Conv);
+                walk.note(worst, &at, StageKind::Conv, 1)?;
                 formats = conv_out_formats(conv, &acc_frac);
                 bounds = conv.requant.as_ref().map_or(acc, |fmts| rails(fmts));
             }
@@ -321,7 +329,7 @@ fn validate_chain(
                     }
                 });
                 let worst = worst.max().unwrap_or(0);
-                walk.note(worst, &at, StageKind::DRelu);
+                walk.note(worst, &at, StageKind::DRelu, d.n)?;
                 formats = expand_formats(&d.out_formats, c);
                 bounds = rails(&formats);
             }
@@ -355,7 +363,7 @@ fn validate_chain(
                 let sums = (0..c)
                     .map(|ch| aligned(&fb, &bb, ch).saturating_add(aligned(&formats, &bounds, ch)));
                 let worst = sums.max().unwrap_or(0);
-                walk.note(worst, &at, StageKind::Add);
+                walk.note(worst, &at, StageKind::Add, 1)?;
                 (bounds, formats) = (rails(&out), out);
             }
             QLayer::UpsampleResidual(ur) => {
@@ -371,7 +379,7 @@ fn validate_chain(
                     shifted(bb[ch], fb[ch].frac, out[ch].frac).saturating_add(rail(out[ch]))
                 });
                 let worst = sums.max().unwrap_or(0);
-                walk.note(worst, &at, StageKind::UpsampleAdd);
+                walk.note(worst, &at, StageKind::UpsampleAdd, 1)?;
                 (bounds, formats) = (rails(&out), out);
             }
         }

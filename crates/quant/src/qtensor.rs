@@ -2,14 +2,13 @@
 //!
 //! A [`QTensorOf<S>`](QTensorOf) stores features in integers `S`
 //! together with one [`QFormat`] per channel, and every stage computes
-//! on them in the lane `S::Lane` ([`Store`]). [`QTensor`], the `i64`
-//! tier, holds every value every format admits and is what the
-//! simulator and the oracles exchange; a model whose every magnitude a
-//! load-time proof bounds below `2^31` runs the same stages in `i32`
-//! lanes (see [`crate::quantized`]) on `QTensorOf<i8>`, the bytes the
-//! accelerator's feature SRAM holds. Wide tensors model convolution
-//! accumulators flowing into the on-the-fly directional-ReLU pipeline;
-//! only the `i64` store holds them.
+//! on them in the lane `S::Lane` ([`Store`]). The integer chain (see
+//! [`crate::quantized`]) runs in `i32` lanes on `QTensorOf<i8>`, the
+//! bytes the accelerator's feature SRAM holds; [`QTensor`] holds every
+//! value every format admits and is what the simulator and the one slow
+//! oracle exchange. Wide tensors model convolution accumulators flowing
+//! into the on-the-fly directional-ReLU pipeline; only the oracle's
+//! `i64` store holds them.
 //!
 //! Everything a format decides is constant over a plane, so every
 //! element-wise operation here walks whole planes with those constants
@@ -25,8 +24,8 @@
 //! narrowed again. Per element the operations and their order are those
 //! of [`QFormat::quantize`], [`QFormat::dequantize`], [`requant_shift`]
 //! and [`QFormat::saturate`] — `tests/quant_backend.rs` compares the
-//! `i64` tier against exactly those and the `i8` tier against the `i64`
-//! one. A rail wider than the lane (a 63-bit format, the unclamped
+//! `i64` store against exactly those, and the `i8` chain against the
+//! oracle. A rail wider than the lane (a 63-bit format, the unclamped
 //! alignment shifts of [`QTensorOf::add_assign_saturating`]) is the
 //! lane's own rail in `i32`: identical wherever the value fits the lane,
 //! which is what the proof establishes before a model runs there.
@@ -37,7 +36,7 @@ use crate::qformat::QFormat;
 use ringcnn_tensor::gemm::{fit, Lane, Plane, RequantChannel};
 use ringcnn_tensor::prelude::*;
 
-/// Lanes of the stack block a store narrower than its lane is widened
+/// The stack block, in lanes, a store narrower than its lane is widened
 /// into: the most [`Store::in_lane`] takes at once.
 pub(crate) const BLOCK: usize = 2048;
 
@@ -109,7 +108,8 @@ pub struct QTensorOf<S> {
     formats: Vec<QFormat>,
 }
 
-/// The `i64` tier: the interchange tensor of the integer pipeline.
+/// The `i64` tensor: what the oracle computes on and what
+/// [`crate::quantized::QuantizedModel::forward_q`] speaks.
 pub type QTensor = QTensorOf<i64>;
 
 /// The planes of an NCHW buffer in storage order, each with its channel.

@@ -17,20 +17,22 @@
 //!
 //! Every format that reaches memory has the paper's 8 bits: calibration
 //! fits no other width and [`QuantizedModel::validate`] admits no other.
-//! There is one integer chain, generic over the type its tensors are
-//! stored in ([`Tier`]): [`QuantizedModel::forward_q`] and
-//! [`execute_layer`] on a [`QTensor`] are the `i64` interchange tier the
-//! simulator and the two `*_reference` oracles speak, and
-//! [`QuantizedModel::forward`] runs the same stages on 8-bit planes in
-//! `i32` lanes — 16-bit multiplies in the conv engine — whenever the
-//! load-time overflow proof of [`QuantizedModel::prepare_inference`]
-//! shows that no integer of the chain can reach `2^31`, whatever the
-//! input ([`Lanes`], [`LaneProof`]). A conv that keeps its accumulator
-//! and the directional ReLU behind it are one step of the chain in every
-//! tier: the unit runs on each column chunk's accumulators inside the
-//! conv engine (the paper's on-the-fly execution, literally), so only
-//! requantized features are ever stored. Nothing selects tier or fusion;
-//! both tiers compute the same integers.
+//! Nor does it admit a model whose integers outgrow the eRingCNN
+//! datapath: its load-time proof ([`LaneProof`]) bounds, whatever the
+//! input, every conv accumulator below the engine's `ACC_BITS` and every
+//! directional-ReLU butterfly below its unit's width (both from
+//! `ringcnn_hw::engine`), everything else below `2^31`. So every model
+//! that loads runs the one integer chain: 8-bit planes, `i32` lanes,
+//! 16-bit multiplies in the conv engine — [`QuantizedModel::forward`],
+//! and [`QuantizedModel::forward_q`], which speaks `i64` [`QTensor`]s to
+//! the simulator. A conv that keeps its accumulator and the directional
+//! ReLU behind it are one step of the chain: the unit runs on each
+//! column chunk's accumulators inside the conv engine (the paper's
+//! on-the-fly execution, literally), so only requantized features are
+//! ever stored. [`execute_layer`] is the one slow oracle beside it, one
+//! layer at a time on `i64` tensors, unfused: [`run_conv_reference`],
+//! [`run_drelu_reference`], and the store-generic stages the chain
+//! shares.
 
 use crate::qformat::{requant_shift, QFormat, QFormatError};
 use crate::qtensor::{expand_formats, group_max_abs, QTensor, QTensorOf, Store, BLOCK};
@@ -42,8 +44,8 @@ use ringcnn_nn::layers::shuffle::{cropped, shuffle_into, unshuffle_into};
 use ringcnn_nn::layers::structure::Sequential;
 use ringcnn_nn::layers::upsample::upsample_region;
 use ringcnn_nn::runtime::{InferenceModel, ModelTopo, TileHalo};
-use ringcnn_tensor::gemm::{ChunkEpilogue, Lane, PackedWeights, RequantChannel, RequantPlan};
-use ringcnn_tensor::im2col::{conv_streaming_i32, conv_streaming_i64, ConvInput};
+use ringcnn_tensor::gemm::{ChunkEpilogue, PackedWeights, RequantChannel, RequantPlan};
+use ringcnn_tensor::im2col::{conv_streaming_i32, ConvInput};
 use ringcnn_tensor::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -71,6 +73,9 @@ pub enum CalibrationError {
     UnsupportedLayer(String),
     /// The calibration batch is empty.
     EmptyCalibration,
+    /// The calibrated pipeline does not load: its proof found a stage
+    /// that outgrows the modelled widths (see [`QuantizedModel::validate`]).
+    Unloadable(String),
 }
 
 impl std::fmt::Display for CalibrationError {
@@ -83,6 +88,9 @@ impl std::fmt::Display for CalibrationError {
                 write!(f, "unsupported layer in quantized pipeline: {name}")
             }
             CalibrationError::EmptyCalibration => write!(f, "calibration batch is empty"),
+            CalibrationError::Unloadable(why) => {
+                write!(f, "calibrated pipeline does not load: {why}")
+            }
         }
     }
 }
@@ -192,25 +200,22 @@ pub struct QConv {
     plan: Derived<Box<ConvPlans>>,
 }
 
-/// The run-time kernels of a [`QConv`], each built once, on first use:
-/// [`QuantizedModel::prepare_inference`] asks for the plan of the tier
-/// the model runs in, and the other tier's is built if anything ever
-/// runs the conv there (`execute_layer` on a model that runs in `i32`).
+/// The run-time kernels of a [`QConv`], each built once, on first use
+/// ([`QuantizedModel::prepare_inference`] builds them ahead of it).
 #[derive(Clone, Debug, Default)]
 struct ConvPlans {
     /// `support[co·ci_n + ci]`: whether any tap of `(co, ci)` is
     /// non-zero, i.e. whether input channel `ci`'s scale reaches output
     /// channel `co`'s accumulator.
     support: OnceLock<Vec<bool>>,
-    /// The streaming engine's plans of the integer weights: for `i64`
-    /// lanes, and as 16-bit operands for `i32` lanes.
-    wide: OnceLock<PackedWeights<i64>>,
-    narrow: OnceLock<PackedWeights<i16>>,
+    /// The streaming engine's plan of the integer weights, as the 16-bit
+    /// operands of `i32` lanes.
+    weights: OnceLock<PackedWeights<i16>>,
 }
 
 /// State derived from the tables beside it (a conv's kernels, a model's
-/// lane proof). Equal to every other `Derived`: a prepared and an
-/// unprepared model over the same tables are the same model.
+/// proof). Equal to every other `Derived`: a prepared and an unprepared
+/// model over the same tables are the same model.
 #[derive(Clone, Debug, Default)]
 struct Derived<T>(T);
 
@@ -223,61 +228,7 @@ impl<T> PartialEq for Derived<T> {
 /// A value the load-time proof bounds, in the type it was proven into.
 fn narrow<W, N: TryFrom<W>>(v: W) -> N {
     let fits = N::try_from(v).ok();
-    fits.expect("the i32 tier runs what the load-time proof admitted")
-}
-
-/// The streaming convolution over one store (`conv_streaming_i64`'s
-/// shape).
-type ConvStreaming<S> = fn(
-    &ConvInput<'_, S>,
-    usize,
-    &PackedWeights<<S as Tier>::Weight>,
-    &[<S as Store>::Lane],
-    (
-        Option<&RequantPlan>,
-        Option<ChunkEpilogue<'_, <S as Store>::Lane>>,
-    ),
-    &mut [S],
-);
-
-/// A store the chain runs on: [`Store`] plus its tier's entry to the conv
-/// engine. `i64` and `i8` are all there is.
-pub trait Tier: Store {
-    /// What the engine's weight packs hold in this tier.
-    #[doc(hidden)]
-    type Weight;
-
-    /// The streaming convolution over this store.
-    #[doc(hidden)]
-    const CONV_STREAMING: ConvStreaming<Self>;
-
-    /// This tier's plan of `c`'s weights, built on first use.
-    #[doc(hidden)]
-    fn packed(c: &QConv) -> &PackedWeights<Self::Weight>;
-}
-
-impl Tier for i64 {
-    type Weight = i64;
-    const CONV_STREAMING: ConvStreaming<i64> = conv_streaming_i64;
-
-    fn packed(c: &QConv) -> &PackedWeights<i64> {
-        let plan = || PackedWeights::<i64>::new(c.co, c.ci * c.k * c.k, &c.weights);
-        c.plan.0.wide.get_or_init(plan)
-    }
-}
-
-/// 8-bit planes in `i32` lanes, the weights as 16-bit operands.
-impl Tier for i8 {
-    type Weight = i16;
-    const CONV_STREAMING: ConvStreaming<i8> = conv_streaming_i32::<i8>;
-
-    fn packed(c: &QConv) -> &PackedWeights<i16> {
-        let plan = || {
-            let weights: Vec<i16> = c.weights.iter().map(|w| narrow(*w)).collect();
-            PackedWeights::<i16>::new(c.co, c.ci * c.k * c.k, &weights)
-        };
-        c.plan.0.narrow.get_or_init(plan)
-    }
+    fits.expect("the integer chain runs what the load-time proof admitted")
 }
 
 /// Quantized directional ReLU.
@@ -322,39 +273,21 @@ impl QConv {
         self.w_format
     }
 
-    /// Output requantization formats (`None` = accumulator pass-through).
-    pub fn requant(&self) -> Option<&[QFormat]> {
-        self.requant.as_deref()
-    }
-
-    /// Input alignment format, if any.
-    pub fn align_input(&self) -> Option<QFormat> {
-        self.align_input
-    }
-
-    /// Integer bias of channel `co` at the given accumulator frac.
-    pub fn bias_int(&self, co: usize, acc_frac: i32) -> i64 {
-        bias_at(self, co, acc_frac)
-    }
-
     /// [`tap_support`], derived once.
     fn support(&self) -> &[bool] {
         self.plan.0.support.get_or_init(|| tap_support(self))
     }
+
+    /// The engine's plan of the weights, derived once.
+    fn packed(&self) -> &PackedWeights<i16> {
+        self.plan.0.weights.get_or_init(|| {
+            let weights: Vec<i16> = self.weights.iter().map(|w| narrow(*w)).collect();
+            PackedWeights::<i16>::new(self.co, self.ci * self.k * self.k, &weights)
+        })
+    }
 }
 
 impl QDRelu {
-    /// A directional ReLU over `n`-tuples with the given output
-    /// component formats (cycled over the channels) — what calibration
-    /// emits, for harnesses that exercise the unit on its own.
-    pub fn new(n: usize, mode: DReluMode, out_formats: Vec<QFormat>) -> Self {
-        Self {
-            n,
-            mode,
-            out_formats,
-        }
-    }
-
     /// Tuple size.
     pub fn n(&self) -> usize {
         self.n
@@ -400,27 +333,25 @@ impl QUpsampleResidual {
     }
 }
 
-/// Executes a single quantized layer. On a [`QTensor`] this is the `i64`
-/// interchange tier, exact for every tensor; on a `QTensorOf<i8>` it is
-/// the stage a model proven into [`Lanes::I32`] runs, exact for what the
-/// proof covers (an `i8` store holds no accumulator: there a conv
-/// without a requantizer runs only inside the chain, as one step with
-/// its directional ReLU) — there for `tests/quant_backend.rs` to hold it
-/// to the `i64` tier.
-pub fn execute_layer<S: Tier>(layer: &QLayer, q: QTensorOf<S>) -> QTensorOf<S> {
-    run_layer(layer, Cow::Owned(q), &mut TileHalo::whole())
-}
-
-/// The integer lanes a model runs in, decided by the load-time proof of
-/// [`QuantizedModel::prepare_inference`] from the model's tables alone.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Lanes {
-    /// 32-bit lanes over 8-bit planes: whatever the input, no integer of
-    /// the chain reaches `2^31`.
-    I32,
-    /// 64-bit lanes over 64-bit planes, the interchange tier: everything
-    /// else, and a model nothing has prepared yet.
-    I64,
+/// The one slow oracle of the integer pipeline, one layer at a time on
+/// `i64` tensors, unfused: a conv through [`run_conv_reference`] (one
+/// that keeps its accumulator hands the accumulator on), a directional
+/// ReLU through [`run_drelu_reference`], and the ReLU, shuffles and
+/// saturating skip adds through the store-generic stages the chain runs
+/// on `i8` planes — a skip's body through this, layer by layer. What
+/// [`QuantizedModel::forward`] computes is this walk's integers, bit for
+/// bit (`tests/quant_backend.rs`).
+pub fn execute_layer(layer: &QLayer, q: QTensor) -> QTensor {
+    fn oracle_chain(layers: &[QLayer], q: Cow<'_, QTensor>, _: &mut TileHalo) -> QTensor {
+        layers
+            .iter()
+            .fold(q.into_owned(), |q, l| execute_layer(l, q))
+    }
+    match layer {
+        QLayer::Conv(c) => run_conv_reference(c, &q),
+        QLayer::DRelu(d) => run_drelu_reference(d, &q),
+        _ => run_stage(layer, Cow::Owned(q), &mut TileHalo::whole(), oracle_chain),
+    }
 }
 
 /// A fully quantized model: integer layers plus the input image format.
@@ -429,10 +360,10 @@ pub struct QuantizedModel {
     input_format: QFormat,
     layers: Vec<QLayer>,
     opts: QuantOptions,
-    /// What [`QuantizedModel::prepare_inference`] proved; never stored,
-    /// never compared.
+    /// The load-time proof, or why the chain does not load, derived on
+    /// first use; never stored, never compared.
     #[serde(skip)]
-    proof: Derived<Option<LaneProof>>,
+    proof: Derived<OnceLock<Result<LaneProof, String>>>,
 }
 
 impl QuantizedModel {
@@ -441,17 +372,18 @@ impl QuantizedModel {
     ///
     /// # Panics
     ///
-    /// Panics on any [`CalibrationError`] — unsupported layer types or
-    /// non-finite dynamic ranges. Use [`QuantizedModel::try_quantize`]
-    /// (or `ringcnn_quant::calibrate`) when the calibration data is not
-    /// known-good.
+    /// Panics on any [`CalibrationError`] — unsupported layer types,
+    /// non-finite dynamic ranges, a pipeline that does not load. Use
+    /// [`QuantizedModel::try_quantize`] (or `ringcnn_quant::calibrate`)
+    /// when the calibration data is not known-good.
     pub fn quantize(model: &mut Sequential, calibration: &Tensor, opts: QuantOptions) -> Self {
         Self::try_quantize(model, calibration, opts)
             .unwrap_or_else(|e| panic!("quantization failed: {e}"))
     }
 
     /// Fallible calibration: every way the pass can fail — a divergent
-    /// activation range (NaN/∞), an unsupported layer, an empty batch —
+    /// activation range (NaN/∞), an unsupported layer, an empty batch, a
+    /// calibrated pipeline whose integers outgrow the modelled widths —
     /// surfaces as a [`CalibrationError`] instead of a panic.
     ///
     /// # Errors
@@ -478,81 +410,82 @@ impl QuantizedModel {
             input_format,
             layers,
             opts,
-            proof: Derived(None),
+            proof: Derived::default(),
         };
+        if let Err(why) = quantized.proof() {
+            return Err(CalibrationError::Unloadable(why.clone()));
+        }
         quantized.prepare_inference();
         Ok(quantized)
     }
 
-    /// Decides the lanes the model runs in and plans every convolution's
-    /// weights for that tier of the streaming engine (idempotent). A
-    /// freshly quantized or loaded model is already prepared; a bare
-    /// deserialized one runs in [`Lanes::I64`] until this runs
-    /// (`BatchRunner::new` calls it), planning each conv on first use.
-    ///
-    /// The decision is a proof from the tables alone: the walk of
-    /// [`QuantizedModel::validate`], over the chain's own input channel
-    /// count, carries beside every channel's format the largest
-    /// magnitude any input can drive it to — a format's rail for
-    /// features and requantized outputs, `|bias| + Σ_ci (Σ_taps
-    /// |w|)·bound[ci]` for a conv accumulator, per tuple of a
-    /// directional ReLU the sum `S` of its aligned components through
-    /// the first butterfly and `n·S` through the second (`n` rails of
-    /// `mid` in the MAC-based mode), the sum of its aligned operands for
-    /// a residual add. [`Lanes::I32`] iff all of them stay below `2^31`:
-    /// the `i32` chain then computes, integer for integer, what the `i64`
-    /// chain does, on 8-bit planes — every format that reaches memory has
-    /// 8 bits, and a conv that keeps its accumulator runs as one step
-    /// with the directional ReLU behind it, so no accumulator does.
+    /// Plans every convolution's weights for the streaming engine
+    /// (idempotent; a conv nothing planned plans on first use). A freshly
+    /// quantized or loaded model is already prepared.
     pub fn prepare_inference(&mut self) {
-        fn plan<S: Tier>(layer: &QLayer, _: Shape4) {
-            if let QLayer::Conv(c) = layer {
-                c.support();
-                S::packed(c);
-            }
-        }
-        if self.proof.0.is_none() {
-            let proven = validate_format(self.input_format, "input format").and_then(|()| {
-                let c = self
-                    .input_channels()
-                    .filter(|c| *c > 0)
-                    .ok_or("no convolution fixes the channel count")?;
-                LaneProof::of(self.input_format, c, &self.layers)
+        if self.proof().is_ok() {
+            self.walk_shapes(Shape4::new(1, 1, 1, 1), |layer, _| {
+                if let QLayer::Conv(c) = layer {
+                    c.support();
+                    c.packed();
+                }
             });
-            self.proof.0 = Some(proven.unwrap_or_else(|e| LaneProof::invalid(&e)));
         }
-        let any = Shape4::new(1, 1, 1, 1);
-        match self.lanes() {
-            Lanes::I32 => self.walk_shapes(any, plan::<i8>),
-            Lanes::I64 => self.walk_shapes(any, plan::<i64>),
-        };
     }
 
-    /// The lanes [`QuantizedModel::forward`] runs in ([`Lanes::I64`]
-    /// until [`QuantizedModel::prepare_inference`] has run).
-    pub fn lanes(&self) -> Lanes {
-        self.proof.0.as_ref().map_or(Lanes::I64, |p| p.lanes)
-    }
-
-    /// What the load-time proof found — the tier, every stage's
-    /// worst-case magnitude and the stage that sets the largest;
-    /// `None` before [`QuantizedModel::prepare_inference`].
+    /// What the load-time proof found — every stage's worst-case
+    /// magnitude and the stage that sets the largest — derived from the
+    /// tables on first use, over the chain's own input channel count;
+    /// `None` for a chain that does not load ([`QuantizedModel::validate`]
+    /// says why). Whatever the input, it bounds every conv accumulator
+    /// below `2^(ACC_BITS − 1)`, every directional-ReLU butterfly below
+    /// `2^(fh_bits(n) − 1)` (`ringcnn_hw::engine`) and everything else
+    /// below `2^31`: the `i32` lanes of the chain hold every integer it
+    /// computes (the bounds: `docs/PERFORMANCE.md`, "The integer tier").
     pub fn lane_proof(&self) -> Option<&LaneProof> {
-        self.proof.0.as_ref()
+        self.proof().ok()
+    }
+
+    /// [`QuantizedModel::lane_proof`], or why the chain does not load.
+    fn proof(&self) -> Result<&LaneProof, &String> {
+        let prove = || -> Result<LaneProof, String> {
+            validate_format(self.input_format, "input format")?;
+            let c = self.input_channels().filter(|c| *c > 0);
+            let c = c.ok_or("no convolution fixes the channel count")?;
+            LaneProof::of(self.input_format, c, &self.layers)
+        };
+        self.proof.0.get_or_init(prove).as_ref()
     }
 
     /// Bit-accurate integer inference; input is quantized with the
-    /// calibrated image format — straight into the store the model was
-    /// proven into — and the output dequantized to floats.
+    /// calibrated image format straight onto the chain's 8-bit planes,
+    /// and the output dequantized to floats.
+    ///
+    /// # Panics
+    ///
+    /// If the model does not load ([`QuantizedModel::validate`]).
     pub fn forward(&self, input: &Tensor) -> Tensor {
         self.forward_tile(input, &mut TileHalo::whole())
     }
 
-    /// Integer-in/integer-out inference on the `i64` interchange tier
-    /// (what the accelerator simulator reports as its output, and the
-    /// oracle the `i32` tier is held to).
+    /// Integer-in/integer-out inference, what the accelerator simulator
+    /// reports as its output: the 8-bit features of `input` are narrowed
+    /// onto the chain's planes, and its output widened back.
+    ///
+    /// # Panics
+    ///
+    /// If a value of `input` does not fit 8 bits, or the model does not
+    /// load.
     pub fn forward_q(&self, input: QTensor) -> QTensor {
-        run_chain(&self.layers, Cow::Owned(input), &mut TileHalo::whole())
+        self.proof().expect("a model that loads");
+        let (s, data, formats) = input.into_raw();
+        let narrowed = data
+            .into_iter()
+            .map(|v| i8::try_from(v).expect("8-bit features"));
+        let q = QTensorOf::from_raw(s, narrowed.collect(), formats);
+        let (s, data, formats) =
+            run_chain(&self.layers, Cow::Owned(q), &mut TileHalo::whole()).into_raw();
+        QTensor::from_raw(s, data.into_iter().map(i64::from).collect(), formats)
     }
 
     /// The calibrated input format.
@@ -563,11 +496,6 @@ impl QuantizedModel {
     /// The quantized layers (read-only view for the simulator).
     pub fn layers(&self) -> &[QLayer] {
         &self.layers
-    }
-
-    /// Quantization options used.
-    pub fn options(&self) -> QuantOptions {
-        self.opts
     }
 
     /// Output channel count given the input channel count.
@@ -622,17 +550,17 @@ impl QuantizedModel {
     /// flow produces), weights within their declared format's range,
     /// biases finite and bounded, per-channel tap counts bounded, and
     /// every accumulator-keeping conv immediately followed by its
-    /// directional ReLU. Together with the saturating
-    /// requantizers, the bias rail in `bias_at`, and the pre-butterfly
-    /// clamp in the directional ReLU, these bounds keep every `i64`
-    /// addition in the pipeline below overflow: a pipeline that passes
-    /// cannot panic or wrap at inference time on a shape-valid input.
+    /// directional ReLU — and every stage inside the widths of the
+    /// modelled accelerator (the proof of [`QuantizedModel::lane_proof`]),
+    /// so a pipeline that passes cannot panic or wrap at inference time
+    /// on a shape-valid input.
     ///
     /// # Errors
     ///
-    /// A human-readable description of the first violated invariant (a
-    /// format outside the bounds names its stage: `1 fH output format:
-    /// bits 9 outside 2..=8`).
+    /// A human-readable description of the first violated invariant. A
+    /// format outside the bounds or a stage that outgrows its width names
+    /// the stage: `1 fH output format: bits 9 outside 2..=8`, `0 conv:
+    /// worst case 2^23.0 exceeds the 24-bit accumulator`.
     pub fn validate(&self, channels_io: usize) -> Result<(), String> {
         if channels_io == 0 {
             return Err("channels_io must be at least 1".into());
@@ -654,15 +582,9 @@ impl InferenceModel for QuantizedModel {
     /// [`QuantizedModel::forward`] of one tile: the integer chain
     /// consumes the halo exactly as the float one does.
     fn forward_tile(&self, input: &Tensor, tile: &mut TileHalo) -> Tensor {
-        fn run<S: Tier>(qm: &QuantizedModel, input: &Tensor, tile: &mut TileHalo) -> Tensor {
-            let formats = vec![qm.input_format; input.shape().c];
-            let q = QTensorOf::<S>::quantize(input, formats);
-            run_chain(&qm.layers, Cow::Owned(q), tile).dequantize()
-        }
-        match self.lanes() {
-            Lanes::I32 => run::<i8>(self, input, tile),
-            Lanes::I64 => run::<i64>(self, input, tile),
-        }
+        self.proof().expect("a model that loads");
+        let q = QTensorOf::<i8>::quantize(input, vec![self.input_format; input.shape().c]);
+        run_chain(&self.layers, Cow::Owned(q), tile).dequantize()
     }
 
     fn out_channels(&self, in_channels: usize) -> usize {
@@ -777,7 +699,11 @@ fn build_chain_grouped(
                         mid: fit_ctx(mid_max, "Hadamard intermediate")?,
                     },
                 };
-                out.push(QLayer::DRelu(QDRelu::new(n, mode, out_formats)));
+                out.push(QLayer::DRelu(QDRelu {
+                    n,
+                    mode,
+                    out_formats,
+                }));
                 x = Cow::Owned(y);
                 cur_groups = groups;
             }
@@ -902,21 +828,20 @@ fn hadamard_intermediate_max(x: &Tensor, n: usize) -> f64 {
 // Integer execution.
 // ---------------------------------------------------------------------
 
-/// Runs a chain on an input it may own: every stage that can work in
-/// place does, and a borrowed input (a residual body reading the skip's
-/// tensor) is copied only by a stage that has to write to it. `tile` is
-/// the float chain's state, moved the same way: a convolution writes
-/// only what the rest of the chain reads, a skip is added over that
-/// region. A convolution that keeps its accumulator and the directional
-/// ReLU behind it (every such conv of a validated chain has one) are one
-/// step: the unit runs on each column chunk's accumulators inside the
-/// engine, and no accumulator is stored. One body per stage from here
-/// down, generic over the store.
-fn run_chain<S: Tier>(
+/// Runs a chain on `i8` planes, on an input it may own: every stage that
+/// can work in place does, and a borrowed input (a residual body reading
+/// the skip's tensor) is copied only by a stage that has to write to it.
+/// `tile` is the float chain's state, moved the same way: a convolution
+/// writes only what the rest of the chain reads, a skip is added over
+/// that region. A convolution that keeps its accumulator and the
+/// directional ReLU behind it (every such conv of a validated chain has
+/// one) are one step: the unit runs on each column chunk's accumulators
+/// inside the engine, and no accumulator is stored.
+fn run_chain(
     mut layers: &[QLayer],
-    mut q: Cow<'_, QTensorOf<S>>,
+    mut q: Cow<'_, QTensorOf<i8>>,
     tile: &mut TileHalo,
-) -> QTensorOf<S> {
+) -> QTensorOf<i8> {
     while let [layer, rest @ ..] = layers {
         (q, layers) = match (layer, rest) {
             (QLayer::Conv(c), [QLayer::DRelu(d), rest @ ..]) if c.requant.is_none() => {
@@ -929,19 +854,34 @@ fn run_chain<S: Tier>(
     q.into_owned()
 }
 
-fn run_layer<S: Tier>(
+/// One step of [`run_chain`], unfused.
+fn run_layer(layer: &QLayer, q: Cow<'_, QTensorOf<i8>>, tile: &mut TileHalo) -> QTensorOf<i8> {
+    match layer {
+        QLayer::Conv(c) => run_conv(c, None, &q, tile.conv(c.k / 2, 1)),
+        QLayer::DRelu(d) => run_drelu(d, q.into_owned()),
+        _ => run_stage(layer, q, tile, run_chain),
+    }
+}
+
+/// How a walk runs a skip's body.
+type Chain<S> = fn(&[QLayer], Cow<'_, QTensorOf<S>>, &mut TileHalo) -> QTensorOf<S>;
+
+/// The stages the chain and the oracle share, one body generic over the
+/// store: the ReLU, the shuffles, and the skips — the body through the
+/// walk's own `chain`, then the saturating add. Each walk runs its convs
+/// and directional ReLUs its own way.
+fn run_stage<S: Store>(
     layer: &QLayer,
     q: Cow<'_, QTensorOf<S>>,
     tile: &mut TileHalo,
+    chain: Chain<S>,
 ) -> QTensorOf<S> {
     match layer {
-        QLayer::Conv(c) => run_conv(c, None, &q, tile.conv(c.k / 2, 1)),
         QLayer::Relu => {
             let (s, mut data, formats) = q.into_owned().into_raw();
             data.iter_mut().for_each(|v| *v = (*v).max(S::default()));
             QTensorOf::from_raw(s, data, formats)
         }
-        QLayer::DRelu(d) => run_drelu(d, q.into_owned()),
         QLayer::Shuffle(r) => {
             tile.leaf(0, (*r, 1));
             run_shuffle(q.into_owned(), *r)
@@ -959,7 +899,7 @@ fn run_layer<S: Tier>(
         }
         QLayer::Residual(res) => {
             let [top, left, ..] = tile.margin;
-            let mut out = run_chain(&res.body, Cow::Borrowed(&*q), tile);
+            let mut out = chain(&res.body, Cow::Borrowed(&*q), tile);
             let at = (top - tile.margin[0], left - tile.margin[1]);
             out.add_window_saturating(&q, at, expand_formats(&res.out_formats, q.shape().c));
             out
@@ -967,7 +907,7 @@ fn run_layer<S: Tier>(
         QLayer::UpsampleResidual(ur) => {
             tile.leaf(2, (1, 1));
             let [top, left, ..] = tile.margin.map(|m| m * ur.factor);
-            let mut out = run_chain(&ur.body, Cow::Borrowed(&*q), tile);
+            let mut out = chain(&ur.body, Cow::Borrowed(&*q), tile);
             // Fixed-point interpolator: bicubic on the dequantized input,
             // re-quantized at the output format (deterministic).
             let (h, w) = (out.shape().h, out.shape().w);
@@ -978,6 +918,7 @@ fn run_layer<S: Tier>(
             out.add_window_saturating(&skip, (y0, x0), formats);
             out
         }
+        QLayer::Conv(_) | QLayer::DRelu(_) => unreachable!("each walk runs its own"),
     }
 }
 
@@ -1038,38 +979,31 @@ fn align_conv_input<S: Store>(c: &QConv, q: &QTensorOf<S>) -> Option<QTensorOf<S
     c.align_input.map(|f| q.requantized(vec![f; q.shape().c]))
 }
 
-/// The production integer convolution: every batch item streams through
-/// the store's `ringcnn_tensor::im2col::conv_streaming_*` — im2col packed
-/// per column chunk inside the register-blocked integer GEMM, the
-/// per-channel requantization **fused into the kernel epilogue**
-/// (un-rescaled wide accumulators never reach memory), outputs written
-/// in place. With `fh`, the directional ReLU behind an accumulator-
-/// keeping conv, the engine hands every column chunk's accumulators to
-/// the unit before it writes them ([`DReluStages::run`], the one body
-/// [`run_drelu`] runs over a stored tensor): the output is that of
-/// `run_conv(c, None, …)` followed by `run_drelu(fh, …)`, integer for
-/// integer, and the accumulator tensor between them never exists. The
-/// weight plan and tap support are built once (`prepare_inference`, or
-/// the first call). Integer accumulation is order-independent, the AVX2
-/// paths guard their operand requirements, and the fused epilogue
-/// applies the same [`requant_shift`] + saturation, so in `i64` lanes
-/// this is **bit-identical** to [`run_conv_reference`] (then
-/// [`run_drelu_reference`]) at any thread count and on every kernel
-/// backend, and in `i32` lanes too wherever the load-time proof bounds
-/// the accumulators — the equivalence suite in `tests/quant_backend.rs`
-/// asserts both.
-fn run_conv<S: Tier>(
-    c: &QConv,
-    fh: Option<&QDRelu>,
-    q: &QTensorOf<S>,
-    cut: [usize; 4],
-) -> QTensorOf<S> {
+/// The production integer convolution: every batch item of 8-bit planes
+/// streams through `ringcnn_tensor::im2col::conv_streaming_i32` — im2col
+/// packed per column chunk inside the register-blocked integer GEMM, in
+/// `i32` lanes over 16-bit operands, the per-channel requantization
+/// **fused into the kernel epilogue** (un-rescaled wide accumulators
+/// never reach memory), outputs written in place. With `fh`, the
+/// directional ReLU behind an accumulator-keeping conv, the engine hands
+/// every column chunk's accumulators to the unit before it writes them
+/// ([`DReluStages::run`], the one body [`run_drelu`] runs over a stored
+/// tensor), and the accumulator tensor never exists. The weight plan and
+/// tap support are built once (`prepare_inference`, or the first call).
+/// Integer accumulation is order-independent, the AVX2 paths guard their
+/// operand requirements, the fused epilogue applies the same
+/// [`requant_shift`] + saturation, and the load-time proof keeps every
+/// accumulator inside the lane, so this is **bit-identical** to
+/// [`run_conv_reference`] (then [`run_drelu_reference`]) at any thread
+/// count and on every kernel backend — the equivalence suite in
+/// `tests/quant_backend.rs` asserts it.
+fn run_conv(c: &QConv, fh: Option<&QDRelu>, q: &QTensorOf<i8>, cut: [usize; 4]) -> QTensorOf<i8> {
     let aligned = align_conv_input(c, q);
     let q = aligned.as_ref().unwrap_or(q);
     let s = q.shape();
     assert_eq!(s.c, c.ci, "quantized conv channel mismatch");
     let acc_frac = resolve_acc_fracs(c, q.formats(), c.support());
-    let bias: Vec<S::Lane> = (0..c.co)
+    let bias: Vec<i32> = (0..c.co)
         .map(|co| narrow(bias_at(c, co, acc_frac[co])))
         .collect();
     let requant = c.requant.as_ref().map(|fmts| requant_plan(fmts, &acc_frac));
@@ -1077,18 +1011,18 @@ fn run_conv<S: Tier>(
     let stages = fh.map(|d| DReluStages::new(d, &mut formats));
     let unit = stages
         .as_ref()
-        .map(|fh| |block: &mut [S::Lane], stride: usize, cw: usize| fh.run(0, block, stride, cw));
-    let fused = unit.as_ref().map(|unit| unit as ChunkEpilogue<'_, S::Lane>);
+        .map(|fh| |block: &mut [i32], stride: usize, cw: usize| fh.run(0, block, stride, cw));
+    let fused = unit.as_ref().map(|unit| unit as ChunkEpilogue<'_, i32>);
     let region = Window::inset(s.h, s.w, cut);
     let out_shape = Shape4::new(s.n, c.co, region.h, region.w);
-    let mut data = vec![S::default(); out_shape.len()];
+    let mut data = vec![0; out_shape.len()];
     let (item_in, item_out) = (s.c * s.plane(), c.co * out_shape.plane());
     for b in 0..s.n {
         let planes = &q.data()[b * item_in..(b + 1) * item_in];
-        S::CONV_STREAMING(
+        conv_streaming_i32(
             &ConvInput::new(planes, s.c, s.h, s.w, region),
             c.k,
-            S::packed(c),
+            c.packed(),
             &bias,
             (requant.as_ref(), fused),
             &mut data[b * item_out..(b + 1) * item_out],
@@ -1109,9 +1043,9 @@ fn requant_plan(fmts: &[QFormat], acc_frac: &[i32]) -> RequantPlan {
     }
 }
 
-/// The scalar quadruple-loop reference datapath (§IV-C), kept as the
-/// bit-exactness oracle for the im2col production kernel. Public so the
-/// equivalence suite can call it directly.
+/// The scalar quadruple-loop reference datapath (§IV-C), the conv step of
+/// [`execute_layer`]: the bit-exactness oracle for the production
+/// kernel.
 pub fn run_conv_reference(c: &QConv, q: &QTensor) -> QTensor {
     let aligned = align_conv_input(c, q);
     let q = aligned.as_ref().unwrap_or(q);
@@ -1261,16 +1195,15 @@ impl DReluStages {
     /// holds `stride` apart, tuple `t0` first: per pixel the sequence of
     /// [`run_drelu_reference`], so the two are **bit-identical**
     /// (`tests/quant_backend.rs` asserts it in both modes, at the rails).
-    /// In `i32` lanes the butterfly rail is wider than the lane, so the
-    /// clamp is at the lane's own rails (`apply_lane` saturates a
-    /// requantizer's rails into the lane) — which the load-time proof
-    /// keeps `n·S`, and with it every partial sum of both butterflies,
-    /// below.
-    fn run<L: Lane>(&self, t0: usize, block: &mut [L], stride: usize, len: usize) {
+    /// The butterfly rail is wider than the `i32` lane, so the clamp is at
+    /// the lane's own rails (`apply_lane` saturates a requantizer's rails
+    /// into the lane) — which the load-time proof keeps `n·S`, and with it
+    /// every partial sum of both butterflies, below.
+    fn run(&self, t0: usize, block: &mut [i32], stride: usize, len: usize) {
         let n = self.n;
         for (t, tuple) in (t0..).zip(block.chunks_mut(n * stride)) {
             // One pass of `stage(l)` over row `l` of the tuple, each l.
-            let rows = |tuple: &mut [L], stage: &dyn Fn(usize) -> RequantChannel| {
+            let rows = |tuple: &mut [i32], stage: &dyn Fn(usize) -> RequantChannel| {
                 for l in 0..n {
                     stage(l).apply_lane(&mut tuple[l * stride..l * stride + len]);
                 }
@@ -1287,16 +1220,16 @@ impl DReluStages {
 /// The directional ReLU over a stored tensor (behind a shuffle, or a
 /// conv that requantized: the MAC-based ablation), in place on the `n`
 /// contiguous planes of each tuple, a block of pixels (L1-sized) at a
-/// time, in the store's lane.
-fn run_drelu<S: Store>(d: &QDRelu, q: QTensorOf<S>) -> QTensorOf<S> {
+/// time, widened into `i32` lanes.
+fn run_drelu(d: &QDRelu, q: QTensorOf<i8>) -> QTensorOf<i8> {
     let (s, mut data, mut formats) = q.into_raw();
     let stages = DReluStages::new(d, &mut formats);
     let (n, plane) = (d.n, s.plane());
     for (t, tuple) in data.chunks_mut((n * plane).max(1)).enumerate() {
-        // `BLOCK / n` pixels a row: 16 KiB of `i64`.
+        // `BLOCK / n` pixels a row: 8 KiB of `i32`.
         for p0 in (0..plane).step_by(BLOCK / n) {
             let len = (BLOCK / n).min(plane - p0);
-            S::in_lane(&mut tuple[p0..], n, plane, len, |block, stride| {
+            i8::in_lane(&mut tuple[p0..], n, plane, len, |block, stride| {
                 stages.run(t % (s.c / n), block, stride, len);
             });
         }
@@ -1306,75 +1239,52 @@ fn run_drelu<S: Store>(d: &QDRelu, q: QTensorOf<S>) -> QTensorOf<S> {
 
 /// The per-pixel directional ReLU — gather one `n`-tuple across `n`
 /// planes, run each mode's sequence on it with [`requant_shift`],
-/// `fwht_i64` and [`QFormat::saturate`], scatter it back — kept as the
-/// integer oracle beside [`run_conv_reference`]: the equivalence suite
-/// compares the plane-wise production path ([`execute_layer`]) with it bit
-/// for bit. Tests only; nothing in the pipeline calls it.
+/// `fwht_i64` and [`QFormat::saturate`], scatter it back — the integer
+/// oracle beside [`run_conv_reference`], the directional-ReLU step of
+/// [`execute_layer`]: the equivalence suite compares the plane-wise
+/// production unit with it bit for bit.
 pub fn run_drelu_reference(d: &QDRelu, q: &QTensor) -> QTensor {
     let s = q.shape();
     let n = d.n;
     assert_eq!(s.c % n, 0, "channels not a multiple of tuple size");
-    let tuples = s.c / n;
     let out_formats = expand_formats(&d.out_formats, s.c);
     let mut out = vec![0i64; s.len()];
     let mut y = vec![0i64; n];
-    match &d.mode {
-        DReluMode::OnTheFly => {
-            for b in 0..s.n {
-                for t in 0..tuples {
-                    // Align components to the finest (max) frac: Fig. 8's
-                    // left-shifters with s_i = max frac − frac_i.
-                    let max_frac = (0..n).map(|l| q.format_of(t * n + l).frac).max().unwrap();
-                    for p in 0..s.plane() {
-                        for l in 0..n {
-                            // Fig. 8's left-shifters, saturating instead
-                            // of wrapping on pathological format spreads.
-                            let f = q.format_of(t * n + l).frac;
-                            y[l] = requant_shift(q.plane(b, t * n + l)[p], f, max_frac);
-                        }
+    for b in 0..s.n {
+        for t in 0..s.c / n {
+            // Align components to the finest (max) frac: Fig. 8's
+            // left-shifters with s_i = max frac − frac_i.
+            let max_frac = (0..n).map(|l| q.format_of(t * n + l).frac).max().unwrap();
+            let mid_frac = match &d.mode {
+                DReluMode::OnTheFly => max_frac,
+                DReluMode::MacBased { mid } => mid.frac,
+            };
+            for p in 0..s.plane() {
+                for l in 0..n {
+                    // Fig. 8's left-shifters, saturating instead of
+                    // wrapping on pathological format spreads.
+                    let f = q.format_of(t * n + l).frac;
+                    y[l] = requant_shift(q.plane(b, t * n + l)[p], f, max_frac);
+                }
+                clamp_for_fwht(&mut y, n);
+                fwht_i64(&mut y);
+                match &d.mode {
+                    DReluMode::OnTheFly => {
+                        y.iter_mut().for_each(|v| *v = (*v).max(0));
                         clamp_for_fwht(&mut y, n);
-                        fwht_i64(&mut y);
-                        for v in y.iter_mut() {
-                            *v = (*v).max(0);
-                        }
-                        clamp_for_fwht(&mut y, n);
-                        fwht_i64(&mut y);
-                        for l in 0..n {
-                            let fo = out_formats[t * n + l];
-                            let v = requant_shift(y[l], max_frac, fo.frac);
-                            out[s.index(b, t * n + l, 0, 0) + p] = fo.saturate(v);
-                        }
+                    }
+                    // The conventional pipeline (the conv requantized its
+                    // input to 8 bits): extra quantization point #1.
+                    DReluMode::MacBased { mid } => {
+                        let to_mid = |v: i64| mid.saturate(requant_shift(v, max_frac, mid.frac));
+                        y.iter_mut().for_each(|v| *v = to_mid(*v).max(0));
                     }
                 }
-            }
-        }
-        DReluMode::MacBased { mid } => {
-            // Conventional pipeline: the input is already 8-bit (the conv
-            // requantized); transform, requantize to 8-bit `mid`, ReLU,
-            // transform, requantize to the output formats.
-            for b in 0..s.n {
-                for t in 0..tuples {
-                    let max_frac = (0..n).map(|l| q.format_of(t * n + l).frac).max().unwrap();
-                    for p in 0..s.plane() {
-                        for l in 0..n {
-                            // Fig. 8's left-shifters, saturating instead
-                            // of wrapping on pathological format spreads.
-                            let f = q.format_of(t * n + l).frac;
-                            y[l] = requant_shift(q.plane(b, t * n + l)[p], f, max_frac);
-                        }
-                        clamp_for_fwht(&mut y, n);
-                        fwht_i64(&mut y);
-                        for v in y.iter_mut() {
-                            // Extra quantization point #1.
-                            *v = mid.saturate(requant_shift(*v, max_frac, mid.frac)).max(0);
-                        }
-                        fwht_i64(&mut y);
-                        for l in 0..n {
-                            let fo = out_formats[t * n + l];
-                            let v = requant_shift(y[l], mid.frac, fo.frac);
-                            out[s.index(b, t * n + l, 0, 0) + p] = fo.saturate(v);
-                        }
-                    }
+                fwht_i64(&mut y);
+                for l in 0..n {
+                    let fo = out_formats[t * n + l];
+                    let v = requant_shift(y[l], mid_frac, fo.frac);
+                    out[s.index(b, t * n + l, 0, 0) + p] = fo.saturate(v);
                 }
             }
         }
@@ -1540,24 +1450,84 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// Holds every step of `qm`'s chain on `i8` planes — a conv that
+    /// keeps its accumulator together with its directional ReLU, any
+    /// other layer on its own, a skip's body step by step and then the
+    /// whole skip — to the oracle walk of the same layers; counts the
+    /// fused and the single steps.
+    fn steps_equal_the_oracle(qm: &QuantizedModel, x: &Tensor, what: &str) -> [usize; 2] {
+        fn visit(mut rest: &[QLayer], mut q: QTensor, what: &str, seen: &mut [usize; 2]) {
+            while !rest.is_empty() {
+                let len = match rest {
+                    [QLayer::Conv(c), QLayer::DRelu(_), ..] if c.requant.is_none() => 2,
+                    _ => 1,
+                };
+                let (step, after) = rest.split_at(len);
+                if let [QLayer::Residual(res)] = step {
+                    visit(&res.body, q.clone(), what, seen);
+                }
+                let data = q.data().iter().map(|v| narrow(*v)).collect();
+                let narrowed = QTensorOf::from_raw(q.shape(), data, q.formats().to_vec());
+                let got = run_chain(step, Cow::Owned(narrowed), &mut TileHalo::whole());
+                q = step.iter().fold(q, |q, l| execute_layer(l, q));
+                let data = got.data().iter().map(|v| i64::from(*v)).collect();
+                let got = QTensor::from_raw(got.shape(), data, got.formats().to_vec());
+                assert_eq!(got, q, "{what}");
+                seen[len - 1] += 1;
+                rest = after;
+            }
+        }
+        let mut seen = [0; 2];
+        let q = QTensor::quantize(x, vec![qm.input_format(); x.shape().c]);
+        visit(qm.layers(), q, what, &mut seen);
+        seen
+    }
+
     #[test]
     fn im2col_conv_matches_scalar_reference_bit_for_bit() {
         // Every conv the builder emits (dense, ring-expanded, aligned,
-        // accumulator-keeping) must agree with the scalar datapath on
-        // every integer.
+        // accumulator-keeping — one step with its directional ReLU) must
+        // agree with the scalar datapath on every integer.
         for alg in [Algebra::real(), Algebra::ri_fh(4), Algebra::ri_fh(2)] {
             let (mut model, inputs, _t) = trained_tiny_denoiser(&alg);
             let qm = QuantizedModel::quantize(&mut model, &inputs, QuantOptions::default());
-            let mut q = QTensor::quantize(&inputs, vec![qm.input_format(); inputs.shape().c]);
-            for layer in qm.layers() {
-                if let QLayer::Conv(c) = layer {
-                    let fast = run_conv(c, None, &q, [0; 4]);
-                    let reference = run_conv_reference(c, &q);
-                    assert_eq!(fast, reference, "{}", alg.label());
-                }
-                q = execute_layer(layer, q);
+            steps_equal_the_oracle(&qm, &inputs, &alg.label());
+        }
+    }
+
+    /// Every step of the chain on `i8` planes — dense, ring-expanded and
+    /// aligned convs, accumulator-keeping convs with their directional
+    /// ReLU, MAC-based directional ReLUs, ReLU, shuffles, residual bodies
+    /// and their saturating adds — against the oracle, for every mode
+    /// combination over the real field, RI2/RI4/RI8 with `fH` and (RH4,
+    /// fcw).
+    #[test]
+    fn i8_steps_equal_the_oracle_layer_by_layer() {
+        let mut seen = [0; 2];
+        for alg in [
+            Algebra::real(),
+            Algebra::ri_fh(2),
+            Algebra::ri_fh(4),
+            Algebra::ri_fh(8),
+            Algebra::with_fcw(ringcnn_algebra::ring::RingKind::Rh(4)),
+        ] {
+            let tiny = ringcnn_nn::models::ernet::ErNetConfig::tiny();
+            let mut float = ringcnn_nn::models::ernet::dn_ernet_pu(&alg, tiny, 1, 9);
+            let x = Tensor::random_uniform(Shape4::new(2, 1, 12, 8), -0.5, 1.5, 7);
+            for (on_the_fly_drelu, component_wise) in
+                [(true, true), (true, false), (false, true), (false, false)]
+            {
+                let opts = QuantOptions {
+                    on_the_fly_drelu,
+                    component_wise,
+                };
+                let qm = QuantizedModel::quantize(&mut float, &x, opts);
+                let what = format!("{} with {opts:?}", alg.label());
+                let [fused, single] = steps_equal_the_oracle(&qm, &x, &what);
+                (seen[0], seen[1]) = (seen[0] + fused, seen[1] + single);
             }
         }
+        assert!(seen.iter().all(|n| *n > 0), "{seen:?}");
     }
 
     #[test]

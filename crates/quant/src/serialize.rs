@@ -2,7 +2,7 @@
 //! on-disk format.
 //!
 //! A [`QModelFile`] is a complete, self-contained integer pipeline:
-//! weights as integers, every per-layer/per-component [`QFormat`] table,
+//! weights as integers, every per-layer/per-component Q-format table,
 //! the calibrated input format, and the quantization options — plus the
 //! registry name it attaches to and display metadata. Nothing float is
 //! stored except the f64-bit-encoded biases (whose fixed-point scale is
@@ -10,14 +10,12 @@
 //!
 //! The format mirrors `ringcnn-model/v1` (`ringcnn_nn::serialize`):
 //! line-oriented JSON under a version tag, and every malformed input —
-//! truncated file, wrong version, inconsistent channel chain, Q-format
-//! outside what the `i64` datapath can execute — surfaces as a
+//! truncated file, wrong version, inconsistent channel chain, a Q-format
+//! or a stage the modelled datapath cannot hold — surfaces as a
 //! [`QModelLoadError`], never a panic. Loaded pipelines additionally
 //! pass [`QuantizedModel::validate`], so a hand-edited file cannot
-//! smuggle in a pipeline that would panic or shift-overflow at inference
-//! time.
+//! smuggle in a pipeline that would panic or overflow at inference time.
 
-use crate::qformat::QFormat;
 use crate::quantized::QuantizedModel;
 use serde::{Deserialize, Serialize};
 
@@ -152,12 +150,6 @@ pub fn qmodel_from_json(text: &str) -> Result<QModelFile, QModelLoadError> {
     // The weights are frozen from here on: plan them once, at load.
     file.model.prepare_inference();
     Ok(file)
-}
-
-/// Convenience: asserts a format is sane for hand-built test files.
-pub fn format_is_executable(f: QFormat) -> bool {
-    (2..=63).contains(&f.bits)
-        && f.frac.unsigned_abs() <= crate::qformat::MAX_FRAC_MAGNITUDE.unsigned_abs()
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! The register-blocked GEMM driver behind the streaming convolution
-//! engine, shared by the f32 (float inference) and the two integer
-//! (quantized inference: `i64` and `i32` lanes) pipelines.
+//! engine, shared by the f32 (float inference) and the integer
+//! (quantized inference, `i32` lanes) pipelines, and by the `i64`
+//! product the benchmark probes time (`gemm_i64_packed`).
 //!
 //! Every precision lowers a convolution to `C = W · col`, where `col` is
 //! the patch matrix (`rows = ci·k²` by `plane = H·W`) and `W` the
@@ -73,8 +74,9 @@
 //! bit-identical to the `i64` ones *for a product whose every partial
 //! sum fits the lane* — which is the caller's to prove, once, where the
 //! weights freeze (`ringcnn-quant` bounds every accumulator of a model
-//! at load time and runs it in `i32` lanes only then; a debug build
-//! panics on the scalar tile's `+`/`*` if the proof were wrong). Its
+//! at load time and loads no model whose accumulators outgrow the
+//! modelled accelerator's, far inside the lane; a debug build panics on
+//! the scalar tile's `+`/`*` if the proof were wrong). Its
 //! AVX2 tile multiplies 16-bit operands pairwise with
 //! `_mm256_madd_epi16`, whose 32-bit pair sum cannot overflow while
 //! `|v| ≤ 32767` on both sides (the same two-part gate, scalar tile
@@ -452,11 +454,11 @@ mod sealed {
     impl Sealed for i32 {}
 }
 
-/// An integer lane of the quantized pipeline — `i64`, the interchange
-/// tier that holds every format the pipeline admits, or `i32`, the tier
-/// a model runs in once its every magnitude is proven to fit — as the
-/// few operations the lane-generic stages need beyond `std`'s operator
-/// traits. Sealed: the two impls below are all there is.
+/// An integer lane of the quantized pipeline — `i64`, which holds every
+/// format the pipeline admits (the oracle's), or `i32`, the lane every
+/// model that loads runs in — as the few operations the lane-generic
+/// stages need beyond `std`'s operator traits. Sealed: the two impls
+/// below are all there is.
 pub trait Lane:
     sealed::Sealed
     + Copy

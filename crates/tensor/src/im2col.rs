@@ -10,9 +10,9 @@
 //! and the task that owns a chunk has the **chunk packer** of this
 //! module write just those micro-panels into its thread's slab, straight
 //! from the NCHW planes a [`ConvInput`] points at — the `f32` planes of
-//! a [`Tensor`] or the `i64`/`i32`/`i8` planes of a quantized tensor —
-//! each value converted to the element's operand type as it is copied
-//! (the identity for `f32` and `i64`, into `i16` for `i32` lanes).
+//! a [`Tensor`] or the `i32`/`i8` planes of a quantized tensor — each
+//! value converted to the element's operand type as it is copied (the
+//! identity for `f32`, into `i16` for `i32` lanes).
 //!
 //! The packer is *window-aware*: the [`Window`] of a [`ConvInput`] is the
 //! **output region**, what the block-based runtime trims a tile to layer
@@ -39,7 +39,7 @@
 use crate::conv::ConvWeights;
 use crate::gemm::{
     self, fit, ChunkEpilogue, Element, PackedWeights, Panels, Plane, RequantPlan, Sink, NR_F32,
-    NR_I32, NR_I64,
+    NR_I32,
 };
 use crate::shape::Shape4;
 use crate::tensor::Tensor;
@@ -278,8 +278,8 @@ fn copy_panel_range<S: Copy, O: TryFrom<S> + Default>(
 /// The chunk packer: writes micro-panels `[jp0, jp1)` of `x`'s patch
 /// matrix (`taps` = `x.taps(k)`) into `bp` in `[panel][row][nr]` order,
 /// reading the source planes directly and converting each value to the
-/// panels' operand type as it is copied (the identity for `f32` and
-/// `i64`, 8- or 32-bit features into 16-bit operands for `i32` lanes).
+/// panels' operand type as it is copied (the identity for `f32`, 8- or
+/// 32-bit features into 16-bit operands for `i32` lanes).
 /// `bp` must be `(jp1 − jp0) · rows · nr` long and **every element is
 /// overwritten** — zero padding (image border, window border, tail-panel
 /// pad) is written explicitly, so the buffer may be a dirty slab.
@@ -424,36 +424,20 @@ pub fn conv_streaming_f32(
     conv_streaming::<f32, _, _, NR_F32>(x, k, w, bias, (None, None), 1, out);
 }
 
-/// The integer twin of [`conv_streaming_f32`], bit-identical to the
-/// scalar reference datapath; `requant` is fused into the kernel
+/// The integer twin of [`conv_streaming_f32`], in `i32` lanes over
+/// planes of `S` — `i8` or `i32` — in and out: bit-identical to the
+/// scalar reference datapath for a convolution whose every accumulator
+/// is known to fit the lane, whose every activation fits 16 bits and
+/// whose every output, past `requant` and `fused`, fits `S` (see
+/// [`crate::gemm`]; `ringcnn-quant` proves all three where a model
+/// loads, a debug build checks). `requant` is fused into the kernel
 /// epilogue (un-rescaled wide accumulators never reach memory) and
 /// `fused`, if given, runs once over each column chunk's finished lanes
 /// before they are written (see [`ChunkEpilogue`]). The AVX2 tile needs
-/// `i32`-range operands: the weights were checked when `w` was planned,
-/// the activations are checked here on the unpacked planes, and the
-/// scalar-blocked tile (still bit-exact) runs otherwise. Panics like
-/// [`conv_streaming_f32`], or if `requant` does not have `w.co()`
-/// channels.
-pub fn conv_streaming_i64(
-    x: &ConvInput<'_, i64>,
-    k: usize,
-    w: &PackedWeights<i64>,
-    bias: &[i64],
-    (requant, fused): (Option<&RequantPlan>, Option<ChunkEpilogue<'_, i64>>),
-    out: &mut [i64],
-) {
-    gemm::check_plan(requant, w.co());
-    conv_streaming::<i64, _, _, NR_I64>(x, k, w, bias, (requant, fused), 1, out);
-}
-
-/// [`conv_streaming_i64`] in `i32` lanes over planes of `S` — `i8` or
-/// `i32` — in and out: the same integers for a convolution whose every
-/// accumulator is known to fit the lane, whose every activation fits 16
-/// bits and whose every output, past `requant` and `fused`, fits `S`
-/// (see [`crate::gemm`]; `ringcnn-quant` proves all three where a model
-/// loads, a debug build checks). The AVX2 tile needs `|v| ≤ 32767` on
-/// both sides: true of every `i8`, checked on the unpacked planes of an
-/// `i32` input.
+/// `|v| ≤ 32767` on both sides: true of every `i8`, checked on the
+/// unpacked planes of an `i32` input (the scalar-blocked tile, still
+/// exact, runs otherwise). Panics like [`conv_streaming_f32`], or if
+/// `requant` does not have `w.co()` channels.
 pub fn conv_streaming_i32<S: Plane + TryFrom<i32>>(
     x: &ConvInput<'_, S>,
     k: usize,
@@ -720,12 +704,13 @@ mod tests {
         // pixel, through the oracle and through the streaming conv.
         let x = [1i64, -2, 3, 4];
         let col = im2col_pack_i64(&x, Shape4::new(1, 1, 2, 2), 0, 1);
-        let w = PackedWeights::<i64>::new(2, 1, &[3, 0]);
-        let mut streamed = vec![0i64; 2 * 4];
-        let input = ConvInput::new(&x, 1, 2, 2, Window::full(2, 2));
-        conv_streaming_i64(&input, 1, &w, &[10, 7], (None, None), &mut streamed);
+        let w = PackedWeights::<i16>::new(2, 1, &[3, 0]);
+        let mut streamed = vec![0i32; 2 * 4];
+        let x32 = x.map(|v| v as i32);
+        let input = ConvInput::new(&x32, 1, 2, 2, Window::full(2, 2));
+        conv_streaming_i32(&input, 1, &w, &[10, 7], (None, None), &mut streamed);
         let oracle = gemm::reference(&col, 4, 1, 2, &[3, 0], &[10, 7]).concat();
-        for out in [oracle, streamed] {
+        for out in [oracle, streamed.iter().map(|v| i64::from(*v)).collect()] {
             assert_eq!(out[..4], [13, 4, 19, 22]);
             assert_eq!(out[4..], [7, 7, 7, 7]); // zero weight: bias only
         }

@@ -9,7 +9,6 @@
 //! would run a second test concurrently.
 
 use ringcnn::prelude::*;
-use ringcnn::quant::quantized::execute_layer;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -181,14 +180,18 @@ fn prepared_convs_allocate_their_output_and_retain_no_plane_sized_scratch() {
         );
     }
 
-    // A one-conv integer pipeline; `quantize` hands it back prepared.
+    // A one-conv integer pipeline; `quantize` hands it back prepared. Its
+    // `i8` step through `forward_q`, `i64` features in and out: the `i8`
+    // planes in and out (an eighth of the output each) and the widened
+    // output are what it allocates, inside the same bound.
     let mut float = Sequential::new().with(Box::new(Conv2d::new(CHANNELS, CHANNELS, 3, 3)));
     let qm = QuantizedModel::quantize(&mut float, &tile(24), QuantOptions::default());
-    let [qconv @ QLayer::Conv(_)] = qm.layers() else {
-        panic!("one conv in, one QConv out");
-    };
+    assert!(
+        matches!(qm.layers(), [QLayer::Conv(_)]),
+        "one conv in, one QConv out"
+    );
     let quantized = |hw| QTensor::quantize(&tile(hw), vec![qm.input_format(); CHANNELS]);
-    check("QConv", 8, quantized, |q| drop(execute_layer(qconv, q)));
+    check("QConv", 8, quantized, |q| drop(qm.forward_q(q)));
 
     whole_models_stop_copying_what_they_own();
     tiles_consume_their_halo();
@@ -275,14 +278,12 @@ fn whole_models_stop_copying_what_they_own() {
          of the {PARENT_Q8_TILE_BYTES} B it took per-pixel"
     );
 
-    // The same forward since the integer chain runs in the lanes the
-    // load-time proof picks — `i32` for this model, half the bytes per
-    // feature. Measured with this code at the parent commit (`i64`
-    // lanes): PARENT_I64_TILE_BYTES allocated, 1 261 736 B live at once,
-    // the largest block the 589 824 B of the 32 accumulator planes a
-    // directional ReLU reads.
+    // The same forward since the integer chain runs in `i32` lanes, half
+    // the bytes per feature. Measured with this code at the parent commit
+    // (`i64` lanes): PARENT_I64_TILE_BYTES allocated, 1 261 736 B live at
+    // once, the largest block the 589 824 B of the 32 accumulator planes
+    // a directional ReLU reads.
     const PARENT_I64_TILE_BYTES: usize = 3_360_008;
-    assert_eq!(qm.lanes(), Lanes::I32);
     let cheapest = (0..3)
         .map(|_| spent(|| qm.forward(&x)))
         .min_by_key(|s| s.total)

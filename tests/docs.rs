@@ -129,6 +129,11 @@ fn docs_name_no_deleted_identifier() {
             "Layer::children",
             "Layer::kernel_radius",
             "Layer::spatial_scale",
+            "Lanes",
+            "Lanes::I64",
+            "conv_streaming_i64",
+            "ConvStreaming",
+            "LaneProof::invalid",
         ] {
             assert!(
                 !text.contains(gone),

@@ -6,7 +6,7 @@
 //! in both dtypes, and each agrees with the oracle of its dtype within
 //! the documented contract: the f32 tiers within `1e-4` of the naive
 //! `conv2d_forward` (and > 100 dB PSNR on whole model-zoo forwards), the
-//! i64 tiers **bit-exactly** with the matrix-level reference loop,
+//! pre-packed i64 tiers **bit-exactly** with the matrix-level reference loop,
 //! including the fused requant epilogue's saturation rails,
 //! pruned/zero-weight rows and operands beyond the AVX2 tile's i32
 //! range; the i32 tiers **bit-exactly** with the i64 product wherever
@@ -21,7 +21,7 @@
 //! testing the other tier twice.
 
 use ringcnn::prelude::*;
-use ringcnn::quant::quantized::{execute_layer, run_conv_reference};
+use ringcnn::quant::quantized::execute_layer;
 use ringcnn_nn::models::ffdnet::ffdnet;
 use ringcnn_nn::models::srresnet::{srresnet, SrResNetConfig};
 use ringcnn_nn::models::vdsr::vdsr;
@@ -30,8 +30,7 @@ use ringcnn_tensor::gemm::{
     NR_F32, NR_I32, NR_I64,
 };
 use ringcnn_tensor::im2col::{
-    conv_streaming_f32, conv_streaming_i32, conv_streaming_i64, im2col_pack_panels_window,
-    ConvInput,
+    conv_streaming_f32, conv_streaming_i32, im2col_pack_panels_window, ConvInput,
 };
 use ringcnn_tensor::prelude::{
     conv2d_forward, conv2d_forward_im2col, forced_kernel_scope, im2col_pack_window, ConvWeights,
@@ -292,13 +291,11 @@ fn f32_streaming_conv_equals_the_prepacked_gemm_bit_for_bit() {
     }
 }
 
-/// The i64 half of the table: the streaming conv and the pre-packed
-/// GEMM, each with the requant epilogue fused in, are **bit-identical**
-/// under each forced tier to the matrix-level reference loop followed
-/// by the unfused per-channel requantization — zero rows, saturation
-/// rails and i32-overflowing operands on either side (the AVX2
-/// exactness gate: the weight half decided in the plan, the activation
-/// half on the unpacked input) included.
+/// The i64 half of the table: the pre-packed GEMM, with the requant
+/// epilogue fused in, is **bit-identical** under each forced tier to the
+/// matrix-level reference loop followed by the unfused per-channel
+/// requantization — zero rows, saturation rails and i32-overflowing
+/// operands on either side (the AVX2 exactness gate) included.
 #[test]
 fn i64_gemm_rails_and_wide_operands_are_bit_exact() {
     // A float no input reaches (inputs lie in [-2, 2)), marking the
@@ -326,10 +323,7 @@ fn i64_gemm_rails_and_wide_operands_are_bit_exact() {
         let bias: Vec<i64> = to_fixed(&case.bias()).iter().map(|b| b << 10).collect();
         let requant = case.requant_plan();
         let (rows, plane) = (case.ci * case.k * case.k, win.h * win.w);
-        let plan = PackedWeights::<i64>::new(case.co, rows, &weights);
-        let item = case.ci * case.h * case.w;
         for n in 0..case.batch {
-            let xq = widen(to_fixed(&x.as_slice()[n * item..(n + 1) * item]));
             let col = widen(to_fixed(&im2col_pack_window(&x, n, case.k, win)));
             let bp = widen(to_fixed(&case.panels(&x, n, NR_I64)));
             assert_eq!(case.wide == Wide::Activation, !fits_i32(&bp), "{case:?}");
@@ -346,18 +340,6 @@ fn i64_gemm_rails_and_wide_operands_are_bit_exact() {
                     gemm_i64_packed(&bp, plane, rows, co, &weights, &bias, rq, fits)
                 });
                 assert_eq!(whole, want, "{} tile, item {n} ({case:?})", tier.label());
-                let mut streamed = vec![i64::MIN; case.co * plane];
-                forced_kernel_scope(tier, || {
-                    let input = ConvInput::new(&xq, case.ci, case.h, case.w, win);
-                    let rq = requant.as_ref();
-                    conv_streaming_i64(&input, case.k, &plan, &bias, (rq, None), &mut streamed);
-                });
-                assert_eq!(
-                    streamed,
-                    want.concat(),
-                    "{} tile streamed, item {n} ({case:?})",
-                    tier.label()
-                );
             }
             if let (Requant::Rails, Zeros::Pruned, Some(plan)) =
                 (case.requant, case.zeros, &requant)
@@ -579,12 +561,13 @@ fn model_zoo_psnr_above_100_db_for_every_kernel() {
     }
 }
 
-/// Satellite 5d: the quantized conv pipeline — blocked i64 GEMM with the
-/// requant epilogue fused in — is **bit-identical** to the unfused
-/// scalar `run_conv_reference` under every forced backend, for every
-/// conv the quantizer emits across the acceptance algebras (dense,
-/// ring-expanded, format-aligned), with zeroed float channels carrying
-/// through as pruned integer rows.
+/// Satellite 5d: the quantized pipeline — the `i32` engine over `i8`
+/// planes, the requant epilogue fused in, `conv → fH` one step — is
+/// **bit-identical** to the unfused oracle walk (`execute_layer`: the
+/// scalar `run_conv_reference` in every conv) under every forced backend,
+/// for every conv the quantizer emits across the acceptance algebras
+/// (dense, ring-expanded, format-aligned), with zeroed float channels
+/// carrying through as pruned integer rows.
 #[test]
 fn quantized_convs_bit_exact_under_every_forced_backend() {
     for alg in [
@@ -621,25 +604,23 @@ fn quantized_convs_bit_exact_under_every_forced_backend() {
         });
         let x = Tensor::random_uniform(Shape4::new(2, 1, 11, 9), 0.0, 1.0, 27);
         let qm = QuantizedModel::quantize(&mut model, &x, QuantOptions::default());
-        let mut q = QTensor::quantize(&x, vec![qm.input_format(); 1]);
-        let mut convs = 0;
-        for layer in qm.layers() {
-            if let QLayer::Conv(c) = layer {
-                let reference = run_conv_reference(c, &q);
-                for backend in TIERS {
-                    let fused = forced_kernel_scope(backend, || execute_layer(layer, q.clone()));
-                    assert_eq!(
-                        fused,
-                        reference,
-                        "conv {convs} over {} under {}: fused epilogue must be bit-identical",
-                        alg.label(),
-                        backend.label()
-                    );
-                }
-                convs += 1;
-            }
-            q = execute_layer(layer, q);
+        let q = QTensor::quantize(&x, vec![qm.input_format(); 1]);
+        let convs = qm.layers().iter().filter(|l| matches!(l, QLayer::Conv(_)));
+        assert!(
+            convs.count() >= 3,
+            "{}: expected every conv checked",
+            alg.label()
+        );
+        let oracle = qm.layers().iter().fold(q, |q, l| execute_layer(l, q));
+        for backend in TIERS {
+            let fused = forced_kernel_scope(backend, || qm.forward(&x));
+            assert_eq!(
+                fused.as_slice(),
+                oracle.dequantize().as_slice(),
+                "{} under {}: the fused engine must be bit-identical",
+                alg.label(),
+                backend.label()
+            );
         }
-        assert!(convs >= 3, "{}: expected every conv checked", alg.label());
     }
 }

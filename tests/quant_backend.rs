@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use ringcnn::prelude::*;
-use ringcnn::quant::quantized::{execute_layer, run_conv_reference, run_drelu_reference, QDRelu};
+use ringcnn::quant::quantized::{execute_layer, run_conv_reference, run_drelu_reference};
 use ringcnn_nn::runtime::{BatchRunner, InferenceModel, TileConfig};
 use ringcnn_tensor::gemm::RequantChannel;
 
@@ -109,7 +109,9 @@ proptest! {
 /// The integer im2col production kernel matches the scalar quadruple-loop
 /// reference bit for bit, for every conv the builder emits across the
 /// acceptance algebras (dense, ring-expanded, format-aligned, and
-/// accumulator-keeping convs in front of directional ReLUs).
+/// accumulator-keeping convs in front of directional ReLUs): the whole
+/// chain against the oracle walk, which runs every conv through
+/// `run_conv_reference`.
 #[test]
 fn integer_im2col_matches_scalar_reference_across_algebras() {
     for alg in [
@@ -127,18 +129,18 @@ fn integer_im2col_matches_scalar_reference_across_algebras() {
             .with(alg.conv(8, 1, 3, 5));
         let x = Tensor::random_uniform(Shape4::new(2, 1, 11, 9), 0.0, 1.0, 7);
         let qm = QuantizedModel::quantize(&mut model, &x, QuantOptions::default());
-        let mut q = QTensor::quantize(&x, vec![qm.input_format(); 1]);
-        let mut convs = 0;
-        for layer in qm.layers() {
-            if let QLayer::Conv(c) = layer {
-                let fast = execute_layer(layer, q.clone());
-                let reference = run_conv_reference(c, &q);
-                assert_eq!(fast, reference, "conv {convs} over {}", alg.label());
-                convs += 1;
-            }
-            q = execute_layer(layer, q);
-        }
-        assert!(convs >= 3, "{}: expected every conv checked", alg.label());
+        let convs = qm.layers().iter().filter(|l| matches!(l, QLayer::Conv(_)));
+        assert!(
+            convs.count() >= 3,
+            "{}: expected every conv checked",
+            alg.label()
+        );
+        let q = QTensor::quantize(&x, vec![qm.input_format(); 1]);
+        let reference = qm.layers().iter().fold(q.clone(), |q, l| match l {
+            QLayer::Conv(c) => run_conv_reference(c, &q),
+            _ => execute_layer(l, q),
+        });
+        assert_eq!(qm.forward_q(q), reference, "{}", alg.label());
     }
 }
 
@@ -316,7 +318,10 @@ fn rail_values(n: usize, count: usize, seed: u64) -> Vec<i64> {
 }
 
 /// The production directional ReLU against the per-pixel oracle on
-/// every directional ReLU the builder emits, both execution modes.
+/// every directional ReLU the builder emits, both execution modes: the
+/// whole chain — on the fly one engine step with its conv, MAC-based over
+/// the stored tensor — against the oracle walk, which runs every one
+/// through `run_drelu_reference`.
 #[test]
 fn plane_wise_drelu_matches_the_reference_across_algebras_and_modes() {
     for alg in [Algebra::ri_fh(2), Algebra::ri_fh(4), Algebra::ri_fh(8)] {
@@ -335,18 +340,22 @@ fn plane_wise_drelu_matches_the_reference_across_algebras_and_modes() {
                 ..QuantOptions::default()
             };
             let qm = QuantizedModel::quantize(&mut model, &x, opts);
-            let mut q = QTensor::quantize(&x, vec![qm.input_format(); n]);
-            let mut checked = 0;
-            for layer in qm.layers() {
-                if let QLayer::DRelu(d) = layer {
-                    assert_eq!(matches!(d.mode(), DReluMode::OnTheFly), on_the_fly_drelu);
-                    let fast = execute_layer(layer, q.clone());
-                    assert_eq!(fast, run_drelu_reference(d, &q), "{}", alg.label());
-                    checked += 1;
-                }
-                q = execute_layer(layer, q);
-            }
-            assert_eq!(checked, 2, "{}", alg.label());
+            let modes = qm.layers().iter().filter_map(|l| match l {
+                QLayer::DRelu(d) => Some(matches!(d.mode(), DReluMode::OnTheFly)),
+                _ => None,
+            });
+            assert_eq!(
+                modes.collect::<Vec<_>>(),
+                [on_the_fly_drelu; 2],
+                "{}",
+                alg.label()
+            );
+            let q = QTensor::quantize(&x, vec![qm.input_format(); n]);
+            let reference = qm.layers().iter().fold(q.clone(), |q, l| match l {
+                QLayer::DRelu(d) => run_drelu_reference(d, &q),
+                _ => execute_layer(l, q),
+            });
+            assert_eq!(qm.forward_q(q), reference, "{}", alg.label());
         }
     }
 }
@@ -377,40 +386,67 @@ proptest! {
         prop_assert_eq!(lane, want);
     }
 
-    /// Format spreads wide enough that the alignment shifts saturate,
-    /// values on the butterfly and output rails, both modes, every tuple
-    /// size: the plane-wise unit and the oracle agree on every integer.
+    /// Format spreads wide enough that the alignment shifts saturate or
+    /// the proof refuses the model, accumulators driven toward the
+    /// widths by their biases, values on the output rails, both modes,
+    /// every tuple size, the unit fused behind an accumulator-keeping conv
+    /// and over a stored tensor: whatever loads, the plane-wise unit and
+    /// the oracle agree on every integer; whatever does not, the refusal
+    /// names the stage that outgrew its width.
     #[test]
     fn plane_wise_drelu_matches_the_reference_at_the_rails(
         log_n in 1u32..4,
         in_fracs in proptest::collection::vec(-64i32..65, 8),
         out_fracs in proptest::collection::vec(-64i32..65, 8),
-        out_bits in proptest::collection::vec(2u32..17, 8),
+        out_bits in proptest::collection::vec(2u32..9, 8),
         mid_frac in -64i32..65,
-        mid_bits in 2u32..17,
+        mid_bits in 2u32..9,
         spread in 0i32..3,
+        kept in 0u32..2,
         seed in 0u64..u64::MAX,
     ) {
-        let n = 1usize << log_n;
-        // Narrow the input spread in two cases of three, so most shifts
-        // stay exact and the rails are reached by the values instead.
+        let (n, mut state) = (1usize << log_n, seed);
+        // Narrow the spread in two cases of three, so most models load
+        // and the rails are reached by the values instead.
         let narrow = |f: i32| if spread == 0 { f } else { f.rem_euclid(8) + 20 };
-        // Two tuples per batch item, 23·29 pixels: for n = 8 that is
-        // more than two blocks and a multiple of none.
-        let shape = Shape4::new(2, 2 * n, 23, 29);
-        let formats: Vec<QFormat> = (0..2 * n)
-            .map(|c| QFormat { bits: 32, frac: narrow(in_fracs[c % 8] + (c / 8) as i32) })
+        // Two tuples: a head stores the input in a format per channel, a
+        // diagonal 1×1 conv behind it keeps its accumulators (each at its
+        // input's frac, biased up to 2^21) or requantizes them.
+        let c = 2 * n;
+        let diagonal = |i: usize| i / c == i % c;
+        let identity: Vec<i64> = (0..c * c).map(|i| i64::from(diagonal(i))).collect();
+        let stored: Vec<_> = (0..c).map(|ch| (8, narrow(in_fracs[ch % 8] + (ch / 8) as i32))).collect();
+        let head = json_conv((c, c, 1), &identity, (8, 0), &vec![0.0; c], Some(&stored), None);
+        let weights: Vec<i64> = (0..c * c)
+            .map(|i| (splitmix(&mut state) as i64 >> 56) * i64::from(diagonal(i)))
             .collect();
-        let q = QTensor::from_raw(shape, rail_values(n, shape.len(), seed), formats);
-        let out: Vec<QFormat> = (0..n)
-            .map(|l| QFormat { bits: out_bits[l], frac: narrow(out_fracs[l]) })
+        let bias: Vec<f64> = stored
+            .iter()
+            .map(|(_, frac)| {
+                let r = splitmix(&mut state);
+                let int = (r as i64) >> (42 + r % 8);
+                (int as f64 * 2f64.powi(-frac)).clamp(-1e9, 1e9)
+            })
             .collect();
-        let mid = QFormat { bits: mid_bits, frac: narrow(mid_frac) };
-        for mode in [DReluMode::OnTheFly, DReluMode::MacBased { mid }] {
-            let d = QDRelu::new(n, mode, out.clone());
-            let want = run_drelu_reference(&d, &q);
-            let got = execute_layer(&QLayer::DRelu(d), q.clone());
-            prop_assert_eq!(got, want);
+        let out: Vec<_> = (0..n).map(|l| (out_bits[l], narrow(out_fracs[l]))).collect();
+        let requant: Vec<_> = (0..c).map(|ch| out[ch % n]).collect();
+        let requant = (kept == 0).then_some(&requant[..]);
+        let conv = json_conv((c, c, 1), &weights, (8, 0), &bias, requant, None);
+        let mid = (8.min(mid_bits), narrow(mid_frac));
+        for mid in [None, Some(mid)] {
+            let layers = [head.clone(), conv.clone(), json_drelu(n, mid, &out)];
+            match qmodel_from_json(&crafted_json(c, (8, 0), &layers)) {
+                Ok(file) => {
+                    let x = saturating_input(Shape4::new(2, c, 23, 29), (8, 0), seed);
+                    let want = oracle(&file.model, &x);
+                    let q = QTensor::quantize(&x, vec![file.model.input_format(); c]);
+                    prop_assert_eq!(file.model.forward_q(q), want);
+                }
+                Err(e) => {
+                    let QModelLoadError::Invalid(why) = e else { panic!("{e}") };
+                    prop_assert!(why.contains(" fH: worst case 2^"), "{}", why);
+                }
+            }
         }
     }
 
@@ -522,18 +558,23 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// The i32 tier ≡ the i64 tier, bit for bit.
+// The chain ≡ the oracle, bit for bit; what outgrows the widths does not
+// load.
 //
-// `QuantizedModel::forward` runs a model in `i32` lanes on `i8` planes
-// (every format that reaches memory has 8 bits) when the load-time proof
-// of `prepare_inference` bounds every integer of the chain below 2^31,
-// and a conv that keeps its accumulator runs as one engine step with the
-// directional ReLU behind it, in every tier; `forward_q`/`execute_layer`
-// on a `QTensor` stay the `i64` interchange tier. The table below holds
-// the first to the second — whole models, tiled runs, every stage on its
-// own (and the fused step) against the two `*_reference` oracles, random
-// and crafted models at the proof's edge — by `to_bits`. In a debug build `i32` `+` and `*` panic on overflow, so
-// the tier-1 debug run of this table is itself an overflow check of the
+// Every model that loads runs the one integer chain: `i32` lanes on `i8`
+// planes (every format that reaches memory has 8 bits), a conv that keeps
+// its accumulator one engine step with the directional ReLU behind it —
+// `QuantizedModel::forward`, and `forward_q`, which narrows and widens
+// around it. The load-time proof admits only models whose every integer
+// fits the widths of the modelled accelerator (`ringcnn_hw::engine`:
+// `ACC_BITS` accumulators, `fh_bits(n)` directional-ReLU units, the
+// `i32` lane besides). The table below holds the chain to the one slow
+// oracle — `execute_layer`, layer by layer on `i64` tensors, unfused,
+// every conv through `run_conv_reference` and every directional ReLU
+// through `run_drelu_reference` — on whole models, tiled runs, and
+// crafted models at the widths' edges (and refused past them), by
+// `to_bits`. In a debug build `i32` `+` and `*` panic on overflow, so the
+// tier-1 debug run of this table is itself an overflow check of the
 // proof: a bound that is too small fails here before any integer
 // differs. The CI legs run it at pools 1/2/4 (`RINGCNN_THREADS`) and
 // with each kernel tier pinned; the whole-model rows also force both
@@ -541,38 +582,17 @@ proptest! {
 // ---------------------------------------------------------------------
 
 use ringcnn::quant::quantized::LaneProof;
+use ringcnn_hw::engine::{fh_bits, ACC_BITS};
 use ringcnn_tensor::prelude::{forced_kernel_scope, KernelBackend};
 
 const TIERS: [KernelBackend; 2] = [KernelBackend::Scalar, KernelBackend::Avx2];
-
-fn narrowed<S: Store + TryFrom<i64>>(q: &QTensor) -> QTensorOf<S> {
-    let data = q.data().iter().map(|v| S::try_from(*v).ok().expect("fits"));
-    QTensorOf::from_raw(q.shape(), data.collect(), q.formats().to_vec())
-}
-
-fn widened<S: Store + Into<i64>>(q: &QTensorOf<S>) -> QTensor {
-    let data = q.data().iter().map(|v| (*v).into());
-    QTensor::from_raw(q.shape(), data.collect(), q.formats().to_vec())
-}
-
-/// Whether an `i8` store holds the tensor: 8-bit formats, values inside.
-fn fits_i8(q: &QTensor) -> bool {
-    q.formats().iter().all(|f| f.bits <= 8) && q.data().iter().all(|v| i8::try_from(*v).is_ok())
-}
 
 fn bits(t: &Tensor) -> Vec<u32> {
     t.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
-/// A whole model on the `i64` interchange tier: what `forward` computed
-/// when there was one lane width.
-fn forward_i64(qm: &QuantizedModel, x: &Tensor) -> Tensor {
-    let q = QTensor::quantize(x, vec![qm.input_format(); x.shape().c]);
-    qm.forward_q(q).dequantize()
-}
-
 fn proof(qm: &QuantizedModel) -> &LaneProof {
-    qm.lane_proof().expect("a prepared model")
+    qm.lane_proof().expect("a model that loads")
 }
 
 /// Every `QuantOptions` mode combination (all at the paper's 8 bits).
@@ -585,41 +605,16 @@ fn mode_combinations() -> impl Iterator<Item = QuantOptions> {
         })
 }
 
-/// A whole model on the `i64` tier stage by stage, every conv through
-/// `run_conv_reference` and every directional ReLU through
-/// `run_drelu_reference` — no step fused, every accumulator stored.
-fn oracle_chain(layers: &[QLayer], mut q: QTensor) -> QTensor {
-    for layer in layers {
-        q = match layer {
-            QLayer::Conv(c) => run_conv_reference(c, &q),
-            QLayer::DRelu(d) => run_drelu_reference(d, &q),
-            QLayer::Residual(res) => {
-                let formats = expand_formats(res.out_formats(), q.shape().c);
-                oracle_chain(res.body(), q.clone()).add_saturating(&q, formats)
-            }
-            QLayer::UpsampleResidual(_) => panic!("no oracle walk through a bicubic skip"),
-            _ => execute_layer(layer, q),
-        };
-    }
-    q
-}
-
-/// [`oracle_chain`] from a float input to a float output; the models
-/// with a bicubic skip, which it cannot walk, on the `i64` tier.
-fn oracle_forward(qm: &QuantizedModel, x: &Tensor) -> Tensor {
-    if matches!(qm.layers(), [QLayer::UpsampleResidual(_), ..]) {
-        return forward_i64(qm, x);
-    }
+/// The oracle walk of a whole model on `x`'s quantized integers.
+fn oracle(qm: &QuantizedModel, x: &Tensor) -> QTensor {
     let q = QTensor::quantize(x, vec![qm.input_format(); x.shape().c]);
-    oracle_chain(qm.layers(), q).dequantize()
+    qm.layers().iter().fold(q, |q, l| execute_layer(l, q))
 }
 
 /// The HD30 Dn and SR4 (bicubic skip) ERNets over the real field and
-/// RI2/RI4/RI8 with `fH`, in all four mode combinations: each is proven
-/// into `i32` lanes over `i8` planes, and its `forward` — whole (batch 2,
-/// both kernel tiers) and tiled through `BatchRunner` — is the `i64`
-/// tier's output, which in turn is the stage-by-stage walk through the
-/// two oracles.
+/// RI2/RI4/RI8 with `fH`, in all four mode combinations: each loads, and
+/// its `forward` — whole (batch 2, both kernel tiers) and tiled through
+/// `BatchRunner` — and its `forward_q` are the oracle walk's integers.
 #[test]
 fn i32_whole_models_equal_the_i64_tier_whole_and_tiled() {
     for (scenario, hw) in [(Scenario::Denoise { sigma: 25.0 }, 16), (Scenario::Sr4, 8)] {
@@ -637,9 +632,10 @@ fn i32_whole_models_equal_the_i64_tier_whole_and_tiled() {
             for opts in mode_combinations() {
                 let what = format!("{scenario:?} over {} with {opts:?}", alg.label());
                 let mut qm = QuantizedModel::quantize(&mut float, &calibration, opts);
-                assert_eq!(qm.lanes(), Lanes::I32, "{what}: {:?}", proof(&qm));
-                let want = bits(&forward_i64(&qm, &x));
-                assert_eq!(bits(&oracle_forward(&qm, &x)), want, "{what}, oracles");
+                let oracle = oracle(&qm, &x);
+                let q = QTensor::quantize(&x, vec![qm.input_format(); 1]);
+                assert_eq!(qm.forward_q(q), oracle, "{what}, forward_q");
+                let want = bits(&oracle.dequantize());
                 for tier in TIERS {
                     let got = forced_kernel_scope(tier, || qm.forward(&x));
                     assert_eq!(bits(&got), want, "{what}, {} tile", tier.label());
@@ -656,9 +652,9 @@ fn i32_whole_models_equal_the_i64_tier_whole_and_tiled() {
 /// The dense and the depth-wise SRResNet (Fig. 1), whose convolutions
 /// are nested chains, over the real field and (RI4, fH): each
 /// calibrates — the chains flatten in the description, so every conv in
-/// front of an `fH` keeps its accumulator across the nesting — proves
-/// into `i32` lanes, and its `forward` is the unfused stage-by-stage
-/// oracle walk bit for bit, whole on both kernel tiers and tiled.
+/// front of an `fH` keeps its accumulator across the nesting — loads,
+/// and its `forward` is the unfused oracle walk bit for bit, whole on
+/// both kernel tiers and tiled.
 #[test]
 fn srresnets_calibrate_and_equal_their_oracle_whole_and_tiled() {
     use ringcnn_nn::models::srresnet::{srresnet, SrResNetConfig};
@@ -674,9 +670,8 @@ fn srresnets_calibrate_and_equal_their_oracle_whole_and_tiled() {
             let calibration = Tensor::random_uniform(Shape4::new(1, 1, 16, 16), 0.0, 1.0, 5);
             let mut qm =
                 QuantizedModel::quantize(&mut float, &calibration, QuantOptions::default());
-            assert_eq!(qm.lanes(), Lanes::I32, "{what}: {:?}", proof(&qm));
             let x = Tensor::random_uniform(Shape4::new(2, 1, 12, 12), -0.5, 1.5, 6);
-            let want = bits(&oracle_forward(&qm, &x));
+            let want = bits(&oracle(&qm, &x).dequantize());
             for tier in TIERS {
                 let got = forced_kernel_scope(tier, || qm.forward(&x));
                 assert_eq!(bits(&got), want, "{what}, {} tile", tier.label());
@@ -692,13 +687,13 @@ fn srresnets_calibrate_and_equal_their_oracle_whole_and_tiled() {
 /// for the HD30 Dn and SR4 ERNets over the real field and RI2/RI4/RI8
 /// with `fH`, in all four mode combinations, every conv accumulator fits
 /// the modelled engine's `ACC_BITS` and every directional-ReLU stage its
-/// `ACC_BITS + log₂n + 5`-bit unit, and the largest magnitude per ring is pinned like the
-/// rings' other properties (a moved pin means calibration or the proof
-/// changed: the failure prints the row).
+/// `fh_bits(n)`-bit unit (what loading them already asserts), and the
+/// largest magnitude per ring is pinned like the rings' other properties
+/// (a moved pin means calibration or the proof changed: the failure
+/// prints the row).
 #[test]
 fn the_zoo_proves_into_the_widths_the_modelled_accelerator_has() {
     use ringcnn::quant::quantized::StageKind;
-    use ringcnn_hw::engine::ACC_BITS;
     let log2 = |v: u128| (v as f64).log2();
     let rings = [
         (Algebra::real(), "19.4"),
@@ -716,12 +711,11 @@ fn the_zoo_proves_into_the_widths_the_modelled_accelerator_has() {
                 let what = format!("{scenario:?} over {} with {opts:?}", alg.label());
                 let qm = QuantizedModel::quantize(&mut float, &calibration, opts);
                 let p = proof(&qm);
-                assert_eq!(p.lanes, Lanes::I32, "{what}");
                 assert_eq!(p.stages.iter().map(|s| s.worst).max(), Some(p.worst));
                 for stage in &p.stages {
                     let bits = match stage.kind {
                         StageKind::Conv => ACC_BITS,
-                        StageKind::DRelu => ACC_BITS + n.trailing_zeros() + 5,
+                        StageKind::DRelu => fh_bits(n),
                         _ => continue,
                     };
                     assert!(
@@ -735,71 +729,6 @@ fn the_zoo_proves_into_the_widths_the_modelled_accelerator_has() {
         }
         assert_eq!(format!("{:.1}", log2(worst)), pinned, "{}", alg.label());
     }
-}
-
-/// Every generic stage on its `i8` store in `i32` lanes, wherever the
-/// tensors on both sides of it are 8-bit, on the layers calibration emits
-/// — dense, ring-expanded and aligned convs, MAC-based directional ReLUs,
-/// ReLU, shuffles, residual bodies and their saturating adds — each
-/// against the `i64` tier of the same stage: `run_conv_reference` for a
-/// conv, `run_drelu_reference` for a directional ReLU, `execute_layer`
-/// on the `QTensor` for the rest. (An accumulator-keeping conv runs only
-/// as one step with its directional ReLU: the fused-step rows below.)
-#[test]
-fn i32_stages_equal_their_i64_oracles_layer_by_layer() {
-    fn visit(layers: &[QLayer], mut q: QTensor, what: &str, seen: &mut [usize; 4]) -> QTensor {
-        for (i, layer) in layers.iter().enumerate() {
-            let want = match layer {
-                QLayer::Residual(res) => {
-                    let body = visit(res.body(), q.clone(), what, seen);
-                    let formats = expand_formats(res.out_formats(), q.shape().c);
-                    let want = body.add_saturating(&q, formats.clone());
-                    // 8-bit operands whose aligned sum passes the rails:
-                    // it saturates in the lane, before the store narrows.
-                    assert!(fits_i8(&body) && fits_i8(&q), "{what}: residual add {i}");
-                    let sum = narrowed::<i8>(&body).add_saturating(&narrowed(&q), formats);
-                    assert_eq!(widened(&sum), want, "{what}: residual add {i} on i8");
-                    want
-                }
-                QLayer::Conv(c) => run_conv_reference(c, &q),
-                QLayer::DRelu(d) => run_drelu_reference(d, &q),
-                _ => execute_layer(layer, q.clone()),
-            };
-            if fits_i8(&q) && fits_i8(&want) {
-                seen[match layer {
-                    QLayer::Conv(_) => 0,
-                    QLayer::DRelu(_) => 1,
-                    QLayer::Residual(_) => 2,
-                    _ => 3,
-                }] += 1;
-                let got = execute_layer(layer, narrowed::<i8>(&q));
-                assert_eq!(widened(&got), want, "{what}: layer {i} on i8");
-            }
-            q = want;
-        }
-        q
-    }
-    let mut seen = [0; 4];
-    for alg in [
-        Algebra::real(),
-        Algebra::ri_fh(2),
-        Algebra::ri_fh(4),
-        Algebra::ri_fh(8),
-        Algebra::with_fcw(ringcnn_algebra::ring::RingKind::Rh(4)),
-    ] {
-        let tiny = ringcnn_nn::models::ernet::ErNetConfig::tiny();
-        let mut float = ringcnn_nn::models::ernet::dn_ernet_pu(&alg, tiny, 1, 9);
-        let x = Tensor::random_uniform(Shape4::new(2, 1, 12, 8), -0.5, 1.5, 7);
-        for opts in mode_combinations() {
-            let what = format!("{} with {opts:?}", alg.label());
-            let qm = QuantizedModel::quantize(&mut float, &x, opts);
-            assert_eq!(qm.lanes(), Lanes::I32, "{what}: {:?}", proof(&qm));
-            let q = QTensor::quantize(&x, vec![qm.input_format(); 1]);
-            let out = visit(qm.layers(), q, &what, &mut seen);
-            assert_eq!(bits(&qm.forward(&x)), bits(&out.dequantize()), "{what}");
-        }
-    }
-    assert!(seen.iter().all(|n| *n > 0), "{seen:?}");
 }
 
 // Hand-written `ringcnn-qmodel/v1` text: models no calibration would
@@ -858,6 +787,14 @@ fn crafted(channels_io: usize, input: (u32, i32), layers: &[String]) -> Quantize
         .model
 }
 
+/// What loading the text says when the model does not load.
+fn refusal(json: &str) -> String {
+    match qmodel_from_json(json) {
+        Err(QModelLoadError::Invalid(why)) => why,
+        other => panic!("expected a refusal, got {other:?}"),
+    }
+}
+
 /// Inputs from well inside to far outside a format's range, so both
 /// rails of the input quantizer are reached.
 fn saturating_input(shape: Shape4, input: (u32, i32), seed: u64) -> Tensor {
@@ -865,62 +802,102 @@ fn saturating_input(shape: Shape4, input: (u32, i32), seed: u64) -> Tensor {
     Tensor::random_uniform(shape, -2.0 * max, 2.0 * max, seed)
 }
 
-/// The proof's edge, exactly: a 1×1 conv whose accumulator bound
-/// `|bias| + |w|·128` is 2^31 − 1 runs in `i32` lanes — and reaches
-/// `i32::MAX` without wrapping — and one more takes `i64`. The bias is
-/// part of the bound: without it both models would be far inside.
+/// The accumulator's edge, exactly: a 1×1 conv whose bound `|bias| +
+/// |w|·128` is 2^23 − 1 loads — and reaches it without wrapping — and
+/// one more is refused, the stage named. The bias is part of the bound:
+/// without it both models would be far inside.
 #[test]
-fn a_conv_bound_of_two_to_the_31_minus_one_is_i32_and_one_more_is_i64() {
+fn a_conv_bound_of_two_to_the_23_minus_one_loads_and_one_more_is_refused() {
     // Accumulator frac 0 + 2: a bias of `b / 4` is the integer `b`.
-    let model = |bound: i64| {
+    let json = |bound: i64| {
         let bias = (bound - 128) as f64 / 4.0;
         let conv = json_conv((1, 1, 1), &[-1], (8, 0), &[bias], Some(&[(8, 0)]), None);
-        crafted(1, (8, 2), &[conv])
+        crafted_json(1, (8, 2), &[conv])
     };
-    let edge = model((1 << 31) - 1);
+    let edge = qmodel_from_json(&json((1 << 23) - 1))
+        .expect("the edge loads")
+        .model;
     let p = proof(&edge);
-    assert_eq!((p.lanes, p.stage.as_str()), (Lanes::I32, "0 conv"));
-    assert_eq!(p.worst, (1 << 31) - 1);
-    // −128 · −1 + bias = i32::MAX, then the requantizer's rounding add.
+    assert_eq!((p.worst, p.stage.as_str()), ((1 << 23) - 1, "0 conv"));
+    // −128 · −1 + bias = 2^23 − 1, then the requantizer's rounding add.
     let x = Tensor::from_vec(Shape4::new(1, 1, 1, 3), vec![-1e6, 0.3, 1e6]);
-    assert_eq!(bits(&edge.forward(&x)), bits(&forward_i64(&edge, &x)));
-    let past = model(1 << 31);
-    let p = proof(&past);
-    assert_eq!((p.lanes, p.stage.as_str()), (Lanes::I64, "0 conv"));
-    assert_eq!(p.worst, 1 << 31);
+    assert_equals_its_oracles(&edge, &x, "the accumulator's edge");
+    assert_eq!(
+        refusal(&json(1 << 23)),
+        "0 conv: worst case 2^23.0 exceeds the 24-bit accumulator"
+    );
 }
 
-/// The second butterfly sums `n` first-butterfly outputs: two
-/// accumulators of 2^29 each make S = 2^30 and n·S = 2^31, one too many
-/// for `i32` — and four less is not.
+/// A calibration whose integers outgrow the accumulator is an error, not
+/// a model: weights of a millionth fit a fine format, so a bias of one
+/// lands 2^33 up at the accumulator's scale.
+#[test]
+fn a_calibration_that_outgrows_the_accumulator_is_an_error() {
+    let mut conv = Conv2d::new(1, 1, 3, 5);
+    conv.weights_mut().data.iter_mut().for_each(|w| *w *= 1e-6);
+    conv.bias_mut().fill(1.0);
+    let mut model = Sequential::new().with(Box::new(conv));
+    let batch = Tensor::random_uniform(Shape4::new(1, 1, 8, 8), 0.0, 1.0, 3);
+    match QuantizedModel::try_quantize(&mut model, &batch, QuantOptions::default()) {
+        Err(CalibrationError::Unloadable(why)) => {
+            assert!(why.starts_with("0 conv: worst case 2^3"), "{why}");
+            assert!(why.ends_with("exceeds the 24-bit accumulator"), "{why}");
+        }
+        other => panic!("expected Unloadable, got {other:?}"),
+    }
+}
+
+/// The second butterfly sums `n` first-butterfly outputs, and the unit
+/// over pairs has `fh_bits(2)` = 30 bits: with the first component's
+/// accumulator aligned 7 bits up, S = 2^28 is inside, n·S = 2^29 is not
+/// — and 256 less loads and is exact.
 #[test]
 fn the_drelu_bound_grows_by_n_through_the_second_butterfly() {
-    let model = |bound: i64| {
-        let bias = [(bound - 128) as f64 / 4.0; 2];
-        let conv = json_conv((2, 2, 1), &[1, 0, 0, -1], (8, 0), &bias, None, None);
-        crafted(
-            2,
-            (8, 2),
-            &[conv, json_drelu(2, None, &[(8, -22), (8, -22)])],
-        )
+    let json = |b0: i64| {
+        // Channel 1 stored 7 bits finer than channel 0, so the
+        // accumulator behind it has 7 more fractional bits and the unit
+        // aligns channel 0's up by 7.
+        let spread = [(8, 0), (8, 7)];
+        let head = json_conv(
+            (2, 2, 1),
+            &[1, 0, 0, 1],
+            (8, 0),
+            &[0.0; 2],
+            Some(&spread),
+            None,
+        );
+        // Bounds |b0| + 128 and 128.
+        let kept = json_conv(
+            (2, 2, 1),
+            &[-1, 0, 0, 1],
+            (8, 0),
+            &[b0 as f64, 0.0],
+            None,
+            None,
+        );
+        let drelu = json_drelu(2, None, &[(8, -16), (8, -16)]);
+        crafted_json(2, (8, 0), &[head, kept, drelu])
     };
-    let past = model(1 << 29);
-    let p = proof(&past);
-    assert_eq!((p.lanes, p.stage.as_str()), (Lanes::I64, "1 fH"));
-    assert_eq!(p.worst, 1 << 31);
-    let edge = model((1 << 29) - 1);
+    // S = (2^21 − 1)·2^7 + 128 = 2^28, n·S = 2^29.
+    assert_eq!(
+        refusal(&json((1 << 21) - 129)),
+        "2 fH: worst case 2^29.0 exceeds the 30-bit fH unit"
+    );
+    let edge = qmodel_from_json(&json((1 << 21) - 130))
+        .expect("the edge loads")
+        .model;
     let p = proof(&edge);
-    assert_eq!((p.lanes, p.stage.as_str()), (Lanes::I32, "1 fH"));
-    assert_eq!(p.worst, (1 << 31) - 4);
-    let x = saturating_input(Shape4::new(2, 2, 5, 7), (8, 2), 3);
-    assert_eq!(bits(&edge.forward(&x)), bits(&forward_i64(&edge, &x)));
+    assert_eq!((p.worst, p.stage.as_str()), ((1 << 29) - 256, "2 fH"));
+    let x = saturating_input(Shape4::new(2, 2, 5, 7), (8, 0), 3);
+    assert_equals_its_oracles(&edge, &x, "the fH unit's edge");
 }
 
-/// What `i32` lanes cannot hold takes `i64`, with the stage on record:
+/// What the `fH` unit cannot hold does not load, and the refusal names
+/// the stage — in `validate`, in the loader, and as the missing proof:
 /// 8-bit features whose component formats spread 40 bits apart, so the
-/// alignment shift in front of the butterfly alone passes 2^31.
+/// alignment in front of the butterfly alone passes every width.
 #[test]
-fn adversarial_spreads_take_i64() {
+fn adversarial_spreads_are_refused_naming_the_fh_stage() {
     let spread = [(8, 0), (8, 40)];
     let conv = json_conv(
         (2, 2, 1),
@@ -930,22 +907,27 @@ fn adversarial_spreads_take_i64() {
         Some(&spread),
         None,
     );
-    let qm = crafted(2, (8, 0), &[conv, json_drelu(2, None, &[(8, 0), (8, 0)])]);
-    let p = proof(&qm);
-    assert_eq!((p.lanes, p.stage.as_str()), (Lanes::I64, "1 fH"));
-    assert_eq!(p.worst, 2 * ((128 << 40) + 128), "{p:?}");
+    let json = crafted_json(2, (8, 0), &[conv, json_drelu(2, None, &[(8, 0), (8, 0)])]);
+    // n·S = 2·((128 << 40) + 128).
+    let why = "1 fH: worst case 2^48.0 exceeds the 30-bit fH unit".to_string();
+    let file: QModelFile = serde_json::from_str(&json).expect("the schema parses");
+    assert_eq!(file.model.validate(2), Err(why.clone()));
+    assert_eq!(file.model.lane_proof(), None);
+    assert_eq!(refusal(&json), why);
 }
 
-/// `forward` in the tier the proof picked, on both kernel tiers, and the
-/// fused `i64` chain (`forward_q`) against the unfused walk through the
-/// two oracles; returns that walk's integers.
+/// `forward` on both kernel tiers and `forward_q` against the unfused
+/// oracle walk; returns that walk's integers.
 fn assert_equals_its_oracles(qm: &QuantizedModel, x: &Tensor, what: &str) -> QTensor {
     let q = QTensor::quantize(x, vec![qm.input_format(); x.shape().c]);
-    let want = oracle_chain(qm.layers(), q.clone());
+    let want = qm
+        .layers()
+        .iter()
+        .fold(q.clone(), |q, l| execute_layer(l, q));
     for tier in TIERS {
         let what = format!("{what}, {} tile, {:?}", tier.label(), proof(qm));
         forced_kernel_scope(tier, || {
-            assert_eq!(qm.forward_q(q.clone()), want, "{what}: i64 lanes");
+            assert_eq!(qm.forward_q(q.clone()), want, "{what}: forward_q");
             assert_eq!(bits(&qm.forward(x)), bits(&want.dequantize()), "{what}");
         });
     }
@@ -978,8 +960,6 @@ fn the_fused_conv_fh_step_equals_conv_then_fh_through_the_oracles() {
                 // others (differences) up onto both rails.
                 let out: Vec<_> = (0..n).map(|l| (8, out_fracs[(l == 0) as usize])).collect();
                 let qm = crafted(n, (8, 4), &[conv, json_drelu(n, mid, &out)]);
-                let p = proof(&qm);
-                assert_eq!(p.lanes, Lanes::I32, "{p:?}");
                 let x = saturating_input(Shape4::new(2, n, h, w), (8, 4), state);
                 let what = format!("n={n} k={k} {h}x{w} mid={mid:?}");
                 let want = assert_equals_its_oracles(&qm, &x, &what);
@@ -993,54 +973,49 @@ fn the_fused_conv_fh_step_equals_conv_then_fh_through_the_oracles() {
     }
 }
 
-/// The fused step where the lane ends. In `i32` lanes over `i8` planes:
-/// accumulators of 2^29 − 1 whose butterflies reach 2^31 − 4 (the model
-/// of `the_drelu_bound_grows_by_n_through_the_second_butterfly`). In
-/// `i64` lanes: a component-format spread of 60 bits whose alignment
-/// shift saturates at the lane's rail, so only the clamp in front of the
-/// first butterfly keeps its sums inside the lane.
+/// The fused step where the lane ends: over 8-tuples the unit has
+/// `fh_bits(8)` = 32 bits, the `i32` lane's. Channel 0's accumulator,
+/// aligned 8 bits up, drives the proven bound of the butterflies to
+/// 2^31 − 8, and their actual sums — eight times that accumulator, just
+/// below 2^31 — come out exact; one more in its bias is refused.
 #[test]
 fn the_fused_step_clamps_and_sums_at_the_lane_rails() {
-    let bias = [((1 << 29) - 1 - 128) as f64 / 4.0; 2];
-    let conv = json_conv((2, 2, 1), &[1, 0, 0, -1], (8, 0), &bias, None, None);
-    let drelu = json_drelu(2, None, &[(8, -22), (8, -22)]);
-    let edge = crafted(2, (8, 2), &[conv, drelu]);
+    let json = |b0: f64| {
+        let identity: Vec<i64> = (0..64).map(|i| i64::from(i / 8 == i % 8)).collect();
+        // Channels 1..8 stored 8 bits finer than channel 0.
+        let spread: Vec<_> = (0..8).map(|l| (8, 8 * i32::from(l > 0))).collect();
+        let head = json_conv((8, 8, 1), &identity, (8, 0), &[0.0; 8], Some(&spread), None);
+        // Bounds: channel 0 |b0| + 128 (its weight −1 against −128), the
+        // others 201 + 128, at 8 fractional bits.
+        let mut diagonal = identity.clone();
+        diagonal[0] = -1;
+        let mut bias = [201.0 / 256.0; 8];
+        bias[0] = b0;
+        let kept = json_conv((8, 8, 1), &diagonal, (8, 0), &bias, None, None);
+        let out: Vec<_> = (0..8).map(|l| (8, if l == 0 { -17 } else { 0 })).collect();
+        crafted_json(8, (8, 0), &[head, kept, json_drelu(8, None, &out)])
+    };
+    // S = (2^20 − 9)·2^8 + 7·329 = 2^28 − 1, the bound 8·S.
+    let edge = qmodel_from_json(&json(1_048_439.0))
+        .expect("the edge loads")
+        .model;
     let p = proof(&edge);
-    assert_eq!((p.lanes, p.worst), (Lanes::I32, (1 << 31) - 4));
-    let x = saturating_input(Shape4::new(2, 2, 5, 7), (8, 2), 3);
+    assert_eq!((p.worst, p.stage.as_str()), ((1 << 31) - 8, "2 fH"));
+    let x = saturating_input(Shape4::new(2, 8, 5, 7), (8, 0), 3);
     let want = assert_equals_its_oracles(&edge, &x, "i32 rails");
-    // Two accumulators just below 2^29 sum to just below 2^30 = 64 · 2^24.
+    // Every first-butterfly sum is positive, so component 0 leaves the
+    // second as 8 · (2^20 − 9) · 2^8 = 2^31 − 18 432: 64 at 2^−25.
     assert_eq!(want.data().iter().max(), Some(&64));
-
-    let spread = [(8, 0), (8, 60)];
-    let head = json_conv(
-        (2, 2, 1),
-        &[1, 0, 0, 1],
-        (8, 0),
-        &[0.0; 2],
-        Some(&spread),
-        None,
+    assert_eq!(
+        refusal(&json(1_048_440.0)),
+        "2 fH: worst case 2^31.0 exceeds the 32-bit fH unit"
     );
-    let kept = json_conv((2, 2, 1), &[9, 0, 0, -7], (8, 0), &[0.0; 2], None, None);
-    let drelu = json_drelu(2, None, &[(8, 0), (8, 50)]);
-    let wide = crafted(2, (8, 0), &[head, kept, drelu]);
-    let p = proof(&wide);
-    assert_eq!(p.lanes, Lanes::I64, "{p:?}");
-    let fh = p.stages.last().expect("the directional ReLU");
-    assert!(
-        fh.worst > 1 << 64,
-        "the aligned bound passes the lane: {p:?}"
-    );
-    let x = saturating_input(Shape4::new(2, 2, 5, 7), (8, 0), 4);
-    let want = assert_equals_its_oracles(&wide, &x, "i64 rails");
-    // Two ReLU outputs on the clamp's rail, 2^61 each, sum to 4 · 2^60.
-    assert!(want.data().contains(&4));
 }
 
 /// Every format that reaches memory has the paper's 8 bits: one 9-bit
 /// format anywhere — here a directional ReLU's output — is refused by
 /// `validate`, which names the stage, and so by the loader. The same
-/// model at 8 bits loads into `i32` lanes and is exact.
+/// model at 8 bits loads and is exact.
 #[test]
 fn a_nine_bit_stored_format_is_refused_naming_the_stage() {
     let json = |feature_bits: u32| {
@@ -1053,16 +1028,12 @@ fn a_nine_bit_stored_format_is_refused_naming_the_stage() {
         crafted_json(4, (8, 3), &[head, drelu, r#""Relu""#.into(), tail])
     };
     let eight = qmodel_from_json(&json(8)).expect("an 8-bit model").model;
-    assert_eq!(proof(&eight).lanes, Lanes::I32, "{:?}", proof(&eight));
     let x = saturating_input(Shape4::new(2, 4, 9, 15), (8, 3), 5);
     assert_equals_its_oracles(&eight, &x, "8-bit");
     let why = "1 fH output format: bits 9 outside 2..=8".to_string();
     let nine: QModelFile = serde_json::from_str(&json(9)).expect("the schema parses");
     assert_eq!(nine.model.validate(4), Err(why.clone()));
-    assert_eq!(
-        qmodel_from_json(&json(9)).unwrap_err(),
-        QModelLoadError::Invalid(why)
-    );
+    assert_eq!(refusal(&json(9)), why);
 }
 
 /// A `ringcnn-qmodel/v1` file as written before the width options went —
@@ -1098,11 +1069,12 @@ proptest! {
 
     /// Random tables — weight and feature widths 2..=8, every format
     /// its own frac, both directional-ReLU modes, an aligned conv in a
-    /// residual body, a shuffle across mixed formats: whenever the proof
-    /// says `I32`, the `i32` chain computes the `i64` chain's integers
-    /// (and in a debug build never overflows on the way).
+    /// residual body, a shuffle across mixed formats: whatever loads, the
+    /// chain computes the oracle's integers (and in a debug build never
+    /// overflows on the way); whatever does not, the refusal names the
+    /// stage that outgrew its width.
     #[test]
-    fn whatever_the_proof_admits_to_i32_equals_the_i64_tier(
+    fn whatever_the_proof_admits_equals_the_oracle(
         log_n in 1u32..3,
         w_bits in 2u32..9,
         f_bits in proptest::collection::vec(2u32..9, 12),
@@ -1146,14 +1118,16 @@ proptest! {
             json_list(&[f(11)], |f| json_format(*f)),
         );
         let layers = [head, drelu, residual, r#"{"Shuffle":2}"#.into()];
-        let qm = crafted(n, input, &layers);
-        if qm.lanes() == Lanes::I32 {
-            let x = saturating_input(Shape4::new(2, n, 5, 7), input, seed);
-            prop_assert_eq!(bits(&qm.forward(&x)), bits(&forward_i64(&qm, &x)), "{:?}", proof(&qm));
-        } else {
-            // Not for nothing: some stage does pass 2^31.
-            let p = proof(&qm);
-            prop_assert!(p.worst >= 1 << 31, "{:?}", p);
+        match qmodel_from_json(&crafted_json(n, input, &layers)) {
+            Ok(file) => {
+                let x = saturating_input(Shape4::new(2, n, 5, 7), input, seed);
+                let want = oracle(&file.model, &x).dequantize();
+                prop_assert_eq!(bits(&file.model.forward(&x)), bits(&want), "{:?}", proof(&file.model));
+            }
+            Err(e) => {
+                let QModelLoadError::Invalid(why) = e else { panic!("{e}") };
+                prop_assert!(why.contains(": worst case 2^") && why.contains(" exceeds the "), "{}", why);
+            }
         }
     }
 }

@@ -180,3 +180,50 @@ fn loadgen_drives_the_quant_path_cleanly() {
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A qmodel file whose first conv's accumulator reaches 2^23 — channel
+/// 0's bias moved to that integer — is a model the modelled accelerator
+/// cannot run: `load_dir` refuses the directory, and a reload that
+/// brings the file in is refused too, the old version serving on
+/// unchanged. Both errors name the stage.
+#[test]
+fn a_qmodel_past_the_accumulator_is_refused_at_load_and_at_reload() {
+    let (dir, qmodel, _fp) = export_pair("widths");
+    let qpath = dir.join("ffdnet_real.q.json");
+    let good = std::fs::read_to_string(&qpath).unwrap();
+    let [QLayer::Unshuffle(_), QLayer::Conv(c), ..] = qmodel.layers() else {
+        panic!("an FFDNet starts with an unshuffle and a conv");
+    };
+    let acc_frac = qmodel.input_format().frac + c.w_format().frac;
+    let bias = 2f64.powi(23 - acc_frac);
+    let start = good.find("\"bias\":[").unwrap() + "\"bias\":[".len();
+    let end = start + good[start..].find([',', ']']).unwrap();
+    let wide = format!(
+        "{}{}{}",
+        &good[..start],
+        bias.to_bits() as i64,
+        &good[end..]
+    );
+    let refused = |e: ServeError| match e {
+        ServeError::Load(why) => assert!(
+            why.contains("1 conv: worst case 2^23.")
+                && why.ends_with("exceeds the 24-bit accumulator"),
+            "{why}"
+        ),
+        other => panic!("expected a load error, got {other}"),
+    };
+    std::fs::write(&qpath, &wide).unwrap();
+    refused(ModelRegistry::new().load_dir(&dir).unwrap_err());
+
+    std::fs::write(&qpath, &good).unwrap();
+    let reg = ModelRegistry::new();
+    reg.load_dir(&dir).unwrap();
+    std::fs::write(&qpath, &wide).unwrap();
+    refused(reg.reload_pass().unwrap_err());
+    let entry = reg.get("ffdnet_real").unwrap();
+    assert_eq!(entry.version(), 1);
+    let x = Tensor::random_uniform(Shape4::new(1, 1, 16, 16), 0.0, 1.0, 53);
+    let served = entry.infer_precision(&x, Precision::Quant).unwrap();
+    assert_eq!(served.as_slice(), qmodel.forward(&x).as_slice());
+    std::fs::remove_dir_all(&dir).ok();
+}
