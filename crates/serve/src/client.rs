@@ -187,18 +187,32 @@ impl Client {
     /// through `on_tile` as they arrive.
     fn receive(&mut self, mut on_tile: impl FnMut(Tile<'_>)) -> Result<Response, ServeError> {
         let mut chunk = [0u8; 16 * 1024];
+        // How much of `inbuf` is known to hold no newline.
+        let mut scanned = 0;
         loop {
             match self.wire {
-                Wire::Json => {
-                    if let Some(pos) = self.inbuf.iter().position(|b| *b == b'\n') {
-                        let line: Vec<u8> = self.inbuf.drain(..=pos).collect();
-                        let line = String::from_utf8_lossy(&line[..line.len() - 1]).into_owned();
-                        if line.trim().is_empty() {
-                            continue;
+                Wire::Json => match self.inbuf[scanned..].iter().position(|b| *b == b'\n') {
+                    Some(n) => {
+                        // Parsed where it lies, then drained.
+                        let pos = scanned + n;
+                        let line = String::from_utf8_lossy(&self.inbuf[..pos]);
+                        let parsed = (!line.trim().is_empty()).then(|| Response::parse(&line));
+                        self.inbuf.drain(..=pos);
+                        scanned = 0;
+                        match parsed {
+                            Some(resp) => return resp,
+                            None => continue,
                         }
-                        return Response::parse(&line);
                     }
-                }
+                    // Refused like an oversized frame: no line this long
+                    // is a response, and waiting for its end buffers it all.
+                    None if self.inbuf.len() > MAX_LINE_BYTES => {
+                        return Err(ServeError::BadRequest(format!(
+                            "response line exceeds {MAX_LINE_BYTES} bytes"
+                        )));
+                    }
+                    None => scanned = self.inbuf.len(),
+                },
                 Wire::Binary => {
                     let (consumed, resp) =
                         self.asm.feed(&self.inbuf, MAX_LINE_BYTES, &mut on_tile)?;

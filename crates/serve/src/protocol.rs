@@ -26,11 +26,13 @@
 //! {"ok":false,"error":"overloaded","message":"queue full (256/256 requests)"}
 //! ```
 //!
-//! Decoding is hand-rolled over the JSON [`Value`] tree (rather than
-//! derived) so that missing or mistyped fields in *untrusted* input
-//! surface as [`ServeError::BadRequest`] with a field name, never as a
-//! panic, and unknown extra fields are ignored for forward
-//! compatibility.
+//! Both codecs walk the top-level object one member at a time. The
+//! first `data` member goes straight between the line and `Vec<f32>`
+//! (no JSON [`Value`] per sample). Every other member is parsed into a
+//! [`Value`] on its own text and read by hand (rather than derived), so
+//! that missing or mistyped fields in *untrusted* input surface as
+//! [`ServeError::BadRequest`] with a field name, never as a panic, and
+//! unknown extra fields are ignored for forward compatibility.
 
 use crate::error::ServeError;
 use crate::registry::{Precision, ReloadReport};
@@ -38,6 +40,7 @@ use crate::stats::StatsSnapshot;
 use ringcnn_tensor::prelude::*;
 use ringcnn_trace::span::TraceTree;
 use serde::{Deserialize, Serialize, Value};
+use std::fmt;
 
 /// Which wire protocol a connection speaks. The server decides from the
 /// first bytes of the stream (see [`crate::frame::negotiate`]); clients
@@ -334,10 +337,345 @@ pub enum Response {
     Error(ServeError),
 }
 
-// --- Value helpers ---------------------------------------------------------
+// --- Reading a line --------------------------------------------------------
 
-fn obj(pairs: Vec<(&str, Value)>) -> Value {
-    Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+/// How deep values may nest on a line. The `Value` parser recurses once
+/// per level, so a line of 16 MiB of `[` would overflow the reactor's
+/// stack; the deepest message this protocol sends nests 5 levels.
+const MAX_NESTING: usize = 64;
+
+/// A wire line's top-level object: `data`, the one member read straight
+/// into samples, and every other member as a [`Value`] object.
+struct Line {
+    /// The first `data` member's samples, when it is a flat array of
+    /// numbers and `null`s; `None` leaves it in `rest`.
+    data: Option<Vec<f32>>,
+    /// Every other member (a line that is not an object: its value).
+    rest: Value,
+}
+
+fn malformed(e: impl fmt::Display) -> ServeError {
+    ServeError::BadRequest(format!("malformed JSON: {e}"))
+}
+
+/// JSON whitespace, as the `Value` parser skips it.
+fn skip_ws(b: &[u8], mut pos: usize) -> usize {
+    while matches!(b.get(pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        pos += 1;
+    }
+    pos
+}
+
+/// One past the closing quote of the string opening at `start` (the end
+/// of the line when it never closes).
+fn string_end(b: &[u8], start: usize) -> usize {
+    let mut pos = start + 1;
+    while let Some(&c) = b.get(pos) {
+        pos += 1;
+        match c {
+            b'"' => return pos,
+            b'\\' => pos += 1,
+            _ => {}
+        }
+    }
+    b.len()
+}
+
+/// Where the value starting at `start` ends: a string at its closing
+/// quote, an array or object at its closing bracket, anything else at
+/// the next delimiter. Only the extent is found here; the `Value` parser
+/// that reads the text validates it.
+///
+/// # Errors
+///
+/// Nesting deeper than [`MAX_NESTING`].
+fn value_end(b: &[u8], start: usize) -> Result<usize, ServeError> {
+    match b.get(start) {
+        Some(b'"') => Ok(string_end(b, start)),
+        Some(b'[' | b'{') => {
+            let (mut depth, mut pos) = (0usize, start);
+            while let Some(&c) = b.get(pos) {
+                match c {
+                    b'"' => {
+                        pos = string_end(b, pos);
+                        continue;
+                    }
+                    b'[' | b'{' if depth == MAX_NESTING => {
+                        return Err(malformed(format!(
+                            "values nest deeper than {MAX_NESTING} at byte {pos}"
+                        )))
+                    }
+                    b'[' | b'{' => depth += 1,
+                    b']' | b'}' if depth == 1 => return Ok(pos + 1),
+                    b']' | b'}' => depth -= 1,
+                    _ => {}
+                }
+                pos += 1;
+            }
+            Ok(pos)
+        }
+        _ => Ok(b[start..]
+            .iter()
+            .position(|c| matches!(c, b',' | b']' | b'}' | b' ' | b'\t' | b'\n' | b'\r'))
+            .map_or(b.len(), |n| start + n)),
+    }
+}
+
+/// The value whose text is `s[start..]`'s first value, parsed on its own,
+/// and where it ends.
+fn value_at(s: &str, start: usize) -> Result<(Value, usize), ServeError> {
+    let end = value_end(s.as_bytes(), start)?;
+    let value = serde_json::from_str(&s[start..end]).map_err(malformed)?;
+    Ok((value, end))
+}
+
+/// One number at `start`, in the `Value` parser's grammar (`-`? digits,
+/// then `.` digits and `e`/`E` sign digits) and with its rounding: text
+/// without a fraction or exponent is an `i64` (else a `u64`) widened to
+/// `f64`, so `-0` reads `+0.0` as it does there; then `f64 as f32`.
+fn number_at(s: &str, start: usize) -> Option<(f32, usize)> {
+    let b = s.as_bytes();
+    let digits = |mut pos: usize| {
+        while b.get(pos).is_some_and(u8::is_ascii_digit) {
+            pos += 1;
+        }
+        pos
+    };
+    if !b
+        .get(start)
+        .is_some_and(|c| *c == b'-' || c.is_ascii_digit())
+    {
+        return None;
+    }
+    let mut pos = digits(start + 1);
+    let mut float = false;
+    if b.get(pos) == Some(&b'.') {
+        float = true;
+        pos = digits(pos + 1);
+    }
+    if matches!(b.get(pos), Some(b'e' | b'E')) {
+        float = true;
+        pos += 1;
+        if matches!(b.get(pos), Some(b'+' | b'-')) {
+            pos += 1;
+        }
+        pos = digits(pos);
+    }
+    let text = &s[start..pos];
+    let x = if float {
+        text.parse::<f64>().ok()?
+    } else if let Ok(i) = text.parse::<i64>() {
+        i as f64
+    } else if let Ok(u) = text.parse::<u64>() {
+        u as f64
+    } else {
+        text.parse::<f64>().ok()?
+    };
+    Some((x as f32, pos))
+}
+
+/// `data` read where it lies: `[` number or `null`, … `]`, each sample
+/// as `Value::as_f64` then `as f32` give it (`null` is NaN). The vector
+/// is sized by the commas before the first `]`, i.e. by the line, never
+/// by the untrusted `shape`. `None` for any other value: the caller
+/// reads it as a [`Value`] instead, which accepts it or says what is
+/// wrong with it.
+fn samples_at(s: &str, start: usize) -> Option<(Vec<f32>, usize)> {
+    let b = s.as_bytes();
+    if b.get(start) != Some(&b'[') {
+        return None;
+    }
+    let close = start + b[start..].iter().position(|c| *c == b']')?;
+    let commas = b[start..close].iter().filter(|c| **c == b',').count();
+    let mut data = Vec::with_capacity(commas + 1);
+    let mut pos = skip_ws(b, start + 1);
+    if b.get(pos) == Some(&b']') {
+        return Some((data, pos + 1));
+    }
+    loop {
+        pos = skip_ws(b, pos);
+        if b[pos..].starts_with(b"null") {
+            data.push(f32::NAN);
+            pos += 4;
+        } else {
+            let (x, end) = number_at(s, pos)?;
+            data.push(x);
+            pos = end;
+        }
+        pos = skip_ws(b, pos);
+        match b.get(pos) {
+            Some(b',') => pos += 1,
+            Some(b']') => return Some((data, pos + 1)),
+            _ => return None,
+        }
+    }
+}
+
+impl Line {
+    /// Walks one line's top-level object member by member (the grammar
+    /// of the `Value` parser, which reads every member but `data`).
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::BadRequest`] when the line is not one JSON value.
+    fn parse(line: &str) -> Result<Line, ServeError> {
+        // JSON whitespace is Unicode whitespace: none is left at either end.
+        let s = line.trim();
+        let b = s.as_bytes();
+        let expected = |what: &str, pos: usize| malformed(format!("expected {what} at byte {pos}"));
+        if !s.starts_with('{') {
+            let (rest, end) = value_at(s, 0)?;
+            if end != b.len() {
+                return Err(expected("the end of the line", end));
+            }
+            return Ok(Line { data: None, rest });
+        }
+        let (mut data, mut rest, mut seen_data) = (None, Vec::new(), false);
+        let mut pos = skip_ws(b, 1);
+        if b.get(pos) == Some(&b'}') {
+            pos += 1;
+        } else {
+            loop {
+                pos = skip_ws(b, pos);
+                if b.get(pos) != Some(&b'"') {
+                    return Err(expected("a `\"` key", pos));
+                }
+                let end = string_end(b, pos);
+                let key: String = serde_json::from_str(&s[pos..end]).map_err(malformed)?;
+                pos = skip_ws(b, end);
+                if b.get(pos) != Some(&b':') {
+                    return Err(expected("`:`", pos));
+                }
+                pos = skip_ws(b, pos + 1);
+                let direct = if key == "data" && !std::mem::replace(&mut seen_data, true) {
+                    samples_at(s, pos)
+                } else {
+                    None
+                };
+                pos = match direct {
+                    Some((samples, end)) => {
+                        data = Some(samples);
+                        end
+                    }
+                    None => {
+                        let (value, end) = value_at(s, pos)?;
+                        rest.push((key, value));
+                        end
+                    }
+                };
+                pos = skip_ws(b, pos);
+                match b.get(pos) {
+                    Some(b',') => pos += 1,
+                    Some(b'}') => {
+                        pos += 1;
+                        break;
+                    }
+                    _ => return Err(expected("`,` or `}`", pos)),
+                }
+            }
+        }
+        if pos != b.len() {
+            return Err(expected("the end of the line", pos));
+        }
+        Ok(Line {
+            data,
+            rest: Value::Object(rest),
+        })
+    }
+}
+
+/// A line's `data` samples: read off the line, or decoded from the
+/// member in `rest` that was not a flat array of numbers (which names
+/// its fault).
+fn samples(data: Option<Vec<f32>>, rest: &Value) -> Result<Vec<f32>, ServeError> {
+    match data {
+        Some(data) => Ok(data),
+        None => decode(rest, "data"),
+    }
+}
+
+// --- Writing a line --------------------------------------------------------
+
+/// Bytes per sample [`ObjectWriter::samples`] can write: the longest
+/// `{:?}` of a widened `f32` (`-1.1754942106924411e-38`) and a comma.
+const MAX_SAMPLE_BYTES: usize = 24;
+
+/// What a line carrying `samples` can take, so it is written into one
+/// allocation.
+fn line_capacity(samples: usize) -> usize {
+    256 + samples * MAX_SAMPLE_BYTES
+}
+
+/// `fmt::Write` onto a byte buffer, so a reply is written straight into
+/// a connection's output.
+struct Bytes<'a>(&'a mut Vec<u8>);
+
+impl fmt::Write for Bytes<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.extend_from_slice(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// One JSON object, written member by member in the bytes `serde_json`
+/// gives its [`Value`] rendering.
+struct ObjectWriter<'w> {
+    out: &'w mut dyn fmt::Write,
+    first: bool,
+}
+
+impl<'w> ObjectWriter<'w> {
+    fn open(out: &'w mut dyn fmt::Write) -> Result<Self, fmt::Error> {
+        out.write_char('{')?;
+        Ok(ObjectWriter { out, first: true })
+    }
+
+    fn key(&mut self, key: &str) -> fmt::Result {
+        if !std::mem::take(&mut self.first) {
+            self.out.write_char(',')?;
+        }
+        self.out.write_str(&json(key)?)?;
+        self.out.write_char(':')
+    }
+
+    fn member<T: Serialize + ?Sized>(&mut self, key: &str, value: &T) -> fmt::Result {
+        self.key(key)?;
+        self.out.write_str(&json(value)?)
+    }
+
+    /// `data` from the slice: `{:?}` of each sample widened to `f64`,
+    /// `null` when it is not finite.
+    fn samples(&mut self, key: &str, data: &[f32]) -> fmt::Result {
+        self.key(key)?;
+        self.out.write_char('[')?;
+        for (i, x) in data.iter().enumerate() {
+            if i > 0 {
+                self.out.write_char(',')?;
+            }
+            let x = f64::from(*x);
+            if x.is_finite() {
+                write!(self.out, "{x:?}")?;
+            } else {
+                self.out.write_str("null")?;
+            }
+        }
+        self.out.write_char(']')
+    }
+
+    /// A success response opens with `ok` and the verb; the fields of
+    /// its body follow.
+    fn success(&mut self, id: VerbId) -> fmt::Result {
+        self.member("ok", &true)?;
+        self.member("verb", Verb::of(id).name)
+    }
+
+    fn close(self) -> fmt::Result {
+        self.out.write_char('}')
+    }
+}
+
+fn json<T: Serialize + ?Sized>(value: &T) -> Result<String, fmt::Error> {
+    serde_json::to_string(value).map_err(|_| fmt::Error)
 }
 
 fn get<'v>(v: &'v Value, key: &str) -> Result<&'v Value, ServeError> {
@@ -359,8 +697,8 @@ fn decode<T: Deserialize>(v: &Value, key: &str) -> Result<T, ServeError> {
         .map_err(|e| ServeError::BadRequest(format!("field `{key}`: {e}")))
 }
 
-fn shape_value(s: Shape4) -> Value {
-    [s.n, s.c, s.h, s.w].to_json_value()
+fn dims(s: Shape4) -> [usize; 4] {
+    [s.n, s.c, s.h, s.w]
 }
 
 /// A shape off either wire. `Shape4::len` multiplies unchecked; reject
@@ -376,11 +714,6 @@ pub(crate) fn checked_shape(dims: [usize; 4]) -> Result<Shape4, ServeError> {
 
 fn decode_shape(v: &Value, key: &str) -> Result<Shape4, ServeError> {
     checked_shape(decode(v, key)?)
-}
-
-fn parse_line(line: &str) -> Result<Value, ServeError> {
-    serde_json::from_str(line.trim())
-        .map_err(|e| ServeError::BadRequest(format!("malformed JSON: {e}")))
 }
 
 /// The [`VERBS`] row a message's `"verb"` field names.
@@ -421,7 +754,19 @@ impl Request {
 
     /// Renders the request as one wire line (no trailing newline).
     pub fn to_json(&self) -> String {
-        let mut pairs = vec![("verb", Value::Str(self.verb().name.into()))];
+        let samples = match self {
+            Request::Infer { data, .. } => data.len(),
+            _ => 0,
+        };
+        let mut out = String::with_capacity(line_capacity(samples));
+        self.write_json(&mut out)
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    fn write_json(&self, out: &mut dyn fmt::Write) -> fmt::Result {
+        let mut o = ObjectWriter::open(out)?;
+        o.member("verb", self.verb().name)?;
         match self {
             Request::Infer {
                 model,
@@ -430,19 +775,19 @@ impl Request {
                 data,
                 deadline_ms,
             } => {
-                pairs.push(("model", Value::Str(model.clone())));
-                pairs.push(("precision", Value::Str(precision.label().into())));
+                o.member("model", model)?;
+                o.member("precision", precision.label())?;
                 // Emitted only when set: old servers never see the field.
                 if let Some(d) = deadline_ms {
-                    pairs.push(("deadline_ms", Value::F64(*d)));
+                    o.member("deadline_ms", d)?;
                 }
-                pairs.push(("shape", shape_value(*shape)));
-                pairs.push(("data", data.to_json_value()));
+                o.member("shape", &dims(*shape))?;
+                o.samples("data", data)?;
             }
-            Request::Trace { n } => pairs.push(("n", Value::U64(*n as u64))),
+            Request::Trace { n } => o.member("n", n)?,
             _ => {} // Payload-less: the verb is the whole message.
         }
-        serde_json::to_string(&obj(pairs)).expect("request serializes")
+        o.close()
     }
 
     /// Parses one wire line.
@@ -451,7 +796,10 @@ impl Request {
     ///
     /// [`ServeError::BadRequest`] naming the malformed part.
     pub fn parse(line: &str) -> Result<Request, ServeError> {
-        let v = parse_line(line)?;
+        Request::from_line(Line::parse(line)?)
+    }
+
+    fn from_line(Line { data, rest: v }: Line) -> Result<Request, ServeError> {
         let verb = verb_of(&v)?;
         match verb.id {
             VerbId::Infer => {
@@ -471,6 +819,7 @@ impl Request {
                 // bad_request (never silently dropped).
                 let deadline_ms = match v.field("deadline_ms") {
                     Ok(Value::F64(d)) => Some(*d),
+                    Ok(Value::I64(d)) => Some(*d as f64),
                     Ok(Value::U64(d)) => Some(*d as f64),
                     Ok(_) => {
                         return Err(ServeError::BadRequest(
@@ -480,7 +829,7 @@ impl Request {
                     Err(_) => None,
                 };
                 let shape = decode_shape(&v, "shape")?;
-                let data: Vec<f32> = decode(&v, "data")?;
+                let data = samples(data, &v)?;
                 if data.len() != shape.len() {
                     return Err(ServeError::BadRequest(format!(
                         "shape {shape} wants {} samples, got {}",
@@ -565,51 +914,68 @@ impl Response {
 
     /// Renders the response as one wire line (no trailing newline).
     pub fn to_json(&self) -> String {
-        // A success: `ok`, the verb, then the fields of the `body` object.
-        let ok = |verb: Verb, body: Value| {
-            let mut pairs = vec![
-                ("ok".to_string(), Value::Bool(true)),
-                ("verb".to_string(), Value::Str(verb.name.into())),
-            ];
-            if let Value::Object(fields) = body {
-                pairs.extend(fields);
-            }
-            Value::Object(pairs)
-        };
-        let v = match self {
+        let mut out = String::with_capacity(line_capacity(self.samples()));
+        self.write_json(&mut out)
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    /// [`Response::to_json`] appended to `buf` (a connection's output),
+    /// with no string in between.
+    pub(crate) fn append_json(&self, buf: &mut Vec<u8>) {
+        buf.reserve(line_capacity(self.samples()));
+        self.write_json(&mut Bytes(buf))
+            .expect("writing to a Vec cannot fail");
+    }
+
+    fn samples(&self) -> usize {
+        match self {
+            Response::Infer { data, .. } => data.len(),
+            _ => 0,
+        }
+    }
+
+    fn write_json(&self, out: &mut dyn fmt::Write) -> fmt::Result {
+        let mut o = ObjectWriter::open(out)?;
+        match self {
             Response::Infer {
                 shape,
                 data,
                 queue_ms,
                 total_ms,
                 batch_size,
-            } => ok(
-                Verb::of(VerbId::Infer),
-                obj(vec![
-                    ("shape", shape_value(*shape)),
-                    ("data", data.to_json_value()),
-                    ("queue_ms", Value::F64(*queue_ms)),
-                    ("total_ms", Value::F64(*total_ms)),
-                    ("batch_size", Value::U64(*batch_size as u64)),
-                ]),
-            ),
-            Response::Health(reply) => ok(Verb::of(VerbId::Health), reply.to_json_value()),
-            Response::Error(e) => obj(vec![
-                ("ok", Value::Bool(false)),
-                ("error", Value::Str(e.code().into())),
-                ("message", Value::Str(e.to_string())),
-            ]),
+            } => {
+                o.success(VerbId::Infer)?;
+                o.member("shape", &dims(*shape))?;
+                o.samples("data", data)?;
+                o.member("queue_ms", queue_ms)?;
+                o.member("total_ms", total_ms)?;
+                o.member("batch_size", batch_size)?;
+            }
+            Response::Health(reply) => {
+                o.success(VerbId::Health)?;
+                if let Value::Object(fields) = reply.to_json_value() {
+                    for (key, value) in &fields {
+                        o.member(key, value)?;
+                    }
+                }
+            }
+            Response::Error(e) => {
+                o.member("ok", &false)?;
+                o.member("error", e.code())?;
+                o.member("message", &e.to_string())?;
+            }
             plain => {
                 let (verb, value) = plain
                     .plain()
                     .expect("the bespoke layouts are matched above");
-                match verb.body {
-                    Body::Json(key) => ok(verb, obj(vec![(key, value)])),
-                    _ => ok(verb, Value::Null),
+                o.success(verb.id)?;
+                if let Body::Json(key) = verb.body {
+                    o.member(key, &value)?;
                 }
             }
-        };
-        serde_json::to_string(&v).expect("response serializes")
+        }
+        o.close()
     }
 
     /// Parses one wire line.
@@ -619,7 +985,10 @@ impl Response {
     /// [`ServeError::BadRequest`] when the line is not a valid response
     /// (the transport gave us something else entirely).
     pub fn parse(line: &str) -> Result<Response, ServeError> {
-        let v = parse_line(line)?;
+        Response::from_line(Line::parse(line)?)
+    }
+
+    fn from_line(Line { data, rest: v }: Line) -> Result<Response, ServeError> {
         let ok = matches!(get(&v, "ok")?, Value::Bool(true));
         if !ok {
             let code = get_str(&v, "error")?;
@@ -630,7 +999,7 @@ impl Response {
         match verb.body {
             Body::Infer => Ok(Response::Infer {
                 shape: decode_shape(&v, "shape")?,
-                data: decode(&v, "data")?,
+                data: samples(data, &v)?,
                 queue_ms: decode(&v, "queue_ms")?,
                 total_ms: decode(&v, "total_ms")?,
                 batch_size: decode(&v, "batch_size")?,
@@ -677,9 +1046,24 @@ pub(crate) mod samples {
             .collect()
     }
 
+    /// The finite `f32`s at the ends of each range: ±`MAX`, the smallest
+    /// normal, the smallest and largest subnormal, ±0, and two far
+    /// exponents.
+    pub(crate) fn extremes() -> Vec<f32> {
+        vec![
+            f32::MAX,
+            -f32::MAX,
+            f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            -f32::from_bits(0x007f_ffff),
+            -0.0,
+            1e30,
+            -1e-30,
+        ]
+    }
+
     pub(crate) fn requests() -> Vec<Request> {
         let (fp64, quant) = (Precision::Fp64, Precision::Quant);
-        let extremes = vec![f32::MIN_POSITIVE, -0.0, 1e30, -1e-30];
         vec![
             infer(
                 "ffdnet_real",
@@ -688,7 +1072,7 @@ pub(crate) mod samples {
                 vec![0.25, -1.0, 3.5, 0.0],
                 None,
             ),
-            infer("m", quant, Shape4::new(2, 1, 1, 2), extremes, None),
+            infer("m", quant, Shape4::new(2, 1, 2, 2), extremes(), None),
             infer(
                 "m",
                 quant,
@@ -714,6 +1098,13 @@ pub(crate) mod samples {
                 queue_ms: 0.5,
                 total_ms: 1.5,
                 batch_size: 4,
+            },
+            Response::Infer {
+                shape: Shape4::new(1, 2, 2, 2),
+                data: extremes(),
+                queue_ms: 0.0,
+                total_ms: 1e-3,
+                batch_size: 1,
             },
             Response::ListModels(vec![ModelInfo {
                 name: "m".into(),
@@ -780,11 +1171,91 @@ pub(crate) mod samples {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::TestRng;
+
+    /// The `Value` path the line codec replaced, kept as its oracle: the
+    /// whole line parsed as one `Value` (so `data` is read by
+    /// `Vec::<f32>::from_json_value`), and `data` written as
+    /// `serde_json::to_string` renders its `to_json_value()`.
+    mod oracle {
+        use super::*;
+
+        fn whole(line: &str) -> Result<Line, ServeError> {
+            let rest = serde_json::from_str(line.trim()).map_err(malformed)?;
+            Ok(Line { data: None, rest })
+        }
+
+        pub fn request(line: &str) -> Result<Request, ServeError> {
+            Request::from_line(whole(line)?)
+        }
+
+        pub fn response(line: &str) -> Result<Response, ServeError> {
+            Response::from_line(whole(line)?)
+        }
+
+        /// `line` re-rendered through one `Value` tree, its `data` member
+        /// replaced by `data.to_json_value()`.
+        pub fn render(line: &str, data: &[f32]) -> String {
+            let Ok(Value::Object(mut members)) = serde_json::from_str(line) else {
+                panic!("not an object: {line}");
+            };
+            for (key, value) in &mut members {
+                if key == "data" {
+                    *value = data.to_json_value();
+                }
+            }
+            serde_json::to_string(&Value::Object(members)).unwrap()
+        }
+    }
+
+    /// A decode with its `data` moved out as bit patterns (NaN equals
+    /// itself), or the refusal's code.
+    fn verdict<T>(
+        decoded: Result<T, ServeError>,
+        data: fn(&mut T) -> Option<&mut Vec<f32>>,
+    ) -> Result<(T, Vec<u32>), &'static str> {
+        let mut message = decoded.map_err(|e| e.code())?;
+        let bits = data(&mut message).map_or(Vec::new(), |d| {
+            std::mem::take(d).iter().map(|x| x.to_bits()).collect()
+        });
+        Ok((message, bits))
+    }
+
+    /// Both decoders give `line` the oracle's verdict and samples.
+    fn agrees(line: &str) {
+        fn request(r: &mut Request) -> Option<&mut Vec<f32>> {
+            match r {
+                Request::Infer { data, .. } => Some(data),
+                _ => None,
+            }
+        }
+        fn response(r: &mut Response) -> Option<&mut Vec<f32>> {
+            match r {
+                Response::Infer { data, .. } => Some(data),
+                _ => None,
+            }
+        }
+        assert_eq!(
+            verdict(Request::parse(line), request),
+            verdict(oracle::request(line), request),
+            "request {line:?}"
+        );
+        assert_eq!(
+            verdict(Response::parse(line), response),
+            verdict(oracle::response(line), response),
+            "response {line:?}"
+        );
+    }
 
     #[test]
     fn requests_roundtrip() {
         for r in samples::requests() {
-            assert_eq!(Request::parse(&r.to_json()).unwrap(), r);
+            let line = r.to_json();
+            if let Request::Infer { data, .. } = &r {
+                assert_eq!(line, oracle::render(&line, data));
+            }
+            agrees(&line);
+            assert_eq!(Request::parse(&line).unwrap(), r);
         }
     }
 
@@ -805,7 +1276,180 @@ mod tests {
     fn responses_roundtrip() {
         for r in samples::responses() {
             let line = r.to_json();
+            if let Response::Infer { data, .. } = &r {
+                assert_eq!(line, oracle::render(&line, data));
+            }
+            agrees(&line);
             samples::assert_survived(&r, &Response::parse(&line).unwrap());
+        }
+    }
+
+    #[test]
+    fn random_sample_bits_cross_the_wire_as_the_value_path_carries_them() {
+        let mut rng = TestRng::deterministic("random_sample_bits");
+        let specials = [
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            f32::from_bits(0x007f_ffff),
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+        ];
+        for round in 0..64 {
+            let mut data: Vec<f32> = (0..61)
+                .map(|_| f32::from_bits(rng.next_u64() as u32))
+                .collect();
+            data.extend_from_slice(&specials);
+            let shape = Shape4::new(1, 1, 8, 9);
+            let request = samples::infer("m", Precision::Fp64, shape, data.clone(), None);
+            let response = Response::Infer {
+                shape,
+                data: data.clone(),
+                queue_ms: round as f64,
+                total_ms: 0.5,
+                batch_size: 1,
+            };
+            for line in [request.to_json(), response.to_json()] {
+                assert_eq!(line, oracle::render(&line, &data));
+                agrees(&line);
+            }
+            // What crosses is every finite sample bit for bit, and NaN
+            // for the rest.
+            let Request::Infer { data: back, .. } = Request::parse(&request.to_json()).unwrap()
+            else {
+                unreachable!()
+            };
+            for (sent, got) in data.iter().zip(&back) {
+                let want = if sent.is_finite() { *sent } else { f32::NAN };
+                assert_eq!(got.to_bits(), want.to_bits(), "{sent:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn hand_spelled_lines_get_the_value_paths_verdict() {
+        // (data text, sample count when it is a valid flat array)
+        let spellings = [
+            ("[]", 0),
+            ("[ ]", 0),
+            ("[1,-0,0,-00,007]", 5),
+            ("[1e3, 1E-3 ,2.5e+2,\t-4.25e-1\n]", 4),
+            (
+                "[12345678901234567890,-9223372036854775808,18446744073709551616]",
+                3,
+            ),
+            ("[3.4028235e38,3.4028236e38,1e39,-1e39]", 4),
+            ("[1e-46,1.4e-45,-1.17549435e-38,1e-400]", 4),
+            ("[null, 0.1 ,null]", 3),
+            ("[0.30000000000000004,1.0000000000000002,16777217]", 3),
+            ("[1.,-.5,.5]", 3),
+            ("[1,]", 1),
+            ("[,1]", 1),
+            ("[1 2]", 1),
+            ("[01x]", 1),
+            ("[-]", 1),
+            ("[1.e]", 1),
+            ("[+1]", 1),
+            ("[1e5.5]", 1),
+            ("[Infinity]", 1),
+            ("[NaN]", 1),
+            ("[\"a\"]", 1),
+            ("[[1]]", 1),
+            ("[true]", 1),
+            ("[null,]", 1),
+            ("[nul]", 1),
+            ("[nulll]", 1),
+            ("[1", 1),
+            ("[1,\"]\"]", 1),
+            ("\"[1]\"", 1),
+            ("5", 1),
+            ("{}", 1),
+            ("null", 1),
+        ];
+        for (data, n) in spellings {
+            let shape = format!("[1,1,1,{n}]");
+            for line in [
+                format!(r#"{{"verb":"infer","model":"m","shape":{shape},"data":{data}}}"#),
+                // `data` before `shape`, whitespace everywhere.
+                format!(
+                    "{{ \"data\" :\t{data} ,\n\"verb\":\"infer\" , \"shape\" : {shape},\"model\":\"m\" }}"
+                ),
+                // Unknown members, one with a bracket inside a string.
+                format!(
+                    r#"{{"verb":"infer","x":{{"y":[1,"]"]}},"model":"m","shape":{shape},"data":{data},"z":null}}"#
+                ),
+                // Duplicates: the first of each member wins.
+                format!(
+                    r#"{{"verb":"infer","model":"m","shape":{shape},"data":{data},"data":[9],"model":"n","shape":[1]}}"#
+                ),
+                // The key spelled with an escape is still `data`.
+                format!(r#"{{"verb":"infer","model":"m","shape":{shape},"d\u0061ta":{data}}}"#),
+                // `data` on a verb that ignores it.
+                format!(r#"{{"verb":"health","data":{data}}}"#),
+                format!(
+                    r#"{{"ok":true,"verb":"infer","data":{data},"shape":{shape},"queue_ms":0.5,"total_ms":1,"batch_size":2}}"#
+                ),
+            ] {
+                agrees(&line);
+            }
+        }
+    }
+
+    #[test]
+    fn lines_that_are_not_one_object_get_the_value_paths_verdict() {
+        for line in [
+            "",
+            "   ",
+            "not json",
+            "[1,2,3]",
+            "\"verb\"",
+            "{",
+            "{}",
+            "{} {}",
+            "{}x",
+            r#"{"verb":"health",}"#,
+            r#"{"verb":"health" "n":1}"#,
+            r#"{"verb":"health","n":1 2}"#,
+            r#"{"verb":"health","n":tru}"#,
+            r#"{"verb":"health","n":"\u00"}"#,
+            r#"{"verb" "health"}"#,
+            r#"{verb:"health"}"#,
+            r#"{"verb":"health"}"#,
+            " \t{\"verb\" : \"health\"}\r",
+            r#"{"ok":true,"verb":"shutdown"}"#,
+            r#"{"ok":false,"error":"overloaded","message":"x"}"#,
+        ] {
+            agrees(line);
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_refused_without_recursing() {
+        let nested = |depth: usize| {
+            format!(
+                r#"{{"verb":"health","x":{}{}}}"#,
+                "[".repeat(depth),
+                "]".repeat(depth)
+            )
+        };
+        assert_eq!(
+            Request::parse(&nested(MAX_NESTING)).unwrap(),
+            Request::Health
+        );
+        for line in [
+            nested(MAX_NESTING + 1),
+            // Deep enough to overflow a recursive parser's stack.
+            nested(1 << 20),
+            "[".repeat(1 << 20),
+        ] {
+            let err = Request::parse(&line).unwrap_err();
+            assert_eq!(err.code(), "bad_request");
+            assert!(err.to_string().contains("nest"), "{err}");
         }
     }
 
@@ -815,6 +1459,16 @@ mod tests {
         let line = r#"{"verb":"infer","model":"m","shape":[1,1,1,1],"data":[0.5]}"#;
         match Request::parse(line).unwrap() {
             Request::Infer { precision, .. } => assert_eq!(precision, Precision::Fp64),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_integer_deadline_is_a_number() {
+        let line =
+            r#"{"verb":"infer","model":"m","deadline_ms":25,"shape":[1,1,1,1],"data":[0.5]}"#;
+        match Request::parse(line).unwrap() {
+            Request::Infer { deadline_ms, .. } => assert_eq!(deadline_ms, Some(25.0)),
             other => panic!("{other:?}"),
         }
     }
@@ -834,6 +1488,8 @@ mod tests {
             r#"{"verb":"infer","model":"m","precision":"int3","shape":[1,1,1,1],"data":[1.0]}"#,
             r#"{"verb":"infer","model":"m","precision":7,"shape":[1,1,1,1],"data":[1.0]}"#,
             r#"{"verb":"infer","model":"m","deadline_ms":"soon","shape":[1,1,1,1],"data":[1.0]}"#,
+            r#"{"verb":"infer","model":"m","shape":[1,1,1,1],"data":["x"]}"#,
+            r#"{"verb":"infer","model":"m","shape":[1,1,1,1],"data":[1.0,]}"#,
             "[1,2,3]",
             // Shape whose element product wraps usize: must be refused,
             // not wrapped to a small count that matches `data`.

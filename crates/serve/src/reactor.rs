@@ -131,7 +131,7 @@ impl Conn {
 fn encode_into(resp: &Response, wire: Wire, buf: &mut Vec<u8>) {
     match wire {
         Wire::Json => {
-            buf.extend_from_slice(resp.to_json().as_bytes());
+            resp.append_json(buf);
             buf.push(b'\n');
         }
         Wire::Binary => frame::encode_response(resp, buf),
@@ -429,13 +429,16 @@ fn process_inbuf(
                     );
                     return;
                 }
-                let line: Vec<u8> = conn.inbuf.drain(..=pos).collect();
-                let line = String::from_utf8_lossy(&line[..line.len() - 1]).into_owned();
-                if line.trim().is_empty() {
-                    continue;
-                }
+                // Parsed where it lies (valid UTF-8 borrows; only a line
+                // with invalid bytes is copied, lossily), then drained.
+                let line = String::from_utf8_lossy(&conn.inbuf[..pos]);
                 let decode_start_us = clock::now_us();
-                match Request::parse(&line) {
+                let parsed = (!line.trim().is_empty()).then(|| Request::parse(&line));
+                conn.inbuf.drain(..=pos);
+                let Some(parsed) = parsed else {
+                    continue;
+                };
+                match parsed {
                     Ok(req) => dispatch(req, conn, wire, shared, notify, decode_start_us),
                     // Matches the old server: a malformed line gets an
                     // error response but the connection survives (the

@@ -4,18 +4,58 @@
 //! panic, never a stalled reactor.
 //!
 //! Codec-level properties exercise `frame::{decode_request,
-//! ResponseAssembler}` directly; transport-level properties drive a live
-//! server through raw sockets.
+//! ResponseAssembler}` and the line codec's `Request::parse` /
+//! `Response::parse` directly; transport-level properties drive a live
+//! server (or a live client) through raw sockets.
 
 use proptest::prelude::*;
 use ringcnn_nn::prelude::*;
 use ringcnn_serve::frame::{self, DecodeStep};
 use ringcnn_serve::prelude::*;
+use ringcnn_serve::server::MAX_LINE_BYTES;
 use ringcnn_tensor::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::{BufRead, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
+
+thread_local! {
+    /// The largest single block this thread has allocated since it last
+    /// reset the count (const-initialised and without a destructor, so
+    /// the allocator below can read it without allocating).
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+struct LargestBlock;
+
+// SAFETY: every request is forwarded unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the thread-local count on the side
+// never touches the memory handed out. (`realloc` and `alloc_zeroed`
+// keep their default bodies, which go through `alloc` below.)
+unsafe impl GlobalAlloc for LargestBlock {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LARGEST.with(|largest| largest.set(largest.get().max(layout.size())));
+        // SAFETY: the caller's layout, passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: LargestBlock = LargestBlock;
+
+/// The largest block `f` allocates on this thread.
+fn largest_block<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|largest| largest.set(0));
+    let out = f();
+    (out, LARGEST.with(Cell::get))
+}
 
 /// One tiny real-field VDSR: cheap enough to build per test.
 fn tiny_registry() -> Arc<ModelRegistry> {
@@ -44,6 +84,40 @@ fn encoded_infer(h: usize, w: usize, seed: u64) -> Vec<u8> {
     let mut bytes = Vec::new();
     frame::encode_request(&req, &mut bytes);
     bytes
+}
+
+/// A valid `infer` request line and a valid `infer` response line for an
+/// `h`×`w` tile (no trailing newline).
+fn json_infer_lines(h: usize, w: usize, seed: u64) -> [String; 2] {
+    let x = Tensor::random_uniform(Shape4::new(1, 1, h, w), -1.0, 1.0, seed);
+    let request = Request::Infer {
+        model: "m".into(),
+        precision: Precision::Quant,
+        shape: x.shape(),
+        data: x.as_slice().to_vec(),
+        deadline_ms: Some(2.5),
+    };
+    let response = Response::Infer {
+        shape: x.shape(),
+        data: x.as_slice().to_vec(),
+        queue_ms: 0.25,
+        total_ms: 1.5,
+        batch_size: 1,
+    };
+    [request.to_json(), response.to_json()]
+}
+
+/// Both line decoders on `bytes` (lossily read as UTF-8, as the reactor
+/// and the client read a line): each answer is a message or a
+/// `bad_request`.
+fn line_decoders_answer(bytes: &[u8]) {
+    let line = String::from_utf8_lossy(bytes);
+    if let Err(e) = Request::parse(&line) {
+        assert_eq!(e.code(), "bad_request", "{line:?}");
+    }
+    if let Err(e) = Response::parse(&line) {
+        assert_eq!(e.code(), "bad_request", "{line:?}");
+    }
 }
 
 /// Reads binary responses off a raw socket until one completes (10 s
@@ -135,16 +209,57 @@ proptest! {
             DecodeStep::Item(_, consumed) => prop_assert!(consumed <= bytes.len()),
             DecodeStep::Fail(e) => prop_assert_eq!(e.code(), "bad_request"),
         }
+        // The same on the line wire: a flipped bit anywhere in a valid
+        // infer line, request or response.
+        for line in json_infer_lines(3, 3, seed) {
+            let mut bytes = line.into_bytes();
+            let idx = (idx_frac * (bytes.len() - 1) as f64) as usize;
+            bytes[idx] ^= 1 << bit;
+            line_decoders_answer(&bytes);
+        }
+    }
+
+    /// Every torn prefix of a valid infer line is refused as
+    /// `bad_request`: an object without its closing brace is no message.
+    #[test]
+    fn torn_json_lines_are_bad_requests(cut_frac in 0.0f64..1.0, seed in 0u64..1_000_000) {
+        for line in json_infer_lines(3, 4, seed) {
+            let random_cut = (cut_frac * (line.len() - 1) as f64) as usize;
+            for cut in [random_cut, 0, 1, line.len() / 2, line.len() - 1] {
+                let torn = &line.as_bytes()[..cut];
+                line_decoders_answer(torn);
+                let torn = String::from_utf8_lossy(torn);
+                prop_assert!(Request::parse(&torn).is_err(), "{} bytes decoded", cut);
+                prop_assert!(Response::parse(&torn).is_err(), "{} bytes decoded", cut);
+            }
+        }
     }
 
     /// Pure random garbage through every decoder entry point: anything
-    /// but a panic is acceptable.
+    /// but a panic is acceptable, and the line decoders answer with a
+    /// message or a `bad_request`.
     #[test]
     fn random_garbage_never_panics_any_decoder(bytes in collection::vec(0u8..=255u8, 64)) {
         let _ = frame::negotiate(&bytes);
         let _ = frame::decode_request(&bytes, 4096);
         let mut asm = frame::ResponseAssembler::new();
         let _ = asm.feed(&bytes, 4096, |_| {});
+        line_decoders_answer(&bytes);
+    }
+
+    /// Garbage spelled in JSON's own alphabet reaches deeper into the
+    /// line decoders than random bytes do.
+    #[test]
+    fn json_alphabet_garbage_is_answered(picks in collection::vec(0usize..24, 96)) {
+        const ALPHABET: [&str; 24] = [
+            "{", "}", "[", "]", ",", ":", "\"", "\\", " ", "-", "0", "7", ".", "e",
+            "null", "true", "\"data\"", "\"shape\"", "\"verb\"", "\"infer\"",
+            "\"ok\"", "\"model\"", "1e400", "\u{e9}",
+        ];
+        let text: String = picks.iter().map(|&i| ALPHABET[i]).collect();
+        line_decoders_answer(text.as_bytes());
+        let object = format!("{{\"verb\":\"infer\",\"data\":[{text}");
+        line_decoders_answer(object.as_bytes());
     }
 
     /// A declared body length beyond the cap fails immediately as
@@ -167,7 +282,60 @@ proptest! {
     }
 }
 
+/// A declared `shape` is untrusted: a line claiming 2^40 samples and
+/// carrying one is refused by the sample count, and nothing it allocates
+/// is sized from the shape (a 4 TiB request would abort the process).
+#[test]
+fn a_huge_shape_with_one_sample_is_refused_without_allocating_for_it() {
+    let line = r#"{"verb":"infer","model":"m","shape":[1048576,1048576,1,1],"data":[0.5]}"#;
+    let (parsed, largest) = largest_block(|| Request::parse(line));
+    let err = parsed.unwrap_err();
+    assert_eq!(err.code(), "bad_request");
+    assert!(err.to_string().contains("got 1"), "{err}");
+    assert!(largest < 4 * line.len(), "a {largest}-byte block");
+    let line = line.replace(
+        r#""verb":"infer","model":"m""#,
+        r#""ok":true,"verb":"infer""#,
+    );
+    let (parsed, largest) = largest_block(|| Response::parse(&line));
+    assert!(parsed.is_err(), "{parsed:?}");
+    assert!(largest < 4 * line.len(), "a {largest}-byte block");
+}
+
 // --- Transport-level properties (live server, raw sockets) -----------------
+
+/// A server that never ends its response line: the client refuses the
+/// line once it passes [`MAX_LINE_BYTES`], the way the frame assembler
+/// refuses an oversized frame, instead of buffering without bound.
+#[test]
+fn an_endless_response_line_is_refused_at_the_cap() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let mut request = String::new();
+        std::io::BufReader::new(&stream)
+            .read_line(&mut request)
+            .unwrap();
+        // Spaces and never a newline, until the client hangs up (it
+        // reads only as far as the cap) or twice the cap has gone out.
+        let chunk = vec![b' '; 1 << 16];
+        for _ in 0..2 * MAX_LINE_BYTES / chunk.len() {
+            if (&stream).write_all(&chunk).is_err() {
+                break;
+            }
+        }
+    });
+    let mut client = Client::connect(addr).unwrap();
+    client
+        .set_io_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let err = client.health().unwrap_err();
+    assert_eq!(err.code(), "bad_request", "{err}");
+    assert!(err.to_string().contains("exceeds"), "{err}");
+    drop(client);
+    server.join().unwrap();
+}
 
 /// Clients that vanish mid-frame (on both wires, at arbitrary cut
 /// points) must not wedge the reactor: the server stays healthy and
