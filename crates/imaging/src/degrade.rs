@@ -1,5 +1,13 @@
 //! Degradation models: additive white Gaussian noise (denoising task) and
 //! bicubic-style rescaling (super-resolution task).
+//!
+//! Every bicubic resampling — [`resize_bicubic`], [`upsample`],
+//! [`upsample_window`], the [`downsample`] after its box prefilter, and
+//! the scatter of [`resize_bicubic_adjoint`] — reads one table per axis:
+//! for each output index, its non-zero taps (clamped source index,
+//! kernel weight), computed once. The kernel is evaluated per output
+//! row and column, not per tap, and a window is evaluated from the
+//! whole input's geometry without touching the rest of the output.
 
 use rand::Rng;
 use rand::SeedableRng;
@@ -37,49 +45,70 @@ fn cubic(t: f32) -> f32 {
     }
 }
 
-/// Bicubic resize of every plane to `(new_h, new_w)` with edge clamping.
-pub fn resize_bicubic(input: &Tensor, new_h: usize, new_w: usize) -> Tensor {
+/// The taps of output indices `from..from + count` of an axis of `dst`
+/// samples resampled from `src` (pixel centres aligned): per index, the
+/// source indices `i0 + d`, `d = −1..3`, clamped to the axis, with their
+/// weights `cubic(d − t)`, in that order and without zero weights.
+fn axis_taps(src: usize, dst: usize, from: usize, count: usize) -> Vec<Vec<(usize, f32)>> {
+    assert!(
+        src > 0 || count == 0,
+        "bicubic resampling: an empty source axis cannot fill {dst} samples"
+    );
+    let scale = src as f32 / dst as f32;
+    let taps = |i: usize| {
+        // Sample at pixel centers.
+        let f = (i as f32 + 0.5) * scale - 0.5;
+        let i0 = f.floor() as isize;
+        let t = f - i0 as f32;
+        let at = |d: isize| (i0 + d).clamp(0, src as isize - 1) as usize;
+        let taps = (-1..3).map(|d| (at(d), cubic(d as f32 - t)));
+        taps.filter(|&(_, w)| w != 0.0).collect()
+    };
+    (from..from + count).map(taps).collect()
+}
+
+/// The `h × w` window at `(top, left)` of every plane of `input` resized
+/// to `out_h × out_w`: each sample is `Σ wy·wx·src / Σ wy·wx` over its
+/// row taps (outer) and column taps (inner), read from the axis tables.
+fn resample(
+    input: &Tensor,
+    (out_h, out_w): (usize, usize),
+    (top, left, h, w): (usize, usize, usize, usize),
+) -> Tensor {
     let s = input.shape();
-    let mut out = Tensor::zeros(Shape4::new(s.n, s.c, new_h, new_w));
-    let sy = s.h as f32 / new_h as f32;
-    let sx = s.w as f32 / new_w as f32;
-    for b in 0..s.n {
-        for c in 0..s.c {
-            let src = input.plane(b, c);
-            let dst = out.plane_mut(b, c);
-            for y in 0..new_h {
-                // Sample at pixel centers.
-                let fy = (y as f32 + 0.5) * sy - 0.5;
-                let y0 = fy.floor() as isize;
-                let ty = fy - y0 as f32;
-                for x in 0..new_w {
-                    let fx = (x as f32 + 0.5) * sx - 0.5;
-                    let x0 = fx.floor() as isize;
-                    let tx = fx - x0 as f32;
-                    let mut acc = 0.0f32;
-                    let mut wsum = 0.0f32;
-                    for dy in -1..3isize {
-                        let wy = cubic(dy as f32 - ty);
-                        if wy == 0.0 {
-                            continue;
-                        }
-                        let yy = (y0 + dy).clamp(0, s.h as isize - 1) as usize;
-                        for dx in -1..3isize {
-                            let wx = cubic(dx as f32 - tx);
-                            if wx == 0.0 {
-                                continue;
-                            }
-                            let xx = (x0 + dx).clamp(0, s.w as isize - 1) as usize;
-                            acc += wy * wx * src[yy * s.w + xx];
-                            wsum += wy * wx;
-                        }
+    let mut out = Tensor::zeros(Shape4::new(s.n, s.c, h, w));
+    if out.as_slice().is_empty() {
+        return out;
+    }
+    let rows = axis_taps(s.h, out_h, top, h);
+    let cols = axis_taps(s.w, out_w, left, w);
+    let planes = input.as_slice().chunks(s.plane());
+    for (src, dst) in planes.zip(out.as_mut_slice().chunks_mut(h * w)) {
+        for (dst, ty) in dst.chunks_mut(w).zip(&rows) {
+            for (o, tx) in dst.iter_mut().zip(&cols) {
+                let mut acc = 0.0f32;
+                let mut wsum = 0.0f32;
+                for &(yy, wy) in ty {
+                    let line = &src[yy * s.w..];
+                    for &(xx, wx) in tx {
+                        acc += wy * wx * line[xx];
+                        wsum += wy * wx;
                     }
-                    dst[y * new_w + x] = acc / wsum.max(1e-9);
                 }
+                *o = acc / wsum.max(1e-9);
             }
         }
     }
     out
+}
+
+/// Bicubic resize of every plane to `(new_h, new_w)` with edge clamping.
+///
+/// # Panics
+///
+/// Panics if a source plane is empty and the target is not.
+pub fn resize_bicubic(input: &Tensor, new_h: usize, new_w: usize) -> Tensor {
+    resample(input, (new_h, new_w), (0, 0, new_h, new_w))
 }
 
 /// Bicubic ×`factor` downsampling (the paper's SR low-resolution input
@@ -87,33 +116,39 @@ pub fn resize_bicubic(input: &Tensor, new_h: usize, new_w: usize) -> Tensor {
 ///
 /// # Panics
 ///
-/// Panics if the spatial size is not divisible by `factor`.
+/// Panics if `factor` is 0 or the spatial size is not divisible by it.
 pub fn downsample(input: &Tensor, factor: usize) -> Tensor {
+    assert!(factor > 0, "downsample factor must be at least 1");
     let s = input.shape();
     assert_eq!(s.h % factor, 0, "height {} not divisible by {factor}", s.h);
     assert_eq!(s.w % factor, 0, "width {} not divisible by {factor}", s.w);
-    // Box prefilter at the target scale, then bicubic resampling.
+    // Box prefilter at the target scale, then bicubic resampling. Each
+    // output row sums `side` rows (outer) of the edge-replicated plane at
+    // `side` shifts (inner): one sample's order, one lane per sample.
+    let half = factor / 2;
+    let side = 2 * half + 1;
+    let cnt = (side * side) as f32;
     let mut pre = Tensor::zeros(s);
-    for b in 0..s.n {
-        for c in 0..s.c {
-            let src = input.plane(b, c);
-            let dst = pre.plane_mut(b, c);
-            let half = (factor / 2) as isize;
-            for y in 0..s.h as isize {
-                for x in 0..s.w as isize {
-                    let mut acc = 0.0;
-                    let mut cnt = 0.0;
-                    for dy in -half..=half {
-                        for dx in -half..=half {
-                            let yy = (y + dy).clamp(0, s.h as isize - 1) as usize;
-                            let xx = (x + dx).clamp(0, s.w as isize - 1) as usize;
-                            acc += src[yy * s.w + xx];
-                            cnt += 1.0;
-                        }
-                    }
-                    dst[(y as usize) * s.w + x as usize] = acc / cnt;
+    let pw = s.w + 2 * half;
+    let mut padded = vec![0.0f32; s.h * pw];
+    let mut acc = vec![0.0f32; s.w];
+    let planes = input.as_slice().chunks(s.plane().max(1));
+    for (src, dst) in planes.zip(pre.as_mut_slice().chunks_mut(s.plane().max(1))) {
+        for (row, line) in padded.chunks_mut(pw).zip(src.chunks(s.w)) {
+            for (i, p) in row.iter_mut().enumerate() {
+                *p = line[i.saturating_sub(half).min(s.w - 1)];
+            }
+        }
+        for (y, dst) in dst.chunks_mut(s.w).enumerate() {
+            acc.fill(0.0);
+            for dy in 0..side {
+                let yy = (y + dy).saturating_sub(half).min(s.h - 1);
+                let row = &padded[yy * pw..][..pw];
+                for dx in 0..side {
+                    acc.iter_mut().zip(&row[dx..]).for_each(|(a, p)| *a += p);
                 }
             }
+            dst.iter_mut().zip(&acc).for_each(|(o, a)| *o = a / cnt);
         }
     }
     resize_bicubic(&pre, s.h / factor, s.w / factor)
@@ -126,50 +161,58 @@ pub fn upsample(input: &Tensor, factor: usize) -> Tensor {
     resize_bicubic(input, s.h * factor, s.w * factor)
 }
 
+/// The `h × w` window at `(top, left)` of [`upsample`]`(input, factor)`,
+/// bit for bit: every sample is placed by `input`'s whole geometry, and
+/// only the window is evaluated — the bicubic skip of a tile that
+/// computes only the region the rest of its chain reads.
+///
+/// # Panics
+///
+/// Panics if the window does not lie inside the upsampled extent.
+pub fn upsample_window(
+    input: &Tensor,
+    factor: usize,
+    (top, left, h, w): (usize, usize, usize, usize),
+) -> Tensor {
+    let s = input.shape();
+    let (up_h, up_w) = (s.h * factor, s.w * factor);
+    assert!(
+        top + h <= up_h && left + w <= up_w,
+        "upsample_window: {h}x{w} at ({top}, {left}) outside the {up_h}x{up_w} upsampling"
+    );
+    resample(input, (up_h, up_w), (top, left, h, w))
+}
+
 /// Adjoint (transpose) of [`resize_bicubic`]: scatters a gradient on the
 /// resized grid back onto the source grid. Needed to backpropagate
 /// through bicubic skip connections.
+///
+/// # Panics
+///
+/// Panics if the source plane is empty and `dout`'s is not.
 pub fn resize_bicubic_adjoint(dout: &Tensor, src_h: usize, src_w: usize) -> Tensor {
     let s = dout.shape();
     let mut out = Tensor::zeros(Shape4::new(s.n, s.c, src_h, src_w));
-    let sy = src_h as f32 / s.h as f32;
-    let sx = src_w as f32 / s.w as f32;
-    for b in 0..s.n {
-        for c in 0..s.c {
-            let grad = dout.plane(b, c);
-            let dst = out.plane_mut(b, c);
-            for y in 0..s.h {
-                let fy = (y as f32 + 0.5) * sy - 0.5;
-                let y0 = fy.floor() as isize;
-                let ty = fy - y0 as f32;
-                for x in 0..s.w {
-                    let fx = (x as f32 + 0.5) * sx - 0.5;
-                    let x0 = fx.floor() as isize;
-                    let tx = fx - x0 as f32;
-                    // Recompute the forward weights and scatter.
-                    let mut wsum = 0.0f32;
-                    let mut taps = [(0usize, 0.0f32); 16];
-                    let mut count = 0;
-                    for dy in -1..3isize {
-                        let wy = cubic(dy as f32 - ty);
-                        if wy == 0.0 {
-                            continue;
-                        }
-                        let yy = (y0 + dy).clamp(0, src_h as isize - 1) as usize;
-                        for dx in -1..3isize {
-                            let wx = cubic(dx as f32 - tx);
-                            if wx == 0.0 {
-                                continue;
-                            }
-                            let xx = (x0 + dx).clamp(0, src_w as isize - 1) as usize;
-                            taps[count] = (yy * src_w + xx, wy * wx);
-                            wsum += wy * wx;
-                            count += 1;
-                        }
+    if dout.as_slice().is_empty() {
+        return out;
+    }
+    let rows = axis_taps(src_h, s.h, 0, s.h);
+    let cols = axis_taps(src_w, s.w, 0, s.w);
+    let planes = dout.as_slice().chunks(s.plane());
+    for (grad, dst) in planes.zip(out.as_mut_slice().chunks_mut(src_h * src_w)) {
+        for (grad, ty) in grad.chunks(s.w).zip(&rows) {
+            for (g, tx) in grad.iter().zip(&cols) {
+                // The forward's normalization, then the scatter.
+                let mut wsum = 0.0f32;
+                for &(_, wy) in ty {
+                    for &(_, wx) in tx {
+                        wsum += wy * wx;
                     }
-                    let g = grad[y * s.w + x] / wsum.max(1e-9);
-                    for &(idx, w) in &taps[..count] {
-                        dst[idx] += w * g;
+                }
+                let g = g / wsum.max(1e-9);
+                for &(yy, wy) in ty {
+                    for &(xx, wx) in tx {
+                        dst[yy * src_w + xx] += wy * wx * g;
                     }
                 }
             }

@@ -6,38 +6,11 @@
 //! bicubic baseline instead of random output.
 
 use crate::layer::{forward_whole, Layer, Node, SkipKind};
-use crate::layers::shuffle::cropped;
 use crate::layers::structure::Sequential;
 use crate::runtime::TileHalo;
-use ringcnn_imaging::degrade::{resize_bicubic_adjoint, upsample};
+use ringcnn_imaging::degrade::{resize_bicubic_adjoint, upsample, upsample_window};
 use ringcnn_tensor::tensor::Tensor;
 use std::borrow::Cow;
-
-/// What the bicubic skip adds to the `h × w` region at `(top, left)` of
-/// `upsample(input, factor)`, interpolated from no more of `input` than
-/// the region reads — the source pixels under it and 2 around them,
-/// fewer where `input` ends, so the edge clamping of the interpolator
-/// sees the edges it would see in the whole tile: the ×`factor` of that
-/// crop and where the region sits in it. Bit for bit the values of the
-/// whole upsampling (a shift by whole source pixels is exact).
-pub fn upsample_region(
-    input: &Tensor,
-    factor: usize,
-    (top, left, h, w): (usize, usize, usize, usize),
-) -> (Tensor, usize, usize) {
-    let s = input.shape();
-    let lo = |at: usize| (at / factor).saturating_sub(2);
-    let hi = |end: usize, len: usize| len - (end.div_ceil(factor) + 2).min(len);
-    let cut = [lo(top), lo(left), hi(top + h, s.h), hi(left + w, s.w)];
-    let src = if cut == [0; 4] {
-        Cow::Borrowed(input)
-    } else {
-        let (shape, data) = cropped(input.as_slice(), s, cut);
-        Cow::Owned(Tensor::from_vec(shape, data))
-    };
-    let skip = upsample(&src, factor);
-    (skip, top - cut[0] * factor, left - cut[1] * factor)
-}
 
 /// `body(x) + bicubic_upsample(x, factor)`.
 pub struct UpsampleResidual {
@@ -100,8 +73,7 @@ impl Layer for UpsampleResidual {
         let (mut out, _) = self.body.forward_step(Cow::Borrowed(&*input), tile, 1);
         let s = out.shape();
         let region = (top - tile.margin[0], left - tile.margin[1], s.h, s.w);
-        let (skip, y0, x0) = upsample_region(&input, self.factor, region);
-        out.add_window(&skip, y0, x0);
+        out.add_assign(&upsample_window(&input, self.factor, region));
         (out, false)
     }
 

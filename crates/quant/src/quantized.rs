@@ -37,12 +37,11 @@
 use crate::qformat::{requant_shift, QFormat, QFormatError};
 use crate::qtensor::{expand_formats, group_max_abs, QTensor, QTensorOf, Store, BLOCK};
 use ringcnn_algebra::transforms::{fwht_i64, fwht_planes};
-use ringcnn_imaging::degrade::upsample;
+use ringcnn_imaging::degrade::{upsample, upsample_window};
 use ringcnn_nn::layer::{Layer, Node, SkipKind};
 use ringcnn_nn::layers::conv::AnyConv;
 use ringcnn_nn::layers::shuffle::{cropped, shuffle_into, unshuffle_into};
 use ringcnn_nn::layers::structure::Sequential;
-use ringcnn_nn::layers::upsample::upsample_region;
 use ringcnn_nn::runtime::{InferenceModel, ModelTopo, TileHalo};
 use ringcnn_tensor::gemm::{ChunkEpilogue, PackedWeights, RequantChannel, RequantPlan};
 use ringcnn_tensor::im2col::{conv_streaming_i32, ConvInput};
@@ -912,10 +911,10 @@ fn run_stage<S: Store>(
             // re-quantized at the output format (deterministic).
             let (h, w) = (out.shape().h, out.shape().w);
             let region = (top - tile.margin[0], left - tile.margin[1], h, w);
-            let (skip_f, y0, x0) = upsample_region(&q.dequantize(), ur.factor, region);
+            let skip_f = upsample_window(&q.dequantize(), ur.factor, region);
             let formats = expand_formats(&ur.out_formats, out.shape().c);
             let skip = QTensorOf::quantize(&skip_f, formats.clone());
-            out.add_window_saturating(&skip, (y0, x0), formats);
+            out.add_assign_saturating(&skip, formats);
             out
         }
         QLayer::Conv(_) | QLayer::DRelu(_) => unreachable!("each walk runs its own"),

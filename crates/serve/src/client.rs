@@ -11,7 +11,7 @@
 
 use crate::error::ServeError;
 use crate::frame::{self, Tile};
-use crate::protocol::{HealthReply, ModelInfo, Request, Response, Wire};
+use crate::protocol::{find_newline, HealthReply, ModelInfo, Request, Response, Wire};
 use crate::registry::{Precision, ReloadReport};
 use crate::server::MAX_LINE_BYTES;
 use crate::stats::StatsSnapshot;
@@ -191,10 +191,9 @@ impl Client {
         let mut scanned = 0;
         loop {
             match self.wire {
-                Wire::Json => match self.inbuf[scanned..].iter().position(|b| *b == b'\n') {
-                    Some(n) => {
+                Wire::Json => match find_newline(&self.inbuf, &mut scanned) {
+                    Some(pos) => {
                         // Parsed where it lies, then drained.
-                        let pos = scanned + n;
                         let line = String::from_utf8_lossy(&self.inbuf[..pos]);
                         let parsed = (!line.trim().is_empty()).then(|| Response::parse(&line));
                         self.inbuf.drain(..=pos);
@@ -211,7 +210,7 @@ impl Client {
                             "response line exceeds {MAX_LINE_BYTES} bytes"
                         )));
                     }
-                    None => scanned = self.inbuf.len(),
+                    None => {}
                 },
                 Wire::Binary => {
                     let (consumed, resp) =

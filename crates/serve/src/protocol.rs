@@ -1014,6 +1014,18 @@ impl Response {
     }
 }
 
+/// Where the first `\n` of `buf` is, scanning on from `*scanned` — how
+/// much of `buf` is known to hold none — and, on a miss, recording that
+/// none of it does: a line that arrives over many reads is scanned once,
+/// not once per read. Whoever drains `buf` resets `*scanned` to 0.
+pub(crate) fn find_newline(buf: &[u8], scanned: &mut usize) -> Option<usize> {
+    let found = buf[*scanned..].iter().position(|b| *b == b'\n');
+    if found.is_none() {
+        *scanned = buf.len();
+    }
+    found.map(|n| *scanned + n)
+}
+
 /// The one sample list both codecs' round-trip suites walk (this
 /// module's and [`crate::frame`]'s), so a verb added to one wire cannot
 /// be forgotten on the other.
@@ -1206,6 +1218,25 @@ mod tests {
             }
             serde_json::to_string(&Value::Object(members)).unwrap()
         }
+    }
+
+    #[test]
+    fn a_missed_newline_scan_resumes_at_its_offset() {
+        let mut buf = b"{\"verb\":".to_vec();
+        let mut scanned = 0;
+        assert_eq!(find_newline(&buf, &mut scanned), None);
+        assert_eq!(scanned, buf.len());
+        // Bytes already scanned are not read again: a newline planted
+        // among them (which a fresh scan would find) stays unseen…
+        buf[2] = b'\n';
+        buf.extend_from_slice(b"\"health\"}");
+        assert_eq!(find_newline(&buf, &mut scanned), None);
+        assert_eq!(scanned, buf.len());
+        // …and the one that arrives next is found at its position in
+        // the whole buffer.
+        buf.extend_from_slice(b"\n{");
+        assert_eq!(find_newline(&buf, &mut scanned), Some(buf.len() - 2));
+        assert_eq!(find_newline(&buf, &mut 0), Some(2));
     }
 
     /// A decode with its `data` moved out as bit patterns (NaN equals

@@ -37,7 +37,7 @@ use crate::error::ServeError;
 use crate::frame;
 use crate::lock_unpoisoned;
 use crate::poll::{Event, Mode, Poller, Waker};
-use crate::protocol::{HealthReply, Request, Response, Wire};
+use crate::protocol::{find_newline, HealthReply, Request, Response, Wire};
 use crate::scheduler::Done;
 use crate::server::ServerShared;
 use ringcnn_trace::span;
@@ -104,6 +104,8 @@ struct Conn {
     token: u64,
     wire: ConnWire,
     inbuf: Vec<u8>,
+    /// How much of `inbuf` is known to hold no newline (JSON wire).
+    scanned: usize,
     /// EOF (or poisoned input) — stop reading, finish writing, close.
     read_closed: bool,
     out: Arc<Mutex<OutState>>,
@@ -116,6 +118,7 @@ impl Conn {
             token,
             wire: ConnWire::Negotiating,
             inbuf: Vec::new(),
+            scanned: 0,
             read_closed: false,
             out: Arc::new(Mutex::new(OutState {
                 buf: Vec::new(),
@@ -361,6 +364,7 @@ fn poison(conn: &mut Conn, wire: Wire, err: ServeError) {
     out.close_after_flush = true;
     drop(out);
     conn.inbuf.clear();
+    conn.scanned = 0;
     conn.read_closed = true;
 }
 
@@ -409,7 +413,7 @@ fn process_inbuf(
         }
         match wire {
             Wire::Json => {
-                let Some(pos) = conn.inbuf.iter().position(|b| *b == b'\n') else {
+                let Some(pos) = find_newline(&conn.inbuf, &mut conn.scanned) else {
                     if conn.inbuf.len() > max_frame {
                         poison(
                             conn,
@@ -435,6 +439,7 @@ fn process_inbuf(
                 let decode_start_us = clock::now_us();
                 let parsed = (!line.trim().is_empty()).then(|| Request::parse(&line));
                 conn.inbuf.drain(..=pos);
+                conn.scanned = 0;
                 let Some(parsed) = parsed else {
                     continue;
                 };

@@ -195,6 +195,60 @@ fn prepared_convs_allocate_their_output_and_retain_no_plane_sized_scratch() {
 
     whole_models_stop_copying_what_they_own();
     tiles_consume_their_halo();
+    the_bicubic_skip_of_a_tile_allocates_its_region();
+}
+
+/// Through `forward_tile` the bicubic skip evaluates the region its body
+/// wrote, from the tile's whole geometry: one region-sized tensor, no
+/// copy of a source crop and no upsampling of it; called from the one
+/// `#[test]` (see the module docs).
+fn the_bicubic_skip_of_a_tile_allocates_its_region() {
+    use ringcnn_nn::runtime::{InferenceModel, TileHalo};
+    // A ×4 skip around a 1×1 conv into the depth-to-space sink, so the
+    // body builds one tensor of the region too. An interior 44×44 tile,
+    // 16 pixels of margin and a halo of 12: the skip takes 2 of it, the
+    // body writes 12 + 2·10 LR pixels a side, a 128×128 region at
+    // (24, 24) of the tile's 176×176 upsampling. The crop-based skip
+    // copied the 36×36 source pixels under it and 2 around them and
+    // upsampled those to a 144×144 tensor: a block larger than the
+    // region. Measured with this code at the parent commit: 170 200 B
+    // allocated, the largest block 82 944 B; 157 032 B and 65 536 B when
+    // written: two regions, the skip's two axis tables (88 B an output
+    // row or column, 22 KiB) and the conv's task lists.
+    let mut conv = Conv2d::new(1, 16, 1, 3);
+    conv.set_backend(ConvBackend::Im2col);
+    let body = Sequential::new()
+        .with(Box::new(conv))
+        .with(Box::new(PixelShuffle::new(4)));
+    let mut model = Sequential::new().with(Box::new(UpsampleResidual::new(body, 4)));
+    InferenceModel::prepare_inference(&mut model);
+    let x = Tensor::random_uniform(Shape4::new(1, 1, 44, 44), 0.0, 1.0, 12);
+    let tile = TileHalo::new([16; 4], 12);
+    let out = model.forward_tile(&x, &mut tile.clone());
+    assert_eq!(out.shape(), Shape4::new(1, 1, 128, 128));
+    let region = 128 * 128 * 4;
+    // ordering: single-threaded bookkeeping, as in `spent`.
+    PLANE_ORDER.store(region, Ordering::Relaxed);
+    let (skip, blocks) = (0..4)
+        .map(|_| {
+            PLANE_ORDER_BLOCKS.store(0, Ordering::Relaxed);
+            let s = spent(|| model.forward_tile(&x, &mut tile.clone()));
+            (s, PLANE_ORDER_BLOCKS.load(Ordering::Relaxed))
+        })
+        .min_by_key(|(s, _)| s.total)
+        .expect("four calls");
+    PLANE_ORDER.store(usize::MAX, Ordering::Relaxed);
+    assert!(
+        skip.largest <= region && blocks == 2,
+        "a 44x44 tile through the bicubic skip allocated {blocks} blocks of at least its {region} B \
+         region, the largest {} B",
+        skip.largest
+    );
+    assert!(
+        skip.total <= 2 * region + 32 * KIB,
+        "a 44x44 tile through the bicubic skip allocated {} B for a region of {region} B",
+        skip.total
+    );
 }
 
 /// Inside a tile every convolution writes only what the rest of the

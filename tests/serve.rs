@@ -346,6 +346,44 @@ fn protocol_errors_do_not_kill_the_connection() {
     server.shutdown();
 }
 
+/// A peer that drips its line a few bytes per write gets the same answer
+/// as one that sends it whole: the reactor resumes its newline scan
+/// where the last readable event left it, across dozens of events.
+#[test]
+fn an_infer_line_dripped_in_small_writes_is_answered_exactly() {
+    let server = Server::start(smoke_registry(), ServerConfig::default()).expect("bind");
+    let addr = server.addr().to_string();
+    let (ffd, _) = reference_models();
+    let x = Tensor::random_uniform(Shape4::new(1, 1, 8, 8), 0.0, 1.0, 41);
+    let request = Request::Infer {
+        model: "ffdnet_real".into(),
+        precision: Precision::Fp64,
+        shape: x.shape(),
+        data: x.as_slice().to_vec(),
+        deadline_ms: None,
+    };
+    let line = request.to_json() + "\n";
+
+    use std::io::{BufRead, BufReader, Write};
+    let stream = std::net::TcpStream::connect(&addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    for (i, chunk) in line.as_bytes().chunks(7).enumerate() {
+        (&stream).write_all(chunk).unwrap();
+        if i % 4 == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    let Ok(Response::Infer { shape, data, .. }) = Response::parse(&reply) else {
+        panic!("not an infer reply: {reply}");
+    };
+    assert_eq!(shape, x.shape());
+    assert_eq!(data, ffd.forward_infer(&x).as_slice());
+    server.shutdown();
+}
+
 #[test]
 fn shutdown_verb_drains_and_stops_the_server() {
     let server = Server::start(
