@@ -8,7 +8,16 @@
 //! kernel weight), computed once. The kernel is evaluated per output
 //! row and column, not per tap, and a window is evaluated from the
 //! whole input's geometry without touching the rest of the output.
+//!
+//! Everything but the adjoint runs on the pool and is bit-identical at
+//! every pool size. [`add_gaussian_noise`] is counter-addressed: sample
+//! `i` of the flat buffer reads words `2i` and `2i + 1` of the seed's
+//! ChaCha stream, so each range of samples seeks to its own start. The
+//! resampler and the box prefilter split every plane into bands of
+//! whole rows; a sample's sum runs in the same order as on one thread.
+//! A call that fits in one band (a 64² tile) runs inline.
 
+use crate::bands;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -19,15 +28,19 @@ use ringcnn_tensor::prelude::*;
 /// tensor. Output is clamped back to `[0, 1]`.
 pub fn add_gaussian_noise(clean: &Tensor, sigma_255: f64, seed: u64) -> Tensor {
     let sigma = (sigma_255 / 255.0) as f32;
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut out = clean.clone();
-    for v in out.as_mut_slice() {
-        // Box–Muller.
-        let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-        let u2: f32 = rng.gen_range(0.0..1.0);
-        let g = (-2.0 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos();
-        *v = (*v + sigma * g).clamp(0.0, 1.0);
-    }
+    bands::ranges(out.as_mut_slice(), |start, samples| {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        // Each sample draws exactly two words.
+        rng.set_word_pos(2 * start as u128);
+        for v in samples {
+            // Box–Muller.
+            let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
+            let u2: f32 = rng.gen_range(0.0..1.0);
+            let g = (-2.0 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos();
+            *v = (*v + sigma * g).clamp(0.0, 1.0);
+        }
+    });
     out
 }
 
@@ -82,9 +95,10 @@ fn resample(
     }
     let rows = axis_taps(s.h, out_h, top, h);
     let cols = axis_taps(s.w, out_w, left, w);
-    let planes = input.as_slice().chunks(s.plane());
-    for (src, dst) in planes.zip(out.as_mut_slice().chunks_mut(h * w)) {
-        for (dst, ty) in dst.chunks_mut(w).zip(&rows) {
+    let input = input.as_slice();
+    bands::rows(out.as_mut_slice(), (h, w), |plane, y, dst| {
+        let src = &input[plane * s.plane()..][..s.plane()];
+        for (dst, ty) in dst.chunks_mut(w).zip(&rows[y..]) {
             for (o, tx) in dst.iter_mut().zip(&cols) {
                 let mut acc = 0.0f32;
                 let mut wsum = 0.0f32;
@@ -98,7 +112,7 @@ fn resample(
                 *o = acc / wsum.max(1e-9);
             }
         }
-    }
+    });
     out
 }
 
@@ -123,35 +137,43 @@ pub fn downsample(input: &Tensor, factor: usize) -> Tensor {
     assert_eq!(s.h % factor, 0, "height {} not divisible by {factor}", s.h);
     assert_eq!(s.w % factor, 0, "width {} not divisible by {factor}", s.w);
     // Box prefilter at the target scale, then bicubic resampling. Each
-    // output row sums `side` rows (outer) of the edge-replicated plane at
-    // `side` shifts (inner): one sample's order, one lane per sample.
+    // output row sums `side` source rows (outer) at `side` shifts
+    // (inner), indices clamped to the plane: one sample's order, one
+    // lane per sample, summed in the output row itself.
     let half = factor / 2;
     let side = 2 * half + 1;
     let cnt = (side * side) as f32;
     let mut pre = Tensor::zeros(s);
-    let pw = s.w + 2 * half;
-    let mut padded = vec![0.0f32; s.h * pw];
-    let mut acc = vec![0.0f32; s.w];
-    let planes = input.as_slice().chunks(s.plane().max(1));
-    for (src, dst) in planes.zip(pre.as_mut_slice().chunks_mut(s.plane().max(1))) {
-        for (row, line) in padded.chunks_mut(pw).zip(src.chunks(s.w)) {
-            for (i, p) in row.iter_mut().enumerate() {
-                *p = line[i.saturating_sub(half).min(s.w - 1)];
-            }
-        }
-        for (y, dst) in dst.chunks_mut(s.w).enumerate() {
-            acc.fill(0.0);
+    let input = input.as_slice();
+    bands::rows(pre.as_mut_slice(), (s.h, s.w), |plane, top, dst| {
+        let src = &input[plane * s.plane()..][..s.plane()];
+        for (y, dst) in (top..).zip(dst.chunks_mut(s.w)) {
             for dy in 0..side {
                 let yy = (y + dy).saturating_sub(half).min(s.h - 1);
-                let row = &padded[yy * pw..][..pw];
+                let line = &src[yy * s.w..][..s.w];
                 for dx in 0..side {
-                    acc.iter_mut().zip(&row[dx..]).for_each(|(a, p)| *a += p);
+                    add_shifted(dst, line, dx as isize - half as isize);
                 }
             }
-            dst.iter_mut().zip(&acc).for_each(|(o, a)| *o = a / cnt);
+            dst.iter_mut().for_each(|o| *o /= cnt);
         }
-    }
+    });
     resize_bicubic(&pre, s.h / factor, s.w / factor)
+}
+
+/// `acc[x] += line[x + shift]` for every `x`, the index clamped to the
+/// line (edge replication).
+fn add_shifted(acc: &mut [f32], line: &[f32], shift: isize) {
+    let w = line.len() as isize;
+    // Samples `..left` read before the line, samples `right..` past it.
+    let left = (-shift).clamp(0, w) as usize;
+    let right = (w - shift.max(0)).clamp(left as isize, w) as usize;
+    let (first, last) = (line[0], line[line.len() - 1]);
+    let inner = line.get((left as isize + shift).max(0) as usize..);
+    acc[..left].iter_mut().for_each(|a| *a += first);
+    let middle = acc[left..right].iter_mut().zip(inner.unwrap_or_default());
+    middle.for_each(|(a, p)| *a += p);
+    acc[right..].iter_mut().for_each(|a| *a += last);
 }
 
 /// Bicubic ×`factor` upsampling (the classical interpolation baseline and

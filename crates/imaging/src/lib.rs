@@ -15,6 +15,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod bands;
 pub mod degrade;
 pub mod metrics;
 pub mod synthetic;

@@ -7,10 +7,21 @@
 //! exercise texture reconstruction, which is what the paper's quality
 //! comparisons measure. See DESIGN.md §3 for why relative PSNR orderings
 //! survive this substitution.
+//!
+//! Images are built on the pool and are bit-identical at every pool
+//! size. A family draws all its parameters first, in one fixed stream
+//! order, and no pixel loop reads the generator; pixels are then filled
+//! in bands of whole rows, each pixel adding the family's layers
+//! (octaves, waves, rectangles) in the order they were drawn, and mapped
+//! onto `[0, 1]` by the minimum and maximum of the whole image. An
+//! image that fits in one band (a 64² tile) is built inline. [`dataset`]
+//! builds its items on the pool too, stacked in index order.
 
+use crate::bands;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use rayon::prelude::*;
 use ringcnn_tensor::prelude::*;
 
 /// A family of procedural image content.
@@ -42,83 +53,125 @@ impl PatternKind {
     }
 }
 
-/// Generates one `[1, 1, h, w]` luma image of the given family.
+/// Generates one `[1, 1, h, w]` luma image of the given family (an
+/// empty one, drawing nothing, when `h` or `w` is 0).
 pub fn generate(kind: PatternKind, h: usize, w: usize, seed: u64) -> Tensor {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut img = vec![0.0f32; h * w];
-    match kind {
-        PatternKind::ValueNoise => value_noise(&mut img, h, w, &mut rng),
-        PatternKind::OrientedTexture => oriented(&mut img, h, w, &mut rng),
-        PatternKind::Edges => edges(&mut img, h, w, &mut rng),
-        PatternKind::Gradient => gradient(&mut img, h, w, &mut rng),
-        PatternKind::Checker => checker(&mut img, h, w, &mut rng),
+    if !img.is_empty() {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        match kind {
+            PatternKind::ValueNoise => value_noise(&mut img, h, w, &mut rng),
+            PatternKind::OrientedTexture => oriented(&mut img, h, w, &mut rng),
+            PatternKind::Edges => edges(&mut img, h, w, &mut rng),
+            PatternKind::Gradient => gradient(&mut img, h, w, &mut rng),
+            PatternKind::Checker => checker(&mut img, h, w, &mut rng),
+        }
+        normalize(&mut img);
     }
-    normalize(&mut img);
     Tensor::from_vec(Shape4::new(1, 1, h, w), img)
+}
+
+/// One octave of value noise: its lattice and, per image column, the
+/// lattice column to its left and the weight toward the next.
+struct Octave {
+    cell: usize,
+    gw: usize,
+    lattice: Vec<f32>,
+    amp: f32,
+    cols: Vec<(usize, f32)>,
 }
 
 fn value_noise(img: &mut [f32], h: usize, w: usize, rng: &mut ChaCha8Rng) {
     // Sum of bilinearly-interpolated random lattices at powers-of-two
     // scales, amplitude halving per octave.
     let octaves = 4usize;
-    for o in 0..octaves {
-        let cell = 1usize << (octaves - o); // 16, 8, 4, 2
-        let gw = w / cell + 2;
-        let gh = h / cell + 2;
-        let lattice: Vec<f32> = (0..gw * gh).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let amp = 0.5f32.powi(o as i32);
-        for y in 0..h {
-            for x in 0..w {
-                let fy = y as f32 / cell as f32;
+    let octaves: Vec<Octave> = (0..octaves)
+        .map(|o| {
+            let cell = 1usize << (octaves - o); // 16, 8, 4, 2
+            let gw = w / cell + 2;
+            let gh = h / cell + 2;
+            let lattice = (0..gw * gh).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let col = |x: usize| {
                 let fx = x as f32 / cell as f32;
-                let (y0, x0) = (fy as usize, fx as usize);
-                let (ty, tx) = (fy - y0 as f32, fx - x0 as f32);
-                let v00 = lattice[y0 * gw + x0];
-                let v01 = lattice[y0 * gw + x0 + 1];
-                let v10 = lattice[(y0 + 1) * gw + x0];
-                let v11 = lattice[(y0 + 1) * gw + x0 + 1];
-                let v = v00 * (1.0 - ty) * (1.0 - tx)
-                    + v01 * (1.0 - ty) * tx
-                    + v10 * ty * (1.0 - tx)
-                    + v11 * ty * tx;
-                img[y * w + x] += amp * v;
+                let x0 = fx as usize;
+                (x0, fx - x0 as f32)
+            };
+            let amp = 0.5f32.powi(o as i32);
+            Octave {
+                cell,
+                gw,
+                lattice,
+                amp,
+                cols: (0..w).map(col).collect(),
+            }
+        })
+        .collect();
+    bands::rows(img, (h, w), |_, top, band| {
+        for o in &octaves {
+            for (y, row) in (top..).zip(band.chunks_mut(w)) {
+                let fy = y as f32 / o.cell as f32;
+                let y0 = fy as usize;
+                let ty = fy - y0 as f32;
+                let (above, below) = (&o.lattice[y0 * o.gw..], &o.lattice[(y0 + 1) * o.gw..]);
+                for (p, &(x0, tx)) in row.iter_mut().zip(&o.cols) {
+                    let v = above[x0] * (1.0 - ty) * (1.0 - tx)
+                        + above[x0 + 1] * (1.0 - ty) * tx
+                        + below[x0] * ty * (1.0 - tx)
+                        + below[x0 + 1] * ty * tx;
+                    *p += o.amp * v;
+                }
             }
         }
-    }
+    });
 }
 
 fn oriented(img: &mut [f32], h: usize, w: usize, rng: &mut ChaCha8Rng) {
-    let waves = 3usize;
-    for _ in 0..waves {
-        let theta: f32 = rng.gen_range(0.0..std::f32::consts::PI);
-        let freq: f32 = rng.gen_range(0.15..0.9);
-        let phase: f32 = rng.gen_range(0.0..std::f32::consts::TAU);
-        let amp: f32 = rng.gen_range(0.3..1.0);
-        let (s, c) = theta.sin_cos();
-        for y in 0..h {
-            for x in 0..w {
-                let u = c * x as f32 + s * y as f32;
-                img[y * w + x] += amp * (freq * u + phase).sin();
+    let waves: Vec<_> = (0..3)
+        .map(|_| {
+            let theta: f32 = rng.gen_range(0.0..std::f32::consts::PI);
+            let freq: f32 = rng.gen_range(0.15..0.9);
+            let phase: f32 = rng.gen_range(0.0..std::f32::consts::TAU);
+            let amp: f32 = rng.gen_range(0.3..1.0);
+            let (s, c) = theta.sin_cos();
+            (s, c, freq, phase, amp)
+        })
+        .collect();
+    bands::rows(img, (h, w), |_, top, band| {
+        for &(s, c, freq, phase, amp) in &waves {
+            for (y, row) in (top..).zip(band.chunks_mut(w)) {
+                for (x, p) in row.iter_mut().enumerate() {
+                    let u = c * x as f32 + s * y as f32;
+                    *p += amp * (freq * u + phase).sin();
+                }
             }
         }
-    }
+    });
 }
 
 fn edges(img: &mut [f32], h: usize, w: usize, rng: &mut ChaCha8Rng) {
-    for _ in 0..6 {
-        let level: f32 = rng.gen_range(-1.0..1.0);
-        let x0 = rng.gen_range(0..w);
-        let x1 = rng.gen_range(0..w);
-        let y0 = rng.gen_range(0..h);
-        let y1 = rng.gen_range(0..h);
-        let (x0, x1) = (x0.min(x1), x0.max(x1) + 1);
-        let (y0, y1) = (y0.min(y1), y0.max(y1) + 1);
-        for y in y0..y1.min(h) {
-            for x in x0..x1.min(w) {
-                img[y * w + x] += level;
+    let rects: Vec<_> = (0..6)
+        .map(|_| {
+            let level: f32 = rng.gen_range(-1.0..1.0);
+            let x0 = rng.gen_range(0..w);
+            let x1 = rng.gen_range(0..w);
+            let y0 = rng.gen_range(0..h);
+            let y1 = rng.gen_range(0..h);
+            (
+                level,
+                y0.min(y1)..y0.max(y1) + 1,
+                x0.min(x1)..x0.max(x1) + 1,
+            )
+        })
+        .collect();
+    bands::rows(img, (h, w), |_, top, band| {
+        for (level, ys, xs) in &rects {
+            for (y, row) in (top..).zip(band.chunks_mut(w)) {
+                if ys.contains(&y) {
+                    row[xs.clone()].iter_mut().for_each(|p| *p += level);
+                }
             }
         }
-    }
+    });
 }
 
 fn gradient(img: &mut [f32], h: usize, w: usize, rng: &mut ChaCha8Rng) {
@@ -128,28 +181,35 @@ fn gradient(img: &mut [f32], h: usize, w: usize, rng: &mut ChaCha8Rng) {
     let cy: f32 = rng.gen_range(0.0..h as f32);
     let radial: f32 = rng.gen_range(-1.0..1.0);
     let scale = 1.0 / (h.max(w) as f32);
-    for y in 0..h {
-        for x in 0..w {
-            let dx = (x as f32 - cx) * scale;
-            let dy = (y as f32 - cy) * scale;
-            img[y * w + x] +=
-                gx * x as f32 * scale + gy * y as f32 * scale + radial * (dx * dx + dy * dy).sqrt();
+    bands::rows(img, (h, w), |_, top, band| {
+        for (y, row) in (top..).zip(band.chunks_mut(w)) {
+            for (x, p) in row.iter_mut().enumerate() {
+                let dx = (x as f32 - cx) * scale;
+                let dy = (y as f32 - cy) * scale;
+                *p += gx * x as f32 * scale
+                    + gy * y as f32 * scale
+                    + radial * (dx * dx + dy * dy).sqrt();
+            }
         }
-    }
+    });
 }
 
 fn checker(img: &mut [f32], h: usize, w: usize, rng: &mut ChaCha8Rng) {
     let cell = rng.gen_range(2..6usize);
     let ox = rng.gen_range(0..cell);
     let oy = rng.gen_range(0..cell);
-    for y in 0..h {
-        for x in 0..w {
-            let v = ((x + ox) / cell + (y + oy) / cell) % 2;
-            img[y * w + x] += if v == 0 { 1.0 } else { -1.0 };
+    bands::rows(img, (h, w), |_, top, band| {
+        for (y, row) in (top..).zip(band.chunks_mut(w)) {
+            for (x, p) in row.iter_mut().enumerate() {
+                let v = ((x + ox) / cell + (y + oy) / cell) % 2;
+                *p += if v == 0 { 1.0 } else { -1.0 };
+            }
         }
-    }
+    });
 }
 
+/// Maps `img` onto `[0, 1]` by its minimum and maximum, taken over the
+/// whole image.
 fn normalize(img: &mut [f32]) {
     let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
     for v in img.iter() {
@@ -157,9 +217,9 @@ fn normalize(img: &mut [f32]) {
         hi = hi.max(*v);
     }
     let span = (hi - lo).max(1e-6);
-    for v in img.iter_mut() {
-        *v = (*v - lo) / span;
-    }
+    bands::ranges(img, |_, samples| {
+        samples.iter_mut().for_each(|v| *v = (*v - lo) / span);
+    });
 }
 
 /// Named dataset profiles standing in for the paper's benchmark sets.
@@ -219,6 +279,7 @@ impl DatasetProfile {
 /// Generates a stacked `[count, 1, size, size]` dataset for a profile.
 pub fn dataset(profile: DatasetProfile, size: usize, count: usize) -> Tensor {
     let items: Vec<Tensor> = (0..count)
+        .into_par_iter()
         .map(|i| {
             generate(
                 profile.kind_for(i),

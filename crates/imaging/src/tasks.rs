@@ -3,6 +3,7 @@
 
 use crate::degrade::{add_gaussian_noise, downsample};
 use crate::synthetic::{dataset, generate, DatasetProfile, PatternKind};
+use rayon::prelude::*;
 use ringcnn_tensor::prelude::*;
 
 /// A paired imaging dataset: degraded inputs and clean targets, stacked
@@ -51,17 +52,17 @@ pub fn classification_set(
     seed: u64,
 ) -> (Tensor, Vec<usize>) {
     let kinds = PatternKind::all();
-    let mut items = Vec::with_capacity(classes * per_class);
-    let mut labels = Vec::with_capacity(classes * per_class);
-    for class in 0..classes {
-        let kind = kinds[class % kinds.len()];
-        // Different parameter bucket per class via the seed stream.
-        let class_seed = seed + 10_007 * class as u64;
-        for i in 0..per_class {
-            items.push(generate(kind, size, size, class_seed + 131 * i as u64));
-            labels.push(class);
-        }
-    }
+    let item = |j: usize| (j / per_class, (j % per_class) as u64);
+    let items: Vec<Tensor> = (0..classes * per_class)
+        .into_par_iter()
+        .map(|j| {
+            let (class, i) = item(j);
+            // Different parameter bucket per class via the seed stream.
+            let class_seed = seed + 10_007 * class as u64;
+            generate(kinds[class % kinds.len()], size, size, class_seed + 131 * i)
+        })
+        .collect();
+    let labels = (0..items.len()).map(|j| item(j).0).collect();
     (Tensor::stack_batches(&items), labels)
 }
 

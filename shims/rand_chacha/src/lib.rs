@@ -3,6 +3,12 @@
 //! a 32-byte key with a zero nonce; it is deterministic per seed but not
 //! guaranteed word-for-word identical to upstream `rand_chacha`'s stream
 //! layout. Everything in this workspace only needs seeded determinism.
+//!
+//! [`ChaChaCore::set_word_pos`] seeks as upstream's does: the stream is
+//! counter-addressed (word `w` is word `w mod 16` of block `w / 16`), so
+//! a generator positioned at `w` reads exactly the words a fresh one
+//! reads after drawing `w` of them. That is what lets independent ranges
+//! of one seeded stream be drawn on different threads.
 
 use rand::{RngCore, SeedableRng};
 
@@ -74,6 +80,18 @@ impl<const R: usize> ChaChaCore<R> {
     }
 }
 
+impl<const R: usize> ChaChaCore<R> {
+    /// Positions the stream at 32-bit word `word`, counted from the
+    /// start of the stream, as upstream `rand_chacha` does: the block
+    /// counter is 64 bits, so the upper bits of the 68-bit offset are
+    /// ignored (the stream cycles).
+    pub fn set_word_pos(&mut self, word: u128) {
+        self.counter = (word >> 4) as u64;
+        self.refill();
+        self.buf_pos = (word & 15) as usize;
+    }
+}
+
 impl<const R: usize> RngCore for ChaChaCore<R> {
     fn next_u32(&mut self) -> u32 {
         if self.buf_pos >= 16 {
@@ -136,6 +154,46 @@ mod tests {
         let mut rng = ChaCha20Rng::from_seed([0u8; 32]);
         let w0 = rng.next_u32();
         assert_eq!(w0.to_le_bytes(), [0x76, 0xb8, 0xe0, 0xad]);
+    }
+
+    #[test]
+    fn set_word_pos_reads_the_tail_of_a_fresh_stream() {
+        let fresh: Vec<u32> = {
+            let mut rng = ChaCha8Rng::seed_from_u64(11);
+            (0..80).map(|_| rng.next_u32()).collect()
+        };
+        for word in 0..=40 {
+            let mut rng = ChaCha8Rng::seed_from_u64(11);
+            rng.set_word_pos(word as u128);
+            let tail: Vec<u32> = (0..40).map(|_| rng.next_u32()).collect();
+            assert_eq!(tail, fresh[word..word + 40], "word offset {word}");
+        }
+        // Seeking back is the same seek: nothing of the old position stays.
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        rng.set_word_pos(37);
+        rng.set_word_pos(3);
+        assert_eq!(rng.next_u32(), fresh[3]);
+    }
+
+    #[test]
+    fn set_word_pos_carries_across_the_32_bit_counter_boundary() {
+        // Words 16·(2³²−1)+13 onward end the last block whose counter
+        // fits 32 bits and run into block 2³², whose counter's high
+        // word is 1: positioned reads must agree with block-aligned
+        // ones on both sides, and block 2³² must not be block 0 again.
+        let last = 16 * (u128::from(u32::MAX));
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        rng.set_word_pos(last + 13);
+        let across: Vec<u32> = (0..3 + 16).map(|_| rng.next_u32()).collect();
+        let block = |word: u128| {
+            let mut rng = ChaCha8Rng::seed_from_u64(5);
+            rng.set_word_pos(word);
+            (0..16).map(|_| rng.next_u32()).collect::<Vec<u32>>()
+        };
+        assert_eq!(across[..3], block(last)[13..]);
+        assert_eq!(across[3..], block(last + 16));
+        assert_ne!(block(last + 16), block(0));
+        assert_ne!(block(last + 16), block(16));
     }
 
     #[test]
