@@ -59,21 +59,27 @@ fn cubic(t: f32) -> f32 {
 }
 
 /// The taps of output indices `from..from + count` of an axis of `dst`
-/// samples resampled from `src` (pixel centres aligned): per index, the
-/// source indices `i0 + d`, `d = −1..3`, clamped to the axis, with their
-/// weights `cubic(d − t)`, in that order and without zero weights.
-fn axis_taps(src: usize, dst: usize, from: usize, count: usize) -> Vec<Vec<(usize, f32)>> {
+/// samples resampled from `src` (pixel centres aligned), of which the
+/// `len` from `origin` on are at hand: per index, the source indices
+/// `i0 + d`, `d = −1..3`, counted from `origin` and clamped to those at
+/// hand, with their weights `cubic(d − t)`, in that order and without
+/// zero weights.
+fn axis_taps(
+    (src, dst): (usize, usize),
+    (from, count): (usize, usize),
+    (origin, len): (usize, usize),
+) -> Vec<Vec<(usize, f32)>> {
     assert!(
-        src > 0 || count == 0,
+        len > 0 || count == 0,
         "bicubic resampling: an empty source axis cannot fill {dst} samples"
     );
     let scale = src as f32 / dst as f32;
     let taps = |i: usize| {
         // Sample at pixel centers.
         let f = (i as f32 + 0.5) * scale - 0.5;
-        let i0 = f.floor() as isize;
-        let t = f - i0 as f32;
-        let at = |d: isize| (i0 + d).clamp(0, src as isize - 1) as usize;
+        let i0 = f.floor() as isize - origin as isize;
+        let t = f - f.floor();
+        let at = |d: isize| (i0 + d).clamp(0, len as isize - 1) as usize;
         let taps = (-1..3).map(|d| (at(d), cubic(d as f32 - t)));
         taps.filter(|&(_, w)| w != 0.0).collect()
     };
@@ -81,20 +87,23 @@ fn axis_taps(src: usize, dst: usize, from: usize, count: usize) -> Vec<Vec<(usiz
 }
 
 /// The `h × w` window at `(top, left)` of every plane of `input` resized
-/// to `out_h × out_w`: each sample is `Σ wy·wx·src / Σ wy·wx` over its
-/// row taps (outer) and column taps (inner), read from the axis tables.
+/// to `out_h × out_w`, where `input` is the part of a larger source from
+/// source pixel `origin` on whose resampling has the same scale: each
+/// sample is `Σ wy·wx·src / Σ wy·wx` over its row taps (outer) and column
+/// taps (inner), read from the axis tables.
 fn resample(
     input: &Tensor,
     (out_h, out_w): (usize, usize),
     (top, left, h, w): (usize, usize, usize, usize),
+    (y0, x0): (usize, usize),
 ) -> Tensor {
     let s = input.shape();
     let mut out = Tensor::zeros(Shape4::new(s.n, s.c, h, w));
     if out.as_slice().is_empty() {
         return out;
     }
-    let rows = axis_taps(s.h, out_h, top, h);
-    let cols = axis_taps(s.w, out_w, left, w);
+    let rows = axis_taps((s.h, out_h), (top, h), (y0, s.h));
+    let cols = axis_taps((s.w, out_w), (left, w), (x0, s.w));
     let input = input.as_slice();
     bands::rows(out.as_mut_slice(), (h, w), |plane, y, dst| {
         let src = &input[plane * s.plane()..][..s.plane()];
@@ -122,7 +131,7 @@ fn resample(
 ///
 /// Panics if a source plane is empty and the target is not.
 pub fn resize_bicubic(input: &Tensor, new_h: usize, new_w: usize) -> Tensor {
-    resample(input, (new_h, new_w), (0, 0, new_h, new_w))
+    resample(input, (new_h, new_w), (0, 0, new_h, new_w), (0, 0))
 }
 
 /// Bicubic ×`factor` downsampling (the paper's SR low-resolution input
@@ -184,9 +193,11 @@ pub fn upsample(input: &Tensor, factor: usize) -> Tensor {
 }
 
 /// The `h × w` window at `(top, left)` of [`upsample`]`(input, factor)`,
-/// bit for bit: every sample is placed by `input`'s whole geometry, and
-/// only the window is evaluated — the bicubic skip of a tile that
-/// computes only the region the rest of its chain reads.
+/// bit for bit, where `input` is the tile of a frame from pixel `origin`
+/// on: every sample is placed by the frame's geometry, and only the
+/// window is evaluated — the bicubic skip of a tile that computes only the
+/// region the rest of its chain reads, equal to that region of the
+/// frame's skip wherever the tile holds its taps.
 ///
 /// # Panics
 ///
@@ -195,6 +206,7 @@ pub fn upsample_window(
     input: &Tensor,
     factor: usize,
     (top, left, h, w): (usize, usize, usize, usize),
+    (y0, x0): (usize, usize),
 ) -> Tensor {
     let s = input.shape();
     let (up_h, up_w) = (s.h * factor, s.w * factor);
@@ -202,7 +214,8 @@ pub fn upsample_window(
         top + h <= up_h && left + w <= up_w,
         "upsample_window: {h}x{w} at ({top}, {left}) outside the {up_h}x{up_w} upsampling"
     );
-    resample(input, (up_h, up_w), (top, left, h, w))
+    let window = (y0 * factor + top, x0 * factor + left, h, w);
+    resample(input, (up_h, up_w), window, (y0, x0))
 }
 
 /// Adjoint (transpose) of [`resize_bicubic`]: scatters a gradient on the
@@ -218,8 +231,8 @@ pub fn resize_bicubic_adjoint(dout: &Tensor, src_h: usize, src_w: usize) -> Tens
     if dout.as_slice().is_empty() {
         return out;
     }
-    let rows = axis_taps(src_h, s.h, 0, s.h);
-    let cols = axis_taps(src_w, s.w, 0, s.w);
+    let rows = axis_taps((src_h, s.h), (0, s.h), (0, src_h));
+    let cols = axis_taps((src_w, s.w), (0, s.w), (0, src_w));
     let planes = dout.as_slice().chunks(s.plane());
     for (grad, dst) in planes.zip(out.as_mut_slice().chunks_mut(src_h * src_w)) {
         for (grad, ty) in grad.chunks(s.w).zip(&rows) {

@@ -269,7 +269,8 @@ fn adjoint_matches_the_per_tap_oracle() {
 
 /// The window entry is the whole upsampling's pixels, also where a shift
 /// by whole source pixels is not exact in `f32` (×3, ×5): the crop-based
-/// skip it replaced returned other values there.
+/// skip it replaced returned other values there. So is the window of a
+/// tile of the frame, placed in it: its samples sit where the frame's do.
 #[test]
 fn upsample_windows_are_the_whole_upsampling_bit_for_bit() {
     let mut rng = Rng(11);
@@ -281,16 +282,28 @@ fn upsample_windows_are_the_whole_upsampling_bit_for_bit() {
             let (uh, uw) = (h * factor, w * factor);
             let (top, left) = (rng.below(uh), rng.below(uw));
             let (wh, ww) = (1 + rng.below(uh - top), 1 + rng.below(uw - left));
-            let window = upsample_window(&x, factor, (top, left, wh, ww));
-            assert_eq!(window.shape(), Shape4::new(1, 2, wh, ww));
-            for c in 0..2 {
-                for y in 0..wh {
-                    for xx in 0..ww {
-                        assert_eq!(
-                            window.at(0, c, y, xx).to_bits(),
-                            whole.at(0, c, top + y, left + xx).to_bits(),
-                            "x{factor}: {h}x{w} tile, {wh}x{ww} window at ({top}, {left})"
-                        );
+            let window = upsample_window(&x, factor, (top, left, wh, ww), (0, 0));
+            // The same window from a tile of the frame holding its taps.
+            let (y0, x0) = (
+                (top / factor).saturating_sub(2),
+                (left / factor).saturating_sub(2),
+            );
+            let y1 = ((top + wh - 1) / factor + 3).min(h);
+            let x1 = ((left + ww - 1) / factor + 3).min(w);
+            let tile = x.extract_window(0, Window::new(y0 as isize, x0 as isize, y1 - y0, x1 - x0));
+            let at = (top - y0 * factor, left - x0 * factor, wh, ww);
+            let placed = upsample_window(&tile, factor, at, (y0, x0));
+            for (what, window) in [("frame", window), ("tile", placed)] {
+                assert_eq!(window.shape(), Shape4::new(1, 2, wh, ww));
+                for c in 0..2 {
+                    for y in 0..wh {
+                        for xx in 0..ww {
+                            assert_eq!(
+                                window.at(0, c, y, xx).to_bits(),
+                                whole.at(0, c, top + y, left + xx).to_bits(),
+                                "x{factor}: {h}x{w} {what}, {wh}x{ww} window at ({top}, {left})"
+                            );
+                        }
                     }
                 }
             }
@@ -302,7 +315,7 @@ fn upsample_windows_are_the_whole_upsampling_bit_for_bit() {
 fn empty_windows_and_targets_are_empty() {
     let x = input(Shape4::new(1, 1, 4, 4), 1, false);
     assert_eq!(
-        upsample_window(&x, 3, (12, 12, 0, 0)).shape(),
+        upsample_window(&x, 3, (12, 12, 0, 0), (0, 0)).shape(),
         Shape4::new(1, 1, 0, 0)
     );
     let empty = Tensor::zeros(Shape4::new(1, 1, 0, 5));
@@ -334,7 +347,12 @@ fn downsampling_by_zero_is_refused() {
 #[test]
 #[should_panic(expected = "outside the 12x12 upsampling")]
 fn a_window_past_the_upsampled_extent_is_refused() {
-    upsample_window(&Tensor::zeros(Shape4::new(1, 1, 4, 4)), 3, (10, 0, 3, 3));
+    upsample_window(
+        &Tensor::zeros(Shape4::new(1, 1, 4, 4)),
+        3,
+        (10, 0, 3, 3),
+        (0, 0),
+    );
 }
 
 /// FNV-1a over the bits of every sample.

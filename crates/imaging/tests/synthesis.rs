@@ -345,7 +345,7 @@ fn upsampling_matches_the_one_thread_oracle() {
     let window = (37, 21, 150, 131);
     assert_same(
         "150x131 window of 64x48 x4",
-        &upsample_window(&x, 4, window),
+        &upsample_window(&x, 4, window, (0, 0)),
         &oracle::resample(&x, (uh, uw), window),
     );
 }

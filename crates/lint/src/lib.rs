@@ -105,6 +105,10 @@ pub const RULES: &[Rule] = &[
         summary: "no `downcast_mut`/`downcast_ref`/`.is::<` in crates/{nn,quant,esim,serve}/src non-test code",
     },
     Rule {
+        name: "one-tile-walk",
+        summary: "no `tile.leaf(`/`tile.conv(` in crates/{nn,quant}/src outside runtime.rs and program.rs",
+    },
+    Rule {
         name: "suppression",
         summary: "`lint:allow(<rule>): <reason>` must name a suppressible rule and give a reason",
     },

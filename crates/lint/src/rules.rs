@@ -40,6 +40,12 @@ const RELAXED_ALLOWLIST: &[(&str, &str, &str)] = &[
 const DOWNCASTS: [&str; 3] = ["downcast_mut", "downcast_ref", ".is::<"];
 const NO_DOWNCAST: &str = "downcast in a crate that walks models: read `Layer::describe()` instead";
 
+/// What `one-tile-walk` flags outside the runtime and the step program's
+/// driver: the tile arithmetic, written once there.
+const TILE_WALK: [&str; 2] = ["tile.leaf(", "tile.conv("];
+const ONE_TILE_WALK: &str =
+    "tile arithmetic outside the step program's driver: compile a step instead";
+
 /// An inline `// lint:allow(rule): reason` annotation, resolved to the
 /// line of code it covers.
 struct Suppression {
@@ -65,6 +71,12 @@ pub fn check_file(rel: &str, scanned: &Scanned) -> Vec<Violation> {
         .iter()
         .any(|c| rel.starts_with(&format!("crates/{c}/src/")));
     let in_bin = rel.contains("/src/bin/");
+    let walks_tiles = ["nn", "quant"]
+        .iter()
+        .any(|c| rel.starts_with(&format!("crates/{c}/src/")))
+        && !["runtime.rs", "program.rs"]
+            .iter()
+            .any(|f| rel.ends_with(f));
     let panic_free = rel.ends_with("crates/serve/src/reactor.rs")
         || rel.ends_with("crates/serve/src/scheduler.rs");
     let mut seqlock_marker: Option<usize> = None;
@@ -125,6 +137,10 @@ pub fn check_file(rel: &str, scanned: &Scanned) -> Vec<Violation> {
         let downcast = DOWNCASTS.iter().any(|d| code.contains(d));
         if walks_models && downcast && !suppressed("no-downcast", idx) {
             out.push(Violation::new("no-downcast", rel, idx + 1, NO_DOWNCAST));
+        }
+
+        if walks_tiles && TILE_WALK.iter().any(|t| code.contains(t)) {
+            out.push(Violation::new("one-tile-walk", rel, idx + 1, ONE_TILE_WALK));
         }
 
         if panic_free {
@@ -506,6 +522,40 @@ mod tests {
         // Pruning (core) and the benchmark may downcast.
         assert!(rules_for("crates/core/src/pruning.rs", src).is_empty());
         assert!(rules_for("crates/bench/src/bin/benchmark/probes.rs", src).is_empty());
+    }
+
+    // --- one-tile-walk -----------------------------------------------------
+
+    #[test]
+    fn tile_arithmetic_is_flagged_outside_the_driver() {
+        let src = "\
+let cut = tile.conv(k / 2, 1);
+tile.leaf(0, (r, 1));
+#[cfg(test)]
+mod tests {
+    fn t() { tile.leaf(1, (1, 1)); }
+}
+";
+        for path in [
+            "crates/nn/src/layers/conv.rs",
+            "crates/quant/src/quantized.rs",
+        ] {
+            let vs = lint_source(path, src);
+            let rules: Vec<_> = vs.iter().map(|v| (v.rule, v.line)).collect();
+            assert_eq!(
+                rules,
+                [("one-tile-walk", 1), ("one-tile-walk", 2)],
+                "{path}"
+            );
+        }
+        // The runtime, the driver and the tests outside `src` may.
+        for path in [
+            "crates/nn/src/runtime.rs",
+            "crates/nn/src/program.rs",
+            "crates/esim/src/blocks.rs",
+        ] {
+            assert!(rules_for(path, src).is_empty(), "{path}");
+        }
     }
 
     // --- suppression ------------------------------------------------------

@@ -9,7 +9,6 @@
 
 use crate::backend::ConvBackend;
 use crate::layers::conv::AnyConv;
-use crate::runtime::TileHalo;
 use ringcnn_tensor::prelude::*;
 use std::any::Any;
 use std::borrow::Cow;
@@ -55,20 +54,6 @@ pub enum SkipKind {
     Bicubic(usize),
 }
 
-impl Node<'_> {
-    /// What the node reads beside its children — the radius around an
-    /// output pixel at its input resolution — and its scale `(num, den)`.
-    pub fn geometry(&self) -> (usize, (usize, usize)) {
-        match *self {
-            Node::Conv(c) => (c.parts().0.shape().2 / 2, (1, 1)),
-            Node::Skip(_, SkipKind::Bicubic(_)) => (2, (1, 1)),
-            Node::Shuffle(r) => (0, (r, 1)),
-            Node::Unshuffle(r) => (0, (1, r)),
-            _ => (0, (1, 1)),
-        }
-    }
-}
-
 /// A differentiable network layer, owning its parameters and gradient
 /// buffers. The contract, each part stated once:
 ///
@@ -91,15 +76,16 @@ impl Node<'_> {
 ///   one description. A container also hands out its children through
 ///   [`Layer::children_mut`], for the `&mut` defaults.
 /// - Ownership of activations: a tensor passed by reference is the
-///   caller's and is never written; a container owns every tensor a
-///   child returns to it and hands it to the next child for good
-///   through the one chain step, [`Layer::forward_step`] — the only
-///   place an activation is mutated (element-wise layers work in place
-///   on a tensor they are given), a tile's halo is consumed (a
-///   convolution writes only what the rest of the chain reads) and a
-///   layer writes where its successor would copy to (the convolution
-///   in front of a [`Node::Shuffle`]). Every step has the bits of the
-///   plain leaf-by-leaf chain, which stays valid: walks that call
+///   caller's and is never written. A forward of a container (and a
+///   float model's tile forward, `crate::runtime`) compiles the tree into
+///   one flat step program and runs it ([`crate::program`]): the program
+///   owns every tensor a step returns and hands it to the next step for
+///   good — element-wise layers work on it in place through
+///   [`Layer::forward_step`] —, a tile's halo is consumed there (a
+///   convolution writes only what the rest of the program reads), and a
+///   convolution on the streaming engine writes where the
+///   [`Node::Shuffle`] behind it would copy to. Every step has the bits
+///   of the plain leaf-by-leaf chain, which stays valid: walks that call
 ///   `forward_infer` on one leaf at a time see the same values.
 pub trait Layer: Send + Sync {
     /// Short human-readable layer descriptor (e.g. `conv3x3(16->32)`).
@@ -131,29 +117,12 @@ pub trait Layer: Send + Sync {
     /// so many threads can run it on the same model concurrently.
     fn forward_infer(&self, input: &Tensor) -> Tensor;
 
-    /// One step of a chain: [`Layer::forward_infer`] over the activation
-    /// as the chain holds it — borrowed (the caller's, never written) or
-    /// owned (given up: an element-wise layer works on it in place) —
-    /// inside `tile`, which the layer moves past itself. `shuffle` is the
-    /// factor of the pixel shuffle standing behind the layer (1: none);
-    /// the answer says whether the layer absorbed it, i.e. wrote every
-    /// pixel where that shuffle would copy it to and moved `tile` past it
-    /// too, so the chain skips it. A convolution on the streaming engine
-    /// does, and leaves out the rim of `tile`'s margins the rest of the
-    /// chain no longer reaches; a container threads `tile` through its
-    /// children, its `forward_infer` being this walk over
-    /// [`TileHalo::whole`]. Default: a [`TileHalo::leaf`] of the layer's
-    /// [`Node::geometry`] run over the whole tile — the halo is carried,
-    /// the bits are the same.
-    fn forward_step(
-        &self,
-        input: Cow<'_, Tensor>,
-        tile: &mut TileHalo,
-        _shuffle: usize,
-    ) -> (Tensor, bool) {
-        let (radius, scale) = self.describe().geometry();
-        tile.leaf(radius, scale);
-        (self.forward_infer(&input), false)
+    /// [`Layer::forward_infer`] over an activation as a program holds it:
+    /// borrowed (the caller's, never written) or owned (given up: an
+    /// element-wise layer works on it in place). Default: the borrowing
+    /// forward.
+    fn forward_step(&self, input: Cow<'_, Tensor>) -> Tensor {
+        self.forward_infer(&input)
     }
 
     /// The direct children of a container layer, in execution order —
@@ -243,13 +212,6 @@ pub trait Layer: Send + Sync {
     }
 }
 
-/// [`Layer::forward_step`] over a whole image the caller keeps: the
-/// `forward_infer` of every layer whose one inference body is its step.
-pub fn forward_whole<L: Layer + ?Sized>(layer: &L, input: &Tensor) -> Tensor {
-    let whole = &mut TileHalo::whole();
-    layer.forward_step(Cow::Borrowed(input), whole, 1).0
-}
-
 /// For the layers' gradient checks: what `backward` answers for input
 /// element `at` under the loss `⟨layer(x), dout⟩`, and the central finite
 /// difference of that loss over `± eps` — the two must agree.
@@ -313,13 +275,8 @@ mod tests {
         assert!(d.g.iter().all(|v| *v == 0.0));
         assert_eq!(d.mults_per_pixel(), 0.0);
         assert_eq!(d.out_channels(7), 7);
-        // The default step: a pointwise leaf over the whole tile, no
-        // shuffle absorbed.
-        let (x, mut tile) = (
-            Tensor::zeros(Shape4::new(1, 1, 4, 4)),
-            TileHalo::new([2; 4], 2),
-        );
-        let (y, absorbed) = d.forward_step(Cow::Owned(x.clone()), &mut tile, 2);
-        assert_eq!((y, absorbed, tile), (x, false, TileHalo::new([2; 4], 2)));
+        // The default step: the borrowing forward.
+        let x = Tensor::zeros(Shape4::new(1, 1, 4, 4));
+        assert_eq!(d.forward_step(Cow::Owned(x.clone())), x);
     }
 }

@@ -1,8 +1,7 @@
 //! Activation layers: component-wise ReLU and the tuple-wise directional
 //! ReLU (`fH` / `fO4`) applied across channel groups.
 
-use crate::layer::{forward_whole, Layer, Node};
-use crate::runtime::TileHalo;
+use crate::layer::{Layer, Node};
 use ringcnn_algebra::relu::{DirectionalRelu, Nonlinearity};
 use ringcnn_algebra::ring::Ring;
 use ringcnn_tensor::shape::Shape4;
@@ -41,15 +40,15 @@ impl Layer for Relu {
     }
 
     fn forward_infer(&self, input: &T) -> T {
-        forward_whole(self, input)
+        self.forward_step(Cow::Borrowed(input))
     }
 
-    fn forward_step(&self, input: Cow<'_, T>, _: &mut TileHalo, _: usize) -> (T, bool) {
-        // In place on a tensor the chain gives up; a borrowed one is
+    fn forward_step(&self, input: Cow<'_, T>) -> T {
+        // In place on a tensor the program gives up; a borrowed one is
         // copied here, once.
         let mut x = input.into_owned();
         x.map_inplace(|v| v.max(0.0));
-        (x, false)
+        x
     }
 
     fn backward(&mut self, dout: &T) -> T {
@@ -154,16 +153,16 @@ impl Layer for DirectionalReluLayer {
     }
 
     fn forward_infer(&self, input: &T) -> T {
-        forward_whole(self, input)
+        self.forward_step(Cow::Borrowed(input))
     }
 
-    fn forward_step(&self, input: Cow<'_, T>, _: &mut TileHalo, _: usize) -> (T, bool) {
+    fn forward_step(&self, input: Cow<'_, T>) -> T {
         let mut x = input.into_owned();
         let len = self.tuple_len(x.shape());
         for y in x.as_mut_slice().chunks_mut(len) {
             self.f.forward_planes(y);
         }
-        (x, false)
+        x
     }
 
     fn backward(&mut self, dout: &T) -> T {

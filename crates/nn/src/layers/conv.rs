@@ -14,9 +14,9 @@
 
 use crate::backend::ConvBackend;
 use crate::init::he_std;
-use crate::layer::{forward_whole, Layer, Node, ParamGroup};
+use crate::layer::{Layer, Node, ParamGroup};
 use crate::layers::fast_ring_conv::FastRingConv;
-use crate::runtime::TileHalo;
+use crate::layers::shuffle::cropped;
 use ringcnn_tensor::prelude::*;
 use ringcnn_tensor::tensor::Tensor as T;
 use std::borrow::Cow;
@@ -68,6 +68,16 @@ pub trait AnyConv {
 
     /// The stored parameters, flat (resets the inference kernel).
     fn params_mut(&mut self) -> &mut [f32];
+
+    /// Whether the inference kernel writes through a pixel shuffle behind
+    /// it: the streaming engine's does (its depth-to-space sink).
+    fn fuses_shuffle(&self) -> bool;
+
+    /// The inference forward without `cut` rows and columns on the top,
+    /// left, bottom and right of the "same" output, written through the
+    /// pixel shuffle of factor `shuffle` (1 unless
+    /// [`AnyConv::fuses_shuffle`]).
+    fn forward_region(&self, input: &Tensor, cut: [usize; 4], shuffle: usize) -> Tensor;
 }
 
 /// The weight side of a convolution in the form its backend runs — a
@@ -207,6 +217,29 @@ impl<L: Lowering> AnyConv for ConvLayer<L> {
     fn params_mut(&mut self) -> &mut [f32] {
         self.lowering_mut().params_mut()
     }
+
+    fn fuses_shuffle(&self) -> bool {
+        matches!(self.kernel(), Kernel::Engine(_))
+    }
+
+    fn forward_region(&self, input: &T, cut: [usize; 4], shuffle: usize) -> T {
+        self.check_channels(input.shape().c);
+        let (k, bias) = (self.k(), &self.bias);
+        match self.kernel() {
+            // The reference loop computes the whole "same" output.
+            Kernel::Naive(w) => {
+                let out = conv2d_forward(input, w, bias);
+                if cut == [0; 4] {
+                    return out;
+                }
+                let (s, data) = cropped(out.as_slice(), out.shape(), cut);
+                T::from_vec(s, data)
+            }
+            Kernel::Engine(plan) => conv2d_forward_packed(input, k, plan, bias, shuffle, cut),
+            // The transform engine reconstructs whole tuples per pixel.
+            Kernel::Transform(plan) => plan.forward_region(input, cut),
+        }
+    }
 }
 
 impl<L: Lowering> Layer for ConvLayer<L> {
@@ -228,26 +261,7 @@ impl<L: Lowering> Layer for ConvLayer<L> {
     }
 
     fn forward_infer(&self, input: &T) -> T {
-        forward_whole(self, input)
-    }
-
-    fn forward_step(&self, input: Cow<'_, T>, tile: &mut TileHalo, shuffle: usize) -> (T, bool) {
-        self.check_channels(input.shape().c);
-        let (k, bias) = (self.k(), &self.bias);
-        match self.kernel() {
-            Kernel::Naive(w) => {
-                tile.leaf(k / 2, (1, 1));
-                (conv2d_forward(&input, w, bias), false)
-            }
-            Kernel::Engine(plan) => {
-                let cut = tile.conv(k / 2, shuffle);
-                let out = conv2d_forward_packed(&input, k, plan, bias, shuffle, cut);
-                (out, shuffle > 1)
-            }
-            // The transform engine reconstructs whole tuples per pixel:
-            // it trims, and leaves the shuffle to the chain.
-            Kernel::Transform(plan) => (plan.forward_region(&input, tile.conv(k / 2, 1)), false),
-        }
+        self.forward_region(input, [0; 4], 1)
     }
 
     fn prepare_inference(&mut self) {

@@ -9,15 +9,13 @@
 //!
 //! Behind a convolution on the streaming engine a [`PixelShuffle`] does
 //! not run at all: it describes itself as a [`Node::Shuffle`], and the
-//! convolution's [`Layer::forward_step`] writes each pixel where
-//! [`shuffle_into`] would copy it, bit for bit the tensor `apply`
-//! returns.
+//! step program fuses it into the convolution (`crate::program`), which
+//! writes each pixel where [`shuffle_into`] would copy it, bit for bit
+//! the tensor `apply` returns.
 
 use crate::layer::{Layer, Node};
-use crate::runtime::TileHalo;
 use ringcnn_tensor::prelude::*;
 use ringcnn_tensor::tensor::Tensor as T;
-use std::borrow::Cow;
 
 /// Depth-to-space on a raw NCHW buffer: `src` of shape `s` into `dst` of
 /// shape `[n, c/r², h·r, w·r]`. The `r²` source planes of one output
@@ -125,18 +123,6 @@ impl Layer for PixelUnshuffle {
         Self::apply(input, self.r)
     }
 
-    fn forward_step(&self, input: Cow<'_, T>, tile: &mut TileHalo, _: usize) -> (T, bool) {
-        // A margin a convolution trimmed off the `r`-grid: drop the rows
-        // and columns that fill no whole coarse pixel.
-        let cut = tile.margin.map(|m| m % self.r);
-        tile.leaf(0, (1, self.r));
-        if cut == [0; 4] {
-            return (Self::apply(&input, self.r), false);
-        }
-        let (s, data) = cropped(input.as_slice(), input.shape(), cut);
-        (Self::apply(&T::from_vec(s, data), self.r), false)
-    }
-
     fn backward(&mut self, dout: &T) -> T {
         PixelShuffle::apply(dout, self.r)
     }
@@ -236,9 +222,10 @@ mod tests {
     fn layer_metadata() {
         let u = PixelUnshuffle::new(2);
         assert_eq!(u.out_channels(3), 12);
-        assert_eq!(u.describe().geometry(), (0, (1, 2)));
+        let geometry = |l: &dyn Layer| crate::program::compile(l)[0].op.geometry();
+        assert_eq!(geometry(&u), (0, (1, 2)));
         let s = PixelShuffle::new(2);
         assert_eq!(s.out_channels(12), 3);
-        assert_eq!(s.describe().geometry(), (0, (2, 1)));
+        assert_eq!(geometry(&s), (0, (2, 1)));
     }
 }

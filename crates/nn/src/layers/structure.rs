@@ -5,10 +5,10 @@
 //! out its children ([`Layer::children_mut`]) and inherits the per-tree
 //! methods (`visit_params`, `out_channels`, …) as defaults over those.
 
-use crate::layer::{forward_whole, Layer, Node, SkipKind};
+use crate::layer::{Layer, Node, SkipKind};
+use crate::program::forward_tile;
 use crate::runtime::TileHalo;
 use ringcnn_tensor::tensor::Tensor as T;
-use std::borrow::Cow;
 
 /// A chain of layers applied in order. `Sequential` is itself a [`Layer`],
 /// so blocks nest arbitrarily.
@@ -94,35 +94,11 @@ impl Layer for Sequential {
     }
 
     fn forward_infer(&self, input: &T) -> T {
-        forward_whole(self, input)
+        forward_tile(self, input, &mut TileHalo::whole())
     }
 
     fn describe(&self) -> Node<'_> {
         Node::Chain(&self.layers)
-    }
-
-    fn forward_step(&self, input: Cow<'_, T>, tile: &mut TileHalo, shuffle: usize) -> (T, bool) {
-        // The first child reads the chain's input as the chain got it —
-        // only an empty chain (the identity) has to copy a borrowed one —
-        // and every later child is handed the tensor the chain owns.
-        let mut x = input;
-        let mut layers = self.layers.iter().peekable();
-        while let Some(l) = layers.next() {
-            // `conv → pixel_shuffle` is one step where both layers say
-            // so: the engine writes where the shuffle would copy to. The
-            // last child stands in front of whatever stands behind the
-            // chain, and its answer is the chain's.
-            let behind = layers.peek().map_or(shuffle, |next| match next.describe() {
-                Node::Shuffle(r) => r,
-                _ => 1,
-            });
-            let (y, absorbed) = l.forward_step(x, tile, behind);
-            x = Cow::Owned(y);
-            if absorbed && layers.next().is_none() {
-                return (x.into_owned(), true);
-            }
-        }
-        (x.into_owned(), false)
     }
 
     fn children_mut(&mut self) -> Option<&mut [Box<dyn Layer>]> {
@@ -174,15 +150,7 @@ impl Layer for Residual {
     }
 
     fn forward_infer(&self, input: &T) -> T {
-        forward_whole(self, input)
-    }
-
-    fn forward_step(&self, input: Cow<'_, T>, tile: &mut TileHalo, _: usize) -> (T, bool) {
-        // The skip is added over the region the body still wrote.
-        let [top, left, ..] = tile.margin;
-        let (mut out, _) = self.body.forward_step(Cow::Borrowed(&*input), tile, 1);
-        out.add_window(&input, top - tile.margin[0], left - tile.margin[1]);
-        (out, false)
+        forward_tile(self, input, &mut TileHalo::whole())
     }
 
     fn describe(&self) -> Node<'_> {

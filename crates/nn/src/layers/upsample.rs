@@ -5,12 +5,12 @@
 //! interpolation, which makes small-scale training start from the
 //! bicubic baseline instead of random output.
 
-use crate::layer::{forward_whole, Layer, Node, SkipKind};
+use crate::layer::{Layer, Node, SkipKind};
 use crate::layers::structure::Sequential;
+use crate::program::forward_tile;
 use crate::runtime::TileHalo;
-use ringcnn_imaging::degrade::{resize_bicubic_adjoint, upsample, upsample_window};
+use ringcnn_imaging::degrade::{resize_bicubic_adjoint, upsample};
 use ringcnn_tensor::tensor::Tensor;
-use std::borrow::Cow;
 
 /// `body(x) + bicubic_upsample(x, factor)`.
 pub struct UpsampleResidual {
@@ -58,23 +58,7 @@ impl Layer for UpsampleResidual {
     }
 
     fn forward_infer(&self, input: &Tensor) -> Tensor {
-        forward_whole(self, input)
-    }
-
-    fn forward_step(
-        &self,
-        input: Cow<'_, Tensor>,
-        tile: &mut TileHalo,
-        _: usize,
-    ) -> (Tensor, bool) {
-        // The skip's own reach first, as `model_topology` adds it.
-        tile.leaf(self.describe().geometry().0, (1, 1));
-        let [top, left, ..] = tile.margin.map(|m| m * self.factor);
-        let (mut out, _) = self.body.forward_step(Cow::Borrowed(&*input), tile, 1);
-        let s = out.shape();
-        let region = (top - tile.margin[0], left - tile.margin[1], s.h, s.w);
-        out.add_assign(&upsample_window(&input, self.factor, region));
-        (out, false)
+        forward_tile(self, input, &mut TileHalo::whole())
     }
 
     fn children_mut(&mut self) -> Option<&mut [Box<dyn Layer>]> {

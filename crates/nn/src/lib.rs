@@ -35,6 +35,7 @@ pub mod layers;
 pub mod loss;
 pub mod models;
 pub mod optim;
+pub mod program;
 pub mod runtime;
 pub mod serialize;
 pub mod train;

@@ -24,12 +24,12 @@
 //! The pool size comes from `RINGCNN_THREADS` (see the `rayon` shim;
 //! 1 = fully sequential).
 
-use crate::layer::{Layer, Node};
+use crate::layer::Layer;
 use crate::layers::structure::Sequential;
+use crate::program::{self, Step};
 use rayon::prelude::*;
 use ringcnn_tensor::prelude::*;
 use ringcnn_tensor::tile::{tile_grid, Window};
-use std::borrow::Cow;
 
 /// Greatest common divisor (positive inputs).
 fn gcd(a: usize, b: usize) -> usize {
@@ -61,14 +61,14 @@ pub struct ModelTopo {
 }
 
 impl ModelTopo {
-    /// Folds a model's steps into its topology: `walk` hands over, in
-    /// execution order, each step's reach around an output pixel at its
-    /// input resolution and its scale `(num, den)` — the float walk
-    /// ([`model_topology`]) and the integer pipeline of `ringcnn-quant`.
-    pub fn fold(walk: impl FnOnce(&mut dyn FnMut(usize, (usize, usize)))) -> Self {
+    /// Folds a program into its topology: each step's reach around an
+    /// output pixel at its input resolution and its scale
+    /// ([`program::Op::geometry`]), in execution order — the float program and
+    /// the integer one of `ringcnn-quant`.
+    pub fn of<L>(program: &[Step<L>]) -> Self {
         // Input pixels per current-resolution pixel, a reduced fraction.
         let (mut ipp, mut radius, mut granularity) = ((1, 1), 0.0, 1);
-        walk(&mut |reach, (num, den)| {
+        for (reach, (num, den)) in program.iter().map(|step| step.op.geometry()) {
             radius += reach as f64 * (ipp.0 as f64 / ipp.1 as f64);
             // A step scaling resolution by num/den divides input pixels
             // per feature pixel by num/den; a tile of t input pixels then
@@ -76,7 +76,7 @@ impl ModelTopo {
             let (n, d) = (ipp.0 * den, ipp.1 * num);
             ipp = (n / gcd(n, d), d / gcd(n, d));
             granularity = lcm(granularity, ipp.0);
-        });
+        }
         // Output pixels per input pixel = 1 / ipp.
         Self {
             radius: radius.ceil() as usize,
@@ -100,17 +100,32 @@ pub struct TileHalo {
     /// current resolution.
     pub margin: [usize; 4],
     /// `rest.0 / rest.1` (reduced) current-resolution pixels — exact, like
-    /// the `ipp` of [`ModelTopo::fold`]: a ×4 tail reads a quarter input
+    /// the `ipp` of [`ModelTopo::of`]: a ×4 tail reads a quarter input
     /// pixel.
     rest: (usize, usize),
+    /// The core's top-left pixel in the frame, at the current resolution
+    /// (exact: a multiple of the model's granularity where `BatchRunner`
+    /// cut it; a tile nobody placed is its own frame).
+    core: [usize; 2],
 }
 
 impl TileHalo {
     /// A tile with `margin` pixels around its core entering a chain that
     /// reads at most `halo` input pixels around any output pixel.
     pub fn new(margin: [usize; 4], halo: usize) -> Self {
-        let rest = (halo, 1);
-        Self { margin, rest }
+        let (rest, core) = ((halo, 1), [margin[0], margin[1]]);
+        Self { margin, rest, core }
+    }
+
+    /// The tile with its core's top-left pixel at `core` of its frame.
+    #[must_use]
+    pub(crate) fn at(self, core: [usize; 2]) -> Self {
+        Self { core, ..self }
+    }
+
+    /// The top-left pixel of the tile (margins included) in its frame.
+    pub(crate) fn origin(&self) -> (usize, usize) {
+        (self.core[0] - self.margin[0], self.core[1] - self.margin[1])
     }
 
     /// A whole image: no margins, nothing to cut.
@@ -131,6 +146,7 @@ impl TileHalo {
         self.rest.0 = self.rest.0.saturating_sub(radius * self.rest.1);
         let cap = self.reach() * num / den;
         self.margin = self.margin.map(|m| m * num / den);
+        self.core = self.core.map(|c| c * num / den);
         let (n, d) = (self.rest.0 * num, self.rest.1 * den);
         let (n, d) = if cap * d < n { (cap, 1) } else { (n, d) };
         self.rest = (n / gcd(n, d), d / gcd(n, d));
@@ -150,20 +166,9 @@ impl TileHalo {
     }
 }
 
-/// Derives the [`ModelTopo`] of a model: a fold over its description.
+/// Derives the [`ModelTopo`] of a model: the fold of its program.
 pub fn model_topology(model: &dyn Layer) -> ModelTopo {
-    fn visit(step: &mut dyn FnMut(usize, (usize, usize)), node: Node<'_>) {
-        // A container reads only beside its children (the bicubic skip's
-        // reach, at its input resolution); they carry the scale change.
-        let (reach, scale) = node.geometry();
-        step(reach, scale);
-        match node {
-            Node::Chain(layers) => layers.iter().for_each(|l| visit(step, l.describe())),
-            Node::Skip(body, _) => visit(step, body.describe()),
-            _ => {}
-        }
-    }
-    ModelTopo::fold(|step| visit(step, model.describe()))
+    ModelTopo::of(&program::compile(model))
 }
 
 /// The shared-state inference contract the tiled runtime executes: a
@@ -205,7 +210,7 @@ impl InferenceModel for Sequential {
     }
 
     fn forward_tile(&self, input: &Tensor, tile: &mut TileHalo) -> Tensor {
-        self.forward_step(Cow::Borrowed(input), tile, 1).0
+        program::forward_tile(self, input, tile)
     }
 
     fn out_channels(&self, in_channels: usize) -> usize {
@@ -393,7 +398,7 @@ impl<'m> BatchRunner<'m> {
                 if let Some(sp) = &span {
                     sp.set_args(ext.h as u64, ext.w as u64);
                 }
-                let mut tile = TileHalo::new(room.map(|m| m.min(halo)), halo);
+                let mut tile = TileHalo::new(room.map(|m| m.min(halo)), halo).at([y0, x0]);
                 let tile_in = input.extract_window(n, ext);
                 (self.model.forward_tile(&tile_in, &mut tile), tile)
             })

@@ -25,11 +25,13 @@
 //! that loads runs the one integer chain: 8-bit planes, `i32` lanes,
 //! 16-bit multiplies in the conv engine — [`QuantizedModel::forward`],
 //! and [`QuantizedModel::forward_q`], which speaks `i64` [`QTensor`]s to
-//! the simulator. A conv that keeps its accumulator and the directional
-//! ReLU behind it are one step of the chain: the unit runs on each
-//! column chunk's accumulators inside the conv engine (the paper's
-//! on-the-fly execution, literally), so only requantized features are
-//! ever stored. [`execute_layer`] is the one slow oracle beside it, one
+//! the simulator: the chain compiled into the step program of
+//! `ringcnn_nn::program` ([`QuantizedModel::program`]) and run by its one
+//! driver on this crate's datapath. A conv that keeps its accumulator and
+//! the directional ReLU behind it are one step of the program: the unit
+//! runs on each column chunk's accumulators inside the conv engine (the
+//! paper's on-the-fly execution, literally), so only requantized features
+//! are ever stored. [`execute_layer`] is the one slow oracle beside it, one
 //! layer at a time on `i64` tensors, unfused: [`run_conv_reference`],
 //! [`run_drelu_reference`], and the store-generic stages the chain
 //! shares.
@@ -37,11 +39,12 @@
 use crate::qformat::{requant_shift, QFormat, QFormatError};
 use crate::qtensor::{expand_formats, group_max_abs, QTensor, QTensorOf, Store, BLOCK};
 use ringcnn_algebra::transforms::{fwht_i64, fwht_planes};
-use ringcnn_imaging::degrade::{upsample, upsample_window};
+use ringcnn_imaging::degrade::upsample_window;
 use ringcnn_nn::layer::{Layer, Node, SkipKind};
 use ringcnn_nn::layers::conv::AnyConv;
 use ringcnn_nn::layers::shuffle::{cropped, shuffle_into, unshuffle_into};
 use ringcnn_nn::layers::structure::Sequential;
+use ringcnn_nn::program::{leaves, push_skip, run, Datapath, Epilogue, Op, Point, Step};
 use ringcnn_nn::runtime::{InferenceModel, ModelTopo, TileHalo};
 use ringcnn_tensor::gemm::{ChunkEpilogue, PackedWeights, RequantChannel, RequantPlan};
 use ringcnn_tensor::im2col::{conv_streaming_i32, ConvInput};
@@ -272,6 +275,12 @@ impl QConv {
         self.w_format
     }
 
+    /// The output formats the accumulator is requantized to, or `None`
+    /// for one kept for the directional ReLU behind the conv.
+    pub fn requant(&self) -> Option<&[QFormat]> {
+        self.requant.as_deref()
+    }
+
     /// [`tap_support`], derived once.
     fn support(&self) -> &[bool] {
         self.plan.0.support.get_or_init(|| tap_support(self))
@@ -336,20 +345,22 @@ impl QUpsampleResidual {
 /// `i64` tensors, unfused: a conv through [`run_conv_reference`] (one
 /// that keeps its accumulator hands the accumulator on), a directional
 /// ReLU through [`run_drelu_reference`], and the ReLU, shuffles and
-/// saturating skip adds through the store-generic stages the chain runs
-/// on `i8` planes — a skip's body through this, layer by layer. What
-/// [`QuantizedModel::forward`] computes is this walk's integers, bit for
-/// bit (`tests/quant_backend.rs`).
+/// saturating skip adds through the store-generic stages the program's
+/// datapath runs on `i8` planes — a skip's body through this, layer by
+/// layer. What [`QuantizedModel::forward`] computes is this walk's
+/// integers, bit for bit (`tests/quant_backend.rs`).
 pub fn execute_layer(layer: &QLayer, q: QTensor) -> QTensor {
-    fn oracle_chain(layers: &[QLayer], q: Cow<'_, QTensor>, _: &mut TileHalo) -> QTensor {
-        layers
-            .iter()
-            .fold(q.into_owned(), |q, l| execute_layer(l, q))
-    }
+    let skip = |body: &[QLayer]| {
+        let mut out = body.iter().fold(q.clone(), |q, l| execute_layer(l, q));
+        add_skip(layer, &mut out, &q, (0, 0), (0, 0));
+        out
+    };
     match layer {
         QLayer::Conv(c) => run_conv_reference(c, &q),
         QLayer::DRelu(d) => run_drelu_reference(d, &q),
-        _ => run_stage(layer, Cow::Owned(q), &mut TileHalo::whole(), oracle_chain),
+        QLayer::Residual(res) => skip(&res.body),
+        QLayer::UpsampleResidual(ur) => skip(&ur.body),
+        _ => shared_stage(layer, Cow::Owned(q), [0; 4]),
     }
 }
 
@@ -482,9 +493,17 @@ impl QuantizedModel {
             .into_iter()
             .map(|v| i8::try_from(v).expect("8-bit features"));
         let q = QTensorOf::from_raw(s, narrowed.collect(), formats);
-        let (s, data, formats) =
-            run_chain(&self.layers, Cow::Owned(q), &mut TileHalo::whole()).into_raw();
+        let whole = &mut TileHalo::whole();
+        let (s, data, formats) = run(&self.program(), Cow::Owned(q), whole).into_raw();
         QTensor::from_raw(s, data.into_iter().map(i64::from).collect(), formats)
+    }
+
+    /// The chain as the one step program the driver runs
+    /// (`ringcnn_nn::program`): every layer in order, a skip's body
+    /// behind it, and a conv that keeps its accumulator fused with the
+    /// directional ReLU behind it ([`Epilogue::FH`]).
+    pub fn program(&self) -> Vec<Step<&QLayer>> {
+        compile(&self.layers)
     }
 
     /// The calibrated input format.
@@ -503,11 +522,32 @@ impl QuantizedModel {
         self.walk_shapes(input, |_, _| {}).c
     }
 
-    /// The one walk over the chain's shapes: hands every layer — a skip
-    /// wrapper before the layers of its body — the shape of its input,
-    /// from a chain input of shape `input`, and returns the output shape.
+    /// The one walk over the chain's shapes: hands every layer of the
+    /// [`QuantizedModel::program`] — a skip wrapper before the layers of
+    /// its body — the shape of its input, from a chain input of shape
+    /// `input`, and returns the output shape.
     pub fn walk_shapes(&self, input: Shape4, mut visit: impl FnMut(&QLayer, Shape4)) -> Shape4 {
-        qlayers_shapes(&self.layers, input, &mut visit)
+        let mut s = input;
+        for Step { layer, op } in self.program() {
+            let fused = match op {
+                Op::Conv {
+                    epilogue: Epilogue::FH(fh),
+                    ..
+                } => Some(fh),
+                _ => None,
+            };
+            for layer in std::iter::once(layer).chain(fused) {
+                visit(layer, s);
+                s = match layer {
+                    QLayer::Conv(conv) => s.with_channels(conv.co),
+                    QLayer::Shuffle(r) => Shape4::new(s.n, s.c / (r * r), s.h * r, s.w * r),
+                    QLayer::Unshuffle(r) => Shape4::new(s.n, s.c * r * r, s.h / r, s.w / r),
+                    // A skip's output is its body's.
+                    _ => s,
+                };
+            }
+        }
+        s
     }
 
     /// The channel count the first convolution fixes for the chain's
@@ -524,21 +564,12 @@ impl QuantizedModel {
         fixed.flatten()
     }
 
-    /// Spatial topology of the integer pipeline — [`ModelTopo::fold`] over
-    /// [`QuantizedModel::walk_shapes`], as the float runtime's
-    /// `model_topology` folds its description, so a quantized model tiles
-    /// on the same `BatchRunner` with the same halo/granularity math.
+    /// Spatial topology of the integer pipeline — [`ModelTopo::of`] its
+    /// program, as the float runtime's `model_topology` folds its own, so
+    /// a quantized model tiles on the same `BatchRunner` with the same
+    /// halo/granularity math.
     pub fn topology(&self) -> ModelTopo {
-        ModelTopo::fold(|step| {
-            self.walk_shapes(Shape4::new(1, 1, 1, 1), |layer, _| match layer {
-                QLayer::Conv(c) => step(c.k / 2, (1, 1)),
-                QLayer::Shuffle(r) => step(0, (*r, 1)),
-                QLayer::Unshuffle(r) => step(0, (1, *r)),
-                // The bicubic skip's reach (`Node::geometry`).
-                QLayer::UpsampleResidual(_) => step(2, (1, 1)),
-                QLayer::Relu | QLayer::DRelu(_) | QLayer::Residual(_) => {}
-            });
-        })
+        ModelTopo::of(&self.program())
     }
 
     /// Structural validation for untrusted pipelines (deserialized model
@@ -583,7 +614,7 @@ impl InferenceModel for QuantizedModel {
     fn forward_tile(&self, input: &Tensor, tile: &mut TileHalo) -> Tensor {
         self.proof().expect("a model that loads");
         let q = QTensorOf::<i8>::quantize(input, vec![self.input_format; input.shape().c]);
-        run_chain(&self.layers, Cow::Owned(q), tile).dequantize()
+        run(&self.program(), Cow::Owned(q), tile).dequantize()
     }
 
     fn out_channels(&self, in_channels: usize) -> usize {
@@ -595,25 +626,6 @@ impl InferenceModel for QuantizedModel {
     }
 }
 
-fn qlayers_shapes(
-    layers: &[QLayer],
-    mut s: Shape4,
-    visit: &mut impl FnMut(&QLayer, Shape4),
-) -> Shape4 {
-    for l in layers {
-        visit(l, s);
-        s = match l {
-            QLayer::Conv(conv) => s.with_channels(conv.co),
-            QLayer::Relu | QLayer::DRelu(_) => s,
-            QLayer::Shuffle(r) => Shape4::new(s.n, s.c / (r * r), s.h * r, s.w * r),
-            QLayer::Unshuffle(r) => Shape4::new(s.n, s.c * r * r, s.h / r, s.w / r),
-            QLayer::Residual(res) => qlayers_shapes(&res.body, s, visit),
-            QLayer::UpsampleResidual(ur) => qlayers_shapes(&ur.body, s, visit),
-        };
-    }
-    s
-}
-
 // ---------------------------------------------------------------------
 // Builder: walk the float model, collect ranges, emit QLayers.
 // ---------------------------------------------------------------------
@@ -621,15 +633,6 @@ fn qlayers_shapes(
 /// Sentinel for "per-channel formats with no tuple grouping" (after a
 /// pixel shuffle of grouped features).
 const UNGROUPED: usize = usize::MAX;
-
-/// The leaves of `layer` in execution order, nested chains flattened
-/// (a skip is one leaf, its body lowered in its own turn).
-fn leaves<'a>(layer: &'a dyn Layer, out: &mut Vec<(&'a dyn Layer, Node<'a>)>) {
-    match layer.describe() {
-        Node::Chain(layers) => layers.iter().for_each(|l| leaves(l.as_ref(), out)),
-        node => out.push((layer, node)),
-    }
-}
 
 /// Lowers `chain` while running it on `x`, the chain's activation: a
 /// borrowed input (the calibration batch, a skip's tensor) is read by
@@ -646,9 +649,8 @@ fn build_chain_grouped(
 ) -> Result<(Vec<QLayer>, Tensor), CalibrationError> {
     // Every leaf runs as the one step the float chain takes: in place on
     // the tensor the walk gives up.
-    let step = |l: &dyn Layer, x| l.forward_step(x, &mut TileHalo::whole(), 1).0;
-    let mut steps = Vec::new();
-    leaves(chain, &mut steps);
+    let step = |l: &dyn Layer, x| l.forward_step(x);
+    let steps = leaves(chain);
     let mut out = Vec::new();
     for (i, &(layer, node)) in steps.iter().enumerate() {
         match node {
@@ -717,10 +719,7 @@ fn build_chain_grouped(
             Node::Skip(body, kind) => {
                 let (body, mut sum) =
                     build_chain_grouped(body, Cow::Borrowed(&x), opts, cur_groups, convs)?;
-                match kind {
-                    SkipKind::Residual => sum.add_assign(&x),
-                    SkipKind::Bicubic(f) => sum.add_assign(&upsample(&x, f)),
-                }
+                layer.add_skip(&mut sum, &x, (0, 0), (0, 0));
                 let out_formats = vec![fit_ctx(group_max_abs(&sum, 1)[0], "skip output")?];
                 out.push(match kind {
                     SkipKind::Residual => {
@@ -827,53 +826,83 @@ fn hadamard_intermediate_max(x: &Tensor, n: usize) -> f64 {
 // Integer execution.
 // ---------------------------------------------------------------------
 
-/// Runs a chain on `i8` planes, on an input it may own: every stage that
-/// can work in place does, and a borrowed input (a residual body reading
-/// the skip's tensor) is copied only by a stage that has to write to it.
-/// `tile` is the float chain's state, moved the same way: a convolution
-/// writes only what the rest of the chain reads, a skip is added over
-/// that region. A convolution that keeps its accumulator and the
-/// directional ReLU behind it (every such conv of a validated chain has
-/// one) are one step: the unit runs on each column chunk's accumulators
+/// The chain as one flat step program: every layer in order, a skip's
+/// body behind it, and a convolution that keeps its accumulator fused
+/// with the directional ReLU behind it (every such conv of a validated
+/// chain has one) — the unit runs on each column chunk's accumulators
 /// inside the engine, and no accumulator is stored.
-fn run_chain(
-    mut layers: &[QLayer],
-    mut q: Cow<'_, QTensorOf<i8>>,
-    tile: &mut TileHalo,
-) -> QTensorOf<i8> {
+fn compile(mut layers: &[QLayer]) -> Vec<Step<&QLayer>> {
+    let mut program = Vec::new();
     while let [layer, rest @ ..] = layers {
-        (q, layers) = match (layer, rest) {
-            (QLayer::Conv(c), [QLayer::DRelu(d), rest @ ..]) if c.requant.is_none() => {
-                let cut = tile.conv(c.k / 2, 1);
-                (Cow::Owned(run_conv(c, Some(d), &q, cut)), rest)
+        layers = rest;
+        let op = match layer {
+            QLayer::Conv(c) => {
+                let epilogue = match rest {
+                    [fh @ QLayer::DRelu(_), rest @ ..] if c.requant.is_none() => {
+                        layers = rest;
+                        Epilogue::FH(fh)
+                    }
+                    _ => Epilogue::None,
+                };
+                Op::Conv {
+                    radius: c.k / 2,
+                    epilogue,
+                }
             }
-            _ => (Cow::Owned(run_layer(layer, q, tile)), rest),
+            QLayer::Relu => Op::Relu,
+            QLayer::DRelu(_) => Op::DRelu,
+            QLayer::Shuffle(r) => Op::Shuffle(*r),
+            QLayer::Unshuffle(r) => Op::Unshuffle(*r),
+            QLayer::Residual(res) => {
+                push_skip(&mut program, layer, SkipKind::Residual, compile(&res.body));
+                continue;
+            }
+            QLayer::UpsampleResidual(ur) => {
+                let kind = SkipKind::Bicubic(ur.factor);
+                push_skip(&mut program, layer, kind, compile(&ur.body));
+                continue;
+            }
         };
+        program.push(Step { layer, op });
     }
-    q.into_owned()
+    program
 }
 
-/// One step of [`run_chain`], unfused.
-fn run_layer(layer: &QLayer, q: Cow<'_, QTensorOf<i8>>, tile: &mut TileHalo) -> QTensorOf<i8> {
-    match layer {
-        QLayer::Conv(c) => run_conv(c, None, &q, tile.conv(c.k / 2, 1)),
-        QLayer::DRelu(d) => run_drelu(d, q.into_owned()),
-        _ => run_stage(layer, q, tile, run_chain),
+/// `i8` planes in `i32` lanes: the conv on the engine (`run_conv`, with
+/// the directional ReLU it fused), every other stage the store-generic
+/// body the oracle ([`execute_layer`]) runs too.
+impl Datapath for &QLayer {
+    type Plane = QTensorOf<i8>;
+
+    fn conv(self, x: &Self::Plane, cut: [usize; 4], epilogue: Epilogue<Self>) -> Self::Plane {
+        let fh = match epilogue {
+            Epilogue::FH(QLayer::DRelu(d)) => Some(d),
+            _ => None,
+        };
+        match self {
+            QLayer::Conv(c) => run_conv(c, fh, x, cut),
+            _ => unreachable!("a conv step holds a conv"),
+        }
+    }
+
+    fn apply(self, x: Cow<'_, Self::Plane>, cut: [usize; 4]) -> Self::Plane {
+        match self {
+            QLayer::DRelu(d) => run_drelu(d, x.into_owned()),
+            _ => shared_stage(self, x, cut),
+        }
+    }
+
+    fn add_skip(self, out: &mut Self::Plane, x: &Self::Plane, at: Point, origin: Point) {
+        add_skip(self, out, x, at, origin);
     }
 }
-
-/// How a walk runs a skip's body.
-type Chain<S> = fn(&[QLayer], Cow<'_, QTensorOf<S>>, &mut TileHalo) -> QTensorOf<S>;
 
 /// The stages the chain and the oracle share, one body generic over the
-/// store: the ReLU, the shuffles, and the skips — the body through the
-/// walk's own `chain`, then the saturating add. Each walk runs its convs
-/// and directional ReLUs its own way.
-fn run_stage<S: Store>(
+/// store: the ReLU and the shuffles, an unshuffle without `cut` first.
+fn shared_stage<S: Store>(
     layer: &QLayer,
     q: Cow<'_, QTensorOf<S>>,
-    tile: &mut TileHalo,
-    chain: Chain<S>,
+    cut: [usize; 4],
 ) -> QTensorOf<S> {
     match layer {
         QLayer::Relu => {
@@ -881,43 +910,40 @@ fn run_stage<S: Store>(
             data.iter_mut().for_each(|v| *v = (*v).max(S::default()));
             QTensorOf::from_raw(s, data, formats)
         }
-        QLayer::Shuffle(r) => {
-            tile.leaf(0, (*r, 1));
-            run_shuffle(q.into_owned(), *r)
-        }
+        QLayer::Shuffle(r) => run_shuffle(q.into_owned(), *r),
+        QLayer::Unshuffle(r) if cut == [0; 4] => run_unshuffle(&q, *r),
         QLayer::Unshuffle(r) => {
-            // A margin trimmed off the `r`-grid loses the rows and
-            // columns that fill no whole coarse pixel.
-            let cut = tile.margin.map(|m| m % r);
-            tile.leaf(0, (1, *r));
-            if cut == [0; 4] {
-                return run_unshuffle(&q, *r);
-            }
             let (s, data) = cropped(q.data(), q.shape(), cut);
             run_unshuffle(&QTensorOf::from_raw(s, data, q.formats().to_vec()), *r)
         }
+        _ => unreachable!("each walk runs its own convs, directional ReLUs and skips"),
+    }
+}
+
+/// `out +=` the saturating add of the skip `layer` of `x` over the window
+/// at `at`, shared like [`shared_stage`]: `x` itself, or the fixed-point
+/// interpolator — the float bicubic of the dequantized `x` (lying from
+/// pixel `origin` on in its frame), re-quantized at the output format.
+fn add_skip<S: Store>(
+    layer: &QLayer,
+    out: &mut QTensorOf<S>,
+    x: &QTensorOf<S>,
+    (top, left): Point,
+    origin: Point,
+) {
+    let s = out.shape();
+    match layer {
         QLayer::Residual(res) => {
-            let [top, left, ..] = tile.margin;
-            let mut out = chain(&res.body, Cow::Borrowed(&*q), tile);
-            let at = (top - tile.margin[0], left - tile.margin[1]);
-            out.add_window_saturating(&q, at, expand_formats(&res.out_formats, q.shape().c));
-            out
+            out.add_window_saturating(x, (top, left), expand_formats(&res.out_formats, s.c));
         }
         QLayer::UpsampleResidual(ur) => {
-            tile.leaf(2, (1, 1));
-            let [top, left, ..] = tile.margin.map(|m| m * ur.factor);
-            let mut out = chain(&ur.body, Cow::Borrowed(&*q), tile);
-            // Fixed-point interpolator: bicubic on the dequantized input,
-            // re-quantized at the output format (deterministic).
-            let (h, w) = (out.shape().h, out.shape().w);
-            let region = (top - tile.margin[0], left - tile.margin[1], h, w);
-            let skip_f = upsample_window(&q.dequantize(), ur.factor, region);
-            let formats = expand_formats(&ur.out_formats, out.shape().c);
+            let window = (top, left, s.h, s.w);
+            let skip_f = upsample_window(&x.dequantize(), ur.factor, window, origin);
+            let formats = expand_formats(&ur.out_formats, s.c);
             let skip = QTensorOf::quantize(&skip_f, formats.clone());
             out.add_assign_saturating(&skip, formats);
-            out
         }
-        QLayer::Conv(_) | QLayer::DRelu(_) => unreachable!("each walk runs its own"),
+        _ => unreachable!("only a skip adds"),
     }
 }
 
@@ -1467,7 +1493,7 @@ mod tests {
                 }
                 let data = q.data().iter().map(|v| narrow(*v)).collect();
                 let narrowed = QTensorOf::from_raw(q.shape(), data, q.formats().to_vec());
-                let got = run_chain(step, Cow::Owned(narrowed), &mut TileHalo::whole());
+                let got = run(&compile(step), Cow::Owned(narrowed), &mut TileHalo::whole());
                 q = step.iter().fold(q, |q, l| execute_layer(l, q));
                 let data = got.data().iter().map(|v| i64::from(*v)).collect();
                 let got = QTensor::from_raw(got.shape(), data, got.formats().to_vec());

@@ -17,6 +17,7 @@ use ringcnn_nn::models::ernet::{dn_ernet_pu, ErNetConfig};
 use ringcnn_nn::models::ffdnet::ffdnet;
 use ringcnn_nn::models::srresnet::{srresnet, SrResNetConfig};
 use ringcnn_nn::models::vdsr::vdsr;
+use ringcnn_nn::program::{compile, run, Epilogue, Op};
 use ringcnn_tensor::gemm;
 use std::borrow::Cow;
 
@@ -517,11 +518,11 @@ fn forward_without_train_is_forward_infer_for_every_layer_type() {
 }
 
 // ---------------------------------------------------------------------
-// The float chain owns its activations: the one chain step
-// (`forward_step`, with the factor of a `Node::Shuffle`) against the plain
-// leaf-by-leaf chain, bit for bit. CI runs this file at pools 1 and 4
-// (`thread-sanity`), at the runner's own size, and with each kernel tier
-// pinned (`kernel-tiers`).
+// The float program owns its activations: the step program the driver
+// runs (`program::run`, with a conv's `Epilogue::Shuffle` where it fused
+// the shuffle behind it) against the plain leaf-by-leaf chain, bit for
+// bit. CI runs this file at pools 1 and 4 (`thread-sanity`), at the
+// runner's own size, and with each kernel tier pinned (`kernel-tiers`).
 // ---------------------------------------------------------------------
 
 fn bits(t: &Tensor) -> Vec<u32> {
@@ -541,18 +542,22 @@ fn special_features(s: Shape4, seed: u64) -> Tensor {
     t
 }
 
-/// The one chain step answers an activation it is handed with the bits
-/// it answers a view of it with, and those are `forward_infer`'s — for
-/// every layer type on every backend, and for the element-wise layers
-/// (the ones that work in place on what they are given) over every tuple
-/// size and plane shape; a borrowed input is never written.
+/// The driver answers an activation it is handed with the bits it
+/// answers a view of it with, and those are `forward_infer`'s — over the
+/// program of every layer type on every backend, and of the element-wise
+/// layers (the ones that work in place on what they are given) over
+/// every tuple size and plane shape; a borrowed input is never written,
+/// and a program fuses only the shuffle a layer holds behind an engine
+/// conv (the bicubic skip's ×4 body).
 #[test]
 fn owned_forward_is_the_borrowing_forward_bit_for_bit() {
     let mut layers = Vec::new();
     for backend in ConvBackend::all() {
         for (mut layer, shape) in every_layer_type() {
             layer.set_conv_backend(backend);
-            layers.push((layer, shape));
+            let fuses =
+                layer.name().starts_with("upsample_residual") && backend != ConvBackend::Naive;
+            layers.push((layer, shape, fuses));
         }
     }
     for (h, w) in [(1, 1), (1, 7), (37, 31)] {
@@ -563,19 +568,30 @@ fn owned_forward_is_the_borrowing_forward_bit_for_bit() {
             (Box::new(DirectionalReluLayer::fh(8)), 8),
             (Box::new(DirectionalReluLayer::fo4()), 8),
         ];
-        layers.extend(elementwise.map(|(layer, c)| (layer, Shape4::new(2, c, h, w))));
+        let shape = Shape4::new(2, 0, h, w);
+        layers.extend(elementwise.map(|(layer, c)| (layer, shape.with_channels(c), false)));
     }
-    for (layer, shape) in layers {
+    for (layer, shape, fuses) in layers {
         let what = format!("{} on {shape}", layer.name());
         let x = special_features(shape, 5 + shape.w as u64);
         let kept = x.clone();
         let want = layer.forward_infer(&x);
+        let program = compile(layer.as_ref());
+        let fused = program.iter().any(|step| {
+            matches!(
+                step.op,
+                Op::Conv {
+                    epilogue: Epilogue::Shuffle(_),
+                    ..
+                }
+            )
+        });
+        assert_eq!(fused, fuses, "{what}: the shuffles it fused");
         let whole = &mut TileHalo::whole();
-        let (borrowed, absorbed) = layer.forward_step(Cow::Borrowed(&x), whole, 1);
-        assert!(!absorbed, "{what}: no shuffle to absorb");
+        let borrowed = run(&program, Cow::Borrowed(&x), whole);
         assert_eq!(bits(&x), bits(&kept), "{what}: wrote its input");
         assert_eq!(bits(&borrowed), bits(&want), "{what}: borrowed");
-        let (owned, _) = layer.forward_step(Cow::Owned(x), whole, 1);
+        let owned = run(&program, Cow::Owned(x), whole);
         assert_eq!(bits(&owned), bits(&want), "{what}: owned");
         assert_eq!(*whole, TileHalo::whole(), "{what}: nothing to cut");
     }
@@ -638,13 +654,13 @@ fn convs_before_a_shuffle(r: usize) -> Vec<(String, usize, ConvBuilder)> {
 }
 
 /// `conv → pixel_shuffle` run as one step equals the shuffle of the
-/// conv's output bit for bit — absorbed where the conv runs the engine
-/// kernel (`Conv2d` and `DepthwiseConv2d` off `Naive`, `RingConv2d` on
-/// `Im2col`), left to the chain everywhere else — for r ∈ {2, 3, 4},
-/// batch 2, every plane of `SHUFFLE_PLANES`, on both kernel tiers; and
-/// inside a tile the same step writes exactly the pixels of it the rest
-/// of the chain reads (the engine through the shuffle, the transform
-/// kernel in front of it, the naive one carrying its halo).
+/// conv's output bit for bit — fused into the conv's step where it runs
+/// the engine kernel (`Conv2d` and `DepthwiseConv2d` off `Naive`,
+/// `RingConv2d` on `Im2col`), a step of its own everywhere else — for
+/// r ∈ {2, 3, 4}, batch 2, every plane of `SHUFFLE_PLANES`, on both
+/// kernel tiers; and inside a tile the conv's step writes exactly the
+/// pixels of it the rest of the program reads (the engine through the
+/// shuffle, the transform and naive kernels in front of it).
 #[test]
 fn fused_pixel_shuffle_is_the_shuffle_of_the_conv_output_bit_for_bit() {
     for r in [2usize, 3, 4] {
@@ -660,6 +676,12 @@ fn fused_pixel_shuffle_is_the_shuffle_of_the_conv_output_bit_for_bit() {
                 let chain = Sequential::new()
                     .with(build(backend))
                     .with(Box::new(PixelShuffle::new(r)));
+                let program = compile(&chain);
+                let absorbed = matches!(
+                    program[0].op,
+                    Op::Conv { epilogue: Epilogue::Shuffle(s), .. } if s == r
+                );
+                let step = &program[..1];
                 for (h, w) in SHUFFLE_PLANES {
                     for tier in [KernelBackend::Scalar, KernelBackend::Avx2] {
                         let what = format!("{label} on {backend}, r={r}, {h}x{w}, {tier:?}");
@@ -668,22 +690,20 @@ fn fused_pixel_shuffle_is_the_shuffle_of_the_conv_output_bit_for_bit() {
                             let plain = conv.forward_infer(&x);
                             let want = PixelShuffle::apply(&plain, r);
                             let whole = &mut TileHalo::whole();
-                            let (step, absorbed) = conv.forward_step(Cow::Borrowed(&x), whole, r);
+                            let stepped_once = run(step, Cow::Borrowed(&x), whole);
                             assert_eq!(absorbed, engine, "{what}: who absorbs");
                             let stepped = if absorbed { &want } else { &plain };
-                            assert_eq!(step.shape(), stepped.shape(), "{what}");
-                            assert_eq!(bits(&step), bits(stepped), "{what}: step");
+                            assert_eq!(stepped_once.shape(), stepped.shape(), "{what}");
+                            assert_eq!(bits(&stepped_once), bits(stepped), "{what}: step");
                             // A halo of 2 less the conv's 1: one pixel
                             // kept where there are more, all of a
                             // frame-clipped side.
                             if h >= 3 && w >= 4 {
                                 let mut tile = TileHalo::new([2, 0, 1, 3], 2);
-                                let (trimmed, _) =
-                                    conv.forward_step(Cow::Borrowed(&x), &mut tile, r);
-                                let (margin, cut) = match (engine, backend) {
-                                    (true, _) => ([r, 0, r, r], [r, 0, 0, 2 * r]),
-                                    (false, ConvBackend::Naive) => ([2, 0, 1, 3], [0; 4]),
-                                    (false, _) => ([1, 0, 1, 1], [1, 0, 0, 2]),
+                                let trimmed = run(step, Cow::Borrowed(&x), &mut tile);
+                                let (margin, cut) = match engine {
+                                    true => ([r, 0, r, r], [r, 0, 0, 2 * r]),
+                                    false => ([1, 0, 1, 1], [1, 0, 0, 2]),
                                 };
                                 assert_eq!(tile.margin, margin, "{what}: margins");
                                 let (_, kept) = cropped(stepped.as_slice(), stepped.shape(), cut);

@@ -134,6 +134,10 @@ fn docs_name_no_deleted_identifier() {
             "conv_streaming_i64",
             "ConvStreaming",
             "LaneProof::invalid",
+            "run_chain",
+            "run_layer",
+            "run_stage",
+            "qlayers_shapes",
         ] {
             assert!(
                 !text.contains(gone),

@@ -297,6 +297,84 @@ const WALK_GOLDEN: [WalkGolden; 6] = [
     ("sr4_bicubic_skip", &["conv3x3(1->8)", "drelu[n=4]", "rconv3x3[RI4](8->16)", "drelu[n=4]", "rconv3x3[RI4](16->8)", "rconv3x3[RI4](8->8)", "rconv3x3[RI4](8->32)", "pixel_shuffle(x2)", "drelu[n=4]", "rconv3x3[RI4](8->32)", "pixel_shuffle(x2)", "drelu[n=4]", "conv3x3(8->1)"], (8, 1, (4, 1))),
 ];
 
+/// The programs fuse exactly where the chains did: on the engine kernel
+/// a float program writes through the shuffle at every conv → shuffle
+/// pair of the zoo and nowhere else, its 8-bit twin runs `fH` on the
+/// accumulators of every conv that keeps them and of no other; and a
+/// conv nested in a chain of its own fuses the shuffle behind that chain,
+/// bit for bit the flat chain.
+#[test]
+fn programs_fuse_where_the_chains_did() {
+    use ringcnn_nn::program::{compile, Epilogue, Op};
+    for (name, mut model) in walk_zoo() {
+        model.set_conv_backend(ConvBackend::Im2col);
+        let mut want: Vec<String> = Vec::new();
+        model.for_each_layer_mut(&mut |l| match want.last_mut() {
+            Some(conv) if conv.contains("conv") && l.name().starts_with("pixel_shuffle") => {
+                *conv = format!("{conv} → {}", l.name());
+            }
+            _ => want.push(l.name()),
+        });
+        let program = compile(&model);
+        let got: Vec<String> = program
+            .iter()
+            .filter_map(|step| match step.op {
+                Op::Skip { .. } => None,
+                Op::Conv {
+                    epilogue: Epilogue::Shuffle(r),
+                    ..
+                } => Some(format!("{} → pixel_shuffle(x{r})", step.layer.name())),
+                _ => Some(step.layer.name()),
+            })
+            .collect();
+        assert_eq!(got, want, "{name}: float");
+
+        let q = quantized(&mut model);
+        let (mut fused, mut drelus) = (0, 0);
+        for step in q.program() {
+            if let (QLayer::Conv(c), Op::Conv { epilogue, .. }) = (step.layer, step.op) {
+                let fh = matches!(epilogue, Epilogue::FH(QLayer::DRelu(_)));
+                assert_eq!(fh, c.requant().is_none(), "{name}: 8-bit");
+                fused += usize::from(fh);
+            }
+        }
+        q.walk_shapes(Shape4::new(1, 1, 8, 8), |layer, _| {
+            drelus += usize::from(matches!(layer, QLayer::DRelu(_)));
+        });
+        let standalone = q.program().iter().filter(|s| s.op == Op::DRelu).count();
+        assert_eq!(fused + standalone, drelus, "{name}: every fH runs once");
+        assert!(fused > 0, "{name}: 8-bit");
+    }
+
+    let conv = || {
+        let mut conv = Conv2d::new(2, 8, 3, 5);
+        conv.set_backend(ConvBackend::Im2col);
+        Box::new(conv) as Box<dyn Layer>
+    };
+    let flat = Sequential::new()
+        .with(conv())
+        .with(Box::new(PixelShuffle::new(2)));
+    let nested = Sequential::new()
+        .with(Box::new(Sequential::new().with(conv())))
+        .with(Box::new(PixelShuffle::new(2)));
+    let program = compile(&nested);
+    let fused = |op| {
+        matches!(
+            op,
+            Op::Conv {
+                radius: 1,
+                epilogue: Epilogue::Shuffle(2)
+            }
+        )
+    };
+    assert!(matches!(program[..], [step] if fused(step.op)), "nested");
+    let x = Tensor::random_uniform(Shape4::new(1, 2, 9, 7), -1.0, 1.0, 6);
+    assert_eq!(
+        bits(&nested.forward_infer(&x)),
+        bits(&flat.forward_infer(&x))
+    );
+}
+
 /// A container is one by type, not by having children: an empty
 /// `Sequential` (or a `Residual` around one) nested in a model yields no
 /// leaf and leaves the topology alone.
@@ -612,6 +690,25 @@ const GEOMETRY_GOLDEN_AVX2: GeometryGolden = [
     ("sr4/ri4 f32", [0x77945d2c77be4399, 0x41ca70c9fdad86af, 0xef5e799b5578e53e, 0x7a52a2764cf6e133]),
     ("sr4/ri4 q8", [0xad6b2d5f9a1c6325, 0x0f20fc7b0dfe9525, 0xf0828d0c709bcb25, 0xb42c4396137f2325]),
 ];
+
+/// A bicubic skip at a factor whose sample positions are not exact in
+/// `f32` (×3, ×5): a tile places its skip's samples by the frame's
+/// geometry, so tiled ≡ whole holds there too, float and 8-bit.
+#[test]
+fn odd_factor_bicubic_skips_tile_bit_for_bit() {
+    for factor in [3, 5] {
+        let mut conv = Conv2d::new(1, factor * factor, 3, 81);
+        conv.set_backend(ConvBackend::Im2col);
+        let body = Sequential::new()
+            .with(Box::new(conv))
+            .with(Box::new(PixelShuffle::new(factor)));
+        let mut model = Sequential::new().with(Box::new(UpsampleResidual::new(body, factor)));
+        let ctx = format!("x{factor} bicubic skip");
+        stitched_3x3(BatchRunner::new(&mut model), &ctx);
+        let mut q = quantized(&mut model);
+        stitched_3x3(BatchRunner::new(&mut q), &format!("{ctx}, 8-bit"));
+    }
+}
 
 // --- Below: what only exists since tiles shrink (`TileHalo`). ---
 
