@@ -8,11 +8,14 @@
 //!
 //! The simulator computes no integers. Its outputs are those of
 //! `ringcnn-quant`'s pipeline ([`QuantizedModel::forward_q`]), and every
-//! convolution is accounted for from the input shape
-//! [`QuantizedModel::walk_shapes`] hands it — the walk quant owns.
+//! convolution is accounted for by running the model's step program
+//! ([`QuantizedModel::program`]) over shapes through the driver that runs
+//! it on integers, [`program::run`]: over the whole frame, or over the
+//! runtime's tiles, where a convolution is charged only what it computes.
 //!
 //! [`QuantizedModel::forward_q`]: ringcnn_quant::quantized::QuantizedModel::forward_q
-//! [`QuantizedModel::walk_shapes`]: ringcnn_quant::quantized::QuantizedModel::walk_shapes
+//! [`QuantizedModel::program`]: ringcnn_quant::quantized::QuantizedModel::program
+//! [`program::run`]: ringcnn_nn::program::run
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,7 +27,7 @@ pub mod sim;
 
 /// Convenient re-exports.
 pub mod prelude {
-    pub use crate::blocks::{receptive_halo, simulate_blocked, BlockedReport};
+    pub use crate::blocks::{simulate_blocked, BlockedReport};
     pub use crate::engine::{EngineGeometry, EnginePass};
     pub use crate::memory::{weight_bytes, MemoryReport};
     pub use crate::sim::{simulate, SimReport};

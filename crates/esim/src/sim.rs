@@ -1,7 +1,8 @@
 //! Whole-model simulation: runs a quantized model through
 //! `QuantizedModel`'s integer pipeline and accounts for every convolution
-//! on the engine, producing cycle, utilization, throughput, bandwidth,
-//! and energy reports beside the outputs.
+//! on the engine — its step program run once more over shapes — producing
+//! cycle, utilization, throughput, bandwidth, and energy reports beside
+//! the outputs.
 //!
 //! Simplifying assumptions (documented, per DESIGN.md): the pipeline is
 //! fully overlapped (the directional ReLU, shuffles and residual adds ride
@@ -12,9 +13,14 @@
 use crate::engine::{EngineGeometry, EnginePass};
 use crate::memory::{dram_bytes_per_frame, peak_feature_bytes, weight_bytes, MemoryReport};
 use ringcnn_hw::prelude::{layout_report, AcceleratorConfig, TechParams};
+use ringcnn_nn::program::{self, Datapath, Epilogue, Point};
+use ringcnn_nn::runtime::TileHalo;
 use ringcnn_quant::prelude::*;
 use ringcnn_tensor::prelude::*;
+use ringcnn_tensor::tile::Window;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
+use std::cell::Cell;
 
 /// Simulation result for one inference.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -51,7 +57,7 @@ pub fn simulate(
 ) -> (Tensor, SimReport) {
     let q = QTensor::quantize(input, vec![qm.input_format(); input.shape().c]);
     let out = qm.forward_q(q);
-    let (pass_total, max_channels) = account(qm, input.shape(), accel.n);
+    let (pass_total, max_channels) = account(qm, input.shape(), accel.n, &mut TileHalo::whole());
 
     let report = layout_report(accel, tech);
     let seconds = pass_total.cycles as f64 / accel.clock_hz;
@@ -63,7 +69,7 @@ pub fn simulate(
         weight_bytes: wbytes,
         peak_feature_bytes: peak_feature_bytes(
             (input.shape().h * input.shape().w) as u64,
-            max_channels,
+            max_channels as u64,
         ),
         dram_bytes_per_frame: dram_bytes_per_frame(
             (input.shape().h * input.shape().w * input.shape().n) as u64,
@@ -88,21 +94,67 @@ pub fn simulate(
     (out.dequantize(), sim)
 }
 
-/// The engine's work for one inference of `qm` on an input of shape
-/// `input` (shared with the block-based flow): every convolution's pass
-/// from the shape of its input, and the most channels any tensor between
-/// layers has. Activations, shuffles and skip adds: pipelined datapath,
-/// zero cycles.
-pub(crate) fn account(qm: &QuantizedModel, input: Shape4, n: usize) -> (EnginePass, u64) {
-    let geom = EngineGeometry::default();
-    let (mut pass, mut max_channels) = (EnginePass::default(), input.c);
-    let out = qm.walk_shapes(input, |layer, s| {
-        max_channels = max_channels.max(s.c);
-        if let QLayer::Conv(c) = layer {
-            pass += EnginePass::of_conv(c, s, &geom, n);
-        }
-    });
-    (pass, max_channels.max(out.c) as u64)
+/// The engine's work for `qm` on planes of shape `s` inside `tile`: the
+/// model's step program run over shapes ([`program::run`], the driver
+/// that runs it on integers), every convolution charged its pass over the
+/// region the driver leaves it, and the most channels any plane has.
+/// Activations, shuffles and skip adds: pipelined datapath, zero cycles.
+pub(crate) fn account(qm: &QuantizedModel, s: Shape4, n: usize, tile: &mut TileHalo) -> Tally {
+    let tally = &Cell::new((EnginePass::default(), s.c));
+    let charge = |layer| Charge { layer, n, tally };
+    let steps = qm.program();
+    let program: Vec<_> = steps.into_iter().map(|step| step.map(charge)).collect();
+    program::run(&program, Cow::Owned(s), tile);
+    tally.get()
+}
+
+/// The engine's passes so far, and the most channels any plane had.
+type Tally = (EnginePass, usize);
+
+/// A layer of the program run over shapes: what the engine is charged
+/// goes to `tally`.
+#[derive(Clone, Copy)]
+struct Charge<'a> {
+    layer: &'a QLayer,
+    /// The ring dimension of the accelerator.
+    n: usize,
+    tally: &'a Cell<Tally>,
+}
+
+impl Charge<'_> {
+    /// Records `pass` and the plane `out` the step hands on.
+    fn charge(self, pass: EnginePass, out: Shape4) -> Shape4 {
+        let (mut total, channels) = self.tally.get();
+        total += pass;
+        self.tally.set((total, channels.max(out.c)));
+        out
+    }
+}
+
+impl Datapath for Charge<'_> {
+    type Plane = Shape4;
+
+    fn conv(self, x: &Shape4, cut: [usize; 4], _: Epilogue<Self>) -> Shape4 {
+        let QLayer::Conv(c) = self.layer else {
+            unreachable!("a conv step holds a conv")
+        };
+        let Window { h, w, .. } = Window::inset(x.h, x.w, cut);
+        let computed = Shape4::new(x.n, x.c, h, w);
+        let pass = EnginePass::of_conv(c, computed, &EngineGeometry::default(), self.n);
+        self.charge(pass, computed.with_channels(c.co()))
+    }
+
+    fn apply(self, x: Cow<'_, Shape4>, cut: [usize; 4]) -> Shape4 {
+        let Window { h, w, .. } = Window::inset(x.h, x.w, cut);
+        let out = match *self.layer {
+            QLayer::Shuffle(r) => Shape4::new(x.n, x.c / (r * r), h * r, w * r),
+            QLayer::Unshuffle(r) => Shape4::new(x.n, x.c * r * r, h / r, w / r),
+            _ => Shape4::new(x.n, x.c, h, w),
+        };
+        self.charge(EnginePass::default(), out)
+    }
+
+    fn add_skip(self, _: &mut Shape4, _: &Shape4, _: Point, _: Point) {}
 }
 
 #[cfg(test)]

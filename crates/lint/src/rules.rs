@@ -40,11 +40,17 @@ const RELAXED_ALLOWLIST: &[(&str, &str, &str)] = &[
 const DOWNCASTS: [&str; 3] = ["downcast_mut", "downcast_ref", ".is::<"];
 const NO_DOWNCAST: &str = "downcast in a crate that walks models: read `Layer::describe()` instead";
 
-/// What `one-tile-walk` flags outside the runtime and the step program's
-/// driver: the tile arithmetic, written once there.
-const TILE_WALK: [&str; 2] = ["tile.leaf(", "tile.conv("];
+/// What `one-tile-walk` flags, and the files that write it once: the tile
+/// arithmetic in the runtime (`TileHalo`) and the step program's driver,
+/// the cutting of a frame into tiles and their stitching in the runtime.
+const TILE_WALK: [(&str, &[&str]); 4] = [
+    ("tile.leaf(", &["runtime.rs", "program.rs"]),
+    ("tile.conv(", &["runtime.rs", "program.rs"]),
+    ("extract_window(", &["runtime.rs"]),
+    ("paste_window(", &["runtime.rs"]),
+];
 const ONE_TILE_WALK: &str =
-    "tile arithmetic outside the step program's driver: compile a step instead";
+    "a second block flow: run `BatchRunner`'s tiles, or compile a step for the driver";
 
 /// An inline `// lint:allow(rule): reason` annotation, resolved to the
 /// line of code it covers.
@@ -71,12 +77,9 @@ pub fn check_file(rel: &str, scanned: &Scanned) -> Vec<Violation> {
         .iter()
         .any(|c| rel.starts_with(&format!("crates/{c}/src/")));
     let in_bin = rel.contains("/src/bin/");
-    let walks_tiles = ["nn", "quant"]
+    let walks_tiles = ["nn", "quant", "esim"]
         .iter()
-        .any(|c| rel.starts_with(&format!("crates/{c}/src/")))
-        && !["runtime.rs", "program.rs"]
-            .iter()
-            .any(|f| rel.ends_with(f));
+        .any(|c| rel.starts_with(&format!("crates/{c}/src/")));
     let panic_free = rel.ends_with("crates/serve/src/reactor.rs")
         || rel.ends_with("crates/serve/src/scheduler.rs");
     let mut seqlock_marker: Option<usize> = None;
@@ -139,7 +142,10 @@ pub fn check_file(rel: &str, scanned: &Scanned) -> Vec<Violation> {
             out.push(Violation::new("no-downcast", rel, idx + 1, NO_DOWNCAST));
         }
 
-        if walks_tiles && TILE_WALK.iter().any(|t| code.contains(t)) {
+        let tile_walk = |(t, homes): &(&str, &[&str])| {
+            code.contains(t) && !homes.iter().any(|f| rel.ends_with(f))
+        };
+        if walks_tiles && TILE_WALK.iter().any(tile_walk) {
             out.push(Violation::new("one-tile-walk", rel, idx + 1, ONE_TILE_WALK));
         }
 
@@ -539,6 +545,7 @@ mod tests {
         for path in [
             "crates/nn/src/layers/conv.rs",
             "crates/quant/src/quantized.rs",
+            "crates/esim/src/blocks.rs",
         ] {
             let vs = lint_source(path, src);
             let rules: Vec<_> = vs.iter().map(|v| (v.rule, v.line)).collect();
@@ -552,8 +559,20 @@ mod tests {
         for path in [
             "crates/nn/src/runtime.rs",
             "crates/nn/src/program.rs",
-            "crates/esim/src/blocks.rs",
+            "crates/esim/tests/accounting.rs",
         ] {
+            assert!(rules_for(path, src).is_empty(), "{path}");
+        }
+    }
+
+    #[test]
+    fn cutting_a_frame_into_tiles_is_flagged_outside_the_runtime() {
+        let src = "let t = x.extract_window(n, ext);\nout.paste_window(0, y, x, &t, w);\n";
+        for path in ["crates/esim/src/blocks.rs", "crates/nn/src/program.rs"] {
+            assert_eq!(rules_for(path, src), ["one-tile-walk"; 2], "{path}");
+        }
+        // The runtime may, and so may the tensor crate that defines them.
+        for path in ["crates/nn/src/runtime.rs", "crates/tensor/src/tile.rs"] {
             assert!(rules_for(path, src).is_empty(), "{path}");
         }
     }

@@ -60,6 +60,31 @@ pub enum Epilogue<L> {
     Shuffle(usize),
 }
 
+impl<L> Step<L> {
+    /// The same step over the handles `f` makes of its layers (its own
+    /// and a fused `fH`'s): the program on another [`Datapath`].
+    pub fn map<M>(self, f: impl Fn(L) -> M) -> Step<M> {
+        let op = match self.op {
+            Op::Conv { radius, epilogue } => Op::Conv {
+                radius,
+                epilogue: match epilogue {
+                    Epilogue::None => Epilogue::None,
+                    Epilogue::FH(fh) => Epilogue::FH(f(fh)),
+                    Epilogue::Shuffle(r) => Epilogue::Shuffle(r),
+                },
+            },
+            Op::Relu => Op::Relu,
+            Op::DRelu => Op::DRelu,
+            Op::Shuffle(r) => Op::Shuffle(r),
+            Op::Unshuffle(r) => Op::Unshuffle(r),
+            Op::Skip { body, kind } => Op::Skip { body, kind },
+            Op::Leaf => Op::Leaf,
+        };
+        let layer = f(self.layer);
+        Step { layer, op }
+    }
+}
+
 impl<L> Op<L> {
     /// What the step reads beside its body — the radius around an output
     /// pixel at its input resolution — and its scale `(num, den)`. The
@@ -94,7 +119,8 @@ pub fn push_skip<L>(program: &mut Vec<Step<L>>, layer: L, kind: SkipKind, body: 
 
 /// The arithmetic of one precision, implemented by the layer handle of
 /// its programs: `&dyn Layer` on `f32` planes, `&QLayer` of
-/// `ringcnn-quant` on `i8` planes in `i32` lanes. An owned plane is
+/// `ringcnn-quant` on `i8` planes in `i32` lanes; `ringcnn-esim` runs the
+/// 8-bit program over shapes to charge the engine. An owned plane is
 /// given up (a step may work in place on it), a borrowed one never
 /// written.
 pub trait Datapath: Copy {

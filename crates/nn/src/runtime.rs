@@ -349,10 +349,31 @@ impl<'m> BatchRunner<'m> {
         Some(grid)
     }
 
+    /// The tiles of an input of shape `s` cut into the cores of `grid`,
+    /// one per (batch item, core): the core's window grown by the halo,
+    /// and the [`TileHalo`] the tile enters the model with. The window is
+    /// clipped at the true image border, never zero-extended past it: a
+    /// tile edge on the image edge gets the *per-layer* zero padding of
+    /// whole-image inference, which makes border pixels exact too. A core
+    /// that covers the frame is one tile with no margins.
+    pub fn tiles(&self, s: Shape4, grid: &[Window]) -> Vec<(usize, Window, Window, TileHalo)> {
+        let halo = self.halo();
+        let place = |n, core: &Window| {
+            let (y0, x0) = (core.y0 as usize, core.x0 as usize);
+            let room = [y0, x0, s.h - y0 - core.h, s.w - x0 - core.w];
+            let ext = Window::inset(s.h, s.w, room.map(|m| m.saturating_sub(halo)));
+            let tile = TileHalo::new(room.map(|m| m.min(halo)), halo).at([y0, x0]);
+            (n, *core, ext, tile)
+        };
+        (0..s.n)
+            .flat_map(|n| grid.iter().map(move |core| place(n, core)))
+            .collect()
+    }
+
     /// Tile-parallel inference: splits every batch item into
-    /// halo-extended tiles, runs all tiles across the thread pool, and
-    /// stitches the cores. Falls back to [`Self::run_whole`] when the
-    /// image yields a single tile.
+    /// halo-extended tiles ([`Self::tiles`]), runs all tiles across the
+    /// thread pool, and stitches the cores. Falls back to
+    /// [`Self::run_whole`] when the image yields a single tile.
     ///
     /// # Panics
     ///
@@ -365,7 +386,6 @@ impl<'m> BatchRunner<'m> {
             s.h % g == 0 && s.w % g == 0,
             "input {s} not aligned to the model granularity {g}"
         );
-        let halo = self.halo();
         let Some(grid) = self.plan_grid(s.h, s.w) else {
             return self.run_whole(input);
         };
@@ -378,33 +398,20 @@ impl<'m> BatchRunner<'m> {
         // pool threads have no ambient span, so each tile task re-roots
         // its "tile" span under the request's kernel span explicitly.
         let parent = ringcnn_trace::span::current();
-        let tasks: Vec<(usize, Window)> = (0..s.n)
-            .flat_map(|n| grid.iter().map(move |w| (n, *w)))
-            .collect();
+        let tasks = self.tiles(s, &grid);
         let results: Vec<(Tensor, TileHalo)> = tasks
             .par_iter()
-            .map(|&(n, core)| {
-                // Halo windows are clipped at the true image border
-                // (never zero-extended past it): a tile edge that
-                // coincides with the image edge gets the *per-layer*
-                // zero padding of whole-image inference, which is what
-                // makes border pixels exact too — the improvement over
-                // the block flow in `ringcnn_esim::blocks`, whose
-                // fixed-size zero halos make border pixels approximate.
-                let (y0, x0) = (core.y0 as usize, core.x0 as usize);
-                let room = [y0, x0, s.h - y0 - core.h, s.w - x0 - core.w];
-                let ext = Window::inset(s.h, s.w, room.map(|m| m.saturating_sub(halo)));
+            .map(|&(n, _, ext, mut tile)| {
                 let span = parent.map(|p| ringcnn_trace::span::span_in(p, "tile"));
                 if let Some(sp) = &span {
                     sp.set_args(ext.h as u64, ext.w as u64);
                 }
-                let mut tile = TileHalo::new(room.map(|m| m.min(halo)), halo).at([y0, x0]);
                 let tile_in = input.extract_window(n, ext);
                 (self.model.forward_tile(&tile_in, &mut tile), tile)
             })
             .collect();
 
-        for ((n, core), (tile_out, tile)) in tasks.into_iter().zip(results) {
+        for ((n, core, ..), (tile_out, tile)) in tasks.into_iter().zip(results) {
             // What is left of the halo at output scale (a halo above the
             // radius leaves some) is cropped here.
             let [top, left, bottom, right] = tile.margin;

@@ -613,7 +613,9 @@ mod tests {
             ] {
                 let direct = im2col_pack_window(&input, 1, k, win);
                 let (p, gw) = (k / 2, win.w + 2 * (k / 2));
-                let grown = im2col_pack(&input.extract_window(1, win.with_halo(p)), 0, k);
+                let (y0, x0) = (win.y0 - p as isize, win.x0 - p as isize);
+                let grown = Window::new(y0, x0, win.h + 2 * p, gw);
+                let grown = im2col_pack(&input.extract_window(1, grown), 0, k);
                 let rows = direct.chunks(win.h * win.w);
                 for (row, big) in rows.zip(grown.chunks((win.h + 2 * p) * gw)) {
                     for (y, line) in row.chunks(win.w).enumerate() {

@@ -138,6 +138,8 @@ fn docs_name_no_deleted_identifier() {
             "run_layer",
             "run_stage",
             "qlayers_shapes",
+            "receptive_halo",
+            "dram_gbs_at",
         ] {
             assert!(
                 !text.contains(gone),
