@@ -72,7 +72,7 @@ fn main() {
                 let r = run_quality(mlabel, &mut model, scenario, &scale, 23);
                 // Equivalent (uncompressed) mults/pixel: the real model's
                 // count — the accelerator serves it with n× sparsity.
-                let equivalent = r.mults_per_pixel * accel.n as f64;
+                let equivalent = r.mults_per_pixel * accel.n() as f64;
                 let point = operating_point(accel, equivalent, &t);
                 rows.push(vec![
                     accel.name.clone(),

@@ -10,9 +10,8 @@
 //! every pixel. The cost is re-reading halo pixels from DRAM and
 //! recomputing the pyramid's rim on the engine.
 
-use crate::engine::EnginePass;
 use crate::sim::account;
-use ringcnn_hw::prelude::{layout_report, AcceleratorConfig, TechParams};
+use ringcnn_hw::prelude::{layout_report, AcceleratorConfig, EnginePass, TechParams};
 use ringcnn_nn::runtime::{BatchRunner, TileConfig};
 use ringcnn_quant::prelude::*;
 use ringcnn_tensor::prelude::*;
@@ -66,7 +65,7 @@ pub fn simulate_blocked(
     for &(_, _, ext, mut tile) in &tiles {
         let read = Shape4::new(1, s.c, ext.h, ext.w);
         dram_input_bytes += read.len() as u64;
-        pass += account(qm, read, accel.n, &mut tile).0;
+        pass += account(qm, read, accel, &mut tile).0;
     }
     let report = layout_report(accel, tech);
     let seconds = pass.cycles as f64 / accel.clock_hz;

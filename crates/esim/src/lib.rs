@@ -1,18 +1,22 @@
 //! # ringcnn-esim
 //!
 //! Cycle-approximate simulator of the eRingCNN accelerator (§V of the
-//! paper): the RCONV engine's cycles and physical/equivalent
-//! multiplications per convolution ([`engine`]), the memory system of the
-//! block-based inference flow ([`memory`], [`blocks`]), and whole-model
-//! cycle/energy/bandwidth reporting ([`sim`]).
+//! paper): the block-based inference flow ([`blocks`]), its memory system
+//! ([`memory`]), and whole-model cycle/energy/bandwidth reporting
+//! ([`sim`]). The engine itself — its geometry, widths and the work of one
+//! convolution ([`EnginePass`]) — is `ringcnn-hw`'s, the one description
+//! the area and power models price.
 //!
 //! The simulator computes no integers. Its outputs are those of
 //! `ringcnn-quant`'s pipeline ([`QuantizedModel::forward_q`]), and every
 //! convolution is accounted for by running the model's step program
 //! ([`QuantizedModel::program`]) over shapes through the driver that runs
 //! it on integers, [`program::run`]: over the whole frame, or over the
-//! runtime's tiles, where a convolution is charged only what it computes.
+//! runtime's tiles, where a convolution is charged [`EnginePass::of_conv`]
+//! over only what it computes.
 //!
+//! [`EnginePass`]: ringcnn_hw::engine::EnginePass
+//! [`EnginePass::of_conv`]: ringcnn_hw::engine::EnginePass::of_conv
 //! [`QuantizedModel::forward_q`]: ringcnn_quant::quantized::QuantizedModel::forward_q
 //! [`QuantizedModel::program`]: ringcnn_quant::quantized::QuantizedModel::program
 //! [`program::run`]: ringcnn_nn::program::run
@@ -21,14 +25,12 @@
 #![warn(missing_docs)]
 
 pub mod blocks;
-pub mod engine;
 pub mod memory;
 pub mod sim;
 
 /// Convenient re-exports.
 pub mod prelude {
     pub use crate::blocks::{simulate_blocked, BlockedReport};
-    pub use crate::engine::{EngineGeometry, EnginePass};
     pub use crate::memory::{weight_bytes, MemoryReport};
     pub use crate::sim::{simulate, SimReport};
 }

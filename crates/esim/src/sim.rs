@@ -10,9 +10,9 @@
 //! the design intent of Figs. 6–8), and weight/feature SRAM never stalls
 //! the engines (eCNN's block-based flow guarantees residency).
 
-use crate::engine::{EngineGeometry, EnginePass};
 use crate::memory::{dram_bytes_per_frame, peak_feature_bytes, weight_bytes, MemoryReport};
-use ringcnn_hw::prelude::{layout_report, AcceleratorConfig, TechParams};
+use ringcnn_algebra::ring::Ring;
+use ringcnn_hw::prelude::{layout_report, AcceleratorConfig, EnginePass, TechParams};
 use ringcnn_nn::program::{self, Datapath, Epilogue, Point};
 use ringcnn_nn::runtime::TileHalo;
 use ringcnn_quant::prelude::*;
@@ -57,14 +57,14 @@ pub fn simulate(
 ) -> (Tensor, SimReport) {
     let q = QTensor::quantize(input, vec![qm.input_format(); input.shape().c]);
     let out = qm.forward_q(q);
-    let (pass_total, max_channels) = account(qm, input.shape(), accel.n, &mut TileHalo::whole());
+    let (pass_total, max_channels) = account(qm, input.shape(), accel, &mut TileHalo::whole());
 
     let report = layout_report(accel, tech);
     let seconds = pass_total.cycles as f64 / accel.clock_hz;
     let out_pixels = (out.shape().h * out.shape().w * out.shape().n) as u64;
     let energy = report.power_w * seconds;
     let peak_capacity = accel.equivalent_macs_per_cycle() as f64 * pass_total.cycles as f64;
-    let wbytes = weight_bytes(qm, accel.n);
+    let wbytes = weight_bytes(qm, accel.n());
     let memory = MemoryReport {
         weight_bytes: wbytes,
         peak_feature_bytes: peak_feature_bytes(
@@ -99,9 +99,15 @@ pub fn simulate(
 /// that runs it on integers), every convolution charged its pass over the
 /// region the driver leaves it, and the most channels any plane has.
 /// Activations, shuffles and skip adds: pipelined datapath, zero cycles.
-pub(crate) fn account(qm: &QuantizedModel, s: Shape4, n: usize, tile: &mut TileHalo) -> Tally {
+pub(crate) fn account(
+    qm: &QuantizedModel,
+    s: Shape4,
+    accel: &AcceleratorConfig,
+    tile: &mut TileHalo,
+) -> Tally {
+    let ring = &Ring::from_kind(accel.ring);
     let tally = &Cell::new((EnginePass::default(), s.c));
-    let charge = |layer| Charge { layer, n, tally };
+    let charge = |layer| Charge { layer, ring, tally };
     let steps = qm.program();
     let program: Vec<_> = steps.into_iter().map(|step| step.map(charge)).collect();
     program::run(&program, Cow::Owned(s), tile);
@@ -116,8 +122,8 @@ type Tally = (EnginePass, usize);
 #[derive(Clone, Copy)]
 struct Charge<'a> {
     layer: &'a QLayer,
-    /// The ring dimension of the accelerator.
-    n: usize,
+    /// The ring of the accelerator's engines.
+    ring: &'a Ring,
     tally: &'a Cell<Tally>,
 }
 
@@ -139,9 +145,8 @@ impl Datapath for Charge<'_> {
             unreachable!("a conv step holds a conv")
         };
         let Window { h, w, .. } = Window::inset(x.h, x.w, cut);
-        let computed = Shape4::new(x.n, x.c, h, w);
-        let pass = EnginePass::of_conv(c, computed, &EngineGeometry::default(), self.n);
-        self.charge(pass, computed.with_channels(c.co()))
+        let pass = EnginePass::of_conv(self.ring, (c.co(), c.ci(), c.k()), (x.n, h, w));
+        self.charge(pass, Shape4::new(x.n, c.co(), h, w))
     }
 
     fn apply(self, x: Cow<'_, Shape4>, cut: [usize; 4]) -> Shape4 {

@@ -2,7 +2,7 @@
 //! eRingCNN configurations, producing Table V (layout), Table VI
 //! (breakdowns) and Fig. 14 (efficiency vs eCNN).
 
-use crate::engine::{estimate_engine, EngineEstimate, ENGINE_REAL_CHANNELS, ENGINE_TILE_PIXELS};
+use crate::engine::{estimate_engine, multipliers, EngineEstimate, ENGINE_TAPS};
 use crate::params::TechParams;
 use ringcnn_algebra::relu::Nonlinearity;
 use ringcnn_algebra::ring::{Ring, RingKind};
@@ -13,8 +13,6 @@ use serde::{Deserialize, Serialize};
 pub struct AcceleratorConfig {
     /// Display name.
     pub name: String,
-    /// Ring dimension (1 = eCNN, the real-valued backbone).
-    pub n: usize,
     /// Ring used by the convolution engines.
     pub ring: RingKind,
     /// Non-linearity hardware.
@@ -30,7 +28,6 @@ impl AcceleratorConfig {
     pub fn ecnn() -> Self {
         Self {
             name: "eCNN".into(),
-            n: 1,
             ring: RingKind::Ri(1),
             nonlinearity: Nonlinearity::ComponentWise,
             weight_mem_kb: 1280.0,
@@ -42,7 +39,6 @@ impl AcceleratorConfig {
     pub fn eringcnn_n2() -> Self {
         Self {
             name: "eRingCNN-n2".into(),
-            n: 2,
             ring: RingKind::Ri(2),
             nonlinearity: Nonlinearity::DirectionalH,
             weight_mem_kb: 960.0,
@@ -54,7 +50,6 @@ impl AcceleratorConfig {
     pub fn eringcnn_n4() -> Self {
         Self {
             name: "eRingCNN-n4".into(),
-            n: 4,
             ring: RingKind::Ri(4),
             nonlinearity: Nonlinearity::DirectionalH,
             weight_mem_kb: 480.0,
@@ -62,18 +57,22 @@ impl AcceleratorConfig {
         }
     }
 
+    /// Ring dimension (1 = eCNN, the real-valued backbone).
+    pub fn n(&self) -> usize {
+        self.ring.n()
+    }
+
     /// Physical real multipliers across both conv engines (3×3 + 1×1).
     pub fn physical_multipliers(&self) -> usize {
         let ring = Ring::from_kind(self.ring);
-        let tuples = ENGINE_REAL_CHANNELS / self.n;
-        let m = ring.fast().m();
-        tuples * tuples * m * ENGINE_TILE_PIXELS * (9 + 1)
+        let (n, m) = (ring.n(), ring.fast().m());
+        multipliers(n, m, ENGINE_TAPS) + multipliers(n, m, 1)
     }
 
     /// Equivalent real-valued MACs per cycle (what the uncompressed model
     /// would need): always the eCNN 81920 regardless of `n`.
     pub fn equivalent_macs_per_cycle(&self) -> usize {
-        ENGINE_REAL_CHANNELS * ENGINE_REAL_CHANNELS * ENGINE_TILE_PIXELS * (9 + 1)
+        multipliers(1, 1, ENGINE_TAPS) + multipliers(1, 1, 1)
     }
 
     /// Equivalent TOPS (2 ops per MAC) at the configured clock.
@@ -117,8 +116,8 @@ pub fn layout_report(cfg: &AcceleratorConfig, t: &TechParams) -> LayoutReport {
     // 3×3 engine modeled in detail; the 1×1 engine is the same structure
     // with one tap.
     let e3: EngineEstimate = estimate_engine(&ring, cfg.nonlinearity, 8, t);
-    let e1_area = e3.area_mm2 / 9.0;
-    let e1_power = e3.power_w / 9.0;
+    let e1_area = e3.area_mm2 / ENGINE_TAPS as f64;
+    let e1_power = e3.power_w / ENGINE_TAPS as f64;
     let conv_area = e3.area_mm2 + e1_area;
     let conv_power = (e3.power_w + e1_power) * clock_ratio;
 

@@ -90,7 +90,7 @@ pub fn table8(t: &TechParams) -> Vec<SparsityAcceleratorRow> {
         rows.push(SparsityAcceleratorRow {
             name: cfg.name.clone(),
             approach: "algebraic (ring tensors)".into(),
-            compression: format!("{}x", cfg.n),
+            compression: format!("{}x", cfg.n()),
             equivalent_tops_per_watt: report.tops_equivalent / engine_power,
             provenance: "this model (synthesis proxy: conv engines)".into(),
         });

@@ -1,19 +1,27 @@
-//! Synthesis-level model of a 32-channel 3×3 FRCONV engine for any ring
-//! (the Fig. 12 comparison): component-wise multipliers at the widened
+//! The RCONV engine (Fig. 7): a channel-wise 2-D computing array that
+//! produces a 4×2-pixel tile of all (32/n) output `n`-tuples from all
+//! (32/n) input tuples in one cycle, `m` real products per ring MAC,
+//! with the on-the-fly directional ReLU of Fig. 8 at its output.
+//!
+//! One multiplier count ([`multipliers`]) sizes the engine everywhere: the
+//! synthesis-level estimate of a 3×3 FRCONV engine for any ring (the
+//! Fig. 12 comparison: component-wise multipliers at the widened
 //! `wx × wg` operands, transform adders, and — for `(RI, fH)` — the
-//! on-the-fly directional-ReLU block.
+//! directional-ReLU block), the accelerator's multiplier counts, and the
+//! work of one convolution on the engine ([`EnginePass`]).
 
 use crate::params::TechParams;
 use ringcnn_algebra::relu::Nonlinearity;
 use ringcnn_algebra::ring::{Ring, RingKind};
 use serde::{Deserialize, Serialize};
 
-/// Engine geometry shared by all Fig. 12 points: 32 real input and output
-/// channels, 3×3 filters, a 4×2-pixel tile per cycle (the eCNN tile).
+/// Real input and output channels of the engine (the eCNN width).
 pub const ENGINE_REAL_CHANNELS: usize = 32;
-/// Spatial tile computed per cycle.
-pub const ENGINE_TILE_PIXELS: usize = 8;
-/// Kernel taps.
+/// Spatial tile computed per cycle, rows × columns (the eCNN tile).
+pub const ENGINE_TILE: (usize, usize) = (4, 2);
+/// Pixels of the tile.
+pub const ENGINE_TILE_PIXELS: usize = ENGINE_TILE.0 * ENGINE_TILE.1;
+/// Kernel taps of the 3×3 engine.
 pub const ENGINE_TAPS: usize = 9;
 /// Accumulator width (8-bit products over 32×9 terms).
 pub const ACC_BITS: u32 = 24;
@@ -23,6 +31,59 @@ pub const ACC_BITS: u32 = 24;
 /// and 5 bits of Q-format alignment.
 pub fn fh_bits(n: usize) -> u32 {
     ACC_BITS + n.ilog2() + 5
+}
+
+/// Real multipliers of an engine over a ring of dimension `n` whose fast
+/// algorithm takes `m` products, for `taps`-tap filters: every pair of
+/// the (32/n) input and output tuples, `m` products each, at every tap
+/// and tile pixel. The real field (`n = m = 1`) counts the equivalent
+/// real MACs the engine serves.
+pub fn multipliers(n: usize, m: usize, taps: usize) -> usize {
+    let tuples = ENGINE_REAL_CHANNELS / n;
+    tuples * tuples * m * taps * ENGINE_TILE_PIXELS
+}
+
+/// Cycle/work accounting of one engine pass.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+pub struct EnginePass {
+    /// Cycles consumed.
+    pub cycles: u64,
+    /// Physical multiplications performed.
+    pub physical_mults: u64,
+    /// Equivalent real-valued multiplications served.
+    pub equivalent_mults: u64,
+}
+
+impl EnginePass {
+    /// The pass of a `co ← ci` convolution with `k×k` filters computing
+    /// an output region of `items` planes of `h × w` pixels on the engine
+    /// over `ring`: one cycle per (tile × output lane group × input lane
+    /// group) triple — the engine's dataflow — each cycle using every
+    /// multiplier of a `k²`-tap engine.
+    pub fn of_conv(
+        ring: &Ring,
+        (co, ci, k): (usize, usize, usize),
+        (items, h, w): (usize, usize, usize),
+    ) -> Self {
+        let (tile_h, tile_w) = ENGINE_TILE;
+        let tiles = items * h.div_ceil(tile_h) * w.div_ceil(tile_w);
+        let groups = co.div_ceil(ENGINE_REAL_CHANNELS) * ci.div_ceil(ENGINE_REAL_CHANNELS);
+        let cycles = (tiles * groups) as u64;
+        let taps = k * k;
+        Self {
+            cycles,
+            physical_mults: cycles * multipliers(ring.n(), ring.fast().m(), taps) as u64,
+            equivalent_mults: cycles * multipliers(1, 1, taps) as u64,
+        }
+    }
+}
+
+impl std::ops::AddAssign for EnginePass {
+    fn add_assign(&mut self, p: Self) {
+        self.cycles += p.cycles;
+        self.physical_mults += p.physical_mults;
+        self.equivalent_mults += p.equivalent_mults;
+    }
 }
 
 /// Area/power estimate for one engine configuration.
@@ -55,8 +116,8 @@ pub fn estimate_engine(
     let wx = w + ring.fast().data_bit_growth();
     let wg = w + ring.fast().filter_bit_growth();
 
-    // Component-wise product array: tuples² units × m mults × taps × tile.
-    let mults = tuples * tuples * m * ENGINE_TAPS * ENGINE_TILE_PIXELS;
+    // Component-wise product array.
+    let mults = multipliers(n, m, ENGINE_TAPS);
     let mut area = mults as f64 * t.mac_area(wx, wg, ACC_BITS);
     let mut power = mults as f64 * t.mac_power(wx, wg, ACC_BITS);
 
@@ -241,5 +302,45 @@ mod tests {
         // Sanity: RH4 engines pay for 10-bit operands.
         let ring = Ring::from_kind(RingKind::Rh(4));
         assert_eq!(bit_growth(ring.fast().tx()), 2);
+    }
+
+    #[test]
+    fn cycle_count_matches_tiling_formula() {
+        let pass = EnginePass::of_conv(&Ring::from_kind(RingKind::Ri(2)), (8, 4, 3), (2, 8, 8));
+        // 8×8 image → 2×4 tiles; 4→8 channels fit one lane group;
+        // 2 batch items.
+        assert_eq!(pass.cycles, 2 * 2 * 4);
+    }
+
+    #[test]
+    fn physical_work_halves_with_n2() {
+        let pass = |kind| EnginePass::of_conv(&Ring::from_kind(kind), (8, 4, 3), (2, 8, 8));
+        let (real, ring) = (pass(RingKind::Ri(1)), pass(RingKind::Ri(2)));
+        assert_eq!(real.physical_mults, 2 * ring.physical_mults);
+        assert_eq!(real.equivalent_mults, ring.equivalent_mults);
+    }
+
+    /// The cycle model and the area model describe one engine: a 3×3 and
+    /// a 1×1 pass of 32 → 32 channels over one tile keep every multiplier
+    /// of both conv engines busy for one cycle each.
+    #[test]
+    fn one_tile_charges_the_accelerators_multipliers() {
+        use crate::accelerator::AcceleratorConfig;
+        let (tile_h, tile_w) = ENGINE_TILE;
+        for cfg in [
+            AcceleratorConfig::ecnn(),
+            AcceleratorConfig::eringcnn_n2(),
+            AcceleratorConfig::eringcnn_n4(),
+        ] {
+            let ring = Ring::from_kind(cfg.ring);
+            let mut pass = EnginePass::of_conv(&ring, (32, 32, 3), (1, tile_h, tile_w));
+            pass += EnginePass::of_conv(&ring, (32, 32, 1), (1, tile_h, tile_w));
+            let want = EnginePass {
+                cycles: 2,
+                physical_mults: cfg.physical_multipliers() as u64,
+                equivalent_mults: cfg.equivalent_macs_per_cycle() as u64,
+            };
+            assert_eq!(pass, want, "{}", cfg.name);
+        }
     }
 }

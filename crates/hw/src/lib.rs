@@ -2,11 +2,14 @@
 //!
 //! Analytical hardware cost models for the RingCNN reproduction: a gate-
 //! level 40 nm area/power model ([`params`]) calibrated against the
-//! published eCNN backbone, per-ring FRCONV engine estimates — Fig. 12 —
-//! ([`engine`]), whole-accelerator layout reports and efficiency
-//! comparisons — Tables V/VI, Fig. 14 — ([`accelerator`]), quality-energy
-//! curves — Fig. 15, Table VII — ([`energy`]), and cited competitor
-//! comparisons — Table VIII — ([`competitors`]).
+//! published eCNN backbone; the one description of the RCONV engine
+//! ([`engine`]) — its geometry and widths, the one multiplier count, the
+//! per-ring FRCONV estimates of Fig. 12 and the cycles and multiplications
+//! of one convolution the simulator charges; whole-accelerator layout
+//! reports and efficiency comparisons — Tables V/VI, Fig. 14 —
+//! ([`accelerator`]); quality-energy curves — Fig. 15, Table VII —
+//! ([`energy`]); and cited competitor comparisons — Table VIII —
+//! ([`competitors`]).
 //!
 //! ```
 //! use ringcnn_hw::prelude::*;
@@ -33,7 +36,7 @@ pub mod prelude {
     };
     pub use crate::competitors::{table7, table8, DiffyComparisonRow, SparsityAcceleratorRow};
     pub use crate::energy::{at_clock, operating_point, quality_energy_curve, EnergyPoint};
-    pub use crate::engine::{estimate_engine, fig12_engines, EngineEstimate};
+    pub use crate::engine::{estimate_engine, fig12_engines, EngineEstimate, EnginePass};
     pub use crate::params::TechParams;
     pub use crate::sweep::{config_for, sweep_n, SweepPoint};
 }

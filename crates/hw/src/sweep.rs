@@ -45,7 +45,6 @@ pub fn config_for(n: usize, clock_hz: f64) -> AcceleratorConfig {
     }
     AcceleratorConfig {
         name: format!("eRingCNN-n{n}"),
-        n,
         ring: RingKind::Ri(n),
         nonlinearity: Nonlinearity::DirectionalH,
         weight_mem_kb: 1280.0 * 1.5 / n as f64,

@@ -187,7 +187,7 @@ fn simulator_energy_agrees_with_analytical_model() {
     let input = Tensor::random_uniform(Shape4::new(1, 1, 32, 32), 0.0, 1.0, 1);
     let (_, report) = simulate(&qm, &input, &accel, &t);
     // Analytical: energy/pixel from the model's equivalent mults/pixel.
-    let equivalent = mults_per_input_pixel(&model) * accel.n as f64;
+    let equivalent = mults_per_input_pixel(&model) * accel.n() as f64;
     let analytic = operating_point(&accel, equivalent, &t);
     // The simulator pads every layer's channels to the engine's groups:
     // its own equivalent mults per output pixel over the model's (9 216
