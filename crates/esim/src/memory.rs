@@ -11,7 +11,8 @@ use serde::{Deserialize, Serialize};
 pub struct MemoryReport {
     /// Model weight footprint (8-bit words), bytes.
     pub weight_bytes: u64,
-    /// Peak feature-map bytes alive between layers (block buffer need).
+    /// The most feature bytes one convolution reads and writes for one
+    /// batch item, 1 byte per feature (the block buffer need).
     pub peak_feature_bytes: u64,
     /// DRAM bytes moved per frame (input reads + output writes).
     pub dram_bytes_per_frame: u64,
@@ -39,13 +40,6 @@ pub fn weight_bytes(qm: &QuantizedModel, n: usize) -> u64 {
         }
     });
     total
-}
-
-/// Peak feature bytes for an inference at the given input shape: the
-/// maximum (input + output) footprint across layers, 1 byte per feature.
-pub fn peak_feature_bytes(input_pixels: u64, max_channels: u64) -> u64 {
-    // Double-buffered: producer + consumer planes.
-    2 * input_pixels * max_channels
 }
 
 /// DRAM bytes per frame for block-based inference: the image in (with a
@@ -92,10 +86,5 @@ mod tests {
         let halo = dram_bytes_per_frame(100, 1, 100, 1, 0.5);
         assert_eq!(no_halo, 200);
         assert_eq!(halo, 250);
-    }
-
-    #[test]
-    fn peak_feature_bytes_double_buffers() {
-        assert_eq!(peak_feature_bytes(64, 32), 4096);
     }
 }

@@ -10,7 +10,7 @@
 //! the design intent of Figs. 6–8), and weight/feature SRAM never stalls
 //! the engines (eCNN's block-based flow guarantees residency).
 
-use crate::memory::{dram_bytes_per_frame, peak_feature_bytes, weight_bytes, MemoryReport};
+use crate::memory::{dram_bytes_per_frame, weight_bytes, MemoryReport};
 use ringcnn_algebra::ring::Ring;
 use ringcnn_hw::prelude::{layout_report, AcceleratorConfig, EnginePass, TechParams};
 use ringcnn_nn::program::{self, Datapath, Epilogue, Point};
@@ -57,7 +57,8 @@ pub fn simulate(
 ) -> (Tensor, SimReport) {
     let q = QTensor::quantize(input, vec![qm.input_format(); input.shape().c]);
     let out = qm.forward_q(q);
-    let (pass_total, max_channels) = account(qm, input.shape(), accel, &mut TileHalo::whole());
+    let (pass_total, peak_feature_bytes) =
+        account(qm, input.shape(), accel, &mut TileHalo::whole());
 
     let report = layout_report(accel, tech);
     let seconds = pass_total.cycles as f64 / accel.clock_hz;
@@ -67,10 +68,7 @@ pub fn simulate(
     let wbytes = weight_bytes(qm, accel.n());
     let memory = MemoryReport {
         weight_bytes: wbytes,
-        peak_feature_bytes: peak_feature_bytes(
-            (input.shape().h * input.shape().w) as u64,
-            max_channels as u64,
-        ),
+        peak_feature_bytes,
         dram_bytes_per_frame: dram_bytes_per_frame(
             (input.shape().h * input.shape().w * input.shape().n) as u64,
             input.shape().c as u64,
@@ -97,8 +95,9 @@ pub fn simulate(
 /// The engine's work for `qm` on planes of shape `s` inside `tile`: the
 /// model's step program run over shapes ([`program::run`], the driver
 /// that runs it on integers), every convolution charged its pass over the
-/// region the driver leaves it, and the most channels any plane has.
-/// Activations, shuffles and skip adds: pipelined datapath, zero cycles.
+/// region the driver leaves it, and the most bytes one convolution reads
+/// and writes per batch item. Activations, shuffles and skip adds ride
+/// the engine's output pipeline: zero cycles, no buffer of their own.
 pub(crate) fn account(
     qm: &QuantizedModel,
     s: Shape4,
@@ -106,7 +105,7 @@ pub(crate) fn account(
     tile: &mut TileHalo,
 ) -> Tally {
     let ring = &Ring::from_kind(accel.ring);
-    let tally = &Cell::new((EnginePass::default(), s.c));
+    let tally = &Cell::new((EnginePass::default(), 0));
     let charge = |layer| Charge { layer, ring, tally };
     let steps = qm.program();
     let program: Vec<_> = steps.into_iter().map(|step| step.map(charge)).collect();
@@ -114,8 +113,9 @@ pub(crate) fn account(
     tally.get()
 }
 
-/// The engine's passes so far, and the most channels any plane had.
-type Tally = (EnginePass, usize);
+/// The engine's passes so far, and the most feature bytes a convolution
+/// read and wrote for one batch item (1 byte per feature).
+type Tally = (EnginePass, u64);
 
 /// A layer of the program run over shapes: what the engine is charged
 /// goes to `tally`.
@@ -127,16 +127,6 @@ struct Charge<'a> {
     tally: &'a Cell<Tally>,
 }
 
-impl Charge<'_> {
-    /// Records `pass` and the plane `out` the step hands on.
-    fn charge(self, pass: EnginePass, out: Shape4) -> Shape4 {
-        let (mut total, channels) = self.tally.get();
-        total += pass;
-        self.tally.set((total, channels.max(out.c)));
-        out
-    }
-}
-
 impl Datapath for Charge<'_> {
     type Plane = Shape4;
 
@@ -145,18 +135,21 @@ impl Datapath for Charge<'_> {
             unreachable!("a conv step holds a conv")
         };
         let Window { h, w, .. } = Window::inset(x.h, x.w, cut);
-        let pass = EnginePass::of_conv(self.ring, (c.co(), c.ci(), c.k()), (x.n, h, w));
-        self.charge(pass, Shape4::new(x.n, c.co(), h, w))
+        let out = Shape4::new(x.n, c.co(), h, w);
+        let (mut pass, peak) = self.tally.get();
+        pass += EnginePass::of_conv(self.ring, (c.co(), c.ci(), c.k()), (x.n, h, w));
+        let bytes = ((x.len() + out.len()) / x.n) as u64;
+        self.tally.set((pass, peak.max(bytes)));
+        out
     }
 
     fn apply(self, x: Cow<'_, Shape4>, cut: [usize; 4]) -> Shape4 {
         let Window { h, w, .. } = Window::inset(x.h, x.w, cut);
-        let out = match *self.layer {
+        match *self.layer {
             QLayer::Shuffle(r) => Shape4::new(x.n, x.c / (r * r), h * r, w * r),
             QLayer::Unshuffle(r) => Shape4::new(x.n, x.c * r * r, h / r, w / r),
             _ => Shape4::new(x.n, x.c, h, w),
-        };
-        self.charge(EnginePass::default(), out)
+        }
     }
 
     fn add_skip(self, _: &mut Shape4, _: &Shape4, _: Point, _: Point) {}

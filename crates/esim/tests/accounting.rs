@@ -2,7 +2,12 @@
 //! `SimReport` rows are pinned to what the simulator printed while it
 //! still ran its own tile-ordered integer datapath: running the step
 //! program over shapes must charge every convolution the cycles,
-//! multiplications and memory that datapath charged. The `BlockedReport`
+//! multiplications and memory that datapath charged — all but
+//! `peak_feature_bytes`, which that datapath took as twice the input
+//! pixels times the most channels any plane had; it is the largest
+//! input + output of one convolution per batch item (DnERNet-tiny at
+//! 16×16: 8·8·(8 + 16) = 1 536 after the ×2 unshuffle; the SR4 ERNet's
+//! second ×2 stage: 32·32·(8 + 32) = 40 960). The `BlockedReport`
 //! rows are the runtime's tiles: each block reads its halo-extended
 //! window clipped at the frame, and each convolution is charged the
 //! region the block computes. A row that moves means the accounting
@@ -19,19 +24,19 @@ use ringcnn_quant::prelude::*;
 use ringcnn_tensor::prelude::*;
 
 const PINNED: [(&str, &str); 14] = [
-    ("(R (real), fcw) 16", "SimReport { cycles: 48, physical_mults: 3538944, equivalent_mults: 3538944, utilization: 0.9, seconds: 1.92e-7, fps: 5208333.333333333, energy_j: 1.3474031616e-6, nj_per_output_pixel: 5.2632936, memory: MemoryReport { weight_bytes: 5244, peak_feature_bytes: 8192, dram_bytes_per_frame: 691 }, weights_fit: true }"),
-    ("(R (real), fcw) 32", "SimReport { cycles: 192, physical_mults: 14155776, equivalent_mults: 14155776, utilization: 0.9, seconds: 7.68e-7, fps: 1302083.3333333333, energy_j: 5.3896126464e-6, nj_per_output_pixel: 5.2632936, memory: MemoryReport { weight_bytes: 5244, peak_feature_bytes: 32768, dram_bytes_per_frame: 2764 }, weights_fit: true }"),
+    ("(R (real), fcw) 16", "SimReport { cycles: 48, physical_mults: 3538944, equivalent_mults: 3538944, utilization: 0.9, seconds: 1.92e-7, fps: 5208333.333333333, energy_j: 1.3474031616e-6, nj_per_output_pixel: 5.2632936, memory: MemoryReport { weight_bytes: 5244, peak_feature_bytes: 1536, dram_bytes_per_frame: 691 }, weights_fit: true }"),
+    ("(R (real), fcw) 32", "SimReport { cycles: 192, physical_mults: 14155776, equivalent_mults: 14155776, utilization: 0.9, seconds: 7.68e-7, fps: 1302083.3333333333, energy_j: 5.3896126464e-6, nj_per_output_pixel: 5.2632936, memory: MemoryReport { weight_bytes: 5244, peak_feature_bytes: 6144, dram_bytes_per_frame: 2764 }, weights_fit: true }"),
     ("(R (real), fcw) blocks of 16", "BlockedReport { block: 16, halo: 12, blocks: 4, dram_input_bytes: 3136, recompute_overhead: 2.0625, cycles: 408, seconds: 1.632e-6, energy_j: 1.14529268736e-5 }"),
     ("(R (real), fcw) blocks of 32", "BlockedReport { block: 32, halo: 12, blocks: 1, dram_input_bytes: 1024, recompute_overhead: 0.0, cycles: 192, seconds: 7.68e-7, energy_j: 5.3896126464e-6 }"),
-    ("(RI2, fH) 16", "SimReport { cycles: 48, physical_mults: 1769472, equivalent_mults: 3538944, utilization: 0.9, seconds: 1.92e-7, fps: 5208333.333333333, energy_j: 7.412164608e-7, nj_per_output_pixel: 2.8953768, memory: MemoryReport { weight_bytes: 2652, peak_feature_bytes: 8192, dram_bytes_per_frame: 691 }, weights_fit: true }"),
-    ("(RI2, fH) 32", "SimReport { cycles: 192, physical_mults: 7077888, equivalent_mults: 14155776, utilization: 0.9, seconds: 7.68e-7, fps: 1302083.3333333333, energy_j: 2.9648658432e-6, nj_per_output_pixel: 2.8953768, memory: MemoryReport { weight_bytes: 2652, peak_feature_bytes: 32768, dram_bytes_per_frame: 2764 }, weights_fit: true }"),
+    ("(RI2, fH) 16", "SimReport { cycles: 48, physical_mults: 1769472, equivalent_mults: 3538944, utilization: 0.9, seconds: 1.92e-7, fps: 5208333.333333333, energy_j: 7.412164608e-7, nj_per_output_pixel: 2.8953768, memory: MemoryReport { weight_bytes: 2652, peak_feature_bytes: 1536, dram_bytes_per_frame: 691 }, weights_fit: true }"),
+    ("(RI2, fH) 32", "SimReport { cycles: 192, physical_mults: 7077888, equivalent_mults: 14155776, utilization: 0.9, seconds: 7.68e-7, fps: 1302083.3333333333, energy_j: 2.9648658432e-6, nj_per_output_pixel: 2.8953768, memory: MemoryReport { weight_bytes: 2652, peak_feature_bytes: 6144, dram_bytes_per_frame: 2764 }, weights_fit: true }"),
     ("(RI2, fH) blocks of 16", "BlockedReport { block: 16, halo: 12, blocks: 4, dram_input_bytes: 3136, recompute_overhead: 2.0625, cycles: 408, seconds: 1.632e-6, energy_j: 6.300339916800001e-6 }"),
     ("(RI2, fH) blocks of 32", "BlockedReport { block: 32, halo: 12, blocks: 1, dram_input_bytes: 1024, recompute_overhead: 0.0, cycles: 192, seconds: 7.68e-7, energy_j: 2.9648658432e-6 }"),
-    ("(RI4, fH) 16", "SimReport { cycles: 48, physical_mults: 884736, equivalent_mults: 3538944, utilization: 0.9, seconds: 1.92e-7, fps: 5208333.333333333, energy_j: 4.350511104e-7, nj_per_output_pixel: 1.6994184, memory: MemoryReport { weight_bytes: 1356, peak_feature_bytes: 8192, dram_bytes_per_frame: 691 }, weights_fit: true }"),
-    ("(RI4, fH) 32", "SimReport { cycles: 192, physical_mults: 3538944, equivalent_mults: 14155776, utilization: 0.9, seconds: 7.68e-7, fps: 1302083.3333333333, energy_j: 1.7402044416e-6, nj_per_output_pixel: 1.6994184, memory: MemoryReport { weight_bytes: 1356, peak_feature_bytes: 32768, dram_bytes_per_frame: 2764 }, weights_fit: true }"),
+    ("(RI4, fH) 16", "SimReport { cycles: 48, physical_mults: 884736, equivalent_mults: 3538944, utilization: 0.9, seconds: 1.92e-7, fps: 5208333.333333333, energy_j: 4.350511104e-7, nj_per_output_pixel: 1.6994184, memory: MemoryReport { weight_bytes: 1356, peak_feature_bytes: 1536, dram_bytes_per_frame: 691 }, weights_fit: true }"),
+    ("(RI4, fH) 32", "SimReport { cycles: 192, physical_mults: 3538944, equivalent_mults: 14155776, utilization: 0.9, seconds: 7.68e-7, fps: 1302083.3333333333, energy_j: 1.7402044416e-6, nj_per_output_pixel: 1.6994184, memory: MemoryReport { weight_bytes: 1356, peak_feature_bytes: 6144, dram_bytes_per_frame: 2764 }, weights_fit: true }"),
     ("(RI4, fH) blocks of 16", "BlockedReport { block: 16, halo: 12, blocks: 4, dram_input_bytes: 3136, recompute_overhead: 2.0625, cycles: 408, seconds: 1.632e-6, energy_j: 3.6979344384e-6 }"),
     ("(RI4, fH) blocks of 32", "BlockedReport { block: 32, halo: 12, blocks: 1, dram_input_bytes: 1024, recompute_overhead: 0.0, cycles: 192, seconds: 7.68e-7, energy_j: 1.7402044416e-6 }"),
-    ("SR4 (RI4, fH) 16", "SimReport { cycles: 800, physical_mults: 14745600, equivalent_mults: 58982400, utilization: 0.9, seconds: 3.2e-6, fps: 312500.0, energy_j: 7.250851839999999e-6, nj_per_output_pixel: 1.7702274999999998, memory: MemoryReport { weight_bytes: 2121, peak_feature_bytes: 16384, dram_bytes_per_frame: 4531 }, weights_fit: true }"),
+    ("SR4 (RI4, fH) 16", "SimReport { cycles: 800, physical_mults: 14745600, equivalent_mults: 58982400, utilization: 0.9, seconds: 3.2e-6, fps: 312500.0, energy_j: 7.250851839999999e-6, nj_per_output_pixel: 1.7702274999999998, memory: MemoryReport { weight_bytes: 2121, peak_feature_bytes: 40960, dram_bytes_per_frame: 4531 }, weights_fit: true }"),
     ("SR4 (RI4, fH) blocks of 16", "BlockedReport { block: 16, halo: 8, blocks: 4, dram_input_bytes: 2304, recompute_overhead: 1.25, cycles: 3880, seconds: 1.552e-5, energy_j: 3.5166631424e-5 }"),
 ];
 
