@@ -138,7 +138,7 @@ impl Datapath for Charge<'_> {
         let out = Shape4::new(x.n, c.co(), h, w);
         let (mut pass, peak) = self.tally.get();
         pass += EnginePass::of_conv(self.ring, (c.co(), c.ci(), c.k()), (x.n, h, w));
-        let bytes = ((x.len() + out.len()) / x.n) as u64;
+        let bytes = (x.c * x.h * x.w + out.c * h * w) as u64;
         self.tally.set((pass, peak.max(bytes)));
         out
     }

@@ -440,29 +440,6 @@ impl<'m> BatchRunner<'m> {
         }
         out
     }
-
-    /// Runs a batch of independent frames across the pool (one task per
-    /// frame, whole-image each): the plan-reuse path for streams of
-    /// small frames where tiling would not pay off.
-    pub fn run_batch(&self, frames: &[Tensor]) -> Vec<Tensor> {
-        let parent = ringcnn_trace::span::current();
-        frames
-            .par_iter()
-            .map(|f| {
-                let span = parent.map(|p| ringcnn_trace::span::span_in(p, "frame"));
-                if let Some(sp) = &span {
-                    sp.set_args(f.shape().h as u64, f.shape().w as u64);
-                }
-                self.model.forward_infer(f)
-            })
-            .collect()
-    }
-}
-
-/// One-shot convenience: prepares `model`, then runs a tile-parallel
-/// forward with `cfg`.
-pub fn tiled_forward<M: InferenceModel>(model: &mut M, input: &Tensor, cfg: TileConfig) -> Tensor {
-    BatchRunner::new(model).with_tile(cfg).run(input)
 }
 
 /// The number of threads the inference pool runs (1 = sequential; set
@@ -534,7 +511,9 @@ mod tests {
         use crate::models::resnet::{resnet_mini, ResNetConfig};
         let mut m = resnet_mini(&Algebra::real(), ResNetConfig::tiny(), 1, 3);
         let x = Tensor::random_uniform(Shape4::new(1, 1, 16, 16), 0.0, 1.0, 4);
-        let _ = tiled_forward(&mut m, &x, TileConfig::with_tile(8));
+        let _ = BatchRunner::new(&mut m)
+            .with_tile(TileConfig::with_tile(8))
+            .run(&x);
     }
 
     #[test]
@@ -544,19 +523,6 @@ mod tests {
         let x = Tensor::random_uniform(Shape4::new(2, 1, 24, 20), 0.0, 1.0, 6);
         let runner = BatchRunner::new(&mut m).with_tile(TileConfig::with_tile(8));
         assert_eq!(runner.run(&x).as_slice(), runner.run_whole(&x).as_slice());
-    }
-
-    #[test]
-    fn run_batch_matches_individual_forwards() {
-        let mut m = vdsr(&Algebra::real(), 3, 8, 1, 9);
-        let frames: Vec<Tensor> = (0..5)
-            .map(|i| Tensor::random_uniform(Shape4::new(1, 1, 10, 10), 0.0, 1.0, 50 + i))
-            .collect();
-        let runner = BatchRunner::new(&mut m);
-        let batched = runner.run_batch(&frames);
-        for (f, b) in frames.iter().zip(&batched) {
-            assert_eq!(runner.run_whole(f).as_slice(), b.as_slice());
-        }
     }
 
     #[test]
@@ -609,6 +575,8 @@ mod tests {
     fn rejects_misaligned_input() {
         let mut m = ffdnet(&Algebra::real(), 3, 8, 1, 13);
         let x = Tensor::zeros(Shape4::new(1, 1, 9, 8)); // odd height
-        let _ = tiled_forward(&mut m, &x, TileConfig::with_tile(4));
+        let _ = BatchRunner::new(&mut m)
+            .with_tile(TileConfig::with_tile(4))
+            .run(&x);
     }
 }

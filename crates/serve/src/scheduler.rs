@@ -11,9 +11,8 @@
 //! sleep on the queue's condition variable with a deadline at the
 //! earliest flush time — so a lone request never waits longer than
 //! `max_wait`, and a burst coalesces into one batch that amortizes
-//! per-dispatch overhead and keeps every pool thread busy
-//! (`forward_infer` over a prepared model, exactly the
-//! `BatchRunner::run_batch` execution shape).
+//! per-dispatch overhead and keeps every pool thread busy (one
+//! `forward_infer` task per request over the one prepared model).
 //!
 //! # Fair scheduling
 //!
@@ -706,8 +705,7 @@ fn execute_batch(shared: &Shared, batch: Vec<Job>) {
             );
         }
     }
-    // One task per frame across the shared pool — the plan-reuse
-    // execution shape of `BatchRunner::run_batch`: every frame reads the
+    // One task per frame across the shared pool: every frame reads the
     // same prepared model, so cached transform plans are built zero
     // times on this path.
     // A batch may mix precisions of one model: each job runs its own

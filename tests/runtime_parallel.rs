@@ -80,23 +80,6 @@ fn tiled_forward_matches_reference_forward() {
     assert_equivalent(&want, &tiled, "tiled vs reference forward");
 }
 
-/// BatchRunner::run_batch must equal frame-by-frame whole forwards
-/// bit for bit (plan reuse may not change results).
-#[test]
-fn batch_runner_matches_sequential_frames() {
-    let alg = Algebra::with_fcw(RingKind::Rh4I);
-    let mut model = ffdnet(&alg, 3, 10, 1, 51);
-    let frames: Vec<Tensor> = (0..6)
-        .map(|i| Tensor::random_uniform(Shape4::new(1, 1, 12, 12), 0.0, 1.0, 60 + i))
-        .collect();
-    let runner = BatchRunner::new(&mut model);
-    let batched = runner.run_batch(&frames);
-    assert_eq!(batched.len(), frames.len());
-    for (frame, out) in frames.iter().zip(&batched) {
-        assert_eq!(runner.run_whole(frame).as_slice(), out.as_slice());
-    }
-}
-
 /// Concurrent `forward_infer` on one shared model nobody prepared:
 /// eight threads race the first call, each kernel cell is initialised by
 /// exactly one of them, and every thread answers bit for bit what a
