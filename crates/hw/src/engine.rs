@@ -44,7 +44,7 @@ pub fn multipliers(n: usize, m: usize, taps: usize) -> usize {
 }
 
 /// Cycle/work accounting of one engine pass.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct EnginePass {
     /// Cycles consumed.
     pub cycles: u64,
