@@ -224,21 +224,6 @@ impl Ring {
         &self.fast
     }
 
-    /// Replaces the fast algorithm (used when a better CP-derived
-    /// algorithm is found).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the algorithm does not compute this ring's product.
-    pub fn set_fast(&mut self, fast: FastAlgorithm) {
-        assert!(
-            fast.tensor().distance(&self.indexing_tensor()) < 1e-6,
-            "fast algorithm does not match ring {:?}",
-            self.kind
-        );
-        self.fast = fast;
-    }
-
     /// The indexing tensor `M`.
     pub fn indexing_tensor(&self) -> Tensor3 {
         if let Some(sp) = &self.sign_perm {
@@ -320,31 +305,6 @@ impl Ring {
     /// product, reconstruction).
     pub fn mul_fast_f64(&self, g: &[f64], x: &[f64]) -> Vec<f64> {
         self.fast.multiply(g, x)
-    }
-
-    /// Backward pass of one MAC: given upstream gradient `dz`, accumulates
-    /// `dg += ∂L/∂g` and `dx += ∂L/∂x` for `z = g·x`.
-    #[inline]
-    pub fn mac_backward_f32(
-        &self,
-        g: &[f32],
-        x: &[f32],
-        dz: &[f32],
-        dg: &mut [f32],
-        dx: &mut [f32],
-    ) {
-        if self.diagonal {
-            for i in 0..self.n {
-                dg[i] += x[i] * dz[i];
-                dx[i] += g[i] * dz[i];
-            }
-            return;
-        }
-        for t in &self.terms {
-            let (i, k, j) = (t.i as usize, t.k as usize, t.j as usize);
-            dg[k] += t.c * x[j] * dz[i];
-            dx[j] += t.c * g[k] * dz[i];
-        }
     }
 
     /// Input gradient in ring form, `∇x = g · ∇z`, valid only for rings
@@ -449,31 +409,6 @@ mod tests {
             );
             for i in 0..n {
                 assert!((f64::from(acc[i]) - z[i]).abs() < 1e-5, "{kind:?} comp {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn backward_matches_isomorphic_expansion() {
-        for kind in RingKind::table_one() {
-            let ring = Ring::from_kind(kind);
-            let n = ring.n();
-            let g: Vec<f32> = (0..n).map(|i| 0.4 * i as f32 - 0.9).collect();
-            let x: Vec<f32> = (0..n).map(|i| 0.2 * i as f32 + 0.3).collect();
-            let dz: Vec<f32> = (0..n).map(|i| 1.0 - 0.5 * i as f32).collect();
-            let mut dg = vec![0.0f32; n];
-            let mut dx = vec![0.0f32; n];
-            ring.mac_backward_f32(&g, &x, &dz, &mut dg, &mut dx);
-            // dx must equal Gᵗ·dz.
-            let gm = ring.isomorphic_matrix(&g.iter().map(|v| f64::from(*v)).collect::<Vec<_>>());
-            let want_dx = gm
-                .transposed()
-                .matvec(&dz.iter().map(|v| f64::from(*v)).collect::<Vec<_>>());
-            for i in 0..n {
-                assert!(
-                    (f64::from(dx[i]) - want_dx[i]).abs() < 1e-5,
-                    "{kind:?} dx[{i}]"
-                );
             }
         }
     }

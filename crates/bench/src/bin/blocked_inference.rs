@@ -27,7 +27,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut json = Vec::new();
     for block in [16usize, 32, 64] {
-        let (out, report) = simulate_blocked(&qm, &image, &accel, &t, block);
+        let (out, report) = simulate(&qm, &image, &accel, &t, block);
         rows.push(vec![
             block.to_string(),
             report.blocks.to_string(),

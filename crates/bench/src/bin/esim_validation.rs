@@ -48,7 +48,8 @@ fn main() {
                 }
                 Scenario::Sr4 => downsample(&dataset(DatasetProfile::Set5, image, 1), 4),
             };
-            let (_, report) = simulate(&qm, &input, &accel, &t);
+            let frame = input.shape().h.max(input.shape().w);
+            let (_, report) = simulate(&qm, &input, &accel, &t, frame);
             // The proof's worst cases against the modelled units (a model
             // that outgrew them would not have quantized): a conv
             // accumulator of ACC_BITS, an fH unit of fh_bits(n).

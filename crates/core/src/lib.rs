@@ -8,7 +8,6 @@
 //! `ringcnn-tensor`, `ringcnn-nn`, `ringcnn-imaging`, `ringcnn-quant`)
 //! and adds:
 //!
-//! - [`frconv`] — the fast ring convolution FRCONV (eq. (12));
 //! - [`pruning`] — unstructured and structured pruning baselines;
 //! - [`scenarios`] — the paper's application scenarios and throughput
 //!   targets with their compact model configurations;
@@ -37,7 +36,6 @@
 
 pub mod ablation;
 pub mod experiments;
-pub mod frconv;
 pub mod pruning;
 pub mod scenarios;
 
@@ -54,7 +52,6 @@ pub mod prelude {
         classical_baseline, eval_pairs, eval_profiles, evaluate_model, run_quality, train_model,
         training_pairs, ExperimentScale, QualityResult,
     };
-    pub use crate::frconv::{frconv_forward, frconv_mults_per_pixel};
     pub use crate::pruning::{global_magnitude_prune, model_density, structured_filter_prune};
     pub use crate::scenarios::{build_model, Scenario, ThroughputTarget};
     pub use ringcnn_algebra::prelude::*;

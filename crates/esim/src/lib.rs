@@ -1,36 +1,34 @@
 //! # ringcnn-esim
 //!
 //! Cycle-approximate simulator of the eRingCNN accelerator (§V of the
-//! paper): the block-based inference flow ([`blocks`]), its memory system
-//! ([`memory`]), and whole-model cycle/energy/bandwidth reporting
-//! ([`sim`]). The engine itself — its geometry, widths and the work of one
-//! convolution ([`EnginePass`]) — is `ringcnn-hw`'s, the one description
-//! the area and power models price.
+//! paper): the block-based inference flow with its cycle/energy/bandwidth
+//! report ([`sim`]) and its memory system ([`memory`]). The engine itself
+//! — its geometry, widths and the work of one convolution
+//! ([`EnginePass`]) — is `ringcnn-hw`'s, the one description the area and
+//! power models price.
 //!
 //! The simulator computes no integers. Its outputs are those of
-//! `ringcnn-quant`'s pipeline ([`QuantizedModel::forward_q`]), and every
-//! convolution is accounted for by running the model's step program
-//! ([`QuantizedModel::program`]) over shapes through the driver that runs
-//! it on integers, [`program::run`]: over the whole frame, or over the
-//! runtime's tiles, where a convolution is charged [`EnginePass::of_conv`]
-//! over only what it computes.
+//! `ringcnn-quant`'s pipeline run block by block ([`BatchRunner::run`]),
+//! and every convolution is accounted for by running the model's step
+//! program ([`QuantizedModel::program`]) over shapes through the driver
+//! that runs it on integers, [`program::run`], over the runtime's tiles:
+//! a convolution is charged [`EnginePass::of_conv`] over only what its
+//! block computes.
 //!
 //! [`EnginePass`]: ringcnn_hw::engine::EnginePass
 //! [`EnginePass::of_conv`]: ringcnn_hw::engine::EnginePass::of_conv
-//! [`QuantizedModel::forward_q`]: ringcnn_quant::quantized::QuantizedModel::forward_q
+//! [`BatchRunner::run`]: ringcnn_nn::runtime::BatchRunner::run
 //! [`QuantizedModel::program`]: ringcnn_quant::quantized::QuantizedModel::program
 //! [`program::run`]: ringcnn_nn::program::run
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod blocks;
 pub mod memory;
 pub mod sim;
 
 /// Convenient re-exports.
 pub mod prelude {
-    pub use crate::blocks::{simulate_blocked, BlockedReport};
     pub use crate::memory::{weight_bytes, MemoryReport};
     pub use crate::sim::{simulate, SimReport};
 }

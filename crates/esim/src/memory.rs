@@ -1,6 +1,7 @@
 //! Memory-system model: weight SRAM footprint, block-buffer occupancy,
 //! and DRAM traffic of the block-based inference flow (§V; features never
-//! leave the chip, images are re-read with a halo for block recompute).
+//! leave the chip, images are re-read with a halo for block recompute,
+//! and [`crate::sim::simulate`] counts the bytes).
 
 use ringcnn_quant::quantized::{QLayer, QuantizedModel};
 use ringcnn_tensor::prelude::Shape4;
@@ -14,7 +15,8 @@ pub struct MemoryReport {
     /// The most feature bytes one convolution reads and writes for one
     /// batch item, 1 byte per feature (the block buffer need).
     pub peak_feature_bytes: u64,
-    /// DRAM bytes moved per frame (input reads + output writes).
+    /// DRAM bytes moved per frame: every block's halo-extended input
+    /// window clipped at the frame, read once, plus the output written.
     pub dram_bytes_per_frame: u64,
 }
 
@@ -42,19 +44,6 @@ pub fn weight_bytes(qm: &QuantizedModel, n: usize) -> u64 {
     total
 }
 
-/// DRAM bytes per frame for block-based inference: the image in (with a
-/// halo-recompute overhead) and the image out.
-pub fn dram_bytes_per_frame(
-    in_pixels: u64,
-    in_channels: u64,
-    out_pixels: u64,
-    out_channels: u64,
-    halo_overhead: f64,
-) -> u64 {
-    (in_pixels as f64 * in_channels as f64 * (1.0 + halo_overhead)) as u64
-        + out_pixels * out_channels
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,13 +67,5 @@ mod tests {
         // Biases are uncompressed; ratio just below 4.
         let ratio = real as f64 / n4 as f64;
         assert!(ratio > 3.5 && ratio <= 4.0, "ratio {ratio}");
-    }
-
-    #[test]
-    fn dram_traffic_accounts_for_halo() {
-        let no_halo = dram_bytes_per_frame(100, 1, 100, 1, 0.0);
-        let halo = dram_bytes_per_frame(100, 1, 100, 1, 0.5);
-        assert_eq!(no_halo, 200);
-        assert_eq!(halo, 250);
     }
 }

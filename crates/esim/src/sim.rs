@@ -1,8 +1,13 @@
-//! Whole-model simulation: runs a quantized model through
-//! `QuantizedModel`'s integer pipeline and accounts for every convolution
-//! on the engine — its step program run once more over shapes — producing
-//! cycle, utilization, throughput, bandwidth, and energy reports beside
-//! the outputs.
+//! Block-based simulation (§V / §VII): runs a quantized model the way
+//! eRingCNN runs a frame — in independent blocks, so feature maps never
+//! leave the chip — and accounts for every convolution on the engine,
+//! producing cycle, utilization, throughput, bandwidth and energy reports
+//! beside the outputs. The blocks are the CPU runtime's tiles
+//! ([`BatchRunner::tiles`]): each **recomputes** a halo of input pixels
+//! (the paper adopts recomputing over feature reuse) as a truncated
+//! pyramid, so the stitched output is whole-image inference at every
+//! pixel; the cost is re-reading the halo from DRAM and recomputing the
+//! pyramid's rim on the engine.
 //!
 //! Simplifying assumptions (documented, per DESIGN.md): the pipeline is
 //! fully overlapped (the directional ReLU, shuffles and residual adds ride
@@ -10,11 +15,11 @@
 //! the design intent of Figs. 6–8), and weight/feature SRAM never stalls
 //! the engines (eCNN's block-based flow guarantees residency).
 
-use crate::memory::{dram_bytes_per_frame, weight_bytes, MemoryReport};
+use crate::memory::{weight_bytes, MemoryReport};
 use ringcnn_algebra::ring::Ring;
 use ringcnn_hw::prelude::{layout_report, AcceleratorConfig, EnginePass, TechParams};
 use ringcnn_nn::program::{self, Datapath, Epilogue, Point};
-use ringcnn_nn::runtime::TileHalo;
+use ringcnn_nn::runtime::{BatchRunner, TileConfig, TileHalo};
 use ringcnn_quant::prelude::*;
 use ringcnn_tensor::prelude::*;
 use ringcnn_tensor::tile::Window;
@@ -25,6 +30,14 @@ use std::cell::Cell;
 /// Simulation result for one inference.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SimReport {
+    /// Block size (input pixels, square).
+    pub block: usize,
+    /// Halo width used (input pixels per side).
+    pub halo: usize,
+    /// Number of blocks processed (every batch item's).
+    pub blocks: usize,
+    /// The halo-recompute read overhead vs reading the image once.
+    pub recompute_overhead: f64,
     /// Total engine cycles.
     pub cycles: u64,
     /// Physical multiplications executed.
@@ -47,49 +60,62 @@ pub struct SimReport {
     pub weights_fit: bool,
 }
 
-/// Runs `qm` on the simulated accelerator, returning the output of
-/// [`QuantizedModel::forward_q`] and the report.
+/// Runs `qm` on the simulated accelerator in `block`-pixel cores (rounded
+/// up to the model's granularity; edge blocks shrink; a frame's longer
+/// side makes it one block): the tiles of a [`BatchRunner`], each read
+/// from DRAM as its halo-extended window clipped at the frame, and each
+/// convolution charged the region the block computes ([`TileHalo`]).
+/// Returns the output of [`QuantizedModel::forward`] and the report.
 pub fn simulate(
     qm: &QuantizedModel,
     input: &Tensor,
     accel: &AcceleratorConfig,
     tech: &TechParams,
+    block: usize,
 ) -> (Tensor, SimReport) {
-    let q = QTensor::quantize(input, vec![qm.input_format(); input.shape().c]);
-    let out = qm.forward_q(q);
-    let (pass_total, peak_feature_bytes) =
-        account(qm, input.shape(), accel, &mut TileHalo::whole());
+    let s = input.shape();
+    // The runner prepares the model it holds: a copy (already prepared).
+    let mut model = qm.clone();
+    let runner = BatchRunner::new(&mut model).with_tile(TileConfig::with_tile(block));
+    let one_block = vec![Window::full(s.h, s.w)];
+    let grid = runner.plan_grid(s.h, s.w).unwrap_or(one_block);
+    let tiles = runner.tiles(s, &grid);
+    let (mut pass, mut peak_feature_bytes, mut read_bytes) = (EnginePass::default(), 0, 0);
+    for &(_, _, ext, mut tile) in &tiles {
+        let read = Shape4::new(1, s.c, ext.h, ext.w);
+        read_bytes += read.len() as u64;
+        let (tile_pass, peak) = account(qm, read, accel, &mut tile);
+        pass += tile_pass;
+        peak_feature_bytes = peak_feature_bytes.max(peak);
+    }
+    let out = runner.run(input);
 
-    let report = layout_report(accel, tech);
-    let seconds = pass_total.cycles as f64 / accel.clock_hz;
+    let seconds = pass.cycles as f64 / accel.clock_hz;
     let out_pixels = (out.shape().h * out.shape().w * out.shape().n) as u64;
-    let energy = report.power_w * seconds;
-    let peak_capacity = accel.equivalent_macs_per_cycle() as f64 * pass_total.cycles as f64;
+    let energy = layout_report(accel, tech).power_w * seconds;
+    let peak_capacity = accel.equivalent_macs_per_cycle() as f64 * pass.cycles as f64;
     let wbytes = weight_bytes(qm, accel.n());
-    let memory = MemoryReport {
-        weight_bytes: wbytes,
-        peak_feature_bytes,
-        dram_bytes_per_frame: dram_bytes_per_frame(
-            (input.shape().h * input.shape().w * input.shape().n) as u64,
-            input.shape().c as u64,
-            out_pixels,
-            out.shape().c as u64,
-            0.7,
-        ),
-    };
     let sim = SimReport {
-        cycles: pass_total.cycles,
-        physical_mults: pass_total.physical_mults,
-        equivalent_mults: pass_total.equivalent_mults,
-        utilization: pass_total.equivalent_mults as f64 / peak_capacity.max(1.0),
+        block,
+        halo: runner.halo(),
+        blocks: tiles.len(),
+        recompute_overhead: read_bytes as f64 / s.len() as f64 - 1.0,
+        cycles: pass.cycles,
+        physical_mults: pass.physical_mults,
+        equivalent_mults: pass.equivalent_mults,
+        utilization: pass.equivalent_mults as f64 / peak_capacity.max(1.0),
         seconds,
         fps: 1.0 / seconds.max(1e-30),
         energy_j: energy,
         nj_per_output_pixel: energy * 1e9 / out_pixels.max(1) as f64,
-        memory,
+        memory: MemoryReport {
+            weight_bytes: wbytes,
+            peak_feature_bytes,
+            dram_bytes_per_frame: read_bytes + out.shape().len() as u64,
+        },
         weights_fit: (wbytes as f64 / 1024.0) <= accel.weight_mem_kb,
     };
-    (out.dequantize(), sim)
+    (out, sim)
 }
 
 /// The engine's work for `qm` on planes of shape `s` inside `tile`: the
@@ -98,7 +124,7 @@ pub fn simulate(
 /// region the driver leaves it, and the most bytes one convolution reads
 /// and writes per batch item. Activations, shuffles and skip adds ride
 /// the engine's output pipeline: zero cycles, no buffer of their own.
-pub(crate) fn account(
+fn account(
     qm: &QuantizedModel,
     s: Shape4,
     accel: &AcceleratorConfig,
@@ -181,7 +207,7 @@ mod tests {
         ] {
             let (qm, calib) = setup(&alg);
             let reference = qm.forward(&calib);
-            let (simulated, report) = simulate(&qm, &calib, &accel, &TechParams::tsmc40());
+            let (simulated, report) = simulate(&qm, &calib, &accel, &TechParams::tsmc40(), 16);
             assert_eq!(
                 simulated.as_slice(),
                 reference.as_slice(),
@@ -201,8 +227,8 @@ mod tests {
         let (qm2, calib) = setup(&Algebra::ri_fh(2));
         let (qm4, _) = setup(&Algebra::ri_fh(4));
         let t = TechParams::tsmc40();
-        let (_, r2) = simulate(&qm2, &calib, &AcceleratorConfig::eringcnn_n2(), &t);
-        let (_, r4) = simulate(&qm4, &calib, &AcceleratorConfig::eringcnn_n4(), &t);
+        let (_, r2) = simulate(&qm2, &calib, &AcceleratorConfig::eringcnn_n2(), &t, 16);
+        let (_, r4) = simulate(&qm4, &calib, &AcceleratorConfig::eringcnn_n4(), &t, 16);
         assert_eq!(r2.cycles, r4.cycles, "same tiling, same cycles");
         assert!(r4.energy_j < r2.energy_j, "n4 must be lower energy");
     }
@@ -215,6 +241,7 @@ mod tests {
             &calib,
             &AcceleratorConfig::eringcnn_n2(),
             &TechParams::tsmc40(),
+            16,
         );
         assert!(report.weights_fit, "tiny model must fit 960 KB");
         assert!(report.memory.weight_bytes > 0);
@@ -227,9 +254,45 @@ mod tests {
         let small = Tensor::random_uniform(Shape4::new(1, 1, 16, 16), 0.0, 1.0, 1);
         let large = Tensor::random_uniform(Shape4::new(1, 1, 32, 32), 0.0, 1.0, 1);
         let accel = AcceleratorConfig::eringcnn_n2();
-        let (_, rs) = simulate(&qm, &small, &accel, &t);
-        let (_, rl) = simulate(&qm, &large, &accel, &t);
+        let (_, rs) = simulate(&qm, &small, &accel, &t, 16);
+        let (_, rl) = simulate(&qm, &large, &accel, &t, 32);
         assert!(rl.cycles >= rs.cycles * 3, "{} vs {}", rl.cycles, rs.cycles);
         assert!(rl.energy_j > rs.energy_j);
+    }
+
+    #[test]
+    fn blocked_inference_is_bit_exact_at_every_pixel() {
+        let t = TechParams::tsmc40();
+        for (alg, accel) in [
+            (Algebra::ri_fh(2), AcceleratorConfig::eringcnn_n2()),
+            (Algebra::ri_fh(4), AcceleratorConfig::eringcnn_n4()),
+        ] {
+            let (qm, _) = setup(&alg);
+            let image = Tensor::random_uniform(Shape4::new(1, 1, 32, 32), 0.0, 1.0, 21);
+            let (blocked, report) = simulate(&qm, &image, &accel, &t, 16);
+            // Every pixel — the seams and the frame border included.
+            let whole = qm.forward(&image);
+            assert_eq!(blocked.as_slice(), whole.as_slice(), "{}", alg.label());
+            assert_eq!(report.blocks, 4);
+            assert!(report.recompute_overhead > 0.0);
+        }
+    }
+
+    #[test]
+    fn smaller_blocks_cost_more_bandwidth() {
+        let t = TechParams::tsmc40();
+        let accel = AcceleratorConfig::eringcnn_n4();
+        let (qm, _) = setup(&Algebra::ri_fh(4));
+        let image = Tensor::random_uniform(Shape4::new(1, 1, 64, 64), 0.0, 1.0, 23);
+        let (_, small) = simulate(&qm, &image, &accel, &t, 16);
+        let (_, large) = simulate(&qm, &image, &accel, &t, 32);
+        assert!(
+            small.recompute_overhead > large.recompute_overhead,
+            "16px blocks {} vs 32px {}",
+            small.recompute_overhead,
+            large.recompute_overhead
+        );
+        let dram = |r: &SimReport| r.memory.dram_bytes_per_frame;
+        assert!(dram(&small) > dram(&large), "{small:?} vs {large:?}");
     }
 }

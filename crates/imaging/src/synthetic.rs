@@ -238,18 +238,6 @@ pub enum DatasetProfile {
 }
 
 impl DatasetProfile {
-    /// Number of images the profile yields by default (scaled down from
-    /// the originals to CPU scale).
-    pub fn default_count(&self) -> usize {
-        match self {
-            DatasetProfile::Set5 => 5,
-            DatasetProfile::Set14 => 14,
-            DatasetProfile::Bsd => 24,
-            DatasetProfile::Urban => 16,
-            DatasetProfile::Train => 64,
-        }
-    }
-
     /// Base RNG seed so every profile is disjoint and reproducible.
     pub fn seed(&self) -> u64 {
         match self {

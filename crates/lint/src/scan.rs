@@ -43,13 +43,6 @@ pub struct Scanned {
     pub lines: Vec<Line>,
 }
 
-impl Scanned {
-    /// 1-based line number for an index, for diagnostics.
-    pub fn lineno(idx: usize) -> usize {
-        idx + 1
-    }
-}
-
 fn is_ident(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }

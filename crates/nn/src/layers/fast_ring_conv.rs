@@ -16,8 +16,9 @@
 //! components (3 allocations with the output, not `1 + 2m`). Total
 //! cost: `m` real multiplications per ring MAC instead of the `n²` of
 //! the naive isomorphic expansion — the paper's eq. (6)–(8) speedup,
-//! realized on the inference hot path instead of only in the per-tuple
-//! reference implementation (`ringcnn::frconv`).
+//! realized on the inference hot path. This is the one FRCONV of the
+//! workspace; its float oracle is the naive lowering of
+//! [`crate::layers::ring_conv::RingConv2d`].
 
 use ringcnn_algebra::ring::Ring;
 use ringcnn_tensor::im2col::conv_streaming_f32;
@@ -119,12 +120,6 @@ impl FastRingConv {
     /// Number of real multiplications per ring MAC (`m`).
     pub fn m(&self) -> usize {
         self.m
-    }
-
-    /// Real multiplications per output pixel (`co_t·ci_t·k²·m`) — the
-    /// quantity the fast algorithm minimizes, cf. eq. (12).
-    pub fn mults_per_pixel(&self) -> f64 {
-        (self.co_t * self.ci_t * self.k * self.k * self.m) as f64
     }
 
     /// Runs the plan on an `[N, ci_t·n, H, W]` input: all of
@@ -248,7 +243,6 @@ mod tests {
         let ring = Ring::from_kind(RingKind::Rh(4));
         let plan = FastRingConv::new(&ring, &vec![0.0; 2 * 2 * 9 * 4], 2, 2, 3, &[0.0; 8]);
         assert_eq!(plan.m(), 4);
-        assert_eq!(plan.mults_per_pixel(), 144.0);
     }
 
     #[test]

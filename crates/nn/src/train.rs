@@ -66,25 +66,11 @@ pub fn train_regression(
         targets.shape().n,
         "paired datasets required"
     );
-    let count = inputs.shape().n;
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-    let mut adam = Adam::new(cfg.lr);
-    let mut losses = Vec::with_capacity(cfg.steps);
-    for step in 0..cfg.steps {
-        adam.lr = schedule(cfg, step);
-        let idx: Vec<usize> = (0..cfg.batch).map(|_| rng.gen_range(0..count)).collect();
-        let x = gather(inputs, &idx);
-        let y = gather(targets, &idx);
-        model.zero_grads();
-        let pred = model.forward(&x, true);
-        let (loss, grad) = mse_loss(&pred, &y);
-        model.backward(&grad);
-        adam.step(model);
-        losses.push(loss);
-    }
-    let tail = (losses.len() / 10).max(1);
-    let final_loss = losses[losses.len() - tail..].iter().sum::<f64>() / tail as f64;
-    TrainReport { losses, final_loss }
+    train(model, inputs.shape().n, cfg, |model, idx| {
+        let x = gather(inputs, idx);
+        let y = gather(targets, idx);
+        mse_loss(&model.forward(&x, true), &y)
+    })
 }
 
 /// Trains a classifier on `(inputs, labels)`; returns per-step losses and
@@ -96,18 +82,31 @@ pub fn train_classifier(
     cfg: &TrainConfig,
 ) -> TrainReport {
     assert_eq!(inputs.shape().n, labels.len(), "one label per item");
-    let count = labels.len();
+    train(model, labels.len(), cfg, |model, idx| {
+        let x = gather(inputs, idx);
+        let y: Vec<usize> = idx.iter().map(|i| labels[*i]).collect();
+        let (loss, grad, _) = cross_entropy_loss(&model.forward(&x, true), &y);
+        (loss, grad)
+    })
+}
+
+/// The step loop over a dataset of `count` items: each step sets the
+/// scheduled rate, draws a batch of indices, zeroes the gradients, and
+/// back-propagates the `(loss, grad)` that `step` returns for the batch.
+fn train(
+    model: &mut Sequential,
+    count: usize,
+    cfg: &TrainConfig,
+    mut step: impl FnMut(&mut Sequential, &[usize]) -> (f64, Tensor),
+) -> TrainReport {
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
     let mut adam = Adam::new(cfg.lr);
     let mut losses = Vec::with_capacity(cfg.steps);
-    for step in 0..cfg.steps {
-        adam.lr = schedule(cfg, step);
+    for i in 0..cfg.steps {
+        adam.lr = schedule(cfg, i);
         let idx: Vec<usize> = (0..cfg.batch).map(|_| rng.gen_range(0..count)).collect();
-        let x = gather(inputs, &idx);
-        let y: Vec<usize> = idx.iter().map(|i| labels[*i]).collect();
         model.zero_grads();
-        let logits = model.forward(&x, true);
-        let (loss, grad, _) = cross_entropy_loss(&logits, &y);
+        let (loss, grad) = step(model, &idx);
         model.backward(&grad);
         adam.step(model);
         losses.push(loss);

@@ -94,11 +94,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning the backing buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element accessor.
     #[inline]
     pub fn at(&self, n: usize, c: usize, y: usize, x: usize) -> f32 {
@@ -123,21 +118,6 @@ impl Tensor {
         let start = self.shape.index(n, c, 0, 0);
         let len = self.shape.plane();
         &mut self.data[start..start + len]
-    }
-
-    /// Reshapes in place (must preserve the element count).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the new shape has a different element count.
-    pub fn reshaped(mut self, shape: Shape4) -> Tensor {
-        assert_eq!(
-            shape.len(),
-            self.shape.len(),
-            "reshape must preserve element count"
-        );
-        self.shape = shape;
-        self
     }
 
     /// Elementwise in-place addition.

@@ -536,7 +536,6 @@ pub fn build_tree(trace: u64, total_ms: f64) -> TraceTree {
 }
 
 static SLOW: Mutex<VecDeque<TraceTree>> = Mutex::new(VecDeque::new());
-static SLOW_COUNT: AtomicU64 = AtomicU64::new(0);
 
 /// Closes out a finished request: when slow-request capture is enabled
 /// and `total_ms` meets the threshold, the trace's tree is assembled,
@@ -553,8 +552,6 @@ pub fn finish_request(trace: u64, total_ms: f64) -> Option<TraceTree> {
         slow.pop_front();
     }
     slow.push_back(tree.clone());
-    // ordering: monotonic stat counter; readers tolerate lag.
-    SLOW_COUNT.fetch_add(1, Ordering::Relaxed);
     Some(tree)
 }
 
@@ -568,12 +565,6 @@ pub fn recent_slow(n: usize) -> Vec<TraceTree> {
         n.min(slow.len())
     };
     slow.iter().rev().take(take).cloned().collect()
-}
-
-/// Total slow-request trees ever captured (not bounded by [`SLOW_CAP`]).
-pub fn slow_captured() -> u64 {
-    // ordering: monotonic stat counter read; staleness is fine.
-    SLOW_COUNT.load(Ordering::Relaxed)
 }
 
 #[cfg(test)]

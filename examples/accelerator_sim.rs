@@ -26,10 +26,10 @@ fn main() {
         let calib = training_pairs(scenario, &scale);
         let qm = QuantizedModel::quantize(&mut model, &calib.inputs, QuantOptions::default());
 
-        // One 32x32 test image through the simulator.
+        // One 32x32 test image through the simulator, in one block.
         let clean = generate(PatternKind::OrientedTexture, 32, 32, 3);
         let noisy = add_gaussian_noise(&clean, 25.0, 1);
-        let (output, report) = simulate(&qm, &noisy, &accel, &tech);
+        let (output, report) = simulate(&qm, &noisy, &accel, &tech, 32);
         let exact = output.as_slice() == qm.forward(&noisy).as_slice();
 
         let layout = layout_report(&accel, &tech);

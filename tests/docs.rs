@@ -95,7 +95,8 @@ fn docs_relative_links_all_resolve() {
 /// inside a chain and the per-type kernel cells of the conv layers, PR 25
 /// the simulator's own integer datapath, the wide plane store and the
 /// width options, PR 13 the perf-regression gate; the simulator's own
-/// engine geometry and the runtime's batch and one-shot entry points went
+/// engine geometry, the runtime's batch and one-shot entry points, the
+/// simulator's whole-frame path and the facade's second FRCONV went
 /// later. No document may still send a reader to them.
 #[test]
 fn docs_name_no_deleted_identifier() {
@@ -144,6 +145,10 @@ fn docs_name_no_deleted_identifier() {
             "EngineGeometry",
             "run_batch",
             "tiled_forward",
+            "simulate_blocked",
+            "BlockedReport",
+            "memory::dram_bytes_per_frame",
+            "frconv_forward",
         ] {
             assert!(
                 !text.contains(gone),

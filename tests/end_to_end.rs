@@ -40,7 +40,8 @@ fn full_pipeline_ri4_fh() {
     // Simulate.
     let accel = AcceleratorConfig::eringcnn_n4();
     let input = pairs.inputs.batch_item(0);
-    let (out, report) = simulate(&qm, &input, &accel, &TechParams::tsmc40());
+    let frame = input.shape().h.max(input.shape().w);
+    let (out, report) = simulate(&qm, &input, &accel, &TechParams::tsmc40(), frame);
     assert_eq!(out.as_slice(), qm.forward(&input).as_slice(), "bit-exact");
     assert_eq!(
         report.equivalent_mults,
@@ -185,7 +186,7 @@ fn simulator_energy_agrees_with_analytical_model() {
     let calib = training_pairs(scenario, &scale);
     let qm = QuantizedModel::quantize(&mut model, &calib.inputs, QuantOptions::default());
     let input = Tensor::random_uniform(Shape4::new(1, 1, 32, 32), 0.0, 1.0, 1);
-    let (_, report) = simulate(&qm, &input, &accel, &t);
+    let (_, report) = simulate(&qm, &input, &accel, &t, 32);
     // Analytical: energy/pixel from the model's equivalent mults/pixel.
     let equivalent = mults_per_input_pixel(&model) * accel.n() as f64;
     let analytic = operating_point(&accel, equivalent, &t);

@@ -111,7 +111,7 @@ proptest! {
             }
             let x = Tensor::random_uniform(Shape4::new(1, n, 4, 4), -1.0, 1.0, seed + 1);
             let want = ringcnn_nn::layer::Layer::forward(&mut layer, &x, false);
-            let got = frconv_forward(&ring, &x, layer.ring_weights(), 1, 2, 3, layer.bias());
+            let got = FastRingConv::new(&ring, layer.ring_weights(), 1, 2, 3, layer.bias()).forward(&x);
             prop_assert!(want.mse(&got) < 1e-8, "{kind:?} mse {}", want.mse(&got));
         }
     }
