@@ -363,29 +363,42 @@ pub fn model_to_json(file: &ModelFile) -> String {
     serde_json::to_string(file).expect("model file serializes")
 }
 
-/// Parses on-disk JSON into a [`ModelFile`] (format-checked).
+/// The `format` tag of a parsed model file of either kind (empty when
+/// absent or not a string): the one reader of it.
+pub fn format_tag(v: &serde::Value) -> &str {
+    match v.field("format") {
+        Ok(serde::Value::Str(tag)) => tag,
+        _ => "",
+    }
+}
+
+impl ModelFile {
+    /// The model file a parsed JSON value holds: the format tag checked
+    /// first, so a wrong version is reported as such even when later
+    /// fields don't fit this schema, then the schema.
+    ///
+    /// # Errors
+    ///
+    /// [`ModelLoadError::Format`], then [`ModelLoadError::Parse`].
+    pub fn from_value(v: &serde::Value) -> Result<Self, ModelLoadError> {
+        let tag = format_tag(v);
+        if tag != MODEL_FORMAT {
+            return Err(ModelLoadError::Format(tag.into()));
+        }
+        Self::from_json_value(v).map_err(|e| ModelLoadError::Parse(e.to_string()))
+    }
+}
+
+/// Parses on-disk JSON into a [`ModelFile`]: one parse, then
+/// [`ModelFile::from_value`].
 ///
 /// # Errors
 ///
 /// [`ModelLoadError::Parse`] on malformed/truncated JSON,
 /// [`ModelLoadError::Format`] on a wrong version tag.
 pub fn model_from_json(text: &str) -> Result<ModelFile, ModelLoadError> {
-    // Check the format tag first so a version mismatch is reported as
-    // such even when later fields don't parse under this schema.
-    let value: serde::Value =
-        serde_json::from_str(text).map_err(|e| ModelLoadError::Parse(e.to_string()))?;
-    let tag = value
-        .field("format")
-        .ok()
-        .and_then(|v| match v {
-            serde::Value::Str(s) => Some(s.clone()),
-            _ => None,
-        })
-        .unwrap_or_default();
-    if tag != MODEL_FORMAT {
-        return Err(ModelLoadError::Format(tag));
-    }
-    serde_json::from_str(text).map_err(|e| ModelLoadError::Parse(e.to_string()))
+    let value = serde_json::from_str(text).map_err(|e| ModelLoadError::Parse(e.to_string()))?;
+    ModelFile::from_value(&value)
 }
 
 /// Rebuilds the ready-to-run model a file describes: instantiates the

@@ -26,7 +26,6 @@ pub mod prelude {
     pub use crate::qtensor::{expand_formats, group_max_abs, QTensor, QTensorOf, Store};
     pub use crate::quantized::{CalibrationError, DReluMode, QLayer, QuantOptions, QuantizedModel};
     pub use crate::serialize::{
-        export_qmodel, peek_format_tag, qmodel_from_json, qmodel_to_json, QModelFile,
-        QModelLoadError, QMODEL_FORMAT,
+        export_qmodel, qmodel_from_json, qmodel_to_json, QModelFile, QModelLoadError, QMODEL_FORMAT,
     };
 }

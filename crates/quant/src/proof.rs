@@ -246,11 +246,11 @@ fn validate_chain(
                     return Err(format!("layer {i}: conv bias length mismatch"));
                 }
                 validate_format(conv.w_format, &format!("{at} conv weight format"))?;
-                // Weight *values* must fit the declared format — lengths
-                // alone would let a hand-edited table smuggle in 2^40
-                // entries that overflow the accumulator.
+                // Weight *values* must fit the declared format: the parse
+                // holds them to `i8`, a narrower format holds them tighter.
                 let (wmin, wmax) = conv.w_format.rails();
-                if let Some(w) = conv.weights.iter().find(|w| !(wmin..=wmax).contains(*w)) {
+                let outside = |w: &&i8| !(wmin..=wmax).contains(&i64::from(**w));
+                if let Some(w) = conv.weights.iter().find(outside) {
                     return Err(format!(
                         "layer {i}: weight {w} outside the declared {}-bit format",
                         conv.w_format.bits

@@ -5,10 +5,11 @@
 //! on them in the lane `S::Lane` ([`Store`]). The integer chain (see
 //! [`crate::quantized`]) runs in `i32` lanes on `QTensorOf<i8>`, the
 //! bytes the accelerator's feature SRAM holds; [`QTensor`] holds every
-//! value every format admits and is what the simulator and the one slow
-//! oracle exchange. Wide tensors model convolution accumulators flowing
-//! into the on-the-fly directional-ReLU pipeline; only the oracle's
-//! `i64` store holds them.
+//! value every format admits: the one slow oracle computes on it, and
+//! the chain's integer door (`QuantizedModel::forward_q`) speaks it, so
+//! the tests compare the two. Wide tensors model convolution
+//! accumulators flowing into the on-the-fly directional-ReLU pipeline;
+//! only the oracle's `i64` store holds them.
 //!
 //! Everything a format decides is constant over a plane, so every
 //! element-wise operation here walks whole planes with those constants

@@ -24,8 +24,8 @@
 //! `ringcnn_hw::engine`), everything else below `2^31`. So every model
 //! that loads runs the one integer chain: 8-bit planes, `i32` lanes,
 //! 16-bit multiplies in the conv engine — [`QuantizedModel::forward`],
-//! and [`QuantizedModel::forward_q`], which speaks `i64` [`QTensor`]s to
-//! the simulator: the chain compiled into the step program of
+//! and [`QuantizedModel::forward_q`], its `i64` [`QTensor`] door for the
+//! oracle tests: the chain compiled into the step program of
 //! `ringcnn_nn::program` ([`QuantizedModel::program`]) and run by its one
 //! driver on this crate's datapath. A conv that keeps its accumulator and
 //! the directional ReLU behind it are one step of the program: the unit
@@ -184,7 +184,7 @@ pub struct QConv {
     co: usize,
     ci: usize,
     k: usize,
-    weights: Vec<i64>,
+    weights: Vec<i8>,
     w_format: QFormat,
     /// Bias at the accumulator scale of each output channel.
     bias: Vec<i64>,
@@ -266,7 +266,7 @@ impl QConv {
     }
 
     /// Quantized (expanded real) weights, `[co][ci][ky][kx]`.
-    pub fn weights(&self) -> &[i64] {
+    pub fn weights(&self) -> &[i8] {
         &self.weights
     }
 
@@ -289,7 +289,7 @@ impl QConv {
     /// The engine's plan of the weights, derived once.
     fn packed(&self) -> &PackedWeights<i16> {
         self.plan.0.weights.get_or_init(|| {
-            let weights: Vec<i16> = self.weights.iter().map(|w| narrow(*w)).collect();
+            let weights: Vec<i16> = self.weights.iter().map(|w| i16::from(*w)).collect();
             PackedWeights::<i16>::new(self.co, self.ci * self.k * self.k, &weights)
         })
     }
@@ -478,8 +478,9 @@ impl QuantizedModel {
         self.forward_tile(input, &mut TileHalo::whole())
     }
 
-    /// Integer-in/integer-out inference, what the accelerator simulator
-    /// reports as its output: the 8-bit features of `input` are narrowed
+    /// Integer-in/integer-out inference, the door through which
+    /// `tests/quant_backend.rs` and `tests/conv_alloc.rs` compare the
+    /// chain with the oracle: the 8-bit features of `input` are narrowed
     /// onto the chain's planes, and its output widened back.
     ///
     /// # Panics
@@ -551,17 +552,20 @@ impl QuantizedModel {
     }
 
     /// The channel count the first convolution fixes for the chain's
-    /// input, through the shuffles in front of it.
+    /// input, through the shuffles in front of it (`None`: no conv, or
+    /// past `usize`).
     fn input_channels(&self) -> Option<usize> {
         // Channels at a layer = input channels · mul / div.
-        let (mut mul, mut div, mut fixed) = (1, 1, None);
-        self.walk_shapes(Shape4::new(1, 1, 1, 1), |layer, _| match (fixed, layer) {
-            (None, QLayer::Conv(c)) => fixed = Some((c.ci * div).checked_div(mul)),
-            (None, QLayer::Shuffle(r)) => div *= r * r,
-            (None, QLayer::Unshuffle(r)) => mul *= r * r,
-            _ => {}
-        });
-        fixed.flatten()
+        let (mut mul, mut div) = (1usize, 1usize);
+        for Step { layer, .. } in self.program() {
+            match layer {
+                QLayer::Conv(c) => return c.ci.checked_mul(div)?.checked_div(mul),
+                QLayer::Shuffle(r) => div = div.checked_mul(r.checked_mul(*r)?)?,
+                QLayer::Unshuffle(r) => mul = mul.checked_mul(r.checked_mul(*r)?)?,
+                _ => {}
+            }
+        }
+        None
     }
 
     /// Spatial topology of the integer pipeline — [`ModelTopo::of`] its
@@ -572,31 +576,29 @@ impl QuantizedModel {
         ModelTopo::of(&self.program())
     }
 
-    /// Structural validation for untrusted pipelines (deserialized model
-    /// files): channel chains must be consistent, shuffles divisible,
-    /// every conv accumulator fed one scale (or an aligner in front),
-    /// tuple sizes powers of two, stored Q-formats within the serving
-    /// bounds (2–8 bits, |frac| ≤ 64 — everything the 8-bit calibration
-    /// flow produces), weights within their declared format's range,
-    /// biases finite and bounded, per-channel tap counts bounded, and
-    /// every accumulator-keeping conv immediately followed by its
-    /// directional ReLU — and every stage inside the widths of the
-    /// modelled accelerator (the proof of [`QuantizedModel::lane_proof`]),
-    /// so a pipeline that passes cannot panic or wrap at inference time
-    /// on a shape-valid input.
+    /// The load rule for untrusted pipelines (deserialized model files):
+    /// `channels_io` is the chain's own input channel count, and the
+    /// chain passes its load-time proof — the one walk, derived once and
+    /// returned ([`QuantizedModel::lane_proof`]): consistent channels,
+    /// divisible shuffles, one scale per conv accumulator, power-of-two
+    /// tuples, stored formats of 2–8 bits and |frac| ≤ 64, weights within
+    /// their format, bounded biases and taps, a directional ReLU behind
+    /// every accumulator-keeping conv, and every stage inside the widths
+    /// of the modelled accelerator. A pipeline that passes cannot panic
+    /// or wrap at inference time on a shape-valid input.
     ///
     /// # Errors
     ///
     /// A human-readable description of the first violated invariant. A
     /// format outside the bounds or a stage that outgrows its width names
     /// the stage: `1 fH output format: bits 9 outside 2..=8`, `0 conv:
-    /// worst case 2^23.0 exceeds the 24-bit accumulator`.
-    pub fn validate(&self, channels_io: usize) -> Result<(), String> {
-        if channels_io == 0 {
-            return Err("channels_io must be at least 1".into());
-        }
-        validate_format(self.input_format, "input format")?;
-        LaneProof::of(self.input_format, channels_io, &self.layers).map(drop)
+    /// worst case 2^23.0 exceeds the 24-bit accumulator`; a channel count
+    /// names both: `channels_io 3, but the chain takes 1`.
+    pub fn validate(&self, channels_io: usize) -> Result<&LaneProof, String> {
+        let proof = self.proof().map_err(String::clone)?;
+        let chain = self.input_channels().unwrap_or_default();
+        let why = || format!("channels_io {channels_io}, but the chain takes {chain}");
+        (channels_io == chain).then_some(proof).ok_or_else(why)
     }
 }
 
@@ -771,9 +773,9 @@ fn lower_conv(conv: &dyn AnyConv) -> Result<QConv, CalibrationError> {
     let ConvWeights { co, ci, k, data } = &*lowering.lowered();
     let wmax = data.iter().fold(0.0f64, |m, v| m.max(f64::from(v.abs())));
     let w_format = fit_ctx(wmax, "conv weights")?;
-    let weights: Vec<i64> = data
+    let weights: Vec<i8> = data
         .iter()
-        .map(|v| w_format.quantize(f64::from(*v)))
+        .map(|v| i8::try_from(w_format.quantize(f64::from(*v))).expect("an 8-bit format"))
         .collect();
     Ok(QConv {
         co: *co,
@@ -1092,7 +1094,7 @@ pub fn run_conv_reference(c: &QConv, q: &QTensor) -> QTensor {
                 let in_plane = q.plane(b, ci);
                 for ky in 0..c.k {
                     for kx in 0..c.k {
-                        let wv = c.weights[((co * c.ci + ci) * c.k + ky) * c.k + kx];
+                        let wv = i64::from(c.weights[((co * c.ci + ci) * c.k + ky) * c.k + kx]);
                         if wv == 0 {
                             continue;
                         }

@@ -17,6 +17,7 @@
 //! smuggle in a pipeline that would panic or overflow at inference time.
 
 use crate::quantized::QuantizedModel;
+use ringcnn_nn::serialize::format_tag;
 use serde::{Deserialize, Serialize};
 
 /// Version tag of the quantized-model on-disk format.
@@ -104,52 +105,41 @@ pub fn qmodel_to_json(file: &QModelFile) -> String {
     serde_json::to_string(file).expect("qmodel file serializes")
 }
 
-/// The `format` tag of a parsed JSON value tree (empty when absent or
-/// not a string).
-fn format_tag_of(v: &serde::Value) -> String {
-    v.field("format")
-        .ok()
-        .and_then(|t| match t {
-            serde::Value::Str(s) => Some(s.clone()),
-            _ => None,
-        })
-        .unwrap_or_default()
+impl QModelFile {
+    /// The qmodel file a parsed JSON value holds: format tag first
+    /// ([`format_tag`]), then the schema, then the load rule
+    /// ([`QuantizedModel::validate`]); handed back prepared for inference.
+    ///
+    /// # Errors
+    ///
+    /// [`QModelLoadError::Format`], [`QModelLoadError::Parse`], then
+    /// [`QModelLoadError::Invalid`].
+    pub fn from_value(v: &serde::Value) -> Result<Self, QModelLoadError> {
+        let tag = format_tag(v);
+        if tag != QMODEL_FORMAT {
+            return Err(QModelLoadError::Format(tag.into()));
+        }
+        let mut file =
+            Self::from_json_value(v).map_err(|e| QModelLoadError::Parse(e.to_string()))?;
+        file.model
+            .validate(file.channels_io)
+            .map_err(QModelLoadError::Invalid)?;
+        // The weights are frozen from here on: plan them once, at load.
+        file.model.prepare_inference();
+        Ok(file)
+    }
 }
 
-/// Peeks the `format` tag of a JSON model file without committing to a
-/// schema — how the serve registry dispatches between `ringcnn-model/v1`
-/// and `ringcnn-qmodel/v1` files in one directory. Returns an empty
-/// string for non-JSON or tagless input.
-pub fn peek_format_tag(text: &str) -> String {
-    serde_json::from_str::<serde::Value>(text)
-        .map(|v| format_tag_of(&v))
-        .unwrap_or_default()
-}
-
-/// Parses on-disk JSON into a [`QModelFile`]: format tag checked first,
-/// then the schema, then the structural validation of the pipeline,
-/// which is handed back prepared for inference.
+/// Parses on-disk JSON into a [`QModelFile`]: one parse, then
+/// [`QModelFile::from_value`].
 ///
 /// # Errors
 ///
-/// [`QModelLoadError::Parse`] on malformed/truncated JSON,
-/// [`QModelLoadError::Format`] on a wrong version tag,
-/// [`QModelLoadError::Invalid`] on an inconsistent pipeline.
+/// [`QModelLoadError::Parse`] on malformed/truncated JSON, else as
+/// [`QModelFile::from_value`].
 pub fn qmodel_from_json(text: &str) -> Result<QModelFile, QModelLoadError> {
-    let value: serde::Value =
-        serde_json::from_str(text).map_err(|e| QModelLoadError::Parse(e.to_string()))?;
-    let tag = format_tag_of(&value);
-    if tag != QMODEL_FORMAT {
-        return Err(QModelLoadError::Format(tag));
-    }
-    let mut file: QModelFile =
-        serde_json::from_str(text).map_err(|e| QModelLoadError::Parse(e.to_string()))?;
-    file.model
-        .validate(file.channels_io)
-        .map_err(QModelLoadError::Invalid)?;
-    // The weights are frozen from here on: plan them once, at load.
-    file.model.prepare_inference();
-    Ok(file)
+    let value = serde_json::from_str(text).map_err(|e| QModelLoadError::Parse(e.to_string()))?;
+    QModelFile::from_value(&value)
 }
 
 #[cfg(test)]
@@ -176,7 +166,8 @@ mod tests {
             let want = qm.forward(&x);
             let file = export_qmodel("m", "tiny", &alg.label(), 1, 30.0, qm.clone()).unwrap();
             let json = qmodel_to_json(&file);
-            assert_eq!(peek_format_tag(&json), QMODEL_FORMAT);
+            let value = serde_json::from_str(&json).expect("the file parses");
+            assert_eq!(format_tag(&value), QMODEL_FORMAT);
             assert!(!json.contains("plan"), "derived state must not be stored");
             let back = qmodel_from_json(&json).unwrap();
             assert_eq!(back, file);
@@ -242,25 +233,45 @@ mod tests {
     }
 
     #[test]
-    fn hand_edited_weight_values_are_rejected() {
+    fn weights_outside_i8_do_not_parse() {
         // A weight table of the right LENGTH whose first value lies
-        // outside the declared format's two's-complement range must fail
-        // validation — magnitudes are part of the no-overflow guarantee,
-        // not just shapes. `i64::MIN` has no `abs()`, and `+128` is one
-        // past the 8-bit rail `-128` sits on.
+        // outside `i8` is refused by the parse: every weight format that
+        // loads has at most 8 bits. `i64::MIN` has no `abs()`, and `+128`
+        // is one past the 8-bit rail `-128` sits on.
         let (qm, _x) = calibrated(&Algebra::real());
         let json = qmodel_to_json(&export_qmodel("m", "tiny", "(real)", 1, 20.0, qm).unwrap());
         let start = json.find("\"weights\":[").expect("weights field") + "\"weights\":[".len();
         let end = start + json[start..].find(',').unwrap();
         let with_first = |w: i64| format!("{}{w}{}", &json[..start], &json[end..]);
-        for w in [1 << 40, i64::MIN, i64::MAX, 128] {
+        for w in [1 << 40, i64::MIN, i64::MAX, 128, -129] {
             let err = qmodel_from_json(&with_first(w)).unwrap_err();
             assert!(
-                matches!(err, QModelLoadError::Invalid(ref m) if m.contains("weight")),
+                matches!(err, QModelLoadError::Parse(_)),
                 "weight {w}: {err}"
             );
         }
         assert!(qmodel_from_json(&with_first(-128)).is_ok());
+    }
+
+    #[test]
+    fn weights_outside_a_narrower_declared_format_are_invalid() {
+        // Magnitudes are part of the no-overflow guarantee: with the first
+        // conv's table zeroed and its format narrowed to 4 bits, a first
+        // weight one past the rail `-8` sits on is refused, named.
+        let (qm, _x) = calibrated(&Algebra::real());
+        let json = qmodel_to_json(&export_qmodel("m", "tiny", "(real)", 1, 20.0, qm).unwrap());
+        let start = json.find("\"weights\":[").expect("weights field") + "\"weights\":[".len();
+        let end = start + json[start..].find(']').unwrap();
+        let zeros = vec![",0"; json[start..end].split(',').count() - 1].concat();
+        // `w_format` follows the table: its `bits` are the next ones.
+        let narrowed = json[end..].replacen("\"bits\":8", "\"bits\":4", 1);
+        let with_first = |w: i8| format!("{}{w}{zeros}{narrowed}", &json[..start]);
+        let why = "layer 0: weight 8 outside the declared 4-bit format".to_string();
+        assert_eq!(
+            qmodel_from_json(&with_first(8)),
+            Err(QModelLoadError::Invalid(why))
+        );
+        assert!(qmodel_from_json(&with_first(-8)).is_ok());
     }
 
     #[test]

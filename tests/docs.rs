@@ -96,7 +96,8 @@ fn docs_relative_links_all_resolve() {
 /// the simulator's own integer datapath, the wide plane store and the
 /// width options, PR 13 the perf-regression gate; the simulator's own
 /// engine geometry, the runtime's batch and one-shot entry points, the
-/// simulator's whole-frame path and the facade's second FRCONV went
+/// simulator's whole-frame path, the facade's second FRCONV and the
+/// registry's format-tag peek (a parse of every file on every pass) went
 /// later. No document may still send a reader to them.
 #[test]
 fn docs_name_no_deleted_identifier() {
@@ -149,6 +150,7 @@ fn docs_name_no_deleted_identifier() {
             "BlockedReport",
             "memory::dram_bytes_per_frame",
             "frconv_forward",
+            "peek_format_tag",
         ] {
             assert!(
                 !text.contains(gone),

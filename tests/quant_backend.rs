@@ -916,6 +916,32 @@ fn adversarial_spreads_are_refused_naming_the_fh_stage() {
     assert_eq!(refusal(&json), why);
 }
 
+/// A chain no convolution fixes the input channels of has no proof, so
+/// it does not load; such a `["Relu"]` file used to load and panic on
+/// its first `forward`.
+#[test]
+fn a_chain_without_a_convolution_is_refused_at_load() {
+    let json = crafted_json(1, (8, 0), &[r#""Relu""#.into()]);
+    assert_eq!(refusal(&json), "no convolution fixes the channel count");
+}
+
+/// `validate` holds `channels_io` to the input channels the chain's own
+/// proof was made over — here fixed by a conv behind an unshuffle —,
+/// naming both counts.
+#[test]
+fn a_channel_count_other_than_the_chains_is_refused_naming_both() {
+    let eye: Vec<i64> = (0..16).map(|i| i64::from(i % 5 == 0)).collect();
+    let conv = json_conv((4, 4, 1), &eye, (8, 0), &[0.0; 4], Some(&[(8, 0); 4]), None);
+    let layers = [r#"{"Unshuffle":2}"#.to_string(), conv];
+    let qm = crafted(1, (8, 0), &layers);
+    assert!(qm.validate(1).is_ok());
+    for c in [0, 2, 4] {
+        let why = format!("channels_io {c}, but the chain takes 1");
+        assert_eq!(qm.validate(c).unwrap_err(), why);
+        assert_eq!(refusal(&crafted_json(c, (8, 0), &layers)), why);
+    }
+}
+
 /// `forward` on both kernel tiers and `forward_q` against the unfused
 /// oracle walk; returns that walk's integers.
 fn assert_equals_its_oracles(qm: &QuantizedModel, x: &Tensor, what: &str) -> QTensor {

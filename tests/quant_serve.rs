@@ -227,3 +227,36 @@ fn a_qmodel_past_the_accumulator_is_refused_at_load_and_at_reload() {
     assert_eq!(served.as_slice(), qmodel.forward(&x).as_slice());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A qmodel file that parses but has no proof — a chain of one ReLU,
+/// whose channels and topology match the float model beside it — is
+/// refused at load, naming the file and why, instead of loading and
+/// panicking on its first `quant` request.
+#[test]
+fn a_qmodel_without_a_convolution_is_refused_at_load() {
+    let dir = std::env::temp_dir().join(format!("ringcnn_quant_serve_relu_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let alg = Algebra::real();
+    let spec = ModelSpec::Vdsr {
+        depth: 2,
+        width: 8,
+        channels_io: 1,
+    };
+    let mut model = spec.build(&alg, 7);
+    let file = ringcnn_nn::serialize::export_model("vdsr", spec, AlgebraSpec::of(&alg), &mut model)
+        .unwrap();
+    let float = ringcnn_nn::serialize::model_to_json(&file);
+    std::fs::write(dir.join("vdsr.json"), float).unwrap();
+    let relu = r#"{"format":"ringcnn-qmodel/v1","name":"vdsr","arch":"relu","algebra":"-","channels_io":1,"calibration_psnr":0.0,"model":{"input_format":{"bits":8,"frac":6},"layers":["Relu"],"opts":{"component_wise":true,"on_the_fly_drelu":true}}}"#;
+    std::fs::write(dir.join("vdsr.q.json"), relu).unwrap();
+    let reg = ModelRegistry::new();
+    match reg.load_dir(&dir).unwrap_err() {
+        ServeError::Load(why) => assert!(
+            why.contains("vdsr.q.json") && why.contains("no convolution fixes the channel count"),
+            "{why}"
+        ),
+        other => panic!("expected a load error, got {other}"),
+    }
+    assert!(reg.is_empty());
+    std::fs::remove_dir_all(&dir).ok();
+}
