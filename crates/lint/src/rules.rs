@@ -20,20 +20,12 @@ pub const SUPPRESSIBLE: &[&str] = &[
 ];
 
 /// `Ordering::Relaxed` sites that never need a per-line justification:
-/// `(path suffix, module path prefix, rationale)`. An empty module
-/// prefix allowlists the whole file.
-const RELAXED_ALLOWLIST: &[(&str, &str, &str)] = &[
-    (
-        "crates/tensor/src/gemm.rs",
-        "profile",
-        "monotonic profiling counters, read only for human-facing stats",
-    ),
-    (
-        "crates/serve/src/stats.rs",
-        "",
-        "stats counters are independent monotonic cells; snapshots tolerate tearing",
-    ),
-];
+/// `(path suffix, module path prefix, rationale)`.
+const RELAXED_ALLOWLIST: &[(&str, &str, &str)] = &[(
+    "crates/tensor/src/gemm.rs",
+    "profile",
+    "monotonic profiling counters, read only for human-facing stats",
+)];
 
 /// What `no-downcast` flags in the crates whose walks over a model read
 /// what a layer is from `Layer::describe()`.
@@ -199,9 +191,7 @@ pub fn check_file(rel: &str, scanned: &Scanned) -> Vec<Violation> {
 fn relaxed_allowlisted(rel: &str, module: &str) -> bool {
     RELAXED_ALLOWLIST.iter().any(|(suffix, module_prefix, _)| {
         rel.ends_with(suffix)
-            && (module_prefix.is_empty()
-                || module == *module_prefix
-                || module.starts_with(&format!("{module_prefix}::")))
+            && (module == *module_prefix || module.starts_with(&format!("{module_prefix}::")))
     })
 }
 

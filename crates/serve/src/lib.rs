@@ -22,6 +22,9 @@
 //! a `deadline_ms` budget that admission rejects-on-arrival when
 //! already blown, and the stats snapshot reports per-model QPS,
 //! log-spaced latency histograms, and reload counters (see [`stats`]).
+//! The scheduler's queue state owns every one of those counters, and
+//! [`Scheduler::stats_snapshot`](scheduler::Scheduler::stats_snapshot)
+//! is the one snapshot: a consistent read under the queue lock.
 //! The architecture, protocol, and operations documentation lives under
 //! `docs/` at the repository root.
 //!
@@ -84,6 +87,6 @@ pub mod prelude {
     pub use crate::registry::{ModelEntry, ModelRegistry, Precision, ReloadReport};
     pub use crate::scheduler::{InferOutput, Scheduler, SchedulerConfig};
     pub use crate::server::{Server, ServerConfig};
-    pub use crate::stats::{Metrics, ModelStats, StatsSnapshot};
+    pub use crate::stats::{ModelStats, StatsSnapshot};
     pub use ringcnn_nn::serialize::{AlgebraSpec, ModelSpec};
 }

@@ -13,7 +13,7 @@ use crate::error::ServeError;
 use crate::lock_unpoisoned;
 use crate::protocol::Wire;
 use crate::registry::Precision;
-use crate::stats::LatencyStats;
+use crate::stats::{LatencyStats, ModelStats};
 use ringcnn_tensor::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -247,9 +247,10 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
 
 /// Post-run stats-snapshot sanity: the server's own accounting must be
 /// internally consistent with what this run (and any prior traffic)
-/// observed (per-model histogram totals, bucket layout). Asserted, not
-/// returned: a violation is a server bug, and CI catches a server
-/// whose accounting drifts from its responses.
+/// observed (per-model counts summing to the global ones, histogram
+/// totals, bucket layout). Asserted, not returned: a violation is a
+/// server bug, and CI catches a server whose accounting drifts from its
+/// responses.
 ///
 /// # Errors
 ///
@@ -282,10 +283,15 @@ fn assert_stats_invariants(cfg: &LoadgenConfig) -> Result<(), ServeError> {
             m.name
         );
     }
-    let per_model_completed: u64 = snap.per_model.iter().map(|m| m.completed).sum();
+    let sum = |count: fn(&ModelStats) -> u64| snap.per_model.iter().map(count).sum::<u64>();
     assert_eq!(
-        per_model_completed, snap.completed,
-        "per-model completed counts must sum to the global counter"
+        [
+            sum(|m| m.completed),
+            sum(|m| m.rejected),
+            sum(|m| m.deadline_rejected)
+        ],
+        [snap.completed, snap.rejected, snap.deadline_rejected],
+        "per-model completed, rejected and deadline_rejected must sum to the global counters"
     );
     Ok(())
 }

@@ -301,7 +301,8 @@ pub struct HealthReply {
     /// The GEMM kernel variant the server selected at startup
     /// (honoring `RINGCNN_KERNEL`): `"avx2"` or `"scalar"`.
     pub kernel: String,
-    /// Milliseconds since the server started.
+    /// Milliseconds since the scheduler started (the clock of the
+    /// `stats` snapshot's `uptime_ms`).
     pub uptime_ms: f64,
 }
 
@@ -1032,7 +1033,7 @@ pub(crate) fn find_newline(buf: &[u8], scanned: &mut usize) -> Option<usize> {
 #[cfg(test)]
 pub(crate) mod samples {
     use super::*;
-    use crate::stats::Metrics;
+    use crate::stats::{Counters, ModelCounters};
     use ringcnn_trace::span::SpanRec;
 
     pub(crate) fn infer(
@@ -1132,7 +1133,12 @@ pub(crate) mod samples {
                 quant_psnr: Some(31.5),
                 version: 3,
             }]),
-            Response::Stats(Metrics::new().snapshot()),
+            Response::Stats(Counters::default().snapshot(
+                1500.5,
+                2,
+                (1, 1),
+                vec![ModelCounters::default().stats("a", 1.5, 2, 1, 3)],
+            )),
             Response::Health(HealthReply {
                 healthy: true,
                 models: 2,

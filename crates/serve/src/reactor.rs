@@ -625,7 +625,7 @@ fn dispatch(
             models: shared.scheduler.registry().len(),
             queue_depth: shared.scheduler.queue_len(),
             kernel: ringcnn_tensor::gemm::active_kernel().label().to_string(),
-            uptime_ms: shared.started.elapsed().as_secs_f64() * 1e3,
+            uptime_ms: shared.scheduler.uptime_ms(),
         }),
         Request::Trace { n } => Response::Trace(span::recent_slow(n)),
         Request::Shutdown => {

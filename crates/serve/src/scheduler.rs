@@ -43,11 +43,19 @@
 //! [`Scheduler::shutdown`] new work is refused
 //! ([`ServeError::ShuttingDown`]) and every already-admitted request is
 //! drained before the workers exit.
+//!
+//! # Statistics
+//!
+//! The queue state owns every serving counter (see [`crate::stats`]),
+//! updated under the queue mutex admission and dispatch already take —
+//! a batch's completions under one acquisition, before any of its
+//! replies goes out — so [`Scheduler::stats_snapshot`] reads one
+//! consistent state.
 
 use crate::error::ServeError;
 use crate::lock_unpoisoned;
 use crate::registry::{ModelEntry, ModelRegistry, Precision};
-use crate::stats::{Metrics, ModelStats, StatsSnapshot, HIST_BUCKETS};
+use crate::stats::{Counters, ModelCounters, StatsSnapshot};
 use rayon::prelude::*;
 use ringcnn_tensor::prelude::*;
 use ringcnn_trace::clock;
@@ -152,13 +160,25 @@ struct Job {
     done: Done,
 }
 
-/// One model's queue plus its fair-queueing state.
+/// One model's queue plus its fair-queueing state and its counters.
 struct ModelQueue {
     jobs: VecDeque<Job>,
     /// Fair-scheduling weight: 1 until [`Scheduler::set_model_weight`].
     weight: u32,
     /// Virtual time already served to this model (jobs / weight).
     vtime: f64,
+    counters: ModelCounters,
+}
+
+impl ModelQueue {
+    fn new(weight: u32, vtime: f64) -> Self {
+        Self {
+            jobs: VecDeque::new(),
+            weight,
+            vtime,
+            counters: ModelCounters::default(),
+        }
+    }
 }
 
 struct QueueState {
@@ -173,6 +193,7 @@ struct QueueState {
     /// capped to this so idling never banks credit.
     vclock: f64,
     shutting_down: bool,
+    counters: Counters,
 }
 
 impl QueueState {
@@ -183,7 +204,19 @@ impl QueueState {
             next_seq: 0,
             vclock: 0.0,
             shutting_down: false,
+            counters: Counters::default(),
         }
+    }
+
+    /// `model`'s queue, created idle (weight 1, at the global clock) if
+    /// it has none yet, and the global counters beside it.
+    fn group(&mut self, model: &str) -> (&mut ModelQueue, &mut Counters) {
+        let vclock = self.vclock;
+        let q = self
+            .groups
+            .entry(model.to_string())
+            .or_insert_with(|| ModelQueue::new(1, vclock));
+        (q, &mut self.counters)
     }
 }
 
@@ -191,7 +224,8 @@ struct Shared {
     cfg: SchedulerConfig,
     state: Mutex<QueueState>,
     work_cv: Condvar,
-    metrics: Arc<Metrics>,
+    /// The one uptime anchor of `stats` and `health`.
+    started: Instant,
 }
 
 /// A pending inference: resolve with [`Pending::wait`].
@@ -244,7 +278,7 @@ impl Scheduler {
             cfg,
             state: Mutex::new(QueueState::new()),
             work_cv: Condvar::new(),
-            metrics: Arc::new(Metrics::new()),
+            started: Instant::now(),
         });
         let mut workers = Vec::with_capacity(cfg.workers);
         for i in 0..cfg.workers {
@@ -283,23 +317,21 @@ impl Scheduler {
         &self.registry
     }
 
-    /// Service metrics.
-    pub fn metrics(&self) -> &Arc<Metrics> {
-        &self.shared.metrics
-    }
-
     /// The effective configuration.
     pub fn config(&self) -> SchedulerConfig {
         self.shared.cfg
     }
 
     /// The number of requests queued *right now* (briefly locks the
-    /// queue). [`Metrics::queue_depth`] is only the depth at the last
-    /// submit or dispatch, which reads stale — typically the size of the
-    /// last batch taken — once the queue drains and traffic stops; the
-    /// `health` verb reports this live count instead.
+    /// queue), as the `health` verb reports it.
     pub fn queue_len(&self) -> usize {
         lock_unpoisoned(self.shared.state.lock()).total
+    }
+
+    /// Milliseconds since the scheduler started: the `uptime_ms` of both
+    /// `stats` and `health`.
+    pub(crate) fn uptime_ms(&self) -> f64 {
+        self.shared.started.elapsed().as_secs_f64() * 1e3
     }
 
     /// Sets a model's fair-scheduling weight (clamped ≥ 1): a model
@@ -307,17 +339,8 @@ impl Scheduler {
     /// model under contention. May be called before the model has any
     /// traffic, and takes effect on the next dispatch.
     pub fn set_model_weight(&self, model: &str, weight: u32) {
-        let weight = weight.max(1);
         let mut st = lock_unpoisoned(self.shared.state.lock());
-        let vclock = st.vclock;
-        st.groups
-            .entry(model.to_string())
-            .and_modify(|q| q.weight = weight)
-            .or_insert_with(|| ModelQueue {
-                jobs: VecDeque::new(),
-                weight,
-                vtime: vclock,
-            });
+        st.group(model).0.weight = weight.max(1);
     }
 
     /// Submits a request (non-blocking). The returned [`Pending`]
@@ -411,37 +434,27 @@ impl Scheduler {
                 )));
             }
         }
-        // Read the EWMA before taking the queue lock (the metrics map
-        // has its own lock; never nest the two).
-        let ewma = match deadline_ms {
-            Some(_) => self.shared.metrics.ewma_ms(model),
-            None => None,
-        };
         let cfg = &self.shared.cfg;
         {
             let mut st = lock_unpoisoned(self.shared.state.lock());
             if st.shutting_down {
                 return Err(ServeError::ShuttingDown);
             }
-            if st.total >= cfg.queue_cap {
-                let depth = st.total;
-                drop(st);
-                self.shared.metrics.record_rejected(Some(model));
-                return Err(ServeError::Overloaded {
-                    depth,
-                    cap: cfg.queue_cap,
-                });
+            let (total, vclock, seq) = (st.total, st.vclock, st.next_seq);
+            let (q, counters) = st.group(model);
+            let group_len = q.jobs.len();
+            let overload = if total >= cfg.queue_cap {
+                Some((total, cfg.queue_cap))
+            } else if cfg.model_queue_cap > 0 && group_len >= cfg.model_queue_cap {
+                Some((group_len, cfg.model_queue_cap))
+            } else {
+                None
+            };
+            if let Some((depth, cap)) = overload {
+                counters.record_rejected(&mut q.counters);
+                return Err(ServeError::Overloaded { depth, cap });
             }
-            let group_len = st.groups.get(model).map_or(0, |q| q.jobs.len());
-            if cfg.model_queue_cap > 0 && group_len >= cfg.model_queue_cap {
-                drop(st);
-                self.shared.metrics.record_rejected(Some(model));
-                return Err(ServeError::Overloaded {
-                    depth: group_len,
-                    cap: cfg.model_queue_cap,
-                });
-            }
-            if let (Some(budget), Some(ewma)) = (deadline_ms, ewma) {
+            if let (Some(budget), Some(ewma)) = (deadline_ms, q.counters.ewma_ms) {
                 // Estimated completion: one EWMA of service time per
                 // full batch already queued ahead, plus this request's
                 // own. Coarse but monotone in backlog, which is what
@@ -449,25 +462,14 @@ impl Scheduler {
                 let batches_ahead = (group_len / cfg.max_batch) as f64;
                 let estimate = ewma * (1.0 + batches_ahead);
                 if estimate > budget {
-                    drop(st);
-                    self.shared.metrics.record_deadline_rejected(model);
+                    counters.record_deadline_rejected(&mut q.counters);
                     return Err(ServeError::Deadline {
                         budget_ms: budget.round() as u64,
                         estimate_ms: estimate.round() as u64,
                     });
                 }
             }
-            let seq = st.next_seq;
-            st.next_seq += 1;
-            let vclock = st.vclock;
-            let q = st
-                .groups
-                .entry(model.to_string())
-                .or_insert_with(|| ModelQueue {
-                    jobs: VecDeque::new(),
-                    weight: 1,
-                    vtime: vclock,
-                });
+            counters.submitted += 1;
             if q.jobs.is_empty() && q.vtime < vclock {
                 // Re-busy after idling: no banked credit.
                 q.vtime = vclock;
@@ -485,10 +487,8 @@ impl Scheduler {
                 }),
                 done,
             });
+            st.next_seq += 1;
             st.total += 1;
-            let depth = st.total;
-            drop(st);
-            self.shared.metrics.record_submit(depth);
         }
         self.shared.work_cv.notify_one();
         Ok(())
@@ -508,60 +508,51 @@ impl Scheduler {
         self.submit(model, input, precision)?.wait()
     }
 
-    /// The full stats snapshot: [`Metrics::snapshot`] enriched
-    /// with what only the scheduler knows — live global and per-model
-    /// queue depths, fair weights, registry versions, and reload
-    /// counters. Registered models with no traffic yet are included
-    /// with zeroed counters so the fleet inventory is always complete.
+    /// The stats snapshot: every counter, the live global and
+    /// per-model queue depths, fair weights, registry versions and
+    /// reload counters. Registered models with no traffic yet are
+    /// included with zeroed counters so the fleet inventory is always
+    /// complete.
     ///
-    /// Lock discipline: every source is copied out under its own brief
-    /// lock; assembly and (caller-side) serialization run lock-free.
+    /// One consistent read: the counters are copied under one
+    /// acquisition of the queue lock, so the per-model counts sum to the
+    /// global ones. The registry is read before that lock, and sorting
+    /// and percentiles run after it, so a `stats` consumer cannot stall
+    /// admission.
     pub fn stats_snapshot(&self) -> StatsSnapshot {
-        let mut snap = self.shared.metrics.snapshot();
-        snap.reload_passes = self.registry.reload_passes();
-        snap.models_reloaded = self.registry.models_reloaded();
-        let (live, total): (HashMap<String, (usize, u32)>, usize) = {
-            let st = lock_unpoisoned(self.shared.state.lock());
-            (
-                st.groups
-                    .iter()
-                    .map(|(k, q)| (k.clone(), (q.jobs.len(), q.weight)))
-                    .collect(),
-                st.total,
-            )
-        };
-        snap.queue_depth = total;
         let entries = self.registry.entries();
+        let reloads = (
+            self.registry.reload_passes(),
+            self.registry.models_reloaded(),
+        );
+        let version = |name: &str| {
+            entries
+                .iter()
+                .find(|e| e.name() == name)
+                .map(|e| e.version())
+        };
+        let uptime_ms = self.uptime_ms();
+        let (counters, mut per_model, queue_depth) = {
+            let st = lock_unpoisoned(self.shared.state.lock());
+            let per_model: Vec<_> = st
+                .groups
+                .iter()
+                .filter(|(name, q)| !q.counters.is_idle() || version(name).is_some())
+                .map(|(name, q)| {
+                    let version = version(name).unwrap_or(0);
+                    q.counters
+                        .stats(name, uptime_ms / 1e3, q.jobs.len(), q.weight, version)
+                })
+                .collect();
+            (st.counters.clone(), per_model, st.total)
+        };
         for e in &entries {
-            if snap.model(e.name()).is_none() {
-                snap.per_model.push(ModelStats {
-                    name: e.name().to_string(),
-                    completed: 0,
-                    rejected: 0,
-                    deadline_rejected: 0,
-                    qps: 0.0,
-                    ewma_ms: 0.0,
-                    queue_depth: 0,
-                    weight: 0,
-                    version: 0,
-                    histogram: vec![0; HIST_BUCKETS],
-                });
+            if !per_model.iter().any(|m| m.name == e.name()) {
+                let idle = ModelCounters::default();
+                per_model.push(idle.stats(e.name(), uptime_ms / 1e3, 0, 1, e.version()));
             }
         }
-        for m in &mut snap.per_model {
-            match live.get(&m.name) {
-                Some(&(depth, weight)) => {
-                    m.queue_depth = depth;
-                    m.weight = u64::from(weight);
-                }
-                None => m.weight = 1,
-            }
-            if let Some(e) = entries.iter().find(|e| e.name() == m.name) {
-                m.version = e.version();
-            }
-        }
-        snap.per_model.sort_by(|a, b| a.name.cmp(&b.name));
-        snap
+        counters.snapshot(uptime_ms, queue_depth, reloads, per_model)
     }
 
     /// Stops admitting work, drains every already-queued request, and
@@ -636,12 +627,11 @@ fn next_flush_deadline(st: &QueueState, cfg: &SchedulerConfig) -> Option<Instant
 
 fn worker_loop(shared: &Shared) {
     loop {
-        let batch = {
+        let (expired, batch, dispatched) = {
             let mut st = lock_unpoisoned(shared.state.lock());
             loop {
                 if let Some(batch) = try_take_batch(&mut st, &shared.cfg) {
-                    shared.metrics.record_batch(batch.len(), st.total);
-                    break batch;
+                    break dispatch(&mut st, batch);
                 }
                 if st.total == 0 {
                     if st.shutting_down {
@@ -663,7 +653,12 @@ fn worker_loop(shared: &Shared) {
                 }
             }
         };
-        execute_batch(shared, batch);
+        for (job, err) in expired {
+            (job.done)(Err(err));
+        }
+        if !batch.is_empty() {
+            execute_batch(shared, batch, dispatched);
+        }
         // A batch may have left flush-ready work behind (group larger
         // than max_batch, or other models): let a sibling pick it up
         // without waiting for the next submission.
@@ -671,25 +666,38 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-fn execute_batch(shared: &Shared, batch: Vec<Job>) {
+/// Splits a taken batch at its dispatch instant and counts it, under the
+/// queue lock: a budget that ran out in the queue is refused as
+/// admission would have refused it (its reply goes out after the lock
+/// is released) instead of burning a worker on a reply nobody is
+/// waiting for; the rest is one batch that reaches a model.
+fn dispatch(st: &mut QueueState, batch: Vec<Job>) -> (Vec<(Job, ServeError)>, Vec<Job>, Instant) {
     let dispatched = Instant::now();
-    let dispatch_us = clock::now_us();
-    // A budget that ran out in the queue is answered now, as admission
-    // would have answered it, instead of burning a worker on a reply
-    // nobody is waiting for.
     let waited_ms = |job: &Job| dispatched.duration_since(job.enqueued).as_secs_f64() * 1e3;
     let (expired, batch): (Vec<Job>, Vec<Job>) = batch.into_iter().partition(|job| {
         job.deadline_ms
             .is_some_and(|budget| waited_ms(job) >= budget)
     });
-    for job in expired {
-        shared.metrics.record_deadline_rejected(job.entry.name());
-        let estimate_ms = waited_ms(&job).round() as u64;
-        (job.done)(Err(ServeError::Deadline {
-            budget_ms: job.deadline_ms.unwrap_or(0.0).round() as u64,
-            estimate_ms,
-        }));
+    let expired = expired
+        .into_iter()
+        .map(|job| {
+            let (q, counters) = st.group(job.entry.name());
+            counters.record_deadline_rejected(&mut q.counters);
+            let err = ServeError::Deadline {
+                budget_ms: job.deadline_ms.unwrap_or(0.0).round() as u64,
+                estimate_ms: waited_ms(&job).round() as u64,
+            };
+            (job, err)
+        })
+        .collect();
+    if !batch.is_empty() {
+        st.counters.record_batch(batch.len());
     }
+    (expired, batch, dispatched)
+}
+
+fn execute_batch(shared: &Shared, batch: Vec<Job>, dispatched: Instant) {
+    let dispatch_us = clock::now_us();
     let size = batch.len();
     // Close every sampled job's queue-wait interval at the dispatch
     // stamp shared by the whole batch (one manual record per job; the
@@ -742,33 +750,36 @@ fn execute_batch(shared: &Shared, batch: Vec<Job>) {
             }))
         })
         .collect();
-    for (job, out) in batch.into_iter().zip(outputs) {
-        let queue_ms = dispatched.duration_since(job.enqueued).as_secs_f64() * 1e3;
-        let total_ms = job.enqueued.elapsed().as_secs_f64() * 1e3;
-        let result = match out {
-            Ok(Ok(output)) => {
-                shared
-                    .metrics
-                    .record_completion(job.entry.name(), queue_ms, total_ms);
-                Ok(InferOutput {
-                    output,
-                    queue_ms,
-                    total_ms,
-                    batch_size: size,
-                })
+    let results: Vec<Result<InferOutput, ServeError>> = batch
+        .iter()
+        .zip(outputs)
+        .map(|(job, out)| match out {
+            Ok(Ok(output)) => Ok(InferOutput {
+                output,
+                queue_ms: dispatched.duration_since(job.enqueued).as_secs_f64() * 1e3,
+                total_ms: job.enqueued.elapsed().as_secs_f64() * 1e3,
+                batch_size: size,
+            }),
+            Ok(Err(e)) => Err(e),
+            Err(_) => Err(ServeError::Internal(format!(
+                "inference panicked for model `{}`",
+                job.entry.name()
+            ))),
+        })
+        .collect();
+    // The whole batch is counted under one acquisition, before any of
+    // its replies goes out.
+    {
+        let mut st = lock_unpoisoned(shared.state.lock());
+        for (job, result) in batch.iter().zip(&results) {
+            let (q, counters) = st.group(job.entry.name());
+            match result {
+                Ok(out) => counters.record_completion(&mut q.counters, out.queue_ms, out.total_ms),
+                Err(_) => counters.record_failure(),
             }
-            Ok(Err(e)) => {
-                shared.metrics.record_failure();
-                Err(e)
-            }
-            Err(_) => {
-                shared.metrics.record_failure();
-                Err(ServeError::Internal(format!(
-                    "inference panicked for model `{}`",
-                    job.entry.name()
-                )))
-            }
-        };
+        }
+    }
+    for (job, result) in batch.into_iter().zip(results) {
         (job.done)(result);
     }
 }
@@ -776,6 +787,7 @@ fn execute_batch(shared: &Shared, batch: Vec<Job>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::ModelStats;
     use ringcnn_nn::prelude::*;
     use ringcnn_nn::serialize::{AlgebraSpec, ModelSpec};
 
@@ -803,11 +815,7 @@ mod tests {
         let q = st
             .groups
             .entry(name.to_string())
-            .or_insert_with(|| ModelQueue {
-                jobs: VecDeque::new(),
-                weight,
-                vtime: vclock,
-            });
+            .or_insert_with(|| ModelQueue::new(weight, vclock));
         q.jobs.push_back(Job {
             entry: reg.get(name).unwrap(),
             precision: Precision::Fp64,
@@ -851,19 +859,6 @@ mod tests {
             sched.infer("m", x, Precision::Fp64).unwrap_err().code(),
             "shutting_down"
         );
-    }
-
-    #[test]
-    fn queue_len_is_live_where_the_metrics_atomic_reads_stale() {
-        // The `queue_depth` atomic only remembers the depth at the last
-        // submit/dispatch: force it stale and check `health`'s source of
-        // truth disagrees correctly.
-        let sched = Scheduler::start(registry_with(&["m"]), SchedulerConfig::default())
-            .expect("scheduler starts");
-        sched.metrics().record_submit(7); // stale observation, queue empty
-        assert_eq!(sched.metrics().queue_depth(), 7);
-        assert_eq!(sched.queue_len(), 0, "live count must ignore the atomic");
-        sched.shutdown();
     }
 
     #[test]
@@ -954,23 +949,16 @@ mod tests {
     fn not_ready_group_is_not_taken() {
         let reg = registry_with(&["a"]);
         let mut st = QueueState::new();
-        st.groups.insert(
-            "a".to_string(),
-            ModelQueue {
-                jobs: VecDeque::from([Job {
-                    entry: reg.get("a").unwrap(),
-                    precision: Precision::Fp64,
-                    input: Tensor::zeros(Shape4::new(1, 1, 4, 4)),
-                    enqueued: Instant::now(),
-                    deadline_ms: None,
-                    seq: 0,
-                    trace: None,
-                    done: Box::new(|_| {}),
-                }]),
-                weight: 1,
-                vtime: 0.0,
-            },
-        );
+        st.group("a").0.jobs.push_back(Job {
+            entry: reg.get("a").unwrap(),
+            precision: Precision::Fp64,
+            input: Tensor::zeros(Shape4::new(1, 1, 4, 4)),
+            enqueued: Instant::now(),
+            deadline_ms: None,
+            seq: 0,
+            trace: None,
+            done: Box::new(|_| {}),
+        });
         st.total = 1;
         let cfg = SchedulerConfig {
             max_batch: 4,
@@ -1099,10 +1087,11 @@ mod tests {
             } => assert!(estimate_ms >= 5, "{estimate_ms}"),
             other => panic!("expected `deadline` for a 1 ms budget, got {other}"),
         }
-        // Only `busy` ever reached a model.
+        // Only `busy` ever reached a model: one batch, not two.
         let snap = sched.stats_snapshot();
         assert_eq!((snap.deadline_rejected, snap.completed), (1, 1));
         assert_eq!(snap.model("doomed").unwrap().deadline_rejected, 1);
+        assert_eq!((snap.batches, snap.max_batch), (1, 1));
         sched.shutdown();
     }
 
@@ -1155,6 +1144,58 @@ mod tests {
         // Name-sorted output.
         let names: Vec<&str> = snap.per_model.iter().map(|m| m.name.as_str()).collect();
         assert_eq!(names, ["idle", "served"]);
+        sched.shutdown();
+    }
+
+    #[test]
+    fn snapshots_taken_under_load_never_tear() {
+        // Completions, overload rejections (queue cap 2) and arrival-time
+        // deadline rejections (a zero budget once the EWMA is seeded)
+        // race a thread that takes snapshots.
+        let cfg = SchedulerConfig {
+            queue_cap: 2,
+            ..SchedulerConfig::default()
+        };
+        let sched = Scheduler::start(registry_with(&["a", "b"]), cfg).expect("scheduler starts");
+        let x = Tensor::zeros(Shape4::new(1, 1, 4, 4));
+        for model in ["a", "b"] {
+            sched.infer(model, x.clone(), Precision::Fp64).unwrap();
+        }
+        let check = |snap: &StatsSnapshot| {
+            let sum = |f: fn(&ModelStats) -> u64| snap.per_model.iter().map(f).sum::<u64>();
+            assert_eq!(sum(|m| m.completed), snap.completed);
+            assert_eq!(sum(|m| m.rejected), snap.rejected);
+            assert_eq!(sum(|m| m.deadline_rejected), snap.deadline_rejected);
+            for m in &snap.per_model {
+                assert_eq!(m.histogram.iter().sum::<u64>(), m.completed, "{}", m.name);
+            }
+        };
+        let running = std::sync::atomic::AtomicBool::new(true);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while running.load(std::sync::atomic::Ordering::SeqCst) {
+                    check(&sched.stats_snapshot());
+                }
+            });
+            let submit = |model| {
+                let pending: Vec<_> = (0..300)
+                    .filter_map(|i| {
+                        let budget = (i % 3 == 0).then_some(0.0);
+                        sched
+                            .submit_with(model, x.clone(), Precision::Fp64, budget)
+                            .ok()
+                    })
+                    .collect();
+                pending.into_iter().for_each(|p| drop(p.wait()));
+            };
+            for t in ["a", "b"].map(|model| scope.spawn(move || submit(model))) {
+                t.join().unwrap();
+            }
+            running.store(false, std::sync::atomic::Ordering::SeqCst);
+        });
+        let snap = sched.stats_snapshot();
+        check(&snap);
+        assert!(snap.completed > 2 && snap.rejected > 0 && snap.deadline_rejected > 0);
         sched.shutdown();
     }
 }

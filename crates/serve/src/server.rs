@@ -22,7 +22,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Default longest accepted request (16 MiB ≈ a 2-megapixel float frame
 /// in JSON; the same cap applies to one binary frame body). Longer
@@ -63,8 +63,6 @@ pub(crate) struct ServerShared {
     pub(crate) scheduler: Scheduler,
     pub(crate) shutdown: AtomicBool,
     pub(crate) addr: SocketAddr,
-    /// Process-start-relative anchor for the `health` verb's uptime.
-    pub(crate) started: Instant,
 }
 
 impl ServerShared {
@@ -146,7 +144,6 @@ impl Server {
             scheduler: Scheduler::start(registry, cfg.scheduler)?,
             shutdown: AtomicBool::new(false),
             addr,
-            started: Instant::now(),
         });
         let reactor = match Reactor::new(listener, shared.clone(), cfg.max_frame_bytes.max(1)) {
             Ok(r) => r,

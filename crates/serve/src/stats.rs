@@ -1,5 +1,5 @@
-//! Service metrics: lock-light counters updated on the hot path and a
-//! serializable [`StatsSnapshot`] for the `stats` verb.
+//! Service statistics: the counters the scheduler keeps and the
+//! serializable [`StatsSnapshot`] of the `stats` verb.
 //!
 //! Two complementary latency views coexist in the stats snapshot:
 //!
@@ -20,17 +20,17 @@
 //! blocked-kernel dispatches), so two snapshots subtract to an
 //! interval's worth of kernel work.
 //!
-//! Snapshot discipline: [`Metrics::snapshot`] copies raw data out under
-//! each internal lock and does all sorting/percentile math *after*
-//! dropping it, so a caller serializing a large snapshot can never
-//! stall the admission path that shares these locks.
+//! One owner: the counters here are plain data. Each model's
+//! `ModelCounters` sit beside its queue and the global `Counters`
+//! (with the latency window) in the scheduler's queue state, so every
+//! update happens under the queue mutex admission and dispatch already
+//! hold. `Scheduler::stats_snapshot` copies them out under one
+//! acquisition — one consistent read, in which the per-model counts sum
+//! to the global ones — and `Counters::snapshot` does the sorting and
+//! percentile math after the lock is released, so a slow `stats`
+//! consumer cannot stall admission.
 
-use crate::lock_unpoisoned;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
 
 /// Completions kept for the latency window.
 const LATENCY_WINDOW: usize = 4096;
@@ -67,203 +67,129 @@ fn bucket_of(ms: f64) -> usize {
     HIST_BUCKETS - 1
 }
 
-/// Per-model counters, all updated under one short-held mutex.
-#[derive(Clone)]
-struct ModelMetrics {
+/// One model's counters, kept beside its queue.
+#[derive(Clone, Default)]
+pub(crate) struct ModelCounters {
     completed: u64,
     rejected: u64,
     deadline_rejected: u64,
     /// Total-latency EWMA, `None` until the first completion.
-    ewma_ms: Option<f64>,
+    pub(crate) ewma_ms: Option<f64>,
     hist: [u64; HIST_BUCKETS],
 }
 
-impl Default for ModelMetrics {
-    fn default() -> Self {
-        Self {
-            completed: 0,
-            rejected: 0,
-            deadline_rejected: 0,
-            ewma_ms: None,
-            hist: [0; HIST_BUCKETS],
+impl ModelCounters {
+    /// Whether anything was ever counted for this model.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.completed + self.rejected + self.deadline_rejected == 0
+    }
+
+    /// This model's row of the snapshot.
+    pub(crate) fn stats(
+        &self,
+        name: &str,
+        uptime_s: f64,
+        queue_depth: usize,
+        weight: u32,
+        version: u64,
+    ) -> ModelStats {
+        ModelStats {
+            name: name.to_string(),
+            completed: self.completed,
+            rejected: self.rejected,
+            deadline_rejected: self.deadline_rejected,
+            qps: self.completed as f64 / uptime_s.max(1e-9),
+            ewma_ms: self.ewma_ms.unwrap_or(0.0),
+            queue_depth,
+            weight: u64::from(weight),
+            version,
+            histogram: self.hist.to_vec(),
         }
     }
 }
 
-/// Shared, interior-mutable service counters.
-pub struct Metrics {
-    started: Instant,
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    rejected: AtomicU64,
-    deadline_rejected: AtomicU64,
-    failed: AtomicU64,
-    batches: AtomicU64,
-    batched_jobs: AtomicU64,
-    max_batch: AtomicU64,
-    queue_depth: AtomicUsize,
-    window: Mutex<Window>,
-    /// Per-model counters keyed by name — O(1) on the completion hot
-    /// path regardless of how many models are registered.
-    per_model: Mutex<HashMap<String, ModelMetrics>>,
-}
-
-struct Window {
+/// The global counters and the latency window, kept in the queue state.
+/// Every per-model count is recorded here and in its [`ModelCounters`]
+/// by one call, so the two never disagree.
+#[derive(Clone, Default)]
+pub(crate) struct Counters {
+    pub(crate) submitted: u64,
+    completed: u64,
+    rejected: u64,
+    deadline_rejected: u64,
+    failed: u64,
+    batches: u64,
+    batched_jobs: u64,
+    max_batch: u64,
     /// `(queue_ms, total_ms)` of recent completions, ring-ordered.
-    samples: Vec<(f32, f32)>,
+    window: Vec<(f32, f32)>,
     next: usize,
 }
 
-impl Default for Metrics {
-    fn default() -> Self {
-        Self {
-            started: Instant::now(),
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            deadline_rejected: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batched_jobs: AtomicU64::new(0),
-            max_batch: AtomicU64::new(0),
-            queue_depth: AtomicUsize::new(0),
-            window: Mutex::new(Window {
-                samples: Vec::new(),
-                next: 0,
-            }),
-            per_model: Mutex::new(HashMap::new()),
-        }
-    }
-}
-
-impl Metrics {
-    /// Fresh zeroed metrics.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// One request admitted into the queue (depth after the push).
-    pub fn record_submit(&self, depth: usize) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        self.queue_depth.store(depth, Ordering::Relaxed);
-    }
-
+impl Counters {
     /// One request refused by admission control (queue pressure).
-    /// `model` is `None` when rejection happened before the model was
-    /// resolved (e.g. a global shutting-down refusal).
-    pub fn record_rejected(&self, model: Option<&str>) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-        if let Some(model) = model {
-            lock_unpoisoned(self.per_model.lock())
-                .entry(model.into())
-                .or_default()
-                .rejected += 1;
-        }
+    pub(crate) fn record_rejected(&mut self, model: &mut ModelCounters) {
+        self.rejected += 1;
+        model.rejected += 1;
     }
 
-    /// One request refused because its `deadline_ms` budget was already
-    /// predicted blown at arrival.
-    pub fn record_deadline_rejected(&self, model: &str) {
-        self.deadline_rejected.fetch_add(1, Ordering::Relaxed);
-        lock_unpoisoned(self.per_model.lock())
-            .entry(model.into())
-            .or_default()
-            .deadline_rejected += 1;
+    /// One request refused for its `deadline_ms` budget: predicted blown
+    /// at arrival, or run out in the queue.
+    pub(crate) fn record_deadline_rejected(&mut self, model: &mut ModelCounters) {
+        self.deadline_rejected += 1;
+        model.deadline_rejected += 1;
     }
 
-    /// One batch dispatched to the pool (queue depth after the take).
-    pub fn record_batch(&self, size: usize, depth: usize) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batched_jobs.fetch_add(size as u64, Ordering::Relaxed);
-        self.max_batch.fetch_max(size as u64, Ordering::Relaxed);
-        self.queue_depth.store(depth, Ordering::Relaxed);
+    /// One batch of `size` jobs handed to a model.
+    pub(crate) fn record_batch(&mut self, size: usize) {
+        self.batches += 1;
+        self.batched_jobs += size as u64;
+        self.max_batch = self.max_batch.max(size as u64);
     }
 
     /// One request completed successfully.
-    pub fn record_completion(&self, model: &str, queue_ms: f64, total_ms: f64) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut w = lock_unpoisoned(self.window.lock());
-            let sample = (queue_ms as f32, total_ms as f32);
-            if w.samples.len() < LATENCY_WINDOW {
-                w.samples.push(sample);
-            } else {
-                let i = w.next;
-                w.samples[i] = sample;
-            }
-            w.next = (w.next + 1) % LATENCY_WINDOW;
+    pub(crate) fn record_completion(
+        &mut self,
+        model: &mut ModelCounters,
+        queue_ms: f64,
+        total_ms: f64,
+    ) {
+        self.completed += 1;
+        let sample = (queue_ms as f32, total_ms as f32);
+        if self.window.len() < LATENCY_WINDOW {
+            self.window.push(sample);
+        } else {
+            self.window[self.next] = sample;
         }
-        let mut pm = lock_unpoisoned(self.per_model.lock());
-        let m = pm.entry(model.into()).or_default();
-        m.completed += 1;
-        m.hist[bucket_of(total_ms)] += 1;
-        m.ewma_ms = Some(match m.ewma_ms {
+        self.next = (self.next + 1) % LATENCY_WINDOW;
+        model.completed += 1;
+        model.hist[bucket_of(total_ms)] += 1;
+        model.ewma_ms = Some(match model.ewma_ms {
             Some(prev) => prev + EWMA_ALPHA * (total_ms - prev),
             None => total_ms,
         });
     }
 
     /// One request that failed inside the service (not a rejection).
-    pub fn record_failure(&self) {
-        self.failed.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_failure(&mut self) {
+        self.failed += 1;
     }
 
-    /// Current queue depth as last observed by the scheduler.
-    pub fn queue_depth(&self) -> usize {
-        self.queue_depth.load(Ordering::Relaxed)
-    }
-
-    /// The model's total-latency EWMA, if it has completed anything yet
-    /// (what deadline-aware admission consults).
-    pub fn ewma_ms(&self, model: &str) -> Option<f64> {
-        lock_unpoisoned(self.per_model.lock())
-            .get(model)
-            .and_then(|m| m.ewma_ms)
-    }
-
-    /// A consistent-enough point-in-time snapshot.
-    ///
-    /// Raw samples and per-model maps are *copied out* under their
-    /// locks; sorting, percentiles, and QPS math all run after the
-    /// locks drop, so a slow `stats` consumer cannot stall the
-    /// admission/completion paths that share them. Scheduler-owned
-    /// fields (live per-model queue depth, weight, registry version,
-    /// reload counters) are zero here and filled in by
-    /// `Scheduler::stats_snapshot`.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        // Copy the window out, then compute percentiles lock-free.
-        let samples: Vec<(f32, f32)> = {
-            let w = lock_unpoisoned(self.window.lock());
-            w.samples.clone()
-        };
-        let queue_wait_ms = LatencyStats::of(samples.iter().map(|s| f64::from(s.0)));
-        let latency_ms = LatencyStats::of(samples.iter().map(|s| f64::from(s.1)));
-        let per_model_raw: Vec<(String, ModelMetrics)> = {
-            let pm = lock_unpoisoned(self.per_model.lock());
-            pm.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
-        };
-        let uptime_ms = self.started.elapsed().as_secs_f64() * 1e3;
-        let uptime_s = (uptime_ms / 1e3).max(1e-9);
-        // Name-sorted so the wire payload is deterministic (a HashMap
-        // iterates in arbitrary order).
-        let mut per_model: Vec<ModelStats> = per_model_raw
-            .into_iter()
-            .map(|(name, m)| ModelStats {
-                name,
-                completed: m.completed,
-                rejected: m.rejected,
-                deadline_rejected: m.deadline_rejected,
-                qps: m.completed as f64 / uptime_s,
-                ewma_ms: m.ewma_ms.unwrap_or(0.0),
-                queue_depth: 0,
-                weight: 0,
-                version: 0,
-                histogram: m.hist.to_vec(),
-            })
-            .collect();
+    /// The snapshot of a copy of these counters, taken under the queue
+    /// lock by `Scheduler::stats_snapshot` (the one caller) together with
+    /// the live `queue_depth`, the per-model rows and the registry's
+    /// `(reload_passes, models_reloaded)`. Percentiles and the name sort
+    /// run here, after that lock is released.
+    pub(crate) fn snapshot(
+        &self,
+        uptime_ms: f64,
+        queue_depth: usize,
+        (reload_passes, models_reloaded): (u64, u64),
+        mut per_model: Vec<ModelStats>,
+    ) -> StatsSnapshot {
+        // Name-sorted so the wire payload is deterministic (the queue
+        // state's map iterates in arbitrary order).
         per_model.sort_by(|a, b| a.name.cmp(&b.name));
-        let batches = self.batches.load(Ordering::Relaxed);
-        let batched_jobs = self.batched_jobs.load(Ordering::Relaxed);
         let gemm = ringcnn_tensor::gemm::profile::snapshot();
         StatsSnapshot {
             kernel: ringcnn_tensor::gemm::active_kernel().label().to_string(),
@@ -272,23 +198,23 @@ impl Metrics {
             gemm_tiles: gemm.tiles,
             gemm_dispatches: gemm.total_dispatches(),
             uptime_ms,
-            submitted: self.submitted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            deadline_rejected: self.deadline_rejected.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            batches,
-            mean_batch: if batches > 0 {
-                batched_jobs as f64 / batches as f64
+            submitted: self.submitted,
+            completed: self.completed,
+            rejected: self.rejected,
+            deadline_rejected: self.deadline_rejected,
+            failed: self.failed,
+            batches: self.batches,
+            mean_batch: if self.batches > 0 {
+                self.batched_jobs as f64 / self.batches as f64
             } else {
                 0.0
             },
-            max_batch: self.max_batch.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            reload_passes: 0,
-            models_reloaded: 0,
-            queue_wait_ms,
-            latency_ms,
+            max_batch: self.max_batch,
+            queue_depth,
+            reload_passes,
+            models_reloaded,
+            queue_wait_ms: LatencyStats::of(self.window.iter().map(|s| f64::from(s.0))),
+            latency_ms: LatencyStats::of(self.window.iter().map(|s| f64::from(s.1))),
             bucket_edges_ms: latency_bucket_edges_ms(),
             per_model,
         }
@@ -358,18 +284,20 @@ pub struct ModelStats {
     /// Total-latency EWMA (ms) consulted by deadline admission;
     /// 0 until the first completion.
     pub ewma_ms: f64,
-    /// Jobs currently queued for this model (live, scheduler-filled).
+    /// Jobs queued for this model at snapshot time.
     pub queue_depth: usize,
-    /// Fair-scheduling weight (scheduler-filled).
+    /// Fair-scheduling weight.
     pub weight: u64,
-    /// Registry publish version (bumped by hot reload; scheduler-filled).
+    /// Registry publish version (bumped by hot reload; 0 once the model
+    /// is no longer registered).
     pub version: u64,
     /// Completions per latency bucket, `HIST_BUCKETS` long; the last
     /// bucket is overflow. `sum(histogram) == completed` always.
     pub histogram: Vec<u64>,
 }
 
-/// Point-in-time service statistics (the `stats` verb payload).
+/// Point-in-time service statistics (the `stats` verb payload), read
+/// under one acquisition of the scheduler's queue lock.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct StatsSnapshot {
     /// Runtime-selected GEMM kernel label (`RINGCNN_KERNEL` honored).
@@ -383,7 +311,7 @@ pub struct StatsSnapshot {
     pub gemm_tiles: u64,
     /// GEMM products dispatched to a blocked kernel since process start.
     pub gemm_dispatches: u64,
-    /// Milliseconds since the metrics were created.
+    /// Milliseconds since the scheduler started.
     pub uptime_ms: f64,
     /// Requests admitted.
     pub submitted: u64,
@@ -395,11 +323,12 @@ pub struct StatsSnapshot {
     pub deadline_rejected: u64,
     /// Requests failed inside the service.
     pub failed: u64,
-    /// Batches dispatched.
+    /// Batches that reached a model (jobs whose budget ran out in the
+    /// queue are not counted; a batch of only those is no batch).
     pub batches: u64,
     /// Mean jobs per batch.
     pub mean_batch: f64,
-    /// Largest batch dispatched.
+    /// Largest batch that reached a model.
     pub max_batch: u64,
     /// Queue depth at snapshot time.
     pub queue_depth: usize,
@@ -475,15 +404,14 @@ mod tests {
 
     #[test]
     fn snapshot_aggregates_counters() {
-        let m = Metrics::new();
-        m.record_submit(1);
-        m.record_submit(2);
-        m.record_rejected(Some("a"));
-        m.record_deadline_rejected("a");
-        m.record_batch(2, 0);
-        m.record_completion("a", 0.5, 2.0);
-        m.record_completion("a", 1.5, 4.0);
-        let s = m.snapshot();
+        let (mut c, mut a) = (Counters::default(), ModelCounters::default());
+        c.submitted = 2;
+        c.record_rejected(&mut a);
+        c.record_deadline_rejected(&mut a);
+        c.record_batch(2);
+        c.record_completion(&mut a, 0.5, 2.0);
+        c.record_completion(&mut a, 1.5, 4.0);
+        let s = c.snapshot(10.0, 3, (4, 5), vec![a.stats("a", 1e-2, 1, 2, 7)]);
         assert_eq!(s.submitted, 2);
         assert_eq!(s.completed, 2);
         assert_eq!(s.rejected, 1);
@@ -491,31 +419,31 @@ mod tests {
         assert_eq!(s.batches, 1);
         assert_eq!(s.mean_batch, 2.0);
         assert_eq!(s.max_batch, 2);
+        assert_eq!(
+            (s.queue_depth, s.reload_passes, s.models_reloaded),
+            (3, 4, 5)
+        );
         let a = s.model("a").expect("model a has stats");
         assert_eq!(a.completed, 2);
         assert_eq!(a.rejected, 1);
         assert_eq!(a.deadline_rejected, 1);
-        assert!(a.qps > 0.0);
+        assert_eq!(a.qps, 200.0);
+        assert_eq!((a.queue_depth, a.weight, a.version), (1, 2, 7));
         assert_eq!(a.histogram.len(), HIST_BUCKETS);
         assert_eq!(a.histogram.iter().sum::<u64>(), a.completed);
         assert_eq!(s.bucket_edges_ms.len(), HIST_BUCKETS - 1);
         assert_eq!(s.latency_ms.max, 4.0);
         assert_eq!(s.queue_wait_ms.max, 1.5);
-        // Snapshot serializes for the wire.
-        let json = serde_json::to_string(&s).unwrap();
-        let back: StatsSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.submitted, 2);
-        assert_eq!(back.model("a").unwrap().histogram, a.histogram);
     }
 
     #[test]
     fn ewma_tracks_completions_and_feeds_admission() {
-        let m = Metrics::new();
-        assert_eq!(m.ewma_ms("a"), None);
-        m.record_completion("a", 0.0, 10.0);
-        assert_eq!(m.ewma_ms("a"), Some(10.0), "first sample seeds the EWMA");
-        m.record_completion("a", 0.0, 20.0);
-        let e = m.ewma_ms("a").unwrap();
+        let (mut c, mut m) = (Counters::default(), ModelCounters::default());
+        assert_eq!(m.ewma_ms, None);
+        c.record_completion(&mut m, 0.0, 10.0);
+        assert_eq!(m.ewma_ms, Some(10.0), "first sample seeds the EWMA");
+        c.record_completion(&mut m, 0.0, 20.0);
+        let e = m.ewma_ms.unwrap();
         assert!((e - 12.0).abs() < 1e-12, "10 + 0.2·(20-10) = 12, got {e}");
     }
 
@@ -540,11 +468,12 @@ mod tests {
 
     #[test]
     fn snapshot_reports_kernel_and_monotonic_gemm_counters() {
-        let a = Metrics::new().snapshot();
+        let snap = || Counters::default().snapshot(0.0, 0, (0, 0), Vec::new());
+        let a = snap();
         assert!(!a.kernel.is_empty(), "kernel label must be published");
         // The profile counters are process-wide and monotonic: a later
         // snapshot can never regress, whatever other tests are running.
-        let b = Metrics::new().snapshot();
+        let b = snap();
         assert!(b.gemm_panel_packs >= a.gemm_panel_packs);
         assert!(b.gemm_panel_reuses >= a.gemm_panel_reuses);
         assert!(b.gemm_tiles >= a.gemm_tiles);
@@ -553,22 +482,19 @@ mod tests {
 
     #[test]
     fn per_model_snapshot_is_name_sorted_regardless_of_arrival_order() {
-        let m = Metrics::new();
-        for model in ["zeta", "alpha", "zeta", "mid"] {
-            m.record_completion(model, 0.0, 1.0);
-        }
-        let snap = m.snapshot();
+        let rows =
+            ["zeta", "alpha", "mid"].map(|name| ModelCounters::default().stats(name, 1.0, 0, 1, 1));
+        let snap = Counters::default().snapshot(0.0, 0, (0, 0), rows.to_vec());
         let names: Vec<&str> = snap.per_model.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, ["alpha", "mid", "zeta"]);
     }
 
     #[test]
     fn window_wraps_without_growing() {
-        let m = Metrics::new();
+        let (mut c, mut m) = (Counters::default(), ModelCounters::default());
         for i in 0..(LATENCY_WINDOW + 10) {
-            m.record_completion("m", 0.0, i as f64);
+            c.record_completion(&mut m, 0.0, i as f64);
         }
-        let w = m.window.lock().unwrap();
-        assert_eq!(w.samples.len(), LATENCY_WINDOW);
+        assert_eq!(c.window.len(), LATENCY_WINDOW);
     }
 }

@@ -151,6 +151,9 @@ fn docs_name_no_deleted_identifier() {
             "memory::dram_bytes_per_frame",
             "frconv_forward",
             "peek_format_tag",
+            "Metrics::snapshot",
+            "Scheduler::metrics",
+            "record_submit",
         ] {
             assert!(
                 !text.contains(gone),

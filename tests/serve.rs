@@ -91,7 +91,7 @@ fn max_batch_flushes_before_max_wait() {
         started.elapsed() < Duration::from_secs(5),
         "batch-full flush must not wait for max_wait"
     );
-    let stats = sched.metrics().snapshot();
+    let stats = sched.stats_snapshot();
     assert_eq!(stats.completed, 4);
     assert_eq!(stats.batches, 1);
     assert_eq!(stats.max_batch, 4);
@@ -165,7 +165,7 @@ fn full_queue_rejects_with_overloaded_and_drains_on_shutdown() {
         started.elapsed() < Duration::from_secs(2),
         "rejection must be immediate, not queued"
     );
-    assert_eq!(sched.metrics().snapshot().rejected, 1);
+    assert_eq!(sched.stats_snapshot().rejected, 1);
 
     // Graceful drain: every admitted request completes with the right
     // answer even though the batch never filled.
@@ -179,7 +179,7 @@ fn full_queue_rejects_with_overloaded_and_drains_on_shutdown() {
             "drained request {i} must still be answered correctly"
         );
     }
-    let stats = sched.metrics().snapshot();
+    let stats = sched.stats_snapshot();
     assert_eq!(stats.completed, 4);
     // Submissions after shutdown are refused with the right code.
     assert_eq!(
