@@ -5,12 +5,12 @@
 //!
 //! [`Client::connect`] keeps the original line-JSON behavior;
 //! [`Client::connect_wire`] with [`Wire::Binary`] sends the `RCNB`
-//! preamble and switches both directions to binary frames, which skips
-//! ASCII float formatting entirely and lets [`Client::infer_streaming`]
-//! surface output tiles as they arrive.
+//! preamble and switches both directions to binary frames, one per
+//! request and one per response, which skips ASCII float formatting
+//! entirely.
 
 use crate::error::ServeError;
-use crate::frame::{self, Tile};
+use crate::frame::{self, DecodeStep};
 use crate::protocol::{find_newline, HealthReply, ModelInfo, Request, Response, Wire};
 use crate::registry::{Precision, ReloadReport};
 use crate::server::MAX_LINE_BYTES;
@@ -62,7 +62,6 @@ pub struct Client {
     stream: TcpStream,
     wire: Wire,
     inbuf: Vec<u8>,
-    asm: frame::ResponseAssembler,
 }
 
 impl Client {
@@ -94,7 +93,6 @@ impl Client {
             stream,
             wire,
             inbuf: Vec::new(),
-            asm: frame::ResponseAssembler::new(),
         })
     }
 
@@ -183,9 +181,9 @@ impl Client {
         Ok(())
     }
 
-    /// Reads one complete response, surfacing binary `infer` tiles
-    /// through `on_tile` as they arrive.
-    fn receive(&mut self, mut on_tile: impl FnMut(Tile<'_>)) -> Result<Response, ServeError> {
+    /// Reads one complete response: a line, or a frame of any length
+    /// (its buffer grows only by the bytes that arrive).
+    fn receive(&mut self) -> Result<Response, ServeError> {
         let mut chunk = [0u8; 16 * 1024];
         // How much of `inbuf` is known to hold no newline.
         let mut scanned = 0;
@@ -203,8 +201,8 @@ impl Client {
                             None => continue,
                         }
                     }
-                    // Refused like an oversized frame: no line this long
-                    // is a response, and waiting for its end buffers it all.
+                    // No line this long is a response, and waiting for
+                    // its end buffers it all.
                     None if self.inbuf.len() > MAX_LINE_BYTES => {
                         return Err(ServeError::BadRequest(format!(
                             "response line exceeds {MAX_LINE_BYTES} bytes"
@@ -212,14 +210,14 @@ impl Client {
                     }
                     None => {}
                 },
-                Wire::Binary => {
-                    let (consumed, resp) =
-                        self.asm.feed(&self.inbuf, MAX_LINE_BYTES, &mut on_tile)?;
-                    self.inbuf.drain(..consumed);
-                    if let Some(resp) = resp {
+                Wire::Binary => match frame::decode_response(&self.inbuf) {
+                    DecodeStep::Item(resp, consumed) => {
+                        self.inbuf.drain(..consumed);
                         return Ok(resp);
                     }
-                }
+                    DecodeStep::Fail(e) => return Err(e),
+                    DecodeStep::Incomplete => {}
+                },
             }
             match self.stream.read(&mut chunk) {
                 Ok(0) => return Err(ServeError::Io("server closed the connection".into())),
@@ -232,7 +230,7 @@ impl Client {
 
     fn roundtrip(&mut self, req: &Request) -> Result<Response, ServeError> {
         self.send(req)?;
-        match self.receive(|_| {})? {
+        match self.receive()? {
             Response::Error(e) => Err(e),
             r => Ok(r),
         }
@@ -262,7 +260,7 @@ impl Client {
         input: &Tensor,
         precision: Precision,
     ) -> Result<InferReply, ServeError> {
-        self.infer_streaming(model, input, precision, |_, _| {})
+        self.infer_inner(model, input, precision, None)
     }
 
     /// [`Client::infer_with`] carrying a `deadline_ms` latency budget:
@@ -281,26 +279,7 @@ impl Client {
         precision: Precision,
         deadline_ms: f64,
     ) -> Result<InferReply, ServeError> {
-        self.infer_inner(model, input, precision, Some(deadline_ms), |_, _| {})
-    }
-
-    /// [`Client::infer_with`], invoking `on_tile(sample_offset, tile)`
-    /// for each output tile *as it arrives* on the binary wire — first
-    /// pixels land before the full response finishes transferring. On
-    /// the JSON wire (no framing) the callback fires once with the
-    /// whole output.
-    ///
-    /// # Errors
-    ///
-    /// See [`Client::infer_with`].
-    pub fn infer_streaming(
-        &mut self,
-        model: &str,
-        input: &Tensor,
-        precision: Precision,
-        on_tile: impl FnMut(usize, &[f32]),
-    ) -> Result<InferReply, ServeError> {
-        self.infer_inner(model, input, precision, None, on_tile)
+        self.infer_inner(model, input, precision, Some(deadline_ms))
     }
 
     fn infer_inner(
@@ -309,7 +288,6 @@ impl Client {
         input: &Tensor,
         precision: Precision,
         deadline_ms: Option<f64>,
-        mut on_tile: impl FnMut(usize, &[f32]),
     ) -> Result<InferReply, ServeError> {
         let req = Request::Infer {
             model: model.into(),
@@ -318,29 +296,19 @@ impl Client {
             data: input.as_slice().to_vec(),
             deadline_ms,
         };
-        self.send(&req)?;
-        let resp = match self.receive(|t: Tile<'_>| on_tile(t.offset, t.data))? {
-            Response::Error(e) => return Err(e),
-            r => r,
-        };
-        match resp {
+        match self.roundtrip(&req)? {
             Response::Infer {
                 shape,
                 data,
                 queue_ms,
                 total_ms,
                 batch_size,
-            } => {
-                if self.wire == Wire::Json {
-                    on_tile(0, &data); // One "tile": the whole payload.
-                }
-                Ok(InferReply {
-                    output: Tensor::from_vec(shape, data),
-                    queue_ms,
-                    total_ms,
-                    batch_size,
-                })
-            }
+            } => Ok(InferReply {
+                output: Tensor::from_vec(shape, data),
+                queue_ms,
+                total_ms,
+                batch_size,
+            }),
             other => Err(unexpected(&req, &other)),
         }
     }

@@ -30,15 +30,12 @@
 //! `deadline_ms: f64 LE` after the sample data. Requests without the
 //! flag are byte-identical to the pre-deadline protocol.
 //!
-//! # Streaming tile responses
+//! # Responses
 //!
-//! An `infer` response is `infer-begin` (shape, timings, batch size,
-//! tile count), then one `infer-tile` frame per up-to-
-//! [`TILE_SAMPLES`]-sample slice (`offset:u32, count:u32, data`), then
-//! `infer-end`. The server flushes tiles as they are serialized, so a
-//! client sees the first pixels of a large frame without waiting for
-//! the full payload to be encoded — first-tile latency is decoupled
-//! from image size.
+//! Every response is one frame. A successful `infer` carries `shape:4×u32,
+//! queue_ms:f64, total_ms:f64, batch_size:u32, data:f32 × (n·c·h·w)`;
+//! [`decode_response`] reads the samples out of the frame itself, so a
+//! client sizes nothing from the shape a header announces.
 //!
 //! A [`Body::Json`] payload (`list_models`, `stats`, `reload`, `trace`)
 //! is the line protocol's JSON rendered into one frame: they are
@@ -57,11 +54,7 @@ use ringcnn_tensor::prelude::*;
 /// Connection-preamble magic ("RingCNN Binary").
 pub const MAGIC: [u8; 4] = *b"RCNB";
 /// Wire protocol version carried in the preamble.
-pub const VERSION: u8 = 1;
-/// Samples per `infer-tile` frame (16 KiB of payload): small enough
-/// that the first tile of a megapixel response leaves the server
-/// immediately, large enough that framing overhead stays ≪ 1%.
-pub const TILE_SAMPLES: usize = 4096;
+pub const VERSION: u8 = 2;
 
 /// Frame header size (the `u32` length prefix).
 pub const HEADER_BYTES: usize = 4;
@@ -327,8 +320,7 @@ pub fn decode_request(buf: &[u8], max_frame: usize) -> DecodeStep<Request> {
 
 // --- Responses -------------------------------------------------------------
 
-/// Appends `resp` as binary frames (an `infer` success becomes
-/// begin + tiles + end; everything else is a single frame).
+/// Appends `resp` as one binary frame.
 pub fn encode_response(resp: &Response, out: &mut Vec<u8>) {
     match resp {
         Response::Infer {
@@ -337,26 +329,14 @@ pub fn encode_response(resp: &Response, out: &mut Vec<u8>) {
             queue_ms,
             total_ms,
             batch_size,
-        } => {
-            let stream = Verb::of(VerbId::Infer).response; // begin, tile, end
-            let tiles = data.len().div_ceil(TILE_SAMPLES);
-            frame(out, stream[0], |out| {
-                push_shape(out, *shape);
-                out.extend_from_slice(&queue_ms.to_le_bytes());
-                out.extend_from_slice(&total_ms.to_le_bytes());
-                out.extend_from_slice(&(*batch_size as u32).to_le_bytes());
-                out.extend_from_slice(&(tiles as u32).to_le_bytes());
-            });
-            for (i, tile) in data.chunks(TILE_SAMPLES).enumerate() {
-                frame(out, stream[1], |out| {
-                    out.extend_from_slice(&((i * TILE_SAMPLES) as u32).to_le_bytes());
-                    out.extend_from_slice(&(tile.len() as u32).to_le_bytes());
-                    push_f32s(out, tile);
-                });
-            }
-            frame(out, stream[2], |_| {});
-        }
-        Response::Health(h) => frame(out, Verb::of(VerbId::Health).response[0], |out| {
+        } => frame(out, Verb::of(VerbId::Infer).response, |out| {
+            push_shape(out, *shape);
+            out.extend_from_slice(&queue_ms.to_le_bytes());
+            out.extend_from_slice(&total_ms.to_le_bytes());
+            out.extend_from_slice(&(*batch_size as u32).to_le_bytes());
+            push_f32s(out, data);
+        }),
+        Response::Health(h) => frame(out, Verb::of(VerbId::Health).response, |out| {
             out.push(u8::from(h.healthy));
             out.extend_from_slice(&(h.models as u32).to_le_bytes());
             out.extend_from_slice(&(h.queue_depth as u32).to_le_bytes());
@@ -375,7 +355,7 @@ pub fn encode_response(resp: &Response, out: &mut Vec<u8>) {
             let (verb, value) = plain
                 .plain()
                 .expect("the bespoke layouts are matched above");
-            frame(out, verb.response[0], |out| {
+            frame(out, verb.response, |out| {
                 if let Body::Json(_) = verb.body {
                     let json = serde_json::to_string(&value).expect("a serde value serializes");
                     out.extend_from_slice(json.as_bytes());
@@ -385,205 +365,71 @@ pub fn encode_response(resp: &Response, out: &mut Vec<u8>) {
     }
 }
 
-/// A partially-received streamed `infer` response.
-struct PartialInfer {
-    shape: Shape4,
-    data: Vec<f32>,
-    filled: usize,
-    queue_ms: f64,
-    total_ms: f64,
-    batch_size: usize,
-    tiles_left: usize,
-}
-
-/// One decoded tile of a streamed `infer` response, surfaced to
-/// streaming consumers before the full response assembles.
-#[derive(Debug)]
-pub struct Tile<'a> {
-    /// Sample offset of this tile in the row-major output.
-    pub offset: usize,
-    /// The tile's samples.
-    pub data: &'a [f32],
-}
-
-/// Client-side incremental response decoder: feed bytes, collect
-/// responses (reassembling streamed `infer` tiles in between).
-#[derive(Default)]
-pub struct ResponseAssembler {
-    partial: Option<PartialInfer>,
-}
-
-impl ResponseAssembler {
-    /// Fresh assembler (one per connection; it carries cross-frame
-    /// `infer` state).
-    pub fn new() -> Self {
-        Self::default()
+/// Incrementally decodes the next response frame from `buf`, of any
+/// length its prefix declares (a reply is as large as the output it
+/// carries). Nothing is sized from that length or from the announced
+/// shape, so a caller holds only the bytes that arrived.
+pub fn decode_response(buf: &[u8]) -> DecodeStep<Response> {
+    let ((byte, payload_at, end), consumed) = match decode_raw(buf, usize::MAX) {
+        DecodeStep::Item(item, consumed) => (item, consumed),
+        DecodeStep::Incomplete => return DecodeStep::Incomplete,
+        DecodeStep::Fail(e) => return DecodeStep::Fail(e),
+    };
+    match response(byte, &buf[payload_at..end]) {
+        Ok(resp) => DecodeStep::Item(resp, consumed),
+        Err(e) => DecodeStep::Fail(e),
     }
+}
 
-    /// Feeds bytes forward: processes every complete frame in `buf` (in
-    /// order, invoking `on_tile` for each `infer` tile as it arrives),
-    /// stopping at the first completed response or at incomplete input.
-    /// Returns `(bytes_consumed, response_if_completed)` — the caller
-    /// must drain exactly `bytes_consumed` from its buffer, because
-    /// processed frames are *not* re-examined on the next call (tile
-    /// state lives in the assembler).
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::BadRequest`] / [`ServeError::Io`] when the stream
-    /// is unrecoverable; the connection should be closed.
-    pub fn feed(
-        &mut self,
-        buf: &[u8],
-        max_frame: usize,
-        mut on_tile: impl FnMut(Tile<'_>),
-    ) -> Result<(usize, Option<Response>), ServeError> {
-        let mut at = 0usize;
-        loop {
-            let ((verb, payload_at, end), consumed) = match decode_raw(&buf[at..], max_frame) {
-                DecodeStep::Item(item, consumed) => (item, consumed),
-                DecodeStep::Incomplete => return Ok((at, None)),
-                DecodeStep::Fail(e) => return Err(e),
-            };
-            let payload = &buf[at + payload_at..at + end];
-            at += consumed;
-            if let Some(resp) = self.frame(verb, payload, &mut on_tile)? {
-                return Ok((at, Some(resp)));
-            }
-        }
+/// The response one frame's verb byte and payload hold.
+fn response(byte: u8, payload: &[u8]) -> Result<Response, ServeError> {
+    let mut r = Reader::new(payload);
+    if byte == ERROR_BYTE {
+        let code_len = r.u16("error code length")? as usize;
+        let code = r.str(code_len, "error code")?;
+        let message = r.str(payload.len() - 2 - code_len, "error message")?;
+        return Ok(Response::Error(ServeError::from_wire(&code, &message)));
     }
-
-    fn frame(
-        &mut self,
-        byte: u8,
-        payload: &[u8],
-        on_tile: &mut impl FnMut(Tile<'_>),
-    ) -> Result<Option<Response>, ServeError> {
-        let mut r = Reader::new(payload);
-        let stream = Verb::of(VerbId::Infer).response; // begin, tile, end
-        if self.partial.is_some() && !stream[1..].contains(&byte) {
-            self.partial = None;
-            return Err(ServeError::Io(format!(
-                "verb byte 0x{byte:02x} interleaved into a streamed infer response"
-            )));
+    let Some(verb) = Verb::find(|row| row.response == byte) else {
+        return Err(ServeError::Io(format!(
+            "unknown response verb byte 0x{byte:02x}"
+        )));
+    };
+    let resp = match verb.body {
+        Body::Infer => {
+            let shape = read_shape(&mut r)?;
+            Response::Infer {
+                shape,
+                queue_ms: r.f64("queue_ms")?,
+                total_ms: r.f64("total_ms")?,
+                batch_size: r.u32("batch_size")? as usize,
+                // Bounded by the bytes at hand, not by the shape.
+                data: r.f32s(shape.len(), "infer data")?,
+            }
         }
-        if byte == ERROR_BYTE {
-            let code_len = r.u16("error code length")? as usize;
-            let code = r.str(code_len, "error code")?;
-            let message = r.str(payload.len() - 2 - code_len, "error message")?;
-            return Ok(Some(Response::Error(ServeError::from_wire(
-                &code, &message,
-            ))));
-        }
-        let Some(verb) = Verb::find(|row| row.response.contains(&byte)) else {
-            return Err(ServeError::Io(format!(
-                "unknown response verb byte 0x{byte:02x}"
-            )));
-        };
-        match verb.body {
-            Body::Infer if byte == stream[0] => {
-                let shape = read_shape(&mut r)?;
-                let queue_ms = r.f64("queue_ms")?;
-                let total_ms = r.f64("total_ms")?;
-                let batch_size = r.u32("batch_size")? as usize;
-                let tiles_left = r.u32("tile count")? as usize;
-                r.finish("infer-begin")?;
-                // (A degenerate empty output has no tiles and ends with
-                // the next frame.)
-                if tiles_left == 0 && !shape.is_empty() {
-                    return Err(ServeError::Io(
-                        "infer-begin with samples but zero tiles".into(),
-                    ));
-                }
-                self.partial = Some(PartialInfer {
-                    shape,
-                    data: vec![0.0; shape.len()],
-                    filled: 0,
-                    queue_ms,
-                    total_ms,
-                    batch_size,
-                    tiles_left,
-                });
-                Ok(None)
-            }
-            Body::Infer if byte == stream[1] => {
-                let Some(partial) = self.partial.as_mut() else {
-                    return Err(ServeError::Io("infer-tile without infer-begin".into()));
-                };
-                let offset = r.u32("tile offset")? as usize;
-                let count = r.u32("tile sample count")? as usize;
-                let data = r.f32s(count, "tile data")?;
-                r.finish("infer-tile")?;
-                let end = offset
-                    .checked_add(count)
-                    .filter(|e| *e <= partial.data.len());
-                let Some(end) = end else {
-                    self.partial = None;
-                    return Err(ServeError::Io(format!(
-                        "tile [{offset}, {offset}+{count}) outside the announced output"
-                    )));
-                };
-                partial.data[offset..end].copy_from_slice(&data);
-                partial.filled += count;
-                partial.tiles_left = partial.tiles_left.saturating_sub(1);
-                on_tile(Tile {
-                    offset,
-                    data: &data,
-                });
-                Ok(None)
-            }
-            Body::Infer => {
-                r.finish("infer-end")?;
-                let Some(partial) = self.partial.take() else {
-                    return Err(ServeError::Io("infer-end without infer-begin".into()));
-                };
-                if partial.tiles_left != 0 || partial.filled != partial.data.len() {
-                    return Err(ServeError::Io(format!(
-                        "streamed infer ended early: {} of {} samples received",
-                        partial.filled,
-                        partial.data.len()
-                    )));
-                }
-                Ok(Some(Response::Infer {
-                    shape: partial.shape,
-                    data: partial.data,
-                    queue_ms: partial.queue_ms,
-                    total_ms: partial.total_ms,
-                    batch_size: partial.batch_size,
-                }))
-            }
-            Body::Health => {
-                let healthy = r.u8("healthy")? != 0;
-                let models = r.u32("models")? as usize;
-                let queue_depth = r.u32("queue_depth")? as usize;
-                let uptime_ms = r.f64("uptime_ms")?;
+        Body::Health => Response::Health(HealthReply {
+            healthy: r.u8("healthy")? != 0,
+            models: r.u32("models")? as usize,
+            queue_depth: r.u32("queue_depth")? as usize,
+            uptime_ms: r.f64("uptime_ms")?,
+            kernel: {
                 let kernel_len = r.u8("kernel length")? as usize;
-                let kernel = r.str(kernel_len, "kernel label")?;
-                r.finish("health response")?;
-                Ok(Some(Response::Health(HealthReply {
-                    healthy,
-                    models,
-                    queue_depth,
-                    kernel,
-                    uptime_ms,
-                })))
-            }
-            Body::Json(_) | Body::None => {
-                let malformed =
-                    |e: String| ServeError::Io(format!("malformed {} payload: {e}", verb.name));
-                let value = if verb.body == Body::None {
-                    r.finish(verb.name)?;
-                    serde::Value::Null
-                } else {
-                    let json = r.str(payload.len(), verb.name)?;
-                    serde_json::from_str(&json).map_err(|e| malformed(e.to_string()))?
-                };
-                Response::from_plain(verb, &value)
-                    .map(Some)
-                    .map_err(malformed)
-            }
+                r.str(kernel_len, "kernel label")?
+            },
+        }),
+        Body::Json(_) | Body::None => {
+            let malformed =
+                |e: String| ServeError::Io(format!("malformed {} payload: {e}", verb.name));
+            let value = if verb.body == Body::None {
+                serde::Value::Null
+            } else {
+                let json = r.str(payload.len(), verb.name)?;
+                serde_json::from_str(&json).map_err(|e| malformed(e.to_string()))?
+            };
+            Response::from_plain(verb, &value).map_err(malformed)?
         }
-    }
+    };
+    r.finish(verb.name).map(|()| resp)
 }
 
 #[cfg(test)]
@@ -615,10 +461,13 @@ mod tests {
     }
 
     fn decode_one_response(bytes: &[u8]) -> Response {
-        let mut asm = ResponseAssembler::new();
-        let (consumed, resp) = asm.feed(bytes, MAX_LINE_BYTES, |_| {}).expect("decodes");
-        assert_eq!(consumed, bytes.len(), "must consume every frame");
-        resp.expect("a completed response")
+        match decode_response(bytes) {
+            DecodeStep::Item(resp, consumed) => {
+                assert_eq!(consumed, bytes.len(), "must consume the whole frame");
+                resp
+            }
+            other => panic!("expected a response, got {other:?}"),
+        }
     }
 
     fn assert_refused(bytes: &[u8]) {
@@ -639,7 +488,8 @@ mod tests {
         assert_eq!(negotiate(b""), Negotiation::NeedMore);
         assert_eq!(negotiate(b"R"), Negotiation::NeedMore);
         assert_eq!(negotiate(b"RCNB"), Negotiation::NeedMore);
-        assert_eq!(negotiate(b"RCNB\x01"), Negotiation::Binary);
+        assert_eq!(negotiate(b"RCNB\x02"), Negotiation::Binary);
+        assert_eq!(negotiate(b"RCNB\x01"), Negotiation::BadVersion(1));
         assert_eq!(negotiate(b"RCNB\x07"), Negotiation::BadVersion(7));
         assert_eq!(negotiate(b"{\"verb\":"), Negotiation::Json);
         assert_eq!(negotiate(b"RX"), Negotiation::Json);
@@ -678,6 +528,22 @@ mod tests {
             let back = decode_one_response(&encoded_response(&resp));
             samples::assert_survived(&resp, &back);
         }
+        // One sample past 16 MiB: a reply frame has no length cap.
+        let mut data = samples::awkward_floats((16 << 20) / 4 + 1 - 8);
+        data.extend(samples::extremes());
+        let bits = |d: &[f32]| d.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        let sent = bits(&data);
+        let bytes = encoded_response(&Response::Infer {
+            shape: Shape4::new(1, 1, 1, data.len()),
+            data,
+            queue_ms: 0.25,
+            total_ms: 2.5,
+            batch_size: 3,
+        });
+        match decode_one_response(&bytes) {
+            Response::Infer { data, .. } => assert!(bits(&data) == sent, "bits differ"),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
@@ -693,44 +559,6 @@ mod tests {
             let json = Response::parse(&resp.to_json()).unwrap();
             assert_eq!(decode_one_response(&encoded_response(&resp)), json);
         }
-    }
-
-    #[test]
-    fn tiles_stream_before_the_response_completes() {
-        let data: Vec<f32> = (0..(TILE_SAMPLES * 2 + 100)).map(|i| i as f32).collect();
-        let bytes = encoded_response(&Response::Infer {
-            shape: Shape4::new(1, 1, 1, data.len()),
-            data: data.clone(),
-            queue_ms: 0.0,
-            total_ms: 0.0,
-            batch_size: 1,
-        });
-
-        // Feeding a truncated stream must already surface the complete
-        // tiles via the callback, before the response assembles.
-        let mut seen = Vec::new();
-        let mut asm = ResponseAssembler::new();
-        let (consumed, resp) = asm
-            .feed(&bytes[..bytes.len() - 1], MAX_LINE_BYTES, |t| {
-                seen.push((t.offset, t.data.len()));
-            })
-            .expect("truncated stream is not an error");
-        assert!(resp.is_none(), "the response must not complete early");
-        assert_eq!(seen.first(), Some(&(0, TILE_SAMPLES)));
-        assert_eq!(seen.len(), 3, "all complete tiles surface early");
-
-        // Feeding the remainder to the SAME assembler (processed frames
-        // are never re-fed) completes the response exactly.
-        let (_, resp) = asm
-            .feed(&bytes[consumed..], MAX_LINE_BYTES, |t| {
-                seen.push((t.offset, t.data.len()));
-            })
-            .expect("remainder decodes");
-        match resp.expect("now complete") {
-            Response::Infer { data: back, .. } => assert_eq!(back, data),
-            other => panic!("{other:?}"),
-        }
-        assert_eq!(seen.len(), 3, "no tile is surfaced twice");
     }
 
     #[test]

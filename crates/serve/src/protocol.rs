@@ -105,7 +105,8 @@ pub enum Body {
     Json(&'static str),
     /// Named JSON fields / the fixed binary `health` layout.
     Health,
-    /// Named JSON fields / the streamed begin, tile, end frames.
+    /// Named JSON fields / one frame of shape, timings, batch size and
+    /// the samples.
     Infer,
 }
 
@@ -118,8 +119,8 @@ pub struct Verb {
     pub name: &'static str,
     /// Verb byte of the request frame.
     pub request: u8,
-    /// Verb byte(s) of the success response frame(s), in stream order.
-    pub response: &'static [u8],
+    /// Verb byte of the success response frame.
+    pub response: u8,
     /// Layout of the success payload.
     pub body: Body,
     /// One line for the `docs/PROTOCOL.md` Verbs table.
@@ -133,7 +134,7 @@ pub const VERBS: [Verb; 7] = [
         id: VerbId::Infer,
         name: "infer",
         request: 0x01,
-        response: &[0x81, 0x82, 0x83],
+        response: 0x81,
         body: Body::Infer,
         purpose: "run one input through a model",
     },
@@ -141,7 +142,7 @@ pub const VERBS: [Verb; 7] = [
         id: VerbId::ListModels,
         name: "list_models",
         request: 0x02,
-        response: &[0x84],
+        response: 0x84,
         body: Body::Json("models"),
         purpose: "enumerate registered models",
     },
@@ -149,7 +150,7 @@ pub const VERBS: [Verb; 7] = [
         id: VerbId::Stats,
         name: "stats",
         request: 0x03,
-        response: &[0x85],
+        response: 0x85,
         body: Body::Json("stats"),
         purpose: "the stats snapshot",
     },
@@ -157,7 +158,7 @@ pub const VERBS: [Verb; 7] = [
         id: VerbId::Health,
         name: "health",
         request: 0x04,
-        response: &[0x86],
+        response: 0x86,
         body: Body::Health,
         purpose: "liveness/readiness probe",
     },
@@ -165,7 +166,7 @@ pub const VERBS: [Verb; 7] = [
         id: VerbId::Shutdown,
         name: "shutdown",
         request: 0x05,
-        response: &[0x87],
+        response: 0x87,
         body: Body::None,
         purpose: "drain and exit",
     },
@@ -173,7 +174,7 @@ pub const VERBS: [Verb; 7] = [
         id: VerbId::Reload,
         name: "reload",
         request: 0x06,
-        response: &[0x88],
+        response: 0x88,
         body: Body::Json("report"),
         purpose: "force a registry hot-reload pass",
     },
@@ -181,7 +182,7 @@ pub const VERBS: [Verb; 7] = [
         id: VerbId::Trace,
         name: "trace",
         request: 0x07,
-        response: &[0x89],
+        response: 0x89,
         body: Body::Json("slow"),
         purpose: "recent captured slow-request span trees",
     },
@@ -195,14 +196,11 @@ pub const ERROR_BYTE: u8 = 0xFE;
 /// carries a trailing `deadline_ms: f64 LE` after the sample data.
 pub const DEADLINE_FLAG: u8 = 0x80;
 
-// What the codecs index without a check: `Verb::of` a row by its id,
-// `frame` the begin/tile/end bytes of `infer` and byte 0 of the rest.
+// What `Verb::of` indexes without a check: a row by its id.
 const _: () = {
     let mut i = 0;
     while i < VERBS.len() {
         assert!(VERBS[i].id as usize == i, "VERBS rows follow VerbId order");
-        let infer = matches!(VERBS[i].body, Body::Infer);
-        assert!(VERBS[i].response.len() == if infer { 3 } else { 1 });
         i += 1;
     }
 };
@@ -1106,7 +1104,7 @@ pub(crate) mod samples {
     pub(crate) fn responses() -> Vec<Response> {
         vec![
             Response::Infer {
-                shape: Shape4::new(1, 1, 96, 96), // 9216 samples → 3 tiles
+                shape: Shape4::new(1, 1, 96, 96),
                 data: (0..9216).map(|i| i as f32 * 0.25).collect(),
                 queue_ms: 0.5,
                 total_ms: 1.5,

@@ -97,8 +97,9 @@ fn docs_relative_links_all_resolve() {
 /// width options, PR 13 the perf-regression gate; the simulator's own
 /// engine geometry, the runtime's batch and one-shot entry points, the
 /// simulator's whole-frame path, the facade's second FRCONV and the
-/// registry's format-tag peek (a parse of every file on every pass) went
-/// later. No document may still send a reader to them.
+/// registry's format-tag peek (a parse of every file on every pass) and
+/// the binary wire's tile stream went later. No document may still send
+/// a reader to them.
 #[test]
 fn docs_name_no_deleted_identifier() {
     let mut files = markdown_docs();
@@ -154,6 +155,9 @@ fn docs_name_no_deleted_identifier() {
             "Metrics::snapshot",
             "Scheduler::metrics",
             "record_submit",
+            "infer_streaming",
+            "ResponseAssembler",
+            "TILE_SAMPLES",
         ] {
             assert!(
                 !text.contains(gone),
@@ -286,18 +290,17 @@ fn protocol_table_diffs(doc: &str, verbs: &[Verb], codes: &[WireCode]) -> Vec<St
     let mut payload_rows = vec![format!("| {error} error | `code_len: u16 LE`… |")];
     for v in verbs {
         let (name, request, purpose) = (v.name, hex(&v.request), v.purpose);
-        let response: Vec<String> = v.response.iter().map(hex).collect();
-        let all = response.join("/");
+        let response = hex(&v.response);
         verb_rows.push(format!(
-            "| {name} | `{name}` | {request} | {all} | {purpose} |"
+            "| {name} | `{name}` | {request} | {response} | {purpose} |"
         ));
         let payload = match v.body {
-            Body::Infer => continue, // Its frames have a section of their own.
+            Body::Infer => continue, // Its frame has a section of its own.
             Body::None => "empty".to_string(),
             Body::Json(key) => format!("the JSON `{key}`…"),
             Body::Health => "`healthy: u8`…".to_string(),
         };
-        payload_rows.push(format!("| {} {name} | {payload} |", response[0]));
+        payload_rows.push(format!("| {response} {name} | {payload} |"));
     }
     let code_rows: Vec<String> = codes.iter().map(|(c, _)| format!("| `{c}` |")).collect();
     [
@@ -330,11 +333,11 @@ fn broken_protocol_tables_are_named_by_row_and_column() {
             "| plan | `plan` | `0x08` |\n| trace | `trace` |",
         );
     let mut verbs = VERBS;
-    verbs[2].response = &[0x95];
+    verbs[2].response = 0x95;
     let diffs = protocol_table_diffs(&doc, &verbs, &ServeError::CODES).join("\n");
     for diagnostic in [
         "Verbs: row infer, column request byte: the document says `0x02`, the code `0x01`",
-        "Verbs: row stats, column response byte(s): the document says `0x85`, the code `0x95`",
+        "Verbs: row stats, column response byte: the document says `0x85`, the code `0x95`",
         "Verbs: the code has no row plan",
         "Error codes: the document has no row `timeout`",
         "Error codes: the code has no row `time_out`",
@@ -389,10 +392,10 @@ fn deadline_rows_say_where_the_budget_is_checked() {
 
 #[test]
 fn documented_preamble_and_simple_verb_frames_match_the_codec() {
-    // PROTOCOL.md: the client preamble is the 5 bytes `RCNB` + 0x01.
+    // PROTOCOL.md: the client preamble is the 5 bytes `RCNB` + 0x02.
     let mut preamble = Vec::new();
     frame::encode_preamble(&mut preamble);
-    assert_eq!(preamble, b"RCNB\x01", "documented preamble bytes");
+    assert_eq!(preamble, b"RCNB\x02", "documented preamble bytes");
 
     // PROTOCOL.md: a body-less request frame is `len=1 (u32 LE)` + verb
     // byte; `list_models` is verb 0x02.

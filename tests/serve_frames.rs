@@ -4,7 +4,7 @@
 //! panic, never a stalled reactor.
 //!
 //! Codec-level properties exercise `frame::{decode_request,
-//! ResponseAssembler}` and the line codec's `Request::parse` /
+//! decode_response}` and the line codec's `Request::parse` /
 //! `Response::parse` directly; transport-level properties drive a live
 //! server (or a live client) through raw sockets.
 
@@ -126,14 +126,13 @@ fn read_binary_response(stream: &mut TcpStream) -> Result<Response, ServeError> 
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-    let mut asm = frame::ResponseAssembler::new();
     let mut inbuf = Vec::new();
     let mut chunk = [0u8; 4096];
     loop {
-        let (consumed, resp) = asm.feed(&inbuf, 16 << 20, |_| {})?;
-        inbuf.drain(..consumed);
-        if let Some(resp) = resp {
-            return Ok(resp);
+        match frame::decode_response(&inbuf) {
+            DecodeStep::Item(resp, _) => return Ok(resp),
+            DecodeStep::Fail(e) => return Err(e),
+            DecodeStep::Incomplete => {}
         }
         match stream.read(&mut chunk) {
             Ok(0) => return Err(ServeError::Io("closed".into())),
@@ -242,8 +241,7 @@ proptest! {
     fn random_garbage_never_panics_any_decoder(bytes in collection::vec(0u8..=255u8, 64)) {
         let _ = frame::negotiate(&bytes);
         let _ = frame::decode_request(&bytes, 4096);
-        let mut asm = frame::ResponseAssembler::new();
-        let _ = asm.feed(&bytes, 4096, |_| {});
+        let _ = frame::decode_response(&bytes);
         line_decoders_answer(&bytes);
     }
 
@@ -263,8 +261,8 @@ proptest! {
     }
 
     /// A declared body length beyond the cap fails immediately as
-    /// `bad_request` on both the request and response decoders — the
-    /// decoder must not wait for (or allocate) the oversized body.
+    /// `bad_request` on the request decoder — the decoder must not wait
+    /// for (or allocate) the oversized body.
     #[test]
     fn oversized_declared_lengths_fail_immediately(excess in 1u32..1_000_000) {
         let max = 4096usize;
@@ -274,17 +272,13 @@ proptest! {
             DecodeStep::Fail(e) => prop_assert_eq!(e.code(), "bad_request"),
             _ => panic!("oversized frame must fail"),
         }
-        let mut asm = frame::ResponseAssembler::new();
-        match asm.feed(&buf, max, |_| {}) {
-            Err(e) => prop_assert_eq!(e.code(), "bad_request"),
-            Ok(_) => panic!("oversized response frame must fail"),
-        }
     }
 }
 
-/// A declared `shape` is untrusted: a line claiming 2^40 samples and
-/// carrying one is refused by the sample count, and nothing it allocates
-/// is sized from the shape (a 4 TiB request would abort the process).
+/// A declared `shape` is untrusted: a line or a reply frame claiming
+/// 2^40 samples and carrying one is refused by the sample count, and
+/// nothing it allocates is sized from the shape (a 4 TiB request would
+/// abort the process).
 #[test]
 fn a_huge_shape_with_one_sample_is_refused_without_allocating_for_it() {
     let line = r#"{"verb":"infer","model":"m","shape":[1048576,1048576,1,1],"data":[0.5]}"#;
@@ -300,13 +294,27 @@ fn a_huge_shape_with_one_sample_is_refused_without_allocating_for_it() {
     let (parsed, largest) = largest_block(|| Response::parse(&line));
     assert!(parsed.is_err(), "{parsed:?}");
     assert!(largest < 4 * line.len(), "a {largest}-byte block");
+
+    // The binary reply: a `0x81` frame with the same shape and sample.
+    let lying = Response::Infer {
+        shape: Shape4::new(1 << 20, 1 << 20, 1, 1),
+        data: vec![0.5],
+        queue_ms: 0.0,
+        total_ms: 0.0,
+        batch_size: 1,
+    };
+    let mut bytes = Vec::new();
+    frame::encode_response(&lying, &mut bytes);
+    let (decoded, largest) = largest_block(|| frame::decode_response(&bytes));
+    assert!(matches!(decoded, DecodeStep::Fail(_)), "{decoded:?}");
+    assert!(largest < 4 * bytes.len(), "a {largest}-byte block");
 }
 
 // --- Transport-level properties (live server, raw sockets) -----------------
 
 /// A server that never ends its response line: the client refuses the
-/// line once it passes [`MAX_LINE_BYTES`], the way the frame assembler
-/// refuses an oversized frame, instead of buffering without bound.
+/// line once it passes [`MAX_LINE_BYTES`] instead of buffering without
+/// bound.
 #[test]
 fn an_endless_response_line_is_refused_at_the_cap() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -521,18 +529,21 @@ fn bad_magic_falls_back_to_json_and_bad_version_is_refused() {
     assert!(line.contains("\"healthy\":true"), "{line}");
     drop(stream);
 
-    // Correct magic, version 7: binary error frame, then close.
-    let mut stream = TcpStream::connect(&addr).unwrap();
-    let mut preamble = frame::MAGIC.to_vec();
-    preamble.push(7);
-    stream.write_all(&preamble).unwrap();
-    match read_binary_response(&mut stream) {
-        Ok(Response::Error(e)) => {
-            assert_eq!(e.code(), "bad_request", "{e}");
-            assert!(e.to_string().contains("version"), "{e}");
+    // Correct magic, version 7 or the retired version 1: binary error
+    // frame, then close.
+    for version in [7, 1] {
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        let mut preamble = frame::MAGIC.to_vec();
+        preamble.push(version);
+        stream.write_all(&preamble).unwrap();
+        match read_binary_response(&mut stream) {
+            Ok(Response::Error(e)) => {
+                assert_eq!(e.code(), "bad_request", "{e}");
+                assert!(e.to_string().contains("version"), "{e}");
+            }
+            other => panic!("expected version error frame, got {other:?}"),
         }
-        other => panic!("expected version error frame, got {other:?}"),
+        read_to_eof(&mut stream);
     }
-    read_to_eof(&mut stream);
     server.shutdown();
 }
