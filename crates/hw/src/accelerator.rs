@@ -35,26 +35,38 @@ impl AcceleratorConfig {
         }
     }
 
-    /// eRingCNN with n = 2 (50% sparsity).
-    pub fn eringcnn_n2() -> Self {
+    /// eRingCNN over `RI_n` at `clock_hz`, for any power-of-two `n ≤ 32`
+    /// (`n = 1` is [`AcceleratorConfig::ecnn`] at that clock). Weight
+    /// memory scales as `1/n` from the eCNN 1280 KB with the paper's 1.5×
+    /// no-compression margin: 960 KB at n = 2, 480 KB at n = 4.
+    pub fn eringcnn(n: usize, clock_hz: f64) -> Self {
+        assert!(
+            n.is_power_of_two() && n <= 32,
+            "n must be a power of two ≤ 32"
+        );
+        if n == 1 {
+            return Self {
+                clock_hz,
+                ..Self::ecnn()
+            };
+        }
         Self {
-            name: "eRingCNN-n2".into(),
-            ring: RingKind::Ri(2),
+            name: format!("eRingCNN-n{n}"),
+            ring: RingKind::Ri(n),
             nonlinearity: Nonlinearity::DirectionalH,
-            weight_mem_kb: 960.0,
-            clock_hz: 250.0e6,
+            weight_mem_kb: 1280.0 * 1.5 / n as f64,
+            clock_hz,
         }
     }
 
-    /// eRingCNN with n = 4 (75% sparsity).
+    /// eRingCNN with n = 2 (50% sparsity) at 250 MHz.
+    pub fn eringcnn_n2() -> Self {
+        Self::eringcnn(2, 250.0e6)
+    }
+
+    /// eRingCNN with n = 4 (75% sparsity) at 250 MHz.
     pub fn eringcnn_n4() -> Self {
-        Self {
-            name: "eRingCNN-n4".into(),
-            ring: RingKind::Ri(4),
-            nonlinearity: Nonlinearity::DirectionalH,
-            weight_mem_kb: 480.0,
-            clock_hz: 250.0e6,
-        }
+        Self::eringcnn(4, 250.0e6)
     }
 
     /// Ring dimension (1 = eCNN, the real-valued backbone).
@@ -295,6 +307,12 @@ mod tests {
             AcceleratorConfig::eringcnn_n4().physical_multipliers(),
             20480
         );
+    }
+
+    #[test]
+    fn eringcnn_rejects_bad_n() {
+        let r = std::panic::catch_unwind(|| AcceleratorConfig::eringcnn(3, 250e6));
+        assert!(r.is_err());
     }
 
     #[test]

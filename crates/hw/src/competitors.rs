@@ -8,7 +8,7 @@
 //! analytical model (`accelerator`/`energy`).
 
 use crate::accelerator::{layout_report, AcceleratorConfig};
-use crate::energy::{at_clock, operating_point};
+use crate::energy::operating_point;
 use crate::params::TechParams;
 use serde::{Deserialize, Serialize};
 
@@ -120,10 +120,10 @@ pub fn table7(t: &TechParams) -> Vec<DiffyComparisonRow> {
     let pixels_per_second = 1920.0 * 1080.0 * 20.0;
     // FFDNet-level equivalent complexity at Full-HD 20 fps with the
     // engines at 167 MHz: mults/pixel = macs/s ÷ pixel rate.
-    let n2 = at_clock(&AcceleratorConfig::eringcnn_n2(), clock);
+    let n2 = AcceleratorConfig::eringcnn(2, clock);
     let mults_per_pixel = n2.equivalent_macs_per_cycle() as f64 * clock / pixels_per_second;
     let p2 = operating_point(&n2, mults_per_pixel, t);
-    let n4 = at_clock(&AcceleratorConfig::eringcnn_n4(), clock);
+    let n4 = AcceleratorConfig::eringcnn(4, clock);
     let p4 = operating_point(&n4, mults_per_pixel, t);
     // Diffy anchor: paper ratio 2.71× against our n2 point.
     let diffy_nj = p2.nj_per_pixel * published::VS_DIFFY.0;

@@ -43,32 +43,6 @@ pub fn operating_point(
     }
 }
 
-/// A quality-energy curve: for each compact model configuration (given as
-/// `(label, equivalent mults/pixel, psnr)`), the energy point on `cfg`.
-pub fn quality_energy_curve(
-    cfg: &AcceleratorConfig,
-    models: &[(String, f64, f64)],
-    t: &TechParams,
-) -> Vec<(EnergyPoint, f64)> {
-    models
-        .iter()
-        .map(|(label, mults, psnr)| {
-            let mut p = operating_point(cfg, *mults, t);
-            p.accelerator = format!("{} [{}]", cfg.name, label);
-            (p, *psnr)
-        })
-        .collect()
-}
-
-/// Scales a configuration's clock (Table VII runs at 167 MHz); power in
-/// this model scales linearly with frequency.
-pub fn at_clock(cfg: &AcceleratorConfig, clock_hz: f64) -> AcceleratorConfig {
-    AcceleratorConfig {
-        clock_hz,
-        ..cfg.clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,8 +77,8 @@ mod tests {
         // the FFDNet-level Full-HD 20 fps operating point (167 MHz).
         let clock = 167.0e6;
         let m = 850_000.0; // FFDNet-level equivalent mults/pixel (arbitrary common value)
-        let e2 = operating_point(&at_clock(&AcceleratorConfig::eringcnn_n2(), clock), m, &t());
-        let e4 = operating_point(&at_clock(&AcceleratorConfig::eringcnn_n4(), clock), m, &t());
+        let e2 = operating_point(&AcceleratorConfig::eringcnn(2, clock), m, &t());
+        let e4 = operating_point(&AcceleratorConfig::eringcnn(4, clock), m, &t());
         let ratio = e2.nj_per_pixel / e4.nj_per_pixel;
         assert!((1.45..=1.95).contains(&ratio), "ratio {ratio}");
     }

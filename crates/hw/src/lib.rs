@@ -35,8 +35,8 @@ pub mod prelude {
         LayoutReport,
     };
     pub use crate::competitors::{table7, table8, DiffyComparisonRow, SparsityAcceleratorRow};
-    pub use crate::energy::{at_clock, operating_point, quality_energy_curve, EnergyPoint};
+    pub use crate::energy::{operating_point, EnergyPoint};
     pub use crate::engine::{estimate_engine, fig12_engines, EngineEstimate, EnginePass};
     pub use crate::params::TechParams;
-    pub use crate::sweep::{config_for, sweep_n, SweepPoint};
+    pub use crate::sweep::{sweep_n, SweepPoint};
 }

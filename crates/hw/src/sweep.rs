@@ -5,8 +5,6 @@
 
 use crate::accelerator::{layout_report, AcceleratorConfig};
 use crate::params::TechParams;
-use ringcnn_algebra::relu::Nonlinearity;
-use ringcnn_algebra::ring::RingKind;
 use serde::{Deserialize, Serialize};
 
 /// One sweep point.
@@ -29,34 +27,11 @@ pub struct SweepPoint {
     pub overhead_fraction: f64,
 }
 
-/// An eRingCNN-style configuration for arbitrary power-of-two `n`
-/// (weight memory scales as `1/n` from the eCNN 1280 KB with the paper's
-/// 1.5× no-compression margin).
-pub fn config_for(n: usize, clock_hz: f64) -> AcceleratorConfig {
-    assert!(
-        n.is_power_of_two() && n <= 32,
-        "n must be a power of two ≤ 32"
-    );
-    if n == 1 {
-        return AcceleratorConfig {
-            clock_hz,
-            ..AcceleratorConfig::ecnn()
-        };
-    }
-    AcceleratorConfig {
-        name: format!("eRingCNN-n{n}"),
-        ring: RingKind::Ri(n),
-        nonlinearity: Nonlinearity::DirectionalH,
-        weight_mem_kb: 1280.0 * 1.5 / n as f64,
-        clock_hz,
-    }
-}
-
 /// Sweeps ring dimensions at the reference clock.
 pub fn sweep_n(ns: &[usize], t: &TechParams) -> Vec<SweepPoint> {
     ns.iter()
         .map(|&n| {
-            let cfg = config_for(n, t.clock_hz);
+            let cfg = AcceleratorConfig::eringcnn(n, t.clock_hz);
             let r = layout_report(&cfg, t);
             let conv_area = r.breakdown[0].area_mm2;
             SweepPoint {
@@ -104,11 +79,5 @@ mod tests {
         let save_12 = pts[0].power_w - pts[1].power_w;
         let save_816 = pts[3].power_w - pts[4].power_w;
         assert!(save_12 > 4.0 * save_816);
-    }
-
-    #[test]
-    fn config_for_rejects_bad_n() {
-        let r = std::panic::catch_unwind(|| config_for(3, 250e6));
-        assert!(r.is_err());
     }
 }

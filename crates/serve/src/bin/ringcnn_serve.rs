@@ -14,7 +14,7 @@
 //!                                     # ringcnn-qmodel/v1 each) and exit
 //! ```
 //!
-//! `--reload-poll-ms N` (N > 0) starts the hot-reload watcher: changed
+//! `--reload-poll-ms N` (N > 0) makes the server poll for reloads: changed
 //! or added model files under `--models` are swapped in atomically
 //! without dropping a request. A client can also force a pass with the
 //! `reload` verb. `--demo-seed` varies the exported demo weights, which

@@ -38,6 +38,7 @@ use crate::frame;
 use crate::lock_unpoisoned;
 use crate::poll::{Event, Mode, Poller, Waker};
 use crate::protocol::{find_newline, HealthReply, Request, Response, Wire};
+use crate::registry::ReloadReport;
 use crate::scheduler::Done;
 use crate::server::ServerShared;
 use ringcnn_trace::span;
@@ -47,6 +48,7 @@ use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::{SendError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -78,6 +80,10 @@ impl Notify {
         self.waker.wake();
     }
 }
+
+/// A `reload` verb's reply, sent to the server's reload thread, which
+/// calls it with the result of the pass it ran for the verb.
+pub(crate) type ReloadJob = Box<dyn FnOnce(Result<ReloadReport, ServeError>) + Send>;
 
 /// What the connection has negotiated so far.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -153,6 +159,9 @@ pub(crate) struct Reactor {
     next_token: u64,
     shared: Arc<ServerShared>,
     notify: Arc<Notify>,
+    /// The only sender to the reload thread: dropping the reactor when
+    /// [`Reactor::run`] returns is what stops that thread.
+    reload: Sender<ReloadJob>,
     max_frame: usize,
 }
 
@@ -161,6 +170,7 @@ impl Reactor {
         listener: TcpListener,
         shared: Arc<ServerShared>,
         max_frame: usize,
+        reload: Sender<ReloadJob>,
     ) -> io::Result<Reactor> {
         let poller = Poller::new()?;
         listener.set_nonblocking(true)?;
@@ -180,6 +190,7 @@ impl Reactor {
             next_token: FIRST_CONN_TOKEN,
             shared,
             notify,
+            reload,
             max_frame,
         })
     }
@@ -317,7 +328,13 @@ impl Reactor {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        process_inbuf(conn, &self.shared, &self.notify, self.max_frame);
+        process_inbuf(
+            conn,
+            &self.shared,
+            &self.notify,
+            &self.reload,
+            self.max_frame,
+        );
         let closable = {
             let mut out = lock_unpoisoned(conn.out.lock());
             if flush_out(&mut conn.stream, &mut out).is_err() {
@@ -374,6 +391,7 @@ fn process_inbuf(
     conn: &mut Conn,
     shared: &Arc<ServerShared>,
     notify: &Arc<Notify>,
+    reload: &Sender<ReloadJob>,
     max_frame: usize,
 ) {
     loop {
@@ -444,7 +462,7 @@ fn process_inbuf(
                     continue;
                 };
                 match parsed {
-                    Ok(req) => dispatch(req, conn, wire, shared, notify, decode_start_us),
+                    Ok(req) => dispatch(req, conn, wire, shared, notify, reload, decode_start_us),
                     // Matches the old server: a malformed line gets an
                     // error response but the connection survives (the
                     // newline resynchronizes the stream).
@@ -460,7 +478,7 @@ fn process_inbuf(
                     frame::DecodeStep::Incomplete => return,
                     frame::DecodeStep::Item(req, consumed) => {
                         conn.inbuf.drain(..consumed);
-                        dispatch(req, conn, wire, shared, notify, decode_start_us);
+                        dispatch(req, conn, wire, shared, notify, reload, decode_start_us);
                     }
                     // Any refused frame — a bad length prefix (no way to
                     // resynchronize) or an intact frame with a bad
@@ -476,7 +494,8 @@ fn process_inbuf(
 }
 
 /// Answers one request: control verbs inline on the reactor thread,
-/// `infer` through the scheduler with a worker-side completion.
+/// `infer` through the scheduler with a worker-side completion, and
+/// `reload` on the server's reload thread.
 /// `decode_start_us` is the trace-clock stamp taken just before the
 /// request was parsed off the input buffer (the `decode` span's start).
 fn dispatch(
@@ -485,6 +504,7 @@ fn dispatch(
     wire: Wire,
     shared: &Arc<ServerShared>,
     notify: &Arc<Notify>,
+    reload: &Sender<ReloadJob>,
     decode_start_us: u64,
 ) {
     let resp = match req {
@@ -588,7 +608,7 @@ fn dispatch(
         }
         Request::Reload => {
             // A reload pass reads and parses model files — far too slow
-            // for the reactor thread. Run it on a short-lived thread,
+            // for the reactor thread. The server's reload thread runs it,
             // reusing the in-flight (`busy`) machinery so this
             // connection's responses stay ordered; other connections
             // keep being serviced meanwhile.
@@ -596,29 +616,22 @@ fn dispatch(
             let out = conn.out.clone();
             let notify = notify.clone();
             let token = conn.token;
-            let shared = shared.clone();
-            let spawned = std::thread::Builder::new()
-                .name("serve-reload".into())
-                .spawn(move || {
-                    let resp = match shared.scheduler.registry().reload_pass() {
-                        Ok(report) => Response::Reload(report),
-                        Err(e) => Response::Error(e),
-                    };
-                    let mut out = lock_unpoisoned(out.lock());
-                    encode_into(&resp, wire, &mut out.buf);
-                    out.busy = false;
-                    drop(out);
-                    notify.completed(token);
-                });
-            match spawned {
-                Ok(_) => return, // Answered asynchronously.
-                Err(e) => {
-                    lock_unpoisoned(conn.out.lock()).busy = false;
-                    Response::Error(ServeError::Internal(format!(
-                        "cannot spawn reload thread: {e}"
-                    )))
-                }
+            let job: ReloadJob = Box::new(move |result| {
+                let resp = match result {
+                    Ok(report) => Response::Reload(report),
+                    Err(e) => Response::Error(e),
+                };
+                let mut out = lock_unpoisoned(out.lock());
+                encode_into(&resp, wire, &mut out.buf);
+                out.busy = false;
+                drop(out);
+                notify.completed(token);
+            });
+            // The thread outlives this sender unless a pass panicked.
+            if let Err(SendError(job)) = reload.send(job) {
+                job(Err(ServeError::Internal("reload thread stopped".into())));
             }
+            return; // Answered asynchronously.
         }
         Request::Health => Response::Health(HealthReply {
             healthy: !shared.shutdown.load(Ordering::SeqCst),

@@ -278,47 +278,6 @@ impl ModelEntry {
         }
     }
 
-    /// The output shape an input of shape `s` produces.
-    ///
-    /// The `h·sn/sd` divisions here are exact for any input that passed
-    /// [`ModelEntry::validate_input`] — granularity *implies*
-    /// divisibility. Proof: every step of `ModelTopo::fold` reduces the
-    /// input-pixels-per-pixel fraction and then folds its numerator into
-    /// the granularity (`granularity = lcm(granularity, ipp.0)`), and the
-    /// fold reports `scale = (ipp.1, ipp.0)` — so the scale denominator
-    /// `sd` is the final `ipp.0`, which the last step lcm'd into the
-    /// granularity. Hence `sd | granularity`,
-    /// and `granularity | h` (validated) gives `sd | h`. The
-    /// `debug_assert!`s below pin that invariant; [`validate_input`]
-    /// re-checks it defensively in release builds so a topology that ever
-    /// breaks the proof rejects the request instead of silently
-    /// truncating the advertised output shape.
-    ///
-    /// [`validate_input`]: ModelEntry::validate_input
-    pub fn output_shape(&self, s: Shape4) -> Shape4 {
-        let (sn, sd) = self.topo.scale;
-        debug_assert_eq!(
-            (s.h * sn) % sd,
-            0,
-            "output height {}·{sn}/{sd} must divide exactly (granularity {})",
-            s.h,
-            self.topo.granularity
-        );
-        debug_assert_eq!(
-            (s.w * sn) % sd,
-            0,
-            "output width {}·{sn}/{sd} must divide exactly (granularity {})",
-            s.w,
-            self.topo.granularity
-        );
-        Shape4::new(
-            s.n,
-            self.model.out_channels(s.c),
-            s.h * sn / sd,
-            s.w * sn / sd,
-        )
-    }
-
     /// Checks that a request input is one this model can run: the
     /// spec's I/O channel count and spatial sizes aligned to the model
     /// granularity (pixel-unshuffle parity).
@@ -347,11 +306,9 @@ impl ModelEntry {
                 self.name, s.h, s.w
             )));
         }
-        // Granularity implies scale divisibility (see the proof on
-        // [`ModelEntry::output_shape`]) — but the advertised output shape
-        // must never silently truncate, so re-check the conclusion here
-        // and reject instead of rounding down if a future topology ever
-        // violates it.
+        // Granularity implies `sd | h`: the topology fold lcm's the scale
+        // denominator into the granularity. This is outside input, so
+        // re-check it and reject rather than truncate the output size.
         let (sn, sd) = self.topo.scale;
         if (s.h * sn) % sd != 0 || (s.w * sn) % sd != 0 {
             return Err(ServeError::BadRequest(format!(
@@ -821,7 +778,6 @@ mod tests {
             entry.infer(&x).as_slice(),
             reference.forward(&x, false).as_slice()
         );
-        assert_eq!(entry.output_shape(x.shape()), x.shape());
         assert!(entry.num_params() > 0);
         // Duplicate names are rejected.
         let err = reg
@@ -887,11 +843,12 @@ mod tests {
         assert_eq!(entry.topo().scale, (4, 1));
         let odd = Shape4::new(1, 1, 7, 9);
         entry.validate_input(odd).expect("odd sizes are aligned");
-        let out = entry.output_shape(odd);
-        assert_eq!((out.h, out.w), (28, 36), "exact 4x, no truncation");
-        // The advertised shape matches what inference actually produces.
         let y = entry.infer(&Tensor::random_uniform(odd, 0.0, 1.0, 3));
-        assert_eq!(y.shape(), out);
+        assert_eq!(
+            y.shape(),
+            Shape4::new(1, 1, 28, 36),
+            "exact 4x, no truncation"
+        );
     }
 
     #[test]

@@ -1,27 +1,32 @@
-//! The TCP front end: binds, spawns the event reactor, and exposes
-//! the service lifecycle (start / trigger_shutdown / wait).
+//! The TCP front end: binds, spawns the event reactor and the reload
+//! thread, and exposes the service lifecycle (start / trigger_shutdown /
+//! wait).
 //!
 //! All connection handling lives in the private `reactor` module: one nonblocking
 //! event loop serves every connection (idle connections cost zero
 //! wakeups), speaking line-JSON or the binary frame protocol per
-//! connection as negotiated on its first bytes. Shutdown is graceful:
-//! the `shutdown` verb (or [`Server::trigger_shutdown`]) wakes the
-//! reactor through the poller's wakeup fd — not by connecting to the
-//! server's own address, which never worked on `0.0.0.0` binds — stops
-//! accepting, answers and flushes every in-flight request, closes every
-//! connection, then drains and joins the scheduler.
+//! connection as negotiated on its first bytes. One reload
+//! thread runs every registry reload pass, one at a time: each `reload`
+//! verb's and, with [`ServerConfig::reload_poll`], a polling one.
+//! Shutdown is graceful: the `shutdown` verb (or
+//! [`Server::trigger_shutdown`]) wakes the reactor through the poller's
+//! wakeup fd — not by connecting to the server's own address, which
+//! never worked on `0.0.0.0` binds — stops accepting, answers and
+//! flushes every in-flight request, closes every connection, then joins
+//! the reload thread and drains and joins the scheduler.
 
 use crate::error::ServeError;
-use crate::lock_unpoisoned;
 use crate::protocol::ModelInfo;
-use crate::reactor::{Notify, Reactor};
+use crate::reactor::{Notify, Reactor, ReloadJob};
 use crate::registry::{ModelRegistry, Precision, PRECISIONS};
 use crate::scheduler::{Scheduler, SchedulerConfig};
 use ringcnn_trace::{rc_info, rc_warn};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Default longest accepted request (16 MiB ≈ a 2-megapixel float frame
@@ -40,11 +45,11 @@ pub struct ServerConfig {
     /// Longest accepted request: one JSON line, or one binary frame
     /// body. Defaults to [`MAX_LINE_BYTES`].
     pub max_frame_bytes: usize,
-    /// When set, a watcher thread runs a registry
-    /// [`ModelRegistry::reload_pass`] at this interval, hot-reloading
-    /// changed or added model files without a client having to send the
-    /// `reload` verb. `None` (the default) disables polling; `reload`
-    /// still works on demand.
+    /// When set, the server's reload thread also runs a registry
+    /// [`ModelRegistry::reload_pass`] whenever this long passes without a
+    /// `reload` verb, hot-reloading changed or added model files without
+    /// a client having to ask. `None` (the default) disables polling;
+    /// `reload` still works on demand, on the same thread.
     pub reload_poll: Option<Duration>,
 }
 
@@ -96,22 +101,14 @@ impl ServerShared {
     }
 }
 
-/// Stop signal for the reload watcher thread: flag + condvar so
-/// shutdown interrupts the poll sleep immediately.
-struct WatcherStop {
-    stopped: Mutex<bool>,
-    cv: Condvar,
-}
-
 /// A running server. Dropping the handle does NOT stop it — call
 /// [`Server::shutdown`] (or let a client send the `shutdown` verb and
 /// then [`Server::wait`]).
 pub struct Server {
     shared: Arc<ServerShared>,
     notify: Arc<Notify>,
-    reactor_thread: Option<std::thread::JoinHandle<()>>,
-    watcher_stop: Option<Arc<WatcherStop>>,
-    watcher_thread: Option<std::thread::JoinHandle<()>>,
+    reactor_thread: JoinHandle<()>,
+    reload_thread: JoinHandle<()>,
 }
 
 impl Server {
@@ -121,22 +118,21 @@ impl Server {
     ///
     /// [`ServeError::Io`] when the address cannot be bound (or the
     /// poller cannot be created); [`ServeError::Internal`] when the
-    /// reactor thread cannot be spawned — in that case nothing is left
-    /// running and the address is released.
+    /// reload or the reactor thread cannot be spawned — in that case
+    /// nothing is left running and the address is released.
     pub fn start(registry: Arc<ModelRegistry>, cfg: ServerConfig) -> Result<Server, ServeError> {
-        Self::start_impl(registry, cfg, |reactor| {
-            std::thread::Builder::new()
-                .name("serve-reactor".into())
-                .spawn(move || reactor.run())
+        Self::start_impl(registry, cfg, |name, body| {
+            std::thread::Builder::new().name(name.into()).spawn(body)
         })
     }
 
-    /// [`Server::start`] with an injectable reactor-thread spawner, so
-    /// the spawn-failure path (thread exhaustion) is testable.
+    /// [`Server::start`] with an injectable spawner for every thread it
+    /// starts (a name and a body), so each spawn-failure path (thread
+    /// exhaustion) is testable.
     fn start_impl(
         registry: Arc<ModelRegistry>,
         cfg: ServerConfig,
-        spawner: impl FnOnce(Reactor) -> io::Result<std::thread::JoinHandle<()>>,
+        mut spawner: impl FnMut(&str, Box<dyn FnOnce() + Send>) -> io::Result<JoinHandle<()>>,
     ) -> Result<Server, ServeError> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
@@ -145,7 +141,9 @@ impl Server {
             shutdown: AtomicBool::new(false),
             addr,
         });
-        let reactor = match Reactor::new(listener, shared.clone(), cfg.max_frame_bytes.max(1)) {
+        let (reload_tx, reload_rx) = mpsc::channel();
+        let max_frame = cfg.max_frame_bytes.max(1);
+        let reactor = match Reactor::new(listener, shared.clone(), max_frame, reload_tx) {
             Ok(r) => r,
             Err(e) => {
                 shared.scheduler.shutdown();
@@ -153,38 +151,37 @@ impl Server {
             }
         };
         let notify = reactor.notify();
-        match spawner(reactor) {
-            Ok(handle) => {
-                let (watcher_stop, watcher_thread) = match cfg.reload_poll {
-                    Some(interval) => {
-                        let stop = Arc::new(WatcherStop {
-                            stopped: Mutex::new(false),
-                            cv: Condvar::new(),
-                        });
-                        let thread = spawn_reload_watcher(shared.clone(), stop.clone(), interval);
-                        (Some(stop), thread)
-                    }
-                    None => (None, None),
-                };
-                Ok(Server {
-                    shared,
-                    notify,
-                    reactor_thread: Some(handle),
-                    watcher_stop,
-                    watcher_thread,
-                })
-            }
-            Err(e) => {
-                // The failed spawn dropped the reactor — and with it the
-                // bound listener — so the address is already released.
-                // Stop the scheduler workers too: no half-started server
-                // survives this path.
+        let mut spawn = |name: &str, body: Box<dyn FnOnce() + Send>| {
+            spawner(name, body).map_err(|e| {
+                // No half-started server survives a failed spawn: stop
+                // the scheduler workers too.
                 shared.scheduler.shutdown();
-                Err(ServeError::Internal(format!(
-                    "cannot spawn reactor thread for {addr}: {e}"
-                )))
+                ServeError::Internal(format!("cannot spawn {name} thread for {addr}: {e}"))
+            })
+        };
+        // The reload thread first: it returns once the reactor's sender
+        // is dropped, so a failed reactor spawn below stops it too. If it
+        // cannot spawn, returning drops the reactor and its listener.
+        let runner_shared = shared.clone();
+        let reload_thread = spawn(
+            "serve-reload",
+            Box::new(move || run_reloads(&runner_shared, &reload_rx, cfg.reload_poll)),
+        )?;
+        // A failed spawn drops the reactor, and with it the listener and
+        // the channel's one sender.
+        let reactor_thread = match spawn("serve-reactor", Box::new(move || reactor.run())) {
+            Ok(handle) => handle,
+            Err(e) => {
+                let _ = reload_thread.join();
+                return Err(e);
             }
-        }
+        };
+        Ok(Server {
+            shared,
+            notify,
+            reactor_thread,
+            reload_thread,
+        })
     }
 
     /// The bound address (useful with an ephemeral `:0` port).
@@ -205,20 +202,13 @@ impl Server {
         self.notify.wake();
     }
 
-    /// Blocks until the server has fully stopped: reload watcher (if
-    /// any) and reactor joined (every connection answered, flushed, and
-    /// closed), scheduler drained and joined.
-    pub fn wait(mut self) {
-        if let Some(stop) = self.watcher_stop.take() {
-            *lock_unpoisoned(stop.stopped.lock()) = true;
-            stop.cv.notify_all();
-        }
-        if let Some(h) = self.watcher_thread.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.reactor_thread.take() {
-            let _ = h.join();
-        }
+    /// Blocks until the server has fully stopped: reactor joined (every
+    /// connection answered, flushed, and closed), then the reload thread
+    /// (it returns once the reactor has dropped its sender), then the
+    /// scheduler drained and joined.
+    pub fn wait(self) {
+        let _ = self.reactor_thread.join();
+        let _ = self.reload_thread.join();
         self.shared.scheduler.shutdown();
     }
 
@@ -229,51 +219,43 @@ impl Server {
     }
 }
 
-/// The polling hot-reload watcher: sleep on the stop condvar for one
-/// interval, run a reload pass, repeat. A failed pass (torn write being
-/// raced, transient I/O) is logged at `warn` and retried next
-/// interval — the registry's content fingerprints only advance on
-/// success, so nothing is lost.
-fn spawn_reload_watcher(
-    shared: Arc<ServerShared>,
-    stop: Arc<WatcherStop>,
-    interval: Duration,
-) -> Option<std::thread::JoinHandle<()>> {
-    std::thread::Builder::new()
-        .name("serve-reload-watch".into())
-        .spawn(move || loop {
-            {
-                let mut stopped = lock_unpoisoned(stop.stopped.lock());
-                while !*stopped {
-                    let (guard, timeout) = lock_unpoisoned(stop.cv.wait_timeout(stopped, interval));
-                    stopped = guard;
-                    if timeout.timed_out() {
-                        break;
-                    }
-                }
-                if *stopped {
-                    return;
-                }
-            }
-            match shared.scheduler.registry().reload_pass() {
-                Ok(report) if !report.is_noop() => {
-                    rc_info!(
-                        "reload-watch",
-                        "reloaded models",
-                        reloaded = format!("{:?}", report.reloaded),
-                        added = format!("{:?}", report.added),
-                        unchanged = report.unchanged,
-                    );
-                }
-                Ok(_) => {}
-                Err(e) => rc_warn!(
-                    "reload-watch",
-                    "pass failed (will retry)",
-                    error = e.to_string()
-                ),
-            }
-        })
-        .ok()
+/// The server's one reload thread: runs a registry
+/// [`ModelRegistry::reload_pass`] for every `reload` verb the reactor
+/// sends down `jobs`, one at a time, and hands the job the result. With
+/// `poll`, a wait that times out runs a pass too. A failed polling pass
+/// (a torn write being raced, transient I/O) is logged at `warn` and
+/// retried next interval — the registry's content fingerprints only
+/// advance on success, so nothing is lost. Returns once the reactor has
+/// dropped the channel's sender.
+fn run_reloads(shared: &ServerShared, jobs: &Receiver<ReloadJob>, poll: Option<Duration>) {
+    loop {
+        let next = match poll {
+            Some(interval) => jobs.recv_timeout(interval),
+            None => jobs.recv().map_err(RecvTimeoutError::from),
+        };
+        let job = match next {
+            Ok(job) => Some(job),
+            Err(RecvTimeoutError::Timeout) => None,
+            Err(RecvTimeoutError::Disconnected) => return,
+        };
+        let result = shared.scheduler.registry().reload_pass();
+        match (job, result) {
+            (Some(reply), result) => reply(result),
+            (None, Ok(report)) if !report.is_noop() => rc_info!(
+                "reload-watch",
+                "reloaded models",
+                reloaded = format!("{:?}", report.reloaded),
+                added = format!("{:?}", report.added),
+                unchanged = report.unchanged,
+            ),
+            (None, Ok(_)) => {}
+            (None, Err(e)) => rc_warn!(
+                "reload-watch",
+                "pass failed (will retry)",
+                error = e.to_string()
+            ),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -297,31 +279,64 @@ mod tests {
 
     #[test]
     fn spawn_failure_is_internal_error_and_releases_the_listener() {
-        let err = match Server::start_impl(registry(), ServerConfig::default(), |reactor| {
-            drop(reactor); // What a real failed spawn does with the closure.
-            Err(io::Error::new(
-                io::ErrorKind::WouldBlock,
-                "Resource temporarily unavailable",
-            ))
-        }) {
-            Err(e) => e,
-            Ok(_) => panic!("start must fail when the reactor thread cannot spawn"),
-        };
-        assert_eq!(err.code(), "internal", "{err}");
-        // The message names the address that was bound; that address
-        // must be rebindable — no leaked listener, no leaked reactor.
-        // "… for 127.0.0.1:PORT: Resource temporarily unavailable"
-        let msg = err.to_string();
-        let addr: SocketAddr = msg
-            .split("for ")
-            .nth(1)
-            .and_then(|rest| rest.split(": ").next())
-            .and_then(|a| a.parse().ok())
-            .unwrap_or_else(|| panic!("no addr in `{msg}`"));
-        let rebound = TcpListener::bind(addr);
-        assert!(
-            rebound.is_ok(),
-            "address {addr} still bound after failed start: {rebound:?}"
-        );
+        // The name of every thread a successful start spawns.
+        let mut names = Vec::new();
+        let server = Server::start_impl(registry(), ServerConfig::default(), |name, body| {
+            names.push(name.to_string());
+            std::thread::Builder::new().name(name.into()).spawn(body)
+        })
+        .expect("start");
+        server.shutdown();
+        assert_eq!(names.len(), 2, "a reload and a reactor thread: {names:?}");
+        for failing in &names {
+            // One clone per thread the start below spawned that has not
+            // ended; each lingers after its body, so only a join by
+            // `start` sees it end before `start` returns.
+            let alive = Arc::new(());
+            let cfg = ServerConfig {
+                reload_poll: Some(Duration::from_millis(1)),
+                ..ServerConfig::default()
+            };
+            let started = Server::start_impl(registry(), cfg, |name, body| {
+                if name == failing {
+                    drop(body); // What a real failed spawn does with the closure.
+                    return Err(io::Error::new(
+                        io::ErrorKind::WouldBlock,
+                        "Resource temporarily unavailable",
+                    ));
+                }
+                let alive = alive.clone();
+                std::thread::Builder::new()
+                    .name(name.into())
+                    .spawn(move || {
+                        let _alive = alive;
+                        body();
+                        std::thread::sleep(Duration::from_millis(20));
+                    })
+            });
+            let err = match started {
+                Err(e) => e,
+                Ok(_) => panic!("start must fail when `{failing}` cannot spawn"),
+            };
+            assert_eq!(err.code(), "internal", "{err}");
+            let msg = err.to_string();
+            assert!(msg.contains(failing.as_str()), "`{msg}` names `{failing}`");
+            let outlived = Arc::strong_count(&alive) - 1;
+            assert_eq!(outlived, 0, "`{failing}`: threads that outlived start");
+            // The message names the address that was bound; that address
+            // must be rebindable — no leaked listener, no leaked reactor.
+            // "… for 127.0.0.1:PORT: Resource temporarily unavailable"
+            let addr: SocketAddr = msg
+                .split("for ")
+                .nth(1)
+                .and_then(|rest| rest.split(": ").next())
+                .and_then(|a| a.parse().ok())
+                .unwrap_or_else(|| panic!("no addr in `{msg}`"));
+            let rebound = TcpListener::bind(addr);
+            assert!(
+                rebound.is_ok(),
+                "`{failing}`: address {addr} still bound after failed start: {rebound:?}"
+            );
+        }
     }
 }

@@ -332,7 +332,7 @@ pub struct StatsSnapshot {
     pub max_batch: u64,
     /// Queue depth at snapshot time.
     pub queue_depth: usize,
-    /// Hot-reload passes run (forced `reload` verb + poll watcher).
+    /// Hot-reload passes run (`reload` verbs + polling passes).
     pub reload_passes: u64,
     /// Model versions published by reload passes (added + reloaded).
     pub models_reloaded: u64,

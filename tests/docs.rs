@@ -158,6 +158,9 @@ fn docs_name_no_deleted_identifier() {
             "infer_streaming",
             "ResponseAssembler",
             "TILE_SAMPLES",
+            "WatcherStop",
+            "spawn_reload_watcher",
+            "serve-reload-watch",
         ] {
             assert!(
                 !text.contains(gone),

@@ -1,17 +1,21 @@
 //! Fleet-management integration suite: versioned hot reload under live
 //! traffic, the reload/infer race (outputs must always be bit-exact
-//! against *some* published version, never a torn mix), and the
+//! against *some* published version, never a torn mix), concurrent
+//! `reload` verbs and a reload in flight at shutdown, and the
 //! snapshot-outside-lock guarantee that a slow stats consumer cannot
 //! stall admission.
 
 use proptest::prelude::*;
 use ringcnn_nn::prelude::*;
 use ringcnn_nn::serialize::{export_model, model_to_json};
+use ringcnn_serve::frame::{self, DecodeStep};
 use ringcnn_serve::prelude::*;
 use ringcnn_tensor::prelude::*;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
 
 fn spec() -> ModelSpec {
@@ -177,6 +181,255 @@ fn explicit_reload_verb_reports_and_applies_the_swap() {
     }
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Publishes the [`spec`] model at `seed` as `dir/m.json` atomically:
+/// written beside `dir`, then renamed into it.
+fn publish_model(dir: &Path, seed: u64) {
+    let staging = dir.with_extension("staging");
+    std::fs::create_dir_all(&staging).expect("create staging dir");
+    write_model(&staging, seed);
+    std::fs::rename(staging.join("m.json"), dir.join("m.json")).expect("rename into place");
+}
+
+/// A raw client connection that pipelines: a batch of requests goes out
+/// in one write before any reply is read.
+struct Pipe {
+    stream: TcpStream,
+    wire: Wire,
+    inbuf: Vec<u8>,
+}
+
+impl Pipe {
+    fn connect(addr: &str, wire: Wire) -> Pipe {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .expect("read timeout");
+        if wire == Wire::Binary {
+            let mut preamble = Vec::new();
+            frame::encode_preamble(&mut preamble);
+            stream.write_all(&preamble).expect("send preamble");
+        }
+        Pipe {
+            stream,
+            wire,
+            inbuf: Vec::new(),
+        }
+    }
+
+    fn send(&mut self, reqs: &[Request]) {
+        let mut bytes = Vec::new();
+        for req in reqs {
+            match self.wire {
+                Wire::Json => {
+                    bytes.extend_from_slice(req.to_json().as_bytes());
+                    bytes.push(b'\n');
+                }
+                Wire::Binary => frame::encode_request(req, &mut bytes),
+            }
+        }
+        self.stream.write_all(&bytes).expect("send requests");
+    }
+
+    /// The next reply, or `None` at a clean EOF.
+    fn receive(&mut self) -> Option<Response> {
+        loop {
+            match self.wire {
+                Wire::Json => {
+                    if let Some(pos) = self.inbuf.iter().position(|&b| b == b'\n') {
+                        let line: Vec<u8> = self.inbuf.drain(..=pos).collect();
+                        let line = String::from_utf8(line).expect("UTF-8 reply");
+                        return Some(Response::parse(line.trim_end()).expect("reply line"));
+                    }
+                }
+                Wire::Binary => match frame::decode_response(&self.inbuf) {
+                    DecodeStep::Item(resp, consumed) => {
+                        self.inbuf.drain(..consumed);
+                        return Some(resp);
+                    }
+                    DecodeStep::Fail(e) => panic!("bad reply frame: {e}"),
+                    DecodeStep::Incomplete => {}
+                },
+            }
+            let mut chunk = [0u8; 4096];
+            let n = self.stream.read(&mut chunk).expect("read reply");
+            if n == 0 {
+                assert!(self.inbuf.is_empty(), "EOF inside a reply");
+                return None;
+            }
+            self.inbuf.extend_from_slice(&chunk[..n]);
+        }
+    }
+}
+
+#[test]
+fn concurrent_reload_verbs_and_a_reload_in_flight_at_shutdown() {
+    // No polling: every pass is a verb's. Two connections keep inferring
+    // while version 2 is published and six connections, three per wire,
+    // send `reload` at once, each pipelined with `list_models`.
+    let dir = temp_dir("reload_many");
+    write_model(&dir, 1);
+    let registry = Arc::new(ModelRegistry::new());
+    registry.load_dir(&dir).expect("load v1");
+    let server = Server::start(registry.clone(), ServerConfig::default()).expect("bind");
+    let addr = server.addr().to_string();
+    let (ref_a, ref_b) = (reference(1), reference(2));
+    let stop = AtomicBool::new(false);
+    let failures = AtomicUsize::new(0);
+    let barrier = Barrier::new(6);
+
+    std::thread::scope(|scope| {
+        let inferring: Vec<_> = (0..2u64)
+            .map(|client_id| {
+                let (addr, ref_a, ref_b) = (&addr, &ref_a, &ref_b);
+                let (stop, failures) = (&stop, &failures);
+                scope.spawn(move || {
+                    let mut c = Client::connect(addr).expect("connect");
+                    let mut served = 0u64;
+                    while !stop.load(Ordering::SeqCst) || served == 0 {
+                        let seed = client_id * 100_000 + served;
+                        let x = Tensor::random_uniform(Shape4::new(1, 1, 8, 8), 0.0, 1.0, seed);
+                        let Ok(reply) = c.infer("m", &x) else {
+                            failures.fetch_add(1, Ordering::SeqCst);
+                            continue;
+                        };
+                        let out = reply.output.as_slice();
+                        assert!(
+                            out == ref_a.forward_infer(&x).as_slice()
+                                || out == ref_b.forward_infer(&x).as_slice(),
+                            "client {client_id} request {served}: output matches neither version"
+                        );
+                        served += 1;
+                    }
+                })
+            })
+            .collect();
+
+        publish_model(&dir, 2);
+        let reloading: Vec<_> = [Wire::Json, Wire::Binary]
+            .into_iter()
+            .flat_map(|wire| [wire; 3])
+            .map(|wire| {
+                let (addr, barrier) = (&addr, &barrier);
+                scope.spawn(move || {
+                    let mut pipe = Pipe::connect(addr, wire);
+                    barrier.wait();
+                    pipe.send(&[Request::Reload, Request::ListModels]);
+                    let report = match pipe.receive() {
+                        Some(Response::Reload(report)) => report,
+                        other => panic!("{wire:?}: the reload report comes first, got {other:?}"),
+                    };
+                    match pipe.receive() {
+                        Some(Response::ListModels(infos)) => {
+                            assert_eq!(infos[0].version, 2, "{wire:?}: answered after the swap")
+                        }
+                        other => panic!("{wire:?}: `list_models` comes second, got {other:?}"),
+                    }
+                    report
+                })
+            })
+            .collect();
+        let reports: Vec<ReloadReport> = reloading
+            .into_iter()
+            .map(|h| h.join().expect("reload client"))
+            .collect();
+        let swapped = ReloadReport {
+            reloaded: vec!["m".to_string()],
+            ..ReloadReport::default()
+        };
+        let unchanged = ReloadReport {
+            unchanged: 1,
+            ..ReloadReport::default()
+        };
+        assert_eq!(
+            reports.iter().filter(|r| **r == swapped).count(),
+            1,
+            "exactly one pass swaps: {reports:?}"
+        );
+        assert_eq!(
+            reports.iter().filter(|r| **r == unchanged).count(),
+            5,
+            "every other pass finds the file unchanged: {reports:?}"
+        );
+        stop.store(true, Ordering::SeqCst);
+        for h in inferring {
+            h.join().expect("infer client");
+        }
+    });
+    assert_eq!(failures.load(Ordering::SeqCst), 0, "no infer may fail");
+    let infos = Client::connect(&addr).unwrap().list_models().unwrap();
+    assert_eq!(infos[0].version, 2);
+
+    // A reload (of version 3, so the pass parses) in flight when another
+    // connection shuts the server down is answered before its EOF. The
+    // shutdown goes out once the verb's pass has begun, so the reactor
+    // has read the verb by then.
+    let mut last = Pipe::connect(&addr, Wire::Json);
+    publish_model(&dir, 3);
+    let passes = registry.reload_passes();
+    last.send(&[Request::Reload]);
+    let t0 = Instant::now();
+    while registry.reload_passes() == passes {
+        assert!(
+            t0.elapsed() < Duration::from_secs(30),
+            "the reload verb never reached the reload thread"
+        );
+        std::thread::yield_now();
+    }
+    Client::connect(&addr)
+        .unwrap()
+        .shutdown_server()
+        .expect("shutdown ack");
+    match last.receive() {
+        Some(Response::Reload(report)) => assert_eq!(report.reloaded, vec!["m".to_string()]),
+        other => panic!("the reload in flight at shutdown must be answered, got {other:?}"),
+    }
+    assert!(last.receive().is_none(), "EOF follows the reply");
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        server.wait();
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("Server::wait returns after a reload in flight at shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(dir.with_extension("staging"));
+}
+
+#[test]
+fn polling_runs_while_the_server_is_waited_on() {
+    // `ringcnn-serve` calls `Server::wait` right after start and waits
+    // for the `shutdown` verb; polling must keep running all that time.
+    let dir = temp_dir("poll_wait");
+    write_model(&dir, 4);
+    let registry = ModelRegistry::new();
+    registry.load_dir(&dir).expect("load");
+    let server = Server::start(
+        Arc::new(registry),
+        ServerConfig {
+            reload_poll: Some(Duration::from_millis(5)),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let addr = server.addr().to_string();
+    let waiting = std::thread::spawn(move || server.wait());
+    publish_model(&dir, 5);
+    let mut c = Client::connect(&addr).expect("connect");
+    let t0 = Instant::now();
+    while c.list_models().expect("list")[0].version < 2 {
+        assert!(
+            t0.elapsed() < Duration::from_secs(30),
+            "no polling pass picked up the rewritten model file"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    c.shutdown_server().expect("shutdown ack");
+    waiting.join().expect("wait returns");
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(dir.with_extension("staging"));
 }
 
 #[test]
