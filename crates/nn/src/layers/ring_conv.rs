@@ -56,11 +56,18 @@ impl Lowering for RingLowering {
     fn lowered(&self) -> Cow<'_, ConvWeights> {
         let (n, (co, ci, k)) = (self.ring.n(), self.shape());
         let mut w = ConvWeights::zeros(co, ci, k);
+        // `G(g)` is `diag(g)` or `S_ij·g[P_ij]`, written entry by entry
+        // (exact in `f32`, as `Ring::expand_weights_f32` is).
+        let sign_perm = self.ring.sign_perm();
         for (base, [cot, cit, ky, kx]) in self.taps() {
-            let g = self.ring.expand_weights_f32(&self.weights[base..base + n]);
-            for (at, g) in g.iter().enumerate() {
-                let idx = w.index(cot * n + at / n, cit * n + at % n, ky, kx);
-                w.data[idx] = *g;
+            let g = &self.weights[base..base + n];
+            for (i, j) in (0..n).flat_map(|i| (0..n).map(move |j| (i, j))) {
+                let idx = w.index(cot * n + i, cit * n + j, ky, kx);
+                w.data[idx] = match sign_perm {
+                    Some(sp) => f32::from(sp.sign(i, j)) * g[sp.perm(i, j)],
+                    None if i == j => g[i],
+                    None => continue,
+                };
             }
         }
         Cow::Owned(w)

@@ -64,8 +64,7 @@ pub fn calibrate(
     batch: &Tensor,
     opts: QuantOptions,
 ) -> Result<Calibration, CalibrationError> {
-    let qmodel = QuantizedModel::try_quantize(model, batch, opts)?;
-    let float_out = ringcnn_nn::layer::Layer::forward_infer(model, batch);
+    let (qmodel, float_out) = QuantizedModel::calibrated(model, batch, opts)?;
     let quant_out = qmodel.forward(batch);
     Ok(Calibration {
         qmodel,
@@ -105,6 +104,8 @@ pub fn calibrate_to_qmodel(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ringcnn_nn::layer::Layer;
+    use ringcnn_nn::layers::dense::Dense;
     use ringcnn_nn::prelude::*;
 
     #[test]
@@ -133,6 +134,10 @@ mod tests {
         // The exported pipeline is the calibrated pipeline.
         let direct = QuantizedModel::quantize(&mut model, &batch, QuantOptions::default());
         assert_eq!(file.model.forward(&batch), direct.forward(&batch));
+        // Its fidelity is measured against the float output of its run.
+        let cal = calibrate(&mut model, &batch, QuantOptions::default()).unwrap();
+        let float = Layer::forward_infer(&model, &batch);
+        assert_eq!(cal.psnr_vs_float, psnr(&float, &cal.qmodel.forward(&batch)));
     }
 
     #[test]
@@ -155,16 +160,19 @@ mod tests {
 
     #[test]
     fn unsupported_layers_error_cleanly() {
-        let alg = Algebra::real();
-        let mut model = Sequential::new()
-            .with(Box::new(ringcnn_nn::layers::dense::Dense::new(4, 2, 1))
-                as Box<dyn ringcnn_nn::layer::Layer>);
+        let dense = || Box::new(Dense::new(4, 2, 1)) as Box<dyn Layer>;
+        let mut model = Sequential::new().with(dense());
         let batch = Tensor::random_uniform(Shape4::new(1, 4, 1, 1), 0.0, 1.0, 5);
         let err = calibrate(&mut model, &batch, QuantOptions::default()).unwrap_err();
-        assert!(
-            matches!(err, CalibrationError::UnsupportedLayer(_)),
-            "{err}"
-        );
-        let _ = alg;
+        let unsupported = CalibrationError::UnsupportedLayer("dense(4->2)".into());
+        assert_eq!(err, unsupported);
+        // Behind a conv it is refused before anything runs: were they run,
+        // the conv would panic on a one-channel batch, the dense layer on
+        // the conv's planes.
+        let conv = Algebra::real().conv(2, 4, 3, 3);
+        let mut model = Sequential::new().with(conv).with(dense());
+        let batch = Tensor::random_uniform(Shape4::new(1, 1, 8, 8), 0.0, 1.0, 5);
+        let err = calibrate(&mut model, &batch, QuantOptions::default()).unwrap_err();
+        assert_eq!(err, unsupported);
     }
 }

@@ -2,7 +2,9 @@
 //!
 //! A float model ([`Sequential`] of convolutions, activations, shuffles,
 //! residual blocks) is calibrated on sample data and lowered onto an
-//! integer pipeline:
+//! integer pipeline. Calibration runs the model's float step program
+//! once, through the one driver of `ringcnn_nn::program`, on a datapath
+//! that lowers each step as it runs from the ranges it reads and writes:
 //!
 //! - weights quantized to 8-bit with a per-layer Q-format;
 //! - features quantized to 8-bit with per-layer Q-formats — or, for
@@ -42,16 +44,16 @@ use ringcnn_algebra::transforms::{fwht_i64, fwht_planes};
 use ringcnn_imaging::degrade::upsample_window;
 use ringcnn_nn::layer::{Layer, Node, SkipKind};
 use ringcnn_nn::layers::conv::AnyConv;
-use ringcnn_nn::layers::shuffle::{cropped, shuffle_into, unshuffle_into};
+use ringcnn_nn::layers::shuffle::{cropped, shuffle_into, unshuffle_into, PixelShuffle};
 use ringcnn_nn::layers::structure::Sequential;
-use ringcnn_nn::program::{leaves, push_skip, run, Datapath, Epilogue, Op, Point, Step};
+use ringcnn_nn::program::{self, push_skip, run, Datapath, Epilogue, Op, Point, Step};
 use ringcnn_nn::runtime::{InferenceModel, ModelTopo, TileHalo};
 use ringcnn_tensor::gemm::{ChunkEpilogue, PackedWeights, RequantChannel, RequantPlan};
 use ringcnn_tensor::im2col::{conv_streaming_i32, ConvInput};
 use ringcnn_tensor::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
-use std::collections::VecDeque;
+use std::cell::{Cell, RefCell};
 use std::sync::OnceLock;
 
 #[path = "proof.rs"]
@@ -404,18 +406,53 @@ impl QuantizedModel {
         calibration: &Tensor,
         opts: QuantOptions,
     ) -> Result<Self, CalibrationError> {
+        Self::calibrated(model, calibration, opts).map(|(quantized, _)| quantized)
+    }
+
+    /// [`QuantizedModel::try_quantize`], and the float output its one run
+    /// of the model's step program computed.
+    pub(crate) fn calibrated(
+        model: &mut Sequential,
+        calibration: &Tensor,
+        opts: QuantOptions,
+    ) -> Result<(Self, Tensor), CalibrationError> {
         if calibration.shape().is_empty() {
             return Err(CalibrationError::EmptyCalibration);
         }
         let input_format = fit_ctx(group_max_abs(calibration, 1)[0], "calibration input")?;
         // Everything that outlives calibration — the float model's
         // kernels, the integer weight tables — is built before the first
-        // activation exists: the walk below allocates nothing that stays.
+        // activation exists: the run adds only the layer list and its
+        // format tables, a few kilobytes (docs/PERFORMANCE.md, "The
+        // integer tier").
         Layer::prepare_inference(model);
-        let mut convs = VecDeque::new();
-        lower_weights(model, &mut convs)?;
-        let x = Cow::Borrowed(calibration);
-        let (layers, _out) = build_chain_grouped(model, x, &opts, 1, &mut convs)?;
+        let program = program::compile(model);
+        let lower = |step: &Step<&dyn Layer>| match step.layer.describe() {
+            Node::Conv(conv) => Some(lower_conv(conv)),
+            _ => None,
+        };
+        let convs = program
+            .iter()
+            .filter_map(lower)
+            .collect::<Result<Vec<_>, _>>()?;
+        // An opaque layer is refused before anything runs.
+        if let Some(leaf) = program.iter().find(|step| matches!(step.op, Op::Leaf)) {
+            return Err(CalibrationError::UnsupportedLayer(leaf.layer.name()));
+        }
+        let run = &Calibration {
+            program: &program,
+            opts,
+            groups: Cell::new(1),
+            convs: RefCell::new(convs.into_iter()),
+            lowered: RefCell::default(),
+        };
+        let steps = program.iter().enumerate();
+        let steps: Vec<_> = steps
+            .map(|(at, s)| s.map(|layer| Calibrate { layer, at, run }))
+            .collect();
+        let out = program::run(&steps, Cow::Borrowed(calibration), &mut TileHalo::whole());
+        let lowered = run.lowered.take().into_iter().map(|(_, layer)| layer);
+        let layers = lowered.collect::<Result<_, _>>()?;
         let mut quantized = Self {
             input_format,
             layers,
@@ -426,7 +463,7 @@ impl QuantizedModel {
             return Err(CalibrationError::Unloadable(why.clone()));
         }
         quantized.prepare_inference();
-        Ok(quantized)
+        Ok((quantized, out))
     }
 
     /// Plans every convolution's weights for the streaming engine
@@ -629,145 +666,180 @@ impl InferenceModel for QuantizedModel {
 }
 
 // ---------------------------------------------------------------------
-// Builder: walk the float model, collect ranges, emit QLayers.
+// Calibration: run the float program, lower each step as it runs.
 // ---------------------------------------------------------------------
 
 /// Sentinel for "per-channel formats with no tuple grouping" (after a
 /// pixel shuffle of grouped features).
 const UNGROUPED: usize = usize::MAX;
 
-/// Lowers `chain` while running it on `x`, the chain's activation: a
-/// borrowed input (the calibration batch, a skip's tensor) is read by
-/// the first layer, never copied, and every element-wise layer works in
-/// place on the tensor the walk gives up. `convs` holds what
-/// [`lower_weights`] made of the chain's convolutions, in walk order;
-/// the walk adds the formats the activations decide.
-fn build_chain_grouped(
-    chain: &dyn Layer,
-    mut x: Cow<'_, Tensor>,
-    opts: &QuantOptions,
-    mut cur_groups: usize,
-    convs: &mut VecDeque<QConv>,
-) -> Result<(Vec<QLayer>, Tensor), CalibrationError> {
-    // Every leaf runs as the one step the float chain takes: in place on
-    // the tensor the walk gives up.
-    let step = |l: &dyn Layer, x| l.forward_step(x);
-    let steps = leaves(chain);
-    let mut out = Vec::new();
-    for (i, &(layer, node)) in steps.iter().enumerate() {
-        match node {
-            Node::Conv(conv) => {
-                // A conv followed by a directional ReLU in on-the-fly
-                // mode keeps its accumulator. The real field is the ring
-                // with `n = 1`: one group in, one group out, whether or
-                // not the accumulator is kept.
-                let next_is_drelu = matches!(steps.get(i + 1), Some((_, Node::DRelu(_))));
-                let keep_acc = next_is_drelu && opts.on_the_fly_drelu;
-                let (n, diagonal) = conv.parts().0.tuple();
-                let groups = if opts.component_wise { n } else { 1 };
-                // A diagonal ring keeps components separate, so grouped
-                // input formats of matching period stay consistent;
-                // anything else mixes components in one accumulator and
-                // needs alignment.
-                let compatible = cur_groups == 1 || (diagonal && cur_groups == n);
-                let align = if compatible {
-                    None
-                } else {
-                    Some(fit_ctx(group_max_abs(&x, 1)[0], "conv input alignment")?)
-                };
-                let y = layer.forward_infer(&x);
-                let mut q = convs.pop_front().expect("one lowered conv per conv");
-                (q.requant, q.align_input) = (conv_requant(&y, groups, keep_acc)?, align);
-                out.push(QLayer::Conv(q));
-                x = Cow::Owned(y);
-                cur_groups = if keep_acc { 1 } else { groups };
-            }
-            Node::Relu => {
-                x = Cow::Owned(step(layer, x));
-                out.push(QLayer::Relu);
-            }
-            Node::DRelu(n) => {
-                // The post-first-transform range, taken before `x` is
-                // given up.
-                let mid_max = (!opts.on_the_fly_drelu).then(|| hadamard_intermediate_max(&x, n));
-                let y = step(layer, x);
-                let groups = if opts.component_wise { n } else { 1 };
-                let out_formats: Vec<QFormat> = group_max_abs(&y, groups)
-                    .iter()
-                    .map(|m| fit_ctx(*m, "directional ReLU output"))
-                    .collect::<Result<_, _>>()?;
-                let mode = match mid_max {
-                    None => DReluMode::OnTheFly,
-                    Some(mid_max) => DReluMode::MacBased {
-                        mid: fit_ctx(mid_max, "Hadamard intermediate")?,
-                    },
-                };
-                out.push(QLayer::DRelu(QDRelu {
-                    n,
-                    mode,
-                    out_formats,
-                }));
-                x = Cow::Owned(y);
-                cur_groups = groups;
-            }
-            Node::Shuffle(r) | Node::Unshuffle(r) => {
-                out.push(match node {
-                    Node::Shuffle(_) => QLayer::Shuffle(r),
-                    _ => QLayer::Unshuffle(r),
-                });
-                x = Cow::Owned(step(layer, x));
-                cur_groups = if cur_groups == 1 { 1 } else { UNGROUPED };
-            }
-            Node::Skip(body, kind) => {
-                let (body, mut sum) =
-                    build_chain_grouped(body, Cow::Borrowed(&x), opts, cur_groups, convs)?;
-                layer.add_skip(&mut sum, &x, (0, 0), (0, 0));
-                let out_formats = vec![fit_ctx(group_max_abs(&sum, 1)[0], "skip output")?];
-                out.push(match kind {
-                    SkipKind::Residual => {
-                        QLayer::Residual(Box::new(QResidual { body, out_formats }))
-                    }
-                    SkipKind::Bicubic(factor) => {
-                        let skip = QUpsampleResidual {
-                            body,
-                            factor,
-                            out_formats,
-                        };
-                        QLayer::UpsampleResidual(Box::new(skip))
-                    }
-                });
-                x = Cow::Owned(sum);
-                cur_groups = 1;
-            }
-            Node::Chain(_) | Node::Opaque => {
-                return Err(CalibrationError::UnsupportedLayer(layer.name()))
-            }
-        }
-    }
-    Ok((out, x.into_owned()))
+/// One format per range of `maxes`.
+fn fit_all(maxes: &[f64], context: &str) -> Result<Vec<QFormat>, CalibrationError> {
+    maxes.iter().map(|m| fit_ctx(*m, context)).collect()
 }
 
-/// Lowers what the weights alone decide — the integer weight table, its
-/// format, the bias — of every convolution of `layer` onto `convs`, in
-/// the order [`build_chain_grouped`] meets them (the description's order
-/// is the execution order), before calibration runs an activation. The
-/// tables outlive the activations by the life of the model; allocated
-/// among them, one that lands above a transient tensor pins the heap
-/// there and megabytes of holes stay resident below it
-/// (`frame_dn_ri4fh_q8/peak_rss_mb` read 11.3 or 14.6 MiB by that luck).
-fn lower_weights(layer: &dyn Layer, convs: &mut VecDeque<QConv>) -> Result<(), CalibrationError> {
-    match layer.describe() {
-        Node::Chain(layers) => layers
-            .iter()
-            .try_for_each(|l| lower_weights(l.as_ref(), convs)),
-        Node::Skip(body, _) => lower_weights(body, convs),
-        Node::Conv(conv) => lower_conv(conv).map(|q| convs.push_back(q)),
-        _ => Ok(()),
+/// Step `at` of the float program as calibration runs it: it computes
+/// what the float datapath computes and lowers its layer from the ranges
+/// of what it read and wrote — the ranges its formats are fitted to, and
+/// no others.
+#[derive(Clone, Copy)]
+struct Calibrate<'a> {
+    layer: &'a dyn Layer,
+    at: usize,
+    run: &'a Calibration<'a>,
+}
+
+/// A calibration run, carried from step to step.
+struct Calibration<'a> {
+    program: &'a [Step<&'a dyn Layer>],
+    opts: QuantOptions,
+    /// How many format groups the activation carries.
+    groups: Cell<usize>,
+    /// What [`lower_conv`] made of the convolutions still to run.
+    convs: RefCell<std::vec::IntoIter<QConv>>,
+    /// What the steps run so far lowered to, by step: a skip gathers its
+    /// body's, the steps behind it, when it adds.
+    lowered: RefCell<Vec<(usize, Result<QLayer, CalibrationError>)>>,
+}
+
+/// A lowered layer and the format groups of the activation behind it.
+type Lowered = Result<(QLayer, usize), CalibrationError>;
+
+impl Calibrate<'_> {
+    /// Appends what the step lowered to.
+    fn lowered(self, lowered: Lowered) {
+        let layer = lowered.map(|(layer, groups)| {
+            self.run.groups.set(groups);
+            layer
+        });
+        self.run.lowered.borrow_mut().push((self.at, layer));
+    }
+
+    /// A shuffle or an unshuffle: grouped features lose their grouping.
+    fn shuffled(self, layer: QLayer) {
+        let groups = self.run.groups.get();
+        self.lowered(Ok((layer, if groups == 1 { 1 } else { UNGROUPED })));
+    }
+
+    /// The conv, which read `x` and wrote `y` (the shuffle it writes
+    /// through, if `fused`, not run yet).
+    fn fit_conv(self, x: &Tensor, y: &Tensor, fused: bool) -> Lowered {
+        let Node::Conv(conv) = self.layer.describe() else {
+            unreachable!("a conv step holds a convolution")
+        };
+        let (Calibration { program, opts, .. }, at) = (self.run, self.at);
+        // A conv followed in its chain by a directional ReLU in on-the-fly
+        // mode keeps its accumulator. The step behind a skip whose body
+        // it ends is not in its chain.
+        let ends_body =
+            |(j, s): (usize, &Step<_>)| matches!(s.op, Op::Skip { body, .. } if j + body == at);
+        let in_chain = !program[..at].iter().enumerate().any(ends_body);
+        let drelu = matches!(program.get(at + 1), Some(Step { op: Op::DRelu, .. }));
+        let keep_acc = in_chain && drelu && !fused && opts.on_the_fly_drelu;
+        // A diagonal ring keeps components separate, so grouped input
+        // formats of matching period stay consistent; anything else
+        // mixes components in one accumulator and needs alignment. The
+        // real field is the ring with `n = 1`: one group in, one out.
+        let ((n, diagonal), groups) = (conv.parts().0.tuple(), self.run.groups.get());
+        let q = self.run.convs.borrow_mut().next();
+        let mut q = q.expect("a lowered conv per conv");
+        if groups != 1 && !(diagonal && groups == n) {
+            q.align_input = Some(fit_ctx(group_max_abs(x, 1)[0], "conv input alignment")?);
+        }
+        if keep_acc {
+            return Ok((QLayer::Conv(q), 1));
+        }
+        let groups = if opts.component_wise { n } else { 1 };
+        let formats = fit_all(&group_max_abs(y, groups), "conv output")?;
+        q.requant = Some(expand_formats(&formats, q.co));
+        Ok((QLayer::Conv(q), groups))
+    }
+
+    /// The directional ReLU over `n`-tuples, which wrote `y` from an
+    /// input that after the first butterfly reached `mid_max`, in
+    /// MAC-based mode.
+    fn fit_drelu(self, n: usize, mid_max: Option<f64>, y: &Tensor) -> Lowered {
+        let groups = if self.run.opts.component_wise { n } else { 1 };
+        let out_formats = fit_all(&group_max_abs(y, groups), "directional ReLU output")?;
+        let mode = match mid_max {
+            None => DReluMode::OnTheFly,
+            Some(mid_max) => DReluMode::MacBased {
+                mid: fit_ctx(mid_max, "Hadamard intermediate")?,
+            },
+        };
+        let drelu = QDRelu {
+            n,
+            mode,
+            out_formats,
+        };
+        Ok((QLayer::DRelu(drelu), groups))
+    }
+
+    /// The skip, whose sum is `out`, over `body`.
+    fn fit_skip(self, body: Result<Vec<QLayer>, CalibrationError>, out: &Tensor) -> Lowered {
+        let (body, kind) = (body?, self.layer.describe());
+        let out_formats = vec![fit_ctx(group_max_abs(out, 1)[0], "skip output")?];
+        let skip = match kind {
+            Node::Skip(_, SkipKind::Bicubic(factor)) => {
+                let skip = QUpsampleResidual {
+                    body,
+                    factor,
+                    out_formats,
+                };
+                QLayer::UpsampleResidual(Box::new(skip))
+            }
+            _ => QLayer::Residual(Box::new(QResidual { body, out_formats })),
+        };
+        Ok((skip, 1))
+    }
+}
+
+impl Datapath for Calibrate<'_> {
+    type Plane = Tensor;
+
+    fn conv(self, x: &Tensor, cut: [usize; 4], epilogue: Epilogue<Self>) -> Tensor {
+        // The conv's own output; a shuffle it writes through runs after.
+        let y = self.layer.conv(x, cut, Epilogue::None);
+        let fused = matches!(epilogue, Epilogue::Shuffle(_));
+        self.lowered(self.fit_conv(x, &y, fused));
+        let Epilogue::Shuffle(r) = epilogue else {
+            return y;
+        };
+        self.shuffled(QLayer::Shuffle(r));
+        PixelShuffle::apply(&y, r)
+    }
+
+    fn apply(self, x: Cow<'_, Tensor>, cut: [usize; 4]) -> Tensor {
+        match self.layer.describe() {
+            Node::DRelu(n) => {
+                // The range after the first butterfly, taken before `x`
+                // is given up.
+                let mac = !self.run.opts.on_the_fly_drelu;
+                let mid_max = mac.then(|| hadamard_intermediate_max(&x, n));
+                let y = self.layer.apply(x, cut);
+                self.lowered(self.fit_drelu(n, mid_max, &y));
+                return y;
+            }
+            Node::Shuffle(r) => self.shuffled(QLayer::Shuffle(r)),
+            Node::Unshuffle(r) => self.shuffled(QLayer::Unshuffle(r)),
+            _ => self.lowered(Ok((QLayer::Relu, self.run.groups.get()))),
+        }
+        self.layer.apply(x, cut)
+    }
+
+    fn add_skip(self, out: &mut Tensor, x: &Tensor, at: Point, origin: Point) {
+        self.layer.add_skip(out, x, at, origin);
+        let mut lowered = self.run.lowered.borrow_mut();
+        let start = lowered.partition_point(|(at, _)| *at < self.at);
+        let body = lowered.split_off(start).into_iter().map(|(_, layer)| layer);
+        let body = body.collect();
+        drop(lowered);
+        self.lowered(self.fit_skip(body, out));
     }
 }
 
 /// One convolution's weights, lowered: no output requantization and no
-/// input alignment yet (the activation walk decides both).
+/// input alignment yet (the calibration run decides both).
 fn lower_conv(conv: &dyn AnyConv) -> Result<QConv, CalibrationError> {
     let (lowering, bias) = conv.parts();
     let ConvWeights { co, ci, k, data } = &*lowering.lowered();
@@ -793,24 +865,6 @@ fn lower_conv(conv: &dyn AnyConv) -> Result<QConv, CalibrationError> {
         align_input: None,
         plan: Derived::default(),
     })
-}
-
-/// A conv's output requantization from its calibrated float output:
-/// one format per component group, expanded per channel — or none, for
-/// an accumulator handed straight to a directional ReLU.
-fn conv_requant(
-    float_out: &Tensor,
-    groups: usize,
-    keep_acc: bool,
-) -> Result<Option<Vec<QFormat>>, CalibrationError> {
-    if keep_acc {
-        return Ok(None);
-    }
-    let formats: Vec<QFormat> = group_max_abs(float_out, groups)
-        .iter()
-        .map(|m| fit_ctx(*m, "conv output"))
-        .collect::<Result<_, _>>()?;
-    Ok(Some(expand_formats(&formats, float_out.shape().c)))
 }
 
 /// The largest `|H·y|` component over every tuple of `x` — the range

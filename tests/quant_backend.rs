@@ -1157,3 +1157,169 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Every calibrated model, pinned bit for bit.
+// ---------------------------------------------------------------------
+
+/// The models of `runtime_parallel`'s suite — its walk zoo over (RI4,
+/// fH), and the HD30 DnERNet and SR4ERNet over the real field, RI2/RI4/RI8
+/// with `fH` and (RH4, fcw), every all-zero conv seeded as there — and a
+/// chain with `fH` behind a skip.
+fn calibration_suite() -> Vec<(String, Sequential)> {
+    let (ri4, io) = (Algebra::ri_fh(4), 1);
+    let (b, r, n_extra, width) = (1, 2, 1, 8);
+    let zoo = [
+        (
+            "vdsr",
+            ModelSpec::Vdsr {
+                depth: 3,
+                width,
+                channels_io: io,
+            },
+        ),
+        (
+            "ffdnet",
+            ModelSpec::Ffdnet {
+                depth: 3,
+                width,
+                channels_io: io,
+            },
+        ),
+        (
+            "dn_ernet",
+            ModelSpec::DnErnet {
+                b,
+                r,
+                n_extra,
+                width,
+                channels_io: io,
+            },
+        ),
+        (
+            "sr4_ernet",
+            ModelSpec::Sr4Ernet {
+                b,
+                r,
+                n_extra,
+                width,
+                channels_io: io,
+            },
+        ),
+        (
+            "srresnet",
+            ModelSpec::SrResNet {
+                blocks: 1,
+                channels: width,
+                depthwise: true,
+                channels_io: io,
+            },
+        ),
+    ];
+    let mut models: Vec<_> = zoo
+        .into_iter()
+        .map(|(name, spec)| (format!("zoo/{name}"), spec.build(&ri4, 3)))
+        .collect();
+    let skip = build_model(Scenario::Sr4, ThroughputTarget::Uhd30, &ri4, 3);
+    models.push(("zoo/sr4_bicubic_skip".into(), skip));
+    // A skip body that ends in a conv, `fH` behind the skip: that conv
+    // requantizes, the `fH` is not in its chain.
+    let body = Sequential::new()
+        .with(ri4.conv(8, 8, 3, 4))
+        .with_opt(ri4.activation())
+        .with(ri4.conv(8, 8, 3, 5));
+    let crafted = Sequential::new()
+        .with(ri4.conv(1, 8, 3, 3))
+        .with(Box::new(Residual::new(body)))
+        .with_opt(ri4.activation())
+        .with(ri4.conv(8, 1, 3, 6));
+    models.push(("crafted/fh_behind_a_skip".into(), crafted));
+    let algebras = [
+        Algebra::real(),
+        Algebra::ri_fh(2),
+        ri4,
+        Algebra::ri_fh(8),
+        Algebra::with_fcw(RingKind::Rh(4)),
+    ];
+    for alg in algebras {
+        for (task, scenario) in [
+            ("dn", Scenario::Denoise { sigma: 25.0 }),
+            ("sr4", Scenario::Sr4),
+        ] {
+            let model = build_model(scenario, ThroughputTarget::Hd30, &alg, 7);
+            models.push((format!("hd30/{task}/{}", alg.label()), model));
+        }
+    }
+    for (_, model) in &mut models {
+        model.for_each_layer_mut(&mut |layer| {
+            if let Some(c) = layer.as_any_mut().downcast_mut::<Conv2d>() {
+                let w = &mut c.weights_mut().data;
+                if w.iter().all(|v| *v == 0.0) {
+                    let seeded = w.iter_mut().enumerate();
+                    seeded.for_each(|(i, v)| *v = 0.01 * (i % 5) as f32 - 0.02);
+                }
+            }
+        });
+    }
+    models
+}
+
+/// FNV-1a over bytes.
+fn fnv(bytes: &[u8]) -> u64 {
+    let step = |h: u64, b: &u8| (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3);
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, step)
+}
+
+/// One row of `CALIBRATED_GOLDEN` as it is written.
+fn golden_row(name: &str, hashes: [u64; 4]) -> String {
+    let hashes = hashes.map(|h| format!("{h:#018x}")).join(", ");
+    format!("    ({name:?}, [{hashes}]),\n")
+}
+
+/// Every model of the suite, calibrated on one fixed frame in each mode
+/// combination, serializes to the bytes it did when calibration walked
+/// the float chain itself, on either kernel tier: the FNV-1a of its JSON
+/// (or of its error) in `CALIBRATED_GOLDEN`.
+#[test]
+fn every_calibrated_model_is_pinned_bit_for_bit() {
+    let frame = Tensor::random_uniform(Shape4::new(1, 1, 16, 16), 0.0, 1.0, 92);
+    let mut seen = Vec::new();
+    for (name, mut model) in calibration_suite() {
+        let mut hashes = mode_combinations().map(|opts| {
+            match QuantizedModel::try_quantize(&mut model, &frame, opts) {
+                Ok(qm) => fnv(serde_json::to_string(&qm).expect("serializes").as_bytes()),
+                Err(e) => fnv(e.to_string().as_bytes()),
+            }
+        });
+        let hashes = [(); 4].map(|()| hashes.next().expect("four modes"));
+        seen.push(golden_row(&name, hashes));
+    }
+    let golden = CALIBRATED_GOLDEN.iter().map(|(n, h)| golden_row(n, *h));
+    assert!(
+        seen.iter().cloned().eq(golden),
+        "calibrations moved; this tree computes:\n{}",
+        seen.concat()
+    );
+}
+
+/// `(model, JSON hashes in the order of `mode_combinations`)`.
+#[rustfmt::skip]
+const CALIBRATED_GOLDEN: [(&str, [u64; 4]); 17] = [
+    ("zoo/vdsr", [0xf5c3495de6ca1557, 0x1681b3f5e09ed6d5, 0xd50844c33ea8226c, 0xddc286a63d7cdb0e]),
+    ("zoo/ffdnet", [0x165cf9931c5641ff, 0x2713ee8ef90acc89, 0x55a3bec58a2930f9, 0x46cbe591e67d05df]),
+    ("zoo/dn_ernet", [0x4c0f91a8df4b36d2, 0xfc744caa7c37fbab, 0x90a5b6bd0013cc3f, 0xd4acf209b381e21e]),
+    ("zoo/sr4_ernet", [0xd135eb4cf155ae93, 0x608eb1b9856bffee, 0x67e0d39cd215db6a, 0x089ac42106b9c181]),
+    ("zoo/srresnet", [0xb717fd2a859bfcb8, 0xa64c45578e2bcbbb, 0xa9a851382697e1ab, 0x73f1a45ee70d5718]),
+    ("zoo/sr4_bicubic_skip", [0x592350ff0b876cad, 0x0a00e0f37e3ac1c7, 0x1e5d5a2009ef50f7, 0x9e5c6354097bf711]),
+    ("crafted/fh_behind_a_skip", [0x0d6d474775d04d6f, 0xd826c1f4dc0f06f9, 0xae7fe2eed70d795f, 0x350da47dd3da633d]),
+    ("hd30/dn/(R (real), fcw)", [0x270d1eca965a3b3e, 0x4cfdbf2d4d1261b1, 0x944800a1176d864d, 0x380fa2f2ce035180]),
+    ("hd30/sr4/(R (real), fcw)", [0xf824ced9b319976a, 0xf9fd16a49b67bae5, 0xbcbdb2d7f1522e11, 0xbb5dfc53a507269c]),
+    ("hd30/dn/(RI2, fH)", [0xb52a20f61ae995f4, 0xd5049b8e62538106, 0x8595dd8d5f2fe4c0, 0xe093467dede4f67e]),
+    ("hd30/sr4/(RI2, fH)", [0x92f79d982e83a8ac, 0x129c5ee392576717, 0x3210e0daca339bde, 0xbe00eabfbb4da7ff]),
+    ("hd30/dn/(RI4, fH)", [0x9aec747dfe78fe2a, 0x51e42260bf5bb3d1, 0x6d9ce34c3b5eb8d9, 0xd4395ab304cb7e08]),
+    ("hd30/sr4/(RI4, fH)", [0x639d1b8189eefe71, 0x323300e9d83861cf, 0x3f38f1e0004ceb63, 0x301c6ea951c8de81]),
+    ("hd30/dn/(RI8, fH)", [0xc45d9b348821f9e6, 0x0877aef5986292e6, 0x62331e330841c548, 0x45484afc2f7ff5b6]),
+    ("hd30/sr4/(RI8, fH)", [0x005a0d8e59d408c2, 0x23042fc86ed08fc8, 0xde37fbcddf860750, 0xc8bdf47aa79d1a12]),
+    ("hd30/dn/(RH4, fcw)", [0x32a6afa64ce1ebbe, 0x1afb3c6a17d92075, 0xd1e9a5f83ffe6fcd, 0x0584ff6cc3d7724c]),
+    ("hd30/sr4/(RH4, fcw)", [0x8a61866809d5a8ff, 0x0d81dd7eef32aa73, 0xaaf446e4f30aed36, 0x60d46c6afeb846b2]),
+];

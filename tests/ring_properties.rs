@@ -247,3 +247,29 @@ fn isomorphic_matrices_multiply() {
         assert!(ma.matmul(&mb).approx_eq(&mc, 1e-9), "{kind:?}: C != A·B");
     }
 }
+
+/// A ring conv's lowered weight table holds, tap by tap, what
+/// `Ring::expand_weights_f32` makes of the tap's ring weights — bit for
+/// bit, on every Table-I ring and the extra tuple sizes above, zeros of
+/// both signs included.
+#[test]
+fn lowered_ring_weights_are_the_expanded_taps_bit_for_bit() {
+    for kind in all_kinds() {
+        let ring = Ring::from_kind(kind);
+        let (n, k, ci_t) = (ring.n(), 3, 2);
+        let mut rc = RingConv2d::new(ring.clone(), ci_t * n, 3 * n, k, 5);
+        rc.ring_weights_mut()[..2].copy_from_slice(&[0.0, -0.0]);
+        let lowered = rc.expand_real_weights();
+        for (t, g) in rc.ring_weights().chunks(n).enumerate() {
+            let [cot, cit, ky, kx] = [t / (k * k) / ci_t, t / (k * k) % ci_t, t / k % k, t % k];
+            for (at, want) in ring.expand_weights_f32(g).iter().enumerate() {
+                let got = lowered.data[lowered.index(cot * n + at / n, cit * n + at % n, ky, kx)];
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{kind:?}: tap {t}, entry {at}"
+                );
+            }
+        }
+    }
+}
