@@ -26,6 +26,7 @@ use ringcnn_tensor::tile::Window;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::cell::Cell;
+use std::ops::Range;
 
 /// Simulation result for one inference.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -179,6 +180,16 @@ impl Datapath for Charge<'_> {
     }
 
     fn add_skip(self, _: &mut Shape4, _: &Shape4, _: Point, _: Point) {}
+
+    fn stack(parts: &[(Shape4, Range<usize>)]) -> Shape4 {
+        let s = parts[0].0;
+        let h = parts.iter().map(|(_, rows)| rows.len()).sum();
+        Shape4::new(s.n, s.c, h, s.w)
+    }
+
+    fn rows(x: &Shape4) -> usize {
+        x.h
+    }
 }
 
 #[cfg(test)]

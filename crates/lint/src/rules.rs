@@ -35,9 +35,10 @@ const NO_DOWNCAST: &str = "downcast in a crate that walks models: read `Layer::d
 /// What `one-tile-walk` flags, and the files that write it once: the tile
 /// arithmetic in the runtime (`TileHalo`) and the step program's driver,
 /// the cutting of a frame into tiles and their stitching in the runtime.
-const TILE_WALK: [(&str, &[&str]); 4] = [
+const TILE_WALK: [(&str, &[&str]); 5] = [
     ("tile.leaf(", &["runtime.rs", "program.rs"]),
     ("tile.conv(", &["runtime.rs", "program.rs"]),
+    ("tile.strip(", &["runtime.rs", "program.rs"]),
     ("extract_window(", &["runtime.rs"]),
     ("paste_window(", &["runtime.rs"]),
 ];
@@ -527,6 +528,7 @@ mod tests {
         let src = "\
 let cut = tile.conv(k / 2, 1);
 tile.leaf(0, (r, 1));
+let (strip, cut) = tile.strip(k / 2, 2, [0, 4]);
 #[cfg(test)]
 mod tests {
     fn t() { tile.leaf(1, (1, 1)); }
@@ -541,7 +543,11 @@ mod tests {
             let rules: Vec<_> = vs.iter().map(|v| (v.rule, v.line)).collect();
             assert_eq!(
                 rules,
-                [("one-tile-walk", 1), ("one-tile-walk", 2)],
+                [
+                    ("one-tile-walk", 1),
+                    ("one-tile-walk", 2),
+                    ("one-tile-walk", 3)
+                ],
                 "{path}"
             );
         }

@@ -16,6 +16,7 @@
 use crate::layer::{Layer, Node};
 use ringcnn_tensor::prelude::*;
 use ringcnn_tensor::tensor::Tensor as T;
+use std::ops::Range;
 
 /// Depth-to-space on a raw NCHW buffer: `src` of shape `s` into `dst` of
 /// shape `[n, c/r², h·r, w·r]`. The `r²` source planes of one output
@@ -80,6 +81,23 @@ pub fn cropped<E: Copy>(src: &[E], s: Shape4, cut: [usize; 4]) -> (Shape4, Vec<E
         .filter(|(i, _)| (cut[0]..cut[0] + win.h).contains(&(i % s.h)));
     let data = kept.flat_map(|(_, row)| &row[cut[1]..cut[1] + win.w]);
     (Shape4::new(s.n, s.c, win.h, win.w), data.copied().collect())
+}
+
+/// The NCHW buffers of `parts`, each `(buffer, shape, rows)`, stacked:
+/// every plane is the `rows` of that plane of each part in turn. The
+/// parts agree on every dimension but the height (written once for any
+/// element type, like [`cropped`]).
+pub fn stacked<E: Copy>(parts: &[(&[E], Shape4, Range<usize>)]) -> (Shape4, Vec<E>) {
+    let s = parts[0].1;
+    let h = parts.iter().map(|(.., rows)| rows.len()).sum();
+    let mut data = Vec::with_capacity(s.n * s.c * h * s.w);
+    for plane in 0..s.n * s.c {
+        for (src, s, rows) in parts {
+            let at = plane * s.h * s.w;
+            data.extend_from_slice(&src[at + rows.start * s.w..at + rows.end * s.w]);
+        }
+    }
+    (Shape4::new(s.n, s.c, h, s.w), data)
 }
 
 /// Space-to-depth: `[N, C, H, W] → [N, C·r², H/r, W/r]`.

@@ -7,11 +7,12 @@
 //! handed the rows and columns to cut, never a [`TileHalo`].
 
 use crate::layer::{Layer, Node, SkipKind};
-use crate::layers::shuffle::cropped;
+use crate::layers::shuffle::{cropped, stacked};
 use crate::runtime::TileHalo;
 use ringcnn_imaging::degrade::upsample_window;
 use ringcnn_tensor::prelude::*;
 use std::borrow::Cow;
+use std::ops::Range;
 
 /// A pixel `(row, column)` of a plane.
 pub type Point = (usize, usize);
@@ -138,23 +139,44 @@ pub trait Datapath: Copy {
     /// `out +=` over the window at `at` what the skip `self` adds of `x`:
     /// `x`, or its bicubic upsampling placed at `x`'s `origin` in the frame.
     fn add_skip(self, out: &mut Self::Plane, x: &Self::Plane, at: Point, origin: Point);
+
+    /// The rows `rows` of every plane of each part, stacked top to bottom
+    /// in that order: the strips a tile's tail ran in, as one activation.
+    fn stack(parts: &[(Self::Plane, Range<usize>)]) -> Self::Plane;
+
+    /// The height of `x`.
+    fn rows(x: &Self::Plane) -> usize;
 }
 
 /// Runs `program` on `x` inside `tile`, moving the tile past every step:
 /// a convolution writes only the core and what the rest of the program
 /// reads around it ([`TileHalo::conv`]), a skip adds over the region its
 /// body wrote. Only the first step reads `x` as it is handed.
+///
+/// The last convolution of a body that widens through a ×`r` shuffle,
+/// with another convolution behind it, runs with the rest of that body
+/// over `r` row strips of the core ([`TileHalo::strip`]), stacked into
+/// the body's output ([`Datapath::stack`]), when the tile's halo covers
+/// what that rest reads ([`TileHalo::covers`]): no tile holds the
+/// full-resolution planes of its upsampling tail. A whole image (nothing
+/// to cut) keeps whole planes.
 pub fn run<L: Datapath>(
     program: &[Step<L>],
     mut x: Cow<'_, L::Plane>,
     tile: &mut TileHalo,
 ) -> L::Plane {
     let mut next = 0;
-    while let Some(&Step { layer, op }) = program.get(next) {
+    while let Some(&step @ Step { layer, op }) = program.get(next) {
         next += 1;
         let (reach, (num, den)) = op.geometry();
         x = Cow::Owned(match op {
-            Op::Conv { epilogue, .. } => layer.conv(&x, tile.conv(reach, num), epilogue),
+            Op::Conv { epilogue, .. } => match in_strips(step, &program[next..], &x, tile) {
+                Some(out) => {
+                    next = program.len();
+                    out
+                }
+                None => layer.conv(&x, tile.conv(reach, num), epilogue),
+            },
             Op::Skip { body, kind } => {
                 tile.leaf(reach, (1, 1));
                 let origin = tile.origin();
@@ -179,6 +201,64 @@ pub fn run<L: Datapath>(
         });
     }
     x.into_owned()
+}
+
+/// The convolution `conv` through its ×`r` shuffle and the `tail` of its
+/// body behind it, run over `r` row strips of the tile's core, stacked
+/// into the body's output — or `None`, to run them whole: `conv` writes
+/// through no shuffle, `tail` raises the resolution again or holds no
+/// convolution that reads around its pixels, or `tile` does not cover
+/// what `tail` reads (a whole image, a halo pinned below the radius).
+/// Every strip reads the shared `x` through its own cut
+/// ([`TileHalo::strip`]).
+fn in_strips<L: Datapath>(
+    conv: Step<L>,
+    tail: &[Step<L>],
+    x: &L::Plane,
+    tile: &mut TileHalo,
+) -> Option<L::Plane> {
+    let Op::Conv {
+        radius,
+        epilogue: Epilogue::Shuffle(r),
+    } = conv.op
+    else {
+        return None;
+    };
+    // Only the last stage that raises the resolution strips: cutting
+    // every ×r stage cost 7 % more CPU per SR4 frame in recomputed seams
+    // (docs/PERFORMANCE.md, rule 5).
+    let upsamples = |s: &Step<L>| matches!(s.op.geometry(), (_, (2.., _)));
+    let reads = |s: &Step<L>| matches!(s.op, Op::Conv { radius: 1.., .. });
+    let covered = tile.strip(radius, r, [0, 0]).0.covers(tail);
+    let h = L::rows(x) - tile.margin[0] - tile.margin[2];
+    if tail.iter().any(upsamples) || !tail.iter().any(reads) || !covered || h == 0 {
+        return None;
+    }
+    let strips: Vec<_> = (0..r)
+        .map(|i| (i * h / r, (i + 1) * h / r))
+        .filter(|(top, end)| top < end)
+        .map(|(top, end)| {
+            let (mut strip, cut) = tile.strip(radius, r, [top, h - end]);
+            let y = conv.layer.conv(x, cut, Epilogue::Shuffle(r));
+            (run(tail, Cow::Owned(y), &mut strip), strip)
+        })
+        .collect();
+    // The body's output is the first strip's tile down to the last's.
+    let last = strips.len() - 1;
+    *tile = strips[0].1;
+    tile.margin[2] = strips[last].1.margin[2];
+    // A seam is the rows a strip computed for its neighbour: off.
+    let parts: Vec<_> = strips
+        .into_iter()
+        .enumerate()
+        .map(|(i, (y, strip))| {
+            let top = if i == 0 { 0 } else { strip.margin[0] };
+            let bottom = if i == last { 0 } else { strip.margin[2] };
+            let rows = top..L::rows(&y) - bottom;
+            (y, rows)
+        })
+        .collect();
+    Some(L::stack(&parts))
 }
 
 /// The layers of a chain in execution order, nested chains spliced in.
@@ -261,5 +341,18 @@ impl Datapath for &dyn Layer {
         };
         let window = (top, left, out.shape().h, out.shape().w);
         out.add_assign(&upsample_window(x, f, window, origin));
+    }
+
+    fn stack(parts: &[(Tensor, Range<usize>)]) -> Tensor {
+        let parts: Vec<_> = parts
+            .iter()
+            .map(|(t, rows)| (t.as_slice(), t.shape(), rows.clone()))
+            .collect();
+        let (s, data) = stacked(&parts);
+        Tensor::from_vec(s, data)
+    }
+
+    fn rows(x: &Tensor) -> usize {
+        x.shape().h
     }
 }

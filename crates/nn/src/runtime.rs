@@ -5,12 +5,17 @@
 //! (§V): the input image is split into core tiles, every tile is
 //! extended by a halo of at least the model's receptive-field radius,
 //! the halo-extended tiles run through the network *concurrently* on the
-//! thread pool, and the core regions are stitched back together. The
-//! halo is consumed on the way, not carried: a [`TileHalo`] travels with
-//! the tile, every leaf takes its kernel radius off what the rest of the
-//! chain can still reach, and a convolution computes only the core and
-//! that remaining reach around it — the truncated pyramid of the block
-//! flow, the tile shrinking layer by layer down to (nearly) its core.
+//! thread pool, and each core is pasted into the output as its tile
+//! ends. The halo is consumed on the way, not carried: a [`TileHalo`]
+//! travels with the tile, every leaf takes its kernel radius off what
+//! the rest of the chain can still reach, and a convolution computes
+//! only the core and that remaining reach around it — the truncated
+//! pyramid of the block flow, the tile shrinking layer by layer down to
+//! (nearly) its core. An upsampling tail is cut further: the last
+//! convolution of a body that widens through a ×r shuffle runs, with the
+//! rest of that body, over r row strips of the core
+//! ([`TileHalo::strip`]), so a super-resolution tile never holds its
+//! full-resolution feature planes.
 //! Per element nothing changes, so with a sufficient halo the stitched
 //! output is **bit-identical** to the whole-image pass on every kernel —
 //! the determinism suite in `tests/runtime_parallel.rs` enforces it.
@@ -30,6 +35,7 @@ use crate::program::{self, Step};
 use rayon::prelude::*;
 use ringcnn_tensor::prelude::*;
 use ringcnn_tensor::tile::{tile_grid, Window};
+use std::sync::{Mutex, PoisonError};
 
 /// Greatest common divisor (positive inputs).
 fn gcd(a: usize, b: usize) -> usize {
@@ -94,6 +100,11 @@ impl ModelTopo {
 /// it: there the margin is all the image has, and its edge gets the
 /// per-layer zero padding of whole-image inference until `rest` drops
 /// below it. Outside a tile ([`TileHalo::whole`]) nothing is ever cut.
+///
+/// A row strip of the core is a tile of its own in the same plane
+/// ([`TileHalo::strip`]): the rows of the core beside it count as margin,
+/// so its inner sides keep what the rest of the chain reads like any
+/// other side.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TileHalo {
     /// Pixels beyond the core on the top, left, bottom and right, at the
@@ -155,14 +166,46 @@ impl TileHalo {
     /// Moves past a convolution of `radius` that writes only what the
     /// rest of the chain reads, through the pixel shuffle of factor `r`
     /// fused behind it: returns the rows and columns it leaves out on
-    /// the top, left, bottom and right of its "same" output.
+    /// the top, left, bottom and right of its "same" output. The strip
+    /// of [`TileHalo::strip`] that is the whole core.
     pub fn conv(&mut self, radius: usize, r: usize) -> [usize; 4] {
-        self.leaf(radius, (1, 1));
-        let keep = self.reach();
-        let cut = self.margin.map(|m| m.saturating_sub(keep));
-        self.margin = self.margin.map(|m| m.min(keep));
-        self.leaf(0, (r, 1));
+        let cut;
+        (*self, cut) = self.strip(radius, r, [0, 0]);
         cut
+    }
+
+    /// The row strip of the core without its `above` top and `below`
+    /// bottom rows, as a tile of its own placed in the same plane, moved
+    /// past a convolution of `radius` through the shuffle of factor `r`
+    /// — and the rows and columns the convolution leaves out of its
+    /// "same" output for it. Every side keeps what the rest of the chain
+    /// reads, or all the plane has beyond the strip: an inner side keeps
+    /// the rows a neighbouring strip also computes (its seam).
+    pub fn strip(&self, radius: usize, r: usize, [above, below]: [usize; 2]) -> (Self, [usize; 4]) {
+        let mut strip = *self;
+        strip.margin[0] += above;
+        strip.margin[2] += below;
+        strip.core[0] += above;
+        strip.leaf(radius, (1, 1));
+        let keep = strip.reach();
+        let cut = strip.margin.map(|m| m.saturating_sub(keep));
+        strip.margin = strip.margin.map(|m| m.min(keep));
+        strip.leaf(0, (r, 1));
+        (strip, cut)
+    }
+
+    /// Whether the rest of the chain reaches all that `program`, run
+    /// next, reads: at every step of it at least that step's reach. A
+    /// tile stops short only where its halo was pinned below the
+    /// model's radius; a whole image reaches nothing.
+    pub fn covers<L>(&self, program: &[Step<L>]) -> bool {
+        let mut probe = *self;
+        program.iter().all(|step| {
+            let (reach, scale) = step.op.geometry();
+            let covered = probe.rest.0 >= reach * probe.rest.1;
+            probe.leaf(reach, scale);
+            covered
+        })
     }
 }
 
@@ -391,54 +434,51 @@ impl<'m> BatchRunner<'m> {
         };
         let (sn, sd) = self.topo.scale;
         let out_c = self.model.out_channels(s.c);
-        let mut out = Tensor::zeros(Shape4::new(s.n, out_c, s.h * sn / sd, s.w * sn / sd));
+        let frame = Shape4::new(s.n, out_c, s.h * sn / sd, s.w * sn / sd);
+        let out = Mutex::new(Tensor::zeros(frame));
 
-        // One task per (batch item, tile); all tasks fan out at once.
-        // The caller's span context is captured *before* the fan-out:
-        // pool threads have no ambient span, so each tile task re-roots
-        // its "tile" span under the request's kernel span explicitly.
+        // One task per (batch item, tile); all tasks fan out at once, and
+        // each pastes its core into the frame when it ends (the cores are
+        // disjoint windows). The caller's span context is captured
+        // *before* the fan-out: pool threads have no ambient span, so each
+        // tile task re-roots its "tile" span under the request's kernel
+        // span explicitly.
         let parent = ringcnn_trace::span::current();
-        let tasks = self.tiles(s, &grid);
-        let results: Vec<(Tensor, TileHalo)> = tasks
+        self.tiles(s, &grid)
             .par_iter()
-            .map(|&(n, _, ext, mut tile)| {
+            .for_each(|&(n, core, ext, mut tile)| {
                 let span = parent.map(|p| ringcnn_trace::span::span_in(p, "tile"));
                 if let Some(sp) = &span {
                     sp.set_args(ext.h as u64, ext.w as u64);
                 }
-                let tile_in = input.extract_window(n, ext);
-                (self.model.forward_tile(&tile_in, &mut tile), tile)
-            })
-            .collect();
-
-        for ((n, core, ..), (tile_out, tile)) in tasks.into_iter().zip(results) {
-            // What is left of the halo at output scale (a halo above the
-            // radius leaves some) is cropped here.
-            let [top, left, bottom, right] = tile.margin;
-            let (h, w) = (core.h * sn / sd, core.w * sn / sd);
-            // Guard the topology walk against models that are not
-            // spatially uniform (e.g. global pooling + dense heads):
-            // their output does not scale with the tile, which the
-            // walk cannot see — fail with the real reason instead of
-            // a stitching bounds panic.
-            let Shape4 { h: th, w: tw, .. } = tile_out.shape();
-            assert_eq!(
-                (th, tw),
-                (top + h + bottom, left + w + right),
-                "model is not tileable: a tile with a {h}×{w} core at output scale \
-                 {sn}/{sd} produced a {th}×{tw} output; spatially non-uniform layers \
-                 such as global pooling cannot run block-based inference",
-            );
-            let src = Window::new(top as isize, left as isize, h, w);
-            out.paste_window(
-                n,
-                core.y0 as usize * sn / sd,
-                core.x0 as usize * sn / sd,
-                &tile_out,
-                src,
-            );
-        }
-        out
+                let tile_out = self
+                    .model
+                    .forward_tile(&input.extract_window(n, ext), &mut tile);
+                // What is left of the halo at output scale (a halo above
+                // the radius leaves some) is cropped here.
+                let [top, left, bottom, right] = tile.margin;
+                let (h, w) = (core.h * sn / sd, core.w * sn / sd);
+                // Guard the topology walk against models that are not
+                // spatially uniform (e.g. global pooling + dense heads):
+                // their output does not scale with the tile, which the
+                // walk cannot see — fail with the real reason instead of
+                // a stitching bounds panic.
+                let Shape4 { h: th, w: tw, .. } = tile_out.shape();
+                assert_eq!(
+                    (th, tw),
+                    (top + h + bottom, left + w + right),
+                    "model is not tileable: a tile with a {h}×{w} core at output scale \
+                     {sn}/{sd} produced a {th}×{tw} output; spatially non-uniform layers \
+                     such as global pooling cannot run block-based inference",
+                );
+                let src = Window::new(top as isize, left as isize, h, w);
+                let (y0, x0) = (core.y0 as usize * sn / sd, core.x0 as usize * sn / sd);
+                // Poisoned only by a task that panicked, and that panic
+                // reaches the caller.
+                let mut out = out.lock().unwrap_or_else(PoisonError::into_inner);
+                out.paste_window(n, y0, x0, &tile_out, src);
+            });
+        out.into_inner().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

@@ -44,7 +44,7 @@ use ringcnn_algebra::transforms::{fwht_i64, fwht_planes};
 use ringcnn_imaging::degrade::upsample_window;
 use ringcnn_nn::layer::{Layer, Node, SkipKind};
 use ringcnn_nn::layers::conv::AnyConv;
-use ringcnn_nn::layers::shuffle::{cropped, shuffle_into, unshuffle_into, PixelShuffle};
+use ringcnn_nn::layers::shuffle::{cropped, shuffle_into, stacked, unshuffle_into, PixelShuffle};
 use ringcnn_nn::layers::structure::Sequential;
 use ringcnn_nn::program::{self, push_skip, run, Datapath, Epilogue, Op, Point, Step};
 use ringcnn_nn::runtime::{InferenceModel, ModelTopo, TileHalo};
@@ -54,6 +54,7 @@ use ringcnn_tensor::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
+use std::ops::Range;
 use std::sync::OnceLock;
 
 #[path = "proof.rs"]
@@ -836,6 +837,14 @@ impl Datapath for Calibrate<'_> {
         drop(lowered);
         self.lowered(self.fit_skip(body, out));
     }
+
+    fn stack(parts: &[(Tensor, Range<usize>)]) -> Tensor {
+        <&dyn Layer>::stack(parts)
+    }
+
+    fn rows(x: &Tensor) -> usize {
+        x.shape().h
+    }
 }
 
 /// One convolution's weights, lowered: no output requantization and no
@@ -950,6 +959,19 @@ impl Datapath for &QLayer {
 
     fn add_skip(self, out: &mut Self::Plane, x: &Self::Plane, at: Point, origin: Point) {
         add_skip(self, out, x, at, origin);
+    }
+
+    fn stack(parts: &[(Self::Plane, Range<usize>)]) -> Self::Plane {
+        let views: Vec<_> = parts
+            .iter()
+            .map(|(q, rows)| (q.data(), q.shape(), rows.clone()))
+            .collect();
+        let (s, data) = stacked(&views);
+        QTensorOf::from_raw(s, data, parts[0].0.formats().to_vec())
+    }
+
+    fn rows(x: &Self::Plane) -> usize {
+        x.shape().h
     }
 }
 

@@ -10,6 +10,9 @@ use ringcnn::prelude::*;
 use ringcnn::quant::quantized::{execute_layer, run_conv_reference, run_drelu_reference};
 use ringcnn_nn::runtime::{BatchRunner, InferenceModel, TileConfig};
 use ringcnn_tensor::gemm::RequantChannel;
+#[path = "common/zoo.rs"]
+mod zoo;
+use zoo::{fill_zero_convs, hd30_models, walk_zoo};
 
 /// The exact rational rescale `q · 2^(to − from)` rounded half away from
 /// zero / saturated into `i64`, computed in `i128` — the semantic model
@@ -1162,66 +1165,16 @@ proptest! {
 // Every calibrated model, pinned bit for bit.
 // ---------------------------------------------------------------------
 
-/// The models of `runtime_parallel`'s suite — its walk zoo over (RI4,
-/// fH), and the HD30 DnERNet and SR4ERNet over the real field, RI2/RI4/RI8
-/// with `fH` and (RH4, fcw), every all-zero conv seeded as there — and a
-/// chain with `fH` behind a skip.
+/// The models of `runtime_parallel`'s suite (`common/zoo.rs`) — its walk
+/// zoo over (RI4, fH), and the HD30 DnERNet and SR4ERNet over the real
+/// field, RI2/RI4/RI8 with `fH` and (RH4, fcw), every all-zero conv
+/// seeded as there — and a chain with `fH` behind a skip.
 fn calibration_suite() -> Vec<(String, Sequential)> {
-    let (ri4, io) = (Algebra::ri_fh(4), 1);
-    let (b, r, n_extra, width) = (1, 2, 1, 8);
-    let zoo = [
-        (
-            "vdsr",
-            ModelSpec::Vdsr {
-                depth: 3,
-                width,
-                channels_io: io,
-            },
-        ),
-        (
-            "ffdnet",
-            ModelSpec::Ffdnet {
-                depth: 3,
-                width,
-                channels_io: io,
-            },
-        ),
-        (
-            "dn_ernet",
-            ModelSpec::DnErnet {
-                b,
-                r,
-                n_extra,
-                width,
-                channels_io: io,
-            },
-        ),
-        (
-            "sr4_ernet",
-            ModelSpec::Sr4Ernet {
-                b,
-                r,
-                n_extra,
-                width,
-                channels_io: io,
-            },
-        ),
-        (
-            "srresnet",
-            ModelSpec::SrResNet {
-                blocks: 1,
-                channels: width,
-                depthwise: true,
-                channels_io: io,
-            },
-        ),
-    ];
-    let mut models: Vec<_> = zoo
+    let ri4 = Algebra::ri_fh(4);
+    let mut models: Vec<_> = walk_zoo()
         .into_iter()
-        .map(|(name, spec)| (format!("zoo/{name}"), spec.build(&ri4, 3)))
+        .map(|(name, model)| (format!("zoo/{name}"), model))
         .collect();
-    let skip = build_model(Scenario::Sr4, ThroughputTarget::Uhd30, &ri4, 3);
-    models.push(("zoo/sr4_bicubic_skip".into(), skip));
     // A skip body that ends in a conv, `fH` behind the skip: that conv
     // requantizes, the `fH` is not in its chain.
     let body = Sequential::new()
@@ -1234,33 +1187,8 @@ fn calibration_suite() -> Vec<(String, Sequential)> {
         .with_opt(ri4.activation())
         .with(ri4.conv(8, 1, 3, 6));
     models.push(("crafted/fh_behind_a_skip".into(), crafted));
-    let algebras = [
-        Algebra::real(),
-        Algebra::ri_fh(2),
-        ri4,
-        Algebra::ri_fh(8),
-        Algebra::with_fcw(RingKind::Rh(4)),
-    ];
-    for alg in algebras {
-        for (task, scenario) in [
-            ("dn", Scenario::Denoise { sigma: 25.0 }),
-            ("sr4", Scenario::Sr4),
-        ] {
-            let model = build_model(scenario, ThroughputTarget::Hd30, &alg, 7);
-            models.push((format!("hd30/{task}/{}", alg.label()), model));
-        }
-    }
-    for (_, model) in &mut models {
-        model.for_each_layer_mut(&mut |layer| {
-            if let Some(c) = layer.as_any_mut().downcast_mut::<Conv2d>() {
-                let w = &mut c.weights_mut().data;
-                if w.iter().all(|v| *v == 0.0) {
-                    let seeded = w.iter_mut().enumerate();
-                    seeded.for_each(|(i, v)| *v = 0.01 * (i % 5) as f32 - 0.02);
-                }
-            }
-        });
-    }
+    models.extend(hd30_models());
+    models.iter_mut().for_each(|(_, m)| fill_zero_convs(m));
     models
 }
 

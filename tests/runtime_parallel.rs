@@ -5,7 +5,7 @@
 //! components are engine products and `Tx`/`Tz` per-pixel) — for the
 //! paper's models over every Table-I ring, float and quantized, across
 //! tile sizes, halos, batch sizes, and whatever pool size the process
-//! runs with (`RINGCNN_THREADS`; CI runs this suite at 1 and 4 threads,
+//! runs with (`RINGCNN_THREADS`; CI runs this suite at 1, 2 and 4 threads,
 //! and with each kernel tier pinned).
 //!
 //! Tiles shrink on their way through a chain (`TileHalo`): every
@@ -13,6 +13,11 @@
 //! reads around it. The second half of the suite holds that to the
 //! whole-image pass over every model family, backend and tile class,
 //! and to the outputs of the commit before tiles shrank.
+//!
+//! Inside a tile an upsampling tail runs in row strips of the core. The
+//! last section holds every SR4ERNet's strips to the whole-image pass at
+//! pool sizes 1 and 4, and a tile whose halo does not cover its tail to
+//! the output of the commit before strips.
 //!
 //! The halo-vs-receptive-field relationship is property-tested: any
 //! halo ≥ the model's receptive radius must stitch exactly; the
@@ -23,6 +28,9 @@ use ringcnn::prelude::*;
 use ringcnn_nn::models::ffdnet::ffdnet;
 use ringcnn_nn::models::vdsr::vdsr;
 use ringcnn_nn::runtime::{model_topology, BatchRunner, TileConfig};
+#[path = "common/zoo.rs"]
+mod zoo;
+use zoo::{fill_zero_convs, hd30_models, walk_zoo};
 
 /// The bit patterns of an output: what "equal" means in this suite.
 fn bits(t: &Tensor) -> Vec<u32> {
@@ -181,71 +189,6 @@ proptest! {
     }
 }
 
-/// The five `ModelSpec` architectures at their smallest, and the SR
-/// scenario's bicubic-skip wrapper, over a ring with a directional ReLU
-/// so every leaf and container type of the zoo appears.
-fn walk_zoo() -> Vec<(&'static str, Sequential)> {
-    use ringcnn::scenarios::{build_model, Scenario, ThroughputTarget};
-    let alg = Algebra::ri_fh(4);
-    let (b, r, n_extra, width, channels_io) = (1, 2, 1, 8, 1);
-    let specs = [
-        (
-            "vdsr",
-            ModelSpec::Vdsr {
-                depth: 3,
-                width,
-                channels_io,
-            },
-        ),
-        (
-            "ffdnet",
-            ModelSpec::Ffdnet {
-                depth: 3,
-                width,
-                channels_io,
-            },
-        ),
-        (
-            "dn_ernet",
-            ModelSpec::DnErnet {
-                b,
-                r,
-                n_extra,
-                width,
-                channels_io,
-            },
-        ),
-        (
-            "sr4_ernet",
-            ModelSpec::Sr4Ernet {
-                b,
-                r,
-                n_extra,
-                width,
-                channels_io,
-            },
-        ),
-        (
-            "srresnet",
-            ModelSpec::SrResNet {
-                blocks: 1,
-                channels: width,
-                depthwise: true,
-                channels_io,
-            },
-        ),
-    ];
-    let mut zoo: Vec<_> = specs
-        .into_iter()
-        .map(|(name, spec)| (name, spec.build(&alg, 3)))
-        .collect();
-    zoo.push((
-        "sr4_bicubic_skip",
-        build_model(Scenario::Sr4, ThroughputTarget::Uhd30, &alg, 3),
-    ));
-    zoo
-}
-
 /// The model walks yield the leaves the downcast ladders yielded before
 /// the tree hooks (PR 16) and the description (PR 26) replaced them:
 /// same names, same order, same `(radius, granularity, scale)` (lists
@@ -388,48 +331,14 @@ fn hash(t: &Tensor) -> u64 {
     bits(t).iter().fold(0xcbf2_9ce4_8422_2325, fnv)
 }
 
-/// Seeds every all-zero conv (`sr4_ernet` zero-initialises its output
-/// conv; left alone the body would never reach the output).
-fn fill_zero_convs(model: &mut Sequential) {
-    model.for_each_layer_mut(&mut |layer| {
-        if let Some(c) = layer.as_any_mut().downcast_mut::<Conv2d>() {
-            let w = &mut c.weights_mut().data;
-            if w.iter().all(|v| *v == 0.0) {
-                let seeded = w.iter_mut().enumerate();
-                seeded.for_each(|(i, v)| *v = 0.01 * (i % 5) as f32 - 0.02);
-            }
-        }
-    });
-}
-
-/// The algebras of the HD30 rows: the real field, RI2/RI4/RI8 with their
-/// directional ReLU, and (RH4, fcw).
-fn suite_algebras() -> Vec<Algebra> {
-    vec![
-        Algebra::real(),
-        Algebra::ri_fh(2),
-        Algebra::ri_fh(4),
-        Algebra::ri_fh(8),
-        Algebra::with_fcw(RingKind::Rh(4)),
-    ]
-}
-
 /// The models of the suite: the walk zoo and the benchmark's HD30
 /// DnERNet and SR4ERNet (bicubic skip included) over every algebra.
 fn suite_models() -> Vec<(String, Sequential)> {
     let mut models: Vec<_> = walk_zoo()
         .into_iter()
         .map(|(name, model)| (format!("zoo/{name}"), model))
+        .chain(hd30_models())
         .collect();
-    for alg in suite_algebras() {
-        for (task, scenario) in [
-            ("dn", Scenario::Denoise { sigma: 25.0 }),
-            ("sr4", Scenario::Sr4),
-        ] {
-            let model = build_model(scenario, ThroughputTarget::Hd30, &alg, 7);
-            models.push((format!("hd30/{task}/{}", alg.label()), model));
-        }
-    }
     models.iter_mut().for_each(|(_, m)| fill_zero_convs(m));
     models
 }
@@ -815,4 +724,98 @@ proptest! {
         let (whole, tiled) = (runner.run_whole(&x), runner.run(&x));
         prop_assert!(bits(&whole) == bits(&tiled), "{:?}, halo {}", ops, halo);
     }
+}
+
+// ---------------------------------------------------------------------
+// Upsampling tails in row strips: the last convolution of a body that
+// widens through a ×r shuffle runs the rest of the body over r row strips
+// of the core.
+// ---------------------------------------------------------------------
+
+/// Runs `check` at each pool size of `pools`: the test `name` again in a
+/// child process per size, with `RINGCNN_THREADS` set. A process whose
+/// pool is already pinned (a child, or a CI leg) runs `check` itself.
+fn at_pool_sizes(name: &str, pools: [usize; 2], check: impl Fn()) {
+    if std::env::var_os("RINGCNN_THREADS").is_some() {
+        return check();
+    }
+    let exe = std::env::current_exe().expect("the test binary");
+    for threads in pools {
+        let child = std::process::Command::new(&exe)
+            .args([name, "--exact", "--test-threads", "1"])
+            .env("RINGCNN_THREADS", threads.to_string())
+            .output()
+            .expect("the test binary runs");
+        let stdout = String::from_utf8_lossy(&child.stdout);
+        assert!(
+            child.status.success() && stdout.contains("1 passed"),
+            "{name} at {threads} threads:\n{stdout}{}",
+            String::from_utf8_lossy(&child.stderr)
+        );
+    }
+}
+
+/// The SR4ERNets of the suite — the walk zoo's two and the HD30 one over
+/// every algebra — on the engine kernel, which fuses the shuffles the
+/// strips start at; then a ×2 and a ×3 stage with a conv behind each,
+/// whose strips split the odd cores of the uneven frames unevenly (an
+/// SR4ERNet's last stage reads an even core, twice its LR rows).
+fn strip_models() -> Vec<(String, Sequential)> {
+    let mut models = suite_models();
+    models.retain(|(name, _)| name.contains("sr4"));
+    let conv = |ci, co, seed| Box::new(Conv2d::new(ci, co, 3, seed)) as Box<dyn Layer>;
+    for r in [2, 3] {
+        let stage = Sequential::new()
+            .with(conv(1, 8, 1))
+            .with(conv(8, 8 * r * r, 2))
+            .with(Box::new(PixelShuffle::new(r)))
+            .with(Box::new(Relu::new()))
+            .with(conv(8, 1, 3));
+        models.push((format!("x{r} stage"), stage));
+    }
+    for (_, model) in &mut models {
+        model.set_conv_backend(ConvBackend::Im2col);
+    }
+    models
+}
+
+/// Every SR4ERNet's tiles run their last ×2 stage in strips and stitch
+/// the whole-image output bit for bit, at pool sizes 1 and 4: corner, edge
+/// and interior tiles on every ring; partial edge tiles and cores of an
+/// odd number of rows on the benchmark's ring and the ×2 and ×3 stages.
+#[test]
+fn sr4_tails_in_strips_equal_the_whole_image_at_pool_sizes_1_and_4() {
+    let name = "sr4_tails_in_strips_equal_the_whole_image_at_pool_sizes_1_and_4";
+    at_pool_sizes(name, [1, 4], || {
+        for (name, mut model) in strip_models() {
+            stitched_3x3(BatchRunner::new(&mut model), &name);
+            if name.starts_with("zoo") || (name.starts_with("hd30") && !name.contains("RI4")) {
+                continue;
+            }
+            for (h, w, tile) in [(30, 18, 12), (40, 56, 16), (27, 21, 10)] {
+                let runner = BatchRunner::new(&mut model).with_tile(TileConfig::with_tile(tile));
+                let ctx = format!("{name}: {h}x{w} in {tile}-px cores");
+                stitched(&runner, Shape4::new(1, 1, h, w), &ctx);
+            }
+        }
+    });
+}
+
+/// A halo pinned below the radius does not cover the upsampling tail,
+/// which then runs whole: the tiles compute what they computed before
+/// tails ran in strips (the hash of that output, captured on a clone of
+/// the commit before), not the whole image.
+#[test]
+fn a_halo_below_the_radius_runs_the_tail_whole() {
+    let mut model = build_model(Scenario::Sr4, ThroughputTarget::Hd30, &Algebra::ri_fh(4), 7);
+    fill_zero_convs(&mut model);
+    model.set_conv_backend(ConvBackend::Im2col);
+    let runner = BatchRunner::new(&mut model);
+    let halo = runner.topo().radius - 1;
+    let runner = runner.with_tile(TileConfig::with_tile(16).with_halo(halo));
+    let x = Tensor::random_uniform(Shape4::new(1, 1, 48, 48), 0.0, 1.0, 93);
+    let tiled = runner.run(&x);
+    assert!(bits(&tiled) != bits(&runner.run_whole(&x)), "halo {halo}");
+    let want = golden_of_this_tier(0xae3b_c422_e7af_938c, 0x7f09_850e_34f7_65a1);
+    assert_eq!(hash(&tiled), want, "halo {halo}: {:#018x}", hash(&tiled));
 }
