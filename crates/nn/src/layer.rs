@@ -179,19 +179,6 @@ pub trait Layer: Send + Sync {
         crate::complexity::cost(self.describe()).0
     }
 
-    /// Output channel count given the input channel count, folded over
-    /// the description.
-    fn out_channels(&self, in_channels: usize) -> usize {
-        match self.describe() {
-            Node::Chain(layers) => layers.iter().fold(in_channels, |c, l| l.out_channels(c)),
-            Node::Skip(body, _) => body.out_channels(in_channels),
-            Node::Conv(conv) => conv.parts().0.shape().0,
-            Node::Shuffle(r) => in_channels / (r * r),
-            Node::Unshuffle(r) => in_channels * r * r,
-            Node::Relu | Node::DRelu(_) | Node::Opaque => in_channels,
-        }
-    }
-
     /// Selects the convolution execution backend for inference forwards
     /// (see [`ConvBackend`]) on every convolution of the tree; layers
     /// without convolutions ignore it.
@@ -274,7 +261,6 @@ mod tests {
         d.zero_grads();
         assert!(d.g.iter().all(|v| *v == 0.0));
         assert_eq!(d.mults_per_pixel(), 0.0);
-        assert_eq!(d.out_channels(7), 7);
         // The default step: the borrowing forward.
         let x = Tensor::zeros(Shape4::new(1, 1, 4, 4));
         assert_eq!(d.forward_step(Cow::Owned(x.clone())), x);

@@ -159,11 +159,6 @@ impl Layer for Dense {
         (self.ci * self.co) as f64
     }
 
-    fn out_channels(&self, in_channels: usize) -> usize {
-        assert_eq!(in_channels, self.ci);
-        self.co
-    }
-
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
         self
     }

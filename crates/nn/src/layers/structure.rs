@@ -3,7 +3,7 @@
 //!
 //! A container describes itself ([`Node::Chain`], [`Node::Skip`]), hands
 //! out its children ([`Layer::children_mut`]) and inherits the per-tree
-//! methods (`visit_params`, `out_channels`, …) as defaults over those.
+//! methods (`visit_params`, `num_params`, …) as defaults over those.
 
 use crate::layer::{Layer, Node, SkipKind};
 use crate::program::forward_tile;
@@ -189,7 +189,6 @@ mod tests {
         let x = T::random_uniform(Shape4::new(1, 2, 4, 4), -1.0, 1.0, 9);
         let y = m.forward(&x, false);
         assert_eq!(y.shape(), x.shape());
-        assert_eq!(m.out_channels(2), 2);
     }
 
     #[test]

@@ -472,12 +472,12 @@ impl QuantizedModel {
     /// quantized or loaded model is already prepared.
     pub fn prepare_inference(&mut self) {
         if self.proof().is_ok() {
-            self.walk_shapes(Shape4::new(1, 1, 1, 1), |layer, _| {
-                if let QLayer::Conv(c) = layer {
+            for step in self.program() {
+                if let QLayer::Conv(c) = step.layer {
                     c.support();
                     c.packed();
                 }
-            });
+            }
         }
     }
 
@@ -555,40 +555,6 @@ impl QuantizedModel {
         &self.layers
     }
 
-    /// Output channel count given the input channel count.
-    pub fn out_channels(&self, in_channels: usize) -> usize {
-        let input = Shape4::new(1, in_channels, 1, 1);
-        self.walk_shapes(input, |_, _| {}).c
-    }
-
-    /// The one walk over the chain's shapes: hands every layer of the
-    /// [`QuantizedModel::program`] — a skip wrapper before the layers of
-    /// its body — the shape of its input, from a chain input of shape
-    /// `input`, and returns the output shape.
-    pub fn walk_shapes(&self, input: Shape4, mut visit: impl FnMut(&QLayer, Shape4)) -> Shape4 {
-        let mut s = input;
-        for Step { layer, op } in self.program() {
-            let fused = match op {
-                Op::Conv {
-                    epilogue: Epilogue::FH(fh),
-                    ..
-                } => Some(fh),
-                _ => None,
-            };
-            for layer in std::iter::once(layer).chain(fused) {
-                visit(layer, s);
-                s = match layer {
-                    QLayer::Conv(conv) => s.with_channels(conv.co),
-                    QLayer::Shuffle(r) => Shape4::new(s.n, s.c / (r * r), s.h * r, s.w * r),
-                    QLayer::Unshuffle(r) => Shape4::new(s.n, s.c * r * r, s.h / r, s.w / r),
-                    // A skip's output is its body's.
-                    _ => s,
-                };
-            }
-        }
-        s
-    }
-
     /// The channel count the first convolution fixes for the chain's
     /// input, through the shuffles in front of it (`None`: no conv, or
     /// past `usize`).
@@ -655,10 +621,6 @@ impl InferenceModel for QuantizedModel {
         self.proof().expect("a model that loads");
         let q = QTensorOf::<i8>::quantize(input, vec![self.input_format; input.shape().c]);
         run(&self.program(), Cow::Owned(q), tile).dequantize()
-    }
-
-    fn out_channels(&self, in_channels: usize) -> usize {
-        QuantizedModel::out_channels(self, in_channels)
     }
 
     fn topology(&self) -> ModelTopo {

@@ -97,9 +97,10 @@ fn docs_relative_links_all_resolve() {
 /// width options, PR 13 the perf-regression gate; the simulator's own
 /// engine geometry, the runtime's batch and one-shot entry points, the
 /// simulator's whole-frame path, the facade's second FRCONV and the
-/// registry's format-tag peek (a parse of every file on every pass) and
-/// the binary wire's tile stream went later. No document may still send
-/// a reader to them.
+/// registry's format-tag peek (a parse of every file on every pass), the
+/// binary wire's tile stream and the second channel walk (the
+/// `out_channels` methods and the integer chain's shape walk) went later.
+/// No document may still send a reader to them.
 #[test]
 fn docs_name_no_deleted_identifier() {
     let mut files = markdown_docs();
@@ -161,6 +162,10 @@ fn docs_name_no_deleted_identifier() {
             "WatcherStop",
             "spawn_reload_watcher",
             "serve-reload-watch",
+            "walk_shapes",
+            "Layer::out_channels",
+            "InferenceModel::out_channels",
+            "QuantizedModel::out_channels",
         ] {
             assert!(
                 !text.contains(gone),

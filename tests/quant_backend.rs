@@ -219,12 +219,9 @@ fn quant_topology_agrees_with_float_topology() {
         let ftopo = ringcnn_nn::runtime::model_topology(&model);
         assert_eq!(qm.topology(), ftopo, "{name}");
         let x = Tensor::random_uniform(Shape4::new(1, 1, 8, 8), 0.0, 1.0, 4);
-        assert_eq!(
-            InferenceModel::forward_infer(&qm, &x).as_slice(),
-            qm.forward(&x).as_slice(),
-            "{name}"
-        );
-        assert_eq!(InferenceModel::out_channels(&qm, 1), 1, "{name}");
+        let y = InferenceModel::forward_infer(&qm, &x);
+        assert_eq!(y.as_slice(), qm.forward(&x).as_slice(), "{name}");
+        assert_eq!(y.shape().c, 1, "{name}");
     }
 }
 

@@ -223,6 +223,17 @@ const WALK_GOLDEN: [WalkGolden; 6] = [
     ("sr4_bicubic_skip", &["conv3x3(1->8)", "drelu[n=4]", "rconv3x3[RI4](8->16)", "drelu[n=4]", "rconv3x3[RI4](16->8)", "rconv3x3[RI4](8->8)", "rconv3x3[RI4](8->32)", "pixel_shuffle(x2)", "drelu[n=4]", "rconv3x3[RI4](8->32)", "pixel_shuffle(x2)", "drelu[n=4]", "conv3x3(8->1)"], (8, 1, (4, 1))),
 ];
 
+/// The directional ReLUs of an 8-bit chain, skip bodies included.
+fn count_drelus(layers: &[QLayer]) -> usize {
+    let count = |layer: &QLayer| match layer {
+        QLayer::DRelu(_) => 1,
+        QLayer::Residual(r) => count_drelus(r.body()),
+        QLayer::UpsampleResidual(u) => count_drelus(u.body()),
+        _ => 0,
+    };
+    layers.iter().map(count).sum()
+}
+
 /// The programs fuse exactly where the chains did: on the engine kernel
 /// a float program writes through the shuffle at every conv → shuffle
 /// pair of the zoo and nowhere else, its 8-bit twin runs `fH` on the
@@ -256,7 +267,7 @@ fn programs_fuse_where_the_chains_did() {
         assert_eq!(got, want, "{name}: float");
 
         let q = quantized(&mut model);
-        let (mut fused, mut drelus) = (0, 0);
+        let mut fused = 0;
         for step in q.program() {
             if let (QLayer::Conv(c), Op::Conv { epilogue, .. }) = (step.layer, step.op) {
                 let fh = matches!(epilogue, Epilogue::FH(QLayer::DRelu(_)));
@@ -264,9 +275,7 @@ fn programs_fuse_where_the_chains_did() {
                 fused += usize::from(fh);
             }
         }
-        q.walk_shapes(Shape4::new(1, 1, 8, 8), |layer, _| {
-            drelus += usize::from(matches!(layer, QLayer::DRelu(_)));
-        });
+        let drelus = count_drelus(q.layers());
         let standalone = q.program().iter().filter(|s| s.op == Op::DRelu).count();
         assert_eq!(fused + standalone, drelus, "{name}: every fH runs once");
         assert!(fused > 0, "{name}: 8-bit");
@@ -560,6 +569,27 @@ fn clipped_margins_odd_grids_batches_and_wide_halos_stitch_bit_for_bit() {
         &seen,
         golden_of_this_tier(&GEOMETRY_GOLDEN_SCALAR, &GEOMETRY_GOLDEN_AVX2),
     );
+}
+
+/// An empty batch and a batch of three, cut into a grid, stitch the
+/// whole-image pass in shape and bits, float and 8-bit: the frame takes
+/// its channel count from the tiles, and an empty batch, which has no
+/// tiles, runs whole.
+#[test]
+fn empty_and_three_item_batches_tile_as_whole() {
+    let mut models = suite_models();
+    models.retain(|(name, _)| matches!(name.as_str(), "zoo/dn_ernet" | "zoo/sr4_ernet"));
+    assert_eq!(models.len(), 2);
+    for (name, mut model) in models {
+        let mut q = quantized(&mut model);
+        for n in [0, 3] {
+            let shape = Shape4::new(n, 1, 24, 16);
+            let runner = BatchRunner::new(&mut model).with_tile(TileConfig::with_tile(8));
+            stitched(&runner, shape, &format!("{name} f32, n = {n}"));
+            let runner = BatchRunner::new(&mut q).with_tile(TileConfig::with_tile(8));
+            stitched(&runner, shape, &format!("{name} q8, n = {n}"));
+        }
+    }
 }
 
 /// `(model, output hashes of the three frames and the wide halo)`.
