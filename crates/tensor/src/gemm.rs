@@ -1086,7 +1086,16 @@ pub(crate) fn product<T: Element<NR>, D: Plane + TryFrom<T>, const NR: usize>(
             }
         }
     }
-    tasks.into_par_iter().for_each(|(chunk, rows, mut segs)| {
+    // The tasks are lent to the pool, not moved into it: every segment
+    // list is freed here, on the thread that allocated it. Freed on
+    // whichever pool thread ran its task, a list went to that thread's
+    // malloc cache, so the caller's heap took a different shape from
+    // run to run (glibc, pool of 2: about one process in four kept its
+    // main heap 5 MiB larger after the whole-frame calibrations of
+    // `frame_dn_ri4fh_q8`; docs/PERFORMANCE.md, "Segment lists freed
+    // where they were made").
+    tasks.par_iter_mut().for_each(|(chunk, rows, segs)| {
+        let (chunk, rows) = (*chunk, *rows);
         let jp0 = chunk * (NC_COLS / NR);
         let jp1 = np.min(jp0 + NC_COLS / NR);
         let panel_len = w.rows * NR;
