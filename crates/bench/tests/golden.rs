@@ -6,7 +6,9 @@
 //! release stdout and says why.
 //!
 //! `esim_validation` and `fig13_quantization` train models and take tens
-//! of seconds in the debug build, so they are not pinned here.
+//! of seconds in the debug build, so they are not run here; their golden
+//! files sit beside the others, and CI's experiments-smoke job diffs
+//! their release stdout against them (3–4 s each on two cores).
 
 /// `(name, executable, golden stdout)` of each pinned bin.
 macro_rules! pinned {

@@ -35,7 +35,9 @@ const PINNED: [(&str, &str); 11] = [
     ("(RI4, fH) 32, blocks of 32", "SimReport { block: 32, halo: 12, blocks: 1, recompute_overhead: 0.0, cycles: 192, physical_mults: 3538944, equivalent_mults: 14155776, utilization: 0.9, seconds: 7.68e-7, fps: 1302083.3333333333, energy_j: 1.7402044416e-6, nj_per_output_pixel: 1.6994184, memory: MemoryReport { weight_bytes: 1356, peak_feature_bytes: 6144, dram_bytes_per_frame: 2048 }, weights_fit: true }"),
     ("(RI4, fH) 32, blocks of 16", "SimReport { block: 16, halo: 12, blocks: 4, recompute_overhead: 2.0625, cycles: 408, physical_mults: 7520256, equivalent_mults: 30081024, utilization: 0.9, seconds: 1.632e-6, fps: 612745.0980392157, energy_j: 3.6979344384e-6, nj_per_output_pixel: 3.6112640999999996, memory: MemoryReport { weight_bytes: 1356, peak_feature_bytes: 3656, dram_bytes_per_frame: 4160 }, weights_fit: true }"),
     ("SR4 (RI4, fH) 16, blocks of 16", "SimReport { block: 16, halo: 8, blocks: 1, recompute_overhead: 0.0, cycles: 800, physical_mults: 14745600, equivalent_mults: 58982400, utilization: 0.9, seconds: 3.2e-6, fps: 312500.0, energy_j: 7.250851839999999e-6, nj_per_output_pixel: 1.7702274999999998, memory: MemoryReport { weight_bytes: 2121, peak_feature_bytes: 40960, dram_bytes_per_frame: 4352 }, weights_fit: true }"),
-    ("SR4 (RI4, fH) 32, blocks of 16", "SimReport { block: 16, halo: 8, blocks: 4, recompute_overhead: 1.25, cycles: 3880, physical_mults: 71516160, equivalent_mults: 286064640, utilization: 0.9, seconds: 1.552e-5, fps: 64432.989690721646, energy_j: 3.5166631424e-5, nj_per_output_pixel: 2.14640084375, memory: MemoryReport { weight_bytes: 2121, peak_feature_bytes: 44096, dram_bytes_per_frame: 18688 }, weights_fit: true }"),
+    // The last conv of each block writes its core alone: nothing behind
+    // it reads a ring.
+    ("SR4 (RI4, fH) 32, blocks of 16", "SimReport { block: 16, halo: 8, blocks: 4, recompute_overhead: 1.25, cycles: 3684, physical_mults: 67903488, equivalent_mults: 271613952, utilization: 0.9, seconds: 1.4736e-5, fps: 67861.02062975027, energy_j: 3.33901727232e-5, nj_per_output_pixel: 2.037974409375, memory: MemoryReport { weight_bytes: 2121, peak_feature_bytes: 44096, dram_bytes_per_frame: 18688 }, weights_fit: true }"),
 ];
 
 fn random(hw: usize, seed: u64) -> Tensor {

@@ -144,6 +144,9 @@ impl FastRingConv {
         let region = Window::inset(s.h, s.w, cut);
         let out_shape = Shape4::new(s.n, self.co_t * self.n, region.h, region.w);
         let mut out = Tensor::zeros(out_shape);
+        if out_shape.plane() == 0 {
+            return out;
+        }
         let plane = s.plane().max(1);
         let mut xt = vec![0.0f32; self.ci_t * s.plane()];
         let mut zt = vec![0.0f32; self.co_t * out_shape.plane()];

@@ -148,45 +148,68 @@ pub trait Datapath: Copy {
     fn rows(x: &Self::Plane) -> usize;
 }
 
+/// How many pixels around an output pixel `steps` read at their input
+/// resolution, when the steps behind them read `after` around theirs:
+/// the fold `n ← ⌈n·den/num⌉ + reach` back over [`Op::geometry`].
+pub fn reads<L>(steps: &[Step<L>], after: usize) -> usize {
+    steps.iter().rev().fold(after, |n, step| {
+        let (reach, (num, den)) = step.op.geometry();
+        (n * den).div_ceil(num) + reach
+    })
+}
+
 /// Runs `program` on `x` inside `tile`, moving the tile past every step:
 /// a convolution writes only the core and what the rest of the program
-/// reads around it ([`TileHalo::conv`]), a skip adds over the region its
-/// body wrote. Only the first step reads `x` as it is handed.
+/// reads around it ([`reads`], [`TileHalo::conv`]), a skip adds over
+/// the region its body wrote. Only the first step reads `x` as it is
+/// handed.
 ///
 /// The last convolution of a body that widens through a ×`r` shuffle,
 /// with another convolution behind it, runs with the rest of that body
 /// over `r` row strips of the core ([`TileHalo::strip`]), stacked into
-/// the body's output ([`Datapath::stack`]), when the tile's halo covers
-/// what that rest reads ([`TileHalo::covers`]): no tile holds the
-/// full-resolution planes of its upsampling tail. A whole image (nothing
-/// to cut) keeps whole planes.
+/// the body's output ([`Datapath::stack`]): no tile holds the
+/// full-resolution planes of its upsampling tail. A whole image (no
+/// margins) keeps whole planes.
 pub fn run<L: Datapath>(
     program: &[Step<L>],
+    x: Cow<'_, L::Plane>,
+    tile: &mut TileHalo,
+) -> L::Plane {
+    run_body(program, 0, x, tile)
+}
+
+/// [`run`] of a body behind which the program reads `after` pixels.
+fn run_body<L: Datapath>(
+    program: &[Step<L>],
+    after: usize,
     mut x: Cow<'_, L::Plane>,
     tile: &mut TileHalo,
 ) -> L::Plane {
     let mut next = 0;
     while let Some(&step @ Step { layer, op }) = program.get(next) {
         next += 1;
-        let (reach, (num, den)) = op.geometry();
+        let (_, (num, den)) = op.geometry();
         x = Cow::Owned(match op {
-            Op::Conv { epilogue, .. } => match in_strips(step, &program[next..], &x, tile) {
+            Op::Conv { epilogue, .. } => match in_strips(step, &program[next..], after, &x, tile) {
                 Some(out) => {
                     next = program.len();
                     out
                 }
-                None => layer.conv(&x, tile.conv(reach, num), epilogue),
+                None => {
+                    let keep = reads(&program[next..], after).div_ceil(num);
+                    layer.conv(&x, tile.conv(keep, num), epilogue)
+                }
             },
             Op::Skip { body, kind } => {
-                tile.leaf(reach, (1, 1));
                 let origin = tile.origin();
                 let f = match kind {
                     SkipKind::Bicubic(f) => f,
                     SkipKind::Residual => 1,
                 };
                 let [top, left, ..] = tile.margin.map(|m| m * f);
-                let mut out = run(&program[next..next + body], Cow::Borrowed(&*x), tile);
-                next += body;
+                let (body, rest) = program[next..].split_at(body);
+                let mut out = run_body(body, reads(rest, after), Cow::Borrowed(&*x), tile);
+                next += body.len();
                 let at = (top - tile.margin[0], left - tile.margin[1]);
                 layer.add_skip(&mut out, &x, at, origin);
                 out
@@ -195,7 +218,7 @@ pub fn run<L: Datapath>(
                 // A margin trimmed off an unshuffle's grid loses the rows
                 // and columns that fill no coarse pixel.
                 let cut = tile.margin.map(|m| m % den);
-                tile.leaf(reach, (num, den));
+                tile.leaf((num, den));
                 layer.apply(x, cut)
             }
         });
@@ -204,22 +227,22 @@ pub fn run<L: Datapath>(
 }
 
 /// The convolution `conv` through its ×`r` shuffle and the `tail` of its
-/// body behind it, run over `r` row strips of the tile's core, stacked
-/// into the body's output — or `None`, to run them whole: `conv` writes
-/// through no shuffle, `tail` raises the resolution again or holds no
-/// convolution that reads around its pixels, or `tile` does not cover
-/// what `tail` reads (a whole image, a halo pinned below the radius).
-/// Every strip reads the shared `x` through its own cut
-/// ([`TileHalo::strip`]).
+/// body behind it, behind which the program reads `after` pixels, run
+/// over `r` row strips of the tile's core, stacked into the body's
+/// output — or `None`, to run them whole: `conv` writes through no
+/// shuffle, `tail` raises the resolution again or holds no convolution
+/// that reads around its pixels, or `tile` is a whole image. Every
+/// strip reads the shared `x` through its own cut ([`TileHalo::strip`]).
 fn in_strips<L: Datapath>(
     conv: Step<L>,
     tail: &[Step<L>],
+    after: usize,
     x: &L::Plane,
     tile: &mut TileHalo,
 ) -> Option<L::Plane> {
     let Op::Conv {
-        radius,
         epilogue: Epilogue::Shuffle(r),
+        ..
     } = conv.op
     else {
         return None;
@@ -228,19 +251,23 @@ fn in_strips<L: Datapath>(
     // every ×r stage cost 7 % more CPU per SR4 frame in recomputed seams
     // (docs/PERFORMANCE.md, rule 5).
     let upsamples = |s: &Step<L>| matches!(s.op.geometry(), (_, (2.., _)));
-    let reads = |s: &Step<L>| matches!(s.op, Op::Conv { radius: 1.., .. });
-    let covered = tile.strip(radius, r, [0, 0]).0.covers(tail);
+    let reads_around = |s: &Step<L>| matches!(s.op, Op::Conv { radius: 1.., .. });
     let h = L::rows(x) - tile.margin[0] - tile.margin[2];
-    if tail.iter().any(upsamples) || !tail.iter().any(reads) || !covered || h == 0 {
+    if tail.iter().any(upsamples)
+        || !tail.iter().any(reads_around)
+        || tile.margin == [0; 4]
+        || h == 0
+    {
         return None;
     }
+    let keep = reads(tail, after).div_ceil(r);
     let strips: Vec<_> = (0..r)
         .map(|i| (i * h / r, (i + 1) * h / r))
         .filter(|(top, end)| top < end)
         .map(|(top, end)| {
-            let (mut strip, cut) = tile.strip(radius, r, [top, h - end]);
+            let (mut strip, cut) = tile.strip(keep, r, [top, h - end]);
             let y = conv.layer.conv(x, cut, Epilogue::Shuffle(r));
-            (run(tail, Cow::Owned(y), &mut strip), strip)
+            (run_body(tail, after, Cow::Owned(y), &mut strip), strip)
         })
         .collect();
     // The body's output is the first strip's tile down to the last's.

@@ -8,17 +8,16 @@
 //! thread pool, and each core is pasted into the output as its tile
 //! ends; the output takes its channel count from the tiles, so nothing
 //! walks the model for it. The halo is consumed on the way, not carried:
-//! a [`TileHalo`] travels with the tile, every leaf takes its kernel
-//! radius off what the rest of the chain can still reach, and a
-//! convolution computes only the core and that remaining reach around
-//! it — the truncated pyramid of the block flow, the tile shrinking
-//! layer by layer down to (nearly) its core. An upsampling tail is cut
-//! further: the last convolution of a body that widens through a ×r
+//! a [`TileHalo`] travels with the tile, and a convolution computes only
+//! the core and what the rest of the program reads around it
+//! ([`program::reads`]) — the truncated pyramid of the block flow, the
+//! tile shrinking layer by layer down to its core. An upsampling tail is
+//! cut further: the last convolution of a body that widens through a ×r
 //! shuffle runs, with the rest of that body, over r row strips of the
 //! core ([`TileHalo::strip`]), so a super-resolution tile never holds
 //! its full-resolution feature planes.
-//! Per element nothing changes, so with a sufficient halo the stitched
-//! output is **bit-identical** to the whole-image pass on every kernel —
+//! Per element nothing changes, so the stitched output is
+//! **bit-identical** to the whole-image pass on every kernel —
 //! the determinism suite in `tests/runtime_parallel.rs` enforces it.
 //!
 //! Threading model: [`BatchRunner::new`] takes the model exclusively
@@ -68,15 +67,14 @@ pub struct ModelTopo {
 }
 
 impl ModelTopo {
-    /// Folds a program into its topology: each step's reach around an
-    /// output pixel at its input resolution and its scale
-    /// ([`program::Op::geometry`]), in execution order — the float program and
-    /// the integer one of `ringcnn-quant`.
+    /// Folds a program into its topology — the float program and the
+    /// integer one of `ringcnn-quant`: the radius is what the program
+    /// reads ([`program::reads`]); granularity and scale fold each step's
+    /// scale ([`program::Op::geometry`]) in execution order.
     pub fn of<L>(program: &[Step<L>]) -> Self {
         // Input pixels per current-resolution pixel, a reduced fraction.
-        let (mut ipp, mut radius, mut granularity) = ((1, 1), 0.0, 1);
-        for (reach, (num, den)) in program.iter().map(|step| step.op.geometry()) {
-            radius += reach as f64 * (ipp.0 as f64 / ipp.1 as f64);
+        let (mut ipp, mut granularity) = ((1, 1), 1);
+        for (_, (num, den)) in program.iter().map(|step| step.op.geometry()) {
             // A step scaling resolution by num/den divides input pixels
             // per feature pixel by num/den; a tile of t input pixels then
             // spans t·den/num feature pixels: reduced, that needs num' | t.
@@ -86,35 +84,29 @@ impl ModelTopo {
         }
         // Output pixels per input pixel = 1 / ipp.
         Self {
-            radius: radius.ceil() as usize,
+            radius: program::reads(program, 0),
             granularity,
             scale: (ipp.1, ipp.0),
         }
     }
 }
 
-/// What a tile carries around its core on its way through a chain: the
-/// pixels it still has beyond the core on each side, and the radius the
-/// rest of the chain can still read — the halo at entry, less every
-/// kernel radius passed since. A convolution keeps `min(margin, ⌈rest⌉)`
-/// per side, so a side keeps `margin ≥ ⌈rest⌉` unless the frame clipped
-/// it: there the margin is all the image has, and its edge gets the
-/// per-layer zero padding of whole-image inference until `rest` drops
-/// below it. Outside a tile ([`TileHalo::whole`]) nothing is ever cut.
+/// What a tile carries around its core on its way through a program:
+/// the pixels it still has beyond the core on each side. A convolution
+/// keeps of them what the rest of the program reads ([`program::reads`])
+/// where there are more, and all a frame-clipped side has (there the
+/// image edge gets the per-layer zero padding of whole-image inference).
+/// Outside a tile ([`TileHalo::whole`]) nothing is ever cut.
 ///
 /// A row strip of the core is a tile of its own in the same plane
 /// ([`TileHalo::strip`]): the rows of the core beside it count as margin,
-/// so its inner sides keep what the rest of the chain reads like any
+/// so its inner sides keep what the rest of the program reads like any
 /// other side.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TileHalo {
     /// Pixels beyond the core on the top, left, bottom and right, at the
     /// current resolution.
     pub margin: [usize; 4],
-    /// `rest.0 / rest.1` (reduced) current-resolution pixels — exact, like
-    /// the `ipp` of [`ModelTopo::of`]: a ×4 tail reads a quarter input
-    /// pixel.
-    rest: (usize, usize),
     /// The core's top-left pixel in the frame, at the current resolution
     /// (exact: a multiple of the model's granularity where `BatchRunner`
     /// cut it; a tile nobody placed is its own frame).
@@ -122,11 +114,10 @@ pub struct TileHalo {
 }
 
 impl TileHalo {
-    /// A tile with `margin` pixels around its core entering a chain that
-    /// reads at most `halo` input pixels around any output pixel.
-    pub fn new(margin: [usize; 4], halo: usize) -> Self {
-        let (rest, core) = ((halo, 1), [margin[0], margin[1]]);
-        Self { margin, rest, core }
+    /// A tile with `margin` pixels around its core.
+    pub fn new(margin: [usize; 4]) -> Self {
+        let core = [margin[0], margin[1]];
+        Self { margin, core }
     }
 
     /// The tile with its core's top-left pixel at `core` of its frame.
@@ -142,71 +133,43 @@ impl TileHalo {
 
     /// A whole image: no margins, nothing to cut.
     pub fn whole() -> Self {
-        Self::new([0; 4], 0)
+        Self::new([0; 4])
     }
 
-    /// `⌈rest⌉`: the margin the rest of the chain can still reach.
-    pub fn reach(&self) -> usize {
-        self.rest.0.div_ceil(self.rest.1)
-    }
-
-    /// Moves past a leaf that reads `radius` pixels around each output
-    /// pixel, then rescales by `num/den`, and ran over the whole tile (its
-    /// halo carried). Margins floor — a coarse pixel only part of which
-    /// is there is not — and `rest` with them.
-    pub fn leaf(&mut self, radius: usize, (num, den): (usize, usize)) {
-        self.rest.0 = self.rest.0.saturating_sub(radius * self.rest.1);
-        let cap = self.reach() * num / den;
+    /// Moves past a leaf that rescales by `num/den` and ran over the
+    /// whole tile (its margins carried). Margins floor: a coarse pixel
+    /// only part of which is there is not.
+    pub fn leaf(&mut self, (num, den): (usize, usize)) {
         self.margin = self.margin.map(|m| m * num / den);
         self.core = self.core.map(|c| c * num / den);
-        let (n, d) = (self.rest.0 * num, self.rest.1 * den);
-        let (n, d) = if cap * d < n { (cap, 1) } else { (n, d) };
-        self.rest = (n / gcd(n, d), d / gcd(n, d));
     }
 
-    /// Moves past a convolution of `radius` that writes only what the
-    /// rest of the chain reads, through the pixel shuffle of factor `r`
-    /// fused behind it: returns the rows and columns it leaves out on
-    /// the top, left, bottom and right of its "same" output. The strip
-    /// of [`TileHalo::strip`] that is the whole core.
-    pub fn conv(&mut self, radius: usize, r: usize) -> [usize; 4] {
+    /// Moves past a convolution that keeps `keep` pixels around the core,
+    /// through the pixel shuffle of factor `r` fused behind it: returns
+    /// the rows and columns it leaves out on the top, left, bottom and
+    /// right of its "same" output. The strip of [`TileHalo::strip`] that
+    /// is the whole core.
+    pub fn conv(&mut self, keep: usize, r: usize) -> [usize; 4] {
         let cut;
-        (*self, cut) = self.strip(radius, r, [0, 0]);
+        (*self, cut) = self.strip(keep, r, [0, 0]);
         cut
     }
 
     /// The row strip of the core without its `above` top and `below`
     /// bottom rows, as a tile of its own placed in the same plane, moved
-    /// past a convolution of `radius` through the shuffle of factor `r`
-    /// — and the rows and columns the convolution leaves out of its
-    /// "same" output for it. Every side keeps what the rest of the chain
-    /// reads, or all the plane has beyond the strip: an inner side keeps
-    /// the rows a neighbouring strip also computes (its seam).
-    pub fn strip(&self, radius: usize, r: usize, [above, below]: [usize; 2]) -> (Self, [usize; 4]) {
+    /// past a convolution that keeps `keep` pixels around it through the
+    /// shuffle of factor `r` — and the rows and columns the convolution
+    /// leaves out of its "same" output for it. An inner side keeps the
+    /// rows a neighbouring strip also computes (its seam).
+    pub fn strip(&self, keep: usize, r: usize, [above, below]: [usize; 2]) -> (Self, [usize; 4]) {
         let mut strip = *self;
         strip.margin[0] += above;
         strip.margin[2] += below;
         strip.core[0] += above;
-        strip.leaf(radius, (1, 1));
-        let keep = strip.reach();
         let cut = strip.margin.map(|m| m.saturating_sub(keep));
         strip.margin = strip.margin.map(|m| m.min(keep));
-        strip.leaf(0, (r, 1));
+        strip.leaf((r, 1));
         (strip, cut)
-    }
-
-    /// Whether the rest of the chain reaches all that `program`, run
-    /// next, reads: at every step of it at least that step's reach. A
-    /// tile stops short only where its halo was pinned below the
-    /// model's radius; a whole image reaches nothing.
-    pub fn covers<L>(&self, program: &[Step<L>]) -> bool {
-        let mut probe = *self;
-        program.iter().all(|step| {
-            let (reach, scale) = step.op.geometry();
-            let covered = probe.rest.0 >= reach * probe.rest.1;
-            probe.leaf(reach, scale);
-            covered
-        })
     }
 }
 
@@ -231,8 +194,8 @@ pub trait InferenceModel: Send + Sync {
 
     /// Shared-state inference forward of one tile (no mutation; many
     /// threads may call this concurrently): `tile` enters with the
-    /// tile's margins and halo and comes back with the margins the
-    /// output still has around its core.
+    /// tile's margins and comes back with the margins the output still
+    /// has around its core.
     fn forward_tile(&self, input: &Tensor, tile: &mut TileHalo) -> Tensor;
 
     /// Whole-image inference forward: the tile walk with nothing to cut.
@@ -265,37 +228,23 @@ pub struct TileConfig {
     /// Core tile size in input pixels (rounded up to the model's
     /// granularity; edge tiles shrink).
     pub tile: usize,
-    /// Halo width in input pixels; `None` selects the model's receptive
-    /// radius rounded up to the granularity — the smallest exact halo.
-    pub halo: Option<usize>,
 }
 
 impl Default for TileConfig {
     fn default() -> Self {
         // 64-pixel cores: the paper's block-based flow operates at
         // 16–64; larger cores amortize the halo recompute overhead
-        // (layer `i` of a tile computes `(t + 2·⌈rest_i⌉)²` pixels for
-        // `t²` of core, see docs/PERFORMANCE.md) while still exposing
+        // (convolution `i` of a tile computes `(t + 2·keep_i)²` pixels
+        // for `t²` of core, see docs/PERFORMANCE.md) while still exposing
         // enough tiles for the pool.
-        Self {
-            tile: 64,
-            halo: None,
-        }
+        Self { tile: 64 }
     }
 }
 
 impl TileConfig {
     /// A config with an explicit core tile size.
     pub fn with_tile(tile: usize) -> Self {
-        Self { tile, halo: None }
-    }
-
-    /// Pins the halo width (must be ≥ the model's receptive radius for
-    /// exact stitching; smaller values trade accuracy for speed).
-    #[must_use]
-    pub fn with_halo(mut self, halo: usize) -> Self {
-        self.halo = Some(halo);
-        self
+        Self { tile }
     }
 }
 
@@ -352,12 +301,11 @@ impl<'m> BatchRunner<'m> {
         self.topo
     }
 
-    /// The effective halo width: configured or the model's receptive
-    /// radius, rounded up to the granularity (a larger halo is always
-    /// exact).
+    /// The halo width: the model's receptive radius rounded up to the
+    /// granularity, the smallest exact halo (the first convolution trims
+    /// what the rounding adds).
     pub fn halo(&self) -> usize {
-        let halo = self.tile.halo.unwrap_or(self.topo.radius);
-        halo.next_multiple_of(self.topo.granularity)
+        self.topo.radius.next_multiple_of(self.topo.granularity)
     }
 
     /// Whole-image inference forward (no tiling; the baseline the tiled
@@ -399,7 +347,7 @@ impl<'m> BatchRunner<'m> {
             let (y0, x0) = (core.y0 as usize, core.x0 as usize);
             let room = [y0, x0, s.h - y0 - core.h, s.w - x0 - core.w];
             let ext = Window::inset(s.h, s.w, room.map(|m| m.saturating_sub(halo)));
-            let tile = TileHalo::new(room.map(|m| m.min(halo)), halo).at([y0, x0]);
+            let tile = TileHalo::new(room.map(|m| m.min(halo))).at([y0, x0]);
             (n, *core, ext, tile)
         };
         (0..s.n)
@@ -456,8 +404,8 @@ impl<'m> BatchRunner<'m> {
                 let tile_out = self
                     .model
                     .forward_tile(&input.extract_window(n, ext), &mut tile);
-                // What is left of the halo at output scale (a halo above
-                // the radius leaves some) is cropped here.
+                // What is left of the margins at output scale (steps
+                // behind the last convolution carry them) is cropped here.
                 let [top, left, bottom, right] = tile.margin;
                 let (h, w) = (core.h * sn / sd, core.w * sn / sd);
                 // Guard the topology walk against models that are not

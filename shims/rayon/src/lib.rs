@@ -1,8 +1,7 @@
 //! Offline stand-in for `rayon`, now with real parallelism: a persistent
 //! pool of `std::thread` workers behind the same `par_iter` /
-//! `into_par_iter` / `join` / `scope` entry points, so the workspace's
-//! call sites compile unchanged against either this shim or the real
-//! crate.
+//! `par_iter_mut` / `into_par_iter` entry points, so the workspace's call
+//! sites compile unchanged against either this shim or the real crate.
 //!
 //! Guarantees the workspace relies on:
 //!
@@ -22,88 +21,13 @@
 //! Differences from real rayon, by design of the offline shim: no
 //! work-stealing deques (a shared chunked cursor balances load instead),
 //! no split/fold adapter zoo — only the adapters the workspace uses
-//! (`map`, `for_each`, `collect`, `sum`), and `scope` drains spawned
-//! tasks in waves rather than interleaving them with the spawning
-//! closure.
+//! (`map`, `for_each`, `collect`).
 
 pub mod pool;
-
-/// Runs two closures, potentially in parallel, and returns both results.
-///
-/// Panics from either closure propagate after both slots have settled.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    let mut ra = None;
-    let mut rb = None;
-    {
-        let ta: Box<dyn FnOnce() + Send + '_> = Box::new(|| ra = Some(a()));
-        let tb: Box<dyn FnOnce() + Send + '_> = Box::new(|| rb = Some(b()));
-        pool::run_tasks(vec![ta, tb]);
-    }
-    (
-        ra.expect("join arm executed"),
-        rb.expect("join arm executed"),
-    )
-}
 
 /// The number of threads the global pool runs (1 means sequential).
 pub fn current_num_threads() -> usize {
     pool::current_num_threads()
-}
-
-type ScopedTask<'scope> = Box<dyn FnOnce(&Scope<'scope>) + Send + 'scope>;
-
-/// A scope for spawning borrowed tasks (`rayon::scope` lookalike).
-///
-/// Tasks spawned with [`Scope::spawn`] run after the scope closure
-/// returns, in parallel waves, and are all complete before [`scope`]
-/// returns — which is what lets them borrow from the caller's stack.
-pub struct Scope<'scope> {
-    tasks: std::sync::Mutex<Vec<ScopedTask<'scope>>>,
-}
-
-impl<'scope> Scope<'scope> {
-    /// Queues a task; it may spawn further tasks through the scope.
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce(&Scope<'scope>) + Send + 'scope,
-    {
-        self.tasks
-            .lock()
-            .expect("scope task list poisoned")
-            .push(Box::new(f));
-    }
-}
-
-/// Runs `op`, then drains every task it spawned (and any tasks those
-/// spawn) across the pool; returns `op`'s result once all are done.
-pub fn scope<'scope, OP, R>(op: OP) -> R
-where
-    OP: FnOnce(&Scope<'scope>) -> R,
-{
-    let s = Scope {
-        tasks: std::sync::Mutex::new(Vec::new()),
-    };
-    let result = op(&s);
-    loop {
-        let batch = std::mem::take(&mut *s.tasks.lock().expect("scope task list poisoned"));
-        if batch.is_empty() {
-            break;
-        }
-        let scope_ref = &s;
-        pool::run_tasks(
-            batch
-                .into_iter()
-                .map(|t| Box::new(move || t(scope_ref)) as Box<dyn FnOnce() + Send + '_>)
-                .collect(),
-        );
-    }
-    result
 }
 
 /// Parallel re-interpretation of `rayon::prelude`.
@@ -111,7 +35,7 @@ pub mod prelude {
     use crate::pool;
     use std::sync::Mutex;
 
-    pub use crate::{current_num_threads, join, scope};
+    pub use crate::current_num_threads;
 
     /// `into_par_iter()` for any owned iterable (ranges, `Vec`, …).
     pub trait IntoParallelIterator: IntoIterator + Sized
@@ -190,14 +114,6 @@ pub mod prelude {
             .into_iter()
             .collect()
         }
-
-        /// Parallel sum of the mapped values.
-        pub fn sum(self) -> R
-        where
-            R: std::iter::Sum<R>,
-        {
-            self.collect::<Vec<R>>().into_iter().sum()
-        }
     }
 
     /// `par_iter()` / `par_iter_mut()` on slices (and `Vec` via deref).
@@ -206,8 +122,6 @@ pub mod prelude {
         fn par_iter(&self) -> ParSliceIter<'_, T>;
         /// Mutable parallel iterator.
         fn par_iter_mut(&mut self) -> ParSliceIterMut<'_, T>;
-        /// Mutable parallel chunk iterator.
-        fn par_chunks_mut(&mut self, size: usize) -> ParChunksMut<'_, T>;
     }
 
     impl<T> ParallelSlice<T> for [T] {
@@ -217,11 +131,6 @@ pub mod prelude {
 
         fn par_iter_mut(&mut self) -> ParSliceIterMut<'_, T> {
             ParSliceIterMut { slice: self }
-        }
-
-        fn par_chunks_mut(&mut self, size: usize) -> ParChunksMut<'_, T> {
-            assert!(size > 0, "chunk size must be positive");
-            ParChunksMut { slice: self, size }
         }
     }
 
@@ -275,14 +184,6 @@ pub mod prelude {
                 .into_iter()
                 .collect()
         }
-
-        /// Parallel sum of the mapped values.
-        pub fn sum(self) -> R
-        where
-            R: std::iter::Sum<R>,
-        {
-            self.collect::<Vec<R>>().into_iter().sum()
-        }
     }
 
     /// Mutable parallel iterator over a slice.
@@ -306,34 +207,6 @@ pub mod prelude {
                     .take()
                     .expect("element taken once");
                 f(item);
-            });
-        }
-    }
-
-    /// Mutable parallel chunk iterator over a slice.
-    pub struct ParChunksMut<'a, T> {
-        slice: &'a mut [T],
-        size: usize,
-    }
-
-    impl<'a, T: Send> ParChunksMut<'a, T> {
-        /// Runs `f` on every chunk, distributing chunks across the pool.
-        pub fn for_each<F>(self, f: F)
-        where
-            F: Fn(&mut [T]) + Sync,
-        {
-            let slots: Vec<Mutex<Option<&'a mut [T]>>> = self
-                .slice
-                .chunks_mut(self.size)
-                .map(|c| Mutex::new(Some(c)))
-                .collect();
-            pool::run(slots.len(), &|i| {
-                let chunk = slots[i]
-                    .lock()
-                    .expect("chunk slot poisoned")
-                    .take()
-                    .expect("chunk taken once");
-                f(chunk);
             });
         }
     }
@@ -364,44 +237,6 @@ mod tests {
         let mut v = vec![0u32; 4096];
         v.par_iter_mut().for_each(|x| *x += 7);
         assert!(v.iter().all(|x| *x == 7));
-        v.par_chunks_mut(100).for_each(|c| {
-            for x in c {
-                *x *= 2;
-            }
-        });
-        assert!(v.iter().all(|x| *x == 14));
-    }
-
-    #[test]
-    fn join_returns_both_results() {
-        let (a, b) = super::join(|| 6 * 7, || "ok");
-        assert_eq!((a, b), (42, "ok"));
-    }
-
-    #[test]
-    fn scope_spawns_borrowing_tasks() {
-        let results: Vec<std::sync::Mutex<usize>> =
-            (0..8).map(|_| std::sync::Mutex::new(0)).collect();
-        super::scope(|s| {
-            for (i, slot) in results.iter().enumerate() {
-                s.spawn(move |_| *slot.lock().unwrap() = i + 1);
-            }
-        });
-        let got: Vec<usize> = results.iter().map(|m| *m.lock().unwrap()).collect();
-        assert_eq!(got, (1..=8).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn nested_scope_spawn_runs() {
-        let flag = std::sync::atomic::AtomicUsize::new(0);
-        super::scope(|s| {
-            s.spawn(|s2| {
-                s2.spawn(|_| {
-                    flag.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                });
-            });
-        });
-        assert_eq!(flag.load(std::sync::atomic::Ordering::Relaxed), 1);
     }
 
     #[test]

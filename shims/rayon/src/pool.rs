@@ -257,23 +257,6 @@ where
         .collect()
 }
 
-/// A boxed one-shot task with a borrowed environment.
-pub type Task<'a> = Box<dyn FnOnce() + Send + 'a>;
-
-/// Runs a batch of one-shot tasks across the pool (each exactly once).
-pub fn run_tasks(tasks: Vec<Task<'_>>) {
-    let slots: Vec<Mutex<Option<Task<'_>>>> =
-        tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    run(slots.len(), &|i| {
-        let task = slots[i]
-            .lock()
-            .expect("task slot poisoned")
-            .take()
-            .expect("task runs once");
-        task();
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,20 +299,5 @@ mod tests {
         assert!(result.is_err(), "worker panic must reach the submitter");
         // The pool must still be usable afterwards.
         assert_eq!(map_indexed(4, |i| i + 1), vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn run_tasks_executes_each_once() {
-        let counter = AtomicUsize::new(0);
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..5)
-            .map(|_| {
-                let c = &counter;
-                Box::new(move || {
-                    c.fetch_add(1, Ordering::Relaxed);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        run_tasks(tasks);
-        assert_eq!(counter.load(Ordering::Relaxed), 5);
     }
 }

@@ -205,10 +205,10 @@ fn prepared_convs_allocate_their_output_and_retain_no_plane_sized_scratch() {
 fn the_bicubic_skip_of_a_tile_allocates_its_region() {
     use ringcnn_nn::runtime::{InferenceModel, TileHalo};
     // A ×4 skip around a 1×1 conv into the depth-to-space sink, so the
-    // body builds one tensor of the region too. An interior 44×44 tile,
-    // 16 pixels of margin and a halo of 12: the skip takes 2 of it, the
-    // body writes 12 + 2·10 LR pixels a side, a 128×128 region at
-    // (24, 24) of the tile's 176×176 upsampling. The crop-based skip
+    // body builds one tensor of the region too. An interior 44×44 tile
+    // with 6 pixels of margin: the skip reads 2 of them, the body writes
+    // the 32×32 LR core, a 128×128 region at (24, 24) of the tile's
+    // 176×176 upsampling. The crop-based skip
     // copied the 36×36 source pixels under it and 2 around them and
     // upsampled those to a 144×144 tensor: a block larger than the
     // region. Measured with this code at the parent commit: 170 200 B
@@ -223,7 +223,7 @@ fn the_bicubic_skip_of_a_tile_allocates_its_region() {
     let mut model = Sequential::new().with(Box::new(UpsampleResidual::new(body, 4)));
     InferenceModel::prepare_inference(&mut model);
     let x = Tensor::random_uniform(Shape4::new(1, 1, 44, 44), 0.0, 1.0, 12);
-    let tile = TileHalo::new([16; 4], 12);
+    let tile = TileHalo::new([6; 4]);
     let out = model.forward_tile(&x, &mut tile.clone());
     assert_eq!(out.shape(), Shape4::new(1, 1, 128, 128));
     let region = 128 * 128 * 4;
@@ -266,17 +266,18 @@ fn tiles_consume_their_halo() {
 
     // The benchmark's `frame_sr4_ri4fh` tile as `BatchRunner::run` cuts
     // it: a corner tile, 32 pixels of core and 12 of halo on two sides.
-    // Its stages end at 33² → 66², 65² → 130² and 129² where they ended
+    // Its stages end at 33² → 66², 65² → 130² and 128² where they ended
     // at 44² → 88² → 176². The last ×2 stage runs with the tail behind it
     // in two row strips, so it writes 16 channels of at most 68 × 130
     // where it wrote all of 16 × 130² (1 081 600 B) beside its 0.28 MB
     // input. Measured with this code at the parent commit, before the
     // strips: 1 417 088 B live at once, the largest block 1 081 600 B;
-    // 921 156 B and 565 760 B when written.
+    // 921 156 B and 565 760 B with the strips, 916 752 B and 565 760 B
+    // once the ×4 tail conv wrote its core alone.
     let mut sr4 = build_model(Scenario::Sr4, ThroughputTarget::Hd30, &Algebra::ri_fh(4), 7);
     Layer::prepare_inference(&mut sr4);
     let x = Tensor::random_uniform(Shape4::new(1, 1, 44, 44), 0.0, 1.0, 8);
-    let corner = cheapest(&sr4, &x, TileHalo::new([0, 0, 12, 12], 12));
+    let corner = cheapest(&sr4, &x, TileHalo::new([0, 0, 12, 12]));
     assert!(
         corner.peak <= 1_000_000 && corner.largest <= 600_000,
         "one SR4 corner tile held {} B live at once, its largest block {} B",
@@ -299,7 +300,7 @@ fn tiles_consume_their_halo() {
     let models: [(&str, &dyn InferenceModel); 2] = [("(RH4, fcw)", &dn), ("q8", &q8)];
     for (what, model) in models {
         let plain = cheapest(model, &x, TileHalo::whole()).total;
-        let tile = cheapest(model, &x, TileHalo::new([16; 4], 16)).total;
+        let tile = cheapest(model, &x, TileHalo::new([16; 4])).total;
         assert!(
             tile * 4 <= plain * 3,
             "{what}: an interior 96x96 tile allocated {tile} B, more than three quarters \

@@ -166,6 +166,9 @@ fn docs_name_no_deleted_identifier() {
             "Layer::out_channels",
             "InferenceModel::out_channels",
             "QuantizedModel::out_channels",
+            "with_halo",
+            "TileHalo::covers",
+            "TileHalo::reach",
         ] {
             assert!(
                 !text.contains(gone),

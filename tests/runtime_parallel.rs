@@ -4,30 +4,31 @@
 //! the taps of the whole image in the same order; the transform engine's
 //! components are engine products and `Tx`/`Tz` per-pixel) — for the
 //! paper's models over every Table-I ring, float and quantized, across
-//! tile sizes, halos, batch sizes, and whatever pool size the process
-//! runs with (`RINGCNN_THREADS`; CI runs this suite at 1, 2 and 4 threads,
-//! and with each kernel tier pinned).
+//! tile sizes, entry margins, batch sizes, and whatever pool size the
+//! process runs with (`RINGCNN_THREADS`; CI runs this suite at 1, 2 and 4
+//! threads, and with each kernel tier pinned).
 //!
 //! Tiles shrink on their way through a chain (`TileHalo`): every
-//! convolution computes the core and what the rest of the chain still
-//! reads around it. The second half of the suite holds that to the
-//! whole-image pass over every model family, backend and tile class,
-//! and to the outputs of the commit before tiles shrank.
+//! convolution computes the core and what the rest of the program reads
+//! around it (`program::reads`). The second half of the suite holds that
+//! to the whole-image pass over every model family, backend and tile
+//! class, and to the outputs of the commit before tiles shrank.
 //!
 //! Inside a tile an upsampling tail runs in row strips of the core. The
 //! last section holds every SR4ERNet's strips to the whole-image pass at
-//! pool sizes 1 and 4, and a tile whose halo does not cover its tail to
-//! the output of the commit before strips.
+//! pool sizes 1 and 4.
 //!
-//! The halo-vs-receptive-field relationship is property-tested: any
-//! halo ≥ the model's receptive radius must stitch exactly; the
-//! minimal-halo default comes from the same `model_topology` walk.
+//! The halo is the model's receptive radius (`model_topology`, the fold
+//! of `program::reads`) rounded up to its granularity; property tests
+//! hold it exact on random chains, and a tile entering with a wider
+//! margin to the same core.
 
 use proptest::prelude::*;
 use ringcnn::prelude::*;
 use ringcnn_nn::models::ffdnet::ffdnet;
 use ringcnn_nn::models::vdsr::vdsr;
-use ringcnn_nn::runtime::{model_topology, BatchRunner, TileConfig};
+use ringcnn_nn::runtime::{model_topology, BatchRunner, TileConfig, TileHalo};
+use ringcnn_tensor::tile::Window;
 #[path = "common/zoo.rs"]
 mod zoo;
 use zoo::{fill_zero_convs, hd30_models, walk_zoo};
@@ -137,56 +138,56 @@ fn topology_pins() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Any tile size and any halo ≥ the receptive radius stitches
-    /// bit-exactly; tile/halo alignment to the model granularity is
-    /// handled by the runner.
+    /// Any tile size stitches bit-exactly at the default halo (aligned
+    /// to the model granularity by the runner), and a core entering
+    /// with a margin wider than the halo computes the same pixels.
     #[test]
     fn any_sufficient_halo_is_exact(
         seed in 0u64..1_000_000,
         tile in 1usize..5,      // ×4 px → 4..16 core tiles
-        extra_halo in 0usize..3, // halo = radius + 2·extra (granularity 2)
+        extra_halo in 0usize..3, // margin = halo + 2·extra (granularity 2)
         h_tiles in 2usize..4,
         w_tiles in 2usize..4,
     ) {
         let alg = Algebra::with_fcw(RingKind::Complex).with_backend(ConvBackend::Im2col);
         let mut model = ffdnet(&alg, 3, 8, 1, seed);
-        let topo = model_topology(&model);
-        let halo = (topo.radius + 2 * extra_halo).next_multiple_of(topo.granularity);
         let tile_px = 4 * tile;
         let x = Tensor::random_uniform(
             Shape4::new(1, 1, (h_tiles * tile_px).max(8), (w_tiles * tile_px).max(8)),
             0.0, 1.0, seed ^ 0x77,
         );
-        let runner = BatchRunner::new(&mut model)
-            .with_tile(TileConfig::with_tile(tile_px).with_halo(halo));
+        let runner = BatchRunner::new(&mut model).with_tile(TileConfig::with_tile(tile_px));
+        let halo = runner.halo();
         let whole = runner.run_whole(&x);
         let tiled = runner.run(&x);
         prop_assert_eq!(
             whole.as_slice(), tiled.as_slice(),
-            "tile {} halo {} (radius {})", tile_px, halo, topo.radius
+            "tile {} halo {}", tile_px, halo
         );
+        wide_margins_are_trimmed(&model, halo + 2 * extra_halo, tile_px, "ffdnet");
     }
+}
 
-    /// Conversely, a halo strictly smaller than the receptive radius must
-    /// NOT be exact in general (the radius walk is tight, not padded).
-    #[test]
-    fn insufficient_halo_deviates(seed in 0u64..1_000)
-    {
-        let alg = Algebra::real().with_backend(ConvBackend::Naive);
-        let mut model = vdsr(&alg, 4, 8, 1, seed);
-        let topo = model_topology(&model);
-        prop_assert!(topo.radius >= 2);
-        let x = Tensor::random_uniform(Shape4::new(1, 1, 16, 16), 0.0, 1.0, seed ^ 0x3);
-        let runner = BatchRunner::new(&mut model)
-            .with_tile(TileConfig::with_tile(4).with_halo(topo.radius - 2));
-        let whole = runner.run_whole(&x);
-        let tiled = runner.run(&x);
-        prop_assert!(
-            whole.as_slice() != tiled.as_slice(),
-            "halo {} below radius {} should leak seams",
-            topo.radius - 2, topo.radius
-        );
-    }
+/// A `core`-pixel tile entering `model` with `wide` pixels of margin on
+/// every side (more than it reads) computes the whole image's core bit
+/// for bit, and keeps no margin: what nothing reads is trimmed.
+fn wide_margins_are_trimmed(
+    model: &dyn ringcnn_nn::runtime::InferenceModel,
+    wide: usize,
+    core: usize,
+    ctx: &str,
+) {
+    let side = core + 2 * wide;
+    let x = Tensor::random_uniform(Shape4::new(1, 1, side, side), 0.0, 1.0, 94);
+    let mut tile = TileHalo::new([wide; 4]);
+    let got = model.forward_tile(&x, &mut tile);
+    assert_eq!(tile.margin, [0; 4], "{ctx}: margin {wide} left over");
+    let (num, den) = model.topology().scale;
+    let (at, out) = ((wide * num / den) as isize, core * num / den);
+    let want = model
+        .forward_infer(&x)
+        .extract_window(0, Window::new(at, at, out, out));
+    assert_equivalent(&want, &got, &format!("{ctx}: margin {wide}"));
 }
 
 /// The model walks yield the leaves the downcast ladders yielded before
@@ -502,8 +503,10 @@ fn depthwise_srresnet_tiles_equal_the_whole_image_on_every_backend() {
 /// `(batch, h, w, core)` of a frame and the cores it is cut into.
 type Geometry = (usize, usize, usize, usize);
 
-/// Output hashes of a model tiled over three geometries, and over a
-/// fourth with a halo wider than its radius — each stitched bit for bit.
+/// Output hashes of a model tiled over three geometries and a fourth
+/// (64 × 48 in 16-pixel cores) — each stitched bit for bit — after a
+/// core entering with a margin two granules wider than the halo computes
+/// the whole image's pixels.
 fn geometry_hashes<M>(model: &mut M, frames: [Geometry; 3], name: &str) -> [u64; 4]
 where
     M: ringcnn_nn::runtime::InferenceModel,
@@ -514,23 +517,20 @@ where
         let ctx = format!("{name}: {n}x{h}x{w} in {tile}-px cores");
         *out = stitched(&runner, Shape4::new(n, 1, h, w), &ctx);
     }
-    let runner = BatchRunner::new(model);
-    let wide = runner.topo().radius + 2 * runner.topo().granularity;
-    let runner = runner.with_tile(TileConfig::with_tile(16).with_halo(wide));
-    assert_eq!(runner.halo(), wide);
-    hashes[3] = stitched(
-        &runner,
-        Shape4::new(1, 1, 64, 48),
-        &format!("{name}: halo {wide}"),
-    );
+    let runner = BatchRunner::new(model).with_tile(TileConfig::with_tile(16));
+    let wide = runner.halo() + 2 * runner.topo().granularity;
+    let ctx = format!("{name}: 1x64x48 in 16-px cores");
+    hashes[3] = stitched(&runner, Shape4::new(1, 1, 64, 48), &ctx);
+    wide_margins_are_trimmed(model, wide, 16, name);
     hashes
 }
 
 /// The tile classes a 3 × 3 grid does not have, on the benchmark's
 /// models as it runs them, float and 8-bit: cores closer to the frame
 /// than the halo is wide (8-pixel cores, halo 12 or 16), odd grids with
-/// partial edge tiles (200 × 208 in 48-pixel cores), batches, and a halo
-/// wider than the radius (the rest is cropped at the paste).
+/// partial edge tiles (200 × 208 in 48-pixel cores), batches, and a core
+/// entering with a margin wider than the halo (trimmed where nothing
+/// reads it).
 #[test]
 fn clipped_margins_odd_grids_batches_and_wide_halos_stitch_bit_for_bit() {
     let hd30 = |scenario, alg: &Algebra| {
@@ -592,7 +592,7 @@ fn empty_and_three_item_batches_tile_as_whole() {
     }
 }
 
-/// `(model, output hashes of the three frames and the wide halo)`.
+/// `(model, output hashes of the four frames)`.
 type GeometryGolden = [(&'static str, [u64; 4]); 6];
 #[rustfmt::skip]
 const GEOMETRY_GOLDEN_SCALAR: GeometryGolden = [
@@ -634,20 +634,22 @@ fn odd_factor_bicubic_skips_tile_bit_for_bit() {
 
 // --- Below: what only exists since tiles shrink (`TileHalo`). ---
 
-use ringcnn_nn::runtime::TileHalo;
-
-/// An explicit halo off the model's granularity is rounded up like the
-/// derived one (it used to panic in `run`): a larger halo is always
-/// exact.
+/// A radius off the model's granularity is rounded up to it, so that
+/// every tile's window starts on the unshuffle's grid: conv3 → unshuffle
+/// ×2 → conv3 → shuffle ×2 reads 3 pixels and stitches exactly at a
+/// halo of 4.
 #[test]
 fn an_unaligned_halo_is_rounded_up_to_the_granularity() {
-    let alg = Algebra::real().with_backend(ConvBackend::Im2col);
-    let mut model = ffdnet(&alg, 2, 8, 1, 3);
-    let topo = model_topology(&model);
-    assert_eq!((topo.radius, topo.granularity), (4, 2));
-    let runner = BatchRunner::new(&mut model).with_tile(TileConfig::with_tile(8).with_halo(3));
+    let (mut chain, _) = random_chain(&[0, 3, 0, 2], 3);
+    let topo = model_topology(&chain);
+    assert_eq!((topo.radius, topo.granularity), (3, 2));
+    let runner = BatchRunner::new(&mut chain).with_tile(TileConfig::with_tile(8));
     assert_eq!(runner.halo(), 4);
-    stitched(&runner, Shape4::new(1, 1, 24, 32), "ffdnet, halo 3");
+    stitched(
+        &runner,
+        Shape4::new(1, 4, 24, 32),
+        "conv3 → unshuffle → conv3 → shuffle",
+    );
 }
 
 /// `(kernel radius, spatial scale, whether it trims)` of a chain's leaf.
@@ -701,16 +703,17 @@ fn random_chain(ops: &[usize], seed: u64) -> (Sequential, Vec<ChainLeaf>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Over random chains: after every leaf every side of a tile still
-    /// has the margin the rest of the chain reaches — or all the frame
-    /// gave it, where the frame clipped it — and with a halo that covers
-    /// what the chain reads, tiles stitch the whole image bit for bit.
+    /// Over random chains: the radius is what the chain reads around a
+    /// core, after every step every side of a tile still has the margin
+    /// the rest of the chain reads — or all the frame gave it, where the
+    /// frame clipped it — and at the default halo tiles stitch the whole
+    /// image bit for bit.
     #[test]
     fn random_chains_keep_the_margin_the_rest_of_the_chain_reads(
         ops in proptest::collection::vec(0usize..6, 7),
         seed in 0u64..1_000,
-        spare in 0usize..3,
     ) {
+        use ringcnn_nn::program::{compile, reads, Op};
         let (mut chain, leaves) = random_chain(&ops, seed);
         // What the chain reads around a core, exactly: backwards from
         // the output, a shuffle's pixels come from ⌈n/r⌉ of its input's.
@@ -718,29 +721,33 @@ proptest! {
             (n * den).div_ceil(num) + radius
         });
         let topo = model_topology(&chain);
+        prop_assert_eq!(topo.radius, need, "{:?}", ops);
         let g = topo.granularity;
-        let halo = (need.max(topo.radius) + spare * g).next_multiple_of(g);
+        let halo = need.next_multiple_of(g);
 
         // The state alone, from an interior tile, a corner tile and one
         // the frame clipped to less than the halo on two sides.
+        let program = compile(&chain);
         let clipped = (halo / 2).next_multiple_of(g).min(halo.saturating_sub(g));
         for entry in [[halo; 4], [0, 0, halo, halo], [clipped, halo, halo, clipped]] {
-            let mut tile = TileHalo::new(entry, halo);
             // A side the frame clipped keeps all it has, rescaled.
-            let mut all = TileHalo::new(entry, 0);
-            for &(radius, scale, trims) in &leaves {
-                if trims {
-                    prop_assert_eq!(tile.conv(radius, 1).len(), 4);
-                } else {
-                    tile.leaf(radius, scale);
+            let (mut tile, mut all) = (TileHalo::new(entry), TileHalo::new(entry));
+            for (i, step) in program.iter().enumerate() {
+                let rest = reads(&program[i + 1..], 0);
+                let (_, (num, den)) = step.op.geometry();
+                match step.op {
+                    Op::Conv { .. } => {
+                        tile.conv(rest.div_ceil(num), num);
+                    }
+                    _ => tile.leaf((num, den)),
                 }
-                all.leaf(0, scale);
+                all.leaf((num, den));
                 for side in 0..4 {
-                    let (m, reach) = (tile.margin[side], tile.reach());
+                    let m = tile.margin[side];
                     prop_assert!(
-                        m >= reach || (entry[side] < halo && m == all.margin[side]),
-                        "side {} of {:?} after a leaf of {:?}: margin {} below reach {}",
-                        side, entry, ops, m, reach
+                        m >= rest || (entry[side] < halo && m == all.margin[side]),
+                        "side {} of {:?} after step {} of {:?}: margin {} below {}",
+                        side, entry, i, ops, m, rest
                     );
                     prop_assert!(m <= all.margin[side], "a margin grew: {:?}", ops);
                 }
@@ -749,11 +756,33 @@ proptest! {
 
         // The chain itself, tiled.
         let x = Tensor::random_uniform(Shape4::new(1, 4, 24, 32), -1.0, 1.0, seed ^ 0x51);
-        let tile = TileConfig::with_tile(8).with_halo(halo);
-        let runner = BatchRunner::new(&mut chain).with_tile(tile);
+        let runner = BatchRunner::new(&mut chain).with_tile(TileConfig::with_tile(8));
+        prop_assert_eq!(runner.halo(), halo);
         let (whole, tiled) = (runner.run_whole(&x), runner.run(&x));
         prop_assert!(bits(&whole) == bits(&tiled), "{:?}, halo {}", ops, halo);
     }
+}
+
+/// conv5 → unshuffle ×2 → shuffle ×2 → conv3 → unshuffle ×2 → shuffle ×2
+/// → conv3 reads 6 pixels around a core (two resolution round trips
+/// each round the reach up to the coarse grid), where a sum of kernel
+/// radii reads 4: at the default halo it stitches bit for bit on the
+/// naive and engine kernels, and as an 8-bit model.
+#[test]
+fn a_chain_with_two_resolution_round_trips_stitches_at_the_default_halo() {
+    let shape = Shape4::new(1, 4, 24, 32);
+    let (mut chain, _) = random_chain(&[1, 3, 2, 0, 3, 2, 0], 17);
+    for backend in [ConvBackend::Naive, ConvBackend::Im2col] {
+        chain.set_conv_backend(backend);
+        let runner = BatchRunner::new(&mut chain).with_tile(TileConfig::with_tile(8));
+        assert_eq!(runner.halo(), 6);
+        stitched(&runner, shape, &format!("round trips on {backend}"));
+    }
+    let calibration = Tensor::random_uniform(Shape4::new(1, 4, 16, 16), -1.0, 1.0, 18);
+    let mut q = QuantizedModel::quantize(&mut chain, &calibration, QuantOptions::default());
+    let runner = BatchRunner::new(&mut q).with_tile(TileConfig::with_tile(8));
+    assert_eq!(runner.halo(), 6);
+    stitched(&runner, shape, "round trips, 8-bit");
 }
 
 // ---------------------------------------------------------------------
@@ -829,23 +858,4 @@ fn sr4_tails_in_strips_equal_the_whole_image_at_pool_sizes_1_and_4() {
             }
         }
     });
-}
-
-/// A halo pinned below the radius does not cover the upsampling tail,
-/// which then runs whole: the tiles compute what they computed before
-/// tails ran in strips (the hash of that output, captured on a clone of
-/// the commit before), not the whole image.
-#[test]
-fn a_halo_below_the_radius_runs_the_tail_whole() {
-    let mut model = build_model(Scenario::Sr4, ThroughputTarget::Hd30, &Algebra::ri_fh(4), 7);
-    fill_zero_convs(&mut model);
-    model.set_conv_backend(ConvBackend::Im2col);
-    let runner = BatchRunner::new(&mut model);
-    let halo = runner.topo().radius - 1;
-    let runner = runner.with_tile(TileConfig::with_tile(16).with_halo(halo));
-    let x = Tensor::random_uniform(Shape4::new(1, 1, 48, 48), 0.0, 1.0, 93);
-    let tiled = runner.run(&x);
-    assert!(bits(&tiled) != bits(&runner.run_whole(&x)), "halo {halo}");
-    let want = golden_of_this_tier(0xae3b_c422_e7af_938c, 0x7f09_850e_34f7_65a1);
-    assert_eq!(hash(&tiled), want, "halo {halo}: {:#018x}", hash(&tiled));
 }
