@@ -466,6 +466,14 @@ mod tests {
         assert_eq!(back, snapshot);
     }
 
+    #[test]
+    fn a_file_nested_too_deep_is_a_parse_error() {
+        match model_from_json(&"[".repeat(1 << 20)) {
+            Err(ModelLoadError::Parse(e)) => assert!(e.contains("nest"), "{e}"),
+            other => panic!("{other:?}"),
+        }
+    }
+
     use ringcnn_algebra::ring::RingKind;
 
     #[test]

@@ -212,6 +212,14 @@ mod tests {
     }
 
     #[test]
+    fn a_file_nested_too_deep_is_a_parse_error() {
+        match qmodel_from_json(&"[".repeat(1 << 20)) {
+            Err(QModelLoadError::Parse(e)) => assert!(e.contains("nest"), "{e}"),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
     fn hand_edited_formats_are_rejected() {
         let (qm, _x) = calibrated(&Algebra::real());
         let file = export_qmodel("m", "tiny", "(real)", 1, 20.0, qm).unwrap();

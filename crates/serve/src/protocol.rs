@@ -26,13 +26,17 @@
 //! {"ok":false,"error":"overloaded","message":"queue full (256/256 requests)"}
 //! ```
 //!
-//! Both codecs walk the top-level object one member at a time. The
-//! first `data` member goes straight between the line and `Vec<f32>`
-//! (no JSON [`Value`] per sample). Every other member is parsed into a
-//! [`Value`] on its own text and read by hand (rather than derived), so
-//! that missing or mistyped fields in *untrusted* input surface as
-//! [`ServeError::BadRequest`] with a field name, never as a panic, and
-//! unknown extra fields are ignored for forward compatibility.
+//! Both codecs walk the top-level object one member at a time. This
+//! module reads only the punctuation between members; each key and
+//! value is read by the `serde_json` shim's parser, the one JSON grammar
+//! of the workspace, which also bounds how deep a value may nest. The
+//! first `data` member goes straight between the line and `Vec<f32>`,
+//! one sample at a time, converted as the [`Value`] path converts it.
+//! Every other member is kept as a [`Value`] and read by hand (rather
+//! than derived), so that missing or mistyped fields in *untrusted*
+//! input surface as [`ServeError::BadRequest`] with a field name, never
+//! as a panic, and unknown extra fields are ignored for forward
+//! compatibility.
 
 use crate::error::ServeError;
 use crate::registry::{Precision, ReloadReport};
@@ -338,11 +342,6 @@ pub enum Response {
 
 // --- Reading a line --------------------------------------------------------
 
-/// How deep values may nest on a line. The `Value` parser recurses once
-/// per level, so a line of 16 MiB of `[` would overflow the reactor's
-/// stack; the deepest message this protocol sends nests 5 levels.
-const MAX_NESTING: usize = 64;
-
 /// A wire line's top-level object: `data`, the one member read straight
 /// into samples, and every other member as a [`Value`] object.
 struct Line {
@@ -365,120 +364,18 @@ fn skip_ws(b: &[u8], mut pos: usize) -> usize {
     pos
 }
 
-/// One past the closing quote of the string opening at `start` (the end
-/// of the line when it never closes).
-fn string_end(b: &[u8], start: usize) -> usize {
-    let mut pos = start + 1;
-    while let Some(&c) = b.get(pos) {
-        pos += 1;
-        match c {
-            b'"' => return pos,
-            b'\\' => pos += 1,
-            _ => {}
-        }
-    }
-    b.len()
+/// The JSON value at `s[start..]` (after any whitespace), and where in
+/// `s` it ends.
+fn parse_at(s: &str, start: usize) -> Result<(Value, usize), serde::Error> {
+    serde_json::from_str_prefix(&s[start..]).map(|(value, len)| (value, start + len))
 }
 
-/// Where the value starting at `start` ends: a string at its closing
-/// quote, an array or object at its closing bracket, anything else at
-/// the next delimiter. Only the extent is found here; the `Value` parser
-/// that reads the text validates it.
-///
-/// # Errors
-///
-/// Nesting deeper than [`MAX_NESTING`].
-fn value_end(b: &[u8], start: usize) -> Result<usize, ServeError> {
-    match b.get(start) {
-        Some(b'"') => Ok(string_end(b, start)),
-        Some(b'[' | b'{') => {
-            let (mut depth, mut pos) = (0usize, start);
-            while let Some(&c) = b.get(pos) {
-                match c {
-                    b'"' => {
-                        pos = string_end(b, pos);
-                        continue;
-                    }
-                    b'[' | b'{' if depth == MAX_NESTING => {
-                        return Err(malformed(format!(
-                            "values nest deeper than {MAX_NESTING} at byte {pos}"
-                        )))
-                    }
-                    b'[' | b'{' => depth += 1,
-                    b']' | b'}' if depth == 1 => return Ok(pos + 1),
-                    b']' | b'}' => depth -= 1,
-                    _ => {}
-                }
-                pos += 1;
-            }
-            Ok(pos)
-        }
-        _ => Ok(b[start..]
-            .iter()
-            .position(|c| matches!(c, b',' | b']' | b'}' | b' ' | b'\t' | b'\n' | b'\r'))
-            .map_or(b.len(), |n| start + n)),
-    }
-}
-
-/// The value whose text is `s[start..]`'s first value, parsed on its own,
-/// and where it ends.
-fn value_at(s: &str, start: usize) -> Result<(Value, usize), ServeError> {
-    let end = value_end(s.as_bytes(), start)?;
-    let value = serde_json::from_str(&s[start..end]).map_err(malformed)?;
-    Ok((value, end))
-}
-
-/// One number at `start`, in the `Value` parser's grammar (`-`? digits,
-/// then `.` digits and `e`/`E` sign digits) and with its rounding: text
-/// without a fraction or exponent is an `i64` (else a `u64`) widened to
-/// `f64`, so `-0` reads `+0.0` as it does there; then `f64 as f32`.
-fn number_at(s: &str, start: usize) -> Option<(f32, usize)> {
-    let b = s.as_bytes();
-    let digits = |mut pos: usize| {
-        while b.get(pos).is_some_and(u8::is_ascii_digit) {
-            pos += 1;
-        }
-        pos
-    };
-    if !b
-        .get(start)
-        .is_some_and(|c| *c == b'-' || c.is_ascii_digit())
-    {
-        return None;
-    }
-    let mut pos = digits(start + 1);
-    let mut float = false;
-    if b.get(pos) == Some(&b'.') {
-        float = true;
-        pos = digits(pos + 1);
-    }
-    if matches!(b.get(pos), Some(b'e' | b'E')) {
-        float = true;
-        pos += 1;
-        if matches!(b.get(pos), Some(b'+' | b'-')) {
-            pos += 1;
-        }
-        pos = digits(pos);
-    }
-    let text = &s[start..pos];
-    let x = if float {
-        text.parse::<f64>().ok()?
-    } else if let Ok(i) = text.parse::<i64>() {
-        i as f64
-    } else if let Ok(u) = text.parse::<u64>() {
-        u as f64
-    } else {
-        text.parse::<f64>().ok()?
-    };
-    Some((x as f32, pos))
-}
-
-/// `data` read where it lies: `[` number or `null`, … `]`, each sample
-/// as `Value::as_f64` then `as f32` give it (`null` is NaN). The vector
-/// is sized by the commas before the first `]`, i.e. by the line, never
-/// by the untrusted `shape`. `None` for any other value: the caller
-/// reads it as a [`Value`] instead, which accepts it or says what is
-/// wrong with it.
+/// `data` read where it lies: `[` sample, … `]`, each sample parsed on
+/// its own and converted as `Vec::<f32>::from_json_value` converts it
+/// (a number through `f64`, `null` to NaN). The vector is sized by the
+/// commas before the first `]`, i.e. by the line, never by the untrusted
+/// `shape`. `None` for any other value: the caller reads it as a
+/// [`Value`] instead, which accepts it or says what is wrong with it.
 fn samples_at(s: &str, start: usize) -> Option<(Vec<f32>, usize)> {
     let b = s.as_bytes();
     if b.get(start) != Some(&b'[') {
@@ -492,16 +389,9 @@ fn samples_at(s: &str, start: usize) -> Option<(Vec<f32>, usize)> {
         return Some((data, pos + 1));
     }
     loop {
-        pos = skip_ws(b, pos);
-        if b[pos..].starts_with(b"null") {
-            data.push(f32::NAN);
-            pos += 4;
-        } else {
-            let (x, end) = number_at(s, pos)?;
-            data.push(x);
-            pos = end;
-        }
-        pos = skip_ws(b, pos);
+        let (sample, end) = parse_at(s, pos).ok()?;
+        data.push(f32::from_json_value(&sample).ok()?);
+        pos = skip_ws(b, end);
         match b.get(pos) {
             Some(b',') => pos += 1,
             Some(b']') => return Some((data, pos + 1)),
@@ -511,8 +401,9 @@ fn samples_at(s: &str, start: usize) -> Option<(Vec<f32>, usize)> {
 }
 
 impl Line {
-    /// Walks one line's top-level object member by member (the grammar
-    /// of the `Value` parser, which reads every member but `data`).
+    /// Walks one line's top-level object member by member: the
+    /// punctuation between members here, each key and value by the
+    /// `Value` parser (every member but `data` into a [`Value`]).
     ///
     /// # Errors
     ///
@@ -523,10 +414,7 @@ impl Line {
         let b = s.as_bytes();
         let expected = |what: &str, pos: usize| malformed(format!("expected {what} at byte {pos}"));
         if !s.starts_with('{') {
-            let (rest, end) = value_at(s, 0)?;
-            if end != b.len() {
-                return Err(expected("the end of the line", end));
-            }
+            let rest = serde_json::from_str(s).map_err(malformed)?;
             return Ok(Line { data: None, rest });
         }
         let (mut data, mut rest, mut seen_data) = (None, Vec::new(), false);
@@ -535,12 +423,9 @@ impl Line {
             pos += 1;
         } else {
             loop {
-                pos = skip_ws(b, pos);
-                if b.get(pos) != Some(&b'"') {
-                    return Err(expected("a `\"` key", pos));
-                }
-                let end = string_end(b, pos);
-                let key: String = serde_json::from_str(&s[pos..end]).map_err(malformed)?;
+                let (Value::Str(key), end) = parse_at(s, pos).map_err(malformed)? else {
+                    return Err(expected("a string key", skip_ws(b, pos)));
+                };
                 pos = skip_ws(b, end);
                 if b.get(pos) != Some(&b':') {
                     return Err(expected("`:`", pos));
@@ -557,7 +442,7 @@ impl Line {
                         end
                     }
                     None => {
-                        let (value, end) = value_at(s, pos)?;
+                        let (value, end) = parse_at(s, pos).map_err(malformed)?;
                         rest.push((key, value));
                         end
                     }
@@ -1473,11 +1358,11 @@ mod tests {
             )
         };
         assert_eq!(
-            Request::parse(&nested(MAX_NESTING)).unwrap(),
+            Request::parse(&nested(serde_json::MAX_NESTING)).unwrap(),
             Request::Health
         );
         for line in [
-            nested(MAX_NESTING + 1),
+            nested(serde_json::MAX_NESTING + 1),
             // Deep enough to overflow a recursive parser's stack.
             nested(1 << 20),
             "[".repeat(1 << 20),

@@ -3,8 +3,24 @@
 //! this workspace makes — `to_string`, `to_string_pretty`, `from_str` —
 //! with standard JSON escapes and number handling (non-finite floats
 //! serialize as `null`, matching real `serde_json`).
+//!
+//! One parser reads every JSON text of the workspace: model files, the
+//! wire's lines and the binary wire's JSON bodies. It recurses once per
+//! array or object it opens and refuses to open one past
+//! [`MAX_NESTING`] levels, naming the nesting and the byte offset, so no
+//! input can overflow the stack of the thread that parses it (real
+//! `serde_json` stops at 128).
+//!
+//! [`from_str_prefix`] is the one call beyond `serde_json`'s API (and
+//! [`MAX_NESTING`] the one constant): it parses the value at the start
+//! of a string and says where that value ends, as
+//! `StreamDeserializer::byte_offset` does there.
 
 use serde::{Deserialize, Error, Serialize, Value};
+
+/// How many arrays and objects a value may nest. The deepest file the
+/// workspace writes nests 16 levels; the deepest wire message, 5.
+pub const MAX_NESTING: usize = 64;
 
 /// Serializes any `Serialize` type to compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
@@ -22,20 +38,28 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
 
 /// Parses JSON text into any `Deserialize` type.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
+    let (v, end) = from_str_prefix(s)?;
+    let rest = s[end..].trim_start_matches([' ', '\t', '\n', '\r']);
+    if !rest.is_empty() {
         return Err(Error::custom(format!(
             "trailing characters at byte {}",
-            p.pos
+            s.len() - rest.len()
         )));
     }
     T::from_json_value(&v)
+}
+
+/// Parses the JSON value at the start of `s` (after any whitespace) and
+/// returns it with the byte offset where it ends; what follows is left
+/// unread.
+pub fn from_str_prefix(s: &str) -> Result<(Value, usize), Error> {
+    let mut p = Parser {
+        src: s,
+        pos: 0,
+        depth: 0,
+    };
+    let v = p.parse_value()?;
+    Ok((v, p.pos))
 }
 
 // --- Writer ----------------------------------------------------------------
@@ -124,13 +148,15 @@ fn write_string(s: &str, out: &mut String) {
 // --- Parser ----------------------------------------------------------------
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -170,7 +196,7 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_keyword(&mut self, kw: &str, v: Value) -> Result<Value, Error> {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
+        if self.src[self.pos..].starts_with(kw) {
             self.pos += kw.len();
             Ok(v)
         } else {
@@ -185,53 +211,43 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(Error::custom("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{0008}'),
-                        Some(b'f') => out.push('\u{000c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| Error::custom("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| Error::custom("bad \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| Error::custom("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error::custom("invalid \\u code point"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(Error::custom("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error::custom("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // Everything up to the next quote or backslash is copied as
+            // it stands. Both are ASCII, so the run ends on a character
+            // boundary of the source.
+            let run = self.src.as_bytes()[self.pos..]
+                .iter()
+                .position(|c| matches!(c, b'"' | b'\\'))
+                .ok_or_else(|| Error::custom("unterminated string"))?;
+            out.push_str(&self.src[self.pos..self.pos + run]);
+            let stop = self.src.as_bytes()[self.pos + run];
+            self.pos += run + 1;
+            if stop == b'"' {
+                return Ok(out);
             }
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{0008}'),
+                Some(b'f') => out.push('\u{000c}'),
+                Some(b'u') => {
+                    let code = self
+                        .src
+                        .get(self.pos + 1..self.pos + 5)
+                        .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                        .ok_or_else(|| Error::custom("bad \\u escape"))?;
+                    out.push(
+                        char::from_u32(code)
+                            .ok_or_else(|| Error::custom("invalid \\u code point"))?,
+                    );
+                    self.pos += 4;
+                }
+                _ => return Err(Error::custom("bad escape")),
+            }
+            self.pos += 1;
         }
     }
 
@@ -261,8 +277,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::custom("invalid number"))?;
+        let text = &self.src[start..self.pos];
         if !is_float {
             if let Ok(v) = text.parse::<i64>() {
                 return Ok(Value::I64(v));
@@ -276,41 +291,68 @@ impl<'a> Parser<'a> {
             .map_err(|_| Error::custom(format!("invalid number `{text}`")))
     }
 
+    /// Steps into the array or object opening at `pos`, one level deeper.
+    ///
+    /// # Errors
+    ///
+    /// When that level would pass [`MAX_NESTING`].
+    fn open(&mut self, bracket: u8) -> Result<(), Error> {
+        if self.depth == MAX_NESTING {
+            return Err(Error::custom(format!(
+                "values nest deeper than {MAX_NESTING} at byte {}",
+                self.pos
+            )));
+        }
+        self.expect(bracket)?;
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// After one member: `,` for another, or `close`, which ends the
+    /// container and steps back out of it.
+    fn next_or_close(&mut self, close: u8) -> Result<bool, Error> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            Some(c) if c == close => {
+                self.pos += 1;
+                self.depth -= 1;
+                Ok(false)
+            }
+            _ => Err(Error::custom(format!(
+                "expected `,` or `{}` at byte {}",
+                close as char, self.pos
+            ))),
+        }
+    }
+
     fn parse_array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
+        self.open(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
+            self.depth -= 1;
             return Ok(Value::Array(items));
         }
         loop {
             items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => {
-                    return Err(Error::custom(format!(
-                        "expected `,` or `]` at byte {}",
-                        self.pos
-                    )))
-                }
+            if !self.next_or_close(b']')? {
+                return Ok(Value::Array(items));
             }
         }
     }
 
     fn parse_object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
+        self.open(b'{')?;
         let mut pairs = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
+            self.depth -= 1;
             return Ok(Value::Object(pairs));
         }
         loop {
@@ -320,21 +362,8 @@ impl<'a> Parser<'a> {
             self.expect(b':')?;
             let value = self.parse_value()?;
             pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(pairs));
-                }
-                _ => {
-                    return Err(Error::custom(format!(
-                        "expected `,` or `}}` at byte {}",
-                        self.pos
-                    )))
-                }
+            if !self.next_or_close(b'}')? {
+                return Ok(Value::Object(pairs));
             }
         }
     }
@@ -370,5 +399,102 @@ mod tests {
             v.field("x").unwrap().index(1).unwrap().as_f64().unwrap(),
             2.5
         );
+    }
+
+    /// `depth` containers, `[` or `{"k":` as `object` says of each level
+    /// from the outside in, around `0`.
+    fn nested(depth: usize, object: impl Fn(usize) -> bool) -> String {
+        let (mut open, mut close) = (String::new(), String::new());
+        for level in 0..depth {
+            let (o, c) = if object(level) {
+                ("{\"k\":", "}")
+            } else {
+                ("[", "]")
+            };
+            open.push_str(o);
+            close.insert_str(0, c);
+        }
+        format!("{open}0{close}")
+    }
+
+    #[test]
+    fn nesting_stops_at_the_limit_for_arrays_objects_and_a_mix() {
+        let shapes: [fn(usize) -> bool; 3] = [|_| false, |_| true, |level| level % 3 == 1];
+        for object in shapes {
+            let at = nested(MAX_NESTING, object);
+            assert!(from_str::<Value>(&at).is_ok(), "{at}");
+            let past = nested(MAX_NESTING + 1, object);
+            let err = from_str::<Value>(&past).unwrap_err().to_string();
+            assert!(err.contains("nest") && err.contains("byte"), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_megabyte_of_brackets_is_refused_without_overflowing_the_stack() {
+        for text in ["[".repeat(1 << 20), "{\"k\":".repeat(1 << 20)] {
+            let err = from_str::<Value>(&text).unwrap_err().to_string();
+            assert!(err.contains("nest"), "{err}");
+            assert!(from_str_prefix(&text).is_err());
+        }
+    }
+
+    #[test]
+    fn the_prefix_call_ends_where_each_kind_of_value_ends() {
+        let cases = [
+            ("null", Value::Null),
+            ("true", Value::Bool(true)),
+            ("false", Value::Bool(false)),
+            ("0", Value::I64(0)),
+            ("-0", Value::I64(0)),
+            ("-12", Value::I64(-12)),
+            ("18446744073709551615", Value::U64(u64::MAX)),
+            ("1.5", Value::F64(1.5)),
+            ("-2.5e-3", Value::F64(-2.5e-3)),
+            ("4E+2", Value::F64(400.0)),
+            ("1e3", Value::F64(1000.0)),
+            ("\"\"", Value::Str(String::new())),
+            ("\"plain\"", Value::Str("plain".into())),
+            (
+                r#""a\"b\\c\/d\n\t\r\b\f""#,
+                Value::Str("a\"b\\c/d\n\t\r\u{8}\u{c}".into()),
+            ),
+            (r#""\u0041\u00e9\u20AC""#, Value::Str("Aé€".into())),
+            ("\"héllo ✓\"", Value::Str("héllo ✓".into())),
+            ("[]", Value::Array(vec![])),
+            (
+                "[1, [\"]\"]]",
+                Value::Array(vec![
+                    Value::I64(1),
+                    Value::Array(vec![Value::Str("]".into())]),
+                ]),
+            ),
+            ("{}", Value::Object(vec![])),
+            (
+                r#"{"}": {"a": null}}"#,
+                Value::Object(vec![(
+                    "}".into(),
+                    Value::Object(vec![("a".into(), Value::Null)]),
+                )]),
+            ),
+        ];
+        for (text, want) in cases {
+            for tail in ["", ",1", " ]", "}x", "\n\"more\""] {
+                let s = format!(" \t{text}{tail}");
+                let (value, end) = from_str_prefix(&s).unwrap();
+                assert_eq!(value, want, "{s:?}");
+                assert_eq!(&s[end..], tail, "{s:?}");
+            }
+        }
+        assert!(from_str_prefix("").is_err());
+        assert!(from_str_prefix("\"open").is_err());
+    }
+
+    #[test]
+    fn a_long_string_parses_in_linear_time() {
+        let text = format!("\"{}\\n{}\"", "a".repeat(1 << 20), "é".repeat(1 << 18));
+        let t0 = std::time::Instant::now();
+        let s: String = from_str(&text).unwrap();
+        assert_eq!(s.len(), (1 << 20) + 1 + 2 * (1 << 18));
+        assert!(t0.elapsed().as_secs_f64() < 1.0, "{:?}", t0.elapsed());
     }
 }

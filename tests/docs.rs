@@ -169,6 +169,10 @@ fn docs_name_no_deleted_identifier() {
             "with_halo",
             "TileHalo::covers",
             "TileHalo::reach",
+            "string_end",
+            "value_end",
+            "value_at",
+            "number_at",
         ] {
             assert!(
                 !text.contains(gone),

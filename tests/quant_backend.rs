@@ -1227,6 +1227,37 @@ fn every_calibrated_model_is_pinned_bit_for_bit() {
     );
 }
 
+/// How many arrays and objects nest in `v`.
+fn nesting(v: &serde::Value) -> usize {
+    let inner = |items: &mut dyn Iterator<Item = &serde::Value>| items.map(nesting).max();
+    match v {
+        serde::Value::Array(items) => 1 + inner(&mut items.iter()).unwrap_or(0),
+        serde::Value::Object(pairs) => 1 + inner(&mut pairs.iter().map(|(_, v)| v)).unwrap_or(0),
+        _ => 0,
+    }
+}
+
+/// The qmodel file of every model of the suite loads back whole. The
+/// deepest, each SR4ERNet with its bicubic skip, nests 16 levels: the
+/// parser's limit of 64 leaves a margin of 48.
+#[test]
+fn every_suite_qmodel_file_loads_within_the_nesting_limit() {
+    let frame = Tensor::random_uniform(Shape4::new(1, 1, 16, 16), 0.0, 1.0, 92);
+    let mut deepest = (0, String::new());
+    for (name, mut model) in calibration_suite() {
+        let Ok(qm) = QuantizedModel::try_quantize(&mut model, &frame, QuantOptions::default())
+        else {
+            continue;
+        };
+        let file = export_qmodel(&name, "suite", "alg", 1, 30.0, qm).expect("exports");
+        let json = qmodel_to_json(&file);
+        assert_eq!(qmodel_from_json(&json).expect("loads"), file, "{name}");
+        let depth = nesting(&serde_json::from_str(&json).expect("parses"));
+        deepest = deepest.max((depth, name));
+    }
+    assert_eq!(deepest.0, 16, "{}", deepest.1);
+}
+
 /// `(model, JSON hashes in the order of `mode_combinations`)`.
 #[rustfmt::skip]
 const CALIBRATED_GOLDEN: [(&str, [u64; 4]); 17] = [

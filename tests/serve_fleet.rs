@@ -433,6 +433,73 @@ fn polling_runs_while_the_server_is_waited_on() {
 }
 
 #[test]
+fn a_model_file_nested_too_deep_fails_the_load_on_a_default_stack() {
+    // The reload thread parses on a spawned thread's default stack: the
+    // load must fail there, naming the file, not overflow it.
+    let dir = temp_dir("evil");
+    std::fs::write(dir.join("evil.json"), "[".repeat(1 << 20)).expect("write evil file");
+    let loaded = {
+        let dir = dir.clone();
+        std::thread::spawn(move || ModelRegistry::new().load_dir(&dir).map(|_| ()))
+            .join()
+            .expect("the loading thread returns")
+    };
+    let err = loaded.unwrap_err();
+    assert_eq!(err.code(), "load_error");
+    let text = err.to_string();
+    assert!(
+        text.contains("evil.json") && text.contains("nest"),
+        "{text}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_model_file_nested_too_deep_is_refused_while_the_fleet_serves() {
+    // A megabyte of `[` lands in the watched directory: every polling
+    // pass and the `reload` verb refuse it on the reload thread's own
+    // stack, and the models already loaded keep answering.
+    let dir = temp_dir("too_deep");
+    write_model(&dir, 6);
+    let registry = ModelRegistry::new();
+    registry.load_dir(&dir).expect("load");
+    let server = Server::start(
+        Arc::new(registry),
+        ServerConfig {
+            reload_poll: Some(Duration::from_millis(20)),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let addr = server.addr().to_string();
+    let waiting = std::thread::spawn(move || server.wait());
+    let mut c = Client::connect_retry(&addr, Duration::from_secs(5)).expect("connect");
+    let x = Tensor::random_uniform(Shape4::new(1, 1, 8, 8), 0.0, 1.0, 11);
+    let want = reference(6).forward_infer(&x);
+    assert_eq!(c.infer("m", &x).expect("infer before").output, want);
+    let passes = c.stats().expect("stats").reload_passes;
+    std::fs::write(dir.join("deep.json"), "[".repeat(1 << 20)).expect("write deep file");
+    // Polling passes run into the file and fail; the server goes on.
+    let t0 = Instant::now();
+    while c.stats().expect("stats").reload_passes < passes + 3 {
+        assert!(t0.elapsed() < Duration::from_secs(30), "polling stopped");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let err = c.reload().expect_err("the pass is refused");
+    assert_eq!(err.code(), "load_error", "{err}");
+    let text = err.to_string();
+    assert!(
+        text.contains("deep.json") && text.contains("nest"),
+        "{text}"
+    );
+    assert_eq!(c.infer("m", &x).expect("infer after").output, want);
+    assert!(c.health().expect("health").healthy);
+    c.shutdown_server().expect("shutdown ack");
+    waiting.join().expect("wait returns");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn slow_stats_consumer_cannot_stall_admission() {
     // A connection that floods `stats` requests and never reads a byte
     // of the responses must not block the event loop or the admission

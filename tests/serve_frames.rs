@@ -12,6 +12,7 @@ use proptest::prelude::*;
 use ringcnn_nn::prelude::*;
 use ringcnn_serve::frame::{self, DecodeStep};
 use ringcnn_serve::prelude::*;
+use ringcnn_serve::protocol::{Verb, VerbId};
 use ringcnn_serve::server::MAX_LINE_BYTES;
 use ringcnn_tensor::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -308,6 +309,44 @@ fn a_huge_shape_with_one_sample_is_refused_without_allocating_for_it() {
     let (decoded, largest) = largest_block(|| frame::decode_response(&bytes));
     assert!(matches!(decoded, DecodeStep::Fail(_)), "{decoded:?}");
     assert!(largest < 4 * bytes.len(), "a {largest}-byte block");
+}
+
+/// A `stats` reply whose JSON body nests 2^20 deep fails the decode at
+/// the parser's nesting limit instead of overflowing the stack.
+#[test]
+fn a_json_body_nested_too_deep_is_refused_without_recursing() {
+    let body = "[".repeat(1 << 20);
+    let mut bytes = ((body.len() + 1) as u32).to_le_bytes().to_vec();
+    bytes.push(Verb::of(VerbId::Stats).response);
+    bytes.extend_from_slice(body.as_bytes());
+    match frame::decode_response(&bytes) {
+        DecodeStep::Fail(e) => assert!(e.to_string().contains("nest"), "{e}"),
+        other => panic!("{other:?}"),
+    }
+}
+
+/// A megabyte-long string (a member, a key, the verb) is read in one
+/// pass over the line: the reactor answers such a line at once.
+#[test]
+fn a_megabyte_string_is_read_in_linear_time() {
+    let long = "a".repeat(1 << 20);
+    for (line, want) in [
+        (
+            format!(r#"{{"verb":"health","x":"{long}"}}"#),
+            Ok(Request::Health),
+        ),
+        (
+            format!(r#"{{"verb":"health","{long}":1}}"#),
+            Ok(Request::Health),
+        ),
+        (format!(r#"{{"verb":"{long}"}}"#), Err("bad_request")),
+    ] {
+        let t0 = std::time::Instant::now();
+        let got = Request::parse(&line).map_err(|e| e.code());
+        let took = t0.elapsed();
+        assert_eq!(got, want);
+        assert!(took.as_secs_f64() < 1.0, "{took:?}");
+    }
 }
 
 // --- Transport-level properties (live server, raw sockets) -----------------
