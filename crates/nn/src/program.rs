@@ -164,12 +164,12 @@ pub fn reads<L>(steps: &[Step<L>], after: usize) -> usize {
 /// the region its body wrote. Only the first step reads `x` as it is
 /// handed.
 ///
-/// The last convolution of a body that widens through a ×`r` shuffle,
-/// with another convolution behind it, runs with the rest of that body
+/// A convolution that widens through a ×`r` shuffle, with another
+/// convolution behind it in its body, runs with the rest of that body
 /// over `r` row strips of the core ([`TileHalo::strip`]), stacked into
-/// the body's output ([`Datapath::stack`]): no tile holds the
-/// full-resolution planes of its upsampling tail. A whole image (no
-/// margins) keeps whole planes.
+/// the body's output ([`Datapath::stack`]); a strip's tail that widens
+/// again strips again. No tile holds a full-resolution plane of any
+/// upsampling stage. A whole image (no margins) keeps whole planes.
 pub fn run<L: Datapath>(
     program: &[Step<L>],
     x: Cow<'_, L::Plane>,
@@ -230,9 +230,9 @@ fn run_body<L: Datapath>(
 /// body behind it, behind which the program reads `after` pixels, run
 /// over `r` row strips of the tile's core, stacked into the body's
 /// output — or `None`, to run them whole: `conv` writes through no
-/// shuffle, `tail` raises the resolution again or holds no convolution
-/// that reads around its pixels, or `tile` is a whole image. Every
-/// strip reads the shared `x` through its own cut ([`TileHalo::strip`]).
+/// shuffle, `tail` holds no convolution that reads around its pixels,
+/// or `tile` is a whole image. Every strip reads the shared `x` through
+/// its own cut ([`TileHalo::strip`]).
 fn in_strips<L: Datapath>(
     conv: Step<L>,
     tail: &[Step<L>],
@@ -247,17 +247,9 @@ fn in_strips<L: Datapath>(
     else {
         return None;
     };
-    // Only the last stage that raises the resolution strips: cutting
-    // every ×r stage cost 7 % more CPU per SR4 frame in recomputed seams
-    // (docs/PERFORMANCE.md, rule 5).
-    let upsamples = |s: &Step<L>| matches!(s.op.geometry(), (_, (2.., _)));
     let reads_around = |s: &Step<L>| matches!(s.op, Op::Conv { radius: 1.., .. });
     let h = L::rows(x) - tile.margin[0] - tile.margin[2];
-    if tail.iter().any(upsamples)
-        || !tail.iter().any(reads_around)
-        || tile.margin == [0; 4]
-        || h == 0
-    {
+    if !tail.iter().any(reads_around) || tile.margin == [0; 4] || h == 0 {
         return None;
     }
     let keep = reads(tail, after).div_ceil(r);

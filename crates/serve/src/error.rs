@@ -1,6 +1,25 @@
 //! The service error type: every way a request can fail, each with a
 //! stable wire code so clients can branch without parsing messages.
 
+use std::borrow::Cow;
+
+/// The most bytes of a name a client sent that an error message echoes.
+const ECHO_BYTES: usize = 64;
+
+/// `name` as an error message quotes it: whole if it has at most
+/// [`ECHO_BYTES`] bytes, else cut at the last char boundary within them
+/// and marked `…`. A megabyte-long name is answered with a short reply.
+pub(crate) fn echo(name: &str) -> Cow<'_, str> {
+    if name.len() <= ECHO_BYTES {
+        return Cow::Borrowed(name);
+    }
+    let cut = (0..=ECHO_BYTES)
+        .rev()
+        .find(|&i| name.is_char_boundary(i))
+        .unwrap_or(0);
+    Cow::Owned(format!("{}…", &name[..cut]))
+}
+
 /// Why the service refused or failed a request.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ServeError {
@@ -113,7 +132,7 @@ impl std::fmt::Display for ServeError {
             ServeError::Overloaded { depth, cap } => {
                 write!(f, "queue full ({depth}/{cap} requests)")
             }
-            ServeError::UnknownModel(m) => write!(f, "unknown model `{m}`"),
+            ServeError::UnknownModel(m) => write!(f, "unknown model `{}`", echo(m)),
             ServeError::ShuttingDown => write!(f, "service is shutting down"),
             ServeError::Deadline {
                 budget_ms,
@@ -177,5 +196,19 @@ mod tests {
         for (code, build) in ServeError::CODES {
             assert_eq!(build(String::new()).code(), code);
         }
+    }
+
+    #[test]
+    fn echo_cuts_long_names_at_a_char_boundary() {
+        assert_eq!(echo("m"), "m");
+        let at_cap = "a".repeat(ECHO_BYTES);
+        assert_eq!(echo(&at_cap), at_cap);
+        // 63 bytes, then a 3-byte char across the cap: cut before it.
+        let name = format!("{}€€", "a".repeat(ECHO_BYTES - 1));
+        assert_eq!(echo(&name), format!("{}…", "a".repeat(ECHO_BYTES - 1)));
+        // A cut name echoes to itself: a relayed error reads the same.
+        let long = ServeError::UnknownModel("b".repeat(1 << 20));
+        let back = ServeError::from_wire(long.code(), &long.to_string());
+        assert_eq!(back.to_string(), long.to_string());
     }
 }

@@ -38,7 +38,7 @@
 //! as a panic, and unknown extra fields are ignored for forward
 //! compatibility.
 
-use crate::error::ServeError;
+use crate::error::{echo, ServeError};
 use crate::registry::{Precision, ReloadReport};
 use crate::stats::StatsSnapshot;
 use ringcnn_tensor::prelude::*;
@@ -604,7 +604,7 @@ fn decode_shape(v: &Value, key: &str) -> Result<Shape4, ServeError> {
 fn verb_of(v: &Value) -> Result<Verb, ServeError> {
     let name = get_str(v, "verb")?;
     Verb::find(|row| row.name == name)
-        .ok_or_else(|| ServeError::BadRequest(format!("unknown verb `{name}`")))
+        .ok_or_else(|| ServeError::BadRequest(format!("unknown verb `{}`", echo(&name))))
 }
 
 // --- Request codec ---------------------------------------------------------

@@ -41,7 +41,7 @@
 //!
 //! [`prepare_inference`]: ringcnn_nn::layer::Layer::prepare_inference
 
-use crate::error::ServeError;
+use crate::error::{echo, ServeError};
 use crate::lock_unpoisoned;
 use ringcnn_nn::layer::Layer;
 use ringcnn_nn::layers::structure::Sequential;
@@ -103,7 +103,7 @@ impl Precision {
         known.ok_or_else(|| {
             let want: Vec<String> = PRECISIONS.iter().map(|p| format!("\"{}\"", p.1)).collect();
             let want = want.join(" or ");
-            ServeError::BadRequest(format!("unknown precision `{s}` (want {want})"))
+            ServeError::BadRequest(format!("unknown precision `{}` (want {want})", echo(s)))
         })
     }
 }

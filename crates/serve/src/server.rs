@@ -223,11 +223,15 @@ impl Server {
 /// [`ModelRegistry::reload_pass`] for every `reload` verb the reactor
 /// sends down `jobs`, one at a time, and hands the job the result. With
 /// `poll`, a wait that times out runs a pass too. A failed polling pass
-/// (a torn write being raced, transient I/O) is logged at `warn` and
-/// retried next interval — the registry's content fingerprints only
-/// advance on success, so nothing is lost. Returns once the reactor has
+/// (a torn write being raced, transient I/O) is retried next interval —
+/// the registry's content fingerprints only advance on success, so
+/// nothing is lost. It is logged at `warn` when its error is new, and
+/// the first pass that succeeds after it at `info`: a file that stays
+/// broken logs once, not every interval. Returns once the reactor has
 /// dropped the channel's sender.
 fn run_reloads(shared: &ServerShared, jobs: &Receiver<ReloadJob>, poll: Option<Duration>) {
+    // The error of the failing polling pass last logged.
+    let mut failing: Option<String> = None;
     loop {
         let next = match poll {
             Some(interval) => jobs.recv_timeout(interval),
@@ -239,6 +243,9 @@ fn run_reloads(shared: &ServerShared, jobs: &Receiver<ReloadJob>, poll: Option<D
             Err(RecvTimeoutError::Disconnected) => return,
         };
         let result = shared.scheduler.registry().reload_pass();
+        if result.is_ok() && failing.take().is_some() {
+            rc_info!("reload-watch", "pass succeeded again");
+        }
         match (job, result) {
             (Some(reply), result) => reply(result),
             (None, Ok(report)) if !report.is_noop() => rc_info!(
@@ -249,11 +256,13 @@ fn run_reloads(shared: &ServerShared, jobs: &Receiver<ReloadJob>, poll: Option<D
                 unchanged = report.unchanged,
             ),
             (None, Ok(_)) => {}
-            (None, Err(e)) => rc_warn!(
-                "reload-watch",
-                "pass failed (will retry)",
-                error = e.to_string()
-            ),
+            (None, Err(e)) => {
+                let error = e.to_string();
+                if failing.as_ref() != Some(&error) {
+                    rc_warn!("reload-watch", "pass failed (will retry)", error = &error);
+                    failing = Some(error);
+                }
+            }
         }
     }
 }

@@ -260,6 +260,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::thread;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn run_covers_every_index_once() {
@@ -285,6 +288,43 @@ mod tests {
         });
         let want: Vec<usize> = (0..8).map(|i| (0..8).map(|j| i * 8 + j).sum()).collect();
         assert_eq!(out, want);
+    }
+
+    #[test]
+    fn a_run_nested_in_a_sequential_run_fans_out() {
+        // A single-item run is no job, so the run inside it (a whole-frame
+        // request's GEMM) still reaches the other threads.
+        if current_num_threads() < 2 {
+            return;
+        }
+        let threads = Mutex::new(HashSet::new());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let seen = || threads.lock().unwrap().len();
+        run(1, &|_| {
+            run(64, &|_| {
+                threads.lock().unwrap().insert(thread::current().id());
+                // Each item waits until items ran on two threads.
+                while seen() < 2 && Instant::now() < deadline {
+                    thread::sleep(Duration::from_millis(1));
+                }
+            })
+        });
+        assert!(seen() >= 2);
+    }
+
+    #[test]
+    fn a_panic_in_a_nested_run_reaches_the_outermost_submitter() {
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            run(8, &|_| {
+                run(8, &|j| {
+                    if j == 5 {
+                        panic!("nested boom");
+                    }
+                })
+            });
+        }));
+        let payload = result.expect_err("a nested panic must reach the submitter");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"nested boom"));
     }
 
     #[test]

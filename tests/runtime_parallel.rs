@@ -818,30 +818,37 @@ fn at_pool_sizes(name: &str, pools: [usize; 2], check: impl Fn()) {
 /// every algebra — on the engine kernel, which fuses the shuffles the
 /// strips start at; then a ×2 and a ×3 stage with a conv behind each,
 /// whose strips split the odd cores of the uneven frames unevenly (an
-/// SR4ERNet's last stage reads an even core, twice its LR rows).
+/// SR4ERNet's last stage reads an even core, twice its LR rows), and a
+/// ×2 → conv → ×3 chain, whose ×2 strips each run their ×3 tail in
+/// strips of their own.
 fn strip_models() -> Vec<(String, Sequential)> {
     let mut models = suite_models();
     models.retain(|(name, _)| name.contains("sr4"));
     let conv = |ci, co, seed| Box::new(Conv2d::new(ci, co, 3, seed)) as Box<dyn Layer>;
-    for r in [2, 3] {
-        let stage = Sequential::new()
-            .with(conv(1, 8, 1))
-            .with(conv(8, 8 * r * r, 2))
+    let stage = |model: Sequential, r, seed| {
+        model
+            .with(conv(8, 8 * r * r, seed))
             .with(Box::new(PixelShuffle::new(r)))
             .with(Box::new(Relu::new()))
-            .with(conv(8, 1, 3));
-        models.push((format!("x{r} stage"), stage));
+    };
+    for r in [2, 3] {
+        let model = stage(Sequential::new().with(conv(1, 8, 1)), r, 2).with(conv(8, 1, 3));
+        models.push((format!("x{r} stage"), model));
     }
+    let chain = stage(Sequential::new().with(conv(1, 8, 4)), 2, 5).with(conv(8, 8, 6));
+    let chain = stage(chain, 3, 7).with(conv(8, 1, 8));
+    models.push(("x2 x3 stages".into(), chain));
     for (_, model) in &mut models {
         model.set_conv_backend(ConvBackend::Im2col);
     }
     models
 }
 
-/// Every SR4ERNet's tiles run their last ×2 stage in strips and stitch
-/// the whole-image output bit for bit, at pool sizes 1 and 4: corner, edge
-/// and interior tiles on every ring; partial edge tiles and cores of an
-/// odd number of rows on the benchmark's ring and the ×2 and ×3 stages.
+/// Every SR4ERNet's tiles run both ×2 stages in strips (r² = 4 per tile)
+/// and stitch the whole-image output bit for bit, at pool sizes 1 and 4:
+/// corner, edge and interior tiles on every ring; partial edge tiles and
+/// cores of an odd number of rows on the benchmark's ring, the ×2 and ×3
+/// stages and the ×2 → ×3 chain.
 #[test]
 fn sr4_tails_in_strips_equal_the_whole_image_at_pool_sizes_1_and_4() {
     let name = "sr4_tails_in_strips_equal_the_whole_image_at_pool_sizes_1_and_4";

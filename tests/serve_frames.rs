@@ -384,6 +384,42 @@ fn an_endless_response_line_is_refused_at_the_cap() {
     server.join().unwrap();
 }
 
+/// A megabyte-long verb, model or precision is answered with its code
+/// and a short message: the reply quotes a bounded prefix of the name.
+#[test]
+fn megabyte_names_are_echoed_in_short_errors() {
+    let server = Server::start(tiny_registry(), ServerConfig::default()).expect("bind");
+    let long = "n".repeat(1 << 20);
+    let infer = |model: &str, precision: &str| {
+        format!(
+            r#"{{"verb":"infer","model":"{model}","precision":"{precision}","shape":[1,1,1,1],"data":[1.0]}}"#
+        )
+    };
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+    for (request, code) in [
+        (format!(r#"{{"verb":"{long}"}}"#), "bad_request"),
+        (infer(&long, "fp64"), "unknown_model"),
+        (infer("m", &long), "bad_request"),
+    ] {
+        stream.write_all(request.as_bytes()).unwrap();
+        stream.write_all(b"\n").unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        match Response::parse(&line) {
+            Ok(Response::Error(e)) => {
+                assert_eq!(e.code(), code, "{e}");
+                assert!(e.to_string().len() < 256, "{e}");
+            }
+            other => panic!("expected a {code} error, got {other:?}"),
+        }
+    }
+    server.shutdown();
+}
+
 /// Clients that vanish mid-frame (on both wires, at arbitrary cut
 /// points) must not wedge the reactor: the server stays healthy and
 /// keeps answering well-formed requests afterwards.
