@@ -8,12 +8,13 @@
 //! power models price.
 //!
 //! The simulator computes no integers. Its outputs are those of
-//! `ringcnn-quant`'s pipeline run block by block ([`BatchRunner::run`]),
+//! `ringcnn-quant`'s pipeline as the CPU runtime runs a frame
+//! ([`BatchRunner::run`], bit-identical to the whole-frame forward),
 //! and every convolution is accounted for by running the model's step
 //! program ([`QuantizedModel::program`]) over shapes through the driver
-//! that runs it on integers, [`program::run`], over the runtime's tiles:
-//! a convolution is charged [`EnginePass::of_conv`] over only what its
-//! block computes.
+//! that runs it on integers, [`program::run`], over the runtime's tiles
+//! (`BatchRunner::tiles`): a convolution is charged
+//! [`EnginePass::of_conv`] over only what its block computes.
 //!
 //! [`EnginePass`]: ringcnn_hw::engine::EnginePass
 //! [`EnginePass::of_conv`]: ringcnn_hw::engine::EnginePass::of_conv

@@ -181,8 +181,8 @@ impl Datapath for Charge<'_> {
 
     fn add_skip(self, _: &mut Shape4, _: &Shape4, _: Point, _: Point) {}
 
-    fn stack(parts: &[(Shape4, Range<usize>)]) -> Shape4 {
-        let s = parts[0].0;
+    fn stack(parts: &[(&Shape4, Range<usize>)]) -> Shape4 {
+        let s = *parts[0].0;
         let h = parts.iter().map(|(_, rows)| rows.len()).sum();
         Shape4::new(s.n, s.c, h, s.w)
     }

@@ -35,10 +35,9 @@ const NO_DOWNCAST: &str = "downcast in a crate that walks models: read `Layer::d
 /// What `one-tile-walk` flags, and the files that write it once: the tile
 /// arithmetic in the runtime (`TileHalo`) and the step program's driver,
 /// the cutting of a frame into tiles and their stitching in the runtime.
-const TILE_WALK: [(&str, &[&str]); 5] = [
+const TILE_WALK: [(&str, &[&str]); 4] = [
     ("tile.leaf(", &["runtime.rs", "program.rs"]),
     ("tile.conv(", &["runtime.rs", "program.rs"]),
-    ("tile.strip(", &["runtime.rs", "program.rs"]),
     ("extract_window(", &["runtime.rs"]),
     ("paste_window(", &["runtime.rs"]),
 ];
@@ -528,7 +527,7 @@ mod tests {
         let src = "\
 let cut = tile.conv(k / 2, 1);
 tile.leaf(0, (r, 1));
-let (strip, cut) = tile.strip(k / 2, 2, [0, 4]);
+let cut = tile.conv(keep, r);
 #[cfg(test)]
 mod tests {
     fn t() { tile.leaf(1, (1, 1)); }

@@ -1,29 +1,33 @@
-//! The multi-threaded inference runtime: tile-parallel forwards and
-//! batch execution over a prepared, shared model.
+//! The multi-threaded inference runtime: line-buffered frames and batch
+//! execution over a prepared, shared model.
 //!
-//! This is the CPU realization of the paper's block-based inference flow
-//! (§V): the input image is split into core tiles, every tile is
-//! extended by a halo of at least the model's receptive-field radius,
-//! the halo-extended tiles run through the network *concurrently* on the
-//! thread pool, and each core is pasted into the output as its tile
-//! ends; the output takes its channel count from the tiles, so nothing
-//! walks the model for it. The halo is consumed on the way, not carried:
-//! a [`TileHalo`] travels with the tile, and a convolution computes only
-//! the core and what the rest of the program reads around it
-//! ([`program::reads`]) — the truncated pyramid of the block flow, the
-//! tile shrinking layer by layer down to its core. An upsampling tail is
-//! cut further: the last convolution of a body that widens through a ×r
-//! shuffle runs, with the rest of that body, over r row strips of the
-//! core ([`TileHalo::strip`]), so a super-resolution tile never holds
-//! its full-resolution feature planes.
-//! Per element nothing changes, so the stitched output is
+//! The CPU frame path is a line buffer: [`BatchRunner::run`] cuts every
+//! frame into one contiguous full-width row section per pool thread,
+//! streams each section with a halo of the model's receptive radius
+//! above and below it through the model on its own thread
+//! ([`InferenceModel::stream`], [`program::stream`]: bands of rows top to
+//! bottom, every step keeping only the rows its next band reads again),
+//! and pastes each section's core rows into the output as they come out;
+//! the output takes its channel count from the bands, so nothing walks
+//! the model for it. Within a section every convolution computes each of
+//! its pixels once; the rows a section's halo shares with its neighbour
+//! (the seam) are computed by both.
+//!
+//! The paper's block-based flow (§V) stays for the accelerator model:
+//! [`BatchRunner::tiles`] cuts a frame into core tiles extended by a
+//! halo, and a [`TileHalo`] travels with a tile through
+//! [`program::run`], a convolution computing only the core and what the
+//! rest of the program reads around it ([`program::reads`]) — the
+//! truncated pyramid of the block flow, the tile shrinking layer by layer
+//! down to its core. `ringcnn-esim` runs those tiles.
+//! Per element nothing changes on either path, so the output is
 //! **bit-identical** to the whole-image pass on every kernel —
 //! the determinism suite in `tests/runtime_parallel.rs` enforces it.
 //!
 //! Threading model: [`BatchRunner::new`] takes the model exclusively
 //! once, warms up every inference kernel
 //! ([`Layer::prepare_inference`] — transform plans, weight plans), and
-//! then shares the model immutably across tile/frame workers via
+//! then shares the model immutably across section/frame workers via
 //! [`Layer::forward_infer`]. Workers never mutate the model; a kernel
 //! nobody warmed up is built once by whichever worker needs it first.
 //! The pool size comes from `RINGCNN_THREADS` (see the `rayon` shim;
@@ -35,10 +39,11 @@ use crate::program::{self, Step};
 use rayon::prelude::*;
 use ringcnn_tensor::prelude::*;
 use ringcnn_tensor::tile::{tile_grid, Window};
+use std::ops::Range;
 use std::sync::{Mutex, PoisonError};
 
 /// Greatest common divisor (positive inputs).
-fn gcd(a: usize, b: usize) -> usize {
+pub(crate) fn gcd(a: usize, b: usize) -> usize {
     if b == 0 {
         a
     } else {
@@ -51,7 +56,7 @@ fn lcm(a: usize, b: usize) -> usize {
     a / gcd(a, b) * b
 }
 
-/// Spatial facts the tiled runtime needs about a model, derived by
+/// Spatial facts the runtime needs about a model, derived by
 /// walking its layer tree once.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ModelTopo {
@@ -97,11 +102,6 @@ impl ModelTopo {
 /// where there are more, and all a frame-clipped side has (there the
 /// image edge gets the per-layer zero padding of whole-image inference).
 /// Outside a tile ([`TileHalo::whole`]) nothing is ever cut.
-///
-/// A row strip of the core is a tile of its own in the same plane
-/// ([`TileHalo::strip`]): the rows of the core beside it count as margin,
-/// so its inner sides keep what the rest of the program reads like any
-/// other side.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TileHalo {
     /// Pixels beyond the core on the top, left, bottom and right, at the
@@ -147,29 +147,12 @@ impl TileHalo {
     /// Moves past a convolution that keeps `keep` pixels around the core,
     /// through the pixel shuffle of factor `r` fused behind it: returns
     /// the rows and columns it leaves out on the top, left, bottom and
-    /// right of its "same" output. The strip of [`TileHalo::strip`] that
-    /// is the whole core.
+    /// right of its "same" output.
     pub fn conv(&mut self, keep: usize, r: usize) -> [usize; 4] {
-        let cut;
-        (*self, cut) = self.strip(keep, r, [0, 0]);
+        let cut = self.margin.map(|m| m.saturating_sub(keep));
+        self.margin = self.margin.map(|m| m.min(keep));
+        self.leaf((r, 1));
         cut
-    }
-
-    /// The row strip of the core without its `above` top and `below`
-    /// bottom rows, as a tile of its own placed in the same plane, moved
-    /// past a convolution that keeps `keep` pixels around it through the
-    /// shuffle of factor `r` — and the rows and columns the convolution
-    /// leaves out of its "same" output for it. An inner side keeps the
-    /// rows a neighbouring strip also computes (its seam).
-    pub fn strip(&self, keep: usize, r: usize, [above, below]: [usize; 2]) -> (Self, [usize; 4]) {
-        let mut strip = *self;
-        strip.margin[0] += above;
-        strip.margin[2] += below;
-        strip.core[0] += above;
-        let cut = strip.margin.map(|m| m.saturating_sub(keep));
-        strip.margin = strip.margin.map(|m| m.min(keep));
-        strip.leaf((r, 1));
-        (strip, cut)
     }
 }
 
@@ -178,15 +161,20 @@ pub fn model_topology(model: &dyn Layer) -> ModelTopo {
     ModelTopo::of(&program::compile(model))
 }
 
-/// The shared-state inference contract the tiled runtime executes: a
+/// Hands a line buffer the input rows it asks for ([`InferenceModel::stream`]).
+pub type Read<'a> = &'a (dyn Fn(Range<usize>) -> Tensor + Sync);
+/// Takes a line buffer's output bands, each with its first row.
+pub type Emit<'a> = &'a mut dyn FnMut(Tensor, usize);
+
+/// The shared-state inference contract the runtime executes: a
 /// model that can be prepared once (exclusive access), then run
 /// concurrently through `&self` from many pool threads, and that knows
 /// its own spatial topology.
 ///
 /// [`Sequential`] implements it by delegating to the [`Layer`] API;
 /// `ringcnn_quant::QuantizedModel` implements it over the integer
-/// pipeline, which is what lets [`BatchRunner`] run quantized inference
-/// tile-parallel with bit-exact stitching.
+/// pipeline, which is what lets [`BatchRunner`] stream quantized frames
+/// in parallel with bit-exact stitching.
 pub trait InferenceModel: Send + Sync {
     /// Pre-builds every cached inference kernel so subsequent
     /// [`InferenceModel::forward_infer`] calls never rebuild state.
@@ -203,6 +191,12 @@ pub trait InferenceModel: Send + Sync {
         self.forward_tile(input, &mut TileHalo::whole())
     }
 
+    /// The input rows `rows` of a frame `h × w` run as a line buffer
+    /// ([`program::stream`] in bands of [`program::band`] rows): `read`
+    /// hands over input rows, `emit` takes every output band with its
+    /// first row in the output frame.
+    fn stream(&self, frame: (usize, usize), rows: Range<usize>, read: Read<'_>, emit: Emit<'_>);
+
     /// The model's spatial topology (receptive radius, granularity,
     /// output scale).
     fn topology(&self) -> ModelTopo;
@@ -217,12 +211,19 @@ impl InferenceModel for Sequential {
         program::forward_tile(self, input, tile)
     }
 
+    fn stream(&self, (h, w): (usize, usize), rows: Range<usize>, read: Read<'_>, emit: Emit<'_>) {
+        let program = program::compile(self);
+        let band = program::band(&program, w);
+        program::stream(&program, h, rows, band, read, emit);
+    }
+
     fn topology(&self) -> ModelTopo {
         model_topology(self)
     }
 }
 
-/// Tile-partitioning knobs for [`BatchRunner::run`].
+/// The block size of [`BatchRunner::tiles`], and where
+/// [`BatchRunner::run`] streams a frame instead of running it whole.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TileConfig {
     /// Core tile size in input pixels (rounded up to the model's
@@ -235,8 +236,8 @@ impl Default for TileConfig {
         // 64-pixel cores: the paper's block-based flow operates at
         // 16–64; larger cores amortize the halo recompute overhead
         // (convolution `i` of a tile computes `(t + 2·keep_i)²` pixels
-        // for `t²` of core, see docs/PERFORMANCE.md) while still exposing
-        // enough tiles for the pool.
+        // for `t²` of core, see docs/PERFORMANCE.md). A frame that fits
+        // one core runs whole.
         Self { tile: 64 }
     }
 }
@@ -248,7 +249,7 @@ impl TileConfig {
     }
 }
 
-/// A prepared model shared across the thread pool: tile-parallel single
+/// A prepared model shared across the thread pool: line-buffered single
 /// frames and parallel batches, with every cached inference kernel
 /// (transform plans, weight expansions) built exactly once up front.
 ///
@@ -275,7 +276,7 @@ pub struct BatchRunner<'m> {
 
 impl<'m> BatchRunner<'m> {
     /// Prepares the model for shared inference: pre-builds cached
-    /// kernels and derives the tiling topology. The exclusive borrow
+    /// kernels and derives the model's topology. The exclusive borrow
     /// happens here, once; everything after runs through `&self`.
     /// Accepts any [`InferenceModel`] — float [`Sequential`]s and the
     /// quantized integer pipeline alike.
@@ -308,21 +309,19 @@ impl<'m> BatchRunner<'m> {
         self.topo.radius.next_multiple_of(self.topo.granularity)
     }
 
-    /// Whole-image inference forward (no tiling; the baseline the tiled
-    /// path is compared against).
+    /// Whole-image inference forward (no sections; the baseline the
+    /// streamed path is compared against).
     pub fn run_whole(&self, input: &Tensor) -> Tensor {
         self.model.forward_infer(input)
     }
 
-    /// The tile grid [`Self::run`] would use for an `h × w` image, or
-    /// `None` when the whole-image path is taken instead.
+    /// The tile grid of an `h × w` image (the blocks of
+    /// [`Self::tiles`]), or `None` when [`Self::run`] takes the
+    /// whole-image path instead of streaming it.
     ///
     /// Degenerate grids are rejected here rather than executed: an image
     /// that fits one tile (both dimensions ≤ the effective tile size)
-    /// and 1-pixel-wide/-tall strips both go whole-image. Strip inputs
-    /// would otherwise shatter into tiles whose halo re-computation
-    /// dwarfs their 1-pixel core, all to parallelize an image that is
-    /// already tiny along the other axis.
+    /// and 1-pixel-wide/-tall images both go whole-image.
     pub fn plan_grid(&self, h: usize, w: usize) -> Option<Vec<Window>> {
         let g = self.topo.granularity;
         let tile = self.tile.tile.next_multiple_of(g).max(g);
@@ -355,14 +354,20 @@ impl<'m> BatchRunner<'m> {
             .collect()
     }
 
-    /// Tile-parallel inference: splits every batch item into
-    /// halo-extended tiles ([`Self::tiles`]), runs all tiles across the
-    /// thread pool, and pastes each core as its tile ends into one zeroed
-    /// frame. The frame's channel count is the tiles' own (the model is
-    /// not asked): allocated at the input's count, the frame is allocated
-    /// again by the first tile to end if that tile's count differs. Falls
-    /// back to [`Self::run_whole`] when the image yields a single tile or
-    /// the batch is empty.
+    /// Inference over a frame as one line buffer per pool thread: cuts
+    /// every batch item into contiguous full-width row sections, one per
+    /// pool thread (split over the batch), streams each section's input
+    /// rows and a halo above and below them through the model on its own
+    /// thread ([`InferenceModel::stream`]), and pastes its core rows into
+    /// one zeroed frame as they come out. The frame's channel count is the
+    /// bands' own (the model is not asked): allocated at the input's
+    /// count, the frame is allocated again by the first band to arrive if
+    /// its count differs. Falls back to [`Self::run_whole`] when
+    /// [`Self::plan_grid`] plans no grid or the batch is empty.
+    ///
+    /// Over one section every convolution computes each of its output
+    /// pixels once; a section's halo rows are computed again by its
+    /// neighbour (the seam).
     ///
     /// # Panics
     ///
@@ -375,63 +380,66 @@ impl<'m> BatchRunner<'m> {
             s.h % g == 0 && s.w % g == 0,
             "input {s} not aligned to the model granularity {g}"
         );
-        let Some(grid) = self.plan_grid(s.h, s.w).filter(|_| s.n > 0) else {
+        if self.plan_grid(s.h, s.w).is_none() || s.n == 0 {
             return self.run_whole(input);
-        };
+        }
         let (sn, sd) = self.topo.scale;
         // The frame is allocated here, on the calling thread, at the input's
         // channel count, which an image-to-image model returns; the first
-        // tile to end allocates it again if its own count differs. (Left
-        // to that tile, the frame lands in a pool thread's malloc arena:
+        // band to arrive allocates it again if its own count differs. (Left
+        // to a pool thread, the frame lands in that thread's malloc arena:
         // +0.6 MiB peak RSS on 256×256 SR frames, 2-core Xeon, glibc.)
-        let frame = Shape4::new(s.n, s.c, s.h * sn / sd, s.w * sn / sd);
-        let out = Mutex::new(Tensor::zeros(frame));
+        let (oh, ow) = (s.h * sn / sd, s.w * sn / sd);
+        let out = Mutex::new(Tensor::zeros(Shape4::new(s.n, s.c, oh, ow)));
 
-        // One task per (batch item, tile); all tasks fan out at once, and
-        // each pastes its core into the frame when it ends (the cores are
-        // disjoint windows). The caller's span context is captured
-        // *before* the fan-out: pool threads have no ambient span, so each
-        // tile task re-roots its "tile" span under the request's kernel
-        // span explicitly.
+        // Sections of whole granules, one per pool thread and batch item.
+        let units = s.h / g;
+        let per_item = num_threads().div_ceil(s.n).min(units);
+        let cut = move |i: usize| i * units / per_item * g;
+        let sections: Vec<_> = (0..s.n)
+            .flat_map(|n| (0..per_item).map(move |i| (n, cut(i)..cut(i + 1))))
+            .collect();
+        let halo = self.halo();
+        // The caller's span context is captured *before* the fan-out: pool
+        // threads have no ambient span, so each section re-roots its
+        // "section" span under the request's kernel span explicitly.
         let parent = ringcnn_trace::span::current();
-        self.tiles(s, &grid)
-            .par_iter()
-            .for_each(|&(n, core, ext, mut tile)| {
-                let span = parent.map(|p| ringcnn_trace::span::span_in(p, "tile"));
-                if let Some(sp) = &span {
-                    sp.set_args(ext.h as u64, ext.w as u64);
-                }
-                let tile_out = self
-                    .model
-                    .forward_tile(&input.extract_window(n, ext), &mut tile);
-                // What is left of the margins at output scale (steps
-                // behind the last convolution carry them) is cropped here.
-                let [top, left, bottom, right] = tile.margin;
-                let (h, w) = (core.h * sn / sd, core.w * sn / sd);
-                // Guard the topology walk against models that are not
-                // spatially uniform (e.g. global pooling + dense heads):
-                // their output does not scale with the tile, which the
-                // walk cannot see — fail with the real reason instead of
-                // a stitching bounds panic.
-                let Shape4 { h: th, w: tw, .. } = tile_out.shape();
+        sections.par_iter().for_each(|&(n, ref section)| {
+            let (top, bottom) = (section.start, section.end);
+            let span = parent.map(|p| ringcnn_trace::span::span_in(p, "section"));
+            if let Some(sp) = &span {
+                sp.set_args((bottom - top) as u64, s.w as u64);
+            }
+            let rows = top.saturating_sub(halo)..(bottom + halo).min(s.h);
+            let read = |r: Range<usize>| {
+                input.extract_window(n, Window::new(r.start as isize, 0, r.len(), s.w))
+            };
+            let core = top * sn / sd..bottom * sn / sd;
+            self.model.stream((s.h, s.w), rows, &read, &mut |y, first| {
+                // Guard against models that are not spatially uniform:
+                // their output does not scale with the band.
+                let Shape4 { h, w, c, .. } = y.shape();
                 assert_eq!(
-                    (th, tw),
-                    (top + h + bottom, left + w + right),
-                    "model is not tileable: a tile with a {h}×{w} core at output scale \
-                     {sn}/{sd} produced a {th}×{tw} output; spatially non-uniform layers \
-                     such as global pooling cannot run block-based inference",
+                    w, ow,
+                    "model is not tileable: a {}-px-wide frame at output scale {sn}/{sd} \
+                     produced a {w}-px-wide band; spatially non-uniform layers such as \
+                     global pooling cannot run on bands of rows",
+                    s.w,
                 );
-                let src = Window::new(top as isize, left as isize, h, w);
-                let (y0, x0) = (core.y0 as usize * sn / sd, core.x0 as usize * sn / sd);
+                let (lo, hi) = (first.max(core.start), (first + h).min(core.end));
+                if lo >= hi {
+                    return;
+                }
+                let src = Window::new((lo - first) as isize, 0, hi - lo, w);
                 // Poisoned only by a task that panicked, and that panic
                 // reaches the caller.
                 let mut out = out.lock().unwrap_or_else(PoisonError::into_inner);
-                let c = tile_out.shape().c;
                 if out.shape().c != c {
                     *out = Tensor::zeros(out.shape().with_channels(c));
                 }
-                out.paste_window(n, y0, x0, &tile_out, src);
+                out.paste_window(n, lo, 0, &y, src);
             });
+        });
         out.into_inner().unwrap_or_else(PoisonError::into_inner)
     }
 }

@@ -47,7 +47,7 @@ use ringcnn_nn::layers::conv::AnyConv;
 use ringcnn_nn::layers::shuffle::{cropped, shuffle_into, stacked, unshuffle_into, PixelShuffle};
 use ringcnn_nn::layers::structure::Sequential;
 use ringcnn_nn::program::{self, push_skip, run, Datapath, Epilogue, Op, Point, Step};
-use ringcnn_nn::runtime::{InferenceModel, ModelTopo, TileHalo};
+use ringcnn_nn::runtime::{Emit, InferenceModel, ModelTopo, Read, TileHalo};
 use ringcnn_tensor::gemm::{ChunkEpilogue, PackedWeights, RequantChannel, RequantPlan};
 use ringcnn_tensor::im2col::{conv_streaming_i32, ConvInput};
 use ringcnn_tensor::prelude::*;
@@ -623,6 +623,21 @@ impl InferenceModel for QuantizedModel {
         run(&self.program(), Cow::Owned(q), tile).dequantize()
     }
 
+    /// The integer chain as a line buffer: every band read is quantized
+    /// onto the chain's planes, every band emitted dequantized.
+    fn stream(&self, (h, w): (usize, usize), rows: Range<usize>, read: Read<'_>, emit: Emit<'_>) {
+        self.proof().expect("a model that loads");
+        let program = self.program();
+        let band = program::band(&program, w);
+        let read = |rows| {
+            let x = read(rows);
+            QTensorOf::<i8>::quantize(&x, vec![self.input_format; x.shape().c])
+        };
+        program::stream(&program, h, rows, band, read, |y, first| {
+            emit(y.dequantize(), first);
+        });
+    }
+
     fn topology(&self) -> ModelTopo {
         QuantizedModel::topology(self)
     }
@@ -800,7 +815,7 @@ impl Datapath for Calibrate<'_> {
         self.lowered(self.fit_skip(body, out));
     }
 
-    fn stack(parts: &[(Tensor, Range<usize>)]) -> Tensor {
+    fn stack(parts: &[(&Tensor, Range<usize>)]) -> Tensor {
         <&dyn Layer>::stack(parts)
     }
 
@@ -923,7 +938,7 @@ impl Datapath for &QLayer {
         add_skip(self, out, x, at, origin);
     }
 
-    fn stack(parts: &[(Self::Plane, Range<usize>)]) -> Self::Plane {
+    fn stack(parts: &[(&Self::Plane, Range<usize>)]) -> Self::Plane {
         let views: Vec<_> = parts
             .iter()
             .map(|(q, rows)| (q.data(), q.shape(), rows.clone()))

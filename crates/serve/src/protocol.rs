@@ -372,10 +372,12 @@ fn parse_at(s: &str, start: usize) -> Result<(Value, usize), serde::Error> {
 
 /// `data` read where it lies: `[` sample, … `]`, each sample parsed on
 /// its own and converted as `Vec::<f32>::from_json_value` converts it
-/// (a number through `f64`, `null` to NaN). The vector is sized by the
-/// commas before the first `]`, i.e. by the line, never by the untrusted
-/// `shape`. `None` for any other value: the caller reads it as a
-/// [`Value`] instead, which accepts it or says what is wrong with it.
+/// (a number through `f64`, `null` to NaN): a number straight from the
+/// parser's number scan (`serde_json::number_prefix`), anything else
+/// through a [`Value`]. The vector is sized by the commas before the
+/// first `]`, i.e. by the line, never by the untrusted `shape`. `None`
+/// for any other value: the caller reads it as a [`Value`] instead,
+/// which accepts it or says what is wrong with it.
 fn samples_at(s: &str, start: usize) -> Option<(Vec<f32>, usize)> {
     let b = s.as_bytes();
     if b.get(start) != Some(&b'[') {
@@ -389,8 +391,17 @@ fn samples_at(s: &str, start: usize) -> Option<(Vec<f32>, usize)> {
         return Some((data, pos + 1));
     }
     loop {
-        let (sample, end) = parse_at(s, pos).ok()?;
-        data.push(f32::from_json_value(&sample).ok()?);
+        let (sample, end) = match b.get(pos) {
+            Some(b'-' | b'0'..=b'9') => {
+                let (v, len) = serde_json::number_prefix(&s[pos..]).ok()?;
+                (v as f32, pos + len)
+            }
+            _ => {
+                let (sample, end) = parse_at(s, pos).ok()?;
+                (f32::from_json_value(&sample).ok()?, end)
+            }
+        };
+        data.push(sample);
         pos = skip_ws(b, end);
         match b.get(pos) {
             Some(b',') => pos += 1,

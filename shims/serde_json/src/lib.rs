@@ -62,6 +62,53 @@ pub fn from_str_prefix(s: &str) -> Result<(Value, usize), Error> {
     Ok((v, p.pos))
 }
 
+/// Parses the JSON number at the start of `s` (no whitespace before it)
+/// into the `f64` that [`Value::as_f64`] reads off the [`Value`] the
+/// parser makes of it, and returns it with the byte offset where the
+/// number ends: one scan, no `Value`.
+pub fn number_prefix(s: &str) -> Result<(f64, usize), Error> {
+    let (value, len) = number(s)?;
+    Ok((value.as_f64()?, len))
+}
+
+/// The number at the start of `s` — an `I64`, else a `U64`, else an `F64`
+/// — and the byte offset where it ends.
+fn number(s: &str) -> Result<(Value, usize), Error> {
+    let b = s.as_bytes();
+    let digits = |mut at: usize| {
+        while b.get(at).is_some_and(u8::is_ascii_digit) {
+            at += 1;
+        }
+        at
+    };
+    let mut end = digits(usize::from(b.first() == Some(&b'-')));
+    let mut is_float = false;
+    if b.get(end) == Some(&b'.') {
+        is_float = true;
+        end = digits(end + 1);
+    }
+    if matches!(b.get(end), Some(b'e' | b'E')) {
+        is_float = true;
+        end += 1;
+        if matches!(b.get(end), Some(b'+' | b'-')) {
+            end += 1;
+        }
+        end = digits(end);
+    }
+    let text = &s[..end];
+    if !is_float {
+        if let Ok(v) = text.parse::<i64>() {
+            return Ok((Value::I64(v), end));
+        }
+        if let Ok(v) = text.parse::<u64>() {
+            return Ok((Value::U64(v), end));
+        }
+    }
+    text.parse::<f64>()
+        .map(|v| (Value::F64(v), end))
+        .map_err(|_| Error::custom(format!("invalid number `{text}`")))
+}
+
 // --- Writer ----------------------------------------------------------------
 
 fn write_value(v: &Value, out: &mut String, indent: Option<usize>, depth: usize) {
@@ -252,43 +299,9 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_number(&mut self) -> Result<Value, Error> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        if self.peek() == Some(b'.') {
-            is_float = true;
-            self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            is_float = true;
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        let text = &self.src[start..self.pos];
-        if !is_float {
-            if let Ok(v) = text.parse::<i64>() {
-                return Ok(Value::I64(v));
-            }
-            if let Ok(v) = text.parse::<u64>() {
-                return Ok(Value::U64(v));
-            }
-        }
-        text.parse::<f64>()
-            .map(Value::F64)
-            .map_err(|_| Error::custom(format!("invalid number `{text}`")))
+        let (value, len) = number(&self.src[self.pos..])?;
+        self.pos += len;
+        Ok(value)
     }
 
     /// Steps into the array or object opening at `pos`, one level deeper.

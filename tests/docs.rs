@@ -99,7 +99,9 @@ fn docs_relative_links_all_resolve() {
 /// simulator's whole-frame path, the facade's second FRCONV and the
 /// registry's format-tag peek (a parse of every file on every pass), the
 /// binary wire's tile stream and the second channel walk (the
-/// `out_channels` methods and the integer chain's shape walk) went later.
+/// `out_channels` methods and the integer chain's shape walk) and the row
+/// strips of a tile's upsampling tail (a line buffer runs the frames)
+/// went later.
 /// No document may still send a reader to them.
 #[test]
 fn docs_name_no_deleted_identifier() {
@@ -173,6 +175,8 @@ fn docs_name_no_deleted_identifier() {
             "value_end",
             "value_at",
             "number_at",
+            "in_strips",
+            "TileHalo::strip",
         ] {
             assert!(
                 !text.contains(gone),

@@ -1,22 +1,25 @@
-//! Determinism suite for the parallel tiled inference runtime: the
-//! tile-parallel forward must reproduce the single-threaded whole-image
-//! pass **bit for bit** on every kernel (per output element a tile runs
-//! the taps of the whole image in the same order; the transform engine's
-//! components are engine products and `Tx`/`Tz` per-pixel) — for the
-//! paper's models over every Table-I ring, float and quantized, across
-//! tile sizes, entry margins, batch sizes, and whatever pool size the
-//! process runs with (`RINGCNN_THREADS`; CI runs this suite at 1, 2 and 4
-//! threads, and with each kernel tier pinned).
+//! Determinism suite for the parallel inference runtime: the frame path
+//! (`BatchRunner::run`, a line buffer per row section on every pool
+//! thread) and the block flow (a tile through `forward_tile`) must
+//! reproduce the single-threaded whole-image pass **bit for bit** on
+//! every kernel (per output element a band or a tile runs the taps of
+//! the whole image in the same order; the transform engine's components
+//! are engine products and `Tx`/`Tz` per-pixel) — for the paper's models
+//! over every Table-I ring, float and quantized, across frame shapes,
+//! entry margins, batch sizes, and whatever pool size the process runs
+//! with (`RINGCNN_THREADS`; CI runs this suite at 1, 2, 3 and 4 threads,
+//! and with each kernel tier pinned).
 //!
 //! Tiles shrink on their way through a chain (`TileHalo`): every
 //! convolution computes the core and what the rest of the program reads
 //! around it (`program::reads`). The second half of the suite holds that
 //! to the whole-image pass over every model family, backend and tile
-//! class, and to the outputs of the commit before tiles shrank.
+//! class, and the frames cut into those grids to the outputs of the
+//! commit before tiles shrank.
 //!
-//! Inside a tile an upsampling tail runs in row strips of the core. The
-//! last section holds every SR4ERNet's strips to the whole-image pass at
-//! pool sizes 1 and 4.
+//! The last section holds the line buffer (`program::stream`) to the
+//! whole-image pass at pool sizes 1 and 4, and at any band height and
+//! section count on one thread.
 //!
 //! The halo is the model's receptive radius (`model_topology`, the fold
 //! of `program::reads`) rounded up to its granularity; property tests
@@ -786,9 +789,8 @@ fn a_chain_with_two_resolution_round_trips_stitches_at_the_default_halo() {
 }
 
 // ---------------------------------------------------------------------
-// Upsampling tails in row strips: the last convolution of a body that
-// widens through a ×r shuffle runs the rest of the body over r row strips
-// of the core.
+// Line-buffered frames: `BatchRunner::run` streams one full-width row
+// section per pool thread through the model in bands (`program::stream`).
 // ---------------------------------------------------------------------
 
 /// Runs `check` at each pool size of `pools`: the test `name` again in a
@@ -814,14 +816,11 @@ fn at_pool_sizes(name: &str, pools: [usize; 2], check: impl Fn()) {
     }
 }
 
-/// The SR4ERNets of the suite — the walk zoo's two and the HD30 one over
-/// every algebra — on the engine kernel, which fuses the shuffles the
-/// strips start at; then a ×2 and a ×3 stage with a conv behind each,
-/// whose strips split the odd cores of the uneven frames unevenly (an
-/// SR4ERNet's last stage reads an even core, twice its LR rows), and a
-/// ×2 → conv → ×3 chain, whose ×2 strips each run their ×3 tail in
-/// strips of their own.
-fn strip_models() -> Vec<(String, Sequential)> {
+/// The upsampling models: the SR4ERNets of the suite — the walk zoo's
+/// two and the HD30 one over every algebra —, a ×2 and a ×3 stage with a
+/// conv behind each, and a ×2 → conv → ×3 chain, all on the engine
+/// kernel, which fuses every conv → shuffle pair.
+fn upsampling_models() -> Vec<(String, Sequential)> {
     let mut models = suite_models();
     models.retain(|(name, _)| name.contains("sr4"));
     let conv = |ci, co, seed| Box::new(Conv2d::new(ci, co, 3, seed)) as Box<dyn Layer>;
@@ -844,25 +843,136 @@ fn strip_models() -> Vec<(String, Sequential)> {
     models
 }
 
-/// Every SR4ERNet's tiles run both ×2 stages in strips (r² = 4 per tile)
-/// and stitch the whole-image output bit for bit, at pool sizes 1 and 4:
-/// corner, edge and interior tiles on every ring; partial edge tiles and
-/// cores of an odd number of rows on the benchmark's ring, the ×2 and ×3
-/// stages and the ×2 → ×3 chain.
+/// Sixteen random chains (seven ops each, drawn by a fixed LCG) over
+/// four input channels.
+fn seeded_chains() -> Vec<(String, Sequential)> {
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    (0..16)
+        .map(|seed| {
+            let ops: Vec<usize> = (0..7)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1);
+                    (state >> 33) as usize % 6
+                })
+                .collect();
+            (format!("chain {ops:?}"), random_chain(&ops, seed).0)
+        })
+        .collect()
+}
+
+/// The frames a model of granularity `g` streams in the stream suite,
+/// `(batch, h, w)`: 11 granules (a multiple of neither the band, 4 rows
+/// and 7 granules wide at these widths, nor of 2–4 sections), a batch
+/// of three 5 granules high (shorter than one band: 6 rows, or 11
+/// granules), an empty batch, and one granule (at 1 row a whole image).
+fn stream_frames(g: usize) -> [(usize, usize, usize); 4] {
+    [(1, 11 * g, 40), (3, 5 * g, 24), (0, 5 * g, 24), (1, g, 40)]
+}
+
+/// `runner.run` ≡ `runner.run_whole` bit for bit on every frame of
+/// [`stream_frames`], with `channels` input channels.
+fn streams_whole(runner: BatchRunner<'_>, channels: usize, ctx: &str) {
+    let runner = runner.with_tile(TileConfig::with_tile(8));
+    for (n, h, w) in stream_frames(runner.topo().granularity) {
+        let x = Tensor::random_uniform(Shape4::new(n, channels, h, w), -1.0, 1.0, 93);
+        let ctx = format!("{ctx}: {n}x{h}x{w}");
+        assert_equivalent(&runner.run_whole(&x), &runner.run(&x), &ctx);
+    }
+}
+
+/// `BatchRunner::run` streams one row section per pool thread and is
+/// bit-identical to the whole-image forward at pool sizes 1 and 4: the
+/// suite's models on every backend and 8-bit, the upsampling models and
+/// random chains, over frames of one granule, frames shorter than one
+/// band, heights that are a multiple of neither the band nor the section
+/// count, and batches of 0 and 3.
 #[test]
-fn sr4_tails_in_strips_equal_the_whole_image_at_pool_sizes_1_and_4() {
-    let name = "sr4_tails_in_strips_equal_the_whole_image_at_pool_sizes_1_and_4";
+fn frames_stream_bit_for_bit_at_pool_sizes_1_and_4() {
+    let name = "frames_stream_bit_for_bit_at_pool_sizes_1_and_4";
     at_pool_sizes(name, [1, 4], || {
-        for (name, mut model) in strip_models() {
-            stitched_3x3(BatchRunner::new(&mut model), &name);
-            if name.starts_with("zoo") || (name.starts_with("hd30") && !name.contains("RI4")) {
-                continue;
+        for (name, mut model) in suite_models() {
+            // The HD30 models run on the engine kernel only: the zoo
+            // covers the others, and every model the 3 × 3 grids above.
+            let backends = match name.starts_with("zoo") {
+                true => ConvBackend::all().to_vec(),
+                false => vec![ConvBackend::Im2col],
+            };
+            for backend in backends {
+                model.set_conv_backend(backend);
+                streams_whole(
+                    BatchRunner::new(&mut model),
+                    1,
+                    &format!("{name} on {backend}"),
+                );
             }
-            for (h, w, tile) in [(30, 18, 12), (40, 56, 16), (27, 21, 10)] {
-                let runner = BatchRunner::new(&mut model).with_tile(TileConfig::with_tile(tile));
-                let ctx = format!("{name}: {h}x{w} in {tile}-px cores");
-                stitched(&runner, Shape4::new(1, 1, h, w), &ctx);
-            }
+            let mut q = quantized(&mut model);
+            streams_whole(BatchRunner::new(&mut q), 1, &format!("{name}, 8-bit"));
+        }
+        for (name, mut model) in upsampling_models()
+            .into_iter()
+            .filter(|(n, _)| n.starts_with('x'))
+        {
+            streams_whole(BatchRunner::new(&mut model), 1, &name);
+        }
+        for (name, mut chain) in seeded_chains() {
+            streams_whole(BatchRunner::new(&mut chain), 4, &name);
         }
     });
+}
+
+/// The driver itself, on one thread: `program::stream` of the whole
+/// frame in bands of 1 to 9 granules, and of two and three sections with
+/// a halo of the model's radius, emits exactly the rows of the
+/// whole-image forward, bit for bit — the upsampling models (a bicubic
+/// skip whose samples read source rows the next band brings), ×3 and ×5
+/// bicubic skips around a one-row body, and random chains.
+#[test]
+fn any_band_and_any_section_stream_the_whole_image() {
+    use ringcnn_nn::program::{compile, stream};
+    let mut models = upsampling_models();
+    models.retain(|(name, _)| !name.starts_with("hd30"));
+    for factor in [3, 5] {
+        let mut conv = Conv2d::new(1, factor * factor, 3, 81);
+        conv.set_backend(ConvBackend::Im2col);
+        let body = Sequential::new()
+            .with(Box::new(conv))
+            .with(Box::new(PixelShuffle::new(factor)));
+        let skip = Sequential::new().with(Box::new(UpsampleResidual::new(body, factor)));
+        models.push((format!("x{factor} bicubic skip"), skip));
+    }
+    models.extend(seeded_chains().into_iter().take(6));
+    for (name, model) in models {
+        let topo = model_topology(&model);
+        let (g, (num, den)) = (topo.granularity, topo.scale);
+        let channels = if name.starts_with("chain") { 4 } else { 1 };
+        let (h, w) = (9 * g, 12);
+        let x = Tensor::random_uniform(Shape4::new(1, channels, h, w), -1.0, 1.0, 95);
+        let whole = model.forward_infer(&x);
+        let program = compile(&model);
+        let read = |r: std::ops::Range<usize>| {
+            x.extract_window(0, Window::new(r.start as isize, 0, r.len(), w))
+        };
+        let halo = topo.radius.next_multiple_of(g);
+        for band in (1..=9).map(|b| b * g) {
+            for sections in 1..=3 {
+                let mut out = Tensor::zeros(whole.shape());
+                for i in 0..sections {
+                    let (top, bottom) = (i * 9 / sections * g, (i + 1) * 9 / sections * g);
+                    let rows = top.saturating_sub(halo)..(bottom + halo).min(h);
+                    let core = top * num / den..bottom * num / den;
+                    stream(&program, h, rows, band, read, |y, first| {
+                        let (lo, hi) = (first.max(core.start), (first + y.shape().h).min(core.end));
+                        if lo < hi {
+                            let src = Window::new((lo - first) as isize, 0, hi - lo, y.shape().w);
+                            out.paste_window(0, lo, 0, &y, src);
+                        }
+                    });
+                }
+                let ctx = format!("{name}: bands of {band} rows, {sections} sections");
+                assert_equivalent(&whole, &out, &ctx);
+            }
+        }
+    }
 }
