@@ -12,15 +12,17 @@
 //! ([`BatchRunner::run`], bit-identical to the whole-frame forward),
 //! and every convolution is accounted for by running the model's step
 //! program ([`QuantizedModel::program`]) over shapes through the driver
-//! that runs it on integers, [`program::run`], over the runtime's tiles
-//! (`BatchRunner::tiles`): a convolution is charged
-//! [`EnginePass::of_conv`] over only what its block computes.
+//! that runs it on integers, [`program::stream`]: each block is its
+//! core's window grown by the runtime's halo, streamed in one band, and a
+//! convolution is charged [`EnginePass::of_conv`] over only what its
+//! block computes ([`program::margins`]).
 //!
 //! [`EnginePass`]: ringcnn_hw::engine::EnginePass
 //! [`EnginePass::of_conv`]: ringcnn_hw::engine::EnginePass::of_conv
 //! [`BatchRunner::run`]: ringcnn_nn::runtime::BatchRunner::run
 //! [`QuantizedModel::program`]: ringcnn_quant::quantized::QuantizedModel::program
-//! [`program::run`]: ringcnn_nn::program::run
+//! [`program::stream`]: ringcnn_nn::program::stream
+//! [`program::margins`]: ringcnn_nn::program::margins
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,8 +2,8 @@
 //! eRingCNN runs a frame — in independent blocks, so feature maps never
 //! leave the chip — and accounts for every convolution on the engine,
 //! producing cycle, utilization, throughput, bandwidth and energy reports
-//! beside the outputs. The blocks are the CPU runtime's tiles
-//! ([`BatchRunner::tiles`]): each **recomputes** a halo of input pixels
+//! beside the outputs. The blocks are the CPU runtime's tile grid and halo
+//! ([`BatchRunner::plan_grid`]): each **recomputes** a halo of input pixels
 //! (the paper adopts recomputing over feature reuse) as a truncated
 //! pyramid, so the stitched output is whole-image inference at every
 //! pixel; the cost is re-reading the halo from DRAM and recomputing the
@@ -19,10 +19,9 @@ use crate::memory::{weight_bytes, MemoryReport};
 use ringcnn_algebra::ring::Ring;
 use ringcnn_hw::prelude::{layout_report, AcceleratorConfig, EnginePass, TechParams};
 use ringcnn_nn::program::{self, Datapath, Epilogue, Point};
-use ringcnn_nn::runtime::{BatchRunner, TileConfig, TileHalo};
+use ringcnn_nn::runtime::{BatchRunner, TileConfig};
 use ringcnn_quant::prelude::*;
 use ringcnn_tensor::prelude::*;
-use ringcnn_tensor::tile::Window;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::cell::Cell;
@@ -63,9 +62,10 @@ pub struct SimReport {
 
 /// Runs `qm` on the simulated accelerator in `block`-pixel cores (rounded
 /// up to the model's granularity; edge blocks shrink; a frame's longer
-/// side makes it one block): the tiles of a [`BatchRunner`], each read
-/// from DRAM as its halo-extended window clipped at the frame, and each
-/// convolution charged the region the block computes ([`TileHalo`]).
+/// side makes it one block): the cores of a [`BatchRunner`]'s grid, each
+/// read from DRAM as its halo-extended window clipped at the frame, and
+/// each convolution charged the region the block computes
+/// ([`program::margins`]).
 /// Returns the output of [`QuantizedModel::forward`] and the report.
 pub fn simulate(
     qm: &QuantizedModel,
@@ -80,13 +80,19 @@ pub fn simulate(
     let runner = BatchRunner::new(&mut model).with_tile(TileConfig::with_tile(block));
     let one_block = vec![Window::full(s.h, s.w)];
     let grid = runner.plan_grid(s.h, s.w).unwrap_or(one_block);
-    let tiles = runner.tiles(s, &grid);
+    let halo = runner.halo();
     let (mut pass, mut peak_feature_bytes, mut read_bytes) = (EnginePass::default(), 0, 0);
-    for &(_, _, ext, mut tile) in &tiles {
-        let read = Shape4::new(1, s.c, ext.h, ext.w);
+    // A block is its core's window grown by the halo, clipped at the
+    // frame: a side on the frame's edge is padded with zeros as the whole
+    // image's are, which makes border pixels exact too.
+    for core in (0..s.n).flat_map(|_| &grid) {
+        let (y0, x0) = (core.y0 as usize, core.x0 as usize);
+        let room = [y0, x0, s.h - y0 - core.h, s.w - x0 - core.w];
+        let window = Window::inset(s.h, s.w, room.map(|m| m.saturating_sub(halo)));
+        let read = Shape4::new(1, s.c, window.h, window.w);
         read_bytes += read.len() as u64;
-        let (tile_pass, peak) = account(qm, read, accel, &mut tile);
-        pass += tile_pass;
+        let (block_pass, peak) = account(qm, read, accel, room.map(|m| m.min(halo)));
+        pass += block_pass;
         peak_feature_bytes = peak_feature_bytes.max(peak);
     }
     let out = runner.run(input);
@@ -98,8 +104,8 @@ pub fn simulate(
     let wbytes = weight_bytes(qm, accel.n());
     let sim = SimReport {
         block,
-        halo: runner.halo(),
-        blocks: tiles.len(),
+        halo,
+        blocks: s.n * grid.len(),
         recompute_overhead: read_bytes as f64 / s.len() as f64 - 1.0,
         cycles: pass.cycles,
         physical_mults: pass.physical_mults,
@@ -119,24 +125,21 @@ pub fn simulate(
     (out, sim)
 }
 
-/// The engine's work for `qm` on planes of shape `s` inside `tile`: the
-/// model's step program run over shapes ([`program::run`], the driver
-/// that runs it on integers), every convolution charged its pass over the
-/// region the driver leaves it, and the most bytes one convolution reads
-/// and writes per batch item. Activations, shuffles and skip adds ride
-/// the engine's output pipeline: zero cycles, no buffer of their own.
-fn account(
-    qm: &QuantizedModel,
-    s: Shape4,
-    accel: &AcceleratorConfig,
-    tile: &mut TileHalo,
-) -> Tally {
+/// The engine's work for `qm` on planes of shape `s`, a block `margin`
+/// pixels beyond its core on each side: the model's step program run
+/// over shapes in one band ([`program::once`], the driver that runs it
+/// on integers), every
+/// convolution charged its pass over the region the driver leaves it,
+/// and the most bytes one convolution reads and writes per batch item.
+/// Activations, shuffles and skip adds ride the engine's output
+/// pipeline: zero cycles, no buffer of their own.
+fn account(qm: &QuantizedModel, s: Shape4, accel: &AcceleratorConfig, margin: [usize; 4]) -> Tally {
     let ring = &Ring::from_kind(accel.ring);
     let tally = &Cell::new((EnginePass::default(), 0));
     let charge = |layer| Charge { layer, ring, tally };
     let steps = qm.program();
     let program: Vec<_> = steps.into_iter().map(|step| step.map(charge)).collect();
-    program::run(&program, Cow::Owned(s), tile);
+    program::once(&program, Cow::Owned(s), margin);
     tally.get()
 }
 
@@ -187,8 +190,8 @@ impl Datapath for Charge<'_> {
         Shape4::new(s.n, s.c, h, s.w)
     }
 
-    fn rows(x: &Shape4) -> usize {
-        x.h
+    fn shape(x: &Shape4) -> Shape4 {
+        *x
     }
 }
 

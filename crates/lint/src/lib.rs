@@ -106,7 +106,7 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         name: "one-tile-walk",
-        summary: "no `tile.leaf(`/`tile.conv(` in crates/{nn,quant,esim}/src outside runtime.rs and program.rs, no `extract_window(`/`paste_window(` there outside runtime.rs",
+        summary: "no `reads(&`/`min(keep)` (the edge rule of a window) in crates/{nn,quant,esim}/src outside program.rs, no `extract_window(`/`paste_window(` there outside runtime.rs",
     },
     Rule {
         name: "suppression",

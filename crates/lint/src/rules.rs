@@ -32,17 +32,19 @@ const RELAXED_ALLOWLIST: &[(&str, &str, &str)] = &[(
 const DOWNCASTS: [&str; 3] = ["downcast_mut", "downcast_ref", ".is::<"];
 const NO_DOWNCAST: &str = "downcast in a crate that walks models: read `Layer::describe()` instead";
 
-/// What `one-tile-walk` flags, and the files that write it once: the tile
-/// arithmetic in the runtime (`TileHalo`) and the step program's driver,
-/// the cutting of a frame into tiles and their stitching in the runtime.
+/// What `one-tile-walk` flags, and the files that write it once: the
+/// edge rule of a window (what the rest of the program reads, and the
+/// margin a convolution keeps of it) in the step program's one driver,
+/// the cutting of a frame into sections and their stitching in the
+/// runtime.
 const TILE_WALK: [(&str, &[&str]); 4] = [
-    ("tile.leaf(", &["runtime.rs", "program.rs"]),
-    ("tile.conv(", &["runtime.rs", "program.rs"]),
+    ("reads(&", &["program.rs"]),
+    ("min(keep)", &["program.rs"]),
     ("extract_window(", &["runtime.rs"]),
     ("paste_window(", &["runtime.rs"]),
 ];
 const ONE_TILE_WALK: &str =
-    "a second block flow: run `BatchRunner`'s tiles, or compile a step for the driver";
+    "a second block flow: stream a window through `program::stream`, or compile a step for it";
 
 /// An inline `// lint:allow(rule): reason` annotation, resolved to the
 /// line of code it covers.
@@ -525,16 +527,17 @@ mod tests {
     #[test]
     fn tile_arithmetic_is_flagged_outside_the_driver() {
         let src = "\
-let cut = tile.conv(k / 2, 1);
-tile.leaf(0, (r, 1));
-let cut = tile.conv(keep, r);
+let keep = reads(&program[i + 1..], 0).div_ceil(num);
+let margin = margin.map(|m| m.min(keep) * num / den);
+let cut = margin.map(|m| m - m.min(keep));
 #[cfg(test)]
 mod tests {
-    fn t() { tile.leaf(1, (1, 1)); }
+    fn t() { let n = reads(&rest, 0); }
 }
 ";
         for path in [
             "crates/nn/src/layers/conv.rs",
+            "crates/nn/src/runtime.rs",
             "crates/quant/src/quantized.rs",
             "crates/esim/src/blocks.rs",
         ] {
@@ -550,9 +553,8 @@ mod tests {
                 "{path}"
             );
         }
-        // The runtime, the driver and the tests outside `src` may.
+        // The driver and the tests outside `src` may.
         for path in [
-            "crates/nn/src/runtime.rs",
             "crates/nn/src/program.rs",
             "crates/esim/tests/accounting.rs",
         ] {

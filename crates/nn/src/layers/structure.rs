@@ -6,8 +6,7 @@
 //! methods (`visit_params`, `num_params`, …) as defaults over those.
 
 use crate::layer::{Layer, Node, SkipKind};
-use crate::program::forward_tile;
-use crate::runtime::TileHalo;
+use crate::program::forward;
 use ringcnn_tensor::tensor::Tensor as T;
 
 /// A chain of layers applied in order. `Sequential` is itself a [`Layer`],
@@ -94,7 +93,7 @@ impl Layer for Sequential {
     }
 
     fn forward_infer(&self, input: &T) -> T {
-        forward_tile(self, input, &mut TileHalo::whole())
+        forward(self, input)
     }
 
     fn describe(&self) -> Node<'_> {
@@ -150,7 +149,7 @@ impl Layer for Residual {
     }
 
     fn forward_infer(&self, input: &T) -> T {
-        forward_tile(self, input, &mut TileHalo::whole())
+        forward(self, input)
     }
 
     fn describe(&self) -> Node<'_> {

@@ -7,8 +7,7 @@
 
 use crate::layer::{Layer, Node, SkipKind};
 use crate::layers::structure::Sequential;
-use crate::program::forward_tile;
-use crate::runtime::TileHalo;
+use crate::program::forward;
 use ringcnn_imaging::degrade::{resize_bicubic_adjoint, upsample};
 use ringcnn_tensor::tensor::Tensor;
 
@@ -58,7 +57,7 @@ impl Layer for UpsampleResidual {
     }
 
     fn forward_infer(&self, input: &Tensor) -> Tensor {
-        forward_tile(self, input, &mut TileHalo::whole())
+        forward(self, input)
     }
 
     fn children_mut(&mut self) -> Option<&mut [Box<dyn Layer>]> {

@@ -1,16 +1,17 @@
 //! The step program: one forward of a model as a flat list of steps that
-//! two drivers walk for either precision — the float program compiled
+//! one driver walks for either precision — the float program compiled
 //! from [`Layer::describe`] ([`compile`]), the 8-bit one from the integer
 //! layers of `ringcnn-quant`. Fusion is recorded in the program
-//! ([`Epilogue`]). [`stream`] runs a frame as a line buffer, the CPU
-//! frame path; [`run`] runs a whole image, or a tile of the block flow
-//! (§V) that `ringcnn-esim` charges, and holds its tile arithmetic, read
-//! off [`Op::geometry`]. A [`Datapath`] computes and is handed the rows
-//! and columns to cut, never a [`TileHalo`].
+//! ([`Epilogue`]). The driver, [`stream`], runs a window of a frame as a
+//! line buffer: the CPU frame path streams row sections in bands; the
+//! whole image (`forward_infer`, calibration) and the blocks of the block
+//! flow (§V) that `ringcnn-esim` charges are windows streamed in one band
+//! ([`once`]). One edge rule, read off [`Op::geometry`], sizes every step
+//! of every window ([`margins`]); a [`Datapath`] computes and is handed
+//! the rows and columns to cut.
 
 use crate::layer::{Layer, Node, SkipKind};
 use crate::layers::shuffle::{cropped, stacked};
-use crate::runtime::TileHalo;
 use ringcnn_imaging::degrade::upsample_window;
 use ringcnn_tensor::prelude::*;
 use std::borrow::Cow;
@@ -146,8 +147,8 @@ pub trait Datapath: Copy {
     /// in that order: a band of [`stream`] below the rows a step kept.
     fn stack(parts: &[(&Self::Plane, Range<usize>)]) -> Self::Plane;
 
-    /// The height of `x`.
-    fn rows(x: &Self::Plane) -> usize;
+    /// The shape of `x`.
+    fn shape(x: &Self::Plane) -> Shape4;
 }
 
 /// How many pixels around an output pixel `steps` read at their input
@@ -160,116 +161,72 @@ pub fn reads<L>(steps: &[Step<L>], after: usize) -> usize {
     })
 }
 
-/// Runs `program` on `x` inside `tile`, moving the tile past every step:
-/// a convolution writes only the core and what the rest of the program
-/// reads around it ([`reads`], [`TileHalo::conv`]), a skip adds over
-/// the region its body wrote. Only the first step reads `x` as it is
-/// handed. [`TileHalo::whole`] runs the whole image (`forward_infer`);
-/// placed tiles are the block flow of `ringcnn-esim`, whose blocks are
-/// `BatchRunner::tiles`. The CPU frame path is the line buffer of
-/// [`stream`].
-pub fn run<L: Datapath>(
-    program: &[Step<L>],
-    x: Cow<'_, L::Plane>,
-    tile: &mut TileHalo,
-) -> L::Plane {
-    run_body(program, 0, x, tile)
-}
-
-/// [`run`] of a body behind which the program reads `after` pixels.
-fn run_body<L: Datapath>(
-    program: &[Step<L>],
-    after: usize,
-    mut x: Cow<'_, L::Plane>,
-    tile: &mut TileHalo,
-) -> L::Plane {
-    let mut next = 0;
-    while let Some(&Step { layer, op }) = program.get(next) {
-        next += 1;
-        let (_, (num, den)) = op.geometry();
-        x = Cow::Owned(match op {
-            Op::Conv { epilogue, .. } => {
-                let keep = reads(&program[next..], after).div_ceil(num);
-                layer.conv(&x, tile.conv(keep, num), epilogue)
-            }
-            Op::Skip { body, kind } => {
-                let origin = tile.origin();
-                let f = match kind {
-                    SkipKind::Bicubic(f) => f,
-                    SkipKind::Residual => 1,
-                };
-                let [top, left, ..] = tile.margin.map(|m| m * f);
-                let (body, rest) = program[next..].split_at(body);
-                let mut out = run_body(body, reads(rest, after), Cow::Borrowed(&*x), tile);
-                next += body.len();
-                let at = (top - tile.margin[0], left - tile.margin[1]);
-                layer.add_skip(&mut out, &x, at, origin);
-                out
-            }
-            _ => {
-                // A margin trimmed off an unshuffle's grid loses the rows
-                // and columns that fill no coarse pixel.
-                let cut = tile.margin.map(|m| m % den);
-                tile.leaf((num, den));
-                layer.apply(x, cut)
-            }
-        });
+/// The edge rule of a window, folded over `program`: the pixels beyond
+/// the core (top, left, bottom, right) each step enters with, at its
+/// input resolution, when the window enters with `entry` — and last,
+/// what the output keeps. A convolution keeps of a margin what the rest
+/// of the program reads ([`reads`]) and cuts the rest, an unshuffle
+/// crops the pixels off its grid, and every step rescales what it keeps.
+/// A side at the frame's edge enters with 0: there every convolution
+/// pads with zeros, as over the whole image.
+pub fn margins<L>(program: &[Step<L>], entry: [usize; 4]) -> Vec<[usize; 4]> {
+    let mut margins = vec![entry];
+    for (i, step) in program.iter().enumerate() {
+        let (_, (num, den)) = step.op.geometry();
+        let keep = match step.op {
+            Op::Conv { .. } => reads(&program[i + 1..], 0).div_ceil(num),
+            _ => usize::MAX,
+        };
+        margins.push(margins[i].map(|m| m.min(keep) * num / den));
     }
-    x.into_owned()
+    margins
 }
 
-/// Rows `first..` of a full-width activation: the plane and the frame row
-/// of its first row, at the plane's resolution.
+/// Rows `first..` of an activation, the window's columns: the plane and
+/// the frame row of its first row, at the plane's resolution.
 type Band<P> = (P, usize);
 
 /// Rows a step of a line buffer keeps between two calls.
 struct Kept<P>(Option<Band<P>>);
 
 impl<P: Clone> Kept<P> {
-    /// Appends `x`, the rows right below the kept ones.
-    fn append<L: Datapath<Plane = P>>(&mut self, x: Option<Band<Cow<'_, P>>>) {
-        let Some((x, first)) = x else { return };
-        self.0 = Some(match self.0.take() {
-            Some((kept, at)) => {
-                debug_assert_eq!(at + L::rows(&kept), first, "bands arrive in order");
-                let parts = [(&kept, 0..L::rows(&kept)), (&*x, 0..L::rows(&x))];
-                (L::stack(&parts), at)
+    /// The kept rows and `x`, the rows right below them, as one band;
+    /// nothing stays kept.
+    fn join<'a, L: Datapath<Plane = P>>(
+        &mut self,
+        x: Option<Band<Cow<'a, P>>>,
+    ) -> Option<Band<Cow<'a, P>>> {
+        match (self.0.take(), x) {
+            (None, x) => x,
+            (Some((kept, at)), None) => Some((Cow::Owned(kept), at)),
+            (Some((kept, at)), Some((x, first))) => {
+                debug_assert_eq!(at + L::shape(&kept).h, first, "bands arrive in order");
+                let parts = [(&kept, 0..L::shape(&kept).h), (&*x, 0..L::shape(&x).h)];
+                Some((Cow::Owned(L::stack(&parts)), at))
             }
-            None => (x.into_owned(), first),
-        });
-    }
-
-    /// The kept rows: the plane, its first row and the row below its last.
-    fn view<L: Datapath<Plane = P>>(&self) -> Option<(&P, usize, usize)> {
-        let (plane, first) = self.0.as_ref()?;
-        Some((plane, *first, first + L::rows(plane)))
-    }
-
-    /// Drops the kept rows above `row`.
-    fn keep_from<L: Datapath<Plane = P>>(&mut self, row: usize) {
-        if let Some((plane, first)) = self.0.take() {
-            let end = first + L::rows(&plane);
-            self.0 = match row {
-                _ if row <= first => Some((plane, first)),
-                _ if row < end => Some((L::stack(&[(&plane, row - first..end - first)]), row)),
-                _ => None,
-            };
         }
     }
 
-    /// Takes the kept rows above `row` out, if there are any; the rest
-    /// stays kept.
-    fn take_above<L: Datapath<Plane = P>>(&mut self, row: usize) -> Option<Band<P>> {
-        let (plane, first) = self.0.take()?;
-        let end = first + L::rows(&plane);
-        if row >= end {
-            return Some((plane, first));
-        }
-        let top = (row > first).then(|| (L::stack(&[(&plane, 0..row - first)]), first));
-        self.0 = Some((plane, first));
-        self.keep_from::<L>(row);
-        top
+    /// Keeps the rows of `x` from `row` on.
+    fn keep<L: Datapath<Plane = P>>(&mut self, (x, first): Band<Cow<'_, P>>, row: usize) {
+        let end = first + L::shape(&x).h;
+        self.0 = match row {
+            _ if row <= first => Some((x.into_owned(), first)),
+            _ if row < end => Some((L::stack(&[(&*x, row - first..end - first)]), row)),
+            _ => None,
+        };
     }
+}
+
+/// Where a step of a line buffer works, at its input resolution: the
+/// frame rows of its window, the window's first column, the rows and
+/// columns it cuts (top, left, bottom, right; [`margins`]), and the rows
+/// of a band.
+struct Geo {
+    rows: Range<usize>,
+    left: usize,
+    cut: [usize; 4],
+    band: usize,
 }
 
 /// What one step of a line buffer holds between two calls.
@@ -280,22 +237,32 @@ struct Held<P> {
     input: Kept<P>,
     /// A skip's body output whose add waits for source rows below.
     body: Kept<P>,
-    /// The next row it emits, at its input resolution (coarse rows for
-    /// an unshuffle): set by the first band it is handed.
+    /// The next row it emits: set by the first band it is handed.
     next: Option<usize>,
+    /// Whether it emitted the last row of its window.
+    done: bool,
 }
 
 impl<P: Clone> Held<P> {
-    /// The convolution `step` of radius `k` over input rows `x` of a
-    /// frame `h` rows high, at most `band` rows: the rows whose taps are
-    /// all at hand or past an edge of the frame (zero padding there),
-    /// from the `k`-th below an interior first row on.
-    fn conv<L>(
-        &mut self,
-        step: Step<L>,
-        x: Option<Band<Cow<'_, P>>>,
-        [h, band]: [usize; 2],
-    ) -> Option<Band<P>>
+    /// The rows to emit now: from `start` on (its window's first, taken
+    /// on the first call) up to `to`, at most `band` of them and none
+    /// past `last`, its window's end; the empty rows of an empty window
+    /// once.
+    fn span(&mut self, start: usize, to: usize, [last, band]: [usize; 2]) -> Option<Range<usize>> {
+        let next = *self.next.get_or_insert(start);
+        let to = to.min(last).min(next + band);
+        if self.done || (next >= to && to < last) {
+            return None;
+        }
+        self.next = Some(to);
+        self.done = to == last;
+        Some(next..to)
+    }
+
+    /// The convolution `step` of radius `k` over input rows `x`: the rows
+    /// of its window, without the cut, whose taps are all at hand —
+    /// every row's at the end of its window.
+    fn conv<L>(&mut self, step: Step<L>, x: Option<Band<Cow<'_, P>>>, geo: &Geo) -> Option<Band<P>>
     where
         L: Datapath<Plane = P>,
     {
@@ -306,86 +273,107 @@ impl<P: Clone> Held<P> {
         else {
             unreachable!("a conv step")
         };
-        self.input.append::<L>(x);
-        let (plane, first, end) = self.input.view::<L>()?;
-        let next = *self
-            .next
-            .get_or_insert(if first == 0 { 0 } else { first + k });
-        let last = if end == h { h } else { end.saturating_sub(k) }.min(next + band);
-        if next >= last {
+        let (x, first) = self.input.join::<L>(x)?;
+        let end = first + L::shape(&x).h;
+        let [top, left, bottom, right] = geo.cut;
+        let reach = if end == geo.rows.end { 0 } else { k };
+        let last = [geo.rows.end - bottom, geo.band];
+        let Some(rows) = self.span(geo.rows.start + top, end.saturating_sub(reach), last) else {
+            self.input
+                .keep::<L>((x, first), if self.done { end } else { first });
             return None;
-        }
-        let y = step
-            .layer
-            .conv(plane, [next - first, 0, end - last, 0], epilogue);
-        self.next = Some(last);
-        self.input.keep_from::<L>(last.saturating_sub(k));
-        Some((y, next * step.op.geometry().1 .0))
+        };
+        let cut = [rows.start - first, left, end - rows.end, right];
+        let y = step.layer.conv(&x, cut, epilogue);
+        let seam = if self.done {
+            end
+        } else {
+            rows.end.saturating_sub(k)
+        };
+        self.input.keep::<L>((x, first), seam);
+        Some((y, rows.start * step.op.geometry().1 .0))
     }
 
     /// An unshuffle of factor `r` over input rows `x`: the coarse rows of
-    /// the frame's grid that `x` and the rows kept fill, at most `band`.
+    /// its output window `out` that `x` and the rows kept fill.
     fn unshuffle<L>(
         &mut self,
-        layer: L,
-        r: usize,
+        (layer, r): (L, usize),
         x: Option<Band<Cow<'_, P>>>,
-        band: usize,
+        [geo, out]: [&Geo; 2],
     ) -> Option<Band<P>>
     where
         L: Datapath<Plane = P>,
     {
-        self.input.append::<L>(x);
-        let (plane, first, end) = self.input.view::<L>()?;
-        let next = *self.next.get_or_insert(first.div_ceil(r));
-        let last = (end / r).min(next + band);
-        if next >= last {
+        let (x, first) = self.input.join::<L>(x)?;
+        let end = first + L::shape(&x).h;
+        let Some(rows) = self.span(out.rows.start, end / r, [out.rows.end, out.band]) else {
+            self.input.keep::<L>((x, first), first);
             return None;
-        }
-        let y = layer.apply(
-            Cow::Borrowed(plane),
-            [next * r - first, 0, end - last * r, 0],
-        );
-        self.next = Some(last);
-        self.input.keep_from::<L>(last * r);
-        Some((y, next))
+        };
+        // At the end of its window it crops its cut: a plane off its grid
+        // reaches the layer, which refuses it.
+        let bottom = if self.done && end == geo.rows.end {
+            geo.cut[2]
+        } else {
+            end - rows.end * r
+        };
+        let cut = [rows.start * r - first, geo.cut[1], bottom, geo.cut[3]];
+        let y = layer.apply(Cow::Borrowed(&*x), cut);
+        self.input.keep::<L>((x, first), rows.end * r);
+        Some((y, rows.start))
     }
 
-    /// The skip `layer` of `kind` over its input rows `x` of a frame `h`
-    /// rows high and its body's output rows `out`: at most `band` rows of
-    /// the body's output whose skip rows are at hand, with the skip added.
+    /// The skip `layer` of `kind` over its input rows `x` (in the window
+    /// `geo`) and its body's output rows `out` (in `out_geo`): at most a
+    /// band of the body's output whose skip rows are at hand, with the
+    /// skip added.
     fn skip<L>(
         &mut self,
-        layer: L,
-        kind: SkipKind,
+        (layer, kind): (L, SkipKind),
         (x, out): (Option<Band<Cow<'_, P>>>, Option<Band<P>>),
-        [h, band]: [usize; 2],
+        [geo, out_geo]: [&Geo; 2],
     ) -> Option<Band<P>>
     where
         L: Datapath<Plane = P>,
     {
-        self.input.append::<L>(x);
-        self.body
-            .append::<L>(out.map(|(y, first)| (Cow::Owned(y), first)));
-        let (_, next, body_end) = self.body.view::<L>()?;
-        let (_, _, end) = self.input.view::<L>()?;
+        let (x, x_first) = self.input.join::<L>(x)?;
+        let x_end = x_first + L::shape(&x).h;
+        let out = out.map(|(y, first)| (Cow::Owned(y), first));
+        let Some((body, next)) = self.body.join::<L>(out) else {
+            self.input.keep::<L>((x, x_first), x_first);
+            return None;
+        };
+        let body_end = next + L::shape(&body).h;
         // A bicubic sample reads 2 source rows below its own, clamped to
-        // the plane it is handed: the frame's last row must be there.
+        // the plane it is handed: the window's last row must be there.
         let last = match kind {
-            SkipKind::Residual => end,
-            SkipKind::Bicubic(_) if end == h => body_end,
-            SkipKind::Bicubic(f) => end.saturating_sub(2) * f,
+            SkipKind::Residual => x_end,
+            SkipKind::Bicubic(_) if x_end == geo.rows.end => body_end,
+            SkipKind::Bicubic(f) => x_end.saturating_sub(2) * f,
         };
-        let (mut y, first) = self.body.take_above::<L>(last.min(next + band))?;
-        let (x, x_first, _) = self.input.view::<L>()?;
+        let to = last.min(next + out_geo.band).min(body_end);
+        if to <= next && next < body_end {
+            self.body.keep::<L>((body, next), next);
+            self.input.keep::<L>((x, x_first), x_first);
+            return None;
+        }
+        let mut y = if to < body_end {
+            let top = L::stack(&[(&*body, 0..to - next)]);
+            self.body.keep::<L>((body, next), to);
+            top
+        } else {
+            body.into_owned()
+        };
         let (f, keep) = match kind {
-            SkipKind::Residual => (1, first + L::rows(&y)),
+            SkipKind::Residual => (1, to),
             // A sample reads from 2 source rows above its own on.
-            SkipKind::Bicubic(f) => (f, ((first + L::rows(&y)) / f).saturating_sub(2)),
+            SkipKind::Bicubic(f) => (f, (to / f).saturating_sub(2)),
         };
-        layer.add_skip(&mut y, x, (first - x_first * f, 0), (x_first, 0));
-        self.input.keep_from::<L>(keep);
-        Some((y, first))
+        let at = (next - x_first * f, out_geo.left - geo.left * f);
+        layer.add_skip(&mut y, &x, at, (x_first, geo.left));
+        self.input.keep::<L>((x, x_first), keep);
+        Some((y, next))
     }
 }
 
@@ -422,44 +410,51 @@ pub fn band<L>(program: &[Step<L>], w: usize) -> usize {
     (rows * coarse.1).div_ceil(coarse.0).next_multiple_of(g)
 }
 
-/// A step program run as a line buffer ([`stream`]): per step, the rows
-/// of its input frame and of one band at its input and output
-/// resolutions, and what it holds.
+/// A step program run as a line buffer ([`stream`]): per step, where it
+/// works ([`Geo`], and one more for the output) and what it holds.
 struct Line<'p, L: Datapath> {
     program: &'p [Step<L>],
-    geo: Vec<[usize; 3]>,
+    geo: Vec<Geo>,
     held: Vec<Held<L::Plane>>,
     /// Whether a step emitted rows since this was last cleared.
     moved: bool,
 }
 
 impl<'p, L: Datapath> Line<'p, L> {
-    fn new(program: &'p [Step<L>], h: usize, band: usize) -> Self {
-        let mut res = (1, 1);
-        let geo = (0..program.len())
-            .map(|i| {
-                let rows_in = [at_res(h, res), at_res(band, res)];
-                res = rescale(res, program[i].op.geometry().1);
-                // A skip's output is its body's.
-                let out = match program[i].op {
-                    Op::Skip { body, .. } => program[i + 1..=i + body]
-                        .iter()
-                        .fold(res, |r, step| rescale(r, step.op.geometry().1)),
-                    _ => res,
-                };
-                [rows_in[0], rows_in[1], at_res(band, out)]
-            })
-            .collect();
+    /// The line buffer of `program` over `window`, which enters with
+    /// `entry` pixels beyond its core, in bands of `band` input rows: the
+    /// edge rule ([`margins`]) folded once.
+    fn new(program: &'p [Step<L>], window: Window, entry: [usize; 4], band: usize) -> Self {
+        let margins = margins(program, entry);
+        let mut res = vec![(1, 1)];
+        for step in program {
+            res.push(rescale(res[res.len() - 1], step.op.geometry().1));
+        }
+        let (y0, x0) = (window.y0 as usize, window.x0 as usize);
+        let core = [y0 + entry[0], x0 + entry[1], y0 + window.h - entry[2]];
+        let geo = margins.iter().enumerate().map(|(i, m)| {
+            let [top, left, bottom] = core.map(|c| at_res(c, res[i]));
+            let cut = program.get(i).map_or([0; 4], |step| {
+                let (_, (num, den)) = step.op.geometry();
+                [0, 1, 2, 3].map(|s| m[s] - margins[i + 1][s] * den / num)
+            });
+            Geo {
+                rows: top - m[0]..bottom + m[2],
+                left: left - m[1],
+                cut,
+                band: at_res(band, res[i]),
+            }
+        });
         let held = program.iter().map(|_| Held {
             input: Kept(None),
             body: Kept(None),
             next: None,
+            done: false,
         });
-        let held = held.collect();
         Self {
             program,
-            geo,
-            held,
+            geo: geo.collect(),
+            held: held.collect(),
             moved: false,
         }
     }
@@ -475,28 +470,32 @@ impl<'p, L: Datapath> Line<'p, L> {
         let mut i = steps.start;
         while i < steps.end {
             let step @ Step { layer, op } = self.program[i];
-            let [h, band_in, band_out] = self.geo[i];
             let y = match op {
-                Op::Conv { .. } => self.held[i].conv(step, x, [h, band_in]),
-                Op::Unshuffle(r) => self.held[i].unshuffle(layer, r, x, band_out),
+                Op::Conv { .. } => self.held[i].conv(step, x, &self.geo[i]),
+                Op::Unshuffle(r) => {
+                    let geo = [&self.geo[i], &self.geo[i + 1]];
+                    self.held[i].unshuffle((layer, r), x, geo)
+                }
                 Op::Skip { body, kind } => {
                     let lent = x.as_ref().map(|(x, first)| (Cow::Borrowed(&**x), *first));
                     let out = self.push(i + 1..i + 1 + body, lent);
-                    let y = self.held[i].skip(layer, kind, (x, out), [h, band_out]);
+                    let geo = [&self.geo[i], &self.geo[i + 1 + body]];
+                    let y = self.held[i].skip((layer, kind), (x, out), geo);
                     i += body;
                     y
                 }
                 _ => x.map(|(x, first)| {
                     let (num, den) = op.geometry().1;
-                    let rows = L::rows(&x);
+                    let rows = L::shape(&x).h;
                     let y = layer.apply(x, [0; 4]);
-                    assert_eq!(
-                        L::rows(&y) * den,
-                        rows * num,
+                    // A layer that is handed its whole window may change
+                    // its height: the window is the output.
+                    assert!(
+                        rows == self.geo[i].rows.len() || L::shape(&y).h * den == rows * num,
                         "model is not tileable: a {rows}-row band at scale {num}/{den} came out \
                          {} rows high; spatially non-uniform layers such as global pooling \
                          cannot run on bands of rows",
-                        L::rows(&y),
+                        L::shape(&y).h,
                     );
                     (y, first * num / den)
                 }),
@@ -509,52 +508,74 @@ impl<'p, L: Datapath> Line<'p, L> {
     }
 }
 
-/// Runs `program` as a line buffer over the input rows `rows` of a frame
-/// `h` rows high: `read` hands it full-width bands of `band` input rows
-/// top to bottom, and every step keeps only the rows of its input that
-/// its next output rows read again — a convolution of radius `k` the
-/// last `2k` (its seam), an unshuffle the rows short of a coarse row, a
-/// skip its input from its body's next output row on (a bicubic skip 2
-/// source rows more, above). A step emits the rows whose taps are all at
-/// hand: at the frame's top and bottom the whole image's zero padding
-/// stands in for missing rows; at an interior edge of `rows` a
-/// convolution cuts `k` rows. Each step emits at most one band at its own
-/// resolution per call, so the rows left in the pipeline when the input
-/// ends are flushed band by band. `emit` gets every output band with its
-/// first row in the output frame.
+/// Runs `program` as a line buffer over `window` of a frame, whose sides
+/// (top, left, bottom, right) lie `margin` pixels beyond the core whose
+/// output is wanted — 0 at the frame's edge. `read` hands it the window's
+/// columns of `band` input rows at a time, top to bottom, and every step
+/// keeps only the rows of its input that its next output rows read again:
+/// a convolution of radius `k` the last `2k` (its seam), an unshuffle the
+/// rows short of a coarse row, a skip its input from its body's next
+/// output row on (a bicubic skip 2 source rows more, above). One edge
+/// rule sizes every step ([`margins`]): it cuts its columns from every
+/// band, its rows from the first and the last, and emits the rows whose
+/// taps are all at hand — at the end of its window, all of them. Each
+/// step emits at most one band at its own resolution per call, so the
+/// rows left in the pipeline when the input ends are flushed band by
+/// band. `emit` gets every output band with its first row in the output
+/// frame.
 ///
 /// Per element nothing changes: a row's taps are the whole image's, in
-/// the same order, so the rows emitted are [`run`]'s over the whole image
-/// bit for bit. Over the whole frame, every convolution computes each of
-/// its output pixels once.
-pub fn stream<L: Datapath>(
+/// the same order, so every window emits the whole image's pixels bit
+/// for bit. Within a window every convolution computes each of its
+/// output pixels once. Streamed in one band ([`once`]), a window is a
+/// block of the block flow, and the frame's window the whole image.
+pub fn stream<'x, L: Datapath>(
     program: &[Step<L>],
-    h: usize,
-    rows: Range<usize>,
+    (window, margin): (Window, [usize; 4]),
     band: usize,
-    read: impl Fn(Range<usize>) -> L::Plane,
+    mut read: impl FnMut(Range<usize>) -> Cow<'x, L::Plane>,
     mut emit: impl FnMut(L::Plane, usize),
-) {
-    let mut line = Line::new(program, h, band.max(1));
-    let all = 0..program.len();
-    let mut start = rows.start;
-    while start < rows.end {
-        let end = (start + band.max(1)).min(rows.end);
-        let x = (Cow::Owned(read(start..end)), start);
-        if let Some((y, first)) = line.push(all.clone(), Some(x)) {
-            emit(y, first);
-        }
-        start = end;
-    }
+) where
+    L::Plane: 'x,
+{
+    let band = band.max(1);
+    let mut line = Line::new(program, window, margin, band);
+    let rows = line.geo[0].rows.clone();
+    // The first input row still to read.
+    let mut next = Some(rows.start);
     loop {
         line.moved = false;
-        if let Some((y, first)) = line.push(all.clone(), None) {
+        let x = next.map(|start| {
+            let end = (start + band).min(rows.end);
+            next = (end < rows.end).then_some(end);
+            (read(start..end), start)
+        });
+        let fed = x.is_some();
+        if let Some((y, first)) = line.push(0..program.len(), x) {
             emit(y, first);
         }
-        if !line.moved {
+        if !fed && !line.moved {
             return;
         }
     }
+}
+
+/// [`stream`] of all of `x` in one band, a window of its own frame
+/// with `margin` pixels beyond its core on each side: the core and the
+/// margins the rest of the program reads. With no margins it is the
+/// whole image; with a block's, a block of the block flow.
+pub fn once<L: Datapath>(
+    program: &[Step<L>],
+    x: Cow<'_, L::Plane>,
+    margin: [usize; 4],
+) -> L::Plane {
+    let Shape4 { h, w, .. } = L::shape(&x);
+    let (mut x, mut out) = (Some(x), None);
+    let read = |_| x.take().expect("one band");
+    stream(program, (Window::full(h, w), margin), h, read, |y, _| {
+        out = Some(y);
+    });
+    out.expect("a window emits one band")
 }
 
 /// The layers of a chain in execution order, nested chains spliced in.
@@ -602,9 +623,9 @@ pub fn compile(model: &dyn Layer) -> Vec<Step<&dyn Layer>> {
     program
 }
 
-/// [`run`] of the float program of `model` over `input` inside `tile`.
-pub fn forward_tile(model: &dyn Layer, input: &Tensor, tile: &mut TileHalo) -> Tensor {
-    run(&compile(model), Cow::Borrowed(input), tile)
+/// The float program of `model` over the whole of `input`.
+pub fn forward(model: &dyn Layer, input: &Tensor) -> Tensor {
+    once(&compile(model), Cow::Borrowed(input), [0; 4])
 }
 
 /// `f32` planes: a layer runs itself, an element-wise one in place on a
@@ -648,7 +669,7 @@ impl Datapath for &dyn Layer {
         Tensor::from_vec(s, data)
     }
 
-    fn rows(x: &Tensor) -> usize {
-        x.shape().h
+    fn shape(x: &Tensor) -> Shape4 {
+        x.shape()
     }
 }

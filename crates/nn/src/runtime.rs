@@ -14,13 +14,13 @@
 //! (the seam) are computed by both.
 //!
 //! The paper's block-based flow (§V) stays for the accelerator model:
-//! [`BatchRunner::tiles`] cuts a frame into core tiles extended by a
-//! halo, and a [`TileHalo`] travels with a tile through
-//! [`program::run`], a convolution computing only the core and what the
-//! rest of the program reads around it ([`program::reads`]) — the
-//! truncated pyramid of the block flow, the tile shrinking layer by layer
-//! down to its core. `ringcnn-esim` runs those tiles.
-//! Per element nothing changes on either path, so the output is
+//! `ringcnn-esim` cuts a frame into the cores of [`BatchRunner::plan_grid`]
+//! extended by [`BatchRunner::halo`], and streams each block's window in
+//! one band — a convolution computing only the core and what the rest of
+//! the program reads around it ([`program::margins`]), the truncated
+//! pyramid of the block flow. A whole image is the frame's window in one
+//! band ([`program::once`]). One driver and one edge rule run all three.
+//! Per element nothing changes on any of them, so the output is
 //! **bit-identical** to the whole-image pass on every kernel —
 //! the determinism suite in `tests/runtime_parallel.rs` enforces it.
 //!
@@ -38,7 +38,7 @@ use crate::layers::structure::Sequential;
 use crate::program::{self, Step};
 use rayon::prelude::*;
 use ringcnn_tensor::prelude::*;
-use ringcnn_tensor::tile::{tile_grid, Window};
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::{Mutex, PoisonError};
 
@@ -96,72 +96,13 @@ impl ModelTopo {
     }
 }
 
-/// What a tile carries around its core on its way through a program:
-/// the pixels it still has beyond the core on each side. A convolution
-/// keeps of them what the rest of the program reads ([`program::reads`])
-/// where there are more, and all a frame-clipped side has (there the
-/// image edge gets the per-layer zero padding of whole-image inference).
-/// Outside a tile ([`TileHalo::whole`]) nothing is ever cut.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TileHalo {
-    /// Pixels beyond the core on the top, left, bottom and right, at the
-    /// current resolution.
-    pub margin: [usize; 4],
-    /// The core's top-left pixel in the frame, at the current resolution
-    /// (exact: a multiple of the model's granularity where `BatchRunner`
-    /// cut it; a tile nobody placed is its own frame).
-    core: [usize; 2],
-}
-
-impl TileHalo {
-    /// A tile with `margin` pixels around its core.
-    pub fn new(margin: [usize; 4]) -> Self {
-        let core = [margin[0], margin[1]];
-        Self { margin, core }
-    }
-
-    /// The tile with its core's top-left pixel at `core` of its frame.
-    #[must_use]
-    pub(crate) fn at(self, core: [usize; 2]) -> Self {
-        Self { core, ..self }
-    }
-
-    /// The top-left pixel of the tile (margins included) in its frame.
-    pub(crate) fn origin(&self) -> (usize, usize) {
-        (self.core[0] - self.margin[0], self.core[1] - self.margin[1])
-    }
-
-    /// A whole image: no margins, nothing to cut.
-    pub fn whole() -> Self {
-        Self::new([0; 4])
-    }
-
-    /// Moves past a leaf that rescales by `num/den` and ran over the
-    /// whole tile (its margins carried). Margins floor: a coarse pixel
-    /// only part of which is there is not.
-    pub fn leaf(&mut self, (num, den): (usize, usize)) {
-        self.margin = self.margin.map(|m| m * num / den);
-        self.core = self.core.map(|c| c * num / den);
-    }
-
-    /// Moves past a convolution that keeps `keep` pixels around the core,
-    /// through the pixel shuffle of factor `r` fused behind it: returns
-    /// the rows and columns it leaves out on the top, left, bottom and
-    /// right of its "same" output.
-    pub fn conv(&mut self, keep: usize, r: usize) -> [usize; 4] {
-        let cut = self.margin.map(|m| m.saturating_sub(keep));
-        self.margin = self.margin.map(|m| m.min(keep));
-        self.leaf((r, 1));
-        cut
-    }
-}
-
 /// Derives the [`ModelTopo`] of a model: the fold of its program.
 pub fn model_topology(model: &dyn Layer) -> ModelTopo {
     ModelTopo::of(&program::compile(model))
 }
 
-/// Hands a line buffer the input rows it asks for ([`InferenceModel::stream`]).
+/// Hands a line buffer the window's columns of the input rows it asks
+/// for ([`InferenceModel::stream`]).
 pub type Read<'a> = &'a (dyn Fn(Range<usize>) -> Tensor + Sync);
 /// Takes a line buffer's output bands, each with its first row.
 pub type Emit<'a> = &'a mut dyn FnMut(Tensor, usize);
@@ -180,22 +121,17 @@ pub trait InferenceModel: Send + Sync {
     /// [`InferenceModel::forward_infer`] calls never rebuild state.
     fn prepare_inference(&mut self);
 
-    /// Shared-state inference forward of one tile (no mutation; many
-    /// threads may call this concurrently): `tile` enters with the
-    /// tile's margins and comes back with the margins the output still
-    /// has around its core.
-    fn forward_tile(&self, input: &Tensor, tile: &mut TileHalo) -> Tensor;
+    /// Whole-image inference forward (no mutation; many threads may call
+    /// this concurrently): the frame's window in one band
+    /// ([`program::once`]).
+    fn forward_infer(&self, input: &Tensor) -> Tensor;
 
-    /// Whole-image inference forward: the tile walk with nothing to cut.
-    fn forward_infer(&self, input: &Tensor) -> Tensor {
-        self.forward_tile(input, &mut TileHalo::whole())
-    }
-
-    /// The input rows `rows` of a frame `h × w` run as a line buffer
+    /// `window` of a frame, `margin` pixels beyond its core on each side
+    /// (top, left, bottom, right), run as a line buffer
     /// ([`program::stream`] in bands of [`program::band`] rows): `read`
     /// hands over input rows, `emit` takes every output band with its
     /// first row in the output frame.
-    fn stream(&self, frame: (usize, usize), rows: Range<usize>, read: Read<'_>, emit: Emit<'_>);
+    fn stream(&self, window: (Window, [usize; 4]), read: Read<'_>, emit: Emit<'_>);
 
     /// The model's spatial topology (receptive radius, granularity,
     /// output scale).
@@ -207,14 +143,14 @@ impl InferenceModel for Sequential {
         Layer::prepare_inference(self);
     }
 
-    fn forward_tile(&self, input: &Tensor, tile: &mut TileHalo) -> Tensor {
-        program::forward_tile(self, input, tile)
+    fn forward_infer(&self, input: &Tensor) -> Tensor {
+        Layer::forward_infer(self, input)
     }
 
-    fn stream(&self, (h, w): (usize, usize), rows: Range<usize>, read: Read<'_>, emit: Emit<'_>) {
+    fn stream(&self, window: (Window, [usize; 4]), read: Read<'_>, emit: Emit<'_>) {
         let program = program::compile(self);
-        let band = program::band(&program, w);
-        program::stream(&program, h, rows, band, read, emit);
+        let band = program::band(&program, window.0.w);
+        program::stream(&program, window, band, |rows| Cow::Owned(read(rows)), emit);
     }
 
     fn topology(&self) -> ModelTopo {
@@ -222,7 +158,7 @@ impl InferenceModel for Sequential {
     }
 }
 
-/// The block size of [`BatchRunner::tiles`], and where
+/// The block size of the accelerator model's flow, and where
 /// [`BatchRunner::run`] streams a frame instead of running it whole.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TileConfig {
@@ -315,8 +251,8 @@ impl<'m> BatchRunner<'m> {
         self.model.forward_infer(input)
     }
 
-    /// The tile grid of an `h × w` image (the blocks of
-    /// [`Self::tiles`]), or `None` when [`Self::run`] takes the
+    /// The tile grid of an `h × w` image (the cores of the accelerator
+    /// model's blocks), or `None` when [`Self::run`] takes the
     /// whole-image path instead of streaming it.
     ///
     /// Degenerate grids are rejected here rather than executed: an image
@@ -331,27 +267,6 @@ impl<'m> BatchRunner<'m> {
         let grid = tile_grid(h, w, tile);
         debug_assert!(grid.len() > 1);
         Some(grid)
-    }
-
-    /// The tiles of an input of shape `s` cut into the cores of `grid`,
-    /// one per (batch item, core): the core's window grown by the halo,
-    /// and the [`TileHalo`] the tile enters the model with. The window is
-    /// clipped at the true image border, never zero-extended past it: a
-    /// tile edge on the image edge gets the *per-layer* zero padding of
-    /// whole-image inference, which makes border pixels exact too. A core
-    /// that covers the frame is one tile with no margins.
-    pub fn tiles(&self, s: Shape4, grid: &[Window]) -> Vec<(usize, Window, Window, TileHalo)> {
-        let halo = self.halo();
-        let place = |n, core: &Window| {
-            let (y0, x0) = (core.y0 as usize, core.x0 as usize);
-            let room = [y0, x0, s.h - y0 - core.h, s.w - x0 - core.w];
-            let ext = Window::inset(s.h, s.w, room.map(|m| m.saturating_sub(halo)));
-            let tile = TileHalo::new(room.map(|m| m.min(halo))).at([y0, x0]);
-            (n, *core, ext, tile)
-        };
-        (0..s.n)
-            .flat_map(|n| grid.iter().map(move |core| place(n, core)))
-            .collect()
     }
 
     /// Inference over a frame as one line buffer per pool thread: cuts
@@ -411,11 +326,13 @@ impl<'m> BatchRunner<'m> {
                 sp.set_args((bottom - top) as u64, s.w as u64);
             }
             let rows = top.saturating_sub(halo)..(bottom + halo).min(s.h);
+            let window = Window::new(rows.start as isize, 0, rows.len(), s.w);
+            let margin = [top - rows.start, 0, rows.end - bottom, 0];
             let read = |r: Range<usize>| {
                 input.extract_window(n, Window::new(r.start as isize, 0, r.len(), s.w))
             };
             let core = top * sn / sd..bottom * sn / sd;
-            self.model.stream((s.h, s.w), rows, &read, &mut |y, first| {
+            self.model.stream((window, margin), &read, &mut |y, first| {
                 // Guard against models that are not spatially uniform:
                 // their output does not scale with the band.
                 let Shape4 { h, w, c, .. } = y.shape();

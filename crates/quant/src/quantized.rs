@@ -46,8 +46,8 @@ use ringcnn_nn::layer::{Layer, Node, SkipKind};
 use ringcnn_nn::layers::conv::AnyConv;
 use ringcnn_nn::layers::shuffle::{cropped, shuffle_into, stacked, unshuffle_into, PixelShuffle};
 use ringcnn_nn::layers::structure::Sequential;
-use ringcnn_nn::program::{self, push_skip, run, Datapath, Epilogue, Op, Point, Step};
-use ringcnn_nn::runtime::{Emit, InferenceModel, ModelTopo, Read, TileHalo};
+use ringcnn_nn::program::{self, once, push_skip, Datapath, Epilogue, Op, Point, Step};
+use ringcnn_nn::runtime::{Emit, InferenceModel, ModelTopo, Read};
 use ringcnn_tensor::gemm::{ChunkEpilogue, PackedWeights, RequantChannel, RequantPlan};
 use ringcnn_tensor::im2col::{conv_streaming_i32, ConvInput};
 use ringcnn_tensor::prelude::*;
@@ -451,7 +451,7 @@ impl QuantizedModel {
         let steps: Vec<_> = steps
             .map(|(at, s)| s.map(|layer| Calibrate { layer, at, run }))
             .collect();
-        let out = program::run(&steps, Cow::Borrowed(calibration), &mut TileHalo::whole());
+        let out = once(&steps, Cow::Borrowed(calibration), [0; 4]);
         let lowered = run.lowered.take().into_iter().map(|(_, layer)| layer);
         let layers = lowered.collect::<Result<_, _>>()?;
         let mut quantized = Self {
@@ -513,7 +513,9 @@ impl QuantizedModel {
     ///
     /// If the model does not load ([`QuantizedModel::validate`]).
     pub fn forward(&self, input: &Tensor) -> Tensor {
-        self.forward_tile(input, &mut TileHalo::whole())
+        self.proof().expect("a model that loads");
+        let q = QTensorOf::<i8>::quantize(input, vec![self.input_format; input.shape().c]);
+        once(&self.program(), Cow::Owned(q), [0; 4]).dequantize()
     }
 
     /// Integer-in/integer-out inference, the door through which
@@ -532,8 +534,7 @@ impl QuantizedModel {
             .into_iter()
             .map(|v| i8::try_from(v).expect("8-bit features"));
         let q = QTensorOf::from_raw(s, narrowed.collect(), formats);
-        let whole = &mut TileHalo::whole();
-        let (s, data, formats) = run(&self.program(), Cow::Owned(q), whole).into_raw();
+        let (s, data, formats) = once(&self.program(), Cow::Owned(q), [0; 4]).into_raw();
         QTensor::from_raw(s, data.into_iter().map(i64::from).collect(), formats)
     }
 
@@ -615,25 +616,23 @@ impl InferenceModel for QuantizedModel {
         QuantizedModel::prepare_inference(self);
     }
 
-    /// [`QuantizedModel::forward`] of one tile: the integer chain
-    /// consumes the halo exactly as the float one does.
-    fn forward_tile(&self, input: &Tensor, tile: &mut TileHalo) -> Tensor {
-        self.proof().expect("a model that loads");
-        let q = QTensorOf::<i8>::quantize(input, vec![self.input_format; input.shape().c]);
-        run(&self.program(), Cow::Owned(q), tile).dequantize()
+    /// [`QuantizedModel::forward`].
+    fn forward_infer(&self, input: &Tensor) -> Tensor {
+        self.forward(input)
     }
 
     /// The integer chain as a line buffer: every band read is quantized
     /// onto the chain's planes, every band emitted dequantized.
-    fn stream(&self, (h, w): (usize, usize), rows: Range<usize>, read: Read<'_>, emit: Emit<'_>) {
+    fn stream(&self, window: (Window, [usize; 4]), read: Read<'_>, emit: Emit<'_>) {
         self.proof().expect("a model that loads");
         let program = self.program();
-        let band = program::band(&program, w);
+        let band = program::band(&program, window.0.w);
         let read = |rows| {
             let x = read(rows);
-            QTensorOf::<i8>::quantize(&x, vec![self.input_format; x.shape().c])
+            let formats = vec![self.input_format; x.shape().c];
+            Cow::Owned(QTensorOf::<i8>::quantize(&x, formats))
         };
-        program::stream(&program, h, rows, band, read, |y, first| {
+        program::stream(&program, window, band, read, |y, first| {
             emit(y.dequantize(), first);
         });
     }
@@ -819,8 +818,8 @@ impl Datapath for Calibrate<'_> {
         <&dyn Layer>::stack(parts)
     }
 
-    fn rows(x: &Tensor) -> usize {
-        x.shape().h
+    fn shape(x: &Tensor) -> Shape4 {
+        x.shape()
     }
 }
 
@@ -947,8 +946,8 @@ impl Datapath for &QLayer {
         QTensorOf::from_raw(s, data, parts[0].0.formats().to_vec())
     }
 
-    fn rows(x: &Self::Plane) -> usize {
-        x.shape().h
+    fn shape(x: &Self::Plane) -> Shape4 {
+        x.shape()
     }
 }
 
@@ -1548,7 +1547,7 @@ mod tests {
                 }
                 let data = q.data().iter().map(|v| narrow(*v)).collect();
                 let narrowed = QTensorOf::from_raw(q.shape(), data, q.formats().to_vec());
-                let got = run(&compile(step), Cow::Owned(narrowed), &mut TileHalo::whole());
+                let got = once(&compile(step), Cow::Owned(narrowed), [0; 4]);
                 q = step.iter().fold(q, |q, l| execute_layer(l, q));
                 let data = got.data().iter().map(|v| i64::from(*v)).collect();
                 let got = QTensor::from_raw(got.shape(), data, got.formats().to_vec());

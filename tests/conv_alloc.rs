@@ -265,12 +265,13 @@ fn frames_stream_in_bands() {
     }
 }
 
-/// Through `forward_tile` the bicubic skip evaluates the region its body
-/// wrote, from the tile's whole geometry: one region-sized tensor, no
+/// In a block's window the bicubic skip evaluates the region its body
+/// wrote, from the window's whole geometry: one region-sized tensor, no
 /// copy of a source crop and no upsampling of it; called from the one
 /// `#[test]` (see the module docs).
 fn the_bicubic_skip_of_a_tile_allocates_its_region() {
-    use ringcnn_nn::runtime::{InferenceModel, TileHalo};
+    use ringcnn_nn::program::{compile, once};
+    use std::borrow::Cow;
     // A ×4 skip around a 1×1 conv into the depth-to-space sink, so the
     // body builds one tensor of the region too. An interior 44×44 tile
     // with 6 pixels of margin: the skip reads 2 of them, the body writes
@@ -288,10 +289,10 @@ fn the_bicubic_skip_of_a_tile_allocates_its_region() {
         .with(Box::new(conv))
         .with(Box::new(PixelShuffle::new(4)));
     let mut model = Sequential::new().with(Box::new(UpsampleResidual::new(body, 4)));
-    InferenceModel::prepare_inference(&mut model);
+    Layer::prepare_inference(&mut model);
     let x = Tensor::random_uniform(Shape4::new(1, 1, 44, 44), 0.0, 1.0, 12);
-    let tile = TileHalo::new([6; 4]);
-    let out = model.forward_tile(&x, &mut tile.clone());
+    let block = || once(&compile(&model), Cow::Borrowed(&x), [6; 4]);
+    let out = block();
     assert_eq!(out.shape(), Shape4::new(1, 1, 128, 128));
     let region = 128 * 128 * 4;
     // ordering: single-threaded bookkeeping, as in `spent`.
@@ -299,7 +300,7 @@ fn the_bicubic_skip_of_a_tile_allocates_its_region() {
     let (skip, blocks) = (0..4)
         .map(|_| {
             PLANE_ORDER_BLOCKS.store(0, Ordering::Relaxed);
-            let s = spent(|| model.forward_tile(&x, &mut tile.clone()));
+            let s = spent(block);
             (s, PLANE_ORDER_BLOCKS.load(Ordering::Relaxed))
         })
         .min_by_key(|(s, _)| s.total)
@@ -323,10 +324,11 @@ fn the_bicubic_skip_of_a_tile_allocates_its_region() {
 /// of the same pixels carries the halo to the end; called from the one
 /// `#[test]` (see the module docs).
 fn tiles_consume_their_halo() {
-    use ringcnn_nn::runtime::{InferenceModel, TileHalo};
-    fn cheapest(model: &dyn InferenceModel, x: &Tensor, tile: TileHalo) -> Spent {
+    use ringcnn_nn::program::{compile, once};
+    use std::borrow::Cow;
+    fn cheapest(forward: impl Fn() -> Tensor) -> Spent {
         (0..4)
-            .map(|_| spent(|| model.forward_tile(x, &mut tile.clone())))
+            .map(|_| spent(&forward))
             .min_by_key(|s| s.total)
             .expect("four calls")
     }
@@ -343,10 +345,16 @@ fn tiles_consume_their_halo() {
     let calibration = Tensor::random_uniform(Shape4::new(1, 1, 32, 32), 0.0, 1.0, 5);
     let q8 = QuantizedModel::quantize(&mut float, &calibration, QuantOptions::default());
     let x = Tensor::random_uniform(Shape4::new(1, 1, 96, 96), 0.0, 1.0, 9);
-    let models: [(&str, &dyn InferenceModel); 2] = [("(RH4, fcw)", &dn), ("q8", &q8)];
-    for (what, model) in models {
-        let plain = cheapest(model, &x, TileHalo::whole()).total;
-        let tile = cheapest(model, &x, TileHalo::new([16; 4])).total;
+    // The frame's window with no margin, and an interior block's.
+    let float = |margin| once(&compile(&dn), Cow::Borrowed(&x), margin);
+    let q8 = |margin| {
+        let q = QTensorOf::<i8>::quantize(&x, vec![q8.input_format()]);
+        once(&q8.program(), Cow::Owned(q), margin).dequantize()
+    };
+    let models: [(&str, &dyn Fn(_) -> Tensor); 2] = [("(RH4, fcw)", &float), ("q8", &q8)];
+    for (what, forward) in models {
+        let plain = cheapest(|| forward([0; 4])).total;
+        let tile = cheapest(|| forward([16; 4])).total;
         assert!(
             tile * 4 <= plain * 3,
             "{what}: an interior 96x96 tile allocated {tile} B, more than three quarters \

@@ -17,7 +17,7 @@ use ringcnn_nn::models::ernet::{dn_ernet_pu, ErNetConfig};
 use ringcnn_nn::models::ffdnet::ffdnet;
 use ringcnn_nn::models::srresnet::{srresnet, SrResNetConfig};
 use ringcnn_nn::models::vdsr::vdsr;
-use ringcnn_nn::program::{compile, run, Epilogue, Op};
+use ringcnn_nn::program::{compile, margins, once, Epilogue, Op};
 use ringcnn_tensor::gemm;
 use std::borrow::Cow;
 
@@ -519,7 +519,7 @@ fn forward_without_train_is_forward_infer_for_every_layer_type() {
 
 // ---------------------------------------------------------------------
 // The float program owns its activations: the step program the driver
-// runs (`program::run`, with a conv's `Epilogue::Shuffle` where it fused
+// runs (`program::once`, with a conv's `Epilogue::Shuffle` where it fused
 // the shuffle behind it) against the plain leaf-by-leaf chain, bit for
 // bit. CI runs this file at pools 1 and 4 (`thread-sanity`), at the
 // runner's own size, and with each kernel tier pinned (`kernel-tiers`).
@@ -587,13 +587,16 @@ fn owned_forward_is_the_borrowing_forward_bit_for_bit() {
             )
         });
         assert_eq!(fused, fuses, "{what}: the shuffles it fused");
-        let whole = &mut TileHalo::whole();
-        let borrowed = run(&program, Cow::Borrowed(&x), whole);
+        let borrowed = once(&program, Cow::Borrowed(&x), [0; 4]);
         assert_eq!(bits(&x), bits(&kept), "{what}: wrote its input");
         assert_eq!(bits(&borrowed), bits(&want), "{what}: borrowed");
-        let owned = run(&program, Cow::Owned(x), whole);
+        let owned = once(&program, Cow::Owned(x), [0; 4]);
         assert_eq!(bits(&owned), bits(&want), "{what}: owned");
-        assert_eq!(*whole, TileHalo::whole(), "{what}: nothing to cut");
+        let margins = margins(&program, [0; 4]);
+        assert!(
+            margins.iter().all(|m| *m == [0; 4]),
+            "{what}: nothing to cut"
+        );
     }
 }
 
@@ -689,8 +692,7 @@ fn fused_pixel_shuffle_is_the_shuffle_of_the_conv_output_bit_for_bit() {
                         forced_kernel_scope(tier, || {
                             let plain = conv.forward_infer(&x);
                             let want = PixelShuffle::apply(&plain, r);
-                            let whole = &mut TileHalo::whole();
-                            let stepped_once = run(step, Cow::Borrowed(&x), whole);
+                            let stepped_once = once(step, Cow::Borrowed(&x), [0; 4]);
                             assert_eq!(absorbed, engine, "{what}: who absorbs");
                             let stepped = if absorbed { &want } else { &plain };
                             assert_eq!(stepped_once.shape(), stepped.shape(), "{what}");
@@ -699,10 +701,10 @@ fn fused_pixel_shuffle_is_the_shuffle_of_the_conv_output_bit_for_bit() {
                             // keeps no margin, and on 3-row planes no
                             // row at all.
                             if h >= 3 && w >= 4 {
-                                let mut tile = TileHalo::new([2, 0, 1, 3]);
-                                let trimmed = run(step, Cow::Borrowed(&x), &mut tile);
+                                let trimmed = once(step, Cow::Borrowed(&x), [2, 0, 1, 3]);
                                 let s = if engine { r } else { 1 };
-                                assert_eq!(tile.margin, [0; 4], "{what}: margins");
+                                let kept = margins(step, [2, 0, 1, 3])[1];
+                                assert_eq!(kept, [0; 4], "{what}: margins");
                                 let cut = [2, 0, 1, 3].map(|m| m * s);
                                 let (_, kept) = cropped(stepped.as_slice(), stepped.shape(), cut);
                                 let kept: Vec<u32> = kept.iter().map(|v| v.to_bits()).collect();
@@ -724,8 +726,7 @@ fn fused_pixel_shuffle_is_the_shuffle_of_the_conv_output_bit_for_bit() {
         conv.bias_mut().iter_mut().for_each(|b| *b = 0.5);
         conv.set_backend(backend);
         let x = Tensor::random_uniform(Shape4::new(1, 8, 3, 6), -1.0, 1.0, 27);
-        let tile = &mut TileHalo::new([2, 0, 1, 3]);
-        let out = run(&compile(&conv), Cow::Borrowed(&x), tile);
+        let out = once(&compile(&conv), Cow::Borrowed(&x), [2, 0, 1, 3]);
         assert_eq!(out.shape(), Shape4::new(1, 8, 0, 3), "RH4 on {backend}");
     }
 }
@@ -741,6 +742,15 @@ fn fused_pixel_shuffle_rejects_channels_that_do_not_divide() {
         .with(Box::new(conv))
         .with(Box::new(PixelShuffle::new(2)));
     chain.forward_infer(&Tensor::zeros(Shape4::new(1, 3, 4, 4)));
+}
+
+/// A whole image off an unshuffle's grid reaches the layer, which
+/// refuses it, in its words: the driver crops no row to make it fit.
+#[test]
+#[should_panic(expected = "height 7 not divisible by 2")]
+fn a_whole_image_off_the_unshuffle_grid_is_refused() {
+    let model = ffdnet(&Algebra::real(), 3, 8, 1, 13);
+    model.forward_infer(&Tensor::zeros(Shape4::new(1, 1, 7, 8)));
 }
 
 /// The model leaf by leaf, every leaf through the borrowing

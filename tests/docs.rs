@@ -99,9 +99,10 @@ fn docs_relative_links_all_resolve() {
 /// simulator's whole-frame path, the facade's second FRCONV and the
 /// registry's format-tag peek (a parse of every file on every pass), the
 /// binary wire's tile stream and the second channel walk (the
-/// `out_channels` methods and the integer chain's shape walk) and the row
-/// strips of a tile's upsampling tail (a line buffer runs the frames)
-/// went later.
+/// `out_channels` methods and the integer chain's shape walk), the row
+/// strips of a tile's upsampling tail (a line buffer runs the frames) and
+/// the second driver of the step program with its tile state (a whole
+/// image and a block are windows streamed in one band) went later.
 /// No document may still send a reader to them.
 #[test]
 fn docs_name_no_deleted_identifier() {
@@ -117,7 +118,7 @@ fn docs_name_no_deleted_identifier() {
             "poll/portable",
             "forward_infer_shuffled",
             "forward_infer_owned",
-            "Layer::forward_tile",
+            "forward_tile",
             "DepthwiseKernel",
             "RingKernel",
             "block_diagonal_weights",
@@ -169,14 +170,15 @@ fn docs_name_no_deleted_identifier() {
             "InferenceModel::out_channels",
             "QuantizedModel::out_channels",
             "with_halo",
-            "TileHalo::covers",
-            "TileHalo::reach",
+            "TileHalo",
             "string_end",
             "value_end",
             "value_at",
             "number_at",
             "in_strips",
-            "TileHalo::strip",
+            "program::run",
+            "run_body",
+            "BatchRunner::tiles",
         ] {
             assert!(
                 !text.contains(gone),

@@ -1,7 +1,7 @@
 //! Determinism suite for the parallel inference runtime: the frame path
 //! (`BatchRunner::run`, a line buffer per row section on every pool
-//! thread) and the block flow (a tile through `forward_tile`) must
-//! reproduce the single-threaded whole-image pass **bit for bit** on
+//! thread) and the block flow (a block's window streamed through the
+//! step program) must reproduce the single-threaded whole-image pass **bit for bit** on
 //! every kernel (per output element a band or a tile runs the taps of
 //! the whole image in the same order; the transform engine's components
 //! are engine products and `Tx`/`Tz` per-pixel) — for the paper's models
@@ -10,16 +10,18 @@
 //! with (`RINGCNN_THREADS`; CI runs this suite at 1, 2, 3 and 4 threads,
 //! and with each kernel tier pinned).
 //!
-//! Tiles shrink on their way through a chain (`TileHalo`): every
-//! convolution computes the core and what the rest of the program reads
-//! around it (`program::reads`). The second half of the suite holds that
-//! to the whole-image pass over every model family, backend and tile
-//! class, and the frames cut into those grids to the outputs of the
-//! commit before tiles shrank.
+//! Windows shrink on their way through a chain (`program::margins`, the
+//! one edge rule of `program::stream`): every convolution computes the
+//! core and what the rest of the program reads around it
+//! (`program::reads`). The second half of the suite holds that to the
+//! whole-image pass over every model family, backend and tile class, and
+//! the frames cut into those grids to the outputs of the commit before
+//! tiles shrank.
 //!
-//! The last section holds the line buffer (`program::stream`) to the
-//! whole-image pass at pool sizes 1 and 4, and at any band height and
-//! section count on one thread.
+//! The last section holds the line buffer to the whole-image pass at
+//! pool sizes 1 and 4, at any band height, row section and column window
+//! on one thread, and counts the work of a frame's sections at pool
+//! sizes 1 and 2.
 //!
 //! The halo is the model's receptive radius (`model_topology`, the fold
 //! of `program::reads`) rounded up to its granularity; property tests
@@ -30,7 +32,7 @@ use proptest::prelude::*;
 use ringcnn::prelude::*;
 use ringcnn_nn::models::ffdnet::ffdnet;
 use ringcnn_nn::models::vdsr::vdsr;
-use ringcnn_nn::runtime::{model_topology, BatchRunner, TileConfig, TileHalo};
+use ringcnn_nn::runtime::{model_topology, BatchRunner, TileConfig};
 use ringcnn_tensor::tile::Window;
 #[path = "common/zoo.rs"]
 mod zoo;
@@ -171,9 +173,10 @@ proptest! {
     }
 }
 
-/// A `core`-pixel tile entering `model` with `wide` pixels of margin on
-/// every side (more than it reads) computes the whole image's core bit
-/// for bit, and keeps no margin: what nothing reads is trimmed.
+/// A `core`-pixel block entering `model` with `wide` pixels of margin on
+/// every side (more than it reads), streamed in bands, emits the whole
+/// image's core bit for bit, and keeps no margin: what nothing reads is
+/// cut.
 fn wide_margins_are_trimmed(
     model: &dyn ringcnn_nn::runtime::InferenceModel,
     wide: usize,
@@ -182,14 +185,24 @@ fn wide_margins_are_trimmed(
 ) {
     let side = core + 2 * wide;
     let x = Tensor::random_uniform(Shape4::new(1, 1, side, side), 0.0, 1.0, 94);
-    let mut tile = TileHalo::new([wide; 4]);
-    let got = model.forward_tile(&x, &mut tile);
-    assert_eq!(tile.margin, [0; 4], "{ctx}: margin {wide} left over");
     let (num, den) = model.topology().scale;
-    let (at, out) = ((wide * num / den) as isize, core * num / den);
+    let (at, out) = (wide * num / den, core * num / den);
+    let read = |r: std::ops::Range<usize>| {
+        x.extract_window(0, Window::new(r.start as isize, 0, r.len(), side))
+    };
+    let mut got = Tensor::zeros(Shape4::new(1, 1, out, out));
+    let mut next = at;
+    let window = (Window::full(side, side), [wide; 4]);
+    model.stream(window, &read, &mut |y, first| {
+        let Shape4 { h, w, .. } = y.shape();
+        assert_eq!((first, w), (next, out), "{ctx}: margin {wide} left over");
+        got.paste_window(0, first - at, 0, &y, Window::full(h, w));
+        next += h;
+    });
+    assert_eq!(next, at + out, "{ctx}: margin {wide} left over");
     let want = model
         .forward_infer(&x)
-        .extract_window(0, Window::new(at, at, out, out));
+        .extract_window(0, Window::new(at as isize, at as isize, out, out));
     assert_equivalent(&want, &got, &format!("{ctx}: margin {wide}"));
 }
 
@@ -635,7 +648,7 @@ fn odd_factor_bicubic_skips_tile_bit_for_bit() {
     }
 }
 
-// --- Below: what only exists since tiles shrink (`TileHalo`). ---
+// --- Below: what only exists since tiles shrink (`program::margins`). ---
 
 /// A radius off the model's granularity is rounded up to it, so that
 /// every tile's window starts on the unshuffle's grid: conv3 → unshuffle
@@ -716,7 +729,7 @@ proptest! {
         ops in proptest::collection::vec(0usize..6, 7),
         seed in 0u64..1_000,
     ) {
-        use ringcnn_nn::program::{compile, reads, Op};
+        use ringcnn_nn::program::{compile, margins, reads};
         let (mut chain, leaves) = random_chain(&ops, seed);
         // What the chain reads around a core, exactly: backwards from
         // the output, a shuffle's pixels come from ⌈n/r⌉ of its input's.
@@ -734,25 +747,20 @@ proptest! {
         let clipped = (halo / 2).next_multiple_of(g).min(halo.saturating_sub(g));
         for entry in [[halo; 4], [0, 0, halo, halo], [clipped, halo, halo, clipped]] {
             // A side the frame clipped keeps all it has, rescaled.
-            let (mut tile, mut all) = (TileHalo::new(entry), TileHalo::new(entry));
+            let (margins, mut all) = (margins(&program, entry), entry);
+            prop_assert_eq!(margins.len(), program.len() + 1);
             for (i, step) in program.iter().enumerate() {
                 let rest = reads(&program[i + 1..], 0);
                 let (_, (num, den)) = step.op.geometry();
-                match step.op {
-                    Op::Conv { .. } => {
-                        tile.conv(rest.div_ceil(num), num);
-                    }
-                    _ => tile.leaf((num, den)),
-                }
-                all.leaf((num, den));
+                all = all.map(|m| m * num / den);
                 for side in 0..4 {
-                    let m = tile.margin[side];
+                    let m = margins[i + 1][side];
                     prop_assert!(
-                        m >= rest || (entry[side] < halo && m == all.margin[side]),
+                        m >= rest || (entry[side] < halo && m == all[side]),
                         "side {} of {:?} after step {} of {:?}: margin {} below {}",
                         side, entry, i, ops, m, rest
                     );
-                    prop_assert!(m <= all.margin[side], "a margin grew: {:?}", ops);
+                    prop_assert!(m <= all[side], "a margin grew: {:?}", ops);
                 }
             }
         }
@@ -800,6 +808,12 @@ fn at_pool_sizes(name: &str, pools: [usize; 2], check: impl Fn()) {
     if std::env::var_os("RINGCNN_THREADS").is_some() {
         return check();
     }
+    in_children(name, pools);
+}
+
+/// Runs the test `name` alone (`--exact`, one test thread) in a child
+/// process per pool size of `pools`, with `RINGCNN_THREADS` set.
+fn in_children(name: &str, pools: [usize; 2]) {
     let exe = std::env::current_exe().expect("the test binary");
     for threads in pools {
         let child = std::process::Command::new(&exe)
@@ -922,15 +936,67 @@ fn frames_stream_bit_for_bit_at_pool_sizes_1_and_4() {
     });
 }
 
-/// The driver itself, on one thread: `program::stream` of the whole
-/// frame in bands of 1 to 9 granules, and of two and three sections with
-/// a halo of the model's radius, emits exactly the rows of the
-/// whole-image forward, bit for bit — the upsampling models (a bicubic
-/// skip whose samples read source rows the next band brings), ×3 and ×5
-/// bicubic skips around a one-row body, and random chains.
+/// The work of a frame's sections follows the edge rule: through
+/// `BatchRunner::run` one frame runs as many GEMM tiles at pool 1 as the
+/// whole-image forward, and at pool 2 each section computes, beyond its
+/// core, only the rows the rest of the program reads at its interior
+/// edge — the 256² DnERNet over (RH4, fcw) and the 64 → 256 SR4ERNet over
+/// (RI4, fH), in the benchmark's grids. The GEMM counters are the
+/// process's, so each pool size runs alone in a child.
+#[test]
+fn sections_compute_what_the_rest_of_the_program_reads() {
+    let name = "sections_compute_what_the_rest_of_the_program_reads";
+    if !std::env::args().any(|arg| arg == "--exact") {
+        return in_children(name, [1, 2]);
+    }
+    let tiles = |f: &dyn Fn() -> Tensor| {
+        let before = ringcnn_tensor::gemm::profile::snapshot();
+        f();
+        let after = ringcnn_tensor::gemm::profile::snapshot();
+        after.delta_since(&before).tiles
+    };
+    let dn = Scenario::Denoise { sigma: 25.0 };
+    let (rh4, ri4) = (Algebra::with_fcw(RingKind::Rh(4)), Algebra::ri_fh(4));
+    // `(model, frame side, core, GEMM tiles at pools 1 to 4)`: whole at
+    // pool 1, and each seam past it 2 560 and 2 368 tiles (every kernel
+    // tier).
+    let frames = [
+        (
+            build_model(dn, ThroughputTarget::Hd30, &rh4, 7),
+            256,
+            64,
+            [45_056, 47_616, 50_176, 52_736],
+        ),
+        (
+            build_model(Scenario::Sr4, ThroughputTarget::Hd30, &ri4, 7),
+            64,
+            32,
+            [35_840, 38_208, 40_576, 42_944],
+        ),
+    ];
+    for (mut model, hw, core, want) in frames {
+        let runner = BatchRunner::new(&mut model).with_tile(TileConfig::with_tile(core));
+        let x = Tensor::random_uniform(Shape4::new(1, 1, hw, hw), 0.0, 1.0, 97);
+        let (whole, frame) = (tiles(&|| runner.run_whole(&x)), tiles(&|| runner.run(&x)));
+        let pool = ringcnn_nn::runtime::num_threads();
+        assert_eq!(whole, want[0], "{hw}x{hw}: whole image");
+        if let Some(want) = want.get(pool - 1) {
+            assert_eq!(frame, *want, "{hw}x{hw} at pool {pool}");
+        }
+    }
+}
+
+/// The driver itself, on one thread: `program::stream` of the frame cut
+/// into one to three row sections and one or three column windows, each
+/// grown by a halo of the model's radius where it is interior, in bands
+/// of 1 to 9 granules, emits exactly the pixels of the whole-image
+/// forward, bit for bit, float and 8-bit — the upsampling models (a
+/// bicubic skip whose samples read source rows the next band brings),
+/// ×3 and ×5 bicubic skips around a one-row body, and random chains.
 #[test]
 fn any_band_and_any_section_stream_the_whole_image() {
-    use ringcnn_nn::program::{compile, stream};
+    use ringcnn_nn::program::{compile, Datapath, Step};
+    use std::borrow::Cow;
     let mut models = upsampling_models();
     models.retain(|(name, _)| !name.starts_with("hd30"));
     for factor in [3, 5] {
@@ -943,35 +1009,102 @@ fn any_band_and_any_section_stream_the_whole_image() {
         models.push((format!("x{factor} bicubic skip"), skip));
     }
     models.extend(seeded_chains().into_iter().take(6));
-    for (name, model) in models {
+    for (name, mut model) in models {
         let topo = model_topology(&model);
-        let (g, (num, den)) = (topo.granularity, topo.scale);
+        let g = topo.granularity;
         let channels = if name.starts_with("chain") { 4 } else { 1 };
-        let (h, w) = (9 * g, 12);
-        let x = Tensor::random_uniform(Shape4::new(1, channels, h, w), -1.0, 1.0, 95);
+        let x = Tensor::random_uniform(Shape4::new(1, channels, 9 * g, 40), -1.0, 1.0, 95);
         let whole = model.forward_infer(&x);
-        let program = compile(&model);
-        let read = |r: std::ops::Range<usize>| {
-            x.extract_window(0, Window::new(r.start as isize, 0, r.len(), w))
+        windows_stream(&compile(&model), &x, (Cow::Owned, |y| y), &whole, &name);
+        let calibration = Tensor::random_uniform(Shape4::new(1, channels, 16, 16), -1.0, 1.0, 96);
+        let q = QuantizedModel::quantize(&mut model, &calibration, QuantOptions::default());
+        let quantize = |t: Tensor| {
+            let formats = vec![q.input_format(); t.shape().c];
+            Cow::Owned(QTensorOf::<i8>::quantize(&t, formats))
         };
-        let halo = topo.radius.next_multiple_of(g);
+        let dequantize = |y: QTensorOf<i8>| y.dequantize();
+        let ctx = format!("{name}, 8-bit");
+        windows_stream(
+            &q.program(),
+            &x,
+            (quantize, dequantize),
+            &q.forward(&x),
+            &ctx,
+        );
+    }
+
+    /// Streams `program` over `x` cut into every window layout at every
+    /// band — `planes` turns input rows into its planes and its planes
+    /// into outputs — and holds the stitched cores to `whole` bit for
+    /// bit.
+    fn windows_stream<'x, L: Datapath>(
+        program: &[Step<L>],
+        x: &Tensor,
+        planes: (
+            impl Fn(Tensor) -> Cow<'x, L::Plane>,
+            impl Fn(L::Plane) -> Tensor,
+        ),
+        whole: &Tensor,
+        name: &str,
+    ) where
+        L::Plane: 'x,
+    {
+        use ringcnn_nn::program::{margins, reads, stream};
+        let topo = ringcnn_nn::runtime::ModelTopo::of(program);
+        let (g, (num, den)) = (topo.granularity, topo.scale);
+        let halo = reads(program, 0).next_multiple_of(g);
+        let Shape4 { h, w, .. } = x.shape();
+        // Cut `len` pixels into `n` sections of whole granules: the
+        // section, and the window a halo around it that the frame clips.
+        let section = |i: usize, n: usize, len: usize| {
+            let at = |i: usize| i * (len / g) / n * g;
+            let window = at(i).saturating_sub(halo)..(at(i + 1) + halo).min(len);
+            (at(i)..at(i + 1), window)
+        };
         for band in (1..=9).map(|b| b * g) {
-            for sections in 1..=3 {
+            for (sections, cols) in [(1, 1), (2, 1), (3, 1), (1, 3), (2, 3)] {
                 let mut out = Tensor::zeros(whole.shape());
-                for i in 0..sections {
-                    let (top, bottom) = (i * 9 / sections * g, (i + 1) * 9 / sections * g);
-                    let rows = top.saturating_sub(halo)..(bottom + halo).min(h);
-                    let core = top * num / den..bottom * num / den;
-                    stream(&program, h, rows, band, read, |y, first| {
+                for (i, j) in (0..sections).flat_map(|i| (0..cols).map(move |j| (i, j))) {
+                    let ((core, rows), (core_cols, cols)) =
+                        (section(i, sections, h), section(j, cols, w));
+                    let window = Window::new(
+                        rows.start as isize,
+                        cols.start as isize,
+                        rows.len(),
+                        cols.len(),
+                    );
+                    let margin = [
+                        core.start - rows.start,
+                        core_cols.start - cols.start,
+                        rows.end - core.end,
+                        cols.end - core_cols.end,
+                    ];
+                    let read = |r: std::ops::Range<usize>| {
+                        let at =
+                            Window::new(r.start as isize, cols.start as isize, r.len(), cols.len());
+                        (planes.0)(x.extract_window(0, at))
+                    };
+                    // The output's first column: the core's, less what the
+                    // output keeps of its left margin.
+                    let kept = margins(program, margin)[program.len()][1];
+                    let left = core_cols.start * num / den - kept;
+                    let (core, core_cols) = (
+                        core.start * num / den..core.end * num / den,
+                        core_cols.start * num / den..core_cols.end * num / den,
+                    );
+                    stream(program, (window, margin), band, read, |y, first| {
+                        let y = (planes.1)(y);
                         let (lo, hi) = (first.max(core.start), (first + y.shape().h).min(core.end));
                         if lo < hi {
-                            let src = Window::new((lo - first) as isize, 0, hi - lo, y.shape().w);
-                            out.paste_window(0, lo, 0, &y, src);
+                            let at = (core_cols.start - left) as isize;
+                            let src =
+                                Window::new((lo - first) as isize, at, hi - lo, core_cols.len());
+                            out.paste_window(0, lo, core_cols.start, &y, src);
                         }
                     });
                 }
-                let ctx = format!("{name}: bands of {band} rows, {sections} sections");
-                assert_equivalent(&whole, &out, &ctx);
+                let ctx = format!("{name}: bands of {band} rows, {sections}x{cols} windows");
+                assert_equivalent(whole, &out, &ctx);
             }
         }
     }
