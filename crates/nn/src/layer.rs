@@ -77,11 +77,11 @@ pub enum SkipKind {
 ///   [`Layer::children_mut`], for the `&mut` defaults.
 /// - Ownership of activations: a tensor passed by reference is the
 ///   caller's and is never written. A forward of a container (and a
-///   float model's tile forward, `crate::runtime`) compiles the tree into
+///   window the runtime streams, `crate::runtime`) compiles the tree into
 ///   one flat step program and runs it ([`crate::program`]): the program
 ///   owns every tensor a step returns and hands it to the next step for
 ///   good — element-wise layers work on it in place through
-///   [`Layer::forward_step`] —, a tile's halo is consumed there (a
+///   [`Layer::forward_step`] —, a window's margin is consumed there (a
 ///   convolution writes only what the rest of the program reads), and a
 ///   convolution on the streaming engine writes where the
 ///   [`Node::Shuffle`] behind it would copy to. Every step has the bits

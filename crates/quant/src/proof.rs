@@ -229,17 +229,18 @@ fn validate_chain(
                 if conv.co == 0 || conv.k == 0 {
                     return Err(format!("layer {i}: conv with zero co/k"));
                 }
-                if conv.ci * conv.k * conv.k > MAX_TAPS {
+                let taps = c.checked_mul(conv.k).and_then(|t| t.checked_mul(conv.k));
+                let Some(taps) = taps.filter(|t| *t <= MAX_TAPS) else {
                     return Err(format!(
-                        "layer {i}: {} taps per output channel exceeds {MAX_TAPS}",
-                        conv.ci * conv.k * conv.k
+                        "layer {i}: {c}·{}² taps per output channel exceed {MAX_TAPS}",
+                        conv.k
                     ));
-                }
-                if conv.weights.len() != conv.co * conv.ci * conv.k * conv.k {
+                };
+                if conv.weights.len() != conv.co.saturating_mul(taps) {
                     return Err(format!(
-                        "layer {i}: conv weight table has {} entries, wants {}",
+                        "layer {i}: conv weight table has {} entries, wants {}·{taps}",
                         conv.weights.len(),
-                        conv.co * conv.ci * conv.k * conv.k
+                        conv.co
                     ));
                 }
                 if conv.bias.len() != conv.co {
@@ -334,7 +335,7 @@ fn validate_chain(
                 bounds = rails(&formats);
             }
             QLayer::Shuffle(r) => {
-                if *r == 0 || c % (r * r) != 0 {
+                if r.checked_mul(*r).is_none_or(|rr| rr == 0 || c % rr != 0) {
                     return Err(format!("layer {i}: cannot shuffle {c} channels by {r}"));
                 }
                 formats = shuffle_formats(&formats, *r);
@@ -343,6 +344,14 @@ fn validate_chain(
             QLayer::Unshuffle(r) => {
                 if *r == 0 {
                     return Err(format!("layer {i}: unshuffle factor 0"));
+                }
+                // Refused before its per-channel tables grow `r²`-fold:
+                // no conv reads more than `MAX_TAPS` channels.
+                let out = r.checked_mul(*r).and_then(|rr| rr.checked_mul(c));
+                if out.is_none_or(|out| out > MAX_TAPS) {
+                    return Err(format!(
+                        "layer {i}: unshuffling {c} channels by {r} passes {MAX_TAPS} channels"
+                    ));
                 }
                 formats = unshuffle_formats(&formats, *r);
                 bounds = unshuffle_formats(&bounds, *r);

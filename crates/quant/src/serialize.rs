@@ -212,6 +212,29 @@ mod tests {
     }
 
     #[test]
+    fn huge_shuffle_and_kernel_factors_are_refused_before_anything_grows() {
+        // Behind a conv: a shuffle whose `r²` overflows (a remainder by
+        // zero in a release build, a multiply overflow in a debug one),
+        // and an unshuffle whose 8 · 1000² channels no conv could read.
+        let (qm, _x) = calibrated(&Algebra::real());
+        let json = qmodel_to_json(&export_qmodel("m", "tiny", "(real)", 1, 20.0, qm).unwrap());
+        for layer in [r#"{"Shuffle":4294967296}"#, r#"{"Unshuffle":1000}"#] {
+            let evil = json.replacen("\"Relu\"", layer, 1);
+            assert_ne!(evil, json, "the file has a ReLU at layer 1");
+            match qmodel_from_json(&evil) {
+                Err(QModelLoadError::Invalid(m)) => assert!(m.starts_with("layer 1:"), "{m}"),
+                other => panic!("{layer}: {other:?}"),
+            }
+        }
+        // A kernel size whose `k²` overflows, in the same class.
+        let evil = json.replacen("\"k\":3", "\"k\":4294967296", 1);
+        match qmodel_from_json(&evil) {
+            Err(QModelLoadError::Invalid(m)) => assert!(m.starts_with("layer 0:"), "{m}"),
+            other => panic!("k: {other:?}"),
+        }
+    }
+
+    #[test]
     fn a_file_nested_too_deep_is_a_parse_error() {
         match qmodel_from_json(&"[".repeat(1 << 20)) {
             Err(QModelLoadError::Parse(e)) => assert!(e.contains("nest"), "{e}"),

@@ -1,17 +1,16 @@
 //! The register-blocked GEMM driver behind the streaming convolution
 //! engine, shared by the f32 (float inference) and the integer
-//! (quantized inference, `i32` lanes) pipelines, and by the `i64`
-//! product the benchmark probes time (`gemm_i64_packed`).
+//! (quantized inference, `i32` lanes) pipelines.
 //!
 //! Every precision lowers a convolution to `C = W · col`, where `col` is
 //! the patch matrix (`rows = ci·k²` by `plane = H·W`) and `W` the
 //! `co × rows` weight matrix. **One** blocked driver computes that
-//! product for every element type with an MR×NR register tile; what
-//! differs between `f32`, `i64` and `i32` (panel width, the *operand*
-//! type its panels and weight packs hold — itself for `f32` and `i64`,
-//! `i16` for `i32` —, AVX2 tile, exactness gate, slab slot, epilogue)
-//! lives in the three impls of the crate-private `Element` trait. The
-//! work splits into a plan and a call:
+//! product for both element types with an MR×NR register tile; what
+//! differs between `f32` and `i32` (the *operand* type its panels and
+//! weight packs hold — itself for `f32`, `i16` for `i32` —, AVX2 tile,
+//! exactness gate, slab slot, epilogue) lives in the two impls of the
+//! crate-private `Element` trait. The work splits into a plan and a
+//! call:
 //!
 //! * **The plan** ([`PackedWeights`]) is everything derived from `W`
 //!   alone, built once where weights freeze (`prepare_inference`, model
@@ -28,9 +27,8 @@
 //!   scale).
 //! * **The call** never sees the whole of `col`: the plane is cut into
 //!   column chunks of [`NC_COLS`], one parallel task each. A task gets
-//!   just its chunk's micro-panels — `[panel][row][NR]` order, **NR**
-//!   columns each (16 for f32 and i32, 8 for i64), the last panel
-//!   zero-padded;
+//!   just its chunk's micro-panels — `[panel][row][NR]` order, **NR =
+//!   16** columns each for both elements, the last panel zero-padded;
 //!   packed into the thread's slab by the im2col chunk packer of
 //!   [`crate::im2col`], which converts from the type the source planes
 //!   are stored in as it copies, or lent from a B the caller packed
@@ -61,29 +59,28 @@
 //! # Exactness contract
 //!
 //! [`reference()`] is the matrix-level oracle: the plain row-axpy loop,
-//! generic over the element type, called by tests only. The **i64**
-//! tiers are **bit-identical** to it: integer addition is
-//! order-independent, an AVX2 `_mm256_mul_epi32` product is exact
-//! whenever both operands fit in `i32` (the weights are checked once in
-//! the plan, the activations once per call on the *unpacked* input,
-//! with the scalar-blocked tile as the fallback otherwise), and the
+//! generic over the element type, called by tests (and by
+//! [`gemm_i64_packed`], the `i64` product kept for the benchmark's
+//! probes). The **i32** tiers are **bit-identical** to it *for a
+//! product whose every partial sum fits the lane*: integer addition is
+//! order-independent, a block's zero-weight lanes contribute exact `+0`
+//! terms (so the channel grouping cannot change a result), and the
 //! fused requantization epilogue applies the same
 //! round-half-away-from-zero shift and saturation rails as the unfused
-//! path. (A block's zero-weight lanes contribute exact `+0` terms, so
-//! the channel grouping cannot change a result.) The **i32** tiers are
-//! bit-identical to the `i64` ones *for a product whose every partial
-//! sum fits the lane* — which is the caller's to prove, once, where the
-//! weights freeze (`ringcnn-quant` bounds every accumulator of a model
-//! at load time and loads no model whose accumulators outgrow the
-//! modelled accelerator's, far inside the lane; a debug build panics on
-//! the scalar tile's `+`/`*` if the proof were wrong). Its
-//! AVX2 tile multiplies 16-bit operands pairwise with
+//! path. That every partial sum fits is the caller's to prove, once,
+//! where the weights freeze (`ringcnn-quant` bounds every accumulator
+//! of a model at load time and loads no model whose accumulators
+//! outgrow the modelled accelerator's, far inside the lane; a debug
+//! build panics on the scalar tile's `+`/`*` if the proof were wrong).
+//! The AVX2 tile multiplies 16-bit operands pairwise with
 //! `_mm256_madd_epi16`, whose 32-bit pair sum cannot overflow while
-//! `|v| ≤ 32767` on both sides (the same two-part gate, scalar tile
-//! otherwise — and no scan where the source planes are `i8`: the type
-//! says it). The **f32** tiers are tolerance-equivalent only: FMA
+//! `|v| ≤ 32767` on both sides: the weights are checked once in the
+//! plan, the activations once per call on the *unpacked* input — and
+//! not at all where the source planes are `i8`: the type says it —,
+//! with the scalar-blocked tile as the fallback otherwise. The **f32**
+//! tiers are tolerance-equivalent to [`reference()`] only: FMA
 //! contraction and the blocked summation change ULPs relative to the
-//! reference row-axpy.
+//! row-axpy.
 
 #[cfg(target_arch = "x86_64")]
 use core::arch::x86_64::*;
@@ -95,13 +92,12 @@ use std::thread::LocalKey;
 
 /// Output channels per register block.
 pub const MR: usize = 4;
-/// f32 micro-panel width (two 8-lane YMM vectors per tile row).
-pub const NR_F32: usize = 16;
-/// i64 micro-panel width (4 lanes per 256-bit vector, 2 vectors).
+/// Micro-panel width of both elements: two 8-lane YMM vectors of `f32`
+/// or of `i32` lanes per tile row.
+pub const NR: usize = 16;
+/// Panel width of the B [`gemm_i64_packed`] takes.
 pub const NR_I64: usize = 8;
-/// i32 micro-panel width (8 lanes per 256-bit vector, 2 vectors).
-pub const NR_I32: usize = 16;
-/// Column-chunk width (elements, a multiple of every NR): the unit of
+/// Column-chunk width (elements, a multiple of NR): the unit of
 /// parallel work, and the `rows × NC_COLS` slab of packed B one task
 /// keeps L2-resident while every channel block streams over it.
 pub const NC_COLS: usize = 128;
@@ -234,7 +230,7 @@ pub fn active_kernel() -> KernelBackend {
 /// [`gemm_f32_packed`]. Both tiers share one width; the parameter keeps
 /// call sites tier-explicit.
 pub fn f32_panel_width(_backend: KernelBackend) -> usize {
-    NR_F32
+    NR
 }
 
 // ---------------------------------------------------------------------
@@ -336,25 +332,26 @@ pub mod profile {
         #[test]
         fn counters_advance_across_a_blocked_product() {
             let before = snapshot();
-            // 4 rows × 40 columns, already panel-major (5 full panels).
-            let bp: Vec<i64> = (0..4 * 40).collect();
-            let w = vec![1i64; 3 * 4];
+            // 4 rows × 40 columns, already panel-major (3 panels, the
+            // last one partial).
+            let bp: Vec<i16> = (0..3 * 4 * 16).collect();
+            let w = vec![1i16; 3 * 4];
             let _ = crate::gemm::forced_kernel_scope(KernelBackend::Scalar, || {
-                crate::gemm::gemm_i64_packed(&bp, 40, 4, 3, &w, &[], None, true)
+                crate::gemm::gemm_i32_packed(&bp, 40, 4, 3, &w, &[], None)
             });
             // Other tests run gemm concurrently, so assert growth (>=)
             // rather than exact deltas.
             let d = snapshot().delta_since(&before);
             assert!(d.dispatched(KernelBackend::Scalar) >= 1);
             assert!(d.total_dispatches() >= 1);
-            assert!(d.panel_packs >= 5, "the product packs 40 / NR_I64 panels");
-            assert!(d.tiles >= 5, "one MR block meets every panel");
+            assert!(d.panel_packs >= 3, "the product packs 40 / NR panels");
+            assert!(d.tiles >= 3, "one MR block meets every panel");
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// Fused requantization epilogue (i64).
+// Fused requantization epilogue.
 // ---------------------------------------------------------------------
 
 /// Shifts a fixed-point integer from `from_frac` to `to_frac` fractional
@@ -518,7 +515,7 @@ macro_rules! lane {
 lane!(i64);
 lane!(i32);
 
-/// A per-channel requantization plan fused into the i64 kernel epilogue,
+/// A per-channel requantization plan fused into the i32 kernel epilogue,
 /// so quantized conv never materializes un-rescaled accumulators.
 #[derive(Clone, Debug)]
 pub struct RequantPlan {
@@ -527,7 +524,7 @@ pub struct RequantPlan {
 }
 
 // ---------------------------------------------------------------------
-// The element trait: everything f32, i64 and i32 do differently.
+// The element trait: everything f32 and i32 do differently.
 // ---------------------------------------------------------------------
 
 /// A type planes, micro-panels and weight packs are stored in.
@@ -539,23 +536,18 @@ pub trait Plane: Copy + Default + PartialEq + Send + Sync + 'static {
 }
 
 macro_rules! plane {
-    ($t:ty, $exact:expr) => {
-        impl Plane for $t {
+    ($($t:ty),+ => $exact:expr) => {
+        $(impl Plane for $t {
             fn avx2_exact(values: &[$t]) -> bool {
                 values.iter().all($exact)
             }
-        }
+        })+
     };
 }
-plane!(f32, |_| true);
-plane!(i8, |_| true);
-// `_mm256_mul_epi32` reads each lane's low 32 bits: exact only for
-// i32-range operands.
-plane!(i64, |v| i32::try_from(*v).is_ok());
+plane!(f32, i8 => |_| true);
 // `_mm256_madd_epi16` sums the two products of a pair in 32 bits, which
 // only `−32768·−32768` twice can overflow: exact for `|v| ≤ 32767`.
-plane!(i32, |v| v.unsigned_abs() <= 32767);
-plane!(i16, |v| v.unsigned_abs() <= 32767);
+plane!(i64, i32, i16 => |v| v.unsigned_abs() <= 32767);
 
 /// `v` in the type a panel, a lane or a plane holds it in: free where
 /// that widens or is the identity, and where it narrows the caller has
@@ -577,10 +569,10 @@ pub type ChunkEpilogue<'a, T> = &'a (dyn Fn(&mut [T], usize, usize) + Sync);
 /// chunk its current task owns — and the `co × NC_COLS` lanes a chunk
 /// epilogue is handed; kept across tasks and calls (never plane-sized,
 /// so nothing worth returning to the OS).
-pub(crate) type Slab<T, const NR: usize> = (Vec<<T as Element<NR>>::Operand>, Vec<T>);
+pub(crate) type Slab<T> = (Vec<<T as Element>::Operand>, Vec<T>);
 
-/// An element type of the blocked driver, with micro-panel width `NR`.
-pub(crate) trait Element<const NR: usize>:
+/// An element type of the blocked driver.
+pub(crate) trait Element:
     Copy + Default + PartialEq + AddAssign + Mul<Output = Self> + Send + Sync + 'static
 {
     /// What its micro-panels and weight packs hold.
@@ -594,7 +586,7 @@ pub(crate) trait Element<const NR: usize>:
     const PAIR: usize = 1;
 
     /// The thread's [`Slab`].
-    fn slab() -> &'static LocalKey<Cell<Slab<Self, NR>>>;
+    fn slab() -> &'static LocalKey<Cell<Slab<Self>>>;
 
     /// The AVX2 register tile.
     ///
@@ -618,16 +610,15 @@ pub(crate) trait Element<const NR: usize>:
 }
 
 thread_local! {
-    static SLAB_F32: Cell<Slab<f32, NR_F32>> = const { Cell::new((Vec::new(), Vec::new())) };
-    static SLAB_I64: Cell<Slab<i64, NR_I64>> = const { Cell::new((Vec::new(), Vec::new())) };
-    static SLAB_I32: Cell<Slab<i32, NR_I32>> = const { Cell::new((Vec::new(), Vec::new())) };
+    static SLAB_F32: Cell<Slab<f32>> = const { Cell::new((Vec::new(), Vec::new())) };
+    static SLAB_I32: Cell<Slab<i32>> = const { Cell::new((Vec::new(), Vec::new())) };
 }
 
-impl Element<NR_F32> for f32 {
+impl Element for f32 {
     type Operand = f32;
     type Epilogue = ();
 
-    fn slab() -> &'static LocalKey<Cell<Slab<f32, NR_F32>>> {
+    fn slab() -> &'static LocalKey<Cell<Slab<f32>>> {
         &SLAB_F32
     }
 
@@ -646,7 +637,7 @@ impl Element<NR_F32> for f32 {
         nzrows: &[u32],
         wpack: &[f32],
         binit: &[f32; MR],
-        out: &mut [[f32; NR_F32]; MR],
+        out: &mut [[f32; NR]; MR],
     ) {
         let mut acc = [[_mm256_setzero_ps(); 2]; MR];
         for c in 0..MR {
@@ -654,7 +645,7 @@ impl Element<NR_F32> for f32 {
             acc[c][1] = acc[c][0];
         }
         for (i, &r) in nzrows.iter().enumerate() {
-            let p = bpanel.as_ptr().add(r as usize * NR_F32);
+            let p = bpanel.as_ptr().add(r as usize * NR);
             let b0 = _mm256_loadu_ps(p);
             let b1 = _mm256_loadu_ps(p.add(8));
             for c in 0..MR {
@@ -673,68 +664,12 @@ impl Element<NR_F32> for f32 {
     fn finish(_: Option<&()>, _: usize, _: &mut [f32]) {}
 }
 
-impl Element<NR_I64> for i64 {
-    type Operand = i64;
-    type Epilogue = RequantPlan;
-
-    fn slab() -> &'static LocalKey<Cell<Slab<i64, NR_I64>>> {
-        &SLAB_I64
-    }
-
-    /// 4 output rows × 8 columns. Multiplies via `_mm256_mul_epi32`
-    /// (signed 32×32→64 of each lane's low half) — exact because the
-    /// caller guarantees all weights and column values fit in `i32`;
-    /// additions wrap exactly like release-mode scalar.
-    ///
-    /// # Safety
-    ///
-    /// `avx2` must be available; `bpanel.len() ≥ (r+1)·8` for every `r`
-    /// in `nzrows`, `wpack.len() ≥ nzrows.len()·MR`, and every operand
-    /// must fit in `i32`.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn tile_avx2(
-        bpanel: &[i64],
-        nzrows: &[u32],
-        wpack: &[i64],
-        binit: &[i64; MR],
-        out: &mut [[i64; NR_I64]; MR],
-    ) {
-        let mut acc = [[_mm256_setzero_si256(); 2]; MR];
-        for c in 0..MR {
-            acc[c][0] = _mm256_set1_epi64x(binit[c]);
-            acc[c][1] = acc[c][0];
-        }
-        for (i, &r) in nzrows.iter().enumerate() {
-            let p = bpanel.as_ptr().add(r as usize * NR_I64);
-            let b0 = _mm256_loadu_si256(p as *const __m256i);
-            let b1 = _mm256_loadu_si256(p.add(4) as *const __m256i);
-            for c in 0..MR {
-                let w = _mm256_set1_epi64x(*wpack.get_unchecked(i * MR + c));
-                acc[c][0] = _mm256_add_epi64(acc[c][0], _mm256_mul_epi32(w, b0));
-                acc[c][1] = _mm256_add_epi64(acc[c][1], _mm256_mul_epi32(w, b1));
-            }
-        }
-        for c in 0..MR {
-            _mm256_storeu_si256(out[c].as_mut_ptr() as *mut __m256i, acc[c][0]);
-            _mm256_storeu_si256(out[c].as_mut_ptr().add(4) as *mut __m256i, acc[c][1]);
-        }
-    }
-
-    #[inline]
-    fn finish(plan: Option<&RequantPlan>, chan: usize, lane: &mut [i64]) {
-        if let Some(plan) = plan {
-            plan.channels[chan].apply_lane(lane);
-        }
-    }
-}
-
-impl Element<NR_I32> for i32 {
+impl Element for i32 {
     type Operand = i16;
     type Epilogue = RequantPlan;
     const PAIR: usize = 2;
 
-    fn slab() -> &'static LocalKey<Cell<Slab<i32, NR_I32>>> {
+    fn slab() -> &'static LocalKey<Cell<Slab<i32>>> {
         &SLAB_I32
     }
 
@@ -761,7 +696,7 @@ impl Element<NR_I32> for i32 {
         nzrows: &[u32],
         wpack: &[i16],
         binit: &[i32; MR],
-        out: &mut [[i32; NR_I32]; MR],
+        out: &mut [[i32; NR]; MR],
     ) {
         let mut acc = [[_mm256_setzero_si256(); 2]; MR];
         for c in 0..MR {
@@ -905,7 +840,7 @@ fn pattern_groups<T>(blocks: &[BlockPlan<T>]) -> Vec<(usize, usize)> {
 /// similarity order, their same-pattern groups, and whether the AVX2
 /// tile multiplies every weight exactly. Build it once where weights
 /// freeze and hand it to every call. `T` is the type the packs hold —
-/// the element itself for `f32` and `i64`, `i16` for `i32` lanes.
+/// the element itself for `f32`, `i16` for `i32` lanes.
 #[derive(Clone, Debug)]
 pub struct PackedWeights<T> {
     co: usize,
@@ -928,11 +863,7 @@ impl<T> PackedWeights<T> {
 }
 
 impl<O: Plane> PackedWeights<O> {
-    fn plan<T: Element<NR, Operand = O>, const NR: usize>(
-        co: usize,
-        rows: usize,
-        weights: &[O],
-    ) -> Self {
+    fn plan<T: Element<Operand = O>>(co: usize, rows: usize, weights: &[O]) -> Self {
         assert_eq!(weights.len(), co * rows, "weight length mismatch");
         let blocks = plan_blocks(co, rows, weights, T::PAIR);
         Self {
@@ -949,15 +880,7 @@ impl PackedWeights<f32> {
     /// Plans a row-major `co × rows` weight matrix (panics on any other
     /// length).
     pub fn new(co: usize, rows: usize, weights: &[f32]) -> Self {
-        Self::plan::<f32, NR_F32>(co, rows, weights)
-    }
-}
-
-impl PackedWeights<i64> {
-    /// Plans a row-major `co × rows` weight matrix (panics on any other
-    /// length).
-    pub fn new(co: usize, rows: usize, weights: &[i64]) -> Self {
-        Self::plan::<i64, NR_I64>(co, rows, weights)
+        Self::plan::<f32>(co, rows, weights)
     }
 }
 
@@ -966,7 +889,7 @@ impl PackedWeights<i16> {
     /// lanes, row pairs laid out for `_mm256_madd_epi16` (panics on any
     /// other length).
     pub fn new(co: usize, rows: usize, weights: &[i16]) -> Self {
-        Self::plan::<i32, NR_I32>(co, rows, weights)
+        Self::plan::<i32>(co, rows, weights)
     }
 }
 
@@ -1010,7 +933,7 @@ pub(crate) struct Sink<'a, 'p, T> {
 /// planes in place — lane by lane as the tiles finish them, or, given a
 /// chunk epilogue `fused`, staged whole in its slab, handed to `fused`
 /// once and then written row by row.
-pub(crate) fn product<T: Element<NR>, D: Plane + TryFrom<T>, const NR: usize>(
+pub(crate) fn product<T: Element, D: Plane + TryFrom<T>>(
     w: &PackedWeights<T::Operand>,
     plane: usize,
     bias: &[T],
@@ -1112,11 +1035,10 @@ pub(crate) fn product<T: Element<NR>, D: Plane + TryFrom<T>, const NR: usize>(
             }
         };
         // The chunk's pixels start at column `x0` of an image row; where
-        // each of its panels (`i64` has the most) starts — row counted
-        // from the chunk's first, column — is divided out once here,
-        // not per lane.
+        // each of its panels starts — row counted from the chunk's first,
+        // column — is divided out once here, not per lane.
         let (x0, cw) = (chunk * NC_COLS % iw, NC_COLS.min(plane - chunk * NC_COLS));
-        let starts: [_; NC_COLS / NR_I64] =
+        let starts: [_; NC_COLS / NR] =
             std::array::from_fn(|p| ((x0 + p * NR) / iw, (x0 + p * NR) % iw));
         let mut write = |chan: usize, j: usize, mut vals: &[T]| {
             let [cp, ry, rx] = cells[chan];
@@ -1165,7 +1087,7 @@ pub(crate) fn product<T: Element<NR>, D: Plane + TryFrom<T>, const NR: usize>(
 /// the task's share of the product's [`Sink`]. Within a group panels are
 /// the outer loop, so every block of the group reads the panel's
 /// non-zero rows while they are L1-hot.
-fn chunk_body<T: Element<NR>, const NR: usize>(
+fn chunk_body<T: Element>(
     tier: KernelBackend,
     b: &[T::Operand],
     w: &PackedWeights<T::Operand>,
@@ -1204,7 +1126,7 @@ fn chunk_body<T: Element<NR>, const NR: usize>(
 
 /// Portable scalar register tile (the compiler autovectorizes the fixed
 /// NR-wide inner loops where it can).
-fn tile_scalar<T: Element<NR>, const NR: usize>(
+fn tile_scalar<T: Element>(
     bpanel: &[T::Operand],
     nzrows: &[u32],
     wpack: &[T::Operand],
@@ -1233,7 +1155,7 @@ fn tile_scalar<T: Element<NR>, const NR: usize>(
 // ---------------------------------------------------------------------
 
 /// The driver over a B the caller packed, one output plane per `co`.
-fn prepacked<T: Element<NR> + Plane, const NR: usize>(
+fn prepacked<T: Element + Plane>(
     bp: &[T::Operand],
     plane: usize,
     w: &PackedWeights<T::Operand>,
@@ -1280,20 +1202,15 @@ pub fn gemm_f32_packed(
     bias: &[f32],
 ) -> Vec<Vec<f32>> {
     let w = PackedWeights::<f32>::new(co, rows, weights);
-    prepacked::<f32, NR_F32>(bp, plane, &w, bias, None, true)
+    prepacked(bp, plane, &w, bias, None, true)
 }
 
-/// Blocked i64 GEMM over a pre-packed panel-major B
-/// (`[panel][row][NR_I64]`, tail panel zero-padded), bit-identical to
-/// [`reference()`] followed by per-channel requantization (when
-/// `requant` is given the epilogue is fused: the un-rescaled wide
-/// accumulators never reach memory). Plans `weights` per call.
-///
-/// The AVX2 tile multiplies with `_mm256_mul_epi32`, exact only when
-/// both operands fit in `i32`: the weights are checked here, and the
-/// caller certifies with `col_fits_i32` whether every packed value does
-/// (pass `false` when unsure and the scalar-blocked tile, still
-/// bit-exact, runs).
+/// The `i64` product over a pre-packed panel-major B
+/// (`[panel][row][NR_I64]`, tail panel zero-padded): [`reference()`]
+/// over the row-major matrix the panels hold, then `requant` per output
+/// channel. No element of the blocked driver runs it; it keeps the
+/// signature the benchmark's `i64` probe calls. `col_fits_i32` is
+/// ignored.
 ///
 /// # Panics
 ///
@@ -1307,15 +1224,31 @@ pub fn gemm_i64_packed(
     weights: &[i64],
     bias: &[i64],
     requant: Option<&RequantPlan>,
-    col_fits_i32: bool,
+    _col_fits_i32: bool,
 ) -> Vec<Vec<i64>> {
     check_plan(requant, co);
-    let w = PackedWeights::<i64>::new(co, rows, weights);
-    prepacked::<i64, NR_I64>(bp, plane, &w, bias, requant, col_fits_i32)
+    assert_eq!(
+        bp.len(),
+        plane.div_ceil(NR_I64) * rows * NR_I64,
+        "packed matrix length mismatch"
+    );
+    let col: Vec<i64> = (0..rows * plane)
+        .map(|i| {
+            let (r, j) = (i / plane, i % plane);
+            bp[(j / NR_I64 * rows + r) * NR_I64 + j % NR_I64]
+        })
+        .collect();
+    let mut planes = reference(&col, plane, rows, co, weights, bias);
+    if let Some(plan) = requant {
+        for (p, ch) in planes.iter_mut().zip(&plan.channels) {
+            p.iter_mut().for_each(|v| *v = ch.apply(*v));
+        }
+    }
+    planes
 }
 
 /// [`gemm_i64_packed`] in `i32` lanes over 16-bit operands
-/// (`[panel][row][NR_I32]` panels of `i16`): the same integers for a
+/// (`[panel][row][NR]` panels of `i16`): the same integers for a
 /// product whose every partial sum fits the lane (see the module docs).
 /// The AVX2 tile's `_mm256_madd_epi16` needs `|v| ≤ 32767`: a `−32768`
 /// on either side runs the scalar-blocked tile.
@@ -1334,7 +1267,7 @@ pub fn gemm_i32_packed(
 ) -> Vec<Vec<i32>> {
     check_plan(requant, co);
     let w = PackedWeights::<i16>::new(co, rows, weights);
-    prepacked::<i32, NR_I32>(bp, plane, &w, bias, requant, i16::avx2_exact(bp))
+    prepacked(bp, plane, &w, bias, requant, i16::avx2_exact(bp))
 }
 
 pub(crate) fn check_plan(requant: Option<&RequantPlan>, co: usize) {
@@ -1348,9 +1281,10 @@ pub(crate) fn check_plan(requant: Option<&RequantPlan>, co: usize) {
 /// `bias[c] + Σ_r weights[c·rows + r] · col[r]` over a **row-major**
 /// `rows × plane` patch matrix, bias first, rows in increasing order,
 /// zero weights skipped (an empty `bias` means no bias). Generic over
-/// the element type; tests call it directly and no production path
-/// reaches it. Over [`crate::im2col::im2col_pack`] it is bit-identical
-/// to [`crate::conv::conv2d_forward`].
+/// the element type; tests call it directly, [`gemm_i64_packed`] runs
+/// it, and no inference path reaches it. Over
+/// [`crate::im2col::im2col_pack`] it is bit-identical to
+/// [`crate::conv::conv2d_forward`].
 ///
 /// # Examples
 ///
@@ -1434,16 +1368,12 @@ mod tests {
     const TIERS: [KernelBackend; 2] = [KernelBackend::Scalar, KernelBackend::Avx2];
 
     /// The plan of lane-typed weights, each in the element's operand type.
-    fn planned<T: Element<NR>, const NR: usize>(
-        co: usize,
-        rows: usize,
-        weights: &[T],
-    ) -> PackedWeights<T::Operand>
+    fn planned<T: Element>(co: usize, rows: usize, weights: &[T]) -> PackedWeights<T::Operand>
     where
         T::Operand: TryFrom<T>,
     {
         let operands: Vec<T::Operand> = weights.iter().map(|w| fit(*w)).collect();
-        PackedWeights::plan::<T, NR>(co, rows, &operands)
+        PackedWeights::plan::<T>(co, rows, &operands)
     }
 
     /// The product of tier `k` over a row-major `col`, through the
@@ -1452,7 +1382,7 @@ mod tests {
     /// itself. (`tests/gemm_kernels.rs` holds the pre-packed entries to
     /// this one bit for bit.)
     #[allow(clippy::too_many_arguments)]
-    fn blocked<T: Element<NR> + Plane, const NR: usize>(
+    fn blocked<T: Element + Plane>(
         k: KernelBackend,
         col: &[T],
         plane: usize,
@@ -1465,7 +1395,7 @@ mod tests {
     where
         T::Operand: TryFrom<T>,
     {
-        let w = planned::<T, NR>(co, rows, weights);
+        let w = planned(co, rows, weights);
         let x = ConvInput::new(col, rows, 1, plane, Window::full(1, plane));
         let mut flat = vec![T::default(); co * plane];
         forced_kernel_scope(k, || {
@@ -1476,8 +1406,10 @@ mod tests {
             .collect()
     }
 
-    /// [`reference()`] followed by the unfused per-channel requantization.
-    fn reference_i64(
+    /// [`reference()`] in `i64` followed by the unfused per-channel
+    /// requantization, narrowed into `i32` lanes (every test's values
+    /// fit them).
+    fn reference_i32(
         col: &[i64],
         plane: usize,
         rows: usize,
@@ -1485,14 +1417,19 @@ mod tests {
         weights: &[i64],
         bias: &[i64],
         requant: Option<&RequantPlan>,
-    ) -> Vec<Vec<i64>> {
+    ) -> Vec<Vec<i32>> {
         let mut planes = reference(col, plane, rows, co, weights, bias);
         if let Some(plan) = requant {
             for (p, ch) in planes.iter_mut().zip(&plan.channels) {
                 p.iter_mut().for_each(|v| *v = ch.apply(*v));
             }
         }
-        planes
+        planes.iter().map(|p| narrow(p)).collect()
+    }
+
+    /// `values` in a narrower type that holds every one of them.
+    fn narrow<T: TryFrom<i64> + Default>(values: &[i64]) -> Vec<T> {
+        values.iter().map(|v| fit(*v)).collect()
     }
 
     #[test]
@@ -1570,7 +1507,7 @@ mod tests {
     }
 
     #[test]
-    fn i64_blocked_is_bit_identical_to_reference() {
+    fn i32_blocked_is_bit_identical_to_reference() {
         for (co, rows, plane) in [
             (1, 1, 1),
             (3, 9, 17),
@@ -1581,15 +1518,17 @@ mod tests {
             (2, 3, 0),    // empty plane
             (0, 3, 5),    // no output channels
         ] {
+            // Columns over the 16-bit range the tile multiplies, 8-bit
+            // weights: every partial sum stays inside the lane.
             let weights = {
-                let mut w = pseudo_i64(co * rows, 3, 1 << 15);
+                let mut w = pseudo_i64(co * rows, 3, 1 << 8);
                 for v in w.iter_mut().step_by(4) {
                     *v = 0;
                 }
                 w
             };
             let col = pseudo_i64(rows * plane, 7, 1 << 15);
-            let bias = pseudo_i64(co, 11, 1 << 30);
+            let bias = pseudo_i64(co, 11, 1 << 28);
             let plan = RequantPlan {
                 channels: (0..co)
                     .map(|c| RequantChannel {
@@ -1600,10 +1539,11 @@ mod tests {
                     })
                     .collect(),
             };
+            let (w32, col32, bias32) = (narrow(&weights), narrow(&col), narrow(&bias));
             for requant in [None, Some(&plan)] {
-                let want = reference_i64(&col, plane, rows, co, &weights, &bias, requant);
+                let want = reference_i32(&col, plane, rows, co, &weights, &bias, requant);
                 for k in TIERS {
-                    let got = blocked(k, &col, plane, rows, co, &weights, &bias, requant);
+                    let got = blocked(k, &col32, plane, rows, co, &w32, &bias32, requant);
                     assert_eq!(want, got, "{k:?} co={co} rows={rows} plane={plane}");
                 }
             }
@@ -1611,62 +1551,45 @@ mod tests {
     }
 
     #[test]
-    fn i64_wide_operands_fall_back_exactly() {
-        // Values beyond i32 on either side: the AVX2 gate must reject
-        // them (a low-half multiply would lose the high bits) and the
-        // scalar-blocked tile must still match the reference — through
-        // the streaming entry (which scans the unpacked input) and the
-        // pre-packed one (whose caller certifies B).
-        let narrow_w = vec![7i64, 3, 0, -5];
-        let wide_w = vec![1i64 << 40, 3, 0, -5];
-        let narrow_col = pseudo_i64(2 * 9, 13, 1 << 20);
-        let mut wide_col = narrow_col.clone();
-        wide_col[4] = (1 << 33) + 1;
-        let bias = vec![7i64, -9];
-        for (weights, col) in [(&wide_w, &narrow_col), (&narrow_w, &wide_col)] {
-            let want = reference(col, 9, 2, 2, weights, &bias);
-            assert!(!(i64::avx2_exact(weights) && i64::avx2_exact(col)));
-            for k in TIERS {
-                let got = blocked(k, col, 9, 2, 2, weights, &bias, None);
-                assert_eq!(want, got, "{k:?}");
-            }
-        }
-    }
-
-    #[test]
     fn requant_epilogue_saturates_at_the_rails() {
-        // One row, huge accumulators: left shifts must saturate at the
-        // i64 rails and the clamp must land exactly on qmin/qmax.
+        // One row, accumulators a left shift by 17 carries past the lane:
+        // they must saturate at the lane's rails, and the clamp must land
+        // exactly on qmin/qmax.
         let weights = vec![1i64, 1];
-        let col = vec![i64::MAX / 2, i64::MIN / 2, 100, -100];
+        let col = vec![32767, -32767, 100, -100];
         let plan = RequantPlan {
             channels: (0..2)
                 .map(|_| RequantChannel {
                     from_frac: 0,
-                    to_frac: 8, // left shift by 8: saturates the big values
-                    qmin: -(1 << 15),
-                    qmax: (1 << 15) - 1,
+                    to_frac: 17,
+                    qmin: -(1 << 30),
+                    qmax: (1 << 30) - 1,
                 })
                 .collect(),
         };
-        let want = reference_i64(&col, 4, 1, 2, &weights, &[0, 0], Some(&plan));
-        assert_eq!(want[0], vec![(1 << 15) - 1, -(1 << 15), 25600, -25600]);
+        let want = reference_i32(&col, 4, 1, 2, &weights, &[0, 0], Some(&plan));
+        assert_eq!(
+            want[0],
+            vec![(1 << 30) - 1, -(1 << 30), 100 << 17, -100 << 17]
+        );
         assert_eq!(want[1], want[0]);
+        let (w32, col32) = (narrow(&weights), narrow(&col));
         for k in TIERS {
-            let got = blocked(k, &col, 4, 1, 2, &weights, &[0, 0], Some(&plan));
+            let got = blocked(k, &col32, 4, 1, 2, &w32, &[0, 0], Some(&plan));
             assert_eq!(want, got, "{k:?}");
         }
     }
 
-    /// `co × rows` weights of two non-zero-row patterns, and their plan.
-    fn two_pattern_weights(co: usize, rows: usize, seed: u64) -> (Vec<i64>, PackedWeights<i64>) {
+    /// `co × rows` weights of two non-zero-row patterns, and their plan
+    /// for `i32` lanes.
+    fn two_pattern_weights(co: usize, rows: usize, seed: u64) -> (Vec<i64>, PackedWeights<i16>) {
         let mut weights = pseudo_i64(co * rows, seed, 1 << 10);
         for (i, v) in weights.iter_mut().enumerate() {
             if (i / rows) % 2 != (i % rows) % 2 {
                 *v = 0;
             }
         }
-        let w = PackedWeights::<i64>::new(co, rows, &weights);
+        let w = PackedWeights::<i16>::new(co, rows, &narrow(&weights));
         assert!(w.groups.len() >= 2, "{:?}", w.groups);
         (weights, w)
     }
@@ -1680,20 +1603,20 @@ mod tests {
         let (weights, _) = two_pattern_weights(co, rows, 17);
         let col = pseudo_i64(rows * plane, 19, 1 << 10);
         let bias = pseudo_i64(co, 23, 1 << 20);
-        let want = reference(&col, plane, rows, co, &weights, &bias);
+        let want = reference_i32(&col, plane, rows, co, &weights, &bias, None);
+        let (w32, col32, bias32) = (narrow(&weights), narrow(&col), narrow(&bias));
         for k in TIERS {
-            let got = blocked(k, &col, plane, rows, co, &weights, &bias, None);
+            let got = blocked(k, &col32, plane, rows, co, &w32, &bias32, None);
             assert_eq!(want, got, "{k:?}");
         }
     }
 
     #[test]
     fn i32_chunk_tasks_equal_the_i64_product_through_the_fused_requant() {
-        // The `i32` element on the shape of the test above (four chunks ×
-        // two pattern groups; a Miri step too, on the scalar tile):
-        // 10-bit operands over three non-zero rows stay far inside the
-        // lane, so every integer is the `i64` product's, raw and through
-        // a requantizer that saturates some of them.
+        // The test above through the fused requant epilogue (a Miri step
+        // too, on the scalar tile): 10-bit operands over three non-zero
+        // rows stay far inside the lane, so every integer is the `i64`
+        // product's through a requantizer that saturates some of them.
         let (co, rows, plane) = (8, 6, 3 * NC_COLS + 5);
         let (weights, _) = two_pattern_weights(co, rows, 17);
         let col = pseudo_i64(rows * plane, 19, 1 << 10);
@@ -1707,18 +1630,15 @@ mod tests {
         let plan = RequantPlan {
             channels: (0..co).map(channel).collect(),
         };
-        let narrow = |v: &[i64]| v.iter().map(|x| *x as i32).collect::<Vec<_>>();
-        let (w32, col32, bias32) = (narrow(&weights), narrow(&col), narrow(&bias));
+        let (w32, col32, bias32) = (narrow(&weights), narrow::<i32>(&col), narrow(&bias));
         // The AVX2 gate: 16-bit operands short of −32768.
         assert!(i32::avx2_exact(&col32) && i32::avx2_exact(&[32767, -32767]));
         assert!(!i32::avx2_exact(&[-32768]) && !i32::avx2_exact(&[32768]));
-        for requant in [None, Some(&plan)] {
-            let want = reference_i64(&col, plane, rows, co, &weights, &bias, requant);
-            let want: Vec<_> = want.iter().map(|p| narrow(p)).collect();
-            for k in TIERS {
-                let got = blocked(k, &col32, plane, rows, co, &w32, &bias32, requant);
-                assert_eq!(want, got, "{k:?}");
-            }
+        let want = reference_i32(&col, plane, rows, co, &weights, &bias, Some(&plan));
+        assert!(want.iter().flatten().any(|v| *v == (1 << 15) - 1));
+        for k in TIERS {
+            let got = blocked(k, &col32, plane, rows, co, &w32, &bias32, Some(&plan));
+            assert_eq!(want, got, "{k:?}");
         }
     }
 
@@ -1732,19 +1652,20 @@ mod tests {
         let (weights, w) = two_pattern_weights(co, rows, 29);
         let col = pseudo_i64(rows * plane, 31, 1 << 10);
         let bias = pseudo_i64(co, 37, 1 << 20);
-        let lanes = reference(&col, plane, rows, co, &weights, &bias);
-        let mut want = vec![0i64; co * plane];
+        let lanes = reference_i32(&col, plane, rows, co, &weights, &bias, None);
+        let mut want = vec![0i32; co * plane];
         for (c, lane) in lanes.iter().enumerate() {
             for (j, v) in lane.iter().enumerate() {
                 let (oy, ox) = (j / iw * r + c / r % r, j % iw * r + c % r);
                 want[c / (r * r) * plane * r * r + oy * iw * r + ox] = *v;
             }
         }
-        let x = ConvInput::new(&col, rows, h, iw, Window::full(h, iw));
+        let (col32, bias32): (Vec<i32>, Vec<i32>) = (narrow(&col), narrow(&bias));
+        let x = ConvInput::new(&col32, rows, h, iw, Window::full(h, iw));
         for k in TIERS {
-            let mut got = vec![i64::MIN; co * plane];
+            let mut got = vec![i32::MIN; co * plane];
             forced_kernel_scope(k, || {
-                conv_streaming(&x, 1, &w, &bias, (None, None), r, &mut got)
+                conv_streaming(&x, 1, &w, &bias32, (None, None), r, &mut got)
             });
             assert_eq!(want, got, "{k:?}");
         }
@@ -1756,13 +1677,13 @@ mod tests {
         // step too, scalar tile): the 8×50 region of a 10×56 image is
         // four chunks again, and every pixel is the one the untrimmed
         // product writes there.
-        fn check<T: Element<NR> + Plane + std::fmt::Debug, const NR: usize>(cast: fn(i64) -> T)
+        fn check<T: Element + Plane + std::fmt::Debug>(cast: fn(i64) -> T)
         where
             T::Operand: TryFrom<T>,
         {
             let (co, rows, h, iw, r) = (8, 6, 10, 56, 2);
             let values = |v: Vec<i64>| v.into_iter().map(cast).collect::<Vec<_>>();
-            let w = planned::<T, NR>(co, rows, &values(two_pattern_weights(co, rows, 41).0));
+            let w = planned::<T>(co, rows, &values(two_pattern_weights(co, rows, 41).0));
             let col = values(pseudo_i64(rows * h * iw, 43, 1 << 10));
             let bias = values(pseudo_i64(co, 47, 1 << 20));
             let run = |win: Window| {
@@ -1779,8 +1700,8 @@ mod tests {
                 assert_eq!(*v, whole[(c * h * r + oy) * iw * r + ox], "{c} {oy} {ox}");
             }
         }
-        check::<i32, NR_I32>(|v| v as i32);
-        check::<f32, NR_F32>(|v| v as f32 / 64.0);
+        check::<i32>(|v| v as i32);
+        check::<f32>(|v| v as f32 / 64.0);
     }
 
     #[test]
@@ -1804,7 +1725,7 @@ mod tests {
             let [a, b] = pair else { unreachable!() };
             a.iter_mut().zip(b).for_each(|(a, b)| mix(a, b));
         }
-        let want: Vec<i8> = want.concat().iter().map(|v| fit(*v)).collect();
+        let want: Vec<i8> = narrow(&want.concat());
         assert!(want.contains(&127) && want.iter().any(|v| (1..100).contains(v)));
         let fused = |block: &mut [i32], stride: usize, cw: usize| {
             assert!(cw <= stride && block.len() == co * stride);
@@ -1817,15 +1738,14 @@ mod tests {
                 }
             }
         };
-        let narrow = |v: &[i64]| v.iter().map(|v| fit(*v)).collect::<Vec<i16>>();
         let w = PackedWeights::<i16>::new(co, rows, &narrow(&weights));
-        let col: Vec<i8> = col.iter().map(|v| fit(*v)).collect();
+        let col: Vec<i8> = narrow(&col);
         let x = ConvInput::new(&col, rows, 1, plane, Window::full(1, plane));
-        let bias: Vec<i32> = bias.iter().map(|v| fit(*v)).collect();
+        let bias: Vec<i32> = narrow(&bias);
         let mut got = vec![i8::MIN; co * plane];
         let epilogues = (None, Some(&fused as ChunkEpilogue<'_, i32>));
         forced_kernel_scope(KernelBackend::Scalar, || {
-            conv_streaming::<i32, _, _, NR_I32>(&x, 1, &w, &bias, epilogues, 1, &mut got)
+            conv_streaming(&x, 1, &w, &bias, epilogues, 1, &mut got)
         });
         assert_eq!(want, got);
     }

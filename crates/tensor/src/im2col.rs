@@ -30,7 +30,7 @@
 //! taps skipped, bias first); the panel-major pack holds exactly the
 //! row-major matrix, chunk by chunk; the streaming conv equals the
 //! pre-packed GEMM over that pack **bit for bit**; and every GEMM tier
-//! agrees with the oracle — **bit for bit** in `i64` (integer
+//! agrees with the oracle — **bit for bit** in `i32` (integer
 //! accumulation is order-independent), within tolerance in `f32` (FMA
 //! and blocked summation change ULPs). `tests/conv_backends.rs` and
 //! `tests/gemm_kernels.rs` assert the same over random shapes and whole
@@ -38,8 +38,7 @@
 
 use crate::conv::ConvWeights;
 use crate::gemm::{
-    self, fit, ChunkEpilogue, Element, PackedWeights, Panels, Plane, RequantPlan, Sink, NR_F32,
-    NR_I32,
+    self, fit, ChunkEpilogue, Element, PackedWeights, Panels, Plane, RequantPlan, Sink, NR,
 };
 use crate::shape::Shape4;
 use crate::tensor::Tensor;
@@ -365,7 +364,7 @@ pub fn im2col_pack_panels_window(
 /// (`co / r²` row-major planes of `r²·x.plane()`; `r = 1`: the `co`
 /// planes themselves) — the engine's [`Sink`] writes every pixel where
 /// the shuffle would move it.
-pub(crate) fn conv_streaming<T, S, D, const NR: usize>(
+pub(crate) fn conv_streaming<T, S, D>(
     x: &ConvInput<'_, S>,
     k: usize,
     w: &PackedWeights<T::Operand>,
@@ -374,7 +373,7 @@ pub(crate) fn conv_streaming<T, S, D, const NR: usize>(
     r: usize,
     out: &mut [D],
 ) where
-    T: Element<NR>,
+    T: Element,
     T::Operand: TryFrom<S>,
     S: Plane,
     D: Plane + TryFrom<T>,
@@ -421,7 +420,7 @@ pub fn conv_streaming_f32(
     bias: &[f32],
     out: &mut [f32],
 ) {
-    conv_streaming::<f32, _, _, NR_F32>(x, k, w, bias, (None, None), 1, out);
+    conv_streaming(x, k, w, bias, (None, None), 1, out);
 }
 
 /// The integer twin of [`conv_streaming_f32`], in `i32` lanes over
@@ -449,7 +448,7 @@ pub fn conv_streaming_i32<S: Plane + TryFrom<i32>>(
     i16: TryFrom<S>,
 {
     gemm::check_plan(requant, w.co());
-    conv_streaming::<i32, _, _, NR_I32>(x, k, w, bias, (requant, fused), 1, out);
+    conv_streaming(x, k, w, bias, (requant, fused), 1, out);
 }
 
 /// Forward convolution over planned weights, the prepared-layer entry
@@ -481,7 +480,7 @@ pub fn conv2d_forward_packed(
     for n in 0..s.n {
         let x = input.conv_input(n, region);
         let planes = &mut out.as_mut_slice()[n * item..(n + 1) * item];
-        conv_streaming::<f32, _, _, NR_F32>(&x, k, w, bias, (None, None), r, planes);
+        conv_streaming(&x, k, w, bias, (None, None), r, planes);
     }
     out
 }

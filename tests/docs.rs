@@ -140,6 +140,9 @@ fn docs_name_no_deleted_identifier() {
             "Lanes",
             "Lanes::I64",
             "conv_streaming_i64",
+            "SLAB_I64",
+            "NR_F32",
+            "NR_I32",
             "ConvStreaming",
             "LaneProof::invalid",
             "run_chain",

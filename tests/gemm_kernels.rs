@@ -6,12 +6,13 @@
 //! in both dtypes, and each agrees with the oracle of its dtype within
 //! the documented contract: the f32 tiers within `1e-4` of the naive
 //! `conv2d_forward` (and > 100 dB PSNR on whole model-zoo forwards), the
-//! pre-packed i64 tiers **bit-exactly** with the matrix-level reference loop,
-//! including the fused requant epilogue's saturation rails,
-//! pruned/zero-weight rows and operands beyond the AVX2 tile's i32
-//! range; the i32 tiers **bit-exactly** with the i64 product wherever
-//! the accumulators fit the lane (every row of the table without a wide
-//! operand), through the 16-bit multiplies of their AVX2 tile.
+//! i32 tiers **bit-exactly** with the i64 product of the matrix-level
+//! reference loop wherever the accumulators fit the lane (every row of
+//! the table without a wide operand), through the 16-bit multiplies of
+//! their AVX2 tile and the fused requant epilogue's saturation rails.
+//! The pre-packed `gemm_i64_packed` — the reference loop over the
+//! panels it is handed, kept for the benchmark's probes — is held to
+//! that product on every row, wide operands included.
 //!
 //! Thread-pool sizes 1 and 4 are exercised by the CI `thread-sanity`
 //! matrix (`RINGCNN_THREADS`); the `RINGCNN_KERNEL=scalar` and
@@ -27,7 +28,7 @@ use ringcnn_nn::models::srresnet::{srresnet, SrResNetConfig};
 use ringcnn_nn::models::vdsr::vdsr;
 use ringcnn_tensor::gemm::{
     self, active_kernel, gemm_f32_packed, gemm_i32_packed, gemm_i64_packed, validate_env_kernel,
-    NR_F32, NR_I32, NR_I64,
+    NR, NR_I64,
 };
 use ringcnn_tensor::im2col::{
     conv_streaming_f32, conv_streaming_i32, im2col_pack_panels_window, ConvInput,
@@ -55,7 +56,7 @@ enum Zeros {
     All,
 }
 
-/// The i64 epilogue of a case.
+/// The integer epilogue of a case.
 #[derive(Clone, Copy, Debug)]
 enum Requant {
     /// Raw wide accumulators.
@@ -67,7 +68,7 @@ enum Requant {
     Rails,
 }
 
-/// i64 only: one operand beyond the AVX2 tile's i32 range.
+/// i64 only: one operand beyond `i32`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Wide {
     No,
@@ -97,7 +98,7 @@ struct Case {
 }
 
 #[rustfmt::skip]
-const CASES: [Case; 23] = {
+const CASES: [Case; 24] = {
     use {Requant as R, Zeros as Z};
     /// `shape` is `[co, ci, k, h, w, batch]`.
     const fn case(shape: [usize; 6], zeros: Zeros, bias: bool, requant: Requant, wide: Wide) -> Case {
@@ -121,6 +122,9 @@ const CASES: [Case; 23] = {
         case([5, 3, 3, 5, 7, 2], Z::Pruned, true, R::Narrow, Wide::No),
         case([7, 2, 3, 19, 9, 1], Z::Pruned, false, R::Rails, Wide::No),
         case([6, 1, 1, 3, 67, 1], Z::Pruned, true, R::None, Wide::No),
+        // One column past whole panels of every width (33 = 4·8 + 1 =
+        // 2·16 + 1): a one-column tail panel.
+        case([3, 2, 3, 3, 11, 1], Z::Pruned, true, R::Narrow, Wide::No),
         // The benchmark's largest tile: 242 chunks of 128 in rows of 176.
         case([4, 2, 3, 176, 176, 1], Z::Diagonal(2), true, R::Narrow, Wide::No),
         // Kernel wider than the map: taps entirely out of frame.
@@ -131,7 +135,7 @@ const CASES: [Case; 23] = {
         // Diagonal-ring patterns: n = 2 and n = 4 residue classes.
         case([8, 8, 3, 6, 5, 1], Z::Diagonal(4), true, R::Rails, Wide::No),
         case([6, 4, 1, 9, 4, 2], Z::Diagonal(2), false, R::Narrow, Wide::No),
-        // Operands wider than i32 must route off the AVX2 tile.
+        // Operands wider than i32 (the i64 product only).
         case([5, 2, 3, 5, 4, 1], Z::Pruned, true, R::Rails, Wide::Weight),
         case([5, 2, 3, 5, 4, 1], Z::Pruned, true, R::Rails, Wide::Activation),
         // Halo windows: interior, over each image corner, a superset of
@@ -270,7 +274,7 @@ fn f32_streaming_conv_equals_the_prepacked_gemm_bit_for_bit() {
         let (rows, plane) = (case.ci * case.k * case.k, win.h * win.w);
         let plan = w.packed();
         for n in 0..case.batch {
-            let bp = case.panels(&x, n, NR_F32);
+            let bp = case.panels(&x, n, NR);
             for tier in TIERS {
                 let whole = forced_kernel_scope(tier, || {
                     gemm_f32_packed(&bp, plane, rows, case.co, &w.data, &bias)
@@ -291,11 +295,12 @@ fn f32_streaming_conv_equals_the_prepacked_gemm_bit_for_bit() {
     }
 }
 
-/// The i64 half of the table: the pre-packed GEMM, with the requant
-/// epilogue fused in, is **bit-identical** under each forced tier to the
-/// matrix-level reference loop followed by the unfused per-channel
+/// The i64 half of the table: `gemm_i64_packed` over the whole-plane
+/// `[panel][row][NR_I64]` pack is **bit-identical** to the matrix-level
+/// reference loop over the row-major pack followed by the per-channel
 /// requantization — zero rows, saturation rails and i32-overflowing
-/// operands on either side (the AVX2 exactness gate) included.
+/// operands on either side included. The padding of a tail panel holds
+/// no pixel: it is poisoned, and must reach no output.
 #[test]
 fn i64_gemm_rails_and_wide_operands_are_bit_exact() {
     // A float no input reaches (inputs lie in [-2, 2)), marking the
@@ -325,22 +330,25 @@ fn i64_gemm_rails_and_wide_operands_are_bit_exact() {
         let (rows, plane) = (case.ci * case.k * case.k, win.h * win.w);
         for n in 0..case.batch {
             let col = widen(to_fixed(&im2col_pack_window(&x, n, case.k, win)));
-            let bp = widen(to_fixed(&case.panels(&x, n, NR_I64)));
-            assert_eq!(case.wide == Wide::Activation, !fits_i32(&bp), "{case:?}");
+            let mut bp = widen(to_fixed(&case.panels(&x, n, NR_I64)));
+            let fits = fits_i32(&bp);
+            assert_eq!(case.wide == Wide::Activation, !fits, "{case:?}");
+            let live = plane % NR_I64;
+            if live > 0 {
+                let tail = bp.len() - rows * NR_I64;
+                for r in 0..rows {
+                    bp[tail + r * NR_I64 + live..][..NR_I64 - live].fill(i64::MIN);
+                }
+            }
             let mut want = gemm::reference(&col, plane, rows, case.co, &weights, &bias);
             if let Some(requant) = &requant {
                 for (p, ch) in want.iter_mut().zip(&requant.channels) {
                     p.iter_mut().for_each(|v| *v = ch.apply(*v));
                 }
             }
-            for tier in TIERS {
-                let whole = forced_kernel_scope(tier, || {
-                    let fits = fits_i32(&bp);
-                    let (co, rq) = (case.co, requant.as_ref());
-                    gemm_i64_packed(&bp, plane, rows, co, &weights, &bias, rq, fits)
-                });
-                assert_eq!(whole, want, "{} tile, item {n} ({case:?})", tier.label());
-            }
+            let rq = requant.as_ref();
+            let whole = gemm_i64_packed(&bp, plane, rows, case.co, &weights, &bias, rq, fits);
+            assert_eq!(whole, want, "item {n} ({case:?})");
             if let (Requant::Rails, Zeros::Pruned, Some(plan)) =
                 (case.requant, case.zeros, &requant)
             {
@@ -390,7 +398,7 @@ fn i32_gemm_equals_the_i64_product_on_every_narrow_row() {
         for n in 0..case.batch {
             let xq = to_i32(&to_fixed(&x.as_slice()[n * item..(n + 1) * item]));
             let col = to_fixed(&im2col_pack_window(&x, n, case.k, win));
-            let bp: Vec<i16> = narrowed(&to_fixed(&case.panels(&x, n, NR_I32)));
+            let bp: Vec<i16> = narrowed(&to_fixed(&case.panels(&x, n, NR)));
             let raw = gemm::reference(&col, plane, rows, case.co, &weights, &bias);
             for requant in [None, case.requant_plan()] {
                 let mut want = raw.clone();
@@ -454,11 +462,11 @@ fn i32_row_pairs_odd_rows_and_the_sixteen_bit_rail_are_exact() {
         let mut col: Vec<i64> = (0..rows * plane).map(|_| draw(32767)).collect();
         (col[0], col[1]) = (32767, -32767);
         let bias: Vec<i64> = (0..co as i64).map(|c| c * 1000 - 7).collect();
-        // [panel][row][NR_I32] of the row-major `col`, tail zero-padded.
-        let mut bp = vec![0i64; plane.div_ceil(NR_I32) * rows * NR_I32];
+        // [panel][row][NR] of the row-major `col`, tail zero-padded.
+        let mut bp = vec![0i64; plane.div_ceil(NR) * rows * NR];
         for (i, v) in col.iter().enumerate() {
             let (r, j) = (i / plane, i % plane);
-            bp[(j / NR_I32 * rows + r) * NR_I32 + j % NR_I32] = *v;
+            bp[(j / NR * rows + r) * NR + j % NR] = *v;
         }
         let want = to_i32(&gemm::reference(&col, plane, rows, co, &weights, &bias).concat());
         let fits = |v: &[i64]| v.iter().all(|v| v.abs() <= 32767);
